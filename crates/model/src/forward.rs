@@ -11,7 +11,7 @@
 //! tiles gathered from the interleaved `[B*T, C]` projections.
 
 use crate::params::Params;
-use crate::{ModelConfig, ROPE_THETA};
+use crate::{rope_tables, ModelConfig};
 use astro_tensor::matmul::{matmul, matmul_a_bt, matmul_acc, matmul_at_b, matmul_at_b_acc};
 use astro_tensor::ops;
 
@@ -468,22 +468,6 @@ impl TrainContext {
     pub fn config(&self) -> &ModelConfig {
         &self.cfg
     }
-}
-
-/// Precompute RoPE rotation tables for positions `0..max_seq`.
-fn rope_tables(max_seq: usize, head_dim: usize) -> (Vec<f32>, Vec<f32>) {
-    let half = head_dim / 2;
-    let mut cos = vec![0.0f32; max_seq * half];
-    let mut sin = vec![0.0f32; max_seq * half];
-    for pos in 0..max_seq {
-        for i in 0..half {
-            let freq = 1.0 / ROPE_THETA.powf(2.0 * i as f32 / head_dim as f32);
-            let angle = pos as f32 * freq;
-            cos[pos * half + i] = angle.cos();
-            sin[pos * half + i] = angle.sin();
-        }
-    }
-    (cos, sin)
 }
 
 /// Rotate (or un-rotate, when `inverse`) the per-head pairs of a `[B*T, C]`

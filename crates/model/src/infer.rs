@@ -1,18 +1,34 @@
 //! KV-cache incremental decoding.
 //!
-//! [`InferenceSession`] feeds one token at a time, caching per-layer keys
-//! and values so each step costs `O(params + pos·d_model)` — the standard
-//! autoregressive-serving structure. Used by both the full-instruct method
-//! (free generation) and the next-token methods (single logit readout
-//! after the prompt).
+//! [`InferenceSession`] caches per-layer keys and values so each token
+//! costs `O(params + pos·d_model)` — the standard autoregressive-serving
+//! structure. Used by the full-instruct method (free generation), the
+//! next-token methods (single logit readout after the prompt) and the
+//! speculative verifier (one chunk of drafted tokens per round).
+//!
+//! The transformer block is written once here. The private
+//! `forward_rows` advances `m ≥ 1` token rows through embed → per layer
+//! (RMSNorm → Q/K/V → RoPE → causal attention over `0..=pos` → Wo +
+//! residual → RMSNorm → SwiGLU → W_down + residual) → final norm → tied
+//! LM head; [`InferenceSession::feed`] is its `m = 1` call and
+//! [`InferenceSession::try_feed_chunk`] its `m = n` call. Weight
+//! precision enters at the linear layers only: `norm_rows` and the two
+//! int8 epilogues (attention output, SwiGLU) leave a layer's input rows
+//! as f32, or as int8 with one scale per row, and `linear` multiplies
+//! them by the f32 weight or its int8 copy. RoPE, attention, the
+//! residual stream and the KV cache are f32 under both precisions.
+//!
+//! How a token stream is split into calls never changes a bit of the
+//! result: on the f32 path every output element is the same [`dot`] over
+//! the same operands whatever the row blocking, and on the int8 path the
+//! integer accumulation is exact (`tests/chunk_split.rs`).
 
 use crate::params::Params;
-use crate::{ModelConfig, WeightPrecision, ROPE_THETA};
+use crate::{rope_tables, ModelConfig, WeightPrecision};
+use astro_quant::QuantMatrix;
 use astro_tensor::matmul::{dot, matmul_a_bt};
 use astro_tensor::ops;
-use astro_tensor::qmatmul::{
-    quantize_row_q8, quantize_rows_q8, rmsnorm_quantize_row, swiglu_quantize_row,
-};
+use astro_tensor::qmatmul::{quantize_rows_q8, rmsnorm_quantize_row, swiglu_quantize_row};
 
 /// Typed failure of an [`InferenceSession`] step.
 ///
@@ -57,25 +73,32 @@ pub struct InferenceSession {
     k_cache: Vec<Vec<f32>>,
     /// Per-layer value cache `[max_seq, C]`.
     v_cache: Vec<Vec<f32>>,
-    // step scratch
+    // Row scratch, `[m, ·]` for the `m` rows of the current call: one row
+    // at construction (what `ModelConfig::session_bytes` budgets), grown
+    // by `fit_rows` when a larger chunk first arrives.
+    /// Residual stream `[m, C]`.
     x: Vec<f32>,
+    /// Normalised linear-layer input `[m, C]` (f32 path).
     ln: Vec<f32>,
-    ln_inv: Vec<f32>,
+    /// One f32 per row: the inverse RMS `rmsnorm_rows` reports on the f32
+    /// path, the activation scale of `qx` / `qf` on the int8 path.
+    row_scale: Vec<f32>,
     q: Vec<f32>,
     attn_out: Vec<f32>,
     proj: Vec<f32>,
     gate: Vec<f32>,
     up: Vec<f32>,
     act: Vec<f32>,
+    /// Attention scores of one (row, head) over `0..=pos`: `[max_seq]`.
     scores: Vec<f32>,
-    /// Logits after the last `feed`.
+    /// Logits after the last fed token.
     logits: Vec<f32>,
     rope_cos: Vec<f32>,
     rope_sin: Vec<f32>,
-    /// Int8 activation scratch (`d_model`), allocated only for
+    /// Int8 linear-layer input `[m, C]`, allocated only for
     /// [`WeightPrecision::Int8`] sessions.
     qx: Vec<i8>,
-    /// Int8 FFN activation scratch (`d_ff`), ditto.
+    /// Int8 FFN activation `[m, d_ff]`, ditto.
     qf: Vec<i8>,
 }
 
@@ -85,17 +108,11 @@ impl InferenceSession {
         cfg.assert_valid();
         let c = cfg.d_model;
         let f = cfg.d_ff;
-        let half = cfg.head_dim() / 2;
-        let mut rope_cos = vec![0.0f32; cfg.max_seq * half];
-        let mut rope_sin = vec![0.0f32; cfg.max_seq * half];
-        for pos in 0..cfg.max_seq {
-            for i in 0..half {
-                let freq = 1.0 / ROPE_THETA.powf(2.0 * i as f32 / cfg.head_dim() as f32);
-                let angle = pos as f32 * freq;
-                rope_cos[pos * half + i] = angle.cos();
-                rope_sin[pos * half + i] = angle.sin();
-            }
-        }
+        let (rope_cos, rope_sin) = rope_tables(cfg.max_seq, cfg.head_dim());
+        let (qx_len, qf_len) = match cfg.precision {
+            WeightPrecision::F32 => (0, 0),
+            WeightPrecision::Int8 => (c, f),
+        };
         InferenceSession {
             cfg,
             pos: 0,
@@ -103,7 +120,7 @@ impl InferenceSession {
             v_cache: (0..cfg.n_layers).map(|_| vec![0.0; cfg.max_seq * c]).collect(),
             x: vec![0.0; c],
             ln: vec![0.0; c],
-            ln_inv: vec![0.0; 1],
+            row_scale: vec![0.0; 1],
             q: vec![0.0; c],
             attn_out: vec![0.0; c],
             proj: vec![0.0; c],
@@ -114,14 +131,8 @@ impl InferenceSession {
             logits: vec![0.0; cfg.vocab_size],
             rope_cos,
             rope_sin,
-            qx: match cfg.precision {
-                WeightPrecision::F32 => Vec::new(),
-                WeightPrecision::Int8 => vec![0; c],
-            },
-            qf: match cfg.precision {
-                WeightPrecision::F32 => Vec::new(),
-                WeightPrecision::Int8 => vec![0; f],
-            },
+            qx: vec![0; qx_len],
+            qf: vec![0; qf_len],
         }
     }
 
@@ -166,18 +177,26 @@ impl InferenceSession {
         self.logits.copy_from_slice(&other.logits);
     }
 
+    /// `Ok` when `m` more tokens fit in the KV cache; the error names the
+    /// position the last of them would have occupied.
+    fn room_for(&self, m: usize) -> Result<(), SessionError> {
+        if self.pos + m > self.cfg.max_seq {
+            return Err(SessionError::CacheFull {
+                pos: self.pos + m - 1,
+                max_seq: self.cfg.max_seq,
+            });
+        }
+        Ok(())
+    }
+
     /// Feed one token; returns the logits for the *next* token, or
     /// [`SessionError::CacheFull`] when the session already holds
     /// `max_seq` tokens. This is the fallible entry point batch engines
     /// use to turn an over-long prompt into a per-prompt error.
     pub fn try_feed(&mut self, p: &Params, token: u32) -> Result<&[f32], SessionError> {
-        if self.pos >= self.cfg.max_seq {
-            return Err(SessionError::CacheFull {
-                pos: self.pos,
-                max_seq: self.cfg.max_seq,
-            });
-        }
-        Ok(self.feed_unchecked(p, token))
+        self.room_for(1)?;
+        self.forward_rows(p, &[token], None);
+        Ok(&self.logits)
     }
 
     /// Feed one token; returns the logits for the *next* token.
@@ -186,205 +205,9 @@ impl InferenceSession {
     /// Panics when the cache is full (`position() == max_seq`); use
     /// [`Self::try_feed`] to handle that case as a typed error.
     pub fn feed(&mut self, p: &Params, token: u32) -> &[f32] {
-        assert!(
-            self.pos < self.cfg.max_seq,
-            "KV cache full at {}",
-            self.pos
-        );
-        self.feed_unchecked(p, token)
-    }
-
-    /// The step kernel; capacity has already been checked. Dispatches on
-    /// the session's weight precision: [`WeightPrecision::Int8`] runs the
-    /// quantized kernels when the params carry an int8 copy, and falls
-    /// back to the f32 reference otherwise — an int8 session fed
-    /// unquantized params is a benign precision downgrade, not an error.
-    fn feed_unchecked(&mut self, p: &Params, token: u32) -> &[f32] {
-        match (self.cfg.precision, &p.quant) {
-            (WeightPrecision::Int8, Some(_)) => self.feed_step_int8(p, token),
-            _ => self.feed_step_f32(p, token),
-        }
-    }
-
-    /// The f32 step kernel — the bitwise-golden reference path.
-    fn feed_step_f32(&mut self, p: &Params, token: u32) -> &[f32] {
-        let c = self.cfg.d_model;
-        let f = self.cfg.d_ff;
-        let pos = self.pos;
-        let embed = p.view(&p.layout.embed.clone());
-        let tok = token as usize;
-        assert!(tok < self.cfg.vocab_size, "token {tok} out of vocab");
-        self.x.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
-
-        for l in 0..self.cfg.n_layers {
-            let lay = p.layout.layers[l].clone();
-            ops::rmsnorm_rows(
-                &mut self.ln,
-                &mut self.ln_inv,
-                &self.x,
-                p.view(&lay.attn_norm),
-                1,
-                c,
-                1e-5,
-            );
-            // q into scratch; k,v straight into the cache row for `pos`.
-            row_matvec(&mut self.q, &self.ln, p.view(&lay.wq), c, c);
-            {
-                let krow = &mut self.k_cache[l][pos * c..(pos + 1) * c];
-                row_matvec(krow, &self.ln, p.view(&lay.wk), c, c);
-            }
-            {
-                let vrow = &mut self.v_cache[l][pos * c..(pos + 1) * c];
-                row_matvec(vrow, &self.ln, p.view(&lay.wv), c, c);
-            }
-            self.rope_attend_step(l, pos);
-            // Output projection + residual.
-            row_matvec(&mut self.proj, &self.attn_out, p.view(&lay.wo), c, c);
-            for i in 0..c {
-                self.x[i] += self.proj[i];
-            }
-            // FFN.
-            ops::rmsnorm_rows(
-                &mut self.ln,
-                &mut self.ln_inv,
-                &self.x,
-                p.view(&lay.ffn_norm),
-                1,
-                c,
-                1e-5,
-            );
-            row_matvec(&mut self.gate, &self.ln, p.view(&lay.w_gate), c, f);
-            row_matvec(&mut self.up, &self.ln, p.view(&lay.w_up), c, f);
-            for i in 0..f {
-                self.act[i] = self.gate[i] * ops::sigmoid(self.gate[i]) * self.up[i];
-            }
-            row_matvec(&mut self.proj, &self.act, p.view(&lay.w_down), f, c);
-            for i in 0..c {
-                self.x[i] += self.proj[i];
-            }
-        }
-
-        ops::rmsnorm_rows(
-            &mut self.ln,
-            &mut self.ln_inv,
-            &self.x,
-            p.view(&p.layout.final_norm.clone()),
-            1,
-            c,
-            1e-5,
-        );
-        // Tied LM head: logits[v] = ln · embed_row(v).
-        for (vv, lg) in self.logits.iter_mut().enumerate() {
-            *lg = dot(&self.ln, &embed[vv * c..(vv + 1) * c]);
-        }
-        self.pos += 1;
+        assert!(self.pos < self.cfg.max_seq, "KV cache full at {}", self.pos);
+        self.forward_rows(p, &[token], None);
         &self.logits
-    }
-
-    /// The int8 step kernel: every linear layer runs through the
-    /// per-output-channel int8 matmuls, with activations quantized at
-    /// layer boundaries by the fused RMSNorm→quantize and
-    /// SwiGLU→quantize epilogues. RoPE, attention, residual stream and
-    /// the KV cache stay f32.
-    fn feed_step_int8(&mut self, p: &Params, token: u32) -> &[f32] {
-        let Some(qp) = p.quant.as_ref() else {
-            return self.feed_step_f32(p, token);
-        };
-        let c = self.cfg.d_model;
-        let pos = self.pos;
-        let embed = p.view(&p.layout.embed.clone());
-        let tok = token as usize;
-        assert!(tok < self.cfg.vocab_size, "token {tok} out of vocab");
-        self.x.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
-
-        for l in 0..self.cfg.n_layers {
-            let lay = p.layout.layers[l].clone();
-            let ql = &qp.layers[l];
-            // Fused RMSNorm → int8: one pass emits the quantized
-            // activation row and its scale.
-            let x_scale = rmsnorm_quantize_row(&mut self.qx, &self.x, p.view(&lay.attn_norm), 1e-5);
-            ql.wq.matvec(&mut self.q, &self.qx, x_scale);
-            {
-                let krow = &mut self.k_cache[l][pos * c..(pos + 1) * c];
-                ql.wk.matvec(krow, &self.qx, x_scale);
-            }
-            {
-                let vrow = &mut self.v_cache[l][pos * c..(pos + 1) * c];
-                ql.wv.matvec(vrow, &self.qx, x_scale);
-            }
-            self.rope_attend_step(l, pos);
-            // Output projection + residual; the attention output is
-            // re-quantized at the boundary.
-            let attn_scale = quantize_row_q8(&mut self.qx, &self.attn_out);
-            ql.wo.matvec(&mut self.proj, &self.qx, attn_scale);
-            for i in 0..c {
-                self.x[i] += self.proj[i];
-            }
-            // FFN.
-            let ffn_scale = rmsnorm_quantize_row(&mut self.qx, &self.x, p.view(&lay.ffn_norm), 1e-5);
-            ql.w_gate.matvec(&mut self.gate, &self.qx, ffn_scale);
-            ql.w_up.matvec(&mut self.up, &self.qx, ffn_scale);
-            let act_scale = swiglu_quantize_row(&mut self.qf, &mut self.act, &self.gate, &self.up);
-            ql.w_down.matvec(&mut self.proj, &self.qf, act_scale);
-            for i in 0..c {
-                self.x[i] += self.proj[i];
-            }
-        }
-
-        let final_scale = rmsnorm_quantize_row(
-            &mut self.qx,
-            &self.x,
-            p.view(&p.layout.final_norm.clone()),
-            1e-5,
-        );
-        qp.lm_head.matvec(&mut self.logits, &self.qx, final_scale);
-        self.pos += 1;
-        &self.logits
-    }
-
-    /// RoPE on `self.q` and the freshly written K row, then causal
-    /// attention over cached positions `0..=pos` into `self.attn_out`.
-    /// Shared by the f32 and int8 step kernels — this part of the block
-    /// stays f32 under both precisions.
-    fn rope_attend_step(&mut self, l: usize, pos: usize) {
-        let c = self.cfg.d_model;
-        let h = self.cfg.n_heads;
-        let hs = self.cfg.head_dim();
-        let half = hs / 2;
-        for hi in 0..h {
-            let base = hi * hs;
-            for i in 0..half {
-                let co = self.rope_cos[pos * half + i];
-                let si = self.rope_sin[pos * half + i];
-                let rot = |buf: &mut [f32]| {
-                    let x0 = buf[base + 2 * i];
-                    let x1 = buf[base + 2 * i + 1];
-                    buf[base + 2 * i] = x0 * co - x1 * si;
-                    buf[base + 2 * i + 1] = x0 * si + x1 * co;
-                };
-                rot(&mut self.q);
-                rot(&mut self.k_cache[l][pos * c..(pos + 1) * c]);
-            }
-        }
-        let scale = 1.0 / (hs as f32).sqrt();
-        for hi in 0..h {
-            let qh = &self.q[hi * hs..(hi + 1) * hs];
-            let n = pos + 1;
-            for (j, s) in self.scores[..n].iter_mut().enumerate() {
-                let kh = &self.k_cache[l][j * c + hi * hs..j * c + hi * hs + hs];
-                *s = dot(qh, kh) * scale;
-            }
-            ops::softmax_rows(&mut self.scores[..n], 1, n);
-            let out = &mut self.attn_out[hi * hs..(hi + 1) * hs];
-            out.fill(0.0);
-            for j in 0..n {
-                let w = self.scores[j];
-                let vh = &self.v_cache[l][j * c + hi * hs..j * c + hi * hs + hs];
-                for (o, &vv) in out.iter_mut().zip(vh.iter()) {
-                    *o += w * vv;
-                }
-            }
-        }
     }
 
     /// Feed a whole prompt; returns the logits after its last token.
@@ -405,27 +228,20 @@ impl InferenceSession {
     /// after *every* token as an `m × vocab` row-major matrix — the
     /// speculative verifier needs all of them, not just the last. The
     /// session advances by `m` positions exactly as `m` sequential
-    /// [`Self::feed`] calls would, with bitwise-identical results: on
-    /// the f32 path every output element is the same [`dot`] over the
-    /// same operands regardless of row blocking, and on the int8 path
-    /// the integer accumulation is exact, so blocking cannot change
-    /// results either.
+    /// [`Self::feed`] calls would, with bitwise-identical results (see
+    /// the module doc).
     pub fn try_feed_chunk(
         &mut self,
         p: &Params,
         tokens: &[u32],
     ) -> Result<Vec<f32>, SessionError> {
         assert!(!tokens.is_empty(), "empty chunk");
-        if self.pos + tokens.len() > self.cfg.max_seq {
-            return Err(SessionError::CacheFull {
-                pos: self.pos + tokens.len() - 1,
-                max_seq: self.cfg.max_seq,
-            });
-        }
-        match (self.cfg.precision, &p.quant) {
-            (WeightPrecision::Int8, Some(_)) => Ok(self.feed_chunk_int8(p, tokens)),
-            _ => Ok(self.feed_chunk_f32(p, tokens)),
-        }
+        self.room_for(tokens.len())?;
+        let v = self.cfg.vocab_size;
+        let mut rows = vec![0.0f32; tokens.len() * v];
+        self.forward_rows(p, tokens, Some(&mut rows));
+        self.logits.copy_from_slice(&rows[rows.len() - v..]);
+        Ok(rows)
     }
 
     /// Rewind the session to `pos` consumed tokens, restoring `logits`
@@ -444,212 +260,139 @@ impl InferenceSession {
         self.logits.copy_from_slice(logits);
     }
 
-    /// The f32 chunk kernel: per-row norms and element-wise stages, with
-    /// all seven linear layers batched over the chunk via `matmul_a_bt`
-    /// (K/V projections land directly in the cache rows for the chunk).
-    fn feed_chunk_f32(&mut self, p: &Params, tokens: &[u32]) -> Vec<f32> {
+    /// The one transformer forward on the inference path: advance the
+    /// `m = tokens.len()` rows through every block and the tied LM head,
+    /// writing their K/V rows straight into the cache at
+    /// `pos..pos + m`. Capacity has already been checked. The logits of
+    /// every row go to `all_rows` (`m × vocab`) when the caller lends
+    /// one; otherwise `m` is 1 and they go to `self.logits`.
+    ///
+    /// A [`WeightPrecision::Int8`] session uses the params' int8 copy
+    /// when they carry one and the f32 weights otherwise — an int8
+    /// session fed unquantized params is a benign precision downgrade,
+    /// not an error.
+    fn forward_rows(&mut self, p: &Params, tokens: &[u32], all_rows: Option<&mut [f32]>) {
         let c = self.cfg.d_model;
         let f = self.cfg.d_ff;
-        let v = self.cfg.vocab_size;
         let m = tokens.len();
         let p0 = self.pos;
-        let embed = p.view(&p.layout.embed.clone());
-        let mut xs = vec![0.0f32; m * c];
-        for (i, &t) in tokens.iter().enumerate() {
-            let tok = t as usize;
-            assert!(tok < v, "token {tok} out of vocab");
-            xs[i * c..(i + 1) * c].copy_from_slice(&embed[tok * c..(tok + 1) * c]);
-        }
-        let mut ln_rows = vec![0.0f32; m * c];
-        let mut ln_inv = vec![0.0f32; 1];
-        let mut q_rows = vec![0.0f32; m * c];
-        let mut attn_rows = vec![0.0f32; m * c];
-        let mut proj_rows = vec![0.0f32; m * c];
-        let mut gate_rows = vec![0.0f32; m * f];
-        let mut up_rows = vec![0.0f32; m * f];
-        let mut act_rows = vec![0.0f32; m * f];
-        let mut logit_rows = vec![0.0f32; m * v];
-        for l in 0..self.cfg.n_layers {
-            let lay = p.layout.layers[l].clone();
-            for i in 0..m {
-                ops::rmsnorm_rows(
-                    &mut ln_rows[i * c..(i + 1) * c],
-                    &mut ln_inv,
-                    &xs[i * c..(i + 1) * c],
-                    p.view(&lay.attn_norm),
-                    1,
-                    c,
-                    1e-5,
-                );
-            }
-            matmul_a_bt(&mut q_rows, &ln_rows, p.view(&lay.wq), m, c, c);
-            matmul_a_bt(
-                &mut self.k_cache[l][p0 * c..(p0 + m) * c],
-                &ln_rows,
-                p.view(&lay.wk),
-                m,
-                c,
-                c,
-            );
-            matmul_a_bt(
-                &mut self.v_cache[l][p0 * c..(p0 + m) * c],
-                &ln_rows,
-                p.view(&lay.wv),
-                m,
-                c,
-                c,
-            );
-            self.rope_attend_chunk(l, p0, m, &mut q_rows, &mut attn_rows);
-            matmul_a_bt(&mut proj_rows, &attn_rows, p.view(&lay.wo), m, c, c);
-            for (xv, &pv) in xs.iter_mut().zip(proj_rows.iter()) {
-                *xv += pv;
-            }
-            for i in 0..m {
-                ops::rmsnorm_rows(
-                    &mut ln_rows[i * c..(i + 1) * c],
-                    &mut ln_inv,
-                    &xs[i * c..(i + 1) * c],
-                    p.view(&lay.ffn_norm),
-                    1,
-                    c,
-                    1e-5,
-                );
-            }
-            matmul_a_bt(&mut gate_rows, &ln_rows, p.view(&lay.w_gate), m, c, f);
-            matmul_a_bt(&mut up_rows, &ln_rows, p.view(&lay.w_up), m, c, f);
-            for ((av, &gv), &uv) in
-                act_rows.iter_mut().zip(gate_rows.iter()).zip(up_rows.iter())
-            {
-                *av = gv * ops::sigmoid(gv) * uv;
-            }
-            matmul_a_bt(&mut proj_rows, &act_rows, p.view(&lay.w_down), m, f, c);
-            for (xv, &pv) in xs.iter_mut().zip(proj_rows.iter()) {
-                *xv += pv;
-            }
-        }
-        for i in 0..m {
-            ops::rmsnorm_rows(
-                &mut ln_rows[i * c..(i + 1) * c],
-                &mut ln_inv,
-                &xs[i * c..(i + 1) * c],
-                p.view(&p.layout.final_norm.clone()),
-                1,
-                c,
-                1e-5,
-            );
-        }
-        matmul_a_bt(&mut logit_rows, &ln_rows, embed, m, c, v);
-        self.logits.copy_from_slice(&logit_rows[(m - 1) * v..]);
-        self.pos += m;
-        logit_rows
-    }
-
-    /// The int8 chunk kernel: the same skeleton with every linear layer
-    /// on the blocked int8 matmul and activations quantized row-by-row
-    /// at the layer boundaries — the path that amortises weight traffic
-    /// across a speculative verification chunk.
-    fn feed_chunk_int8(&mut self, p: &Params, tokens: &[u32]) -> Vec<f32> {
-        let Some(qp) = p.quant.as_ref() else {
-            return self.feed_chunk_f32(p, tokens);
+        let quant = match self.cfg.precision {
+            WeightPrecision::Int8 => p.quant.as_ref(),
+            WeightPrecision::F32 => None,
         };
-        let c = self.cfg.d_model;
-        let f = self.cfg.d_ff;
-        let v = self.cfg.vocab_size;
-        let m = tokens.len();
-        let p0 = self.pos;
-        let embed = p.view(&p.layout.embed.clone());
-        let mut xs = vec![0.0f32; m * c];
-        for (i, &t) in tokens.iter().enumerate() {
+        let int8 = quant.is_some();
+        self.fit_rows(m);
+        let embed = p.view(&p.layout.embed);
+        for (row, &t) in self.x.chunks_exact_mut(c).zip(tokens) {
             let tok = t as usize;
-            assert!(tok < v, "token {tok} out of vocab");
-            xs[i * c..(i + 1) * c].copy_from_slice(&embed[tok * c..(tok + 1) * c]);
+            assert!(tok < self.cfg.vocab_size, "token {tok} out of vocab");
+            row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
         }
-        let mut qx_rows = vec![0i8; m * c];
-        let mut x_scales = vec![0.0f32; m];
-        let mut qf_rows = vec![0i8; m * f];
-        let mut f_scales = vec![0.0f32; m];
-        let mut q_rows = vec![0.0f32; m * c];
-        let mut attn_rows = vec![0.0f32; m * c];
-        let mut proj_rows = vec![0.0f32; m * c];
-        let mut gate_rows = vec![0.0f32; m * f];
-        let mut up_rows = vec![0.0f32; m * f];
-        let mut act_rows = vec![0.0f32; m * f];
-        let mut logit_rows = vec![0.0f32; m * v];
+
         for l in 0..self.cfg.n_layers {
-            let lay = p.layout.layers[l].clone();
-            let ql = &qp.layers[l];
-            for i in 0..m {
-                x_scales[i] = rmsnorm_quantize_row(
-                    &mut qx_rows[i * c..(i + 1) * c],
-                    &xs[i * c..(i + 1) * c],
-                    p.view(&lay.attn_norm),
-                    1e-5,
-                );
+            let lay = &p.layout.layers[l];
+            let ql = quant.map(|qp| &qp.layers[l]);
+            let kv_rows = p0 * c..(p0 + m) * c;
+            self.norm_rows(p.view(&lay.attn_norm), int8);
+            let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
+            linear(&mut self.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, s, m);
+            let k_rows = &mut self.k_cache[l][kv_rows.clone()];
+            linear(k_rows, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, s, m);
+            let v_rows = &mut self.v_cache[l][kv_rows];
+            linear(v_rows, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, s, m);
+            self.rope_attend(l, p0, m);
+            // Output projection + residual; on the int8 path the attention
+            // output is re-quantized at the boundary.
+            if int8 {
+                quantize_rows_q8(&mut self.qx, &mut self.row_scale, &self.attn_out, m, c);
             }
-            ql.wq.matmul_chunk(&mut q_rows, &qx_rows, &x_scales, m);
-            ql.wk
-                .matmul_chunk(&mut self.k_cache[l][p0 * c..(p0 + m) * c], &qx_rows, &x_scales, m);
-            ql.wv
-                .matmul_chunk(&mut self.v_cache[l][p0 * c..(p0 + m) * c], &qx_rows, &x_scales, m);
-            self.rope_attend_chunk(l, p0, m, &mut q_rows, &mut attn_rows);
-            quantize_rows_q8(&mut qx_rows, &mut x_scales, &attn_rows, m, c);
-            ql.wo.matmul_chunk(&mut proj_rows, &qx_rows, &x_scales, m);
-            for (xv, &pv) in xs.iter_mut().zip(proj_rows.iter()) {
-                *xv += pv;
+            let (a, aq, s) = (&self.attn_out, &self.qx, &self.row_scale);
+            linear(&mut self.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, s, m);
+            ops::add_assign(&mut self.x, &self.proj);
+            // FFN.
+            self.norm_rows(p.view(&lay.ffn_norm), int8);
+            let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
+            linear(&mut self.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, s, m);
+            linear(&mut self.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, s, m);
+            if int8 {
+                for i in 0..m {
+                    let r = i * f..(i + 1) * f;
+                    self.row_scale[i] = swiglu_quantize_row(
+                        &mut self.qf[r.clone()],
+                        &mut self.act[r.clone()],
+                        &self.gate[r.clone()],
+                        &self.up[r],
+                    );
+                }
+            } else {
+                for ((av, &gv), &uv) in self.act.iter_mut().zip(&self.gate).zip(&self.up) {
+                    *av = gv * ops::sigmoid(gv) * uv;
+                }
             }
-            for i in 0..m {
-                x_scales[i] = rmsnorm_quantize_row(
-                    &mut qx_rows[i * c..(i + 1) * c],
-                    &xs[i * c..(i + 1) * c],
-                    p.view(&lay.ffn_norm),
-                    1e-5,
-                );
-            }
-            ql.w_gate.matmul_chunk(&mut gate_rows, &qx_rows, &x_scales, m);
-            ql.w_up.matmul_chunk(&mut up_rows, &qx_rows, &x_scales, m);
-            for i in 0..m {
-                f_scales[i] = swiglu_quantize_row(
-                    &mut qf_rows[i * f..(i + 1) * f],
-                    &mut act_rows[i * f..(i + 1) * f],
-                    &gate_rows[i * f..(i + 1) * f],
-                    &up_rows[i * f..(i + 1) * f],
-                );
-            }
-            ql.w_down.matmul_chunk(&mut proj_rows, &qf_rows, &f_scales, m);
-            for (xv, &pv) in xs.iter_mut().zip(proj_rows.iter()) {
-                *xv += pv;
-            }
+            let (a, aq, s) = (&self.act, &self.qf, &self.row_scale);
+            linear(&mut self.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, s, m);
+            ops::add_assign(&mut self.x, &self.proj);
         }
-        for i in 0..m {
-            x_scales[i] = rmsnorm_quantize_row(
-                &mut qx_rows[i * c..(i + 1) * c],
-                &xs[i * c..(i + 1) * c],
-                p.view(&p.layout.final_norm.clone()),
-                1e-5,
-            );
-        }
-        qp.lm_head.matmul_chunk(&mut logit_rows, &qx_rows, &x_scales, m);
-        self.logits.copy_from_slice(&logit_rows[(m - 1) * v..]);
+
+        self.norm_rows(p.view(&p.layout.final_norm), int8);
+        // Tied LM head: logits[v] = ln · embed_row(v).
+        let out = match all_rows {
+            Some(rows) => rows,
+            None => &mut self.logits[..],
+        };
+        let lm_head = quant.map(|qp| &qp.lm_head);
+        linear(out, embed, lm_head, &self.ln, &self.qx, &self.row_scale, m);
         self.pos += m;
-        logit_rows
     }
 
-    /// Chunk-path RoPE + attention: rotate `m` query rows and their K
-    /// cache rows, then run causal attention for each row in ascending
-    /// position order — row `i` attends over `0..=p0+i`, which includes
-    /// this chunk's earlier rows, already written and rotated.
-    fn rope_attend_chunk(
-        &mut self,
-        l: usize,
-        p0: usize,
-        m: usize,
-        q_rows: &mut [f32],
-        attn_rows: &mut [f32],
-    ) {
+    /// Size the row scratch for an `m`-row call. Shrinking keeps the
+    /// capacity, so this allocates only when a chunk larger than any
+    /// before arrives — never for a session that is fed one token at a
+    /// time.
+    fn fit_rows(&mut self, m: usize) {
+        let c = self.cfg.d_model;
+        let f = self.cfg.d_ff;
+        for buf in [&mut self.x, &mut self.ln, &mut self.q, &mut self.attn_out, &mut self.proj] {
+            buf.resize(m * c, 0.0);
+        }
+        for buf in [&mut self.gate, &mut self.up, &mut self.act] {
+            buf.resize(m * f, 0.0);
+        }
+        self.row_scale.resize(m, 0.0);
+        if self.cfg.precision == WeightPrecision::Int8 {
+            self.qx.resize(m * c, 0);
+            self.qf.resize(m * f, 0);
+        }
+    }
+
+    /// RMSNorm the residual rows into the next linear layer's input: f32
+    /// rows in `ln`, or — fused, never materialising the normalised f32
+    /// row — int8 rows in `qx` with their scales in `row_scale`.
+    fn norm_rows(&mut self, g: &[f32], int8: bool) {
+        let c = self.cfg.d_model;
+        let m = self.row_scale.len();
+        if int8 {
+            for i in 0..m {
+                let r = i * c..(i + 1) * c;
+                self.row_scale[i] =
+                    rmsnorm_quantize_row(&mut self.qx[r.clone()], &self.x[r], g, 1e-5);
+            }
+        } else {
+            ops::rmsnorm_rows(&mut self.ln, &mut self.row_scale, &self.x, g, m, c, 1e-5);
+        }
+    }
+
+    /// For each of the `m` rows in ascending position order: RoPE on its
+    /// query row in `self.q` and its freshly written K cache row, then
+    /// causal attention into `self.attn_out` — row `i` attends over
+    /// `0..=p0+i`, which includes this call's earlier rows, already
+    /// written and rotated. f32 under both weight precisions.
+    fn rope_attend(&mut self, l: usize, p0: usize, m: usize) {
         let c = self.cfg.d_model;
         let h = self.cfg.n_heads;
         let hs = self.cfg.head_dim();
         let half = hs / 2;
+        let scale = 1.0 / (hs as f32).sqrt();
         for i in 0..m {
             let pos = p0 + i;
             for hi in 0..h {
@@ -663,23 +406,20 @@ impl InferenceSession {
                         buf[base + 2 * ii] = x0 * co - x1 * si;
                         buf[base + 2 * ii + 1] = x0 * si + x1 * co;
                     };
-                    rot(&mut q_rows[i * c..(i + 1) * c]);
+                    rot(&mut self.q[i * c..(i + 1) * c]);
                     rot(&mut self.k_cache[l][pos * c..(pos + 1) * c]);
                 }
             }
-        }
-        let scale = 1.0 / (hs as f32).sqrt();
-        for i in 0..m {
-            let pos = p0 + i;
+            let n = pos + 1;
             for hi in 0..h {
-                let qh = &q_rows[i * c + hi * hs..i * c + hi * hs + hs];
-                let n = pos + 1;
+                let head = i * c + hi * hs..i * c + hi * hs + hs;
+                let qh = &self.q[head.clone()];
                 for (j, s) in self.scores[..n].iter_mut().enumerate() {
                     let kh = &self.k_cache[l][j * c + hi * hs..j * c + hi * hs + hs];
                     *s = dot(qh, kh) * scale;
                 }
                 ops::softmax_rows(&mut self.scores[..n], 1, n);
-                let out = &mut attn_rows[i * c + hi * hs..i * c + hi * hs + hs];
+                let out = &mut self.attn_out[head];
                 out.fill(0.0);
                 for j in 0..n {
                     let w = self.scores[j];
@@ -693,13 +433,22 @@ impl InferenceSession {
     }
 }
 
-/// `y = x · Wᵀ` for a single row (`W` is `[out, in]` row-major).
-fn row_matvec(y: &mut [f32], x: &[f32], w: &[f32], d_in: usize, d_out: usize) {
-    debug_assert_eq!(x.len(), d_in);
-    debug_assert_eq!(y.len(), d_out);
-    debug_assert_eq!(w.len(), d_in * d_out);
-    for (o, yo) in y.iter_mut().enumerate() {
-        *yo = dot(x, &w[o * d_in..(o + 1) * d_in]);
+/// `out = a · Wᵀ` for `m` activation rows — the one place weight
+/// precision is chosen. With the int8 copy `wq` of the weight, the rows
+/// are read as int8 `aq` with one scale each; without it, as f32 `a`
+/// against the f32 weight `w`.
+fn linear(
+    out: &mut [f32],
+    w: &[f32],
+    wq: Option<&QuantMatrix>,
+    a: &[f32],
+    aq: &[i8],
+    scales: &[f32],
+    m: usize,
+) {
+    match wq {
+        Some(wq) => wq.matmul_chunk(out, aq, scales, m),
+        None => matmul_a_bt(out, a, w, m, a.len() / m, out.len() / m),
     }
 }
 
@@ -708,6 +457,24 @@ mod tests {
     use super::*;
     use crate::forward::TrainContext;
     use astro_prng::Rng;
+
+    impl InferenceSession {
+        /// Bytes held by the session's buffers — what
+        /// [`ModelConfig::session_bytes`] must predict for a fresh session.
+        fn buffer_bytes(&self) -> usize {
+            let f32_bufs = [
+                &self.x, &self.ln, &self.row_scale, &self.q, &self.attn_out, &self.proj, &self.gate,
+                &self.up, &self.act, &self.scores, &self.logits, &self.rope_cos, &self.rope_sin,
+            ];
+            let f32s: usize = f32_bufs
+                .into_iter()
+                .chain(&self.k_cache)
+                .chain(&self.v_cache)
+                .map(Vec::capacity)
+                .sum();
+            f32s * std::mem::size_of::<f32>() + self.qx.capacity() + self.qf.capacity()
+        }
+    }
 
     #[test]
     fn incremental_matches_batched_forward() {
@@ -843,45 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_feed_is_bitwise_equal_to_sequential_feeds_f32() {
-        let cfg = ModelConfig::tiny(24);
-        let p = Params::init(cfg, &mut Rng::seed_from(12));
-        let prompt = [3u32, 1, 4];
-        let chunk = [1u32, 5, 9, 2, 6];
-        let mut seq = InferenceSession::new(cfg);
-        seq.feed_prompt(&p, &prompt);
-        let mut chk = seq.clone();
-        let mut want = Vec::new();
-        for &t in &chunk {
-            want.extend_from_slice(seq.feed(&p, t));
-        }
-        let got = chk.try_feed_chunk(&p, &chunk).unwrap();
-        assert_eq!(got, want, "chunk logits must be bitwise-equal");
-        assert_eq!(chk.position(), seq.position());
-        assert_eq!(chk.last_logits(), seq.last_logits());
-        // The sessions stay interchangeable afterwards (same KV rows).
-        assert_eq!(chk.feed(&p, 7).to_vec(), seq.feed(&p, 7).to_vec());
-    }
-
-    #[test]
-    fn chunk_feed_is_bitwise_equal_to_sequential_feeds_int8() {
-        let cfg = ModelConfig::tiny(24);
-        let p = Params::init(cfg, &mut Rng::seed_from(13)).quantized();
-        assert_eq!(p.cfg.precision, WeightPrecision::Int8);
-        let mut seq = InferenceSession::new(p.cfg);
-        seq.feed_prompt(&p, &[2, 7, 1]);
-        let mut chk = seq.clone();
-        let chunk = [8u32, 2, 8, 4];
-        let mut want = Vec::new();
-        for &t in &chunk {
-            want.extend_from_slice(seq.feed(&p, t));
-        }
-        let got = chk.try_feed_chunk(&p, &chunk).unwrap();
-        assert_eq!(got, want, "int8 chunk logits must be bitwise-equal");
-        assert_eq!(chk.last_logits(), seq.last_logits());
-    }
-
-    #[test]
     fn truncate_rewinds_bitwise() {
         let cfg = ModelConfig::tiny(16);
         let p = Params::init(cfg, &mut Rng::seed_from(14));
@@ -952,5 +680,20 @@ mod tests {
         let a = s8.feed(&p, 3).to_vec();
         let b = s32.feed(&p, 3).to_vec();
         assert_eq!(a, b, "missing quant copy must downgrade to the f32 path");
+    }
+
+    #[test]
+    fn session_bytes_matches_the_allocation() {
+        // The serve prefix cache and the KV ledger budget with
+        // `session_bytes()`; it must equal what a fresh session holds.
+        use crate::Tier;
+        let tiers = [Tier::S7b, Tier::S8b, Tier::S70b].map(|t| ModelConfig::tier(t, 512));
+        for base in tiers.into_iter().chain([ModelConfig::tiny(24)]) {
+            for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
+                let cfg = base.with_precision(precision);
+                let sess = InferenceSession::new(cfg);
+                assert_eq!(sess.buffer_bytes(), cfg.session_bytes(), "{cfg:?}");
+            }
+        }
     }
 }

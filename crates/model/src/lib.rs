@@ -233,7 +233,7 @@ impl ModelConfig {
     pub fn session_bytes(&self) -> usize {
         let f32s = std::mem::size_of::<f32>();
         let kv = 2 * self.n_layers * self.max_seq * self.d_model;
-        // x, ln, q, attn_out, proj (d_model each) + ln_inv.
+        // x, ln, q, attn_out, proj (d_model each) + row_scale.
         let step = 5 * self.d_model + 1;
         let ffn = 3 * self.d_ff;
         let scores = self.max_seq;
@@ -252,6 +252,23 @@ impl ModelConfig {
 
 /// RoPE base frequency (LLaMA uses 10000).
 pub const ROPE_THETA: f32 = 10_000.0;
+
+/// Precompute RoPE rotation tables for positions `0..max_seq`, shared by the
+/// training forward and the inference session.
+pub(crate) fn rope_tables(max_seq: usize, head_dim: usize) -> (Vec<f32>, Vec<f32>) {
+    let half = head_dim / 2;
+    let mut cos = vec![0.0f32; max_seq * half];
+    let mut sin = vec![0.0f32; max_seq * half];
+    for pos in 0..max_seq {
+        for i in 0..half {
+            let freq = 1.0 / ROPE_THETA.powf(2.0 * i as f32 / head_dim as f32);
+            let angle = pos as f32 * freq;
+            cos[pos * half + i] = angle.cos();
+            sin[pos * half + i] = angle.sin();
+        }
+    }
+    (cos, sin)
+}
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,7 @@
 //! gains and the embedding *lookup* stay f32 (they are vectors / row
 //! gathers, not matmuls, and cost nothing to keep exact).
 
-use astro_tensor::qmatmul::{dequantize_row_q8, matmul_q8_a_bt, matvec_q8, quantize_rows_q8};
+use astro_tensor::qmatmul::{dequantize_row_q8, matmul_q8_a_bt, quantize_rows_q8};
 
 /// A row-major `[rows, cols]` matrix quantized to int8 with one scale
 /// per row.
@@ -83,17 +83,11 @@ impl QuantMatrix {
         out
     }
 
-    /// `y = x · Wᵀ` for one quantized activation row: `xq` is the int8
-    /// activation with scale `x_scale`, `y` gets one f32 per output
-    /// channel. Exact-int8 inner product, dequantized once per output.
-    pub fn matvec(&self, y: &mut [f32], xq: &[i8], x_scale: f32) {
-        matvec_q8(y, xq, x_scale, &self.q, &self.scales, self.cols, self.rows);
-    }
-
-    /// `c = a · Wᵀ` for `m` quantized activation rows at once (the
-    /// chunked-verification path). Bitwise identical to `m` separate
-    /// [`QuantMatrix::matvec`] calls — integer accumulation is exact, so
-    /// blocking cannot change results.
+    /// `c = a · Wᵀ` for `m` quantized activation rows: `aq` holds the int8
+    /// rows with one scale each in `a_scales`, `c` gets `m × rows` f32.
+    /// Exact-int8 inner products, dequantized once per output — integer
+    /// accumulation is exact, so a row's result does not depend on which
+    /// other rows share the call.
     pub fn matmul_chunk(&self, c: &mut [f32], aq: &[i8], a_scales: &[f32], m: usize) {
         matmul_q8_a_bt(c, aq, a_scales, &self.q, &self.scales, m, self.cols, self.rows);
     }
@@ -185,7 +179,7 @@ mod tests {
         let mut xs = [0.0f32];
         astro_tensor::qmatmul::quantize_rows_q8(&mut xq, &mut xs, &x, 1, cols);
         let mut y = vec![0.0f32; rows];
-        qm.matvec(&mut y, &xq, xs[0]);
+        qm.matmul_chunk(&mut y, &xq, &xs, 1);
         // Reference: dequantized weights against dequantized activation.
         let mut xdq = vec![0.0f32; cols];
         astro_tensor::qmatmul::dequantize_row_q8(&mut xdq, &xq, xs[0]);
@@ -212,7 +206,7 @@ mod tests {
         qm.matmul_chunk(&mut chunk, &aq, &ascales, m);
         for i in 0..m {
             let mut y = vec![0.0f32; rows];
-            qm.matvec(&mut y, &aq[i * cols..(i + 1) * cols], ascales[i]);
+            qm.matmul_chunk(&mut y, &aq[i * cols..(i + 1) * cols], &ascales[i..=i], 1);
             assert_eq!(&chunk[i * rows..(i + 1) * rows], &y[..], "row {i}");
         }
     }

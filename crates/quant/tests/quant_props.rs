@@ -150,7 +150,7 @@ fn quantized_matvec_error_is_bounded_by_scales() {
     let mut xs = [0.0f32];
     astro_tensor::qmatmul::quantize_rows_q8(&mut xq, &mut xs, &x, 1, cols);
     let mut y = vec![0.0f32; rows];
-    qm.matvec(&mut y, &xq, xs[0]);
+    qm.matmul_chunk(&mut y, &xq, &xs, 1);
     let x_amax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
     for r in 0..rows {
         let exact: f32 = x

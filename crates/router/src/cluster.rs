@@ -3,11 +3,17 @@
 //!
 //! Each replica is a full [`Gateway`] (own listener, scheduler, engine)
 //! held in a slot behind a `router.cluster`-ranked mutex. The router's
-//! `replica.crash` fault hook takes the slot and aborts the gateway —
-//! a hard kill from the cluster's point of view: the listener closes,
-//! in-flight connections are not waited for, and subsequent forwards
-//! get connection-refused. [`Cluster::restart_replica`] re-binds the
-//! same port so prober revival can be exercised end to end.
+//! `replica.crash` fault hook takes the gateway out of its slot and
+//! aborts it — a hard kill from the cluster's point of view: the
+//! listener closes, in-flight connections are not waited for, and
+//! subsequent forwards get connection-refused.
+//! [`Cluster::restart_replica`] re-binds the same port so prober revival
+//! can be exercised end to end.
+//!
+//! A slot guard is only ever held to move a gateway in or out: aborting
+//! or shutting one down closes its queue (`gateway.queue`, a lower rank)
+//! and joins its threads, neither of which may happen under a router
+//! lock.
 
 use crate::server::{ReplicaSpec, Router, RouterConfig, RouterStats};
 use astro_gateway::client;
@@ -37,6 +43,13 @@ pub struct ClusterStats {
     /// Per-replica drain stats; `None` for replicas that were killed
     /// (aborted gateways report nothing).
     pub replicas: Vec<Option<DrainStats>>,
+}
+
+/// Move the gateway out of `slot`, releasing the slot guard before the
+/// caller aborts or shuts it down.
+fn take_gateway(slot: &Mutex<Option<Gateway>>) -> Option<Gateway> {
+    let (_order, mut guard) = sync::lock_ranked("router.cluster", slot);
+    guard.take()
 }
 
 /// N live gateway replicas plus the router fronting them.
@@ -71,12 +84,9 @@ impl Cluster {
         let router =
             Router::spawn(config.router, specs.clone()).map_err(|e| e.to_string())?;
         let hook_slots = Arc::clone(&slots);
-        router.set_crash_hook(Box::new(move |id| {
-            if let Some(slot) = hook_slots.get(id as usize) {
-                let (_order, mut guard) = sync::lock_ranked("router.cluster", slot);
-                if let Some(gw) = guard.take() {
-                    gw.abort();
-                }
+        router.set_crash_hook(Arc::new(move |id| {
+            if let Some(gw) = hook_slots.get(id as usize).and_then(take_gateway) {
+                gw.abort();
             }
         }));
         Ok(Cluster { slots, specs, gateway_template: config.gateway, state, router })
@@ -110,8 +120,7 @@ impl Cluster {
     /// Hard-kill replica `id` (abort: listener closes, in-flight
     /// connections dropped). Idempotent.
     pub fn kill_replica(&self, id: usize) {
-        let (_order, mut guard) = sync::lock_ranked("router.cluster", &self.slots[id]);
-        if let Some(gw) = guard.take() {
+        if let Some(gw) = take_gateway(&self.slots[id]) {
             gw.abort();
         }
     }
@@ -136,12 +145,12 @@ impl Cluster {
         let mut gcfg = self.gateway_template.clone();
         gcfg.bind = self.specs[id].addr.to_string();
         gcfg.replica_name = self.specs[id].name.clone();
-        let (_order, mut guard) = sync::lock_ranked("router.cluster", &self.slots[id]);
-        if let Some(old) = guard.take() {
+        if let Some(old) = take_gateway(&self.slots[id]) {
             old.shutdown();
         }
         let gw = Gateway::spawn(gcfg, self.state.clone())
             .map_err(|e| format!("restart replica {id}: {e}"))?;
+        let (_order, mut guard) = sync::lock_ranked("router.cluster", &self.slots[id]);
         *guard = Some(gw);
         Ok(())
     }
@@ -153,11 +162,7 @@ impl Cluster {
         let router_stats = router.shutdown();
         let mut replicas = Vec::with_capacity(slots.len());
         for slot in slots.iter() {
-            let gw = {
-                let (_order, mut guard) = sync::lock_ranked("router.cluster", slot);
-                guard.take()
-            };
-            replicas.push(gw.map(Gateway::shutdown));
+            replicas.push(take_gateway(slot).map(Gateway::shutdown));
         }
         ClusterStats { router: router_stats, replicas }
     }

@@ -154,7 +154,11 @@ pub struct RouterStats {
 
 /// A callback that hard-kills replica `id` — the `replica.crash` fault
 /// site's trigger, wired up by the in-process cluster harness.
-pub type CrashHook = Box<dyn Fn(u32) + Send + Sync>;
+///
+/// Shared (`Arc`) so the forward path can clone it out of its slot and
+/// invoke it with no router lock held: the kill closes the replica's
+/// queue and joins its threads.
+pub type CrashHook = Arc<dyn Fn(u32) + Send + Sync>;
 
 struct RingState {
     ring: Ring,
@@ -540,8 +544,11 @@ fn forward_with_retries(
             // connect below fails and the request fails over.
             trace::mark_fault(tid, "replica.crash");
             metrics::counter("router.fault.replica_crash").add(1);
-            let (_order, hook) = sync::lock_ranked("router.crash_hook", &core.crash_hook);
-            if let Some(h) = hook.as_ref() {
+            let hook = {
+                let (_order, slot) = sync::lock_ranked("router.crash_hook", &core.crash_hook);
+                slot.clone()
+            };
+            if let Some(h) = hook {
                 h(id);
             }
         }

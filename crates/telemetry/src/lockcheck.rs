@@ -46,8 +46,9 @@ pub const RANKS: &[LockRank] = &[
     // keeps "router lock → telemetry" legal. `router.probe` (the
     // prober's stop signal) is independent of the rest; `router.ring`
     // may nest `router.inflight` (status snapshots); the crash-hook
-    // slot (held while invoking the kill callback) must rank below the
-    // cluster replica slots the callback takes and aborts.
+    // slot and the cluster replica slots are only held to move a value
+    // in or out — the kill callback runs, and gateways are aborted,
+    // with neither held (aborting takes `gateway.queue`).
     LockRank { name: "router.probe", rank: 3 },
     LockRank { name: "gateway.limiter", rank: 4 },
     LockRank { name: "router.ring", rank: 5 },

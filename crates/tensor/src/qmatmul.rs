@@ -183,52 +183,6 @@ pub fn matvec_q8(
     matmul_q8_a_bt(y, x, &[x_scale], w, w_scales, 1, d_in, d_out);
 }
 
-/// `c = a · b` on int8 in the standard orientation: `a` is `m×k` with
-/// per-row scales, `b` is `k×n` with per-*column* scales. Kept for
-/// callers whose weights are stored input-major; the serving path uses
-/// [`matmul_q8_a_bt`].
-///
-/// The inner loop is an i32 AXPY over a stack block of output columns,
-/// mirroring the f32 [`crate::matmul::matmul`] traversal.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_q8(
-    c: &mut [f32],
-    a: &[i8],
-    a_scales: &[f32],
-    b: &[i8],
-    b_scales: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "a has wrong size");
-    assert_eq!(b.len(), k * n, "b has wrong size");
-    assert_eq!(c.len(), m * n, "c has wrong size");
-    assert_eq!(a_scales.len(), m, "a_scales has wrong size");
-    assert_eq!(b_scales.len(), n, "b_scales has wrong size");
-    const JB: usize = 64;
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let sa = a_scales[i];
-        let mut j0 = 0;
-        while j0 < n {
-            let jw = JB.min(n - j0);
-            let mut acc = [0i32; JB];
-            for (t, &av) in arow.iter().enumerate() {
-                let av = i32::from(av);
-                let brow = &b[t * n + j0..t * n + j0 + jw];
-                for (ac, &bv) in acc[..jw].iter_mut().zip(brow.iter()) {
-                    *ac += av * i32::from(bv);
-                }
-            }
-            for jj in 0..jw {
-                c[i * n + j0 + jj] = dequant(acc[jj], sa, b_scales[j0 + jj]);
-            }
-            j0 += jw;
-        }
-    }
-}
-
 /// Fused RMSNorm → int8 quantization of one row; returns the activation
 /// scale.
 ///
@@ -535,30 +489,6 @@ mod tests {
             matvec_q8(&mut row, &aq[i * k..(i + 1) * k], asc[i], &bq, &bsc, k, n);
             assert_eq!(&chunk[i * n..(i + 1) * n], &row[..], "row {i} diverged");
         }
-    }
-
-    #[test]
-    fn matmul_q8_standard_orientation_matches_a_bt() {
-        let (m, k, n) = (2, 31, 70);
-        let a_f = random_vec(m * k, 31);
-        let w_f = random_vec(n * k, 32); // n×k, output-major
-        let (mut aq, mut asc) = (vec![0i8; m * k], vec![0.0; m]);
-        let (mut wq, mut wsc) = (vec![0i8; n * k], vec![0.0; n]);
-        quantize_rows_q8(&mut aq, &mut asc, &a_f, m, k);
-        quantize_rows_q8(&mut wq, &mut wsc, &w_f, n, k);
-        // Transpose the weights into k×n for the standard orientation;
-        // per-output-channel scales become per-column scales.
-        let mut wt = vec![0i8; k * n];
-        for j in 0..n {
-            for t in 0..k {
-                wt[t * n + j] = wq[j * k + t];
-            }
-        }
-        let mut c_bt = vec![0.0f32; m * n];
-        matmul_q8_a_bt(&mut c_bt, &aq, &asc, &wq, &wsc, m, k, n);
-        let mut c_std = vec![0.0f32; m * n];
-        matmul_q8(&mut c_std, &aq, &asc, &wt, &wsc, m, k, n);
-        assert_eq!(c_bt, c_std, "orientations disagree");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use astro_gateway::GatewayConfig;
 use astro_resilience::fault::{self, FaultPlan};
 use astro_router::{Cluster, ClusterConfig, ReplicaHealth, RouterConfig};
 use astro_telemetry::event::write_json_string;
+use astro_telemetry::lockcheck;
 use astromlab::eval::json::Json;
 use astromlab::eval::{
     instruct_method_answer, token_method_predict, EvalModel, InstructEvalConfig, TokenEvalConfig,
@@ -21,6 +22,7 @@ use astromlab::mcq::Mcq;
 use astromlab::model::{Params, Tier};
 use astromlab::prng::Rng;
 use astromlab::{Study, StudyConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -251,6 +253,53 @@ fn injected_crash_fails_over_and_revived_replica_rejoins() {
     score_and_check(addr, &ctx, &questions[1], "after-revival");
     let stats = cluster.shutdown();
     assert_eq!(stats.router.lost, 0);
+}
+
+#[test]
+fn kills_and_restarts_touch_a_gateway_with_no_router_lock_held() {
+    // Aborting or shutting down a gateway closes its queue
+    // (`gateway.queue`, rank 6) and joins its threads; doing that under
+    // `router.cluster` (9) or `router.crash_hook` (8) is a lock-order
+    // violation that debug-build lockcheck turns into a panic.
+    let _gate = gate();
+    fault::clear();
+    let ctx = setup(80);
+    let cluster = spawn_cluster(&ctx, 2);
+    let addr = cluster.router_addr();
+    let questions: Vec<Mcq> = ctx.study.eval_questions().into_iter().cloned().collect();
+
+    // The router invokes whatever hook is installed with nothing held.
+    let held_in_hook = Arc::new(AtomicUsize::new(usize::MAX));
+    let seen = Arc::clone(&held_in_hook);
+    cluster.router().set_crash_hook(Arc::new(move |_id| {
+        seen.store(lockcheck::held_count(), Ordering::SeqCst);
+    }));
+    fault::install(FaultPlan::single("replica.crash", 1));
+    score_and_check(addr, &ctx, &questions[0], "probe-hook");
+    assert!(fault::fired("replica.crash"));
+    fault::clear();
+    assert_eq!(held_in_hook.load(Ordering::SeqCst), 0, "crash hook ran under a ranked lock");
+    drop(cluster.shutdown());
+
+    // The cluster's own hook, `kill_replica`, and `restart_replica` over
+    // both a dead and a live slot.
+    let cluster = spawn_cluster(&ctx, 2);
+    let addr = cluster.router_addr();
+    fault::install(FaultPlan::single("replica.crash", 1));
+    score_and_check(addr, &ctx, &questions[1], "crash-hook");
+    fault::clear();
+    cluster.kill_replica(0);
+    cluster.kill_replica(1);
+    cluster.kill_replica(1);
+    cluster.restart_replica(0).expect("restart a dead replica");
+    cluster.restart_replica(1).expect("restart a dead replica");
+    cluster.restart_replica(1).expect("restart a live replica");
+    cluster.probe_now();
+    cluster.probe_now();
+    score_and_check(addr, &ctx, &questions[2], "after-restarts");
+    let stats = cluster.shutdown();
+    assert_eq!(stats.router.lost, 0);
+    assert_eq!(stats.replicas.iter().flatten().count(), 2, "both replicas were live at shutdown");
 }
 
 #[test]
