@@ -15,7 +15,9 @@
 
 use crate::queue::{BoundedQueue, Pop};
 use astro_eval::{extract_answer, ExtractionStage};
-use astro_serve::{EvalEngine, GenerateJob, IterScheduler, SchedulerConfig, ScoreJob, SeqOutcome};
+use astro_serve::{
+    EvalEngine, GenerateJob, IterScheduler, SchedulerConfig, ScoreJob, SeqOutcome, ServeError,
+};
 use astro_telemetry::trace::{self, TraceId};
 use astro_telemetry::{metrics, span, TraceContext};
 use astro_tokenizer::Tokenizer;
@@ -127,12 +129,72 @@ fn note_popped(p: &Pending) {
     }
 }
 
-/// A request handed to the iteration scheduler, waiting for retirement.
+/// A request handed to the engine, waiting for its result.
 struct Inflight {
     /// `Some` for generate jobs (the extraction cascade needs them).
     options: Option<[String; 4]>,
     reply: mpsc::Sender<Reply>,
     trace: Option<TraceId>,
+}
+
+impl Inflight {
+    /// Answer the request with its engine result, closing the `sync`
+    /// (result handed back) and `extract` (reply built) trace phases.
+    fn answer(self, tokenizer: &Tokenizer, result: Result<SeqOutcome, ServeError>) {
+        if let Some(t) = self.trace {
+            trace::phase_since_last(t, "sync");
+        }
+        let msg = reply_for(tokenizer, result, self.options.as_ref());
+        if let Some(t) = self.trace {
+            trace::phase_since_last(t, "extract");
+        }
+        // A handler that already timed out has dropped its receiver;
+        // that is its problem, not the scheduler's.
+        let _ = self.reply.send(msg);
+    }
+}
+
+/// Build the reply for one engine result: scores become the four
+/// readouts plus their argmax, tokens go through the extraction cascade
+/// (`options` is `Some` exactly for generate requests), an engine error
+/// becomes a per-request [`Reply::Error`].
+fn reply_for(
+    tokenizer: &Tokenizer,
+    result: Result<SeqOutcome, ServeError>,
+    options: Option<&[String; 4]>,
+) -> Reply {
+    match (result, options) {
+        (Ok(SeqOutcome::Scores(s)), _) => {
+            let mut scores = [f32::NEG_INFINITY; 4];
+            for (dst, src) in scores.iter_mut().zip(s.iter()) {
+                *dst = *src;
+            }
+            let mut best = 0;
+            for i in 1..4 {
+                if scores[i] > scores[best] {
+                    best = i;
+                }
+            }
+            Reply::Score {
+                scores,
+                prediction: best,
+            }
+        }
+        (Ok(SeqOutcome::Tokens(tokens)), Some(options)) => {
+            let raw = tokenizer.decode(&tokens);
+            let (prediction, stage) = extract_answer(&raw, options);
+            Reply::Generate {
+                prediction,
+                stage,
+                raw,
+            }
+        }
+        // A score job cannot retire with tokens; degrade per-request.
+        (Ok(SeqOutcome::Tokens(_)), None) => {
+            Reply::Error("engine returned tokens for a score job".to_string())
+        }
+        (Err(e), _) => Reply::Error(e.to_string()),
+    }
 }
 
 /// Iteration-level scheduler loop: the gateway's alternative to
@@ -198,7 +260,9 @@ pub fn run_iter_scheduler(
             }
         }
         for (id, result) in sched.step() {
-            finalize_retirement(&tokenizer, &mut inflight, id, result);
+            if let Some(inf) = inflight.remove(&id) {
+                inf.answer(&tokenizer, result);
+            }
             // A retired leader has snapshotted its group's anchor; its
             // followers now fork the cached prefix at full depth.
             let group = leaders
@@ -365,58 +429,6 @@ fn submit_to_scheduler(
     }
 }
 
-/// Answer one retired sequence: same reply construction (and trace
-/// phases) as [`dispatch_batch`], per sequence instead of per batch.
-fn finalize_retirement(
-    tokenizer: &Tokenizer,
-    inflight: &mut HashMap<usize, Inflight>,
-    id: usize,
-    result: Result<SeqOutcome, astro_serve::ServeError>,
-) {
-    let Some(inf) = inflight.remove(&id) else {
-        return;
-    };
-    if let Some(t) = inf.trace {
-        trace::phase_since_last(t, "sync");
-    }
-    let msg = match (result, inf.options) {
-        (Ok(SeqOutcome::Scores(s)), _) => {
-            let mut scores = [f32::NEG_INFINITY; 4];
-            for (dst, src) in scores.iter_mut().zip(s.iter()) {
-                *dst = *src;
-            }
-            let mut best = 0;
-            for i in 1..4 {
-                if scores[i] > scores[best] {
-                    best = i;
-                }
-            }
-            Reply::Score {
-                scores,
-                prediction: best,
-            }
-        }
-        (Ok(SeqOutcome::Tokens(tokens)), Some(options)) => {
-            let raw = tokenizer.decode(&tokens);
-            let (prediction, stage) = extract_answer(&raw, &options);
-            Reply::Generate {
-                prediction,
-                stage,
-                raw,
-            }
-        }
-        // A score job cannot retire with tokens; degrade per-request.
-        (Ok(SeqOutcome::Tokens(_)), None) => {
-            Reply::Error("scheduler returned tokens for a score job".to_string())
-        }
-        (Err(e), _) => Reply::Error(e.to_string()),
-    };
-    if let Some(t) = inf.trace {
-        trace::phase_since_last(t, "extract");
-    }
-    let _ = inf.reply.send(msg);
-}
-
 /// Run one coalesced batch through the engine and answer every request.
 fn dispatch_batch(engine: &EvalEngine, tokenizer: &Tokenizer, batch: Vec<Pending>) {
     let span = span!("gateway.batch", size = batch.len());
@@ -445,8 +457,8 @@ fn dispatch_batch(engine: &EvalEngine, tokenizer: &Tokenizer, batch: Vec<Pending
     // it carries, and every member trace records the batch span, so the
     // analyzer can reconstruct which requests shared one engine dispatch.
     let parent = span.id();
-    let mut score_items: Vec<(ScoreJob, mpsc::Sender<Reply>, Option<TraceId>)> = Vec::new();
-    let mut generate_items = Vec::new();
+    let (mut score_jobs, mut score_waiters) = (Vec::new(), Vec::new());
+    let (mut generate_jobs, mut generate_waiters) = (Vec::new(), Vec::new());
     for p in live {
         let ctx = p.trace.map(|t| {
             trace::phase_since_last(t, "batch_form");
@@ -457,86 +469,31 @@ fn dispatch_batch(engine: &EvalEngine, tokenizer: &Tokenizer, batch: Vec<Pending
                 parent_span: Some(parent),
             }
         });
+        let (reply, trace) = (p.reply, p.trace);
         match p.work {
             Work::Score(mut job) => {
                 job.trace = ctx;
-                score_items.push((job, p.reply, p.trace));
+                score_jobs.push(job);
+                score_waiters.push(Inflight { options: None, reply, trace });
             }
             Work::Generate { mut job, options } => {
                 job.trace = ctx;
-                generate_items.push((job, options, p.reply, p.trace));
+                generate_jobs.push(job);
+                generate_waiters.push(Inflight { options: Some(options), reply, trace });
             }
         }
     }
-    span.record_f64("score_jobs", score_items.len() as f64);
-    span.record_f64("generate_jobs", generate_items.len() as f64);
+    span.record_f64("score_jobs", score_jobs.len() as f64);
+    span.record_f64("generate_jobs", generate_jobs.len() as f64);
 
-    if !score_items.is_empty() {
-        let mut jobs = Vec::with_capacity(score_items.len());
-        let mut rest = Vec::with_capacity(score_items.len());
-        for (job, reply, t) in score_items {
-            jobs.push(job);
-            rest.push((reply, t));
-        }
-        for (result, (reply, t)) in engine.score_batch(jobs).into_iter().zip(rest) {
-            if let Some(t) = t {
-                trace::phase_since_last(t, "sync");
-            }
-            let msg = match result {
-                Ok(s) => {
-                    let mut scores = [f32::NEG_INFINITY; 4];
-                    for (dst, src) in scores.iter_mut().zip(s.iter()) {
-                        *dst = *src;
-                    }
-                    let mut best = 0;
-                    for i in 1..4 {
-                        if scores[i] > scores[best] {
-                            best = i;
-                        }
-                    }
-                    Reply::Score {
-                        scores,
-                        prediction: best,
-                    }
-                }
-                Err(e) => Reply::Error(e.to_string()),
-            };
-            if let Some(t) = t {
-                trace::phase_since_last(t, "extract");
-            }
-            // A handler that already timed out has dropped its receiver;
-            // that is its problem, not the scheduler's.
-            let _ = reply.send(msg);
+    if !score_jobs.is_empty() {
+        for (result, waiter) in engine.score_batch(score_jobs).into_iter().zip(score_waiters) {
+            waiter.answer(tokenizer, result.map(SeqOutcome::Scores));
         }
     }
-
-    if !generate_items.is_empty() {
-        let mut jobs = Vec::with_capacity(generate_items.len());
-        let mut rest = Vec::with_capacity(generate_items.len());
-        for (job, options, reply, t) in generate_items {
-            jobs.push(job);
-            rest.push((options, reply, t));
-        }
-        for (result, (options, reply, t)) in engine.generate_batch(jobs).into_iter().zip(rest) {
-            if let Some(t) = t {
-                trace::phase_since_last(t, "sync");
-            }
-            let msg = match result {
-                Ok(tokens) => {
-                    let raw = tokenizer.decode(&tokens);
-                    let (prediction, stage) = extract_answer(&raw, &options);
-                    Reply::Generate {
-                        prediction,
-                        stage,
-                        raw,
-                    }
-                }
-                Err(e) => Reply::Error(e.to_string()),
-            };
-            if let Some(t) = t {
-                trace::phase_since_last(t, "extract");
-            }
-            let _ = reply.send(msg);
+    if !generate_jobs.is_empty() {
+        for (result, waiter) in engine.generate_batch(generate_jobs).into_iter().zip(generate_waiters) {
+            waiter.answer(tokenizer, result.map(SeqOutcome::Tokens));
         }
     }
 }

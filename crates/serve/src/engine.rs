@@ -9,29 +9,32 @@
 //!    (in practice: the two-shot preamble) is encoded once and **pinned**
 //!    in the prefix cache. Per-group common prefixes (questions about the
 //!    same article) are recorded as anchor targets.
-//! 2. Each worker pulls jobs off a shared atomic cursor. For each job it
-//!    forks the deepest cached snapshot into its reusable session
-//!    (`assign_from`), encodes only the unshared tail, and snapshots the
-//!    group anchor on the way past so later same-group jobs skip it too.
+//! 2. Each worker pulls jobs off a shared atomic cursor and runs each one
+//!    through the job lifecycle ([`crate::seq`]) to completion on its
+//!    reusable [`Sequence`]: fork the deepest cached snapshot, encode only
+//!    the unshared tail, snapshot the group anchor on the way past so later
+//!    same-group jobs skip it too, then read out or decode.
 //! 3. A prompt that exceeds the KV cache is retried once without the
 //!    prefix cache, then surfaces as that job's
 //!    `Err(ServeError::Session(SessionError::CacheFull))`; a panicking job
 //!    surfaces as `Err(ServeError::WorkerPanic)`. The rest of the batch is
 //!    unaffected either way.
+//! 4. When the batch returns, the batch anchor's pin is released: the
+//!    snapshot stays cached but is evictable again, so a long-lived engine
+//!    holds at most its budget of snapshots however many batches it serves.
 //!
 //! Results are returned in job order regardless of completion order, and
 //! are bit-identical to running each job in a fresh session (see the
 //! crate-level determinism contract).
 
 use crate::scheduler::{IterScheduler, SchedulerConfig};
+use crate::seq::{SeqEnv, Sequence, SpecSetup};
 use crate::trie::{CacheStats, PrefixCache};
 use crate::EngineConfig;
-use astro_model::{
-    InferenceSession, ModelConfig, Params, SamplerConfig, SessionError, SpecDecoder, StepDecoder,
-};
+use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, SessionError};
 use astro_parallel::ThreadPool;
 use astro_prng::Rng;
-use astro_resilience::fault;
+use astro_telemetry::span::SpanGuard;
 use astro_telemetry::sync::{self, mpsc, Mutex, MutexGuard};
 use astro_telemetry::{lockcheck, trace, TraceContext};
 use std::collections::HashMap;
@@ -174,6 +177,18 @@ impl Job {
             Job::Generate(j) => j.trace,
         }
     }
+
+    /// Open a driver's span for a traced job. It claims the dispatching
+    /// span (e.g. `gateway.batch`) as its explicit cross-thread parent, so
+    /// the summary tree shows engine work under the batch that scheduled
+    /// it.
+    pub(crate) fn span(&self, name: &str) -> Option<SpanGuard> {
+        self.trace().map(|c| {
+            let g = astro_telemetry::span::span_child_of(name, c.parent_span, Vec::new());
+            g.set_trace(c.trace.0);
+            g
+        })
+    }
 }
 
 /// A finished job's payload; the variant matches the job kind.
@@ -183,34 +198,6 @@ pub enum SeqOutcome {
     Scores(Vec<f32>),
     /// Generated tokens (stop token excluded) from a [`GenerateJob`].
     Tokens(Vec<u32>),
-}
-
-/// Per-worker reusable state: the main session a job's prompt is encoded
-/// into, a second session used as the fork scratch when scoring
-/// continuations, and (when speculation is configured) a session for the
-/// draft model. Allocated once per worker, reused across jobs.
-struct WorkerState {
-    sess: InferenceSession,
-    fork: InferenceSession,
-    draft: Option<InferenceSession>,
-}
-
-impl WorkerState {
-    fn new(cfg: ModelConfig, draft_cfg: Option<ModelConfig>) -> Self {
-        WorkerState {
-            sess: InferenceSession::new(cfg),
-            fork: InferenceSession::new(cfg),
-            draft: draft_cfg.map(InferenceSession::new),
-        }
-    }
-}
-
-/// Everything a worker needs to run speculative decoding: the draft
-/// model's parameters and the per-round draft length.
-#[derive(Clone)]
-pub(crate) struct SpecSetup {
-    pub(crate) k: usize,
-    pub(crate) draft: Arc<Params>,
 }
 
 /// The batched evaluation engine. Construction clones the parameters once
@@ -257,7 +244,7 @@ impl EvalEngine {
     /// Install a draft model for speculative decoding. Takes effect on
     /// generation jobs when [`EngineConfig::spec_k`] is non-zero: each
     /// round drafts `spec_k` tokens with `draft` and verifies them in a
-    /// single chunked step on the target ([`SpecDecoder`]). The draft
+    /// single chunked step on the target ([`astro_model::SpecDecoder`]). The draft
     /// must share the target's tokenizer — same vocabulary, same ids.
     #[must_use]
     pub fn with_draft(mut self, draft: &Params) -> Self {
@@ -275,15 +262,17 @@ impl EvalEngine {
         self.cfg.spec_k > 0 && self.draft.is_some()
     }
 
-    /// The worker-side speculation bundle, when enabled.
-    pub(crate) fn spec_setup(&self) -> Option<SpecSetup> {
-        if self.cfg.spec_k == 0 {
-            return None;
+    /// What either driver lends the job lifecycle: this engine's model,
+    /// its prefix cache when caching is on, the batch's group anchors and
+    /// the speculation setup when enabled.
+    fn seq_env(&self, anchors: HashMap<u64, Vec<u32>>) -> SeqEnv {
+        let draft = self.draft.as_ref().filter(|_| self.cfg.spec_k > 0);
+        SeqEnv {
+            params: Arc::clone(&self.params),
+            cache: self.cfg.prefix_cache.then(|| Arc::clone(&self.cache)),
+            anchors,
+            spec: draft.map(|d| SpecSetup { k: self.cfg.spec_k, draft: Arc::clone(d) }),
         }
-        self.draft.as_ref().map(|d| SpecSetup {
-            k: self.cfg.spec_k,
-            draft: Arc::clone(d),
-        })
     }
 
     /// The engine's execution settings.
@@ -340,13 +329,7 @@ impl EvalEngine {
     /// [`EvalEngine::generate_batch`] build their own per batch when
     /// [`EngineConfig::iteration`] is set.
     pub fn iter_scheduler(&self, cfg: SchedulerConfig) -> IterScheduler {
-        let mut sched = IterScheduler::new(
-            cfg,
-            Arc::clone(&self.params),
-            self.cfg.prefix_cache.then(|| Arc::clone(&self.cache)),
-        );
-        sched.set_spec(self.spec_setup());
-        sched
+        IterScheduler::new(cfg, self.seq_env(HashMap::new()))
     }
 
     /// Shared dispatch: prime anchors, fan out (pool workers or the
@@ -356,74 +339,50 @@ impl EvalEngine {
             return Vec::new();
         }
         let before = self.cache_stats();
-        let anchors = if self.cfg.prefix_cache {
+        // `_pin` holds the batch anchor in the cache until this returns.
+        let (anchors, _pin) = if self.cfg.prefix_cache {
             self.prime_anchors(&jobs)
         } else {
-            HashMap::new()
+            (HashMap::new(), None)
         };
+        let results = if self.cfg.iteration {
+            self.run_iteration(jobs, anchors)
+        } else {
+            self.run_pooled(jobs, anchors)
+        };
+        publish_cache_metrics(&before, &self.cache_stats());
+        results
+    }
 
-        if self.cfg.iteration {
-            let results = self.run_iteration(jobs, anchors);
-            let after = self.cache_stats();
-            publish_cache_metrics(&before, &after);
-            return results;
-        }
-
+    /// Run a whole batch on pool workers (or inline, for one worker) and
+    /// return results in job order.
+    fn run_pooled(
+        &self,
+        jobs: Vec<Job>,
+        anchors: HashMap<u64, Vec<u32>>,
+    ) -> Vec<Result<SeqOutcome, ServeError>> {
         let n_jobs = jobs.len();
         let workers = self.cfg.resolved_parallelism().min(n_jobs).max(1);
-        let cache = self.cfg.prefix_cache.then(|| Arc::clone(&self.cache));
-        let spec = self.spec_setup();
-        let draft_cfg = spec.as_ref().map(|s| s.draft.cfg);
+        let batch = PooledBatch {
+            env: self.seq_env(anchors),
+            jobs,
+            cursor: AtomicUsize::new(0),
+        };
         let mut results: Vec<Option<Result<SeqOutcome, ServeError>>> =
             (0..n_jobs).map(|_| None).collect();
-
         if workers <= 1 {
-            let mut state = WorkerState::new(self.model_cfg, draft_cfg);
-            for (i, job) in jobs.iter().enumerate() {
-                results[i] = Some(run_job_resilient(
-                    &self.params,
-                    cache.as_deref(),
-                    &anchors,
-                    spec.as_ref(),
-                    &mut state,
-                    job,
-                ));
-            }
+            batch.work(|i, r| {
+                results[i] = Some(r);
+                true
+            });
         } else {
-            let jobs = Arc::new(jobs);
-            let anchors = Arc::new(anchors);
-            let cursor = Arc::new(AtomicUsize::new(0));
+            let batch = Arc::new(batch);
             let (tx, rx) = mpsc::channel();
             let pool = ThreadPool::new(workers);
             for _ in 0..workers {
-                let jobs = Arc::clone(&jobs);
-                let anchors = Arc::clone(&anchors);
-                let cursor = Arc::clone(&cursor);
-                let params = Arc::clone(&self.params);
-                let cache = cache.clone();
-                let spec = spec.clone();
+                let batch = Arc::clone(&batch);
                 let tx = tx.clone();
-                let model_cfg = self.model_cfg;
-                pool.execute(move || {
-                    let mut state = WorkerState::new(model_cfg, spec.as_ref().map(|s| s.draft.cfg));
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let r = run_job_resilient(
-                            &params,
-                            cache.as_deref(),
-                            &anchors,
-                            spec.as_ref(),
-                            &mut state,
-                            &jobs[i],
-                        );
-                        if tx.send((i, r)).is_err() {
-                            break;
-                        }
-                    }
-                });
+                pool.execute(move || batch.work(|i, r| tx.send((i, r)).is_ok()));
             }
             drop(tx);
             for (i, r) in rx.iter() {
@@ -431,18 +390,12 @@ impl EvalEngine {
             }
             pool.join();
         }
-
-        let after = self.cache_stats();
-        publish_cache_metrics(&before, &after);
+        // `None` is unreachable: every index below n_jobs is claimed
+        // exactly once and reported exactly once. Degrade to an error
+        // rather than panicking the batch.
         results
             .into_iter()
-            .map(|r| match r {
-                Some(r) => r,
-                // Unreachable: every index below n_jobs is claimed exactly
-                // once and reported exactly once. Degrade to an error
-                // rather than panicking the batch.
-                None => Err(ServeError::WorkerPanic),
-            })
+            .map(|r| r.unwrap_or(Err(ServeError::WorkerPanic)))
             .collect()
     }
 
@@ -482,45 +435,44 @@ impl EvalEngine {
                 results[i] = Some(r);
             }
         }
+        // `None` is unreachable: the scheduler retires every admitted
+        // sequence exactly once.
         results
             .into_iter()
-            .map(|r| match r {
-                Some(r) => r,
-                // Unreachable: the scheduler retires every admitted
-                // sequence exactly once.
-                None => Err(ServeError::WorkerPanic),
-            })
+            .map(|r| r.unwrap_or(Err(ServeError::WorkerPanic)))
             .collect()
     }
 
     /// Encode and pin the batch-wide common prefix, and compute per-group
     /// anchor prefixes worth snapshotting mid-feed (strictly deeper than
-    /// the batch anchor, shared by at least two jobs).
-    fn prime_anchors(&self, jobs: &[Job]) -> HashMap<u64, Vec<u32>> {
+    /// the batch anchor, shared by at least two jobs). The pin is scoped
+    /// to the returned guard.
+    fn prime_anchors(&self, jobs: &[Job]) -> (HashMap<u64, Vec<u32>>, Option<AnchorPin<'_>>) {
         // Batch anchor: LCP over every prompt.
         let mut batch_len = jobs.first().map(|j| j.prompt().len()).unwrap_or(0);
         for j in jobs {
             batch_len = batch_len.min(lcp_len(jobs[0].prompt(), j.prompt()));
         }
+        let mut pin = None;
         if batch_len > 0 && jobs.len() >= 2 {
             let anchor = &jobs[0].prompt()[..batch_len];
             let need = {
                 let (_token, guard) = lock_cache(&self.cache);
                 !guard.has_snapshot(anchor)
             };
-            if need {
-                let mut sess = InferenceSession::new(self.model_cfg);
-                let mut ok = true;
-                for &t in anchor {
-                    if sess.try_feed(&self.params, t).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    let (_token, mut guard) = lock_cache(&self.cache);
-                    guard.insert(anchor, &sess, true);
-                }
+            let encoded = need
+                .then(|| {
+                    let mut sess = InferenceSession::new(self.model_cfg);
+                    let fits = anchor.iter().all(|&t| sess.try_feed(&self.params, t).is_ok());
+                    fits.then_some(sess)
+                })
+                .flatten();
+            let (_token, mut guard) = lock_cache(&self.cache);
+            if let Some(sess) = &encoded {
+                guard.insert(anchor, sess, false);
+            }
+            if guard.pin(anchor) {
+                pin = Some(AnchorPin { cache: &self.cache, anchor: anchor.to_vec() });
             }
         }
 
@@ -544,11 +496,76 @@ impl EvalEngine {
                 *counts.entry(g).or_insert(0) += 1;
             }
         }
-        groups
+        let anchors = groups
             .into_iter()
             .filter(|(g, (_, len))| *len > batch_len && counts.get(g).copied().unwrap_or(0) >= 2)
             .map(|(g, (first, len))| (g, jobs[first].prompt()[..len].to_vec()))
-            .collect()
+            .collect();
+        (anchors, pin)
+    }
+}
+
+/// A batch's hold on its anchor snapshot, released on drop — so the pin
+/// lasts exactly as long as `run_batch`, also when it unwinds. Without the
+/// release every batch with a new common prefix would leave one more
+/// unevictable snapshot behind.
+struct AnchorPin<'a> {
+    cache: &'a Mutex<PrefixCache>,
+    anchor: Vec<u32>,
+}
+
+impl Drop for AnchorPin<'_> {
+    fn drop(&mut self) {
+        let (_token, mut guard) = lock_cache(self.cache);
+        guard.unpin(&self.anchor);
+    }
+}
+
+/// What the workers of one pooled batch share.
+struct PooledBatch {
+    env: SeqEnv,
+    jobs: Vec<Job>,
+    cursor: AtomicUsize,
+}
+
+impl PooledBatch {
+    /// One worker: claim jobs off the shared cursor until none are left
+    /// (or `report` says the collector is gone), running each through the
+    /// job lifecycle to completion on this worker's reusable [`Sequence`].
+    ///
+    /// A panic inside a job is caught and surfaced as
+    /// [`ServeError::WorkerPanic`] (counted under `serve.job_panics`), so a
+    /// bad job cannot take the batch down.
+    fn work(&self, mut report: impl FnMut(usize, Result<SeqOutcome, ServeError>) -> bool) {
+        let env = &self.env;
+        let mut seq = Sequence::new(env.params.cfg);
+        let mut fork = InferenceSession::new(env.params.cfg);
+        loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = self.jobs.get(i) else {
+                break;
+            };
+            let _span = job.span("serve.job");
+            // `exec_wait`: dispatch → this worker picking the job up.
+            if let Some(c) = job.trace() {
+                trace::phase_since_last(c.trace, "exec_wait");
+            }
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                seq.start(env, job);
+                loop {
+                    if let Some(result) = seq.advance(env, job, &mut fork, usize::MAX) {
+                        return result;
+                    }
+                }
+            }));
+            let result = run.unwrap_or_else(|_| {
+                astro_telemetry::counter("serve.job_panics").inc();
+                Err(ServeError::WorkerPanic)
+            });
+            if !report(i, result) {
+                break;
+            }
+        }
     }
 }
 
@@ -561,289 +578,10 @@ fn publish_cache_metrics(before: &CacheStats, after: &CacheStats) {
     astro_telemetry::gauge("serve.cache.resident_bytes").set(after.resident_bytes as i64);
 }
 
-/// Execute one job with panic isolation and cache-pressure degradation:
-///
-/// * a panic inside the job is caught and surfaced as
-///   [`ServeError::WorkerPanic`] (counted under `serve.job_panics`), so a
-///   bad job cannot take the batch down;
-/// * [`SessionError::CacheFull`] is retried **once without the prefix
-///   cache** before being surfaced. By the crate's determinism contract an
-///   uncached run is bit-identical to a cached one, so degradation never
-///   changes scores — it only sheds the cache under pressure. Counted
-///   under `serve.cache_full.retries`.
-fn run_job_resilient(
-    params: &Params,
-    cache: Option<&Mutex<PrefixCache>>,
-    anchors: &HashMap<u64, Vec<u32>>,
-    spec: Option<&SpecSetup>,
-    state: &mut WorkerState,
-    job: &Job,
-) -> Result<SeqOutcome, ServeError> {
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job(params, cache, anchors, spec, state, job)
-    }));
-    match attempt {
-        Err(_) => {
-            astro_telemetry::counter("serve.job_panics").inc();
-            Err(ServeError::WorkerPanic)
-        }
-        Ok(Err(SessionError::CacheFull { .. })) => {
-            astro_telemetry::counter("serve.cache_full.retries").inc();
-            let no_anchors = HashMap::new();
-            let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(params, None, &no_anchors, spec, state, job)
-            }));
-            match retry {
-                Err(_) => {
-                    astro_telemetry::counter("serve.job_panics").inc();
-                    Err(ServeError::WorkerPanic)
-                }
-                Ok(r) => r.map_err(ServeError::from),
-            }
-        }
-        Ok(r) => r.map_err(ServeError::from),
-    }
-}
-
-/// Execute one job in the worker's reusable sessions.
-fn run_job(
-    params: &Params,
-    cache: Option<&Mutex<PrefixCache>>,
-    anchors: &HashMap<u64, Vec<u32>>,
-    spec: Option<&SpecSetup>,
-    state: &mut WorkerState,
-    job: &Job,
-) -> Result<SeqOutcome, SessionError> {
-    let prompt = job.prompt();
-    assert!(!prompt.is_empty(), "engine jobs require a non-empty prompt");
-    let ctx = job.trace();
-    // The worker span claims the dispatching span (e.g. `gateway.batch`)
-    // as its explicit cross-thread parent, so the summary tree shows
-    // engine work under the batch that scheduled it.
-    let _worker_span = ctx.map(|c| {
-        let g = astro_telemetry::span::span_child_of("serve.job", c.parent_span, Vec::new());
-        g.set_trace(c.trace.0);
-        g
-    });
-    // `exec_wait`: dispatch → this worker picking the job up.
-    let t0 = match ctx {
-        Some(c) => trace::phase_since_last(c.trace, "exec_wait")
-            .unwrap_or_else(astro_telemetry::elapsed_us),
-        None => 0,
-    };
-    if fault::should_fault("serve.cache_full") {
-        if let Some(c) = ctx {
-            trace::mark_fault(c.trace, "serve.cache_full");
-        }
-        return Err(SessionError::CacheFull {
-            pos: prompt.len(),
-            max_seq: params.cfg.max_seq,
-        });
-    }
-
-    // Fork the deepest cached ancestor (or start fresh).
-    let depth = match cache {
-        Some(c) => {
-            let (_token, mut guard) = lock_cache(c);
-            guard.fork_into(&mut state.sess, prompt)
-        }
-        None => {
-            state.sess.reset();
-            0
-        }
-    };
-    let t1 = astro_telemetry::elapsed_us();
-    if let Some(c) = ctx {
-        trace::phase(c.trace, "cache_lookup", t0, t1);
-        trace::annotate(c.trace, "cache", if depth > 0 { "hit" } else { "miss" });
-        trace::record_num(c.trace, "cached_tokens", depth as f64);
-    }
-    let mut fed = depth;
-
-    // Feed to the group-anchor boundary and snapshot it for the rest of
-    // the group. Raced inserts are idempotent (`insert` refuses
-    // duplicates), so whichever worker crosses first wins.
-    if let (Some(c), Some(anchor)) = (cache, job.group().and_then(|g| anchors.get(&g))) {
-        if anchor.len() > fed
-            && anchor.len() <= prompt.len()
-            && prompt[..anchor.len()] == anchor[..]
-        {
-            while fed < anchor.len() {
-                state.sess.try_feed(params, prompt[fed])?;
-                fed += 1;
-            }
-            let (_token, mut guard) = lock_cache(c);
-            if !guard.has_snapshot(anchor) {
-                guard.insert(anchor, &state.sess, false);
-            }
-        }
-    }
-
-    // Encode the unshared tail.
-    while fed < prompt.len() {
-        state.sess.try_feed(params, prompt[fed])?;
-        fed += 1;
-    }
-    astro_telemetry::counter("serve.tokens.encoded").add((prompt.len() - depth) as u64);
-    let t2 = astro_telemetry::elapsed_us();
-    if let Some(c) = ctx {
-        trace::phase(c.trace, "prefill", t1, t2);
-        trace::record_num(c.trace, "prompt_tokens", prompt.len() as f64);
-    }
-
-    let outcome = match job {
-        Job::Score(j) => {
-            SeqOutcome::Scores(score_readout(params, &state.sess, &mut state.fork, &j.readout))
-        }
-        Job::Generate(j) => {
-            SeqOutcome::Tokens(decode_generate(params, spec, &mut state.sess, state.draft.as_mut(), j))
-        }
-    };
-    if let Some(c) = ctx {
-        trace::phase(c.trace, "decode", t2, astro_telemetry::elapsed_us());
-        if let SeqOutcome::Tokens(toks) = &outcome {
-            trace::record_num(c.trace, "generated_tokens", toks.len() as f64);
-        }
-    }
-    Ok(outcome)
-}
-
-/// Decode one generation job to exhaustion after its prompt has been fed
-/// to `sess`.
-///
-/// With speculation configured the draft model replays the prompt from
-/// scratch (the draft's KV is never prefix-cached — its prefill is the
-/// cheap side of the bargain by construction), then [`SpecDecoder`]
-/// rounds drive both sessions. Greedy output is bitwise-identical to the
-/// plain path; stochastic output preserves the target distribution
-/// exactly. Two degradations, both output-preserving:
-///
-/// * a prompt too long for the draft's context falls back to plain step
-///   decoding (`serve.spec.draft_overflow`);
-/// * a round under the `quant.spec_reject_storm` fault runs as
-///   [`SpecDecoder::single_round`] — one plain target step, no wasted
-///   drafting (`serve.spec.storm_degraded`).
-fn decode_generate(
-    params: &Params,
-    spec: Option<&SpecSetup>,
-    sess: &mut InferenceSession,
-    draft_sess: Option<&mut InferenceSession>,
-    j: &GenerateJob,
-) -> Vec<u32> {
-    if let (Some(sp), Some(dsess)) = (spec, draft_sess) {
-        dsess.reset();
-        let mut prompt_fits = true;
-        for &t in &j.prompt {
-            if dsess.try_feed(&sp.draft, t).is_err() {
-                prompt_fits = false;
-                break;
-            }
-        }
-        if prompt_fits {
-            let mut dec =
-                SpecDecoder::new(j.sampler, j.rng.clone(), j.stop.clone(), j.max_new, sp.k);
-            while !dec.is_finished() {
-                // Every round makes progress (emits at least one token or
-                // finishes), so this loop terminates in <= max_new rounds.
-                if fault::should_fault("quant.spec_reject_storm") {
-                    astro_telemetry::counter("serve.spec.storm_degraded").inc();
-                    dec.single_round(params, sess, &sp.draft, dsess);
-                } else {
-                    dec.round(params, sess, &sp.draft, dsess);
-                }
-            }
-            publish_spec_metrics(&dec);
-            return dec.into_tokens();
-        }
-        astro_telemetry::counter("serve.spec.draft_overflow").inc();
-    }
-    // Drive the step decoder to exhaustion. One `step` call is
-    // bit-identical to one iteration of the old inline loop, so the
-    // whole-batch path and the iteration scheduler (which advances the
-    // same decoder one step per engine step) produce identical tokens by
-    // construction.
-    let mut dec = StepDecoder::new(j.sampler, j.rng.clone(), j.stop.clone(), j.max_new);
-    while dec.step(params, sess).is_some() {}
-    dec.into_tokens()
-}
-
-/// Record a finished speculative decode's counters in the global metrics
-/// registry (shared with the iteration scheduler's spec path).
-pub(crate) fn publish_spec_metrics(dec: &SpecDecoder) {
-    astro_telemetry::counter("serve.spec.drafted").add(dec.drafted() as u64);
-    astro_telemetry::counter("serve.spec.accepted").add(dec.accepted() as u64);
-    astro_telemetry::counter("serve.spec.rounds").add(dec.rounds() as u64);
-}
-
-/// Apply a score readout after the prompt, producing the per-option score
-/// vector. Shared verbatim by the coalescing worker path and the
-/// iteration scheduler so the two are bitwise-identical by construction.
-pub(crate) fn score_readout(
-    params: &Params,
-    sess: &InferenceSession,
-    fork: &mut InferenceSession,
-    readout: &ScoreReadout,
-) -> Vec<f32> {
-    match readout {
-        ScoreReadout::ContinuationGroups(groups) => groups
-            .iter()
-            .map(|variants| {
-                let mut s = f32::NEG_INFINITY;
-                for cont in variants {
-                    s = s.max(continuation_loglik(params, sess, fork, cont));
-                }
-                s
-            })
-            .collect(),
-        ScoreReadout::LogitGroups(groups) => {
-            let logits = sess.last_logits();
-            groups
-                .iter()
-                .map(|ids| {
-                    ids.iter()
-                        .fold(f32::NEG_INFINITY, |acc, &id| acc.max(logits[id as usize]))
-                })
-                .collect()
-        }
-    }
-}
-
-/// Length-normalised log-likelihood of `continuation` from a fork of
-/// `sess`, written into the reusable `fork` scratch session. Replicates
-/// the serial reference (`astro-eval`'s `continuation_loglik`) operation
-/// for operation: same f64 accumulation, same early-stop on a full cache,
-/// same `-inf` conventions — the parity suite diffs the two bitwise.
-fn continuation_loglik(
-    params: &Params,
-    sess: &InferenceSession,
-    fork: &mut InferenceSession,
-    continuation: &[u32],
-) -> f32 {
-    if continuation.is_empty() {
-        return f32::NEG_INFINITY;
-    }
-    fork.assign_from(sess);
-    let mut ll = 0.0f64;
-    let mut counted = 0usize;
-    for &tok in continuation {
-        if fork.remaining() == 0 {
-            break;
-        }
-        let logits = fork.last_logits();
-        let lse = astro_tensor::ops::log_sum_exp(logits);
-        ll += (logits[tok as usize] - lse) as f64;
-        counted += 1;
-        fork.feed(params, tok);
-    }
-    if counted == 0 {
-        return f32::NEG_INFINITY;
-    }
-    (ll / counted as f64) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::continuation_loglik;
     use astro_model::{sample_logits, ModelConfig};
 
     fn setup() -> (ModelConfig, Params) {
@@ -952,18 +690,24 @@ mod tests {
                 trace: None,
             },
         ];
-        let engine = EvalEngine::new(EngineConfig::pooled_with(2), &p);
-        let got = engine.score_batch(jobs);
-        assert!(got[0].is_ok());
-        match &got[1] {
-            Err(ServeError::Session(SessionError::CacheFull { max_seq, .. })) => {
-                assert_eq!(*max_seq, cfg.max_seq)
+        // Both drivers: a real overflow is retried once uncached, then
+        // surfaces as that job's error.
+        for engine_cfg in [EngineConfig::pooled_with(2), EngineConfig::iteration()] {
+            let retries0 = astro_telemetry::counter("serve.cache_full.retries").get();
+            let engine = EvalEngine::new(engine_cfg, &p);
+            let got = engine.score_batch(jobs.clone());
+            assert!(got[0].is_ok());
+            match &got[1] {
+                Err(ServeError::Session(SessionError::CacheFull { max_seq, .. })) => {
+                    assert_eq!(*max_seq, cfg.max_seq)
+                }
+                other => panic!("expected CacheFull, got {other:?} ({engine_cfg:?})"),
             }
-            other => panic!("expected CacheFull, got {other:?}"),
+            assert!(astro_telemetry::counter("serve.cache_full.retries").get() > retries0);
+            // Empty logit group scores -inf.
+            let ok = got[0].as_ref().ok().cloned().unwrap_or_default();
+            assert_eq!(ok[3], f32::NEG_INFINITY);
         }
-        // Empty logit group scores -inf.
-        let ok = got[0].as_ref().ok().cloned().unwrap_or_default();
-        assert_eq!(ok[3], f32::NEG_INFINITY);
     }
 
     #[test]

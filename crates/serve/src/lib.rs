@@ -23,6 +23,12 @@
 //!   score jobs are never head-of-line blocked behind long generations.
 //!   Opt in with [`EngineConfig::iteration`].
 //!
+//! Pool workers and the iteration scheduler are two drivers of one job
+//! lifecycle (the crate-private `seq::Sequence`): fork the deepest cached
+//! prefix, feed the tail, retry once uncached on overflow, then read out
+//! scores or decode, plainly or speculatively. `docs/SERVING.md`
+//! § *The job lifecycle* is the reference.
+//!
 //! # Determinism contract
 //!
 //! The engine is **bit-identical** to the serial reference path for every
@@ -36,6 +42,7 @@
 pub mod admit;
 pub mod engine;
 pub mod scheduler;
+mod seq;
 pub mod trie;
 
 pub use admit::{AdmitError, AdmitQueue, Drained};

@@ -16,13 +16,12 @@
 //!    their `InferenceSession`s outright) to make room. The FIFO head
 //!    blocks the tail — no skip-ahead — which is what makes the
 //!    admission-wait bound below hold.
-//! 2. **Advance** — every active sequence moves one unit: prefilling
-//!    sequences feed up to `prefill_chunk` prompt tokens (snapshotting
-//!    group anchors on the way past, exactly like the coalescing path);
-//!    decoding sequences emit one token via
-//!    [`astro_model::StepDecoder::step`].
+//! 2. **Advance** — every active sequence moves one unit of the job
+//!    lifecycle ([`crate::seq`]): prefilling sequences feed up to
+//!    `prefill_chunk` prompt tokens (snapshotting group anchors on the way
+//!    past); decoding sequences emit one token, or one speculative round.
 //! 3. **Retire** — finished sequences return their result, release their
-//!    ledger blocks and hand their session back to the free list, without
+//!    ledger blocks and hand their sessions back to the free list, without
 //!    waiting for the rest of the batch.
 //!
 //! # Determinism
@@ -48,22 +47,17 @@
 //! long-decode load.
 
 use crate::admit::{AdmitError, AdmitQueue, Drained};
-use crate::engine::{
-    lock_cache, publish_spec_metrics, score_readout, GenerateJob, Job, ScoreJob, SeqOutcome,
-    ServeError, SpecSetup,
-};
-use crate::trie::PrefixCache;
-use astro_model::{InferenceSession, ModelConfig, Params, SpecDecoder, StepDecoder};
+use crate::engine::{lock_cache, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError};
+use crate::seq::{SeqEnv, Sequence};
+use astro_model::{InferenceSession, ModelConfig};
 use astro_resilience::fault;
-use astro_telemetry::sync::Mutex;
 use astro_telemetry::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Iteration-scheduler tuning. All zero/degenerate values are normalized
-/// at construction ([`IterScheduler::new`]); `validate` rejects values a
-/// config file should not contain.
+/// at construction ([`crate::EvalEngine::iter_scheduler`]); `validate`
+/// rejects values a config file should not contain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Maximum concurrently active sequences (batch slots).
@@ -297,21 +291,12 @@ impl SchedLog {
     }
 }
 
-/// One active sequence's state machine: `fed < prompt` = prefill,
-/// `dec: Some` = decode, retired on completion.
-struct Sequence {
+/// One admitted job: its id, the [`Sequence`] running it and the span
+/// that stays open until it retires.
+struct Active {
     id: usize,
     job: Job,
-    sess: InferenceSession,
-    fed: usize,
-    forked: usize,
-    retried_uncached: bool,
-    dec: Option<StepDecoder>,
-    /// Speculative decode state: the decoder plus the sequence's own
-    /// draft-model session (installed at prefill completion when the
-    /// scheduler has a [`SpecSetup`] and the prompt fits the draft's
-    /// context). One [`SpecDecoder::round`] per engine step.
-    spec_dec: Option<(SpecDecoder, InferenceSession)>,
+    seq: Sequence,
     _span: Option<astro_telemetry::span::SpanGuard>,
 }
 
@@ -320,17 +305,13 @@ struct Sequence {
 /// the admission queue.
 pub struct IterScheduler {
     cfg: SchedulerConfig,
-    params: Arc<Params>,
-    model_cfg: ModelConfig,
-    cache: Option<Arc<Mutex<PrefixCache>>>,
-    spec: Option<SpecSetup>,
-    anchors: HashMap<u64, Vec<u32>>,
+    env: SeqEnv,
     ledger: KvLedger,
     blocks_per_snapshot: usize,
     admit: AdmitQueue<(usize, Job)>,
     pending: VecDeque<(usize, Job)>,
-    active: Vec<Sequence>,
-    free: Vec<InferenceSession>,
+    active: Vec<Active>,
+    free: Vec<Sequence>,
     fork: InferenceSession,
     next_id: usize,
     step_idx: u64,
@@ -338,13 +319,10 @@ pub struct IterScheduler {
 }
 
 impl IterScheduler {
-    /// Build a scheduler over `params`, optionally sharing a prefix
-    /// cache. Degenerate config values are normalized to their minimum.
-    pub fn new(
-        cfg: SchedulerConfig,
-        params: Arc<Params>,
-        cache: Option<Arc<Mutex<PrefixCache>>>,
-    ) -> Self {
+    /// Build a scheduler over `env`'s model, prefix cache (if any) and
+    /// speculation setup. Degenerate config values are normalized to
+    /// their minimum.
+    pub(crate) fn new(cfg: SchedulerConfig, env: SeqEnv) -> Self {
         let cfg = SchedulerConfig {
             max_active: cfg.max_active.max(1),
             prefill_chunk: cfg.prefill_chunk.max(1),
@@ -352,10 +330,11 @@ impl IterScheduler {
             admit_capacity: cfg.admit_capacity.max(1),
             ..cfg
         };
-        let model_cfg = params.cfg;
+        let model_cfg = env.params.cfg;
         let blocks_per_snapshot = model_cfg.max_seq.div_ceil(cfg.block_tokens).max(1);
         let budget = if cfg.budget_blocks == 0 {
-            let cache_sessions = cache
+            let cache_sessions = env
+                .cache
                 .as_ref()
                 .map(|c| {
                     let (_t, g) = lock_cache(c);
@@ -377,29 +356,16 @@ impl IterScheduler {
             next_id: 0,
             step_idx: 0,
             log: cfg.record_log.then(SchedLog::default),
-            anchors: HashMap::new(),
-            spec: None,
             cfg,
-            params,
-            model_cfg,
-            cache,
+            env,
         }
     }
 
-    /// Install (or clear) the speculative-decoding setup; generation
-    /// sequences admitted afterwards decode one [`SpecDecoder`] round per
-    /// engine step instead of one [`StepDecoder`] token. Set by
-    /// [`crate::engine::EvalEngine::iter_scheduler`] from the engine's
-    /// `spec_k` + draft model.
-    pub(crate) fn set_spec(&mut self, spec: Option<SpecSetup>) {
-        self.spec = spec;
-    }
-
     /// Install shared-prefix anchor targets (computed by the engine's
-    /// batch priming); sequences snapshot these mid-prefill exactly like
-    /// the coalescing path's workers.
+    /// batch priming, or learned online by the gateway); sequences
+    /// snapshot these mid-prefill.
     pub fn set_anchors(&mut self, anchors: HashMap<u64, Vec<u32>>) {
-        self.anchors = anchors;
+        self.env.anchors = anchors;
     }
 
     /// Submit a scoring job; returns its sequence id.
@@ -452,7 +418,7 @@ impl IterScheduler {
     /// Re-sync the ledger's cached-snapshot charge from the prefix cache
     /// (admission does this automatically; exposed for invariant tests).
     pub fn refresh_cached_blocks(&mut self) {
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.env.cache {
             let (_t, g) = lock_cache(cache);
             let resident = g.stats().resident_sessions as usize;
             self.ledger.set_cached_blocks(resident * self.blocks_per_snapshot);
@@ -488,7 +454,7 @@ impl IterScheduler {
                 let Some((id, job)) = self.pending.front() else {
                     break;
                 };
-                let need = worst_case_tokens(job, &self.model_cfg);
+                let need = worst_case_tokens(job, &self.env.params.cfg);
                 // FIFO: if the head cannot reserve, nothing behind it may
                 // jump the queue — that is the fairness bound.
                 if !self.reserve_with_eviction(*id, need) {
@@ -506,7 +472,7 @@ impl IterScheduler {
                                 Err(ServeError::Session(
                                     astro_model::SessionError::CacheFull {
                                         pos: need,
-                                        max_seq: self.model_cfg.max_seq,
+                                        max_seq: self.env.params.cfg.max_seq,
                                     },
                                 )),
                             ));
@@ -524,28 +490,20 @@ impl IterScheduler {
             }
         }
 
-        let batch: Vec<usize> = self.active.iter().map(|s| s.id).collect();
+        let batch: Vec<usize> = self.active.iter().map(|a| a.id).collect();
 
         // -- Advance --------------------------------------------------
         let mut done: Vec<(usize, Result<SeqOutcome, ServeError>)> = rejected;
-        for seq in self.active.iter_mut() {
+        for a in self.active.iter_mut() {
             let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                advance_sequence(
-                    &self.params,
-                    self.cache.as_deref(),
-                    &self.anchors,
-                    self.spec.as_ref(),
-                    self.cfg.prefill_chunk,
-                    &mut self.fork,
-                    seq,
-                )
+                a.seq.advance(&self.env, &a.job, &mut self.fork, self.cfg.prefill_chunk)
             }));
             match step {
                 Err(_) => {
                     astro_telemetry::counter("serve.job_panics").inc();
-                    done.push((seq.id, Err(ServeError::WorkerPanic)));
+                    done.push((a.id, Err(ServeError::WorkerPanic)));
                 }
-                Ok(Some(result)) => done.push((seq.id, result)),
+                Ok(Some(result)) => done.push((a.id, result)),
                 Ok(None) => {}
             }
         }
@@ -553,17 +511,17 @@ impl IterScheduler {
         // -- Retire ---------------------------------------------------
         let done_ids: HashSet<usize> = done.iter().map(|(id, _)| *id).collect();
         let mut kept = Vec::with_capacity(self.active.len());
-        for seq in std::mem::take(&mut self.active) {
-            if done_ids.contains(&seq.id) {
-                self.ledger.release(seq.id);
-                if let Some(c) = seq.job.trace() {
+        for a in std::mem::take(&mut self.active) {
+            if done_ids.contains(&a.id) {
+                self.ledger.release(a.id);
+                if let Some(c) = a.job.trace() {
                     trace::record_num(c.trace, "retire_step", self.step_idx as f64);
                 }
                 if self.free.len() < self.cfg.max_active {
-                    self.free.push(seq.sess);
+                    self.free.push(a.seq);
                 }
             } else {
-                kept.push(seq);
+                kept.push(a);
             }
         }
         self.active = kept;
@@ -604,7 +562,7 @@ impl IterScheduler {
             if self.ledger.try_reserve(id, tokens) {
                 return true;
             }
-            let Some(cache) = &self.cache else {
+            let Some(cache) = &self.env.cache else {
                 return false;
             };
             let freed = {
@@ -618,60 +576,19 @@ impl IterScheduler {
     }
 
     /// Turn an accepted submission into an active sequence: record the
-    /// `admit` phase, fork the deepest cached ancestor, open its span.
-    fn admit_sequence(&mut self, id: usize, job: Job) -> Sequence {
-        let ctx = job.trace();
-        if let Some(c) = ctx {
+    /// `admit` phase, open its span, start it on a reusable [`Sequence`].
+    fn admit_sequence(&mut self, id: usize, job: Job) -> Active {
+        if let Some(c) = job.trace() {
             trace::phase_since_last(c.trace, "admit");
             trace::record_num(c.trace, "admit_step", self.step_idx as f64);
         }
-        let span = ctx.map(|c| {
-            let g = astro_telemetry::span::span_child_of("serve.seq", c.parent_span, Vec::new());
-            g.set_trace(c.trace.0);
-            g
-        });
-        // Injected cache pressure behaves exactly like a first-attempt
-        // `CacheFull`: the sequence runs uncached (the coalescing path's
-        // one-retry degradation), which by the determinism contract never
-        // changes its result.
-        let mut retried = false;
-        if fault::should_fault("serve.cache_full") {
-            if let Some(c) = ctx {
-                trace::mark_fault(c.trace, "serve.cache_full");
-            }
-            astro_telemetry::counter("serve.cache_full.retries").inc();
-            retried = true;
-        }
-        let mut sess = self
+        let span = job.span("serve.seq");
+        let mut seq = self
             .free
             .pop()
-            .unwrap_or_else(|| InferenceSession::new(self.model_cfg));
-        let depth = match (&self.cache, retried) {
-            (Some(c), false) => {
-                let (_t, mut g) = lock_cache(c);
-                g.fork_into(&mut sess, job.prompt())
-            }
-            _ => {
-                sess.reset();
-                0
-            }
-        };
-        if let Some(c) = ctx {
-            trace::phase_since_last(c.trace, "cache_lookup");
-            trace::annotate(c.trace, "cache", if depth > 0 { "hit" } else { "miss" });
-            trace::record_num(c.trace, "cached_tokens", depth as f64);
-        }
-        Sequence {
-            id,
-            job,
-            sess,
-            fed: depth,
-            forked: depth,
-            retried_uncached: retried,
-            dec: None,
-            spec_dec: None,
-            _span: span,
-        }
+            .unwrap_or_else(|| Sequence::new(self.env.params.cfg));
+        seq.start(&self.env, &job);
+        Active { id, job, seq, _span: span }
     }
 }
 
@@ -683,168 +600,6 @@ fn worst_case_tokens(job: &Job, cfg: &ModelConfig) -> usize {
         Job::Generate(j) => j.prompt.len().saturating_add(j.max_new),
     };
     tokens.min(cfg.max_seq).max(1)
-}
-
-/// Advance one sequence by one unit of work. Returns `Some(result)` when
-/// the sequence finishes this step (retire it), `None` otherwise.
-fn advance_sequence(
-    params: &Params,
-    cache: Option<&Mutex<PrefixCache>>,
-    anchors: &HashMap<u64, Vec<u32>>,
-    spec: Option<&SpecSetup>,
-    prefill_chunk: usize,
-    fork: &mut InferenceSession,
-    seq: &mut Sequence,
-) -> Option<Result<SeqOutcome, ServeError>> {
-    let prompt_len = seq.job.prompt().len();
-    assert!(prompt_len > 0, "engine jobs require a non-empty prompt");
-    if seq.fed < prompt_len {
-        let target = (seq.fed + prefill_chunk).min(prompt_len);
-        while seq.fed < target {
-            let tok = seq.job.prompt()[seq.fed];
-            if let Err(e) = seq.sess.try_feed(params, tok) {
-                if !seq.retried_uncached {
-                    // Mirror the coalescing path's one uncached retry:
-                    // restart this sequence from scratch, cache-free.
-                    astro_telemetry::counter("serve.cache_full.retries").inc();
-                    seq.sess.reset();
-                    seq.fed = 0;
-                    seq.forked = 0;
-                    seq.retried_uncached = true;
-                    return None;
-                }
-                return Some(Err(ServeError::Session(e)));
-            }
-            seq.fed += 1;
-            // Snapshot the group anchor exactly when crossing it; raced
-            // and replayed inserts are idempotent (`insert` refuses
-            // duplicates). The uncached retry skips inserts, like the
-            // coalescing retry's anchor-free run.
-            if let (Some(c), Some(anchor)) =
-                (cache, seq.job.group().and_then(|g| anchors.get(&g)))
-            {
-                if seq.fed == anchor.len()
-                    && anchor.len() <= prompt_len
-                    && seq.job.prompt()[..anchor.len()] == anchor[..]
-                    && !seq.retried_uncached
-                {
-                    let (_t, mut g) = lock_cache(c);
-                    if !g.has_snapshot(anchor) {
-                        g.insert(anchor, &seq.sess, false);
-                    }
-                }
-            }
-        }
-        if seq.fed < prompt_len {
-            return None;
-        }
-        astro_telemetry::counter("serve.tokens.encoded").add((prompt_len - seq.forked) as u64);
-    }
-
-    // Prefill complete (possibly entirely from a full-depth cache fork,
-    // in which case the feed loop above never ran): emit the readout or
-    // install the decoder exactly once.
-    if seq.dec.is_none() && seq.spec_dec.is_none() {
-        if let Some(c) = seq.job.trace() {
-            trace::phase_since_last(c.trace, "prefill");
-            trace::record_num(c.trace, "prompt_tokens", prompt_len as f64);
-        }
-        match &seq.job {
-            Job::Score(j) => {
-                // Score readouts are short (a handful of continuation
-                // tokens per option) — run the whole readout in the step
-                // the prefill completes rather than splitting it.
-                let scores = score_readout(params, &seq.sess, fork, &j.readout);
-                if let Some(c) = seq.job.trace() {
-                    trace::phase_since_last(c.trace, "decode");
-                }
-                return Some(Ok(SeqOutcome::Scores(scores)));
-            }
-            Job::Generate(j) => {
-                // With speculation configured, replay the prompt into a
-                // fresh draft session in the installation step (draft
-                // prefill is the cheap side of the bargain). A prompt too
-                // long for the draft's context falls back to the plain
-                // decoder — identical greedy output, just no speedup.
-                if let Some(sp) = spec {
-                    let mut dsess = InferenceSession::new(sp.draft.cfg);
-                    let mut prompt_fits = true;
-                    for &t in seq.job.prompt() {
-                        if dsess.try_feed(&sp.draft, t).is_err() {
-                            prompt_fits = false;
-                            break;
-                        }
-                    }
-                    if prompt_fits {
-                        let dec = SpecDecoder::new(
-                            j.sampler,
-                            j.rng.clone(),
-                            j.stop.clone(),
-                            j.max_new,
-                            sp.k,
-                        );
-                        seq.spec_dec = Some((dec, dsess));
-                        return None;
-                    }
-                    astro_telemetry::counter("serve.spec.draft_overflow").inc();
-                }
-                seq.dec = Some(StepDecoder::new(
-                    j.sampler,
-                    j.rng.clone(),
-                    j.stop.clone(),
-                    j.max_new,
-                ));
-                return None;
-            }
-        }
-    }
-
-    // Speculative decode: one round per step (up to k accepted tokens
-    // plus the bonus/correction), degraded to a single plain target step
-    // under the `quant.spec_reject_storm` fault — output unchanged.
-    if let Some((dec, dsess)) = seq.spec_dec.as_mut() {
-        let Some(sp) = spec else {
-            // Unreachable: the setup that installed `spec_dec` is never
-            // cleared mid-run. Degrade rather than poison the batch.
-            return Some(Err(ServeError::WorkerPanic));
-        };
-        if fault::should_fault("quant.spec_reject_storm") {
-            astro_telemetry::counter("serve.spec.storm_degraded").inc();
-            dec.single_round(params, &mut seq.sess, &sp.draft, dsess);
-        } else {
-            dec.round(params, &mut seq.sess, &sp.draft, dsess);
-        }
-        if dec.is_finished() {
-            publish_spec_metrics(dec);
-            let tokens = seq
-                .spec_dec
-                .take()
-                .map(|(d, _)| d.into_tokens())
-                .unwrap_or_default();
-            if let Some(c) = seq.job.trace() {
-                trace::phase_since_last(c.trace, "decode");
-                trace::record_num(c.trace, "generated_tokens", tokens.len() as f64);
-            }
-            return Some(Ok(SeqOutcome::Tokens(tokens)));
-        }
-        return None;
-    }
-
-    // Decode: one token per step.
-    let Some(dec) = seq.dec.as_mut() else {
-        // Unreachable by construction (prefill always installs the
-        // decoder before decode); degrade rather than poison the batch.
-        return Some(Err(ServeError::WorkerPanic));
-    };
-    if dec.step(params, &mut seq.sess).is_none() {
-        let tokens = seq.dec.take().map(StepDecoder::into_tokens).unwrap_or_default();
-        if let Some(c) = seq.job.trace() {
-            trace::phase_since_last(c.trace, "decode");
-            trace::record_num(c.trace, "generated_tokens", tokens.len() as f64);
-        }
-        return Some(Ok(SeqOutcome::Tokens(tokens)));
-    }
-    None
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! Memory is bounded: each snapshot costs `ModelConfig::session_bytes()`
 //! resident bytes and the trie evicts the least-recently-used unpinned
 //! snapshot when inserting past its byte budget (pinned anchors — the
-//! batch-wide shared preamble — survive). Structural nodes without
-//! snapshots are a few machine words and are not counted.
+//! shared preamble of a batch in flight — survive until the batch
+//! releases its pin). Structural nodes without snapshots are a few machine
+//! words and are not counted.
 
 use astro_model::{InferenceSession, ModelConfig};
 
@@ -58,7 +59,8 @@ struct Node {
     children: Vec<usize>,
     session: Option<Box<InferenceSession>>,
     last_use: u64,
-    pinned: bool,
+    /// Holders keeping this snapshot from eviction (see [`PrefixCache::pin`]).
+    pins: u32,
 }
 
 /// The prefix cache: a radix trie of session snapshots with LRU eviction
@@ -90,7 +92,7 @@ impl PrefixCache {
                 children: Vec::new(),
                 session: None,
                 last_use: 0,
-                pinned: true,
+                pins: 0,
             }],
             clock: 0,
             session_bytes,
@@ -191,18 +193,46 @@ impl PrefixCache {
         }
     }
 
+    /// The node carrying a snapshot at exactly this prefix, if any.
+    fn snapshot_at(&self, tokens: &[u32]) -> Option<usize> {
+        let (node, matched) = self.walk(tokens);
+        (matched == tokens.len() && self.nodes[node].session.is_some()).then_some(node)
+    }
+
     /// True when a snapshot exists at exactly this prefix (cheap check so
     /// workers can skip the clone a no-op insert would cost).
     pub fn has_snapshot(&self, tokens: &[u32]) -> bool {
-        let (node, matched) = self.walk(tokens);
-        matched == tokens.len() && self.nodes[node].session.is_some()
+        self.snapshot_at(tokens).is_some()
+    }
+
+    /// Take one more hold on the snapshot at exactly this prefix, keeping
+    /// it from eviction until the matching [`PrefixCache::unpin`]. Holds
+    /// count, so concurrent batches sharing a preamble each keep it alive.
+    /// Returns `false` (holding nothing) when no snapshot exists there.
+    pub(crate) fn pin(&mut self, tokens: &[u32]) -> bool {
+        let node = self.snapshot_at(tokens);
+        if let Some(n) = node {
+            self.nodes[n].pins += 1;
+        }
+        node.is_some()
+    }
+
+    /// Release one hold taken by [`PrefixCache::pin`] (or by a pinned
+    /// [`PrefixCache::insert`]). The snapshot stays resident and
+    /// forkable; with no holds left it is evictable again.
+    pub(crate) fn unpin(&mut self, tokens: &[u32]) {
+        if let Some(n) = self.snapshot_at(tokens) {
+            self.nodes[n].pins = self.nodes[n].pins.saturating_sub(1);
+        }
     }
 
     /// Insert a snapshot of `sess` at exactly the prefix `tokens`,
     /// splitting edges as needed. `sess.position()` must equal
-    /// `tokens.len()`. Returns `false` without touching the trie when a
-    /// snapshot already exists there, or when the byte budget cannot
-    /// admit it (everything resident is pinned) and `pinned` is off.
+    /// `tokens.len()`. `pinned` inserts it with one hold already taken
+    /// (see [`PrefixCache::pin`]). Returns `false` without touching the
+    /// trie when a snapshot already exists there, or when the byte budget
+    /// cannot admit it (everything resident is pinned) and `pinned` is
+    /// off.
     pub fn insert(&mut self, tokens: &[u32], sess: &InferenceSession, pinned: bool) -> bool {
         assert!(
             sess.position() == tokens.len(),
@@ -228,7 +258,7 @@ impl PrefixCache {
         }
         self.clock += 1;
         self.nodes[node].last_use = self.clock;
-        self.nodes[node].pinned = pinned;
+        self.nodes[node].pins = pinned as u32;
         self.nodes[node].session = Some(Box::new(sess.clone()));
         self.stats.resident_sessions += 1;
         self.stats.resident_bytes += self.session_bytes as u64;
@@ -272,7 +302,7 @@ impl PrefixCache {
                 children: Vec::new(),
                 session: None,
                 last_use: 0,
-                pinned: false,
+                pins: 0,
             });
             self.nodes[node].children.push(leaf);
             return leaf;
@@ -292,7 +322,7 @@ impl PrefixCache {
             children: vec![child],
             session: None,
             last_use: 0,
-            pinned: false,
+            pins: 0,
         });
         self.nodes[child].edge = tail;
         if let Some(slot) = self.nodes[parent]
@@ -317,7 +347,7 @@ impl PrefixCache {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.session.is_some() && !n.pinned)
+            .filter(|(_, n)| n.session.is_some() && n.pins == 0)
             .min_by_key(|(_, n)| n.last_use)
             .map(|(i, _)| i);
         match victim {
@@ -432,6 +462,27 @@ mod tests {
         assert!(!cache.insert(&[8], &encoded(cfg, &p, &[8]), false));
         assert!(cache.has_snapshot(&[7]));
         assert!(!cache.has_snapshot(&[8]));
+    }
+
+    #[test]
+    fn pins_count_and_release() {
+        let (cfg, p) = setup();
+        let mut cache = PrefixCache::new(&cfg, cfg.session_bytes());
+        assert!(!cache.pin(&[7]), "nothing to pin yet");
+        cache.insert(&[7], &encoded(cfg, &p, &[7]), false);
+        // Two holders: the snapshot survives until both have let go.
+        assert!(cache.pin(&[7]));
+        assert!(cache.pin(&[7]));
+        cache.unpin(&[7]);
+        assert!(!cache.insert(&[8], &encoded(cfg, &p, &[8]), false));
+        cache.unpin(&[7]);
+        assert!(cache.insert(&[8], &encoded(cfg, &p, &[8]), false));
+        assert!(!cache.has_snapshot(&[7]));
+        // A pinned insert carries one hold of its own.
+        assert!(cache.insert(&[9], &encoded(cfg, &p, &[9]), true));
+        assert!(!cache.insert(&[7], &encoded(cfg, &p, &[7]), false));
+        cache.unpin(&[9]);
+        assert!(cache.insert(&[7], &encoded(cfg, &p, &[7]), false));
     }
 
     #[test]

@@ -1,0 +1,73 @@
+//! The oracle the serve suites compare against: each job alone, in fresh
+//! sessions, written directly against `astro-model`.
+//!
+//! Deliberately **not** `EvalEngine::new(EngineConfig::serial(), ..)`:
+//! every engine configuration runs the job lifecycle in
+//! `crates/serve/src/seq.rs`, so using one as "expected" would compare
+//! that code to itself. Nothing here touches the prefix cache, session
+//! reuse (`assign_from` / `reset`), chunked prefill or speculation.
+#![allow(dead_code)] // each suite uses the half it needs
+
+use astro_model::{InferenceSession, Params, StepDecoder};
+use astro_serve::{GenerateJob, ScoreJob, ScoreReadout};
+
+fn fed(params: &Params, prompt: &[u32]) -> InferenceSession {
+    let mut sess = InferenceSession::new(params.cfg);
+    for &t in prompt {
+        sess.feed(params, t);
+    }
+    sess
+}
+
+/// Length-normalised log-likelihood of `cont` after `prompt`: f64 sum of
+/// per-token log-probabilities, stopping where the context is full;
+/// `-inf` when nothing could be counted.
+fn continuation(params: &Params, prompt: &InferenceSession, cont: &[u32]) -> f32 {
+    let mut sess = prompt.clone();
+    let (mut ll, mut counted) = (0.0f64, 0usize);
+    for &tok in cont {
+        if sess.remaining() == 0 {
+            break;
+        }
+        let logits = sess.last_logits();
+        ll += (logits[tok as usize] - astro_tensor::ops::log_sum_exp(logits)) as f64;
+        counted += 1;
+        sess.feed(params, tok);
+    }
+    if counted == 0 {
+        return f32::NEG_INFINITY;
+    }
+    (ll / counted as f64) as f32
+}
+
+/// Per-option scores of one score job: max over an option's variants
+/// (continuations) or candidate ids (raw logits); `-inf` for an empty one.
+pub fn score(params: &Params, job: &ScoreJob) -> Vec<f32> {
+    fn max(it: impl Iterator<Item = f32>) -> f32 {
+        it.fold(f32::NEG_INFINITY, f32::max)
+    }
+    let sess = fed(params, &job.prompt);
+    match &job.readout {
+        ScoreReadout::LogitGroups(groups) => groups
+            .iter()
+            .map(|ids| max(ids.iter().map(|&id| sess.last_logits()[id as usize])))
+            .collect(),
+        ScoreReadout::ContinuationGroups(groups) => groups
+            .iter()
+            .map(|variants| max(variants.iter().map(|c| continuation(params, &sess, c))))
+            .collect(),
+    }
+}
+
+/// [`score`], as bit patterns (what the suites compare).
+pub fn score_bits(params: &Params, job: &ScoreJob) -> Vec<u32> {
+    score(params, job).iter().map(|v| v.to_bits()).collect()
+}
+
+/// The tokens of one generate job: one plain decoder, run to exhaustion.
+pub fn generate(params: &Params, job: &GenerateJob) -> Vec<u32> {
+    let mut sess = fed(params, &job.prompt);
+    let mut dec = StepDecoder::new(job.sampler, job.rng.clone(), job.stop.clone(), job.max_new);
+    while dec.step(params, &mut sess).is_some() {}
+    dec.into_tokens()
+}

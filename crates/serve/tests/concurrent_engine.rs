@@ -1,8 +1,8 @@
 //! Concurrency property: a single shared [`EvalEngine`] hammered by
 //! interleaved `score_batch` and `generate_batch` calls from many
-//! threads must return **bitwise identical** results to a serial,
-//! uncached, fresh-engine-per-job reference — including while a
-//! `serve.cache_full` fault plan is armed. This is the exact contract
+//! threads must return **bitwise identical** results to the
+//! fresh-session oracle (`common`: each job alone, no engine) —
+//! including while a `serve.cache_full` fault plan is armed. This is the exact contract
 //! the gateway's micro-batching scheduler relies on: whatever batch
 //! composition the wall clock produces across concurrent clients, the
 //! answers cannot change.
@@ -13,8 +13,12 @@
 use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
 use astro_resilience::fault::{self, FaultPlan};
-use astro_serve::{EngineConfig, EvalEngine, GenerateJob, ScoreJob, ScoreReadout};
+use astro_serve::{
+    EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, ScoreJob, ScoreReadout,
+};
 use std::sync::{Arc, Mutex, PoisonError};
+
+mod common;
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -74,26 +78,14 @@ fn generate_jobs(rng: &mut Rng, n: usize, vocab: usize) -> Vec<GenerateJob> {
         .collect()
 }
 
-/// Reference results: a fresh serial uncached engine per single-job
-/// batch — the strongest possible isolation between jobs.
+/// Reference results: every job alone in fresh sessions — the strongest
+/// possible isolation between jobs, and no engine code at all.
 fn reference_scores(params: &Params, jobs: &[ScoreJob]) -> Vec<Vec<f32>> {
-    jobs.iter()
-        .map(|j| {
-            let engine = EvalEngine::new(EngineConfig::serial(), params);
-            let mut out = engine.score_batch(vec![j.clone()]);
-            out.remove(0).expect("reference score job failed")
-        })
-        .collect()
+    jobs.iter().map(|j| common::score(params, j)).collect()
 }
 
 fn reference_generations(params: &Params, jobs: &[GenerateJob]) -> Vec<Vec<u32>> {
-    jobs.iter()
-        .map(|j| {
-            let engine = EvalEngine::new(EngineConfig::serial(), params);
-            let mut out = engine.generate_batch(vec![j.clone()]);
-            out.remove(0).expect("reference generate job failed")
-        })
-        .collect()
+    jobs.iter().map(|j| common::generate(params, j)).collect()
 }
 
 fn bits(scores: &[f32]) -> Vec<u32> {
@@ -227,5 +219,90 @@ fn concurrency_parity_survives_cache_full_injection() {
             "hit {hit}: plan never fired — injection not exercised"
         );
         fault::clear();
+    }
+}
+
+/// Lifecycle edge, pool-worker driver: when a batch's common prefix is the
+/// *entire* prompt (duplicate requests), every job forks the cache at
+/// full depth and its prefill loop never runs — the readout / decoder
+/// installation must still happen. (`scheduler_differential.rs` holds the
+/// iteration-scheduler twin.)
+#[test]
+fn full_depth_cache_fork_still_reads_out_and_decodes_on_pool_workers() {
+    let _gate = gate();
+    fault::clear();
+    let (cfg, params) = setup(35);
+    let mut rng = Rng::seed_from(36);
+    let score = score_jobs(&mut rng, 1, cfg.vocab_size).remove(0);
+    let generate = generate_jobs(&mut rng, 1, cfg.vocab_size).remove(0);
+    let score_ref = bits(&common::score(&params, &score));
+    let gen_ref = common::generate(&params, &generate);
+    for workers in [1, 2] {
+        let engine = EvalEngine::new(EngineConfig::pooled_with(workers), &params);
+        for r in engine.score_batch(vec![score.clone(); 3]) {
+            assert_eq!(bits(&r.expect("score job errored")), score_ref, "{workers} workers");
+        }
+        for r in engine.generate_batch(vec![generate.clone(); 3]) {
+            assert_eq!(r.expect("generate job errored"), gen_ref, "{workers} workers");
+        }
+        // Every job forked its whole prompt: nothing was left to encode.
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (6, 0), "{workers} workers");
+        assert_eq!(
+            stats.tokens_reused as usize,
+            3 * (score.prompt.len() + generate.prompt.len()),
+            "{workers} workers"
+        );
+    }
+}
+
+/// Regression: `prime_anchors` pinned every batch's common prefix and
+/// nothing ever unpinned it, so a long-lived engine (the gateway's window
+/// path: one `score_batch` per coalesced batch, each with its own common
+/// prefix) grew resident snapshots without bound — and once they filled
+/// the iteration ledger, every job was refused with `CacheFull`.
+#[test]
+fn batch_anchor_pins_are_released_when_the_batch_returns() {
+    let _gate = gate();
+    fault::clear();
+    let (cfg, params) = setup(37);
+    let capacity = 4;
+    let engine = EvalEngine::new(
+        EngineConfig {
+            max_cache_bytes: capacity * cfg.session_bytes(),
+            ..EngineConfig::pooled_with(2)
+        },
+        &params,
+    );
+    let batch = |stem: u32| -> Vec<ScoreJob> {
+        (0..2)
+            .map(|tail| ScoreJob {
+                prompt: vec![stem, 5, 6, tail],
+                group: None,
+                readout: ScoreReadout::LogitGroups(vec![vec![1], vec![2]]),
+                trace: None,
+            })
+            .collect()
+    };
+    // 3x the cache's capacity in batches with pairwise-distinct prefixes.
+    for stem in 1..=(3 * capacity as u32) {
+        let jobs = batch(stem);
+        for (r, j) in engine.score_batch(jobs.clone()).into_iter().zip(&jobs) {
+            assert_eq!(bits(&r.expect("score job errored")), bits(&common::score(&params, j)));
+        }
+        let resident = engine.cache_stats().resident_sessions as usize;
+        assert!(resident <= capacity, "after batch {stem}: {resident} resident > {capacity}");
+    }
+    // The iteration scheduler shares the cache and charges its residency
+    // to the KV ledger: leaked pins would leave no room to admit anything.
+    let mut sched = engine.iter_scheduler(SchedulerConfig::default());
+    let jobs = batch(20);
+    for j in &jobs {
+        sched.submit_score(j.clone()).expect("submit");
+    }
+    let results = sched.run_to_completion();
+    assert_eq!(results.len(), jobs.len());
+    for (id, r) in results {
+        assert!(r.is_ok(), "job {id} was not admitted: {r:?}");
     }
 }

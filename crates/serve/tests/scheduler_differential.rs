@@ -1,7 +1,7 @@
 //! Differential proof of the iteration scheduler's determinism contract:
 //! **any** interleaving of score and generate jobs through
 //! [`astro_serve::IterScheduler`] is bitwise-identical to running each
-//! job alone through the serial uncached reference path.
+//! job alone in fresh sessions (the `common` oracle — no engine code).
 //!
 //! 100+ seeded mixed workloads vary every axis that changes the
 //! schedule — job mix, prompt sharing/groups, batch slots, prefill chunk,
@@ -11,15 +11,16 @@
 //! dumped to `counterexamples/scheduler_replay.jsonl` so the exact
 //! admission schedule can be replayed.
 
-use astro_model::{
-    InferenceSession, ModelConfig, Params, SamplerConfig, StepDecoder,
-};
+use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
 use astro_serve::{
     EngineConfig, EvalEngine, GenerateJob, IterScheduler, SchedulerConfig, ScoreJob, ScoreReadout,
     SeqOutcome, ServeError,
 };
 use std::collections::HashMap;
+
+mod common;
+use common::{generate as reference_generate, score_bits as reference_score};
 
 const SEEDS: u64 = 100;
 
@@ -120,51 +121,6 @@ fn build_workload(seed: u64, cfg: ModelConfig) -> Workload {
     Workload { scores, generates, sched, cache_bytes }
 }
 
-/// Serial uncached reference for one score job: fresh session, feed the
-/// prompt, apply the readout with the same max-over-variants fold the
-/// engine uses.
-fn reference_score(params: &Params, job: &ScoreJob) -> Vec<f32> {
-    let mut sess = InferenceSession::new(params.cfg);
-    for &t in &job.prompt {
-        sess.feed(params, t);
-    }
-    match &job.readout {
-        ScoreReadout::LogitGroups(groups) => {
-            let logits = sess.last_logits();
-            groups
-                .iter()
-                .map(|ids| {
-                    ids.iter().fold(f32::NEG_INFINITY, |acc, &id| acc.max(logits[id as usize]))
-                })
-                .collect()
-        }
-        ScoreReadout::ContinuationGroups(groups) => {
-            // Reuse the engine's own readout via a serial uncached engine
-            // run of just this job; the engine's serial path is already
-            // proven bit-identical to fresh sessions by eval_parity.
-            let engine = EvalEngine::new(EngineConfig::serial(), params);
-            let mut out = engine.score_batch(vec![ScoreJob {
-                prompt: job.prompt.clone(),
-                group: None,
-                readout: ScoreReadout::ContinuationGroups(groups.clone()),
-                trace: None,
-            }]);
-            out.remove(0).unwrap_or_default()
-        }
-    }
-}
-
-/// Serial reference for one generate job: fresh session + step decoder.
-fn reference_generate(params: &Params, job: &GenerateJob) -> Vec<u32> {
-    let mut sess = InferenceSession::new(params.cfg);
-    for &t in &job.prompt {
-        sess.feed(params, t);
-    }
-    let mut dec = StepDecoder::new(job.sampler, job.rng.clone(), job.stop.clone(), job.max_new);
-    while dec.step(params, &mut sess).is_some() {}
-    dec.into_tokens()
-}
-
 fn dump_replay(sched: &IterScheduler, seed: u64) {
     let Some(log) = sched.sched_log() else { return };
     let _ = std::fs::create_dir_all("counterexamples");
@@ -179,11 +135,8 @@ fn hundred_seeded_interleavings_match_serial_bitwise() {
     let params = Params::init(cfg, &mut Rng::seed_from(7));
     for seed in 0..SEEDS {
         let w = build_workload(seed, cfg);
-        let score_refs: Vec<Vec<u32>> = w
-            .scores
-            .iter()
-            .map(|j| reference_score(&params, j).iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let score_refs: Vec<Vec<u32>> =
+            w.scores.iter().map(|j| reference_score(&params, j)).collect();
         let gen_refs: Vec<Vec<u32>> =
             w.generates.iter().map(|j| reference_generate(&params, j)).collect();
 
@@ -275,8 +228,7 @@ fn full_depth_cache_fork_still_emits_readout_and_decoder() {
     let w = build_workload(3, cfg);
     let score = ScoreJob { group: Some(0), ..w.scores[0].clone() };
     let generate = GenerateJob { group: Some(1), ..w.generates[0].clone() };
-    let score_ref: Vec<u32> =
-        reference_score(&params, &score).iter().map(|v| v.to_bits()).collect();
+    let score_ref = reference_score(&params, &score);
     let gen_ref = reference_generate(&params, &generate);
 
     let engine = EvalEngine::new(EngineConfig::iteration(), &params);
@@ -324,8 +276,8 @@ fn full_depth_cache_fork_still_emits_readout_and_decoder() {
 #[test]
 fn engine_iteration_mode_matches_pooled_mode_bitwise() {
     // The `EngineConfig::iteration` route through score_batch must agree
-    // with the pooled route on the same jobs (both are proven against
-    // the serial path elsewhere; this closes the triangle directly).
+    // with the pooled route on the same jobs: two drivers of the one job
+    // lifecycle (each is checked against the oracle elsewhere).
     let cfg = ModelConfig::tiny(24);
     let params = Params::init(cfg, &mut Rng::seed_from(9));
     for seed in 0..10 {
@@ -340,11 +292,14 @@ fn engine_iteration_mode_matches_pooled_mode_bitwise() {
             let yb: Option<Vec<u32>> =
                 y.as_ref().ok().map(|v| v.iter().map(|f| f.to_bits()).collect());
             assert_eq!(xb, yb, "seed {seed} score job {i}");
+            assert_eq!(xb, Some(reference_score(&params, &w.scores[i])), "seed {seed} score job {i}");
         }
         let a = pooled.generate_batch(w.generates.clone());
         let b = iter.generate_batch(w.generates.clone());
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             assert_eq!(x.as_ref().ok(), y.as_ref().ok(), "seed {seed} generate job {i}");
+            let want = reference_generate(&params, &w.generates[i]);
+            assert_eq!(x.as_ref().ok(), Some(&want), "seed {seed} generate job {i}");
         }
     }
 }

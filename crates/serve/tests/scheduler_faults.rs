@@ -10,15 +10,18 @@
 //!   is absorbed: nothing is dropped, results are bitwise unchanged, the
 //!   stall is visible in the schedule log and the `serve.admit.stalls`
 //!   counter).
-//! * `serve.cache_full` — the admitted sequence runs uncached (the
-//!   coalescing path's retry-once degradation), which by the determinism
-//!   contract cannot change its result.
+//! * `serve.cache_full` — the job runs uncached (the lifecycle's one
+//!   retry), which by the determinism contract cannot change its result;
+//!   checked on both drivers of the lifecycle.
 
-use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, StepDecoder};
+use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
 use astro_resilience::fault::{self, FaultPlan};
 use astro_serve::{EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, SeqOutcome};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+mod common;
+use common::generate as reference;
 
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -43,16 +46,6 @@ fn jobs(n: u32) -> Vec<GenerateJob> {
             trace: None,
         })
         .collect()
-}
-
-fn reference(params: &Params, job: &GenerateJob) -> Vec<u32> {
-    let mut sess = InferenceSession::new(params.cfg);
-    for &t in &job.prompt {
-        sess.feed(params, t);
-    }
-    let mut dec = StepDecoder::new(job.sampler, job.rng.clone(), job.stop.clone(), job.max_new);
-    while dec.step(params, &mut sess).is_some() {}
-    dec.into_tokens()
 }
 
 #[test]
@@ -95,6 +88,9 @@ fn admit_stall_is_absorbed_without_dropping_or_corrupting_work() {
     }
 }
 
+/// Both drivers of the job lifecycle: one injected `serve.cache_full`
+/// costs the job it lands on exactly one uncached retry — on a pool worker
+/// and in the iteration scheduler alike — and changes nobody's tokens.
 #[test]
 fn injected_cache_pressure_degrades_to_uncached_bitwise_identically() {
     let _g = gate();
@@ -102,14 +98,28 @@ fn injected_cache_pressure_degrades_to_uncached_bitwise_identically() {
     let params = setup();
     let work = jobs(3);
     let refs: Vec<Vec<u32>> = work.iter().map(|j| reference(&params, j)).collect();
-    let engine = EvalEngine::new(EngineConfig::iteration(), &params);
-    // Fire on the second admission: one sequence runs uncached while its
-    // batchmates keep the cache.
-    fault::install(FaultPlan::single("serve.cache_full", 2));
-    let results = engine.generate_batch(work);
-    fault::clear();
-    assert_eq!(results.len(), refs.len());
-    for (i, (r, want)) in results.iter().zip(refs.iter()).enumerate() {
-        assert_eq!(r.as_ref().ok(), Some(want), "job {i} diverged under injected pressure");
+    for cfg in [
+        EngineConfig::pooled_with(1),
+        EngineConfig::pooled_with(2),
+        EngineConfig::iteration(),
+    ] {
+        let engine = EvalEngine::new(cfg, &params);
+        let retries0 = astro_telemetry::counter("serve.cache_full.retries").get();
+        // Fire on the second job started: it runs uncached while its
+        // batchmates keep the cache.
+        fault::install(FaultPlan::single("serve.cache_full", 2));
+        let results = engine.generate_batch(work.clone());
+        assert!(fault::fired("serve.cache_full"), "{cfg:?}: plan never fired");
+        fault::clear();
+        let retries = astro_telemetry::counter("serve.cache_full.retries").get() - retries0;
+        assert_eq!(retries, 1, "{cfg:?}");
+        assert_eq!(results.len(), refs.len());
+        for (i, (r, want)) in results.iter().zip(refs.iter()).enumerate() {
+            assert_eq!(
+                r.as_ref().ok(),
+                Some(want),
+                "{cfg:?}: job {i} diverged under injected pressure"
+            );
+        }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The contract under test: enabling speculation (`EngineConfig::spec_k`
 //! plus [`EvalEngine::with_draft`]) changes **throughput only**. Greedy
-//! generation must be bitwise-identical to the plain decode path on every
-//! execution mode (serial, pooled, iteration scheduler), for f32 and int8
-//! targets, under draft-capacity degradation and under a permanent
+//! generation must be bitwise-identical to plain decoding in a fresh
+//! session (the `common` oracle — no engine code) on every execution mode
+//! (serial, pooled, iteration scheduler), for f32 and int8 targets, under
+//! draft-capacity degradation and under a permanent
 //! `quant.spec_reject_storm` fault.
 
 use astro_model::{ModelConfig, Params, SamplerConfig};
@@ -12,6 +13,8 @@ use astro_prng::Rng;
 use astro_resilience::fault::{self, FaultPlan};
 use astro_serve::{EngineConfig, EvalEngine, GenerateJob};
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
 
 // Fault plans and telemetry counters are process-global; serialise the
 // tests in this binary that touch either.
@@ -62,6 +65,12 @@ fn run(engine: &EvalEngine) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// What every engine must produce for [`jobs`]: plain decoding, each job
+/// alone in a fresh session.
+fn plain(params: &Params) -> Vec<Vec<u32>> {
+    jobs().iter().map(|j| common::generate(params, j)).collect()
+}
+
 /// Every execution mode worth covering, with a spread of draft lengths.
 fn spec_configs() -> Vec<EngineConfig> {
     vec![
@@ -76,7 +85,7 @@ fn spec_configs() -> Vec<EngineConfig> {
 fn greedy_spec_matches_plain_engine_bitwise_f32() {
     let _g = locked();
     let (tp, dp) = (target(), draft());
-    let expect = run(&EvalEngine::new(EngineConfig::serial(), &tp));
+    let expect = plain(&tp);
     for cfg in spec_configs() {
         let engine = EvalEngine::new(cfg, &tp).with_draft(&dp);
         assert!(engine.speculation_enabled());
@@ -89,7 +98,7 @@ fn greedy_spec_matches_plain_engine_bitwise_int8() {
     let _g = locked();
     let tp = target().quantized();
     let dp = draft();
-    let expect = run(&EvalEngine::new(EngineConfig::serial(), &tp));
+    let expect = plain(&tp);
     for cfg in spec_configs() {
         let engine = EvalEngine::new(cfg, &tp).with_draft(&dp);
         assert_eq!(run(&engine), expect, "config {cfg:?}");
@@ -100,7 +109,7 @@ fn greedy_spec_matches_plain_engine_bitwise_int8() {
 fn spec_without_draft_or_with_k_zero_is_plain_decoding() {
     let _g = locked();
     let (tp, dp) = (target(), draft());
-    let expect = run(&EvalEngine::new(EngineConfig::serial(), &tp));
+    let expect = plain(&tp);
     // spec_k set but no draft installed: the knob is inert.
     let no_draft = EvalEngine::new(EngineConfig::serial().with_spec_k(4), &tp);
     assert!(!no_draft.speculation_enabled());
@@ -118,7 +127,7 @@ fn self_draft_accepts_every_token() {
     let drafted0 = astro_telemetry::counter("serve.spec.drafted").get();
     let accepted0 = astro_telemetry::counter("serve.spec.accepted").get();
     let engine = EvalEngine::new(EngineConfig::serial().with_spec_k(4), &tp).with_draft(&tp);
-    let expect = run(&EvalEngine::new(EngineConfig::serial(), &tp));
+    let expect = plain(&tp);
     assert_eq!(run(&engine), expect);
     let drafted = astro_telemetry::counter("serve.spec.drafted").get() - drafted0;
     let accepted = astro_telemetry::counter("serve.spec.accepted").get() - accepted0;
@@ -138,10 +147,11 @@ fn draft_too_small_for_prompt_falls_back_to_plain_decoding() {
     let mut dcfg = ModelConfig::tiny(24);
     dcfg.max_seq = 4;
     let dp = Params::init(dcfg, &mut Rng::seed_from(7));
-    let expect = run(&EvalEngine::new(EngineConfig::serial(), &tp));
+    let expect = plain(&tp);
     let overflow0 = astro_telemetry::counter("serve.spec.draft_overflow").get();
     for cfg in [
         EngineConfig::serial().with_spec_k(2),
+        EngineConfig::pooled_with(2).with_spec_k(2),
         EngineConfig::iteration().with_spec_k(2),
     ] {
         let engine = EvalEngine::new(cfg, &tp).with_draft(&dp);
@@ -155,7 +165,7 @@ fn draft_too_small_for_prompt_falls_back_to_plain_decoding() {
 fn permanent_reject_storm_degrades_without_changing_output() {
     let _g = locked();
     let (tp, dp) = (target(), draft());
-    let expect = run(&EvalEngine::new(EngineConfig::serial(), &tp));
+    let expect = plain(&tp);
     // Fire the storm fault on *every* hit: each trigger is one-shot, so
     // arm far more than the engine can consume in this test.
     let storm = (1..=4096u64).fold(FaultPlan::new(), |p, hit| {

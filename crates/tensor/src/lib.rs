@@ -21,12 +21,10 @@ pub mod bf16;
 pub mod gradcheck;
 pub mod matmul;
 pub mod ops;
-pub mod par;
 pub mod qmatmul;
 
 pub use bf16::{bf16_round, bf16_round_slice};
 pub use matmul::{matmul, matmul_at_b, matmul_a_bt};
-pub use par::{matmul_a_bt_par, matmul_par};
 pub use qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_row_q8, quantize_rows_q8};
 
 /// A minimal shape-carrying tensor over `f32`.
