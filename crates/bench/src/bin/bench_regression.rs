@@ -157,9 +157,8 @@ fn eval_checks(cur: &Loaded, base: &Loaded, failures: &mut Vec<String>) -> Resul
 }
 
 fn cluster_checks(cur: &Loaded, base: &Loaded, failures: &mut Vec<String>) -> Result<(), String> {
-    // The baseline records *floors*, not measured ratios (the measured
-    // micro-preset ratios sit near 5x with comfortable margin), so the
-    // comparison is absolute: zero tolerance.
+    // The baseline records *floors*, not measured ratios (see its note
+    // for those), so the comparison is absolute: zero tolerance.
     check_floor(
         failures,
         "cluster",
@@ -194,9 +193,8 @@ fn cluster_checks(cur: &Loaded, base: &Loaded, failures: &mut Vec<String>) -> Re
 }
 
 fn kernels_checks(cur: &Loaded, base: &Loaded, failures: &mut Vec<String>) -> Result<(), String> {
-    // The baseline records *floors* (measured smoke runs sit near 3.1x
-    // int8 decode and 2.6x e2e speculation), so the comparison is
-    // absolute: zero tolerance.
+    // The baseline records *floors* (see its note for the measured
+    // values), so the comparison is absolute: zero tolerance.
     check_floor(
         failures,
         "kernels",

@@ -591,12 +591,17 @@ fn main() {
         ));
     }
     // NaN must fail the gates too, hence partial_cmp rather than `>=`.
+    // The ratios are what a resident stem saves over re-prefilling it, so
+    // they shrink when prefill gets cheaper: 4x was floored at 3.0 until
+    // row-blocked prefill (PR 14) cut a miss to a third. The floor sits
+    // just under what 15 micro runs on 2 cores measured since (2.55-3.12,
+    // every absolute rate ~3x up).
     use std::cmp::Ordering as Ord_;
     if !matches!(scaling_2x.partial_cmp(&1.7), Some(Ord_::Greater | Ord_::Equal)) {
         violations.push(format!("scaling_2x {scaling_2x:.2} < 1.7"));
     }
-    if !matches!(scaling_4x.partial_cmp(&3.0), Some(Ord_::Greater | Ord_::Equal)) {
-        violations.push(format!("scaling_4x {scaling_4x:.2} < 3.0"));
+    if !matches!(scaling_4x.partial_cmp(&2.5), Some(Ord_::Greater | Ord_::Equal)) {
+        violations.push(format!("scaling_4x {scaling_4x:.2} < 2.5"));
     }
     if chaos_lost != 0 {
         violations.push(format!("chaos_lost {chaos_lost} != 0"));

@@ -672,9 +672,15 @@ fn main() {
     if let Some(msg) = parity {
         failures.push(format!("parity violated: {msg}"));
     }
-    if speedup < 2.0 {
+    // What prefix-cache reuse under coalescing saves over re-prefilling
+    // every prompt, against the batch window's fixed 10 ms — so the ratio
+    // shrinks when prefill gets cheaper. The floor was 2.0 until
+    // row-blocked prefill (PR 14) took micro on 2 cores from 2.4-4.1x to
+    // 1.97-3.3x (20 runs) with both rates up (serial 52 -> 92-150 req/s,
+    // batched 126 -> 213-320); it sits just under that.
+    if speedup < 1.8 {
         failures.push(format!(
-            "batched-over-socket must be >= 2x serial, got {speedup:.2}x"
+            "batched-over-socket must be >= 1.8x serial, got {speedup:.2}x"
         ));
     }
     // The iteration scheduler's whole point: under mixed load, score tail

@@ -11,16 +11,29 @@
 //!
 //! 1. **Kernels** — untrained weights (quantization cost does not depend
 //!    on training state): single-session greedy decode tokens/sec on the
-//!    f32 and int8 paths for every tier. The int8 S70b path must reach
-//!    >= 1.8x f32.
+//!    f32 and int8 paths for every tier. The int8 S70b path must not be
+//!    slower than f32 ([`INT8_DECODE_FLOOR`]).
 //! 2. **Speculation** — the draft and target are *pretrained on the same
 //!    corpus* (the preset's native recipe) so their greedy continuations
 //!    correlate, exactly the small-drafts-large setting of the paper
 //!    family. The instruct eval subset is generated three ways: f32
 //!    plain, int8 plain, and int8 + speculation. Greedy int8+spec output
 //!    must be bitwise-identical to greedy int8 plain (speculation changes
-//!    throughput only), and int8+spec must reach >= 1.3x the f32
-//!    questions/sec.
+//!    throughput only), and int8+spec must hold [`SPEC_E2E_FLOOR`] of the
+//!    f32 questions/sec.
+//!
+//! Both ratios have f32 as their denominator and were sized (1.8x, 1.3x)
+//! when the f32 kernel was one latency-bound `dot` per output element.
+//! The register-tiled `matmul_a_bt` (PR 14) more than doubled f32 decode
+//! and left the int8 path where it was (smoke, 2-core VM, before -> after:
+//! f32 1324 -> 2995 tok/s, int8 3557 -> 3417; e2e f32 9.5 -> 26.3 q/s,
+//! int8 26.9 -> 38.2, int8+spec 21.9 -> 27.4), so the 1.8x / 1.3x
+//! contracts no longer hold: 13 smoke runs after it measured int8 decode
+//! at 1.13-1.47x f32 and int8+spec at 0.91-1.14x. The floors sit just
+//! under those. What they still say: int8 decode is not slower than f32,
+//! and the speculative stack stays within noise of f32 end to end — which
+//! is a finding, not a target (a speculative round does not beat plain
+//! int8 here, before or after; ROADMAP item 3).
 //!
 //! Results land in `BENCH_kernels.json`; `bench_regression` gates them
 //! against the floors committed in `goldens/BENCH_kernels.baseline.json`.
@@ -37,6 +50,12 @@ use astromlab::Study;
 /// Draft length for the speculation section; see docs/TUNING.md for how
 /// this trades acceptance against wasted verification.
 const SPEC_K: usize = 3;
+
+/// Floor on int8 / f32 S70b decode tokens/sec (measured 1.13–1.47).
+const INT8_DECODE_FLOOR: f64 = 1.0;
+/// Floor on int8+speculation / f32 end-to-end questions/sec (measured
+/// 0.91–1.14).
+const SPEC_E2E_FLOOR: f64 = 0.85;
 
 /// Greedy single-session decode throughput, prefill excluded.
 fn decode_tokens_per_sec(params: &Params, n_tokens: usize) -> f64 {
@@ -196,14 +215,14 @@ fn main() {
     // Contract checks last, so the JSON and manifest always land for
     // diagnosis even when a check fails the run.
     let mut failures = Vec::new();
-    if s70b_speedup < 1.8 {
+    if s70b_speedup < INT8_DECODE_FLOOR {
         failures.push(format!(
-            "int8 S70b decode must be >= 1.8x f32, got {s70b_speedup:.2}x"
+            "int8 S70b decode must be >= {INT8_DECODE_FLOOR}x f32, got {s70b_speedup:.2}x"
         ));
     }
-    if spec_e2e < 1.3 {
+    if spec_e2e < SPEC_E2E_FLOOR {
         failures.push(format!(
-            "int8+speculation must be >= 1.3x f32 questions/sec, got {spec_e2e:.2}x"
+            "int8+speculation must be >= {SPEC_E2E_FLOOR}x f32 questions/sec, got {spec_e2e:.2}x"
         ));
     }
     if !parity {

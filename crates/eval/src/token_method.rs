@@ -116,7 +116,7 @@ fn continuation_loglik(
     let mut fork = sess.clone();
     let mut ll = 0.0f64;
     let mut counted = 0usize;
-    for &tok in continuation {
+    for (i, &tok) in continuation.iter().enumerate() {
         if fork.remaining() == 0 {
             break;
         }
@@ -124,7 +124,10 @@ fn continuation_loglik(
         let lse = astro_tensor::ops::log_sum_exp(logits);
         ll += (logits[tok as usize] - lse) as f64;
         counted += 1;
-        fork.feed(model.params, tok);
+        // The logits after the last token are never read.
+        if i + 1 < continuation.len() {
+            fork.feed(model.params, tok);
+        }
     }
     if counted == 0 {
         return f32::NEG_INFINITY;

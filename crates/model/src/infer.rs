@@ -10,18 +10,37 @@
 //! `forward_rows` advances `m ≥ 1` token rows through embed → per layer
 //! (RMSNorm → Q/K/V → RoPE → causal attention over `0..=pos` → Wo +
 //! residual → RMSNorm → SwiGLU → W_down + residual) → final norm → tied
-//! LM head; [`InferenceSession::feed`] is its `m = 1` call and
-//! [`InferenceSession::try_feed_chunk`] its `m = n` call. Weight
-//! precision enters at the linear layers only: `norm_rows` and the two
-//! int8 epilogues (attention output, SwiGLU) leave a layer's input rows
-//! as f32, or as int8 with one scale per row, and `linear` multiplies
-//! them by the f32 weight or its int8 copy. RoPE, attention, the
-//! residual stream and the KV cache are f32 under both precisions.
+//! LM head. The head has two modes: logits of every row, into a buffer
+//! the caller lends, or of the last row only, into the session — then
+//! the final norm and the `vocab × d_model` product run on one row
+//! whatever `m` is. Three entries call it:
+//!
+//! * [`InferenceSession::feed`] / [`InferenceSession::try_feed`] — one
+//!   row, last-row logits: a decode step (`StepDecoder`, the speculative
+//!   draft, continuation scoring);
+//! * [`InferenceSession::try_feed_prompt`] — prefill: the token slice in
+//!   row blocks of `PREFILL_ROWS`, last-row logits, so the f32 kernel
+//!   streams a weight matrix once per 4-row band (four times per block)
+//!   rather than once per token, and the scratch never holds more rows
+//!   than one block however long the prompt.
+//!   [`InferenceSession::feed_prompt`] is its panicking wrapper
+//!   (the serial reference paths in `astro-eval`); the engine's job
+//!   lifecycle (`astro-serve`'s `Sequence::advance`) feeds every prompt
+//!   stretch through it;
+//! * [`InferenceSession::try_feed_chunk`] — all `n` rows at once, every
+//!   row's logits: the speculative verifier.
+//!
+//! Weight precision enters at the linear layers only: `norm_rows` and the
+//! two int8 epilogues (attention output, SwiGLU) leave a layer's input
+//! rows as f32, or as int8 with one scale per row, and `linear` multiplies
+//! them by the f32 weight or its int8 copy. RoPE, attention, the residual
+//! stream and the KV cache are f32 under both precisions.
 //!
 //! How a token stream is split into calls never changes a bit of the
 //! result: on the f32 path every output element is the same [`dot`] over
-//! the same operands whatever the row blocking, and on the int8 path the
-//! integer accumulation is exact (`tests/chunk_split.rs`).
+//! the same operands whatever the row blocking (`matmul_a_bt`'s contract),
+//! and on the int8 path the integer accumulation is exact
+//! (`tests/chunk_split.rs`).
 
 use crate::params::Params;
 use crate::{rope_tables, ModelConfig, WeightPrecision};
@@ -64,8 +83,7 @@ impl std::error::Error for SessionError {}
 /// `Clone` forks the session: both copies share the consumed prefix and
 /// can continue independently — used by the evaluation code to score
 /// several answer continuations against one prompt without re-encoding
-/// it.
-#[derive(Clone)]
+/// it, and by the prefix cache to store snapshots.
 pub struct InferenceSession {
     cfg: ModelConfig,
     pos: usize,
@@ -74,8 +92,8 @@ pub struct InferenceSession {
     /// Per-layer value cache `[max_seq, C]`.
     v_cache: Vec<Vec<f32>>,
     // Row scratch, `[m, ·]` for the `m` rows of the current call: one row
-    // at construction (what `ModelConfig::session_bytes` budgets), grown
-    // by `fit_rows` when a larger chunk first arrives.
+    // at construction and in every clone (what `ModelConfig::session_bytes`
+    // budgets), grown by `fit_rows` when a larger chunk first arrives.
     /// Residual stream `[m, C]`.
     x: Vec<f32>,
     /// Normalised linear-layer input `[m, C]` (f32 path).
@@ -102,13 +120,54 @@ pub struct InferenceSession {
     qf: Vec<i8>,
 }
 
+/// Rows per forward when a prompt is fed through
+/// [`InferenceSession::try_feed_prompt`]: four of `matmul_a_bt`'s 4-row
+/// bands, each of which streams the weight matrix once — a quarter of the
+/// weight traffic of one-token feeds — and the most rows the scratch of a
+/// session grows to however long the prompt (`fit_rows` reserves exactly;
+/// 16 rows ≈ +120 KB on a 1.7 MB S70b session).
+const PREFILL_ROWS: usize = 16;
+
+impl Clone for InferenceSession {
+    /// Copies the state — position, KV cache, last logits — and gives the
+    /// copy one-row scratch whatever the source has grown to: scratch
+    /// never outlives a call, and a cached snapshot must cost what
+    /// [`ModelConfig::session_bytes`] says it does.
+    fn clone(&self) -> Self {
+        InferenceSession {
+            pos: self.pos,
+            k_cache: self.k_cache.clone(),
+            v_cache: self.v_cache.clone(),
+            logits: self.logits.clone(),
+            rope_cos: self.rope_cos.clone(),
+            rope_sin: self.rope_sin.clone(),
+            ..Self::scratch_only(self.cfg)
+        }
+    }
+}
+
 impl InferenceSession {
     /// Allocate a session for a model configuration.
     pub fn new(cfg: ModelConfig) -> Self {
         cfg.assert_valid();
+        let kv = || (0..cfg.n_layers).map(|_| vec![0.0; cfg.max_seq * cfg.d_model]).collect();
+        let (rope_cos, rope_sin) = rope_tables(cfg.max_seq, cfg.head_dim());
+        InferenceSession {
+            k_cache: kv(),
+            v_cache: kv(),
+            logits: vec![0.0; cfg.vocab_size],
+            rope_cos,
+            rope_sin,
+            ..Self::scratch_only(cfg)
+        }
+    }
+
+    /// One-row scratch at position 0 with the state buffers — KV cache,
+    /// logits, RoPE tables — left empty (unallocated) for `new` and
+    /// `clone` to fill in.
+    fn scratch_only(cfg: ModelConfig) -> Self {
         let c = cfg.d_model;
         let f = cfg.d_ff;
-        let (rope_cos, rope_sin) = rope_tables(cfg.max_seq, cfg.head_dim());
         let (qx_len, qf_len) = match cfg.precision {
             WeightPrecision::F32 => (0, 0),
             WeightPrecision::Int8 => (c, f),
@@ -116,8 +175,8 @@ impl InferenceSession {
         InferenceSession {
             cfg,
             pos: 0,
-            k_cache: (0..cfg.n_layers).map(|_| vec![0.0; cfg.max_seq * c]).collect(),
-            v_cache: (0..cfg.n_layers).map(|_| vec![0.0; cfg.max_seq * c]).collect(),
+            k_cache: Vec::new(),
+            v_cache: Vec::new(),
             x: vec![0.0; c],
             ln: vec![0.0; c],
             row_scale: vec![0.0; 1],
@@ -128,9 +187,9 @@ impl InferenceSession {
             up: vec![0.0; f],
             act: vec![0.0; f],
             scores: vec![0.0; cfg.max_seq],
-            logits: vec![0.0; cfg.vocab_size],
-            rope_cos,
-            rope_sin,
+            logits: Vec::new(),
+            rope_cos: Vec::new(),
+            rope_sin: Vec::new(),
             qx: vec![0; qx_len],
             qf: vec![0; qf_len],
         }
@@ -210,12 +269,31 @@ impl InferenceSession {
         &self.logits
     }
 
-    /// Feed a whole prompt; returns the logits after its last token.
-    pub fn feed_prompt(&mut self, p: &Params, tokens: &[u32]) -> Vec<f32> {
+    /// Feed `tokens` in row blocks of at most `PREFILL_ROWS`; returns the
+    /// logits after the last one. State and result are bitwise what
+    /// `tokens.len()` sequential [`Self::try_feed`] calls leave (see the
+    /// module doc), also on failure: the tokens that fit are consumed and
+    /// the error names position `max_seq`.
+    pub fn try_feed_prompt(&mut self, p: &Params, tokens: &[u32]) -> Result<&[f32], SessionError> {
         assert!(!tokens.is_empty(), "empty prompt");
-        for &t in tokens {
-            self.feed(p, t);
+        let fits = tokens.len().min(self.remaining());
+        for block in tokens[..fits].chunks(PREFILL_ROWS) {
+            self.forward_rows(p, block, None);
         }
+        if fits < tokens.len() {
+            return Err(SessionError::CacheFull { pos: self.pos, max_seq: self.cfg.max_seq });
+        }
+        Ok(&self.logits)
+    }
+
+    /// Feed a whole prompt; returns the logits after its last token.
+    ///
+    /// # Panics
+    /// Panics when the prompt does not fit the cache; use
+    /// [`Self::try_feed_prompt`] to handle that case as a typed error.
+    pub fn feed_prompt(&mut self, p: &Params, tokens: &[u32]) -> Vec<f32> {
+        let full = self.try_feed_prompt(p, tokens).err();
+        assert!(full.is_none(), "prompt does not fit: {full:?}");
         self.logits.clone()
     }
 
@@ -265,7 +343,8 @@ impl InferenceSession {
     /// writing their K/V rows straight into the cache at
     /// `pos..pos + m`. Capacity has already been checked. The logits of
     /// every row go to `all_rows` (`m × vocab`) when the caller lends
-    /// one; otherwise `m` is 1 and they go to `self.logits`.
+    /// one; otherwise only the last row gets its final norm and LM head,
+    /// into `self.logits`.
     ///
     /// A [`WeightPrecision::Int8`] session uses the params' int8 copy
     /// when they carry one and the f32 weights otherwise — an int8
@@ -334,6 +413,12 @@ impl InferenceSession {
             ops::add_assign(&mut self.x, &self.proj);
         }
 
+        if all_rows.is_none() && m > 1 {
+            // Only the last row's logits are wanted: move it to the front
+            // and finish as a one-row call.
+            self.x.copy_within((m - 1) * c.., 0);
+            self.fit_rows(1);
+        }
         self.norm_rows(p.view(&p.layout.final_norm), int8);
         // Tied LM head: logits[v] = ln · embed_row(v).
         let out = match all_rows {
@@ -341,27 +426,33 @@ impl InferenceSession {
             None => &mut self.logits[..],
         };
         let lm_head = quant.map(|qp| &qp.lm_head);
-        linear(out, embed, lm_head, &self.ln, &self.qx, &self.row_scale, m);
+        let rows = self.row_scale.len();
+        linear(out, embed, lm_head, &self.ln, &self.qx, &self.row_scale, rows);
         self.pos += m;
     }
 
     /// Size the row scratch for an `m`-row call. Shrinking keeps the
-    /// capacity, so this allocates only when a chunk larger than any
-    /// before arrives — never for a session that is fed one token at a
-    /// time.
+    /// capacity and growing reserves exactly, so this allocates only when
+    /// a chunk larger than any before arrives — never for a session that
+    /// is fed one token at a time — and the scratch holds exactly as many
+    /// rows as the largest call so far.
     fn fit_rows(&mut self, m: usize) {
+        fn fit<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+            buf.reserve_exact(len.saturating_sub(buf.len()));
+            buf.resize(len, T::default());
+        }
         let c = self.cfg.d_model;
         let f = self.cfg.d_ff;
         for buf in [&mut self.x, &mut self.ln, &mut self.q, &mut self.attn_out, &mut self.proj] {
-            buf.resize(m * c, 0.0);
+            fit(buf, m * c);
         }
         for buf in [&mut self.gate, &mut self.up, &mut self.act] {
-            buf.resize(m * f, 0.0);
+            fit(buf, m * f);
         }
-        self.row_scale.resize(m, 0.0);
+        fit(&mut self.row_scale, m);
         if self.cfg.precision == WeightPrecision::Int8 {
-            self.qx.resize(m * c, 0);
-            self.qf.resize(m * f, 0);
+            fit(&mut self.qx, m * c);
+            fit(&mut self.qf, m * f);
         }
     }
 
@@ -685,14 +776,32 @@ mod tests {
     #[test]
     fn session_bytes_matches_the_allocation() {
         // The serve prefix cache and the KV ledger budget with
-        // `session_bytes()`; it must equal what a fresh session holds.
+        // `session_bytes()`; it must equal what a fresh session holds —
+        // and what a snapshot holds: a clone, also of a session whose
+        // scratch block-fed prefill has grown.
         use crate::Tier;
         let tiers = [Tier::S7b, Tier::S8b, Tier::S70b].map(|t| ModelConfig::tier(t, 512));
         for base in tiers.into_iter().chain([ModelConfig::tiny(24)]) {
             for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
                 let cfg = base.with_precision(precision);
-                let sess = InferenceSession::new(cfg);
+                let mut sess = InferenceSession::new(cfg);
                 assert_eq!(sess.buffer_bytes(), cfg.session_bytes(), "{cfg:?}");
+
+                let p = Params::init(base, &mut Rng::seed_from(18));
+                let p = if precision == WeightPrecision::Int8 { p.quantized() } else { p };
+                // A first block of 9 rows, then full ones: the scratch ends
+                // at one row block exactly — not at the prompt's length, and
+                // not at twice the first growth.
+                sess.try_feed_prompt(&p, &[1; 9]).unwrap();
+                sess.try_feed_prompt(&p, &[1; PREFILL_ROWS + 3]).unwrap();
+                let row = (5 * cfg.d_model + 1 + 3 * cfg.d_ff) * 4
+                    + if precision == WeightPrecision::Int8 { cfg.d_model + cfg.d_ff } else { 0 };
+                let grown = cfg.session_bytes() + (PREFILL_ROWS - 1) * row;
+                assert_eq!(sess.buffer_bytes(), grown, "block-fed {cfg:?}");
+                assert_eq!(sess.clone().buffer_bytes(), cfg.session_bytes(), "clone of block-fed {cfg:?}");
+                // An all-rows chunk leaves the scratch at its row count.
+                sess.try_feed_chunk(&p, &[1; 4]).unwrap();
+                assert_eq!(sess.clone().buffer_bytes(), cfg.session_bytes(), "clone of chunk-fed {cfg:?}");
             }
         }
     }

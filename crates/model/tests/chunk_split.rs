@@ -1,10 +1,11 @@
 //! Chunk-split invariance: however a token stream is cut into
-//! `try_feed_chunk` / `feed` calls, every logit row, the session state
-//! and what the session computes next are bitwise-equal (`to_bits`) to
-//! feeding the tokens one at a time — for f32 and for int8.
+//! `try_feed_chunk` / `try_feed_prompt` / `feed` calls, every logit row,
+//! the session state and what the session computes next are
+//! bitwise-equal (`to_bits`) to feeding the tokens one at a time — for
+//! f32 and for int8.
 //!
-//! This is the contract that lets `feed` and `try_feed_chunk` be the
-//! `m = 1` and `m = n` calls of one routine, and that speculative
+//! This is the contract that lets `feed`, `try_feed_chunk` and the
+//! row-blocked prefill be calls of one routine, and that speculative
 //! decoding (`spec.rs`: verify a chunk, `truncate`, continue) rests on.
 
 use astro_model::{
@@ -38,10 +39,15 @@ fn some_tokens(rng: &mut Rng, lo: usize, hi: usize) -> Vec<u32> {
 
 /// Random chunk lengths of `1..=8` summing to `n`.
 fn random_split(rng: &mut Rng, n: usize) -> Vec<usize> {
+    random_split_up_to(rng, n, 8)
+}
+
+/// Random chunk lengths of `1..=longest` summing to `n`.
+fn random_split_up_to(rng: &mut Rng, n: usize, longest: usize) -> Vec<usize> {
     let mut split = Vec::new();
     let mut left = n;
     while left > 0 {
-        let len = rng.range(1, 9).min(left);
+        let len = rng.range(1, longest + 1).min(left);
         split.push(len);
         left -= len;
     }
@@ -248,6 +254,66 @@ fn assign_from_into_a_session_with_grown_scratch() {
             let got = feed_split(&mut worker, &p, &tokens, &split, true);
             assert_eq!(got, want, "{precision:?} case {case}: split {split:?}");
             assert_interchangeable(&mut worker, &mut src, &p, &next, &format!("{precision:?} case {case}"));
+        }
+    }
+}
+
+/// `tokens` cut into `split`, each stretch through `try_feed_prompt` (row
+/// blocks, last-row logits): after every stretch the logits are those
+/// the one-token feeds produced at that position, and at the end the
+/// sessions are interchangeable — same KV rows.
+fn check_prompt_stretches(p: &Params, tokens: &[u32], split: &[usize], next: &[u32], what: &str) {
+    let vocab = p.cfg.vocab_size;
+    let mut singles = InferenceSession::new(p.cfg);
+    let rows = feed_singles(&mut singles, p, tokens);
+    let mut blocked = InferenceSession::new(p.cfg);
+    let mut at = 0;
+    for &len in split {
+        let got = bits(blocked.try_feed_prompt(p, &tokens[at..at + len]).unwrap());
+        at += len;
+        assert_eq!(got, rows[(at - 1) * vocab..at * vocab], "{what}: logits after token {at}, split {split:?}");
+    }
+    assert_interchangeable(&mut blocked, &mut singles, p, next, what);
+}
+
+#[test]
+fn block_fed_prompt_is_bitwise_equal_to_single_feeds() {
+    // Stretches of up to 40 tokens: shorter than, equal to and several
+    // times the prefill row block, with ragged last blocks.
+    for precision in PRECISIONS {
+        let tiny = params(ModelConfig::tiny(VOCAB), 51, precision);
+        let s7b = params(ModelConfig::tier(Tier::S7b, VOCAB), 52, precision);
+        for case in 0..24u64 {
+            let mut rng = Rng::seed_from(0xb10c ^ case);
+            let (p, longest) = if case % 4 == 0 { (&s7b, 120) } else { (&tiny, tiny.cfg.max_seq - 3) };
+            let n = rng.range(1, longest + 1);
+            let tokens = random_tokens(&mut rng, n);
+            let next = random_tokens(&mut rng, 3);
+            let split = random_split_up_to(&mut rng, n, 40);
+            check_prompt_stretches(p, &tokens, &split, &next, &format!("{precision:?} case {case}"));
+            check_prompt_stretches(p, &tokens, &[n], &next, &format!("{precision:?} case {case}, whole"));
+        }
+    }
+}
+
+#[test]
+fn a_prompt_one_token_too_long_fills_the_cache_then_fails_like_single_feeds() {
+    for precision in PRECISIONS {
+        let cfg = ModelConfig::tiny(VOCAB);
+        let p = params(cfg, 61, precision);
+        let mut rng = Rng::seed_from(0x0f10);
+        let tokens = random_tokens(&mut rng, cfg.max_seq + 1);
+        let full = SessionError::CacheFull { pos: cfg.max_seq, max_seq: cfg.max_seq };
+        for start in [0, 5, cfg.max_seq] {
+            let mut singles = InferenceSession::new(p.cfg);
+            feed_singles(&mut singles, &p, &tokens[..cfg.max_seq]);
+            assert_eq!(singles.try_feed(&p, tokens[cfg.max_seq]).unwrap_err(), full);
+
+            let mut blocked = InferenceSession::new(p.cfg);
+            feed_singles(&mut blocked, &p, &tokens[..start]);
+            assert_eq!(blocked.try_feed_prompt(&p, &tokens[start..]).unwrap_err(), full);
+            assert_eq!(blocked.position(), cfg.max_seq, "{precision:?} from {start}");
+            assert_eq!(bits(blocked.last_logits()), bits(singles.last_logits()));
         }
     }
 }

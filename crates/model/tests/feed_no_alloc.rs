@@ -1,5 +1,6 @@
-//! The decode hot path does not touch the heap: 64 consecutive `feed`
-//! calls allocate zero times, f32 and int8.
+//! The decode and prefill hot paths do not touch the heap: 64 consecutive
+//! `feed` calls allocate zero times, and so does block-fed prefill once
+//! its first row block has grown the scratch — f32 and int8.
 //!
 //! A counting `#[global_allocator]` is process-wide, so this lives in its
 //! own test binary with a single `#[test]`: no other test thread can
@@ -33,8 +34,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Heap allocations `f` makes.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 #[test]
-fn sixty_four_feeds_allocate_nothing() {
+fn feeds_and_block_fed_prefill_allocate_nothing() {
     let vocab = 64;
     let f32_params = Params::init(ModelConfig::tier(Tier::S7b, vocab), &mut Rng::seed_from(3));
     let int8_params = f32_params.clone().quantized();
@@ -44,12 +52,24 @@ fn sixty_four_feeds_allocate_nothing() {
         // one row must not allocate either.
         sess.try_feed_chunk(p, &[1, 2, 3, 4]).unwrap();
         let mut checksum = 0.0f32;
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for t in 0..64u32 {
-            checksum += sess.feed(p, t % vocab as u32)[0];
-        }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let feeds = allocations_in(|| {
+            for t in 0..64u32 {
+                checksum += sess.feed(p, t % vocab as u32)[0];
+            }
+        });
+        assert_eq!(feeds, 0, "{:?}: feed allocated", p.cfg.precision);
+
+        // Prefill: the first full row block grows the scratch; the five
+        // blocks and the ragged sixth after it reuse it, as does the
+        // decode that follows.
+        let prompt: Vec<u32> = (0..100).map(|t| t % vocab as u32).collect();
+        let mut sess = InferenceSession::new(p.cfg);
+        sess.try_feed_prompt(p, &prompt[..16]).unwrap();
+        let prefill = allocations_in(|| {
+            checksum += sess.try_feed_prompt(p, &prompt[16..]).unwrap()[0];
+            checksum += sess.feed(p, 1)[0];
+        });
+        assert_eq!(prefill, 0, "{:?}: block-fed prefill allocated", p.cfg.precision);
         assert!(checksum.is_finite());
-        assert_eq!(after - before, 0, "{:?}: feed allocated", p.cfg.precision);
     }
 }

@@ -463,7 +463,7 @@ impl EvalEngine {
             let encoded = need
                 .then(|| {
                     let mut sess = InferenceSession::new(self.model_cfg);
-                    let fits = anchor.iter().all(|&t| sess.try_feed(&self.params, t).is_ok());
+                    let fits = sess.try_feed_prompt(&self.params, anchor).is_ok();
                     fits.then_some(sess)
                 })
                 .flatten();
@@ -675,7 +675,14 @@ mod tests {
     #[test]
     fn overlong_prompt_fails_that_job_only() {
         let (cfg, p) = setup();
-        let long = vec![1u32; cfg.max_seq + 4];
+        // One token over the cache and several: the second is where the
+        // prompt entry drops more than one token after filling the cache.
+        let overlong = |extra: usize| ScoreJob {
+            prompt: vec![1u32; cfg.max_seq + extra],
+            group: None,
+            readout: ScoreReadout::LogitGroups(vec![vec![1]]),
+            trace: None,
+        };
         let jobs = vec![
             ScoreJob {
                 prompt: vec![9, 8, 7],
@@ -683,25 +690,20 @@ mod tests {
                 readout: ScoreReadout::LogitGroups(vec![vec![1], vec![2], vec![3], vec![]]),
                 trace: None,
             },
-            ScoreJob {
-                prompt: long,
-                group: None,
-                readout: ScoreReadout::LogitGroups(vec![vec![1]]),
-                trace: None,
-            },
+            overlong(1),
+            overlong(4),
         ];
         // Both drivers: a real overflow is retried once uncached, then
-        // surfaces as that job's error.
+        // surfaces as that job's error — the error of the first token that
+        // did not fit, however the prompt was cut into row blocks.
         for engine_cfg in [EngineConfig::pooled_with(2), EngineConfig::iteration()] {
             let retries0 = astro_telemetry::counter("serve.cache_full.retries").get();
             let engine = EvalEngine::new(engine_cfg, &p);
             let got = engine.score_batch(jobs.clone());
             assert!(got[0].is_ok());
-            match &got[1] {
-                Err(ServeError::Session(SessionError::CacheFull { max_seq, .. })) => {
-                    assert_eq!(*max_seq, cfg.max_seq)
-                }
-                other => panic!("expected CacheFull, got {other:?} ({engine_cfg:?})"),
+            let full = SessionError::CacheFull { pos: cfg.max_seq, max_seq: cfg.max_seq };
+            for over in &got[1..] {
+                assert_eq!(*over, Err(ServeError::Session(full)), "{engine_cfg:?}");
             }
             assert!(astro_telemetry::counter("serve.cache_full.retries").get() > retries0);
             // Empty logit group scores -inf.

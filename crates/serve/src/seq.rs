@@ -158,20 +158,31 @@ impl Sequence {
                 .group()
                 .and_then(|g| env.anchors.get(&g))
                 .filter(|a| prompt.starts_with(a));
+            // The anchor is snapshotted for the rest of the group, unless
+            // this run is the uncached retry.
+            let snapshot = match (&env.cache, self.uncached) {
+                (Some(c), false) => anchor.map(|a| (c, a)),
+                _ => None,
+            };
             let target = self.fed.saturating_add(prefill_chunk).min(prompt.len());
             while self.fed < target {
-                if let Err(e) = self.sess.try_feed(&env.params, prompt[self.fed]) {
+                // A stretch that would cross the anchor ends exactly on
+                // it: the snapshot is of the anchor and nothing more.
+                let end = match snapshot {
+                    Some((_, a)) if self.fed < a.len() => target.min(a.len()),
+                    _ => target,
+                };
+                if let Err(e) = self.sess.try_feed_prompt(&env.params, &prompt[self.fed..end]) {
                     if self.uncached {
                         return Some(Err(ServeError::Session(e)));
                     }
                     self.restart_uncached();
                     return None;
                 }
-                self.fed += 1;
-                // Snapshot the group anchor exactly when crossing it, for
-                // the rest of the group. Raced and replayed inserts are
-                // idempotent (`insert` refuses duplicates).
-                if let (Some(c), Some(a), false) = (&env.cache, anchor, self.uncached) {
+                self.fed = end;
+                // Raced and replayed inserts are idempotent (`insert`
+                // refuses duplicates).
+                if let Some((c, a)) = snapshot {
                     if self.fed == a.len() {
                         let (_token, mut guard) = lock_cache(c);
                         if !guard.has_snapshot(a) {
@@ -207,7 +218,7 @@ impl Sequence {
             if let Some(sp) = &env.spec {
                 let dsess = self.draft.get_or_insert_with(|| InferenceSession::new(sp.draft.cfg));
                 dsess.reset();
-                if prompt.iter().all(|&t| dsess.try_feed(&sp.draft, t).is_ok()) {
+                if dsess.try_feed_prompt(&sp.draft, prompt).is_ok() {
                     self.decode = Decode::Spec(SpecDecoder::new(
                         j.sampler,
                         j.rng.clone(),
@@ -313,7 +324,7 @@ pub(crate) fn continuation_loglik(
     fork.assign_from(sess);
     let mut ll = 0.0f64;
     let mut counted = 0usize;
-    for &tok in continuation {
+    for (i, &tok) in continuation.iter().enumerate() {
         if fork.remaining() == 0 {
             break;
         }
@@ -321,7 +332,10 @@ pub(crate) fn continuation_loglik(
         let lse = astro_tensor::ops::log_sum_exp(logits);
         ll += (logits[tok as usize] - lse) as f64;
         counted += 1;
-        fork.feed(params, tok);
+        // The logits after the last token are never read.
+        if i + 1 < continuation.len() {
+            fork.feed(params, tok);
+        }
     }
     if counted == 0 {
         return f32::NEG_INFINITY;

@@ -303,3 +303,93 @@ fn engine_iteration_mode_matches_pooled_mode_bitwise() {
         }
     }
 }
+
+#[test]
+fn group_anchor_is_snapshotted_at_its_exact_length_for_any_chunk() {
+    // Prefill runs in `prefill_chunk`-token stretches of 16-row blocks. An
+    // anchor of 19 tokens is a multiple of neither, so the stretch that
+    // reaches it must be cut there: a snapshot is only ever taken at
+    // `fed == anchor.len()`. Every later hit then reuses exactly 19
+    // tokens, on both drivers, and every result equals the oracle.
+    const ANCHOR: usize = 19;
+    let cfg = ModelConfig::tier(astro_model::Tier::S7b, 24);
+    let params = Params::init(cfg, &mut Rng::seed_from(19));
+    let mut rng = Rng::seed_from(0xa2c);
+    let mut tokens = |n: usize| -> Vec<u32> { (0..n).map(|_| rng.index(23) as u32).collect() };
+    // Two groups whose anchors differ in their first token, so the batch
+    // has no common prefix and the anchors are snapshotted mid-feed.
+    let mut anchors: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut scores = Vec::new();
+    let mut generates = Vec::new();
+    for g in 0..2u64 {
+        let mut anchor = tokens(ANCHOR);
+        anchor[0] = 23 - g as u32;
+        for i in 0..4u32 {
+            // Tails differ in their first token: the group's common
+            // prefix is the anchor and nothing more.
+            let mut prompt = anchor.clone();
+            prompt.push(i);
+            prompt.extend(tokens(2 + i as usize * 5));
+            if i < 3 {
+                let readout = ScoreReadout::ContinuationGroups(
+                    (0..4).map(|_| vec![tokens(3), tokens(1)]).collect(),
+                );
+                scores.push(ScoreJob { prompt, group: Some(g), readout, trace: None });
+            } else {
+                generates.push(GenerateJob {
+                    prompt,
+                    group: Some(g),
+                    max_new: 6,
+                    sampler: SamplerConfig::greedy(),
+                    rng: Rng::seed_from(g),
+                    stop: vec![],
+                    trace: None,
+                });
+            }
+        }
+        anchors.insert(g, anchor);
+    }
+    let score_refs: Vec<Vec<u32>> = scores.iter().map(|j| reference_score(&params, j)).collect();
+    let gen_refs: Vec<Vec<u32>> = generates.iter().map(|j| reference_generate(&params, j)).collect();
+    let check_cache = |engine: &EvalEngine, what: &str| {
+        let stats = engine.cache_stats();
+        assert_eq!(stats.resident_sessions, 2, "{what}: one snapshot per anchor");
+        assert!(stats.hits >= 1, "{what}: later jobs of a group fork its anchor");
+        assert_eq!(stats.tokens_reused, stats.hits * ANCHOR as u64, "{what}: every hit is {ANCHOR} deep");
+    };
+
+    // Pool workers: one unbounded stretch per prompt.
+    let engine = EvalEngine::new(EngineConfig::pooled_with(2), &params);
+    for (i, got) in engine.score_batch(scores.clone()).iter().enumerate() {
+        let bits = got.as_ref().ok().map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+        assert_eq!(bits.as_ref(), Some(&score_refs[i]), "pooled score job {i}");
+    }
+    check_cache(&engine, "pooled");
+
+    // The iteration scheduler, at chunks below, between and above the
+    // row block.
+    for prefill_chunk in [1, 7, 32] {
+        let engine = EvalEngine::new(EngineConfig::iteration(), &params);
+        let mut sched = engine.iter_scheduler(SchedulerConfig {
+            max_active: 2,
+            prefill_chunk,
+            ..SchedulerConfig::default()
+        });
+        sched.set_anchors(anchors.clone());
+        let mut want: HashMap<usize, Vec<u32>> = HashMap::new();
+        for (job, bits) in scores.iter().zip(&score_refs) {
+            want.insert(sched.submit_score(job.clone()).expect("submit"), bits.clone());
+        }
+        for (job, toks) in generates.iter().zip(&gen_refs) {
+            want.insert(sched.submit_generate(job.clone()).expect("submit"), toks.clone());
+        }
+        for (id, result) in sched.run_to_completion() {
+            let got = match result.expect("job") {
+                SeqOutcome::Scores(v) => v.iter().map(|f| f.to_bits()).collect(),
+                SeqOutcome::Tokens(t) => t,
+            };
+            assert_eq!(Some(&got), want.get(&id), "chunk {prefill_chunk} job {id}");
+        }
+        check_cache(&engine, &format!("iteration, chunk {prefill_chunk}"));
+    }
+}

@@ -7,10 +7,13 @@
 //! (see [`matmul`] which does this for convenience via `matmul_acc` +
 //! `fill`).
 //!
-//! The loop order is `i-k-j`: the innermost loop walks contiguous rows of
-//! `b` and `out`, an AXPY the compiler auto-vectorises. A cache block over
-//! `k` keeps the working set of `b` rows resident in L1/L2 for large
-//! matrices.
+//! [`matmul_acc`] and [`matmul_at_b_acc`] run `i-k-j`: the innermost loop
+//! walks contiguous rows of `b` and `out`, an AXPY the compiler
+//! auto-vectorises, and in `matmul_acc` a cache block over `k` keeps the
+//! working set of `b` rows resident in L1/L2 for large matrices.
+//! [`matmul_a_bt_acc`] — every linear-layer forward, in training and in
+//! inference — is a grid of [`dot`]s instead, computed a register tile at
+//! a time; its results do not depend on the tiling or on `m`, bit for bit.
 
 /// Cache block size over the shared dimension. 64 f32 rows of a typical
 /// `n ≤ 512` matrix fit comfortably in L2.
@@ -56,33 +59,121 @@ pub fn matmul_a_bt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
     matmul_a_bt_acc(out, a, b, m, k, n);
 }
 
-/// Row block for [`matmul_a_bt_acc`]: how many `a` rows stay hot while
-/// one `b` (weight) row is streamed. Weight matrices are the large
-/// operand — often larger than L2 — so the traversal must read each
-/// weight row once per *block* of activation rows, not once per row.
-/// 8 rows of `k ≤ 512` f32 fit in a corner of L1.
-const RB: usize = 8;
+/// Register tile of [`matmul_a_bt_acc`] for full bands of `a` rows:
+/// `TILE_R × TILE_C` output elements advance together, eight 4-lane
+/// accumulators — half of the sixteen baseline SSE registers, the rest
+/// hold the tile's operands. Measured best of 4×2, 2×4, 4×3, 3×4, 6×2
+/// and 8×1 at the S70b layer shapes.
+const TILE_R: usize = 4;
+const TILE_C: usize = 2;
+/// Column count of the one-row tile that covers the `m % TILE_R` leftover
+/// rows — every row of a single-token (`m = 1`) call. Eight accumulators
+/// again; 4, 6, 12 and 16 columns measured no faster.
+const ROW_TILE_C: usize = 8;
 
 /// `out += a · bᵀ` (see [`matmul_a_bt`]).
 ///
-/// Traversal is j-outer / i-inner within a block of `a` rows: each `b`
-/// row is streamed from memory once per row block and reused (from L1)
-/// against every activation row in the block. Every output element is
-/// the same [`dot`] either way, so results are bitwise-independent of
-/// the blocking — single-row calls and chunked calls agree exactly.
+/// One [`dot`] is one chain of dependent 4-lane adds, so a loop that
+/// finishes one output element before starting the next waits out the
+/// add latency at every step. Here a register tile keeps `R × C` of those
+/// chains in flight at once (`dot_tile`), and a band of `R` activation
+/// rows reads each weight row once. Each chain is still exactly [`dot`],
+/// so every output element is bit-identical to `out[i][j] + dot(a_i, b_j)`
+/// and the result is bitwise-independent of `m` and of the tiling —
+/// single-row calls and chunked calls agree exactly.
 pub fn matmul_a_bt_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a has wrong size");
     assert_eq!(b.len(), n * k, "b has wrong size");
     assert_eq!(out.len(), m * n, "out has wrong size");
-    for i0 in (0..m).step_by(RB) {
-        let i1 = (i0 + RB).min(m);
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            for i in i0..i1 {
-                out[i * n + j] += dot(&a[i * k..(i + 1) * k], brow);
+    let full = m - m % TILE_R;
+    for i in (0..full).step_by(TILE_R) {
+        let band = i * n..(i + TILE_R) * n;
+        a_bt_band::<TILE_R, TILE_C>(&mut out[band], &a[i * k..(i + TILE_R) * k], b, k, n);
+    }
+    for i in full..m {
+        a_bt_band::<1, ROW_TILE_C>(&mut out[i * n..(i + 1) * n], &a[i * k..(i + 1) * k], b, k, n);
+    }
+}
+
+/// `R` rows of `out += a · bᵀ`, `C` columns at a time; the `n % C`
+/// leftover columns are plain [`dot`]s.
+fn a_bt_band<const R: usize, const C: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let full = n - n % C;
+    for j in (0..full).step_by(C) {
+        let brows: [&[f32]; C] = std::array::from_fn(|c| &b[(j + c) * k..(j + c + 1) * k]);
+        let tile = dot_tile(&arows, &brows);
+        for (r, sums) in tile.iter().enumerate() {
+            for (o, s) in out[r * n + j..r * n + j + C].iter_mut().zip(sums) {
+                *o += s;
             }
         }
     }
+    for j in full..n {
+        let brow = &b[j * k..(j + 1) * k];
+        for (r, arow) in arows.iter().enumerate() {
+            out[r * n + j] += dot(arow, brow);
+        }
+    }
+}
+
+/// `R × C` dot products of equal-length rows, advanced together. Each one
+/// runs [`dot`]'s exact sequence of operations — four strided lane sums
+/// ([`lane_sums`]), `(s0 + s1) + (s2 + s3)`, then the scalar tail in
+/// order — so it returns the same bits.
+fn dot_tile<const R: usize, const C: usize>(a: &[&[f32]; R], b: &[&[f32]; C]) -> [[f32; C]; R] {
+    let a: [(&[[f32; 4]], &[f32]); R] = std::array::from_fn(|r| a[r].as_chunks());
+    let b: [(&[[f32; 4]], &[f32]); C] = std::array::from_fn(|c| b[c].as_chunks());
+    let lanes = lane_sums(&a.map(|(quads, _)| quads), &b.map(|(quads, _)| quads));
+    let mut sums = [[0.0f32; C]; R];
+    for r in 0..R {
+        for c in 0..C {
+            let [s0, s1, s2, s3] = lanes[r][c];
+            let mut s = (s0 + s1) + (s2 + s3);
+            for (x, y) in a[r].1.iter().zip(b[c].1) {
+                s += x * y;
+            }
+            sums[r][c] = s;
+        }
+    }
+    sums
+}
+
+/// The hot loop: for every `(r, c)`, lane `l` sums `a[r][q][l] * b[c][q][l]`
+/// over the quads `q` in order — [`dot`]'s `s0..s3`, as `R × C` independent
+/// 4-lane multiply-then-add chains over rows loaded once per step.
+///
+/// Not inlined on purpose. Inlined next to the `(s0 + s1) + (s2 + s3)`
+/// reduction, LLVM's SLP pass vectorises *across* the tile's `(r, c)`
+/// entries instead of along the lanes, transposing in registers and
+/// spilling (measured 8 GFLOP/s against 28 for this form at the S70b
+/// shapes, same bits either way). Returning the lane sums through memory
+/// ends the vectoriser's view at one 4-float store per accumulator.
+#[inline(never)]
+fn lane_sums<const R: usize, const C: usize>(
+    a: &[&[[f32; 4]]; R],
+    b: &[&[[f32; 4]]; C],
+) -> [[[f32; 4]; C]; R] {
+    let quads = a[0].len();
+    let a: [&[[f32; 4]]; R] = std::array::from_fn(|r| &a[r][..quads]);
+    let b: [&[[f32; 4]]; C] = std::array::from_fn(|c| &b[c][..quads]);
+    let mut lanes = [[[0.0f32; 4]; C]; R];
+    for q in 0..quads {
+        for r in 0..R {
+            for c in 0..C {
+                for l in 0..4 {
+                    lanes[r][c][l] += a[r][q][l] * b[c][q][l];
+                }
+            }
+        }
+    }
+    lanes
 }
 
 /// `out = aᵀ · b` where `a` is `k×m`, `b` is `k×n`, `out` is `m×n`.
@@ -213,6 +304,37 @@ mod tests {
             let mut got = vec![0.0; m * n];
             matmul_a_bt(&mut got, &a, &bt, m, k, n);
             assert_close(&got, &want, 1e-4);
+        }
+    }
+
+    #[test]
+    fn a_bt_is_bitwise_dot_at_every_tile_edge() {
+        // m and n on both sides of every tile multiple, k below one quad,
+        // k with a scalar tail, and the S7b / S70b layer shapes.
+        let mut shapes = Vec::new();
+        for m in [1, 2, 3, 4, 5, 7, 8, 9, 16] {
+            for n in [1, 2, 3, 7, 8, 9, 15, 16, 17] {
+                for k in [1, 2, 3, 4, 5, 7, 8, 13, 64] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        for (d, ff) in [(64, 176), (144, 392)] {
+            for m in [1, 6, 16] {
+                shapes.extend([(m, d, d), (m, d, ff), (m, ff, d), (m, d, 517)]);
+            }
+        }
+        for (m, k, n) in shapes {
+            let a = arange(m * k, 0.013);
+            let b = arange(n * k, 0.017);
+            let mut got = vec![0.0; m * n];
+            matmul_a_bt(&mut got, &a, &b, m, k, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let want = 0.0 + dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                    assert_eq!(got[i * n + j].to_bits(), want.to_bits(), "{m}x{k}x{n} at ({i}, {j})");
+                }
+            }
         }
     }
 
