@@ -21,8 +21,9 @@
 //!   it.
 //! * `locks.wait-while-holding` — a condvar `wait` while more than one
 //!   ranked lock is held (warning: waits release only their own mutex).
-//! * `locks.unused-rank` — a declared rank no source site acquires
-//!   (warning: the table has drifted from the code).
+//! * `locks.unused-rank` — a declared rank no source site acquires: the
+//!   table has drifted from the code (error, so CI fails on a row that
+//!   outlives its lock).
 //!
 //! The pass is lexical, not semantic: it tracks brace depth so a token
 //! acquired inside a block stops being "held" when the block closes, which
@@ -352,7 +353,7 @@ pub fn analyze_locks(root: &Path) -> LockReport {
     let seen: BTreeSet<&str> = report.sites.iter().map(|s| s.name.as_str()).collect();
     for declared in lockcheck::RANKS {
         if !seen.contains(declared.name) {
-            report.diagnostics.push(Diagnostic::warning(
+            report.diagnostics.push(Diagnostic::error(
                 "locks.unused-rank",
                 declared.name,
                 format!(
@@ -431,8 +432,8 @@ mod tests {
             r#"fn bad() {
     let _a = lockcheck::acquire("telemetry.sink");
     let _g1 = SINK.lock().expect("x");
-    let _b = lockcheck::acquire("parallel.pool.pending");
-    let _g2 = PENDING.lock().expect("x");
+    let _b = lockcheck::acquire("serve.prefix_cache");
+    let _g2 = CACHE.lock().expect("x");
 }
 "#,
         )

@@ -19,7 +19,7 @@
 //!   field (a declared *mutator* pattern) without notifying the
 //!   protocol's condvar in the same function (the `DropNotifyOnClose`
 //!   mutant, statically). Per-protocol *waivers* exempt mutations that
-//!   cannot unblock a waiter (e.g. the pool's pending-counter increment:
+//!   cannot unblock a waiter (e.g. incrementing a pending counter whose
 //!   waiters wake on the count reaching zero, so only decrements
 //!   notify).
 //! * `waits.channel-no-recv` — a file creates an `mpsc` channel but
@@ -31,14 +31,16 @@
 //!   has no soundness story (error, by design — declaring the protocol
 //!   is the fix).
 //! * `waits.unused-protocol` — a declared protocol whose file contains
-//!   no wait on its condvar (warning: the table drifted from the code).
+//!   no wait on its condvar, or whose file is not among the scanned
+//!   sources at all: the table drifted from the code (error, so CI fails
+//!   on a row that outlives its condvar).
 //!
 //! Like [`crate::lockorder`], the pass is lexical: comments and string
 //! literals are stripped, brace depth scopes loops and functions, and
 //! multi-line method chains (`self\n.cv\n.wait(g)`) are resolved by
 //! joining a short window of preceding lines. Lexical analysis
 //! over-approximates reachability, which is the conservative direction
-//! for all five error rules.
+//! for the first five rules.
 
 use crate::lockorder::strip_noise;
 use crate::{Diagnostic, Severity};
@@ -83,34 +85,6 @@ pub const WAIT_PROTOCOLS: &[WaitProtocol] = &[
         // Pushing an item or closing the queue can unblock a `pop`.
         mutators: &["items.push_back(", "closed = true"],
         waived: &[],
-    },
-    WaitProtocol {
-        name: "quant.spec.cv",
-        file: "crates/quant/src/queue.rs",
-        condvar: "cv",
-        // Pushing a draft batch or closing the queue can unblock a
-        // blocked `pop`.
-        mutators: &["items.push_back(", "closed = true"],
-        waived: &[],
-    },
-    WaitProtocol {
-        name: "serve.admit.cv",
-        file: "crates/serve/src/admit.rs",
-        condvar: "cv",
-        // Pushing a submission or closing the queue can unblock a
-        // blocked `drain`.
-        mutators: &["items.push_back(", "closed = true"],
-        waived: &[],
-    },
-    WaitProtocol {
-        name: "parallel.pool.quiescent",
-        file: "crates/parallel/src/pool.rs",
-        condvar: "quiescent",
-        // `join` waits for the pending counter to reach zero, so every
-        // write to it is suspect — except the submit-side increment,
-        // which moves the predicate *away* from true and is waived.
-        mutators: &["*pending =", "*pending +="],
-        waived: &["*pending += 1"],
     },
     WaitProtocol {
         name: "parallel.device.ready",
@@ -411,17 +385,6 @@ fn scan_file(path: &Path, protocols: &[WaitProtocol], report: &mut WaitReport) {
                 ),
             ));
         }
-        if !waited {
-            report.diagnostics.push(Diagnostic::warning(
-                "waits.unused-protocol",
-                &display,
-                format!(
-                    "protocol {} is declared for this file but no wait on `{}` \
-                     was found; the table has drifted from the code",
-                    p.name, p.condvar
-                ),
-            ));
-        }
     }
     if !channel_lines.is_empty() && !has_drain {
         let first = channel_lines[0];
@@ -486,6 +449,25 @@ pub fn analyze_waits_with(root: &Path, protocols: &[WaitProtocol]) -> WaitReport
             continue;
         }
         scan_file(file, protocols, &mut report);
+    }
+    // A row whose file has no wait on its condvar — or is not among the
+    // scanned files at all — has outlived its code.
+    for p in protocols {
+        let waited = report.sites.iter().any(|s| {
+            s.condvar == p.condvar
+                && s.at.rsplit_once(':').is_some_and(|(file, _)| file.ends_with(p.file))
+        });
+        if !waited {
+            report.diagnostics.push(Diagnostic::error(
+                "waits.unused-protocol",
+                p.file,
+                format!(
+                    "protocol {} is declared but no wait on `{}` was found in this \
+                     file; the table has drifted from the code",
+                    p.name, p.condvar
+                ),
+            ));
+        }
     }
     report
 }
@@ -639,6 +621,26 @@ fn pop(&self) {
             "{:?}",
             report.diagnostics
         );
+    }
+
+    #[test]
+    fn a_row_that_outlived_its_code_is_an_error() {
+        // One row's file has no wait on its condvar, the other row's file
+        // does not exist: both fail the pass.
+        let protos: &[WaitProtocol] = &[
+            SYNTH[0],
+            WaitProtocol { name: "synthetic.gone", file: "crates/gateway/src/deleted.rs", ..SYNTH[0] },
+        ];
+        let report = scan_synthetic("drift", "fn idle(&self) {}\n", protos);
+        assert!(!report.ok());
+        let drifted: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == "waits.unused-protocol" && d.severity == Severity::Error)
+            .map(|d| d.subject.as_str())
+            .collect();
+        assert_eq!(drifted.len(), 2, "{:?}", report.diagnostics);
+        assert!(drifted.contains(&"crates/gateway/src/deleted.rs"), "{drifted:?}");
     }
 
     #[test]

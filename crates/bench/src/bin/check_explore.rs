@@ -11,12 +11,12 @@
 //!    reference protocol models in `astro_check::models`; any violation
 //!    is a build-stopping failure.
 //! 2. **mutants** — the seeded protocol bugs (dropped notify, wait-`if`,
-//!    skipped drain handshake, ×2 for the pool) must each produce a
-//!    violation; every counterexample schedule is written to
-//!    `counterexamples/<name>.jsonl` and re-verified by replay.
+//!    skipped drain handshake) must each produce a violation; every
+//!    counterexample schedule is written to `counterexamples/<name>.jsonl`
+//!    and re-verified by replay.
 //! 3. **harnesses** (only under `--cfg astro_check`) — the real
-//!    `BoundedQueue` and `ThreadPool` protocols explored through the
-//!    `astro_telemetry::sync` shim.
+//!    `BoundedQueue` protocol explored through the `astro_telemetry::sync`
+//!    shim.
 //!
 //! Results (explored/pruned schedule counts, max steps, mutant verdicts)
 //! land in `BENCH_check.json`. Exits non-zero if a correct protocol
@@ -24,7 +24,7 @@
 //! replay.
 
 use astro_bench::JsonObject;
-use astro_check::models::{self, PoolMutant, QueueMutant, SchedMutant};
+use astro_check::models::{self, QueueMutant};
 use astro_check::{explore, replay, CheckConfig, Report, Schedule, ViolationKind};
 use std::path::Path;
 
@@ -122,9 +122,7 @@ fn run_mutant<F, G>(
 #[cfg(astro_check)]
 fn run_harnesses(fails: &mut Failures, rows: &mut Vec<String>) {
     use astro_gateway::queue::{BoundedQueue, Pop};
-    use astro_parallel::ThreadPool;
     use astro_telemetry::sync::thread;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     run_correct("harness.gateway_queue", fails, rows, || {
@@ -151,20 +149,6 @@ fn run_harnesses(fails: &mut Failures, rows: &mut Vec<String>) {
         let accepted = producer.join().unwrap_or(0);
         assert_eq!(drained, accepted, "drain lost accepted items");
     });
-
-    run_correct("harness.pool_quiescence", fails, rows, || {
-        let pool = ThreadPool::new(1);
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..2 {
-            let d = Arc::clone(&done);
-            pool.execute(move || {
-                d.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.join();
-        assert_eq!(done.load(Ordering::Relaxed), 2);
-        drop(pool);
-    });
 }
 
 #[cfg(not(astro_check))]
@@ -187,18 +171,6 @@ fn main() {
         &mut fails,
         &mut correct_rows,
         models::bounded_queue_model(QueueMutant::Correct),
-    );
-    run_correct(
-        "model.pool_quiescence",
-        &mut fails,
-        &mut correct_rows,
-        models::quiescence_model(PoolMutant::Correct),
-    );
-    run_correct(
-        "model.sched_admit",
-        &mut fails,
-        &mut correct_rows,
-        models::sched_admit_model(SchedMutant::Correct),
     );
 
     println!("== seeded mutants (each must yield a replayable counterexample) ==");
@@ -225,30 +197,6 @@ fn main() {
         &mut mutant_rows,
         models::bounded_queue_model(QueueMutant::SkipDrain),
         models::bounded_queue_model(QueueMutant::SkipDrain),
-    );
-    run_mutant(
-        "pool_drop_notify",
-        ViolationKind::Deadlock,
-        &mut fails,
-        &mut mutant_rows,
-        models::quiescence_model(PoolMutant::DropNotify),
-        models::quiescence_model(PoolMutant::DropNotify),
-    );
-    run_mutant(
-        "sched_drop_notify",
-        ViolationKind::Deadlock,
-        &mut fails,
-        &mut mutant_rows,
-        models::sched_admit_model(SchedMutant::DropNotifyOnPush),
-        models::sched_admit_model(SchedMutant::DropNotifyOnPush),
-    );
-    run_mutant(
-        "pool_wait_if",
-        ViolationKind::Panic,
-        &mut fails,
-        &mut mutant_rows,
-        models::quiescence_model(PoolMutant::IfInsteadOfWhile),
-        models::quiescence_model(PoolMutant::IfInsteadOfWhile),
     );
 
     println!("== real-protocol harnesses ==");

@@ -1,11 +1,10 @@
 //! Reference models of the serving stack's concurrency protocols, with
 //! seeded mutants.
 //!
-//! Each model is a faithful miniature of a production protocol (the
-//! gateway bounded queue, the pool quiescence handshake) built directly
-//! on [`crate::sync`], so the checker's own test-suite — and the
-//! mutant-detection self-test in CI — runs in **every** build, without
-//! `--cfg astro_check`. The mutants are the classic condvar bugs the
+//! The model is a faithful miniature of a production protocol (the
+//! gateway bounded queue) built directly on [`crate::sync`], so the
+//! checker's own test-suite — and the mutant-detection self-test in CI —
+//! runs in **every** build, without `--cfg astro_check`. The mutants are the classic condvar bugs the
 //! checker exists to catch:
 //!
 //! * **drop a notify** — `close()` forgets `notify_all`: a parked
@@ -17,10 +16,10 @@
 //!   draining buffered items → accepted ≠ completed.
 //!
 //! The model-checked harnesses over the *real* types (gateway
-//! `BoundedQueue`, `ThreadPool`, `PrefixCache`, `TraceRing`) live in
-//! their owning crates behind `--cfg astro_check`.
+//! `BoundedQueue`, `PrefixCache`, `TraceRing`) live in their owning
+//! crates behind `--cfg astro_check`.
 
-use crate::sync::{mpsc, thread, Condvar, Mutex};
+use crate::sync::{thread, Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError};
 
@@ -203,220 +202,6 @@ pub fn bounded_queue_model(mutant: QueueMutant) -> impl Fn() + Send + Sync + 'st
         let g = q.lock();
         assert!(g.max_depth <= cap, "queue exceeded capacity: {} > {cap}", g.max_depth);
         assert!(g.items.is_empty(), "items left behind after drain");
-    }
-}
-
-/// Seeded bugs for the pool-quiescence model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoolMutant {
-    /// The faithful handshake (must pass exhaustive exploration).
-    Correct,
-    /// The worker decrements `pending` but never notifies → `join`
-    /// deadlocks.
-    DropNotify,
-    /// `join` waits with `if` instead of `while` → returns while work is
-    /// still pending.
-    IfInsteadOfWhile,
-}
-
-struct MiniShared {
-    pending: Mutex<usize>,
-    quiescent: Condvar,
-    mutant: PoolMutant,
-}
-
-impl MiniShared {
-    fn lock_pending(&self) -> crate::sync::MutexGuard<'_, usize> {
-        self.pending.name_hint("model.pool.pending");
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Pool quiescence model: miniature of `parallel::pool` — a worker drains
-/// a job channel, decrementing a `pending` count under a mutex and
-/// notifying a quiescence condvar; `join` waits for `pending == 0`.
-/// Asserts every job ran before `join` returned, and no deadlock.
-pub fn quiescence_model(mutant: PoolMutant) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let shared =
-            Arc::new(MiniShared { pending: Mutex::new(0), quiescent: Condvar::new(), mutant });
-        let done = Arc::new(Mutex::new(0usize));
-        let (tx, rx) = mpsc::channel::<u32>();
-
-        let (sh, dn) = (shared.clone(), done.clone());
-        let worker = thread::Builder::new()
-            .name("worker-0".into())
-            .spawn(move || {
-                while rx.recv().is_ok() {
-                    *dn.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-                    let mut pending = sh.lock_pending();
-                    *pending -= 1;
-                    drop(pending);
-                    if sh.mutant != PoolMutant::DropNotify {
-                        // The real pool notifies only at zero; notifying on
-                        // every decrement is equally correct for a `while`
-                        // waiter — and exposes the `if` mutant.
-                        sh.quiescent.notify_all();
-                    }
-                }
-            })
-            .unwrap_or_else(|e| crate::sched_die(format!("spawn: {e}")));
-
-        let jobs = 2u32;
-        for v in 0..jobs {
-            let mut pending = shared.lock_pending();
-            *pending += 1;
-            drop(pending);
-            if tx.send(v).is_err() {
-                crate::sched_die("worker hung up early".into());
-            }
-        }
-
-        // join(): wait for quiescence.
-        let mut pending = shared.lock_pending();
-        if shared.mutant == PoolMutant::IfInsteadOfWhile {
-            // BUG: a single `if` — any notify wakes us, quiescent or not.
-            if *pending > 0 {
-                pending =
-                    shared.quiescent.wait(pending).unwrap_or_else(PoisonError::into_inner);
-            }
-        } else {
-            while *pending > 0 {
-                pending =
-                    shared.quiescent.wait(pending).unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        assert_eq!(*pending, 0, "join returned while {} jobs pending", *pending);
-        drop(pending);
-        assert_eq!(
-            *done.lock().unwrap_or_else(PoisonError::into_inner),
-            jobs as usize,
-            "join returned before every job ran"
-        );
-
-        drop(tx); // disconnect → worker exits
-        worker
-            .join()
-            .unwrap_or_else(|_| crate::sched_die("worker panicked".into()));
-    }
-}
-
-/// Seeded bugs for the scheduler-admission model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMutant {
-    /// The faithful protocol (must pass exhaustive exploration).
-    Correct,
-    /// `push` enqueues but never notifies → a parked scheduler thread
-    /// sleeps through the submission forever (lost wakeup/deadlock).
-    DropNotifyOnPush,
-}
-
-struct MiniAdmitInner {
-    items: VecDeque<u32>,
-    closed: bool,
-}
-
-/// Miniature of `serve::admit::AdmitQueue` (bounded push / blocking
-/// *batch* drain) on the instrumented shim. The batch drain is what
-/// distinguishes it from the gateway queue model: the scheduler consumes
-/// per step, not per item, and parks between steps waiting for work —
-/// which is exactly the window the lost-wakeup mutant hits.
-struct MiniAdmit {
-    inner: Mutex<MiniAdmitInner>,
-    cv: Condvar,
-    cap: usize,
-    mutant: SchedMutant,
-}
-
-impl MiniAdmit {
-    fn new(cap: usize, mutant: SchedMutant) -> Self {
-        MiniAdmit {
-            inner: Mutex::new(MiniAdmitInner { items: VecDeque::new(), closed: false }),
-            cv: Condvar::new(),
-            cap,
-            mutant,
-        }
-    }
-
-    fn lock(&self) -> crate::sync::MutexGuard<'_, MiniAdmitInner> {
-        self.inner.name_hint("model.sched.admit");
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn push(&self, v: u32) -> bool {
-        let mut g = self.lock();
-        if g.closed || g.items.len() >= self.cap {
-            return false;
-        }
-        g.items.push_back(v);
-        drop(g);
-        if self.mutant != SchedMutant::DropNotifyOnPush {
-            self.cv.notify_one();
-        }
-        true
-    }
-
-    /// Blocking batch drain of up to `max` items, like the scheduler's
-    /// per-step admission. `None` when closed-and-empty.
-    fn drain(&self, max: usize) -> Option<Vec<u32>> {
-        let mut g = self.lock();
-        loop {
-            if !g.items.is_empty() {
-                let n = g.items.len().min(max.max(1));
-                return Some(g.items.drain(..n).collect());
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Scheduler-admission model: a submitter pushes jobs into the bounded
-/// admission queue while the scheduler thread parks in a blocking batch
-/// drain between steps (the queue is never closed mid-run, exactly like
-/// the live scheduler — a parked drain is woken only by a push). Asserts
-/// every accepted job is admitted exactly once, in FIFO order, and no
-/// deadlock: [`SchedMutant::DropNotifyOnPush`] loses the wakeup and the
-/// checker reports the parked-forever scheduler as a deadlock.
-pub fn sched_admit_model(mutant: SchedMutant) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let q = Arc::new(MiniAdmit::new(2, mutant));
-        let jobs = 2u32;
-
-        let qp = q.clone();
-        let submitter = thread::Builder::new()
-            .name("submitter".into())
-            .spawn(move || {
-                let mut accepted = 0u32;
-                for v in 0..jobs {
-                    if qp.push(v) {
-                        accepted += 1;
-                    }
-                }
-                accepted
-            })
-            .unwrap_or_else(|e| crate::sched_die(format!("spawn: {e}")));
-
-        // The scheduler thread: batch-drain (max 1 per step, so both the
-        // woken-with-items and park-again paths are explored) until every
-        // accepted job has been admitted.
-        let mut admitted: Vec<u32> = Vec::new();
-        while (admitted.len() as u32) < jobs {
-            match q.drain(1) {
-                Some(batch) => admitted.extend(batch),
-                None => crate::sched_die("queue closed while jobs outstanding".into()),
-            }
-        }
-
-        let accepted = submitter
-            .join()
-            .unwrap_or_else(|_| crate::sched_die("submitter panicked".into()));
-        assert_eq!(admitted.len() as u32, accepted, "admission lost accepted jobs");
-        for w in admitted.windows(2) {
-            assert!(w[0] < w[1], "FIFO admission order violated: {admitted:?}");
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Mutant self-test: the checker must catch every seeded protocol bug
 //! and emit a replayable counterexample schedule for each.
 
-use astro_check::models::{self, PoolMutant, QueueMutant};
+use astro_check::models::{self, QueueMutant};
 use astro_check::{explore, explore_random, replay, CheckConfig, Schedule, Violation, ViolationKind};
 
 fn cfg() -> CheckConfig {
@@ -35,14 +35,6 @@ fn correct_queue_passes_exhaustively() {
 }
 
 #[test]
-fn correct_pool_passes_exhaustively() {
-    let report = explore(&cfg(), models::quiescence_model(PoolMutant::Correct));
-    assert!(report.ok(), "{:?}", report.violation);
-    assert!(!report.truncated);
-    assert!(report.schedules > 1);
-}
-
-#[test]
 fn mutant_queue_drop_notify_deadlocks() {
     let report = explore(&cfg(), models::bounded_queue_model(QueueMutant::DropNotifyOnClose));
     let v = report.violation.expect("dropped close-notify must be caught");
@@ -65,22 +57,6 @@ fn mutant_queue_skip_drain_drops_items() {
     let v = report.violation.expect("skipped drain handshake must be caught");
     assert_eq!(v.kind, ViolationKind::Panic, "{}", v.message);
     assert_replayable(&v, models::bounded_queue_model(QueueMutant::SkipDrain));
-}
-
-#[test]
-fn mutant_pool_drop_notify_deadlocks() {
-    let report = explore(&cfg(), models::quiescence_model(PoolMutant::DropNotify));
-    let v = report.violation.expect("dropped quiescence notify must be caught");
-    assert_eq!(v.kind, ViolationKind::Deadlock, "{}", v.message);
-    assert_replayable(&v, models::quiescence_model(PoolMutant::DropNotify));
-}
-
-#[test]
-fn mutant_pool_wait_if_joins_early() {
-    let report = explore(&cfg(), models::quiescence_model(PoolMutant::IfInsteadOfWhile));
-    let v = report.violation.expect("quiescence wait-`if` must be caught");
-    assert_eq!(v.kind, ViolationKind::Panic, "{}", v.message);
-    assert_replayable(&v, models::quiescence_model(PoolMutant::IfInsteadOfWhile));
 }
 
 #[test]

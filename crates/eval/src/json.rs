@@ -35,6 +35,12 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects the parser accepts. The parser
+/// recurses once per level, so unbounded depth lets a small body (the
+/// gateway takes 64 KiB) overflow a handler thread's stack and abort the
+/// process. Requests and model answers nest two or three deep.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value (subset: no unicode escapes beyond `\u` passthrough).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -57,7 +63,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::new(pos, "trailing characters"));
@@ -73,7 +79,7 @@ impl Json {
         for (i, &b) in bytes.iter().enumerate() {
             if b == b'{' {
                 let mut pos = i;
-                if let Ok(v) = parse_value(bytes, &mut pos) {
+                if let Ok(v) = parse_value(bytes, &mut pos, 0) {
                     return Some(v);
                 }
             }
@@ -115,14 +121,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parse one value; `depth` is the number of containers it sits inside.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     if *pos >= b.len() {
         return Err(JsonError::new(*pos, "unexpected end of input"));
     }
     match b[*pos] {
-        b'{' => parse_object(b, pos),
-        b'[' => parse_array(b, pos),
+        b'{' | b'[' if depth >= MAX_DEPTH => {
+            Err(JsonError::new(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        b'{' => parse_object(b, pos, depth + 1),
+        b'[' => parse_array(b, pos, depth + 1),
         b'"' => Ok(Json::String(parse_string(b, pos)?)),
         b't' => parse_lit(b, pos, "true", Json::Bool(true)),
         b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -141,7 +151,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Json
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume {
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -160,7 +170,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(JsonError::new(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -174,7 +184,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume [
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -183,7 +193,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -342,5 +352,30 @@ mod tests {
     fn unicode_strings() {
         let j = Json::parse(r#"{"s": "σ Ori ☉"}"#).unwrap();
         assert_eq!(j.get("s").and_then(Json::as_str), Some("σ Ori ☉"));
+    }
+
+    /// `depth` arrays, one inside the next, around a single `1`.
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}1{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_the_stack_is() {
+        // On a spawned thread: the default 2 MiB stack of a gateway
+        // handler, not the test harness's main-thread allowance.
+        let verdict = std::thread::spawn(|| {
+            assert!(Json::parse(&nested_arrays(MAX_DEPTH)).is_ok(), "the bound itself parses");
+            let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+            assert!(Json::parse(&objects).is_ok(), "objects count like arrays");
+            let over = Json::parse(&nested_arrays(MAX_DEPTH + 1)).expect_err("bound + 1");
+            assert_eq!(over.at, MAX_DEPTH, "rejected at the first bracket too deep");
+            assert!(over.message.contains("nesting"), "{over}");
+            // Unclosed, as an attacker would send it: 60 kB of `[`.
+            assert!(Json::parse(&"[".repeat(60_000)).is_err());
+            assert!(Json::parse(&"{\"k\":".repeat(12_000)).is_err());
+            assert!(Json::parse_embedded(&"{\"k\":".repeat(12_000)).is_none());
+        })
+        .join();
+        assert!(verdict.is_ok(), "deep nesting must be a typed error");
     }
 }

@@ -1,8 +1,10 @@
 //! Minimal HTTP/1.1 request parsing and response writing over raw
 //! streams. Deliberately small: one request per connection
-//! (`Connection: close`), `Content-Length` bodies only (no chunked
-//! encoding), ASCII header names. Exactly what the gateway's JSON API
-//! needs and nothing that would require a dependency.
+//! (`Connection: close`), `Content-Length` bodies only (any
+//! `Transfer-Encoding`, a second `Content-Length` or a non-digit length
+//! is a 400, so no two parsers can frame one stream differently), ASCII
+//! header names. Exactly what the gateway's JSON API needs and nothing
+//! that would require a dependency.
 
 use std::io::{Read, Write};
 
@@ -158,11 +160,29 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
         headers,
         body: Vec::new(),
     };
-    let declared = match req.header("content-length") {
-        None => 0,
-        Some(v) => v
+    // Framing must be unambiguous: a body this parser frames one way and
+    // an intermediary another is a smuggled second request.
+    if req.header("transfer-encoding").is_some() {
+        return Err(HttpError::BadRequest(
+            "Transfer-Encoding is not supported; send a Content-Length body".to_string(),
+        ));
+    }
+    let mut lengths = req
+        .headers
+        .iter()
+        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+        .map(|(_, v)| v.as_str());
+    let declared = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some(_), Some(_)) => {
+            return Err(HttpError::BadRequest("more than one Content-Length".to_string()))
+        }
+        // Digits only: `usize::from_str` alone would also take "+4".
+        (Some(v), None) => v
             .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("bad Content-Length {v:?}")))?,
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| HttpError::BadRequest(format!("bad Content-Length {v:?}")))?,
     };
     if declared > max_body {
         return Err(HttpError::PayloadTooLarge {
@@ -305,8 +325,35 @@ mod tests {
 
     #[test]
     fn rejects_bad_content_length() {
-        let raw = b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
-        assert!(matches!(parse(raw), Err(HttpError::BadRequest(_))));
+        for raw in [
+            &b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..],
+            b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+            b"POST / HTTP/1.1\r\nContent-Length: \r\n\r\n",
+            // Two lengths, equal or not: which one frames the body?
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 9\r\n\r\nabcd",
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpError::BadRequest(_))),
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_transfer_encoding() {
+        for raw in [
+            &b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n\r\n"[..],
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\ntransfer-encoding: chunked\r\n\r\nabcd",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: identity\r\nContent-Length: 4\r\n\r\nabcd",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpError::BadRequest(_))),
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
     }
 
     #[test]

@@ -419,9 +419,9 @@ fn submit_to_scheduler(
             );
             Some(id)
         }
-        // Backlog cannot happen (the loop stops popping at capacity) and
-        // the scheduler queue is never closed while this loop runs, but a
-        // typed per-request error beats trusting that forever.
+        // The loop stops popping at capacity, so the backlog is not
+        // expected to be full here, but a typed per-request error beats
+        // trusting that forever.
         Err(e) => {
             let _ = p.reply.send(Reply::Error(e.to_string()));
             None

@@ -3,187 +3,15 @@
 //! The paper trains its models with LMFlow on multi-GPU A100 nodes using
 //! data parallelism. We have no GPUs, so this crate provides the closest
 //! CPU equivalent while exercising the same *code paths* a distributed
-//! trainer needs:
+//! trainer needs: [`device::DeviceGrid`], a simulated multi-device
+//! data-parallel trainer. Each "device" is a thread with a private
+//! gradient buffer, and gradients are combined with a real **ring
+//! all-reduce** ([`device::ring_all_reduce`]) through shared-memory
+//! mailboxes, the same communication schedule NCCL uses.
 //!
-//! * [`ThreadPool`] — a small fixed-size worker pool built on std `mpsc`
-//!   channels, used for task parallelism (document generation, evaluation
-//!   over question batches).
-//! * [`parallel_for`] / [`par_map`] — scoped data-parallel helpers that
-//!   split index ranges across threads (no allocation on the hot path
-//!   beyond one closure per worker).
-//! * [`device::DeviceGrid`] — a simulated multi-device data-parallel
-//!   trainer: each "device" is a thread with a private gradient buffer,
-//!   and gradients are combined with a real **ring all-reduce**
-//!   ([`device::ring_all_reduce`]) through shared-memory mailboxes, the
-//!   same communication schedule NCCL uses.
-//!
-//! All primitives are deterministic: splitting is by contiguous chunks, so
-//! floating-point reduction order is fixed regardless of thread timing.
+//! Sharding is by contiguous chunks, so floating-point reduction order is
+//! fixed regardless of thread timing.
 
 pub mod device;
-pub mod pool;
 
 pub use device::{ring_all_reduce, DeviceGrid, ReduceStats};
-pub use pool::ThreadPool;
-
-/// Number of worker threads to use by default: the number of available
-/// CPUs, but at least 1.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Run `body(i)` for every `i` in `0..n`, splitting the range into
-/// `threads` contiguous chunks executed on scoped threads.
-///
-/// With `threads == 1` (or `n` small) the loop runs inline, so tests and
-/// single-core machines pay no thread overhead.
-pub fn parallel_for<F>(n: usize, threads: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        for i in 0..n {
-            body(i);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let body = &body;
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                continue;
-            }
-            s.spawn(move || {
-                for i in lo..hi {
-                    body(i);
-                }
-            });
-        }
-    });
-}
-
-/// Map `f` over `0..n` in parallel, collecting results in index order.
-pub fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    {
-        let slots = out.as_mut_slice();
-        std::thread::scope(|s| {
-            // Split the output buffer into disjoint chunks, one per worker,
-            // so each thread writes only its own region (no locking).
-            let mut rest = slots;
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                if lo >= hi {
-                    break;
-                }
-                let (mine, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                let f = &f;
-                s.spawn(move || {
-                    for (k, slot) in mine.iter_mut().enumerate() {
-                        *slot = Some(f(lo + k));
-                    }
-                });
-            }
-        });
-    }
-    // Every slot is filled by construction (the chunks tile 0..n); if a
-    // worker panicked, the scope has already propagated that panic. The
-    // fallback recompute keeps this path panic-free without assuming it.
-    out.into_iter()
-        .enumerate()
-        .map(|(i, x)| x.unwrap_or_else(|| f(i)))
-        .collect()
-}
-
-/// Parallel sum-reduction of `f(i)` over `0..n` with a deterministic
-/// (chunked, left-to-right) combination order.
-pub fn par_sum<F>(n: usize, threads: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).sum();
-    }
-    let chunk = n.div_ceil(threads);
-    let partials = par_map(threads, threads, |t| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        (lo..hi).map(&f).sum::<f64>()
-    });
-    partials.into_iter().sum()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn parallel_for_visits_every_index_once() {
-        for threads in [1, 2, 4, 7] {
-            let n = 103;
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(n, threads, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn parallel_for_empty_range() {
-        parallel_for(0, 4, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        for threads in [1, 2, 3, 8] {
-            let out = par_map(57, threads, |i| i * i);
-            assert_eq!(out, (0..57).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_map_empty() {
-        let out: Vec<usize> = par_map(0, 4, |i| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_sum_matches_serial() {
-        let serial: f64 = (0..1000).map(|i| (i as f64).sqrt()).sum();
-        for threads in [1, 2, 4] {
-            let p = par_sum(1000, threads, |i| (i as f64).sqrt());
-            assert!((p - serial).abs() < 1e-9, "threads={threads}: {p} vs {serial}");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let out = par_map(3, 16, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn default_threads_positive() {
-        assert!(default_threads() >= 1);
-    }
-}

@@ -18,16 +18,9 @@
 //!   `min(p,q) + max(0, p−q) = p` — so speculation changes latency,
 //!   never the sampled distribution. The property suite checks this
 //!   analytically and empirically.
-//! * [`queue`] — [`SpecQueue`], the bounded draft → verify handoff
-//!   queue. Built on `astro_telemetry::sync` so the push/pop/close
-//!   protocol is exhaustively model-checked by
-//!   `tests/check_spec.rs` under `--cfg astro_check`; its mutex is
-//!   ranked `quant.spec_queue` in the global lock hierarchy.
 
 pub mod qparams;
-pub mod queue;
 pub mod reject;
 
 pub use qparams::{QuantLayer, QuantMatrix, QuantParams};
-pub use queue::{SpecPopped, SpecPushError, SpecQueue};
 pub use reject::{accept_or_resample, pmf, SpecOutcome};

@@ -33,7 +33,6 @@ pub const SITES: &[&str] = &[
     "gateway.accept_fail",
     "gateway.slow_client",
     "gateway.queue_poison",
-    "pool.pending_poison",
     "serve.admit_stall",
     "replica.crash",
     "replica.hang",
@@ -42,9 +41,9 @@ pub const SITES: &[&str] = &[
     "quant.spec_reject_storm",
 ];
 
-/// Panic payload used when a plan injects a panic (the thread pool's
-/// `pool.worker_panic` site), so `catch_unwind` handlers and panic-hook
-/// output can tell an injected panic from a genuine one.
+/// Panic payload used when a plan injects a panic (the pooled eval
+/// driver's `pool.worker_panic` site), so `catch_unwind` handlers and
+/// panic-hook output can tell an injected panic from a genuine one.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPanic(pub &'static str);
 

@@ -2,8 +2,8 @@
 //!
 //! [`EvalEngine`] executes a batch of independent jobs — continuation /
 //! logit **scoring** ([`ScoreJob`]) or free **generation** ([`GenerateJob`])
-//! — across a worker pool with per-worker session reuse and shared-prefix
-//! caching:
+//! — across scoped worker threads with per-worker session reuse and
+//! shared-prefix caching:
 //!
 //! 1. Before dispatch, the longest common token prefix of the whole batch
 //!    (in practice: the two-shot preamble) is encoded once and **pinned**
@@ -32,10 +32,10 @@ use crate::seq::{SeqEnv, Sequence, SpecSetup};
 use crate::trie::{CacheStats, PrefixCache};
 use crate::EngineConfig;
 use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, SessionError};
-use astro_parallel::ThreadPool;
 use astro_prng::Rng;
+use astro_resilience::fault;
 use astro_telemetry::span::SpanGuard;
-use astro_telemetry::sync::{self, mpsc, Mutex, MutexGuard};
+use astro_telemetry::sync::{self, Mutex, MutexGuard};
 use astro_telemetry::{lockcheck, trace, TraceContext};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -145,7 +145,7 @@ impl GenerateJob {
 }
 
 /// Internal job representation so scoring and generation share one
-/// dispatch path (and one admission queue in iteration mode).
+/// dispatch path (and one admission backlog in iteration mode).
 pub(crate) enum Job {
     /// A scoring job.
     Score(ScoreJob),
@@ -201,8 +201,9 @@ pub enum SeqOutcome {
 }
 
 /// The batched evaluation engine. Construction clones the parameters once
-/// (worker closures must be `'static`); per-batch cost is dominated by the
-/// model math, not the engine.
+/// (an [`IterScheduler`] outlives the call that built it, so it shares
+/// them by `Arc`); per-batch cost is dominated by the model math, not the
+/// engine.
 pub struct EvalEngine {
     cfg: EngineConfig,
     model_cfg: ModelConfig,
@@ -354,8 +355,10 @@ impl EvalEngine {
         results
     }
 
-    /// Run a whole batch on pool workers (or inline, for one worker) and
-    /// return results in job order.
+    /// Run a whole batch on `workers` threads claiming jobs off one shared
+    /// cursor, and return results in job order. The calling thread is the
+    /// first worker and the rest are scoped to this call, so one worker
+    /// spawns nothing; a refused spawn only leaves fewer claimers.
     fn run_pooled(
         &self,
         jobs: Vec<Job>,
@@ -368,31 +371,37 @@ impl EvalEngine {
             jobs,
             cursor: AtomicUsize::new(0),
         };
+        let reported = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers)
+                .filter_map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("astro-serve-{i}"))
+                        .spawn_scoped(s, || batch.work())
+                        .ok()
+                })
+                .collect();
+            if helpers.len() + 1 < workers {
+                astro_telemetry::info!(
+                    "pooled batch degraded: {} of {workers} workers",
+                    helpers.len() + 1
+                );
+            }
+            let mut reported = batch.work();
+            for h in helpers {
+                // A helper that died outside the per-job `catch_unwind`
+                // loses what it had finished; those jobs are reported
+                // below as `WorkerPanic`.
+                reported.extend(h.join().unwrap_or_default());
+            }
+            reported
+        });
         let mut results: Vec<Option<Result<SeqOutcome, ServeError>>> =
             (0..n_jobs).map(|_| None).collect();
-        if workers <= 1 {
-            batch.work(|i, r| {
-                results[i] = Some(r);
-                true
-            });
-        } else {
-            let batch = Arc::new(batch);
-            let (tx, rx) = mpsc::channel();
-            let pool = ThreadPool::new(workers);
-            for _ in 0..workers {
-                let batch = Arc::clone(&batch);
-                let tx = tx.clone();
-                pool.execute(move || batch.work(|i, r| tx.send((i, r)).is_ok()));
-            }
-            drop(tx);
-            for (i, r) in rx.iter() {
-                results[i] = Some(r);
-            }
-            pool.join();
+        for (i, r) in reported {
+            results[i] = Some(r);
         }
-        // `None` is unreachable: every index below n_jobs is claimed
-        // exactly once and reported exactly once. Degrade to an error
-        // rather than panicking the batch.
+        // Every index below n_jobs is claimed exactly once, so `None` means
+        // the worker that claimed it died before returning.
         results
             .into_iter()
             .map(|r| r.unwrap_or(Err(ServeError::WorkerPanic)))
@@ -529,21 +538,24 @@ struct PooledBatch {
 }
 
 impl PooledBatch {
-    /// One worker: claim jobs off the shared cursor until none are left
-    /// (or `report` says the collector is gone), running each through the
-    /// job lifecycle to completion on this worker's reusable [`Sequence`].
+    /// One worker: claim jobs off the shared cursor until none are left,
+    /// running each through the job lifecycle to completion on this
+    /// worker's reusable [`Sequence`]; returns `(job index, result)` for
+    /// every job it claimed.
     ///
-    /// A panic inside a job is caught and surfaced as
-    /// [`ServeError::WorkerPanic`] (counted under `serve.job_panics`), so a
-    /// bad job cannot take the batch down.
-    fn work(&self, mut report: impl FnMut(usize, Result<SeqOutcome, ServeError>) -> bool) {
+    /// A panic inside a job — or one injected by the `pool.worker_panic`
+    /// fault site — is caught and surfaced as [`ServeError::WorkerPanic`]
+    /// (counted under `serve.job_panics`), so a bad job cannot take the
+    /// batch down.
+    fn work(&self) -> Vec<(usize, Result<SeqOutcome, ServeError>)> {
         let env = &self.env;
         let mut seq = Sequence::new(env.params.cfg);
         let mut fork = InferenceSession::new(env.params.cfg);
+        let mut reported = Vec::new();
         loop {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
             let Some(job) = self.jobs.get(i) else {
-                break;
+                return reported;
             };
             let _span = job.span("serve.job");
             // `exec_wait`: dispatch → this worker picking the job up.
@@ -551,6 +563,9 @@ impl PooledBatch {
                 trace::phase_since_last(c.trace, "exec_wait");
             }
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if fault::should_fault("pool.worker_panic") {
+                    std::panic::panic_any(fault::FaultPanic("pool.worker_panic"));
+                }
                 seq.start(env, job);
                 loop {
                     if let Some(result) = seq.advance(env, job, &mut fork, usize::MAX) {
@@ -562,9 +577,7 @@ impl PooledBatch {
                 astro_telemetry::counter("serve.job_panics").inc();
                 Err(ServeError::WorkerPanic)
             });
-            if !report(i, result) {
-                break;
-            }
+            reported.push((i, result));
         }
     }
 }

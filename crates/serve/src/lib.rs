@@ -11,12 +11,12 @@
 //!   only encode their unshared tail. Resident bytes are bounded by an LRU
 //!   eviction policy budgeted from [`astro_model::ModelConfig::session_bytes`].
 //! * [`engine::EvalEngine`] — fans a batch of scoring or generation jobs
-//!   across `astro_parallel::ThreadPool` workers, each with reusable
-//!   per-worker sessions, surfacing KV-cache overflow (after one uncached
-//!   retry) and job panics as a *per-job* [`engine::ServeError`] instead
-//!   of aborting the pool.
+//!   across scoped worker threads (`std::thread::scope`, one set per
+//!   batch), each with reusable per-worker sessions, surfacing KV-cache
+//!   overflow (after one uncached retry) and job panics as a *per-job*
+//!   [`engine::ServeError`] instead of aborting the batch.
 //! * [`scheduler::IterScheduler`] — iteration-level continuous batching:
-//!   per-step admission from [`admit::AdmitQueue`] under a
+//!   per-step FIFO admission under a
 //!   [`scheduler::KvLedger`] block budget unified with the prefix cache's
 //!   residency, chunked prefill, one-token decode steps
 //!   ([`astro_model::StepDecoder`]) and individual retirement, so short
@@ -39,13 +39,11 @@
 //! `tests/eval_parity.rs` (repo root) enforces this differentially and
 //! `docs/SERVING.md` walks through the argument.
 
-pub mod admit;
 pub mod engine;
 pub mod scheduler;
 mod seq;
 pub mod trie;
 
-pub use admit::{AdmitError, AdmitQueue, Drained};
 pub use engine::{EvalEngine, GenerateJob, ScoreJob, ScoreReadout, SeqOutcome, ServeError};
 pub use scheduler::{
     IterScheduler, KvLedger, SchedLog, SchedulerConfig, StepRecord, SubmitError,

@@ -7,8 +7,9 @@
 //! [`IterScheduler`] instead advances the whole mix one unit of work per
 //! [`IterScheduler::step`]:
 //!
-//! 1. **Admit** — pending submissions from the [`crate::admit::AdmitQueue`]
-//!    join the running batch in FIFO order, each reserving its worst-case
+//! 1. **Admit** — pending submissions join the running batch in FIFO
+//!    order (one `VecDeque`, owned by the scheduler: submission and
+//!    stepping are both `&mut self`), each reserving its worst-case
 //!    KV footprint in the [`KvLedger`] first. The ledger's block budget is
 //!    unified with the prefix cache's residency: cached snapshots are
 //!    charged against the same budget, and admission may evict unpinned
@@ -46,14 +47,12 @@
 //! `tests/scheduler_props.rs` asserts this bound under adversarial
 //! long-decode load.
 
-use crate::admit::{AdmitError, AdmitQueue, Drained};
 use crate::engine::{lock_cache, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError};
 use crate::seq::{SeqEnv, Sequence};
 use astro_model::{InferenceSession, ModelConfig};
 use astro_resilience::fault;
 use astro_telemetry::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::Duration;
 
 /// Iteration-scheduler tuning. All zero/degenerate values are normalized
 /// at construction ([`crate::EvalEngine::iter_scheduler`]); `validate`
@@ -71,7 +70,8 @@ pub struct SchedulerConfig {
     /// snapshots; `0` derives a budget that admits `max_active` sequences
     /// plus the prefix cache's full residency.
     pub budget_blocks: usize,
-    /// Capacity of the admission queue (pending, not-yet-admitted jobs).
+    /// Most submissions that may wait for admission at once; one more is
+    /// refused with [`SubmitError::Backlog`].
     pub admit_capacity: usize,
     /// Record a [`SchedLog`] of per-step batch compositions.
     pub record_log: bool,
@@ -113,17 +113,15 @@ impl SchedulerConfig {
 /// Why a submission was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The admission queue is at capacity; try again after stepping.
+    /// `admit_capacity` submissions are already waiting for admission;
+    /// try again after stepping.
     Backlog,
-    /// The admission queue is closed (scheduler shutting down).
-    Closed,
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Backlog => write!(f, "scheduler admission queue is full"),
-            SubmitError::Closed => write!(f, "scheduler admission queue is closed"),
+            SubmitError::Backlog => write!(f, "scheduler admission backlog is full"),
         }
     }
 }
@@ -300,15 +298,15 @@ struct Active {
     _span: Option<astro_telemetry::span::SpanGuard>,
 }
 
-/// The iteration-level scheduler. Single-threaded stepping over
-/// per-sequence state; submissions may arrive from other threads through
-/// the admission queue.
+/// The iteration-level scheduler: single-threaded submission and stepping
+/// over per-sequence state. A serving loop that takes requests from other
+/// threads owns the scheduler and hands them over itself (the gateway's
+/// `BoundedQueue` is that hand-off).
 pub struct IterScheduler {
     cfg: SchedulerConfig,
     env: SeqEnv,
     ledger: KvLedger,
     blocks_per_snapshot: usize,
-    admit: AdmitQueue<(usize, Job)>,
     pending: VecDeque<(usize, Job)>,
     active: Vec<Active>,
     free: Vec<Sequence>,
@@ -348,7 +346,6 @@ impl IterScheduler {
         IterScheduler {
             ledger: KvLedger::new(cfg.block_tokens, budget),
             blocks_per_snapshot,
-            admit: AdmitQueue::new(cfg.admit_capacity),
             pending: VecDeque::new(),
             active: Vec::new(),
             free: Vec::new(),
@@ -379,25 +376,23 @@ impl IterScheduler {
     }
 
     pub(crate) fn submit_job(&mut self, job: Job) -> Result<usize, SubmitError> {
-        let id = self.next_id;
-        match self.admit.try_push((id, job)) {
-            Ok(_) => {
-                self.next_id += 1;
-                Ok(id)
-            }
-            Err(AdmitError::Full(_)) => Err(SubmitError::Backlog),
-            Err(AdmitError::Closed(_)) => Err(SubmitError::Closed),
+        if self.pending.len() >= self.cfg.admit_capacity {
+            return Err(SubmitError::Backlog);
         }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.pending.push_back((id, job));
+        Ok(id)
     }
 
-    /// True when nothing is pending, queued or active.
+    /// True when nothing is pending or active.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.active.is_empty() && self.admit.depth() == 0
+        self.pending.is_empty() && self.active.is_empty()
     }
 
-    /// Submissions waiting for admission (queued plus staged).
+    /// Submissions waiting for admission.
     pub fn backlog(&self) -> usize {
-        self.pending.len() + self.admit.depth()
+        self.pending.len()
     }
 
     /// Number of currently active sequences.
@@ -405,7 +400,7 @@ impl IterScheduler {
         self.active.len()
     }
 
-    /// Capacity of the admission queue.
+    /// Most submissions that may wait for admission at once.
     pub fn admit_capacity(&self) -> usize {
         self.cfg.admit_capacity
     }
@@ -447,9 +442,6 @@ impl IterScheduler {
         if stalled {
             astro_telemetry::counter("serve.admit.stalls").inc();
         } else {
-            if let Drained::Items(items) = self.admit.drain(usize::MAX, Some(Duration::ZERO)) {
-                self.pending.extend(items);
-            }
             while self.active.len() < self.cfg.max_active {
                 let Some((id, job)) = self.pending.front() else {
                     break;

@@ -14,7 +14,7 @@ use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
 use astro_resilience::fault::{self, FaultPlan};
 use astro_serve::{
-    EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, ScoreJob, ScoreReadout,
+    EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, ScoreJob, ScoreReadout, ServeError,
 };
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -220,6 +220,54 @@ fn concurrency_parity_survives_cache_full_injection() {
         );
         fault::clear();
     }
+}
+
+/// An injected worker panic costs exactly the job it hit: that job
+/// reports `WorkerPanic`, the worker carries on claiming, and every other
+/// job still matches the oracle.
+#[test]
+fn injected_worker_panic_fails_one_job_and_spares_the_rest() {
+    let _gate = gate();
+    let (cfg, params) = setup(39);
+    let mut rng = Rng::seed_from(40);
+    let jobs = score_jobs(&mut rng, 6, cfg.vocab_size);
+    let want = reference_scores(&params, &jobs);
+    for hit in [1u64, 4] {
+        fault::install(FaultPlan::single("pool.worker_panic", hit));
+        let engine = EvalEngine::new(EngineConfig::pooled_with(2), &params);
+        let got = engine.score_batch(jobs.clone());
+        assert!(fault::fired("pool.worker_panic"), "hit {hit}: plan never fired");
+        fault::clear();
+        let panicked: Vec<usize> =
+            (0..got.len()).filter(|&i| got[i] == Err(ServeError::WorkerPanic)).collect();
+        assert_eq!(panicked.len(), 1, "hit {hit}: {got:?}");
+        for (i, r) in got.iter().enumerate() {
+            if i != panicked[0] {
+                let scores = r.as_ref().unwrap_or_else(|e| panic!("hit {hit}: job {i}: {e}"));
+                assert_eq!(bits(scores), bits(&want[i]), "hit {hit}: job {i} diverged");
+            }
+        }
+    }
+}
+
+/// More workers configured than jobs: however the claims fall, every job
+/// is run (one cache lookup each) and reported exactly once.
+#[test]
+fn more_workers_than_jobs_claim_each_job_exactly_once() {
+    let _gate = gate();
+    fault::clear();
+    let (cfg, params) = setup(41);
+    let mut rng = Rng::seed_from(42);
+    let jobs = score_jobs(&mut rng, 3, cfg.vocab_size);
+    let want = reference_scores(&params, &jobs);
+    let engine = EvalEngine::new(EngineConfig::pooled_with(8), &params);
+    let got = engine.score_batch(jobs);
+    assert_eq!(got.len(), want.len());
+    for (i, r) in got.iter().enumerate() {
+        assert_eq!(bits(r.as_ref().expect("score job errored")), bits(&want[i]), "job {i}");
+    }
+    let stats = engine.cache_stats();
+    assert_eq!(stats.hits + stats.misses, 3, "one lookup per job: {stats:?}");
 }
 
 /// Lifecycle edge, pool-worker driver: when a batch's common prefix is the

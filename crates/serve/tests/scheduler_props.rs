@@ -12,12 +12,14 @@
 //!   possible sequence lifetime in steps).
 //! * **Deterministic replay** — identical submissions produce identical
 //!   per-step batch compositions ([`astro_serve::SchedLog`] equality).
+//! * **Bounded backlog** — `admit_capacity` waiting submissions, and the
+//!   next one is refused without consuming a sequence id.
 
 use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
 use astro_serve::{
     EngineConfig, EvalEngine, GenerateJob, IterScheduler, SchedLog, SchedulerConfig, ScoreJob,
-    ScoreReadout,
+    ScoreReadout, SubmitError,
 };
 use std::collections::HashMap;
 
@@ -335,4 +337,46 @@ fn unadmittable_job_is_rejected_not_spun_on() {
     assert_eq!(out[0].0, id);
     assert!(out[0].1.is_err(), "impossible reservation must surface as an error");
     assert_eq!(sched.ledger().active_blocks(), 0);
+}
+
+#[test]
+fn submission_at_capacity_is_refused_until_a_step_admits() {
+    let params = setup();
+    let cfg = SchedulerConfig {
+        max_active: 2,
+        prefill_chunk: 4,
+        block_tokens: 8,
+        budget_blocks: 0,
+        admit_capacity: 3,
+        record_log: true,
+    };
+    let engine = EvalEngine::new(EngineConfig::iteration(), &params);
+    let mut sched = engine.iter_scheduler(cfg);
+    let ids: Vec<usize> = (0..3u32)
+        .map(|i| sched.submit_score(score_job(vec![5, 4, i + 1], None)).expect("below capacity"))
+        .collect();
+    assert_eq!(ids, vec![0, 1, 2]);
+    assert_eq!(sched.backlog(), sched.admit_capacity());
+    assert_eq!(
+        sched.submit_score(score_job(vec![5, 4, 9], None)),
+        Err(SubmitError::Backlog)
+    );
+    assert_eq!(sched.backlog(), 3, "a refused submission must not be queued");
+
+    // One step admits two (max_active), leaving one waiting: room again,
+    // and the refusal consumed no id.
+    let _ = sched.step();
+    assert_eq!(sched.backlog(), 1);
+    let id = sched.submit_score(score_job(vec![5, 4, 9], None)).expect("room after a step");
+    assert_eq!(id, 3);
+    let steps = drain_checked(&mut sched, "after backlog");
+    assert!(steps > 0);
+    let admitted: Vec<usize> = sched
+        .sched_log()
+        .expect("record_log is on")
+        .steps
+        .iter()
+        .flat_map(|s| s.admitted.iter().copied())
+        .collect();
+    assert_eq!(admitted, vec![0, 1, 2, 3], "admission stays FIFO across the refusal");
 }

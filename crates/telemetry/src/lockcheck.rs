@@ -26,17 +26,17 @@ pub struct LockRank {
     pub rank: u32,
 }
 
-/// The global lock hierarchy. Pool internals come first (they sit at the
-/// bottom of every call stack), device mailboxes and the serving-engine
-/// prefix cache next, telemetry registries and the JSONL sink last — so
-/// code holding a pool or cache lock may still emit telemetry, but
-/// telemetry internals can never wait on the pool.
+/// The global lock hierarchy. Gateway and router locks come first (they
+/// sit at the bottom of every call stack), device mailboxes and the
+/// serving-engine prefix cache next, telemetry registries and the JSONL
+/// sink last — so code holding a queue or cache lock may still emit
+/// telemetry, but telemetry internals can never wait on either.
 pub const RANKS: &[LockRank] = &[
     // Test-suite gates that serialise access to process-global state
     // (e.g. the fault-injection registry) sit below every runtime lock:
     // a test holds its gate for the whole test body.
     LockRank { name: "test.fault_gate", rank: 2 },
-    // Gateway admission locks sit below the engine/pool locks: a request
+    // Gateway admission locks sit below the engine locks: a request
     // handler consults the rate limiter, releases it, then pushes to the
     // queue; neither lock is ever held across an engine call, but ranking
     // them low keeps "gateway lock → engine lock → telemetry" legal.
@@ -56,16 +56,7 @@ pub const RANKS: &[LockRank] = &[
     LockRank { name: "router.inflight", rank: 7 },
     LockRank { name: "router.crash_hook", rank: 8 },
     LockRank { name: "router.cluster", rank: 9 },
-    LockRank { name: "parallel.pool.receiver", rank: 10 },
-    LockRank { name: "parallel.pool.pending", rank: 12 },
-    // The speculative-decoding draft→verify handoff: an engine step pops
-    // a draft batch and may then take the serve admission or prefix-cache
-    // locks (both rank higher), never the reverse.
-    LockRank { name: "quant.spec_queue", rank: 13 },
     LockRank { name: "parallel.device.mailbox", rank: 14 },
-    // The iteration scheduler drains its admission queue and *then* takes
-    // the prefix-cache lock (ledger sync, eviction), never the reverse.
-    LockRank { name: "serve.admit_queue", rank: 15 },
     LockRank { name: "serve.prefix_cache", rank: 16 },
     // The trace in-flight table and ring sit below the metrics registry
     // and the sink: finishing a trace records histograms and emits a
@@ -200,7 +191,7 @@ mod tests {
 
     #[test]
     fn increasing_order_is_accepted() {
-        let a = acquire("parallel.pool.receiver");
+        let a = acquire("gateway.queue");
         let b = acquire("telemetry.sink");
         assert!(held_count() <= 2);
         drop(b);
@@ -219,7 +210,7 @@ mod tests {
 
     #[test]
     fn out_of_order_release_is_tolerated() {
-        let a = acquire("parallel.pool.pending");
+        let a = acquire("serve.prefix_cache");
         let b = acquire("telemetry.metrics.registry");
         drop(a); // released before b — must not corrupt the stack
         let c = acquire("telemetry.sink");
@@ -233,7 +224,7 @@ mod tests {
     #[should_panic(expected = "lock-order violation")]
     fn decreasing_order_panics_in_debug() {
         let _a = acquire("telemetry.sink");
-        let _b = acquire("parallel.pool.pending");
+        let _b = acquire("serve.prefix_cache");
     }
 
     #[cfg(debug_assertions)]

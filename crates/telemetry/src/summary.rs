@@ -179,7 +179,7 @@ mod tests {
     fn metrics_sections_render() {
         let snap = MetricsSnapshot {
             counters: vec![("train.tokens".into(), 215040)],
-            gauges: vec![("pool.queue_depth".into(), 0)],
+            gauges: vec![("gateway.queue_depth".into(), 0)],
             histograms: vec![
                 (
                     "allreduce.micros".into(),
@@ -211,7 +211,7 @@ mod tests {
         };
         let out = render_from(&[], &snap);
         assert!(out.contains("train.tokens"), "{out}");
-        assert!(out.contains("pool.queue_depth"), "{out}");
+        assert!(out.contains("gateway.queue_depth"), "{out}");
         assert!(out.contains("84/412/980"), "{out}");
         assert!(!out.contains("empty.hist"), "zero-count histograms are elided: {out}");
     }

@@ -5,19 +5,19 @@
 //! `RUSTFLAGS="--cfg astro_check"` swaps every one of these names for the
 //! `astro_check::sync` shim, whose operations are scheduling points for
 //! the bounded model checker (see the `astro-check` crate). Protocol code
-//! that wants to be model-checkable imports its `Mutex`/`Condvar`/`mpsc`/
+//! that wants to be model-checkable imports its `Mutex`/`Condvar`/
 //! `thread` from here instead of `std::sync`.
 //!
 //! The shim types mirror the `std` API surface used in this workspace
 //! (`lock`, `wait`, `wait_timeout`, `notify_one`, `notify_all`,
-//! `mpsc::channel`, `thread::Builder`/`spawn`/`JoinHandle`), so the only
+//! `thread::Builder`/`spawn`/`JoinHandle`), so the only
 //! difference between the two builds is the import path resolved here.
 
 #[cfg(astro_check)]
-pub use astro_check::sync::{mpsc, thread, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use astro_check::sync::{thread, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
 #[cfg(not(astro_check))]
-pub use std::sync::{mpsc, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 #[cfg(not(astro_check))]
 pub use std::thread;
 
@@ -83,15 +83,5 @@ mod tests {
         let (_t, mut g) = lock_ranked("telemetry.sink", &m);
         *g += 1;
         assert_eq!(*g, 1);
-    }
-
-    #[test]
-    fn channel_and_thread_shims_work() {
-        let (tx, rx) = mpsc::channel::<u32>();
-        let t = thread::spawn(move || {
-            tx.send(7).ok();
-        });
-        assert_eq!(rx.recv().ok(), Some(7));
-        let _ = t.join();
     }
 }

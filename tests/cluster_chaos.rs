@@ -149,6 +149,13 @@ fn mixed_load_through_router_is_bitwise_identical_to_serial_path() {
     }
     assert!(replicas_seen.iter().all(|r| r.starts_with("replica-")), "{replicas_seen:?}");
 
+    // A body nested far past the JSON parser's bound is a 400 from the
+    // router (it parses for the affinity key) — not a stack overflow that
+    // takes the router down, which the health check below would miss.
+    let deep = "[".repeat(60_000);
+    let resp = client::post_json(addr, "/v1/score", &deep, TIMEOUT).expect("deep body");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+
     // Router health reflects a full ring and no stuck inflight entries.
     let health = client::get(addr, "/healthz", TIMEOUT).expect("router healthz");
     assert_eq!(health.status, 200);

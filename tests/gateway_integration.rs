@@ -350,6 +350,31 @@ fn admission_control_status_matrix() {
     assert!(stats.drained_clean, "{stats:?}");
 }
 
+/// One request must not be able to abort the process: a body nested far
+/// past the JSON parser's bound (and well inside the default 64 KiB body
+/// limit) is answered 400 on the handler's default-size stack, and the
+/// gateway keeps serving.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_gateway_survives() {
+    let _gate = gate();
+    fault::clear();
+    let ctx = setup(45);
+    let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
+    let addr = gw.addr();
+    for (path, body) in [
+        ("/v1/score", "[".repeat(60_000)),
+        ("/v1/generate", "{\"question\":".repeat(5_000)),
+    ] {
+        let resp = client::post_json(addr, path, &body, TIMEOUT).expect("deep body");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        assert!(resp.body.contains("invalid JSON"), "{path}: {}", resp.body);
+    }
+    let resp = client::get(addr, "/healthz", TIMEOUT).expect("healthz after deep bodies");
+    assert_eq!(resp.status, 200);
+    let stats = gw.shutdown();
+    assert!(stats.drained_clean, "{stats:?}");
+}
+
 #[test]
 fn graceful_drain_answers_every_accepted_request() {
     let _gate = gate();

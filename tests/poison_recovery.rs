@@ -1,38 +1,25 @@
 //! Poisoned-lock recovery: a panic mid-critical-section must degrade the
 //! way the module docs promise, never deadlock or lose state.
 //!
-//! The `gateway.queue_poison` and `pool.pending_poison` fault sites panic
-//! while still *holding* the respective mutex, after the critical section
-//! finished its mutation and notify. The documented contract
-//! (`gateway::queue`, `parallel::pool` module docs) is that every
-//! critical section leaves the protected state structurally valid, so
-//! later lock holders recover the poison with `PoisonError::into_inner`
-//! and simply adopt the state:
+//! The `gateway.queue_poison` fault site panics while still *holding* the
+//! queue mutex, after the critical section finished its mutation and
+//! notify. The documented contract (`gateway::queue` module docs) is that
+//! every critical section leaves the protected state structurally valid,
+//! so later lock holders recover the poison with `PoisonError::into_inner`
+//! and simply adopt the state: the queue keeps every item that was
+//! accepted before the poison, and push/pop/close all keep working
+//! afterwards.
 //!
-//! * the queue keeps every item that was accepted before the poison, and
-//!   push/pop/close all keep working afterwards;
-//! * the pool's `join` never hangs on the poisoned pending counter, and
-//!   after the sole worker dies the pool degrades to inline execution
-//!   (the disconnected-channel path), still never losing a job.
-//!
-//! Each scenario runs under a watchdog so a regression to deadlock fails
+//! The scenario runs under a watchdog so a regression to deadlock fails
 //! fast instead of hanging the suite. The fault registry is
-//! process-global, so the tests serialise on `GATE`; this file is its own
-//! test binary, so no other test can observe an armed plan.
+//! process-global; this file is its own test binary with one test, so no
+//! other test can observe the armed plan.
 
 use astro_gateway::queue::{BoundedQueue, Pop, PushError};
-use astro_parallel::ThreadPool;
 use astro_resilience::fault::{self, FaultPlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
-
-static GATE: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Run `f` on a helper thread and fail loudly if it does not finish —
 /// the degradation contract is "recover", and a deadlock must show up as
@@ -50,33 +37,8 @@ where
         .unwrap_or_else(|_| panic!("{what} deadlocked instead of recovering"));
 }
 
-/// Live `astro-pool-*` worker threads in this process, counted via
-/// `/proc/self/task`. The poisoned worker keeps its `Receiver` alive
-/// until it finishes unwinding, so an `execute` racing its death could
-/// still enqueue into the doomed channel; waiting for the named thread
-/// to vanish makes the disconnected-channel probe deterministic.
-fn pool_worker_threads() -> usize {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return 0;
-    };
-    tasks
-        .filter_map(|t| t.ok())
-        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end().starts_with("astro-pool"))
-        .count()
-}
-
-fn wait_for_worker_exit() {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while pool_worker_threads() > 0 {
-        assert!(Instant::now() < deadline, "poisoned worker never exited");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 #[test]
 fn queue_poisoned_mid_push_keeps_items_and_operations() {
-    let _g = locked();
     fault::install(FaultPlan::single("gateway.queue_poison", 2));
 
     let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
@@ -107,53 +69,6 @@ fn queue_poisoned_mid_push_keeps_items_and_operations() {
         }
         assert!(matches!(q2.pop(None), Pop::Item(3)));
         assert!(matches!(q2.pop(None), Pop::Closed));
-    });
-
-    fault::clear();
-}
-
-#[test]
-fn pool_poisoned_pending_counter_never_hangs_join() {
-    let _g = locked();
-    fault::install(FaultPlan::single("pool.pending_poison", 1));
-
-    let pool = Arc::new(ThreadPool::new(1));
-    let done = Arc::new(AtomicUsize::new(0));
-    let d = Arc::clone(&done);
-    pool.execute(move || {
-        d.fetch_add(1, Ordering::Relaxed);
-    });
-
-    // The sole worker panics while holding the pending lock — after the
-    // decrement and the quiescence notify, so the counter it leaves
-    // behind is valid and join can adopt it.
-    assert_completes("pool join over poisoned pending lock", {
-        let done = Arc::clone(&done);
-        let pool = Arc::clone(&pool);
-        move || {
-            pool.join();
-            assert_eq!(done.load(Ordering::Relaxed), 1, "job completed before the poison");
-            assert_eq!(pool.queue_depth(), 0, "pending counter recovered as zero");
-        }
-    });
-    assert!(fault::fired("pool.pending_poison"));
-
-    // The worker dies with the panic, disconnecting the channel: the
-    // documented degradation is inline execution, not job loss. Wait for
-    // the thread to finish unwinding so the channel is provably
-    // disconnected before probing the fallback.
-    wait_for_worker_exit();
-    let d = Arc::clone(&done);
-    pool.execute(move || {
-        d.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_completes("degraded pool join", {
-        let done = Arc::clone(&done);
-        let pool = Arc::clone(&pool);
-        move || {
-            pool.join();
-            assert_eq!(done.load(Ordering::Relaxed), 2, "inline fallback ran the job");
-        }
     });
 
     fault::clear();

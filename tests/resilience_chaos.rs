@@ -128,11 +128,9 @@ fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
     // The gateway.* sites (including gateway.queue_poison) have no hook
     // in the study pipeline, so their plans must simply never fire — the
     // sweep proves installing them is harmless to a run that does not
-    // cross them. pool.pending_poison kills an eval worker *after* its
-    // job completed (valid-state poison), so the pool must degrade and
-    // the scores stay bitwise identical. serve.admit_stall only fires in
-    // the iteration scheduler's step loop (not the pooled eval path), so
-    // like the gateway sites its plan must be inert here.
+    // cross them. serve.admit_stall only fires in the iteration
+    // scheduler's step loop (not the pooled eval path), so like the
+    // gateway sites its plan must be inert here.
     // The replica.*/router.* sites only have hooks at the cluster
     // router's forward/probe boundary, so like the gateway sites their
     // plans must stay inert in the single-process study pipeline.
@@ -140,7 +138,7 @@ fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
     // round, and the study pipeline never installs a draft model, so
     // its plan must be inert here too (spec_engine.rs proves the
     // armed behaviour: degraded rounds, bitwise-unchanged output).
-    let hits: &[u64] = &[3, 1, 5, 2, 7, 4, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1];
+    let hits: &[u64] = &[3, 1, 5, 2, 7, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1];
     assert_eq!(hits.len(), SITES.len(), "one planned hit per fault site");
     for (site, &hit) in SITES.iter().zip(hits) {
         let dir = fresh_dir(&format!("prop-{}", site.replace('.', "-")));

@@ -1,12 +1,11 @@
 //! Cross-crate telemetry integration: the JSONL sink must emit lines the
 //! in-repo JSON parser (`astro_eval::json`) reads back, and the metric
-//! registries must stay exact under concurrent load from the real
-//! `astro_parallel::ThreadPool` workers.
+//! registries must stay exact under concurrent load from a pool of
+//! threads.
 
 use astro_eval::json::Json;
-use astro_parallel::ThreadPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The memory sink and the metric registries are process-global; hold
 /// this while a test depends on exclusive sink ownership.
@@ -62,26 +61,31 @@ fn counters_stay_exact_under_thread_pool_hammering() {
     const JOBS: usize = 64;
     const INCS: u64 = 2_000;
 
-    let pool = ThreadPool::new(WORKERS);
-    let done = Arc::new(AtomicUsize::new(0));
-    for job in 0..JOBS {
-        let done = Arc::clone(&done);
-        pool.execute(move || {
-            let c = astro_telemetry::counter("itest.hammer");
-            let h = astro_telemetry::histogram("itest.latency");
-            let g = astro_telemetry::gauge("itest.inflight");
-            g.add(1);
-            for i in 0..INCS {
-                c.inc();
-                if i % 100 == 0 {
-                    h.observe((job * 7 + i as usize) as f64);
+    // WORKERS threads claim the JOBS off one shared cursor.
+    let next = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..WORKERS {
+            s.spawn(|| loop {
+                let job = next.fetch_add(1, Ordering::Relaxed);
+                if job >= JOBS {
+                    break;
                 }
-            }
-            g.add(-1);
-            done.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    pool.join();
+                let c = astro_telemetry::counter("itest.hammer");
+                let h = astro_telemetry::histogram("itest.latency");
+                let g = astro_telemetry::gauge("itest.inflight");
+                g.add(1);
+                for i in 0..INCS {
+                    c.inc();
+                    if i % 100 == 0 {
+                        h.observe((job * 7 + i as usize) as f64);
+                    }
+                }
+                g.add(-1);
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+    });
     assert_eq!(done.load(Ordering::SeqCst), JOBS);
 
     assert_eq!(
