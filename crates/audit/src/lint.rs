@@ -260,7 +260,7 @@ fn brace_walk(line: &str, depth: i64) -> (i64, i64) {
 
 /// Is this path a binary target (free to print/unwrap)?
 fn is_bin_path(rel: &str) -> bool {
-    rel.contains("/src/bin/") || rel.ends_with("/main.rs") || rel == "main.rs"
+    rel.contains("src/bin/") || rel.ends_with("/main.rs") || rel == "main.rs"
 }
 
 const UNWRAP_TOKENS: &[&str] =
@@ -702,6 +702,7 @@ mod tests {
     fn bin_paths_may_print() {
         assert!(is_bin_path("crates/bench/src/bin/table1.rs"));
         assert!(is_bin_path("crates/audit/src/main.rs"));
+        assert!(is_bin_path("src/bin/astro-gateway.rs"));
         assert!(!is_bin_path("crates/bench/src/lib.rs"));
     }
 }

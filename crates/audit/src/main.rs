@@ -43,22 +43,6 @@ fn find_root() -> PathBuf {
 /// A named preset constructor (`smoke` / `fast` / `full`).
 type Preset = (&'static str, fn(u64) -> astromlab::StudyConfig);
 
-/// Read `BENCH_check.json` (written by the `check_explore` bench) so the
-/// model checker's explored-schedule counts land in `audit_report.json`
-/// next to the static `waits.*` findings. The raw text is only attached
-/// after it round-trips through the repo's own JSON parser; a missing or
-/// malformed file is simply omitted.
-fn load_model_check(root: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(root.join("BENCH_check.json")).ok()?;
-    match astro_eval::json::Json::parse(&text) {
-        Ok(_) => Some(text),
-        Err(e) => {
-            eprintln!("ignoring malformed BENCH_check.json: {e}");
-            None
-        }
-    }
-}
-
 fn print_diags<'a, I: IntoIterator<Item = &'a astro_audit::Diagnostic>>(diags: I) {
     for d in diags {
         println!("  {}", d.render());
@@ -153,7 +137,6 @@ fn main() -> ExitCode {
             );
             print_diags(&waits.diagnostics);
             report.waits = Some(waits);
-            report.model_check = load_model_check(&root);
         }
         "lint" => {
             if args.iter().any(|a| a == "--write-allowlist") {
@@ -206,7 +189,6 @@ fn main() -> ExitCode {
             );
             print_diags(&waits.diagnostics);
             report.waits = Some(waits);
-            report.model_check = load_model_check(&root);
             let lint = lint_workspace(&LintConfig::new(&root));
             println!(
                 "lint: {} files, {} suppressed, {} diagnostics",

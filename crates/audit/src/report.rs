@@ -53,10 +53,6 @@ pub struct AuditReport {
     pub locks: Option<LockReport>,
     /// Wait/notify protocol analysis, if the pass ran.
     pub waits: Option<WaitReport>,
-    /// Model-checker exploration stats (the raw `BENCH_check.json`
-    /// document, pre-validated against the repo JSON parser), if a
-    /// `check_explore` run is available next to the report.
-    pub model_check: Option<String>,
     /// Lint results, if the pass ran.
     pub lint: Option<LintReport>,
 }
@@ -166,12 +162,6 @@ impl AuditReport {
             ));
         }
 
-        if let Some(check) = &self.model_check {
-            // Raw embed: the caller validated this against the repo's own
-            // JSON parser before attaching it.
-            out.push_str(&format!(",\"model_check\":{check}"));
-        }
-
         if let Some(lint) = &self.lint {
             out.push_str(&format!(
                 ",\"lint\":{{\"ok\":{},\"files_scanned\":{},\"suppressed\":{},\
@@ -211,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn waits_and_model_check_sections_round_trip() {
+    fn waits_section_round_trips() {
         let mut waits = crate::waits::WaitReport {
             protocols: 2,
             ..crate::waits::WaitReport::default()
@@ -221,17 +211,11 @@ mod tests {
             at: "crates/gateway/src/queue.rs:108".to_string(),
             in_loop: true,
         });
-        let report = AuditReport {
-            waits: Some(waits),
-            model_check: Some("{\"bench\":\"check_explore\",\"failures\":0}".to_string()),
-            ..AuditReport::default()
-        };
+        let report = AuditReport { waits: Some(waits), ..AuditReport::default() };
         let json = report.to_json();
         let value = astro_eval::json::Json::parse(&json).expect("report must parse");
         let w = value.get("waits").expect("waits section");
         assert!(matches!(w.get("protocols"), Some(astro_eval::json::Json::Number(n)) if *n == 2.0));
-        let mc = value.get("model_check").expect("model_check section");
-        assert!(mc.get("failures").is_some());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! A *model* is a closure that builds some shared state and spawns
 //! threads through the [`sync`] shim ([`sync::Mutex`], [`sync::Condvar`],
-//! [`sync::mpsc`], [`sync::thread`]). Inside [`explore`] those threads
-//! are real OS threads, but a token-passing scheduler serialises them:
+//! [`sync::thread`]). Inside [`explore`] those threads are real OS
+//! threads, but a token-passing scheduler serialises them:
 //! every instrumented operation publishes itself and blocks until the
 //! scheduler grants it, so the scheduler's choices are the *only* source
 //! of nondeterminism. Recording the choices yields a replayable

@@ -54,12 +54,6 @@ pub(crate) enum Op {
     CvNotifyOne(usize),
     /// Wake all waiters.
     CvNotifyAll(usize),
-    /// Enqueue one message.
-    ChanSend(usize),
-    /// Dequeue one message (blocking until available or disconnected).
-    ChanRecv(usize),
-    /// Drop one sender handle (disconnect accounting).
-    ChanDropSender(usize),
     /// First scheduling of a freshly spawned thread.
     Start,
     /// Parent-side scheduling point right after registering a child.
@@ -91,8 +85,6 @@ pub(crate) enum Status {
 /// Outcome information delivered to the thread when its op is granted.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct GrantInfo {
-    /// For `ChanRecv`: true when the channel was disconnected-and-empty.
-    pub disconnected: bool,
     /// For `CvReacquire`: true when the wake-up was the stall-escape
     /// timeout rather than a notify.
     pub timed_out: bool,
@@ -121,8 +113,6 @@ pub(crate) enum ResourceKind {
     Mutex,
     /// A `sync::Condvar`.
     Condvar,
-    /// A `sync::mpsc` channel.
-    Channel,
 }
 
 /// Modelled state of one synchronisation resource.
@@ -139,15 +129,6 @@ pub(crate) enum Resource {
         /// Waiting thread ids, FIFO.
         waiters: Vec<usize>,
     },
-    /// mpsc channel: message count and sender accounting (payloads live
-    /// in the real `std::sync::mpsc` queue; ordering agrees because the
-    /// execution is serialised).
-    Channel {
-        /// Number of sent-but-unreceived messages.
-        len: usize,
-        /// Live sender handles.
-        senders: usize,
-    },
 }
 
 impl Resource {
@@ -156,7 +137,6 @@ impl Resource {
             Resource::Mutex { name, .. } if !name.is_empty() => format!("m{id}:{name}"),
             Resource::Mutex { .. } => format!("m{id}"),
             Resource::Condvar { .. } => format!("cv{id}"),
-            Resource::Channel { .. } => format!("ch{id}"),
         }
     }
 }
@@ -327,7 +307,6 @@ pub(crate) fn resource_id(
     g.resources.push(match kind {
         ResourceKind::Mutex => Resource::Mutex { holder: None, name },
         ResourceKind::Condvar => Resource::Condvar { waiters: Vec::new() },
-        ResourceKind::Channel => Resource::Channel { len: 0, senders: 1 },
     });
     slot.store((g.epoch << 32) | (rid as u64 + 1), Ordering::Relaxed);
     rid
@@ -340,15 +319,6 @@ pub(crate) fn name_mutex(ctx: &ExecCtx, rid: usize, name: &'static str) {
         if n.is_empty() {
             *n = name;
         }
-    }
-}
-
-/// Adjust channel sender count without a scheduling point (`Sender::clone`
-/// commutes with everything except the final drop, which *is* an op).
-pub(crate) fn chan_add_sender(ctx: &ExecCtx, rid: usize) {
-    let mut g = ctx.core.lock();
-    if let Some(Resource::Channel { senders, .. }) = g.resources.get_mut(rid) {
-        *senders += 1;
     }
 }
 
@@ -365,10 +335,6 @@ impl Core {
             Op::MutexLock(m) | Op::CvReacquire { mutex: m } => {
                 matches!(self.resources.get(m), Some(Resource::Mutex { holder: None, .. }))
             }
-            Op::ChanRecv(c) => match self.resources.get(c) {
-                Some(Resource::Channel { len, senders }) => *len > 0 || *senders == 0,
-                _ => false,
-            },
             Op::Join(t) => matches!(self.threads.get(t).map(|s| &s.status), Some(Status::Finished)),
             _ => true,
         }
@@ -384,10 +350,7 @@ impl Core {
                 | Op::MutexUnlock(r)
                 | Op::CvReacquire { mutex: r }
                 | Op::CvNotifyOne(r)
-                | Op::CvNotifyAll(r)
-                | Op::ChanSend(r)
-                | Op::ChanRecv(r)
-                | Op::ChanDropSender(r) => Some(r),
+                | Op::CvNotifyAll(r) => Some(r),
                 Op::Start | Op::Spawn(_) | Op::Join(_) => None,
             }
         }
@@ -419,9 +382,6 @@ impl Core {
             Op::CvReacquire { mutex } => ("reacquire_after_wait".into(), r(mutex)),
             Op::CvNotifyOne(c) => ("notify_one".into(), r(c)),
             Op::CvNotifyAll(c) => ("notify_all".into(), r(c)),
-            Op::ChanSend(c) => ("send".into(), r(c)),
-            Op::ChanRecv(c) => ("recv".into(), r(c)),
-            Op::ChanDropSender(c) => ("drop_sender".into(), r(c)),
             Op::Start => ("start".into(), String::new()),
             Op::Spawn(t) => ("spawn".into(), format!("t{t}")),
             Op::Join(t) => ("join".into(), format!("t{t}")),
@@ -448,7 +408,6 @@ impl Core {
     }
 
     fn grant(&mut self, tid: usize, op: Op) {
-        let mut info = GrantInfo::default();
         match op {
             Op::MutexLock(m) | Op::CvReacquire { mutex: m } => {
                 *self.mutex_holder_mut(m) = Some(tid);
@@ -466,30 +425,11 @@ impl Core {
                     self.wake_waiter(w, false);
                 }
             }
-            Op::ChanSend(c) => {
-                if let Some(Resource::Channel { len, .. }) = self.resources.get_mut(c) {
-                    *len += 1;
-                }
-            }
-            Op::ChanRecv(c) => {
-                if let Some(Resource::Channel { len, .. }) = self.resources.get_mut(c) {
-                    if *len > 0 {
-                        *len -= 1;
-                    } else {
-                        info.disconnected = true;
-                    }
-                }
-            }
-            Op::ChanDropSender(c) => {
-                if let Some(Resource::Channel { senders, .. }) = self.resources.get_mut(c) {
-                    *senders = senders.saturating_sub(1);
-                }
-            }
             Op::Start | Op::Spawn(_) | Op::Join(_) => {}
         }
         // A reacquire granted via the stall-escape carries its timeout flag
         // set by `wake_waiter`; preserve it for reacquires only.
-        info.timed_out =
+        let timed_out =
             matches!(op, Op::CvReacquire { .. }) && self.threads[tid].grant.timed_out;
         let (opname, resource) = self.describe_op(op);
         self.steps.push(StepRec {
@@ -499,7 +439,7 @@ impl Core {
             op: opname,
             resource,
         });
-        self.threads[tid].grant = info;
+        self.threads[tid].grant = GrantInfo { timed_out };
         self.threads[tid].status = Status::Running;
         self.last = tid;
     }
@@ -746,14 +686,8 @@ pub(crate) fn yield_cv_wait(ctx: &ExecCtx, cv: usize, mutex: usize, timed: bool)
 /// (guard drops during a panic): apply releases, never park, never throw.
 fn unwind_effect(ctx: &ExecCtx, op: Op) -> GrantInfo {
     let mut g = ctx.core.lock();
-    match op {
-        Op::MutexUnlock(m) => *g.mutex_holder_mut(m) = None,
-        Op::ChanDropSender(c) => {
-            if let Some(Resource::Channel { senders, .. }) = g.resources.get_mut(c) {
-                *senders = senders.saturating_sub(1);
-            }
-        }
-        _ => {}
+    if let Op::MutexUnlock(m) = op {
+        *g.mutex_holder_mut(m) = None;
     }
     drop(g);
     ctx.core.notify_all();

@@ -1,9 +1,9 @@
 //! Controlled synchronisation primitives.
 //!
-//! Drop-in shims for `std::sync::Mutex`, `Condvar`, `mpsc` channels and
-//! `std::thread` spawning. On an **uncontrolled** thread (no exploration
-//! in progress) every call delegates directly to the wrapped `std` type,
-//! so behaviour — including poisoning recovery via
+//! Drop-in shims for `std::sync::Mutex`, `Condvar` and `std::thread`
+//! spawning. On an **uncontrolled** thread (no exploration in progress)
+//! every call delegates directly to the wrapped `std` type, so behaviour
+//! — including poisoning recovery via
 //! `unwrap_or_else(PoisonError::into_inner)` call sites — is unchanged.
 //! On a **controlled** thread (spawned inside [`crate::explore`]) every
 //! operation becomes a scheduling point: the thread publishes the op and
@@ -11,17 +11,16 @@
 //! checker enumerate interleavings.
 //!
 //! The real `std` primitive still backs every shim (the real mutex is
-//! locked after the virtual grant, payloads travel through the real
-//! channel), so data access is genuinely exclusive and `Deref` works
-//! unchanged; the virtual layer only decides *order*.
+//! locked after the virtual grant), so data access is genuinely
+//! exclusive and `Deref` works unchanged; the virtual layer only decides
+//! *order*.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::sync::{LockResult, PoisonError};
 
 use crate::sched::{
-    self, chan_add_sender, current_ctx, name_mutex, resource_id, yield_cv_wait, yield_op, ExecCtx,
-    Op, ResourceKind,
+    self, current_ctx, name_mutex, resource_id, yield_cv_wait, yield_op, ExecCtx, Op, ResourceKind,
 };
 
 /// Mutex shim: `std::sync::Mutex` plus a lazily-registered checker slot.
@@ -251,122 +250,6 @@ impl Condvar {
 impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()
-    }
-}
-
-/// mpsc channel shim. Payloads travel through a real
-/// `std::sync::mpsc::channel`; the checker only models *when* a `recv`
-/// may proceed (queue non-empty, or disconnected).
-pub mod mpsc {
-    use super::*;
-    pub use std::sync::mpsc::{RecvError, SendError};
-
-    struct ChanCtl {
-        slot: AtomicU64,
-    }
-
-    /// Sending half (clonable, like `std::sync::mpsc::Sender`).
-    pub struct Sender<T> {
-        inner: Option<std::sync::mpsc::Sender<T>>,
-        ctl: Arc<ChanCtl>,
-    }
-
-    /// Receiving half.
-    pub struct Receiver<T> {
-        inner: std::sync::mpsc::Receiver<T>,
-        ctl: Arc<ChanCtl>,
-    }
-
-    /// Create an unbounded channel (controlled when used from a
-    /// controlled thread, plain std otherwise).
-    pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let ctl = Arc::new(ChanCtl { slot: AtomicU64::new(0) });
-        (Sender { inner: Some(tx), ctl: ctl.clone() }, Receiver { inner: rx, ctl })
-    }
-
-    fn rid(ctl: &ChanCtl, ctx: &ExecCtx) -> usize {
-        resource_id(ctx, &ctl.slot, ResourceKind::Channel, "")
-    }
-
-    impl<T> Sender<T> {
-        /// Send a value; errors when the receiver is gone.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            if let Some(ctx) = current_ctx() {
-                let r = rid(&self.ctl, &ctx);
-                yield_op(&ctx, Op::ChanSend(r));
-            }
-            match &self.inner {
-                Some(tx) => tx.send(value),
-                None => Err(SendError(value)),
-            }
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            if let Some(ctx) = current_ctx() {
-                let r = rid(&self.ctl, &ctx);
-                chan_add_sender(&ctx, r);
-            }
-            Sender { inner: self.inner.clone(), ctl: self.ctl.clone() }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if let Some(ctx) = current_ctx() {
-                let r = rid(&self.ctl, &ctx);
-                // Drop the real sender *before* the scheduling point so a
-                // receiver granted "disconnected" observes it for real.
-                self.inner.take();
-                yield_op(&ctx, Op::ChanDropSender(r));
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a value or disconnection.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            if let Some(ctx) = current_ctx() {
-                let r = rid(&self.ctl, &ctx);
-                let info = yield_op(&ctx, Op::ChanRecv(r));
-                if info.disconnected {
-                    return Err(RecvError);
-                }
-                // The virtual grant said a message is queued; execution is
-                // serialised, so the real queue agrees.
-                match self.inner.try_recv() {
-                    Ok(v) => Ok(v),
-                    Err(_) => sched::die("channel state diverged from model".into()),
-                }
-            } else {
-                self.inner.recv()
-            }
-        }
-
-        /// Non-blocking receive (std passthrough; uncontrolled use only).
-        pub fn try_recv(&self) -> Result<T, std::sync::mpsc::TryRecvError> {
-            self.inner.try_recv()
-        }
-
-        /// Blocking iterator over received values, ending at
-        /// disconnection (mirrors `std::sync::mpsc::Receiver::iter`).
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { rx: self }
-        }
-    }
-
-    /// Iterator returned by [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
     }
 }
 

@@ -22,6 +22,7 @@ fn single_thread_model_is_one_schedule() {
 fn counter_model_explores_multiple_schedules() {
     let report = explore(&cfg(), models::counter_model(2));
     assert!(report.ok(), "{:?}", report.violation);
+    assert!(!report.truncated, "state space must be enumerable at bound 2");
     assert!(report.schedules >= 2, "expected interleavings, got {}", report.schedules);
     assert!(report.max_steps_seen > 0);
 }

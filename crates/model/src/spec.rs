@@ -23,9 +23,10 @@
 //!   preserves the target's sampling distribution at every position
 //!   (`crates/quant/tests/reject_exact.rs`).
 //!
-//! The speedup comes from pairing speculation with the int8 target path:
-//! verification reuses the blocked int8 chunk matmul whose per-token
-//! cost drops well below a single-token step (see `BENCH_kernels.json`).
+//! Any speedup comes from pairing speculation with the int8 target path:
+//! verification reuses the blocked int8 chunk matmul, whose per-token
+//! cost is below a single-token step (`model.chunk4_tokens_per_s.s70b_int8`
+//! against `model.decode_tokens_per_s.s70b_int8` in `bench/`).
 
 use crate::sample::{argmax, sample_logits, SamplerConfig};
 use crate::{InferenceSession, Params};

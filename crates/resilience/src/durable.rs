@@ -81,6 +81,7 @@ mod tests {
 
     #[test]
     fn round_trip_and_overwrite() {
+        let _g = crate::fault::tests::locked();
         let d = tmpdir("rt");
         let p = d.join("artifact.bin");
         write_atomic(&p, b"first contents").unwrap();
@@ -94,6 +95,7 @@ mod tests {
 
     #[test]
     fn injected_truncate_leaves_torn_file_and_errors() {
+        let _g = crate::fault::tests::locked();
         let d = tmpdir("torn");
         let p = d.join("artifact.bin");
         fault::install(FaultPlan::single("ckpt.write_truncate", 1));
@@ -109,6 +111,7 @@ mod tests {
 
     #[test]
     fn injected_partial_read_halves_the_bytes() {
+        let _g = crate::fault::tests::locked();
         let d = tmpdir("short");
         let p = d.join("artifact.bin");
         write_atomic(&p, &[9u8; 64]).unwrap();

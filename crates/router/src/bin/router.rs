@@ -12,7 +12,7 @@
 //! # per replica:
 //! cargo run --release -p astro-router --bin router -- \
 //!     --spawn 2 --base-port 8090 \
-//!     --cmd "target/release/cluster_load --serve-replica {port} micro 42 {name}"
+//!     --cmd "target/release/astro-gateway {port} {name} micro 42"
 //! ```
 //!
 //! The router serves until the process is killed; the health prober

@@ -14,7 +14,7 @@
 //! `prefill`, `decode`, `extract`, `write`, …). Phases recorded with
 //! [`phase_since_last`] tile the request's wall time exactly, so the sum
 //! of phase durations accounts for the end-to-end latency — the property
-//! the `gateway_load` bench asserts.
+//! `tests/trace_completeness.rs` asserts on a concurrent burst.
 //!
 //! Finished traces flow into a **bounded ring buffer** with tail-based
 //! sampling: error, deadline-missed, fault-marked and slowest-p1% traces

@@ -7,8 +7,9 @@
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture
 //! ```
 //!
-//! The end-to-end numbers CI gates on come from `kernels_bench`; this
-//! exists to localize a kernel regression to a single matmul shape.
+//! The recorded numbers are `bench/`'s `tensor.*` and
+//! `model.decode_tokens_per_s.*` probes; this exists to localize a
+//! kernel regression to a single matmul shape.
 
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_rows_q8};

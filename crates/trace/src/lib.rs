@@ -11,7 +11,7 @@
 //!   request spent its time;
 //! * **a phase table** ([`render_phase_table`]) — exact p50/p95/p99/max
 //!   per phase across every trace, the aggregate latency-attribution
-//!   view the `gateway_load` bench reports;
+//!   view `astro-trace phases` prints;
 //! * **Chrome Trace Event JSON** ([`chrome_trace_json`]) — a
 //!   `{"traceEvents":[...]}` export loadable in `chrome://tracing` /
 //!   Perfetto, one complete (`"ph":"X"`) event per phase plus one per

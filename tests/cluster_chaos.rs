@@ -11,7 +11,9 @@
 use astro_gateway::client;
 use astro_gateway::GatewayConfig;
 use astro_resilience::fault::{self, FaultPlan};
-use astro_router::{Cluster, ClusterConfig, ReplicaHealth, RouterConfig};
+use astro_router::{
+    Cluster, ClusterConfig, ReplicaHealth, ReplicaSpec, Router, RouterConfig,
+};
 use astro_telemetry::event::write_json_string;
 use astro_telemetry::lockcheck;
 use astromlab::eval::json::Json;
@@ -41,10 +43,14 @@ struct Ctx {
 }
 
 fn setup(seed: u64) -> Ctx {
+    setup_with(seed, Tier::S7b, seed + 1)
+}
+
+fn setup_with(seed: u64, tier: Tier, weight_seed: u64) -> Ctx {
     let study = Study::prepare(StudyConfig::micro(seed)).expect("prepare");
     let params = Arc::new(Params::init(
-        study.model_config(Tier::S7b),
-        &mut Rng::seed_from(seed + 1),
+        study.model_config(tier),
+        &mut Rng::seed_from(weight_seed),
     ));
     let state = astro_gateway::GatewayState {
         params: Arc::clone(&params),
@@ -219,6 +225,89 @@ fn killing_a_replica_mid_load_loses_nothing_and_keeps_parity() {
     assert!(stats.replicas[0].is_none(), "killed replica reports no drain stats");
     let survivor = stats.replicas[1].as_ref().expect("survivor drained");
     assert_eq!(survivor.accepted, survivor.completed, "{survivor:?}");
+}
+
+/// Replica child processes, killed and reaped on every exit path — a
+/// failed assertion included — so no test run leaves a gateway behind.
+struct Children(Vec<std::process::Child>);
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// The same contract with replicas as real OS processes: two
+/// `astro-gateway` children on ephemeral ports behind `Router::spawn`,
+/// one SIGKILLed mid-load. Preset + seed make the children's tokenizer
+/// and weights bit-identical to this process's serial reference.
+#[test]
+fn sigkilling_a_replica_process_mid_load_loses_nothing_and_keeps_parity() {
+    use std::io::BufRead;
+    let _gate = gate();
+    fault::clear();
+    let seed = 101u64;
+    let ctx = setup_with(seed, Tier::S70b, seed);
+
+    let mut children = Children(Vec::new());
+    let mut specs = Vec::new();
+    for i in 0..2 {
+        let name = format!("replica-{i}");
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_astro-gateway"))
+            .args(["0", &name, "micro", &seed.to_string()])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn astro-gateway");
+        let stdout = child.stdout.take().expect("piped stdout");
+        children.0.push(child);
+        // The bound address is the child's first stdout line, printed
+        // once it is listening.
+        let mut line = String::new();
+        std::io::BufReader::new(stdout).read_line(&mut line).expect("read bound address");
+        let addr = line.trim().parse().unwrap_or_else(|e| panic!("{name} printed {line:?}: {e}"));
+        specs.push(ReplicaSpec { name, addr });
+    }
+    let mut config = RouterConfig::default();
+    config.probe.interval = Duration::from_secs(60);
+    let router = Router::spawn(config, specs).expect("router spawn");
+    let addr = router.addr();
+    let questions: Vec<Mcq> = ctx.study.eval_questions().into_iter().cloned().collect();
+
+    // One pass settles every group's affinity anchor; the process that
+    // then owns the first question's key is the victim, and both loaders
+    // send that question after the kill, so it must fail over on
+    // connection-refused (the prober never runs).
+    for (i, q) in questions.iter().enumerate() {
+        score_and_check(addr, &ctx, q, &format!("warm q{i}"));
+    }
+    let victim = score_and_check(addr, &ctx, &questions[0], "pick-victim");
+    let victim: usize = victim.strip_prefix("replica-").and_then(|n| n.parse().ok()).expect("name");
+    let threads = 2;
+    let barrier = Barrier::new(threads + 1);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (ctx, questions, barrier) = (&ctx, &questions, &barrier);
+            scope.spawn(move || {
+                for (i, q) in questions.iter().enumerate().rev() {
+                    if i + 1 == questions.len() / 2 {
+                        barrier.wait();
+                    }
+                    score_and_check(addr, ctx, q, &format!("procs t{t} q{i}"));
+                }
+            });
+        }
+        barrier.wait();
+        children.0[victim].kill().expect("SIGKILL");
+        children.0[victim].wait().expect("reap");
+    });
+
+    let stats = router.shutdown();
+    assert_eq!(stats.lost, 0, "zero-loss contract: {stats:?}");
+    assert!(stats.failovers >= 1, "nothing was routed to the dead process: {stats:?}");
 }
 
 #[test]

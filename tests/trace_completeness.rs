@@ -249,6 +249,54 @@ fn every_response_yields_exactly_one_complete_trace() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Tiling: on every successful score of an 8-client burst the phase
+/// durations sum to the end-to-end latency — no unattributed time hides
+/// between phases (`assert_well_formed` checks order and containment,
+/// not gaps). Slack is 5% with a 500µs floor: scheduler-side timestamps
+/// quantise to whole microseconds and the final ring stamp lands a hair
+/// after the `write` phase closes.
+#[test]
+fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
+    let _gate = gate();
+    fault::clear();
+    trace::reset();
+    let ctx = setup(71);
+    let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
+    let addr = gw.addr();
+    let questions = ctx.study.eval_questions();
+    std::thread::scope(|scope| {
+        for c in 0..8 {
+            let questions = &questions;
+            scope.spawn(move || {
+                for q in questions {
+                    let body = score_body(q, Some(&format!("burst-{c}")));
+                    let resp = client::post_json(addr, "/v1/score", &body, TIMEOUT).expect("score");
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                }
+            });
+        }
+    });
+    let stats = gw.shutdown();
+    assert!(stats.drained_clean, "{stats:?}");
+
+    let ring = trace::ring_snapshot();
+    let scored: Vec<&TraceRecord> = ring
+        .iter()
+        .filter(|r| r.status == 200 && r.name == "gateway./v1/score")
+        .collect();
+    assert_eq!(scored.len(), 8 * questions.len(), "one 200 score trace per burst request");
+    for rec in scored {
+        assert_well_formed(rec);
+        let e2e = rec.duration_us() as f64;
+        let attributed = rec.phase_total_us();
+        assert!(
+            (e2e - attributed as f64).abs() <= (e2e * 0.05).max(500.0),
+            "phases sum to {attributed}µs of {e2e}µs end to end: {:?}",
+            rec.phases
+        );
+    }
+}
+
 /// Deadline misses (504) and queue-full rejections (503) get traces
 /// too: 504 deterministically via a 1ms deadline against a long batch
 /// window, 503 by flooding a single-slot queue (bounded retries — the
@@ -311,9 +359,16 @@ fn pressure_rejections_are_traced() {
                 .map(|t| {
                     let body = score_body(&q, Some(&format!("flood-{t}")));
                     scope.spawn(move || {
-                        client::post_json(addr, "/v1/score", &body, TIMEOUT)
-                            .expect("flood response")
-                            .status
+                        let resp = client::post_json(addr, "/v1/score", &body, TIMEOUT)
+                            .expect("flood response");
+                        // Backpressure carries a retry hint: the router and
+                        // well-behaved clients key their backoff off it.
+                        assert!(
+                            resp.status != 503 || resp.header("Retry-After").is_some(),
+                            "503 without Retry-After: {}",
+                            resp.body
+                        );
+                        resp.status
                     })
                 })
                 .collect();
