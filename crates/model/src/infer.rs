@@ -45,7 +45,8 @@
 use crate::params::Params;
 use crate::{rope_tables, ModelConfig, WeightPrecision};
 use astro_quant::QuantMatrix;
-use astro_tensor::matmul::{dot, matmul_a_bt};
+use astro_tensor::attention::attend_head;
+use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops;
 use astro_tensor::qmatmul::{quantize_rows_q8, rmsnorm_quantize_row, swiglu_quantize_row};
 
@@ -475,50 +476,36 @@ impl InferenceSession {
 
     /// For each of the `m` rows in ascending position order: RoPE on its
     /// query row in `self.q` and its freshly written K cache row, then
-    /// causal attention into `self.attn_out` — row `i` attends over
-    /// `0..=p0+i`, which includes this call's earlier rows, already
-    /// written and rotated. f32 under both weight precisions.
+    /// causal attention into `self.attn_out`, one [`attend_head`] per head
+    /// — row `i` attends over `0..=p0+i`, which includes this call's
+    /// earlier rows, already written and rotated. f32 under both weight
+    /// precisions.
     fn rope_attend(&mut self, l: usize, p0: usize, m: usize) {
         let c = self.cfg.d_model;
-        let h = self.cfg.n_heads;
         let hs = self.cfg.head_dim();
         let half = hs / 2;
         let scale = 1.0 / (hs as f32).sqrt();
+        let (k_cache, v_cache) = (&mut self.k_cache[l][..], &self.v_cache[l][..]);
         for i in 0..m {
             let pos = p0 + i;
-            for hi in 0..h {
-                let base = hi * hs;
-                for ii in 0..half {
-                    let co = self.rope_cos[pos * half + ii];
-                    let si = self.rope_sin[pos * half + ii];
-                    let rot = |buf: &mut [f32]| {
-                        let x0 = buf[base + 2 * ii];
-                        let x1 = buf[base + 2 * ii + 1];
-                        buf[base + 2 * ii] = x0 * co - x1 * si;
-                        buf[base + 2 * ii + 1] = x0 * si + x1 * co;
-                    };
-                    rot(&mut self.q[i * c..(i + 1) * c]);
-                    rot(&mut self.k_cache[l][pos * c..(pos + 1) * c]);
+            let row = i * c..(i + 1) * c;
+            let cos = &self.rope_cos[pos * half..(pos + 1) * half];
+            let sin = &self.rope_sin[pos * half..(pos + 1) * half];
+            for buf in [&mut self.q[row.clone()], &mut k_cache[pos * c..(pos + 1) * c]] {
+                for head in buf.chunks_exact_mut(hs) {
+                    for ((pair, &co), &si) in head.chunks_exact_mut(2).zip(cos).zip(sin) {
+                        let (x0, x1) = (pair[0], pair[1]);
+                        pair[0] = x0 * co - x1 * si;
+                        pair[1] = x0 * si + x1 * co;
+                    }
                 }
             }
             let n = pos + 1;
-            for hi in 0..h {
-                let head = i * c + hi * hs..i * c + hi * hs + hs;
-                let qh = &self.q[head.clone()];
-                for (j, s) in self.scores[..n].iter_mut().enumerate() {
-                    let kh = &self.k_cache[l][j * c + hi * hs..j * c + hi * hs + hs];
-                    *s = dot(qh, kh) * scale;
-                }
-                ops::softmax_rows(&mut self.scores[..n], 1, n);
-                let out = &mut self.attn_out[head];
-                out.fill(0.0);
-                for j in 0..n {
-                    let w = self.scores[j];
-                    let vh = &self.v_cache[l][j * c + hi * hs..j * c + hi * hs + hs];
-                    for (o, &vv) in out.iter_mut().zip(vh.iter()) {
-                        *o += w * vv;
-                    }
-                }
+            let outs = self.attn_out[row.clone()].chunks_exact_mut(hs);
+            for (hi, (out, qh)) in outs.zip(self.q[row].chunks_exact(hs)).enumerate() {
+                let cached = hi * hs..n * c;
+                let (kh, vh) = (&k_cache[cached.clone()], &v_cache[cached]);
+                attend_head(out, &mut self.scores[..n], qh, kh, vh, c, scale);
             }
         }
     }
@@ -771,6 +758,174 @@ mod tests {
         let a = s8.feed(&p, 3).to_vec();
         let b = s32.feed(&p, 3).to_vec();
         assert_eq!(a, b, "missing quant copy must downgrade to the f32 path");
+    }
+
+    /// The per-op rows of `op_budget`'s table. The embedding copy is
+    /// booked under `head` (the tied matrix) and each residual add under
+    /// the linear it follows.
+    const OPS: [&str; 8] = ["norm", "qkv", "rope+attn", "requant", "wo", "ffn", "swiglu", "head"];
+
+    impl InferenceSession {
+        /// `forward_rows(p, tokens, None)` spelled out — the same private
+        /// ops in the same order — with each op's wall time in µs added
+        /// to its slot of `us`.
+        fn forward_rows_timed(&mut self, p: &Params, tokens: &[u32], us: &mut [f64; OPS.len()]) {
+            let c = self.cfg.d_model;
+            let f = self.cfg.d_ff;
+            let m = tokens.len();
+            let p0 = self.pos;
+            let quant = match self.cfg.precision {
+                WeightPrecision::Int8 => p.quant.as_ref(),
+                WeightPrecision::F32 => None,
+            };
+            let int8 = quant.is_some();
+            self.fit_rows(m);
+            let mut t = std::time::Instant::now();
+            let mut lap = |op: usize| {
+                let now = std::time::Instant::now();
+                us[op] += (now - t).as_secs_f64() * 1e6;
+                t = now;
+            };
+            let embed = p.view(&p.layout.embed);
+            for (row, &tok) in self.x.chunks_exact_mut(c).zip(tokens) {
+                let tok = tok as usize;
+                row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
+            }
+            lap(7);
+            for l in 0..self.cfg.n_layers {
+                let lay = &p.layout.layers[l];
+                let ql = quant.map(|qp| &qp.layers[l]);
+                let kv_rows = p0 * c..(p0 + m) * c;
+                self.norm_rows(p.view(&lay.attn_norm), int8);
+                lap(0);
+                let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
+                linear(&mut self.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, s, m);
+                let k_rows = &mut self.k_cache[l][kv_rows.clone()];
+                linear(k_rows, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, s, m);
+                let v_rows = &mut self.v_cache[l][kv_rows];
+                linear(v_rows, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, s, m);
+                lap(1);
+                self.rope_attend(l, p0, m);
+                lap(2);
+                if int8 {
+                    quantize_rows_q8(&mut self.qx, &mut self.row_scale, &self.attn_out, m, c);
+                }
+                lap(3);
+                let (a, aq, s) = (&self.attn_out, &self.qx, &self.row_scale);
+                linear(&mut self.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, s, m);
+                ops::add_assign(&mut self.x, &self.proj);
+                lap(4);
+                self.norm_rows(p.view(&lay.ffn_norm), int8);
+                lap(0);
+                let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
+                linear(&mut self.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, s, m);
+                linear(&mut self.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, s, m);
+                lap(5);
+                if int8 {
+                    for i in 0..m {
+                        let r = i * f..(i + 1) * f;
+                        self.row_scale[i] = swiglu_quantize_row(
+                            &mut self.qf[r.clone()],
+                            &mut self.act[r.clone()],
+                            &self.gate[r.clone()],
+                            &self.up[r],
+                        );
+                    }
+                } else {
+                    for ((av, &gv), &uv) in self.act.iter_mut().zip(&self.gate).zip(&self.up) {
+                        *av = gv * ops::sigmoid(gv) * uv;
+                    }
+                }
+                lap(6);
+                let (a, aq, s) = (&self.act, &self.qf, &self.row_scale);
+                linear(&mut self.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, s, m);
+                ops::add_assign(&mut self.x, &self.proj);
+                lap(5);
+            }
+            if m > 1 {
+                self.x.copy_within((m - 1) * c.., 0);
+                self.fit_rows(1);
+            }
+            self.norm_rows(p.view(&p.layout.final_norm), int8);
+            lap(0);
+            let lm_head = quant.map(|qp| &qp.lm_head);
+            linear(&mut self.logits, embed, lm_head, &self.ln, &self.qx, &self.row_scale, 1);
+            lap(7);
+            self.pos += m;
+        }
+    }
+
+    /// Where a forward row's time goes, op by op — the table kernel and
+    /// scheduler work is sized from (docs/TUNING.md). Log-only:
+    ///
+    /// ```sh
+    /// cargo test --release -p astro-model --lib -- --ignored --nocapture op_budget
+    /// ```
+    ///
+    /// For S7b and S70b × f32/int8: the last row block of a 136-token
+    /// prompt (methods 2/3's length) and the decode row after it, each op
+    /// the median of `REPS` runs, in µs per row and as a share of the row.
+    /// The timed forward's logits must equal `try_feed_prompt`'s and
+    /// `feed`'s bit for bit, so a `forward_rows` this copy has drifted
+    /// from fails here instead of mis-sizing the next issue.
+    #[test]
+    #[ignore]
+    fn op_budget() {
+        use crate::Tier;
+        const REPS: usize = 101;
+        const PROMPT: usize = 136;
+        let vocab = 512;
+        let tokens: Vec<u32> = (0..=PROMPT).map(|i| (i * 37 % vocab) as u32).collect();
+        let (head, block) = tokens[..PROMPT].split_at(PROMPT - PREFILL_ROWS);
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for tier in [Tier::S7b, Tier::S70b] {
+            let f32_params = Params::init(ModelConfig::tier(tier, vocab), &mut Rng::seed_from(19));
+            let int8_params = f32_params.clone().quantized();
+            for p in [&f32_params, &int8_params] {
+                let mut base = InferenceSession::new(p.cfg);
+                base.try_feed_prompt(p, head).unwrap();
+                let mut oracle = base.clone();
+                let block_logits = bits(oracle.try_feed_prompt(p, block).unwrap());
+                let decode_logits = bits(oracle.feed(p, tokens[PROMPT]));
+
+                let mut sess = InferenceSession::new(p.cfg);
+                let mut block_us = vec![[0.0; OPS.len()]; REPS];
+                let mut decode_us = vec![[0.0; OPS.len()]; REPS];
+                for (block_rep, decode_rep) in block_us.iter_mut().zip(&mut decode_us) {
+                    sess.assign_from(&base);
+                    sess.forward_rows_timed(p, block, block_rep);
+                    assert_eq!(bits(&sess.logits), block_logits, "prefill block drifted");
+                    sess.forward_rows_timed(p, &tokens[PROMPT..], decode_rep);
+                    assert_eq!(bits(&sess.logits), decode_logits, "decode row drifted");
+                }
+                let median = |reps: &[[f64; OPS.len()]]| -> [f64; OPS.len()] {
+                    std::array::from_fn(|op| {
+                        let mut col: Vec<f64> = reps.iter().map(|rep| rep[op]).collect();
+                        col.sort_by(f64::total_cmp);
+                        col[REPS / 2]
+                    })
+                };
+                let (prefill, decode) = (median(&block_us), median(&decode_us));
+                let prefill = prefill.map(|us| us / PREFILL_ROWS as f64);
+                println!(
+                    "op_budget {tier:?} {:?}: us/row (share)   prefill rows {}..{PROMPT}   \
+                     decode row at {PROMPT}",
+                    p.cfg.precision,
+                    PROMPT - PREFILL_ROWS
+                );
+                let (pt, dt) = (prefill.iter().sum::<f64>(), decode.iter().sum::<f64>());
+                for (op, name) in OPS.iter().enumerate() {
+                    println!(
+                        "  {name:<10} {:8.1} ({:4.1} %)   {:8.1} ({:4.1} %)",
+                        prefill[op],
+                        100.0 * prefill[op] / pt,
+                        decode[op],
+                        100.0 * decode[op] / dt
+                    );
+                }
+                println!("  {:<10} {pt:8.1}            {dt:8.1}", "row");
+            }
+        }
     }
 
     #[test]

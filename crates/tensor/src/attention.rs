@@ -1,0 +1,185 @@
+//! Causal attention of one query head over its cached positions.
+//!
+//! The same contract as [`crate::matmul::matmul_a_bt_acc`]: more
+//! independent chains in flight, every output element still the same
+//! sequence of IEEE operations as the naive per-key loops (the
+//! `#[cfg(test)]` reference below), so a caller may not observe the
+//! blocking — not in one bit.
+
+use crate::matmul::{dot, dot_tile};
+use crate::ops::softmax_rows;
+
+/// Keys scored together: the one-row tile of `matmul_a_bt_acc`, eight
+/// [`dot`] chains in flight against one query.
+const KEY_TILE: usize = 8;
+
+/// Most 4-lane accumulators the value pass keeps in registers across the
+/// key loop: 12 of the sixteen baseline SSE registers, the rest hold the
+/// weight and the product. A head wider than `4 * VALUE_QUADS` takes one
+/// pass over the keys per `VALUE_QUADS` quads.
+const VALUE_QUADS: usize = 12;
+
+/// `out = softmax(scale · q·Kᵀ) · V` for one head: `q` and `out` are the
+/// head's `head_dim` elements of the query and output rows; position `j`'s
+/// key and value are `k[j * stride..][..head_dim]` and likewise in `v`
+/// (the caller slices the cache at the head's column offset, `stride` is
+/// the cache row length); `scores` lends one f32 per position,
+/// `n = scores.len()`, and holds the attention weights on return.
+///
+/// Bit for bit: `scores[j] = dot(q, k_j) * scale`, then
+/// [`softmax_rows`] over them, then `out[d]` is `0.0` plus
+/// `scores[j] * v_j[d]` added in ascending `j`.
+pub fn attend_head(
+    out: &mut [f32],
+    scores: &mut [f32],
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    stride: usize,
+    scale: f32,
+) {
+    let hd = q.len();
+    let n = scores.len();
+    assert_eq!(out.len(), hd, "out has wrong size");
+    assert!(n > 0 && hd > 0 && stride >= hd, "empty head or overlapping rows");
+    let span = (n - 1) * stride + hd;
+    assert!(k.len() >= span && v.len() >= span, "cache shorter than {n} positions");
+
+    let key = |j: usize| &k[j * stride..][..hd];
+    let mut tiles = scores.chunks_exact_mut(KEY_TILE);
+    let mut j = 0;
+    for tile in &mut tiles {
+        let keys: [&[f32]; KEY_TILE] = std::array::from_fn(|t| key(j + t));
+        let [dots] = dot_tile(&[q], &keys);
+        for (s, d) in tile.iter_mut().zip(dots) {
+            *s = d * scale;
+        }
+        j += KEY_TILE;
+    }
+    for s in tiles.into_remainder() {
+        *s = dot(q, key(j)) * scale;
+        j += 1;
+    }
+    softmax_rows(scores, 1, n);
+
+    let mut d = 0;
+    while hd - d >= 4 {
+        let quads = ((hd - d) / 4).min(VALUE_QUADS);
+        let (o, vd) = (&mut out[d..d + 4 * quads], &v[d..]);
+        match quads {
+            1 => weighted_sum::<1>(o, scores, vd, stride),
+            2 => weighted_sum::<2>(o, scores, vd, stride),
+            3 => weighted_sum::<3>(o, scores, vd, stride),
+            4 => weighted_sum::<4>(o, scores, vd, stride),
+            5 => weighted_sum::<5>(o, scores, vd, stride),
+            6 => weighted_sum::<6>(o, scores, vd, stride),
+            7 => weighted_sum::<7>(o, scores, vd, stride),
+            8 => weighted_sum::<8>(o, scores, vd, stride),
+            9 => weighted_sum::<9>(o, scores, vd, stride),
+            10 => weighted_sum::<10>(o, scores, vd, stride),
+            11 => weighted_sum::<11>(o, scores, vd, stride),
+            _ => weighted_sum::<VALUE_QUADS>(o, scores, vd, stride),
+        }
+        d += 4 * quads;
+    }
+    for (t, o) in out.iter_mut().enumerate().skip(d) {
+        let mut s = 0.0f32;
+        for (&w, row) in scores.iter().zip(v.chunks(stride)) {
+            s += w * row[t];
+        }
+        *o = s;
+    }
+}
+
+/// `out[..4 * Q] = Σ_j w[j] · v_j[..4 * Q]`, the sum started at `0.0` and
+/// taken in ascending `j` with the `Q` accumulators held in registers —
+/// what `out.fill(0.0)` and one `out[d] += w[j] * v_j[d]` sweep per key
+/// compute, without the round trip through `out` per key.
+fn weighted_sum<const Q: usize>(out: &mut [f32], w: &[f32], v: &[f32], stride: usize) {
+    let mut acc = [[0.0f32; 4]; Q];
+    for (&wj, row) in w.iter().zip(v.chunks(stride)) {
+        let (row, _) = row[..4 * Q].as_chunks::<4>();
+        for q in 0..Q {
+            for l in 0..4 {
+                acc[q][l] += wj * row[q][l];
+            }
+        }
+    }
+    out.copy_from_slice(acc.as_flattened());
+}
+
+/// The naive loops `attend_head` must equal bit for bit: one [`dot`] per
+/// key, then one sweep of `out` per key.
+#[cfg(test)]
+pub(crate) fn attend_head_reference(
+    out: &mut [f32],
+    scores: &mut [f32],
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    stride: usize,
+    scale: f32,
+) {
+    let hd = q.len();
+    let n = scores.len();
+    for (j, s) in scores.iter_mut().enumerate() {
+        *s = dot(q, &k[j * stride..j * stride + hd]) * scale;
+    }
+    softmax_rows(scores, 1, n);
+    out.fill(0.0);
+    for (j, &w) in scores.iter().enumerate() {
+        crate::matmul::axpy(w, &v[j * stride..j * stride + hd], out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Values with both signs, exact zeros, a subnormal and magnitudes
+    /// spread enough that a different summation order changes low bits.
+    fn values(len: usize, salt: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let t = (i * 37 + salt * 11) % 23;
+                match t {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1.0e-40,
+                    _ => (t as f32 - 11.0) * 0.173 * (1.0 + (i % 7) as f32 * 0.31),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn attend_head_is_bitwise_the_naive_loops_at_every_tile_edge() {
+        let lens = (1..=17).chain([31, 32, 33, 136, 288]);
+        for n in lens {
+            for hd in [2usize, 6, 8, 16, 24, 36, 40] {
+                // Four heads per cache row plus padding: stride > head_dim,
+                // first and last head offsets.
+                let heads = 4;
+                let stride = heads * hd + 3;
+                let k = values(n * stride, 1);
+                let v = values(n * stride, 2);
+                let q = values(hd, 3);
+                let scale = 1.0 / (hd as f32).sqrt();
+                for head in [0, heads - 1] {
+                    let off = head * hd;
+                    // The last head of the last row ends inside the cache
+                    // row: the kernel may not read past `head_dim`.
+                    let end = (n - 1) * stride + off + hd;
+                    let (ks, vs) = (&k[off..end], &v[off..end]);
+                    let (mut got, mut want) = (vec![f32::NAN; hd], vec![f32::NAN; hd]);
+                    let (mut gs, mut ws) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                    attend_head(&mut got, &mut gs, &q, ks, vs, stride, scale);
+                    attend_head_reference(&mut want, &mut ws, &q, ks, vs, stride, scale);
+                    let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&gs), bits(&ws), "scores n={n} hd={hd} head={head}");
+                    assert_eq!(bits(&got), bits(&want), "out n={n} hd={hd} head={head}");
+                }
+            }
+        }
+    }
+}

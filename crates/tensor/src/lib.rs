@@ -4,8 +4,8 @@
 //! (llm.c style) over pre-allocated buffers, so this crate exposes *slice
 //! kernels* rather than a graph framework: blocked matrix multiplication in
 //! the three orientations backward passes need, fused softmax /
-//! cross-entropy / RMSNorm kernels, and bf16 emulation matching the paper's
-//! bf16 training.
+//! cross-entropy / RMSNorm kernels, the per-head attention kernel of the
+//! inference path, and bf16 emulation matching the paper's bf16 training.
 //!
 //! Design notes (following the Rust Performance Book guidance):
 //!
@@ -17,6 +17,7 @@
 //! A small shape-carrying [`Tensor`] is provided for tests, examples and
 //! non-hot-path code.
 
+pub mod attention;
 pub mod bf16;
 pub mod gradcheck;
 pub mod matmul;

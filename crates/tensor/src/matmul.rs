@@ -127,7 +127,17 @@ fn a_bt_band<const R: usize, const C: usize>(
 /// runs [`dot`]'s exact sequence of operations — four strided lane sums
 /// ([`lane_sums`]), `(s0 + s1) + (s2 + s3)`, then the scalar tail in
 /// order — so it returns the same bits.
-fn dot_tile<const R: usize, const C: usize>(a: &[&[f32]; R], b: &[&[f32]; C]) -> [[f32; C]; R] {
+///
+/// Inlined into each caller: one tile over rows as short as an attention
+/// head or an S7b layer (16–64 elements) is a few dozen multiply-adds, and
+/// a call that passes and returns the tile through memory cost 7–18 % of
+/// an S7b f32 decode step's linears when this stopped being inlined by
+/// itself (a second caller, `attention::attend_head`).
+#[inline(always)]
+pub(crate) fn dot_tile<const R: usize, const C: usize>(
+    a: &[&[f32]; R],
+    b: &[&[f32]; C],
+) -> [[f32; C]; R] {
     let a: [(&[[f32; 4]], &[f32]); R] = std::array::from_fn(|r| a[r].as_chunks());
     let b: [(&[[f32; 4]], &[f32]); C] = std::array::from_fn(|c| b[c].as_chunks());
     let lanes = lane_sums(&a.map(|(quads, _)| quads), &b.map(|(quads, _)| quads));

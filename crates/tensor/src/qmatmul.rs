@@ -14,17 +14,21 @@
 //! * the portable [`dot_q8`] reduction is the canonical `i32 += i8·i8`
 //!   pattern; integer adds are associative, so LLVM may vectorize the
 //!   reduction without a fast-math opt-in;
-//! * on x86-64 an AVX2 inner kernel (`vpmovsxbw` + `vpmaddwd`) is
-//!   selected by *runtime* feature detection — measured ~3.4x over the
-//!   autovectorized loop on a Sapphire-Rapids-class core. Because both
-//!   paths accumulate exactly in `i32`, they return bit-identical
-//!   results: the dispatch never affects determinism, only speed;
+//! * on x86-64 AVX2 inner kernels are selected by *runtime* feature
+//!   detection. Because every path accumulates exactly in `i32`, they
+//!   return bit-identical results: the dispatch never affects
+//!   determinism, only speed;
 //! * [`matmul_q8_a_bt`] streams each weight row once per block of
-//!   activation rows (j-outer, i-inner) and, on AVX2, shares each
-//!   sign-extended weight vector across four activation rows — measured
-//!   β ≈ 0.5 per-token cost for a 4-row chunk vs four single-row
-//!   matvecs, the amortization that makes speculative verification
-//!   cheaper than sequential decoding;
+//!   activation rows (j-outer, i-inner). Its AVX2 kernel is a register
+//!   tile of one activation row against four weight rows: each activation
+//!   load is shared by the four, 32 int8 lanes go through one
+//!   `vpsignb`/`vpmaddubsw` pair (no widening pass), and the four
+//!   horizontal sums are reduced and dequantized together. The tile does
+//!   not depend on `m`, so a decode step's single row does a prefill
+//!   block's work per row; what more rows per call still buy is the
+//!   weight traffic — one read of the matrix per row block instead of one
+//!   per row (a one-row call measures 0.7–1.0 of the eight-row rate at
+//!   the S70b shapes, weights in L2);
 //! * the fused epilogues ([`rmsnorm_quantize_row`],
 //!   [`swiglu_quantize_row`]) fold the activation-quantization pass into
 //!   the preceding normalization / gating loop so the int8 decode path
@@ -74,6 +78,20 @@ fn dequant(acc: i32, a_scale: f32, b_scale: f32) -> f32 {
     (acc as f32) * (a_scale * b_scale)
 }
 
+/// `v.round().clamp(-127.0, 127.0) as i8` without the call: `f32::round`
+/// (ties away from zero) has no instruction on the baseline SSE2 target
+/// and goes through libm's `roundf` once per element. Adding the largest
+/// f32 below one half, with `v`'s sign, and truncating rounds the same way
+/// — a tie `n + 0.5` lands on `n + 1` after the add's own rounding, the
+/// value just below it stays under `n + 1` — for every `|v| <= 128`; the
+/// clamp brings the rest of the line there first and NaN falls out of the
+/// cast as 0. Equal to the expression above on all 2^32 bit patterns.
+#[inline]
+fn round_q8(v: f32) -> i8 {
+    let c = v.clamp(-128.0, 128.0);
+    ((c + 0.499_999_97_f32.copysign(c)) as i32).clamp(-127, 127) as i8
+}
+
 /// Quantize `x` against a precomputed `amax = max|x|`; returns the scale.
 fn quantize_with_amax(q: &mut [i8], x: &[f32], amax: f32) -> f32 {
     debug_assert_eq!(q.len(), x.len());
@@ -89,7 +107,7 @@ fn quantize_with_amax(q: &mut [i8], x: &[f32], amax: f32) -> f32 {
         return 0.0;
     }
     for (qi, &v) in q.iter_mut().zip(x.iter()) {
-        *qi = (v * inv).round().clamp(-Q8_MAX, Q8_MAX) as i8;
+        *qi = round_q8(v * inv);
     }
     amax / Q8_MAX
 }
@@ -128,10 +146,13 @@ pub fn dequantize_row_q8(y: &mut [f32], q: &[i8], scale: f32) {
 /// (`b_scales[j]` per output channel), `c` is `m×n` f32.
 ///
 /// Loop order is j-outer / i-inner inside a block of activation rows, so
-/// each weight row is streamed from memory exactly once per row block —
-/// the order that amortises weight traffic across a speculative
-/// verification chunk. Because the integer accumulation is exact, `c`
-/// is bitwise-identical to `m` independent [`matvec_q8`] calls.
+/// each weight row is streamed from memory exactly once per row block.
+/// Because the integer accumulation is exact, `c` is bitwise-identical to
+/// `m` independent [`matvec_q8`] calls.
+///
+/// `b` must not contain `-128` — no quantizer here produces it (see
+/// [`Q8_MAX`]) — or the AVX2 kernel, which negates weight lanes, is no
+/// longer exact.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_q8_a_bt(
     c: &mut [f32],
@@ -148,22 +169,38 @@ pub fn matmul_q8_a_bt(
     assert_eq!(c.len(), m * n, "c has wrong size");
     assert_eq!(a_scales.len(), m, "a_scales has wrong size");
     assert_eq!(b_scales.len(), n, "b_scales has wrong size");
-    #[cfg(target_arch = "x86_64")]
-    if x86::avx2() {
-        // SAFETY: AVX2 support was verified at runtime just above; all
-        // slice extents were asserted against m/k/n.
-        unsafe { x86::matmul_a_bt(c, a, a_scales, b, b_scales, m, k, n) };
-        return;
-    }
+    debug_assert!(!b.iter().fold(false, |hit, &w| hit | (w == i8::MIN)), "weight of -128");
     for i0 in (0..m).step_by(ROW_BLOCK) {
         let i1 = (i0 + ROW_BLOCK).min(m);
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let sb = b_scales[j];
-            for i in i0..i1 {
-                let acc = dot_q8_scalar(&a[i * k..(i + 1) * k], brow);
-                c[i * n + j] = dequant(acc, a_scales[i], sb);
-            }
+        let (cb, ab, sb) = (&mut c[i0 * n..i1 * n], &a[i0 * k..i1 * k], &a_scales[i0..i1]);
+        #[cfg(target_arch = "x86_64")]
+        if x86::avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above; the
+            // block's slices hold `i1 - i0` rows of `n`, `k` and one
+            // element, and `b` / `b_scales` were asserted against `n`/`k`.
+            unsafe { x86::matmul_a_bt(cb, ab, sb, b, b_scales, k, n) };
+            continue;
+        }
+        matmul_q8_a_bt_portable(cb, ab, sb, b, b_scales, k, n);
+    }
+}
+
+/// One row block of [`matmul_q8_a_bt`], portably — the reference the AVX2
+/// kernel is tested against, and the only path off x86-64.
+fn matmul_q8_a_bt_portable(
+    c: &mut [f32],
+    a: &[i8],
+    a_scales: &[f32],
+    b: &[i8],
+    b_scales: &[f32],
+    k: usize,
+    n: usize,
+) {
+    for j in 0..n {
+        let brow = &b[j * k..(j + 1) * k];
+        for (i, &sa) in a_scales.iter().enumerate() {
+            let acc = dot_q8_scalar(&a[i * k..(i + 1) * k], brow);
+            c[i * n + j] = dequant(acc, sa, b_scales[j]);
         }
     }
 }
@@ -210,7 +247,7 @@ pub fn rmsnorm_quantize_row(q: &mut [i8], x: &[f32], g: &[f32], eps: f32) -> f32
         return 0.0;
     }
     for ((qi, &xv), &gv) in q.iter_mut().zip(x.iter()).zip(g.iter()) {
-        *qi = (xv * inv * gv * qinv).round().clamp(-Q8_MAX, Q8_MAX) as i8;
+        *qi = round_q8(xv * inv * gv * qinv);
     }
     amax / Q8_MAX
 }
@@ -247,9 +284,12 @@ pub fn swiglu_quantize_row(q: &mut [i8], act: &mut [f32], gate: &[f32], up: &[f3
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
-        _mm256_extracti128_si256, _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32,
-        _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
+        __m128i, __m256i, _mm256_abs_epi8, _mm256_add_epi32, _mm256_castsi256_si128,
+        _mm256_cvtepi8_epi16, _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_loadu_si256,
+        _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_set1_epi16, _mm256_setzero_si256,
+        _mm256_sign_epi8, _mm256_zextsi128_si256, _mm_add_epi32, _mm_cvtepi32_ps, _mm_cvtsi128_si32,
+        _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_mul_ps, _mm_set1_ps,
+        _mm_shuffle_epi32, _mm_storeu_ps, _mm_storeu_si128,
     };
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -307,15 +347,57 @@ mod x86 {
         s
     }
 
-    /// AVX2 `a · bᵀ` with per-row scales: groups of four activation rows
-    /// share each sign-extended weight vector, amortising the dominant
-    /// load + widen cost across the chunk (measured per-token β ≈ 0.5
-    /// for 4-row chunks vs single-row matvecs).
+    /// Weight rows per register tile of [`matmul_a_bt`]: four `i32`
+    /// accumulators, reduced together by three `vphaddd`.
+    const TILE_W: usize = 4;
+
+    /// The next `N` ∈ {32, 16, 8} int8 lanes at `p`, the lanes above them
+    /// zero — a zero lane adds nothing to [`mac`], so a `k % 32` tail takes
+    /// the same step on a shorter load.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 support and that slice extents match
-    /// `m`/`k`/`n` (asserted by the public wrapper).
-    #[allow(clippy::too_many_arguments)]
+    /// Caller must ensure AVX2 support and that `p` is readable for `N`
+    /// bytes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes<const N: usize>(p: *const i8) -> __m256i {
+        match N {
+            32 => _mm256_loadu_si256(p.cast::<__m256i>()),
+            16 => _mm256_zextsi128_si256(_mm_loadu_si128(p.cast::<__m128i>())),
+            _ => _mm256_zextsi128_si256(_mm_loadl_epi64(p.cast::<__m128i>())),
+        }
+    }
+
+    /// `acc[w] += Σ va·vb[w]` over 32 int8 lanes, into eight `i32` lanes
+    /// per weight row. `vpmaddubsw` wants one unsigned operand: it gets
+    /// `|va|`, and `vpsignb` moves `va`'s sign onto the weight lanes
+    /// (exact while no weight is `-128`), so each product is unchanged.
+    /// With both operands in `-127..=127` — `|va|` may be 128 — an adjacent
+    /// pair sums to at most `2·128·127 < 2^15`: the `i16` never saturates,
+    /// and `vpmaddwd` by ones widens pairs of them to `i32`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mac(acc: &mut [__m256i; TILE_W], va: __m256i, vb: [__m256i; TILE_W]) {
+        let ones = _mm256_set1_epi16(1);
+        let abs = _mm256_abs_epi8(va);
+        for (ac, vw) in acc.iter_mut().zip(vb) {
+            let pairs = _mm256_maddubs_epi16(abs, _mm256_sign_epi8(vw, va));
+            *ac = _mm256_add_epi32(*ac, _mm256_madd_epi16(pairs, ones));
+        }
+    }
+
+    /// AVX2 `a · bᵀ` with per-row scales for one block of activation rows
+    /// (`a_scales.len()` of them): for each tile of [`TILE_W`] weight rows,
+    /// every activation row in turn — the tile stays in L1 across the
+    /// block — with each activation load shared by the tile's rows
+    /// ([`mac`]), a scalar tail for `k % 8`, and the four sums reduced and
+    /// dequantized together. The `n % TILE_W` leftover weight rows are
+    /// plain [`dot`]s.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 support and that `a`, `b` and `c` hold
+    /// `a_scales.len()` rows of `k`, `n` rows of `k` and `a_scales.len()`
+    /// rows of `n` elements (asserted by the public wrapper).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn matmul_a_bt(
         c: &mut [f32],
@@ -323,41 +405,58 @@ mod x86 {
         a_scales: &[f32],
         b: &[i8],
         b_scales: &[f32],
-        m: usize,
         k: usize,
         n: usize,
     ) {
-        let mut i0 = 0;
-        while i0 + 4 <= m {
-            for j in 0..n {
-                let brow = b.as_ptr().add(j * k);
-                let mut acc = [_mm256_setzero_si256(); 4];
+        let full = n - n % TILE_W;
+        for j in (0..full).step_by(TILE_W) {
+            let wrows: [*const i8; TILE_W] = std::array::from_fn(|w| b[(j + w) * k..].as_ptr());
+            let wscales = _mm_loadu_ps(b_scales[j..j + TILE_W].as_ptr());
+            for (i, &sa) in a_scales.iter().enumerate() {
+                let arow = a[i * k..(i + 1) * k].as_ptr();
+                let mut acc = [_mm256_setzero_si256(); TILE_W];
                 let mut t = 0;
-                while t + 16 <= k {
-                    let vb = load16(brow.add(t));
-                    for (r, ac) in acc.iter_mut().enumerate() {
-                        let va = load16(a.as_ptr().add((i0 + r) * k + t));
-                        *ac = _mm256_add_epi32(*ac, _mm256_madd_epi16(va, vb));
-                    }
-                    t += 16;
+                macro_rules! step {
+                    ($n:literal) => {
+                        mac(&mut acc, lanes::<$n>(arow.add(t)), wrows.map(|w| lanes::<$n>(w.add(t))));
+                        t += $n;
+                    };
                 }
-                for (r, ac) in acc.iter().enumerate() {
-                    let mut s = hsum(*ac);
-                    let mut tt = t;
-                    while tt < k {
-                        s += i32::from(*a.get_unchecked((i0 + r) * k + tt))
-                            * i32::from(*b.get_unchecked(j * k + tt));
-                        tt += 1;
-                    }
-                    c[(i0 + r) * n + j] = super::dequant(s, a_scales[i0 + r], b_scales[j]);
+                while t + 32 <= k {
+                    step!(32);
                 }
+                if t + 16 <= k {
+                    step!(16);
+                }
+                if t + 8 <= k {
+                    step!(8);
+                }
+                // [acc0 acc1 acc2 acc3] pairwise, then the two halves.
+                let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
+                let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
+                let s = _mm256_hadd_epi32(s01, s23);
+                let (lo, hi) = (_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
+                let mut sums = _mm_add_epi32(lo, hi);
+                if t < k {
+                    let mut tail = [0i32; TILE_W];
+                    _mm_storeu_si128(tail.as_mut_ptr().cast::<__m128i>(), sums);
+                    for (sum, row) in tail.iter_mut().zip(wrows) {
+                        for tt in t..k {
+                            *sum += i32::from(*arow.add(tt)) * i32::from(*row.add(tt));
+                        }
+                    }
+                    sums = _mm_loadu_si128(tail.as_ptr().cast::<__m128i>());
+                }
+                // `super::dequant`, four lanes at a time: the same two f32
+                // multiplies per element.
+                let out = _mm_mul_ps(_mm_cvtepi32_ps(sums), _mm_mul_ps(_mm_set1_ps(sa), wscales));
+                _mm_storeu_ps(c[i * n + j..i * n + j + TILE_W].as_mut_ptr(), out);
             }
-            i0 += 4;
         }
-        for i in i0..m {
-            for j in 0..n {
-                let s = dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                c[i * n + j] = super::dequant(s, a_scales[i], b_scales[j]);
+        for j in full..n {
+            let brow = &b[j * k..(j + 1) * k];
+            for (i, &sa) in a_scales.iter().enumerate() {
+                c[i * n + j] = super::dequant(dot(&a[i * k..(i + 1) * k], brow), sa, b_scales[j]);
             }
         }
     }
@@ -402,6 +501,58 @@ mod tests {
                     assert_eq!(c[i * n + j], dequant(acc, asc[i], bsc[j]), "k={k} ({i},{j})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn portable_dispatched_and_matvec_agree_bitwise_at_every_tile_edge() {
+        // On an AVX2 host the portable loop is otherwise dead code. Shapes
+        // on both sides of the 32-, 16- and 8-lane steps and the scalar
+        // tail (`k`), of the four-row weight tile (`n`) and of the
+        // activation row block (`m`), plus the S70b `d_model` / `d_ff`.
+        for m in [1usize, 2, 3, 4, 5, 9, ROW_BLOCK + 1] {
+            for k in [1usize, 7, 8, 15, 16, 24, 33, 144, 392] {
+                for n in [1usize, 3, 4, 5, 9, 517] {
+                    let (mut aq, mut asc) = (vec![0i8; m * k], vec![0.0; m]);
+                    let (mut bq, mut bsc) = (vec![0i8; n * k], vec![0.0; n]);
+                    quantize_rows_q8(&mut aq, &mut asc, &random_vec(m * k, (m * k) as u64), m, k);
+                    quantize_rows_q8(&mut bq, &mut bsc, &random_vec(n * k, (n + k) as u64), n, k);
+                    // No quantizer emits it, but the kernels stay exact for
+                    // an activation (not a weight) of -128.
+                    aq[m * k - 1] = i8::MIN;
+                    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let mut portable = vec![f32::NAN; m * n];
+                    matmul_q8_a_bt_portable(&mut portable, &aq, &asc, &bq, &bsc, k, n);
+                    let mut dispatched = vec![f32::NAN; m * n];
+                    matmul_q8_a_bt(&mut dispatched, &aq, &asc, &bq, &bsc, m, k, n);
+                    assert_eq!(bits(&dispatched), bits(&portable), "dispatched {m}x{k}x{n}");
+                    let mut rows = vec![f32::NAN; m * n];
+                    for (i, row) in rows.chunks_exact_mut(n).enumerate() {
+                        matvec_q8(row, &aq[i * k..(i + 1) * k], asc[i], &bq, &bsc, k, n);
+                    }
+                    assert_eq!(bits(&rows), bits(&portable), "matvec {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_q8_is_round_then_clamp_on_every_edge() {
+        let old = |v: f32| v.round().clamp(-Q8_MAX, Q8_MAX) as i8;
+        let mut probes = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        let small_and_large = [f32::MIN_POSITIVE, 1.0e-40, f32::from_bits(1), f32::MAX];
+        probes.extend(small_and_large.iter().flat_map(|&v| [v, -v]));
+        // Every tie the int8 range can see, and the f32 on either side.
+        for n in 0..=128 {
+            let tie = n as f32 + 0.5;
+            for bits in [tie.to_bits() - 1, tie.to_bits(), tie.to_bits() + 1] {
+                probes.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+            }
+        }
+        // A strided sweep of the whole bit space (~430 k values).
+        probes.extend((0..=u32::MAX).step_by(9973).map(f32::from_bits));
+        for v in probes {
+            assert_eq!(round_q8(v), old(v), "{v:e} ({:#010x})", v.to_bits());
         }
     }
 
