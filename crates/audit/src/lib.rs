@@ -16,10 +16,10 @@
 //!   eval-method/prompt compatibility, and per-run memory/FLOP budget
 //!   estimates. Every runtime shape `assert` in `astro_tensor` has a
 //!   corresponding static rule here (rule ids `shape.*`).
-//! * [`lockorder`] — extraction of the **lock-acquisition graph** of
-//!   `crates/parallel` and `crates/telemetry` from source, cycle
-//!   detection, and a cross-check against the ranks declared to the
-//!   runtime `astro_telemetry::lockcheck` instrumentation.
+//! * [`lockorder`] — extraction of the **lock-acquisition graph** of the
+//!   crates under [`CONCURRENCY_ROOTS`] from source, cycle detection, and
+//!   a cross-check against the ranks declared to the runtime
+//!   `astro_telemetry::lockcheck` instrumentation.
 //! * [`waits`] — a **wait/notify protocol audit** over the same crates:
 //!   every condvar belongs to a declared protocol (`waits.*` rule ids),
 //!   waits sit in predicate re-check loops, guarded-predicate mutations
@@ -48,6 +48,49 @@ pub use lint::{lint_workspace, LintConfig, LintReport};
 pub use lockorder::{analyze_locks, LockReport};
 pub use preflight::{preflight_model, preflight_study, PreflightReport, RunCheck};
 pub use waits::{analyze_waits, WaitReport};
+
+use std::path::{Path, PathBuf};
+
+/// Source roots, relative to the repository root, of the crates in which
+/// threads meet: what the [`lockorder`] and [`waits`] passes scan. A crate
+/// leaves this list with its last lock or wait, the way a rank or a
+/// protocol row leaves its table.
+pub const CONCURRENCY_ROOTS: &[&str] = &[
+    "crates/parallel/src",
+    "crates/serve/src",
+    "crates/resilience/src",
+    "crates/telemetry/src",
+    "crates/gateway/src",
+    "crates/router/src",
+];
+
+/// Recursively collect `.rs` files under `dir` (sorted for determinism).
+pub(crate) fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    paths.sort();
+    for p in paths {
+        if p.is_dir() {
+            rust_files(&p, out);
+        } else if p.extension().is_some_and(|e| e == "rs") {
+            out.push(p);
+        }
+    }
+}
+
+/// The `.rs` files under [`CONCURRENCY_ROOTS`] of the repository at `root`,
+/// or the pass's `no-sources` error (rule id `rule`) when there are none.
+pub(crate) fn concurrency_sources(root: &Path, rule: &str) -> Result<Vec<PathBuf>, Diagnostic> {
+    let mut files = Vec::new();
+    for dir in CONCURRENCY_ROOTS {
+        rust_files(&root.join(dir), &mut files);
+    }
+    if files.is_empty() {
+        let message = format!("no Rust sources found under {}", CONCURRENCY_ROOTS.join(", "));
+        return Err(Diagnostic::error(rule, &root.display().to_string(), message));
+    }
+    Ok(files)
+}
 
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

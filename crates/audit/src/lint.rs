@@ -23,7 +23,7 @@
 //! Grandfathered sites live in `audit_allowlist.txt` at the repo root,
 //! one `rule|path|trimmed line` triple per line.
 
-use crate::{Diagnostic, Severity};
+use crate::{rust_files, Diagnostic, Severity};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -489,20 +489,6 @@ fn scan_file(abs: &Path, rel: &str, findings: &mut Vec<Finding>) -> std::io::Res
         let _ = has_span;
     }
     Ok(())
-}
-
-/// Recursively collect `.rs` files under `dir` (sorted).
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            rust_files(&p, out);
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
 }
 
 /// Gather raw findings over the whole workspace (no allowlist filtering).

@@ -1,8 +1,6 @@
 //! Static lock-order analysis over the workspace's annotated lock sites.
 //!
-//! Every `Mutex::lock()` call in `crates/parallel`, `crates/serve`,
-//! `crates/resilience`, `crates/telemetry`, `crates/gateway`,
-//! `crates/router` and `crates/quant` is either
+//! Every `Mutex::lock()` call under [`crate::CONCURRENCY_ROOTS`] is either
 //! preceded by a `lockcheck::acquire("<lock name>")` annotation or taken
 //! through a combined helper — `lockcheck::lock_ranked("<lock name>", …)`
 //! or the model-checkable `sync::lock_ranked("<lock name>", …)` wrapper
@@ -35,7 +33,7 @@
 use crate::{Diagnostic, Severity};
 use astro_telemetry::lockcheck;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// How many lines before a `.lock()` call an `acquire` annotation may sit.
 const ANNOTATION_WINDOW: usize = 5;
@@ -229,20 +227,6 @@ fn scan_file(path: &Path, report: &mut LockReport) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Recursively collect `.rs` files under `dir` (sorted for determinism).
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            rust_files(&p, out);
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
-}
-
 /// Depth-first cycle search over the held→acquired edge set.
 fn find_cycle(edges: &[(String, String)]) -> Option<Vec<String>> {
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
@@ -294,34 +278,17 @@ fn find_cycle(edges: &[(String, String)]) -> Option<Vec<String>> {
     None
 }
 
-/// Run the full static lock-order pass over `<root>/crates/parallel/src`,
-/// `<root>/crates/serve/src`, `<root>/crates/resilience/src`,
-/// `<root>/crates/telemetry/src`, `<root>/crates/gateway/src`,
-/// `<root>/crates/router/src` and `<root>/crates/quant/src`.
+/// Run the full static lock-order pass over the sources under
+/// [`crate::CONCURRENCY_ROOTS`] of the repository at `root`.
 pub fn analyze_locks(root: &Path) -> LockReport {
     let mut report = LockReport::default();
-    let mut files = Vec::new();
-    for crate_dir in [
-        "crates/parallel/src",
-        "crates/serve/src",
-        "crates/resilience/src",
-        "crates/telemetry/src",
-        "crates/gateway/src",
-        "crates/router/src",
-        "crates/quant/src",
-    ] {
-        rust_files(&root.join(crate_dir), &mut files);
-    }
-    if files.is_empty() {
-        report.diagnostics.push(Diagnostic::error(
-            "locks.no-sources",
-            &root.display().to_string(),
-            "no Rust sources found under crates/parallel, crates/serve, crates/resilience, \
-             crates/telemetry, crates/gateway, crates/router or crates/quant"
-                .to_string(),
-        ));
-        return report;
-    }
+    let files = match crate::concurrency_sources(root, "locks.no-sources") {
+        Ok(files) => files,
+        Err(no_sources) => {
+            report.diagnostics.push(no_sources);
+            return report;
+        }
+    };
     for file in &files {
         if file.ends_with("lockcheck.rs") {
             continue; // the checker's own implementation, not a client
@@ -369,6 +336,7 @@ pub fn analyze_locks(root: &Path) -> LockReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn repo_root() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()

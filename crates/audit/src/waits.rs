@@ -44,7 +44,7 @@
 
 use crate::lockorder::strip_noise;
 use crate::{Diagnostic, Severity};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A declared condvar protocol: which condvar, in which file, guarding
 /// which predicate mutations.
@@ -399,49 +399,21 @@ fn scan_file(path: &Path, protocols: &[WaitProtocol], report: &mut WaitReport) {
     }
 }
 
-/// Recursively collect `.rs` files under `dir` (sorted for determinism).
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            rust_files(&p, out);
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
-}
-
-/// Run the wait/notify pass over the concurrency crates with a caller
-/// supplied protocol table (tests use synthetic tables).
+/// Run the wait/notify pass over the sources under
+/// [`crate::CONCURRENCY_ROOTS`] with a caller supplied protocol table
+/// (tests use synthetic tables).
 pub fn analyze_waits_with(root: &Path, protocols: &[WaitProtocol]) -> WaitReport {
     let mut report = WaitReport {
         protocols: protocols.len(),
         ..WaitReport::default()
     };
-    let mut files = Vec::new();
-    for crate_dir in [
-        "crates/parallel/src",
-        "crates/serve/src",
-        "crates/resilience/src",
-        "crates/telemetry/src",
-        "crates/gateway/src",
-        "crates/router/src",
-        "crates/quant/src",
-    ] {
-        rust_files(&root.join(crate_dir), &mut files);
-    }
-    if files.is_empty() {
-        report.diagnostics.push(Diagnostic::error(
-            "waits.no-sources",
-            &root.display().to_string(),
-            "no Rust sources found under crates/parallel, crates/serve, \
-             crates/resilience, crates/telemetry, crates/gateway or crates/router"
-                .to_string(),
-        ));
-        return report;
-    }
+    let files = match crate::concurrency_sources(root, "waits.no-sources") {
+        Ok(files) => files,
+        Err(no_sources) => {
+            report.diagnostics.push(no_sources);
+            return report;
+        }
+    };
     for file in &files {
         if file.ends_with("lockcheck.rs") || file.ends_with("telemetry/src/sync.rs") {
             // The runtime checker and the sync-primitive shim implement
@@ -480,6 +452,7 @@ pub fn analyze_waits(root: &Path) -> WaitReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn repo_root() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()

@@ -1,5 +1,4 @@
-//! Shared helpers for the experiment-regeneration binaries and the
-//! microbench entry points under `benches/`.
+//! Shared helpers for the experiment-regeneration binaries.
 //!
 //! Every regeneration binary follows the same observability protocol
 //! (see `docs/OBSERVABILITY.md`): [`instrumented_run`] parses the
@@ -7,8 +6,6 @@
 //! in the working directory and starts a run manifest; [`BenchRun::finish`]
 //! writes `run_manifest.json`, flushes the sink and prints the span/metric
 //! summary tree.
-
-pub mod micro;
 
 use astromlab::StudyConfig;
 use std::path::Path;

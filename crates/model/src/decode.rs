@@ -1,17 +1,19 @@
 //! Step-wise decoding: advance one session by one token per call.
 //!
-//! [`sample::generate`](crate::sample::generate) and the serving engine's
-//! batch loop both run a whole decode to completion. Iteration-level
-//! scheduling (astro-serve's `scheduler`) instead interleaves *many*
-//! sequences, advancing each by exactly one token per engine step — so the
-//! decode loop's state (sampler, RNG stream, stop set, emitted budget) has
-//! to live outside the loop. [`StepDecoder`] is that state.
+//! Both of `astro-serve`'s drivers advance a generate job through
+//! `Sequence::advance`, one token per call: the iteration scheduler
+//! interleaves *many* sequences, one token each per engine step, and a
+//! pool worker calls it in a loop until its one job is done. So the decode
+//! loop's state (sampler, RNG stream, stop set, emitted budget) has to
+//! live outside the loop. [`StepDecoder`] is that state, and
+//! [`StepDecoder::step`] is the engine's only way to decode.
 //!
-//! One [`StepDecoder::step`] call is bit-identical to one iteration of the
-//! engine's decode loop: check capacity, sample from the session's last
-//! logits, stop-token check, feed. Driving `step` to exhaustion therefore
-//! reproduces the batch path's output token-for-token, which is what the
-//! differential scheduler suite (`crates/serve/tests/`) asserts.
+//! One `step` call is bit-identical to one iteration of the whole-loop
+//! reference (the serial oracle, `astro-eval`'s `instruct_method_answer`):
+//! check capacity, sample from the session's last logits, stop-token
+//! check, feed. Driving `step` to exhaustion therefore reproduces the
+//! oracle's output token-for-token, which is what the differential
+//! scheduler suite (`crates/serve/tests/`) asserts.
 
 use crate::sample::{sample_logits, SamplerConfig};
 use crate::{InferenceSession, Params};
@@ -95,7 +97,7 @@ mod tests {
         Params::init(ModelConfig::tiny(16), &mut Rng::seed_from(5))
     }
 
-    /// The whole-loop reference: the engine's batch decode loop, inlined.
+    /// The whole-loop reference, inlined.
     fn reference(
         params: &Params,
         prompt: &[u32],

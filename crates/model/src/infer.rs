@@ -2,9 +2,8 @@
 //!
 //! [`InferenceSession`] caches per-layer keys and values so each token
 //! costs `O(params + pos·d_model)` — the standard autoregressive-serving
-//! structure. Used by the full-instruct method (free generation), the
-//! next-token methods (single logit readout after the prompt) and the
-//! speculative verifier (one chunk of drafted tokens per round).
+//! structure. Used by the full-instruct method (free generation) and the
+//! next-token methods (single logit readout after the prompt).
 //!
 //! The transformer block is written once here. The private
 //! `forward_rows` advances `m ≥ 1` token rows through embed → per layer
@@ -16,8 +15,8 @@
 //! whatever `m` is. Three entries call it:
 //!
 //! * [`InferenceSession::feed`] / [`InferenceSession::try_feed`] — one
-//!   row, last-row logits: a decode step (`StepDecoder`, the speculative
-//!   draft, continuation scoring);
+//!   row, last-row logits: a decode step (`StepDecoder`, continuation
+//!   scoring);
 //! * [`InferenceSession::try_feed_prompt`] — prefill: the token slice in
 //!   row blocks of `PREFILL_ROWS`, last-row logits, so the f32 kernel
 //!   streams a weight matrix once per 4-row band (four times per block)
@@ -28,7 +27,7 @@
 //!   lifecycle (`astro-serve`'s `Sequence::advance`) feeds every prompt
 //!   stretch through it;
 //! * [`InferenceSession::try_feed_chunk`] — all `n` rows at once, every
-//!   row's logits: the speculative verifier.
+//!   row's logits (`bench/`'s `chunk4` probe; no engine path calls it).
 //!
 //! Weight precision enters at the linear layers only: `norm_rows` and the
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
@@ -304,8 +303,7 @@ impl InferenceSession {
     }
 
     /// Feed `m` tokens in one chunked-prefill step; returns the logits
-    /// after *every* token as an `m × vocab` row-major matrix — the
-    /// speculative verifier needs all of them, not just the last. The
+    /// after *every* token as an `m × vocab` row-major matrix. The
     /// session advances by `m` positions exactly as `m` sequential
     /// [`Self::feed`] calls would, with bitwise-identical results (see
     /// the module doc).
@@ -321,22 +319,6 @@ impl InferenceSession {
         self.forward_rows(p, tokens, Some(&mut rows));
         self.logits.copy_from_slice(&rows[rows.len() - v..]);
         Ok(rows)
-    }
-
-    /// Rewind the session to `pos` consumed tokens, restoring `logits`
-    /// as the last-step logits — the speculative-decoding rollback. KV
-    /// rows at positions `>= pos` become stale but are rewritten before
-    /// any read: attention at position `q` only consults rows `0..=q`,
-    /// and row `q` is written by the feed of token `q` itself.
-    pub fn truncate(&mut self, pos: usize, logits: &[f32]) {
-        assert!(
-            pos <= self.pos,
-            "truncate target {pos} beyond position {}",
-            self.pos
-        );
-        assert_eq!(logits.len(), self.cfg.vocab_size, "logits length mismatch");
-        self.pos = pos;
-        self.logits.copy_from_slice(logits);
     }
 
     /// The one transformer forward on the inference path: advance the
@@ -685,28 +667,6 @@ mod tests {
         let r0 = sess.remaining();
         sess.feed(&p, 0);
         assert_eq!(sess.remaining(), r0 - 1);
-    }
-
-    #[test]
-    fn truncate_rewinds_bitwise() {
-        let cfg = ModelConfig::tiny(16);
-        let p = Params::init(cfg, &mut Rng::seed_from(14));
-        let mut a = InferenceSession::new(cfg);
-        a.feed_prompt(&p, &[2, 7, 1]);
-        let pos = a.position();
-        let logits = a.last_logits().to_vec();
-        // Speculate down a wrong path, then roll back.
-        a.feed(&p, 9);
-        a.feed(&p, 9);
-        a.truncate(pos, &logits);
-        assert_eq!(a.position(), pos);
-        assert_eq!(a.last_logits(), &logits[..]);
-        // Continuing after the rollback matches a session that never
-        // took the detour.
-        let mut b = InferenceSession::new(cfg);
-        b.feed_prompt(&p, &[2, 7, 1]);
-        assert_eq!(a.feed(&p, 5).to_vec(), b.feed(&p, 5).to_vec());
-        assert_eq!(a.feed(&p, 3).to_vec(), b.feed(&p, 3).to_vec());
     }
 
     #[test]

@@ -24,10 +24,6 @@
 //! * [`decode`] — resumable one-token-per-step decode state, so an
 //!   iteration-level scheduler can advance one sequence inside a mixed
 //!   batch;
-//! * [`spec`] — speculative decoding: a small draft model proposes `k`
-//!   tokens, the target model verifies them in one chunked-prefill step,
-//!   and rejection sampling preserves the target's exact distribution
-//!   (greedy speculation is bitwise-identical to greedy target decode);
 //! * [`serial`] — binary checkpoints.
 
 pub mod decode;
@@ -36,15 +32,13 @@ pub mod infer;
 pub mod params;
 pub mod sample;
 pub mod serial;
-pub mod spec;
 
 pub use decode::StepDecoder;
 pub use forward::TrainContext;
 pub use infer::{InferenceSession, SessionError};
 pub use params::Params;
 pub use serial::CkptError;
-pub use sample::{argmax, generate, sample_logits, SamplerConfig};
-pub use spec::SpecDecoder;
+pub use sample::{argmax, sample_logits, SamplerConfig};
 
 /// The capacity tiers standing in for the paper's model scales.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -48,42 +48,6 @@ pub fn argmax(logits: &[f32]) -> usize {
     best
 }
 
-/// Autoregressively generate up to `max_new` tokens from a prompt,
-/// stopping early at any id in `stop_tokens`. Returns the generated ids
-/// (stop token excluded).
-pub fn generate(
-    params: &crate::Params,
-    prompt: &[u32],
-    max_new: usize,
-    stop_tokens: &[u32],
-    config: &SamplerConfig,
-    rng: &mut Rng,
-) -> Vec<u32> {
-    assert!(!prompt.is_empty(), "generate requires a non-empty prompt");
-    let mut sess = crate::InferenceSession::new(params.cfg);
-    // Keep the prompt tail if it exceeds the context, reserving room to
-    // generate.
-    let cap = params.cfg.max_seq;
-    let budget = max_new.min(cap.saturating_sub(1));
-    let keep = prompt.len().min(cap - budget.min(cap - 1));
-    let mut logits = sess
-        .feed_prompt(params, &prompt[prompt.len() - keep..])
-        .to_vec();
-    let mut out = Vec::with_capacity(budget);
-    for _ in 0..budget {
-        if sess.remaining() == 0 {
-            break;
-        }
-        let next = sample_logits(&logits, config, rng) as u32;
-        if stop_tokens.contains(&next) {
-            break;
-        }
-        out.push(next);
-        logits = sess.feed(params, next).to_vec();
-    }
-    out
-}
-
 /// Sample a token id from logits under the given configuration.
 pub fn sample_logits(logits: &[f32], config: &SamplerConfig, rng: &mut Rng) -> usize {
     assert!(!logits.is_empty());
@@ -158,42 +122,6 @@ mod tests {
             let s = sample_logits(&logits, &cfg, &mut rng);
             assert!(s == 0 || s == 1, "sampled outside top-2: {s}");
         }
-    }
-
-    #[test]
-    fn generate_respects_budget_and_stop_tokens() {
-        use crate::{ModelConfig, Params};
-        let cfg = ModelConfig::tiny(16);
-        let params = Params::init(cfg, &mut Rng::seed_from(1));
-        let mut rng = Rng::seed_from(2);
-        let out = generate(&params, &[1, 2, 3], 8, &[], &SamplerConfig::greedy(), &mut rng);
-        assert!(out.len() <= 8);
-        // Greedy output deterministic.
-        let out2 = generate(&params, &[1, 2, 3], 8, &[], &SamplerConfig::greedy(), &mut rng);
-        assert_eq!(out, out2);
-        // Stopping on the first generated token yields empty output.
-        if let Some(&first) = out.first() {
-            let stopped = generate(
-                &params,
-                &[1, 2, 3],
-                8,
-                &[first],
-                &SamplerConfig::greedy(),
-                &mut rng,
-            );
-            assert!(stopped.is_empty());
-        }
-    }
-
-    #[test]
-    fn generate_truncates_long_prompts() {
-        use crate::{ModelConfig, Params};
-        let cfg = ModelConfig::tiny(16);
-        let params = Params::init(cfg, &mut Rng::seed_from(3));
-        let long: Vec<u32> = (0..200).map(|i| (i % 16) as u32).collect();
-        let mut rng = Rng::seed_from(4);
-        let out = generate(&params, &long, 4, &[], &SamplerConfig::greedy(), &mut rng);
-        assert!(out.len() <= 4);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! f32 and for int8.
 //!
 //! This is the contract that lets `feed`, `try_feed_chunk` and the
-//! row-blocked prefill be calls of one routine, and that speculative
-//! decoding (`spec.rs`: verify a chunk, `truncate`, continue) rests on.
+//! row-blocked prefill be calls of one routine.
 
 use astro_model::{
     InferenceSession, ModelConfig, Params, SessionError, Tier, WeightPrecision,
@@ -194,37 +193,6 @@ fn a_chunk_may_end_exactly_at_max_seq_and_one_past_is_a_typed_error() {
                 chunked.try_feed_chunk(&p, &[1]).unwrap_err(),
                 SessionError::CacheFull { pos: cfg.max_seq, max_seq: cfg.max_seq },
             );
-        }
-    }
-}
-
-#[test]
-fn truncate_after_a_chunk_rewinds_bitwise() {
-    // The speculative round: verify a chunk, keep a prefix of it, go on.
-    for precision in PRECISIONS {
-        let cfg = ModelConfig::tiny(VOCAB);
-        let p = params(cfg, 31, precision);
-        for case in 0..32u64 {
-            let mut rng = Rng::seed_from(0x7a11 ^ case);
-            let prompt = some_tokens(&mut rng, 1, 12);
-            let chunk = some_tokens(&mut rng, 2, 9);
-            let kept = rng.range(0, chunk.len() + 1);
-            let next = random_tokens(&mut rng, 3);
-
-            let mut spec = InferenceSession::new(p.cfg);
-            feed_singles(&mut spec, &p, &prompt);
-            let before = spec.last_logits().to_vec();
-            let rows = spec.try_feed_chunk(&p, &chunk).unwrap();
-            let logits = match kept {
-                0 => &before[..],
-                k => &rows[(k - 1) * VOCAB..k * VOCAB],
-            };
-            spec.truncate(prompt.len() + kept, logits);
-
-            let mut plain = InferenceSession::new(p.cfg);
-            feed_singles(&mut plain, &p, &prompt);
-            feed_singles(&mut plain, &p, &chunk[..kept]);
-            assert_interchangeable(&mut spec, &mut plain, &p, &next, &format!("{precision:?} case {case}"));
         }
     }
 }

@@ -108,10 +108,8 @@ fn s70b_int8_within_tolerance() {
 
 #[test]
 fn int8_chunked_verification_matches_int8_steps_bitwise() {
-    // The speculation-critical invariant at tier scale (not just tiny):
-    // the chunked int8 verifier is bitwise-equal to sequential int8
-    // steps, so greedy speculative output is bitwise-equal to greedy
-    // target output.
+    // Chunk-split invariance at tier scale (not just tiny): a chunked
+    // int8 call is bitwise-equal to sequential int8 steps.
     for tier in [Tier::S7b, Tier::S70b] {
         let cfg = ModelConfig::tier(tier, 64);
         let p = Params::init(cfg, &mut Rng::seed_from(50)).quantized();

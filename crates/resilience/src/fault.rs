@@ -6,14 +6,13 @@
 //! With a [`FaultPlan`] installed, every call increments that site's hit
 //! counter under a ranked lock (`resilience.fault_plan`) and fires each
 //! matching trigger **exactly once** when the counter reaches its
-//! configured value. Plans are data (site name + hit number, optionally
-//! derived from a seed), so a chaos run is reproducible: the same plan
-//! against the same binary faults at the same instruction.
+//! configured value. Plans are data (site name + hit number), so a chaos
+//! run is reproducible: the same plan against the same binary faults at
+//! the same instruction.
 //!
 //! The registry is process-global; tests that install plans must
 //! serialise with each other (the chaos suite shares one static mutex).
 
-use astro_prng::Rng;
 use astro_telemetry::lockcheck;
 use astro_telemetry::{counter, info};
 use std::collections::HashMap;
@@ -37,7 +36,6 @@ pub const SITES: &[&str] = &[
     "replica.hang",
     "router.probe_timeout",
     "router.forward_reset",
-    "quant.spec_reject_storm",
 ];
 
 /// Panic payload used when a plan injects a panic (the pooled eval
@@ -73,16 +71,6 @@ impl FaultPlan {
     pub fn and(mut self, site: &str, fire_on_hit: u64) -> Self {
         self.triggers.push((site.to_string(), fire_on_hit.max(1)));
         self
-    }
-
-    /// A seeded single-trigger plan: the site and hit number are drawn
-    /// from `seed`, so a sweep over seeds explores the fault space
-    /// reproducibly.
-    pub fn from_seed(seed: u64) -> Self {
-        let mut rng = Rng::seed_from(seed).substream("fault-plan");
-        let site = SITES[rng.index(SITES.len())];
-        let hit = 1 + rng.below(8);
-        FaultPlan::single(site, hit)
     }
 
     /// The `(site, fire_on_hit)` triggers in insertion order.
@@ -245,19 +233,6 @@ pub(crate) mod tests {
         assert!(should_fault("serve.cache_full"));
         assert!(!should_fault("io.partial_read"), "one-shot: must not re-fire");
         clear();
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible_and_in_catalogue() {
-        let _g = locked();
-        for seed in 0..32 {
-            let a = FaultPlan::from_seed(seed);
-            let b = FaultPlan::from_seed(seed);
-            assert_eq!(a, b);
-            let (site, hit) = &a.triggers()[0];
-            assert!(SITES.contains(&site.as_str()), "{site}");
-            assert!((1..=8).contains(hit));
-        }
     }
 
     #[test]

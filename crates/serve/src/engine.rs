@@ -28,7 +28,7 @@
 //! crate-level determinism contract).
 
 use crate::scheduler::{IterScheduler, SchedulerConfig};
-use crate::seq::{SeqEnv, Sequence, SpecSetup};
+use crate::seq::{SeqEnv, Sequence};
 use crate::trie::{CacheStats, PrefixCache};
 use crate::EngineConfig;
 use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, SessionError};
@@ -208,7 +208,6 @@ pub struct EvalEngine {
     cfg: EngineConfig,
     model_cfg: ModelConfig,
     params: Arc<Params>,
-    draft: Option<Arc<Params>>,
     cache: Arc<Mutex<PrefixCache>>,
 }
 
@@ -237,42 +236,17 @@ impl EvalEngine {
             cfg,
             model_cfg,
             params: Arc::new(params.clone()),
-            draft: None,
             cache: Arc::new(Mutex::new(cache)),
         }
     }
 
-    /// Install a draft model for speculative decoding. Takes effect on
-    /// generation jobs when [`EngineConfig::spec_k`] is non-zero: each
-    /// round drafts `spec_k` tokens with `draft` and verifies them in a
-    /// single chunked step on the target ([`astro_model::SpecDecoder`]). The draft
-    /// must share the target's tokenizer — same vocabulary, same ids.
-    #[must_use]
-    pub fn with_draft(mut self, draft: &Params) -> Self {
-        assert_eq!(
-            draft.cfg.vocab_size, self.model_cfg.vocab_size,
-            "draft and target models must share a vocabulary"
-        );
-        self.draft = Some(Arc::new(draft.clone()));
-        self
-    }
-
-    /// True when generation jobs will decode speculatively (a draft model
-    /// is installed and `spec_k > 0`).
-    pub fn speculation_enabled(&self) -> bool {
-        self.cfg.spec_k > 0 && self.draft.is_some()
-    }
-
     /// What either driver lends the job lifecycle: this engine's model,
-    /// its prefix cache when caching is on, the batch's group anchors and
-    /// the speculation setup when enabled.
+    /// its prefix cache when caching is on and the batch's group anchors.
     fn seq_env(&self, anchors: HashMap<u64, Vec<u32>>) -> SeqEnv {
-        let draft = self.draft.as_ref().filter(|_| self.cfg.spec_k > 0);
         SeqEnv {
             params: Arc::clone(&self.params),
             cache: self.cfg.prefix_cache.then(|| Arc::clone(&self.cache)),
             anchors,
-            spec: draft.map(|d| SpecSetup { k: self.cfg.spec_k, draft: Arc::clone(d) }),
         }
     }
 
@@ -655,7 +629,7 @@ mod tests {
             .collect();
         for engine_cfg in [
             EngineConfig::serial(),
-            EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false, spec_k: 0 },
+            EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false },
             EngineConfig::pooled_with(2),
             EngineConfig::pooled_with(4),
             EngineConfig::iteration(),
@@ -675,7 +649,7 @@ mod tests {
         let prompts: Vec<Vec<u32>> = (0..6).map(|i| vec![9, 8, 7, 6, i as u32]).collect();
         let prompt_refs: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
         let engine = EvalEngine::new(
-            EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false, spec_k: 0 },
+            EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false },
             &p,
         );
         let _ = engine.score_batch(jobs_for(&prompt_refs, &groups));

@@ -26,8 +26,8 @@
 //! Pool workers and the iteration scheduler are two drivers of one job
 //! lifecycle (the crate-private `seq::Sequence`): fork the deepest cached
 //! prefix, feed the tail, retry once uncached on overflow, then read out
-//! scores or decode, plainly or speculatively. `docs/SERVING.md`
-//! § *The job lifecycle* is the reference.
+//! scores or decode. `docs/SERVING.md` § *The job lifecycle* is the
+//! reference.
 //!
 //! # Determinism contract
 //!
@@ -67,15 +67,6 @@ pub struct EngineConfig {
     /// `parallelism` is ignored in this mode: the scheduler steps a mixed
     /// batch single-threadedly, interleaving prefill and decode.
     pub iteration: bool,
-    /// Speculative-decoding draft length per round; `0` disables
-    /// speculation. When non-zero **and** a draft model is installed
-    /// ([`engine::EvalEngine::with_draft`]), generation jobs draft
-    /// `spec_k` tokens with the draft model and verify them in one
-    /// chunked target step ([`astro_model::SpecDecoder`]). Greedy output
-    /// is bitwise-identical to the plain decode path; stochastic output
-    /// preserves the target distribution exactly. Without a draft model
-    /// the knob is inert (plain decoding).
-    pub spec_k: usize,
 }
 
 impl EngineConfig {
@@ -87,7 +78,6 @@ impl EngineConfig {
             prefix_cache: false,
             max_cache_bytes: 0,
             iteration: false,
-            spec_k: 0,
         }
     }
 
@@ -98,7 +88,6 @@ impl EngineConfig {
             prefix_cache: true,
             max_cache_bytes: 0,
             iteration: false,
-            spec_k: 0,
         }
     }
 
@@ -109,7 +98,6 @@ impl EngineConfig {
             prefix_cache: true,
             max_cache_bytes: 0,
             iteration: false,
-            spec_k: 0,
         }
     }
 
@@ -121,7 +109,6 @@ impl EngineConfig {
             prefix_cache: true,
             max_cache_bytes: 0,
             iteration: true,
-            spec_k: 0,
         }
     }
 
@@ -167,23 +154,7 @@ impl EngineConfig {
                 self.max_cache_bytes
             ));
         }
-        if self.spec_k > MAX_SPEC_K {
-            return Err(format!(
-                "engine spec_k {} exceeds the {MAX_SPEC_K}-token draft bound; \
-                 acceptance decays geometrically, long drafts only waste work",
-                self.spec_k
-            ));
-        }
         Ok(())
-    }
-
-    /// This configuration with speculative decoding enabled at draft
-    /// length `k` (takes effect once a draft model is installed via
-    /// [`engine::EvalEngine::with_draft`]).
-    #[must_use]
-    pub fn with_spec_k(mut self, k: usize) -> Self {
-        self.spec_k = k;
-        self
     }
 }
 
@@ -193,11 +164,6 @@ pub const MAX_PARALLELISM: usize = 256;
 
 /// Upper bound on an explicit prefix-cache budget (1 TiB).
 pub const MAX_CACHE_BYTES: usize = 1 << 40;
-
-/// Upper bound on the speculative draft length. Past a handful of tokens
-/// the chance of a full-chunk accept decays geometrically with draft
-/// quality, so a larger value is a config typo, not a tune.
-pub const MAX_SPEC_K: usize = 32;
 
 impl Default for EngineConfig {
     /// Defaults to [`EngineConfig::serial`] so existing call sites keep
@@ -235,7 +201,6 @@ mod tests {
             prefix_cache: true,
             max_cache_bytes: 0,
             iteration: false,
-            spec_k: 0,
         };
         assert!(!c.is_serial_uncached());
     }
@@ -252,7 +217,6 @@ mod tests {
                 prefix_cache: true,
                 max_cache_bytes: 64 << 20,
                 iteration: false,
-                spec_k: 4,
             },
         ] {
             assert_eq!(c.validate(), Ok(()), "{c:?}");
@@ -280,21 +244,12 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_absurd_draft_length() {
-        let c = EngineConfig::pooled().with_spec_k(MAX_SPEC_K + 1);
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("spec_k"), "{err}");
-        assert_eq!(EngineConfig::pooled().with_spec_k(MAX_SPEC_K).validate(), Ok(()));
-    }
-
-    #[test]
     fn validate_rejects_budget_without_cache() {
         let c = EngineConfig {
             parallelism: 1,
             prefix_cache: false,
             max_cache_bytes: 4096,
             iteration: false,
-            spec_k: 0,
         };
         let err = c.validate().unwrap_err();
         assert!(err.contains("prefix_cache"), "{err}");

@@ -20,7 +20,7 @@
 //! 2. **Advance** — every active sequence moves one unit of the job
 //!    lifecycle ([`crate::seq`]): prefilling sequences feed up to
 //!    `prefill_chunk` prompt tokens (snapshotting group anchors on the way
-//!    past); decoding sequences emit one token, or one speculative round.
+//!    past); decoding sequences emit one token.
 //! 3. **Retire** — finished sequences return their result, release their
 //!    ledger blocks and hand their sessions back to the free list, without
 //!    waiting for the rest of the batch.
@@ -317,9 +317,8 @@ pub struct IterScheduler {
 }
 
 impl IterScheduler {
-    /// Build a scheduler over `env`'s model, prefix cache (if any) and
-    /// speculation setup. Degenerate config values are normalized to
-    /// their minimum.
+    /// Build a scheduler over `env`'s model and prefix cache (if any).
+    /// Degenerate config values are normalized to their minimum.
     pub(crate) fn new(cfg: SchedulerConfig, env: SeqEnv) -> Self {
         let cfg = SchedulerConfig {
             max_active: cfg.max_active.max(1),

@@ -15,15 +15,10 @@
 //!    a cached one, so degradation never changes a result.
 //! 3. `advance`, the call that completes prefill (also when a full-depth
 //!    cache fork left nothing to feed) — record the `prefill` phase, then
-//!    either apply the score readout and finish, or install the decoder:
-//!    [`SpecDecoder`] when speculation is set up and the prompt fits the
-//!    draft model's context (the draft replays the prompt from scratch —
-//!    its KV is never prefix-cached), [`StepDecoder`] otherwise
-//!    (`serve.spec.draft_overflow` counts the fallback).
-//! 4. `advance`, decode — one token, or one speculative round (degraded to
-//!    a single plain target step under the `quant.spec_reject_storm` fault,
-//!    `serve.spec.storm_degraded`), per call; the last one records the
-//!    `decode` phase and returns the tokens.
+//!    either apply the score readout and finish, or install the job's
+//!    [`StepDecoder`].
+//! 4. `advance`, decode — one token ([`StepDecoder::step`]) per call; the
+//!    last one records the `decode` phase and returns the tokens.
 //!
 //! The two drivers differ only in how they call it. A pool worker
 //! ([`crate::engine`]) owns one `Sequence` for its lifetime and runs each
@@ -35,65 +30,44 @@
 
 use crate::engine::{lock_cache, Job, ScoreReadout, SeqOutcome, ServeError};
 use crate::trie::PrefixCache;
-use astro_model::{InferenceSession, ModelConfig, Params, SpecDecoder, StepDecoder};
+use astro_model::{InferenceSession, ModelConfig, Params, StepDecoder};
 use astro_resilience::fault;
 use astro_telemetry::sync::Mutex;
 use astro_telemetry::trace;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Everything needed to decode speculatively: the draft model's parameters
-/// and the per-round draft length.
-#[derive(Clone)]
-pub(crate) struct SpecSetup {
-    pub(crate) k: usize,
-    pub(crate) draft: Arc<Params>,
-}
-
 /// What a driver holds for the machine and lends it on every call: the
-/// model, the shared prefix cache (`None` = caching off), the group-anchor
-/// targets and the speculation setup.
+/// model, the shared prefix cache (`None` = caching off) and the
+/// group-anchor targets.
 pub(crate) struct SeqEnv {
     pub(crate) params: Arc<Params>,
     pub(crate) cache: Option<Arc<Mutex<PrefixCache>>>,
     pub(crate) anchors: HashMap<u64, Vec<u32>>,
-    pub(crate) spec: Option<SpecSetup>,
 }
 
-/// Where a sequence is past its prefill.
-enum Decode {
-    /// Prefill not complete (or the job already finished).
-    Pending,
-    /// Plain decoding, one token per `advance`.
-    Step(StepDecoder),
-    /// Speculative decoding, one round per `advance`.
-    Spec(SpecDecoder),
-}
-
-/// One job in flight, plus the sessions it runs in. The sessions outlive
+/// One job in flight, plus the session it runs in. The session outlives
 /// the job: `start` re-arms the same `Sequence` for the next one, so
 /// neither driver allocates a session per job.
 pub(crate) struct Sequence {
     sess: InferenceSession,
-    /// The draft model's session, allocated the first time a generate job
-    /// decodes speculatively and reused from then on.
-    draft: Option<InferenceSession>,
     fed: usize,
     forked: usize,
     uncached: bool,
-    decode: Decode,
+    /// The generate job's decoder once its prefill is complete; `None`
+    /// before that, for score jobs and after the job finished.
+    decode: Option<StepDecoder>,
 }
 
 impl Sequence {
-    /// An idle sequence with a fresh target-model session.
+    /// An idle sequence with a fresh session.
     pub(crate) fn new(cfg: ModelConfig) -> Self {
         Sequence {
             sess: InferenceSession::new(cfg),
-            draft: None,
             fed: 0,
             forked: 0,
             uncached: false,
-            decode: Decode::Pending,
+            decode: None,
         }
     }
 
@@ -102,7 +76,7 @@ impl Sequence {
     /// first-attempt `CacheFull` — the sequence runs uncached.
     pub(crate) fn start(&mut self, env: &SeqEnv, job: &Job) {
         let ctx = job.trace();
-        self.decode = Decode::Pending;
+        self.decode = None;
         self.uncached = false;
         if fault::should_fault("serve.cache_full") {
             if let Some(c) = ctx {
@@ -197,7 +171,7 @@ impl Sequence {
             astro_telemetry::counter("serve.tokens.encoded").add((prompt.len() - self.forked) as u64);
         }
 
-        if matches!(self.decode, Decode::Pending) {
+        let Some(dec) = &mut self.decode else {
             if let Some(c) = ctx {
                 trace::phase_since_last(c.trace, "prefill");
                 trace::record_num(c.trace, "prompt_tokens", prompt.len() as f64);
@@ -215,58 +189,16 @@ impl Sequence {
                 }
                 Job::Generate(j) => j,
             };
-            if let Some(sp) = &env.spec {
-                let dsess = self.draft.get_or_insert_with(|| InferenceSession::new(sp.draft.cfg));
-                dsess.reset();
-                if dsess.try_feed_prompt(&sp.draft, prompt).is_ok() {
-                    self.decode = Decode::Spec(SpecDecoder::new(
-                        j.sampler,
-                        j.rng.clone(),
-                        j.stop.clone(),
-                        j.max_new,
-                        sp.k,
-                    ));
-                    return None;
-                }
-                astro_telemetry::counter("serve.spec.draft_overflow").inc();
-            }
-            self.decode =
-                Decode::Step(StepDecoder::new(j.sampler, j.rng.clone(), j.stop.clone(), j.max_new));
+            self.decode = Some(StepDecoder::new(j.sampler, j.rng.clone(), j.stop.clone(), j.max_new));
+            return None;
+        };
+
+        // Every step makes progress (emits a token or finishes), so a
+        // generate job ends within `max_new + 1` calls.
+        if dec.step(&env.params, &mut self.sess).is_some() {
             return None;
         }
-
-        // Every round and every step makes progress (emits a token or
-        // finishes), so a generate job ends within `max_new + 1` calls.
-        match (&mut self.decode, &env.spec, self.draft.as_mut()) {
-            (Decode::Step(dec), _, _) => {
-                if dec.step(&env.params, &mut self.sess).is_some() {
-                    return None;
-                }
-            }
-            (Decode::Spec(dec), Some(sp), Some(dsess)) => {
-                if fault::should_fault("quant.spec_reject_storm") {
-                    astro_telemetry::counter("serve.spec.storm_degraded").inc();
-                    dec.single_round(&env.params, &mut self.sess, &sp.draft, dsess);
-                } else {
-                    dec.round(&env.params, &mut self.sess, &sp.draft, dsess);
-                }
-                if !dec.is_finished() {
-                    return None;
-                }
-                astro_telemetry::counter("serve.spec.drafted").add(dec.drafted() as u64);
-                astro_telemetry::counter("serve.spec.accepted").add(dec.accepted() as u64);
-                astro_telemetry::counter("serve.spec.rounds").add(dec.rounds() as u64);
-            }
-            // Unreachable: `Pending` returned above, and the setup that
-            // installed a `SpecDecoder` is never cleared mid-job. Degrade
-            // rather than poison the batch.
-            _ => return Some(Err(ServeError::WorkerPanic)),
-        }
-        let tokens = match std::mem::replace(&mut self.decode, Decode::Pending) {
-            Decode::Step(dec) => dec.into_tokens(),
-            Decode::Spec(dec) => dec.into_tokens(),
-            Decode::Pending => Vec::new(),
-        };
+        let tokens = self.decode.take().map(StepDecoder::into_tokens).unwrap_or_default();
         if let Some(c) = ctx {
             trace::phase_since_last(c.trace, "decode");
             trace::record_num(c.trace, "generated_tokens", tokens.len() as f64);

@@ -5,7 +5,7 @@
 //! every engine configuration runs the job lifecycle in
 //! `crates/serve/src/seq.rs`, so using one as "expected" would compare
 //! that code to itself. Nothing here touches the prefix cache, session
-//! reuse (`assign_from` / `reset`), chunked prefill or speculation.
+//! reuse (`assign_from` / `reset`) or chunked prefill.
 #![allow(dead_code)] // each suite uses the half it needs
 
 use astro_model::{InferenceSession, Params, StepDecoder};

@@ -172,7 +172,6 @@ fn four_threads_interleaved_match_serial_bitwise() {
             prefix_cache: true,
             max_cache_bytes: 0,
             iteration: false,
-            spec_k: 0,
         },
         EngineConfig::pooled_with(2),
         EngineConfig::pooled_with(4),

@@ -146,7 +146,6 @@ fn hundred_seeded_interleavings_match_serial_bitwise() {
                 prefix_cache: true,
                 max_cache_bytes: w.cache_bytes,
                 iteration: true,
-                spec_k: 0,
             },
             &params,
         );

@@ -88,7 +88,6 @@ fn ledger_never_leaks_and_respects_the_budget_under_pressure() {
             prefix_cache: true,
             max_cache_bytes: 3 * params.cfg.session_bytes(),
             iteration: true,
-            spec_k: 0,
         },
         &params,
     );
@@ -151,7 +150,6 @@ fn eviction_reclaims_unpinned_snapshots_but_never_running_sequences() {
             prefix_cache: true,
             max_cache_bytes: 3 * params.cfg.session_bytes(),
             iteration: true,
-            spec_k: 0,
         },
         &params,
     );

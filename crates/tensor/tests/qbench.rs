@@ -1,7 +1,6 @@
 //! Micro-benchmark of the int8 kernels at S70b dimensions — per-token
-//! matvec cost f32 vs q8, and chunked-verification amortization (the
-//! `beta` cost-per-position ratio speculation relies on). Ignored by
-//! default; run with:
+//! matvec cost f32 vs q8, and how a multi-row call amortizes it (the
+//! `beta` cost-per-position ratio). Ignored by default; run with:
 //!
 //! ```sh
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture

@@ -33,7 +33,6 @@ fn engine_matrix() -> Vec<EngineConfig> {
                 prefix_cache,
                 max_cache_bytes: 0,
                 iteration: false,
-                spec_k: 0,
             });
         }
     }
@@ -221,7 +220,7 @@ fn iteration_scheduler_matches_coalescing_cache_hit_rate() {
     let jobs = grouped_jobs(&study, &model, &params);
 
     let coalescing = EvalEngine::new(
-        EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false, spec_k: 0 },
+        EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false },
         &params,
     );
     let iteration = EvalEngine::new(EngineConfig::iteration(), &params);

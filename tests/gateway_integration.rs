@@ -230,67 +230,6 @@ fn iteration_mode_gateway_matches_in_process_serial_path_bitwise() {
 }
 
 #[test]
-fn speculative_gateway_matches_plain_path_and_validates_draft() {
-    let _gate = gate();
-    fault::clear();
-    let ctx = setup(67);
-    let model = EvalModel {
-        params: &ctx.params,
-        tokenizer: &ctx.state.tokenizer,
-    };
-
-    // spec_k without a draft model is a typed config error at spawn, not
-    // a silent fallback — the operator asked for speculation they are
-    // not getting.
-    let bad = GatewayConfig {
-        engine: astromlab::serve::EngineConfig::serial().with_spec_k(4),
-        ..GatewayConfig::default()
-    };
-    match Gateway::spawn(bad, ctx.state.clone()) {
-        Err(e) => assert!(e.to_string().contains("spec_k"), "{e}"),
-        Ok(_) => panic!("spec_k without a draft must be rejected at spawn"),
-    }
-
-    // With a draft installed (same tokenizer, different weights), greedy
-    // /v1/generate answers are bitwise identical to the in-process plain
-    // path: speculation changes throughput only.
-    let draft = Arc::new(Params::init(
-        ctx.study.model_config(Tier::S7b),
-        &mut Rng::seed_from(971),
-    ));
-    let state = GatewayState {
-        draft: Some(draft),
-        ..ctx.state.clone()
-    };
-    let config = GatewayConfig {
-        engine: astromlab::serve::EngineConfig::serial().with_spec_k(4),
-        ..GatewayConfig::default()
-    };
-    let gw = Gateway::spawn(config, state).expect("spawn with draft");
-    let addr = gw.addr();
-    let questions = ctx.study.eval_questions();
-    let n = questions.len().min(3);
-    for (i, q) in questions.iter().take(n).enumerate() {
-        let seed = 1200 + i as u64;
-        let resp = client::post_json(addr, "/v1/generate", &generate_body(q, seed), TIMEOUT)
-            .expect("generate request");
-        assert_eq!(resp.status, 200, "q{i}: {}", resp.body);
-        let v = Json::parse(&resp.body).expect("generate body parses");
-        let mut rng = Rng::seed_from(seed);
-        let reference = instruct_method_answer(&model, q, &ctx.state.instruct_config, &mut rng);
-        assert!(reference.error.is_none());
-        assert_eq!(
-            v.get("raw").and_then(Json::as_str),
-            Some(reference.raw.as_str()),
-            "q{i}: speculative generation diverged from the plain path"
-        );
-    }
-    let stats = gw.shutdown();
-    assert!(stats.drained_clean, "{stats:?}");
-    assert_eq!(stats.accepted, stats.completed);
-}
-
-#[test]
 fn admission_control_status_matrix() {
     let _gate = gate();
     fault::clear();

@@ -22,6 +22,10 @@
 //! * **Durability edge cases.** A torn ledger tail (crash mid-append)
 //!   and a truncated checkpoint are both detected and rebuilt, never
 //!   trusted.
+//! * **The catalogue is the code.** The `should_fault("…")` literals in
+//!   the sources, [`astro_resilience::SITES`] and the site table of
+//!   `docs/RESILIENCE.md` name the same sites: a row cannot outlive its
+//!   hook, and a hook cannot go uncatalogued.
 //!
 //! The fault registry is process-global, so every test takes `GATE`
 //! first; this file is its own test binary, and cargo runs binaries
@@ -31,6 +35,7 @@ use astro_resilience::fault::{self, FaultPlan};
 use astro_resilience::{Journal, SITES};
 use astromlab::study::{StudyError, StudyResult};
 use astromlab::{Study, StudyConfig};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -134,11 +139,7 @@ fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
     // The replica.*/router.* sites only have hooks at the cluster
     // router's forward/probe boundary, so like the gateway sites their
     // plans must stay inert in the single-process study pipeline.
-    // quant.spec_reject_storm fires only inside a speculative decode
-    // round, and the study pipeline never installs a draft model, so
-    // its plan must be inert here too (spec_engine.rs proves the
-    // armed behaviour: degraded rounds, bitwise-unchanged output).
-    let hits: &[u64] = &[3, 1, 5, 2, 7, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1];
+    let hits: &[u64] = &[3, 1, 5, 2, 7, 4, 1, 1, 1, 1, 1, 1, 1, 1];
     assert_eq!(hits.len(), SITES.len(), "one planned hit per fault site");
     for (site, &hit) in SITES.iter().zip(hits) {
         let dir = fresh_dir(&format!("prop-{}", site.replace('.', "-")));
@@ -165,6 +166,45 @@ fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
             }
         }
     }
+}
+
+/// Every `should_fault("…")` literal outside comments in the `.rs` files
+/// under `dir`, recursively.
+fn hooked_sites(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            hooked_sites(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("readable source file");
+            for line in text.lines().filter(|l| !l.trim_start().starts_with("//")) {
+                for call in line.split("should_fault(\"").skip(1) {
+                    out.extend(call.split_once('"').map(|(site, _)| site.to_string()));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fault_catalogue_matches_the_hooks_in_the_code_and_the_doc_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut hooked = BTreeSet::new();
+    hooked_sites(&root.join("src"), &mut hooked);
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates dir").flatten() {
+        hooked_sites(&entry.path().join("src"), &mut hooked);
+    }
+    let catalogue: BTreeSet<String> = SITES.iter().map(|s| s.to_string()).collect();
+    assert_eq!(catalogue.len(), SITES.len(), "SITES names a site twice");
+    assert_eq!(hooked, catalogue, "should_fault literals in the sources vs astro_resilience::SITES");
+
+    let doc = std::fs::read_to_string(root.join("docs/RESILIENCE.md")).expect("docs/RESILIENCE.md");
+    let rows: BTreeSet<String> = doc
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split_once("` |"))
+        .map(|(site, _)| site.to_string())
+        .collect();
+    assert_eq!(rows, catalogue, "site rows of docs/RESILIENCE.md vs astro_resilience::SITES");
 }
 
 #[test]
