@@ -6,28 +6,39 @@
 //! next-token methods (single logit readout after the prompt).
 //!
 //! The transformer block is written once here. The private
-//! `forward_rows` advances `m ≥ 1` token rows through embed → per layer
-//! (RMSNorm → Q/K/V → RoPE → causal attention over `0..=pos` → Wo +
-//! residual → RMSNorm → SwiGLU → W_down + residual) → final norm → tied
-//! LM head. The head has two modes: logits of every row, into a buffer
-//! the caller lends, or of the last row only, into the session — then
-//! the final norm and the `vocab × d_model` product run on one row
-//! whatever `m` is. Three entries call it:
+//! `forward_rows` advances *lanes* — `(session, tokens)` pairs, `m ≥ 1`
+//! token rows in all — through embed → per layer (RMSNorm → Q/K/V → RoPE →
+//! causal attention over `0..=pos` → Wo + residual → RMSNorm → SwiGLU →
+//! W_down + residual) → final norm → tied LM head. Every linear layer runs
+//! **once per weight matrix over all lanes' rows**, so a weight is
+//! streamed from memory once per call however many sessions it serves;
+//! what belongs to one sequence stays per lane: its K/V rows are copied
+//! into its own cache, and RoPE and attention run per row at that lane's
+//! own position over that lane's own cache. The row scratch is the first
+//! lane's. The head has two modes: logits of every row, into a buffer the
+//! caller lends (each lane's last row also lands in its session), or —
+//! one lane — of the last row only, into the session; then the final norm
+//! and the `vocab × d_model` product run on one row whatever `m` is. Four
+//! entries call it:
 //!
 //! * [`InferenceSession::feed`] / [`InferenceSession::try_feed`] — one
-//!   row, last-row logits: a decode step (`StepDecoder`, continuation
-//!   scoring);
-//! * [`InferenceSession::try_feed_prompt`] — prefill: the token slice in
-//!   row blocks of `PREFILL_ROWS`, last-row logits, so the f32 kernel
-//!   streams a weight matrix once per 4-row band (four times per block)
-//!   rather than once per token, and the scratch never holds more rows
-//!   than one block however long the prompt.
+//!   lane, one row, last-row logits: a decode step (`StepDecoder`);
+//! * [`InferenceSession::try_feed_prompt`] — prefill: one lane, the token
+//!   slice in row blocks of `PREFILL_ROWS`, last-row logits, so the f32
+//!   kernel streams a weight matrix once per 4-row band (four times per
+//!   block) rather than once per token, and the scratch never holds more
+//!   rows than one block however long the prompt.
 //!   [`InferenceSession::feed_prompt`] is its panicking wrapper
 //!   (the serial reference paths in `astro-eval`); the engine's job
 //!   lifecycle (`astro-serve`'s `Sequence::advance`) feeds every prompt
 //!   stretch through it;
-//! * [`InferenceSession::try_feed_chunk`] — all `n` rows at once, every
-//!   row's logits (`bench/`'s `chunk4` probe; no engine path calls it).
+//! * [`InferenceSession::try_feed_chunk`] — one lane, all `n` rows at
+//!   once, every row's logits (`bench/`'s `chunk4` probe, the split
+//!   suites);
+//! * [`InferenceSession::try_feed_lanes`] — several sessions at their own
+//!   positions in one stacked call, every row's logits: `astro-serve`'s
+//!   score readout forks a question's continuation variants and feeds all
+//!   their rows at once instead of one `feed` per token.
 //!
 //! Weight precision enters at the linear layers only: `norm_rows` and the
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
@@ -35,10 +46,11 @@
 //! them by the f32 weight or its int8 copy. RoPE, attention, the residual
 //! stream and the KV cache are f32 under both precisions.
 //!
-//! How a token stream is split into calls never changes a bit of the
-//! result: on the f32 path every output element is the same [`dot`] over
-//! the same operands whatever the row blocking (`matmul_a_bt`'s contract),
-//! and on the int8 path the integer accumulation is exact
+//! How a token stream is split into calls — or stacked with other
+//! sessions' rows — never changes a bit of the result: on the f32 path
+//! every output element is the same [`dot`] over the same operands
+//! whatever the row blocking (`matmul_a_bt`'s contract), on the int8 path
+//! the integer accumulation is exact, and every other op is per row
 //! (`tests/chunk_split.rs`).
 
 use crate::params::Params;
@@ -91,9 +103,29 @@ pub struct InferenceSession {
     k_cache: Vec<Vec<f32>>,
     /// Per-layer value cache `[max_seq, C]`.
     v_cache: Vec<Vec<f32>>,
-    // Row scratch, `[m, ·]` for the `m` rows of the current call: one row
-    // at construction and in every clone (what `ModelConfig::session_bytes`
-    // budgets), grown by `fit_rows` when a larger chunk first arrives.
+    /// Logits after the last fed token.
+    logits: Vec<f32>,
+    rope_cos: Vec<f32>,
+    rope_sin: Vec<f32>,
+    /// Row scratch of the forwards this session lends it to (a stacked
+    /// forward runs in its first lane's).
+    scratch: Scratch,
+}
+
+/// One lane of a stacked forward ([`InferenceSession::try_feed_lanes`]):
+/// a session and the tokens that advance it.
+pub struct Lane<'a> {
+    /// The session the tokens extend, at its own position.
+    pub session: &'a mut InferenceSession,
+    /// At least one token.
+    pub tokens: &'a [u32],
+}
+
+/// Row scratch, `[m, ·]` for the `m` rows of the current call: one row at
+/// construction and in every clone (what `ModelConfig::session_bytes`
+/// budgets), grown by `fit_rows` when a larger call first arrives.
+#[derive(Default)]
+struct Scratch {
     /// Residual stream `[m, C]`.
     x: Vec<f32>,
     /// Normalised linear-layer input `[m, C]` (f32 path).
@@ -102,17 +134,16 @@ pub struct InferenceSession {
     /// path, the activation scale of `qx` / `qf` on the int8 path.
     row_scale: Vec<f32>,
     q: Vec<f32>,
+    /// Attention output `[m, C]`; before attention, the call's V rows on
+    /// their way into the lanes' caches.
     attn_out: Vec<f32>,
+    /// Wo / W_down output `[m, C]`; before attention, the call's K rows.
     proj: Vec<f32>,
     gate: Vec<f32>,
     up: Vec<f32>,
     act: Vec<f32>,
     /// Attention scores of one (row, head) over `0..=pos`: `[max_seq]`.
     scores: Vec<f32>,
-    /// Logits after the last fed token.
-    logits: Vec<f32>,
-    rope_cos: Vec<f32>,
-    rope_sin: Vec<f32>,
     /// Int8 linear-layer input `[m, C]`, allocated only for
     /// [`WeightPrecision::Int8`] sessions.
     qx: Vec<i8>,
@@ -135,13 +166,14 @@ impl Clone for InferenceSession {
     /// [`ModelConfig::session_bytes`] says it does.
     fn clone(&self) -> Self {
         InferenceSession {
+            cfg: self.cfg,
             pos: self.pos,
             k_cache: self.k_cache.clone(),
             v_cache: self.v_cache.clone(),
             logits: self.logits.clone(),
             rope_cos: self.rope_cos.clone(),
             rope_sin: self.rope_sin.clone(),
-            ..Self::scratch_only(self.cfg)
+            scratch: Scratch::one_row(&self.cfg),
         }
     }
 }
@@ -153,45 +185,14 @@ impl InferenceSession {
         let kv = || (0..cfg.n_layers).map(|_| vec![0.0; cfg.max_seq * cfg.d_model]).collect();
         let (rope_cos, rope_sin) = rope_tables(cfg.max_seq, cfg.head_dim());
         InferenceSession {
+            cfg,
+            pos: 0,
             k_cache: kv(),
             v_cache: kv(),
             logits: vec![0.0; cfg.vocab_size],
             rope_cos,
             rope_sin,
-            ..Self::scratch_only(cfg)
-        }
-    }
-
-    /// One-row scratch at position 0 with the state buffers — KV cache,
-    /// logits, RoPE tables — left empty (unallocated) for `new` and
-    /// `clone` to fill in.
-    fn scratch_only(cfg: ModelConfig) -> Self {
-        let c = cfg.d_model;
-        let f = cfg.d_ff;
-        let (qx_len, qf_len) = match cfg.precision {
-            WeightPrecision::F32 => (0, 0),
-            WeightPrecision::Int8 => (c, f),
-        };
-        InferenceSession {
-            cfg,
-            pos: 0,
-            k_cache: Vec::new(),
-            v_cache: Vec::new(),
-            x: vec![0.0; c],
-            ln: vec![0.0; c],
-            row_scale: vec![0.0; 1],
-            q: vec![0.0; c],
-            attn_out: vec![0.0; c],
-            proj: vec![0.0; c],
-            gate: vec![0.0; f],
-            up: vec![0.0; f],
-            act: vec![0.0; f],
-            scores: vec![0.0; cfg.max_seq],
-            logits: Vec::new(),
-            rope_cos: Vec::new(),
-            rope_sin: Vec::new(),
-            qx: vec![0; qx_len],
-            qf: vec![0; qf_len],
+            scratch: Scratch::one_row(&cfg),
         }
     }
 
@@ -254,7 +255,7 @@ impl InferenceSession {
     /// use to turn an over-long prompt into a per-prompt error.
     pub fn try_feed(&mut self, p: &Params, token: u32) -> Result<&[f32], SessionError> {
         self.room_for(1)?;
-        self.forward_rows(p, &[token], None);
+        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None);
         Ok(&self.logits)
     }
 
@@ -265,7 +266,7 @@ impl InferenceSession {
     /// [`Self::try_feed`] to handle that case as a typed error.
     pub fn feed(&mut self, p: &Params, token: u32) -> &[f32] {
         assert!(self.pos < self.cfg.max_seq, "KV cache full at {}", self.pos);
-        self.forward_rows(p, &[token], None);
+        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None);
         &self.logits
     }
 
@@ -278,7 +279,7 @@ impl InferenceSession {
         assert!(!tokens.is_empty(), "empty prompt");
         let fits = tokens.len().min(self.remaining());
         for block in tokens[..fits].chunks(PREFILL_ROWS) {
-            self.forward_rows(p, block, None);
+            Self::forward_rows(p, &mut [Lane { session: self, tokens: block }], None);
         }
         if fits < tokens.len() {
             return Err(SessionError::CacheFull { pos: self.pos, max_seq: self.cfg.max_seq });
@@ -314,118 +315,206 @@ impl InferenceSession {
     ) -> Result<Vec<f32>, SessionError> {
         assert!(!tokens.is_empty(), "empty chunk");
         self.room_for(tokens.len())?;
-        let v = self.cfg.vocab_size;
-        let mut rows = vec![0.0f32; tokens.len() * v];
-        self.forward_rows(p, tokens, Some(&mut rows));
-        self.logits.copy_from_slice(&rows[rows.len() - v..]);
+        let mut rows = vec![0.0f32; tokens.len() * self.cfg.vocab_size];
+        Self::forward_rows(p, &mut [Lane { session: self, tokens }], Some(&mut rows));
         Ok(rows)
     }
 
-    /// The one transformer forward on the inference path: advance the
-    /// `m = tokens.len()` rows through every block and the tied LM head,
-    /// writing their K/V rows straight into the cache at
-    /// `pos..pos + m`. Capacity has already been checked. The logits of
-    /// every row go to `all_rows` (`m × vocab`) when the caller lends
-    /// one; otherwise only the last row gets its final norm and LM head,
-    /// into `self.logits`.
+    /// Advance every lane's session by its tokens in **one** stacked
+    /// forward — each weight matrix is streamed once for all lanes' rows
+    /// — and write the logits after every token into `rows`
+    /// (`Σ tokens.len() × vocab`, lane after lane). Each session ends
+    /// exactly where feeding its tokens alone would have left it, bit for
+    /// bit (see the module doc), `last_logits` included. When any lane
+    /// lacks room, that lane's [`SessionError::CacheFull`] is returned and
+    /// **no** session has moved.
+    ///
+    /// # Panics
+    /// Panics on no lanes, an empty lane, lanes of different
+    /// configurations or a `rows` of the wrong length.
+    pub fn try_feed_lanes(
+        p: &Params,
+        lanes: &mut [Lane<'_>],
+        rows: &mut [f32],
+    ) -> Result<(), SessionError> {
+        for lane in lanes.iter() {
+            assert!(!lane.tokens.is_empty(), "empty lane");
+            lane.session.room_for(lane.tokens.len())?;
+        }
+        Self::forward_rows(p, lanes, Some(rows));
+        Ok(())
+    }
+
+    /// The one transformer forward on the inference path: advance every
+    /// lane's tokens — `m` rows in all, lane after lane — through every
+    /// block and the tied LM head. Each linear layer runs once over all
+    /// `m` rows; a lane's K/V rows are copied into its own cache at
+    /// `pos..pos + len`, and RoPE and attention run per row at that
+    /// lane's own position over that lane's own cache. Capacity has
+    /// already been checked. The scratch is the first lane's.
+    ///
+    /// The logits of every row go to `all_rows` (`m × vocab`) when the
+    /// caller lends one, and each lane's last row to its session;
+    /// otherwise — one lane only — just the last row gets its final norm
+    /// and LM head, into the session.
     ///
     /// A [`WeightPrecision::Int8`] session uses the params' int8 copy
     /// when they carry one and the f32 weights otherwise — an int8
     /// session fed unquantized params is a benign precision downgrade,
     /// not an error.
-    fn forward_rows(&mut self, p: &Params, tokens: &[u32], all_rows: Option<&mut [f32]>) {
-        let c = self.cfg.d_model;
-        let f = self.cfg.d_ff;
-        let m = tokens.len();
-        let p0 = self.pos;
-        let quant = match self.cfg.precision {
+    fn forward_rows(p: &Params, lanes: &mut [Lane<'_>], all_rows: Option<&mut [f32]>) {
+        assert!(!lanes.is_empty(), "a forward needs a lane");
+        let cfg = lanes[0].session.cfg;
+        assert!(lanes.iter().all(|lane| lane.session.cfg == cfg), "lanes of different configs");
+        assert!(all_rows.is_some() || lanes.len() == 1, "last-row logits are a one-lane mode");
+        let c = cfg.d_model;
+        let f = cfg.d_ff;
+        let m: usize = lanes.iter().map(|lane| lane.tokens.len()).sum();
+        if let Some(rows) = &all_rows {
+            assert_eq!(rows.len(), m * cfg.vocab_size, "rows has wrong size");
+        }
+        let quant = match cfg.precision {
             WeightPrecision::Int8 => p.quant.as_ref(),
             WeightPrecision::F32 => None,
         };
         let int8 = quant.is_some();
-        self.fit_rows(m);
+        // A panic below (a token out of vocab) leaves the first lane an
+        // empty scratch, which its next call grows back.
+        let mut s = std::mem::take(&mut lanes[0].session.scratch);
+        s.fit_rows(&cfg, m);
         let embed = p.view(&p.layout.embed);
-        for (row, &t) in self.x.chunks_exact_mut(c).zip(tokens) {
+        let tokens = lanes.iter().flat_map(|lane| lane.tokens);
+        for (row, &t) in s.x.chunks_exact_mut(c).zip(tokens) {
             let tok = t as usize;
-            assert!(tok < self.cfg.vocab_size, "token {tok} out of vocab");
+            assert!(tok < cfg.vocab_size, "token {tok} out of vocab");
             row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
         }
 
-        for l in 0..self.cfg.n_layers {
+        for l in 0..cfg.n_layers {
             let lay = &p.layout.layers[l];
             let ql = quant.map(|qp| &qp.layers[l]);
-            let kv_rows = p0 * c..(p0 + m) * c;
-            self.norm_rows(p.view(&lay.attn_norm), int8);
-            let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
-            linear(&mut self.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, s, m);
-            let k_rows = &mut self.k_cache[l][kv_rows.clone()];
-            linear(k_rows, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, s, m);
-            let v_rows = &mut self.v_cache[l][kv_rows];
-            linear(v_rows, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, s, m);
-            self.rope_attend(l, p0, m);
+            s.norm_rows(&cfg, p.view(&lay.attn_norm), int8);
+            let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
+            linear(&mut s.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, sc, m);
+            linear(&mut s.proj, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, sc, m);
+            linear(&mut s.attn_out, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, sc, m);
+            let mut r0 = 0;
+            for lane in lanes.iter_mut() {
+                lane.session.rope_attend(&mut s, l, r0, lane.tokens.len());
+                r0 += lane.tokens.len();
+            }
             // Output projection + residual; on the int8 path the attention
             // output is re-quantized at the boundary.
             if int8 {
-                quantize_rows_q8(&mut self.qx, &mut self.row_scale, &self.attn_out, m, c);
+                quantize_rows_q8(&mut s.qx, &mut s.row_scale, &s.attn_out, m, c);
             }
-            let (a, aq, s) = (&self.attn_out, &self.qx, &self.row_scale);
-            linear(&mut self.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, s, m);
-            ops::add_assign(&mut self.x, &self.proj);
+            let (a, aq, sc) = (&s.attn_out, &s.qx, &s.row_scale);
+            linear(&mut s.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, sc, m);
+            ops::add_assign(&mut s.x, &s.proj);
             // FFN.
-            self.norm_rows(p.view(&lay.ffn_norm), int8);
-            let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
-            linear(&mut self.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, s, m);
-            linear(&mut self.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, s, m);
-            if int8 {
-                for i in 0..m {
-                    let r = i * f..(i + 1) * f;
-                    self.row_scale[i] = swiglu_quantize_row(
-                        &mut self.qf[r.clone()],
-                        &mut self.act[r.clone()],
-                        &self.gate[r.clone()],
-                        &self.up[r],
-                    );
-                }
-            } else {
-                for ((av, &gv), &uv) in self.act.iter_mut().zip(&self.gate).zip(&self.up) {
-                    *av = gv * ops::sigmoid(gv) * uv;
-                }
-            }
-            let (a, aq, s) = (&self.act, &self.qf, &self.row_scale);
-            linear(&mut self.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, s, m);
-            ops::add_assign(&mut self.x, &self.proj);
+            s.norm_rows(&cfg, p.view(&lay.ffn_norm), int8);
+            let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
+            linear(&mut s.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, sc, m);
+            linear(&mut s.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, sc, m);
+            s.swiglu_rows(f, int8);
+            let (a, aq, sc) = (&s.act, &s.qf, &s.row_scale);
+            linear(&mut s.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, sc, m);
+            ops::add_assign(&mut s.x, &s.proj);
         }
 
         if all_rows.is_none() && m > 1 {
             // Only the last row's logits are wanted: move it to the front
             // and finish as a one-row call.
-            self.x.copy_within((m - 1) * c.., 0);
-            self.fit_rows(1);
+            s.x.copy_within((m - 1) * c.., 0);
+            s.fit_rows(&cfg, 1);
         }
-        self.norm_rows(p.view(&p.layout.final_norm), int8);
+        s.norm_rows(&cfg, p.view(&p.layout.final_norm), int8);
         // Tied LM head: logits[v] = ln · embed_row(v).
-        let out = match all_rows {
-            Some(rows) => rows,
-            None => &mut self.logits[..],
-        };
         let lm_head = quant.map(|qp| &qp.lm_head);
-        let rows = self.row_scale.len();
-        linear(out, embed, lm_head, &self.ln, &self.qx, &self.row_scale, rows);
-        self.pos += m;
+        let rows = s.row_scale.len();
+        match all_rows {
+            Some(out) => {
+                linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
+                let mut r0 = 0;
+                for lane in lanes.iter_mut() {
+                    r0 += lane.tokens.len();
+                    let last = (r0 - 1) * cfg.vocab_size..r0 * cfg.vocab_size;
+                    lane.session.logits.copy_from_slice(&out[last]);
+                }
+            }
+            None => {
+                let out = &mut lanes[0].session.logits;
+                linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
+            }
+        }
+        for lane in lanes.iter_mut() {
+            lane.session.pos += lane.tokens.len();
+        }
+        lanes[0].session.scratch = s;
+    }
+
+    /// This session's `m` rows of the call, scratch rows `r0..r0 + m`:
+    /// copy their K and V rows (in `s.proj` and `s.attn_out`) into the
+    /// cache at `pos..pos + m`, then for each row in ascending position
+    /// order RoPE on its query row in `s.q` and its K cache row and causal
+    /// attention into `s.attn_out`, one [`attend_head`] per head — row `i`
+    /// attends over `0..=pos+i`, which includes this call's earlier rows,
+    /// already written and rotated. f32 under both weight precisions.
+    fn rope_attend(&mut self, s: &mut Scratch, l: usize, r0: usize, m: usize) {
+        let c = self.cfg.d_model;
+        let hs = self.cfg.head_dim();
+        let half = hs / 2;
+        let scale = 1.0 / (hs as f32).sqrt();
+        let (k_cache, v_cache) = (&mut self.k_cache[l][..], &mut self.v_cache[l][..]);
+        let (rows, cached) = (r0 * c..(r0 + m) * c, self.pos * c..(self.pos + m) * c);
+        k_cache[cached.clone()].copy_from_slice(&s.proj[rows.clone()]);
+        v_cache[cached].copy_from_slice(&s.attn_out[rows]);
+        let v_cache = &*v_cache;
+        for i in 0..m {
+            let pos = self.pos + i;
+            let row = (r0 + i) * c..(r0 + i + 1) * c;
+            let cos = &self.rope_cos[pos * half..(pos + 1) * half];
+            let sin = &self.rope_sin[pos * half..(pos + 1) * half];
+            for buf in [&mut s.q[row.clone()], &mut k_cache[pos * c..(pos + 1) * c]] {
+                for head in buf.chunks_exact_mut(hs) {
+                    for ((pair, &co), &si) in head.chunks_exact_mut(2).zip(cos).zip(sin) {
+                        let (x0, x1) = (pair[0], pair[1]);
+                        pair[0] = x0 * co - x1 * si;
+                        pair[1] = x0 * si + x1 * co;
+                    }
+                }
+            }
+            let n = pos + 1;
+            let outs = s.attn_out[row.clone()].chunks_exact_mut(hs);
+            for (hi, (out, qh)) in outs.zip(s.q[row].chunks_exact(hs)).enumerate() {
+                let cached = hi * hs..n * c;
+                let (kh, vh) = (&k_cache[cached.clone()], &v_cache[cached]);
+                attend_head(out, &mut s.scores[..n], qh, kh, vh, c, scale);
+            }
+        }
+    }
+}
+
+impl Scratch {
+    /// One-row scratch: what a fresh session and every clone hold.
+    fn one_row(cfg: &ModelConfig) -> Self {
+        let mut s = Scratch::default();
+        s.fit_rows(cfg, 1);
+        s
     }
 
     /// Size the row scratch for an `m`-row call. Shrinking keeps the
     /// capacity and growing reserves exactly, so this allocates only when
-    /// a chunk larger than any before arrives — never for a session that
+    /// a call larger than any before arrives — never for a session that
     /// is fed one token at a time — and the scratch holds exactly as many
     /// rows as the largest call so far.
-    fn fit_rows(&mut self, m: usize) {
+    fn fit_rows(&mut self, cfg: &ModelConfig, m: usize) {
         fn fit<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
             buf.reserve_exact(len.saturating_sub(buf.len()));
             buf.resize(len, T::default());
         }
-        let c = self.cfg.d_model;
-        let f = self.cfg.d_ff;
+        let c = cfg.d_model;
+        let f = cfg.d_ff;
         for buf in [&mut self.x, &mut self.ln, &mut self.q, &mut self.attn_out, &mut self.proj] {
             fit(buf, m * c);
         }
@@ -433,7 +522,8 @@ impl InferenceSession {
             fit(buf, m * f);
         }
         fit(&mut self.row_scale, m);
-        if self.cfg.precision == WeightPrecision::Int8 {
+        fit(&mut self.scores, cfg.max_seq);
+        if cfg.precision == WeightPrecision::Int8 {
             fit(&mut self.qx, m * c);
             fit(&mut self.qf, m * f);
         }
@@ -442,8 +532,8 @@ impl InferenceSession {
     /// RMSNorm the residual rows into the next linear layer's input: f32
     /// rows in `ln`, or — fused, never materialising the normalised f32
     /// row — int8 rows in `qx` with their scales in `row_scale`.
-    fn norm_rows(&mut self, g: &[f32], int8: bool) {
-        let c = self.cfg.d_model;
+    fn norm_rows(&mut self, cfg: &ModelConfig, g: &[f32], int8: bool) {
+        let c = cfg.d_model;
         let m = self.row_scale.len();
         if int8 {
             for i in 0..m {
@@ -456,38 +546,23 @@ impl InferenceSession {
         }
     }
 
-    /// For each of the `m` rows in ascending position order: RoPE on its
-    /// query row in `self.q` and its freshly written K cache row, then
-    /// causal attention into `self.attn_out`, one [`attend_head`] per head
-    /// — row `i` attends over `0..=p0+i`, which includes this call's
-    /// earlier rows, already written and rotated. f32 under both weight
-    /// precisions.
-    fn rope_attend(&mut self, l: usize, p0: usize, m: usize) {
-        let c = self.cfg.d_model;
-        let hs = self.cfg.head_dim();
-        let half = hs / 2;
-        let scale = 1.0 / (hs as f32).sqrt();
-        let (k_cache, v_cache) = (&mut self.k_cache[l][..], &self.v_cache[l][..]);
-        for i in 0..m {
-            let pos = p0 + i;
-            let row = i * c..(i + 1) * c;
-            let cos = &self.rope_cos[pos * half..(pos + 1) * half];
-            let sin = &self.rope_sin[pos * half..(pos + 1) * half];
-            for buf in [&mut self.q[row.clone()], &mut k_cache[pos * c..(pos + 1) * c]] {
-                for head in buf.chunks_exact_mut(hs) {
-                    for ((pair, &co), &si) in head.chunks_exact_mut(2).zip(cos).zip(sin) {
-                        let (x0, x1) = (pair[0], pair[1]);
-                        pair[0] = x0 * co - x1 * si;
-                        pair[1] = x0 * si + x1 * co;
-                    }
-                }
+    /// SwiGLU of `gate` and `up` into the W_down input: f32 rows in `act`,
+    /// and on the int8 path their quantized copy in `qf` with the scales
+    /// in `row_scale`.
+    fn swiglu_rows(&mut self, f: usize, int8: bool) {
+        if int8 {
+            for i in 0..self.row_scale.len() {
+                let r = i * f..(i + 1) * f;
+                self.row_scale[i] = swiglu_quantize_row(
+                    &mut self.qf[r.clone()],
+                    &mut self.act[r.clone()],
+                    &self.gate[r.clone()],
+                    &self.up[r],
+                );
             }
-            let n = pos + 1;
-            let outs = self.attn_out[row.clone()].chunks_exact_mut(hs);
-            for (hi, (out, qh)) in outs.zip(self.q[row].chunks_exact(hs)).enumerate() {
-                let cached = hi * hs..n * c;
-                let (kh, vh) = (&k_cache[cached.clone()], &v_cache[cached]);
-                attend_head(out, &mut self.scores[..n], qh, kh, vh, c, scale);
+        } else {
+            for ((av, &gv), &uv) in self.act.iter_mut().zip(&self.gate).zip(&self.up) {
+                *av = gv * ops::sigmoid(gv) * uv;
             }
         }
     }
@@ -522,9 +597,10 @@ mod tests {
         /// Bytes held by the session's buffers — what
         /// [`ModelConfig::session_bytes`] must predict for a fresh session.
         fn buffer_bytes(&self) -> usize {
+            let s = &self.scratch;
             let f32_bufs = [
-                &self.x, &self.ln, &self.row_scale, &self.q, &self.attn_out, &self.proj, &self.gate,
-                &self.up, &self.act, &self.scores, &self.logits, &self.rope_cos, &self.rope_sin,
+                &s.x, &s.ln, &s.row_scale, &s.q, &s.attn_out, &s.proj, &s.gate, &s.up, &s.act,
+                &s.scores, &self.logits, &self.rope_cos, &self.rope_sin,
             ];
             let f32s: usize = f32_bufs
                 .into_iter()
@@ -532,7 +608,7 @@ mod tests {
                 .chain(&self.v_cache)
                 .map(Vec::capacity)
                 .sum();
-            f32s * std::mem::size_of::<f32>() + self.qx.capacity() + self.qf.capacity()
+            f32s * std::mem::size_of::<f32>() + s.qx.capacity() + s.qf.capacity()
         }
     }
 
@@ -721,25 +797,32 @@ mod tests {
     }
 
     /// The per-op rows of `op_budget`'s table. The embedding copy is
-    /// booked under `head` (the tied matrix) and each residual add under
-    /// the linear it follows.
+    /// booked under `head` (the tied matrix), each residual add under the
+    /// linear it follows and the K/V copy into the caches under
+    /// `rope+attn`.
     const OPS: [&str; 8] = ["norm", "qkv", "rope+attn", "requant", "wo", "ffn", "swiglu", "head"];
 
     impl InferenceSession {
-        /// `forward_rows(p, tokens, None)` spelled out — the same private
-        /// ops in the same order — with each op's wall time in µs added
-        /// to its slot of `us`.
-        fn forward_rows_timed(&mut self, p: &Params, tokens: &[u32], us: &mut [f64; OPS.len()]) {
-            let c = self.cfg.d_model;
-            let f = self.cfg.d_ff;
-            let m = tokens.len();
-            let p0 = self.pos;
-            let quant = match self.cfg.precision {
+        /// `forward_rows(p, lanes, all_rows)` spelled out — the same
+        /// private ops in the same order — with each op's wall time in µs
+        /// added to its slot of `us`.
+        fn forward_rows_timed(
+            p: &Params,
+            lanes: &mut [Lane<'_>],
+            all_rows: Option<&mut [f32]>,
+            us: &mut [f64; OPS.len()],
+        ) {
+            let cfg = lanes[0].session.cfg;
+            let c = cfg.d_model;
+            let f = cfg.d_ff;
+            let m: usize = lanes.iter().map(|lane| lane.tokens.len()).sum();
+            let quant = match cfg.precision {
                 WeightPrecision::Int8 => p.quant.as_ref(),
                 WeightPrecision::F32 => None,
             };
             let int8 = quant.is_some();
-            self.fit_rows(m);
+            let mut s = std::mem::take(&mut lanes[0].session.scratch);
+            s.fit_rows(&cfg, m);
             let mut t = std::time::Instant::now();
             let mut lap = |op: usize| {
                 let now = std::time::Instant::now();
@@ -747,71 +830,77 @@ mod tests {
                 t = now;
             };
             let embed = p.view(&p.layout.embed);
-            for (row, &tok) in self.x.chunks_exact_mut(c).zip(tokens) {
+            let tokens = lanes.iter().flat_map(|lane| lane.tokens);
+            for (row, &tok) in s.x.chunks_exact_mut(c).zip(tokens) {
                 let tok = tok as usize;
                 row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
             }
             lap(7);
-            for l in 0..self.cfg.n_layers {
+            for l in 0..cfg.n_layers {
                 let lay = &p.layout.layers[l];
                 let ql = quant.map(|qp| &qp.layers[l]);
-                let kv_rows = p0 * c..(p0 + m) * c;
-                self.norm_rows(p.view(&lay.attn_norm), int8);
+                s.norm_rows(&cfg, p.view(&lay.attn_norm), int8);
                 lap(0);
-                let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
-                linear(&mut self.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, s, m);
-                let k_rows = &mut self.k_cache[l][kv_rows.clone()];
-                linear(k_rows, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, s, m);
-                let v_rows = &mut self.v_cache[l][kv_rows];
-                linear(v_rows, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, s, m);
+                let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
+                linear(&mut s.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, sc, m);
+                linear(&mut s.proj, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, sc, m);
+                linear(&mut s.attn_out, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, sc, m);
                 lap(1);
-                self.rope_attend(l, p0, m);
+                let mut r0 = 0;
+                for lane in lanes.iter_mut() {
+                    lane.session.rope_attend(&mut s, l, r0, lane.tokens.len());
+                    r0 += lane.tokens.len();
+                }
                 lap(2);
                 if int8 {
-                    quantize_rows_q8(&mut self.qx, &mut self.row_scale, &self.attn_out, m, c);
+                    quantize_rows_q8(&mut s.qx, &mut s.row_scale, &s.attn_out, m, c);
                 }
                 lap(3);
-                let (a, aq, s) = (&self.attn_out, &self.qx, &self.row_scale);
-                linear(&mut self.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, s, m);
-                ops::add_assign(&mut self.x, &self.proj);
+                let (a, aq, sc) = (&s.attn_out, &s.qx, &s.row_scale);
+                linear(&mut s.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, sc, m);
+                ops::add_assign(&mut s.x, &s.proj);
                 lap(4);
-                self.norm_rows(p.view(&lay.ffn_norm), int8);
+                s.norm_rows(&cfg, p.view(&lay.ffn_norm), int8);
                 lap(0);
-                let (a, aq, s) = (&self.ln, &self.qx, &self.row_scale);
-                linear(&mut self.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, s, m);
-                linear(&mut self.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, s, m);
+                let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
+                linear(&mut s.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, sc, m);
+                linear(&mut s.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, sc, m);
                 lap(5);
-                if int8 {
-                    for i in 0..m {
-                        let r = i * f..(i + 1) * f;
-                        self.row_scale[i] = swiglu_quantize_row(
-                            &mut self.qf[r.clone()],
-                            &mut self.act[r.clone()],
-                            &self.gate[r.clone()],
-                            &self.up[r],
-                        );
-                    }
-                } else {
-                    for ((av, &gv), &uv) in self.act.iter_mut().zip(&self.gate).zip(&self.up) {
-                        *av = gv * ops::sigmoid(gv) * uv;
-                    }
-                }
+                s.swiglu_rows(f, int8);
                 lap(6);
-                let (a, aq, s) = (&self.act, &self.qf, &self.row_scale);
-                linear(&mut self.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, s, m);
-                ops::add_assign(&mut self.x, &self.proj);
+                let (a, aq, sc) = (&s.act, &s.qf, &s.row_scale);
+                linear(&mut s.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, sc, m);
+                ops::add_assign(&mut s.x, &s.proj);
                 lap(5);
             }
-            if m > 1 {
-                self.x.copy_within((m - 1) * c.., 0);
-                self.fit_rows(1);
+            if all_rows.is_none() && m > 1 {
+                s.x.copy_within((m - 1) * c.., 0);
+                s.fit_rows(&cfg, 1);
             }
-            self.norm_rows(p.view(&p.layout.final_norm), int8);
+            s.norm_rows(&cfg, p.view(&p.layout.final_norm), int8);
             lap(0);
             let lm_head = quant.map(|qp| &qp.lm_head);
-            linear(&mut self.logits, embed, lm_head, &self.ln, &self.qx, &self.row_scale, 1);
+            let rows = s.row_scale.len();
+            match all_rows {
+                Some(out) => {
+                    linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
+                    let mut r0 = 0;
+                    for lane in lanes.iter_mut() {
+                        r0 += lane.tokens.len();
+                        let last = (r0 - 1) * cfg.vocab_size..r0 * cfg.vocab_size;
+                        lane.session.logits.copy_from_slice(&out[last]);
+                    }
+                }
+                None => {
+                    let out = &mut lanes[0].session.logits;
+                    linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
+                }
+            }
             lap(7);
-            self.pos += m;
+            for lane in lanes.iter_mut() {
+                lane.session.pos += lane.tokens.len();
+            }
+            lanes[0].session.scratch = s;
         }
     }
 
@@ -823,20 +912,29 @@ mod tests {
     /// ```
     ///
     /// For S7b and S70b × f32/int8: the last row block of a 136-token
-    /// prompt (methods 2/3's length) and the decode row after it, each op
-    /// the median of `REPS` runs, in µs per row and as a share of the row.
-    /// The timed forward's logits must equal `try_feed_prompt`'s and
-    /// `feed`'s bit for bit, so a `forward_rows` this copy has drifted
-    /// from fails here instead of mis-sizing the next issue.
+    /// prompt (methods 2/3's length), the decode row after it, and a
+    /// stacked score readout at that position — `READOUT_LANES` forks of
+    /// the prompt fed `READOUT_ROWS` continuation rows each in one
+    /// all-rows forward (the fast preset's eight variants and ~16 rows per
+    /// question) — each op the median of `REPS` runs, in µs per row and as
+    /// a share of the row. The timed forward's logits must equal
+    /// `try_feed_prompt`'s, `feed`'s and `try_feed_lanes`' bit for bit, so
+    /// a `forward_rows` this copy has drifted from fails here instead of
+    /// mis-sizing the next issue.
     #[test]
     #[ignore]
     fn op_budget() {
         use crate::Tier;
         const REPS: usize = 101;
         const PROMPT: usize = 136;
+        const READOUT_LANES: usize = 8;
+        const READOUT_ROWS: usize = 2;
         let vocab = 512;
         let tokens: Vec<u32> = (0..=PROMPT).map(|i| (i * 37 % vocab) as u32).collect();
         let (head, block) = tokens[..PROMPT].split_at(PROMPT - PREFILL_ROWS);
+        let variants: Vec<[u32; READOUT_ROWS]> = (0..READOUT_LANES)
+            .map(|v| std::array::from_fn(|i| ((v * 53 + i * 11) % vocab) as u32))
+            .collect();
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for tier in [Tier::S7b, Tier::S70b] {
             let f32_params = Params::init(ModelConfig::tier(tier, vocab), &mut Rng::seed_from(19));
@@ -846,44 +944,72 @@ mod tests {
                 base.try_feed_prompt(p, head).unwrap();
                 let mut oracle = base.clone();
                 let block_logits = bits(oracle.try_feed_prompt(p, block).unwrap());
+                let prompt = oracle.clone();
                 let decode_logits = bits(oracle.feed(p, tokens[PROMPT]));
+                let mut forks: Vec<InferenceSession> = vec![prompt.clone(); READOUT_LANES];
+                let mut readout_logits = vec![0.0; READOUT_LANES * READOUT_ROWS * vocab];
+                let mut lanes: Vec<Lane<'_>> = forks
+                    .iter_mut()
+                    .zip(&variants)
+                    .map(|(session, tokens)| Lane { session, tokens })
+                    .collect();
+                InferenceSession::try_feed_lanes(p, &mut lanes, &mut readout_logits).unwrap();
+                let readout_logits = bits(&readout_logits);
 
                 let mut sess = InferenceSession::new(p.cfg);
+                let mut rows = vec![0.0; readout_logits.len()];
                 let mut block_us = vec![[0.0; OPS.len()]; REPS];
                 let mut decode_us = vec![[0.0; OPS.len()]; REPS];
-                for (block_rep, decode_rep) in block_us.iter_mut().zip(&mut decode_us) {
+                let mut readout_us = vec![[0.0; OPS.len()]; REPS];
+                for rep in 0..REPS {
                     sess.assign_from(&base);
-                    sess.forward_rows_timed(p, block, block_rep);
+                    let mut lane = [Lane { session: &mut sess, tokens: block }];
+                    InferenceSession::forward_rows_timed(p, &mut lane, None, &mut block_us[rep]);
                     assert_eq!(bits(&sess.logits), block_logits, "prefill block drifted");
-                    sess.forward_rows_timed(p, &tokens[PROMPT..], decode_rep);
+                    let mut lane = [Lane { session: &mut sess, tokens: &tokens[PROMPT..] }];
+                    InferenceSession::forward_rows_timed(p, &mut lane, None, &mut decode_us[rep]);
                     assert_eq!(bits(&sess.logits), decode_logits, "decode row drifted");
+                    for fork in &mut forks {
+                        fork.assign_from(&prompt);
+                    }
+                    let mut lanes: Vec<Lane<'_>> = forks
+                        .iter_mut()
+                        .zip(&variants)
+                        .map(|(session, tokens)| Lane { session, tokens })
+                        .collect();
+                    let (out, us) = (Some(&mut rows[..]), &mut readout_us[rep]);
+                    InferenceSession::forward_rows_timed(p, &mut lanes, out, us);
+                    assert_eq!(bits(&rows), readout_logits, "stacked readout drifted");
                 }
-                let median = |reps: &[[f64; OPS.len()]]| -> [f64; OPS.len()] {
+                let median = |reps: &[[f64; OPS.len()]], rows: usize| -> [f64; OPS.len()] {
                     std::array::from_fn(|op| {
                         let mut col: Vec<f64> = reps.iter().map(|rep| rep[op]).collect();
                         col.sort_by(f64::total_cmp);
-                        col[REPS / 2]
+                        col[REPS / 2] / rows as f64
                     })
                 };
-                let (prefill, decode) = (median(&block_us), median(&decode_us));
-                let prefill = prefill.map(|us| us / PREFILL_ROWS as f64);
+                let columns = [
+                    median(&block_us, PREFILL_ROWS),
+                    median(&decode_us, 1),
+                    median(&readout_us, READOUT_LANES * READOUT_ROWS),
+                ];
                 println!(
                     "op_budget {tier:?} {:?}: us/row (share)   prefill rows {}..{PROMPT}   \
-                     decode row at {PROMPT}",
+                     decode row at {PROMPT}   \
+                     readout {READOUT_LANES} x {READOUT_ROWS} rows at {PROMPT}",
                     p.cfg.precision,
                     PROMPT - PREFILL_ROWS
                 );
-                let (pt, dt) = (prefill.iter().sum::<f64>(), decode.iter().sum::<f64>());
+                let totals = columns.map(|col| col.iter().sum::<f64>());
                 for (op, name) in OPS.iter().enumerate() {
-                    println!(
-                        "  {name:<10} {:8.1} ({:4.1} %)   {:8.1} ({:4.1} %)",
-                        prefill[op],
-                        100.0 * prefill[op] / pt,
-                        decode[op],
-                        100.0 * decode[op] / dt
-                    );
+                    print!("  {name:<10}");
+                    for (col, total) in columns.iter().zip(totals) {
+                        print!(" {:8.1} ({:4.1} %)  ", col[op], 100.0 * col[op] / total);
+                    }
+                    println!();
                 }
-                println!("  {:<10} {pt:8.1}            {dt:8.1}", "row");
+                let [prefill, decode, readout] = totals;
+                println!("  {:<10} {prefill:8.1}            {decode:8.1}            {readout:8.1}", "row");
             }
         }
     }

@@ -35,7 +35,7 @@ pub mod serial;
 
 pub use decode::StepDecoder;
 pub use forward::TrainContext;
-pub use infer::{InferenceSession, SessionError};
+pub use infer::{InferenceSession, Lane, SessionError};
 pub use params::Params;
 pub use serial::CkptError;
 pub use sample::{argmax, sample_logits, SamplerConfig};

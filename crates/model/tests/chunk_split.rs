@@ -5,10 +5,13 @@
 //! f32 and for int8.
 //!
 //! This is the contract that lets `feed`, `try_feed_chunk` and the
-//! row-blocked prefill be calls of one routine.
+//! row-blocked prefill be calls of one routine. The same holds across
+//! sessions: lanes stacked into one `try_feed_lanes` call leave every
+//! session, and produce every logit row, exactly as feeding each lane
+//! alone does.
 
 use astro_model::{
-    InferenceSession, ModelConfig, Params, SessionError, Tier, WeightPrecision,
+    InferenceSession, Lane, ModelConfig, Params, SessionError, Tier, WeightPrecision,
 };
 use astro_prng::Rng;
 
@@ -282,6 +285,121 @@ fn a_prompt_one_token_too_long_fills_the_cache_then_fails_like_single_feeds() {
             assert_eq!(blocked.try_feed_prompt(&p, &tokens[start..]).unwrap_err(), full);
             assert_eq!(blocked.position(), cfg.max_seq, "{precision:?} from {start}");
             assert_eq!(bits(blocked.last_logits()), bits(singles.last_logits()));
+        }
+    }
+}
+
+/// `try_feed_lanes` over `sessions` and `tokens` pairwise; returns the
+/// logit rows' bits, lane after lane.
+fn feed_stacked(
+    p: &Params,
+    sessions: &mut [InferenceSession],
+    tokens: &[Vec<u32>],
+) -> Result<Vec<u32>, SessionError> {
+    let rows: usize = tokens.iter().map(Vec::len).sum();
+    let mut logits = vec![f32::NAN; rows * p.cfg.vocab_size];
+    let mut lanes: Vec<Lane<'_>> = sessions
+        .iter_mut()
+        .zip(tokens)
+        .map(|(session, tokens)| Lane { session, tokens })
+        .collect();
+    InferenceSession::try_feed_lanes(p, &mut lanes, &mut logits)?;
+    Ok(bits(&logits))
+}
+
+/// Stack `sessions` × `tokens` in one call and feed a clone of each
+/// session its tokens alone, one `feed` each: same logit rows, and every
+/// session interchangeable with its clone afterwards.
+fn check_lanes(p: &Params, mut sessions: Vec<InferenceSession>, tokens: &[Vec<u32>], next: &[u32], what: &str) {
+    let mut alone: Vec<InferenceSession> = sessions.to_vec();
+    let mut want = Vec::new();
+    for (sess, tokens) in alone.iter_mut().zip(tokens) {
+        want.extend(feed_singles(sess, p, tokens));
+    }
+    let got = feed_stacked(p, &mut sessions, tokens).unwrap();
+    assert_eq!(got, want, "{what}: logit rows");
+    for (i, (a, b)) in sessions.iter_mut().zip(&mut alone).enumerate() {
+        assert_interchangeable(a, b, p, next, &format!("{what}: lane {i}"));
+    }
+}
+
+#[test]
+fn lanes_stacked_in_one_call_are_bitwise_equal_to_each_fed_alone() {
+    for precision in PRECISIONS {
+        let tiny = params(ModelConfig::tiny(VOCAB), 71, precision);
+        let s7b = params(ModelConfig::tier(Tier::S7b, VOCAB), 72, precision);
+        for case in 0..64u64 {
+            let mut rng = Rng::seed_from(0x1a9e5 ^ case);
+            let p = if case % 4 == 0 { &s7b } else { &tiny };
+            // 1–8 sessions at different positions (a fresh one too), 1–8
+            // rows each.
+            let lanes = rng.range(1, 9);
+            let mut sessions = Vec::new();
+            let mut tokens = Vec::new();
+            for _ in 0..lanes {
+                let mut sess = InferenceSession::new(p.cfg);
+                let depth = rng.range(0, p.cfg.max_seq - 11 + 1);
+                if depth > 0 {
+                    sess.try_feed_prompt(p, &random_tokens(&mut rng, depth)).unwrap();
+                }
+                sessions.push(sess);
+                tokens.push(some_tokens(&mut rng, 1, 9));
+            }
+            let next = random_tokens(&mut rng, 3);
+            check_lanes(p, sessions, &tokens, &next, &format!("{precision:?} case {case}"));
+        }
+    }
+}
+
+#[test]
+fn two_lanes_forked_from_one_parent_diverge_like_two_clones() {
+    for precision in PRECISIONS {
+        let p = params(ModelConfig::tiny(VOCAB), 81, precision);
+        for case in 0..16u64 {
+            let mut rng = Rng::seed_from(0xf0c ^ case);
+            let mut parent = InferenceSession::new(p.cfg);
+            parent.try_feed_prompt(&p, &some_tokens(&mut rng, 1, 16)).unwrap();
+            // One fork by `clone`, one by `assign_from` into a session with
+            // grown scratch and dirty KV rows — the score readout's forks.
+            let mut worker = InferenceSession::new(p.cfg);
+            worker.try_feed_chunk(&p, &random_tokens(&mut rng, 8)).unwrap();
+            worker.assign_from(&parent);
+            let sessions = vec![parent.clone(), worker];
+            let tokens = [some_tokens(&mut rng, 1, 9), some_tokens(&mut rng, 1, 9)];
+            let next = random_tokens(&mut rng, 3);
+            check_lanes(&p, sessions, &tokens, &next, &format!("{precision:?} case {case}"));
+        }
+    }
+}
+
+#[test]
+fn a_lane_that_would_overflow_is_a_typed_error_and_no_lane_moves() {
+    for precision in PRECISIONS {
+        let cfg = ModelConfig::tiny(VOCAB);
+        let p = params(cfg, 91, precision);
+        let mut rng = Rng::seed_from(0x0f1a);
+        let full = SessionError::CacheFull { pos: cfg.max_seq, max_seq: cfg.max_seq };
+        // The lane one token too long comes first, last, or in between.
+        for tight in 0..3 {
+            let mut sessions = Vec::new();
+            let mut tokens = Vec::new();
+            for lane in 0..3 {
+                let depth = if lane == tight { cfg.max_seq - 3 } else { 4 + lane };
+                let mut sess = InferenceSession::new(p.cfg);
+                sess.try_feed_prompt(&p, &random_tokens(&mut rng, depth)).unwrap();
+                sessions.push(sess);
+                tokens.push(random_tokens(&mut rng, 4));
+            }
+            let before = sessions.to_vec();
+            assert_eq!(feed_stacked(&p, &mut sessions, &tokens).unwrap_err(), full, "lane {tight}");
+            let next = random_tokens(&mut rng, 3);
+            for (i, (a, b)) in sessions.iter_mut().zip(&mut before.to_vec()).enumerate() {
+                assert_interchangeable(a, b, &p, &next, &format!("{precision:?} tight {tight}: lane {i}"));
+            }
+            // Cut to what fits, the same lanes go through — the tight one
+            // ending exactly at `max_seq`.
+            tokens[tight].truncate(3);
+            check_lanes(&p, before, &tokens, &[], &format!("{precision:?} tight {tight}, cut"));
         }
     }
 }

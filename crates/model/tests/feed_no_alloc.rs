@@ -1,12 +1,13 @@
 //! The decode and prefill hot paths do not touch the heap: 64 consecutive
-//! `feed` calls allocate zero times, and so does block-fed prefill once
-//! its first row block has grown the scratch — f32 and int8.
+//! `feed` calls allocate zero times, and so do block-fed prefill once its
+//! first row block has grown the scratch and a stacked multi-session
+//! forward once one of its width has — f32 and int8.
 //!
 //! A counting `#[global_allocator]` is process-wide, so this lives in its
 //! own test binary with a single `#[test]`: no other test thread can
 //! allocate inside the measured window.
 
-use astro_model::{InferenceSession, ModelConfig, Params, Tier};
+use astro_model::{InferenceSession, Lane, ModelConfig, Params, Tier};
 use astro_prng::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,6 +71,30 @@ fn feeds_and_block_fed_prefill_allocate_nothing() {
             checksum += sess.feed(p, 1)[0];
         });
         assert_eq!(prefill, 0, "{:?}: block-fed prefill allocated", p.cfg.precision);
+
+        // A score readout's stacked forward: eight forks of the prompt, 20
+        // rows in all. The first one grows the first fork's scratch; the
+        // second of the same width — forks re-assigned in place, as the
+        // engine's fork pool does — reuses it.
+        let mut forks: Vec<InferenceSession> = vec![sess.clone(); 8];
+        let variants: Vec<Vec<u32>> = (0..8u32).map(|v| (0..=v % 4).map(|t| v + t).collect()).collect();
+        let mut rows = vec![0.0f32; 20 * vocab];
+        let mut stacked = usize::MAX;
+        for _ in 0..2 {
+            for fork in &mut forks {
+                fork.assign_from(&sess);
+            }
+            let mut lanes: Vec<Lane<'_>> = forks
+                .iter_mut()
+                .zip(&variants)
+                .map(|(session, tokens)| Lane { session, tokens })
+                .collect();
+            stacked = allocations_in(|| {
+                InferenceSession::try_feed_lanes(p, &mut lanes, &mut rows).unwrap();
+            });
+            checksum += rows[0];
+        }
+        assert_eq!(stacked, 0, "{:?}: second stacked readout allocated", p.cfg.precision);
         assert!(checksum.is_finite());
     }
 }

@@ -28,7 +28,7 @@
 //! crate-level determinism contract).
 
 use crate::scheduler::{IterScheduler, SchedulerConfig};
-use crate::seq::{SeqEnv, Sequence};
+use crate::seq::{ForkPool, SeqEnv, Sequence};
 use crate::trie::{CacheStats, PrefixCache};
 use crate::EngineConfig;
 use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, SessionError};
@@ -524,7 +524,7 @@ impl PooledBatch {
     fn work(&self) -> Vec<(usize, Result<SeqOutcome, ServeError>)> {
         let env = &self.env;
         let mut seq = Sequence::new(env.params.cfg);
-        let mut fork = InferenceSession::new(env.params.cfg);
+        let mut forks = ForkPool::default();
         let mut reported = Vec::new();
         loop {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
@@ -542,7 +542,7 @@ impl PooledBatch {
                 }
                 seq.start(env, job);
                 loop {
-                    if let Some(result) = seq.advance(env, job, &mut fork, usize::MAX) {
+                    if let Some(result) = seq.advance(env, job, &mut forks, usize::MAX) {
                         return result;
                     }
                 }

@@ -48,8 +48,8 @@
 //! long-decode load.
 
 use crate::engine::{lock_cache, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError};
-use crate::seq::{SeqEnv, Sequence};
-use astro_model::{InferenceSession, ModelConfig};
+use crate::seq::{ForkPool, SeqEnv, Sequence};
+use astro_model::ModelConfig;
 use astro_resilience::fault;
 use astro_telemetry::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -310,7 +310,7 @@ pub struct IterScheduler {
     pending: VecDeque<(usize, Job)>,
     active: Vec<Active>,
     free: Vec<Sequence>,
-    fork: InferenceSession,
+    forks: ForkPool,
     next_id: usize,
     step_idx: u64,
     log: Option<SchedLog>,
@@ -348,7 +348,7 @@ impl IterScheduler {
             pending: VecDeque::new(),
             active: Vec::new(),
             free: Vec::new(),
-            fork: InferenceSession::new(model_cfg),
+            forks: ForkPool::default(),
             next_id: 0,
             step_idx: 0,
             log: cfg.record_log.then(SchedLog::default),
@@ -487,7 +487,7 @@ impl IterScheduler {
         let mut done: Vec<(usize, Result<SeqOutcome, ServeError>)> = rejected;
         for a in self.active.iter_mut() {
             let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                a.seq.advance(&self.env, &a.job, &mut self.fork, self.cfg.prefill_chunk)
+                a.seq.advance(&self.env, &a.job, &mut self.forks, self.cfg.prefill_chunk)
             }));
             match step {
                 Err(_) => {

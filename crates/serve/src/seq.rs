@@ -26,14 +26,15 @@
 //! scheduler ([`crate::scheduler`]) keeps a free list of them and calls
 //! `advance` once per active sequence per step. Each driver owns its
 //! waiting phase (`exec_wait` / `admit`), its span, its panic boundary and
-//! the fork scratch session it lends to the readout.
+//! the [`ForkPool`] it lends to the readout.
 
 use crate::engine::{lock_cache, Job, ScoreReadout, SeqOutcome, ServeError};
 use crate::trie::PrefixCache;
-use astro_model::{InferenceSession, ModelConfig, Params, StepDecoder};
+use astro_model::{InferenceSession, Lane, ModelConfig, Params, SessionError, StepDecoder};
 use astro_resilience::fault;
 use astro_telemetry::sync::Mutex;
-use astro_telemetry::trace;
+use astro_telemetry::{trace, TraceContext};
+use astro_tensor::ops::log_sum_exp;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -114,13 +115,13 @@ impl Sequence {
     }
 
     /// Move the job forward one unit of work (see the module docs).
-    /// Returns `Some(result)` when the job finishes in this call. `fork`
+    /// Returns `Some(result)` when the job finishes in this call. `forks`
     /// is scratch for the score readout's continuation forks.
     pub(crate) fn advance(
         &mut self,
         env: &SeqEnv,
         job: &Job,
-        fork: &mut InferenceSession,
+        forks: &mut ForkPool,
         prefill_chunk: usize,
     ) -> Option<Result<SeqOutcome, ServeError>> {
         let prompt = job.prompt();
@@ -181,11 +182,11 @@ impl Sequence {
                 // tokens per option): run the whole readout in the call
                 // that completes the prefill rather than splitting it.
                 Job::Score(j) => {
-                    let scores = score_readout(&env.params, &self.sess, fork, &j.readout);
+                    let scores = score_readout(&env.params, &self.sess, forks, &j.readout, ctx);
                     if let Some(c) = ctx {
                         trace::phase_since_last(c.trace, "decode");
                     }
-                    return Some(Ok(SeqOutcome::Scores(scores)));
+                    return Some(scores.map(SeqOutcome::Scores).map_err(ServeError::Session));
                 }
                 Job::Generate(j) => j,
             };
@@ -207,43 +208,127 @@ impl Sequence {
     }
 }
 
+/// What a driver lends the score readout for its lifetime: the sessions
+/// a job's continuation variants are forked into and the logit rows of
+/// their one stacked forward. Both grow to the widest job seen and are
+/// reused from then on.
+#[derive(Default)]
+pub(crate) struct ForkPool {
+    forks: Vec<InferenceSession>,
+    rows: Vec<f32>,
+}
+
 /// Apply a score readout after the prompt, producing the per-option score
 /// vector.
 fn score_readout(
     params: &Params,
     sess: &InferenceSession,
-    fork: &mut InferenceSession,
+    pool: &mut ForkPool,
     readout: &ScoreReadout,
-) -> Vec<f32> {
+    ctx: Option<TraceContext>,
+) -> Result<Vec<f32>, SessionError> {
     match readout {
-        ScoreReadout::ContinuationGroups(groups) => groups
-            .iter()
-            .map(|variants| {
-                let mut s = f32::NEG_INFINITY;
-                for cont in variants {
-                    s = s.max(continuation_loglik(params, sess, fork, cont));
-                }
-                s
-            })
-            .collect(),
+        ScoreReadout::ContinuationGroups(groups) => {
+            let (scores, rows) = continuation_scores(params, sess, pool, groups)?;
+            if let Some(c) = ctx {
+                trace::record_num(c.trace, "readout_rows", rows as f64);
+            }
+            Ok(scores)
+        }
         ScoreReadout::LogitGroups(groups) => {
             let logits = sess.last_logits();
-            groups
-                .iter()
-                .map(|ids| {
-                    ids.iter()
-                        .fold(f32::NEG_INFINITY, |acc, &id| acc.max(logits[id as usize]))
-                })
-                .collect()
+            let max_logit = |ids: &Vec<u32>| {
+                ids.iter().fold(f32::NEG_INFINITY, |acc, &id| acc.max(logits[id as usize]))
+            };
+            Ok(groups.iter().map(max_logit).collect())
         }
     }
 }
 
-/// Length-normalised log-likelihood of `continuation` from a fork of
-/// `sess`, written into the reusable `fork` scratch session. Replicates
-/// the serial reference (`astro-eval`'s `continuation_loglik`) operation
-/// for operation: same f64 accumulation, same early-stop on a full cache,
-/// same `-inf` conventions — the parity suite diffs the two bitwise.
+/// Per option, the max over its variants of the length-normalised
+/// continuation log-likelihood after `sess` — and the number of rows fed
+/// to get them. A variant's first token is read off the parent's last
+/// logits; every variant with more countable tokens is forked
+/// (`assign_from`) into the pool and all their remaining rows go through
+/// **one** stacked forward ([`InferenceSession::try_feed_lanes`]), so the
+/// weights are streamed once per job instead of once per continuation
+/// token. A job of one-token variants forks and feeds nothing.
+///
+/// Replicates the serial reference (`astro-eval`'s `continuation_loglik`,
+/// kept below under `#[cfg(test)]`) operation for operation: the same logits
+/// by the stacked forward's contract, the same f64 accumulation, the same
+/// early stop on a full cache — `counted = min(len, remaining)` tokens —
+/// and the same `-inf` conventions; the suites diff the two bitwise.
+fn continuation_scores(
+    params: &Params,
+    sess: &InferenceSession,
+    pool: &mut ForkPool,
+    groups: &[Vec<Vec<u32>>],
+) -> Result<(Vec<f32>, usize), SessionError> {
+    let vocab = params.cfg.vocab_size;
+    let room = sess.remaining();
+    // Tokens of `cont` that get a log-probability, and the rows that must
+    // be fed for them: the logits after the last counted token are never
+    // read.
+    let counted = |cont: &[u32]| cont.len().min(room);
+    let fed = |cont: &[u32]| counted(cont).saturating_sub(1);
+    let stacked = || groups.iter().flatten().filter(|cont| fed(cont) > 0);
+    let n_rows: usize = stacked().map(|cont| fed(cont)).sum();
+    if n_rows > 0 {
+        let n_lanes = stacked().count();
+        while pool.forks.len() < n_lanes {
+            pool.forks.push(InferenceSession::new(params.cfg));
+        }
+        pool.rows.resize(n_rows * vocab, 0.0);
+        let mut lanes: Vec<Lane<'_>> = pool
+            .forks
+            .iter_mut()
+            .zip(stacked())
+            .map(|(session, cont)| {
+                session.assign_from(sess);
+                Lane { session, tokens: &cont[..fed(cont)] }
+            })
+            .collect();
+        // Cannot fail: every lane was cut to the parent's `remaining()`.
+        InferenceSession::try_feed_lanes(params, &mut lanes, &mut pool.rows)?;
+        astro_telemetry::counter("serve.readout.rows").add(n_rows as u64);
+        astro_telemetry::counter("serve.readout.forwards").inc();
+    }
+
+    let log_prob = |logits: &[f32], lse: f32, tok: u32| (logits[tok as usize] - lse) as f64;
+    let first = sess.last_logits();
+    let first_lse = log_sum_exp(first);
+    let mut row = 0;
+    let scores = groups
+        .iter()
+        .map(|variants| {
+            let mut s = f32::NEG_INFINITY;
+            for cont in variants {
+                let counted = counted(cont);
+                let mut loglik = f32::NEG_INFINITY;
+                if counted > 0 {
+                    let mut ll = 0.0f64;
+                    ll += log_prob(first, first_lse, cont[0]);
+                    for &tok in &cont[1..counted] {
+                        let logits = &pool.rows[row * vocab..(row + 1) * vocab];
+                        ll += log_prob(logits, log_sum_exp(logits), tok);
+                        row += 1;
+                    }
+                    loglik = (ll / counted as f64) as f32;
+                }
+                s = s.max(loglik);
+            }
+            s
+        })
+        .collect();
+    Ok((scores, n_rows))
+}
+
+/// The serial oracle of [`continuation_scores`]: the length-normalised
+/// log-likelihood of one `continuation` from a fork of `sess`, one `feed`
+/// per token — `astro-eval`'s `continuation_loglik`, operation for
+/// operation.
+#[cfg(test)]
 pub(crate) fn continuation_loglik(
     params: &Params,
     sess: &InferenceSession,
@@ -273,4 +358,119 @@ pub(crate) fn continuation_loglik(
         return f32::NEG_INFINITY;
     }
     (ll / counted as f64) as f32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use astro_model::WeightPrecision;
+    use astro_prng::Rng;
+
+    const VOCAB: usize = 24;
+
+    fn params(precision: WeightPrecision) -> Params {
+        let p = Params::init(ModelConfig::tiny(VOCAB), &mut Rng::seed_from(31));
+        match precision {
+            WeightPrecision::F32 => p,
+            WeightPrecision::Int8 => p.quantized(),
+        }
+    }
+
+    /// A session `prompt_len` tokens deep.
+    fn parent(p: &Params, prompt_len: usize) -> InferenceSession {
+        let mut sess = InferenceSession::new(p.cfg);
+        let prompt: Vec<u32> = (0..prompt_len).map(|i| (i * 7 % VOCAB) as u32).collect();
+        sess.try_feed_prompt(p, &prompt).unwrap();
+        sess
+    }
+
+    /// The serial oracle, one `feed` per continuation token.
+    fn serial_bits(p: &Params, sess: &InferenceSession, groups: &[Vec<Vec<u32>>]) -> Vec<u32> {
+        let mut fork = InferenceSession::new(p.cfg);
+        groups
+            .iter()
+            .map(|variants| {
+                let mut s = f32::NEG_INFINITY;
+                for cont in variants {
+                    s = s.max(continuation_loglik(p, sess, &mut fork, cont));
+                }
+                s.to_bits()
+            })
+            .collect()
+    }
+
+    /// The stacked readout through a pool that has already served a job of
+    /// another shape; returns the score bits and the rows it fed.
+    fn stacked_bits(
+        p: &Params,
+        sess: &InferenceSession,
+        pool: &mut ForkPool,
+        groups: &[Vec<Vec<u32>>],
+    ) -> (Vec<u32>, usize) {
+        let (scores, rows) = continuation_scores(p, sess, pool, groups).unwrap();
+        (scores.iter().map(|s| s.to_bits()).collect(), rows)
+    }
+
+    #[test]
+    fn stacked_readout_is_bitwise_the_serial_oracle_on_every_edge() {
+        for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
+            let p = params(precision);
+            let max_seq = p.cfg.max_seq;
+            let mut pool = ForkPool::default();
+            let neg_inf = f32::NEG_INFINITY.to_bits();
+
+            // No groups; groups without variants or with only empty ones;
+            // one-token variants only: nothing is forked or fed.
+            let sess = parent(&p, 9);
+            let one_token: Vec<Vec<Vec<u32>>> =
+                vec![vec![], vec![vec![]], vec![vec![3]], vec![vec![5], vec![], vec![7]]];
+            for groups in [Vec::new(), one_token] {
+                let (got, rows) = stacked_bits(&p, &sess, &mut pool, &groups);
+                assert_eq!(got, serial_bits(&p, &sess, &groups), "{precision:?} {groups:?}");
+                assert_eq!((rows, pool.forks.len()), (0, 0), "{precision:?}: forked for {groups:?}");
+            }
+            assert_eq!(stacked_bits(&p, &sess, &mut pool, &[vec![], vec![vec![]]]).0, [neg_inf; 2]);
+
+            // 1–12 variants of mixed length (0–6 tokens) at assorted
+            // depths, through one pool: it grows, then serves narrower jobs.
+            for case in 0..48u64 {
+                let mut rng = Rng::seed_from(0x5c0e ^ case);
+                let sess = parent(&p, rng.range(1, max_seq - 6));
+                let mut variants = rng.range(1, 13);
+                let mut groups: Vec<Vec<Vec<u32>>> = Vec::new();
+                while variants > 0 {
+                    let n = rng.range(0, variants + 1).min(3);
+                    let group = (0..n)
+                        .map(|_| (0..rng.range(0, 7)).map(|_| rng.index(VOCAB) as u32).collect())
+                        .collect();
+                    groups.push(group);
+                    variants -= n.max(1);
+                }
+                let (got, rows) = stacked_bits(&p, &sess, &mut pool, &groups);
+                assert_eq!(got, serial_bits(&p, &sess, &groups), "{precision:?} case {case}: {groups:?}");
+                let want_rows: usize =
+                    groups.iter().flatten().map(|cont| cont.len().saturating_sub(1)).sum();
+                assert_eq!(rows, want_rows, "{precision:?} case {case}");
+            }
+
+            // Variants that run into `max_seq` mid-continuation: with room
+            // for r tokens a longer variant counts r of them and feeds r − 1.
+            let long: Vec<Vec<Vec<u32>>> =
+                vec![vec![vec![1, 2, 3, 4, 5], vec![6]], vec![vec![7, 8], vec![9, 10, 11]]];
+            for room in [3, 2, 1] {
+                let sess = parent(&p, max_seq - room);
+                let (got, rows) = stacked_bits(&p, &sess, &mut pool, &long);
+                assert_eq!(got, serial_bits(&p, &sess, &long), "{precision:?} room {room}");
+                let want_rows: usize =
+                    long.iter().flatten().map(|cont| cont.len().min(room) - 1).sum();
+                assert_eq!(rows, want_rows, "{precision:?} room {room}");
+            }
+
+            // A full parent: nothing can be counted, every option is -inf.
+            let sess = parent(&p, max_seq);
+            let (got, rows) = stacked_bits(&p, &sess, &mut pool, &long);
+            assert_eq!(got, serial_bits(&p, &sess, &long));
+            assert_eq!((got, rows), (vec![neg_inf; 2], 0), "{precision:?} full parent");
+        }
+    }
 }

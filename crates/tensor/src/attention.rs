@@ -44,7 +44,31 @@ pub fn attend_head(
     assert!(n > 0 && hd > 0 && stride >= hd, "empty head or overlapping rows");
     let span = (n - 1) * stride + hd;
     assert!(k.len() >= span && v.len() >= span, "cache shorter than {n} positions");
+    #[cfg(target_arch = "x86_64")]
+    if crate::avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above; `out`
+        // holds `head_dim` elements and `k` / `v` reach the last position's
+        // head (`span`), both asserted above.
+        unsafe { x86::attend_head(out, scores, q, k, v, stride, scale) };
+        return;
+    }
+    attend_head_portable(out, scores, q, k, v, stride, scale);
+}
 
+/// [`attend_head`] on the baseline target's 4-lane registers — the
+/// reference the AVX2 tiles are tested against, and the only path off
+/// x86-64. Shapes were checked by the public wrapper.
+fn attend_head_portable(
+    out: &mut [f32],
+    scores: &mut [f32],
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    stride: usize,
+    scale: f32,
+) {
+    let hd = q.len();
+    let n = scores.len();
     let key = |j: usize| &k[j * stride..][..hd];
     let mut tiles = scores.chunks_exact_mut(KEY_TILE);
     let mut j = 0;
@@ -82,10 +106,16 @@ pub fn attend_head(
         }
         d += 4 * quads;
     }
+    value_tail(out, scores, v, stride, d);
+}
+
+/// The `head_dim % 4` dimensions left after the register passes, from
+/// `d` on: `out[t] = Σ_j w[j] · v_j[t]`, one scalar chain each.
+fn value_tail(out: &mut [f32], w: &[f32], v: &[f32], stride: usize, d: usize) {
     for (t, o) in out.iter_mut().enumerate().skip(d) {
         let mut s = 0.0f32;
-        for (&w, row) in scores.iter().zip(v.chunks(stride)) {
-            s += w * row[t];
+        for (&wj, row) in w.iter().zip(v.chunks(stride)) {
+            s += wj * row[t];
         }
         *o = s;
     }
@@ -106,6 +136,112 @@ fn weighted_sum<const Q: usize>(out: &mut [f32], w: &[f32], v: &[f32], stride: u
         }
     }
     out.copy_from_slice(acc.as_flattened());
+}
+
+/// Runtime-dispatched AVX2 [`attend_head`]: the score tile is
+/// `matmul::x86`'s two-dots-per-register tile (eight keys in four
+/// registers), and the value pass keeps the same per-dimension
+/// accumulators as [`weighted_sum`], eight to a register — output
+/// dimensions are independent lanes, so the width changes no bit. `avx2`
+/// only, never `fma` (see `matmul::x86`).
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{softmax_rows, value_tail, KEY_TILE, VALUE_QUADS};
+    use crate::matmul::{dot, x86::dots8};
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_castps256_ps128, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm256_zextps128_ps256, _mm_loadu_ps, _mm_mul_ps,
+        _mm_set1_ps, _mm_storeu_ps,
+    };
+
+    /// # Safety
+    /// Caller must ensure AVX2 support and the shapes [`super::attend_head`]
+    /// asserts.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn attend_head(
+        out: &mut [f32],
+        scores: &mut [f32],
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        stride: usize,
+        scale: f32,
+    ) {
+        let hd = q.len();
+        let n = scores.len();
+        let tiled = n - n % KEY_TILE;
+        for j in (0..tiled).step_by(KEY_TILE) {
+            let (lo, hi) = dots8(q.as_ptr(), k.as_ptr().add(j * stride), stride, hd);
+            let s = scores.as_mut_ptr().add(j);
+            _mm_storeu_ps(s, _mm_mul_ps(lo, _mm_set1_ps(scale)));
+            _mm_storeu_ps(s.add(4), _mm_mul_ps(hi, _mm_set1_ps(scale)));
+        }
+        for j in tiled..n {
+            scores[j] = dot(q, &k[j * stride..][..hd]) * scale;
+        }
+        softmax_rows(scores, 1, n);
+
+        let mut d = 0;
+        while hd - d >= 4 {
+            let quads = ((hd - d) / 4).min(VALUE_QUADS);
+            let (o, vd) = (out[d..].as_mut_ptr(), v[d..].as_ptr());
+            match quads {
+                1 => weighted_sum::<1, true>(o, scores, vd, stride),
+                2 => weighted_sum::<1, false>(o, scores, vd, stride),
+                3 => weighted_sum::<2, true>(o, scores, vd, stride),
+                4 => weighted_sum::<2, false>(o, scores, vd, stride),
+                5 => weighted_sum::<3, true>(o, scores, vd, stride),
+                6 => weighted_sum::<3, false>(o, scores, vd, stride),
+                7 => weighted_sum::<4, true>(o, scores, vd, stride),
+                8 => weighted_sum::<4, false>(o, scores, vd, stride),
+                9 => weighted_sum::<5, true>(o, scores, vd, stride),
+                10 => weighted_sum::<5, false>(o, scores, vd, stride),
+                11 => weighted_sum::<6, true>(o, scores, vd, stride),
+                _ => weighted_sum::<6, false>(o, scores, vd, stride),
+            }
+            d += 4 * quads;
+        }
+        value_tail(out, scores, v, stride, d);
+    }
+
+    /// [`super::weighted_sum`] with `O` 8-lane accumulators; when `HALF`,
+    /// the last one covers four dimensions only (its upper lanes load
+    /// zeros and are not stored), so `out` gets `8 * O` or `8 * O - 4`
+    /// elements.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 support, that `out` is writable for that many
+    /// elements and each of the `w.len()` rows at `v + j * stride` readable
+    /// for as many.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn weighted_sum<const O: usize, const HALF: bool>(
+        out: *mut f32,
+        w: &[f32],
+        v: *const f32,
+        stride: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); O];
+        for (j, &wj) in w.iter().enumerate() {
+            let row = v.add(j * stride);
+            let vw = _mm256_set1_ps(wj);
+            for (o, ac) in acc.iter_mut().enumerate() {
+                let vals = if HALF && o + 1 == O {
+                    _mm256_zextps128_ps256(_mm_loadu_ps(row.add(8 * o)))
+                } else {
+                    _mm256_loadu_ps(row.add(8 * o))
+                };
+                *ac = _mm256_add_ps(*ac, _mm256_mul_ps(vw, vals));
+            }
+        }
+        for (o, &ac) in acc.iter().enumerate() {
+            if HALF && o + 1 == O {
+                _mm_storeu_ps(out.add(8 * o), _mm256_castps256_ps128(ac));
+            } else {
+                _mm256_storeu_ps(out.add(8 * o), ac);
+            }
+        }
+    }
 }
 
 /// The naive loops `attend_head` must equal bit for bit: one [`dot`] per
@@ -132,38 +268,46 @@ pub(crate) fn attend_head_reference(
     }
 }
 
+/// Test operands with both signs, both zeros, a subnormal and magnitudes
+/// spread enough that a different summation order — or one fused
+/// multiply-add — changes low bits.
+#[cfg(test)]
+pub(crate) fn edge_values(len: usize, salt: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            let t = (i * 37 + salt * 11) % 23;
+            match t {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0e-40,
+                _ => (t as f32 - 11.0) * 0.173 * (1.0 + (i % 7) as f32 * 0.31),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Values with both signs, exact zeros, a subnormal and magnitudes
-    /// spread enough that a different summation order changes low bits.
-    fn values(len: usize, salt: usize) -> Vec<f32> {
-        (0..len)
-            .map(|i| {
-                let t = (i * 37 + salt * 11) % 23;
-                match t {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 => 1.0e-40,
-                    _ => (t as f32 - 11.0) * 0.173 * (1.0 + (i % 7) as f32 * 0.31),
-                }
-            })
-            .collect()
-    }
-
     #[test]
     fn attend_head_is_bitwise_the_naive_loops_at_every_tile_edge() {
+        type Kernel = fn(&mut [f32], &mut [f32], &[f32], &[f32], &[f32], usize, f32);
+        let kernels: [(&str, Kernel); 2] =
+            [("portable", attend_head_portable), ("dispatched", attend_head)];
         let lens = (1..=17).chain([31, 32, 33, 136, 288]);
         for n in lens {
-            for hd in [2usize, 6, 8, 16, 24, 36, 40] {
+            // Below one quad, scalar tails, quad-but-not-oct multiples (4,
+            // 12, 20, 36), the tiers' 16 / 24 / 36 and more than one value
+            // pass (52, 100).
+            for hd in [2usize, 4, 6, 8, 12, 16, 20, 24, 36, 40, 52, 100] {
                 // Four heads per cache row plus padding: stride > head_dim,
                 // first and last head offsets.
                 let heads = 4;
                 let stride = heads * hd + 3;
-                let k = values(n * stride, 1);
-                let v = values(n * stride, 2);
-                let q = values(hd, 3);
+                let k = edge_values(n * stride, 1);
+                let v = edge_values(n * stride, 2);
+                let q = edge_values(hd, 3);
                 let scale = 1.0 / (hd as f32).sqrt();
                 for head in [0, heads - 1] {
                     let off = head * hd;
@@ -171,13 +315,18 @@ mod tests {
                     // row: the kernel may not read past `head_dim`.
                     let end = (n - 1) * stride + off + hd;
                     let (ks, vs) = (&k[off..end], &v[off..end]);
-                    let (mut got, mut want) = (vec![f32::NAN; hd], vec![f32::NAN; hd]);
-                    let (mut gs, mut ws) = (vec![f32::NAN; n], vec![f32::NAN; n]);
-                    attend_head(&mut got, &mut gs, &q, ks, vs, stride, scale);
+                    let (mut want, mut ws) = (vec![f32::NAN; hd], vec![f32::NAN; n]);
                     attend_head_reference(&mut want, &mut ws, &q, ks, vs, stride, scale);
                     let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&gs), bits(&ws), "scores n={n} hd={hd} head={head}");
-                    assert_eq!(bits(&got), bits(&want), "out n={n} hd={hd} head={head}");
+                    // The portable tiles and the dispatched ones (AVX2 where
+                    // the host has it; there the portable ones are
+                    // otherwise dead code).
+                    for (name, kernel) in kernels {
+                        let (mut got, mut gs) = (vec![f32::NAN; hd], vec![f32::NAN; n]);
+                        kernel(&mut got, &mut gs, &q, ks, vs, stride, scale);
+                        assert_eq!(bits(&gs), bits(&ws), "{name} scores n={n} hd={hd} head={head}");
+                        assert_eq!(bits(&got), bits(&want), "{name} out n={n} hd={hd} head={head}");
+                    }
                 }
             }
         }

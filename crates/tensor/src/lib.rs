@@ -28,6 +28,26 @@ pub use bf16::{bf16_round, bf16_round_slice};
 pub use matmul::{matmul, matmul_at_b, matmul_a_bt};
 pub use qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_row_q8, quantize_rows_q8};
 
+/// Cached one-time AVX2 detection (0 = unknown, 1 = yes, 2 = no) — the
+/// one switch every runtime-dispatched kernel of this crate reads (the q8
+/// tile in [`qmatmul`], the f32 tiles in [`matmul`] and [`attention`]).
+/// Each dispatched kernel returns the bits of its portable twin, so the
+/// answer changes speed only.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx2() -> bool {
+    use std::sync::atomic::{AtomicU8, Ordering};
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    match STATE.load(Ordering::Relaxed) {
+        1 => true,
+        2 => false,
+        _ => {
+            let yes = std::arch::is_x86_feature_detected!("avx2");
+            STATE.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
+            yes
+        }
+    }
+}
+
 /// A minimal shape-carrying tensor over `f32`.
 ///
 /// This is a convenience wrapper for non-hot-path code; hot kernels work on

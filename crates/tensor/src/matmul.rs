@@ -76,15 +76,30 @@ const ROW_TILE_C: usize = 8;
 /// One [`dot`] is one chain of dependent 4-lane adds, so a loop that
 /// finishes one output element before starting the next waits out the
 /// add latency at every step. Here a register tile keeps `R × C` of those
-/// chains in flight at once (`dot_tile`), and a band of `R` activation
-/// rows reads each weight row once. Each chain is still exactly [`dot`],
-/// so every output element is bit-identical to `out[i][j] + dot(a_i, b_j)`
-/// and the result is bitwise-independent of `m` and of the tiling —
-/// single-row calls and chunked calls agree exactly.
+/// chains in flight at once (`dot_tile`, or the 8-lane tile of the `x86`
+/// module where the CPU has AVX2), and a band of `R` activation rows reads
+/// each weight row once. Each chain is still exactly [`dot`], so every
+/// output element is bit-identical to `out[i][j] + dot(a_i, b_j)` and the
+/// result is bitwise-independent of `m`, of the tiling and of which tile
+/// ran — single-row calls and chunked calls agree exactly.
 pub fn matmul_a_bt_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a has wrong size");
     assert_eq!(b.len(), n * k, "b has wrong size");
     assert_eq!(out.len(), m * n, "out has wrong size");
+    #[cfg(target_arch = "x86_64")]
+    if crate::avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above, and the
+        // three slices were asserted against `m`, `k` and `n`.
+        unsafe { x86::a_bt_acc(out, a, b, m, k, n) };
+        return;
+    }
+    a_bt_acc_portable(out, a, b, m, k, n);
+}
+
+/// [`matmul_a_bt_acc`] on the baseline target's 4-lane registers — the
+/// reference the AVX2 tile is tested against, and the only path off
+/// x86-64.
+fn a_bt_acc_portable(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let full = m - m % TILE_R;
     for i in (0..full).step_by(TILE_R) {
         let band = i * n..(i + TILE_R) * n;
@@ -186,6 +201,215 @@ fn lane_sums<const R: usize, const C: usize>(
     lanes
 }
 
+/// Runtime-dispatched AVX2 tiles of [`dot`] grids, bit-identical to the
+/// portable ones.
+///
+/// [`dot`]'s contract is four strided lane sums, so one dot can never use
+/// more than four lanes — but a 256-bit register holds the four lanes of
+/// **two different dots**: the `a` quad broadcast to both halves
+/// (`vbroadcastf128`) against a `[b_c quad | b_c' quad]` pair, `vmulps`
+/// then `vaddps`. Every lane performs the multiply and the add [`dot`]
+/// performs, in the same order, and two `vhaddps` are its
+/// `(s0 + s1) + (s2 + s3)`.
+///
+/// Only `avx2` is enabled, never `fma`: a fused multiply-add rounds once
+/// where [`dot`] rounds the product and then the sum, so it would change
+/// low bits of every output — and with them every golden score.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod x86 {
+    use super::dot;
+    use std::arch::x86_64::{
+        __m128, __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps,
+        _mm256_hadd_ps, _mm256_loadu2_m128, _mm256_mul_ps, _mm256_set_m128, _mm256_setzero_ps,
+        _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_set_ps, _mm_shuffle_ps,
+        _mm_storeu_ps,
+    };
+
+    /// The hot loop: `R` rows of `a` (at `a_stride`) against `2 * P` rows of
+    /// `b` (at `b_stride`), `quads` 4-element steps. `acc[r][p]` holds the
+    /// four lane sums of `dot(a_r, b_p)` in its low half and those of
+    /// `dot(a_r, b_{p + P})` in its high half.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 support and that every row is readable for
+    /// `4 * quads` elements.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_sums<const R: usize, const P: usize>(
+        a: *const f32,
+        a_stride: usize,
+        b: *const f32,
+        b_stride: usize,
+        quads: usize,
+    ) -> [[__m256; P]; R] {
+        let mut acc = [[_mm256_setzero_ps(); P]; R];
+        for at in (0..4 * quads).step_by(4) {
+            let mut vb = [_mm256_setzero_ps(); P];
+            for (p, v) in vb.iter_mut().enumerate() {
+                *v = _mm256_loadu2_m128(b.add((p + P) * b_stride + at), b.add(p * b_stride + at));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let quad = _mm_loadu_ps(a.add(r * a_stride + at));
+                let va = _mm256_set_m128(quad, quad);
+                for (ac, &v) in row.iter_mut().zip(&vb) {
+                    *ac = _mm256_add_ps(*ac, _mm256_mul_ps(va, v));
+                }
+            }
+        }
+        acc
+    }
+
+    /// [`dot`]'s `(s0 + s1) + (s2 + s3)` for eight dots at once: element
+    /// `i` of the first result reduces the low half of `acc[i]`, element
+    /// `i` of the second its high half.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce4(acc: [__m256; 4]) -> (__m128, __m128) {
+        let h = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
+        (_mm256_castps256_ps128(h), _mm256_extractf128_ps(h, 1))
+    }
+
+    /// [`dot`]'s scalar tail for four dots of one `a` row at once:
+    /// `sums[i] += a[t] * b_i[t]` for `t` in `from..k`, in order.
+    ///
+    /// # Safety
+    /// `a` and the four rows at `b`, `b + b_stride`, … are readable for `k`
+    /// elements.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tail4(
+        mut sums: __m128,
+        a: *const f32,
+        b: *const f32,
+        b_stride: usize,
+        from: usize,
+        k: usize,
+    ) -> __m128 {
+        for t in from..k {
+            let bt = b.add(t);
+            let (b0, b1, b2, b3) = (*bt, *bt.add(b_stride), *bt.add(2 * b_stride), *bt.add(3 * b_stride));
+            let vb = _mm_set_ps(b3, b2, b1, b0);
+            sums = _mm_add_ps(sums, _mm_mul_ps(_mm_set1_ps(*a.add(t)), vb));
+        }
+        sums
+    }
+
+    /// Eight dots of one row: `dot(a, b_i)` for the rows `b_i` at
+    /// `b + i * b_stride`, `i` in `0..8`, as two quads — the score tile of
+    /// `attention::attend_head` and the narrow one-row tile of
+    /// [`a_bt_acc`].
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 support and that `a` and the eight rows are
+    /// readable for `k` elements.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn dots8(
+        a: *const f32,
+        b: *const f32,
+        b_stride: usize,
+        k: usize,
+    ) -> (__m128, __m128) {
+        let [acc] = lane_sums::<1, 4>(a, 0, b, b_stride, k / 4);
+        let (lo, hi) = reduce4(acc);
+        let from = k - k % 4;
+        (tail4(lo, a, b, b_stride, from, k), tail4(hi, a, b.add(4 * b_stride), b_stride, from, k))
+    }
+
+    /// `out[..4] += sums`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add4(out: *mut f32, sums: __m128) {
+        _mm_storeu_ps(out, _mm_add_ps(_mm_loadu_ps(out), sums));
+    }
+
+    /// AVX2 [`super::matmul_a_bt_acc`]: the same band / leftover-row split
+    /// as the portable loops, with a 4-row × 4-column tile under the band
+    /// and a 1 × 16 tile (then 1 × 8, then plain [`dot`]s) under a single
+    /// row — eight 8-lane accumulators either way.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 support and that `out`, `a` and `b` hold
+    /// `m × n`, `m × k` and `n × k` elements (asserted by the public
+    /// wrapper).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn a_bt_acc(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let full = m - m % 4;
+        for i in (0..full).step_by(4) {
+            band4(&mut out[i * n..(i + 4) * n], &a[i * k..(i + 4) * k], b, k, n);
+        }
+        for i in full..m {
+            row1(&mut out[i * n..(i + 1) * n], &a[i * k..(i + 1) * k], b, k, n);
+        }
+    }
+
+    /// Four rows of `out += a · bᵀ`, four columns at a time.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn band4(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        let from = k - k % 4;
+        let full = n - n % 4;
+        for j in (0..full).step_by(4) {
+            let bj = bp.add(j * k);
+            // acc[r] = [col j | col j + 2], [col j + 1 | col j + 3].
+            let acc = lane_sums::<4, 2>(ap, k, bj, k, k / 4);
+            for r in [0, 2] {
+                // lo = [r: j, j + 1 | r + 1: j, j + 1], hi the same of
+                // columns j + 2, j + 3.
+                let (lo, hi) = reduce4([acc[r][0], acc[r][1], acc[r + 1][0], acc[r + 1][1]]);
+                let upper = _mm_shuffle_ps(lo, hi, 0b01_00_01_00);
+                let lower = _mm_shuffle_ps(lo, hi, 0b11_10_11_10);
+                for (r, sums) in [(r, upper), (r + 1, lower)] {
+                    add4(op.add(r * n + j), tail4(sums, ap.add(r * k), bj, k, from, k));
+                }
+            }
+        }
+        for j in full..n {
+            let brow = &b[j * k..(j + 1) * k];
+            for r in 0..4 {
+                out[r * n + j] += dot(&a[r * k..(r + 1) * k], brow);
+            }
+        }
+    }
+
+    /// One row of `out += a · bᵀ`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn row1(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        let from = k - k % 4;
+        let mut j = 0;
+        while j + 16 <= n {
+            let bj = bp.add(j * k);
+            // acc[p] = [col j + p | col j + p + 8].
+            let [acc] = lane_sums::<1, 8>(ap, 0, bj, k, k / 4);
+            let (q0, q2) = reduce4([acc[0], acc[1], acc[2], acc[3]]);
+            let (q1, q3) = reduce4([acc[4], acc[5], acc[6], acc[7]]);
+            for (c, sums) in [q0, q1, q2, q3].into_iter().enumerate() {
+                add4(op.add(j + 4 * c), tail4(sums, ap, bj.add(4 * c * k), k, from, k));
+            }
+            j += 16;
+        }
+        if j + 8 <= n {
+            let (lo, hi) = dots8(ap, bp.add(j * k), k, k);
+            add4(op.add(j), lo);
+            add4(op.add(j + 4), hi);
+            j += 8;
+        }
+        for (j, o) in out.iter_mut().enumerate().skip(j) {
+            *o += dot(a, &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
 /// `out = aᵀ · b` where `a` is `k×m`, `b` is `k×n`, `out` is `m×n`.
 ///
 /// This is the weight-gradient orientation: `dW = dyᵀ · x`.
@@ -250,6 +474,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::edge_values;
 
     /// Naive reference multiply used to validate the blocked kernels.
     fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -319,12 +544,16 @@ mod tests {
 
     #[test]
     fn a_bt_is_bitwise_dot_at_every_tile_edge() {
-        // m and n on both sides of every tile multiple, k below one quad,
-        // k with a scalar tail, and the S7b / S70b layer shapes.
+        // The portable tile and the dispatched one (the AVX2 tile where the
+        // host has it — there the portable loops are otherwise dead code),
+        // each against plain `dot`s: m and n on both sides of every tile
+        // multiple of either (4-row band; 2-, 4-, 8- and 16-column tiles,
+        // odd n), k below one quad, k with a scalar tail, k a quad but not
+        // an oct multiple (6, 12, 20), and the S7b / S70b layer shapes.
         let mut shapes = Vec::new();
         for m in [1, 2, 3, 4, 5, 7, 8, 9, 16] {
-            for n in [1, 2, 3, 7, 8, 9, 15, 16, 17] {
-                for k in [1, 2, 3, 4, 5, 7, 8, 13, 64] {
+            for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 33] {
+                for k in [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 20, 64] {
                     shapes.push((m, k, n));
                 }
             }
@@ -334,15 +563,31 @@ mod tests {
                 shapes.extend([(m, d, d), (m, d, ff), (m, ff, d), (m, d, 517)]);
             }
         }
+        type Kernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+        let kernels: [(&str, Kernel); 2] =
+            [("portable", a_bt_acc_portable), ("dispatched", matmul_a_bt_acc)];
         for (m, k, n) in shapes {
-            let a = arange(m * k, 0.013);
-            let b = arange(n * k, 0.017);
-            let mut got = vec![0.0; m * n];
-            matmul_a_bt(&mut got, &a, &b, m, k, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let want = 0.0 + dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                    assert_eq!(got[i * n + j].to_bits(), want.to_bits(), "{m}x{k}x{n} at ({i}, {j})");
+            let operands = [
+                (arange(m * k, 0.013), arange(n * k, 0.017)),
+                (edge_values(m * k, m + k), edge_values(n * k, n)),
+            ];
+            for (a, b) in operands {
+                for (name, kernel) in kernels {
+                    // Accumulating into a non-zero `out`: `out + dot`.
+                    let seed = arange(m * n, 0.11);
+                    let mut got = seed.clone();
+                    kernel(&mut got, &a, &b, m, k, n);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let (arow, brow) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                            let want = seed[i * n + j] + dot(arow, brow);
+                            assert_eq!(
+                                got[i * n + j].to_bits(),
+                                want.to_bits(),
+                                "{name} {m}x{k}x{n} at ({i}, {j})"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -53,7 +53,7 @@ const ROW_BLOCK: usize = 16;
 pub fn dot_q8(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
-    if x86::avx2() {
+    if crate::avx2() {
         // SAFETY: AVX2 support was verified at runtime just above.
         return unsafe { x86::dot(a, b) };
     }
@@ -174,7 +174,7 @@ pub fn matmul_q8_a_bt(
         let i1 = (i0 + ROW_BLOCK).min(m);
         let (cb, ab, sb) = (&mut c[i0 * n..i1 * n], &a[i0 * k..i1 * k], &a_scales[i0..i1]);
         #[cfg(target_arch = "x86_64")]
-        if x86::avx2() {
+        if crate::avx2() {
             // SAFETY: AVX2 support was verified at runtime just above; the
             // block's slices hold `i1 - i0` rows of `n`, `k` and one
             // element, and `b` / `b_scales` were asserted against `n`/`k`.
@@ -291,21 +291,6 @@ mod x86 {
         _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_mul_ps, _mm_set1_ps,
         _mm_shuffle_epi32, _mm_storeu_ps, _mm_storeu_si128,
     };
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    /// Cached one-time AVX2 detection (0 = unknown, 1 = yes, 2 = no).
-    pub(super) fn avx2() -> bool {
-        static STATE: AtomicU8 = AtomicU8::new(0);
-        match STATE.load(Ordering::Relaxed) {
-            1 => true,
-            2 => false,
-            _ => {
-                let yes = std::arch::is_x86_feature_detected!("avx2");
-                STATE.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
-                yes
-            }
-        }
-    }
 
     /// Horizontal sum of eight `i32` lanes.
     #[inline]
