@@ -44,7 +44,6 @@ const SPAN_REQUIRED: &[(&str, &str)] = &[
     ("crates/serve/src/engine.rs", "score_batch"),
     ("crates/serve/src/engine.rs", "generate_batch"),
     ("crates/gateway/src/server.rs", "serve_connection"),
-    ("crates/gateway/src/scheduler.rs", "dispatch_batch"),
 ];
 
 /// One raw lint hit before allowlist filtering.

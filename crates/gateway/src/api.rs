@@ -213,8 +213,8 @@ pub fn generate_body(prediction: Option<usize>, stage: ExtractionStage, raw: &st
 
 /// Render the `/healthz` body. The original three fields
 /// (`status`/`draining`/`queue_depth`) are stable for existing callers;
-/// `occupancy` (mean scheduler batch/step fill), `active_seqs` (live
-/// iteration-scheduler sequences) and `replica` (identity, `""` when
+/// `occupancy` (mean scheduler step fill), `active_seqs` (live
+/// scheduler sequences) and `replica` (identity, `""` when
 /// standalone) let a cluster router do load-aware routing from the same
 /// probe.
 pub fn health_body(
@@ -344,8 +344,8 @@ pub fn prometheus_body(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Render the trace block embedded in success bodies: id, per-phase
-/// microsecond attribution in recording order, and span links.
+/// Render the trace block embedded in success bodies: id and per-phase
+/// microsecond attribution in recording order.
 pub fn trace_object(rec: &TraceRecord) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"id\":\"");

@@ -10,17 +10,18 @@ use std::time::Duration;
 pub struct GatewayConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
     pub bind: String,
-    /// Execution strategy for the shared engine behind both endpoints.
-    /// The per-method `engine` fields on the eval configs are ignored by
-    /// the gateway — batching is the scheduler's job here.
+    /// Prefix-cache settings of the shared engine behind both endpoints:
+    /// the gateway reads only `prefix_cache` and `max_cache_bytes`. Every
+    /// request runs on the one iteration-level serving loop whatever
+    /// `parallelism` and `iteration` say, and the per-method `engine`
+    /// fields on the eval configs are ignored too.
     pub engine: EngineConfig,
-    /// Micro-batching window: after the first request of a batch arrives,
-    /// how long the scheduler keeps collecting more before dispatching.
-    pub batch_window: Duration,
-    /// Dispatch immediately once a batch reaches this many requests.
+    /// Most sequences the scheduler keeps active at once; a request leaves
+    /// the queue only when one of these slots is free for it.
     pub max_batch: usize,
-    /// Bounded request-queue capacity; pushes beyond it are rejected with
-    /// 503 (backpressure, never unbounded memory).
+    /// Bounded request-queue capacity — the whole admission bound: pushes
+    /// beyond it are rejected with 503 (backpressure, never unbounded
+    /// memory).
     pub queue_capacity: usize,
     /// Token-bucket refill rate per client, in requests per second.
     pub rate_per_sec: f64,
@@ -54,8 +55,7 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             bind: "127.0.0.1:0".to_string(),
-            engine: EngineConfig::pooled(),
-            batch_window: Duration::from_millis(5),
+            engine: EngineConfig::iteration(),
             max_batch: 16,
             queue_capacity: 64,
             rate_per_sec: 50.0,
@@ -75,18 +75,11 @@ impl Default for GatewayConfig {
 impl GatewayConfig {
     /// Structural validation, mirroring the `StudyConfig`/`TrainerConfig`
     /// pattern: reject configurations that cannot serve (zero capacity)
-    /// or that typo'd a unit (a one-hour batching window). Called by
+    /// or that typo'd a unit (a one-hour deadline). Called by
     /// [`crate::server::Gateway::spawn`] before the socket binds.
     pub fn validate(&self) -> Result<(), String> {
         if self.bind.is_empty() {
             return Err("bind address must be nonempty".to_string());
-        }
-        if self.batch_window > Duration::from_secs(1) {
-            return Err(format!(
-                "batch_window {:?} exceeds the 1s bound; the window is a \
-                 coalescing delay, not a poll interval",
-                self.batch_window
-            ));
         }
         if self.max_batch == 0 || self.max_batch > 1024 {
             return Err(format!(
@@ -129,13 +122,6 @@ impl GatewayConfig {
             return Err("read_timeout must be nonzero (a zero OS timeout \
                         means block forever)"
                 .to_string());
-        }
-        if self.drain_timeout < self.batch_window {
-            return Err(format!(
-                "drain_timeout {:?} is shorter than batch_window {:?}; a \
-                 drain could not flush even one batch",
-                self.drain_timeout, self.batch_window
-            ));
         }
         if self.trace_ring_capacity == 0 || self.trace_ring_capacity > 1 << 20 {
             return Err(format!(
@@ -181,7 +167,6 @@ mod tests {
         type Mutator = Box<dyn Fn(&mut GatewayConfig)>;
         let cases: Vec<(Mutator, &str)> = vec![
             (Box::new(|c| c.bind = String::new()), "bind"),
-            (Box::new(|c| c.batch_window = Duration::from_secs(2)), "batch_window"),
             (Box::new(|c| c.max_batch = 0), "max_batch"),
             (Box::new(|c| c.queue_capacity = 0), "queue_capacity"),
             (Box::new(|c| c.rate_per_sec = 0.0), "rate_per_sec"),
@@ -190,7 +175,6 @@ mod tests {
             (Box::new(|c| c.deadline = Duration::ZERO), "deadline"),
             (Box::new(|c| c.max_body_bytes = 0), "max_body_bytes"),
             (Box::new(|c| c.read_timeout = Duration::ZERO), "read_timeout"),
-            (Box::new(|c| c.drain_timeout = Duration::ZERO), "drain_timeout"),
             (Box::new(|c| c.trace_ring_capacity = 0), "trace_ring_capacity"),
             (Box::new(|c| c.trace_sample_one_in = 0), "trace_sample_one_in"),
             (Box::new(|c| c.span_capacity = 8), "span_capacity"),

@@ -102,13 +102,17 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::BadRequest(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            )));
+        // The bound is on the head, not on what the reads so far happened
+        // to buffer: the same stream gets the same answer however TCP
+        // segmented it.
+        match find_head_end(&buf) {
+            Some(pos) if pos <= MAX_HEAD_BYTES => break pos,
+            None if buf.len() < MAX_HEAD_BYTES + 4 => {}
+            _ => {
+                return Err(HttpError::BadRequest(format!(
+                    "request head exceeds {MAX_HEAD_BYTES} bytes"
+                )))
+            }
         }
         let n = stream.read(&mut chunk).map_err(classify_io)?;
         if n == 0 {

@@ -6,10 +6,10 @@
 //! HTTP/1.1 JSON server (hand-rolled parser over `TcpListener`, no
 //! external dependencies) exposing the benchmarking methods as endpoints:
 //!
-//! * `POST /v1/score` — the token method's per-option readout via
-//!   [`astro_serve::EvalEngine::score_batch`];
-//! * `POST /v1/generate` — the full-instruct method via `generate_batch`
-//!   plus the existing extraction cascade;
+//! * `POST /v1/score` — the token method's per-option readout
+//!   ([`astro_serve::ScoreJob`]);
+//! * `POST /v1/generate` — the full-instruct method
+//!   ([`astro_serve::GenerateJob`]) plus the existing extraction cascade;
 //! * `GET /healthz` — liveness and drain state;
 //! * `GET /metricsz` — the telemetry metric registry as JSON.
 //!
@@ -17,19 +17,19 @@
 //!
 //! A thread-per-connection acceptor parses and admits requests, then
 //! pushes them onto a bounded MPMC [`queue::BoundedQueue`]. A single
-//! scheduler thread implements **continuous micro-batching**: it blocks
-//! for the first request, then coalesces everything arriving within a
-//! configurable window (or until `max_batch`) into one engine call, so
-//! concurrent clients share the radix prefix cache exactly like an
-//! in-process batch. When the engine config enables iteration mode
-//! (`EngineConfig::iteration`), the scheduler thread instead runs
-//! [`scheduler::run_iter_scheduler`]: arrivals join an
-//! [`astro_serve::IterScheduler`] continuously and retire individually,
-//! so cheap score requests are never head-of-line blocked behind a long
-//! generate. Admission control happens *before* the queue:
+//! scheduler thread runs the one serving loop,
+//! [`scheduler::run_iter_scheduler`]: a request leaves the queue when
+//! the [`astro_serve::IterScheduler`] it owns has a free slot, the mixed
+//! batch advances one unit of work per step, and sequences retire
+//! individually — so concurrent clients share the radix prefix cache
+//! exactly like an in-process batch, and a cheap score request is never
+//! head-of-line blocked behind a long generate. The handler that queued
+//! a request also builds its response from the engine's bare result.
+//! Admission control happens *before* the queue:
 //! per-client token-bucket rate limiting (429 + `Retry-After`), payload
 //! bounds (413), and bounded-queue backpressure (503) keep memory use
-//! flat under overload. Shutdown drains: stop accepting, flush in-flight
+//! flat under overload — nothing waits anywhere but in that queue.
+//! Shutdown drains: stop accepting, flush in-flight
 //! requests, then exit ([`server::Gateway::shutdown`]).
 //!
 //! # Determinism contract

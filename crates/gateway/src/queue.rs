@@ -1,8 +1,9 @@
 //! Bounded MPMC queue between connection handlers and the scheduler.
 //!
 //! `try_push` never blocks: a full queue is an admission decision (503),
-//! not a wait. `pop` blocks (optionally with a timeout) — that is the
-//! scheduler's batching clock. The inner mutex is ranked
+//! not a wait. The scheduler thread is the consumer: `pop` blocks while
+//! it has nothing to step, `try_pop` takes what has arrived while it has.
+//! The inner mutex is ranked
 //! `gateway.queue` in the telemetry lock hierarchy; see
 //! `astro_telemetry::lockcheck`.
 //!
@@ -18,7 +19,6 @@
 use astro_resilience::fault;
 use astro_telemetry::sync::{self, Condvar, Mutex, PoisonError};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -41,12 +41,12 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-/// Result of a blocking `pop`.
+/// Result of a `try_pop`.
 pub enum Pop<T> {
     /// An item was dequeued.
     Item(T),
-    /// The timeout elapsed with no item available.
-    TimedOut,
+    /// Nothing is buffered right now.
+    Empty,
     /// The queue is closed *and* empty — the consumer should exit.
     Closed,
 }
@@ -87,39 +87,32 @@ impl<T> BoundedQueue<T> {
         Ok(depth)
     }
 
-    /// Dequeue one item. With `timeout: None` blocks until an item
-    /// arrives or the queue closes; with a timeout, returns
-    /// [`Pop::TimedOut`] once it elapses. A closed queue keeps yielding
+    /// Dequeue one item, blocking until one arrives; `None` once the
+    /// queue is closed *and* empty. A closed queue keeps yielding
     /// buffered items until empty, so a graceful drain loses nothing.
-    pub fn pop(&self, timeout: Option<Duration>) -> Pop<T> {
+    pub fn pop(&self) -> Option<T> {
         let (_order, mut inner) = sync::lock_ranked("gateway.queue", &self.inner);
-        let deadline = timeout.map(|d| std::time::Instant::now() + d);
         loop {
             if let Some(item) = inner.items.pop_front() {
-                return Pop::Item(item);
+                return Some(item);
             }
             if inner.closed {
-                return Pop::Closed;
+                return None;
             }
-            match deadline {
-                None => {
-                    inner = self
-                        .cv
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(dl) => {
-                    let now = std::time::Instant::now();
-                    if now >= dl {
-                        return Pop::TimedOut;
-                    }
-                    let (guard, _res) = self
-                        .cv
-                        .wait_timeout(inner, dl - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    inner = guard;
-                }
-            }
+            inner = self
+                .cv
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Dequeue one item if one is buffered, without blocking.
+    pub fn try_pop(&self) -> Pop<T> {
+        let (_order, mut inner) = sync::lock_ranked("gateway.queue", &self.inner);
+        match inner.items.pop_front() {
+            Some(item) => Pop::Item(item),
+            None if inner.closed => Pop::Closed,
+            None => Pop::Empty,
         }
     }
 
@@ -143,6 +136,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_depth() {
@@ -150,8 +144,8 @@ mod tests {
         assert!(matches!(q.try_push(1), Ok(1)));
         assert!(matches!(q.try_push(2), Ok(2)));
         assert_eq!(q.depth(), 2);
-        assert!(matches!(q.pop(None), Pop::Item(1)));
-        assert!(matches!(q.pop(None), Pop::Item(2)));
+        assert_eq!(q.pop(), Some(1));
+        assert!(matches!(q.try_pop(), Pop::Item(2)));
     }
 
     #[test]
@@ -173,39 +167,34 @@ mod tests {
             Err(PushError::Closed(item)) => assert_eq!(item, 8),
             _ => panic!("expected Closed"),
         }
-        assert!(matches!(q.pop(None), Pop::Item(7)));
-        assert!(matches!(q.pop(None), Pop::Closed));
+        assert!(matches!(q.try_pop(), Pop::Item(7)));
+        assert!(matches!(q.try_pop(), Pop::Closed));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn pop_times_out_when_empty() {
+    fn try_pop_does_not_block_when_empty() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        assert!(matches!(
-            q.pop(Some(Duration::from_millis(10))),
-            Pop::TimedOut
-        ));
+        assert!(matches!(q.try_pop(), Pop::Empty));
     }
 
     #[test]
     fn blocking_pop_wakes_on_push_from_another_thread() {
         let q = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || match q2.pop(None) {
-            Pop::Item(v) => v,
-            _ => panic!("expected item"),
-        });
+        let t = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.try_push(42u32).ok().unwrap();
-        assert_eq!(t.join().unwrap(), 42);
+        assert_eq!(t.join().unwrap(), Some(42));
     }
 
     #[test]
     fn close_wakes_blocked_consumer() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || matches!(q2.pop(None), Pop::Closed));
+        let t = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert!(t.join().unwrap());
+        assert_eq!(t.join().unwrap(), None);
     }
 }

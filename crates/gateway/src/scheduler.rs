@@ -1,45 +1,44 @@
-//! Continuous micro-batching scheduler.
+//! The gateway's serving loop: one thread stepping an iteration-level
+//! scheduler.
 //!
-//! A single thread drains the request queue: it blocks for the first
-//! pending request, keeps collecting until the batching window closes
-//! (or `max_batch` is reached), then dispatches everything as *one*
-//! engine batch. Because the engine's radix prefix cache deduplicates
-//! shared prompt prefixes within a batch, concurrent clients asking
-//! related questions get the same cache wins as an in-process batch —
-//! that is where the gateway's throughput over serial comes from on a
-//! single core.
+//! Connection handlers push admitted requests onto the bounded queue;
+//! [`run_iter_scheduler`] owns an [`IterScheduler`], takes a request off
+//! the queue whenever the scheduler has a free slot, and advances the
+//! mixed batch one unit of work per step — a prefill chunk or one decoded
+//! token per active sequence — so cheap score requests retire while long
+//! generates are still decoding. Requests wait *in the queue*, never in a
+//! second backlog behind it: `queue_capacity` is the whole admission
+//! bound, `queue_wait` the whole wait, and a request whose deadline passes
+//! while it waits is answered without running.
 //!
-//! Determinism: the engine guarantees results are independent of batch
-//! composition, so whatever coalescing the wall clock produces, each
-//! response is bitwise identical to a serial run of that request alone.
+//! The loop does no per-request text work: it hands the engine's bare
+//! result back and the connection handler, which holds the options and
+//! the tokenizer, builds the response.
+//!
+//! Determinism: each sequence owns its session and pre-split RNG, so
+//! whatever interleaving the wall clock produces, each response is
+//! bitwise identical to a serial run of that request alone.
 
 use crate::queue::{BoundedQueue, Pop};
-use astro_eval::{extract_answer, ExtractionStage};
 use astro_serve::{
     EvalEngine, GenerateJob, IterScheduler, SchedulerConfig, ScoreJob, SeqOutcome, ServeError,
 };
+use astro_telemetry::metrics;
 use astro_telemetry::trace::{self, TraceId};
-use astro_telemetry::{metrics, span, TraceContext};
-use astro_tokenizer::Tokenizer;
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The work item carried by one pending request.
 pub enum Work {
     /// A `/v1/score` request (token method readout).
     Score(ScoreJob),
-    /// A `/v1/generate` request; options ride along for extraction.
-    Generate {
-        /// The prepared generation job.
-        job: GenerateJob,
-        /// The four options, needed by the extraction cascade.
-        options: [String; 4],
-    },
+    /// A `/v1/generate` request (full-instruct method).
+    Generate(GenerateJob),
 }
 
-/// One admitted request waiting for a batch slot.
+/// One admitted request waiting for a scheduler slot.
 pub struct Pending {
     /// What to run.
     pub work: Work,
@@ -49,180 +48,40 @@ pub struct Pending {
     pub deadline: Instant,
     /// When the request entered the queue (queue-wait histogram).
     pub enqueued: Instant,
-    /// The request's trace, if the handler started one. The scheduler
-    /// records the `queue_wait`/`batch_form`/`sync`/`extract` phases and
-    /// threads the context into the engine job for the worker-side
-    /// phases; the handler still owns `finish`.
-    pub trace: Option<TraceId>,
+    /// The request's trace. The loop closes its `queue_wait` phase and the
+    /// scheduler records the rest up to `decode`; the handler owns every
+    /// phase after the hand-back.
+    pub trace: TraceId,
 }
 
 /// Result sent back to the connection handler.
 pub enum Reply {
-    /// Token-method scores plus the argmax prediction.
-    Score {
-        /// Per-option readouts (bitwise-stable).
-        scores: [f32; 4],
-        /// Argmax over `scores` (ties resolve to the lowest index,
-        /// matching `token_method_outcomes`).
-        prediction: usize,
-    },
-    /// Full-instruct completion after the extraction cascade.
-    Generate {
-        /// Extracted option index, if any stage recovered one.
-        prediction: Option<usize>,
-        /// Which extraction stage produced the answer.
-        stage: ExtractionStage,
-        /// The raw decoded completion.
-        raw: String,
-    },
+    /// The engine's result for this request; an `Err` becomes a 500.
+    Done(Result<SeqOutcome, ServeError>),
     /// The deadline passed while queued → 504.
     Expired,
-    /// The engine failed this job → 500 with the message.
-    Error(String),
 }
 
-/// Scheduler loop: runs until the queue is closed *and* drained, so a
-/// graceful shutdown flushes every accepted request. Spawned once by
-/// `Gateway::spawn`; never panics — engine errors become per-request
-/// [`Reply::Error`]s.
-pub fn run_scheduler(
-    queue: Arc<BoundedQueue<Pending>>,
-    engine: Arc<EvalEngine>,
-    tokenizer: Arc<Tokenizer>,
-    window: Duration,
-    max_batch: usize,
-) {
-    loop {
-        let first = match queue.pop(None) {
-            Pop::Item(p) => p,
-            Pop::Closed => return,
-            Pop::TimedOut => continue,
-        };
-        note_popped(&first);
-        let mut batch = vec![first];
-        let window_end = Instant::now() + window;
-        while batch.len() < max_batch {
-            let now = Instant::now();
-            if now >= window_end {
-                break;
-            }
-            match queue.pop(Some(window_end - now)) {
-                Pop::Item(p) => {
-                    note_popped(&p);
-                    batch.push(p);
-                }
-                // Closed: dispatch what we have; the next outer pop
-                // observes Closed-and-empty and exits the loop.
-                Pop::TimedOut | Pop::Closed => break,
-            }
-        }
-        dispatch_batch(&engine, &tokenizer, batch);
-        metrics::gauge("gateway.queue_depth").set(queue.depth() as i64);
-    }
-}
-
-/// Close the request's `queue_wait` phase the moment it leaves the queue;
-/// `batch_form` then runs from here until the batch dispatches.
-fn note_popped(p: &Pending) {
-    if let Some(t) = p.trace {
-        trace::phase_since_last(t, "queue_wait");
-    }
-}
-
-/// A request handed to the engine, waiting for its result.
-struct Inflight {
-    /// `Some` for generate jobs (the extraction cascade needs them).
-    options: Option<[String; 4]>,
-    reply: mpsc::Sender<Reply>,
-    trace: Option<TraceId>,
-}
-
-impl Inflight {
-    /// Answer the request with its engine result, closing the `sync`
-    /// (result handed back) and `extract` (reply built) trace phases.
-    fn answer(self, tokenizer: &Tokenizer, result: Result<SeqOutcome, ServeError>) {
-        if let Some(t) = self.trace {
-            trace::phase_since_last(t, "sync");
-        }
-        let msg = reply_for(tokenizer, result, self.options.as_ref());
-        if let Some(t) = self.trace {
-            trace::phase_since_last(t, "extract");
-        }
-        // A handler that already timed out has dropped its receiver;
-        // that is its problem, not the scheduler's.
-        let _ = self.reply.send(msg);
-    }
-}
-
-/// Build the reply for one engine result: scores become the four
-/// readouts plus their argmax, tokens go through the extraction cascade
-/// (`options` is `Some` exactly for generate requests), an engine error
-/// becomes a per-request [`Reply::Error`].
-fn reply_for(
-    tokenizer: &Tokenizer,
-    result: Result<SeqOutcome, ServeError>,
-    options: Option<&[String; 4]>,
-) -> Reply {
-    match (result, options) {
-        (Ok(SeqOutcome::Scores(s)), _) => {
-            let mut scores = [f32::NEG_INFINITY; 4];
-            for (dst, src) in scores.iter_mut().zip(s.iter()) {
-                *dst = *src;
-            }
-            let mut best = 0;
-            for i in 1..4 {
-                if scores[i] > scores[best] {
-                    best = i;
-                }
-            }
-            Reply::Score {
-                scores,
-                prediction: best,
-            }
-        }
-        (Ok(SeqOutcome::Tokens(tokens)), Some(options)) => {
-            let raw = tokenizer.decode(&tokens);
-            let (prediction, stage) = extract_answer(&raw, options);
-            Reply::Generate {
-                prediction,
-                stage,
-                raw,
-            }
-        }
-        // A score job cannot retire with tokens; degrade per-request.
-        (Ok(SeqOutcome::Tokens(_)), None) => {
-            Reply::Error("engine returned tokens for a score job".to_string())
-        }
-        (Err(e), _) => Reply::Error(e.to_string()),
-    }
-}
-
-/// Iteration-level scheduler loop: the gateway's alternative to
-/// [`run_scheduler`] when the engine runs in iteration mode
-/// (`EngineConfig::iteration`). Instead of coalescing a whole batch and
-/// dispatching it as one engine call, every queue arrival is submitted to
-/// an [`IterScheduler`] immediately and the loop advances the mixed batch
-/// one token per step — cheap score requests retire while long generates
-/// are still decoding, so a slow request never head-of-line blocks a fast
-/// one. There is no batching window: admission is continuous, so the
-/// latency floor for a lone request is one engine step, not `window`.
+/// The serving loop. Spawned once by `Gateway::spawn`; runs until the
+/// queue is closed *and* drained *and* every admitted request has retired,
+/// so a graceful shutdown flushes every accepted request. Never panics —
+/// engine errors become per-request [`Reply::Done`]`(Err(_))`s.
 ///
-/// Runs until the queue is closed *and* drained *and* every admitted
-/// request has retired, so a graceful shutdown still flushes everything.
-/// Determinism is inherited from the scheduler: each reply is bitwise
-/// identical to a serial run of that request alone.
+/// A request leaves the queue only when one of the scheduler's
+/// `max_batch` slots is free for it, so nothing queues up out of reach of
+/// the queue's bound and its expiry check. There is no batching window:
+/// the latency floor for a lone request is one engine step.
 pub fn run_iter_scheduler(
     queue: Arc<BoundedQueue<Pending>>,
     engine: Arc<EvalEngine>,
-    tokenizer: Arc<Tokenizer>,
     max_batch: usize,
 ) {
     let mut sched = engine.iter_scheduler(SchedulerConfig {
-        max_active: max_batch.max(1),
+        max_active: max_batch,
         record_log: false,
         ..SchedulerConfig::default()
     });
-    let mut inflight: HashMap<usize, Inflight> = HashMap::new();
+    let mut inflight: HashMap<usize, mpsc::Sender<Reply>> = HashMap::new();
     let mut anchors = AnchorTracker::default();
     // Prefill dedup: the first score of a group in flight is its
     // "leader"; identical followers arriving before the leader's anchor
@@ -232,36 +91,30 @@ pub fn run_iter_scheduler(
     let mut deferred: HashMap<u64, Vec<Pending>> = HashMap::new();
     let mut closed = false;
     loop {
-        if sched.is_idle() {
-            if closed {
-                return;
-            }
-            // Nothing to advance: block for the next arrival.
-            match queue.pop(None) {
+        while !closed && slots_taken(&sched, &deferred) < max_batch {
+            // Nothing to advance: block for the next arrival. Otherwise
+            // take what has arrived without stalling the active batch.
+            let next = if sched.is_idle() {
+                queue.pop().map_or(Pop::Closed, Pop::Item)
+            } else {
+                queue.try_pop()
+            };
+            match next {
                 Pop::Item(p) => {
                     offer(&mut sched, &mut inflight, &mut anchors, &mut leaders, &mut deferred, p)
                 }
-                Pop::Closed => return,
-                Pop::TimedOut => continue,
+                Pop::Empty => break,
+                Pop::Closed => closed = true,
             }
         }
-        // Opportunistic non-blocking drain: admit whatever has arrived
-        // into the running schedule without stalling the active batch.
-        while !closed && sched.backlog() < sched.admit_capacity() {
-            match queue.pop(Some(Duration::ZERO)) {
-                Pop::Item(p) => {
-                    offer(&mut sched, &mut inflight, &mut anchors, &mut leaders, &mut deferred, p)
-                }
-                Pop::Closed => {
-                    closed = true;
-                    break;
-                }
-                Pop::TimedOut => break,
-            }
+        if sched.is_idle() && closed {
+            return;
         }
         for (id, result) in sched.step() {
-            if let Some(inf) = inflight.remove(&id) {
-                inf.answer(&tokenizer, result);
+            if let Some(reply) = inflight.remove(&id) {
+                // A handler that already timed out has dropped its
+                // receiver; that is its problem, not the scheduler's.
+                let _ = reply.send(Reply::Done(result));
             }
             // A retired leader has snapshotted its group's anchor; its
             // followers now fork the cached prefix at full depth.
@@ -279,11 +132,19 @@ pub fn run_iter_scheduler(
     }
 }
 
+/// How many of the scheduler's slots are spoken for: active sequences,
+/// submissions the next step admits, and parked followers — each of which
+/// holds the slot it will run in.
+fn slots_taken(sched: &IterScheduler, deferred: &HashMap<u64, Vec<Pending>>) -> usize {
+    let parked: usize = deferred.values().map(Vec::len).sum();
+    sched.active_len() + sched.backlog() + parked
+}
+
 /// Route one popped request: defer score followers behind their group's
 /// in-flight leader (see `run_iter_scheduler`), submit everything else.
 fn offer(
     sched: &mut IterScheduler,
-    inflight: &mut HashMap<usize, Inflight>,
+    inflight: &mut HashMap<usize, mpsc::Sender<Reply>>,
     anchors: &mut AnchorTracker,
     leaders: &mut HashMap<u64, usize>,
     deferred: &mut HashMap<u64, Vec<Pending>>,
@@ -291,7 +152,7 @@ fn offer(
 ) {
     let group = match &p.work {
         Work::Score(job) => job.group,
-        Work::Generate { .. } => None,
+        Work::Generate(_) => None,
     };
     if let Some(g) = group {
         if leaders.contains_key(&g) {
@@ -306,10 +167,10 @@ fn offer(
     }
 }
 
-/// Incremental shared-prefix anchors for the iteration scheduler.
+/// Incremental shared-prefix anchors for the scheduler.
 ///
-/// The coalescing path computes each group's common prompt prefix per
-/// batch and snapshots it in the radix cache; with continuous admission
+/// An offline engine batch computes each group's common prompt prefix up
+/// front and snapshots it in the radix cache; with continuous admission
 /// there is no batch to scan, so the anchor is learned online instead:
 /// the first prompt of a group anchors at its full length, and every
 /// later prompt shrinks the anchor to the longest common prefix seen so
@@ -360,39 +221,29 @@ impl AnchorTracker {
     }
 }
 
-/// Move one popped request into the iteration scheduler. Expired requests
-/// are answered without running (exactly like the coalescing path's
-/// dispatch-time expiry check); submission failures become per-request
-/// errors, never a scheduler-thread panic.
+/// Move one request into the scheduler, closing its `queue_wait` phase
+/// (which, for a deferred follower, includes the wait behind its leader).
+/// A request whose deadline has passed is answered [`Reply::Expired`]
+/// without running.
 fn submit_to_scheduler(
     sched: &mut IterScheduler,
-    inflight: &mut HashMap<usize, Inflight>,
+    inflight: &mut HashMap<usize, mpsc::Sender<Reply>>,
     anchors: &mut AnchorTracker,
     p: Pending,
 ) -> Option<usize> {
-    note_popped(&p);
+    trace::phase_since_last(p.trace, "queue_wait");
     let now = Instant::now();
     let wait = now.saturating_duration_since(p.enqueued);
     metrics::histogram("gateway.queue_wait_us").observe(wait.as_micros() as f64);
     if now >= p.deadline {
         metrics::counter("gateway.expired").add(1);
-        if let Some(t) = p.trace {
-            trace::mark_deadline(t);
-            trace::phase_since_last(t, "batch_form");
-        }
+        trace::mark_deadline(p.trace);
         let _ = p.reply.send(Reply::Expired);
         return None;
     }
-    let ctx = p.trace.map(|t| {
-        trace::phase_since_last(t, "batch_form");
-        TraceContext {
-            trace: t,
-            parent_span: None,
-        }
-    });
     let submitted = match p.work {
         Work::Score(mut job) => {
-            job.trace = ctx;
+            job.trace = Some(p.trace);
             // Score prompts are the only family with cross-request reuse
             // here (clients probe the same questions); generate prompts
             // share group ids but a different prompt family, and folding
@@ -400,100 +251,17 @@ fn submit_to_scheduler(
             if anchors.update(job.group, &job.prompt) {
                 sched.set_anchors(anchors.anchors.clone());
             }
-            sched.submit_score(job).map(|id| (id, None))
+            sched.submit_score(job)
         }
-        Work::Generate { mut job, options } => {
-            job.trace = ctx;
-            sched.submit_generate(job).map(|id| (id, Some(options)))
+        Work::Generate(mut job) => {
+            job.trace = Some(p.trace);
+            sched.submit_generate(job)
         }
     };
-    match submitted {
-        Ok((id, options)) => {
-            inflight.insert(
-                id,
-                Inflight {
-                    options,
-                    reply: p.reply,
-                    trace: p.trace,
-                },
-            );
-            Some(id)
-        }
-        // The loop stops popping at capacity, so the backlog is not
-        // expected to be full here, but a typed per-request error beats
-        // trusting that forever.
-        Err(e) => {
-            let _ = p.reply.send(Reply::Error(e.to_string()));
-            None
-        }
-    }
-}
-
-/// Run one coalesced batch through the engine and answer every request.
-fn dispatch_batch(engine: &EvalEngine, tokenizer: &Tokenizer, batch: Vec<Pending>) {
-    let span = span!("gateway.batch", size = batch.len());
-    let now = Instant::now();
-    metrics::counter("gateway.batches").add(1);
-    metrics::histogram("gateway.batch_occupancy").observe(batch.len() as f64);
-    for p in &batch {
-        let wait = now.saturating_duration_since(p.enqueued);
-        metrics::histogram("gateway.queue_wait_us").observe(wait.as_micros() as f64);
-    }
-
-    // Expired requests are answered immediately and never hit the engine.
-    let (live, expired): (Vec<Pending>, Vec<Pending>) =
-        batch.into_iter().partition(|p| now < p.deadline);
-    for p in expired {
-        metrics::counter("gateway.expired").add(1);
-        if let Some(t) = p.trace {
-            trace::mark_deadline(t);
-            trace::phase_since_last(t, "batch_form");
-        }
-        let _ = p.reply.send(Reply::Expired);
-    }
-
-    // Close each member's `batch_form` phase and wire the cross-thread
-    // causality edge both ways: the batch span records every member trace
-    // it carries, and every member trace records the batch span, so the
-    // analyzer can reconstruct which requests shared one engine dispatch.
-    let parent = span.id();
-    let (mut score_jobs, mut score_waiters) = (Vec::new(), Vec::new());
-    let (mut generate_jobs, mut generate_waiters) = (Vec::new(), Vec::new());
-    for p in live {
-        let ctx = p.trace.map(|t| {
-            trace::phase_since_last(t, "batch_form");
-            trace::link(t, "gateway.batch", parent);
-            span.link_trace(t.0);
-            TraceContext {
-                trace: t,
-                parent_span: Some(parent),
-            }
-        });
-        let (reply, trace) = (p.reply, p.trace);
-        match p.work {
-            Work::Score(mut job) => {
-                job.trace = ctx;
-                score_jobs.push(job);
-                score_waiters.push(Inflight { options: None, reply, trace });
-            }
-            Work::Generate { mut job, options } => {
-                job.trace = ctx;
-                generate_jobs.push(job);
-                generate_waiters.push(Inflight { options: Some(options), reply, trace });
-            }
-        }
-    }
-    span.record_f64("score_jobs", score_jobs.len() as f64);
-    span.record_f64("generate_jobs", generate_jobs.len() as f64);
-
-    if !score_jobs.is_empty() {
-        for (result, waiter) in engine.score_batch(score_jobs).into_iter().zip(score_waiters) {
-            waiter.answer(tokenizer, result.map(SeqOutcome::Scores));
-        }
-    }
-    if !generate_jobs.is_empty() {
-        for (result, waiter) in engine.generate_batch(generate_jobs).into_iter().zip(generate_waiters) {
-            waiter.answer(tokenizer, result.map(SeqOutcome::Tokens));
-        }
-    }
+    // The slot gate keeps the scheduler's backlog below `max_batch`, far
+    // under its own capacity, so a refusal is not expected; if one comes,
+    // dropping the sender has the handler answer 503 + `Retry-After`.
+    let id = submitted.ok()?;
+    inflight.insert(id, p.reply);
+    Some(id)
 }

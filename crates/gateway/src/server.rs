@@ -3,26 +3,34 @@
 //!
 //! Lifecycle: [`Gateway::spawn`] validates every config layer, binds the
 //! socket, and starts two long-lived threads — the acceptor (one handler
-//! thread per connection) and the micro-batching scheduler. Admission
+//! thread per connection) and the serving loop
+//! ([`crate::scheduler::run_iter_scheduler`]). Admission
 //! happens in the handler *before* anything reaches the queue: drain
 //! state (503), body bounds (413), JSON schema (400), per-client rate
 //! limit (429 + `Retry-After`), bounded-queue backpressure (503).
 //! [`Gateway::shutdown`] stops accepting, waits for in-flight
 //! connections, then closes the queue so the scheduler flushes every
 //! accepted request — zero loss on a clean drain.
+//!
+//! A handler builds the engine job before the queue push and the response
+//! after the scheduler hands the engine's result back (token decode,
+//! extraction cascade, argmax, JSON), so the one thread that steps the
+//! batch does no per-request text work.
 
 use crate::api;
 use crate::config::GatewayConfig;
 use crate::http::{self, HttpError, Request};
 use crate::limiter::{Admission, RateLimiter};
 use crate::queue::{BoundedQueue, PushError};
-use crate::scheduler::{run_iter_scheduler, run_scheduler, Pending, Reply, Work};
-use astro_eval::{generate_job, score_job, EvalModel, InstructEvalConfig, TokenEvalConfig};
+use crate::scheduler::{run_iter_scheduler, Pending, Reply, Work};
+use astro_eval::{
+    extract_answer, generate_job, score_job, EvalModel, InstructEvalConfig, TokenEvalConfig,
+};
 use astro_mcq::Mcq;
 use astro_model::Params;
 use astro_prng::Rng;
 use astro_resilience::fault;
-use astro_serve::EvalEngine;
+use astro_serve::{EvalEngine, SeqOutcome};
 use astro_telemetry::trace::{self, TraceConfig, TraceId};
 use astro_telemetry::{metrics, span, span::SpanGuard};
 use astro_tokenizer::Tokenizer;
@@ -154,16 +162,8 @@ impl Gateway {
             config,
         });
 
-        let (window, max_batch) = (shared.config.batch_window, shared.config.max_batch);
-        let iteration = shared.config.engine.iteration;
-        let tokenizer = Arc::clone(&shared.state.tokenizer);
-        let scheduler = std::thread::spawn(move || {
-            if iteration {
-                run_iter_scheduler(queue, engine, tokenizer, max_batch);
-            } else {
-                run_scheduler(queue, engine, tokenizer, window, max_batch);
-            }
-        });
+        let max_batch = shared.config.max_batch;
+        let scheduler = std::thread::spawn(move || run_iter_scheduler(queue, engine, max_batch));
 
         let accept_shared = Arc::clone(&shared);
         let acceptor = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
@@ -551,23 +551,12 @@ fn route(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> HttpReply 
 }
 
 /// Build the enriched `/healthz` body: drain state, admit-queue depth,
-/// and scheduler occupancy (mean batch/step fill so far — process-global
-/// when several in-process gateways share the telemetry registry, which
-/// only test harnesses do).
+/// and scheduler occupancy (mean step fill so far — process-global when
+/// several in-process gateways share the telemetry registry, which only
+/// test harnesses do).
 fn health_reply(shared: &Shared) -> String {
-    let occupancy_of = |name: &str| {
-        let h = metrics::histogram(name);
-        if h.count() > 0 {
-            h.mean()
-        } else {
-            0.0
-        }
-    };
-    let occupancy = if shared.config.engine.iteration {
-        occupancy_of("serve.step.occupancy")
-    } else {
-        occupancy_of("gateway.batch_occupancy")
-    };
+    let steps = metrics::histogram("serve.step.occupancy");
+    let occupancy = if steps.count() > 0 { steps.mean() } else { 0.0 };
     api::health_body(
         shared.draining.load(Ordering::SeqCst),
         shared.queue.depth(),
@@ -598,7 +587,25 @@ fn handle_score(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> Htt
     let mcq = api::mcq_from_request(&parsed.question, &parsed.options, parsed.group);
     let job = score_job(&model, &mcq, &shared.state.exemplars, &shared.state.token_config);
     let client = parsed.client.as_deref().unwrap_or(peer).to_string();
-    admit_and_run(shared, Work::Score(job), &client, tid)
+    admit_and_run(shared, Work::Score(job), &client, tid, |outcome| match outcome {
+        SeqOutcome::Scores(s) => {
+            let mut scores = [f32::NEG_INFINITY; 4];
+            for (dst, src) in scores.iter_mut().zip(s.iter()) {
+                *dst = *src;
+            }
+            // Ties resolve to the lowest index, matching
+            // `token_method_outcomes`.
+            let mut best = 0;
+            for i in 1..4 {
+                if scores[i] > scores[best] {
+                    best = i;
+                }
+            }
+            HttpReply::ok(api::score_body(&scores, best))
+        }
+        // A score job cannot retire with tokens; degrade per-request.
+        SeqOutcome::Tokens(_) => HttpReply::error(500, "engine returned tokens for a score job"),
+    })
 }
 
 fn handle_generate(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> HttpReply {
@@ -622,22 +629,29 @@ fn handle_generate(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> 
         Rng::seed_from(parsed.seed),
     );
     let client = parsed.client.as_deref().unwrap_or(peer).to_string();
-    admit_and_run(
-        shared,
-        Work::Generate {
-            job,
-            options: parsed.options,
-        },
-        &client,
-        tid,
-    )
+    admit_and_run(shared, Work::Generate(job), &client, tid, |outcome| match outcome {
+        SeqOutcome::Tokens(tokens) => {
+            let raw = shared.state.tokenizer.decode(&tokens);
+            let (prediction, stage) = extract_answer(&raw, &parsed.options);
+            HttpReply::ok(api::generate_body(prediction, stage, &raw))
+        }
+        SeqOutcome::Scores(_) => HttpReply::error(500, "engine returned scores for a generate job"),
+    })
 }
 
-/// Admission gauntlet, queue push, and the wait for a scheduler reply.
-/// The `build` phase (body parse + prompt/tokenizer work in the handler)
-/// closes here, just before the queue push, so `queue_wait` starts at
-/// the enqueue instant.
-fn admit_and_run(shared: &Shared, work: Work, client: &str, tid: TraceId) -> HttpReply {
+/// Admission gauntlet, queue push, the wait for the scheduler's reply, and
+/// `render`ing the engine's outcome into the response. The `build` phase
+/// (body parse + prompt/tokenizer work in the handler) closes here, just
+/// before the queue push, so `queue_wait` starts at the enqueue instant;
+/// `sync` is the hand-back from the scheduler thread and `extract` the
+/// response build.
+fn admit_and_run(
+    shared: &Shared,
+    work: Work,
+    client: &str,
+    tid: TraceId,
+    render: impl FnOnce(SeqOutcome) -> HttpReply,
+) -> HttpReply {
     trace::phase_since_last(tid, "build");
     if shared.draining.load(Ordering::SeqCst) {
         return HttpReply::retry(503, 1, "server is draining");
@@ -653,7 +667,7 @@ fn admit_and_run(shared: &Shared, work: Work, client: &str, tid: TraceId) -> Htt
         reply: tx,
         deadline: now + shared.config.deadline,
         enqueued: now,
-        trace: Some(tid),
+        trace: tid,
     };
     match shared.queue.try_push(pending) {
         Ok(depth) => metrics::gauge("gateway.queue_depth").set(depth as i64),
@@ -667,18 +681,14 @@ fn admit_and_run(shared: &Shared, work: Work, client: &str, tid: TraceId) -> Htt
     match rx.recv_timeout(shared.config.deadline) {
         Ok(reply) => {
             shared.completed.fetch_add(1, Ordering::SeqCst);
-            match reply {
-                Reply::Score { scores, prediction } => {
-                    HttpReply::ok(api::score_body(&scores, prediction))
-                }
-                Reply::Generate {
-                    prediction,
-                    stage,
-                    raw,
-                } => HttpReply::ok(api::generate_body(prediction, stage, &raw)),
+            trace::phase_since_last(tid, "sync");
+            let reply = match reply {
+                Reply::Done(Ok(outcome)) => render(outcome),
+                Reply::Done(Err(e)) => HttpReply::error(500, &e.to_string()),
                 Reply::Expired => HttpReply::error(504, "deadline expired before execution"),
-                Reply::Error(m) => HttpReply::error(500, &m),
-            }
+            };
+            trace::phase_since_last(tid, "extract");
+            reply
         }
         Err(mpsc::RecvTimeoutError::Timeout) => {
             metrics::counter("gateway.deadline_timeouts").add(1);

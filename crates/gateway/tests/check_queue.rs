@@ -2,7 +2,8 @@
 //!
 //! Build with `RUSTFLAGS="--cfg astro_check"`; in normal builds this file
 //! compiles to nothing. The checker explores every interleaving (up to
-//! the preemption bound) of producers, a consumer and `close`, asserting:
+//! the preemption bound) of producers, a consumer (blocking `pop`, and
+//! the serving loop's `pop`-then-`try_pop` mix) and `close`, asserting:
 //!
 //! * no deadlock and no lost wakeup (the checker's built-in guarantees);
 //! * the queue never holds more than `capacity` items;
@@ -34,12 +35,8 @@ fn drain_delivers_every_accepted_item_in_order() {
             accepted
         });
         let mut drained: Vec<u32> = Vec::new();
-        loop {
-            match q.pop(None) {
-                Pop::Item(v) => drained.push(v),
-                Pop::Closed => break,
-                Pop::TimedOut => unreachable!("pop(None) cannot time out"),
-            }
+        while let Some(v) = q.pop() {
+            drained.push(v);
         }
         let accepted = producer.join().unwrap_or_else(|_| panic!("producer panicked"));
         assert_eq!(drained.len() as u32, accepted, "drain lost accepted items");
@@ -75,11 +72,10 @@ fn capacity_is_never_exceeded_and_rejects_hand_items_back() {
         let mut drained = 0u32;
         loop {
             assert!(q.depth() <= 1, "queue depth exceeded capacity");
-            match q.pop(None) {
-                Pop::Item(_) => drained += 1,
-                Pop::Closed => break,
-                Pop::TimedOut => unreachable!("pop(None) cannot time out"),
+            if q.pop().is_none() {
+                break;
             }
+            drained += 1;
         }
         let accepted = producer.join().unwrap_or_else(|_| panic!("producer panicked"));
         assert_eq!(drained, accepted);
@@ -100,13 +96,10 @@ fn two_consumers_close_wakes_everyone() {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut got = 0u32;
-                    loop {
-                        match q.pop(None) {
-                            Pop::Item(_) => got += 1,
-                            Pop::Closed => return got,
-                            Pop::TimedOut => unreachable!("pop(None) cannot time out"),
-                        }
+                    while q.pop().is_some() {
+                        got += 1;
                     }
+                    got
                 })
             })
             .collect();
@@ -120,4 +113,44 @@ fn two_consumers_close_wakes_everyone() {
     });
     assert!(report.ok(), "{:?}", report.violation);
     assert!(!report.truncated);
+}
+
+#[test]
+fn serving_loop_pop_mix_drains_every_accepted_item_in_order() {
+    // The gateway loop's shape: block for an arrival while idle, then
+    // `try_pop` whatever else is buffered before stepping. `Empty` sends
+    // it back to the blocking pop; `Closed` from either call ends it.
+    let report = explore(&cfg(), || {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(2));
+        let q2 = Arc::clone(&q);
+        let producer = thread::spawn(move || {
+            let mut accepted = 0u32;
+            for v in 1..=3u32 {
+                if q2.try_push(v).is_ok() {
+                    accepted += 1;
+                }
+            }
+            q2.close();
+            accepted
+        });
+        let mut drained: Vec<u32> = Vec::new();
+        'serve: while let Some(first) = q.pop() {
+            drained.push(first);
+            loop {
+                match q.try_pop() {
+                    Pop::Item(v) => drained.push(v),
+                    Pop::Empty => break,
+                    Pop::Closed => break 'serve,
+                }
+            }
+        }
+        let accepted = producer.join().unwrap_or_else(|_| panic!("producer panicked"));
+        assert_eq!(drained.len() as u32, accepted, "drain lost accepted items");
+        for w in drained.windows(2) {
+            assert!(w[0] < w[1], "FIFO order violated: {drained:?}");
+        }
+    });
+    assert!(report.ok(), "{:?}", report.violation);
+    assert!(!report.truncated);
+    assert!(report.schedules > 1, "expected interleavings, got {}", report.schedules);
 }

@@ -34,9 +34,8 @@ use crate::EngineConfig;
 use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, SessionError};
 use astro_prng::Rng;
 use astro_resilience::fault;
-use astro_telemetry::span::SpanGuard;
 use astro_telemetry::sync::{self, Mutex, MutexGuard};
-use astro_telemetry::{lockcheck, trace, TraceContext};
+use astro_telemetry::{lockcheck, TraceId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -97,20 +96,10 @@ pub struct ScoreJob {
     pub group: Option<u64>,
     /// The readout to apply after the prompt.
     pub readout: ScoreReadout,
-    /// Request trace to attribute engine phases to, if any (set by the
-    /// gateway via [`ScoreJob::with_trace`]; `None` costs nothing).
-    pub trace: Option<TraceContext>,
-}
-
-impl ScoreJob {
-    /// Attach a request trace context; the engine records `cache_lookup`,
-    /// `prefill` and `decode` phases against it and opens its worker span
-    /// as an explicit child of `ctx.parent_span`.
-    #[must_use]
-    pub fn with_trace(mut self, ctx: TraceContext) -> Self {
-        self.trace = Some(ctx);
-        self
-    }
+    /// Request trace the scheduler records its `admit`, `cache_lookup`,
+    /// `prefill` and `decode` phases against, if any (set by the gateway;
+    /// `None` costs nothing).
+    pub trace: Option<TraceId>,
 }
 
 /// One prompt to generate from. Like [`ScoreJob`], the prompt must be
@@ -132,16 +121,7 @@ pub struct GenerateJob {
     pub stop: Vec<u32>,
     /// Request trace to attribute engine phases to, if any (see
     /// [`ScoreJob::trace`]).
-    pub trace: Option<TraceContext>,
-}
-
-impl GenerateJob {
-    /// Attach a request trace context (see [`ScoreJob::with_trace`]).
-    #[must_use]
-    pub fn with_trace(mut self, ctx: TraceContext) -> Self {
-        self.trace = Some(ctx);
-        self
-    }
+    pub trace: Option<TraceId>,
 }
 
 /// Internal job representation so scoring and generation share one
@@ -171,23 +151,11 @@ impl Job {
     }
 
     /// The job's attached request trace, if any.
-    pub(crate) fn trace(&self) -> Option<TraceContext> {
+    pub(crate) fn trace(&self) -> Option<TraceId> {
         match self {
             Job::Score(j) => j.trace,
             Job::Generate(j) => j.trace,
         }
-    }
-
-    /// Open a driver's span for a traced job. It claims the dispatching
-    /// span (e.g. `gateway.batch`) as its explicit cross-thread parent, so
-    /// the summary tree shows engine work under the batch that scheduled
-    /// it.
-    pub(crate) fn span(&self, name: &str) -> Option<SpanGuard> {
-        self.trace().map(|c| {
-            let g = astro_telemetry::span::span_child_of(name, c.parent_span, Vec::new());
-            g.set_trace(c.trace.0);
-            g
-        })
     }
 }
 
@@ -313,7 +281,6 @@ impl EvalEngine {
         if jobs.is_empty() {
             return Vec::new();
         }
-        let before = self.cache_stats();
         // `_pin` holds the batch anchor in the cache until this returns.
         let (anchors, _pin) = if self.cfg.prefix_cache {
             self.prime_anchors(&jobs)
@@ -325,7 +292,9 @@ impl EvalEngine {
         } else {
             self.run_pooled(jobs, anchors)
         };
-        publish_cache_metrics(&before, &self.cache_stats());
+        // Priming and the pool workers' share; the scheduler has already
+        // published what its own steps did.
+        publish_cache_metrics(&self.cache);
         results
     }
 
@@ -531,11 +500,6 @@ impl PooledBatch {
             let Some(job) = self.jobs.get(i) else {
                 return reported;
             };
-            let _span = job.span("serve.job");
-            // `exec_wait`: dispatch → this worker picking the job up.
-            if let Some(c) = job.trace() {
-                trace::phase_since_last(c.trace, "exec_wait");
-            }
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if fault::should_fault("pool.worker_panic") {
                     std::panic::panic_any(fault::FaultPanic("pool.worker_panic"));
@@ -556,13 +520,19 @@ impl PooledBatch {
     }
 }
 
-/// Record the batch's cache activity in the global metrics registry.
-fn publish_cache_metrics(before: &CacheStats, after: &CacheStats) {
-    astro_telemetry::counter("serve.prefix.hits").add(after.hits - before.hits);
-    astro_telemetry::counter("serve.prefix.misses").add(after.misses - before.misses);
-    astro_telemetry::counter("serve.tokens.saved").add(after.tokens_reused - before.tokens_reused);
-    astro_telemetry::counter("serve.cache.evictions").add(after.evictions - before.evictions);
-    astro_telemetry::gauge("serve.cache.resident_bytes").set(after.resident_bytes as i64);
+/// Record the cache's activity since its last publication in the global
+/// metrics registry. Called by whichever driver ran the work: the engine
+/// after a batch, the scheduler after every step.
+pub(crate) fn publish_cache_metrics(cache: &Mutex<PrefixCache>) {
+    let new = {
+        let (_token, mut guard) = lock_cache(cache);
+        guard.take_unpublished()
+    };
+    astro_telemetry::counter("serve.prefix.hits").add(new.hits);
+    astro_telemetry::counter("serve.prefix.misses").add(new.misses);
+    astro_telemetry::counter("serve.tokens.saved").add(new.tokens_reused);
+    astro_telemetry::counter("serve.cache.evictions").add(new.evictions);
+    astro_telemetry::gauge("serve.cache.resident_bytes").set(new.resident_bytes as i64);
 }
 
 #[cfg(test)]

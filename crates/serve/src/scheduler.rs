@@ -47,7 +47,9 @@
 //! `tests/scheduler_props.rs` asserts this bound under adversarial
 //! long-decode load.
 
-use crate::engine::{lock_cache, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError};
+use crate::engine::{
+    lock_cache, publish_cache_metrics, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError,
+};
 use crate::seq::{ForkPool, SeqEnv, Sequence};
 use astro_model::ModelConfig;
 use astro_resilience::fault;
@@ -454,8 +456,8 @@ impl IterScheduler {
                         // no retirement can ever free the blocks this job
                         // needs. Reject it instead of spinning forever.
                         if let Some((id, job)) = self.pending.pop_front() {
-                            if let Some(c) = job.trace() {
-                                trace::mark_fault(c.trace, "serve.admit_reject");
+                            if let Some(t) = job.trace() {
+                                trace::mark_fault(t, "serve.admit_reject");
                             }
                             astro_telemetry::counter("serve.admit.rejected").inc();
                             rejected.push((
@@ -505,8 +507,8 @@ impl IterScheduler {
         for a in std::mem::take(&mut self.active) {
             if done_ids.contains(&a.id) {
                 self.ledger.release(a.id);
-                if let Some(c) = a.job.trace() {
-                    trace::record_num(c.trace, "retire_step", self.step_idx as f64);
+                if let Some(t) = a.job.trace() {
+                    trace::record_num(t, "retire_step", self.step_idx as f64);
                 }
                 if self.free.len() < self.cfg.max_active {
                     self.free.push(a.seq);
@@ -522,6 +524,9 @@ impl IterScheduler {
         astro_telemetry::counter("serve.sched.retired").add(done.len() as u64);
         astro_telemetry::histogram("serve.step.occupancy").observe(batch.len() as f64);
         astro_telemetry::gauge("serve.sched.active").set(self.active.len() as i64);
+        if let Some(cache) = &self.env.cache {
+            publish_cache_metrics(cache);
+        }
 
         if let Some(log) = &mut self.log {
             log.steps.push(StepRecord {
@@ -569,11 +574,13 @@ impl IterScheduler {
     /// Turn an accepted submission into an active sequence: record the
     /// `admit` phase, open its span, start it on a reusable [`Sequence`].
     fn admit_sequence(&mut self, id: usize, job: Job) -> Active {
-        if let Some(c) = job.trace() {
-            trace::phase_since_last(c.trace, "admit");
-            trace::record_num(c.trace, "admit_step", self.step_idx as f64);
-        }
-        let span = job.span("serve.seq");
+        let span = job.trace().map(|t| {
+            trace::phase_since_last(t, "admit");
+            trace::record_num(t, "admit_step", self.step_idx as f64);
+            let span = astro_telemetry::span::span("serve.seq");
+            span.set_trace(t.0);
+            span
+        });
         let mut seq = self
             .free
             .pop()

@@ -25,15 +25,16 @@
 //! job to completion with an unbounded prefill chunk; the iteration
 //! scheduler ([`crate::scheduler`]) keeps a free list of them and calls
 //! `advance` once per active sequence per step. Each driver owns its
-//! waiting phase (`exec_wait` / `admit`), its span, its panic boundary and
-//! the [`ForkPool`] it lends to the readout.
+//! panic boundary and the [`ForkPool`] it lends to the readout; the scheduler,
+//! the one driver that runs traced jobs, also records their `admit` phase and
+//! holds their `serve.seq` span.
 
 use crate::engine::{lock_cache, Job, ScoreReadout, SeqOutcome, ServeError};
 use crate::trie::PrefixCache;
 use astro_model::{InferenceSession, Lane, ModelConfig, Params, SessionError, StepDecoder};
 use astro_resilience::fault;
 use astro_telemetry::sync::Mutex;
-use astro_telemetry::{trace, TraceContext};
+use astro_telemetry::{trace, TraceId};
 use astro_tensor::ops::log_sum_exp;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,8 +81,8 @@ impl Sequence {
         self.decode = None;
         self.uncached = false;
         if fault::should_fault("serve.cache_full") {
-            if let Some(c) = ctx {
-                trace::mark_fault(c.trace, "serve.cache_full");
+            if let Some(t) = ctx {
+                trace::mark_fault(t, "serve.cache_full");
             }
             self.restart_uncached();
         } else {
@@ -98,10 +99,10 @@ impl Sequence {
             self.fed = depth;
             self.forked = depth;
         }
-        if let Some(c) = ctx {
-            trace::phase_since_last(c.trace, "cache_lookup");
-            trace::annotate(c.trace, "cache", if self.forked > 0 { "hit" } else { "miss" });
-            trace::record_num(c.trace, "cached_tokens", self.forked as f64);
+        if let Some(t) = ctx {
+            trace::phase_since_last(t, "cache_lookup");
+            trace::annotate(t, "cache", if self.forked > 0 { "hit" } else { "miss" });
+            trace::record_num(t, "cached_tokens", self.forked as f64);
         }
     }
 
@@ -173,9 +174,9 @@ impl Sequence {
         }
 
         let Some(dec) = &mut self.decode else {
-            if let Some(c) = ctx {
-                trace::phase_since_last(c.trace, "prefill");
-                trace::record_num(c.trace, "prompt_tokens", prompt.len() as f64);
+            if let Some(t) = ctx {
+                trace::phase_since_last(t, "prefill");
+                trace::record_num(t, "prompt_tokens", prompt.len() as f64);
             }
             let j = match job {
                 // Score readouts are short (a handful of continuation
@@ -183,8 +184,8 @@ impl Sequence {
                 // that completes the prefill rather than splitting it.
                 Job::Score(j) => {
                     let scores = score_readout(&env.params, &self.sess, forks, &j.readout, ctx);
-                    if let Some(c) = ctx {
-                        trace::phase_since_last(c.trace, "decode");
+                    if let Some(t) = ctx {
+                        trace::phase_since_last(t, "decode");
                     }
                     return Some(scores.map(SeqOutcome::Scores).map_err(ServeError::Session));
                 }
@@ -200,9 +201,9 @@ impl Sequence {
             return None;
         }
         let tokens = self.decode.take().map(StepDecoder::into_tokens).unwrap_or_default();
-        if let Some(c) = ctx {
-            trace::phase_since_last(c.trace, "decode");
-            trace::record_num(c.trace, "generated_tokens", tokens.len() as f64);
+        if let Some(t) = ctx {
+            trace::phase_since_last(t, "decode");
+            trace::record_num(t, "generated_tokens", tokens.len() as f64);
         }
         Some(Ok(SeqOutcome::Tokens(tokens)))
     }
@@ -225,13 +226,13 @@ fn score_readout(
     sess: &InferenceSession,
     pool: &mut ForkPool,
     readout: &ScoreReadout,
-    ctx: Option<TraceContext>,
+    ctx: Option<TraceId>,
 ) -> Result<Vec<f32>, SessionError> {
     match readout {
         ScoreReadout::ContinuationGroups(groups) => {
             let (scores, rows) = continuation_scores(params, sess, pool, groups)?;
-            if let Some(c) = ctx {
-                trace::record_num(c.trace, "readout_rows", rows as f64);
+            if let Some(t) = ctx {
+                trace::record_num(t, "readout_rows", rows as f64);
             }
             Ok(scores)
         }

@@ -71,6 +71,8 @@ pub struct PrefixCache {
     session_bytes: usize,
     cap_bytes: usize,
     stats: CacheStats,
+    /// `stats` as of the last [`PrefixCache::take_unpublished`].
+    published: CacheStats,
 }
 
 impl PrefixCache {
@@ -98,6 +100,7 @@ impl PrefixCache {
             session_bytes,
             cap_bytes: cap,
             stats: CacheStats::default(),
+            published: CacheStats::default(),
         }
     }
 
@@ -128,6 +131,22 @@ impl PrefixCache {
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// How far the counters have moved since the previous call (the
+    /// `resident_*` fields are current values, not movement). Whichever
+    /// driver ran the work publishes this to the metrics registry; the
+    /// cache remembers what it has handed out, so activity is published
+    /// once however many drivers share it.
+    pub(crate) fn take_unpublished(&mut self) -> CacheStats {
+        let was = std::mem::replace(&mut self.published, self.stats);
+        CacheStats {
+            hits: self.stats.hits - was.hits,
+            misses: self.stats.misses - was.misses,
+            tokens_reused: self.stats.tokens_reused - was.tokens_reused,
+            evictions: self.stats.evictions - was.evictions,
+            ..self.stats
+        }
     }
 
     /// Walk as deep as the trie structure matches `tokens`, returning

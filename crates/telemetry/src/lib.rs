@@ -22,8 +22,8 @@
 //!   clean while bench binaries stay chatty.
 //! * [`trace`] — **end-to-end request traces**: 128-bit ids minted at the
 //!   gateway (or accepted via W3C `traceparent`), per-request phase
-//!   attribution recorded from any thread, span links for cross-thread
-//!   causality, and a bounded tail-sampling ring sink.
+//!   attribution recorded from any thread, and a bounded tail-sampling
+//!   ring sink.
 //! * [`summary`] — a human-readable end-of-run span/metric summary tree.
 //! * [`lockcheck`] — debug-build **lock-order instrumentation**: ranked
 //!   locks and a thread-local held-lock stack that panics on ordering
@@ -60,7 +60,7 @@ pub use event::Event;
 pub use manifest::RunManifest;
 pub use metrics::{counter, gauge, histogram, histogram_with};
 pub use span::SpanGuard;
-pub use trace::{TraceContext, TraceId};
+pub use trace::TraceId;
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -5,9 +5,9 @@
 //! `eval.full_instruct`, …). Spans nest: each thread keeps a stack of open
 //! spans, and a new span's parent is whatever is on top of the creating
 //! thread's stack. Spans opened on worker threads therefore become roots
-//! there — unless opened with [`span_child_of`], which takes an
-//! **explicit parent** span id so cross-thread causality (a gateway batch
-//! dispatching engine work on a worker) survives in the tree.
+//! there; what ties a request's work on several threads together is its
+//! trace ([`crate::trace`]), which a span joins with
+//! [`SpanGuard::set_trace`].
 //!
 //! Closing a span (RAII drop) stamps its end time, emits a `span_end`
 //! event to the sink, and leaves the record in the registry for the
@@ -28,8 +28,7 @@ use std::sync::Mutex;
 pub struct SpanRecord {
     /// Allocation-ordered span id (stable across registry retirement).
     pub id: usize,
-    /// Parent span id, if any (same-thread nesting, or explicit via
-    /// [`span_child_of`]).
+    /// Parent span id, if any (same-thread nesting).
     pub parent: Option<usize>,
     /// Span name, e.g. `study.cpt`.
     pub name: String,
@@ -43,9 +42,6 @@ pub struct SpanRecord {
     pub end_us: Option<u64>,
     /// The trace this span belongs to, if any.
     pub trace: Option<u128>,
-    /// Linked trace ids: traces this span carried across a thread
-    /// boundary (a `gateway.batch` span links every member request).
-    pub links: Vec<u128>,
 }
 
 impl SpanRecord {
@@ -124,17 +120,6 @@ pub fn span(name: &str) -> SpanGuard {
 /// calling thread's span stack.
 pub fn span_with(name: &str, attrs: Vec<(String, String)>) -> SpanGuard {
     let parent = STACK.with(|s| s.borrow().last().copied());
-    open(name, attrs, parent)
-}
-
-/// Open a span with an **explicit parent** span id instead of the
-/// thread-local stack — the cross-thread causality primitive: a worker
-/// executing on behalf of a span opened elsewhere passes that span's id.
-pub fn span_child_of(name: &str, parent: Option<usize>, attrs: Vec<(String, String)>) -> SpanGuard {
-    open(name, attrs, parent)
-}
-
-fn open(name: &str, attrs: Vec<(String, String)>, parent: Option<usize>) -> SpanGuard {
     let start_us = crate::elapsed_us();
     let id = {
         let (_order, mut reg) =
@@ -149,7 +134,6 @@ fn open(name: &str, attrs: Vec<(String, String)>, parent: Option<usize>) -> Span
             start_us,
             end_us: None,
             trace: None,
-            links: Vec::new(),
         });
         id
     };
@@ -185,18 +169,6 @@ impl SpanGuard {
             rec.trace = Some(trace);
         }
     }
-
-    /// Add a **span link**: this span carried work belonging to `trace`
-    /// (a batch span links every member request's trace across the
-    /// scheduler thread boundary). Idempotent per trace id.
-    pub fn link_trace(&self, trace: u128) {
-        let (_order, mut reg) =
-            crate::lockcheck::lock_ranked("telemetry.span.registry", &REGISTRY);
-        let Some(rec) = reg.get_mut(self.id) else { return };
-        if !rec.links.contains(&trace) {
-            rec.links.push(trace);
-        }
-    }
 }
 
 impl Drop for SpanGuard {
@@ -222,7 +194,6 @@ impl Drop for SpanGuard {
                         rec.nums.clone(),
                         end_us.saturating_sub(rec.start_us),
                         rec.trace,
-                        rec.links.len(),
                     ))
                 }
                 None => None,
@@ -234,16 +205,13 @@ impl Drop for SpanGuard {
         if !retired.is_empty() {
             crate::trace::retire_spans(retired);
         }
-        let Some((name, attrs, nums, dur_us, trace, links)) = info else { return };
+        let Some((name, attrs, nums, dur_us, trace)) = info else { return };
         if crate::sink::is_active() {
             let mut e = Event::new("span_end")
                 .str_field("span", &name)
                 .u64_field("dur_us", dur_us);
             if let Some(t) = trace {
                 e = e.str_field("trace", &crate::trace::TraceId(t).to_hex());
-            }
-            if links > 0 {
-                e = e.u64_field("links", links as u64);
             }
             for (k, v) in &attrs {
                 e = e.str_field(k, v);
@@ -319,6 +287,7 @@ mod tests {
             let inner = crate::span!("inner");
             inner.record_f64("tokens", 1000.0);
             inner.record_f64("tokens", 2000.0); // overwrite, not duplicate
+            inner.set_trace(0xdef);
             (outer.id(), inner.id())
         };
         let spans = snapshot();
@@ -340,6 +309,7 @@ mod tests {
         // Recorded numbers: overwritten, not duplicated.
         assert_eq!(inner.num("tokens"), Some(2000.0));
         assert_eq!(inner.nums.len(), 1);
+        assert_eq!((outer.trace, inner.trace), (None, Some(0xdef)));
 
         // Spans opened on another thread are roots.
         let handle = std::thread::spawn(|| {
@@ -362,29 +332,6 @@ mod tests {
         assert!(d2 > d1);
     }
 
-    #[test]
-    fn explicit_parent_crosses_threads() {
-        let root = span("xthread.root");
-        let root_id = root.id();
-        let child_id = std::thread::spawn(move || {
-            // On a fresh thread the stack is empty; the explicit parent
-            // still attaches this span under the root.
-            let g = span_child_of("xthread.child", Some(root_id), Vec::new());
-            g.link_trace(0xabc);
-            g.link_trace(0xabc); // idempotent
-            g.set_trace(0xdef);
-            g.id()
-        })
-        .join()
-        .unwrap();
-        drop(root);
-        let spans = snapshot();
-        let child = spans.iter().find(|s| s.id == child_id).unwrap();
-        assert_eq!(child.parent, Some(root_id));
-        assert_eq!(child.links, vec![0xabc]);
-        assert_eq!(child.trace, Some(0xdef));
-    }
-
     /// Retirement policy on a local registry (the global one is shared
     /// with concurrently running tests, so capacity is not shrunk here).
     #[test]
@@ -398,7 +345,6 @@ mod tests {
             start_us: id as u64,
             end_us: closed.then_some(id as u64 + 1),
             trace: None,
-            links: Vec::new(),
         };
         let mut reg = Registry { spans: VecDeque::new(), base: 0, capacity: 2 };
         for (id, closed) in [(0, true), (1, true), (2, false), (3, true), (4, true)] {

@@ -144,7 +144,6 @@ mod tests {
             start_us: start,
             end_us: Some(end),
             trace: None,
-            links: Vec::new(),
         }
     }
 

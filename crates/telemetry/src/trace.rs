@@ -1,8 +1,8 @@
 //! End-to-end request tracing with cross-thread causality.
 //!
 //! A **trace** follows one request through every thread it touches: the
-//! gateway handler that accepts it, the scheduler that batches it, the
-//! engine worker that executes it, and back. Spans ([`crate::span`])
+//! gateway handler that accepts it, the scheduler thread that runs it,
+//! and back. Spans ([`crate::span`])
 //! cannot do this alone — they nest per-thread — so a trace is keyed by a
 //! process-unique 128-bit [`TraceId`] minted at the edge (or accepted
 //! from an inbound W3C `traceparent` header) and carried by value across
@@ -10,7 +10,7 @@
 //!
 //! The unit of attribution is the **phase**: a named `[start_us, end_us]`
 //! interval ([`Phase`]) recorded against the trace from whichever thread
-//! is doing the work (`queue_wait`, `batch_form`, `cache_lookup`,
+//! is doing the work (`queue_wait`, `admit`, `cache_lookup`,
 //! `prefill`, `decode`, `extract`, `write`, …). Phases recorded with
 //! [`phase_since_last`] tile the request's wall time exactly, so the sum
 //! of phase durations accounts for the end-to-end latency — the property
@@ -56,17 +56,6 @@ impl std::fmt::Display for TraceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:032x}", self.0)
     }
-}
-
-/// Trace context carried by value into the serving engine: the request's
-/// trace plus the span (e.g. `gateway.batch`) the engine-side span should
-/// claim as its explicit cross-thread parent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The request's trace id.
-    pub trace: TraceId,
-    /// Explicit parent span id for engine-side spans, if any.
-    pub parent_span: Option<usize>,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -178,9 +167,6 @@ pub struct TraceRecord {
     pub nums: Vec<(&'static str, f64)>,
     /// Attributed phases in recording order.
     pub phases: Vec<Phase>,
-    /// Span links: (span name, span id) pairs tying this trace to spans
-    /// on other threads (e.g. the `gateway.batch` span that carried it).
-    pub links: Vec<(&'static str, usize)>,
 }
 
 impl TraceRecord {
@@ -238,18 +224,6 @@ impl TraceRecord {
             }
         }
         out.push(']');
-        if !self.links.is_empty() {
-            out.push_str(",\"links\":[");
-            for (i, (name, id)) in self.links.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"span\":");
-                write_json_string(&mut out, name);
-                out.push_str(&format!(",\"id\":{id}}}"));
-            }
-            out.push(']');
-        }
         if !self.attrs.is_empty() {
             out.push_str(",\"attrs\":{");
             for (i, (k, v)) in self.attrs.iter().enumerate() {
@@ -501,7 +475,6 @@ pub fn start(id: TraceId, name: &str, parent_span: Option<u64>, start_us: u64) -
         attrs: Vec::new(),
         nums: Vec::new(),
         phases: Vec::new(),
-        links: Vec::new(),
     };
     let (_order, mut map) = crate::lockcheck::lock_ranked("telemetry.trace.inflight", inflight());
     if map.contains_key(&id.0) {
@@ -561,17 +534,6 @@ pub fn record_num(id: TraceId, key: &'static str, v: f64) {
     with_inflight(id, |rec| match rec.nums.iter_mut().find(|(k, _)| *k == key) {
         Some(slot) => slot.1 = v,
         None => rec.nums.push((key, v)),
-    });
-}
-
-/// Link a span (by name and id) to the trace — the cross-thread causality
-/// edge, e.g. the `gateway.batch` span that carried this request through
-/// the scheduler.
-pub fn link(id: TraceId, span_name: &'static str, span_id: usize) {
-    with_inflight(id, |rec| {
-        if !rec.links.iter().any(|&(n, s)| n == span_name && s == span_id) {
-            rec.links.push((span_name, span_id));
-        }
     });
 }
 
@@ -809,14 +771,11 @@ mod tests {
         phase(id, "decode", e2, e2 + 10);
         annotate(id, "cache", "hit");
         record_num(id, "cached_tokens", 12.0);
-        link(id, "gateway.batch", 42);
-        link(id, "gateway.batch", 42); // dedup
         let snap = inflight_snapshot(id).unwrap();
         assert_eq!(snap.phases.len(), 3);
         assert_eq!(snap.phases[0].start_us, t0, "first phase starts at trace start");
         assert_eq!(snap.phases[0].end_us, e1);
         assert_eq!(snap.phases[1].start_us, e1, "phases tile with no gaps");
-        assert_eq!(snap.links, vec![("gateway.batch", 42)]);
 
         let rec = finish(id, 200).expect("finish returns the record");
         assert!(!is_inflight(id));
@@ -915,7 +874,6 @@ mod tests {
             start_us: 0,
             end_us: Some(1),
             trace: None,
-            links: Vec::new(),
         };
         retire_spans((0..7).map(mk).collect());
         let retired = retired_spans();
@@ -935,7 +893,6 @@ mod tests {
         phase(id, "recv", t0, t0 + 5);
         annotate(id, "cache", "miss");
         record_num(id, "prompt_tokens", 17.0);
-        link(id, "gateway.batch", 3);
         mark_fault(id, "gateway.accept_fail");
         let rec = finish(id, 503).unwrap();
         let line = rec.to_json_line();
@@ -945,7 +902,6 @@ mod tests {
         assert!(line.contains("\"status\":503"), "{line}");
         assert!(line.contains("\"error\""), "{line}");
         assert!(line.contains("\"fault\""), "{line}");
-        assert!(line.contains("\"links\":[{\"span\":\"gateway.batch\",\"id\":3}]"), "{line}");
         assert!(line.contains("\"attrs\":{"), "{line}");
         assert!(line.contains("\"nums\":{\"prompt_tokens\":17}"), "{line}");
         assert!(line.contains("\"phases\":[{\"name\":\"recv\""), "{line}");

@@ -29,7 +29,6 @@ fn record(seq: u128) -> TraceRecord {
         attrs: Vec::new(),
         nums: Vec::new(),
         phases: Vec::new(),
-        links: Vec::new(),
     }
 }
 

@@ -63,9 +63,6 @@ pub struct ParsedTrace {
     pub flags: Vec<String>,
     /// Phases in recording order.
     pub phases: Vec<PhaseSlice>,
-    /// Linked span names (cross-thread causality edges, e.g.
-    /// `gateway.batch`) with their span ids.
-    pub links: Vec<(String, u64)>,
 }
 
 impl ParsedTrace {
@@ -135,12 +132,6 @@ pub fn parse_trace_line(line: &str) -> Result<Option<ParsedTrace>, String> {
             }
         }
     }
-    let mut links = Vec::new();
-    if let Some(Json::Array(items)) = v.get("links") {
-        for l in items {
-            links.push((field_str(l, "span")?, field_u64(l, "id")?));
-        }
-    }
     Ok(Some(ParsedTrace {
         id: field_str(&v, "trace")?,
         name: field_str(&v, "name")?,
@@ -150,7 +141,6 @@ pub fn parse_trace_line(line: &str) -> Result<Option<ParsedTrace>, String> {
         keep: field_str(&v, "keep")?,
         flags,
         phases,
-        links,
     }))
 }
 
@@ -430,7 +420,6 @@ mod tests {
                     end_us: 1400,
                 },
             ],
-            links: vec![("gateway.batch", 7)],
         }
     }
 
@@ -447,7 +436,6 @@ mod tests {
         assert_eq!(parsed.phases[1].name, "prefill");
         assert_eq!(parsed.phases[1].duration_us(), 250);
         assert_eq!(parsed.phase_total_us(), 400);
-        assert_eq!(parsed.links, vec![("gateway.batch".to_string(), 7)]);
     }
 
     #[test]

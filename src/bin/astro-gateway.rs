@@ -13,7 +13,9 @@
 //! several of these (`router --spawn N --cmd "target/release/astro-gateway
 //! {port} {name} micro 42"`) and a test compare their answers against an
 //! in-process serial reference. Everything else is
-//! `GatewayConfig::default()`; see docs/SERVING.md.
+//! `GatewayConfig::default()`: one scheduler thread serving every request
+//! at iteration level, 16 slots, a 64-request queue; see docs/SERVING.md
+//! § *The serving loop*. More cores are more of these behind a router.
 
 use astro_gateway::{Gateway, GatewayConfig, GatewayState};
 use astro_telemetry::info;

@@ -1,7 +1,8 @@
 //! End-to-end gateway tests over real sockets: bitwise parity with the
-//! in-process serial path, the admission-control status matrix,
-//! graceful drain with zero accepted-request loss, injected gateway
-//! faults, and a hard abort mid-burst.
+//! in-process serial path (sequentially and under a concurrent mixed
+//! burst), the admission-control status matrix, queue backpressure behind
+//! a full scheduler, graceful drain with zero accepted-request loss,
+//! injected gateway faults, and a hard abort mid-burst.
 //!
 //! The fault registry and the metrics registry are process-global, so
 //! every test takes `GATE` (same pattern as `tests/resilience_chaos.rs`).
@@ -18,7 +19,7 @@ use astromlab::{Study, StudyConfig};
 use astro_resilience::fault::{self, FaultPlan};
 use astro_telemetry::event::write_json_string;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -35,9 +36,13 @@ struct Ctx {
 }
 
 fn setup(seed: u64) -> Ctx {
+    setup_with(seed, Tier::S7b, InstructEvalConfig::default())
+}
+
+fn setup_with(seed: u64, tier: Tier, instruct_config: InstructEvalConfig) -> Ctx {
     let study = Study::prepare(StudyConfig::micro(seed)).expect("prepare");
     let params = Arc::new(Params::init(
-        study.model_config(Tier::S7b),
+        study.model_config(tier),
         &mut Rng::seed_from(seed + 1),
     ));
     let state = GatewayState {
@@ -46,7 +51,7 @@ fn setup(seed: u64) -> Ctx {
         tokenizer: Arc::new(study.tokenizer.clone()),
         exemplars: Arc::new(study.mcq.exemplars.clone()),
         token_config: TokenEvalConfig::default(),
-        instruct_config: InstructEvalConfig::default(),
+        instruct_config,
     };
     Ctx {
         study,
@@ -92,6 +97,29 @@ fn json_u32s(v: &Json, key: &str) -> Vec<u32> {
             other => panic!("{key:?} entry not a number: {other:?}"),
         })
         .collect()
+}
+
+/// A number out of a parsed JSON object, by path.
+fn json_number(v: &Json, path: &[&str]) -> f64 {
+    match path.iter().try_fold(v, |v, key| v.get(key)) {
+        Some(Json::Number(n)) => *n,
+        other => panic!("no number at {path:?}: {other:?}"),
+    }
+}
+
+fn health(addr: std::net::SocketAddr) -> Json {
+    let resp = client::get(addr, "/healthz", TIMEOUT).expect("healthz");
+    Json::parse(&resp.body).expect("healthz body parses")
+}
+
+/// Poll `/healthz` until `ready` holds for its body: the way a test waits
+/// for the gateway to reach a state only the gateway can report.
+fn wait_for_health(addr: std::net::SocketAddr, what: &str, ready: impl Fn(&Json) -> bool) {
+    let give_up = Instant::now() + TIMEOUT;
+    while !ready(&health(addr)) {
+        assert!(Instant::now() < give_up, "gateway never reached {what:?}");
+        std::thread::yield_now();
+    }
 }
 
 fn counter_value(name: &str) -> u64 {
@@ -161,7 +189,7 @@ fn socket_responses_match_in_process_serial_path_bitwise() {
 }
 
 #[test]
-fn iteration_mode_gateway_matches_in_process_serial_path_bitwise() {
+fn concurrent_mixed_burst_matches_in_process_serial_path_bitwise() {
     let _gate = gate();
     fault::clear();
     let ctx = setup(61);
@@ -169,18 +197,14 @@ fn iteration_mode_gateway_matches_in_process_serial_path_bitwise() {
         params: &ctx.params,
         tokenizer: &ctx.state.tokenizer,
     };
-    let config = GatewayConfig {
-        engine: astromlab::serve::EngineConfig::iteration(),
-        ..GatewayConfig::default()
-    };
-    let gw = Gateway::spawn(config, ctx.state.clone()).expect("spawn");
+    let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
     let addr = gw.addr();
     let questions: Vec<Mcq> = ctx.study.eval_questions().into_iter().cloned().collect();
     let n = questions.len().min(3);
 
-    // Mixed concurrent burst: long generates sharing the iteration
-    // scheduler with cheap scores, all answered bitwise-identically to
-    // the serial in-process path.
+    // Mixed concurrent burst: long generates sharing the scheduler's
+    // steps with cheap scores, all answered bitwise-identically to the
+    // serial in-process path.
     std::thread::scope(|scope| {
         for (i, q) in questions.iter().take(n).enumerate() {
             let model = &model;
@@ -198,7 +222,7 @@ fn iteration_mode_gateway_matches_in_process_serial_path_bitwise() {
                 assert_eq!(
                     v.get("raw").and_then(Json::as_str),
                     Some(reference.raw.as_str()),
-                    "q{i}: raw generation diverged under the iteration scheduler"
+                    "q{i}: raw generation diverged under a mixed batch"
                 );
             });
             scope.spawn(move || {
@@ -268,11 +292,30 @@ fn admission_control_status_matrix() {
     assert_eq!(resp.status, 413, "{}", resp.body);
 
     // Rate limit: burst of 2, then a 429 with Retry-After.
+    let prefix_hits = counter_value("serve.prefix.hits");
     let body = score_body(&q, Some("greedy-client"));
     for i in 0..2 {
         let resp = client::post_json(addr, "/v1/score", &body, TIMEOUT).expect("burst");
         assert_eq!(resp.status, 200, "burst {i}: {}", resp.body);
     }
+    // The second of two same-group scores forked the first one's anchor,
+    // and the scheduler's cache counters are visible from outside.
+    let resp = client::get(addr, "/metricsz", TIMEOUT).expect("metricsz");
+    let metrics = Json::parse(&resp.body).expect("metricsz parses");
+    let hits = json_number(&metrics, &["counters", "serve.prefix.hits"]);
+    assert!(hits >= (prefix_hits + 1) as f64, "serve.prefix.hits {hits} after a repeat");
+    for gauge in ["serve.cache.resident_bytes", "serve.sched.active"] {
+        assert!(json_number(&metrics, &["gauges", gauge]) >= 0.0);
+    }
+    let resp = client::get(addr, "/metricsz?format=prometheus", TIMEOUT).expect("prometheus");
+    let prom_hits: f64 = resp
+        .body
+        .lines()
+        .find_map(|l| l.strip_prefix("serve_prefix_hits "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no serve_prefix_hits sample: {}", resp.body));
+    assert!(prom_hits >= hits);
+    assert!(resp.body.contains("\nserve_cache_resident_bytes "), "{}", resp.body);
     let resp = client::post_json(addr, "/v1/score", &body, TIMEOUT).expect("limited");
     assert_eq!(resp.status, 429, "{}", resp.body);
     let retry: u64 = resp
@@ -287,6 +330,74 @@ fn admission_control_status_matrix() {
 
     let stats = gw.shutdown();
     assert!(stats.drained_clean, "{stats:?}");
+}
+
+/// `queue_capacity` is the whole admission bound: a request leaves the
+/// queue only for a free scheduler slot, so with the one slot held by a
+/// long generate and the one queue place taken, further requests are shed
+/// 503 + `Retry-After` at once, and the queued one runs as soon as the
+/// generate retires. (A loop that drains the queue into a backlog of its
+/// own instead answers all four scores 200.)
+#[test]
+fn requests_behind_a_full_scheduler_wait_in_the_queue_and_its_bound_sheds_the_rest() {
+    let _gate = gate();
+    fault::clear();
+    // The largest tier and a context-filling decode budget: a generate
+    // that outlasts the handful of local round trips below many times.
+    let slow_generate = InstructEvalConfig {
+        max_new_tokens: 256,
+        ..InstructEvalConfig::default()
+    };
+    let ctx = setup_with(63, Tier::S70b, slow_generate);
+    let config = GatewayConfig {
+        max_batch: 1,
+        queue_capacity: 1,
+        rate_per_sec: 1000.0,
+        burst: 1000.0,
+        ..GatewayConfig::default()
+    };
+    let gw = Gateway::spawn(config, ctx.state.clone()).expect("spawn");
+    let addr = gw.addr();
+    let questions = ctx.study.eval_questions();
+    let occupied = |health: &Json| {
+        (
+            json_number(health, &["active_seqs"]) as usize,
+            json_number(health, &["queue_depth"]) as usize,
+        )
+    };
+
+    std::thread::scope(|scope| {
+        let post = |path: &'static str, body: String| {
+            scope.spawn(move || {
+                let resp = client::post_json(addr, path, &body, TIMEOUT).expect("response");
+                (resp, Instant::now())
+            })
+        };
+        let generate = post("/v1/generate", generate_body(questions[0], 5));
+        wait_for_health(addr, "the generate in its slot", |h| occupied(h) == (1, 0));
+        let queued = post("/v1/score", score_body(questions[1], None));
+        wait_for_health(addr, "a score waiting in the queue", |h| occupied(h) == (1, 1));
+        let shed: Vec<_> = (0..3)
+            .map(|i| post("/v1/score", score_body(questions[2 + i], None)))
+            .collect();
+        for handle in shed {
+            let (resp, _) = handle.join().expect("client");
+            assert_eq!(resp.status, 503, "{}", resp.body);
+            assert!(resp.header("Retry-After").is_some(), "503 without Retry-After");
+        }
+        // The premise held to the end: all of that happened while the
+        // generate was still decoding and the first score still queued.
+        assert_eq!(occupied(&health(addr)), (1, 1), "the generate finished too early for this test");
+        let (generated, generate_done) = generate.join().expect("client");
+        let (scored, score_done) = queued.join().expect("client");
+        assert_eq!(generated.status, 200, "{}", generated.body);
+        assert_eq!(scored.status, 200, "{}", scored.body);
+        assert!(score_done > generate_done, "the queued score ran before the slot was free");
+    });
+
+    let stats = gw.shutdown();
+    assert!(stats.drained_clean, "{stats:?}");
+    assert_eq!((stats.accepted, stats.completed), (2, 2), "{stats:?}");
 }
 
 /// One request must not be able to abort the process: a body nested far

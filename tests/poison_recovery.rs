@@ -57,8 +57,9 @@ fn queue_poisoned_mid_push_keeps_items_and_operations() {
         assert_eq!(q2.depth(), 2);
         // FIFO drain is intact, including the item pushed by the
         // panicking producer.
-        assert!(matches!(q2.pop(None), Pop::Item(1)));
-        assert!(matches!(q2.pop(None), Pop::Item(2)));
+        assert_eq!(q2.pop(), Some(1));
+        assert!(matches!(q2.try_pop(), Pop::Item(2)));
+        assert!(matches!(q2.try_pop(), Pop::Empty));
         // The queue still accepts, closes and drains after the poison.
         assert!(q2.try_push(3).is_ok());
         q2.close();
@@ -67,8 +68,9 @@ fn queue_poisoned_mid_push_keeps_items_and_operations() {
             Err(PushError::Full(_)) => panic!("expected Closed, got Full"),
             Ok(_) => panic!("expected Closed, got a grant"),
         }
-        assert!(matches!(q2.pop(None), Pop::Item(3)));
-        assert!(matches!(q2.pop(None), Pop::Closed));
+        assert_eq!(q2.pop(), Some(3));
+        assert!(matches!(q2.try_pop(), Pop::Closed));
+        assert_eq!(q2.pop(), None);
     });
 
     fault::clear();

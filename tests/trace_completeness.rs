@@ -36,9 +36,13 @@ struct Ctx {
 }
 
 fn setup(seed: u64) -> Ctx {
+    setup_with(seed, Tier::S7b, InstructEvalConfig::default())
+}
+
+fn setup_with(seed: u64, tier: Tier, instruct_config: InstructEvalConfig) -> Ctx {
     let study = Study::prepare(StudyConfig::micro(seed)).expect("prepare");
     let params = Arc::new(Params::init(
-        study.model_config(Tier::S7b),
+        study.model_config(tier),
         &mut Rng::seed_from(seed + 1),
     ));
     let state = GatewayState {
@@ -47,7 +51,7 @@ fn setup(seed: u64) -> Ctx {
         tokenizer: Arc::new(study.tokenizer.clone()),
         exemplars: Arc::new(study.mcq.exemplars.clone()),
         token_config: TokenEvalConfig::default(),
-        instruct_config: InstructEvalConfig::default(),
+        instruct_config,
     };
     Ctx { study, state }
 }
@@ -112,8 +116,27 @@ fn assert_well_formed(rec: &TraceRecord) {
     }
 }
 
-fn phase_names(rec: &TraceRecord) -> BTreeSet<&'static str> {
+/// Every phase of an answered `/v1/*` request, in the order the handler,
+/// the serving loop, the scheduler and the handler again record them.
+const PHASES: [&str; 10] = [
+    "recv",
+    "build",
+    "queue_wait",
+    "admit",
+    "cache_lookup",
+    "prefill",
+    "decode",
+    "sync",
+    "extract",
+    "write",
+];
+
+fn phase_names(rec: &TraceRecord) -> Vec<&'static str> {
     rec.phases.iter().map(|p| p.name).collect()
+}
+
+fn counter(name: &str) -> u64 {
+    astro_telemetry::counter(name).get()
 }
 
 /// Exactly one trace per answered request across the full status matrix,
@@ -215,10 +238,7 @@ fn every_response_yields_exactly_one_complete_trace() {
         assert_well_formed(rec);
         match rec.status {
             200 if rec.name.starts_with("gateway./v1/") => {
-                let names = phase_names(rec);
-                for required in ["recv", "build", "queue_wait", "write"] {
-                    assert!(names.contains(required), "{}: missing {required}: {names:?}", rec.name);
-                }
+                assert_eq!(phase_names(rec), PHASES, "{}", rec.name);
             }
             0 => {
                 assert!(rec.flags.fault, "accept_fail trace not flagged: {rec:?}");
@@ -287,6 +307,7 @@ fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
     assert_eq!(scored.len(), 8 * questions.len(), "one 200 score trace per burst request");
     for rec in scored {
         assert_well_formed(rec);
+        assert_eq!(phase_names(rec), PHASES);
         let e2e = rec.duration_us() as f64;
         let attributed = rec.phase_total_us();
         assert!(
@@ -298,43 +319,65 @@ fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
 }
 
 /// Deadline misses (504) and queue-full rejections (503) get traces
-/// too: 504 deterministically via a 1ms deadline against a long batch
-/// window, 503 by flooding a single-slot queue (bounded retries — the
-/// flood outcome mix is timing-dependent, the per-response trace
-/// invariant is not).
+/// too. 504 from both of its sources, on a one-slot gateway with a 10ms
+/// deadline and a generate that outlasts it ten times over (the largest
+/// tier, a context-filling decode budget): the generate's handler gives
+/// up waiting for the scheduler, and a score sent behind it expires *in
+/// the queue* — the slot is taken, so it is never handed to the
+/// scheduler, and when the generate retires the loop answers it
+/// `Expired` without running it. 503 by flooding a
+/// single-slot queue (bounded retries — the flood outcome mix is
+/// timing-dependent, the per-response trace invariant is not).
 #[test]
 fn pressure_rejections_are_traced() {
     let _gate = gate();
     fault::clear();
     trace::reset();
-    let ctx = setup(67);
+    let slow_generate = InstructEvalConfig {
+        max_new_tokens: 256,
+        ..InstructEvalConfig::default()
+    };
+    let ctx = setup_with(67, Tier::S70b, slow_generate);
     let q = ctx.study.eval_questions()[0].clone();
 
-    // 504: the request's 1ms deadline expires while the scheduler holds
-    // the batch open for 100ms; dispatch answers it without touching the
-    // engine and the trace carries the deadline flag.
     let config = GatewayConfig {
-        deadline: Duration::from_millis(1),
-        batch_window: Duration::from_millis(100),
-        max_batch: 8,
+        deadline: Duration::from_millis(10),
+        max_batch: 1,
         ..GatewayConfig::default()
     };
+    let (timeouts, expired, admitted) = (
+        counter("gateway.deadline_timeouts"),
+        counter("gateway.expired"),
+        counter("serve.sched.admitted"),
+    );
     let gw = Gateway::spawn(config, ctx.state.clone()).expect("spawn");
-    let resp = client::post_json(gw.addr(), "/v1/score", &score_body(&q, None), TIMEOUT)
-        .expect("deadline response");
-    assert_eq!(resp.status, 504, "{}", resp.body);
-    // The handler abandoned the reply channel at the deadline, so the
-    // drain legitimately reports accepted > completed here — no
-    // drained_clean assertion for this scenario.
+    let generate = format!("{},\"seed\":7}}", score_body(&q, None).trim_end_matches('}'));
+    for (path, body) in [("/v1/generate", &generate), ("/v1/score", &score_body(&q, None))] {
+        let resp = client::post_json(gw.addr(), path, body, TIMEOUT).expect("deadline response");
+        assert_eq!(resp.status, 504, "{path}: {}", resp.body);
+    }
+    // Both handlers abandoned their reply channels at the deadline, so
+    // the drain legitimately reports accepted > completed here — no
+    // drained_clean assertion for this scenario. It does flush the queue:
+    // the score has been popped and answered by the time it returns.
     let _stats = gw.shutdown();
+    assert_eq!(counter("gateway.deadline_timeouts") - timeouts, 2);
+    assert_eq!(counter("gateway.expired") - expired, 1, "the queued score expired in the queue");
+    assert_eq!(
+        counter("serve.sched.admitted") - admitted,
+        1,
+        "only the generate ran: the scheduler never admits expired work"
+    );
     let deadline_traces: Vec<TraceRecord> = trace::drain_ring()
         .into_iter()
         .filter(|r| r.status == 504)
         .collect();
-    assert_eq!(deadline_traces.len(), 1, "expected exactly one 504 trace");
-    assert!(deadline_traces[0].flags.deadline, "{:?}", deadline_traces[0]);
-    assert_eq!(deadline_traces[0].keep, "deadline");
-    assert_well_formed(&deadline_traces[0]);
+    assert_eq!(deadline_traces.len(), 2, "expected exactly one 504 trace per response");
+    for rec in &deadline_traces {
+        assert!(rec.flags.deadline, "{rec:?}");
+        assert_eq!(rec.keep, "deadline");
+        assert_well_formed(rec);
+    }
 
     // 503: a single-slot queue under a concurrent flood. Engine latency
     // decides how many of the six land 503 vs 200/504, so retry the
@@ -344,7 +387,6 @@ fn pressure_rejections_are_traced() {
     let config = GatewayConfig {
         queue_capacity: 1,
         max_batch: 1,
-        batch_window: Duration::ZERO,
         rate_per_sec: 1000.0,
         burst: 1000.0,
         ..GatewayConfig::default()
