@@ -13,8 +13,9 @@ pub struct GatewayConfig {
     /// Prefix-cache settings of the shared engine behind both endpoints:
     /// the gateway reads only `prefix_cache` and `max_cache_bytes`. Every
     /// request runs on the one iteration-level serving loop whatever
-    /// `parallelism` and `iteration` say, and the per-method `engine`
-    /// fields on the eval configs are ignored too.
+    /// `parallelism` says (it counts the shards of an *offline* batch),
+    /// and the per-method `engine` fields on the eval configs are ignored
+    /// too.
     pub engine: EngineConfig,
     /// Most sequences the scheduler keeps active at once; a request leaves
     /// the queue only when one of these slots is free for it.

@@ -1,27 +1,33 @@
 //! Step-wise decoding: advance one session by one token per call.
 //!
-//! Both of `astro-serve`'s drivers advance a generate job through
-//! `Sequence::advance`, one token per call: the iteration scheduler
-//! interleaves *many* sequences, one token each per engine step, and a
-//! pool worker calls it in a loop until its one job is done. So the decode
-//! loop's state (sampler, RNG stream, stop set, emitted budget) has to
-//! live outside the loop. [`StepDecoder`] is that state, and
-//! [`StepDecoder::step`] is the engine's only way to decode.
+//! `astro-serve`'s scheduler interleaves *many* generate jobs, one token
+//! each per engine step, so the decode loop's state (sampler, RNG stream,
+//! stop set, emitted budget) has to live outside the loop. [`StepDecoder`]
+//! is that state, and a step has two halves:
 //!
-//! One `step` call is bit-identical to one iteration of the whole-loop
-//! reference (the serial oracle, `astro-eval`'s `instruct_method_answer`):
-//! check capacity, sample from the session's last logits, stop-token
-//! check, feed. Driving `step` to exhaustion therefore reproduces the
-//! oracle's output token-for-token, which is what the differential
-//! scheduler suite (`crates/serve/tests/`) asserts.
+//! * [`StepDecoder::sample`] — check capacity, sample from the session's
+//!   last logits, stop-token check, budget. It only *reads* the session,
+//!   so the scheduler can sample every decoding sequence first and then
+//!   feed all the sampled tokens through **one** stacked forward
+//!   ([`InferenceSession::try_feed_lanes`]) — and not feed at all the
+//!   token after which nothing more will be sampled.
+//! * the feed of the sampled token.
+//!
+//! [`StepDecoder::step`] is their composition on one session. One `step`
+//! call is bit-identical to one iteration of the whole-loop reference (the
+//! serial oracle, `astro-eval`'s `instruct_method_answer`); driving `step`
+//! to exhaustion therefore reproduces the oracle's output token-for-token,
+//! and it is what the differential scheduler suite (`crates/serve/tests/`)
+//! holds the stacked step to.
 
 use crate::sample::{sample_logits, SamplerConfig};
 use crate::{InferenceSession, Params};
 use astro_prng::Rng;
 
 /// Resumable single-sequence decode state. Construct once after the
-/// prompt is fed, then call [`StepDecoder::step`] once per engine step
-/// until it reports completion.
+/// prompt is fed, then call [`StepDecoder::step`] — or
+/// [`StepDecoder::sample`] and feed the token yourself — once per engine
+/// step until it reports completion.
 #[derive(Clone, Debug)]
 pub struct StepDecoder {
     sampler: SamplerConfig,
@@ -46,12 +52,14 @@ impl StepDecoder {
         }
     }
 
-    /// Advance the sequence by one token: sample from `sess.last_logits()`
-    /// and feed the sampled token. Returns the emitted token, or `None`
-    /// once the sequence is finished (budget exhausted, stop token
-    /// sampled, or KV cache full). `sess` must already contain the fed
-    /// prompt; its logits must be those of the last fed token.
-    pub fn step(&mut self, params: &Params, sess: &mut InferenceSession) -> Option<u32> {
+    /// The sampling half of a step: the next token off
+    /// `sess.last_logits()`, or `None` once the sequence is finished
+    /// (budget exhausted, stop token sampled, or KV cache full). The
+    /// returned token is emitted but **not fed**: unless
+    /// [`Self::is_finished`] now holds, the caller must feed it to `sess`
+    /// before the next call. `sess` must already contain the fed prompt;
+    /// its logits must be those of the last fed token.
+    pub fn sample(&mut self, sess: &InferenceSession) -> Option<u32> {
         if self.finished {
             return None;
         }
@@ -65,10 +73,18 @@ impl StepDecoder {
             return None;
         }
         self.emitted.push(next);
-        sess.feed(params, next);
         if self.emitted.len() >= self.max_new {
             self.finished = true;
         }
+        Some(next)
+    }
+
+    /// Advance the sequence by one token: [`Self::sample`], then feed the
+    /// sampled token (the budget's last one included). Returns the emitted
+    /// token, or `None` once the sequence is finished.
+    pub fn step(&mut self, params: &Params, sess: &mut InferenceSession) -> Option<u32> {
+        let next = self.sample(sess)?;
+        sess.feed(params, next);
         Some(next)
     }
 
@@ -158,6 +174,27 @@ mod tests {
                 run_stepwise(&params, &[1, 2, 3], 8, &[0], sampler, Rng::seed_from(seed));
             assert_eq!(got, expect, "sampler {sampler:?}");
         }
+    }
+
+    #[test]
+    fn sample_then_feed_is_step_and_the_last_token_needs_no_feed() {
+        let params = setup();
+        let sampler = SamplerConfig { temperature: 0.9, top_k: 4 };
+        let expect = run_stepwise(&params, &[1, 2, 3], 6, &[0], sampler, Rng::seed_from(2));
+        let mut sess = InferenceSession::new(params.cfg);
+        sess.feed_prompt(&params, &[1, 2, 3]);
+        let mut dec = StepDecoder::new(sampler, Rng::seed_from(2), vec![0], 6);
+        let mut fed = 0;
+        while let Some(next) = dec.sample(&sess) {
+            if !dec.is_finished() {
+                sess.feed(&params, next);
+                fed += 1;
+            }
+        }
+        assert_eq!(dec.tokens(), expect);
+        // A run that ends on its budget fed every token but the last; one
+        // that ends on a stop token fed all it emitted.
+        assert_eq!(fed, expect.len() - usize::from(expect.len() == 6));
     }
 
     #[test]

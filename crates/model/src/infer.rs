@@ -22,7 +22,8 @@
 //! entries call it:
 //!
 //! * [`InferenceSession::feed`] / [`InferenceSession::try_feed`] — one
-//!   lane, one row, last-row logits: a decode step (`StepDecoder`);
+//!   lane, one row, last-row logits: a decode step of one session alone
+//!   (`StepDecoder::step` — the serial oracle and the decode probes);
 //! * [`InferenceSession::try_feed_prompt`] — prefill: one lane, the token
 //!   slice in row blocks of `PREFILL_ROWS`, last-row logits, so the f32
 //!   kernel streams a weight matrix once per 4-row band (four times per
@@ -36,9 +37,12 @@
 //!   once, every row's logits (`bench/`'s `chunk4` probe, the split
 //!   suites);
 //! * [`InferenceSession::try_feed_lanes`] — several sessions at their own
-//!   positions in one stacked call, every row's logits: `astro-serve`'s
-//!   score readout forks a question's continuation variants and feeds all
-//!   their rows at once instead of one `feed` per token.
+//!   positions in one stacked call, every row's logits. `astro-serve` has
+//!   two customers: its score readout forks a question's continuation
+//!   variants and feeds all their rows at once instead of one `feed` per
+//!   token, and its scheduler feeds the tokens a step's decoding
+//!   sequences sampled — one lane and one row each — so a decode step
+//!   streams the weights once, not once per sequence.
 //!
 //! Weight precision enters at the linear layers only: `norm_rows` and the
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
@@ -66,7 +70,7 @@ use astro_tensor::qmatmul::{quantize_rows_q8, rmsnorm_quantize_row, swiglu_quant
 /// Returned by [`InferenceSession::try_feed`] so callers that score many
 /// independent prompts (the `astro-serve` evaluation engine) can surface a
 /// full KV cache as a *per-question* error instead of aborting a whole
-/// worker pool.
+/// batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionError {
     /// The KV cache is full: the session already holds `max_seq` tokens.
@@ -217,8 +221,8 @@ impl InferenceSession {
     }
 
     /// Overwrite this session's state with `other`'s, reusing this
-    /// session's allocations — the no-alloc fork used by pool workers that
-    /// score thousands of prompts. Only the consumed KV rows and the last
+    /// session's allocations — the no-alloc fork used by an engine that
+    /// scores thousands of prompts. Only the consumed KV rows and the last
     /// logits are copied; scratch buffers are overwritten by the next
     /// `feed` anyway. Both sessions must share a configuration.
     pub fn assign_from(&mut self, other: &InferenceSession) {

@@ -38,8 +38,8 @@ pub const SITES: &[&str] = &[
     "router.forward_reset",
 ];
 
-/// Panic payload used when a plan injects a panic (the pooled eval
-/// driver's `pool.worker_panic` site), so `catch_unwind` handlers and
+/// Panic payload used when a plan injects a panic (the serve scheduler's
+/// `pool.worker_panic` site), so `catch_unwind` handlers and
 /// panic-hook output can tell an injected panic from a genuine one.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPanic(pub &'static str);

@@ -2,18 +2,20 @@
 //!
 //! [`EvalEngine`] executes a batch of independent jobs — continuation /
 //! logit **scoring** ([`ScoreJob`]) or free **generation** ([`GenerateJob`])
-//! — across scoped worker threads with per-worker session reuse and
-//! shared-prefix caching:
+//! — on scheduler *shards* over one shared prefix cache:
 //!
 //! 1. Before dispatch, the longest common token prefix of the whole batch
 //!    (in practice: the two-shot preamble) is encoded once and **pinned**
 //!    in the prefix cache. Per-group common prefixes (questions about the
 //!    same article) are recorded as anchor targets.
-//! 2. Each worker pulls jobs off a shared atomic cursor and runs each one
-//!    through the job lifecycle ([`crate::seq`]) to completion on its
-//!    reusable [`Sequence`]: fork the deepest cached snapshot, encode only
-//!    the unshared tail, snapshot the group anchor on the way past so later
-//!    same-group jobs skip it too, then read out or decode.
+//! 2. Each shard — a scoped thread, the caller being the first — steps its
+//!    own [`IterScheduler`] over the engine's shared parameters, trie and
+//!    anchors, and claims jobs off the batch's shared atomic cursor: **at
+//!    most one per step, while it has a free slot**. Every job runs the
+//!    job lifecycle ([`crate::seq`]): fork the deepest cached snapshot,
+//!    encode only the unshared tail, snapshot the group anchor on the way
+//!    past so later same-group jobs skip it too, then read out or decode —
+//!    and a shard's decoding jobs share one stacked forward per step.
 //! 3. A prompt that exceeds the KV cache is retried once without the
 //!    prefix cache, then surfaces as that job's
 //!    `Err(ServeError::Session(SessionError::CacheFull))`; a panicking job
@@ -28,12 +30,11 @@
 //! crate-level determinism contract).
 
 use crate::scheduler::{IterScheduler, SchedulerConfig};
-use crate::seq::{ForkPool, SeqEnv, Sequence};
+use crate::seq::SeqEnv;
 use crate::trie::{CacheStats, PrefixCache};
 use crate::EngineConfig;
 use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, SessionError};
 use astro_prng::Rng;
-use astro_resilience::fault;
 use astro_telemetry::sync::{self, Mutex, MutexGuard};
 use astro_telemetry::{lockcheck, TraceId};
 use std::collections::HashMap;
@@ -125,7 +126,8 @@ pub struct GenerateJob {
 }
 
 /// Internal job representation so scoring and generation share one
-/// dispatch path (and one admission backlog in iteration mode).
+/// dispatch path and one admission backlog.
+#[derive(Clone)]
 pub(crate) enum Job {
     /// A scoring job.
     Score(ScoreJob),
@@ -180,7 +182,7 @@ pub struct EvalEngine {
 }
 
 /// Lock the prefix cache under its declared lock rank, recovering from
-/// poisoning (the cache holds no invariants a panicked worker could have
+/// poisoning (the cache holds no invariants a panicked job could have
 /// half-applied: every mutation completes or the trie is unchanged).
 /// Routed through `astro_telemetry::sync` so cache acquisition is a
 /// scheduling point under `--cfg astro_check` (see `tests/check_cache.rs`).
@@ -208,8 +210,8 @@ impl EvalEngine {
         }
     }
 
-    /// What either driver lends the job lifecycle: this engine's model,
-    /// its prefix cache when caching is on and the batch's group anchors.
+    /// What a scheduler lends the job lifecycle: this engine's model, its
+    /// prefix cache when caching is on and the batch's group anchors.
     fn seq_env(&self, anchors: HashMap<u64, Vec<u32>>) -> SeqEnv {
         SeqEnv {
             params: Arc::clone(&self.params),
@@ -267,16 +269,20 @@ impl EvalEngine {
     }
 
     /// A standalone iteration scheduler sharing this engine's parameters
-    /// and prefix cache. The gateway's iteration-mode serving loop drives
-    /// one of these directly; [`EvalEngine::score_batch`] /
-    /// [`EvalEngine::generate_batch`] build their own per batch when
-    /// [`EngineConfig::iteration`] is set.
+    /// and prefix cache. The gateway's serving loop drives one of these
+    /// directly; [`EvalEngine::score_batch`] / [`EvalEngine::generate_batch`]
+    /// build one per shard per batch.
     pub fn iter_scheduler(&self, cfg: SchedulerConfig) -> IterScheduler {
         IterScheduler::new(cfg, self.seq_env(HashMap::new()))
     }
 
-    /// Shared dispatch: prime anchors, fan out (pool workers or the
-    /// iteration scheduler), collect in order, publish cache metrics.
+    /// Shared dispatch: prime anchors, run the batch on
+    /// [`EngineConfig::resolved_parallelism`] scheduler shards claiming
+    /// jobs off one shared cursor, and return results in job order. The
+    /// calling thread is the first shard and the rest are scoped to this
+    /// call, so one shard spawns nothing; a refused spawn only leaves
+    /// fewer claimers. Each scheduler publishes the cache's metrics after
+    /// every step, priming's share with the first.
     fn run_batch(&self, jobs: Vec<Job>) -> Vec<Result<SeqOutcome, ServeError>> {
         if jobs.is_empty() {
             return Vec::new();
@@ -287,112 +293,81 @@ impl EvalEngine {
         } else {
             (HashMap::new(), None)
         };
-        let results = if self.cfg.iteration {
-            self.run_iteration(jobs, anchors)
-        } else {
-            self.run_pooled(jobs, anchors)
-        };
-        // Priming and the pool workers' share; the scheduler has already
-        // published what its own steps did.
-        publish_cache_metrics(&self.cache);
-        results
-    }
-
-    /// Run a whole batch on `workers` threads claiming jobs off one shared
-    /// cursor, and return results in job order. The calling thread is the
-    /// first worker and the rest are scoped to this call, so one worker
-    /// spawns nothing; a refused spawn only leaves fewer claimers.
-    fn run_pooled(
-        &self,
-        jobs: Vec<Job>,
-        anchors: HashMap<u64, Vec<u32>>,
-    ) -> Vec<Result<SeqOutcome, ServeError>> {
-        let n_jobs = jobs.len();
-        let workers = self.cfg.resolved_parallelism().min(n_jobs).max(1);
-        let batch = PooledBatch {
-            env: self.seq_env(anchors),
-            jobs,
-            cursor: AtomicUsize::new(0),
-        };
+        let shards = self.cfg.resolved_parallelism().min(jobs.len()).max(1);
+        let cursor = AtomicUsize::new(0);
+        let shard = || self.run_shard(&jobs, &cursor, &anchors);
         let reported = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..workers)
+            let helpers: Vec<_> = (1..shards)
                 .filter_map(|i| {
                     std::thread::Builder::new()
                         .name(format!("astro-serve-{i}"))
-                        .spawn_scoped(s, || batch.work())
+                        .spawn_scoped(s, shard)
                         .ok()
                 })
                 .collect();
-            if helpers.len() + 1 < workers {
+            if helpers.len() + 1 < shards {
                 astro_telemetry::info!(
-                    "pooled batch degraded: {} of {workers} workers",
+                    "batch degraded: {} of {shards} shards",
                     helpers.len() + 1
                 );
             }
-            let mut reported = batch.work();
+            let mut reported = shard();
             for h in helpers {
-                // A helper that died outside the per-job `catch_unwind`
-                // loses what it had finished; those jobs are reported
-                // below as `WorkerPanic`.
+                // A helper that died outside the scheduler's panic
+                // boundaries loses what it had finished; those jobs are
+                // reported below as `WorkerPanic`.
                 reported.extend(h.join().unwrap_or_default());
             }
             reported
         });
         let mut results: Vec<Option<Result<SeqOutcome, ServeError>>> =
-            (0..n_jobs).map(|_| None).collect();
+            (0..jobs.len()).map(|_| None).collect();
         for (i, r) in reported {
             results[i] = Some(r);
         }
-        // Every index below n_jobs is claimed exactly once, so `None` means
-        // the worker that claimed it died before returning.
+        // Every index below `jobs.len()` is claimed exactly once, so `None`
+        // means the shard that claimed it died before returning.
         results
             .into_iter()
             .map(|r| r.unwrap_or(Err(ServeError::WorkerPanic)))
             .collect()
     }
 
-    /// Run a whole batch through the iteration scheduler and return
-    /// results in job order. Bitwise-identical to the pooled path (which
-    /// is itself bitwise-identical to fresh serial sessions): each
-    /// sequence owns its session and pre-split RNG, so interleaving
-    /// cannot change results — only completion order, which this method
-    /// re-sorts anyway.
-    fn run_iteration(
+    /// One shard: step an [`IterScheduler`] of the default shape until the
+    /// cursor is exhausted and its own sequences have retired; returns
+    /// `(job index, result)` for every job it claimed.
+    ///
+    /// The claim rule is **at most one job per step, while a slot is
+    /// free** — a measured rule, not a setting. Generate jobs live for
+    /// dozens of steps, so all eight slots still fill within eight steps
+    /// and their decode rows share one forward; a score job retires in the
+    /// step that admits it, so a score batch keeps one session per shard
+    /// cache-hot instead of cycling eight (filling every free slot cost
+    /// `token_shared` 8 % — `docs/SERVING.md`).
+    fn run_shard(
         &self,
-        jobs: Vec<Job>,
-        anchors: HashMap<u64, Vec<u32>>,
-    ) -> Vec<Result<SeqOutcome, ServeError>> {
-        let n_jobs = jobs.len();
-        let sched_cfg = SchedulerConfig {
-            admit_capacity: n_jobs.max(SchedulerConfig::default().admit_capacity),
-            ..SchedulerConfig::default()
-        };
-        let mut sched = self.iter_scheduler(sched_cfg);
-        sched.set_anchors(anchors);
-        let mut results: Vec<Option<Result<SeqOutcome, ServeError>>> =
-            (0..n_jobs).map(|_| None).collect();
-        let mut index_of: HashMap<usize, usize> = HashMap::with_capacity(n_jobs);
-        for (i, job) in jobs.into_iter().enumerate() {
-            match sched.submit_job(job) {
-                // Capacity >= n_jobs, so submission cannot fail; degrade
-                // to a per-job error rather than panicking the batch.
-                Ok(id) => {
-                    index_of.insert(id, i);
+        jobs: &[Job],
+        cursor: &AtomicUsize,
+        anchors: &HashMap<u64, Vec<u32>>,
+    ) -> Vec<(usize, Result<SeqOutcome, ServeError>)> {
+        let cfg = SchedulerConfig { record_log: false, ..SchedulerConfig::default() };
+        let mut sched = IterScheduler::new(cfg, self.seq_env(anchors.clone()));
+        let mut claimed: HashMap<usize, usize> = HashMap::new(); // sequence id -> job index
+        let mut reported = Vec::new();
+        loop {
+            if sched.active_len() + sched.backlog() < cfg.max_active {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if let Some(id) = jobs.get(i).and_then(|job| sched.submit_job(job.clone()).ok()) {
+                    claimed.insert(id, i);
                 }
-                Err(_) => results[i] = Some(Err(ServeError::WorkerPanic)),
+            }
+            if sched.is_idle() {
+                return reported;
+            }
+            for (id, result) in sched.step() {
+                reported.extend(claimed.remove(&id).map(|i| (i, result)));
             }
         }
-        for (id, r) in sched.run_to_completion() {
-            if let Some(&i) = index_of.get(&id) {
-                results[i] = Some(r);
-            }
-        }
-        // `None` is unreachable: the scheduler retires every admitted
-        // sequence exactly once.
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(ServeError::WorkerPanic)))
-            .collect()
     }
 
     /// Encode and pin the batch-wide common prefix, and compute per-group
@@ -473,56 +448,8 @@ impl Drop for AnchorPin<'_> {
     }
 }
 
-/// What the workers of one pooled batch share.
-struct PooledBatch {
-    env: SeqEnv,
-    jobs: Vec<Job>,
-    cursor: AtomicUsize,
-}
-
-impl PooledBatch {
-    /// One worker: claim jobs off the shared cursor until none are left,
-    /// running each through the job lifecycle to completion on this
-    /// worker's reusable [`Sequence`]; returns `(job index, result)` for
-    /// every job it claimed.
-    ///
-    /// A panic inside a job — or one injected by the `pool.worker_panic`
-    /// fault site — is caught and surfaced as [`ServeError::WorkerPanic`]
-    /// (counted under `serve.job_panics`), so a bad job cannot take the
-    /// batch down.
-    fn work(&self) -> Vec<(usize, Result<SeqOutcome, ServeError>)> {
-        let env = &self.env;
-        let mut seq = Sequence::new(env.params.cfg);
-        let mut forks = ForkPool::default();
-        let mut reported = Vec::new();
-        loop {
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = self.jobs.get(i) else {
-                return reported;
-            };
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if fault::should_fault("pool.worker_panic") {
-                    std::panic::panic_any(fault::FaultPanic("pool.worker_panic"));
-                }
-                seq.start(env, job);
-                loop {
-                    if let Some(result) = seq.advance(env, job, &mut forks, usize::MAX) {
-                        return result;
-                    }
-                }
-            }));
-            let result = run.unwrap_or_else(|_| {
-                astro_telemetry::counter("serve.job_panics").inc();
-                Err(ServeError::WorkerPanic)
-            });
-            reported.push((i, result));
-        }
-    }
-}
-
 /// Record the cache's activity since its last publication in the global
-/// metrics registry. Called by whichever driver ran the work: the engine
-/// after a batch, the scheduler after every step.
+/// metrics registry. Called by the scheduler after every step.
 pub(crate) fn publish_cache_metrics(cache: &Mutex<PrefixCache>) {
     let new = {
         let (_token, mut guard) = lock_cache(cache);
@@ -599,10 +526,9 @@ mod tests {
             .collect();
         for engine_cfg in [
             EngineConfig::serial(),
-            EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false },
+            EngineConfig::pooled_with(1),
             EngineConfig::pooled_with(2),
             EngineConfig::pooled_with(4),
-            EngineConfig::iteration(),
         ] {
             let engine = EvalEngine::new(engine_cfg, &p);
             let got = engine.score_batch(jobs_for(&prompt_refs, &groups));
@@ -618,10 +544,7 @@ mod tests {
         let groups: Vec<Vec<Vec<u32>>> = vec![vec![vec![1]]];
         let prompts: Vec<Vec<u32>> = (0..6).map(|i| vec![9, 8, 7, 6, i as u32]).collect();
         let prompt_refs: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
-        let engine = EvalEngine::new(
-            EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false },
-            &p,
-        );
+        let engine = EvalEngine::new(EngineConfig::pooled_with(1), &p);
         let _ = engine.score_batch(jobs_for(&prompt_refs, &groups));
         let stats = engine.cache_stats();
         assert!(stats.hits >= 5, "hits {}", stats.hits);
@@ -650,10 +573,10 @@ mod tests {
             overlong(1),
             overlong(4),
         ];
-        // Both drivers: a real overflow is retried once uncached, then
-        // surfaces as that job's error — the error of the first token that
-        // did not fit, however the prompt was cut into row blocks.
-        for engine_cfg in [EngineConfig::pooled_with(2), EngineConfig::iteration()] {
+        // A real overflow is retried once uncached, then surfaces as that
+        // job's error — the error of the first token that did not fit,
+        // however the prompt was cut into chunks and row blocks.
+        for engine_cfg in [EngineConfig::pooled_with(2), EngineConfig::pooled_with(1)] {
             let retries0 = astro_telemetry::counter("serve.cache_full.retries").get();
             let engine = EvalEngine::new(engine_cfg, &p);
             let got = engine.score_batch(jobs.clone());

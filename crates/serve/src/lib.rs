@@ -10,24 +10,23 @@
 //!   later prompts fork the snapshot (`assign_from`, no allocation) and
 //!   only encode their unshared tail. Resident bytes are bounded by an LRU
 //!   eviction policy budgeted from [`astro_model::ModelConfig::session_bytes`].
-//! * [`engine::EvalEngine`] — fans a batch of scoring or generation jobs
-//!   across scoped worker threads (`std::thread::scope`, one set per
-//!   batch), each with reusable per-worker sessions, surfacing KV-cache
-//!   overflow (after one uncached retry) and job panics as a *per-job*
-//!   [`engine::ServeError`] instead of aborting the batch.
-//! * [`scheduler::IterScheduler`] — iteration-level continuous batching:
-//!   per-step FIFO admission under a
-//!   [`scheduler::KvLedger`] block budget unified with the prefix cache's
-//!   residency, chunked prefill, one-token decode steps
-//!   ([`astro_model::StepDecoder`]) and individual retirement, so short
-//!   score jobs are never head-of-line blocked behind long generations.
-//!   Opt in with [`EngineConfig::iteration`].
+//! * [`scheduler::IterScheduler`] — iteration-level continuous batching,
+//!   the one driver of the job lifecycle (the crate-private
+//!   `seq::Sequence`: fork the deepest cached prefix, feed the tail, retry
+//!   once uncached on overflow, then read out scores or decode): per-step
+//!   FIFO admission under a [`scheduler::KvLedger`] block budget unified
+//!   with the prefix cache's residency, chunked prefill, **one stacked
+//!   forward for all of a step's decode rows** and individual retirement,
+//!   so short score jobs are never head-of-line blocked behind long
+//!   generations and a decode step streams the weights once, not once per
+//!   sequence. The gateway's serving loop owns one.
+//! * [`engine::EvalEngine`] — runs an offline batch of scoring or
+//!   generation jobs on scheduler *shards* (`std::thread::scope`, one set
+//!   per batch, each its own `IterScheduler` over the shared trie),
+//!   surfacing KV-cache overflow (after one uncached retry) and job panics
+//!   as a *per-job* [`engine::ServeError`] instead of aborting the batch.
 //!
-//! Pool workers and the iteration scheduler are two drivers of one job
-//! lifecycle (the crate-private `seq::Sequence`): fork the deepest cached
-//! prefix, feed the tail, retry once uncached on overflow, then read out
-//! scores or decode. `docs/SERVING.md` § *The job lifecycle* is the
-//! reference.
+//! `docs/SERVING.md` § *The job lifecycle* is the reference.
 //!
 //! # Determinism contract
 //!
@@ -35,7 +34,8 @@
 //! `(parallelism, prefix_cache)` setting: a session step reads only the
 //! model parameters, the KV rows for consumed positions and the fed token,
 //! and every scratch buffer is fully overwritten per step — so a forked
-//! snapshot continues exactly like a fresh session fed the same tokens.
+//! snapshot continues exactly like a fresh session fed the same tokens,
+//! and a row of a stacked forward is the row fed alone.
 //! `tests/eval_parity.rs` (repo root) enforces this differentially and
 //! `docs/SERVING.md` walks through the argument.
 
@@ -54,65 +54,43 @@ pub use trie::{CacheStats, PrefixCache};
 /// structs without breaking their `Copy` derives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads: `0` = auto (available parallelism, capped at 8),
-    /// `1` = in the calling thread, `n > 1` = a pool of `n` workers.
+    /// Scheduler shards an offline batch runs on: `0` = auto (available
+    /// parallelism, capped at 8), `1` = in the calling thread, `n > 1` =
+    /// the caller plus `n - 1` scoped threads.
     pub parallelism: usize,
     /// Reuse shared-prefix session snapshots via the prefix-cache trie.
     pub prefix_cache: bool,
     /// Resident-byte budget for cached snapshots; `0` derives a default
     /// from the model configuration (see [`trie::PrefixCache::new`]).
     pub max_cache_bytes: usize,
-    /// Execute batches with the iteration-level scheduler
-    /// ([`scheduler::IterScheduler`]) instead of the per-job worker pool.
-    /// `parallelism` is ignored in this mode: the scheduler steps a mixed
-    /// batch single-threadedly, interleaving prefill and decode.
-    pub iteration: bool,
 }
 
 impl EngineConfig {
-    /// The degenerate configuration: one worker, no caching. Semantically
-    /// (and bitwise) the serial reference path.
+    /// The degenerate configuration: one shard, no caching. Semantically
+    /// (and bitwise) the serial reference path, which `astro-eval` keeps
+    /// for it ([`Self::is_serial_uncached`]).
     pub fn serial() -> Self {
-        EngineConfig {
-            parallelism: 1,
-            prefix_cache: false,
-            max_cache_bytes: 0,
-            iteration: false,
-        }
+        EngineConfig { parallelism: 1, prefix_cache: false, max_cache_bytes: 0 }
     }
 
-    /// The production configuration: auto-sized pool, prefix cache on.
+    /// The production configuration: auto-sized shards, prefix cache on.
     pub fn pooled() -> Self {
-        EngineConfig {
-            parallelism: 0,
-            prefix_cache: true,
-            max_cache_bytes: 0,
-            iteration: false,
-        }
+        EngineConfig::pooled_with(0)
     }
 
-    /// A pool of exactly `n` workers with the prefix cache on.
+    /// Exactly `n` shards (`0` = auto) with the prefix cache on.
     pub fn pooled_with(n: usize) -> Self {
-        EngineConfig {
-            parallelism: n,
-            prefix_cache: true,
-            max_cache_bytes: 0,
-            iteration: false,
-        }
+        EngineConfig { parallelism: n, prefix_cache: true, max_cache_bytes: 0 }
     }
 
-    /// Iteration-level continuous batching with the prefix cache on (see
-    /// [`scheduler::IterScheduler`]).
+    /// One shard with the prefix cache on: `pooled_with(1)`. Every
+    /// configuration runs on the iteration scheduler; the name is kept for
+    /// `bench/`, which builds its standalone schedulers' engines with it.
     pub fn iteration() -> Self {
-        EngineConfig {
-            parallelism: 1,
-            prefix_cache: true,
-            max_cache_bytes: 0,
-            iteration: true,
-        }
+        EngineConfig::pooled_with(1)
     }
 
-    /// The concrete worker count this configuration resolves to.
+    /// The concrete shard count this configuration resolves to.
     pub fn resolved_parallelism(&self) -> usize {
         match self.parallelism {
             0 => std::thread::available_parallelism()
@@ -130,13 +108,13 @@ impl EngineConfig {
     }
 
     /// Structural validation, mirroring `StudyConfig`/`TrainerConfig`:
-    /// reject configurations that would oversubscribe the pool or pin an
+    /// reject configurations that would oversubscribe the machine or pin an
     /// absurd cache budget before any session memory is allocated. Called
     /// at gateway startup and from both eval-config `validate()`s.
     pub fn validate(&self) -> Result<(), String> {
         if self.parallelism > MAX_PARALLELISM {
             return Err(format!(
-                "engine parallelism {} exceeds the {MAX_PARALLELISM}-worker bound \
+                "engine parallelism {} exceeds the {MAX_PARALLELISM}-shard bound \
                  (use 0 for auto-sizing)",
                 self.parallelism
             ));
@@ -158,7 +136,7 @@ impl EngineConfig {
     }
 }
 
-/// Upper bound on explicit worker counts: far beyond any machine this
+/// Upper bound on explicit shard counts: far beyond any machine this
 /// workspace targets, so a value above it is a config typo, not a tune.
 pub const MAX_PARALLELISM: usize = 256;
 
@@ -196,13 +174,9 @@ mod tests {
 
     #[test]
     fn serial_with_cache_is_not_degenerate() {
-        let c = EngineConfig {
-            parallelism: 1,
-            prefix_cache: true,
-            max_cache_bytes: 0,
-            iteration: false,
-        };
+        let c = EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0 };
         assert!(!c.is_serial_uncached());
+        assert_eq!(c, EngineConfig::iteration());
     }
 
     #[test]
@@ -212,12 +186,7 @@ mod tests {
             EngineConfig::pooled(),
             EngineConfig::pooled_with(8),
             EngineConfig::iteration(),
-            EngineConfig {
-                parallelism: 2,
-                prefix_cache: true,
-                max_cache_bytes: 64 << 20,
-                iteration: false,
-            },
+            EngineConfig { parallelism: 2, prefix_cache: true, max_cache_bytes: 64 << 20 },
         ] {
             assert_eq!(c.validate(), Ok(()), "{c:?}");
         }
@@ -245,12 +214,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_budget_without_cache() {
-        let c = EngineConfig {
-            parallelism: 1,
-            prefix_cache: false,
-            max_cache_bytes: 4096,
-            iteration: false,
-        };
+        let c = EngineConfig { parallelism: 1, prefix_cache: false, max_cache_bytes: 4096 };
         let err = c.validate().unwrap_err();
         assert!(err.contains("prefix_cache"), "{err}");
     }

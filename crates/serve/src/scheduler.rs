@@ -1,10 +1,13 @@
 //! Iteration-level continuous batching: per-step admission, chunked
-//! prefill, one-token decode, individual retirement.
+//! prefill, one stacked decode forward, individual retirement.
 //!
-//! The coalescing path in [`crate::engine`] dispatches whole jobs to pool
-//! workers, so a batch slot is held for its *longest* member — one long
-//! generate cascade head-of-line blocks every cheap score behind it.
-//! [`IterScheduler`] instead advances the whole mix one unit of work per
+//! [`IterScheduler`] is the one driver of the job lifecycle
+//! ([`crate::seq`]): the gateway's serving loop owns one, and an offline
+//! batch ([`crate::engine`]) runs on one per shard. Dispatching whole jobs
+//! to workers would hold a slot for its *longest* member — one long
+//! generate cascade head-of-line blocks every cheap score behind it — and
+//! would stream the weights once per decoding sequence; the scheduler
+//! instead advances the whole mix one unit of work per
 //! [`IterScheduler::step`]:
 //!
 //! 1. **Admit** — pending submissions join the running batch in FIFO
@@ -18,21 +21,29 @@
 //!    blocks the tail — no skip-ahead — which is what makes the
 //!    admission-wait bound below hold.
 //! 2. **Advance** — every active sequence moves one unit of the job
-//!    lifecycle ([`crate::seq`]): prefilling sequences feed up to
-//!    `prefill_chunk` prompt tokens (snapshotting group anchors on the way
-//!    past); decoding sequences emit one token.
-//! 3. **Retire** — finished sequences return their result, release their
+//!    lifecycle, each under its own `catch_unwind`: prefilling sequences
+//!    feed up to `prefill_chunk` prompt tokens (snapshotting group anchors
+//!    on the way past); decoding sequences *sample* one token.
+//! 3. **Feed** — the step's sampled tokens, one lane per decoding
+//!    sequence at its own position, go through **one** stacked forward
+//!    (`seq::feed_sampled`, `serve.decode.rows` / `serve.decode.forwards`)
+//!    under a `catch_unwind` of its own: every linear streams its weights
+//!    once per step, not once per sequence, and a failure there is the
+//!    error of exactly the lanes in it.
+//! 4. **Retire** — finished sequences return their result, release their
 //!    ledger blocks and hand their sessions back to the free list, without
-//!    waiting for the rest of the batch.
+//!    waiting for the rest of the batch. A generate job retires in the
+//!    step that samples its last token, which is never fed.
 //!
 //! # Determinism
 //!
 //! Scheduling decisions depend only on logical step counts and submission
 //! order — never on wall-clock time. Each sequence owns its session and
-//! its pre-split RNG stream, and a forked snapshot replays identical
-//! arithmetic (the crate-level determinism contract), so *any*
-//! interleaving of score/generate jobs is bitwise-identical to running
-//! each job alone in a fresh session. `tests/scheduler_differential.rs`
+//! its pre-split RNG stream, a forked snapshot replays identical
+//! arithmetic and a row of a stacked forward is bit for bit the row fed
+//! alone (the crate-level determinism contract), so *any* interleaving of
+//! score/generate jobs is bitwise-identical to running each job alone in a
+//! fresh session. `tests/scheduler_differential.rs`
 //! proves this across 100+ seeded mixed workloads, and the recorded
 //! [`SchedLog`] makes every run replayable: identical submissions produce
 //! identical per-step batch compositions.
@@ -50,7 +61,7 @@
 use crate::engine::{
     lock_cache, publish_cache_metrics, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError,
 };
-use crate::seq::{ForkPool, SeqEnv, Sequence};
+use crate::seq::{feed_sampled, Advance, ForkPool, SeqEnv, Sequence};
 use astro_model::ModelConfig;
 use astro_resilience::fault;
 use astro_telemetry::trace;
@@ -291,12 +302,14 @@ impl SchedLog {
     }
 }
 
-/// One admitted job: its id, the [`Sequence`] running it and the span
-/// that stays open until it retires.
+/// One admitted job: its id, the [`Sequence`] running it, the token this
+/// step's `advance` sampled for the step's stacked feed (decoding
+/// sequences only) and the span that stays open until it retires.
 struct Active {
     id: usize,
     job: Job,
     seq: Sequence,
+    sampled: Option<u32>,
     _span: Option<astro_telemetry::span::SpanGuard>,
 }
 
@@ -489,16 +502,38 @@ impl IterScheduler {
         let mut done: Vec<(usize, Result<SeqOutcome, ServeError>)> = rejected;
         for a in self.active.iter_mut() {
             let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Consulted once per job, in the step that admits it.
+                if admitted.contains(&a.id) && fault::should_fault("pool.worker_panic") {
+                    std::panic::panic_any(fault::FaultPanic("pool.worker_panic"));
+                }
                 a.seq.advance(&self.env, &a.job, &mut self.forks, self.cfg.prefill_chunk)
             }));
+            a.sampled = None;
             match step {
-                Err(_) => {
-                    astro_telemetry::counter("serve.job_panics").inc();
-                    done.push((a.id, Err(ServeError::WorkerPanic)));
-                }
-                Ok(Some(result)) => done.push((a.id, result)),
-                Ok(None) => {}
+                Err(_) => done.push((a.id, Err(ServeError::WorkerPanic))),
+                Ok(Advance::Done(result)) => done.push((a.id, result)),
+                Ok(Advance::Feed(token)) => a.sampled = Some(token),
+                Ok(Advance::Pending) => {}
             }
+        }
+
+        // -- Feed -----------------------------------------------------
+        let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let decoding = self.active.iter_mut().filter_map(|Active { seq, sampled, .. }| {
+                sampled.as_ref().map(|token| (seq, token))
+            });
+            feed_sampled(&self.env.params, decoding, &mut self.forks)
+        }));
+        let failed = match fed {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => Some(ServeError::Session(e)),
+            Err(_) => Some(ServeError::WorkerPanic),
+        };
+        // A failed forward advanced none of its lanes: it is the error of
+        // exactly the sequences in it.
+        if let Some(e) = failed {
+            let lanes = self.active.iter().filter(|a| a.sampled.is_some());
+            done.extend(lanes.map(|a| (a.id, Err(e))));
         }
 
         // -- Retire ---------------------------------------------------
@@ -522,6 +557,8 @@ impl IterScheduler {
         astro_telemetry::counter("serve.sched.steps").inc();
         astro_telemetry::counter("serve.sched.admitted").add(admitted.len() as u64);
         astro_telemetry::counter("serve.sched.retired").add(done.len() as u64);
+        let panicked = done.iter().filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanic))).count();
+        astro_telemetry::counter("serve.job_panics").add(panicked as u64);
         astro_telemetry::histogram("serve.step.occupancy").observe(batch.len() as f64);
         astro_telemetry::gauge("serve.sched.active").set(self.active.len() as i64);
         if let Some(cache) = &self.env.cache {
@@ -586,7 +623,7 @@ impl IterScheduler {
             .pop()
             .unwrap_or_else(|| Sequence::new(self.env.params.cfg));
         seq.start(&self.env, &job);
-        Active { id, job, seq, _span: span }
+        Active { id, job, seq, sampled: None, _span: span }
     }
 }
 
@@ -603,6 +640,84 @@ fn worst_case_tokens(job: &Job, cfg: &ModelConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ScoreReadout;
+    use astro_model::{InferenceSession, Params, SamplerConfig};
+    use astro_prng::Rng;
+    use std::sync::Arc;
+
+    /// The stacked feed has a panic boundary of its own, and no fault site
+    /// reaches it: plant a session of another `ModelConfig` under one of
+    /// two decoding sequences, so `forward_rows`' same-config assertion
+    /// fires inside the step's one forward. Exactly the lanes of that
+    /// forward report `WorkerPanic`; the prefilling generate job, the score
+    /// job and a job submitted afterwards retire with the results they
+    /// have in a scheduler where nothing panicked, and the ledger is clean.
+    #[test]
+    fn a_panic_in_the_stacked_feed_fails_exactly_its_lanes_and_the_scheduler_steps_on() {
+        let cfg = ModelConfig::tiny(24);
+        let params = Arc::new(Params::init(cfg, &mut Rng::seed_from(5)));
+        let sched = || {
+            let env = SeqEnv { params: Arc::clone(&params), cache: None, anchors: HashMap::new() };
+            IterScheduler::new(SchedulerConfig { prefill_chunk: 2, ..SchedulerConfig::default() }, env)
+        };
+        let generate = |prompt: Vec<u32>, max_new| GenerateJob {
+            prompt,
+            group: None,
+            max_new,
+            sampler: SamplerConfig::greedy(),
+            rng: Rng::seed_from(1),
+            stop: vec![],
+            trace: None,
+        };
+        let bystanders = [
+            Job::Generate(generate((1..=9).collect(), 4)),
+            Job::Score(ScoreJob {
+                prompt: (3..=9).collect(),
+                group: None,
+                readout: ScoreReadout::ContinuationGroups(vec![vec![vec![1, 2, 3]], vec![vec![4]]]),
+                trace: None,
+            }),
+        ];
+        let late = Job::Generate(generate(vec![5, 6], 3));
+
+        let mut clean = sched();
+        for job in bystanders.iter().chain([&late]) {
+            clean.submit_job(job.clone()).expect("submit");
+        }
+        let mut want: Vec<_> = clean.run_to_completion();
+        want.sort_by_key(|(id, _)| *id);
+        let want: Vec<_> = want.into_iter().map(|(_, r)| r).collect();
+        assert!(want.iter().all(Result::is_ok), "{want:?}");
+
+        let mut sched = sched();
+        let victims: Vec<usize> = (0..2)
+            .map(|i| sched.submit_job(Job::Generate(generate(vec![7, i], 6))).expect("submit"))
+            .collect();
+        let mut ids: Vec<usize> = bystanders
+            .iter()
+            .map(|job| sched.submit_job(job.clone()).expect("submit"))
+            .collect();
+        // Step 1 prefills the victims' two tokens and installs their
+        // decoders; the next step samples and feeds them.
+        assert!(sched.step().is_empty());
+        let foreign = ModelConfig { max_seq: cfg.max_seq + 8, ..cfg };
+        sched.active[0].seq.plant_session(InferenceSession::new(foreign));
+        let mut results: HashMap<usize, Result<SeqOutcome, ServeError>> =
+            sched.step().into_iter().collect();
+        let panicked: Vec<usize> = victims.iter().copied().filter(|id| results.contains_key(id)).collect();
+        assert_eq!(panicked, victims, "both lanes of the failed forward retire in its step");
+        assert_eq!(results.len(), 2, "and nobody else: {results:?}");
+        ids.push(sched.submit_job(late).expect("submit"));
+        results.extend(sched.run_to_completion());
+        for id in &victims {
+            assert_eq!(results[id], Err(ServeError::WorkerPanic), "victim {id}");
+        }
+        for (id, want) in ids.iter().zip(&want) {
+            assert_eq!(&results[id], want, "bystander {id}");
+        }
+        assert_eq!(sched.ledger().active_blocks(), 0, "ledger leaked blocks");
+        assert!(sched.ledger().check().is_ok());
+    }
 
     #[test]
     fn ledger_reserve_release_roundtrip() {

@@ -1,4 +1,4 @@
-//! The job lifecycle: one state machine, driven two ways.
+//! The job lifecycle: one state machine, one driver.
 //!
 //! A [`Sequence`] takes one job — score or generate — from a prompt to its
 //! [`SeqOutcome`]:
@@ -17,17 +17,20 @@
 //!    cache fork left nothing to feed) — record the `prefill` phase, then
 //!    either apply the score readout and finish, or install the job's
 //!    [`StepDecoder`].
-//! 4. `advance`, decode — one token ([`StepDecoder::step`]) per call; the
-//!    last one records the `decode` phase and returns the tokens.
+//! 4. `advance`, decode — *sample* one token ([`StepDecoder::sample`]) and
+//!    hand it back as [`Advance::Feed`]; the driver feeds the tokens of all
+//!    its decoding sequences through one stacked forward
+//!    ([`feed_sampled`]) before it calls again. The call after which
+//!    nothing more would be sampled (budget spent, stop token, cache full)
+//!    feeds nothing: it records the `decode` phase and returns the tokens.
 //!
-//! The two drivers differ only in how they call it. A pool worker
-//! ([`crate::engine`]) owns one `Sequence` for its lifetime and runs each
-//! job to completion with an unbounded prefill chunk; the iteration
-//! scheduler ([`crate::scheduler`]) keeps a free list of them and calls
-//! `advance` once per active sequence per step. Each driver owns its
-//! panic boundary and the [`ForkPool`] it lends to the readout; the scheduler,
-//! the one driver that runs traced jobs, also records their `admit` phase and
-//! holds their `serve.seq` span.
+//! The one driver is the iteration scheduler ([`crate::scheduler`]): it
+//! keeps a free list of sequences, calls `advance` once per active
+//! sequence per step, owns the panic boundaries (one per sequence, one
+//! around the stacked feed) and the [`ForkPool`] it lends to the readout
+//! and the feed, records traced jobs' `admit` phase and holds their
+//! `serve.seq` span. An offline batch runs on several of them at once
+//! ([`crate::engine`]'s shards).
 
 use crate::engine::{lock_cache, Job, ScoreReadout, SeqOutcome, ServeError};
 use crate::trie::PrefixCache;
@@ -39,7 +42,7 @@ use astro_tensor::ops::log_sum_exp;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What a driver holds for the machine and lends it on every call: the
+/// What the driver holds for the machine and lends it on every call: the
 /// model, the shared prefix cache (`None` = caching off) and the
 /// group-anchor targets.
 pub(crate) struct SeqEnv {
@@ -50,7 +53,7 @@ pub(crate) struct SeqEnv {
 
 /// One job in flight, plus the session it runs in. The session outlives
 /// the job: `start` re-arms the same `Sequence` for the next one, so
-/// neither driver allocates a session per job.
+/// the driver allocates no session per job.
 pub(crate) struct Sequence {
     sess: InferenceSession,
     fed: usize,
@@ -59,6 +62,17 @@ pub(crate) struct Sequence {
     /// The generate job's decoder once its prefill is complete; `None`
     /// before that, for score jobs and after the job finished.
     decode: Option<StepDecoder>,
+}
+
+/// What one [`Sequence::advance`] call did.
+pub(crate) enum Advance {
+    /// Moved forward; nothing for the driver to do before the next call.
+    Pending,
+    /// Decoding: this token was sampled and is not yet in the session —
+    /// the driver feeds it ([`feed_sampled`]) before the next call.
+    Feed(u32),
+    /// The job finished in this call.
+    Done(Result<SeqOutcome, ServeError>),
 }
 
 impl Sequence {
@@ -116,15 +130,14 @@ impl Sequence {
     }
 
     /// Move the job forward one unit of work (see the module docs).
-    /// Returns `Some(result)` when the job finishes in this call. `forks`
-    /// is scratch for the score readout's continuation forks.
+    /// `forks` is scratch for the score readout's continuation forks.
     pub(crate) fn advance(
         &mut self,
         env: &SeqEnv,
         job: &Job,
         forks: &mut ForkPool,
         prefill_chunk: usize,
-    ) -> Option<Result<SeqOutcome, ServeError>> {
+    ) -> Advance {
         let prompt = job.prompt();
         assert!(!prompt.is_empty(), "engine jobs require a non-empty prompt");
         let ctx = job.trace();
@@ -150,10 +163,10 @@ impl Sequence {
                 };
                 if let Err(e) = self.sess.try_feed_prompt(&env.params, &prompt[self.fed..end]) {
                     if self.uncached {
-                        return Some(Err(ServeError::Session(e)));
+                        return Advance::Done(Err(ServeError::Session(e)));
                     }
                     self.restart_uncached();
-                    return None;
+                    return Advance::Pending;
                 }
                 self.fed = end;
                 // Raced and replayed inserts are idempotent (`insert`
@@ -168,7 +181,7 @@ impl Sequence {
                 }
             }
             if self.fed < prompt.len() {
-                return None;
+                return Advance::Pending;
             }
             astro_telemetry::counter("serve.tokens.encoded").add((prompt.len() - self.forked) as u64);
         }
@@ -187,32 +200,67 @@ impl Sequence {
                     if let Some(t) = ctx {
                         trace::phase_since_last(t, "decode");
                     }
-                    return Some(scores.map(SeqOutcome::Scores).map_err(ServeError::Session));
+                    let scores = scores.map(SeqOutcome::Scores).map_err(ServeError::Session);
+                    return Advance::Done(scores);
                 }
                 Job::Generate(j) => j,
             };
             self.decode = Some(StepDecoder::new(j.sampler, j.rng.clone(), j.stop.clone(), j.max_new));
-            return None;
+            return Advance::Pending;
         };
 
-        // Every step makes progress (emits a token or finishes), so a
-        // generate job ends within `max_new + 1` calls.
-        if dec.step(&env.params, &mut self.sess).is_some() {
-            return None;
+        // A sampled token is fed only when another will be sampled after
+        // it: the logits after the budget's last token are never read.
+        // Every call emits a token or finishes, so a generate job ends
+        // within `max_new` decode calls (one, when `max_new` is 0).
+        if let Some(next) = dec.sample(&self.sess) {
+            if !dec.is_finished() {
+                return Advance::Feed(next);
+            }
         }
         let tokens = self.decode.take().map(StepDecoder::into_tokens).unwrap_or_default();
         if let Some(t) = ctx {
             trace::phase_since_last(t, "decode");
             trace::record_num(t, "generated_tokens", tokens.len() as f64);
         }
-        Some(Ok(SeqOutcome::Tokens(tokens)))
+        Advance::Done(Ok(SeqOutcome::Tokens(tokens)))
     }
 }
 
-/// What a driver lends the score readout for its lifetime: the sessions
-/// a job's continuation variants are forked into and the logit rows of
-/// their one stacked forward. Both grow to the widest job seen and are
-/// reused from then on.
+/// The feeding half of a decode step, for all of a step's decoding
+/// sequences at once: advance each session by the token its `advance`
+/// sampled ([`Advance::Feed`]) through **one** stacked forward
+/// ([`InferenceSession::try_feed_lanes`], one lane per sequence, each at
+/// its own position), so every weight matrix is streamed once per step
+/// instead of once per sequence. Each session ends bit for bit where
+/// feeding it alone would have left it. The logit rows land in the pool's
+/// scratch; every lane's own row is also its session's `last_logits`,
+/// which is where the next `advance` samples from. A step with no
+/// decoding sequence runs no forward.
+pub(crate) fn feed_sampled<'a>(
+    params: &Params,
+    decoding: impl Iterator<Item = (&'a mut Sequence, &'a u32)>,
+    pool: &mut ForkPool,
+) -> Result<(), SessionError> {
+    let mut lanes: Vec<Lane<'_>> = decoding
+        .map(|(seq, tok)| Lane { session: &mut seq.sess, tokens: std::slice::from_ref(tok) })
+        .collect();
+    if lanes.is_empty() {
+        return Ok(());
+    }
+    pool.rows.resize(lanes.len() * params.cfg.vocab_size, 0.0);
+    // Cannot fail: `sample` hands back no token for a full session.
+    InferenceSession::try_feed_lanes(params, &mut lanes, &mut pool.rows)?;
+    astro_telemetry::counter("serve.decode.rows").add(lanes.len() as u64);
+    astro_telemetry::counter("serve.decode.forwards").inc();
+    Ok(())
+}
+
+/// What the driver lends the score readout and the decode feed for its
+/// lifetime: the sessions a job's continuation variants are forked into
+/// and the logit rows of a stacked forward (the readout's, or a step's
+/// decode feed — never both at once). Both grow to the widest use seen and
+/// are reused from then on.
 #[derive(Default)]
 pub(crate) struct ForkPool {
     forks: Vec<InferenceSession>,
@@ -368,6 +416,15 @@ mod tests {
     use astro_prng::Rng;
 
     const VOCAB: usize = 24;
+
+    impl Sequence {
+        /// Swap in a foreign session — how the scheduler's tests make a
+        /// stacked feed panic (`forward_rows` asserts that its lanes share
+        /// one `ModelConfig`) without a fault site.
+        pub(crate) fn plant_session(&mut self, sess: InferenceSession) {
+            self.sess = sess;
+        }
+    }
 
     fn params(precision: WeightPrecision) -> Params {
         let p = Params::init(ModelConfig::tiny(VOCAB), &mut Rng::seed_from(31));

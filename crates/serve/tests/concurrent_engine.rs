@@ -171,11 +171,9 @@ fn four_threads_interleaved_match_serial_bitwise() {
             parallelism: 1,
             prefix_cache: true,
             max_cache_bytes: 0,
-            iteration: false,
         },
         EngineConfig::pooled_with(2),
         EngineConfig::pooled_with(4),
-        EngineConfig::iteration(),
     ] {
         hammer(
             &params,

@@ -145,7 +145,6 @@ fn hundred_seeded_interleavings_match_serial_bitwise() {
                 parallelism: 1,
                 prefix_cache: true,
                 max_cache_bytes: w.cache_bytes,
-                iteration: true,
             },
             &params,
         );

@@ -2,9 +2,9 @@
 //!
 //! Its own test binary: the fault registry is process-global, and the
 //! scheduler consults it on every step (`serve.admit_stall`) and every
-//! admission (`serve.cache_full`), so these tests must not share a
-//! process with other scheduler tests. Tests here still serialise with
-//! each other through `GATE`.
+//! admission (`serve.cache_full`, `pool.worker_panic`), so these tests
+//! must not share a process with other scheduler tests. Tests here still
+//! serialise with each other through `GATE`.
 //!
 //! * `serve.admit_stall` — one step's admission is suppressed (the stall
 //!   is absorbed: nothing is dropped, results are bitwise unchanged, the
@@ -12,12 +12,20 @@
 //!   counter).
 //! * `serve.cache_full` — the job runs uncached (the lifecycle's one
 //!   retry), which by the determinism contract cannot change its result;
-//!   checked on both drivers of the lifecycle.
+//!   checked on a standalone scheduler's engine and on 1 and 2 shards.
+//! * `pool.worker_panic` — the job panics in the step that admits it,
+//!   inside the scheduler's per-sequence panic boundary: that job reports
+//!   `WorkerPanic`, the rest of a mixed running batch retires with oracle
+//!   results, the ledger releases the failed job's blocks. (The offline
+//!   batch's view of the same site is `concurrent_engine.rs`.)
 
 use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
 use astro_resilience::fault::{self, FaultPlan};
-use astro_serve::{EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, SeqOutcome};
+use astro_serve::{
+    EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, ScoreJob, ScoreReadout, SeqOutcome,
+    ServeError,
+};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 mod common;
@@ -88,9 +96,8 @@ fn admit_stall_is_absorbed_without_dropping_or_corrupting_work() {
     }
 }
 
-/// Both drivers of the job lifecycle: one injected `serve.cache_full`
-/// costs the job it lands on exactly one uncached retry — on a pool worker
-/// and in the iteration scheduler alike — and changes nobody's tokens.
+/// One injected `serve.cache_full` costs the job it lands on exactly one
+/// uncached retry — on one shard and on two — and changes nobody's tokens.
 #[test]
 fn injected_cache_pressure_degrades_to_uncached_bitwise_identically() {
     let _g = gate();
@@ -122,4 +129,64 @@ fn injected_cache_pressure_degrades_to_uncached_bitwise_identically() {
             );
         }
     }
+}
+
+/// The site a gateway request can now reach: with two generate jobs
+/// already decoding, a score job and a third generate job are submitted
+/// and the plan fires on the second of them. That job alone reports
+/// `WorkerPanic`; the running decodes and the score job are untouched.
+#[test]
+fn injected_job_panic_fails_one_job_of_a_mixed_running_batch() {
+    let _g = gate();
+    fault::clear();
+    let params = setup();
+    let work = jobs(3);
+    let refs: Vec<Vec<u32>> = work.iter().map(|j| reference(&params, j)).collect();
+    let score = ScoreJob {
+        prompt: vec![9, 8, 7, 6, 5],
+        group: None,
+        readout: ScoreReadout::ContinuationGroups(vec![vec![vec![1, 2]], vec![vec![3]]]),
+        trace: None,
+    };
+    let engine = EvalEngine::new(EngineConfig::iteration(), &params);
+    let mut sched = engine.iter_scheduler(SchedulerConfig {
+        max_active: 4,
+        prefill_chunk: 2,
+        ..SchedulerConfig::default()
+    });
+    let running: Vec<usize> =
+        work[..2].iter().map(|j| sched.submit_generate(j.clone()).expect("submit")).collect();
+    // Two prefill steps (3 tokens, chunk 2), then the first decode step.
+    let mut results = Vec::new();
+    for _ in 0..3 {
+        results.extend(sched.step());
+    }
+    assert!(results.is_empty() && sched.active_len() == 2, "the first two jobs are mid-decode");
+
+    let panics0 = astro_telemetry::counter("serve.job_panics").get();
+    fault::install(FaultPlan::single("pool.worker_panic", 2));
+    let score_id = sched.submit_score(score.clone()).expect("submit");
+    let victim = sched.submit_generate(work[2].clone()).expect("submit");
+    results.extend(sched.run_to_completion());
+    assert!(fault::fired("pool.worker_panic"), "plan never fired");
+    fault::clear();
+
+    assert_eq!(results.len(), 4, "every job retires exactly once");
+    for (id, r) in &results {
+        match r {
+            Ok(SeqOutcome::Tokens(t)) => {
+                let i = running.iter().position(|r| r == id).expect("a running generate");
+                assert_eq!(*t, refs[i], "running job {id} tokens changed");
+            }
+            Ok(SeqOutcome::Scores(s)) => {
+                assert_eq!(*id, score_id);
+                let bits: Vec<u32> = s.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, common::score_bits(&params, &score), "score job changed");
+            }
+            Err(e) => assert_eq!((*id, *e), (victim, ServeError::WorkerPanic)),
+        }
+    }
+    assert_eq!(astro_telemetry::counter("serve.job_panics").get() - panics0, 1);
+    assert_eq!(sched.ledger().active_blocks(), 0, "the failed job's blocks were not released");
+    assert_eq!(sched.ledger().active_sequences(), 0);
 }

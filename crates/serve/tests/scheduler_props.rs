@@ -87,7 +87,6 @@ fn ledger_never_leaks_and_respects_the_budget_under_pressure() {
             parallelism: 1,
             prefix_cache: true,
             max_cache_bytes: 3 * params.cfg.session_bytes(),
-            iteration: true,
         },
         &params,
     );
@@ -149,7 +148,6 @@ fn eviction_reclaims_unpinned_snapshots_but_never_running_sequences() {
             parallelism: 1,
             prefix_cache: true,
             max_cache_bytes: 3 * params.cfg.session_bytes(),
-            iteration: true,
         },
         &params,
     );

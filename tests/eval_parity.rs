@@ -32,7 +32,6 @@ fn engine_matrix() -> Vec<EngineConfig> {
                 parallelism,
                 prefix_cache,
                 max_cache_bytes: 0,
-                iteration: false,
             });
         }
     }
@@ -220,7 +219,7 @@ fn iteration_scheduler_matches_coalescing_cache_hit_rate() {
     let jobs = grouped_jobs(&study, &model, &params);
 
     let coalescing = EvalEngine::new(
-        EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0, iteration: false },
+        EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: 0 },
         &params,
     );
     let iteration = EvalEngine::new(EngineConfig::iteration(), &params);

@@ -133,9 +133,9 @@ fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
     // The gateway.* sites (including gateway.queue_poison) have no hook
     // in the study pipeline, so their plans must simply never fire — the
     // sweep proves installing them is harmless to a run that does not
-    // cross them. serve.admit_stall only fires in the iteration
-    // scheduler's step loop (not the pooled eval path), so like the
-    // gateway sites its plan must be inert here.
+    // cross them. serve.admit_stall and pool.worker_panic fire in the
+    // iteration scheduler's step loop, which is what runs every eval
+    // batch: a stalled admission is absorbed, a panicked job is retried.
     // The replica.*/router.* sites only have hooks at the cluster
     // router's forward/probe boundary, so like the gateway sites their
     // plans must stay inert in the single-process study pipeline.
