@@ -1,6 +1,9 @@
-//! A minimal blocking HTTP client for the gateway's own tests and load
-//! bench. Speaks exactly the dialect the server emits: one request per
-//! connection, `Connection: close`, `Content-Length` bodies.
+//! A minimal blocking HTTP client: the router's forwarding and probing
+//! path, the gateway's own tests and the load bench. Speaks exactly the
+//! dialect the server emits: one request per connection, `Connection:
+//! close`, `Content-Length` bodies — and holds a response to its declared
+//! length, so a replica that dies mid-body yields an error, never a
+//! truncated success.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -41,8 +44,20 @@ fn round_trip(
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("write: {e}"))?;
+    read_response(&mut stream)
+}
+
+/// Cap on one response, head and body: what a peer that never closes can
+/// make the reader buffer.
+const MAX_RESPONSE_BYTES: u64 = 4 << 20;
+
+/// Read one response to end-of-stream (the server closes after each) and
+/// parse it. A body that is not exactly its `Content-Length` long — the
+/// peer died mid-response, or the cap cut it — is an error.
+pub fn read_response(stream: &mut impl Read) -> Result<HttpResponse, String> {
     let mut raw = Vec::new();
     stream
+        .take(MAX_RESPONSE_BYTES)
         .read_to_end(&mut raw)
         .map_err(|e| format!("read: {e}"))?;
     parse_response(&raw)
@@ -68,13 +83,17 @@ fn parse_response(raw: &[u8]) -> Result<HttpResponse, String> {
                 .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
         })
         .collect();
-    let body = String::from_utf8(raw[head_end + 4..].to_vec())
-        .map_err(|e| format!("body utf8: {e}"))?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
+    let resp = HttpResponse { status, headers, body: String::new() };
+    let body = &raw[head_end + 4..];
+    let declared = resp
+        .header("content-length")
+        .and_then(|v| v.parse::<usize>().ok())
+        .ok_or_else(|| "response has no valid Content-Length".to_string())?;
+    if body.len() != declared {
+        return Err(format!("response body is {} of {declared} declared bytes", body.len()));
+    }
+    let body = String::from_utf8(body.to_vec()).map_err(|e| format!("body utf8: {e}"))?;
+    Ok(HttpResponse { body, ..resp })
 }
 
 /// POST a JSON body and return the parsed response.
@@ -132,8 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_garbage() {
+    fn rejects_garbage_and_truncated_bodies() {
         assert!(parse_response(b"not http").is_err());
         assert!(parse_response(b"HTTP/1.1 abc\r\n\r\n").is_err());
+        assert!(parse_response(b"HTTP/1.1 200 OK\r\n\r\n{}").is_err(), "no length");
+        assert!(parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{\"a\":").is_err());
     }
 }

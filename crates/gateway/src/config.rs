@@ -5,7 +5,9 @@ use std::time::Duration;
 
 /// Tunables for the serving front-end. Defaults suit a local deployment;
 /// every bound is checked by [`GatewayConfig::validate`] before the
-/// server binds its socket.
+/// server binds its socket. Everything here belongs to one gateway
+/// instance: the trace ring's bounds are process-wide
+/// (`astro_telemetry::trace::configure`), not a replica's to set.
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
@@ -37,14 +39,6 @@ pub struct GatewayConfig {
     pub read_timeout: Duration,
     /// How long a graceful shutdown waits for in-flight connections.
     pub drain_timeout: Duration,
-    /// Finished-trace ring capacity (oldest evicted; memory bound).
-    pub trace_ring_capacity: usize,
-    /// Tail sampling: keep 1 in N unflagged traces (error/deadline/fault/
-    /// slowest-p1% traces are always kept; 1 = keep everything).
-    pub trace_sample_one_in: u64,
-    /// Span-registry capacity: closed spans past this are retired into
-    /// the trace ring instead of growing process memory without bound.
-    pub span_capacity: usize,
     /// Replica identity advertised on every response (`x-astro-replica`
     /// header) and in `/healthz`, so a cluster router can attribute
     /// responses and probes to the replica that produced them. Empty =
@@ -65,9 +59,6 @@ impl Default for GatewayConfig {
             max_body_bytes: 64 * 1024,
             read_timeout: Duration::from_secs(5),
             drain_timeout: Duration::from_secs(10),
-            trace_ring_capacity: 2048,
-            trace_sample_one_in: 1,
-            span_capacity: 8192,
             replica_name: String::new(),
         }
     }
@@ -124,23 +115,6 @@ impl GatewayConfig {
                         means block forever)"
                 .to_string());
         }
-        if self.trace_ring_capacity == 0 || self.trace_ring_capacity > 1 << 20 {
-            return Err(format!(
-                "trace_ring_capacity {} outside 1..=1048576",
-                self.trace_ring_capacity
-            ));
-        }
-        if self.trace_sample_one_in == 0 {
-            return Err("trace_sample_one_in must be at least 1 (1 = keep \
-                        every trace)"
-                .to_string());
-        }
-        if self.span_capacity < 16 || self.span_capacity > 1 << 20 {
-            return Err(format!(
-                "span_capacity {} outside 16..=1048576",
-                self.span_capacity
-            ));
-        }
         if self.replica_name.len() > 64
             || self.replica_name.chars().any(|c| !c.is_ascii_graphic())
         {
@@ -176,9 +150,6 @@ mod tests {
             (Box::new(|c| c.deadline = Duration::ZERO), "deadline"),
             (Box::new(|c| c.max_body_bytes = 0), "max_body_bytes"),
             (Box::new(|c| c.read_timeout = Duration::ZERO), "read_timeout"),
-            (Box::new(|c| c.trace_ring_capacity = 0), "trace_ring_capacity"),
-            (Box::new(|c| c.trace_sample_one_in = 0), "trace_sample_one_in"),
-            (Box::new(|c| c.span_capacity = 8), "span_capacity"),
             (Box::new(|c| c.replica_name = "has space".to_string()), "replica_name"),
             (Box::new(|c| c.replica_name = "x".repeat(65)), "replica_name"),
             (

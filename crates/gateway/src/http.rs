@@ -255,6 +255,23 @@ pub fn write_response(
     stream.flush()
 }
 
+/// Finish an early rejection — a response written before the request was
+/// fully read. Closing a socket with unread data makes the kernel send
+/// RST, which would destroy the response just queued: half-close, then
+/// drain what the peer still sends, bounded by the stream's read timeout
+/// and a byte budget.
+pub fn drain_unread(stream: &mut std::net::TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut scratch = [0u8; 1024];
+    let mut budget = 256 * 1024usize;
+    while budget > 0 {
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,8 +31,8 @@ use astro_model::Params;
 use astro_prng::Rng;
 use astro_resilience::fault;
 use astro_serve::{EvalEngine, SeqOutcome};
-use astro_telemetry::trace::{self, TraceConfig, TraceId};
-use astro_telemetry::{metrics, span, span::SpanGuard};
+use astro_telemetry::trace::{self, TraceId};
+use astro_telemetry::{metrics, span};
 use astro_tokenizer::Tokenizer;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -137,16 +137,6 @@ impl Gateway {
         let addr = listener
             .local_addr()
             .map_err(|e| GatewayError::Bind(e.to_string()))?;
-
-        // Install the observability bounds before the first request can
-        // race them: the trace ring, tail-sampling rate, and the span
-        // registry's retirement cap all come from the gateway config.
-        trace::configure(TraceConfig {
-            ring_capacity: config.trace_ring_capacity,
-            sample_one_in: config.trace_sample_one_in,
-            ..TraceConfig::default()
-        });
-        span::set_capacity(config.span_capacity);
 
         let engine = Arc::new(EvalEngine::new(config.engine, &state.params));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
@@ -280,8 +270,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             // server keeps serving. The dropped connection still leaves a
             // fault-marked trace (status 0) so the fault is attributable.
             metrics::counter("gateway.accept_fail").add(1);
-            let tid = trace::mint();
-            trace::start(tid, "gateway.reject", None, astro_telemetry::elapsed_us());
+            let tid = trace::open("gateway.reject", None, astro_telemetry::elapsed_us());
             trace::mark_fault(tid, "gateway.accept_fail");
             trace::finish(tid, 0);
             drop(stream);
@@ -350,34 +339,6 @@ impl HttpReply {
     }
 }
 
-/// Start the trace for a request that never parsed: minted id, no remote
-/// parent, `recv` phase covering everything read so far.
-fn start_reject_trace(t_conn: u64) -> TraceId {
-    let tid = trace::mint();
-    trace::start(tid, "gateway.reject", None, t_conn);
-    trace::phase(tid, "recv", t_conn, astro_telemetry::elapsed_us());
-    tid
-}
-
-/// Start (or adopt, via W3C `traceparent`) the trace for a parsed
-/// request. A replayed traceparent whose id is already in flight gets a
-/// fresh minted id — ids are one-shot here.
-fn start_request_trace(req: &Request, t_conn: u64, span: &SpanGuard) -> TraceId {
-    let (mut tid, remote_parent) = match req.header("traceparent").and_then(trace::parse_traceparent)
-    {
-        Some((t, p)) => (t, Some(p)),
-        None => (trace::mint(), None),
-    };
-    let name = format!("gateway.{}", req.path);
-    if !trace::start(tid, &name, remote_parent, t_conn) {
-        tid = trace::mint();
-        trace::start(tid, &name, remote_parent, t_conn);
-    }
-    span.set_trace(tid.0);
-    trace::phase(tid, "recv", t_conn, astro_telemetry::elapsed_us());
-    tid
-}
-
 /// The fixed endpoint set that gets per-endpoint latency histograms —
 /// arbitrary 404 paths must not mint unbounded metric names.
 fn endpoint_histogram_name(path: &str) -> Option<&'static str> {
@@ -397,21 +358,19 @@ fn endpoint_histogram_name(path: &str) -> Option<&'static str> {
 /// becomes the trace status.
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let t_conn = astro_telemetry::elapsed_us();
-    let span = span!("gateway.request");
     let t0 = Instant::now();
+    // The trace of a request that never parsed: minted id, no remote parent.
+    let reject_trace = || trace::open("gateway.reject", None, t_conn);
     metrics::counter("gateway.connections").add(1);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     if fault::should_fault("gateway.slow_client") {
         // Injected slow client: treat the connection as having stalled
         // mid-request and answer exactly like a real read timeout.
         metrics::counter("gateway.slow_client").add(1);
-        let tid = start_reject_trace(t_conn);
+        let tid = reject_trace();
         trace::mark_fault(tid, "gateway.slow_client");
         let reply = HttpReply::error(408, "request read timed out");
-        let header = trace::format_traceparent(tid, span.id() as u64);
-        write_reply(&mut stream, &reply, true, Some(&header), &shared.config.replica_name, None);
-        trace::phase_since_last(tid, "write");
-        trace::finish(tid, reply.status);
+        write_reply(&mut stream, &reply, true, tid, &shared.config.replica_name, None);
         return;
     }
     let peer = match stream.peer_addr() {
@@ -422,7 +381,8 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let (mut reply, request_fully_read, tid) =
         match http::read_request(&mut stream, shared.config.max_body_bytes) {
             Ok(req) => {
-                let tid = start_request_trace(&req, t_conn, &span);
+                let name = format!("gateway.{}", req.path);
+                let tid = trace::open(&name, req.header("traceparent"), t_conn);
                 // Echo the router's idempotency key so a re-dispatched
                 // request's response is attributable to its original.
                 idempotency_key = req.header("x-idempotency-key").map(str::to_string);
@@ -432,22 +392,18 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 }
                 (reply, true, tid)
             }
-            Err(HttpError::BadRequest(m)) => {
-                (HttpReply::error(400, &m), false, start_reject_trace(t_conn))
-            }
+            Err(HttpError::BadRequest(m)) => (HttpReply::error(400, &m), false, reject_trace()),
             Err(HttpError::PayloadTooLarge { declared, limit }) => {
                 metrics::counter("gateway.oversized").add(1);
                 (
                     HttpReply::error(413, &format!("body of {declared} bytes exceeds {limit}")),
                     false,
-                    start_reject_trace(t_conn),
+                    reject_trace(),
                 )
             }
-            Err(HttpError::Timeout) => (
-                HttpReply::error(408, "request read timed out"),
-                false,
-                start_reject_trace(t_conn),
-            ),
+            Err(HttpError::Timeout) => {
+                (HttpReply::error(408, "request read timed out"), false, reject_trace())
+            }
             // Peer vanished before sending a request; nothing to answer.
             Err(HttpError::ConnectionClosed) | Err(HttpError::Io(_)) => return,
         };
@@ -459,40 +415,37 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             reply.body = api::body_with_trace(&reply.body, &rec);
         }
     }
-    span.record_f64("status", f64::from(reply.status));
     metrics::histogram("gateway.request_us").observe(t0.elapsed().as_micros() as f64);
-    let header = trace::format_traceparent(tid, span.id() as u64);
     write_reply(
         &mut stream,
         &reply,
         !request_fully_read,
-        Some(&header),
+        tid,
         &shared.config.replica_name,
         idempotency_key.as_deref(),
     );
-    trace::phase_since_last(tid, "write");
-    trace::finish(tid, reply.status);
 }
 
-/// Write a response. When the request was *not* fully consumed (early
-/// rejection), half-close and drain the leftover bytes first — closing a
-/// socket with unread data makes the kernel send RST, which would
-/// destroy the very response we just queued.
+/// Write a response carrying the trace's `traceparent` (trace id + this
+/// hop's id) and close the trace: `write` phase, final status. When the
+/// request was *not* fully consumed (early rejection), the leftover bytes
+/// are drained before the socket closes ([`http::drain_unread`]).
 fn write_reply(
     stream: &mut TcpStream,
     reply: &HttpReply,
     drain_unread: bool,
-    traceparent: Option<&str>,
+    tid: TraceId,
     replica: &str,
     idempotency_key: Option<&str>,
 ) {
     let retry_value;
+    let traceparent = trace::traceparent(tid);
     let mut headers: Vec<(&str, &str)> = Vec::new();
     if let Some(after) = reply.retry_after {
         retry_value = after.to_string();
         headers.push(("Retry-After", &retry_value));
     }
-    if let Some(tp) = traceparent {
+    if let Some(tp) = &traceparent {
         headers.push(("traceparent", tp));
     }
     if !replica.is_empty() {
@@ -501,24 +454,13 @@ fn write_reply(
     if let Some(key) = idempotency_key {
         headers.push(("x-idempotency-key", key));
     }
-    if http::write_response(stream, reply.status, reply.content_type, &headers, &reply.body)
-        .is_err()
-    {
-        return;
+    let written =
+        http::write_response(stream, reply.status, reply.content_type, &headers, &reply.body);
+    if written.is_ok() && drain_unread {
+        http::drain_unread(stream);
     }
-    if !drain_unread {
-        return;
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut scratch = [0u8; 1024];
-    // Bounded by the read timeout set on the stream and this byte budget.
-    let mut budget = 256 * 1024usize;
-    while budget > 0 {
-        match std::io::Read::read(stream, &mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => budget = budget.saturating_sub(n),
-        }
-    }
+    trace::phase_since_last(tid, "write");
+    trace::finish(tid, reply.status);
 }
 
 fn route(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> HttpReply {

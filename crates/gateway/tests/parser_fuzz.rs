@@ -1,7 +1,8 @@
-//! Seeded fuzz of the two parsers that read bytes from outside the
-//! process: [`http::read_request`] (every connection) and
-//! [`Json::parse`] (every request body, and every model answer the
-//! extraction cascade looks at).
+//! Seeded fuzz of the three parsers that read bytes from outside the
+//! process: [`http::read_request`] (every connection), [`Json::parse`]
+//! (every request body, and every model answer the extraction cascade
+//! looks at) and [`client::read_response`] (every replica answer the
+//! router passes on, every probe).
 //!
 //! Deterministic randomized trials (seeded `astro_prng::Rng`) over
 //! *mutated valid inputs*: a well-formed request or document is drawn,
@@ -20,13 +21,18 @@
 //! * **JSON** — a drawn value rendered with arbitrary whitespace parses
 //!   back to itself, and padding any input with whitespace changes
 //!   neither the verdict nor the value.
+//! * **Response** — the verdict is blind to segmentation too, and a
+//!   response is a success only whole: cut at any byte offset, or with a
+//!   body that is not its declared length, it is an error — the router
+//!   re-dispatches instead of passing half an answer on.
 //!
-//! The framing bugs PR 15 found by inspection are the fixed seeds every
-//! run starts from. Each fuzz runs on a spawned thread — the default
+//! The framing bugs PR 15 found by inspection, and the truncated `200`
+//! the client used to accept, are the fixed seeds every run starts from. Each fuzz runs on a spawned thread — the default
 //! stack a gateway handler gets — under a watchdog, so unbounded
 //! recursion or a hang fails the test instead of the suite.
 
 use astro_eval::json::Json;
+use astro_gateway::client::{self, HttpResponse};
 use astro_gateway::http::{self, HttpError, Request, MAX_HEAD_BYTES};
 use astro_prng::Rng;
 use std::io::Read;
@@ -274,6 +280,112 @@ fn read_request_is_total_and_blind_to_segmentation() {
                 if let Ok(text) = std::str::from_utf8(&req.body) {
                     let _ = Json::parse(text);
                 }
+            }
+        }
+    });
+}
+
+/// Read `raw` as one response three ways and check they agree: the
+/// verdict does not depend on how the reads fell, and a peer that stalls
+/// instead of closing is always an error (nothing marks a response
+/// finished but the close).
+fn respond_every_way(raw: &[u8], seed: u64) -> Result<HttpResponse, String> {
+    let fields = |r: Result<HttpResponse, String>| r.map(|r| (r.status, r.headers, r.body));
+    let whole = client::read_response(&mut Peer::new(raw, seed, 1 << 20, false));
+    let dribble = 7.max(raw.len() / 64);
+    let dribbled = client::read_response(&mut Peer::new(raw, seed, dribble, false));
+    assert!(
+        fields(whole.clone()) == fields(dribbled),
+        "segmentation changed the verdict for {:?}",
+        lossy(raw)
+    );
+    let stalled = client::read_response(&mut Peer::new(raw, seed, dribble, true));
+    assert!(stalled.is_err(), "a stalled response was accepted: {:?}", lossy(raw));
+    whole
+}
+
+#[test]
+fn read_response_is_total_and_a_success_only_whole() {
+    on_a_handler_thread("read_response fuzz", || {
+        // A replica killed after the head and half the body left the router
+        // a prefix of this; it used to pass that on as a 200.
+        let body = "{\"prediction\":2,\"score_bits\":[1,2,3,4]}";
+        let answer = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+             Connection: close\r\nx-astro-replica: replica-0\r\n\r\n{body}",
+            body.len()
+        );
+        let whole = respond_every_way(answer.as_bytes(), 0).expect("the whole answer");
+        assert_eq!((whole.status, whole.body.as_str()), (200, body));
+        for cut in 0..answer.len() {
+            let verdict = respond_every_way(&answer.as_bytes()[..cut], cut as u64);
+            assert!(verdict.is_err(), "cut at {cut} of {}: {verdict:?}", answer.len());
+        }
+
+        let mut rng = Rng::seed_from(0x2e5b_0d1e);
+        for trial in 0..3_000u64 {
+            let status = *rng.choose(&[200u16, 400, 404, 413, 429, 500, 503, 504]);
+            let body = render(&draw_json(&mut rng, 3), &mut rng).into_bytes();
+            let mut head = vec![format!("HTTP/1.1 {status} {}", http::status_reason(status))];
+            if rng.chance(0.5) {
+                head.push(format!("traceparent: 00-{:032x}-{:016x}-01", rng.next_u64(), rng.next_u64()));
+            }
+            if rng.chance(0.3) {
+                head.push("Retry-After: 1".to_string());
+            }
+            let name = *rng.choose(&["Content-Length", "content-length", "CONTENT-LENGTH"]);
+            let length_at = rng.range(1, head.len() + 1);
+            head.insert(length_at, format!("{name}: {}", body.len()));
+            let (raw, accepted) = match rng.index(6) {
+                // Unharmed: status, headers and exactly the body sent.
+                0 => (assemble(&head, "\r\n", &body), true),
+                // Cut anywhere short of the end.
+                1 => {
+                    let mut raw = assemble(&head, "\r\n", &body);
+                    raw.truncate(rng.index(raw.len()));
+                    (raw, false)
+                }
+                // No length, or one longer than the body.
+                2 => {
+                    head.remove(length_at);
+                    (assemble(&head, "\r\n", &body), false)
+                }
+                3 => {
+                    let longer = [body.len() + 1 + rng.index(9), 1 << 40];
+                    let wrong = *rng.choose(&longer);
+                    head[length_at] = format!("{name}: {wrong}");
+                    (assemble(&head, "\r\n", &body), false)
+                }
+                // More bytes than declared.
+                4 => {
+                    let mut raw = assemble(&head, "\r\n", &body);
+                    raw.extend_from_slice(&b"{}garbage"[..rng.range(1, 9)]);
+                    (raw, false)
+                }
+                // Havoc: totality and the differentials alone.
+                _ => {
+                    let mut raw = assemble(&head, "\r\n", &body);
+                    for _ in 0..rng.range(1, 9) {
+                        let at = rng.index(raw.len());
+                        match rng.index(3) {
+                            0 => raw[at] ^= 1 << rng.index(8),
+                            1 => drop(raw.remove(at)),
+                            _ => raw.insert(at, *rng.choose(b"\r\n: \0\xff09-+")),
+                        }
+                    }
+                    let _ = respond_every_way(&raw, trial);
+                    continue;
+                }
+            };
+            let verdict = respond_every_way(&raw, trial);
+            match (&verdict, accepted) {
+                (Ok(r), true) => assert!(
+                    r.status == status && r.body.as_bytes() == body,
+                    "trial {trial}: {r:?} for {:?}",
+                    lossy(&raw)
+                ),
+                (Err(_), false) => {}
+                _ => panic!("trial {trial}: {verdict:?} for {:?}", lossy(&raw)),
             }
         }
     });

@@ -35,7 +35,7 @@ use astro_resilience::{fault, RetryPolicy};
 use astro_telemetry::event::write_json_string;
 use astro_telemetry::sync::{self, Mutex};
 use astro_telemetry::trace::{self, TraceId};
-use astro_telemetry::{metrics, span};
+use astro_telemetry::metrics;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -391,41 +391,50 @@ impl Reply {
 }
 
 /// Handle one client connection: parse, route/forward, answer, close.
+/// Like the gateway's handler, every answered request leaves one finished
+/// trace (a client's `traceparent` is adopted, the response carries this
+/// hop's), and an early rejection drains what the client still sends
+/// before the socket closes.
 fn serve_connection(core: &Core, mut stream: TcpStream) {
     let t_conn = astro_telemetry::elapsed_us();
-    let span = span!("router.request");
     metrics::counter("router.connections").add(1);
     let _ = stream.set_read_timeout(Some(core.config.read_timeout));
-    let (reply, tid) = match http::read_request(&mut stream, core.config.max_body_bytes) {
-        Ok(req) => {
-            let tid = trace::mint();
-            trace::start(tid, &format!("router.{}", req.path), None, t_conn);
-            span.set_trace(tid.0);
-            trace::phase(tid, "recv", t_conn, astro_telemetry::elapsed_us());
-            (route(core, &req, tid, &span), Some(tid))
-        }
-        Err(HttpError::BadRequest(m)) => (Reply::error(400, &m), None),
-        Err(HttpError::PayloadTooLarge { declared, limit }) => (
-            Reply::error(413, &format!("body of {declared} bytes exceeds {limit}")),
-            None,
-        ),
-        Err(HttpError::Timeout) => (Reply::error(408, "request read timed out"), None),
-        Err(HttpError::ConnectionClosed) | Err(HttpError::Io(_)) => return,
+    let reject = |status: u16, message: &str| {
+        (Reply::error(status, message), trace::open("router.reject", None, t_conn), false)
     };
-    span.record_f64("status", f64::from(reply.status));
-    let header_pairs: Vec<(&str, &str)> =
+    let (reply, tid, request_fully_read) =
+        match http::read_request(&mut stream, core.config.max_body_bytes) {
+            Ok(req) => {
+                let name = format!("router.{}", req.path);
+                let tid = trace::open(&name, req.header("traceparent"), t_conn);
+                (route(core, &req, tid), tid, true)
+            }
+            Err(HttpError::BadRequest(m)) => reject(400, &m),
+            Err(HttpError::PayloadTooLarge { declared, limit }) => {
+                reject(413, &format!("body of {declared} bytes exceeds {limit}"))
+            }
+            Err(HttpError::Timeout) => reject(408, "request read timed out"),
+            Err(HttpError::ConnectionClosed) | Err(HttpError::Io(_)) => return,
+        };
+    let traceparent = trace::traceparent(tid);
+    let mut header_pairs: Vec<(&str, &str)> =
         reply.headers.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-    let _ = http::write_response(&mut stream, reply.status, CT_JSON, &header_pairs, &reply.body);
-    if let Some(tid) = tid {
-        trace::phase_since_last(tid, "write");
-        trace::finish(tid, reply.status);
+    if let Some(tp) = &traceparent {
+        header_pairs.push(("traceparent", tp));
     }
+    let written =
+        http::write_response(&mut stream, reply.status, CT_JSON, &header_pairs, &reply.body);
+    if written.is_ok() && !request_fully_read {
+        http::drain_unread(&mut stream);
+    }
+    trace::phase_since_last(tid, "write");
+    trace::finish(tid, reply.status);
     if reply.status < 500 || reply.status == 503 {
         core.completed.fetch_add(1, Ordering::SeqCst);
     }
 }
 
-fn route(core: &Core, req: &Request, tid: TraceId, span: &astro_telemetry::span::SpanGuard) -> Reply {
+fn route(core: &Core, req: &Request, tid: TraceId) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Reply { status: 200, body: status_body(core), headers: Vec::new() },
         ("GET", "/metricsz") => Reply {
@@ -433,8 +442,8 @@ fn route(core: &Core, req: &Request, tid: TraceId, span: &astro_telemetry::span:
             body: api::metrics_body(&metrics::snapshot()),
             headers: Vec::new(),
         },
-        ("POST", "/v1/score") => forward_request(core, req, "/v1/score", tid, span),
-        ("POST", "/v1/generate") => forward_request(core, req, "/v1/generate", tid, span),
+        ("POST", "/v1/score") => forward_request(core, req, "/v1/score", tid),
+        ("POST", "/v1/generate") => forward_request(core, req, "/v1/generate", tid),
         (_, "/healthz" | "/metricsz" | "/v1/score" | "/v1/generate") => {
             Reply::error(405, &format!("method {} not allowed here", req.method))
         }
@@ -468,13 +477,7 @@ enum ForwardFailure {
     MaybeAccepted(String),
 }
 
-fn forward_request(
-    core: &Core,
-    req: &Request,
-    path: &str,
-    tid: TraceId,
-    span: &astro_telemetry::span::SpanGuard,
-) -> Reply {
+fn forward_request(core: &Core, req: &Request, path: &str, tid: TraceId) -> Reply {
     let body = match std::str::from_utf8(&req.body) {
         Ok(b) => b,
         Err(_) => return Reply::error(400, "request body is not UTF-8"),
@@ -496,7 +499,7 @@ fn forward_request(
         let (_order, mut table) = sync::lock_ranked("router.inflight", &core.inflight);
         table.entries.insert(idem_key.clone(), 0);
     }
-    let reply = forward_with_retries(core, path, body, key, &idem_key, tid, span);
+    let reply = forward_with_retries(core, path, body, key, &idem_key, tid);
     {
         let (_order, mut table) = sync::lock_ranked("router.inflight", &core.inflight);
         table.entries.remove(&idem_key);
@@ -511,7 +514,6 @@ fn forward_with_retries(
     key: u64,
     idem_key: &str,
     tid: TraceId,
-    span: &astro_telemetry::span::SpanGuard,
 ) -> Reply {
     let attempts = core.config.retry.max_attempts.max(1);
     let mut tried: Vec<u32> = Vec::new();
@@ -553,7 +555,7 @@ fn forward_with_retries(
             }
         }
 
-        let outcome = attempt_forward(core, spec.addr, path, body, idem_key, tid, span);
+        let outcome = attempt_forward(core, spec.addr, path, body, idem_key, tid);
         match outcome {
             Ok(resp) => {
                 core.forwarded.fetch_add(1, Ordering::SeqCst);
@@ -616,7 +618,6 @@ fn attempt_forward(
     body: &str,
     idem_key: &str,
     tid: TraceId,
-    span: &astro_telemetry::span::SpanGuard,
 ) -> Result<HttpResponse, ForwardFailure> {
     if fault::should_fault("replica.hang") {
         // The replica accepted the connection and went silent; the
@@ -625,9 +626,9 @@ fn attempt_forward(
         metrics::counter("router.fault.replica_hang").add(1);
         return Err(ForwardFailure::MaybeAccepted("injected replica hang".to_string()));
     }
-    let traceparent = trace::format_traceparent(tid, span.id() as u64);
-    let headers: Vec<(&str, &str)> =
-        vec![("x-idempotency-key", idem_key), ("traceparent", &traceparent)];
+    // The trace is in flight for as long as its connection is served.
+    let traceparent = trace::traceparent(tid).unwrap_or_default();
+    let headers = [("x-idempotency-key", idem_key), ("traceparent", traceparent.as_str())];
     let result =
         client::post_json_with_headers(addr, path, body, &headers, core.config.forward_timeout);
     trace::phase_since_last(tid, "forward");

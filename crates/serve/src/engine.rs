@@ -236,8 +236,7 @@ impl EvalEngine {
     /// [`ServeError`] when its prompt overflowed the KV cache (after one
     /// uncached retry) or its closure panicked.
     pub fn score_batch(&self, jobs: Vec<ScoreJob>) -> Vec<Result<Vec<f32>, ServeError>> {
-        let span = astro_telemetry::span!("serve.score_batch", jobs = jobs.len());
-        let _ = &span;
+        let _span = astro_telemetry::span!("serve.score_batch", jobs = jobs.len());
         let outcomes = self.run_batch(jobs.into_iter().map(Job::Score).collect());
         outcomes
             .into_iter()
@@ -254,8 +253,7 @@ impl EvalEngine {
     /// Each element is the generated token sequence (stop token excluded),
     /// or that job's [`ServeError`].
     pub fn generate_batch(&self, jobs: Vec<GenerateJob>) -> Vec<Result<Vec<u32>, ServeError>> {
-        let span = astro_telemetry::span!("serve.generate_batch", jobs = jobs.len());
-        let _ = &span;
+        let _span = astro_telemetry::span!("serve.generate_batch", jobs = jobs.len());
         let outcomes = self.run_batch(jobs.into_iter().map(Job::Generate).collect());
         outcomes
             .into_iter()

@@ -302,15 +302,14 @@ impl SchedLog {
     }
 }
 
-/// One admitted job: its id, the [`Sequence`] running it, the token this
-/// step's `advance` sampled for the step's stacked feed (decoding
-/// sequences only) and the span that stays open until it retires.
+/// One admitted job: its id, the [`Sequence`] running it and the token
+/// this step's `advance` sampled for the step's stacked feed (decoding
+/// sequences only).
 struct Active {
     id: usize,
     job: Job,
     seq: Sequence,
     sampled: Option<u32>,
-    _span: Option<astro_telemetry::span::SpanGuard>,
 }
 
 /// The iteration-level scheduler: single-threaded submission and stepping
@@ -609,21 +608,18 @@ impl IterScheduler {
     }
 
     /// Turn an accepted submission into an active sequence: record the
-    /// `admit` phase, open its span, start it on a reusable [`Sequence`].
+    /// `admit` phase, start it on a reusable [`Sequence`].
     fn admit_sequence(&mut self, id: usize, job: Job) -> Active {
-        let span = job.trace().map(|t| {
+        if let Some(t) = job.trace() {
             trace::phase_since_last(t, "admit");
             trace::record_num(t, "admit_step", self.step_idx as f64);
-            let span = astro_telemetry::span::span("serve.seq");
-            span.set_trace(t.0);
-            span
-        });
+        }
         let mut seq = self
             .free
             .pop()
             .unwrap_or_else(|| Sequence::new(self.env.params.cfg));
         seq.start(&self.env, &job);
-        Active { id, job, seq, sampled: None, _span: span }
+        Active { id, job, seq, sampled: None }
     }
 }
 

@@ -28,9 +28,8 @@
 //! keeps a free list of sequences, calls `advance` once per active
 //! sequence per step, owns the panic boundaries (one per sequence, one
 //! around the stacked feed) and the [`ForkPool`] it lends to the readout
-//! and the feed, records traced jobs' `admit` phase and holds their
-//! `serve.seq` span. An offline batch runs on several of them at once
-//! ([`crate::engine`]'s shards).
+//! and the feed, and records traced jobs' `admit` phase. An offline batch
+//! runs on several of them at once ([`crate::engine`]'s shards).
 
 use crate::engine::{lock_cache, Job, ScoreReadout, SeqOutcome, ServeError};
 use crate::trie::PrefixCache;

@@ -220,7 +220,7 @@ fn concurrency_parity_survives_cache_full_injection() {
 }
 
 /// An injected worker panic costs exactly the job it hit: that job
-/// reports `WorkerPanic`, the worker carries on claiming, and every other
+/// reports `WorkerPanic`, the shard carries on claiming, and every other
 /// job still matches the oracle.
 #[test]
 fn injected_worker_panic_fails_one_job_and_spares_the_rest() {
@@ -247,10 +247,10 @@ fn injected_worker_panic_fails_one_job_and_spares_the_rest() {
     }
 }
 
-/// More workers configured than jobs: however the claims fall, every job
+/// More shards configured than jobs: however the claims fall, every job
 /// is run (one cache lookup each) and reported exactly once.
 #[test]
-fn more_workers_than_jobs_claim_each_job_exactly_once() {
+fn more_shards_than_jobs_claim_each_job_exactly_once() {
     let _gate = gate();
     fault::clear();
     let (cfg, params) = setup(41);
@@ -267,13 +267,13 @@ fn more_workers_than_jobs_claim_each_job_exactly_once() {
     assert_eq!(stats.hits + stats.misses, 3, "one lookup per job: {stats:?}");
 }
 
-/// Lifecycle edge, pool-worker driver: when a batch's common prefix is the
-/// *entire* prompt (duplicate requests), every job forks the cache at
-/// full depth and its prefill loop never runs — the readout / decoder
-/// installation must still happen. (`scheduler_differential.rs` holds the
-/// iteration-scheduler twin.)
+/// Lifecycle edge, offline batch on 1 and 2 shards: when a batch's common
+/// prefix is the *entire* prompt (duplicate requests), every job forks the
+/// cache at full depth and its prefill loop never runs — the readout /
+/// decoder installation must still happen. (`scheduler_differential.rs`
+/// holds the standalone-scheduler twin.)
 #[test]
-fn full_depth_cache_fork_still_reads_out_and_decodes_on_pool_workers() {
+fn full_depth_cache_fork_still_reads_out_and_decodes_on_every_shard_count() {
     let _gate = gate();
     fault::clear();
     let (cfg, params) = setup(35);
@@ -282,21 +282,21 @@ fn full_depth_cache_fork_still_reads_out_and_decodes_on_pool_workers() {
     let generate = generate_jobs(&mut rng, 1, cfg.vocab_size).remove(0);
     let score_ref = bits(&common::score(&params, &score));
     let gen_ref = common::generate(&params, &generate);
-    for workers in [1, 2] {
-        let engine = EvalEngine::new(EngineConfig::pooled_with(workers), &params);
+    for shards in [1, 2] {
+        let engine = EvalEngine::new(EngineConfig::pooled_with(shards), &params);
         for r in engine.score_batch(vec![score.clone(); 3]) {
-            assert_eq!(bits(&r.expect("score job errored")), score_ref, "{workers} workers");
+            assert_eq!(bits(&r.expect("score job errored")), score_ref, "{shards} shards");
         }
         for r in engine.generate_batch(vec![generate.clone(); 3]) {
-            assert_eq!(r.expect("generate job errored"), gen_ref, "{workers} workers");
+            assert_eq!(r.expect("generate job errored"), gen_ref, "{shards} shards");
         }
         // Every job forked its whole prompt: nothing was left to encode.
         let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (6, 0), "{workers} workers");
+        assert_eq!((stats.hits, stats.misses), (6, 0), "{shards} shards");
         assert_eq!(
             stats.tokens_reused as usize,
             3 * (score.prompt.len() + generate.prompt.len()),
-            "{workers} workers"
+            "{shards} shards"
         );
     }
 }

@@ -272,18 +272,19 @@ fn full_depth_cache_fork_still_emits_readout_and_decoder() {
 }
 
 #[test]
-fn engine_iteration_mode_matches_pooled_mode_bitwise() {
-    // The `EngineConfig::iteration` route through score_batch must agree
-    // with the pooled route on the same jobs: two drivers of the one job
-    // lifecycle (each is checked against the oracle elsewhere).
+fn one_shard_matches_two_shards_bitwise() {
+    // A batch on one scheduler shard (`EngineConfig::iteration()`) must
+    // agree with the same jobs on two shards over the shared trie: one
+    // driver of the one job lifecycle, however the claims fall (each is
+    // checked against the oracle elsewhere).
     let cfg = ModelConfig::tiny(24);
     let params = Params::init(cfg, &mut Rng::seed_from(9));
     for seed in 0..10 {
         let w = build_workload(seed, cfg);
-        let pooled = EvalEngine::new(EngineConfig::pooled_with(2), &params);
-        let iter = EvalEngine::new(EngineConfig::iteration(), &params);
-        let a = pooled.score_batch(w.scores.clone());
-        let b = iter.score_batch(w.scores.clone());
+        let sharded = EvalEngine::new(EngineConfig::pooled_with(2), &params);
+        let single = EvalEngine::new(EngineConfig::iteration(), &params);
+        let a = sharded.score_batch(w.scores.clone());
+        let b = single.score_batch(w.scores.clone());
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             let xb: Option<Vec<u32>> =
                 x.as_ref().ok().map(|v| v.iter().map(|f| f.to_bits()).collect());
@@ -292,8 +293,8 @@ fn engine_iteration_mode_matches_pooled_mode_bitwise() {
             assert_eq!(xb, yb, "seed {seed} score job {i}");
             assert_eq!(xb, Some(reference_score(&params, &w.scores[i])), "seed {seed} score job {i}");
         }
-        let a = pooled.generate_batch(w.generates.clone());
-        let b = iter.generate_batch(w.generates.clone());
+        let a = sharded.generate_batch(w.generates.clone());
+        let b = single.generate_batch(w.generates.clone());
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             assert_eq!(x.as_ref().ok(), y.as_ref().ok(), "seed {seed} generate job {i}");
             let want = reference_generate(&params, &w.generates[i]);
@@ -308,7 +309,7 @@ fn group_anchor_is_snapshotted_at_its_exact_length_for_any_chunk() {
     // anchor of 19 tokens is a multiple of neither, so the stretch that
     // reaches it must be cut there: a snapshot is only ever taken at
     // `fed == anchor.len()`. Every later hit then reuses exactly 19
-    // tokens, on both drivers, and every result equals the oracle.
+    // tokens, sharded and standalone, and every result equals the oracle.
     const ANCHOR: usize = 19;
     let cfg = ModelConfig::tier(astro_model::Tier::S7b, 24);
     let params = Params::init(cfg, &mut Rng::seed_from(19));
@@ -356,15 +357,15 @@ fn group_anchor_is_snapshotted_at_its_exact_length_for_any_chunk() {
         assert_eq!(stats.tokens_reused, stats.hits * ANCHOR as u64, "{what}: every hit is {ANCHOR} deep");
     };
 
-    // Pool workers: one unbounded stretch per prompt.
+    // 2 shards of an offline batch, at the engine's own chunk.
     let engine = EvalEngine::new(EngineConfig::pooled_with(2), &params);
     for (i, got) in engine.score_batch(scores.clone()).iter().enumerate() {
         let bits = got.as_ref().ok().map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
-        assert_eq!(bits.as_ref(), Some(&score_refs[i]), "pooled score job {i}");
+        assert_eq!(bits.as_ref(), Some(&score_refs[i]), "2 shards: score job {i}");
     }
-    check_cache(&engine, "pooled");
+    check_cache(&engine, "2 shards");
 
-    // The iteration scheduler, at chunks below, between and above the
+    // A standalone scheduler, at chunks below, between and above the
     // row block.
     for prefill_chunk in [1, 7, 32] {
         let engine = EvalEngine::new(EngineConfig::iteration(), &params);

@@ -5,8 +5,9 @@
 //! ad-hoc `println!` progress lines with a small, dependency-free
 //! telemetry substrate:
 //!
-//! * [`span`] — hierarchical wall-clock **spans** with a thread-safe global
-//!   registry, created with the [`span!`] macro:
+//! * [`span`] — hierarchical wall-clock **spans**, one per pipeline stage,
+//!   in a thread-safe bounded global registry (the end-of-run summary
+//!   tree), created with the [`span!`] macro:
 //!   `let _g = span!("cpt", tier = "S70b");`
 //! * [`metrics`] — global **counters, gauges and fixed-bucket histograms**
 //!   (tokens processed, all-reduce latency, extraction-stage hits) with
@@ -20,10 +21,10 @@
 //! * [`log`] — an `ASTRO_LOG=quiet|info|debug` verbosity switch gating
 //!   stderr progress output (default `info`), so `cargo test -q` stays
 //!   clean while bench binaries stay chatty.
-//! * [`trace`] — **end-to-end request traces**: 128-bit ids minted at the
-//!   gateway (or accepted via W3C `traceparent`), per-request phase
-//!   attribution recorded from any thread, and a bounded tail-sampling
-//!   ring sink.
+//! * [`trace`] — **end-to-end request traces**, the one description of a
+//!   served request: 128-bit ids minted at the edge (or adopted via W3C
+//!   `traceparent`), a per-hop id it owns, per-request phase attribution
+//!   recorded from any thread, and a bounded tail-sampling ring sink.
 //! * [`summary`] — a human-readable end-of-run span/metric summary tree.
 //! * [`lockcheck`] — debug-build **lock-order instrumentation**: ranked
 //!   locks and a thread-local held-lock stack that panics on ordering

@@ -1,32 +1,30 @@
 //! Hierarchical wall-clock spans with a thread-safe, **bounded** global
-//! registry.
+//! registry: the summary tree of an offline run.
 //!
-//! A span measures one stage of the pipeline (`study.cpt`,
-//! `eval.full_instruct`, …). Spans nest: each thread keeps a stack of open
-//! spans, and a new span's parent is whatever is on top of the creating
-//! thread's stack. Spans opened on worker threads therefore become roots
-//! there; what ties a request's work on several threads together is its
-//! trace ([`crate::trace`]), which a span joins with
-//! [`SpanGuard::set_trace`].
+//! A span measures one *stage* of the pipeline (`study.cpt`, `train`,
+//! `eval`, `serve.score_batch`, `gateway.drain`, …). Spans nest: each
+//! thread keeps a stack of open spans, and a new span's parent is whatever
+//! is on top of the creating thread's stack, so spans opened on worker
+//! threads are roots there. Requests are not spans: a served request is
+//! described by its trace ([`crate::trace`]) and nothing else, and this
+//! module shares no state with that one.
 //!
 //! Closing a span (RAII drop) stamps its end time, emits a `span_end`
 //! event to the sink, and leaves the record in the registry for the
 //! end-of-run summary tree ([`crate::summary`]). The registry holds at
-//! most [`set_capacity`] records: once over capacity, the oldest *closed*
-//! spans retire into the bounded ring in [`crate::trace`]
-//! ([`crate::trace::retired_spans`]), so a long-running server does not
-//! leak span memory. Span ids are stable across retirement (they are
-//! allocation-ordered, not positional).
+//! most [`SPAN_CAPACITY`] records; past that a new span is an inert guard
+//! (no record, no event) counted in `span.dropped`. A serving process
+//! opens no span per request, so the bound is never met there; a span's
+//! id is its position in the registry.
 
 use crate::event::Event;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// One recorded span. `end_us` is `None` while the span is open.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// Allocation-ordered span id (stable across registry retirement).
+    /// Span id: the record's position in the registry.
     pub id: usize,
     /// Parent span id, if any (same-thread nesting).
     pub parent: Option<usize>,
@@ -40,8 +38,6 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// End, microseconds since process epoch.
     pub end_us: Option<u64>,
-    /// The trace this span belongs to, if any.
-    pub trace: Option<u128>,
 }
 
 impl SpanRecord {
@@ -56,50 +52,11 @@ impl SpanRecord {
     }
 }
 
-/// Default registry capacity; override with [`set_capacity`].
-pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
+/// Most records the registry holds; spans opened past it are inert.
+pub const SPAN_CAPACITY: usize = 8192;
 
-struct Registry {
-    /// Live records; `spans[i]` has id `base + i`.
-    spans: VecDeque<SpanRecord>,
-    /// Id of the oldest record still in `spans`.
-    base: usize,
-    /// Retirement threshold.
-    capacity: usize,
-}
-
-impl Registry {
-    fn get_mut(&mut self, id: usize) -> Option<&mut SpanRecord> {
-        let idx = id.checked_sub(self.base)?;
-        self.spans.get_mut(idx)
-    }
-}
-
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    spans: VecDeque::new(),
-    base: 0,
-    capacity: DEFAULT_SPAN_CAPACITY,
-});
-
-/// Pop closed spans off the front while over capacity. Only a contiguous
-/// closed prefix retires (ids are `base`-offset positions, so retirement
-/// must not punch holes); a long-open front span pins what follows, which
-/// is bounded by the number of live guards.
-fn retire_excess(reg: &mut Registry) -> Vec<SpanRecord> {
-    let mut retired = Vec::new();
-    while reg.spans.len() > reg.capacity {
-        match reg.spans.front() {
-            Some(front) if front.end_us.is_some() => {
-                if let Some(s) = reg.spans.pop_front() {
-                    reg.base += 1;
-                    retired.push(s);
-                }
-            }
-            _ => break,
-        }
-    }
-    retired
-}
+/// Every span opened since start/reset; `REGISTRY[i]` has id `i`.
+static REGISTRY: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
 
 thread_local! {
     static STACK: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
@@ -124,20 +81,27 @@ pub fn span_with(name: &str, attrs: Vec<(String, String)>) -> SpanGuard {
     let id = {
         let (_order, mut reg) =
             crate::lockcheck::lock_ranked("telemetry.span.registry", &REGISTRY);
-        let id = reg.base + reg.spans.len();
-        reg.spans.push_back(SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            attrs,
-            nums: Vec::new(),
-            start_us,
-            end_us: None,
-            trace: None,
-        });
+        let id = reg.len();
+        if id < SPAN_CAPACITY {
+            reg.push(SpanRecord {
+                id,
+                parent,
+                name: name.to_string(),
+                attrs,
+                nums: Vec::new(),
+                start_us,
+                end_us: None,
+            });
+        }
         id
     };
-    STACK.with(|s| s.borrow_mut().push(id));
+    if id < SPAN_CAPACITY {
+        STACK.with(|s| s.borrow_mut().push(id));
+    } else {
+        // Registry full: no record will ever sit at `id`, so the guard is
+        // inert (every lookup misses).
+        crate::metrics::counter("span.dropped").inc();
+    }
     SpanGuard { id }
 }
 
@@ -160,15 +124,6 @@ impl SpanGuard {
             rec.nums.push((key.to_string(), v));
         }
     }
-
-    /// Associate the span with a trace.
-    pub fn set_trace(&self, trace: u128) {
-        let (_order, mut reg) =
-            crate::lockcheck::lock_ranked("telemetry.span.registry", &REGISTRY);
-        if let Some(rec) = reg.get_mut(self.id) {
-            rec.trace = Some(trace);
-        }
-    }
 }
 
 impl Drop for SpanGuard {
@@ -181,38 +136,26 @@ impl Drop for SpanGuard {
             }
         });
         // Copy what the event needs, then release the lock before emitting.
-        // A guard outliving a `reset()` finds no record; close silently.
-        let (info, retired) = {
+        // An inert guard, or one outliving a `reset()`, finds no record;
+        // close silently.
+        let info = {
             let (_order, mut reg) =
                 crate::lockcheck::lock_ranked("telemetry.span.registry", &REGISTRY);
-            let info = match reg.get_mut(self.id) {
-                Some(rec) => {
-                    rec.end_us = Some(end_us);
-                    Some((
-                        rec.name.clone(),
-                        rec.attrs.clone(),
-                        rec.nums.clone(),
-                        end_us.saturating_sub(rec.start_us),
-                        rec.trace,
-                    ))
-                }
-                None => None,
-            };
-            // Retire past-capacity closed spans now that this one closed
-            // (outside the lock below: the trace ring has a lower rank).
-            (info, retire_excess(&mut reg))
+            reg.get_mut(self.id).map(|rec| {
+                rec.end_us = Some(end_us);
+                (
+                    rec.name.clone(),
+                    rec.attrs.clone(),
+                    rec.nums.clone(),
+                    end_us.saturating_sub(rec.start_us),
+                )
+            })
         };
-        if !retired.is_empty() {
-            crate::trace::retire_spans(retired);
-        }
-        let Some((name, attrs, nums, dur_us, trace)) = info else { return };
+        let Some((name, attrs, nums, dur_us)) = info else { return };
         if crate::sink::is_active() {
             let mut e = Event::new("span_end")
                 .str_field("span", &name)
                 .u64_field("dur_us", dur_us);
-            if let Some(t) = trace {
-                e = e.str_field("trace", &crate::trace::TraceId(t).to_hex());
-            }
             for (k, v) in &attrs {
                 e = e.str_field(k, v);
             }
@@ -243,31 +186,17 @@ macro_rules! span {
     };
 }
 
-/// Set the registry's retirement threshold (min 16). Shrinking retires
-/// immediately; retired spans land in [`crate::trace::retired_spans`].
-pub fn set_capacity(capacity: usize) {
-    let retired = {
-        let (_order, mut reg) =
-            crate::lockcheck::lock_ranked("telemetry.span.registry", &REGISTRY);
-        reg.capacity = capacity.max(16);
-        retire_excess(&mut reg)
-    };
-    crate::trace::retire_spans(retired);
-}
-
-/// Snapshot the live registry (open spans included; retired spans are in
-/// [`crate::trace::retired_spans`]).
+/// Snapshot the registry (open spans included).
 pub fn snapshot() -> Vec<SpanRecord> {
     let (_order, reg) = crate::lockcheck::lock_ranked("telemetry.span.registry", &REGISTRY);
-    reg.spans.iter().cloned().collect()
+    reg.clone()
 }
 
 /// Clear the registry and the calling thread's span stack (tests and
-/// multi-run binaries). Capacity is kept; ids restart from 0.
+/// multi-run binaries); ids restart from 0.
 pub fn reset() {
     let (_order, mut reg) = crate::lockcheck::lock_ranked("telemetry.span.registry", &REGISTRY);
-    reg.spans.clear();
-    reg.base = 0;
+    reg.clear();
     drop(reg);
     drop(_order);
     STACK.with(|s| s.borrow_mut().clear());
@@ -287,7 +216,6 @@ mod tests {
             let inner = crate::span!("inner");
             inner.record_f64("tokens", 1000.0);
             inner.record_f64("tokens", 2000.0); // overwrite, not duplicate
-            inner.set_trace(0xdef);
             (outer.id(), inner.id())
         };
         let spans = snapshot();
@@ -309,7 +237,6 @@ mod tests {
         // Recorded numbers: overwritten, not duplicated.
         assert_eq!(inner.num("tokens"), Some(2000.0));
         assert_eq!(inner.nums.len(), 1);
-        assert_eq!((outer.trace, inner.trace), (None, Some(0xdef)));
 
         // Spans opened on another thread are roots.
         let handle = std::thread::spawn(|| {
@@ -330,42 +257,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         let d2 = snapshot().iter().find(|s| s.id == g.id()).unwrap().duration_us();
         assert!(d2 > d1);
-    }
-
-    /// Retirement policy on a local registry (the global one is shared
-    /// with concurrently running tests, so capacity is not shrunk here).
-    #[test]
-    fn retire_excess_pops_only_closed_prefix_and_keeps_ids_stable() {
-        let mk = |id: usize, closed: bool| SpanRecord {
-            id,
-            parent: None,
-            name: format!("s{id}"),
-            attrs: Vec::new(),
-            nums: Vec::new(),
-            start_us: id as u64,
-            end_us: closed.then_some(id as u64 + 1),
-            trace: None,
-        };
-        let mut reg = Registry { spans: VecDeque::new(), base: 0, capacity: 2 };
-        for (id, closed) in [(0, true), (1, true), (2, false), (3, true), (4, true)] {
-            reg.spans.push_back(mk(id, closed));
-        }
-        let retired = retire_excess(&mut reg);
-        // 0 and 1 retire; 2 is open and pins 3 and 4 despite capacity 2.
-        assert_eq!(retired.iter().map(|s| s.id).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(reg.base, 2);
-        assert_eq!(reg.spans.len(), 3);
-        // Ids remain addressable after the base shift.
-        assert_eq!(reg.get_mut(3).map(|s| s.id), Some(3));
-        assert!(reg.get_mut(1).is_none(), "retired id no longer addressable");
-        assert!(reg.get_mut(99).is_none());
-        // Closing the pin lets the rest retire.
-        if let Some(s) = reg.get_mut(2) {
-            s.end_us = Some(10);
-        }
-        let retired = retire_excess(&mut reg);
-        assert_eq!(retired.iter().map(|s| s.id).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(reg.base, 3);
-        assert_eq!(reg.spans.len(), 2);
     }
 }

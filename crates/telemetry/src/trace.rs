@@ -2,11 +2,14 @@
 //!
 //! A **trace** follows one request through every thread it touches: the
 //! gateway handler that accepts it, the scheduler thread that runs it,
-//! and back. Spans ([`crate::span`])
-//! cannot do this alone — they nest per-thread — so a trace is keyed by a
-//! process-unique 128-bit [`TraceId`] minted at the edge (or accepted
-//! from an inbound W3C `traceparent` header) and carried by value across
-//! thread boundaries.
+//! and back. It is the only description of a request — stage spans nest
+//! per thread and summarise an offline run; none is opened per request —
+//! so a trace is keyed by a process-unique 128-bit [`TraceId`] minted at
+//! the edge (or adopted from an inbound W3C `traceparent` header, see
+//! [`open`]) and carried by value across thread boundaries. Each process a
+//! request passes through is one **hop**: [`start`] mints the hop's
+//! non-zero 64-bit id, the record keeps it ([`TraceRecord::span`]), and
+//! [`traceparent`] names it as the parent-id sent to the next hop.
 //!
 //! The unit of attribution is the **phase**: a named `[start_us, end_us]`
 //! interval ([`Phase`]) recorded against the trace from whichever thread
@@ -22,10 +25,8 @@
 //! traces are also emitted to the JSONL sink as single-line `trace`
 //! events that the `astro-trace` analyzer reads back. Memory is bounded
 //! no matter how long the server runs: the ring evicts oldest-first, and
-//! the span registry retires closed spans here (see
-//! [`crate::span::set_capacity`]) instead of growing without bound.
+//! the in-flight table holds one record per open connection.
 
-use crate::span::SpanRecord;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -78,6 +79,20 @@ pub fn mint() -> TraceId {
     TraceId(if id == 0 { 1 } else { id })
 }
 
+/// Mint a hop id: non-zero, process-unique (`splitmix64` is a bijection of
+/// the counter) and salted with the pid so two processes' hops of one
+/// trace differ.
+fn mint_hop() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let id = splitmix64(n ^ u64::from(std::process::id()).rotate_left(32));
+        if id != 0 {
+            return id;
+        }
+    }
+}
+
 /// Parse a W3C `traceparent` header value
 /// (`00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>`). Returns the
 /// trace id and the remote parent span id. Rejects version `ff`, zero
@@ -105,8 +120,8 @@ pub fn parse_traceparent(header: &str) -> Option<(TraceId, u64)> {
     }
 }
 
-/// Render a `traceparent` header value for a trace and a span id, with
-/// the sampled flag set.
+/// Render a `traceparent` header value for a trace and a (non-zero) hop
+/// id, with the sampled flag set.
 pub fn format_traceparent(trace: TraceId, span: u64) -> String {
     format!("00-{:032x}-{span:016x}-01", trace.0)
 }
@@ -149,7 +164,10 @@ pub struct TraceRecord {
     pub id: TraceId,
     /// Root operation name, e.g. `gateway./v1/score`.
     pub name: String,
-    /// Remote parent span id from an inbound `traceparent`, if any.
+    /// This hop's id, minted by [`start`]: the parent-id of every
+    /// `traceparent` the hop sends, so the next hop's `parent_span` is it.
+    pub span: u64,
+    /// The previous hop's id from an inbound `traceparent`, if any.
     pub parent_span: Option<u64>,
     /// Start, microseconds since process epoch.
     pub start_us: u64,
@@ -195,6 +213,7 @@ impl TraceRecord {
         write_json_string(&mut out, &self.id.to_hex());
         out.push_str(",\"name\":");
         write_json_string(&mut out, &self.name);
+        out.push_str(&format!(",\"span\":\"{:016x}\"", self.span));
         if let Some(p) = self.parent_span {
             out.push_str(&format!(",\"parent_span\":\"{p:016x}\""));
         }
@@ -276,18 +295,11 @@ pub struct TraceConfig {
     /// Minimum finished-trace count before the slowest-p1% keep rule
     /// activates (the p99 estimate needs data to be meaningful).
     pub slow_keep_min_count: u64,
-    /// Maximum retired span records retained (oldest evicted).
-    pub retired_span_capacity: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            ring_capacity: 2048,
-            sample_one_in: 1,
-            slow_keep_min_count: 128,
-            retired_span_capacity: 1024,
-        }
+        TraceConfig { ring_capacity: 2048, sample_one_in: 1, slow_keep_min_count: 128 }
     }
 }
 
@@ -296,14 +308,14 @@ fn inflight() -> &'static Mutex<HashMap<u128, TraceRecord>> {
     S.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The bounded tail-sampling ring of kept traces plus the retired-span
-/// ring, with its sampling counters.
+/// The bounded tail-sampling ring of kept traces, with its sampling
+/// counters.
 ///
 /// The process-global instance lives behind a
 /// [`crate::sync::Mutex`] (std normally, the model-checker shim under
 /// `--cfg astro_check`); it is a public type so the concurrency harness
 /// (`tests/check_ring.rs`) can exhaustively explore concurrent
-/// admit/retire/drain against a private instance. Every method keeps the
+/// admit/evict/drain against a private instance. Every method keeps the
 /// structural invariants `traces.len() <= ring_capacity` and
 /// `kept == evicted + traces.len()` (over a ring that is never drained
 /// mid-count); callers need no cross-call protocol beyond holding the
@@ -311,19 +323,17 @@ fn inflight() -> &'static Mutex<HashMap<u128, TraceRecord>> {
 pub struct TraceRing {
     cfg: TraceConfig,
     traces: VecDeque<TraceRecord>,
-    retired_spans: VecDeque<SpanRecord>,
     finished: u64,
     kept: u64,
     evicted: u64,
 }
 
 impl TraceRing {
-    /// An empty ring with `cfg` (capacities clamped to at least 1).
+    /// An empty ring with `cfg` (capacity and rate clamped to at least 1).
     pub fn new(cfg: TraceConfig) -> Self {
         let mut ring = TraceRing {
             cfg: TraceConfig::default(),
             traces: VecDeque::new(),
-            retired_spans: VecDeque::new(),
             finished: 0,
             kept: 0,
             evicted: 0,
@@ -333,20 +343,16 @@ impl TraceRing {
     }
 
     /// Install a new [`TraceConfig`] (applies to traces admitted after
-    /// the call; shrinking capacities evicts immediately).
+    /// the call; shrinking the capacity evicts immediately).
     pub fn configure(&mut self, cfg: TraceConfig) {
         self.cfg = TraceConfig {
             ring_capacity: cfg.ring_capacity.max(1),
             sample_one_in: cfg.sample_one_in.max(1),
             slow_keep_min_count: cfg.slow_keep_min_count,
-            retired_span_capacity: cfg.retired_span_capacity.max(1),
         };
         while self.traces.len() > self.cfg.ring_capacity {
             self.traces.pop_front();
             self.evicted += 1;
-        }
-        while self.retired_spans.len() > self.cfg.retired_span_capacity {
-            self.retired_spans.pop_front();
         }
     }
 
@@ -389,17 +395,6 @@ impl TraceRing {
         keep
     }
 
-    /// Append retired spans, evicting oldest-first past capacity.
-    pub fn retire(&mut self, spans: Vec<SpanRecord>) {
-        let cap = self.cfg.retired_span_capacity;
-        for s in spans {
-            self.retired_spans.push_back(s);
-        }
-        while self.retired_spans.len() > cap {
-            self.retired_spans.pop_front();
-        }
-    }
-
     /// Kept traces, oldest first (cloned).
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         self.traces.iter().cloned().collect()
@@ -408,11 +403,6 @@ impl TraceRing {
     /// Remove and return every kept trace, oldest first.
     pub fn drain(&mut self) -> Vec<TraceRecord> {
         self.traces.drain(..).collect()
-    }
-
-    /// Retired spans, oldest first (cloned).
-    pub fn retired(&self) -> Vec<SpanRecord> {
-        self.retired_spans.iter().cloned().collect()
     }
 
     /// Kept traces currently resident.
@@ -430,10 +420,9 @@ impl TraceRing {
         (self.finished, self.kept, self.evicted)
     }
 
-    /// Clear traces, retired spans and counters; the config is kept.
+    /// Clear traces and counters; the config is kept.
     pub fn clear(&mut self) {
         self.traces.clear();
-        self.retired_spans.clear();
         self.finished = 0;
         self.kept = 0;
         self.evicted = 0;
@@ -446,26 +435,22 @@ fn ring() -> &'static crate::sync::Mutex<TraceRing> {
 }
 
 /// Install a new [`TraceConfig`] on the global ring (applies to traces
-/// finished after the call; shrinking capacities evicts immediately).
+/// finished after the call; shrinking the capacity evicts immediately).
 pub fn configure(cfg: TraceConfig) {
     let (_order, mut ring) = crate::sync::lock_ranked("telemetry.trace.ring", ring());
     ring.configure(cfg);
 }
 
-/// The currently installed [`TraceConfig`].
-pub fn config() -> TraceConfig {
-    let (_order, ring) = crate::sync::lock_ranked("telemetry.trace.ring", ring());
-    ring.config()
-}
-
-/// Open a trace. `start_us` anchors the trace at the moment the request
-/// actually arrived (phases recorded later tile `[start_us, end]`).
-/// Returns `false` if the id is already in flight (caller should mint a
-/// fresh id — duplicate inbound `traceparent`s must not merge records).
+/// Open a trace and mint its hop id. `start_us` anchors the trace at the
+/// moment the request actually arrived (phases recorded later tile
+/// `[start_us, end]`). Returns `false` if the id is already in flight
+/// (caller should mint a fresh id — duplicate inbound `traceparent`s must
+/// not merge records).
 pub fn start(id: TraceId, name: &str, parent_span: Option<u64>, start_us: u64) -> bool {
     let rec = TraceRecord {
         id,
         name: name.to_string(),
+        span: mint_hop(),
         parent_span,
         start_us,
         end_us: 0,
@@ -484,10 +469,30 @@ pub fn start(id: TraceId, name: &str, parent_span: Option<u64>, start_us: u64) -
     true
 }
 
-/// True while `id` is open (started but not finished).
-pub fn is_inflight(id: TraceId) -> bool {
+/// Open the trace of a request read from a connection accepted at
+/// `t_conn`, the one way a server starts one: adopt the trace id and the
+/// remote parent of its `traceparent` header when that parses, mint an id
+/// otherwise — and also when the adopted one is already in flight here
+/// (ids are one-shot: a replayed header must not merge two records) — and
+/// record the `recv` phase from accept to now.
+pub fn open(name: &str, traceparent: Option<&str>, t_conn: u64) -> TraceId {
+    let (mut id, parent_span) = match traceparent.and_then(parse_traceparent) {
+        Some((id, parent)) => (id, Some(parent)),
+        None => (mint(), None),
+    };
+    while !start(id, name, parent_span, t_conn) {
+        id = mint();
+    }
+    phase(id, "recv", t_conn, crate::elapsed_us());
+    id
+}
+
+/// The `traceparent` value that names this hop of `id` as the parent —
+/// what it sends to the next hop and back to its client. `None` once the
+/// trace has finished.
+pub fn traceparent(id: TraceId) -> Option<String> {
     let (_order, map) = crate::lockcheck::lock_ranked("telemetry.trace.inflight", inflight());
-    map.contains_key(&id.0)
+    map.get(&id.0).map(|rec| format_traceparent(id, rec.span))
 }
 
 fn with_inflight(id: TraceId, f: impl FnOnce(&mut TraceRecord)) {
@@ -609,28 +614,6 @@ pub fn finish(id: TraceId, status: u16) -> Option<TraceRecord> {
     Some(rec)
 }
 
-/// Move closed spans evicted from the span registry into the bounded
-/// retired-span ring (called by [`crate::span`]; see
-/// [`crate::span::set_capacity`]).
-pub fn retire_spans(spans: Vec<SpanRecord>) {
-    if spans.is_empty() {
-        return;
-    }
-    let n = spans.len() as u64;
-    {
-        let (_order, mut ring) = crate::sync::lock_ranked("telemetry.trace.ring", ring());
-        ring.retire(spans);
-    }
-    crate::metrics::counter("span.retired").add(n);
-}
-
-/// Snapshot the retired-span ring (most recent `retired_span_capacity`
-/// spans evicted from the live registry).
-pub fn retired_spans() -> Vec<SpanRecord> {
-    let (_order, ring) = crate::sync::lock_ranked("telemetry.trace.ring", ring());
-    ring.retired()
-}
-
 /// Snapshot the kept-trace ring, oldest first.
 pub fn ring_snapshot() -> Vec<TraceRecord> {
     let (_order, ring) = crate::sync::lock_ranked("telemetry.trace.ring", ring());
@@ -682,8 +665,8 @@ pub fn stats() -> TraceStats {
     TraceStats { inflight: inflight_n, finished, kept, evicted, ring_len: ring.len() }
 }
 
-/// Clear all trace state — in-flight table, ring, retired spans and
-/// counters (tests and multi-run binaries). The config is kept.
+/// Clear all trace state — in-flight table, ring and counters (tests and
+/// multi-run binaries). The config is kept.
 pub fn reset() {
     {
         let (_order, mut map) =
@@ -764,7 +747,6 @@ mod tests {
         let t0 = crate::elapsed_us();
         assert!(start(id, "gateway./v1/score", Some(7), t0));
         assert!(!start(id, "dup", None, t0), "duplicate id rejected");
-        assert!(is_inflight(id));
         let e1 = phase_since_last(id, "recv").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(1));
         let e2 = phase_since_last(id, "queue_wait").unwrap();
@@ -778,7 +760,7 @@ mod tests {
         assert_eq!(snap.phases[1].start_us, e1, "phases tile with no gaps");
 
         let rec = finish(id, 200).expect("finish returns the record");
-        assert!(!is_inflight(id));
+        assert!(inflight_snapshot(id).is_none());
         assert_eq!(rec.status, 200);
         assert_eq!(rec.keep, "sampled", "default config keeps everything");
         assert!(rec.end_us >= rec.start_us);
@@ -860,26 +842,40 @@ mod tests {
         reset();
     }
 
+    /// The parent-id a hop sends is the id the trace minted for it: valid
+    /// W3C (non-zero) from the first request of a process on, whatever
+    /// else the process has or has not opened.
     #[test]
-    fn retired_span_ring_is_bounded() {
+    fn hop_id_round_trips_through_traceparent_and_open_adopts_or_mints() {
         let _g = gate();
         reset();
-        configure(TraceConfig { retired_span_capacity: 3, ..TraceConfig::default() });
-        let mk = |i: usize| SpanRecord {
-            id: i,
-            parent: None,
-            name: format!("s{i}"),
-            attrs: Vec::new(),
-            nums: Vec::new(),
-            start_us: 0,
-            end_us: Some(1),
-            trace: None,
-        };
-        retire_spans((0..7).map(mk).collect());
-        let retired = retired_spans();
-        assert_eq!(retired.len(), 3);
-        assert_eq!(retired[0].id, 4, "oldest retired spans evicted");
-        configure(TraceConfig::default());
+        let t0 = crate::elapsed_us();
+        let id = mint();
+        assert!(start(id, "router./v1/score", None, t0));
+        let hop = inflight_snapshot(id).unwrap().span;
+        let header = traceparent(id).expect("in flight");
+        assert_eq!(parse_traceparent(&header), Some((id, hop)), "{header}");
+
+        // The next hop adopts id and parent — unless the id is in flight in
+        // this process, where it re-mints and keeps the parent.
+        let dup = open("gateway./v1/score", Some(&header), t0);
+        assert_ne!(dup, id);
+        finish(id, 200);
+        assert_eq!(traceparent(id), None, "finished");
+        let next = open("gateway./v1/score", Some(&header), t0);
+        assert_eq!(next, id);
+        let minted = open("gateway.reject", Some("garbage"), t0);
+        let hops: Vec<(u64, Option<u64>)> = [dup, next, minted]
+            .iter()
+            .map(|&t| finish(t, 200).map(|r| (r.span, r.parent_span)).unwrap())
+            .collect();
+        assert_eq!(hops.iter().map(|h| h.1).collect::<Vec<_>>(), [Some(hop), Some(hop), None]);
+        let mut ids = vec![hop, hops[0].0, hops[1].0, hops[2].0];
+        assert!(!ids.contains(&0));
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "hop ids are process-unique");
+        assert_eq!(ring_snapshot().last().unwrap().phase("recv").unwrap().start_us, t0);
         reset();
     }
 
@@ -897,6 +893,7 @@ mod tests {
         let rec = finish(id, 503).unwrap();
         let line = rec.to_json_line();
         assert!(line.starts_with("{\"event\":\"trace\""), "{line}");
+        assert!(line.contains(&format!("\"span\":\"{:016x}\"", rec.span)), "{line}");
         assert!(line.contains(&format!("\"trace\":\"{}\"", id.to_hex())), "{line}");
         assert!(line.contains("\"parent_span\":\"0000000000000abc\""), "{line}");
         assert!(line.contains("\"status\":503"), "{line}");

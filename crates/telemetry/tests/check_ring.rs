@@ -20,6 +20,7 @@ fn record(seq: u128) -> TraceRecord {
     TraceRecord {
         id: TraceId(seq),
         name: format!("check-{seq}"),
+        span: seq as u64,
         parent_span: None,
         start_us: 0,
         end_us: 1,
@@ -39,7 +40,6 @@ fn concurrent_admit_keeps_ring_bounded_and_counted() {
             ring_capacity: 1,
             sample_one_in: 1, // keep everything → maximal eviction pressure
             slow_keep_min_count: u64::MAX,
-            retired_span_capacity: 1,
         })));
 
         let admitters: Vec<_> = (1..=2u128)

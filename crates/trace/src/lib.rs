@@ -390,6 +390,7 @@ mod tests {
         TraceRecord {
             id: TraceId(id),
             name: "gateway./v1/score".to_string(),
+            span: 7,
             parent_span: None,
             start_us: 1000,
             end_us: 1400,

@@ -16,6 +16,7 @@ use astro_router::{
 };
 use astro_telemetry::event::write_json_string;
 use astro_telemetry::lockcheck;
+use astro_telemetry::trace::{self, TraceId};
 use astromlab::eval::json::Json;
 use astromlab::eval::{
     instruct_method_answer, token_method_predict, EvalModel, InstructEvalConfig, TokenEvalConfig,
@@ -130,11 +131,13 @@ fn score_and_check(addr: std::net::SocketAddr, ctx: &Ctx, q: &Mcq, tag: &str) ->
 fn mixed_load_through_router_is_bitwise_identical_to_serial_path() {
     let _gate = gate();
     fault::clear();
+    trace::reset();
     let ctx = setup(71);
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
     let model = EvalModel { params: &ctx.params, tokenizer: &ctx.state.tokenizer };
     let questions: Vec<Mcq> = ctx.study.eval_questions().into_iter().cloned().collect();
+    let spans_before = astro_telemetry::span::snapshot().len();
 
     let mut replicas_seen = std::collections::BTreeSet::new();
     for (i, q) in questions.iter().take(3).enumerate() {
@@ -168,6 +171,35 @@ fn mixed_load_through_router_is_bitwise_identical_to_serial_path() {
     assert!(health.body.contains("\"ring_members\":2"), "{}", health.body);
     assert!(health.body.contains("\"inflight\":0"), "{}", health.body);
 
+    // The router honours a client's `traceparent` as a gateway does: the
+    // id is adopted and answered, and the replica's record names the
+    // router's hop as its parent (its own id is re-minted only because an
+    // in-process cluster shares one in-flight table).
+    let (sent_id, sent_parent) = (TraceId(0x0af7_6519_16cd_43dd_8448_eb21_1c80_319c), 0xb7ad_6b71_6920_3331);
+    let sent = trace::format_traceparent(sent_id, sent_parent);
+    let resp = client::post_json_with_headers(
+        addr,
+        "/v1/score",
+        &score_body(&questions[0]),
+        &[("traceparent", &sent)],
+        TIMEOUT,
+    )
+    .expect("traced score");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let answered = resp.header("traceparent").and_then(trace::parse_traceparent);
+    let ring = trace::ring_snapshot();
+    let hop = ring.iter().find(|r| r.parent_span == Some(sent_parent)).expect("the router's record");
+    assert_eq!((hop.id, hop.name.as_str()), (sent_id, "router./v1/score"));
+    assert_eq!(answered, Some((sent_id, hop.span)));
+    let served: Vec<&str> =
+        ring.iter().filter(|r| r.parent_span == Some(hop.span)).map(|r| r.name.as_str()).collect();
+    assert_eq!(served, ["gateway./v1/score"], "the replica's record joins on the router's hop id");
+    assert_eq!(
+        astro_telemetry::span::snapshot().len(),
+        spans_before,
+        "a request through the router opened a span"
+    );
+
     let stats = cluster.shutdown();
     assert_eq!(stats.router.lost, 0);
     let (accepted, completed) = stats
@@ -176,7 +208,30 @@ fn mixed_load_through_router_is_bitwise_identical_to_serial_path() {
         .flatten()
         .fold((0, 0), |(a, c), d| (a + d.accepted, c + d.completed));
     assert_eq!(accepted, completed, "cluster-wide accepted == completed");
-    assert_eq!(accepted, 6, "three scores + three generates");
+    assert_eq!(accepted, 7, "four scores + three generates");
+}
+
+/// An early rejection from the router reaches the client whole. The
+/// router answers a too-large `Content-Length` before reading the body;
+/// closing with those bytes unread would make the kernel send an RST that
+/// destroys the queued response, so it half-closes and drains first, with
+/// the same code as the gateway.
+#[test]
+fn oversized_post_to_the_router_reads_a_complete_413() {
+    let _gate = gate();
+    fault::clear();
+    let mut config = RouterConfig::default();
+    config.probe.interval = Duration::from_secs(60);
+    let body = "x".repeat(2 * config.max_body_bytes);
+    let unreachable = ReplicaSpec { name: "replica-0".to_string(), addr: ([127, 0, 0, 1], 9).into() };
+    let router = Router::spawn(config, vec![unreachable]).expect("router spawn");
+    for round in 0..8 {
+        let resp = client::post_json(router.addr(), "/v1/score", &body, TIMEOUT)
+            .unwrap_or_else(|e| panic!("round {round}: the 413 was lost: {e}"));
+        assert_eq!(resp.status, 413, "{}", resp.body);
+        assert!(resp.body.contains("exceeds"), "{}", resp.body);
+    }
+    router.shutdown();
 }
 
 #[test]

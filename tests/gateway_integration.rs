@@ -18,6 +18,7 @@ use astromlab::prng::Rng;
 use astromlab::{Study, StudyConfig};
 use astro_resilience::fault::{self, FaultPlan};
 use astro_telemetry::event::write_json_string;
+use astro_telemetry::trace::{self, TraceId};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -186,6 +187,43 @@ fn socket_responses_match_in_process_serial_path_bitwise() {
     assert!(stats.drained_clean, "{stats:?}");
     assert_eq!(stats.accepted, 2 * n as u64);
     assert_eq!(stats.accepted, stats.completed);
+}
+
+/// A client's `traceparent` is adopted, and the one the gateway answers
+/// with names this hop as the parent: the same trace id and the non-zero
+/// id the trace minted for the hop, which is what the ring record carries.
+#[test]
+fn inbound_traceparent_is_adopted_and_answered_with_this_hops_id() {
+    let _gate = gate();
+    fault::clear();
+    trace::reset();
+    let ctx = setup(47);
+    let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
+    let q = ctx.study.eval_questions()[0];
+    let (sent_id, sent_parent) = (TraceId(0x4bf9_2f35_77b3_4da6_a3ce_929d_0e0e_4736), 0xf0_67aa_0ba9_02b7);
+    let sent = trace::format_traceparent(sent_id, sent_parent);
+    let resp = client::post_json_with_headers(
+        gw.addr(),
+        "/v1/score",
+        &score_body(q, None),
+        &[("traceparent", &sent)],
+        TIMEOUT,
+    )
+    .expect("score request");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    // Parsing rejects a zero parent-id, as every W3C reader does.
+    let (id, hop) = resp
+        .header("traceparent")
+        .and_then(trace::parse_traceparent)
+        .unwrap_or_else(|| panic!("no valid traceparent in {:?}", resp.headers));
+    assert_eq!(id, sent_id, "the client's trace id is adopted");
+    gw.shutdown();
+    let ring = trace::ring_snapshot();
+    let rec = ring
+        .iter()
+        .find(|r| r.parent_span == Some(sent_parent))
+        .expect("a ring record whose parent is the client's span");
+    assert_eq!((rec.id, rec.span), (sent_id, hop), "the answered parent-id is the record's hop id");
 }
 
 #[test]

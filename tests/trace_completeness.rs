@@ -274,7 +274,9 @@ fn every_response_yields_exactly_one_complete_trace() {
 /// between phases (`assert_well_formed` checks order and containment,
 /// not gaps). Slack is 5% with a 500µs floor: scheduler-side timestamps
 /// quantise to whole microseconds and the final ring stamp lands a hair
-/// after the `write` phase closes.
+/// after the `write` phase closes. The trace is all a request leaves
+/// behind: the burst opens no span, which is why the span registry needs
+/// no retirement to stay bounded in a serving process.
 #[test]
 fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
     let _gate = gate();
@@ -284,6 +286,7 @@ fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
     let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
     let addr = gw.addr();
     let questions = ctx.study.eval_questions();
+    let spans_before = astro_telemetry::span::snapshot().len();
     std::thread::scope(|scope| {
         for c in 0..8 {
             let questions = &questions;
@@ -296,6 +299,11 @@ fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
             });
         }
     });
+    assert_eq!(
+        astro_telemetry::span::snapshot().len(),
+        spans_before,
+        "the request path opened a span"
+    );
     let stats = gw.shutdown();
     assert!(stats.drained_clean, "{stats:?}");
 
