@@ -13,14 +13,17 @@ pub struct GatewayConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
     pub bind: String,
     /// Prefix-cache settings of the shared engine behind both endpoints:
-    /// the gateway reads only `prefix_cache` and `max_cache_bytes`. Every
-    /// request runs on the one iteration-level serving loop whatever
-    /// `parallelism` says (it counts the shards of an *offline* batch),
-    /// and the per-method `engine` fields on the eval configs are ignored
-    /// too.
+    /// the gateway reads only `prefix_cache` and `max_cache_bytes`.
+    /// `parallelism` (the shards of an *offline* batch) is not read: the
+    /// gateway runs one serving loop per core by the same auto rule as
+    /// `EngineConfig::pooled()`, whatever it says. The per-method `engine`
+    /// fields on the eval configs are ignored too.
     pub engine: EngineConfig,
-    /// Most sequences the scheduler keeps active at once; a request leaves
-    /// the queue only when one of these slots is free for it.
+    /// Most sequences the gateway keeps active at once, over all its
+    /// serving loops: loop `i` of `n` owns `max_batch / n` slots, plus one
+    /// when `i < max_batch % n`, and there are never more loops than slots.
+    /// A request leaves the queue only when a slot of the loop that pops it
+    /// is free.
     pub max_batch: usize,
     /// Bounded request-queue capacity — the whole admission bound: pushes
     /// beyond it are rejected with 503 (backpressure, never unbounded

@@ -16,12 +16,12 @@
 //! # Architecture
 //!
 //! A thread-per-connection acceptor parses and admits requests, then
-//! pushes them onto a bounded MPMC [`queue::BoundedQueue`]. A single
-//! scheduler thread runs the one serving loop,
-//! [`scheduler::run_iter_scheduler`]: a request leaves the queue when
-//! the [`astro_serve::IterScheduler`] it owns has a free slot, the mixed
-//! batch advances one unit of work per step, and sequences retire
-//! individually — so concurrent clients share the radix prefix cache
+//! pushes them onto a bounded MPMC [`queue::BoundedQueue`]. One thread
+//! per core runs the serving loop, [`scheduler::run_iter_scheduler`], with
+//! its share of the `max_batch` slots: a request leaves the queue when
+//! the [`astro_serve::IterScheduler`] its loop owns has a free slot, the
+//! mixed batch advances one unit of work per step, and sequences retire
+//! individually — so concurrent clients share the one radix prefix cache
 //! exactly like an in-process batch, and a cheap score request is never
 //! head-of-line blocked behind a long generate. The handler that queued
 //! a request also builds its response from the engine's bare result.

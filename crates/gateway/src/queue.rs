@@ -1,8 +1,9 @@
 //! Bounded MPMC queue between connection handlers and the scheduler.
 //!
 //! `try_push` never blocks: a full queue is an admission decision (503),
-//! not a wait. The scheduler thread is the consumer: `pop` blocks while
-//! it has nothing to step, `try_pop` takes what has arrived while it has.
+//! not a wait. The serving loops are the consumers, one per core: each
+//! `pop`s (blocking) while it has nothing to step and `try_pop`s what has
+//! arrived while it has, and whichever reaches an item first takes it.
 //! The inner mutex is ranked
 //! `gateway.queue` in the telemetry lock hierarchy; see
 //! `astro_telemetry::lockcheck`.
@@ -25,7 +26,8 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// A capacity-bounded multi-producer queue with blocking consumption.
+/// A capacity-bounded multi-producer, multi-consumer queue with blocking
+/// consumption.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     cv: Condvar,

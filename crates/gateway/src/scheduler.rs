@@ -1,5 +1,7 @@
 //! The gateway's serving loop: one thread stepping an iteration-level
-//! scheduler.
+//! scheduler. A gateway runs one per core (at most one per `max_batch`
+//! slot), each with its share of the slots, all popping the one queue over
+//! the one engine — so they share one prefix-cache trie.
 //!
 //! Connection handlers push admitted requests onto the bounded queue;
 //! [`run_iter_scheduler`] owns an [`IterScheduler`], takes a request off
@@ -10,6 +12,11 @@
 //! second backlog behind it: `queue_capacity` is the whole admission
 //! bound, `queue_wait` the whole wait, and a request whose deadline passes
 //! while it waits is answered without running.
+//!
+//! Anchors and leader/follower deferral are each loop's own: nothing
+//! between loops is shared but the queue and the engine. The price is
+//! bounded — a burst of same-group scores encodes its prefix at most once
+//! per loop, and those encodes run on different cores.
 //!
 //! The loop does no per-request text work: it hands the engine's bare
 //! result back and the connection handler, which holds the options and
@@ -62,15 +69,16 @@ pub enum Reply {
     Expired,
 }
 
-/// The serving loop. Spawned once by `Gateway::spawn`; runs until the
-/// queue is closed *and* drained *and* every admitted request has retired,
-/// so a graceful shutdown flushes every accepted request. Never panics —
-/// engine errors become per-request [`Reply::Done`]`(Err(_))`s.
+/// One serving loop. `Gateway::spawn` starts one per core, splitting its
+/// `max_batch` between them; each runs until the queue is closed *and*
+/// drained *and* every request it took has retired, so a graceful
+/// shutdown flushes every accepted request. Never panics — engine errors
+/// become per-request [`Reply::Done`]`(Err(_))`s.
 ///
-/// A request leaves the queue only when one of the scheduler's
-/// `max_batch` slots is free for it, so nothing queues up out of reach of
-/// the queue's bound and its expiry check. There is no batching window:
-/// the latency floor for a lone request is one engine step.
+/// A request leaves the queue only when one of this loop's `max_batch`
+/// slots is free for it, so nothing queues up out of reach of the queue's
+/// bound and its expiry check. There is no batching window: the latency
+/// floor for a lone request is one engine step.
 pub fn run_iter_scheduler(
     queue: Arc<BoundedQueue<Pending>>,
     engine: Arc<EvalEngine>,

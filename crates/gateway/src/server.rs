@@ -2,20 +2,22 @@
 //! and graceful drain.
 //!
 //! Lifecycle: [`Gateway::spawn`] validates every config layer, binds the
-//! socket, and starts two long-lived threads — the acceptor (one handler
-//! thread per connection) and the serving loop
-//! ([`crate::scheduler::run_iter_scheduler`]). Admission
+//! socket, and starts the long-lived threads — the acceptor (one handler
+//! thread per connection) and one serving loop
+//! ([`crate::scheduler::run_iter_scheduler`]) per core, at most one per
+//! `max_batch` slot, each owning its share of the slots and all popping
+//! the one queue over the one engine and prefix cache. Admission
 //! happens in the handler *before* anything reaches the queue: drain
 //! state (503), body bounds (413), JSON schema (400), per-client rate
 //! limit (429 + `Retry-After`), bounded-queue backpressure (503).
 //! [`Gateway::shutdown`] stops accepting, waits for in-flight
-//! connections, then closes the queue so the scheduler flushes every
-//! accepted request — zero loss on a clean drain.
+//! connections, then closes the queue so every loop flushes the accepted
+//! requests it holds — zero loss on a clean drain.
 //!
 //! A handler builds the engine job before the queue push and the response
-//! after the scheduler hands the engine's result back (token decode,
-//! extraction cascade, argmax, JSON), so the one thread that steps the
-//! batch does no per-request text work.
+//! after a loop hands the engine's result back (token decode, extraction
+//! cascade, argmax, JSON), so the threads that step batches do no
+//! per-request text work.
 
 use crate::api;
 use crate::config::GatewayConfig;
@@ -30,7 +32,7 @@ use astro_mcq::Mcq;
 use astro_model::Params;
 use astro_prng::Rng;
 use astro_resilience::fault;
-use astro_serve::{EvalEngine, SeqOutcome};
+use astro_serve::{EngineConfig, EvalEngine, SeqOutcome};
 use astro_telemetry::trace::{self, TraceId};
 use astro_telemetry::{metrics, span};
 use astro_tokenizer::Tokenizer;
@@ -116,7 +118,7 @@ pub struct Gateway {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
+    schedulers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Gateway {
@@ -153,17 +155,28 @@ impl Gateway {
         });
 
         let max_batch = shared.config.max_batch;
-        let scheduler = std::thread::spawn(move || run_iter_scheduler(queue, engine, max_batch));
+        // One serving loop per core — the offline engine's auto shard rule —
+        // but never more loops than slots, so a one-core machine or
+        // `max_batch: 1` keeps a single loop. `max_batch` is split so it
+        // stays the bound on active sequences over all of them.
+        let loops = EngineConfig::pooled().resolved_parallelism().min(max_batch);
+        let schedulers = (0..loops)
+            .map(|i| {
+                let slots = max_batch / loops + usize::from(i < max_batch % loops);
+                let (queue, engine) = (Arc::clone(&queue), Arc::clone(&engine));
+                std::thread::spawn(move || run_iter_scheduler(queue, engine, slots))
+            })
+            .collect();
 
         let accept_shared = Arc::clone(&shared);
         let acceptor = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
 
-        astro_telemetry::info!("gateway: listening on {addr}");
+        astro_telemetry::info!("gateway: listening on {addr} (serving loops: {loops})");
         Ok(Gateway {
             shared,
             addr,
             acceptor: Some(acceptor),
-            scheduler: Some(scheduler),
+            schedulers,
         })
     }
 
@@ -173,7 +186,7 @@ impl Gateway {
     }
 
     /// Stop accepting, wait up to `drain_timeout` for in-flight
-    /// connections, flush the queue, and stop the scheduler. Every
+    /// connections, flush the queue, and stop the serving loops. Every
     /// request accepted before the drain began is answered.
     pub fn shutdown(mut self) -> DrainStats {
         let _span = span!("gateway.drain");
@@ -181,7 +194,7 @@ impl Gateway {
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.wake_and_join_acceptor();
 
-        // Handlers still hold connections; the scheduler is still
+        // Handlers still hold connections; the serving loops are still
         // running, so their queued work completes. Wait for them.
         let deadline = Instant::now() + self.shared.config.drain_timeout;
         while self.shared.open_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
@@ -190,9 +203,7 @@ impl Gateway {
         let conns_done = self.shared.open_conns.load(Ordering::SeqCst) == 0;
 
         self.shared.queue.close();
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
+        self.join_schedulers();
         let accepted = self.shared.accepted.load(Ordering::SeqCst);
         let completed = self.shared.completed.load(Ordering::SeqCst);
         let stats = DrainStats {
@@ -211,14 +222,21 @@ impl Gateway {
 
     /// Hard stop: close the queue immediately and do not wait for
     /// in-flight connections. Buffered requests are still flushed by the
-    /// scheduler on its way out; rejected pushes after this point see
+    /// serving loops on their way out; rejected pushes after this point see
     /// typed `Closed` errors, never a panic.
     pub fn abort(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.queue.close();
         self.wake_and_join_acceptor();
-        if let Some(h) = self.scheduler.take() {
+        self.join_schedulers();
+    }
+
+    /// Join every serving loop. Call after `queue.close()`, whose
+    /// `notify_all` wakes each loop blocked in `pop`; each flushes what it
+    /// holds and exits.
+    fn join_schedulers(&mut self) {
+        for h in self.schedulers.drain(..) {
             let _ = h.join();
         }
     }
@@ -237,21 +255,14 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        if self.acceptor.is_none() && self.scheduler.is_none() {
+        if self.acceptor.is_none() && self.schedulers.is_empty() {
             return;
         }
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.queue.close();
-        if let Ok(s) = TcpStream::connect(self.addr) {
-            drop(s);
-        }
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
+        self.wake_and_join_acceptor();
+        self.join_schedulers();
     }
 }
 
@@ -493,9 +504,10 @@ fn route(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> HttpReply 
 }
 
 /// Build the enriched `/healthz` body: drain state, admit-queue depth,
-/// and scheduler occupancy (mean step fill so far — process-global when
-/// several in-process gateways share the telemetry registry, which only
-/// test harnesses do).
+/// scheduler occupancy (mean step fill so far, over every loop's steps)
+/// and active sequences (summed over every loop). Both are process-global,
+/// so several in-process gateways — only test harnesses run those — see
+/// each other's.
 fn health_reply(shared: &Shared) -> String {
     let steps = metrics::histogram("serve.step.occupancy");
     let occupancy = if steps.count() > 0 { steps.mean() } else { 0.0 };
@@ -585,7 +597,7 @@ fn handle_generate(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> 
 /// `render`ing the engine's outcome into the response. The `build` phase
 /// (body parse + prompt/tokenizer work in the handler) closes here, just
 /// before the queue push, so `queue_wait` starts at the enqueue instant;
-/// `sync` is the hand-back from the scheduler thread and `extract` the
+/// `sync` is the hand-back from the serving loop's thread and `extract` the
 /// response build.
 fn admit_and_run(
     shared: &Shared,
@@ -637,7 +649,7 @@ fn admit_and_run(
             trace::mark_deadline(tid);
             HttpReply::error(504, "deadline expired waiting for the scheduler")
         }
-        // The scheduler only stops when the gateway is draining; tell
+        // A serving loop only stops when the gateway is draining; tell
         // the client when to come back like every other drain 503.
         Err(mpsc::RecvTimeoutError::Disconnected) => {
             HttpReply::retry(503, 1, "scheduler stopped before answering")

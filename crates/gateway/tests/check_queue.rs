@@ -2,12 +2,14 @@
 //!
 //! Build with `RUSTFLAGS="--cfg astro_check"`; in normal builds this file
 //! compiles to nothing. The checker explores every interleaving (up to
-//! the preemption bound) of producers, a consumer (blocking `pop`, and
-//! the serving loop's `pop`-then-`try_pop` mix) and `close`, asserting:
+//! the preemption bound) of producers, consumers (blocking `pop`, and the
+//! serving loop's `pop`-then-`try_pop` mix — one loop, and the two a
+//! two-core gateway runs over the one queue) and `close`, asserting:
 //!
 //! * no deadlock and no lost wakeup (the checker's built-in guarantees);
 //! * the queue never holds more than `capacity` items;
-//! * a graceful drain delivers every accepted item, in FIFO order.
+//! * a graceful drain delivers every accepted item exactly once, in FIFO
+//!   order per consumer, and every consumer exits.
 #![cfg(astro_check)]
 
 use astro_check::{explore, CheckConfig};
@@ -149,6 +151,65 @@ fn serving_loop_pop_mix_drains_every_accepted_item_in_order() {
         for w in drained.windows(2) {
             assert!(w[0] < w[1], "FIFO order violated: {drained:?}");
         }
+    });
+    assert!(report.ok(), "{:?}", report.violation);
+    assert!(!report.truncated);
+    assert!(report.schedules > 1, "expected interleavings, got {}", report.schedules);
+}
+
+/// The queue side of `gateway::scheduler::run_iter_scheduler` with `slots`
+/// slots: block in `pop` while nothing is active, `try_pop` between steps
+/// while something is, stop taking at a full batch; a simulated step
+/// retires the oldest active item. Returns the items in retirement order.
+fn serving_loop(q: &BoundedQueue<u32>, slots: usize) -> Vec<u32> {
+    let (mut active, mut retired) = (Vec::new(), Vec::new());
+    let mut closed = false;
+    loop {
+        while !closed && active.len() < slots {
+            let next = if active.is_empty() {
+                q.pop().map_or(Pop::Closed, Pop::Item)
+            } else {
+                q.try_pop()
+            };
+            match next {
+                Pop::Item(v) => active.push(v),
+                Pop::Empty => break,
+                Pop::Closed => closed = true,
+            }
+        }
+        if active.is_empty() && closed {
+            return retired;
+        }
+        retired.push(active.remove(0));
+    }
+}
+
+#[test]
+fn two_serving_loops_deliver_every_accepted_item_exactly_once() {
+    // A two-core gateway: two loops of two slots over one queue, one
+    // producer, then `close`. Each accepted item reaches exactly one loop
+    // and both loops exit — if `close` woke one sleeper (`notify_one`),
+    // a loop idle in `pop` would sleep forever: a reported deadlock.
+    let report = explore(&cfg(), || {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(2));
+        let loops: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || serving_loop(&q, 2))
+            })
+            .collect();
+        let accepted: Vec<u32> = (1..=3u32).filter(|&v| q.try_push(v).is_ok()).collect();
+        q.close();
+        let mut delivered: Vec<u32> = Vec::new();
+        for l in loops {
+            let retired = l.join().unwrap_or_else(|_| panic!("serving loop panicked"));
+            for w in retired.windows(2) {
+                assert!(w[0] < w[1], "FIFO order violated within a loop: {retired:?}");
+            }
+            delivered.extend(retired);
+        }
+        delivered.sort_unstable();
+        assert_eq!(delivered, accepted, "accepted items not delivered exactly once");
     });
     assert!(report.ok(), "{:?}", report.violation);
     assert!(!report.truncated);

@@ -64,6 +64,7 @@ use crate::engine::{
 use crate::seq::{feed_sampled, Advance, ForkPool, SeqEnv, Sequence};
 use astro_model::ModelConfig;
 use astro_resilience::fault;
+use astro_telemetry::metrics::Gauge;
 use astro_telemetry::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -328,6 +329,17 @@ pub struct IterScheduler {
     next_id: usize,
     step_idx: u64,
     log: Option<SchedLog>,
+    /// `serve.sched.active`, and this scheduler's share of it: the
+    /// process runs several schedulers (offline shards, gateway loops), so
+    /// each publishes only its change and the gauge is their sum.
+    active_gauge: Gauge,
+    published_active: i64,
+}
+
+impl Drop for IterScheduler {
+    fn drop(&mut self) {
+        self.active_gauge.add(-self.published_active);
+    }
 }
 
 impl IterScheduler {
@@ -368,6 +380,8 @@ impl IterScheduler {
             log: cfg.record_log.then(SchedLog::default),
             cfg,
             env,
+            active_gauge: astro_telemetry::gauge("serve.sched.active"),
+            published_active: 0,
         }
     }
 
@@ -559,7 +573,9 @@ impl IterScheduler {
         let panicked = done.iter().filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanic))).count();
         astro_telemetry::counter("serve.job_panics").add(panicked as u64);
         astro_telemetry::histogram("serve.step.occupancy").observe(batch.len() as f64);
-        astro_telemetry::gauge("serve.sched.active").set(self.active.len() as i64);
+        let active = self.active.len() as i64;
+        self.active_gauge.add(active - self.published_active);
+        self.published_active = active;
         if let Some(cache) = &self.env.cache {
             publish_cache_metrics(cache);
         }

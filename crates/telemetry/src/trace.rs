@@ -1,7 +1,7 @@
 //! End-to-end request tracing with cross-thread causality.
 //!
 //! A **trace** follows one request through every thread it touches: the
-//! gateway handler that accepts it, the scheduler thread that runs it,
+//! gateway handler that accepts it, the serving loop that runs it,
 //! and back. It is the only description of a request — stage spans nest
 //! per thread and summarise an offline run; none is opened per request —
 //! so a trace is keyed by a process-unique 128-bit [`TraceId`] minted at

@@ -13,9 +13,11 @@
 //! several of these (`router --spawn N --cmd "target/release/astro-gateway
 //! {port} {name} micro 42"`) and a test compare their answers against an
 //! in-process serial reference. Everything else is
-//! `GatewayConfig::default()`: one scheduler thread serving every request
-//! at iteration level, 16 slots, a 64-request queue; see docs/SERVING.md
-//! § *The serving loop*. More cores are more of these behind a router.
+//! `GatewayConfig::default()`: one iteration-level serving loop per core
+//! over one prefix cache, 16 slots split between them, a 64-request
+//! queue; see docs/SERVING.md § *The serving loop*. A replica uses its
+//! machine's cores itself; a router in front of several is for more
+//! machines.
 
 use astro_gateway::{Gateway, GatewayConfig, GatewayState};
 use astro_telemetry::info;

@@ -1,8 +1,11 @@
 //! End-to-end gateway tests over real sockets: bitwise parity with the
 //! in-process serial path (sequentially and under a concurrent mixed
 //! burst), the admission-control status matrix, queue backpressure behind
-//! a full scheduler, graceful drain with zero accepted-request loss,
-//! injected gateway faults, and a hard abort mid-burst.
+//! a full scheduler, what the serving loops share (`active_seqs` is their
+//! sum, `max_batch` their joint bound, a same-group burst's prefix is
+//! encoded at most once per loop), graceful drain with zero
+//! accepted-request loss, injected gateway faults, and a hard abort
+//! mid-burst.
 //!
 //! The fault registry and the metrics registry are process-global, so
 //! every test takes `GATE` (same pattern as `tests/resilience_chaos.rs`).
@@ -10,15 +13,18 @@
 use astro_gateway::{client, Gateway, GatewayConfig, GatewayState};
 use astromlab::eval::json::Json;
 use astromlab::eval::{
-    instruct_method_answer, token_method_predict, EvalModel, InstructEvalConfig, TokenEvalConfig,
+    instruct_method_answer, score_job, token_method_predict, EvalModel, InstructEvalConfig,
+    TokenEvalConfig,
 };
 use astromlab::mcq::Mcq;
 use astromlab::model::{Params, Tier};
 use astromlab::prng::Rng;
+use astromlab::serve::EngineConfig;
 use astromlab::{Study, StudyConfig};
 use astro_resilience::fault::{self, FaultPlan};
 use astro_telemetry::event::write_json_string;
 use astro_telemetry::trace::{self, TraceId};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -436,6 +442,172 @@ fn requests_behind_a_full_scheduler_wait_in_the_queue_and_its_bound_sheds_the_re
     let stats = gw.shutdown();
     assert!(stats.drained_clean, "{stats:?}");
     assert_eq!((stats.accepted, stats.completed), (2, 2), "{stats:?}");
+}
+
+/// The largest tier and a context-filling decode budget: a generate that
+/// outlasts a handful of local round trips many times.
+fn slow_generate_setup() -> Ctx {
+    let slow_generate = InstructEvalConfig {
+        max_new_tokens: 256,
+        ..InstructEvalConfig::default()
+    };
+    setup_with(63, Tier::S70b, slow_generate)
+}
+
+fn active_seqs(health: &Json) -> usize {
+    json_number(health, &["active_seqs"]) as usize
+}
+
+/// `/healthz` `active_seqs` is the sum over every serving loop: with
+/// `max_batch: 2` a machine with two or more cores runs two loops of one
+/// slot each, one core runs one loop of two, and two generates in flight
+/// read 2 either way. (A gauge each loop overwrites reads the last
+/// writer's own count, 1.) Once the loops exit, their shares are given
+/// back and the gauge reads 0.
+#[test]
+fn healthz_active_seqs_is_the_sum_over_every_serving_loop() {
+    let _gate = gate();
+    fault::clear();
+    let ctx = slow_generate_setup();
+    let config = GatewayConfig {
+        max_batch: 2,
+        rate_per_sec: 1000.0,
+        burst: 1000.0,
+        ..GatewayConfig::default()
+    };
+    let gw = Gateway::spawn(config, ctx.state.clone()).expect("spawn");
+    let addr = gw.addr();
+    let questions = ctx.study.eval_questions();
+    std::thread::scope(|scope| {
+        let generates: Vec<_> = (0..2)
+            .map(|i| {
+                let body = generate_body(questions[i], 5 + i as u64);
+                scope.spawn(move || client::post_json(addr, "/v1/generate", &body, TIMEOUT))
+            })
+            .collect();
+        wait_for_health(addr, "two generates active", |h| active_seqs(h) == 2);
+        for handle in generates {
+            let resp = handle.join().expect("client").expect("response");
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+    });
+    let stats = gw.shutdown();
+    assert!(stats.drained_clean, "{stats:?}");
+    assert_eq!(astro_telemetry::metrics::gauge("serve.sched.active").get(), 0);
+}
+
+/// `max_batch` is the gateway-wide bound on active sequences however many
+/// serving loops share it, and the queue is still the one place a request
+/// waits: with both slots held by generates and the one queue place taken
+/// by a third, further requests are shed 503 + `Retry-After` at once, and
+/// `active_seqs` never reads above 2. The multi-loop twin of
+/// `requests_behind_a_full_scheduler_wait_in_the_queue_and_its_bound_sheds_the_rest`.
+#[test]
+fn max_batch_bounds_active_sequences_over_every_serving_loop() {
+    let _gate = gate();
+    fault::clear();
+    let ctx = slow_generate_setup();
+    let config = GatewayConfig {
+        max_batch: 2,
+        queue_capacity: 1,
+        rate_per_sec: 1000.0,
+        burst: 1000.0,
+        ..GatewayConfig::default()
+    };
+    let gw = Gateway::spawn(config, ctx.state.clone()).expect("spawn");
+    let addr = gw.addr();
+    let questions = ctx.study.eval_questions();
+    let occupied = |health: &Json| (active_seqs(health), json_number(health, &["queue_depth"]) as usize);
+    let done = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            // Bounded, so a failed assertion below cannot hang the scope.
+            let give_up = Instant::now() + TIMEOUT;
+            let mut most = 0;
+            while !done.load(Ordering::SeqCst) && Instant::now() < give_up {
+                most = most.max(active_seqs(&health(addr)));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            most
+        });
+        let post = |path: &'static str, body: String| {
+            scope.spawn(move || client::post_json(addr, path, &body, TIMEOUT).expect("response"))
+        };
+        // One at a time: the one queue place must be free for each.
+        let mut generates = Vec::new();
+        for (i, want) in [(0, (1, 0)), (1, (2, 0)), (2, (2, 1))] {
+            generates.push(post("/v1/generate", generate_body(questions[i], 5 + i as u64)));
+            wait_for_health(addr, &format!("generate {i} taken or queued"), |h| occupied(h) == want);
+        }
+        let shed: Vec<_> = (0..3)
+            .map(|i| post("/v1/score", score_body(questions[3 + i], None)))
+            .collect();
+        for handle in shed {
+            let resp = handle.join().expect("client");
+            assert_eq!(resp.status, 503, "{}", resp.body);
+            assert!(resp.header("Retry-After").is_some(), "503 without Retry-After");
+        }
+        assert_eq!(occupied(&health(addr)), (2, 1), "a generate finished too early for this test");
+        for handle in generates {
+            let resp = handle.join().expect("client");
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+        done.store(true, Ordering::SeqCst);
+        assert_eq!(watcher.join().expect("watcher"), 2, "active_seqs above max_batch");
+    });
+
+    let stats = gw.shutdown();
+    assert!(stats.drained_clean, "{stats:?}");
+    assert_eq!((stats.accepted, stats.completed), (3, 3), "{stats:?}");
+}
+
+/// Leader/follower deferral is per serving loop, so a burst of identical
+/// same-group scores encodes its prompt at most once per loop — once on a
+/// one-core machine — rather than once per request, and every answer is
+/// still bitwise the in-process serial path's.
+#[test]
+fn a_same_group_score_burst_encodes_its_prompt_at_most_once_per_serving_loop() {
+    let _gate = gate();
+    fault::clear();
+    let ctx = setup(67);
+    let model = EvalModel {
+        params: &ctx.params,
+        tokenizer: &ctx.state.tokenizer,
+    };
+    let q = ctx.study.eval_questions()[0];
+    let exemplars = &ctx.study.mcq.exemplars;
+    let (ref_pred, ref_scores) = token_method_predict(&model, q, exemplars, &ctx.state.token_config);
+    let ref_bits: Vec<u32> = ref_scores.iter().map(|s| s.to_bits()).collect();
+    let prompt_tokens = score_job(&model, q, exemplars, &ctx.state.token_config).prompt.len() as u64;
+    let config = GatewayConfig::default();
+    let loops = EngineConfig::pooled().resolved_parallelism().min(config.max_batch) as u64;
+    let gw = Gateway::spawn(config, ctx.state.clone()).expect("spawn");
+    let addr = gw.addr();
+
+    let encoded_before = counter_value("serve.tokens.encoded");
+    let body = score_body(q, None);
+    std::thread::scope(|scope| {
+        let burst: Vec<_> = (0..8)
+            .map(|_| scope.spawn(|| client::post_json(addr, "/v1/score", &body, TIMEOUT)))
+            .collect();
+        for handle in burst {
+            let resp = handle.join().expect("client").expect("score request");
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let v = Json::parse(&resp.body).expect("score body parses");
+            assert_eq!(json_u32s(&v, "score_bits"), ref_bits, "score bits diverged");
+            assert_eq!(json_number(&v, &["prediction"]) as usize, ref_pred);
+        }
+    });
+    let encoded = counter_value("serve.tokens.encoded") - encoded_before;
+    assert!(
+        (prompt_tokens..=loops * prompt_tokens).contains(&encoded),
+        "{encoded} tokens encoded for 8 copies of a {prompt_tokens}-token prompt on {loops} loops"
+    );
+
+    let stats = gw.shutdown();
+    assert!(stats.drained_clean, "{stats:?}");
+    assert_eq!(stats.accepted, 8);
 }
 
 /// One request must not be able to abort the process: a body nested far
