@@ -1,21 +1,12 @@
-//! Static analysis for the AstroMLab 2 reproduction: reject invalid
-//! experiments *before* any compute is spent, and enforce repo hygiene
-//! machine-readably.
+//! Static source analysis for the AstroMLab 2 reproduction: enforce the
+//! concurrency protocols and repo hygiene machine-readably.
 //!
-//! The study grid (3 base scales × 3 CPT recipes × SFT × 3 eval methods,
-//! plus the DESIGN.md ablations) means dozens of config combinations flow
-//! through the trainer and eval pipeline. A bad combination used to fail
-//! only at runtime, via an `assert_eq!` deep in `astro_tensor`'s matmul —
-//! minutes into a 70B-class run. This crate provides three passes, exposed
-//! through the `astro-audit` binary and callable as a library:
+//! Config validation is not here: a bad `ModelConfig` / `StudyConfig` is
+//! refused by their `validate()` methods, which `Study::prepare` and every
+//! model entry point run before any compute is spent. This crate provides
+//! three source scanners, exposed through the `astro-audit` binary and
+//! callable as a library:
 //!
-//! * [`ir`] + [`preflight`] — a small **shape/dtype IR** over the forward
-//!   graph derived from `ModelConfig`/`StudyConfig`: symbolic shape
-//!   inference through embed → attention → MLP → head, dtype propagation
-//!   (f32/bf16), tokenizer-vocab vs embedding-rows consistency,
-//!   eval-method/prompt compatibility, and per-run memory/FLOP budget
-//!   estimates. Every runtime shape `assert` in `astro_tensor` has a
-//!   corresponding static rule here (rule ids `shape.*`).
 //! * [`lockorder`] — extraction of the **lock-acquisition graph** of the
 //!   crates under [`CONCURRENCY_ROOTS`] from source, cycle detection, and
 //!   a cross-check against the ranks declared to the runtime
@@ -36,17 +27,13 @@
 //! [`report`] serialises everything into `audit_report.json` using the
 //! same JSON subset the in-repo parser (`astro_eval::json`) reads back.
 
-pub mod ir;
 pub mod lint;
 pub mod lockorder;
-pub mod preflight;
 pub mod report;
 pub mod waits;
 
-pub use ir::{DType, Dim, GraphSummary, Shape};
 pub use lint::{lint_workspace, LintConfig, LintReport};
 pub use lockorder::{analyze_locks, LockReport};
-pub use preflight::{preflight_model, preflight_study, PreflightReport, RunCheck};
 pub use waits::{analyze_waits, WaitReport};
 
 use std::path::{Path, PathBuf};
@@ -95,10 +82,10 @@ pub(crate) fn concurrency_sources(root: &Path, rule: &str) -> Result<Vec<PathBuf
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Severity {
-    /// The run would fail or compute garbage; preflight rejects it.
+    /// A broken rule; the audit exits non-zero.
     Error,
-    /// Suspicious but survivable (e.g. eval prompt longer than the
-    /// training window); reported, does not reject.
+    /// Suspicious but survivable (e.g. a condvar wait while holding
+    /// another ranked lock); reported, does not reject.
     Warning,
 }
 
@@ -115,7 +102,7 @@ impl Severity {
 /// One finding from any pass.
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
-    /// Stable rule identifier (`shape.matmul.inner`, `lint.no-unwrap`, ...).
+    /// Stable rule identifier (`locks.order`, `lint.no-unwrap`, ...).
     pub rule: String,
     /// What the finding is about (a config label, `file:line`, a lock
     /// name).
@@ -173,9 +160,9 @@ mod tests {
 
     #[test]
     fn diagnostic_renders_all_parts() {
-        let d = Diagnostic::error("shape.matmul.inner", "fast/S8b", "k 96 vs 64".to_string());
+        let d = Diagnostic::error("locks.order", "queue.rs:96", "rank 20 after 30".to_string());
         let s = d.render();
-        assert!(s.contains("error") && s.contains("shape.matmul.inner") && s.contains("96"));
+        assert!(s.contains("error") && s.contains("locks.order") && s.contains("96"));
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! `astro-audit` — static preflight, lock-order analysis and lint gate.
+//! `astro-audit` — lock-order analysis, wait/notify analysis and lint gate.
 //!
 //! ```text
-//! astro-audit preflight --all-presets     # shape/dtype/budget checks, all presets
-//! astro-audit preflight --preset smoke    # one preset
 //! astro-audit locks                       # static lock-order analysis
 //! astro-audit waits                       # wait/notify protocol analysis
 //! astro-audit lint                        # workspace lint gate (allowlisted)
@@ -17,10 +15,8 @@
 
 use astro_audit::lint::{lint_workspace, render_allowlist, LintConfig, ALLOWLIST_FILE};
 use astro_audit::lockorder::analyze_locks;
-use astro_audit::preflight::preflight_study;
 use astro_audit::report::AuditReport;
 use astro_audit::waits::analyze_waits;
-use astro_audit::Severity;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -40,9 +36,6 @@ fn find_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// A named preset constructor (`smoke` / `fast` / `full`).
-type Preset = (&'static str, fn(u64) -> astromlab::StudyConfig);
-
 fn print_diags<'a, I: IntoIterator<Item = &'a astro_audit::Diagnostic>>(diags: I) {
     for d in diags {
         println!("  {}", d.render());
@@ -50,10 +43,7 @@ fn print_diags<'a, I: IntoIterator<Item = &'a astro_audit::Diagnostic>>(diags: I
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: astro-audit <preflight [--all-presets | --preset NAME] | locks | waits | \
-         lint [--write-allowlist] | all> [--report PATH]"
-    );
+    eprintln!("usage: astro-audit <locks | waits | lint [--write-allowlist] | all> [--report PATH]");
     ExitCode::from(2)
 }
 
@@ -70,52 +60,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut seed = 0u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        match args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            Some(s) => seed = s,
-            None => return usage(),
-        }
-    }
-    let presets: &[Preset] = &[
-        ("smoke", astromlab::StudyConfig::smoke),
-        ("fast", astromlab::StudyConfig::fast),
-        ("full", astromlab::StudyConfig::full),
-    ];
-
     let mut report = AuditReport::default();
     match cmd.as_str() {
-        "preflight" => {
-            let selected: Vec<&Preset> =
-                if let Some(pos) = args.iter().position(|a| a == "--preset") {
-                    let Some(name) = args.get(pos + 1) else { return usage() };
-                    let Some(p) = presets.iter().find(|(n, _)| n == name) else {
-                        eprintln!(
-                            "unknown preset {name:?}; available: smoke, fast, full"
-                        );
-                        return ExitCode::from(2);
-                    };
-                    vec![p]
-                } else {
-                    // default and --all-presets are the same: check everything
-                    presets.iter().collect()
-                };
-            for (name, make) in selected {
-                let pf = preflight_study(&make(seed), name);
-                let errs = pf.errors();
-                let warns = pf
-                    .all_diagnostics()
-                    .iter()
-                    .filter(|d| d.severity == Severity::Warning)
-                    .count();
-                println!(
-                    "preflight {name}: {} run checks, {errs} errors, {warns} warnings",
-                    pf.checks.len()
-                );
-                print_diags(pf.all_diagnostics());
-                report.preflight.push(pf);
-            }
-        }
         "locks" => {
             let locks = analyze_locks(&root);
             println!(
@@ -166,16 +112,6 @@ fn main() -> ExitCode {
             report.lint = Some(lint);
         }
         "all" => {
-            for (name, make) in presets {
-                let pf = preflight_study(&make(seed), name);
-                println!(
-                    "preflight {name}: {} run checks, {} errors",
-                    pf.checks.len(),
-                    pf.errors()
-                );
-                print_diags(pf.all_diagnostics());
-                report.preflight.push(pf);
-            }
             let locks = analyze_locks(&root);
             println!("locks: {} sites, {} diagnostics", locks.sites.len(), locks.diagnostics.len());
             print_diags(&locks.diagnostics);

@@ -8,7 +8,6 @@
 
 use crate::lint::LintReport;
 use crate::lockorder::LockReport;
-use crate::preflight::PreflightReport;
 use crate::waits::WaitReport;
 use crate::{Diagnostic, Severity};
 
@@ -47,8 +46,6 @@ fn diags_json(ds: &[Diagnostic]) -> String {
 /// The full audit report: whichever passes ran this invocation.
 #[derive(Default)]
 pub struct AuditReport {
-    /// Preflight results, one per preset label.
-    pub preflight: Vec<PreflightReport>,
     /// Lock-order analysis, if the pass ran.
     pub locks: Option<LockReport>,
     /// Wait/notify protocol analysis, if the pass ran.
@@ -69,14 +66,9 @@ impl AuditReport {
     }
 
     fn all_diagnostics(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.preflight
+        self.locks
             .iter()
-            .flat_map(|p| {
-                p.config_diagnostics
-                    .iter()
-                    .chain(p.checks.iter().flat_map(|c| c.diagnostics.iter()))
-            })
-            .chain(self.locks.iter().flat_map(|l| l.diagnostics.iter()))
+            .flat_map(|l| l.diagnostics.iter())
             .chain(self.waits.iter().flat_map(|w| w.diagnostics.iter()))
             .chain(self.lint.iter().flat_map(|l| l.diagnostics.iter()))
     }
@@ -84,41 +76,6 @@ impl AuditReport {
     /// Serialise the report as a JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"version\":1");
-
-        out.push_str(",\"preflight\":[");
-        let presets: Vec<String> = self
-            .preflight
-            .iter()
-            .map(|p| {
-                let checks: Vec<String> = p
-                    .checks
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{{\"subject\":\"{}\",\"params\":{},\"activation_elems\":{},\
-                             \"est_bytes\":{},\"est_flops\":{:.3e},\"ok\":{},\
-                             \"diagnostics\":{}}}",
-                            esc(&c.subject),
-                            c.params,
-                            c.activation_elems,
-                            c.est_bytes,
-                            c.est_flops,
-                            c.ok(),
-                            diags_json(&c.diagnostics)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"label\":\"{}\",\"ok\":{},\"config_diagnostics\":{},\"checks\":[{}]}}",
-                    esc(&p.label),
-                    p.ok(),
-                    diags_json(&p.config_diagnostics),
-                    checks.join(",")
-                )
-            })
-            .collect();
-        out.push_str(&presets.join(","));
-        out.push(']');
 
         if let Some(locks) = &self.locks {
             let sites: Vec<String> = locks
@@ -185,20 +142,6 @@ impl AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preflight::preflight_study;
-
-    #[test]
-    fn report_json_parses_with_repo_parser() {
-        let report = AuditReport {
-            preflight: vec![preflight_study(&astromlab::StudyConfig::smoke(0), "smoke")],
-            ..AuditReport::default()
-        };
-        let json = report.to_json();
-        let value = astro_eval::json::Json::parse(&json).expect("report must parse");
-        assert!(value.get("preflight").is_some());
-        assert!(value.get("summary").is_some());
-        assert!(matches!(value.get("version"), Some(astro_eval::json::Json::Number(n)) if *n == 1.0));
-    }
 
     #[test]
     fn waits_section_round_trips() {
@@ -216,6 +159,8 @@ mod tests {
         let value = astro_eval::json::Json::parse(&json).expect("report must parse");
         let w = value.get("waits").expect("waits section");
         assert!(matches!(w.get("protocols"), Some(astro_eval::json::Json::Number(n)) if *n == 2.0));
+        assert!(value.get("summary").is_some());
+        assert!(matches!(value.get("version"), Some(astro_eval::json::Json::Number(n)) if *n == 1.0));
     }
 
     #[test]

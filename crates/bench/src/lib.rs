@@ -45,23 +45,6 @@ pub struct BenchRun {
 pub fn instrumented_run(binary: &str) -> (StudyConfig, BenchRun) {
     astro_telemetry::init_clock();
     let (preset, config) = parse_preset(binary);
-    // Static preflight: shape/dtype/budget-check the whole study grid for
-    // this preset and refuse to start on any error — the same pass CI runs
-    // via `astro-audit preflight --all-presets`.
-    let preflight = astro_audit::preflight_study(&config, &preset);
-    for d in preflight.all_diagnostics() {
-        match d.severity {
-            astro_audit::Severity::Error => astro_telemetry::info!("{binary}: {}", d.render()),
-            astro_audit::Severity::Warning => astro_telemetry::debug!("{binary}: {}", d.render()),
-        }
-    }
-    if preflight.errors() > 0 {
-        astro_telemetry::info!(
-            "{binary}: preflight rejected preset {preset:?} with {} errors; aborting",
-            preflight.errors()
-        );
-        std::process::exit(1);
-    }
     if let Err(e) = astro_telemetry::sink::init_file(Path::new("telemetry.jsonl")) {
         astro_telemetry::info!("{binary}: telemetry.jsonl unavailable ({e}); events dropped");
     }

@@ -10,6 +10,7 @@
 //! Learning rates mirror the paper's *relations* (SFT ≪ CPT ≤ pretrain;
 //! paper: CPT 2e-5, SFT 3e-7) rescaled to our model scale.
 
+use astro_model::{ModelConfig, Tier};
 use astro_serve::EngineConfig;
 use astro_world::WorldConfig;
 
@@ -155,10 +156,10 @@ impl StudyConfig {
     }
 
     /// Cheap structural validation, run by [`crate::Study::prepare`]
-    /// before any compute is spent. The static preflight in `astro-audit`
-    /// mirrors these rules (ids `preflight.*`) plus the full shape/dtype
-    /// graph checks; this in-process copy catches hand-built configs that
-    /// never went through the audit binary.
+    /// before any compute is spent: the one place a study's config is
+    /// checked, so every rule a run would otherwise trip as a runtime
+    /// assert lives here (the architecture's own rules live in
+    /// `ModelConfig::validate`).
     pub fn validate(&self) -> Result<(), String> {
         let floor = 256 + astro_tokenizer::SPECIALS.len();
         if self.vocab_size < floor {
@@ -174,6 +175,16 @@ impl StudyConfig {
                 "batch {}, seq {} and devices {} must all be nonzero",
                 self.batch, self.seq, self.devices
             ));
+        }
+        for tier in [Tier::S7b, Tier::S8b, Tier::S70b] {
+            let max_seq = ModelConfig::tier(tier, self.vocab_size).max_seq;
+            if self.seq > max_seq {
+                return Err(format!(
+                    "seq {} exceeds the {} max_seq {max_seq}; no RoPE rows exist past it",
+                    self.seq,
+                    tier.label()
+                ));
+            }
         }
         if self.native_steps.contains(&0) || self.cpt_steps == 0 || self.sft_steps == 0
         {
@@ -253,6 +264,33 @@ mod tests {
         cfg.eval_engine.parallelism = astro_serve::MAX_PARALLELISM + 1;
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("eval_engine"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_each_broken_scalar() {
+        let smoke = StudyConfig::smoke(1);
+        for (field, cfg) in [
+            ("vocab_size", StudyConfig { vocab_size: 100, ..smoke.clone() }),
+            ("seq", StudyConfig { seq: 0, ..smoke.clone() }),
+            ("cpt", StudyConfig { cpt_steps: 0, ..smoke.clone() }),
+            ("cpt_lr", StudyConfig { cpt_lr: f32::NAN, ..smoke.clone() }),
+            ("sft_json_fraction", StudyConfig { sft_json_fraction: 1.5, ..smoke.clone() }),
+            ("sft_scale", StudyConfig { sft_scale: 0.0, ..smoke.clone() }),
+            ("n_eval_questions", StudyConfig { n_eval_questions: 0, ..smoke.clone() }),
+        ] {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_seq_past_max_seq() {
+        let mut cfg = StudyConfig::micro(3);
+        cfg.seq = 288;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.seq = 289;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("max_seq 288"), "{err}");
     }
 
     #[test]

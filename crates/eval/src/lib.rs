@@ -48,8 +48,7 @@ pub struct EvalModel<'a> {
 impl EvalModel<'_> {
     /// Check that the tokenizer and the embedding table agree: every
     /// token id the tokenizer can emit must index a row of the embedding.
-    /// [`evaluate`] asserts this before scoring; `astro-audit preflight`
-    /// enforces the same rule statically (`shape.embed.rows`).
+    /// [`evaluate`] asserts this before scoring.
     pub fn validate(&self) -> Result<(), String> {
         let rows = self.params.cfg.vocab_size;
         let vocab = self.tokenizer.vocab_size();

@@ -185,8 +185,21 @@ impl ModelConfig {
         assert!(checked.is_ok(), "invalid model config: {checked:?}");
     }
 
-    /// Validate internal consistency.
+    /// Validate internal consistency. Never panics: every dimension is
+    /// checked nonzero before [`Self::head_dim`] divides by `n_heads`.
     pub fn validate(&self) -> Result<(), String> {
+        for (name, size) in [
+            ("vocab_size", self.vocab_size),
+            ("d_model", self.d_model),
+            ("n_layers", self.n_layers),
+            ("n_heads", self.n_heads),
+            ("d_ff", self.d_ff),
+            ("max_seq", self.max_seq),
+        ] {
+            if size == 0 {
+                return Err(format!("zero-sized dimension: {name} is 0"));
+            }
+        }
         if !self.d_model.is_multiple_of(self.n_heads) {
             return Err(format!(
                 "d_model {} not divisible by n_heads {}",
@@ -195,9 +208,6 @@ impl ModelConfig {
         }
         if !self.head_dim().is_multiple_of(2) {
             return Err(format!("head_dim {} must be even for RoPE", self.head_dim()));
-        }
-        if self.vocab_size == 0 || self.n_layers == 0 || self.max_seq == 0 {
-            return Err("zero-sized dimension".to_string());
         }
         Ok(())
     }
@@ -296,6 +306,21 @@ mod tests {
         let mut c2 = ModelConfig::tiny(64);
         c2.vocab_size = 0;
         assert!(c2.validate().is_err());
+    }
+
+    #[test]
+    fn every_zero_dimension_rejected_without_panicking() {
+        let tiny = ModelConfig::tiny(64);
+        for c in [
+            ModelConfig { d_model: 0, ..tiny },
+            ModelConfig { n_heads: 0, ..tiny },
+            ModelConfig { d_ff: 0, ..tiny },
+            // `0.is_multiple_of(0)` holds, so this one used to reach
+            // `head_dim()`'s division by zero.
+            ModelConfig { d_model: 0, n_heads: 0, ..tiny },
+        ] {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 
     #[test]

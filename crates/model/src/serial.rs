@@ -245,6 +245,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_heads_and_width_header_is_corrupt_not_a_panic() {
+        let cfg = ModelConfig::tiny(32);
+        let p = Params::init(cfg, &mut Rng::seed_from(8));
+        let mut b = params_to_bytes(&p);
+        // d_model (word 3) and n_heads (word 5) both 0.
+        b[12..16].copy_from_slice(&0u32.to_le_bytes());
+        b[20..24].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(params_from_bytes(&b), Err(CkptError::Corrupt(_))));
+    }
+
+    #[test]
     fn detects_weight_bit_rot_via_checksum() {
         let cfg = ModelConfig::tiny(32);
         let p = Params::init(cfg, &mut Rng::seed_from(6));

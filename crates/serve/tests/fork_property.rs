@@ -1,5 +1,5 @@
 //! Property tests for session forking and the prefix cache, PRNG-driven
-//! in the style of `crates/audit/tests/preflight_property.rs`: random
+//! in the style of `crates/model/tests/config_property.rs`: random
 //! token streams, random split points, and the invariant that a fork is
 //! **bitwise** indistinguishable from a fresh session fed the full
 //! stream. This is the foundation the engine's determinism contract

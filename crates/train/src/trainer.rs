@@ -91,9 +91,7 @@ pub struct TrainerConfig {
 
 impl TrainerConfig {
     /// Validate hyper-parameters before building replicas or buffers.
-    /// [`train_lm`] asserts this; the static preflight in `astro-audit`
-    /// enforces the same rules (`preflight.steps`, `preflight.lr`) without
-    /// running the trainer.
+    /// [`train_lm`] asserts this.
     pub fn validate(&self) -> Result<(), String> {
         if self.devices == 0 || self.grad_accum == 0 || self.steps == 0 {
             return Err(format!(
