@@ -43,7 +43,6 @@ use std::path::{Path, PathBuf};
 /// leaves this list with its last lock or wait, the way a rank or a
 /// protocol row leaves its table.
 pub const CONCURRENCY_ROOTS: &[&str] = &[
-    "crates/parallel/src",
     "crates/serve/src",
     "crates/resilience/src",
     "crates/telemetry/src",

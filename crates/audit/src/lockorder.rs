@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn detects_inverted_order_in_synthetic_source() {
         let dir = std::env::temp_dir().join(format!("astro-audit-locks-{}", std::process::id()));
-        let src = dir.join("crates/parallel/src");
+        let src = dir.join("crates/serve/src");
         std::fs::create_dir_all(&src).unwrap();
         std::fs::create_dir_all(dir.join("crates/telemetry/src")).unwrap();
         std::fs::write(
@@ -420,7 +420,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("astro-audit-unann-{}", std::process::id()));
         let src = dir.join("crates/telemetry/src");
         std::fs::create_dir_all(&src).unwrap();
-        std::fs::create_dir_all(dir.join("crates/parallel/src")).unwrap();
         std::fs::write(src.join("raw.rs"), "fn raw() {\n    let _g = M.lock().unwrap();\n}\n")
             .unwrap();
         let report = analyze_locks(&dir);

@@ -65,41 +65,16 @@ pub struct WaitProtocol {
 }
 
 /// Every condvar protocol in the scanned crates. A new condvar anywhere
-/// in `crates/{parallel,serve,resilience,telemetry,gateway,router}` must be
+/// in `crates/{serve,resilience,telemetry,gateway,router}` must be
 /// added here (and should get an `astro-check` harness) or the pass
 /// fails with `waits.undeclared`.
 pub const WAIT_PROTOCOLS: &[WaitProtocol] = &[
-    WaitProtocol {
-        name: "router.probe.cv",
-        file: "crates/router/src/probe.rs",
-        condvar: "cv",
-        // Only a stop request can unblock the prober's interval sleep
-        // early; interval expiry is a timeout, not a notification.
-        mutators: &["stop = true"],
-        waived: &[],
-    },
     WaitProtocol {
         name: "gateway.queue.cv",
         file: "crates/gateway/src/queue.rs",
         condvar: "cv",
         // Pushing an item or closing the queue can unblock a `pop`.
         mutators: &["items.push_back(", "closed = true"],
-        waived: &[],
-    },
-    WaitProtocol {
-        name: "parallel.device.ready",
-        file: "crates/parallel/src/device.rs",
-        condvar: "ready",
-        // Filling the mailbox slot unblocks the `take` side.
-        mutators: &["*slot = Some("],
-        waived: &[],
-    },
-    WaitProtocol {
-        name: "parallel.device.taken",
-        file: "crates/parallel/src/device.rs",
-        condvar: "taken",
-        // Emptying the slot unblocks the `put` side.
-        mutators: &["slot.take()"],
         waived: &[],
     },
 ];
@@ -464,7 +439,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("astro-audit-waits-{tag}-{}", std::process::id()));
         let src = dir.join("crates/gateway/src");
         std::fs::create_dir_all(&src).unwrap();
-        std::fs::create_dir_all(dir.join("crates/parallel/src")).unwrap();
         std::fs::write(src.join("proto.rs"), body).unwrap();
         let report = analyze_waits_with(&dir, protocols);
         std::fs::remove_dir_all(&dir).ok();

@@ -46,7 +46,6 @@ pub use zoo::ModelId;
 pub use astro_eval as eval;
 pub use astro_mcq as mcq;
 pub use astro_model as model;
-pub use astro_parallel as parallel;
 pub use astro_prng as prng;
 pub use astro_serve as serve;
 pub use astro_tensor as tensor;

@@ -6,8 +6,8 @@ use std::time::Duration;
 /// Tunables for the serving front-end. Defaults suit a local deployment;
 /// every bound is checked by [`GatewayConfig::validate`] before the
 /// server binds its socket. Everything here belongs to one gateway
-/// instance: the trace ring's bounds are process-wide
-/// (`astro_telemetry::trace::configure`), not a replica's to set.
+/// instance: the trace ring's bounds are process-wide (the default
+/// `astro_telemetry::trace::TraceConfig`), not a replica's to set.
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).

@@ -10,7 +10,7 @@
 //!   tracker so a group lands on the replica whose radix cache already
 //!   holds its prefix.
 //! - [`probe`] — the health prober's hysteresis state machine
-//!   (Healthy → Degraded → Dead, plus Draining) and its stop signal.
+//!   (Healthy → Degraded → Dead, plus Draining).
 //! - [`server`] — the HTTP front: forward with bounded jittered
 //!   retries, failover in ring order, and exactly-once re-dispatch
 //!   under idempotency keys so accepted == completed holds even when a

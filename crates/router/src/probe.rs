@@ -1,5 +1,4 @@
-//! Replica health probing: hysteresis state machine + the prober's
-//! stop/wakeup signal.
+//! Replica health probing: the hysteresis state machine.
 //!
 //! The prober thread polls every replica's `/healthz` (and `/metricsz`
 //! occupancy) on a fixed interval with a per-probe deadline, and folds
@@ -21,8 +20,7 @@
 //! Revival needs `revive_successes` *consecutive* successes so a
 //! flapping replica cannot oscillate the ring every probe tick.
 
-use astro_telemetry::sync::{self, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Prober tunables.
 #[derive(Clone, Copy, Debug)]
@@ -193,58 +191,6 @@ impl ReplicaStatus {
     }
 }
 
-struct StopFlag {
-    stop: bool,
-}
-
-/// The prober thread's interruptible sleep: `pause` blocks for the probe
-/// interval, `stop` wakes it immediately for shutdown. Lock rank
-/// `router.probe`; wait protocol `router.probe.cv`.
-pub struct StopSignal {
-    inner: Mutex<StopFlag>,
-    cv: Condvar,
-}
-
-impl Default for StopSignal {
-    fn default() -> Self {
-        StopSignal::new()
-    }
-}
-
-impl StopSignal {
-    /// A signal in the running (not stopped) state.
-    pub fn new() -> Self {
-        StopSignal { inner: Mutex::new(StopFlag { stop: false }), cv: Condvar::new() }
-    }
-
-    /// Sleep for `interval` or until [`StopSignal::stop`] is called;
-    /// true means stop was requested and the caller should exit.
-    pub fn pause(&self, interval: Duration) -> bool {
-        let (_order, mut flag) = sync::lock_ranked("router.probe", &self.inner);
-        let deadline = Instant::now() + interval;
-        while !flag.stop {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout(flag, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            flag = guard;
-        }
-        true
-    }
-
-    /// Request the prober to exit; wakes any in-progress wait.
-    pub fn stop(&self) {
-        let (_order, mut flag) = sync::lock_ranked("router.probe", &self.inner);
-        flag.stop = true;
-        drop(flag);
-        self.cv.notify_all();
-    }
-}
-
 /// Shallow field extraction from the gateway's `/healthz` JSON body (a
 /// closed format produced by `astro_gateway::api::health_body`, so a
 /// string scan is exact here; a full JSON parser would add a dependency
@@ -316,22 +262,6 @@ mod tests {
         assert!(p.draining);
         assert_eq!(p.queue_depth, 7);
         assert!((p.occupancy - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stop_signal_wakes_a_waiter() {
-        let sig = std::sync::Arc::new(StopSignal::new());
-        let sig2 = std::sync::Arc::clone(&sig);
-        let t = std::thread::spawn(move || sig2.pause(Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(20));
-        sig.stop();
-        assert!(t.join().unwrap(), "stop must interrupt the interval sleep");
-    }
-
-    #[test]
-    fn wait_times_out_without_stop() {
-        let sig = StopSignal::new();
-        assert!(!sig.pause(Duration::from_millis(5)));
     }
 
     #[test]

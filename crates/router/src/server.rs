@@ -26,7 +26,7 @@
 //! hysteresis) in [`probe_once`].
 
 use crate::affinity::AffinityKeyer;
-use crate::probe::{parse_health, ProbeConfig, ReplicaStatus, StopSignal};
+use crate::probe::{parse_health, ProbeConfig, ReplicaStatus};
 use crate::ring::Ring;
 use astro_gateway::api::{self, GenerateRequest, ScoreRequest};
 use astro_gateway::client::{self, HttpResponse};
@@ -36,9 +36,9 @@ use astro_telemetry::event::write_json_string;
 use astro_telemetry::sync::{self, Mutex};
 use astro_telemetry::trace::{self, TraceId};
 use astro_telemetry::metrics;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -166,19 +166,13 @@ struct RingState {
     status: Vec<ReplicaStatus>,
 }
 
-#[derive(Default)]
-struct InflightTable {
-    /// idempotency key -> number of re-dispatches so far.
-    entries: HashMap<String, u32>,
-}
-
 struct Core {
     config: RouterConfig,
     replicas: Vec<ReplicaSpec>,
     ring_state: Mutex<RingState>,
-    inflight: Mutex<InflightTable>,
+    /// Requests between parse and final reply.
+    inflight: AtomicUsize,
     crash_hook: Mutex<Option<CrashHook>>,
-    stop: StopSignal,
     stopping: AtomicBool,
     open_conns: AtomicUsize,
     next_request: AtomicU64,
@@ -197,6 +191,9 @@ pub struct Router {
     addr: SocketAddr,
     acceptor: Option<std::thread::JoinHandle<()>>,
     prober: Option<std::thread::JoinHandle<()>>,
+    /// Dropping it disconnects the prober's channel, which ends its
+    /// interval sleep at once.
+    stop: Option<mpsc::Sender<()>>,
 }
 
 impl Router {
@@ -221,9 +218,8 @@ impl Router {
             config,
             replicas,
             ring_state: Mutex::new(RingState { ring, keyer: AffinityKeyer::new(), status }),
-            inflight: Mutex::new(InflightTable::default()),
+            inflight: AtomicUsize::new(0),
             crash_hook: Mutex::new(None),
-            stop: StopSignal::new(),
             stopping: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             next_request: AtomicU64::new(1),
@@ -237,17 +233,16 @@ impl Router {
         let accept_core = Arc::clone(&core);
         let acceptor = std::thread::spawn(move || accept_loop(&listener, &accept_core));
         let probe_core = Arc::clone(&core);
+        let (stop, stopped) = mpsc::channel::<()>();
         let prober = std::thread::spawn(move || {
-            loop {
-                if probe_core.stop.pause(probe_core.config.probe.interval) {
-                    break;
-                }
+            let interval = probe_core.config.probe.interval;
+            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
                 probe_once(&probe_core);
             }
         });
 
         astro_telemetry::info!("router: listening on {addr}");
-        Ok(Router { core, addr, acceptor: Some(acceptor), prober: Some(prober) })
+        Ok(Router { core, addr, acceptor: Some(acceptor), prober: Some(prober), stop: Some(stop) })
     }
 
     /// The bound address (useful with port 0).
@@ -284,17 +279,7 @@ impl Router {
     /// Stop the prober and the acceptor, wait for in-flight connections
     /// (bounded by the forward timeout), and report lifetime counters.
     pub fn shutdown(mut self) -> RouterStats {
-        self.core.stopping.store(true, Ordering::SeqCst);
-        self.core.stop.stop();
-        if let Ok(s) = TcpStream::connect(self.addr) {
-            drop(s);
-        }
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
-            let _ = h.join();
-        }
+        self.stop_threads();
         let deadline = std::time::Instant::now() + self.core.config.forward_timeout;
         while self.core.open_conns.load(Ordering::SeqCst) > 0
             && std::time::Instant::now() < deadline
@@ -323,15 +308,14 @@ impl Router {
             lost: self.core.lost.load(Ordering::SeqCst),
         }
     }
-}
 
-impl Drop for Router {
-    fn drop(&mut self) {
+    /// Stop and join the acceptor and the prober (idempotent).
+    fn stop_threads(&mut self) {
         if self.acceptor.is_none() && self.prober.is_none() {
             return;
         }
         self.core.stopping.store(true, Ordering::SeqCst);
-        self.core.stop.stop();
+        self.stop = None;
         if let Ok(s) = TcpStream::connect(self.addr) {
             drop(s);
         }
@@ -341,6 +325,12 @@ impl Drop for Router {
         if let Some(h) = self.prober.take() {
             let _ = h.join();
         }
+    }
+}
+
+impl Drop for Router {
+    fn drop(&mut self) {
+        self.stop_threads();
     }
 }
 
@@ -495,15 +485,9 @@ fn forward_request(core: &Core, req: &Request, path: &str, tid: TraceId) -> Repl
     trace::phase_since_last(tid, "route");
 
     let idem_key = format!("r{:08x}", core.next_request.fetch_add(1, Ordering::SeqCst));
-    {
-        let (_order, mut table) = sync::lock_ranked("router.inflight", &core.inflight);
-        table.entries.insert(idem_key.clone(), 0);
-    }
+    core.inflight.fetch_add(1, Ordering::SeqCst);
     let reply = forward_with_retries(core, path, body, key, &idem_key, tid);
-    {
-        let (_order, mut table) = sync::lock_ranked("router.inflight", &core.inflight);
-        table.entries.remove(&idem_key);
-    }
+    core.inflight.fetch_sub(1, Ordering::SeqCst);
     reply
 }
 
@@ -574,13 +558,12 @@ fn forward_with_retries(
                 }
             }
             Err(ForwardFailure::NotAccepted(e)) => {
-                note_forward_error(core, id, &e);
+                evict_refused(core, id);
                 last_error = format!("{}: {e}", spec.name);
                 core.failovers.fetch_add(1, Ordering::SeqCst);
                 metrics::counter("router.failovers").add(1);
             }
             Err(ForwardFailure::MaybeAccepted(e)) => {
-                note_forward_error(core, id, &e);
                 last_error = format!("{}: {e}", spec.name);
                 if redispatched {
                     // The re-dispatch budget is one; give up loudly.
@@ -594,10 +577,6 @@ fn forward_with_retries(
                 redispatched = true;
                 core.redispatches.fetch_add(1, Ordering::SeqCst);
                 metrics::counter("router.redispatches").add(1);
-                let (_order, mut table) = sync::lock_ranked("router.inflight", &core.inflight);
-                if let Some(n) = table.entries.get_mut(idem_key) {
-                    *n += 1;
-                }
             }
         }
         if attempt < attempts {
@@ -653,13 +632,10 @@ fn attempt_forward(
     }
 }
 
-/// A transport-level forward failure: connection refusals take the
-/// replica out of the ring immediately (the process is gone *now*);
-/// everything else waits for prober hysteresis.
-fn note_forward_error(core: &Core, id: u32, error: &str) {
-    if !error.contains("connect") {
-        return;
-    }
+/// A forward the replica never accepted (connect refused or timed out):
+/// the replica leaves the ring at once, since the process is gone *now*.
+/// Maybe-accepted failures leave membership to prober hysteresis.
+fn evict_refused(core: &Core, id: u32) {
     let (_order, mut state) = sync::lock_ranked("router.ring", &core.ring_state);
     let health = state.status[id as usize].note_connection_refused();
     if !health.routable() {
@@ -745,11 +721,8 @@ fn passthrough(resp: HttpResponse) -> Reply {
 /// The router's own `/healthz`: ring membership, per-replica probe
 /// state, and lifetime counters.
 fn status_body(core: &Core) -> String {
+    let inflight = core.inflight.load(Ordering::SeqCst);
     let (_order, state) = sync::lock_ranked("router.ring", &core.ring_state);
-    let inflight = {
-        let (_o2, table) = sync::lock_ranked("router.inflight", &core.inflight);
-        table.entries.len()
-    };
     let mut out = String::with_capacity(256);
     out.push_str("{\"status\":\"ok\",\"ring_members\":");
     out.push_str(&state.ring.len().to_string());
@@ -782,4 +755,27 @@ fn status_body(core: &Core) -> String {
     }
     out.push_str("]}");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shutdown_interrupts_the_probe_interval() {
+        let mut config = RouterConfig::default();
+        config.probe.interval = Duration::from_secs(60);
+        let replica =
+            ReplicaSpec { name: "replica-0".to_string(), addr: "127.0.0.1:9".parse().unwrap() };
+        let router = Router::spawn(config, vec![replica]).unwrap();
+        // Shut down on a helper thread, so a prober that sleeps through
+        // the stop fails this test instead of hanging it.
+        let (done, finished) = mpsc::channel();
+        let stopper = std::thread::spawn(move || done.send(router.shutdown()));
+        assert!(
+            finished.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "shutdown waited out the probe interval"
+        );
+        stopper.join().unwrap().unwrap();
+    }
 }

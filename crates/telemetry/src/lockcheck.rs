@@ -27,10 +27,10 @@ pub struct LockRank {
 }
 
 /// The global lock hierarchy. Gateway and router locks come first (they
-/// sit at the bottom of every call stack), device mailboxes and the
-/// serving-engine prefix cache next, telemetry registries and the JSONL
-/// sink last — so code holding a queue or cache lock may still emit
-/// telemetry, but telemetry internals can never wait on either.
+/// sit at the bottom of every call stack), the serving-engine prefix
+/// cache next, telemetry registries and the JSONL sink last — so code
+/// holding a queue or cache lock may still emit telemetry, but telemetry
+/// internals can never wait on either.
 pub const RANKS: &[LockRank] = &[
     // Test-suite gates that serialise access to process-global state
     // (e.g. the fault-injection registry) sit below every runtime lock:
@@ -43,20 +43,16 @@ pub const RANKS: &[LockRank] = &[
     // Router locks rank below the engine locks for the same reason the
     // gateway's do: the forward path consults the ring, releases it,
     // then talks to a replica over the network — but ranking them low
-    // keeps "router lock → telemetry" legal. `router.probe` (the
-    // prober's stop signal) is independent of the rest; `router.ring`
-    // may nest `router.inflight` (status snapshots); the crash-hook
-    // slot and the cluster replica slots are only held to move a value
-    // in or out — the kill callback runs, and gateways are aborted,
-    // with neither held (aborting takes `gateway.queue`).
-    LockRank { name: "router.probe", rank: 3 },
+    // keeps "router lock → telemetry" legal. No router lock nests
+    // another: the crash-hook slot and the cluster replica slots are
+    // only held to move a value in or out — the kill callback runs, and
+    // gateways are aborted, with neither held (aborting takes
+    // `gateway.queue`).
     LockRank { name: "gateway.limiter", rank: 4 },
     LockRank { name: "router.ring", rank: 5 },
     LockRank { name: "gateway.queue", rank: 6 },
-    LockRank { name: "router.inflight", rank: 7 },
     LockRank { name: "router.crash_hook", rank: 8 },
     LockRank { name: "router.cluster", rank: 9 },
-    LockRank { name: "parallel.device.mailbox", rank: 14 },
     LockRank { name: "serve.prefix_cache", rank: 16 },
     // The trace in-flight table and ring sit below the metrics registry
     // and the sink: finishing a trace records histograms and emits a
@@ -202,7 +198,7 @@ mod tests {
     #[test]
     fn same_rank_reacquire_allowed_after_release() {
         for _ in 0..3 {
-            let t = acquire("parallel.device.mailbox");
+            let t = acquire("serve.prefix_cache");
             drop(t);
         }
         assert_eq!(held_count(), 0);

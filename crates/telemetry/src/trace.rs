@@ -331,32 +331,20 @@ pub struct TraceRing {
 impl TraceRing {
     /// An empty ring with `cfg` (capacity and rate clamped to at least 1).
     pub fn new(cfg: TraceConfig) -> Self {
-        let mut ring = TraceRing {
-            cfg: TraceConfig::default(),
+        TraceRing {
+            cfg: TraceConfig {
+                ring_capacity: cfg.ring_capacity.max(1),
+                sample_one_in: cfg.sample_one_in.max(1),
+                ..cfg
+            },
             traces: VecDeque::new(),
             finished: 0,
             kept: 0,
             evicted: 0,
-        };
-        ring.configure(cfg);
-        ring
-    }
-
-    /// Install a new [`TraceConfig`] (applies to traces admitted after
-    /// the call; shrinking the capacity evicts immediately).
-    pub fn configure(&mut self, cfg: TraceConfig) {
-        self.cfg = TraceConfig {
-            ring_capacity: cfg.ring_capacity.max(1),
-            sample_one_in: cfg.sample_one_in.max(1),
-            slow_keep_min_count: cfg.slow_keep_min_count,
-        };
-        while self.traces.len() > self.cfg.ring_capacity {
-            self.traces.pop_front();
-            self.evicted += 1;
         }
     }
 
-    /// The currently installed [`TraceConfig`].
+    /// The ring's [`TraceConfig`].
     pub fn config(&self) -> TraceConfig {
         self.cfg
     }
@@ -432,13 +420,6 @@ impl TraceRing {
 fn ring() -> &'static crate::sync::Mutex<TraceRing> {
     static S: OnceLock<crate::sync::Mutex<TraceRing>> = OnceLock::new();
     S.get_or_init(|| crate::sync::Mutex::new(TraceRing::new(TraceConfig::default())))
-}
-
-/// Install a new [`TraceConfig`] on the global ring (applies to traces
-/// finished after the call; shrinking the capacity evicts immediately).
-pub fn configure(cfg: TraceConfig) {
-    let (_order, mut ring) = crate::sync::lock_ranked("telemetry.trace.ring", ring());
-    ring.configure(cfg);
 }
 
 /// Open a trace and mint its hop id. `start_us` anchors the trace at the
@@ -666,7 +647,7 @@ pub fn stats() -> TraceStats {
 }
 
 /// Clear all trace state — in-flight table, ring and counters (tests and
-/// multi-run binaries). The config is kept.
+/// multi-run binaries).
 pub fn reset() {
     {
         let (_order, mut map) =
@@ -773,23 +754,55 @@ mod tests {
         reset();
     }
 
+    /// A finished record with `flags`, for driving a private ring.
+    fn finished_record(flags: TraceFlags) -> TraceRecord {
+        TraceRecord {
+            id: mint(),
+            name: "r".to_string(),
+            span: 1,
+            parent_span: None,
+            start_us: 0,
+            end_us: 1,
+            status: 200,
+            flags,
+            keep: "",
+            attrs: Vec::new(),
+            nums: Vec::new(),
+            phases: Vec::new(),
+        }
+    }
+
     #[test]
     fn tail_sampling_keeps_flagged_and_samples_rest() {
-        let _g = gate();
-        reset();
-        configure(TraceConfig {
+        // Sampling on a private ring: 10 clean traces → 2 sampled;
+        // 1 error + 1 deadline + 1 fault → all kept.
+        let mut ring = TraceRing::new(TraceConfig {
             sample_one_in: 5,
-            slow_keep_min_count: u64::MAX, // isolate from the shared histogram
+            slow_keep_min_count: u64::MAX,
             ..TraceConfig::default()
         });
-        let t0 = crate::elapsed_us();
-        // 10 clean traces → 2 sampled; 1 error + 1 deadline + 1 fault → all kept.
         for _ in 0..10 {
-            let id = mint();
-            assert!(start(id, "ok", None, t0));
-            let rec = finish(id, 200).unwrap();
-            assert!(rec.keep.is_empty() || rec.keep == "sampled");
+            let keep = ring.admit(&mut finished_record(TraceFlags::default()), false);
+            assert!(keep.is_empty() || keep == "sampled");
         }
+        for (flags, reason) in [
+            (TraceFlags { error: true, ..TraceFlags::default() }, "error"),
+            (TraceFlags { deadline: true, ..TraceFlags::default() }, "deadline"),
+            (TraceFlags { fault: true, ..TraceFlags::default() }, "fault"),
+        ] {
+            assert_eq!(ring.admit(&mut finished_record(flags), false), reason);
+        }
+        let kept = ring.snapshot();
+        assert_eq!(kept.len(), 2 + 3, "2 sampled of 10, plus 3 flagged: {kept:#?}");
+        let (finished, kept, _) = ring.counters();
+        assert_eq!(finished, 13);
+        assert_eq!(kept, 5);
+
+        // The global `finish` path flags by status and fault marks, at the
+        // default config.
+        let _g = gate();
+        reset();
+        let t0 = crate::elapsed_us();
         let err = mint();
         assert!(start(err, "err", None, t0));
         assert_eq!(finish(err, 500).unwrap().keep, "error");
@@ -805,41 +818,28 @@ mod tests {
         let rec = finish(flt, 200).unwrap();
         assert_eq!(rec.keep, "fault");
         assert_eq!(rec.attrs, vec![("fault", "serve.cache_full".to_string())]);
-        let kept = ring_snapshot();
-        assert_eq!(kept.len(), 2 + 3, "2 sampled of 10, plus 3 flagged: {kept:#?}");
-        let st = stats();
-        assert_eq!(st.finished, 13);
-        assert_eq!(st.kept, 5);
-        configure(TraceConfig::default());
         reset();
     }
 
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
-        let _g = gate();
-        reset();
-        configure(TraceConfig {
+        let mut ring = TraceRing::new(TraceConfig {
             ring_capacity: 4,
             slow_keep_min_count: u64::MAX,
             ..TraceConfig::default()
         });
-        let t0 = crate::elapsed_us();
         let mut ids = Vec::new();
         for _ in 0..10 {
-            let id = mint();
-            assert!(start(id, "r", None, t0));
-            finish(id, 200);
-            ids.push(id);
+            let mut rec = finished_record(TraceFlags::default());
+            ids.push(rec.id);
+            ring.admit(&mut rec, false);
         }
-        let ring = ring_snapshot();
         assert_eq!(ring.len(), 4);
-        let kept: Vec<TraceId> = ring.iter().map(|r| r.id).collect();
+        let kept: Vec<TraceId> = ring.snapshot().iter().map(|r| r.id).collect();
         assert_eq!(kept, ids[6..].to_vec(), "oldest evicted first");
-        assert_eq!(stats().evicted, 6);
-        assert_eq!(drain_ring().len(), 4);
-        assert!(ring_snapshot().is_empty());
-        configure(TraceConfig::default());
-        reset();
+        assert_eq!(ring.counters().2, 6);
+        assert_eq!(ring.drain().len(), 4);
+        assert!(ring.snapshot().is_empty());
     }
 
     /// The parent-id a hop sends is the id the trace minted for it: valid

@@ -5,8 +5,9 @@
 //!   0.03, cosine schedule);
 //! * bf16 weight emulation (the paper trains in bf16);
 //! * gradient accumulation and clipping;
-//! * data parallelism over a simulated device grid with ring all-reduce
-//!   (standing in for the multi-A100 setup);
+//! * data parallelism over simulated devices, one thread each, with
+//!   gradients averaged in ring all-reduce summation order (standing in
+//!   for the multi-A100 setup);
 //! * SFT with assistant-span loss masking over the chat template;
 //! * an A100-hour cost model calibrated against the paper's reported
 //!   GPU-hour figures.

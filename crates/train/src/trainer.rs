@@ -4,11 +4,14 @@
 //! Structure per optimizer step (faithful to multi-GPU LMFlow training):
 //!
 //! 1. every simulated device samples `grad_accum` micro-batches from its
-//!    own stream shard and accumulates gradients locally;
-//! 2. gradients are averaged across devices with a ring all-reduce;
-//! 3. the (now identical) gradient is clipped and applied by each
-//!    device's AdamW under the shared cosine schedule, so replicas stay
-//!    bit-identical — standard DDP semantics;
+//!    own stream shard and accumulates gradients locally, one thread per
+//!    device over the shared weights;
+//! 2. gradients are averaged across devices in the order a ring
+//!    all-reduce sums them (`ring_mean`);
+//! 3. the averaged gradient is clipped and applied by one AdamW under the
+//!    cosine schedule. Under DDP every replica applies this same update
+//!    to the same gradient and stays bit-identical, so one copy of the
+//!    weights is the same program;
 //! 4. optionally, weights are rounded to bf16 (the paper trains in bf16).
 
 use crate::data::{LmBatch, TokenStream};
@@ -16,7 +19,6 @@ use crate::optim::{clip_grad_norm, AdamW};
 use crate::schedule::CosineSchedule;
 use crate::sft::{sft_batch, SftExample};
 use astro_model::{Params, TrainContext};
-use astro_parallel::DeviceGrid;
 use astro_prng::Rng;
 use astro_tensor::bf16::bf16_round_slice;
 
@@ -165,14 +167,53 @@ impl TrainReport {
     }
 }
 
-/// Per-device replica state.
+/// Per-device state: everything but the weights and the optimizer,
+/// which all devices share.
 struct Device {
-    params: Params,
     ctx: TrainContext,
-    opt: AdamW,
     grad: Vec<f32>,
     rng: Rng,
     last_loss: f32,
+}
+
+/// Replace `grads[0]` with the element-wise mean of `grads`, summed the
+/// way a ring all-reduce over `grads.len()` devices sums it.
+///
+/// The buffer is cut into one contiguous chunk per device (`len / n`
+/// elements, plus one for each of the first `len % n` chunks). The ring
+/// accumulates chunk `c` as it travels from device `c` around to device
+/// `c − 1`, so chunk `c` of the sum is `((b_c + b_{c+1}) + …) + b_{c−1}`,
+/// then scaled by `1 / n`. The order is fixed by the topology, so the
+/// result is deterministic. `allreduce.bytes` counts the volume the
+/// ring's reduce-scatter and all-gather would move, `2·(n−1)·len` floats.
+fn ring_mean(grads: &mut [&mut [f32]]) {
+    let n = grads.len();
+    let len = grads[0].len();
+    if n == 1 || len == 0 {
+        return;
+    }
+    let start = std::time::Instant::now();
+    let inv = 1.0 / n as f32;
+    let (base, rem) = (len / n, len % n);
+    let mut acc = Vec::with_capacity(base + 1);
+    let mut lo = 0;
+    for c in 0..n {
+        let hi = lo + base + usize::from(c < rem);
+        acc.clear();
+        acc.extend_from_slice(&grads[c][lo..hi]);
+        for j in 1..n {
+            for (a, x) in acc.iter_mut().zip(&grads[(c + j) % n][lo..hi]) {
+                *a += x;
+            }
+        }
+        for (g, a) in grads[0][lo..hi].iter_mut().zip(&acc) {
+            *g = a * inv;
+        }
+        lo = hi;
+    }
+    astro_telemetry::histogram("allreduce.micros").observe(start.elapsed().as_micros() as f64);
+    astro_telemetry::counter("allreduce.bytes")
+        .add((2 * (n - 1) * len * std::mem::size_of::<f32>()) as u64);
 }
 
 /// Train `params` in place. Returns the training report, or a typed
@@ -196,22 +237,19 @@ pub fn train_lm(
     let schedule = CosineSchedule::new(cfg.lr, cfg.steps, cfg.warmup_ratio);
     let n = params.data.len();
 
-    // Build replicas.
-    let devices: Vec<Device> = (0..cfg.devices)
-        .map(|d| {
-            let mut opt = AdamW::new(n);
-            opt.weight_decay = cfg.weight_decay;
-            Device {
-                params: params.clone(),
-                ctx: TrainContext::new(params.cfg, cfg.batch, cfg.seq),
-                opt,
-                grad: vec![0.0; n],
-                rng: rng.substream_idx("train-device", d as u64),
-                last_loss: 0.0,
-            }
+    // The working copy is published only on success, so an error leaves
+    // the caller's weights untouched.
+    let mut weights = params.clone();
+    let mut opt = AdamW::new(n);
+    opt.weight_decay = cfg.weight_decay;
+    let mut devices: Vec<Device> = (0..cfg.devices)
+        .map(|d| Device {
+            ctx: TrainContext::new(params.cfg, cfg.batch, cfg.seq),
+            grad: vec![0.0; n],
+            rng: rng.substream_idx("train-device", d as u64),
+            last_loss: 0.0,
         })
         .collect();
-    let mut grid = DeviceGrid::new(devices);
 
     let mut losses = Vec::new();
     // Rate bookkeeping for `train.step` telemetry: tokens since the last
@@ -219,40 +257,46 @@ pub fn train_lm(
     let mut mark = (std::time::Instant::now(), 0u64);
     for step in 0..cfg.steps {
         let inv_accum = 1.0 / cfg.grad_accum as f32;
-        // Local compute + ring all-reduce.
-        grid.step(
-            |_rank, dev: &mut Device| {
-                dev.grad.fill(0.0);
-                let mut loss_sum = 0.0;
-                for _ in 0..cfg.grad_accum {
-                    let batch = match &source {
-                        BatchSource::Lm(stream) => {
-                            LmBatch::sample(stream, cfg.batch, cfg.seq, &mut dev.rng)
-                        }
-                        BatchSource::Sft(examples, pad) => {
-                            sft_batch(examples, cfg.batch, cfg.seq, *pad, &mut dev.rng)
-                        }
-                    };
-                    loss_sum += dev.ctx.loss_and_grad(
-                        &dev.params,
-                        &batch.tokens,
-                        &batch.targets,
-                        &batch.mask,
-                        &mut dev.grad,
-                    );
-                }
-                if cfg.grad_accum > 1 {
-                    for g in dev.grad.iter_mut() {
-                        *g *= inv_accum;
+        let local = |dev: &mut Device| {
+            dev.grad.fill(0.0);
+            let mut loss_sum = 0.0;
+            for _ in 0..cfg.grad_accum {
+                let batch = match &source {
+                    BatchSource::Lm(stream) => {
+                        LmBatch::sample(stream, cfg.batch, cfg.seq, &mut dev.rng)
                     }
+                    BatchSource::Sft(examples, pad) => {
+                        sft_batch(examples, cfg.batch, cfg.seq, *pad, &mut dev.rng)
+                    }
+                };
+                loss_sum += dev.ctx.loss_and_grad(
+                    &weights,
+                    &batch.tokens,
+                    &batch.targets,
+                    &batch.mask,
+                    &mut dev.grad,
+                );
+            }
+            if cfg.grad_accum > 1 {
+                for g in dev.grad.iter_mut() {
+                    *g *= inv_accum;
                 }
-                dev.last_loss = loss_sum * inv_accum;
-            },
-            |dev| dev.grad.as_mut_slice(),
-        );
+            }
+            dev.last_loss = loss_sum * inv_accum;
+        };
+        // Local compute, one thread per device, then the ring-ordered mean.
+        std::thread::scope(|s| {
+            for dev in devices.iter_mut() {
+                let local = &local;
+                s.spawn(move || local(dev));
+            }
+        });
+        let mut grads: Vec<&mut [f32]> =
+            devices.iter_mut().map(|d| d.grad.as_mut_slice()).collect();
+        ring_mean(&mut grads);
         // Abort on a non-finite loss *before* applying the update, so a
         // diverged (or fault-injected) step never poisons the weights.
-        let mut loss0 = grid.device(0).last_loss;
+        let mut loss0 = devices[0].last_loss;
         if astro_resilience::fault::should_fault("train.nan_loss") {
             loss0 = f32::NAN;
         }
@@ -264,21 +308,16 @@ pub fn train_lm(
                 .emit();
             return Err(TrainError::NonFiniteLoss { step, loss: loss0 });
         }
-        // Identical update on every replica.
         let lr = schedule.lr_at(step);
-        let mut grad_norm0 = f32::NAN;
-        for rank in 0..cfg.devices {
-            let dev = grid.device_mut(rank);
-            if cfg.grad_clip > 0.0 {
-                let norm = clip_grad_norm(&mut dev.grad, cfg.grad_clip);
-                if rank == 0 {
-                    grad_norm0 = norm;
-                }
-            }
-            dev.opt.step(&mut dev.params.data, &dev.grad, lr);
-            if cfg.bf16_weights {
-                bf16_round_slice(&mut dev.params.data);
-            }
+        let grad = &mut devices[0].grad;
+        let grad_norm0 = if cfg.grad_clip > 0.0 {
+            clip_grad_norm(grad, cfg.grad_clip)
+        } else {
+            f32::NAN
+        };
+        opt.step(&mut weights.data, grad, lr);
+        if cfg.bf16_weights {
+            bf16_round_slice(&mut weights.data);
         }
         steps_counter.inc();
         tokens_counter.add(step_tokens);
@@ -307,12 +346,7 @@ pub fn train_lm(
     }
 
     let final_loss = losses.last().map(|&(_, l)| l).unwrap_or(f32::NAN);
-    // Publish device 0's replica. `validate` guarantees devices >= 1, so
-    // the fallback (keep the caller's weights) is unreachable in practice.
-    let replicas = grid.into_devices();
-    if let Some(first) = replicas.into_iter().next() {
-        params.data = first.params.data;
-    }
+    params.data = weights.data;
 
     let tokens_processed = cfg.steps * step_tokens;
     train_span.record_f64("tokens", tokens_processed as f64);
@@ -398,6 +432,88 @@ mod tests {
         let report = train_lm(&mut params, BatchSource::Lm(&stream), &cfg, &Rng::seed_from(4))
             .expect("train");
         assert!(report.tail_loss(3) < report.losses[0].1);
+    }
+
+    #[test]
+    fn multi_device_weights_are_pinned_bit_for_bit() {
+        // Digests of the weights after 6 steps, recorded when every device
+        // held its own replica and optimizer and the gradients went
+        // through a threaded ring all-reduce. One shared replica and the
+        // ring-ordered mean must reproduce them exactly.
+        let (tok, stream) = tok_and_stream();
+        let cfg_model = ModelConfig::tiny(tok.vocab_size());
+        for (devices, grad_accum, want) in
+            [(2, 1, 0x4f28_426e_6d93_4661_u64), (3, 2, 0x0614_affb_242c_8b75)]
+        {
+            let mut params = Params::init(cfg_model, &mut Rng::seed_from(12));
+            let mut cfg = small_cfg(6);
+            cfg.devices = devices;
+            cfg.grad_accum = grad_accum;
+            train_lm(&mut params, BatchSource::Lm(&stream), &cfg, &Rng::seed_from(13))
+                .expect("train");
+            let bits: Vec<u8> =
+                params.data.iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();
+            assert_eq!(
+                astro_resilience::fnv::fnv64(&bits),
+                want,
+                "devices {devices}, grad_accum {grad_accum}"
+            );
+        }
+    }
+
+    /// Every buffer set `ring_mean` is checked on: the five hand-written
+    /// cases (two devices, uneven chunks, one device, fewer elements than
+    /// devices, empty buffers), then seeded buffers for every n in 1..=7
+    /// at lengths around the chunk edges.
+    fn ring_cases() -> Vec<Vec<Vec<f32>>> {
+        let mut cases = vec![
+            vec![vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![5.0, 4.0, 3.0, 2.0, 1.0]],
+            (0..4).map(|d| (0..10).map(|i| (d * 10 + i) as f32).collect()).collect(),
+            vec![vec![1.0, 2.0, 3.0]],
+            vec![vec![3.0, 0.0], vec![0.0, 3.0], vec![3.0, 3.0]],
+            vec![vec![], vec![]],
+        ];
+        let mut rng = Rng::seed_from(14);
+        for n in 1..=7 {
+            for len in [0, 1, n - 1, n + 1, 1_000, 4_097] {
+                cases.push((0..n).map(|_| (0..len).map(|_| rng.gauss_f32()).collect()).collect());
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn ring_mean_sums_each_chunk_in_ring_order() {
+        for inputs in ring_cases() {
+            let (n, len) = (inputs.len(), inputs[0].len());
+            let mut bufs = inputs.clone();
+            let mut refs: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            ring_mean(&mut refs);
+            // Chunk c holds `len / n` elements, plus one if c < len % n.
+            let (base, rem) = (len / n, len % n);
+            let chunk_of = |i: usize| {
+                if i < rem * (base + 1) {
+                    i / (base + 1)
+                } else {
+                    rem + (i - rem * (base + 1)) / base
+                }
+            };
+            for (i, got) in bufs[0].iter().enumerate() {
+                let want = if n == 1 {
+                    inputs[0][i]
+                } else {
+                    let c = chunk_of(i);
+                    let mut sum = inputs[c][i];
+                    for j in 1..n {
+                        sum += inputs[(c + j) % n][i];
+                    }
+                    sum * (1.0 / n as f32)
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "n {n} len {len} element {i}");
+                let mean = inputs.iter().map(|b| b[i]).sum::<f32>() / n as f32;
+                assert!((got - mean).abs() < 1e-5, "n {n} len {len} element {i}: {got} vs {mean}");
+            }
+        }
     }
 
     #[test]

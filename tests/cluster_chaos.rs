@@ -480,6 +480,8 @@ fn lost_response_redispatches_exactly_once_under_same_key() {
     let stats = cluster.router().stats();
     assert_eq!(stats.redispatches, 2, "{stats:?}");
     assert_eq!(stats.lost, 0);
+    // A maybe-accepted failure leaves membership to probe hysteresis.
+    assert_eq!(cluster.router().ring_members(), vec![0, 1]);
 
     let stats = cluster.shutdown();
     // Both replicas drained cleanly: accepted == completed everywhere
