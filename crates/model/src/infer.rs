@@ -998,10 +998,11 @@ mod tests {
                     median(&readout_us, READOUT_LANES * READOUT_ROWS),
                 ];
                 println!(
-                    "op_budget {tier:?} {:?}: us/row (share)   prefill rows {}..{PROMPT}   \
-                     decode row at {PROMPT}   \
+                    "op_budget {tier:?} {:?} ({:?} kernels): us/row (share)   \
+                     prefill rows {}..{PROMPT}   decode row at {PROMPT}   \
                      readout {READOUT_LANES} x {READOUT_ROWS} rows at {PROMPT}",
                     p.cfg.precision,
+                    astro_tensor::simd(),
                     PROMPT - PREFILL_ROWS
                 );
                 let totals = columns.map(|col| col.iter().sum::<f64>());

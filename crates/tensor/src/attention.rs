@@ -45,7 +45,7 @@ pub fn attend_head(
     let span = (n - 1) * stride + hd;
     assert!(k.len() >= span && v.len() >= span, "cache shorter than {n} positions");
     #[cfg(target_arch = "x86_64")]
-    if crate::avx2() {
+    if crate::simd() >= crate::Simd::Avx2 {
         // SAFETY: AVX2 support was verified at runtime just above; `out`
         // holds `head_dim` elements and `k` / `v` reach the last position's
         // head (`span`), both asserted above.

@@ -28,24 +28,46 @@ pub use bf16::{bf16_round, bf16_round_slice};
 pub use matmul::{matmul, matmul_at_b, matmul_a_bt};
 pub use qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_row_q8, quantize_rows_q8};
 
-/// Cached one-time AVX2 detection (0 = unknown, 1 = yes, 2 = no) — the
-/// one switch every runtime-dispatched kernel of this crate reads (the q8
-/// tile in [`qmatmul`], the f32 tiles in [`matmul`] and [`attention`]).
-/// Each dispatched kernel returns the bits of its portable twin, so the
-/// answer changes speed only.
+/// A level of the runtime kernel dispatch, ordered: each level's CPU also
+/// runs every level below it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Simd {
+    /// The loops on the build's baseline target (x86-64 SSE2, or any other
+    /// architecture) — the reference every other level is tested against.
+    Portable,
+    /// AVX2: the f32 tiles in [`matmul`] and [`attention`], the q8 tile's
+    /// `vpmaddubsw` multiply-add in [`qmatmul`], and its 8-lane quantize
+    /// epilogues.
+    Avx2,
+    /// AVX2 plus AVX-VNNI: as [`Simd::Avx2`], with the q8 tile's
+    /// multiply-add one `vpdpbusd`.
+    Avx2Vnni,
+}
+
+/// The cached one-time CPU detection — the one switch every
+/// runtime-dispatched kernel of this crate reads. Each dispatched kernel
+/// returns the bits of its portable twin, so the answer changes speed
+/// only.
+pub fn simd() -> Simd {
+    static LEVEL: std::sync::OnceLock<Simd> = std::sync::OnceLock::new();
+    *LEVEL.get_or_init(detect)
+}
+
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("avx2");
-            STATE.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
-            yes
-        }
+fn detect() -> Simd {
+    use std::arch::is_x86_feature_detected;
+    if !is_x86_feature_detected!("avx2") {
+        Simd::Portable
+    } else if is_x86_feature_detected!("avxvnni") {
+        Simd::Avx2Vnni
+    } else {
+        Simd::Avx2
     }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn detect() -> Simd {
+    Simd::Portable
 }
 
 /// A minimal shape-carrying tensor over `f32`.

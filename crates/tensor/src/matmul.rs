@@ -87,7 +87,7 @@ pub fn matmul_a_bt_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
     assert_eq!(b.len(), n * k, "b has wrong size");
     assert_eq!(out.len(), m * n, "out has wrong size");
     #[cfg(target_arch = "x86_64")]
-    if crate::avx2() {
+    if crate::simd() >= crate::Simd::Avx2 {
         // SAFETY: AVX2 support was verified at runtime just above, and the
         // three slices were asserted against `m`, `k` and `n`.
         unsafe { x86::a_bt_acc(out, a, b, m, k, n) };

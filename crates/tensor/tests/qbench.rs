@@ -49,6 +49,7 @@ fn q8_vs_f32_matvec() {
     let embed = randv(vocab * d, 99);
     let total_w: usize = lw.iter().map(|l| l.wq.len() + l.wg.len() + l.wd.len()).sum::<usize>() + embed.len();
     println!("weights: {} f32 = {:.1} MB f32 / {:.1} MB i8", total_w, total_w as f64 * 4e-6, total_w as f64 * 1e-6);
+    println!("kernels: {:?}", astro_tensor::simd());
 
     // Quantize all.
     struct Lq {
