@@ -685,7 +685,7 @@ mod tests {
 
     #[test]
     fn bin_paths_may_print() {
-        assert!(is_bin_path("crates/bench/src/bin/table1.rs"));
+        assert!(is_bin_path("crates/bench/src/bin/astro-bench/table1.rs"));
         assert!(is_bin_path("crates/audit/src/main.rs"));
         assert!(is_bin_path("src/bin/astro-gateway.rs"));
         assert!(!is_bin_path("crates/bench/src/lib.rs"));

@@ -1,5 +1,6 @@
-//! Regenerate the paper's **§III compute-cost figures** from the A100
-//! cost model, and cross-check them against our simulated runs.
+//! `costs` — regenerate the paper's **§III compute-cost figures** (E3)
+//! from the A100 cost model, and cross-check them against our simulated
+//! runs.
 //!
 //! For each paper number (CPT 32 / 2,000 A100-h; SFT 12 / 100; inference
 //! 64 h for 4,425 MCQs) we print the token count the cost model implies
@@ -7,19 +8,19 @@
 //! scale — demonstrating the two are mutually consistent.
 //!
 //! ```sh
-//! cargo run --release -p astro-bench --bin costs -- [smoke|fast|full] [seed]
+//! cargo run --release -p astro-bench -- costs [micro|smoke|fast|full] [seed]
 //! ```
 //!
 //! Outputs (working directory): `telemetry.jsonl`, `run_manifest.json`,
 //! and the machine-readable `BENCH_costs.json`.
 
-use astro_bench::{instrumented_run, JsonObject};
-use astro_telemetry::info;
+use crate::{instrumented_run, JsonObject};
 use astromlab::model::Tier;
 use astromlab::train::{CostModel, TrainingKind, PAPER_COSTS};
 
-fn main() {
-    let (config, mut run) = instrumented_run("costs");
+/// Print the cost tables and write `BENCH_costs.json`.
+pub fn main(args: &[String]) {
+    let (config, mut run) = instrumented_run("costs", "costs", args);
     let _span = astro_telemetry::span!("costs.render");
     let model = CostModel::default();
 
@@ -56,17 +57,16 @@ fn main() {
 
     // Our simulated runs, scaled to paper corpora.
     println!("\n=== This reproduction's simulated training, priced at paper scale ===\n");
-    let study_cfg = config.clone();
     println!(
         "{:<28} {:>14} {:>22}",
         "Simulated run", "sim tokens", "A100-h at paper scale"
     );
     println!("{}", "-".repeat(68));
     for (label, tier, tokens) in [
-        ("native pretrain (7B-class)", Tier::S7b, study_cfg.native_tokens(0)),
-        ("native pretrain (8B-class)", Tier::S8b, study_cfg.native_tokens(1)),
-        ("native pretrain (70B-class)", Tier::S70b, study_cfg.native_tokens(2)),
-        ("CPT (70B-class)", Tier::S70b, study_cfg.cpt_tokens()),
+        ("native pretrain (7B-class)", Tier::S7b, config.native_tokens(0)),
+        ("native pretrain (8B-class)", Tier::S8b, config.native_tokens(1)),
+        ("native pretrain (70B-class)", Tier::S70b, config.native_tokens(2)),
+        ("CPT (70B-class)", Tier::S70b, config.cpt_tokens()),
     ] {
         // Price the *same token count* on the real model the tier stands
         // in for — the honest statement of what our runs would cost.
@@ -77,7 +77,7 @@ fn main() {
         "\n(The gap to the paper's 2,000 A100-h for 70B CPT is the corpus-scale substitution: \
          {:.2e} paper tokens vs {} simulated tokens.)",
         t70,
-        study_cfg.cpt_tokens()
+        config.cpt_tokens()
     );
 
     // Inference cost of the full-instruct benchmark.
@@ -98,10 +98,10 @@ fn main() {
         paper.raw(label, &row.finish());
     }
     let mut sim = JsonObject::new();
-    sim.num("native_tokens_7b", study_cfg.native_tokens(0) as f64)
-        .num("native_tokens_8b", study_cfg.native_tokens(1) as f64)
-        .num("native_tokens_70b", study_cfg.native_tokens(2) as f64)
-        .num("cpt_tokens", study_cfg.cpt_tokens() as f64);
+    sim.num("native_tokens_7b", config.native_tokens(0) as f64)
+        .num("native_tokens_8b", config.native_tokens(1) as f64)
+        .num("native_tokens_70b", config.native_tokens(2) as f64)
+        .num("cpt_tokens", config.cpt_tokens() as f64);
     let mut top = JsonObject::new();
     top.str("bench", "costs")
         .num("implied_cpt_tokens_8b", t8)
@@ -109,12 +109,7 @@ fn main() {
         .num("infer_tokens_per_question", infer_tokens / 4425.0)
         .raw("paper_costs", &paper.finish())
         .raw("simulated", &sim.finish());
-    let mut json = top.finish();
-    json.push('\n');
-    match std::fs::write("BENCH_costs.json", &json) {
-        Ok(()) => run.add("bench_json", "BENCH_costs.json"),
-        Err(e) => info!("BENCH_costs.json not written: {e}"),
-    }
+    run.write_bench_json("BENCH_costs.json", &top.finish());
     drop(_span);
     println!();
     run.finish();

@@ -1,30 +1,41 @@
-//! Development diagnostic: track token-base MCQ accuracy and held-out
-//! losses as a native model trains, to size the presets. Not part of the
-//! paper's artefacts.
+//! `diagnose` — development diagnostic: track token-base MCQ accuracy
+//! and held-out losses as a native model trains, to size the presets. Not
+//! part of the paper's artefacts.
 //!
 //! ```sh
-//! cargo run --release -p astro-bench --bin diagnose -- [steps] [tier]
+//! cargo run --release -p astro-bench -- diagnose [steps] [7b|8b|70b] [n_entities] [general_docs]
 //! ```
+//! Defaults: 800 steps of the 8B-class tier on the `fast` world with 120
+//! entities and 4,000 general documents.
 
+use crate::{arg_or, usage};
 use astromlab::eval::Method;
 use astromlab::model::Tier;
 use astromlab::train::held_out_loss;
 use astromlab::{Study, StudyConfig};
 use astromlab::world::CorpusRecipe;
 
-fn main() {
-    let steps: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(800);
-    let tier = match std::env::args().nth(2).as_deref() {
-        Some("7b") => Tier::S7b,
-        Some("70b") => Tier::S70b,
-        _ => Tier::S8b,
+const USAGE: &str = "diagnose [steps] [7b|8b|70b] [n_entities] [general_docs]";
+
+/// Train one native in 100-step chunks, logging accuracy and losses.
+pub fn main(args: &[String]) {
+    if args.len() > 4 {
+        usage(USAGE);
+    }
+    let steps: u64 = arg_or(args, 0, 800, USAGE);
+    let tier = match args.get(1).map_or("8b", String::as_str) {
+        "7b" => Tier::S7b,
+        "8b" => Tier::S8b,
+        "70b" => Tier::S70b,
+        _ => usage(USAGE),
     };
-    let n_entities: usize = std::env::args().nth(3).and_then(|s| s.parse().ok()).unwrap_or(120);
-    let general_docs: usize = std::env::args().nth(4).and_then(|s| s.parse().ok()).unwrap_or(4000);
     let mut config = StudyConfig::fast(42);
     config.n_eval_questions = 120;
-    config.world.n_entities = n_entities;
-    config.general_docs = general_docs;
+    config.world.n_entities = arg_or(args, 2, 120, USAGE);
+    config.general_docs = arg_or(args, 3, 4000, USAGE);
+    if config.validate().is_err() {
+        usage(USAGE);
+    }
     let study = Study::prepare(config).expect("prepare");
     astro_telemetry::info!(
         "world: {} facts | general stream: {} tokens | AIC stream: {} tokens | vocab {}",
@@ -165,7 +176,8 @@ fn main() {
     let keep = tokens.len().min(params.cfg.max_seq);
     let logits = sess.feed_prompt(&params, &tokens[tokens.len()-keep..]);
     let mut idx: Vec<usize> = (0..logits.len()).collect();
-    idx.sort_by(|&a, &b| logits[b].partial_cmp(&logits[a]).unwrap());
+    // `total_cmp`: a diverged run's NaN logits sort, not panic.
+    idx.sort_by(|&a, &b| logits[b].total_cmp(&logits[a]));
     astro_telemetry::info!("correct answer: {} ({})", q.answer_letter(), q.options[q.answer]);
     for &i in idx.iter().take(10) {
         astro_telemetry::info!("  top token {:?} logit {:.2}", String::from_utf8_lossy(study.tokenizer.piece(i as u32)), logits[i]);

@@ -1,9 +1,10 @@
-//! E1b — catastrophic forgetting measured directly in loss space.
+//! `forgetting` — E1b, catastrophic forgetting measured directly in loss
+//! space.
 //!
 //! The paper's Table I differences are downstream of one mechanism: CPT
 //! on astro-only text shifts the model toward the astro distribution and
 //! away from the general distribution, with the damage depending on
-//! capacity. This binary measures that mechanism directly — held-out
+//! capacity. This subcommand measures that mechanism directly — held-out
 //! next-token loss on the general and astro (AIC) distributions before
 //! and after CPT, per capacity tier — which is robust at CPU scale where
 //! MCQ accuracies are noisy.
@@ -12,17 +13,18 @@
 //! the *general-loss rise* (forgetting) is largest for the smallest tier.
 //!
 //! ```sh
-//! cargo run --release -p astro-bench --bin forgetting_curves -- [smoke|fast|full] [seed]
+//! cargo run --release -p astro-bench -- forgetting [micro|smoke|fast|full] [seed]
 //! ```
 
-use astro_bench::instrumented_run;
+use crate::instrumented_run;
 use astromlab::model::Tier;
 use astromlab::train::held_out_loss;
 use astromlab::world::CorpusRecipe;
 use astromlab::Study;
 
-fn main() {
-    let (config, run) = instrumented_run("forgetting_curves");
+/// Print the per-tier held-out losses before and after CPT.
+pub fn main(args: &[String]) {
+    let (config, run) = instrumented_run("forgetting_curves", "forgetting", args);
     let seq = config.seq;
     let study = Study::prepare(config).expect("prepare");
     let windows = 40;

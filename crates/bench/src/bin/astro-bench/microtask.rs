@@ -1,4 +1,5 @@
-//! Development diagnostic: isolated option-matching micro-task.
+//! `microtask` — development diagnostic: isolated option-matching
+//! micro-task.
 //!
 //! Sequences are built directly in token space (no BPE, no filler):
 //!
@@ -11,11 +12,17 @@
 //! budget issue; if it cannot, the model/trainer has a defect.
 //!
 //! ```sh
-//! cargo run --release -p astro-bench --bin microtask -- [steps]
+//! cargo run --release -p astro-bench -- microtask [steps] [layers] [d] [lr] [letteronly|copy0]
 //! ```
+//! Defaults: 600 steps, 2 layers, width 32, learning rate 3e-3, loss on
+//! every position. `letteronly` puts the loss on the answer letter alone;
+//! `copy0` swaps in the pure-attention copy probe below.
 
+use crate::{arg_or, usage};
 use astromlab::model::{ModelConfig, Params, TrainContext, WeightPrecision};
 use astromlab::prng::Rng;
+
+const USAGE: &str = "microtask [steps] [layers] [d] [lr] [letteronly|copy0]";
 
 // Token ids (tiny fixed vocabulary, no tokenizer involved).
 const VALUES: std::ops::Range<u32> = 10..18; // 8 distinct values
@@ -54,11 +61,16 @@ fn build_example(rng: &mut Rng) -> (Vec<u32>, usize) {
     (seq, correct_slot)
 }
 
-fn main() {
-    let steps: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(600);
-    let layers: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let d: usize = std::env::args().nth(3).and_then(|s| s.parse().ok()).unwrap_or(32);
-    let lr: f32 = std::env::args().nth(4).and_then(|s| s.parse().ok()).unwrap_or(3e-3);
+/// Train the micro-task model, printing loss and accuracy every 100 steps.
+pub fn main(args: &[String]) {
+    let mode = args.get(4).map_or("", String::as_str);
+    if args.len() > 5 || !["", "letteronly", "copy0"].contains(&mode) {
+        usage(USAGE);
+    }
+    let steps: usize = arg_or(args, 0, 600, USAGE);
+    let layers: usize = arg_or(args, 1, 2, USAGE);
+    let d: usize = arg_or(args, 2, 32, USAGE);
+    let lr: f32 = arg_or(args, 3, 3e-3, USAGE);
     let cfg = ModelConfig {
         vocab_size: VOCAB,
         d_model: d,
@@ -68,13 +80,15 @@ fn main() {
         max_seq: 16,
         precision: WeightPrecision::F32,
     };
+    if cfg.validate().is_err() {
+        usage(USAGE);
+    }
     astro_telemetry::info!("layers {layers} d {d} lr {lr}");
     let mut rng = Rng::seed_from(7);
     let mut params = Params::init(cfg, &mut rng);
     let b = 16usize;
     let t = 16usize;
     let mut ctx = TrainContext::new(cfg, b, t);
-    let mode = std::env::args().nth(5).unwrap_or_default();
     let letter_only = mode == "letteronly" || mode == "copy0";
     let copy_mode = mode == "copy0";
     let mut opt = astromlab::train::AdamW::new(params.len());

@@ -1,28 +1,34 @@
-//! Regenerate **Table I**: the eight LLaMA/AstroLLaMA models under the
-//! three benchmarking methods, with ↑/↓/⇒ arrows against each series'
-//! native baseline.
+//! `table1` — regenerate **Table I** and **Figure 1** from one study run:
+//! the eight LLaMA/AstroLLaMA models under the three benchmarking methods,
+//! with ↑/↓/⇒ arrows against each series' native baseline (E1), the
+//! §VI value analysis (E4), then the same scores as Figure 1 — ASCII chart
+//! with native full-instruct baselines, the flagship-oracle context lines
+//! and a CSV series for external plotting (E2).
 //!
 //! ```sh
-//! cargo run --release -p astro-bench --bin table1 -- [smoke|fast|full] [seed]
+//! cargo run --release -p astro-bench -- table1 [micro|smoke|fast|full] [seed]
 //! ```
 //! Default preset: `fast` (minutes on one core). The run is fully
-//! deterministic in the seed. Alongside the measured table, the paper's
-//! published numbers are printed for shape comparison; see EXPERIMENTS.md
-//! for the recorded analysis.
+//! deterministic in the seed. Alongside the measured table and figure,
+//! the paper's published numbers are printed through the same renderers
+//! for shape comparison; see EXPERIMENTS.md for the recorded analysis.
 //!
 //! Outputs (working directory): `telemetry.jsonl`, `run_manifest.json`,
 //! and the machine-readable `BENCH_table1.json` (scores + stage wall
 //! times + tokens/sec) that future performance PRs diff against.
 
-use astro_bench::{instrumented_run, JsonObject};
+use crate::{instrumented_run, JsonObject};
 use astro_telemetry::info;
+use astromlab::eval::report::{render_figure1, render_table1, ModelRow};
 use astromlab::eval::value::{summarize_gain, FLAGSHIP_SCORES};
-use astromlab::eval::Method;
+use astromlab::eval::{FlagshipOracle, Method};
+use astromlab::prng::Rng;
 use astromlab::study::{build_rows, StudyResult};
 use astromlab::{ModelId, Study};
 
-fn main() {
-    let (config, mut run) = instrumented_run("table1");
+/// Run the study, print Table I and Figure 1, write `BENCH_table1.json`.
+pub fn main(args: &[String]) {
+    let (config, mut run) = instrumented_run("table1", "table1", args);
     let start = std::time::Instant::now();
     let study = Study::prepare(config).expect("prepare");
     info!(
@@ -43,10 +49,8 @@ fn main() {
         .iter()
         .map(|&id| (id, id.paper_scores()))
         .collect();
-    println!(
-        "{}",
-        astromlab::eval::report::render_table1(&build_rows(&paper_scores))
-    );
+    let paper = build_rows(&paper_scores);
+    println!("{}", render_table1(&paper));
 
     // §VI analysis: the 70B gain in cost-efficiency terms.
     if let (Some(cpt), Some(native)) = (
@@ -73,13 +77,37 @@ fn main() {
     }
 
     let wall = start.elapsed().as_secs_f64();
-    let bench_json = bench_table1_json(&result, wall);
-    match std::fs::write("BENCH_table1.json", &bench_json) {
-        Ok(()) => run.add("bench_json", "BENCH_table1.json"),
-        Err(e) => info!("BENCH_table1.json not written: {e}"),
-    }
+    run.write_bench_json("BENCH_table1.json", &bench_table1_json(&result, wall));
     println!();
+    print_figure1(&study, &result, &paper);
     run.finish();
+}
+
+/// Figure 1 from the scores `result` already holds: the flagship oracles
+/// (paper §VI — noisy calibrated answerers) scored on the same evaluation
+/// subset, the measured chart, the paper's scores through the same
+/// renderer, and the measured CSV.
+fn print_figure1(study: &Study, result: &StudyResult, paper: &[ModelRow]) {
+    let questions = study.eval_questions();
+    let mut orng = Rng::seed_from(study.config.seed).substream("flagship-oracles");
+    println!("\nflagship oracles on this benchmark subset:");
+    for oracle in FlagshipOracle::paper_flagships() {
+        println!(
+            "  {:<22} calibrated {:.1}% → measured {:.1}%",
+            oracle.name,
+            oracle.accuracy * 100.0,
+            oracle.score(&questions, &mut orng)
+        );
+    }
+
+    println!("\n=== Figure 1 (measured, this reproduction) ===\n");
+    println!("{}", result.figure1);
+
+    println!("=== Figure 1 (paper scores, same renderer) ===\n");
+    println!("{}", render_figure1(paper, 38.0, 80.0));
+
+    println!("=== CSV (measured) ===\n");
+    println!("{}", result.figure1_csv);
 }
 
 /// Serialise scores + per-stage wall times + training throughput into the
@@ -145,7 +173,5 @@ fn bench_table1_json(result: &StudyResult, wall_secs: f64) -> String {
         )
         .raw("scores", &scores)
         .raw("stage_secs", &stages.finish());
-    let mut out = top.finish();
-    out.push('\n');
-    out
+    top.finish()
 }

@@ -2,16 +2,16 @@
 //!
 //! The gateway writes finished request traces as single-line `trace`
 //! events (see `astro_telemetry::trace::TraceRecord::to_json_line`).
-//! This crate reads those lines back — with the repo's own JSON-subset
+//! This module reads those lines back — with the repo's own JSON-subset
 //! parser, no new dependencies — and turns them into the three artifacts
-//! operators actually look at:
+//! operators actually look at (`astro-bench trace` is its CLI):
 //!
 //! * **waterfalls** ([`render_waterfall`]) — one ASCII timeline per
 //!   trace, each phase a proportional bar, for eyeballing where a slow
 //!   request spent its time;
 //! * **a phase table** ([`render_phase_table`]) — exact p50/p95/p99/max
 //!   per phase across every trace, the aggregate latency-attribution
-//!   view `astro-trace phases` prints;
+//!   view `astro-bench trace phases` prints;
 //! * **Chrome Trace Event JSON** ([`chrome_trace_json`]) — a
 //!   `{"traceEvents":[...]}` export loadable in `chrome://tracing` /
 //!   Perfetto, one complete (`"ph":"X"`) event per phase plus one per
@@ -21,8 +21,8 @@
 //! events share the same JSONL sink) are skipped, and a count of skipped
 //! lines is reported rather than failing the file.
 
-use astro_eval::json::Json;
 use astro_telemetry::event::write_json_string;
+use astromlab::eval::json::Json;
 
 /// One phase of a parsed trace: name plus `[start_us, end_us]` in the
 /// emitting process's monotonic clock.

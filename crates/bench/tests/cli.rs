@@ -1,0 +1,124 @@
+//! The `astro-bench` binary at its argument surface.
+//!
+//! `trace` reads back what the telemetry emitter writes: `phases` and
+//! `chrome` succeed on a ring dump and the Chrome export validates; a file
+//! with no trace events is exit 1. Every malformed argument is exit 2
+//! with one usage line, before any training; `figure1` renders without
+//! training.
+
+use astro_telemetry::trace;
+use std::process::{Command, Output};
+use std::time::{Duration, Instant};
+
+const BIN: &str = env!("CARGO_BIN_EXE_astro-bench");
+
+fn run(args: &[&str]) -> Output {
+    Command::new(BIN).args(args).output().expect("run astro-bench")
+}
+
+/// Exit 2 with exactly one `usage: astro-bench ...` line on stderr and
+/// nothing on stdout.
+fn assert_usage(args: &[&str]) {
+    let out = run(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with("usage: astro-bench "), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+}
+
+#[test]
+fn phases_and_chrome_round_trip_a_ring_dump_and_reject_a_traceless_file() {
+    let dir = std::env::temp_dir().join(format!("astro_trace_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let jsonl = dir.join("traces.jsonl");
+    let chrome = dir.join("trace_chrome.json");
+
+    trace::reset();
+    for status in [200, 503] {
+        let id = trace::mint();
+        trace::start(id, "gateway./v1/score", None, astro_telemetry::elapsed_us());
+        for name in ["recv", "queue_wait", "write"] {
+            trace::phase_since_last(id, name);
+        }
+        trace::finish(id, status);
+    }
+    assert_eq!(trace::write_ring_jsonl(&jsonl).expect("write ring"), 2);
+
+    let phases =
+        Command::new(BIN).arg("trace").arg("phases").arg(&jsonl).output().expect("run phases");
+    assert!(phases.status.success(), "{}", String::from_utf8_lossy(&phases.stderr));
+    assert!(String::from_utf8_lossy(&phases.stdout).contains("queue_wait"));
+
+    let export = Command::new(BIN)
+        .arg("trace")
+        .arg("chrome")
+        .arg(&jsonl)
+        .arg(&chrome)
+        .output()
+        .expect("run chrome");
+    assert!(export.status.success(), "{}", String::from_utf8_lossy(&export.stderr));
+    let traces =
+        astro_bench::trace::parse_jsonl(&std::fs::read_to_string(&jsonl).expect("jsonl")).traces;
+    let written = std::fs::read_to_string(&chrome).expect("chrome file");
+    let events = astro_bench::trace::validate_chrome_json(&written, &traces)
+        .expect("chrome file validates");
+    assert!(events >= traces.len());
+
+    std::fs::write(&jsonl, "{\"event\":\"span\",\"t_us\":1}\n").expect("overwrite");
+    let empty = Command::new(BIN)
+        .arg("trace")
+        .arg("phases")
+        .arg(&jsonl)
+        .output()
+        .expect("run on no traces");
+    assert_eq!(empty.status.code(), Some(1), "{}", String::from_utf8_lossy(&empty.stderr));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_arguments_exit_2_with_one_usage_line() {
+    assert_usage(&[]);
+    assert_usage(&["table2"]);
+    assert_usage(&["table1", "bogus"]);
+    assert_usage(&["costs", "smoke", "42", "extra"]);
+    assert_usage(&["ablation", "sft"]);
+    assert_usage(&["ablation", "scale", "smoke", "x"]);
+    assert_usage(&["diagnose", "ten"]);
+    assert_usage(&["diagnose", "100", "13b"]);
+    assert_usage(&["microtask", "600", "2", "7"]);
+    assert_usage(&["microtask", "600", "2", "32", "3e-3", "copy1"]);
+    assert_usage(&["trace", "phases"]);
+    assert_usage(&["trace", "waterfall", "traces.jsonl", "ten"]);
+    assert_usage(&["trace", "phases", "traces.jsonl", "extra"]);
+}
+
+#[test]
+fn a_bad_seed_exits_2_before_any_training() {
+    let t0 = Instant::now();
+    assert_usage(&["table1", "smoke", "4x2"]);
+    assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+}
+
+#[test]
+fn figure1_renders_the_paper_scores_without_arguments() {
+    let out = run(&["figure1"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("model,method,score_percent"), "{stdout}");
+    assert!(
+        stdout.contains("AstroLLaMA-2-70B-AIC (sim),Token Prediction (Base Model),76.00"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn figure1_rejects_a_wrong_cell_count_or_a_non_numeric_cell() {
+    let mut args = vec!["figure1"];
+    args.extend(["50.0"; 24]);
+    assert!(run(&args).status.success());
+    assert_usage(&args[..24]);
+    args[6] = "fifty";
+    assert_usage(&args);
+}

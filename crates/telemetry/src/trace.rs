@@ -23,7 +23,7 @@
 //! sampling: error, deadline-missed, fault-marked and slowest-p1% traces
 //! are always kept, the rest are sampled 1-in-N ([`TraceConfig`]). Kept
 //! traces are also emitted to the JSONL sink as single-line `trace`
-//! events that the `astro-trace` analyzer reads back. Memory is bounded
+//! events that the `astro-bench trace` analyzer reads back. Memory is bounded
 //! no matter how long the server runs: the ring evicts oldest-first, and
 //! the in-flight table holds one record per open connection.
 

@@ -69,5 +69,5 @@ fn main() {
         "  Δ = {delta:+.1} points → implied cost-efficiency ratio ≈ {value:.2}x \
          (paper: +2.1 points ≈ 4x)"
     );
-    println!("Done. For the full Table I run: cargo run --release -p astro-bench --bin table1");
+    println!("Done. For the full Table I run: cargo run --release -p astro-bench -- table1");
 }

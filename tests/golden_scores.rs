@@ -65,7 +65,7 @@ fn figure1_fast_artifact_matches_golden() {
     // is the score section of the artifact, so editing one without the
     // other means the regression baseline no longer describes the
     // recorded run. The artifact itself is regenerated output (untracked
-    // since the resilience PR), so a checkout without a local `figure1 --
+    // since the resilience PR), so a checkout without a local `table1
     // fast` run has nothing to cross-check — skip rather than fail; the
     // golden stays guarded by the recompute tests either way.
     let Ok(artifact) = std::fs::read_to_string(repo_path("figure1_fast.txt")) else {

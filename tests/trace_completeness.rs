@@ -3,12 +3,13 @@
 //! injected chaos fault (`gateway.accept_fail`, `gateway.slow_client`,
 //! `serve.cache_full`) — leaves behind **exactly one** finished,
 //! well-formed trace whose phases are monotonic and non-overlapping,
-//! and the whole ring round-trips through the `astro-trace` analyzer.
+//! and the whole ring round-trips through the `astro-bench trace` analyzer.
 //!
 //! The trace ring, fault registry, and metrics registry are
 //! process-global, so every test takes `GATE` (same pattern as
 //! `tests/gateway_integration.rs`).
 
+use astro_bench::trace::{chrome_trace_json, parse_jsonl, validate_chrome_json};
 use astro_gateway::{client, Gateway, GatewayConfig, GatewayState};
 use astro_resilience::fault::{self, FaultPlan};
 use astro_telemetry::event::write_json_string;
@@ -259,12 +260,11 @@ fn every_response_yields_exactly_one_complete_trace() {
     let written = trace::write_ring_jsonl(&path).expect("write ring jsonl");
     assert_eq!(written, ring.len());
     let text = std::fs::read_to_string(&path).expect("read jsonl back");
-    let report = astro_trace::parse_jsonl(&text);
+    let report = parse_jsonl(&text);
     assert!(report.malformed.is_empty(), "malformed lines: {:?}", report.malformed);
     assert_eq!(report.traces.len(), written, "JSONL round-trip lost traces");
-    let chrome = astro_trace::chrome_trace_json(&report.traces);
-    let events = astro_trace::validate_chrome_json(&chrome, &report.traces)
-        .expect("chrome export validates");
+    let chrome = chrome_trace_json(&report.traces);
+    let events = validate_chrome_json(&chrome, &report.traces).expect("chrome export validates");
     assert!(events >= report.traces.len());
     let _ = std::fs::remove_file(&path);
 }
