@@ -38,7 +38,6 @@ const SPAN_REQUIRED: &[(&str, &str)] = &[
     ("crates/core/src/study.rs", "pretrain_native"),
     ("crates/core/src/study.rs", "cpt"),
     ("crates/core/src/study.rs", "sft"),
-    ("crates/core/src/study.rs", "run_table1"),
     ("crates/core/src/study.rs", "run_study"),
     ("crates/train/src/trainer.rs", "train_lm"),
     ("crates/eval/src/score.rs", "evaluate"),

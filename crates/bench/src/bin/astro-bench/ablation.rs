@@ -19,14 +19,18 @@
 //! ```sh
 //! cargo run --release -p astro-bench -- ablation <data-quality|sft-mixture|scale|eval-method> [micro|smoke|fast|full] [seed]
 //! ```
+//!
+//! The zoo models an ablation starts from (A3: their scores) come from
+//! `table1`'s run directory, `runs/<preset>-<seed>`; A1 and A2 train
+//! only their variants.
 
-use crate::{instrumented_run, usage, PRESET_ARGS};
+use crate::{instrumented_run, or_exit, usage, PRESET_ARGS};
 use astro_telemetry::info;
 use astromlab::ablations::{
     ablation_data_quality, ablation_eval_method, ablation_scale, ablation_sft_mixture,
     render_ablation, AblationPoint,
 };
-use astromlab::{Study, StudyError};
+use astromlab::{RunDir, Study, StudyError};
 
 const CMD: &str = "ablation <data-quality|sft-mixture|scale|eval-method>";
 
@@ -35,7 +39,7 @@ struct Ablation {
     /// Subcommand argument; the run is named `ablation_<name>` with `_`
     /// for `-`.
     name: &'static str,
-    run: fn(&Study) -> Result<Vec<AblationPoint>, StudyError>,
+    run: fn(&mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError>,
     progress: &'static str,
     title: &'static str,
     secondary: Option<&'static str>,
@@ -68,7 +72,7 @@ const ABLATIONS: [Ablation; 4] = [
     Ablation {
         name: "scale",
         run: ablation_scale,
-        progress: "pretraining + CPT'ing all three tiers ...",
+        progress: "scoring the three natives and their AIC models ...",
         title: "A3: token-base score, native (primary) vs CPT-AIC (secondary), by capacity tier",
         secondary: Some("after CPT"),
         deltas: true,
@@ -95,8 +99,10 @@ pub fn main(args: &[String]) {
     let binary = format!("ablation_{}", a.name.replace('-', "_"));
     let (config, run) = instrumented_run(&binary, CMD, &args[1..]);
     let study = Study::prepare(config).expect("prepare");
+    let dir = run.run_dir();
+    let mut zoo = or_exit(study.open_run(&dir), &dir);
     info!("{}", a.progress);
-    let points = (a.run)(&study).expect("ablation");
+    let points = or_exit((a.run)(&mut zoo), &dir);
     println!("\n{}", render_ablation(a.title, &points, a.secondary));
     if a.deltas {
         for p in &points {

@@ -15,18 +15,23 @@
 //! ```sh
 //! cargo run --release -p astro-bench -- forgetting [micro|smoke|fast|full] [seed]
 //! ```
+//!
+//! The natives and their AIC models come from `table1`'s run directory,
+//! `runs/<preset>-<seed>`, training only what it does not hold yet.
 
-use crate::instrumented_run;
-use astromlab::model::Tier;
+use crate::{instrumented_run, or_exit};
 use astromlab::train::held_out_loss;
 use astromlab::world::CorpusRecipe;
-use astromlab::Study;
+use astromlab::{ModelId, Study};
 
 /// Print the per-tier held-out losses before and after CPT.
 pub fn main(args: &[String]) {
     let (config, run) = instrumented_run("forgetting_curves", "forgetting", args);
     let seq = config.seq;
     let study = Study::prepare(config).expect("prepare");
+    let dir = run.run_dir();
+    let mut zoo = or_exit(study.open_run(&dir), &dir);
+    let astro_stream = study.cpt_stream(CorpusRecipe::Aic).expect("prepared");
     let windows = 40;
 
     println!("\n=== E1b: held-out loss before/after CPT (AIC recipe) ===\n");
@@ -36,20 +41,23 @@ pub fn main(args: &[String]) {
     );
     println!("{}", "-".repeat(94));
     let mut forgetting = Vec::new();
-    for tier in [Tier::S7b, Tier::S8b, Tier::S70b] {
-        let (native, _) = study.pretrain_native(tier).expect("pretrain");
-        let (cpt, _) = study.cpt(&native, CorpusRecipe::Aic).expect("cpt");
-        let (gen_pre, _) = held_out_loss(&native, &study.general_stream, seq, windows);
-        let (gen_post, _) = held_out_loss(&cpt, &study.general_stream, seq, windows);
-        let astro_stream = study.cpt_stream(CorpusRecipe::Aic).expect("prepared");
-        let (astro_pre, _) = held_out_loss(&native, astro_stream, seq, windows);
-        let (astro_post, _) = held_out_loss(&cpt, astro_stream, seq, windows);
+    for id in ModelId::all()
+        .into_iter()
+        .filter(|id| id.recipe() == Some(CorpusRecipe::Aic))
+    {
+        let native = or_exit(zoo.base(id.baseline()), &dir);
+        let n_params = native.len();
+        let (gen_pre, _) = held_out_loss(native, &study.general_stream, seq, windows);
+        let (astro_pre, _) = held_out_loss(native, astro_stream, seq, windows);
+        let cpt = or_exit(zoo.base(id), &dir);
+        let (gen_post, _) = held_out_loss(cpt, &study.general_stream, seq, windows);
+        let (astro_post, _) = held_out_loss(cpt, astro_stream, seq, windows);
         let forget = gen_post - gen_pre;
-        forgetting.push((tier, forget));
+        forgetting.push(forget);
         println!(
             "{:<12} {:>8} {:>14.4} {:>14.4} {:>14.4} {:>14.4} {:>+12.4}",
-            tier.label(),
-            native.len(),
+            id.tier().label(),
+            n_params,
             gen_pre,
             gen_post,
             astro_pre,
@@ -61,11 +69,11 @@ pub fn main(args: &[String]) {
         "\nshape check (paper S1–S3 mechanism): general-loss rise should shrink as \
          capacity grows."
     );
-    let ok = forgetting[0].1 >= forgetting[2].1;
+    let ok = forgetting[0] >= forgetting[2];
     println!(
         "  7B-class forgetting {:+.4} vs 70B-class {:+.4} → {}",
-        forgetting[0].1,
-        forgetting[2].1,
+        forgetting[0],
+        forgetting[2],
         if ok { "shape holds" } else { "shape NOT reproduced at this preset" }
     );
     run.finish();

@@ -23,6 +23,12 @@
 //! sink in the working directory and starts a run manifest;
 //! [`BenchRun::finish`] writes `run_manifest.json`, flushes the sink and
 //! prints the span/metric summary tree.
+//!
+//! `table1`, `forgetting` and `ablation` take every Table I model they
+//! need from one run directory, `runs/<preset>-<seed>` under the working
+//! directory (checkpoints + `ledger.jsonl`): each zoo model is trained
+//! once per preset and seed, and a re-run resumes. `rm -rf
+//! runs/<preset>-<seed>` forces a fresh run.
 
 mod ablation;
 mod costs;
@@ -33,8 +39,8 @@ mod microtask;
 mod table1;
 mod trace;
 
-use astromlab::StudyConfig;
-use std::path::Path;
+use astromlab::{StudyConfig, StudyError};
+use std::path::{Path, PathBuf};
 
 /// The arguments every preset-driven subcommand takes.
 const PRESET_ARGS: &str = "[micro|smoke|fast|full] [seed]";
@@ -103,7 +109,25 @@ fn instrumented_run(binary: &str, cmd: &str, args: &[String]) -> (StudyConfig, B
     (config, BenchRun { manifest })
 }
 
+/// The value of a study step, or exit 1 with its error on stderr. A run
+/// directory whose ledger cannot be used (another config or build, an
+/// unparseable line) is never deleted here: the message names it.
+fn or_exit<T>(result: Result<T, StudyError>, dir: &Path) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("astro-bench: {e}");
+        if matches!(e, StudyError::Ledger(_)) {
+            eprintln!("astro-bench: remove {} to start a fresh run", dir.display());
+        }
+        std::process::exit(1)
+    })
+}
+
 impl BenchRun {
+    /// The run directory of this preset and seed: `runs/<preset>-<seed>`.
+    fn run_dir(&self) -> PathBuf {
+        Path::new("runs").join(format!("{}-{}", self.manifest.preset, self.manifest.seed))
+    }
+
     /// Write a machine-readable result object (`BENCH_*.json`, one line)
     /// to the working directory and name it in the manifest as
     /// `bench_json`.

@@ -13,11 +13,18 @@
 //! the paper's published numbers are printed through the same renderers
 //! for shape comparison; see EXPERIMENTS.md for the recorded analysis.
 //!
+//! The study runs crash-safe in `runs/<preset>-<seed>`: every trained
+//! model is a checkpoint there and every stage a line of its
+//! `ledger.jsonl`, so re-running the same command resumes (a complete
+//! directory re-prints the same stdout without training). A ledger from
+//! another config or build exits 1 naming the directory to remove.
+//!
 //! Outputs (working directory): `telemetry.jsonl`, `run_manifest.json`,
 //! and the machine-readable `BENCH_table1.json` (scores + stage wall
-//! times + tokens/sec) that future performance PRs diff against.
+//! times + tokens/sec, the run directory and how many of its stages were
+//! resumed rather than run) that future performance PRs diff against.
 
-use crate::{instrumented_run, JsonObject};
+use crate::{instrumented_run, or_exit, JsonObject};
 use astro_telemetry::info;
 use astromlab::eval::report::{render_figure1, render_table1, ModelRow};
 use astromlab::eval::value::{summarize_gain, FLAGSHIP_SCORES};
@@ -25,6 +32,7 @@ use astromlab::eval::{FlagshipOracle, Method};
 use astromlab::prng::Rng;
 use astromlab::study::{build_rows, StudyResult};
 use astromlab::{ModelId, Study};
+use std::path::Path;
 
 /// Run the study, print Table I and Figure 1, write `BENCH_table1.json`.
 pub fn main(args: &[String]) {
@@ -38,8 +46,12 @@ pub fn main(args: &[String]) {
         study.mcq.len(),
         study.config.n_eval_questions
     );
-    info!("training 3 natives + 5 CPT variants + 7 instruct models ...");
-    let result = study.run_table1().expect("run_table1");
+    let dir = run.run_dir();
+    info!(
+        "3 natives + 5 CPT variants + 7 instruct models + 22 score cells in {} ...",
+        dir.display()
+    );
+    let result = or_exit(study.run_study(&dir), &dir);
 
     println!("\n=== Table I (measured, this reproduction) ===\n");
     println!("{}", result.table1);
@@ -77,7 +89,7 @@ pub fn main(args: &[String]) {
     }
 
     let wall = start.elapsed().as_secs_f64();
-    run.write_bench_json("BENCH_table1.json", &bench_table1_json(&result, wall));
+    run.write_bench_json("BENCH_table1.json", &bench_table1_json(&result, wall, &dir));
     println!();
     print_figure1(&study, &result, &paper);
     run.finish();
@@ -111,8 +123,10 @@ fn print_figure1(study: &Study, result: &StudyResult, paper: &[ModelRow]) {
 }
 
 /// Serialise scores + per-stage wall times + training throughput into the
-/// JSON subset the in-repo parser reads.
-fn bench_table1_json(result: &StudyResult, wall_secs: f64) -> String {
+/// JSON subset the in-repo parser reads. `stages_resumed` counts the
+/// stages replayed from `run_dir` (37 when it was complete), so a resumed
+/// run's wall time is never read as a fresh one.
+fn bench_table1_json(result: &StudyResult, wall_secs: f64, run_dir: &Path) -> String {
     let mut scores = String::from("{");
     for (id, s) in &result.scores {
         let mut o = JsonObject::new();
@@ -150,20 +164,24 @@ fn bench_table1_json(result: &StudyResult, wall_secs: f64) -> String {
     }
 
     let metrics = astro_telemetry::metrics::snapshot();
-    let tokens = metrics
-        .counters
-        .iter()
-        .find(|(n, _)| n == "train.tokens")
-        .map(|&(_, v)| v)
-        .unwrap_or(0);
-    let train_secs: f64 = spans
+    let counter = |name: &str| {
+        metrics
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    let tokens = counter("train.tokens");
+    // A fold from +0.0: an empty f64 `sum` is -0.0, written as `-0`.
+    let train_secs = spans
         .iter()
         .filter(|s| s.name == "train" && s.end_us.is_some())
-        .map(|s| s.duration_us() as f64 / 1e6)
-        .sum();
+        .fold(0.0, |acc, s| acc + s.duration_us() as f64 / 1e6);
 
     let mut top = JsonObject::new();
     top.str("bench", "table1")
+        .str("run_dir", &run_dir.display().to_string())
+        .num("stages_resumed", counter("study.stages_resumed") as f64)
         .num("wall_secs", wall_secs)
         .num("train_tokens", tokens as f64)
         .num("train_secs", train_secs)

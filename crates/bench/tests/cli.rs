@@ -4,9 +4,11 @@
 //! `chrome` succeed on a ring dump and the Chrome export validates; a file
 //! with no trace events is exit 1. Every malformed argument is exit 2
 //! with one usage line, before any training; `figure1` renders without
-//! training.
+//! training. A second `table1` in the same working directory resumes
+//! every stage from `runs/<preset>-<seed>` and prints the same bytes.
 
 use astro_telemetry::trace;
+use astromlab::eval::json::Json;
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
@@ -121,4 +123,38 @@ fn figure1_rejects_a_wrong_cell_count_or_a_non_numeric_cell() {
     assert_usage(&args[..24]);
     args[6] = "fifty";
     assert_usage(&args);
+}
+
+#[test]
+fn a_second_table1_run_resumes_every_stage_and_prints_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("astro_table1_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let table1 = || {
+        let out = Command::new(BIN)
+            .args(["table1", "micro", "11"])
+            .current_dir(&dir)
+            .env("ASTRO_LOG", "quiet")
+            .output()
+            .expect("run table1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let first = table1();
+    assert_eq!(first, table1());
+
+    let bench = std::fs::read_to_string(dir.join("BENCH_table1.json")).expect("BENCH_table1.json");
+    let bench = Json::parse(&bench).expect("BENCH_table1.json parses");
+    let field = |k: &str| {
+        bench
+            .get(k)
+            .cloned()
+            .unwrap_or_else(|| panic!("no {k}: {bench:?}"))
+    };
+    assert_eq!(field("run_dir").as_str(), Some("runs/micro-11"));
+    // 3 natives + 5 CPT + 7 SFT checkpoints + 22 score cells.
+    assert_eq!(field("stages_resumed"), Json::Number(37.0));
+    assert!(matches!(field("train_secs"), Json::Number(s) if s.to_bits() == 0), "{bench:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,13 @@
 //! Design-choice ablations (DESIGN.md experiments A1–A4).
 //!
-//! Each ablation reuses a prepared [`Study`] so the world, tokenizer and
-//! benchmark stay fixed while one factor varies.
+//! Each ablation reuses a prepared study so the world, tokenizer and
+//! benchmark stay fixed while one factor varies, and takes the zoo models
+//! it starts from (or, for A3, their scores) from the study's run
+//! directory, so it never retrains a Table I model.
 
-use crate::study::{Study, StudyError};
+use crate::study::{RunDir, StudyError};
 use crate::zoo::ModelId;
 use astro_eval::{evaluate, EvalModel, InstructEvalConfig, Method, TokenEvalConfig};
-use astro_model::Tier;
 use astro_prng::Rng;
 use astro_train::{pack_documents, render_conversations, train_lm, BatchSource};
 use astro_world::{
@@ -35,8 +36,9 @@ pub struct AblationPoint {
 type NoiseChannel = Box<dyn Fn(&str, &mut Rng) -> String>;
 
 /// A1: CPT on progressively noisier corpora (Table 3's data-quality axis).
-pub fn ablation_data_quality(study: &Study) -> Result<Vec<AblationPoint>, StudyError> {
-    let (native, _) = study.pretrain_native(Tier::S8b)?;
+pub fn ablation_data_quality(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
+    let study = run.study();
+    let native = run.base(ModelId::Llama3_8b)?;
     let channels: [(&str, NoiseChannel); 4] = [
         ("clean", Box::new(|s: &str, _: &mut Rng| s.to_string())),
         (
@@ -97,9 +99,9 @@ pub fn ablation_data_quality(study: &Study) -> Result<Vec<AblationPoint>, StudyE
 /// (primary) and token-instruct (secondary) scores — probing the paper's
 /// conclusion that the small, non-astronomy mixture is what breaks the
 /// instruct models.
-pub fn ablation_sft_mixture(study: &Study) -> Result<Vec<AblationPoint>, StudyError> {
-    let (native, _) = study.pretrain_native(Tier::S8b)?;
-    let (base, _) = study.cpt(&native, CorpusRecipe::Aic)?;
+pub fn ablation_sft_mixture(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
+    let study = run.study();
+    let base = run.base(ModelId::AstroLlama3_8bAic)?;
     let total = SftMixtureConfig::paper_mixture(study.config.sft_scale).total();
     let settings: [(&str, f64, usize); 4] = [
         ("astro 0% (general only)", 0.0, total),
@@ -150,22 +152,24 @@ pub fn ablation_sft_mixture(study: &Study) -> Result<Vec<AblationPoint>, StudyEr
 }
 
 /// A3 — capacity sweep: native vs CPT-AIC token-base scores per tier, the
-/// paper's central forgetting-vs-gain contrast. `score` is the native
-/// model, `secondary` the CPT'd model.
-pub fn ablation_scale(study: &Study) -> Result<Vec<AblationPoint>, StudyError> {
-    let mut out = Vec::new();
-    for tier in [Tier::S7b, Tier::S8b, Tier::S70b] {
-        let (native, _) = study.pretrain_native(tier)?;
-        let (cpt, _) = study.cpt(&native, CorpusRecipe::Aic)?;
-        let native_score = study.eval(&native, Method::TokenBase).percent();
-        let cpt_score = study.eval(&cpt, Method::TokenBase).percent();
-        out.push(AblationPoint {
-            label: tier.label().to_string(),
-            score: native_score,
-            secondary: cpt_score,
-        });
-    }
-    Ok(out)
+/// paper's central forgetting-vs-gain contrast — six of Table I's cells.
+/// `score` is the native model, `secondary` the CPT'd model.
+pub fn ablation_scale(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
+    let mut token_base = |id| {
+        run.score(id, Method::TokenBase)
+            .map(|s| s.map_or(f64::NAN, |s| s.percent()))
+    };
+    ModelId::all()
+        .into_iter()
+        .filter(|id| id.recipe() == Some(CorpusRecipe::Aic))
+        .map(|id| {
+            Ok(AblationPoint {
+                label: id.tier().label().to_string(),
+                score: token_base(id.baseline())?,
+                secondary: token_base(id)?,
+            })
+        })
+        .collect()
 }
 
 /// A4 — evaluation-method options on one fixed model (the 8B-class
@@ -173,11 +177,12 @@ pub fn ablation_scale(study: &Study) -> Result<Vec<AblationPoint>, StudyError> {
 /// on/off (paper Appendix C's design choices), and the value-vs-letter
 /// answer readout (our documented substitution vs the paper's literal
 /// letter method).
-pub fn ablation_eval_method(study: &Study) -> Result<Vec<AblationPoint>, StudyError> {
+pub fn ablation_eval_method(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
     use astro_eval::AnswerReadout;
-    let (native, _) = study.pretrain_native(Tier::S8b)?;
+    let study = run.study();
+    let native = run.base(ModelId::Llama3_8b)?;
     let model = EvalModel {
-        params: &native,
+        params: native,
         tokenizer: &study.tokenizer,
     };
     let questions = study.eval_questions();
@@ -280,6 +285,14 @@ pub fn ablation_reference_model() -> ModelId {
 mod tests {
     use super::*;
     use crate::presets::StudyConfig;
+    use crate::study::Study;
+
+    fn fresh_run<'s>(study: &'s Study, name: &str) -> RunDir<'s> {
+        let dir =
+            std::env::temp_dir().join(format!("astro-ablation-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        study.open_run(&dir).expect("open run directory")
+    }
 
     #[test]
     fn render_ablation_formats_both_kinds() {
@@ -304,7 +317,7 @@ mod tests {
     #[test]
     fn eval_method_ablation_runs_on_smoke_study() {
         let study = Study::prepare(StudyConfig::smoke(23)).expect("prepare");
-        let pts = ablation_eval_method(&study).expect("ablation");
+        let pts = ablation_eval_method(&mut fresh_run(&study, "eval-method")).expect("ablation");
         assert_eq!(pts.len(), 5);
         for p in &pts {
             assert!((0.0..=100.0).contains(&p.score), "{p:?}");
@@ -314,7 +327,7 @@ mod tests {
     #[test]
     fn scale_ablation_covers_three_tiers() {
         let study = Study::prepare(StudyConfig::smoke(29)).expect("prepare");
-        let pts = ablation_scale(&study).expect("ablation");
+        let pts = ablation_scale(&mut fresh_run(&study, "scale")).expect("ablation");
         assert_eq!(pts.len(), 3);
         assert!(pts[0].label.contains("7B"));
         assert!(pts[2].label.contains("70B"));

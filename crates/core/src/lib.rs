@@ -14,17 +14,20 @@
 //!    render Table I / Figure 1.
 //!
 //! ```no_run
-//! use astromlab::{Study, StudyConfig};
+//! use astromlab::eval::Method;
+//! use astromlab::{ModelId, Study, StudyConfig};
+//! use std::path::Path;
 //!
 //! # fn main() -> Result<(), astromlab::study::StudyError> {
 //! let study = Study::prepare(StudyConfig::fast(42))?;
-//! let result = study.run_table1()?;
+//! // Checkpoints + a run ledger under runs/fast-42: a re-run after an
+//! // interruption resumes there with bitwise-identical scores.
+//! let result = study.run_study(Path::new("runs/fast-42"))?;
 //! println!("{}", result.table1);
 //!
-//! // Or crash-safe: checkpoints + a run ledger under ./run, resumable
-//! // after an interruption with bitwise-identical scores.
-//! let resumable = study.run_study(std::path::Path::new("run"))?;
-//! assert_eq!(result.figure1_csv, resumable.figure1_csv);
+//! // Any one zoo model's weights or scores, from the same directory.
+//! let mut run = study.open_run(Path::new("runs/fast-42"))?;
+//! let score = run.score(ModelId::AstroLlama2_70bAic, Method::TokenBase)?;
 //! # Ok(())
 //! # }
 //! ```
@@ -39,7 +42,7 @@ pub mod study;
 pub mod zoo;
 
 pub use presets::StudyConfig;
-pub use study::{ModelArtifacts, Study, StudyError, StudyResult};
+pub use study::{RunDir, Study, StudyError, StudyResult};
 pub use zoo::ModelId;
 
 // Re-export the substrate crates so downstream users need one dependency.

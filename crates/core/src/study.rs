@@ -1,13 +1,12 @@
 //! The end-to-end study pipeline (paper §III–§VI).
 //!
-//! Two entry points produce the same numbers:
-//!
-//! * [`Study::run_table1`] — everything in memory, no artifacts;
-//! * [`Study::run_study`] — the crash-safe variant: every trained model is
-//!   saved as an atomic checkpoint, every score appended to a run ledger,
-//!   and a re-run after an interruption resumes from the last durable
-//!   artifact and reproduces the remaining stages bit-for-bit (see
-//!   `docs/RESILIENCE.md`).
+//! Every trained model lives in a run directory: [`Study::open_run`]
+//! replays its ledger and hands out any zoo model's weights or scores,
+//! each saved as an atomic checkpoint or appended to the ledger the first
+//! time it is built. [`Study::run_study`] is that handle's loop over the
+//! whole zoo. A re-run after an interruption resumes from the last
+//! durable artifact and reproduces the remaining stages bit-for-bit (see
+//! `docs/RESILIENCE.md`).
 
 use crate::presets::StudyConfig;
 use crate::zoo::ModelId;
@@ -29,7 +28,8 @@ use astro_train::{
 };
 use astro_world::{cpt_corpus, general_corpus, sft_dataset, CorpusRecipe, SftMixtureConfig, World};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Why a study stage could not complete. Every failure on the study path
 /// is typed: callers can distinguish a bad configuration from a training
@@ -132,18 +132,6 @@ pub struct Study {
     /// Rendered SFT examples.
     pub sft_examples: Vec<SftExample>,
     root: Rng,
-}
-
-/// Base and instruct weights for one model of the zoo.
-pub struct ModelArtifacts {
-    /// Post-pretraining (or post-CPT) weights.
-    pub base: Params,
-    /// Post-SFT weights (absent for AstroLLaMA-2-7B-Abstract).
-    pub instruct: Option<Params>,
-    /// CPT training report, for CPT models.
-    pub cpt_report: Option<TrainReport>,
-    /// SFT training report.
-    pub sft_report: Option<TrainReport>,
 }
 
 /// The study's measured outputs.
@@ -366,41 +354,6 @@ impl Study {
         self.mcq.subset(self.config.n_eval_questions, &mut rng)
     }
 
-    /// Evaluate the token-base method and return the per-tier accuracy
-    /// breakdown alongside the aggregate — the decomposition showing
-    /// *where* a CPT gain or loss comes from (consensus = retention,
-    /// frontier/detail = acquisition).
-    pub fn eval_with_breakdown(&self, params: &Params) -> (Score, astro_eval::TierBreakdown) {
-        let model = EvalModel {
-            params,
-            tokenizer: &self.tokenizer,
-        };
-        let questions = self.eval_questions();
-        let preds = astro_eval::token_method(
-            &model,
-            &questions,
-            &self.mcq.exemplars,
-            &TokenEvalConfig {
-                engine: self.config.eval_engine,
-                ..Default::default()
-            },
-        );
-        let correct = preds
-            .iter()
-            .zip(questions.iter())
-            .filter(|(&p, q)| p == q.answer)
-            .count();
-        let breakdown = astro_eval::TierBreakdown::from_predictions(&questions, &preds);
-        (
-            Score {
-                correct,
-                total: questions.len(),
-                stages: [0; 4],
-            },
-            breakdown,
-        )
-    }
-
     /// Evaluate one parameter set under one method.
     pub fn eval(&self, params: &Params, method: Method) -> Score {
         let model = EvalModel {
@@ -456,153 +409,51 @@ impl Study {
         )
     }
 
-    /// Train every model of the zoo (natives shared across their series).
-    pub fn build_artifacts(&self) -> Result<HashMap<ModelId, ModelArtifacts>, StudyError> {
-        let _span = astro_telemetry::span!("study.build_artifacts");
-        let mut out = HashMap::new();
-        // Natives per tier.
-        let mut natives: HashMap<usize, Params> = HashMap::new();
-        for tier in [Tier::S7b, Tier::S8b, Tier::S70b] {
-            let (p, _) = self.pretrain_native(tier)?;
-            natives.insert(tier_idx(tier), p);
-        }
-        for id in ModelId::all() {
-            astro_telemetry::info!("build: {}", id.name());
-            let native = &natives[&tier_idx(id.tier())];
-            let (base, cpt_report) = match id.recipe() {
-                None => (native.clone(), None),
-                Some(recipe) => {
-                    let (p, r) = self.cpt(native, recipe)?;
-                    (p, Some(r))
-                }
-            };
-            let (instruct, sft_report) = if id.has_instruct() {
-                let (p, r) = self.sft(&base, id.name())?;
-                (Some(p), Some(r))
-            } else {
-                (None, None)
-            };
-            out.insert(
-                id,
-                ModelArtifacts {
-                    base,
-                    instruct,
-                    cpt_report,
-                    sft_report,
-                },
-            );
-        }
-        Ok(out)
-    }
-
-    /// Score prepared artifacts under the three methods.
-    pub fn evaluate_artifacts(
-        &self,
-        artifacts: &HashMap<ModelId, ModelArtifacts>,
-    ) -> StudyResult {
-        let _span = astro_telemetry::span!("study.evaluate_artifacts");
-        let mut scores = Vec::new();
-        let mut parse_trouble = Vec::new();
-        for id in ModelId::all() {
-            astro_telemetry::info!("evaluate: {}", id.name());
-            let art = &artifacts[&id];
-            let token_base = self.eval(&art.base, Method::TokenBase).percent();
-            let (full, token_instr, trouble) = match &art.instruct {
-                Some(p) => {
-                    let fi = self.eval(p, Method::FullInstruct);
-                    let ti = self.eval(p, Method::TokenInstruct).percent();
-                    (Some(fi.percent()), Some(ti), fi.parse_trouble_rate())
-                }
-                None => (None, None, 0.0),
-            };
-            scores.push((id, [full, token_instr, Some(token_base)]));
-            parse_trouble.push((id, trouble));
-        }
-        let rows = build_rows(&scores);
-        let (lo, hi) = score_range(&rows);
-        StudyResult {
-            table1: render_table1(&rows),
-            figure1: render_figure1(&rows, lo, hi),
-            figure1_csv: astro_eval::report::figure1_csv(&rows),
-            scores,
-            parse_trouble,
-        }
-    }
-
-    /// The whole pipeline: train everything, evaluate everything.
-    pub fn run_table1(&self) -> Result<StudyResult, StudyError> {
-        let _span = astro_telemetry::span!("study.run_table1");
-        let artifacts = self.build_artifacts()?;
-        Ok(self.evaluate_artifacts(&artifacts))
-    }
-
-    /// The crash-safe pipeline: like [`Study::run_table1`] but every
-    /// trained model is saved as an atomic checkpoint under `dir` and
-    /// every completed stage is recorded in an fsync'd run ledger
-    /// (`dir/ledger.jsonl`). Re-running after an interruption (process
-    /// kill, injected fault) replays completed stages from the ledger and
-    /// resumes with the first missing one; because every stage draws its
-    /// randomness from a named substream of the root seed, a resumed run
-    /// produces bitwise-identical scores to an uninterrupted one.
-    pub fn run_study(&self, dir: &Path) -> Result<StudyResult, StudyError> {
-        let _span = astro_telemetry::span!("study.run_study", seed = self.config.seed);
+    /// Open the run directory `dir` (created if absent): replay its
+    /// ledger (`dir/ledger.jsonl`) and check it belongs to this study and
+    /// this build, or start it with a fingerprint line.
+    pub fn open_run(&self, dir: &Path) -> Result<RunDir<'_>, StudyError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| StudyError::Io(format!("create {}: {e}", dir.display())))?;
         let journal = Journal::at(&dir.join("ledger.jsonl"));
         let done = load_ledger(&journal)?;
         self.check_fingerprint(&journal, &done)?;
+        Ok(RunDir {
+            study: self,
+            dir: dir.to_path_buf(),
+            journal,
+            done,
+            weights: HashMap::new(),
+        })
+    }
 
-        // Natives per tier, checkpointed.
-        let mut natives: HashMap<usize, Params> = HashMap::new();
-        for tier in [Tier::S7b, Tier::S8b, Tier::S70b] {
-            let stage = format!("native-{}", slug(tier.label()));
-            let p = self.ensure_params(&journal, &done, dir, &stage, || {
-                self.pretrain_native(tier).map(|(p, _)| p)
-            })?;
-            natives.insert(tier_idx(tier), p);
-        }
-
-        // Per-model CPT/SFT checkpoints and ledgered scores, in the same
-        // order as build_artifacts + evaluate_artifacts.
+    /// Train and score the whole zoo in the run directory `dir`: every
+    /// trained model is saved as an atomic checkpoint and every completed
+    /// stage recorded in an fsync'd run ledger. Re-running after an
+    /// interruption (process kill, injected fault) replays completed
+    /// stages and resumes with the first missing one; because every stage
+    /// draws its randomness from a named substream of the root seed, a
+    /// resumed run produces bitwise-identical scores to an uninterrupted
+    /// one.
+    pub fn run_study(&self, dir: &Path) -> Result<StudyResult, StudyError> {
+        let _span = astro_telemetry::span!("study.run_study", seed = self.config.seed);
+        let mut run = self.open_run(dir)?;
         let mut scores = Vec::new();
         let mut parse_trouble = Vec::new();
         for id in ModelId::all() {
-            let name = slug(id.name());
-            let native = &natives[&tier_idx(id.tier())];
-            let base = match id.recipe() {
-                None => native.clone(),
-                Some(recipe) => self.ensure_params(&journal, &done, dir, &format!("cpt-{name}"), || {
-                    self.cpt(native, recipe).map(|(p, _)| p)
-                })?,
-            };
-            let instruct = if id.has_instruct() {
-                Some(self.ensure_params(&journal, &done, dir, &format!("sft-{name}"), || {
-                    self.sft(&base, id.name()).map(|(p, _)| p)
-                })?)
-            } else {
-                None
-            };
-            let token_base = self
-                .ensure_score(&journal, &done, &format!("eval-{name}-token_base"), &base, Method::TokenBase)?
-                .percent();
-            let (full, token_instr, trouble) = match &instruct {
-                Some(p) => {
-                    let fi = self.ensure_score(
-                        &journal,
-                        &done,
-                        &format!("eval-{name}-full_instruct"),
-                        p,
-                        Method::FullInstruct,
-                    )?;
-                    let ti = self
-                        .ensure_score(&journal, &done, &format!("eval-{name}-token_instruct"), p, Method::TokenInstruct)?
-                        .percent();
-                    (Some(fi.percent()), Some(ti), fi.parse_trouble_rate())
-                }
-                None => (None, None, 0.0),
-            };
-            scores.push((id, [full, token_instr, Some(token_base)]));
-            parse_trouble.push((id, trouble));
+            // Every checkpoint is replayed (digest-checked) or built even
+            // when the model's scores are all ledgered, so the directory
+            // always ends up holding the whole zoo.
+            run.base(id)?;
+            run.instruct(id)?;
+            let token_base = run.score(id, Method::TokenBase)?;
+            let full = run.score(id, Method::FullInstruct)?;
+            let token_instr = run.score(id, Method::TokenInstruct)?;
+            scores.push((
+                id,
+                [&full, &token_instr, &token_base].map(|s| s.as_ref().map(Score::percent)),
+            ));
+            parse_trouble.push((id, full.map_or(0.0, |s| s.parse_trouble_rate())));
         }
         let rows = build_rows(&scores);
         let (lo, hi) = score_range(&rows);
@@ -616,130 +467,216 @@ impl Study {
     }
 
     /// The study's identity for ledger compatibility: FNV-1a digests of
-    /// the configuration's debug rendering and the trained tokenizer.
-    fn fingerprint(&self) -> (u64, u64) {
-        (
-            fnv64(format!("{:?}", self.config).as_bytes()),
-            fnv64(&self.tokenizer.to_bytes()),
-        )
+    /// the configuration's debug rendering and the trained tokenizer, and
+    /// the [`build_id`] of the running executable.
+    fn fingerprint(&self) -> [(&'static str, String); 3] {
+        let config = fnv64(format!("{:?}", self.config).as_bytes());
+        let tokenizer = fnv64(&self.tokenizer.to_bytes());
+        [
+            ("config", format!("{config:016x}")),
+            ("tokenizer", format!("{tokenizer:016x}")),
+            ("build", build_id().to_string()),
+        ]
     }
 
-    /// Verify an existing ledger belongs to this study, or start a fresh
-    /// ledger with a fingerprint line. Resuming someone else's ledger
-    /// would silently mix artifacts from two different studies.
+    /// Verify an existing ledger belongs to this study and build, or
+    /// start a fresh ledger with a fingerprint line. Resuming someone
+    /// else's ledger would silently mix artifacts from two different
+    /// studies, and one written by another build may hold checkpoints its
+    /// training code no longer produces.
     fn check_fingerprint(
         &self,
         journal: &Journal,
         done: &HashMap<String, Json>,
     ) -> Result<(), StudyError> {
-        let (cfg, tok) = self.fingerprint();
+        let want = self.fingerprint();
         match done.get("fingerprint") {
             Some(entry) => {
-                let field = |k: &str| entry.get(k).and_then(Json::as_str).map(str::to_string);
-                if field("config") != Some(format!("{cfg:016x}"))
-                    || field("tokenizer") != Some(format!("{tok:016x}"))
-                {
+                let differ: Vec<&str> = want
+                    .iter()
+                    .filter(|(k, v)| entry.get(k).and_then(Json::as_str) != Some(v.as_str()))
+                    .map(|(k, _)| *k)
+                    .collect();
+                if !differ.is_empty() {
                     return Err(StudyError::Ledger(format!(
-                        "{} belongs to a different study (config/tokenizer fingerprint mismatch)",
-                        journal.path().display()
+                        "{} belongs to a different study ({} fingerprint mismatch)",
+                        journal.path().display(),
+                        differ.join("/")
                     )));
                 }
                 Ok(())
             }
-            None => journal
-                .append(&format!(
-                    r#"{{"stage":"fingerprint","config":"{cfg:016x}","tokenizer":"{tok:016x}"}}"#
-                ))
-                .map_err(|e| StudyError::Io(format!("append ledger: {e}"))),
-        }
-    }
-
-    /// Produce the parameters for `stage`: replayed from a ledgered
-    /// checkpoint when possible, otherwise built, checkpointed atomically
-    /// and recorded. A ledger entry whose checkpoint is missing, corrupt
-    /// or altered (digest mismatch) is not trusted — the stage re-runs.
-    fn ensure_params(
-        &self,
-        journal: &Journal,
-        done: &HashMap<String, Json>,
-        dir: &Path,
-        stage: &str,
-        build: impl FnOnce() -> Result<Params, StudyError>,
-    ) -> Result<Params, StudyError> {
-        let file = format!("{stage}.ckpt");
-        let path = dir.join(&file);
-        if let Some(entry) = done.get(stage) {
-            match replay_checkpoint(entry, &path) {
-                Ok(p) => {
-                    astro_telemetry::info!("run_study: resume {stage} from {file}");
-                    astro_telemetry::counter("study.stages_resumed").inc();
-                    return Ok(p);
-                }
-                Err(why) => {
-                    astro_telemetry::info!("run_study: rebuild {stage}: {why}");
-                    astro_telemetry::counter("study.ckpt_replay_failures").inc();
-                }
+            None => {
+                let fields: String = want
+                    .iter()
+                    .map(|(k, v)| format!(r#","{k}":"{v}""#))
+                    .collect();
+                journal
+                    .append(&format!(r#"{{"stage":"fingerprint"{fields}}}"#))
+                    .map_err(|e| StudyError::Io(format!("append ledger: {e}")))
             }
         }
-        let params = build()?;
-        save_checkpoint(&params, &path).map_err(|e| StudyError::Ckpt {
-            path: path.display().to_string(),
-            source: e,
-        })?;
-        let digest = fnv64(&astro_model::serial::params_to_bytes(&params));
-        journal
-            .append(&format!(
-                r#"{{"stage":"{stage}","kind":"ckpt","file":"{file}","fnv":"{digest:016x}"}}"#
-            ))
-            .map_err(|e| StudyError::Io(format!("append ledger: {e}")))?;
-        astro_telemetry::counter("study.stages_completed").inc();
-        self.stage_boundary(stage)?;
-        Ok(params)
+    }
+}
+
+/// The running executable's length and modification time, read once per
+/// process: a rebuild changes it. `unknown` when the executable cannot be
+/// inspected.
+fn build_id() -> &'static str {
+    static ID: OnceLock<String> = OnceLock::new();
+    ID.get_or_init(|| {
+        let Ok(meta) = std::env::current_exe().and_then(std::fs::metadata) else {
+            return "unknown".to_string();
+        };
+        let mtime = meta
+            .modified()
+            .ok()
+            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+            .map_or(0, |d| d.as_nanos());
+        format!("{}-{mtime}", meta.len())
+    })
+}
+
+/// A run directory opened by [`Study::open_run`]: its ledger replayed and
+/// checked against the study's fingerprint. It hands out every zoo
+/// model's weights and scores by [`ModelId`] — replayed from a durable
+/// artifact when the ledger holds one, otherwise built, made durable and
+/// ledgered. The ledger's stages are `native-<tier>`, `cpt-<model>`,
+/// `sft-<model>` and `eval-<model>-<method>`.
+pub struct RunDir<'s> {
+    study: &'s Study,
+    dir: PathBuf,
+    journal: Journal,
+    done: HashMap<String, Json>,
+    /// Weights built or replayed through this handle, by stage: a CPT or
+    /// SFT stage starts from here, not from a second read of its input.
+    weights: HashMap<String, Params>,
+}
+
+impl<'s> RunDir<'s> {
+    /// The study this run directory belongs to.
+    pub fn study(&self) -> &'s Study {
+        self.study
     }
 
-    /// Produce the score for `stage`: replayed from the ledger when
-    /// present, otherwise evaluated (with bounded retries around
-    /// transient engine failures) and recorded as integers so replay is
-    /// exact.
-    fn ensure_score(
-        &self,
-        journal: &Journal,
-        done: &HashMap<String, Json>,
-        stage: &str,
-        params: &Params,
-        method: Method,
-    ) -> Result<Score, StudyError> {
-        if let Some(entry) = done.get(stage) {
+    /// The weights of `id` before SFT: the pretrained native, or the
+    /// native continually pretrained on `id`'s recipe.
+    pub fn base(&mut self, id: ModelId) -> Result<&Params, StudyError> {
+        let study = self.study;
+        match id.recipe() {
+            None => self.weights(format!("native-{}", slug(id.tier().label())), |_| {
+                study.pretrain_native(id.tier()).map(|(p, _)| p)
+            }),
+            Some(recipe) => self.weights(format!("cpt-{}", slug(id.name())), |run| {
+                study.cpt(run.base(id.baseline())?, recipe).map(|(p, _)| p)
+            }),
+        }
+    }
+
+    /// The post-SFT weights of `id`; `None` for the one model with no
+    /// instruct release (AstroLLaMA-2-7B-Abstract).
+    pub fn instruct(&mut self, id: ModelId) -> Result<Option<&Params>, StudyError> {
+        if !id.has_instruct() {
+            return Ok(None);
+        }
+        let study = self.study;
+        self.weights(format!("sft-{}", slug(id.name())), |run| {
+            study.sft(run.base(id)?, id.name()).map(|(p, _)| p)
+        })
+        .map(Some)
+    }
+
+    /// The score of `id` under `method`; `None` when `method` needs
+    /// instruct weights `id` does not have. An evaluation is retried
+    /// under [`RetryPolicy::evals`] around transient engine failures and
+    /// ledgered as integer counts, so replay is exact.
+    pub fn score(&mut self, id: ModelId, method: Method) -> Result<Option<Score>, StudyError> {
+        let stage = format!("eval-{}-{}", slug(id.name()), method.key());
+        if let Some(entry) = self.done.get(&stage) {
             if let Some(score) = score_from_entry(entry) {
                 astro_telemetry::info!("run_study: resume {stage} from ledger");
                 astro_telemetry::counter("study.stages_resumed").inc();
-                return Ok(score);
+                return Ok(Some(score));
             }
             astro_telemetry::info!("run_study: ledger entry for {stage} malformed; re-evaluating");
         }
+        let study = self.study;
+        let params = match method {
+            Method::TokenBase => self.base(id)?,
+            Method::FullInstruct | Method::TokenInstruct => match self.instruct(id)? {
+                Some(p) => p,
+                None => return Ok(None),
+            },
+        };
         let policy = RetryPolicy::evals();
         let score = policy
-            .run(stage, |_| self.eval_checked(params, method))
+            .run(&stage, |_| study.eval_checked(params, method))
             .map_err(|failure| StudyError::Eval {
-                stage: stage.to_string(),
+                stage: stage.clone(),
                 attempts: policy.max_attempts,
                 failure,
             })?;
-        journal
-            .append(&format!(
+        self.commit(
+            &stage,
+            &format!(
                 r#"{{"stage":"{stage}","kind":"score","correct":{},"total":{},"s0":{},"s1":{},"s2":{},"s3":{}}}"#,
                 score.correct, score.total, score.stages[0], score.stages[1], score.stages[2], score.stages[3]
-            ))
-            .map_err(|e| StudyError::Io(format!("append ledger: {e}")))?;
-        astro_telemetry::counter("study.stages_completed").inc();
-        self.stage_boundary(stage)?;
-        Ok(score)
+            ),
+        )?;
+        Ok(Some(score))
     }
 
-    /// Crossing point between stages: where the chaos suite's
-    /// `study.stage_boundary` fault simulates a crash immediately after a
-    /// stage became durable.
-    fn stage_boundary(&self, stage: &str) -> Result<(), StudyError> {
+    /// The weights of `stage`: held by this handle, else replayed from a
+    /// ledgered checkpoint, else built, checkpointed atomically and
+    /// ledgered. A ledger entry whose checkpoint is missing, corrupt or
+    /// altered (digest mismatch) is not trusted — the stage re-runs.
+    fn weights(
+        &mut self,
+        stage: String,
+        build: impl FnOnce(&mut Self) -> Result<Params, StudyError>,
+    ) -> Result<&Params, StudyError> {
+        if !self.weights.contains_key(&stage) {
+            let file = format!("{stage}.ckpt");
+            let path = self.dir.join(&file);
+            let params = match self.done.get(&stage).map(|entry| replay_checkpoint(entry, &path)) {
+                Some(Ok(p)) => {
+                    astro_telemetry::info!("run_study: resume {stage} from {file}");
+                    astro_telemetry::counter("study.stages_resumed").inc();
+                    p
+                }
+                replay => {
+                    if let Some(Err(why)) = replay {
+                        astro_telemetry::info!("run_study: rebuild {stage}: {why}");
+                        astro_telemetry::counter("study.ckpt_replay_failures").inc();
+                    }
+                    let params = build(self)?;
+                    save_checkpoint(&params, &path).map_err(|e| StudyError::Ckpt {
+                        path: path.display().to_string(),
+                        source: e,
+                    })?;
+                    let digest = fnv64(&astro_model::serial::params_to_bytes(&params));
+                    self.commit(
+                        &stage,
+                        &format!(
+                            r#"{{"stage":"{stage}","kind":"ckpt","file":"{file}","fnv":"{digest:016x}"}}"#
+                        ),
+                    )?;
+                    params
+                }
+            };
+            self.weights.insert(stage.clone(), params);
+        }
+        Ok(&self.weights[&stage])
+    }
+
+    /// Ledger a completed stage, then cross the stage boundary: where the
+    /// chaos suite's `study.stage_boundary` fault simulates a crash
+    /// immediately after a stage became durable.
+    fn commit(&self, stage: &str, line: &str) -> Result<(), StudyError> {
+        self.journal
+            .append(line)
+            .map_err(|e| StudyError::Io(format!("append ledger: {e}")))?;
+        astro_telemetry::counter("study.stages_completed").inc();
         if fault::should_fault("study.stage_boundary") {
             return Err(StudyError::Interrupted {
                 site: "study.stage_boundary",

@@ -30,7 +30,7 @@ pub use instruct_method::{
     generate_job, instruct_method, instruct_method_answer, InstructAnswer, InstructEvalConfig,
 };
 pub use oracle::FlagshipOracle;
-pub use score::{bootstrap_ci, evaluate, evaluate_checked, EvalFailure, EvalOutcome, Method, Score, TierBreakdown};
+pub use score::{bootstrap_ci, evaluate, evaluate_checked, EvalFailure, EvalOutcome, Method, Score};
 pub use token_method::{
     score_job, token_method, token_method_outcomes, token_method_predict, AnswerReadout,
     TokenEvalConfig, TokenOutcome,

@@ -1,7 +1,6 @@
 //! Scoring: run one benchmarking method over a question set and count
 //! correct answers (the paper's metric is the fraction of accurate
-//! answers), plus analysis utilities — per-tier breakdowns (where does a
-//! CPT gain come from?) and bootstrap confidence intervals.
+//! answers), plus bootstrap confidence intervals.
 
 use crate::extract::ExtractionStage;
 use crate::instruct_method::{instruct_method, InstructEvalConfig};
@@ -9,7 +8,6 @@ use crate::token_method::{token_method_outcomes, TokenEvalConfig};
 use crate::EvalModel;
 use astro_mcq::Mcq;
 use astro_prng::Rng;
-use astro_world::FactTier;
 
 /// The three benchmarking methods of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -75,51 +73,6 @@ impl Score {
             return 0.0;
         }
         (self.stages[2] + self.stages[3]) as f64 / self.total as f64
-    }
-}
-
-/// Accuracy split by fact tier — the decomposition that explains CPT
-/// effects: consensus questions measure retention of pretraining
-/// knowledge (forgetting shows up here), frontier/detail questions
-/// measure what CPT added.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TierBreakdown {
-    /// (correct, total) on consensus-tier questions.
-    pub consensus: (usize, usize),
-    /// (correct, total) on frontier-tier questions.
-    pub frontier: (usize, usize),
-    /// (correct, total) on detail-tier questions.
-    pub detail: (usize, usize),
-}
-
-impl TierBreakdown {
-    /// Build from per-question predictions.
-    pub fn from_predictions(questions: &[&Mcq], predictions: &[usize]) -> Self {
-        assert_eq!(questions.len(), predictions.len());
-        let mut out = TierBreakdown::default();
-        for (q, &p) in questions.iter().zip(predictions.iter()) {
-            let slot = match q.tier {
-                FactTier::Consensus => &mut out.consensus,
-                FactTier::Frontier => &mut out.frontier,
-                FactTier::Detail => &mut out.detail,
-            };
-            slot.1 += 1;
-            if p == q.answer {
-                slot.0 += 1;
-            }
-        }
-        out
-    }
-
-    /// Accuracy (%) on one tier; `None` when no questions of that tier
-    /// were evaluated.
-    pub fn percent(&self, tier: FactTier) -> Option<f64> {
-        let (c, t) = match tier {
-            FactTier::Consensus => self.consensus,
-            FactTier::Frontier => self.frontier,
-            FactTier::Detail => self.detail,
-        };
-        (t > 0).then(|| 100.0 * c as f64 / t as f64)
     }
 }
 
@@ -317,34 +270,6 @@ mod tests {
     use astro_model::{ModelConfig, Params};
     use astro_tokenizer::{train_bpe, BpeTrainerConfig};
     use astro_world::{World, WorldConfig};
-
-    #[test]
-    fn tier_breakdown_counts_by_tier() {
-        let world = World::generate(61, WorldConfig::small());
-        let mut rng = Rng::seed_from(61);
-        let ds = McqDataset::generate(&world, &McqConfig::default(), &mut rng);
-        let qs: Vec<&Mcq> = ds.questions.iter().take(40).collect();
-        // Predict everything correctly.
-        let preds: Vec<usize> = qs.iter().map(|q| q.answer).collect();
-        let b = TierBreakdown::from_predictions(&qs, &preds);
-        let total = b.consensus.1 + b.frontier.1 + b.detail.1;
-        assert_eq!(total, 40);
-        for tier in [FactTier::Consensus, FactTier::Frontier] {
-            if let Some(p) = b.percent(tier) {
-                assert_eq!(p, 100.0);
-            }
-        }
-        // Predict everything wrong.
-        let wrong: Vec<usize> = qs.iter().map(|q| (q.answer + 1) % 4).collect();
-        let b2 = TierBreakdown::from_predictions(&qs, &wrong);
-        assert_eq!(b2.percent(FactTier::Consensus).unwrap_or(0.0), 0.0);
-    }
-
-    #[test]
-    fn tier_breakdown_empty_tier_is_none() {
-        let b = TierBreakdown::default();
-        assert!(b.percent(FactTier::Detail).is_none());
-    }
 
     #[test]
     fn bootstrap_ci_brackets_point_estimate() {

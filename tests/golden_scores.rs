@@ -10,9 +10,11 @@
 //!   test recomputes the whole fast preset through the pooled engine
 //!   (~1 h) for release validation.
 //! * `goldens/figure1_smoke_seed11.golden` — recomputed from scratch on
-//!   every tier-1 run through the engine-backed eval path, then diffed
-//!   **exactly** (string equality, which for the `%.2f` CSV means the
-//!   underlying scores are identical).
+//!   every tier-1 run through the engine-backed eval path, by a
+//!   `run_study` killed mid-pipeline and resumed — the crash-safe path
+//!   `astro-bench table1` runs — then diffed **exactly** (string
+//!   equality, which for the `%.2f` CSV means the underlying scores are
+//!   identical).
 //!
 //! Regenerate after an *intentional* scoring change with:
 //!
@@ -22,13 +24,30 @@
 //!
 //! and justify the diff in the PR description.
 
-use astromlab::{Study, StudyConfig};
+use astro_resilience::fault::{self, FaultPlan};
+use astromlab::{Study, StudyConfig, StudyError};
+use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const SMOKE_GOLDEN: &str = "goldens/figure1_smoke_seed11.golden";
 const FAST_GOLDEN: &str = "goldens/figure1_fast_scores.golden";
 
-fn repo_path(rel: &str) -> std::path::PathBuf {
+/// The fault registry is process-global: a study run takes this gate so
+/// no other test in this binary observes an armed plan.
+static GATE: Mutex<()> = Mutex::new(());
+
+fn locked() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn repo_path(rel: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
+}
+
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("astro-golden-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn read(rel: &str) -> String {
@@ -87,13 +106,26 @@ fn smoke_scores_recomputed_through_engine_match_golden() {
     // Full pipeline at smoke scale — train all models, evaluate through
     // the pooled prefix-cached engine (the smoke preset's default), and
     // require the rendered scores to be *exactly* the checked-in golden.
+    // The run is killed at its 15th of 37 stage boundaries (inside the
+    // 8B-class series) and resumed, so the golden also holds resume to
+    // the uninterrupted scores.
+    let _g = locked();
     let study = Study::prepare(StudyConfig::smoke(11)).expect("prepare");
     assert!(
         !study.config.eval_engine.is_serial_uncached(),
         "smoke preset must default to the pooled engine for this test \
          to guard the parallel path"
     );
-    let result = study.run_table1().expect("run_table1");
+    let dir = fresh_dir("smoke");
+    fault::install(FaultPlan::single("study.stage_boundary", 15));
+    let outcome = study.run_study(&dir);
+    fault::clear();
+    assert!(
+        matches!(outcome, Err(StudyError::Interrupted { .. })),
+        "the mid-run kill should interrupt the smoke run"
+    );
+    let result = study.run_study(&dir).expect("resume");
+    let _ = std::fs::remove_dir_all(&dir);
     let got = &result.figure1_csv;
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(repo_path(SMOKE_GOLDEN), got).expect("write golden");
@@ -109,7 +141,8 @@ fn smoke_scores_recomputed_through_engine_match_golden() {
 #[test]
 #[ignore = "fast preset takes ~1h; tier-1 covers smoke scale"]
 fn fast_scores_recomputed_through_engine_match_recorded_artifact() {
+    let _g = locked();
     let study = Study::prepare(StudyConfig::fast(42)).expect("prepare");
-    let result = study.run_table1().expect("run_table1");
+    let result = study.run_study(&fresh_dir("fast")).expect("run_study");
     assert_scores_match(&read(FAST_GOLDEN), &result.figure1_csv, "fast(42) figure1 CSV");
 }

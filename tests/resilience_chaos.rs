@@ -1,19 +1,17 @@
 //! Chaos harness: deterministic fault injection against the resumable
-//! study pipeline (`Study::run_study`).
+//! study pipeline (`Study::run_study`, what `astro-bench table1` runs).
 //!
 //! What is proven here:
 //!
 //! * **Kill at every ledger boundary.** A `study.stage_boundary` fault
 //!   aborts the run immediately after each stage becomes durable; the
 //!   sweep kills a single run lineage at *every* boundary in turn and
-//!   resumes each time, so each of the ~37 micro-preset stages is
+//!   resumes each time, so each of the 37 micro-preset stages is
 //!   crossed exactly once by a process that then "crashed". The final
 //!   resumed result must be bitwise identical (CSV string equality and
-//!   `f64::to_bits` on every score) to an uninterrupted in-memory run.
-//! * **Golden tie-in.** At smoke scale, a run killed mid-pipeline and
-//!   resumed must reproduce `goldens/figure1_smoke_seed11.golden`
-//!   exactly — resume is held to the same regression baseline as the
-//!   uninterrupted pipeline.
+//!   `f64::to_bits` on every score) to an uninterrupted run in a fresh
+//!   directory. (`tests/golden_scores.rs` holds a killed-and-resumed
+//!   smoke run to the checked-in golden.)
 //! * **No fault escapes as a panic.** For every fault site in
 //!   [`astro_resilience::SITES`], a single injected fault either (a) is
 //!   absorbed and the result is bitwise identical, or (b) surfaces as a
@@ -21,7 +19,7 @@
 //!   identically. `catch_unwind` asserts no panic crosses the API.
 //! * **Durability edge cases.** A torn ledger tail (crash mid-append)
 //!   and a truncated checkpoint are both detected and rebuilt, never
-//!   trusted.
+//!   trusted; a ledger from another study or another build is refused.
 //! * **The catalogue is the code.** The `should_fault("…")` literals in
 //!   the sources, [`astro_resilience::SITES`] and the site table of
 //!   `docs/RESILIENCE.md` name the same sites: a row cannot outlive its
@@ -32,7 +30,7 @@
 //! sequentially, so no other test can observe an armed plan.
 
 use astro_resilience::fault::{self, FaultPlan};
-use astro_resilience::{Journal, SITES};
+use astro_resilience::{fnv64, Journal, SITES};
 use astromlab::study::{StudyError, StudyResult};
 use astromlab::{Study, StudyConfig};
 use std::collections::BTreeSet;
@@ -66,11 +64,16 @@ fn score_bits(r: &StudyResult) -> Vec<[Option<u64>; 3]> {
     r.scores.iter().map(|(_, s)| s.map(|v| v.map(f64::to_bits))).collect()
 }
 
-/// The uninterrupted in-memory baseline for `micro(11)`, computed once
-/// per process (callers hold `GATE` and have cleared any fault plan).
+/// The uninterrupted baseline for `micro(11)`, a `run_study` in a fresh
+/// directory, computed once per process (callers hold `GATE` and have
+/// cleared any fault plan).
 fn micro_baseline() -> &'static StudyResult {
     static BASELINE: OnceLock<StudyResult> = OnceLock::new();
-    BASELINE.get_or_init(|| micro_study().run_table1().expect("baseline run_table1"))
+    BASELINE.get_or_init(|| {
+        micro_study()
+            .run_study(&fresh_dir("baseline"))
+            .expect("baseline run_study")
+    })
 }
 
 fn assert_bitwise_identical(got: &StudyResult, want: &StudyResult, context: &str) {
@@ -247,38 +250,27 @@ fn ledger_of_a_different_study_is_rejected() {
     assert!(matches!(outcome, Err(StudyError::Interrupted { .. })));
 
     let other = Study::prepare(StudyConfig::micro(12)).expect("prepare seed 12");
-    match other.run_study(&dir) {
-        Err(StudyError::Ledger(msg)) => {
-            assert!(msg.contains("fingerprint"), "unexpected message: {msg}")
-        }
+    assert_refused(other.run_study(&dir), "fingerprint");
+
+    // Same config and tokenizer, written by another build: its
+    // checkpoints may come from training code this build no longer runs.
+    let dir = fresh_dir("other-build");
+    std::fs::create_dir_all(&dir).expect("run dir");
+    Journal::at(&dir.join("ledger.jsonl"))
+        .append(&format!(
+            r#"{{"stage":"fingerprint","config":"{:016x}","tokenizer":"{:016x}","build":"1-1"}}"#,
+            fnv64(format!("{:?}", study.config).as_bytes()),
+            fnv64(&study.tokenizer.to_bytes())
+        ))
+        .expect("write ledger");
+    assert_refused(study.run_study(&dir), "build fingerprint");
+}
+
+/// `outcome` must be a `StudyError::Ledger` whose message contains `why`.
+fn assert_refused(outcome: Result<StudyResult, StudyError>, why: &str) {
+    match outcome {
+        Err(StudyError::Ledger(msg)) => assert!(msg.contains(why), "unexpected message: {msg}"),
         Ok(_) => panic!("a foreign ledger must not be resumed"),
         Err(other) => panic!("expected a Ledger error, got {other}"),
     }
-}
-
-#[test]
-fn killed_and_resumed_smoke_run_reproduces_the_golden() {
-    let _g = locked();
-    fault::clear();
-    let study = Study::prepare(StudyConfig::smoke(11)).expect("smoke prepare");
-    let dir = fresh_dir("smoke-golden");
-
-    // Kill mid-pipeline (boundary 15 lands inside the CPT/SFT stages).
-    fault::install(FaultPlan::single("study.stage_boundary", 15));
-    let outcome = study.run_study(&dir);
-    fault::clear();
-    assert!(
-        matches!(outcome, Err(StudyError::Interrupted { .. })),
-        "the mid-run kill should interrupt the smoke run"
-    );
-
-    let resumed = study.run_study(&dir).expect("resume");
-    let golden_path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens/figure1_smoke_seed11.golden");
-    let golden = std::fs::read_to_string(golden_path).expect("checked-in smoke golden");
-    assert_eq!(
-        resumed.figure1_csv, golden,
-        "a killed-and-resumed smoke run must reproduce the same golden \
-         scores as the uninterrupted pipeline (see tests/golden_scores.rs)"
-    );
 }
