@@ -565,9 +565,7 @@ impl Scratch {
                 );
             }
         } else {
-            for ((av, &gv), &uv) in self.act.iter_mut().zip(&self.gate).zip(&self.up) {
-                *av = gv * ops::sigmoid(gv) * uv;
-            }
+            ops::swiglu(&mut self.act, &self.gate, &self.up);
         }
     }
 }

@@ -7,7 +7,8 @@
 //! blocking — not in one bit.
 
 use crate::matmul::{dot, dot_tile};
-use crate::ops::softmax_rows;
+use crate::ops::softmax_row_at;
+use crate::{supported, Simd};
 
 /// Keys scored together: the one-row tile of `matmul_a_bt_acc`, eight
 /// [`dot`] chains in flight against one query.
@@ -27,9 +28,25 @@ const VALUE_QUADS: usize = 12;
 /// `n = scores.len()`, and holds the attention weights on return.
 ///
 /// Bit for bit: `scores[j] = dot(q, k_j) * scale`, then
-/// [`softmax_rows`] over them, then `out[d]` is `0.0` plus
+/// [`crate::ops::softmax_rows`] over them, then `out[d]` is `0.0` plus
 /// `scores[j] * v_j[d]` added in ascending `j`.
 pub fn attend_head(
+    out: &mut [f32],
+    scores: &mut [f32],
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    stride: usize,
+    scale: f32,
+) {
+    attend_head_at(crate::simd(), out, scores, q, k, v, stride, scale);
+}
+
+/// [`attend_head`] on the kernels of `level` — every level returns the
+/// same bits. Panics if this CPU does not run `level`.
+#[allow(clippy::too_many_arguments)]
+pub fn attend_head_at(
+    level: Simd,
     out: &mut [f32],
     scores: &mut [f32],
     q: &[f32],
@@ -44,15 +61,16 @@ pub fn attend_head(
     assert!(n > 0 && hd > 0 && stride >= hd, "empty head or overlapping rows");
     let span = (n - 1) * stride + hd;
     assert!(k.len() >= span && v.len() >= span, "cache shorter than {n} positions");
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd() >= crate::Simd::Avx2 {
-        // SAFETY: AVX2 support was verified at runtime just above; `out`
-        // holds `head_dim` elements and `k` / `v` reach the last position's
-        // head (`span`), both asserted above.
-        unsafe { x86::attend_head(out, scores, q, k, v, stride, scale) };
-        return;
+    match supported(level) {
+        // SAFETY: `supported` verified AVX2 and FMA at runtime; `out` holds
+        // `head_dim` elements and `k` / `v` reach the last position's head
+        // (`span`), both asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx2 | Simd::Avx2Vnni => unsafe {
+            x86::attend_head(out, scores, q, k, v, stride, scale)
+        },
+        _ => attend_head_portable(out, scores, q, k, v, stride, scale),
     }
-    attend_head_portable(out, scores, q, k, v, stride, scale);
 }
 
 /// [`attend_head`] on the baseline target's 4-lane registers — the
@@ -68,7 +86,6 @@ fn attend_head_portable(
     scale: f32,
 ) {
     let hd = q.len();
-    let n = scores.len();
     let key = |j: usize| &k[j * stride..][..hd];
     let mut tiles = scores.chunks_exact_mut(KEY_TILE);
     let mut j = 0;
@@ -84,7 +101,7 @@ fn attend_head_portable(
         *s = dot(q, key(j)) * scale;
         j += 1;
     }
-    softmax_rows(scores, 1, n);
+    softmax_row_at(Simd::Portable, scores);
 
     let mut d = 0;
     while hd - d >= 4 {
@@ -142,11 +159,12 @@ fn weighted_sum<const Q: usize>(out: &mut [f32], w: &[f32], v: &[f32], stride: u
 /// `matmul::x86`'s two-dots-per-register tile (eight keys in four
 /// registers), and the value pass keeps the same per-dimension
 /// accumulators as [`weighted_sum`], eight to a register — output
-/// dimensions are independent lanes, so the width changes no bit. `avx2`
-/// only, never `fma` (see `matmul::x86`).
+/// dimensions are independent lanes, so the width changes no bit. The
+/// tiles are `avx2` only, never `fma` (see `matmul::x86`); the softmax's
+/// `exp` is `ops`' 8-lane one.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{softmax_rows, value_tail, KEY_TILE, VALUE_QUADS};
+    use super::{softmax_row_at, value_tail, Simd, KEY_TILE, VALUE_QUADS};
     use crate::matmul::{dot, x86::dots8};
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_castps256_ps128, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
@@ -155,8 +173,8 @@ mod x86 {
     };
 
     /// # Safety
-    /// Caller must ensure AVX2 support and the shapes [`super::attend_head`]
-    /// asserts.
+    /// Caller must ensure AVX2 and FMA support and the shapes
+    /// [`super::attend_head_at`] asserts.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn attend_head(
         out: &mut [f32],
@@ -179,7 +197,7 @@ mod x86 {
         for j in tiled..n {
             scores[j] = dot(q, &k[j * stride..][..hd]) * scale;
         }
-        softmax_rows(scores, 1, n);
+        softmax_row_at(Simd::Avx2, scores);
 
         let mut d = 0;
         while hd - d >= 4 {
@@ -245,7 +263,7 @@ mod x86 {
 }
 
 /// The naive loops `attend_head` must equal bit for bit: one [`dot`] per
-/// key, then one sweep of `out` per key.
+/// key, the one-element-at-a-time softmax, then one sweep of `out` per key.
 #[cfg(test)]
 pub(crate) fn attend_head_reference(
     out: &mut [f32],
@@ -257,11 +275,10 @@ pub(crate) fn attend_head_reference(
     scale: f32,
 ) {
     let hd = q.len();
-    let n = scores.len();
     for (j, s) in scores.iter_mut().enumerate() {
         *s = dot(q, &k[j * stride..j * stride + hd]) * scale;
     }
-    softmax_rows(scores, 1, n);
+    crate::ops::softmax_row_reference(scores);
     out.fill(0.0);
     for (j, &w) in scores.iter().enumerate() {
         crate::matmul::axpy(w, &v[j * stride..j * stride + hd], out);
@@ -290,11 +307,42 @@ pub(crate) fn edge_values(len: usize, salt: usize) -> Vec<f32> {
 mod tests {
     use super::*;
 
+    /// Scores whose distance below the maximum (0, the seventh) crosses
+    /// `exp`'s branch points: 88 (the 8-lane main path ends), 103.3 (the
+    /// "may underflow" band) and 104 (zero in registers), and training's
+    /// −1e30 causal mask.
+    const SPREAD: [f32; 12] = [
+        -103.2, -103.4, -103.9, -104.1, -150.0, -1.0e30, 0.0, -20.0, -87.9, -88.1, -95.0, -103.0,
+    ];
+
+    /// A key set's name, its keys and the query scored against them.
+    type KeySet = (&'static str, Vec<f32>, Vec<f32>);
+
+    /// The three key sets of the head at column `off` of an `n × stride`
+    /// cache, each with its query: the edge operands; keys whose scores
+    /// are [`SPREAD`] (the query picks dimension 0, which holds the score
+    /// over `scale`); the edge keys with one NaN score.
+    fn key_sets(n: usize, hd: usize, stride: usize, scale: f32) -> [KeySet; 3] {
+        let edge = edge_values(n * stride, 1);
+        let mut spread = edge.clone();
+        let mut nan = edge.clone();
+        for (j, row) in spread.chunks_mut(stride).enumerate() {
+            for head in row.chunks_exact_mut(hd) {
+                head[0] = SPREAD[j % SPREAD.len()] / scale;
+            }
+        }
+        for head in nan[n / 2 * stride..][..stride].chunks_exact_mut(hd) {
+            head[hd - 1] = f32::NAN;
+        }
+        let mut pick = vec![0.0; hd];
+        pick[0] = 1.0;
+        let q = edge_values(hd, 3);
+        [("edge", edge, q.clone()), ("spread", spread, pick), ("nan", nan, q)]
+    }
+
     #[test]
     fn attend_head_is_bitwise_the_naive_loops_at_every_tile_edge() {
-        type Kernel = fn(&mut [f32], &mut [f32], &[f32], &[f32], &[f32], usize, f32);
-        let kernels: [(&str, Kernel); 2] =
-            [("portable", attend_head_portable), ("dispatched", attend_head)];
+        let levels = crate::tests::host_levels();
         let lens = (1..=17).chain([31, 32, 33, 136, 288]);
         for n in lens {
             // Below one quad, scalar tails, quad-but-not-oct multiples (4,
@@ -305,27 +353,28 @@ mod tests {
                 // first and last head offsets.
                 let heads = 4;
                 let stride = heads * hd + 3;
-                let k = edge_values(n * stride, 1);
                 let v = edge_values(n * stride, 2);
-                let q = edge_values(hd, 3);
                 let scale = 1.0 / (hd as f32).sqrt();
-                for head in [0, heads - 1] {
-                    let off = head * hd;
-                    // The last head of the last row ends inside the cache
-                    // row: the kernel may not read past `head_dim`.
-                    let end = (n - 1) * stride + off + hd;
-                    let (ks, vs) = (&k[off..end], &v[off..end]);
-                    let (mut want, mut ws) = (vec![f32::NAN; hd], vec![f32::NAN; n]);
-                    attend_head_reference(&mut want, &mut ws, &q, ks, vs, stride, scale);
-                    let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                    // The portable tiles and the dispatched ones (AVX2 where
-                    // the host has it; there the portable ones are
-                    // otherwise dead code).
-                    for (name, kernel) in kernels {
-                        let (mut got, mut gs) = (vec![f32::NAN; hd], vec![f32::NAN; n]);
-                        kernel(&mut got, &mut gs, &q, ks, vs, stride, scale);
-                        assert_eq!(bits(&gs), bits(&ws), "{name} scores n={n} hd={hd} head={head}");
-                        assert_eq!(bits(&got), bits(&want), "{name} out n={n} hd={hd} head={head}");
+                for (set, k, q) in key_sets(n, hd, stride, scale) {
+                    for head in [0, heads - 1] {
+                        let off = head * hd;
+                        // The last head of the last row ends inside the
+                        // cache row: the kernel may not read past
+                        // `head_dim`.
+                        let end = (n - 1) * stride + off + hd;
+                        let (ks, vs) = (&k[off..end], &v[off..end]);
+                        let (mut want, mut ws) = (vec![f32::NAN; hd], vec![f32::NAN; n]);
+                        attend_head_reference(&mut want, &mut ws, &q, ks, vs, stride, scale);
+                        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        // Each level by name: on an AVX2 host the portable
+                        // tiles are otherwise dead code.
+                        for &level in &levels {
+                            let (mut got, mut gs) = (vec![f32::NAN; hd], vec![f32::NAN; n]);
+                            attend_head_at(level, &mut got, &mut gs, &q, ks, vs, stride, scale);
+                            let at = format!("{level:?} {set} n={n} hd={hd} head={head}");
+                            assert_eq!(bits(&gs), bits(&ws), "scores {at}");
+                            assert_eq!(bits(&got), bits(&want), "out {at}");
+                        }
                     }
                 }
             }

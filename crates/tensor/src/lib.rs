@@ -35,9 +35,11 @@ pub enum Simd {
     /// The loops on the build's baseline target (x86-64 SSE2, or any other
     /// architecture) — the reference every other level is tested against.
     Portable,
-    /// AVX2: the f32 tiles in [`matmul`] and [`attention`], the q8 tile's
-    /// `vpmaddubsw` multiply-add in [`qmatmul`], and its 8-lane quantize
-    /// epilogues.
+    /// AVX2 with FMA: the f32 tiles in [`matmul`] and [`attention`], the
+    /// q8 tile's `vpmaddubsw` multiply-add in [`qmatmul`], its 8-lane
+    /// quantize epilogues, and the 8-lane [`ops::exp_in_place`]. FMA is
+    /// used only inside `exp`, whose portable twin fuses the same
+    /// operations; the dot and GEMM tiles multiply, then add.
     Avx2,
     /// AVX2 plus AVX-VNNI: as [`Simd::Avx2`], with the q8 tile's
     /// multiply-add one `vpdpbusd`.
@@ -53,10 +55,18 @@ pub fn simd() -> Simd {
     *LEVEL.get_or_init(detect)
 }
 
+/// `level`, once checked against what this CPU runs — the precondition of
+/// every vector kernel, so a caller naming a level (the tests name each
+/// one) cannot reach an instruction the CPU lacks.
+pub(crate) fn supported(level: Simd) -> Simd {
+    assert!(level <= simd(), "{level:?} kernels on a {:?} CPU", simd());
+    level
+}
+
 #[cfg(target_arch = "x86_64")]
 fn detect() -> Simd {
     use std::arch::is_x86_feature_detected;
-    if !is_x86_feature_detected!("avx2") {
+    if !is_x86_feature_detected!("avx2") || !is_x86_feature_detected!("fma") {
         Simd::Portable
     } else if is_x86_feature_detected!("avxvnni") {
         Simd::Avx2Vnni
@@ -148,8 +158,19 @@ impl Tensor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every dispatch level this CPU runs, portable first; a level it
+    /// lacks is skipped with a note.
+    pub(crate) fn host_levels() -> Vec<Simd> {
+        let host = simd();
+        let levels = [Simd::Portable, Simd::Avx2, Simd::Avx2Vnni];
+        for level in levels.iter().filter(|&&level| level > host) {
+            println!("skipping the {level:?} kernels: this CPU runs {host:?}");
+        }
+        levels.into_iter().filter(|&level| level <= host).collect()
+    }
 
     #[test]
     fn zeros_has_right_size() {

@@ -38,12 +38,14 @@
 //!   materialise a separate normalized f32 row) take `amax` and round
 //!   eight lanes at a time on AVX2: the same products in the same order,
 //!   `amax` skipping NaN lanes as `f32::max` does, the rounder sending
-//!   them to 0 as `as i32` does. RMSNorm's mean square (a sequential f32
-//!   sum) and SwiGLU's libm `exp` stay scalar, because both fix bits.
+//!   them to 0 as `as i32` does. SwiGLU's `exp` is
+//!   [`crate::ops::exp_in_place`], eight lanes at a time as well; RMSNorm's
+//!   mean square (a sequential f32 sum) stays scalar, because it fixes
+//!   bits.
 //!
 //! All kernels take slices and never allocate.
 
-use crate::Simd;
+use crate::{supported, Simd};
 
 /// Largest representable quantized magnitude (symmetric: `-127..=127`;
 /// `-128` is never produced so negation is always exact).
@@ -53,14 +55,6 @@ pub const Q8_MAX: f32 = 127.0;
 /// [`matmul_q8_a_bt`] keeps hot while streaming weight rows. 16 rows of
 /// `k ≤ 512` int8 fit in a fraction of L1.
 const ROW_BLOCK: usize = 16;
-
-/// `level`, once checked against what this CPU runs — the precondition of
-/// every vector kernel below, so a caller naming a level (the tests name
-/// each one) cannot reach an instruction the CPU lacks.
-fn supported(level: Simd) -> Simd {
-    assert!(level <= crate::simd(), "{level:?} kernels on a {:?} CPU", crate::simd());
-    level
-}
 
 /// Exact integer dot product of two int8 slices, accumulated in `i32`.
 ///
@@ -343,18 +337,18 @@ fn rmsnorm_quantize_at(level: Simd, q: &mut [i8], x: &[f32], g: &[f32], eps: f32
 /// Fused SwiGLU → int8 quantization of one row; returns the activation
 /// scale.
 ///
-/// Computes `act = gate ⊙ σ(gate) ⊙ up` (SiLU gating, identical to the
-/// f32 decode path) into `act` (caller scratch, useful for diagnostics),
-/// then quantizes it into `q` as [`quantize_row_q8`] does.
+/// Computes `act = gate ⊙ σ(gate) ⊙ up` ([`crate::ops::swiglu`], the f32
+/// path's own SiLU gating) into `act` (caller scratch, useful for
+/// diagnostics), then quantizes it into `q` as [`quantize_row_q8`] does.
 pub fn swiglu_quantize_row(q: &mut [i8], act: &mut [f32], gate: &[f32], up: &[f32]) -> f32 {
-    let n = gate.len();
-    assert_eq!(up.len(), n, "up has wrong size");
-    assert_eq!(act.len(), n, "act has wrong size");
-    assert_eq!(q.len(), n, "q has wrong size");
-    for ((av, &gv), &uv) in act.iter_mut().zip(gate.iter()).zip(up.iter()) {
-        *av = gv * crate::ops::sigmoid(gv) * uv;
-    }
-    quantize_row_q8(q, act)
+    swiglu_quantize_at(crate::simd(), q, act, gate, up)
+}
+
+/// [`swiglu_quantize_row`] on the kernels of `level`.
+fn swiglu_quantize_at(level: Simd, q: &mut [i8], act: &mut [f32], gate: &[f32], up: &[f32]) -> f32 {
+    assert_eq!(q.len(), gate.len(), "q has wrong size");
+    crate::ops::swiglu_at(level, act, gate, up);
+    quantize_row_at(level, q, act)
 }
 
 /// Runtime-dispatched vector kernels: AVX2, and the q8 tile again with
@@ -668,6 +662,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::host_levels;
     use crate::matmul::matmul_a_bt;
     use crate::ops::rmsnorm_rows;
 
@@ -705,17 +700,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Every dispatch level this CPU runs, portable first; a level it
-    /// lacks is skipped with a note.
-    fn host_levels() -> Vec<Simd> {
-        let host = crate::simd();
-        let levels = [Simd::Portable, Simd::Avx2, Simd::Avx2Vnni];
-        for level in levels.iter().filter(|&&level| level > host) {
-            println!("skipping the {level:?} kernels: this CPU runs {host:?}");
-        }
-        levels.into_iter().filter(|&level| level <= host).collect()
     }
 
     fn bits(x: &[f32]) -> Vec<u32> {
@@ -1018,21 +1002,41 @@ mod tests {
     }
 
     #[test]
-    fn fused_swiglu_quantize_matches_unfused() {
-        let n = 64;
-        let gate = random_vec(n, 51);
-        let up = random_vec(n, 52);
-        let mut act_ref = vec![0.0f32; n];
-        for i in 0..n {
-            act_ref[i] = gate[i] * crate::ops::sigmoid(gate[i]) * up[i];
+    fn fused_swiglu_quantize_matches_unfused_at_every_level() {
+        // Gates at random magnitudes, then with edge lanes mixed in:
+        // beyond ±88 (the 8-lane `exp` hands those lanes to the scalar
+        // one, or zeroes them below −104), ±inf and NaN.
+        let edges = [88.5f32, -88.5, 95.0, -103.5, -104.5, 200.0, -200.0, f32::INFINITY, f32::NAN];
+        // NaN lanes compare as one: which payload `g · σ(g) · u` carries
+        // depends on the compiler's operand order.
+        let values = |x: &[f32]| -> Vec<u32> {
+            x.iter().map(|v| if v.is_nan() { 0 } else { v.to_bits() }).collect()
+        };
+        for n in [1usize, 7, 8, 9, 64, 392] {
+            for scale in [1.0f32, 30.0, 120.0] {
+                let mut gate = random_vec(n, 51 + n as u64);
+                gate.iter_mut().for_each(|g| *g *= scale);
+                let up = random_vec(n, 52);
+                for with_edges in [false, true] {
+                    if with_edges {
+                        for (i, g) in gate.iter_mut().enumerate().step_by(3) {
+                            *g = edges[i % edges.len()];
+                        }
+                    }
+                    let sigmoid = crate::ops::sigmoid_reference;
+                    let act_ref: Vec<f32> =
+                        gate.iter().zip(&up).map(|(&g, &u)| g * sigmoid(g) * u).collect();
+                    let mut q_ref = vec![0i8; n];
+                    let s_ref = quantize_row_at(Simd::Portable, &mut q_ref, &act_ref);
+                    for level in host_levels() {
+                        let at = format!("{level:?} n={n} scale={scale} edges={with_edges}");
+                        let (mut act, mut q) = (vec![0.0f32; n], vec![0i8; n]);
+                        let s = swiglu_quantize_at(level, &mut q, &mut act, &gate, &up);
+                        assert_eq!((s.to_bits(), &q), (s_ref.to_bits(), &q_ref), "{at}");
+                        assert_eq!(values(&act), values(&act_ref), "act {at}");
+                    }
+                }
+            }
         }
-        let mut q_ref = vec![0i8; n];
-        let s_ref = quantize_row_q8(&mut q_ref, &act_ref);
-        let mut act = vec![0.0f32; n];
-        let mut q = vec![0i8; n];
-        let s = swiglu_quantize_row(&mut q, &mut act, &gate, &up);
-        assert_eq!(s, s_ref);
-        assert_eq!(q, q_ref);
-        assert_eq!(act, act_ref);
     }
 }

@@ -1,6 +1,7 @@
 //! Micro-benchmark of the int8 kernels at S70b dimensions — per-token
 //! matvec cost f32 vs q8, and how a multi-row call amortizes it (the
-//! `beta` cost-per-position ratio). Ignored by default; run with:
+//! `beta` cost-per-position ratio) — and of `exp` and one attention head,
+//! portable and dispatched. Ignored by default; run with:
 //!
 //! ```sh
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture
@@ -8,10 +9,14 @@
 //!
 //! The recorded numbers are `bench/`'s `tensor.*` and
 //! `model.decode_tokens_per_s.*` probes; this exists to localize a
-//! kernel regression to a single matmul shape.
+//! kernel regression to a single matmul shape or kernel.
 
+use astro_tensor::attention::attend_head_at;
 use astro_tensor::matmul::matmul_a_bt;
+use astro_tensor::ops::exp_at;
 use astro_tensor::qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_rows_q8};
+use astro_tensor::Simd;
+use std::hint::black_box;
 use std::time::Instant;
 
 fn randv(n: usize, seed: u64) -> Vec<f32> {
@@ -22,6 +27,68 @@ fn randv(n: usize, seed: u64) -> Vec<f32> {
             (((s >> 33) as u32) as f32 / u32::MAX as f32) * 2.0 - 1.0
         })
         .collect()
+}
+
+/// Seconds per call of `f`, the best of five timed batches of `iters`
+/// calls after one warm-up batch.
+fn best_of_five(iters: usize, mut f: impl FnMut()) -> f64 {
+    (0..6)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t0.elapsed().as_secs_f64() / iters as f64
+        })
+        .skip(1)
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+#[ignore]
+fn exp_and_attend_head() {
+    // `exp` over a softmax-like row: scores minus their maximum, spread
+    // over [-20, 0], as attention's and log-sum-exp's are.
+    let row: Vec<f32> = randv(512, 77).iter().map(|v| (v - 1.0) * 10.0).collect();
+    let mut levels = vec![("portable", Simd::Portable)];
+    if astro_tensor::simd() > Simd::Portable {
+        levels.push(("dispatched", astro_tensor::simd()));
+    }
+    for (name, level) in &levels {
+        let mut x = row.clone();
+        let per_call = best_of_five(2000, || {
+            x.copy_from_slice(&row);
+            exp_at(*level, black_box(&mut x));
+        });
+        println!("exp {name} ({level:?}): {:.2} ns/element", per_call * 1e9 / row.len() as f64);
+    }
+    // The host libm's scalar call, which every `exp` used to be.
+    let mut x = row.clone();
+    let per_call = best_of_five(2000, || {
+        for (v, &r) in black_box(&mut x).iter_mut().zip(&row) {
+            *v = r.exp();
+        }
+    });
+    println!("exp libm f32::exp: {:.2} ns/element", per_call * 1e9 / row.len() as f64);
+    // One head over n = 136 cached positions (the op_budget prompt), in a
+    // cache row of four heads: the S7b and S70b head widths.
+    let n = 136;
+    for hd in [16usize, 36] {
+        let stride = 4 * hd;
+        let (k, v, q) = (randv(n * stride, 5), randv(n * stride, 6), randv(hd, 7));
+        let scale = 1.0 / (hd as f32).sqrt();
+        for (name, level) in &levels {
+            let (mut out, mut scores) = (vec![0.0f32; hd], vec![0.0f32; n]);
+            let per_call = best_of_five(2000, || {
+                let q = black_box(&q);
+                attend_head_at(*level, &mut out, &mut scores, q, &k, &v, stride, scale);
+            });
+            println!(
+                "attend_head head_dim {hd} n {n} {name} ({level:?}): {:.2} ns/key",
+                per_call * 1e9 / n as f64
+            );
+        }
+    }
 }
 
 #[test]
