@@ -1,10 +1,11 @@
-//! Zero-dependency source lint pass over the workspace's library crates.
+//! Zero-dependency source lint pass over the workspace's crates.
 //!
 //! The linter is line/token-level (no rustc internals): a small
 //! comment/string-stripping state machine feeds per-line rules. Scope is
-//! every `crates/*/src/**/*.rs` plus the root package's `src/`, excluding
-//! `#[cfg(test)]` modules and binary targets (`src/bin/**`, `main.rs`),
-//! which legitimately print and unwrap.
+//! every `crates/*/src/**/*.rs` plus the root package's `src/`. The
+//! hygiene rules skip `#[cfg(test)]` modules, and the first two also skip
+//! binary targets (`src/bin/**`, `main.rs`), which legitimately print and
+//! unwrap.
 //!
 //! Rules (stable ids, `lint.*`):
 //!
@@ -20,15 +21,62 @@
 //! * `lint.allowlist.stale` — an allowlist entry matched nothing; the
 //!   allowlist is shrink-only and stale entries must be deleted.
 //!
+//! Lock and wait rules, over every line (test modules included) of every
+//! file but the locking machinery itself (`CONCURRENCY_EXEMPT`):
+//!
+//! * `lint.lock-unranked` — a `.lock()` that is not a `lock_ranked` call
+//!   and has no `lockcheck::acquire` in the lines just above it, so the
+//!   debug-build rank checker cannot see it.
+//! * `lint.lock-unknown-rank` — an acquisition names a lock with no row in
+//!   `astro_telemetry::lockcheck::RANKS`.
+//! * `lint.lock-unused-rank` — a `RANKS` row no site acquires.
+//! * `lint.lock-order` — an acquisition lexically nested inside another
+//!   whose rank is not strictly lower. The scope is the brace block, which
+//!   over-approximates a guard's life (the conservative direction).
+//! * `lint.wait-unmodelled` — a condvar wait in a file with no
+//!   `WAIT_HARNESSES` row naming the model-checked harness covering it.
+//! * `lint.wait-unused-row` — a `WAIT_HARNESSES` row whose file has no
+//!   wait.
+//!
 //! Grandfathered sites live in `audit_allowlist.txt` at the repo root,
 //! one `rule|path|trimmed line` triple per line.
 
-use crate::{rust_files, Diagnostic, Severity};
+use astro_telemetry::lockcheck;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Name of the allowlist file at the repository root.
 pub const ALLOWLIST_FILE: &str = "audit_allowlist.txt";
+
+/// The locking machinery itself (the model checker, the rank checker and
+/// the sync shim), whose raw `.lock()` and `.wait(` calls are what every
+/// other site's `lock_ranked` compiles down to: exempt from the lock and
+/// wait rules.
+const CONCURRENCY_EXEMPT: &[&str] = &[
+    "crates/check/src/",
+    "crates/telemetry/src/lockcheck.rs",
+    "crates/telemetry/src/sync.rs",
+];
+
+/// Every file that waits on a condvar, with the `--cfg astro_check`
+/// harness that explores its protocol. A new wait needs a harness and a
+/// row; a row outlives its file's last wait only as a lint error.
+const WAIT_HARNESSES: &[(&str, &str)] =
+    &[("crates/gateway/src/queue.rs", "crates/gateway/tests/check_queue.rs")];
+
+/// Where `RANKS` lives, the path `lint.lock-unused-rank` reports.
+const RANKS_FILE: &str = "crates/telemetry/src/lockcheck.rs";
+
+/// Calls that record a ranked acquisition; `lock_ranked` also takes the
+/// lock. The lock name is the call's first string literal.
+const ACQUIRE_CALLS: &[&str] = &["lockcheck::acquire(", "lock_ranked("];
+
+/// How many lines above a `.lock()` its `lockcheck::acquire` may sit.
+const ACQUIRE_WINDOW: usize = 5;
+
+/// Condvar waits (a `.wait()` with no guard argument is a process or a
+/// barrier, not a condvar).
+const WAIT_CALLS: &[&str] = &[".wait(", ".wait_timeout(", ".wait_while("];
 
 /// Pipeline *stage* entry points that must open a telemetry span near the
 /// top of their body: (path suffix, function name). A connection handler
@@ -67,6 +115,11 @@ impl Finding {
     pub fn key(&self) -> String {
         format!("{}|{}|{}", self.rule, self.path, self.content)
     }
+
+    /// Render as a one-line `error [rule] path:line: message` string.
+    pub fn render(&self) -> String {
+        format!("error [{}] {}:{}: {}", self.rule, self.path, self.line, self.message)
+    }
 }
 
 /// Lint configuration: where the workspace lives and which allowlist file
@@ -90,9 +143,7 @@ impl LintConfig {
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
     /// Findings not covered by the allowlist, plus stale-allowlist errors.
-    pub diagnostics: Vec<Diagnostic>,
-    /// All raw findings before filtering (for `--write-allowlist`).
-    pub findings: Vec<Finding>,
+    pub diagnostics: Vec<Finding>,
     /// Number of findings suppressed by allowlist entries.
     pub suppressed: usize,
     /// Number of files scanned.
@@ -100,9 +151,9 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// True when no error-severity diagnostics remain after filtering.
+    /// True when no diagnostics remain after filtering.
     pub fn ok(&self) -> bool {
-        self.diagnostics.iter().all(|d| d.severity != Severity::Error)
+        self.diagnostics.is_empty()
     }
 }
 
@@ -284,13 +335,149 @@ fn scan_tokens(line: &str, tokens: &[&str]) -> Option<&'static str> {
     None
 }
 
-/// Scan one library source file, appending findings.
+/// What the lock and wait rules gather across files, for the two rules
+/// about table rows no source site uses.
+#[derive(Default)]
+struct Seen {
+    /// Lock names some site acquires.
+    ranks: BTreeSet<String>,
+    /// Files with a condvar wait.
+    waits: BTreeSet<String>,
+}
+
+/// The lock name of a ranked acquisition on this line, if any: detected
+/// on the stripped line (not in prose), read from the raw one (the
+/// stripper empties string literals).
+fn acquire_name<'a>(stripped: &str, raw: &'a str) -> Option<&'a str> {
+    if !ACQUIRE_CALLS.iter().any(|c| stripped.contains(c)) {
+        return None;
+    }
+    let rest = ACQUIRE_CALLS.iter().find_map(|c| raw.find(c).map(|at| &raw[at + c.len()..]))?;
+    let start = rest.find('"')? + 1;
+    let end = start + rest[start..].find('"')?;
+    Some(&rest[start..end])
+}
+
+/// Is there a condvar wait on this stripped line?
+fn waits_on_condvar(line: &str) -> bool {
+    WAIT_CALLS
+        .iter()
+        .any(|c| line.match_indices(c).any(|(at, _)| !line[at + c.len()..].starts_with(')')))
+}
+
+/// The per-line lock and wait rules over one file, test modules included.
+fn lock_and_wait_rules(
+    rel: &str,
+    raw_lines: &[&str],
+    stripped: &[String],
+    seen: &mut Seen,
+    findings: &mut Vec<Finding>,
+) {
+    let mut push = |rule: &str, idx: usize, message: String| {
+        findings.push(Finding {
+            rule: rule.to_string(),
+            path: rel.to_string(),
+            line: idx + 1,
+            content: raw_lines[idx].trim().to_string(),
+            message,
+        });
+    };
+    // Ranked acquisitions lexically held: (name, rank, brace depth).
+    let mut held: Vec<(&str, u32, i64)> = Vec::new();
+    let mut depth: i64 = 0;
+    let mut last_acquire: Option<usize> = None;
+    for (idx, line) in stripped.iter().enumerate() {
+        // A block closing on this line releases what was taken inside it.
+        let (d, min) = brace_walk(line, depth);
+        held.retain(|&(_, _, at)| at <= min);
+        if let Some(name) = acquire_name(line, raw_lines[idx]) {
+            last_acquire = Some(idx);
+            seen.ranks.insert(name.to_string());
+            match lockcheck::rank_of(name) {
+                None => push(
+                    "lint.lock-unknown-rank",
+                    idx,
+                    format!("`{name}` has no row in lockcheck::RANKS"),
+                ),
+                Some(rank) => {
+                    if let Some(&(top, top_rank, _)) = held.last() {
+                        if rank <= top_rank {
+                            push(
+                                "lint.lock-order",
+                                idx,
+                                format!(
+                                    "acquires {name} (rank {rank}) while lexically holding \
+                                     {top} (rank {top_rank}); ranks must strictly increase"
+                                ),
+                            );
+                        }
+                    }
+                    held.push((name, rank, d));
+                }
+            }
+        } else if line.contains(".lock()") && last_acquire.is_none_or(|a| idx - a > ACQUIRE_WINDOW) {
+            push(
+                "lint.lock-unranked",
+                idx,
+                "`.lock()` with no lock_ranked / lockcheck::acquire just above it; the \
+                 debug-build rank checker cannot see it"
+                    .to_string(),
+            );
+        }
+        if waits_on_condvar(line) {
+            seen.waits.insert(rel.to_string());
+            if !WAIT_HARNESSES.iter().any(|&(file, _)| file == rel) {
+                push(
+                    "lint.wait-unmodelled",
+                    idx,
+                    "condvar wait with no WAIT_HARNESSES row; give its protocol an \
+                     astro-check harness and add the row"
+                        .to_string(),
+                );
+            }
+        }
+        depth = d;
+    }
+}
+
+/// The table rows no scanned site uses: `RANKS` names never acquired and
+/// `WAIT_HARNESSES` files that no longer wait.
+fn unused_rows(seen: &Seen, findings: &mut Vec<Finding>) {
+    for r in lockcheck::RANKS.iter().filter(|r| !seen.ranks.contains(r.name)) {
+        findings.push(Finding {
+            rule: "lint.lock-unused-rank".to_string(),
+            path: RANKS_FILE.to_string(),
+            line: 0,
+            content: r.name.to_string(),
+            message: format!("rank {} `{}` is declared but no site acquires it", r.rank, r.name),
+        });
+    }
+    for &(file, harness) in WAIT_HARNESSES.iter().filter(|(f, _)| !seen.waits.contains(*f)) {
+        findings.push(Finding {
+            rule: "lint.wait-unused-row".to_string(),
+            path: file.to_string(),
+            line: 0,
+            content: harness.to_string(),
+            message: format!("WAIT_HARNESSES row names {file}, which has no condvar wait"),
+        });
+    }
+}
+
+/// Scan one source file, appending findings.
 #[allow(clippy::too_many_lines)]
-fn scan_file(abs: &Path, rel: &str, findings: &mut Vec<Finding>) -> std::io::Result<()> {
+fn scan_file(
+    abs: &Path,
+    rel: &str,
+    seen: &mut Seen,
+    findings: &mut Vec<Finding>,
+) -> std::io::Result<()> {
     let text = std::fs::read_to_string(abs)?;
     let raw_lines: Vec<&str> = text.lines().collect();
     let mut stripper = Stripper::new();
     let stripped: Vec<String> = raw_lines.iter().map(|l| stripper.strip(l)).collect();
+    if !CONCURRENCY_EXEMPT.iter().any(|e| rel.starts_with(e)) {
+        lock_and_wait_rules(rel, &raw_lines, &stripped, seen, findings);
+    }
 
     // Mark lines inside `#[cfg(test)] mod … { … }` regions.
     let mut in_test = vec![false; raw_lines.len()];
@@ -450,7 +637,6 @@ fn scan_file(abs: &Path, rel: &str, findings: &mut Vec<Finding>) -> std::io::Res
         }
         let needle = format!("fn {func}(");
         let mut found_fn = false;
-        let mut has_span = false;
         for (idx, line) in stripped.iter().enumerate() {
             if in_test[idx] {
                 continue;
@@ -460,8 +646,7 @@ fn scan_file(abs: &Path, rel: &str, findings: &mut Vec<Finding>) -> std::io::Res
                 // Window covers a multi-line signature plus early argument
                 // validation before the span opens.
                 let end = (idx + 20).min(stripped.len());
-                has_span = stripped[idx..end].iter().any(|l| l.contains("span"));
-                if !has_span {
+                if !stripped[idx..end].iter().any(|l| l.contains("span")) {
                     push(
                         findings,
                         "lint.telemetry-span",
@@ -484,9 +669,22 @@ fn scan_file(abs: &Path, rel: &str, findings: &mut Vec<Finding>) -> std::io::Res
                 ),
             });
         }
-        let _ = has_span;
     }
     Ok(())
+}
+
+/// Recursively collect `.rs` files under `dir` (sorted for determinism).
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    paths.sort();
+    for p in paths {
+        if p.is_dir() {
+            rust_files(&p, out);
+        } else if p.extension().is_some_and(|e| e == "rs") {
+            out.push(p);
+        }
+    }
 }
 
 /// Gather raw findings over the whole workspace (no allowlist filtering).
@@ -502,6 +700,7 @@ pub fn collect_findings(root: &Path) -> (Vec<Finding>, usize) {
     }
     rust_files(&root.join("src"), &mut files);
     let mut findings = Vec::new();
+    let mut seen = Seen::default();
     let scanned = files.len();
     for abs in &files {
         let rel = abs
@@ -509,7 +708,7 @@ pub fn collect_findings(root: &Path) -> (Vec<Finding>, usize) {
             .unwrap_or(abs)
             .to_string_lossy()
             .replace('\\', "/");
-        if let Err(e) = scan_file(abs, &rel, &mut findings) {
+        if let Err(e) = scan_file(abs, &rel, &mut seen, &mut findings) {
             findings.push(Finding {
                 rule: "lint.io".to_string(),
                 path: rel,
@@ -519,6 +718,7 @@ pub fn collect_findings(root: &Path) -> (Vec<Finding>, usize) {
             });
         }
     }
+    unused_rows(&seen, &mut findings);
     findings.sort();
     (findings, scanned)
 }
@@ -540,29 +740,23 @@ pub fn lint_workspace(config: &LintConfig) -> LintReport {
     let allow_set: BTreeSet<&str> = allow.iter().map(String::as_str).collect();
     let mut used: BTreeSet<&str> = BTreeSet::new();
     let mut report = LintReport { files_scanned, ..Default::default() };
-    for f in &findings {
-        let key = f.key();
-        if let Some(&entry) = allow_set.get(key.as_str()) {
+    for f in findings {
+        if let Some(&entry) = allow_set.get(f.key().as_str()) {
             used.insert(entry);
             report.suppressed += 1;
-            continue;
-        }
-        report.diagnostics.push(Diagnostic::error(
-            &f.rule,
-            &format!("{}:{}", f.path, f.line),
-            f.message.clone(),
-        ));
-    }
-    for entry in &allow {
-        if !used.contains(entry.as_str()) {
-            report.diagnostics.push(Diagnostic::error(
-                "lint.allowlist.stale",
-                ALLOWLIST_FILE,
-                format!("entry matches nothing (allowlist is shrink-only, delete it): {entry}"),
-            ));
+        } else {
+            report.diagnostics.push(f);
         }
     }
-    report.findings = findings;
+    for entry in allow.iter().filter(|e| !used.contains(e.as_str())) {
+        report.diagnostics.push(Finding {
+            rule: "lint.allowlist.stale".to_string(),
+            path: ALLOWLIST_FILE.to_string(),
+            line: 0,
+            content: entry.clone(),
+            message: format!("entry matches nothing (allowlist is shrink-only, delete it): {entry}"),
+        });
+    }
     report
 }
 
@@ -680,6 +874,154 @@ mod tests {
         assert!(report.diagnostics.iter().any(|d| d.rule == "lint.allowlist.stale"));
         assert!(!report.diagnostics.iter().any(|d| d.rule == "lint.no-unwrap"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn repo_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
+    }
+
+    #[test]
+    fn workspace_is_clean() {
+        let report = lint_workspace(&LintConfig::new(&repo_root()));
+        let errors: Vec<String> = report.diagnostics.iter().map(Finding::render).collect();
+        assert!(errors.is_empty(), "lint errors:\n{}", errors.join("\n"));
+        assert!(report.files_scanned > 100, "scanned {} files", report.files_scanned);
+    }
+
+    /// `(rule, path)` of the per-line lock and wait findings for `files`
+    /// written into an otherwise empty workspace.
+    fn lock_and_wait_hits(tag: &str, files: &[(&str, &str)]) -> Vec<(String, String)> {
+        let dir = std::env::temp_dir().join(format!("astro-audit-{tag}-{}", std::process::id()));
+        for (rel, body) in files {
+            let path = dir.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, body).unwrap();
+        }
+        let (findings, _) = collect_findings(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        findings
+            .into_iter()
+            .filter(|f| {
+                matches!(
+                    f.rule.as_str(),
+                    "lint.lock-unranked"
+                        | "lint.lock-unknown-rank"
+                        | "lint.lock-order"
+                        | "lint.wait-unmodelled"
+                )
+            })
+            .map(|f| (f.rule, f.path))
+            .collect()
+    }
+
+    fn hit(rule: &str, path: &str) -> (String, String) {
+        (rule.to_string(), path.to_string())
+    }
+
+    // The model crate was never a concurrency root: the rules reach it.
+    const MODEL: &str = "crates/model/src/pool.rs";
+
+    #[test]
+    fn raw_lock_is_flagged_unless_acquired_just_above() {
+        let hits = lock_and_wait_hits(
+            "raw",
+            &[
+                (MODEL, "fn raw() {\n    let _g = POOL.lock().unwrap_or_else(PoisonError::into_inner);\n}\n"),
+                (
+                    "crates/model/src/ranked.rs",
+                    r#"fn ranked() {
+    let _t = lockcheck::acquire("serve.prefix_cache");
+    let _g = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+}
+"#,
+                ),
+            ],
+        );
+        assert_eq!(hits, [hit("lint.lock-unranked", MODEL)]);
+    }
+
+    #[test]
+    fn unknown_rank_name_is_flagged() {
+        let body = "fn f() {\n    let (_t, _g) = sync::lock_ranked(\"model.pool\", &POOL);\n}\n";
+        assert_eq!(lock_and_wait_hits("unknown", &[(MODEL, body)]), [hit("lint.lock-unknown-rank", MODEL)]);
+    }
+
+    #[test]
+    fn inverted_nested_pair_is_flagged_and_released_scopes_are_not() {
+        let body = r#"fn inverted() {
+    let (_a, _ga) = lockcheck::lock_ranked("telemetry.sink", &SINK);
+    {
+        let (_b, _gb) = lockcheck::lock_ranked("serve.prefix_cache", &CACHE);
+    }
+}
+fn increasing() {
+    let (_a, _ga) = lockcheck::lock_ranked("serve.prefix_cache", &CACHE);
+    let (_b, _gb) = lockcheck::lock_ranked("telemetry.sink", &SINK);
+}
+fn after_release() {
+    let (_b, _gb) = lockcheck::lock_ranked("serve.prefix_cache", &CACHE);
+}
+"#;
+        let hits = lock_and_wait_hits("order", &[(MODEL, body)]);
+        assert_eq!(hits, [hit("lint.lock-order", MODEL)]);
+    }
+
+    #[test]
+    fn condvar_wait_outside_the_harness_table_is_flagged() {
+        let body = r#"fn take(&self) {
+    let (_t, mut g) = sync::lock_ranked("serve.prefix_cache", &self.inner);
+    while g.is_empty() {
+        g = self
+            .ready
+            .wait(g)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    let _ = child.wait();
+}
+"#;
+        assert_eq!(lock_and_wait_hits("wait", &[(MODEL, body)]), [hit("lint.wait-unmodelled", MODEL)]);
+    }
+
+    #[test]
+    fn the_locking_machinery_is_exempt() {
+        let body = r#"fn raw(&self) {
+    let _t = lockcheck::acquire("not.a.rank");
+    let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+    g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+}
+"#;
+        for exempt in ["crates/check/src/sched.rs", RANKS_FILE, "crates/telemetry/src/sync.rs"] {
+            assert_eq!(lock_and_wait_hits("exempt", &[(exempt, body)]), [], "{exempt}");
+        }
+    }
+
+    #[test]
+    fn unused_table_rows_are_flagged_counting_test_modules() {
+        let body = r#"#[cfg(test)]
+mod tests {
+    fn gate() {
+        let _t = lockcheck::acquire("test.fault_gate");
+    }
+}
+"#;
+        let dir = std::env::temp_dir().join(format!("astro-audit-unused-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("crates/resilience/src")).unwrap();
+        std::fs::write(dir.join("crates/resilience/src/fault.rs"), body).unwrap();
+        let (findings, _) = collect_findings(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        let unused: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.rule == "lint.lock-unused-rank")
+            .map(|f| f.content.as_str())
+            .collect();
+        assert_eq!(unused.len(), lockcheck::RANKS.len() - 1, "{unused:?}");
+        assert!(!unused.contains(&"test.fault_gate"), "{unused:?}");
+        let rows: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.rule == "lint.wait-unused-row")
+            .map(|f| f.path.as_str())
+            .collect();
+        assert_eq!(rows, ["crates/gateway/src/queue.rs"]);
     }
 
     #[test]

@@ -20,9 +20,6 @@
 //!   resource) executes, cutting commuting permutations;
 //! * a **step budget** per execution (livelock detection).
 //!
-//! [`explore_random`] trades exhaustiveness for depth: a seeded random
-//! walk over schedules, for state spaces too big to enumerate.
-//!
 //! # Violations and counterexamples
 //!
 //! Deadlock (every thread blocked), a panicked thread (failed harness
@@ -35,15 +32,14 @@
 //! Product code uses `astro_telemetry::sync`, which re-exports `std`
 //! types in normal builds (zero overhead) and these shims under
 //! `--cfg astro_check`; model-checked harnesses for the real gateway
-//! queue, pool quiescence, prefix-cache and trace-ring protocols live in
+//! queue, prefix-cache and trace-ring protocols live in
 //! their owning crates behind that cfg. The protocol *models* in
 //! [`models`] (including seeded mutants proving the checker detects
 //! dropped notifies, wait-`if`s and skipped drains) use the shim
 //! directly and run in every build.
 //!
 //! Not supported inside a model: `std::sync` primitives (invisible to
-//! the scheduler), time-based logic (`wait_timeout` durations are
-//! abstracted to "fires when the system would otherwise stall"), and
+//! the scheduler), time-based logic (the shim has no timed wait), and
 //! sharing shim objects between controlled and uncontrolled threads.
 
 pub mod models;
@@ -57,7 +53,7 @@ pub use schedule::Schedule;
 
 pub(crate) use sched::die as sched_die;
 
-use sched::{Abort, CoreShared, Level, Mode, RunCfg};
+use sched::{Abort, CoreShared, Level, RunCfg};
 use std::sync::{Arc, OnceLock};
 
 /// Exploration limits.
@@ -135,13 +131,12 @@ impl Explorer {
     /// Run the model once, replaying `self.levels` as a prefix; returns
     /// the outcome and leaves the (possibly extended) decision stack in
     /// `self.levels`.
-    fn run_once(&mut self, f: &Arc<dyn Fn() + Send + Sync>, mode: Mode) -> Outcome {
+    fn run_once(&mut self, f: &Arc<dyn Fn() + Send + Sync>) -> Outcome {
         install_hook();
         let run_cfg = RunCfg {
             preemption_bound: self.cfg.preemption_bound,
             max_steps: self.cfg.max_steps,
-            sleep_sets: self.cfg.sleep_sets && matches!(mode, Mode::Dfs),
-            mode,
+            sleep_sets: self.cfg.sleep_sets,
         };
         let core = Arc::new(CoreShared::new(run_cfg, std::mem::take(&mut self.levels)));
         let tid0 = sched::register_root(&core);
@@ -203,7 +198,7 @@ where
     let f: Arc<dyn Fn() + Send + Sync> = Arc::new(model);
     let mut ex = Explorer::new(*cfg);
     loop {
-        match ex.run_once(&f, Mode::Dfs) {
+        match ex.run_once(&f) {
             Outcome::Violation(v) => {
                 ex.report.violation = Some(v);
                 break;
@@ -217,31 +212,6 @@ where
         }
         if !ex.backtrack() {
             break;
-        }
-    }
-    ex.report
-}
-
-/// Seeded random-walk exploration: `iterations` independent executions
-/// with uniformly random scheduling choices (still respecting the
-/// preemption bound). Deterministic for a fixed seed. Stops at the first
-/// violation.
-pub fn explore_random<F>(cfg: &CheckConfig, seed: u64, iterations: u64, model: F) -> Report
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    let f: Arc<dyn Fn() + Send + Sync> = Arc::new(model);
-    let mut ex = Explorer::new(*cfg);
-    for i in 0..iterations {
-        ex.levels.clear();
-        let rng = astro_prng::Rng::seed_from(seed ^ (i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-        match ex.run_once(&f, Mode::Random(rng)) {
-            Outcome::Violation(v) => {
-                ex.report.violation = Some(v);
-                break;
-            }
-            Outcome::Explored => ex.report.schedules += 1,
-            Outcome::Pruned => ex.report.pruned += 1,
         }
     }
     ex.report
@@ -261,30 +231,10 @@ where
         .into_iter()
         .map(|t| Level { chosen: t, untried: Vec::new(), slept: Vec::new() })
         .collect();
-    match ex.run_once(&f, Mode::Dfs) {
+    match ex.run_once(&f) {
         Outcome::Violation(v) => ex.report.violation = Some(v),
         Outcome::Explored => ex.report.schedules = 1,
         Outcome::Pruned => ex.report.pruned = 1,
     }
     ex.report
-}
-
-/// Write a counterexample schedule (if any) to `path` as JSONL; returns
-/// whether a file was written.
-pub fn dump_counterexample(report: &Report, path: &std::path::Path) -> std::io::Result<bool> {
-    match &report.violation {
-        Some(v) => {
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir)?;
-            }
-            let header = format!(
-                "{{\"violation\":\"{}\",\"message\":\"{}\"}}\n",
-                v.kind.label(),
-                v.message.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n"),
-            );
-            std::fs::write(path, format!("{header}{}", v.schedule.to_jsonl()))?;
-            Ok(true)
-        }
-        None => Ok(false),
-    }
 }

@@ -5,7 +5,7 @@ use crate::schedule::Schedule;
 /// What kind of property failure the checker observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ViolationKind {
-    /// Every live thread is blocked and no timed wait can escape.
+    /// Every live thread is blocked.
     Deadlock,
     /// A controlled thread panicked (failed assertion, product panic).
     Panic,
@@ -14,18 +14,6 @@ pub enum ViolationKind {
     /// Replay diverged from the recorded schedule — the model closure is
     /// not deterministic, or the checker has a bug.
     Divergence,
-}
-
-impl ViolationKind {
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ViolationKind::Deadlock => "deadlock",
-            ViolationKind::Panic => "panic",
-            ViolationKind::StepBudget => "step_budget",
-            ViolationKind::Divergence => "divergence",
-        }
-    }
 }
 
 /// A property violation with its replayable counterexample.
@@ -39,7 +27,7 @@ pub struct Violation {
     pub schedule: Schedule,
 }
 
-/// Result of one exploration run ([`crate::explore`] and friends).
+/// Result of one exploration run ([`crate::explore`] or [`crate::replay`]).
 #[derive(Debug, Default)]
 pub struct Report {
     /// Executions that ran to completion (every thread finished).

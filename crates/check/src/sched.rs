@@ -75,19 +75,9 @@ pub(crate) enum Status {
         cv: usize,
         /// The mutex to reacquire on wake-up.
         mutex: usize,
-        /// Whether this is a `wait_timeout` (eligible for stall escape).
-        timed: bool,
     },
     /// Returned (or unwound); joinable.
     Finished,
-}
-
-/// Outcome information delivered to the thread when its op is granted.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct GrantInfo {
-    /// For `CvReacquire`: true when the wake-up was the stall-escape
-    /// timeout rather than a notify.
-    pub timed_out: bool,
 }
 
 /// Per-thread record in the core.
@@ -96,14 +86,6 @@ pub(crate) struct TState {
     pub status: Status,
     /// Debug name (schedule readability).
     pub name: String,
-    /// Grant outcome for the most recent operation.
-    pub grant: GrantInfo,
-}
-
-impl TState {
-    fn new(name: String, status: Status) -> Self {
-        TState { status, name, grant: GrantInfo::default() }
-    }
 }
 
 /// Kind tag used when registering a resource lazily on first use.
@@ -152,14 +134,6 @@ pub(crate) struct Level {
     pub slept: Vec<usize>,
 }
 
-/// How the scheduler picks among eligible threads at a fresh level.
-pub(crate) enum Mode {
-    /// Depth-first enumeration (records untried alternatives).
-    Dfs,
-    /// Seeded random walk (no alternatives recorded).
-    Random(astro_prng::Rng),
-}
-
 /// Why the execution stopped early.
 pub(crate) enum Abort {
     /// A property violation — reported with its schedule.
@@ -171,7 +145,7 @@ pub(crate) enum Abort {
     Divergence(String),
 }
 
-/// Execution limits and strategy for one [`Core`].
+/// Execution limits for one [`Core`].
 pub(crate) struct RunCfg {
     /// Max preemptive context switches per execution.
     pub preemption_bound: usize,
@@ -179,8 +153,6 @@ pub(crate) struct RunCfg {
     pub max_steps: usize,
     /// Whether sleep-set pruning is enabled.
     pub sleep_sets: bool,
-    /// Choice strategy.
-    pub mode: Mode,
 }
 
 /// The shared scheduler state: one per execution.
@@ -417,20 +389,16 @@ impl Core {
             }
             Op::CvNotifyOne(c) => {
                 if let Some(w) = self.cv_pop_waiter(c) {
-                    self.wake_waiter(w, false);
+                    self.wake_waiter(w);
                 }
             }
             Op::CvNotifyAll(c) => {
                 while let Some(w) = self.cv_pop_waiter(c) {
-                    self.wake_waiter(w, false);
+                    self.wake_waiter(w);
                 }
             }
             Op::Start | Op::Spawn(_) | Op::Join(_) => {}
         }
-        // A reacquire granted via the stall-escape carries its timeout flag
-        // set by `wake_waiter`; preserve it for reacquires only.
-        let timed_out =
-            matches!(op, Op::CvReacquire { .. }) && self.threads[tid].grant.timed_out;
         let (opname, resource) = self.describe_op(op);
         self.steps.push(StepRec {
             step: self.steps.len(),
@@ -439,7 +407,6 @@ impl Core {
             op: opname,
             resource,
         });
-        self.threads[tid].grant = GrantInfo { timed_out };
         self.threads[tid].status = Status::Running;
         self.last = tid;
     }
@@ -451,10 +418,9 @@ impl Core {
         }
     }
 
-    fn wake_waiter(&mut self, w: usize, timed_out: bool) {
+    fn wake_waiter(&mut self, w: usize) {
         if let Status::WaitingCv { mutex, .. } = self.threads[w].status {
             self.threads[w].status = Status::Ready(Op::CvReacquire { mutex });
-            self.threads[w].grant.timed_out = timed_out;
         }
     }
 
@@ -462,159 +428,125 @@ impl Core {
     /// just gave up the token. Picks and grants the next thread, or sets
     /// `complete` / `abort`.
     pub(crate) fn pick_next(&mut self) {
-        loop {
-            if self.abort.is_some() || self.complete {
-                return;
-            }
-            let mut eligible: Vec<usize> = Vec::new();
-            for (i, t) in self.threads.iter().enumerate() {
-                if let Status::Ready(op) = t.status {
-                    if self.feasible(op) {
-                        eligible.push(i);
-                    }
+        if self.abort.is_some() || self.complete {
+            return;
+        }
+        let mut eligible: Vec<usize> = Vec::new();
+        for (i, t) in self.threads.iter().enumerate() {
+            if let Status::Ready(op) = t.status {
+                if self.feasible(op) {
+                    eligible.push(i);
                 }
             }
-            if eligible.is_empty() {
-                // Timed condvar waits are a deadlock escape: when nothing
-                // else can run, wake the lowest-id timed waiter as a
-                // timeout. Deterministic, so replay is stable.
-                let timed = self
-                    .threads
-                    .iter()
-                    .position(|t| matches!(t.status, Status::WaitingCv { timed: true, .. }));
-                if let Some(w) = timed {
-                    if let Status::WaitingCv { cv, .. } = self.threads[w].status {
-                        if let Some(Resource::Condvar { waiters }) = self.resources.get_mut(cv) {
-                            waiters.retain(|&x| x != w);
-                        }
+        }
+        if eligible.is_empty() {
+            if self.threads.iter().all(|t| matches!(t.status, Status::Finished)) {
+                self.complete = true;
+                return;
+            }
+            self.abort = Some(Abort::Violation(Violation {
+                kind: ViolationKind::Deadlock,
+                message: format!("deadlock: {}", self.describe_blocked()),
+                schedule: crate::schedule::Schedule::default(),
+            }));
+            return;
+        }
+
+        let chosen: usize;
+        if self.depth < self.levels.len() {
+            chosen = self.levels[self.depth].chosen;
+            if !eligible.contains(&chosen) {
+                self.abort = Some(Abort::Divergence(format!(
+                    "replay divergence at depth {}: recorded thread t{chosen} is not \
+                     eligible (model closure must be deterministic)",
+                    self.depth
+                )));
+                return;
+            }
+        } else {
+            let cont = self.last;
+            let cont_ok = eligible.contains(&cont);
+            let bound_hit = self.preemptions >= self.cfg.preemption_bound;
+            let sleep: &[usize] = if self.cfg.sleep_sets { &self.cur_sleep } else { &[] };
+            let awake: Vec<usize> =
+                eligible.iter().copied().filter(|t| !sleep.contains(t)).collect();
+            if awake.is_empty() {
+                self.abort = Some(Abort::Pruned);
+                return;
+            }
+            let cands: Vec<usize> = if cont_ok && bound_hit {
+                if !awake.contains(&cont) {
+                    self.abort = Some(Abort::Pruned);
+                    return;
+                }
+                vec![cont]
+            } else {
+                let mut v = Vec::with_capacity(awake.len());
+                if awake.contains(&cont) {
+                    v.push(cont);
+                }
+                for &t in &awake {
+                    if !v.contains(&t) {
+                        v.push(t);
                     }
-                    self.wake_waiter(w, true);
+                }
+                v
+            };
+            chosen = cands[0];
+            self.levels.push(Level { chosen, untried: cands[1..].to_vec(), slept: Vec::new() });
+        }
+
+        let chosen_op = match self.threads[chosen].status {
+            Status::Ready(op) => op,
+            _ => die(format!("chosen thread t{chosen} is not ready")),
+        };
+        // Preemption accounting: switching away from a thread whose
+        // pending op was runnable costs one preemption.
+        if chosen != self.last {
+            if let Status::Ready(op) = self.threads[self.last].status {
+                if self.feasible(op) {
+                    self.preemptions += 1;
+                }
+            }
+        }
+        // Sleep-set update: survivors are threads whose pending op is
+        // independent of the op just granted.
+        if self.cfg.sleep_sets {
+            let inherited = self.levels[self.depth].slept.clone();
+            let mut ns: Vec<usize> = Vec::new();
+            let pool: Vec<usize> =
+                self.cur_sleep.iter().chain(inherited.iter()).copied().collect();
+            for u in pool {
+                if u == chosen || ns.contains(&u) {
                     continue;
                 }
-                if self.threads.iter().all(|t| matches!(t.status, Status::Finished)) {
-                    self.complete = true;
-                    return;
-                }
-                self.abort = Some(Abort::Violation(Violation {
-                    kind: ViolationKind::Deadlock,
-                    message: format!("deadlock: {}", self.describe_blocked()),
-                    schedule: crate::schedule::Schedule::default(),
-                }));
-                return;
-            }
-
-            let chosen: usize;
-            if self.depth < self.levels.len() {
-                chosen = self.levels[self.depth].chosen;
-                if !eligible.contains(&chosen) {
-                    self.abort = Some(Abort::Divergence(format!(
-                        "replay divergence at depth {}: recorded thread t{chosen} is not \
-                         eligible (model closure must be deterministic)",
-                        self.depth
-                    )));
-                    return;
-                }
-            } else {
-                let cont = self.last;
-                let cont_ok = eligible.contains(&cont);
-                let bound_hit = self.preemptions >= self.cfg.preemption_bound;
-                match &mut self.cfg.mode {
-                    Mode::Dfs => {
-                        let sleep: &[usize] = if self.cfg.sleep_sets { &self.cur_sleep } else { &[] };
-                        let awake: Vec<usize> =
-                            eligible.iter().copied().filter(|t| !sleep.contains(t)).collect();
-                        if awake.is_empty() {
-                            self.abort = Some(Abort::Pruned);
-                            return;
-                        }
-                        let cands: Vec<usize> = if cont_ok && bound_hit {
-                            if !awake.contains(&cont) {
-                                self.abort = Some(Abort::Pruned);
-                                return;
-                            }
-                            vec![cont]
-                        } else {
-                            let mut v = Vec::with_capacity(awake.len());
-                            if awake.contains(&cont) {
-                                v.push(cont);
-                            }
-                            for &t in &awake {
-                                if !v.contains(&t) {
-                                    v.push(t);
-                                }
-                            }
-                            v
-                        };
-                        chosen = cands[0];
-                        self.levels.push(Level {
-                            chosen,
-                            untried: cands[1..].to_vec(),
-                            slept: Vec::new(),
-                        });
-                    }
-                    Mode::Random(rng) => {
-                        let cands: Vec<usize> =
-                            if cont_ok && bound_hit { vec![cont] } else { eligible.clone() };
-                        let idx = (rng.next_u64() % cands.len() as u64) as usize;
-                        chosen = cands[idx];
-                        self.levels.push(Level { chosen, untried: Vec::new(), slept: Vec::new() });
+                if let Status::Ready(uop) = self.threads[u].status {
+                    if !Core::dependent(uop, chosen_op) {
+                        ns.push(u);
                     }
                 }
             }
-
-            let chosen_op = match self.threads[chosen].status {
-                Status::Ready(op) => op,
-                _ => die(format!("chosen thread t{chosen} is not ready")),
-            };
-            // Preemption accounting: switching away from a thread whose
-            // pending op was runnable costs one preemption.
-            if chosen != self.last {
-                if let Status::Ready(op) = self.threads[self.last].status {
-                    if self.feasible(op) {
-                        self.preemptions += 1;
-                    }
-                }
-            }
-            // Sleep-set update: survivors are threads whose pending op is
-            // independent of the op just granted.
-            if self.cfg.sleep_sets {
-                let inherited = self.levels[self.depth].slept.clone();
-                let mut ns: Vec<usize> = Vec::new();
-                let pool: Vec<usize> =
-                    self.cur_sleep.iter().chain(inherited.iter()).copied().collect();
-                for u in pool {
-                    if u == chosen || ns.contains(&u) {
-                        continue;
-                    }
-                    if let Status::Ready(uop) = self.threads[u].status {
-                        if !Core::dependent(uop, chosen_op) {
-                            ns.push(u);
-                        }
-                    }
-                }
-                self.cur_sleep = ns;
-            }
-            self.grant(chosen, chosen_op);
-            self.depth += 1;
-            self.step_count += 1;
-            if self.step_count > self.cfg.max_steps {
-                self.abort = Some(Abort::Violation(Violation {
-                    kind: ViolationKind::StepBudget,
-                    message: format!(
-                        "execution exceeded {} steps — livelock or unbounded loop",
-                        self.cfg.max_steps
-                    ),
-                    schedule: crate::schedule::Schedule::default(),
-                }));
-            }
-            return;
+            self.cur_sleep = ns;
+        }
+        self.grant(chosen, chosen_op);
+        self.depth += 1;
+        self.step_count += 1;
+        if self.step_count > self.cfg.max_steps {
+            self.abort = Some(Abort::Violation(Violation {
+                kind: ViolationKind::StepBudget,
+                message: format!(
+                    "execution exceeded {} steps — livelock or unbounded loop",
+                    self.cfg.max_steps
+                ),
+                schedule: crate::schedule::Schedule::default(),
+            }));
         }
     }
 }
 
 /// Publish `op`, run the scheduler, and block until this thread is
-/// granted the token again. Returns the grant outcome.
-pub(crate) fn yield_op(ctx: &ExecCtx, op: Op) -> GrantInfo {
+/// granted the token again.
+pub(crate) fn yield_op(ctx: &ExecCtx, op: Op) {
     if std::thread::panicking() {
         return unwind_effect(ctx, op);
     }
@@ -637,21 +569,17 @@ pub(crate) fn yield_op(ctx: &ExecCtx, op: Op) -> GrantInfo {
         }
         g = core.wait(g);
     }
-    let info = g.threads[ctx.tid].grant;
-    drop(g);
-    info
 }
 
-/// Atomically release `mutex` and park on `cv`; returns after a notify
-/// (or stall-escape timeout, when `timed`) once the mutex is virtually
-/// reacquired.
-pub(crate) fn yield_cv_wait(ctx: &ExecCtx, cv: usize, mutex: usize, timed: bool) -> GrantInfo {
+/// Atomically release `mutex` and park on `cv`; returns after a notify,
+/// once the mutex is virtually reacquired.
+pub(crate) fn yield_cv_wait(ctx: &ExecCtx, cv: usize, mutex: usize) {
     if std::thread::panicking() {
         // Unwinding: give the mutex back and do not park.
         let mut g = ctx.core.lock();
         *g.mutex_holder_mut(mutex) = None;
         ctx.core.notify_all();
-        return GrantInfo::default();
+        return;
     }
     let core = &ctx.core;
     let mut g = core.lock();
@@ -663,8 +591,7 @@ pub(crate) fn yield_cv_wait(ctx: &ExecCtx, cv: usize, mutex: usize, timed: bool)
     if let Some(Resource::Condvar { waiters }) = g.resources.get_mut(cv) {
         waiters.push(ctx.tid);
     }
-    g.threads[ctx.tid].status = Status::WaitingCv { cv, mutex, timed };
-    g.threads[ctx.tid].grant = GrantInfo::default();
+    g.threads[ctx.tid].status = Status::WaitingCv { cv, mutex };
     g.pick_next();
     core.notify_all();
     loop {
@@ -677,21 +604,17 @@ pub(crate) fn yield_cv_wait(ctx: &ExecCtx, cv: usize, mutex: usize, timed: bool)
         }
         g = core.wait(g);
     }
-    let info = g.threads[ctx.tid].grant;
-    drop(g);
-    info
 }
 
 /// Minimal non-blocking state repair for ops performed while unwinding
 /// (guard drops during a panic): apply releases, never park, never throw.
-fn unwind_effect(ctx: &ExecCtx, op: Op) -> GrantInfo {
+fn unwind_effect(ctx: &ExecCtx, op: Op) {
     let mut g = ctx.core.lock();
     if let Op::MutexUnlock(m) = op {
         *g.mutex_holder_mut(m) = None;
     }
     drop(g);
     ctx.core.notify_all();
-    GrantInfo::default()
 }
 
 /// Register a new controlled thread (status `Ready(Start)`): the child's
@@ -700,7 +623,7 @@ fn unwind_effect(ctx: &ExecCtx, op: Op) -> GrantInfo {
 pub(crate) fn register_thread(core: &Arc<CoreShared>, name: String) -> usize {
     let mut g = core.lock();
     let tid = g.threads.len();
-    g.threads.push(TState::new(name, Status::Ready(Op::Start)));
+    g.threads.push(TState { status: Status::Ready(Op::Start), name });
     g.live += 1;
     tid
 }
@@ -709,7 +632,7 @@ pub(crate) fn register_thread(core: &Arc<CoreShared>, name: String) -> usize {
 pub(crate) fn register_root(core: &Arc<CoreShared>) -> usize {
     let mut g = core.lock();
     let tid = g.threads.len();
-    g.threads.push(TState::new("main".to_string(), Status::Running));
+    g.threads.push(TState { status: Status::Running, name: "main".to_string() });
     g.live += 1;
     g.last = tid;
     tid

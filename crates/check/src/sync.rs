@@ -124,23 +124,8 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a `wait_timeout`: mirrors `std::sync::WaitTimeoutResult`
-/// (which has no public constructor, hence the local type).
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait ended by timeout rather than notify.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 /// Condvar shim. Under exploration a `wait` atomically releases the
-/// paired mutex and parks in the scheduler; `wait_timeout` additionally
-/// marks the thread as *stall-escapable* — when every thread is blocked
-/// the scheduler wakes one timed waiter as a timeout instead of
-/// reporting deadlock, mirroring how a real timeout breaks a stall.
+/// paired mutex and parks in the scheduler until a notify picks it.
 pub struct Condvar {
     slot: AtomicU64,
     inner: std::sync::Condvar,
@@ -159,46 +144,6 @@ impl Condvar {
     /// Block until notified; the guard's mutex is released atomically and
     /// reacquired before returning.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        let (g, _) = self.wait_impl(guard, false);
-        Ok(g)
-    }
-
-    /// Block until notified or (modelled) timeout. Under exploration the
-    /// duration is ignored: the timeout fires exactly when the system
-    /// would otherwise stall, which is the schedule-relevant abstraction.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: std::time::Duration,
-    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-        if guard.ctl.is_some() {
-            let (g, timed_out) = self.wait_impl(guard, true);
-            Ok((g, WaitTimeoutResult(timed_out)))
-        } else {
-            let lock = guard.lock;
-            let mut guard = guard;
-            let inner = match guard.inner.take() {
-                Some(g) => g,
-                None => sched::die("wait_timeout on released guard".into()),
-            };
-            std::mem::forget(guard);
-            match self.inner.wait_timeout(inner, dur) {
-                Ok((g, t)) => Ok((
-                    MutexGuard { lock, inner: Some(g), ctl: None },
-                    WaitTimeoutResult(t.timed_out()),
-                )),
-                Err(pe) => {
-                    let (g, t) = pe.into_inner();
-                    Err(PoisonError::new((
-                        MutexGuard { lock, inner: Some(g), ctl: None },
-                        WaitTimeoutResult(t.timed_out()),
-                    )))
-                }
-            }
-        }
-    }
-
-    fn wait_impl<'a, T>(&self, guard: MutexGuard<'a, T>, timed: bool) -> (MutexGuard<'a, T>, bool) {
         let lock = guard.lock;
         let mut guard = guard;
         match guard.ctl.take() {
@@ -212,9 +157,9 @@ impl Condvar {
                 // virtual release happens inside yield_cv_wait).
                 guard.inner.take();
                 std::mem::forget(guard);
-                let info = yield_cv_wait(&ctx, cv, rid_m, timed);
+                yield_cv_wait(&ctx, cv, rid_m);
                 let inner = lock.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                (MutexGuard { lock, inner: Some(inner), ctl: Some(rid_m) }, info.timed_out)
+                Ok(MutexGuard { lock, inner: Some(inner), ctl: Some(rid_m) })
             }
             None => {
                 let inner = match guard.inner.take() {
@@ -223,7 +168,7 @@ impl Condvar {
                 };
                 std::mem::forget(guard);
                 let inner = self.inner.wait(inner).unwrap_or_else(PoisonError::into_inner);
-                (MutexGuard { lock, inner: Some(inner), ctl: None }, false)
+                Ok(MutexGuard { lock, inner: Some(inner), ctl: None })
             }
         }
     }

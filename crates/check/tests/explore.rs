@@ -1,6 +1,6 @@
 //! Exploration engine tests: schedule enumeration, pruning, determinism.
 
-use astro_check::{explore, explore_random, models, CheckConfig, ViolationKind};
+use astro_check::{explore, models, CheckConfig, ViolationKind};
 
 fn cfg() -> CheckConfig {
     CheckConfig::default()
@@ -99,15 +99,6 @@ fn max_schedules_truncates() {
     assert!(report.ok());
     assert!(report.truncated);
     assert_eq!(report.executions(), 1);
-}
-
-#[test]
-fn random_walk_is_deterministic_per_seed() {
-    let a = explore_random(&cfg(), 7, 20, models::counter_model(2));
-    let b = explore_random(&cfg(), 7, 20, models::counter_model(2));
-    assert!(a.ok() && b.ok());
-    assert_eq!(a.schedules, b.schedules);
-    assert_eq!(a.max_steps_seen, b.max_steps_seen);
 }
 
 #[test]

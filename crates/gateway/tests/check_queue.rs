@@ -9,7 +9,11 @@
 //! * no deadlock and no lost wakeup (the checker's built-in guarantees);
 //! * the queue never holds more than `capacity` items;
 //! * a graceful drain delivers every accepted item exactly once, in FIFO
-//!   order per consumer, and every consumer exits.
+//!   order per consumer, and every consumer exits;
+//! * `pop` returns `None` only on a closed, drained queue — a consumer
+//!   woken to an empty, still-open queue (another one took the item)
+//!   waits again instead of exiting;
+//! * a push wakes a consumer parked in `pop` without help from `close`.
 #![cfg(astro_check)]
 
 use astro_check::{explore, CheckConfig};
@@ -19,6 +23,15 @@ use std::sync::Arc;
 
 fn cfg() -> CheckConfig {
     CheckConfig::default()
+}
+
+/// `q.pop()`, asserting that its `None` means closed and drained.
+fn pop(q: &BoundedQueue<u32>) -> Option<u32> {
+    let item = q.pop();
+    if item.is_none() {
+        assert!(matches!(q.try_pop(), Pop::Closed), "pop gave up on an open queue");
+    }
+    item
 }
 
 #[test]
@@ -37,7 +50,7 @@ fn drain_delivers_every_accepted_item_in_order() {
             accepted
         });
         let mut drained: Vec<u32> = Vec::new();
-        while let Some(v) = q.pop() {
+        while let Some(v) = pop(&q) {
             drained.push(v);
         }
         let accepted = producer.join().unwrap_or_else(|_| panic!("producer panicked"));
@@ -74,7 +87,7 @@ fn capacity_is_never_exceeded_and_rejects_hand_items_back() {
         let mut drained = 0u32;
         loop {
             assert!(q.depth() <= 1, "queue depth exceeded capacity");
-            if q.pop().is_none() {
+            if pop(&q).is_none() {
                 break;
             }
             drained += 1;
@@ -98,7 +111,7 @@ fn two_consumers_close_wakes_everyone() {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut got = 0u32;
-                    while q.pop().is_some() {
+                    while pop(&q).is_some() {
                         got += 1;
                     }
                     got
@@ -112,6 +125,24 @@ fn two_consumers_close_wakes_everyone() {
             .map(|c| c.join().unwrap_or_else(|_| panic!("consumer panicked")))
             .sum();
         assert_eq!(total, 1, "the single accepted item must be delivered exactly once");
+    });
+    assert!(report.ok(), "{:?}", report.violation);
+    assert!(!report.truncated);
+}
+
+#[test]
+fn push_wakes_a_parked_consumer() {
+    // No `close` follows the push until the consumer is joined, so only
+    // the push's `notify_one` can wake a consumer parked in `pop`: a push
+    // that forgot it is a reported deadlock.
+    let report = explore(&cfg(), || {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+        let q2 = Arc::clone(&q);
+        let consumer = thread::spawn(move || q2.pop());
+        assert!(q.try_push(7).is_ok());
+        let got = consumer.join().unwrap_or_else(|_| panic!("consumer panicked"));
+        assert_eq!(got, Some(7));
+        q.close();
     });
     assert!(report.ok(), "{:?}", report.violation);
     assert!(!report.truncated);
@@ -136,7 +167,7 @@ fn serving_loop_pop_mix_drains_every_accepted_item_in_order() {
             accepted
         });
         let mut drained: Vec<u32> = Vec::new();
-        'serve: while let Some(first) = q.pop() {
+        'serve: while let Some(first) = pop(&q) {
             drained.push(first);
             loop {
                 match q.try_pop() {
@@ -167,7 +198,7 @@ fn serving_loop(q: &BoundedQueue<u32>, slots: usize) -> Vec<u32> {
     loop {
         while !closed && active.len() < slots {
             let next = if active.is_empty() {
-                q.pop().map_or(Pop::Closed, Pop::Item)
+                pop(q).map_or(Pop::Closed, Pop::Item)
             } else {
                 q.try_pop()
             };

@@ -28,7 +28,7 @@
 //! * [`summary`] — a human-readable end-of-run span/metric summary tree.
 //! * [`lockcheck`] — debug-build **lock-order instrumentation**: ranked
 //!   locks and a thread-local held-lock stack that panics on ordering
-//!   violations, cross-checked statically by `astro-audit locks`.
+//!   violations, its table cross-checked statically by `astro-audit lint`.
 //! * [`sync`] — **swappable sync primitives**: `std` re-exports normally,
 //!   the `astro-check` model-checker shim under `--cfg astro_check`, so
 //!   the serving stack's concurrency protocols can be exhaustively

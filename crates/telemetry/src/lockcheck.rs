@@ -13,9 +13,11 @@
 //! with both lock names; in release builds the whole machinery compiles
 //! to nothing.
 //!
-//! The same table is consumed statically: `astro-audit locks` extracts
-//! the acquisition graph from source and verifies the declared ranks are
-//! acyclic and every `.lock()` site is annotated.
+//! Release builds therefore check nothing at run time; the same table is
+//! also read statically by `astro-audit lint`, which requires every
+//! `.lock()` outside the locking machinery to be ranked, every name it
+//! acquires to have a row, every row to be acquired somewhere, and
+//! lexically nested acquisitions to increase in rank.
 
 /// One declared lock with its rank.
 #[derive(Clone, Copy, Debug)]
@@ -157,10 +159,6 @@ pub use imp::{acquire, held_count, LockToken};
 /// state is simple enough that every critical section leaves it
 /// structurally valid. Keep both returned values alive for the critical
 /// section; the token records the release when dropped.
-///
-/// The static analyzer (`astro-audit locks`) recognises
-/// `lockcheck::lock_ranked("name", ...)` sites exactly like
-/// `lockcheck::acquire("name")` ones.
 pub fn lock_ranked<'a, T>(
     name: &'static str,
     mutex: &'a std::sync::Mutex<T>,

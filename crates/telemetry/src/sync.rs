@@ -9,15 +9,15 @@
 //! `thread` from here instead of `std::sync`.
 //!
 //! The shim types mirror the `std` API surface used in this workspace
-//! (`lock`, `wait`, `wait_timeout`, `notify_one`, `notify_all`,
+//! (`lock`, `wait`, `notify_one`, `notify_all`,
 //! `thread::Builder`/`spawn`/`JoinHandle`), so the only
 //! difference between the two builds is the import path resolved here.
 
 #[cfg(astro_check)]
-pub use astro_check::sync::{thread, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use astro_check::sync::{thread, Condvar, Mutex, MutexGuard};
 
 #[cfg(not(astro_check))]
-pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use std::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(not(astro_check))]
 pub use std::thread;
 
@@ -32,9 +32,9 @@ pub use std::sync::PoisonError;
 /// rank bookkeeping and poison recovery, but for a [`sync::Mutex`](Mutex)
 /// so the acquisition is a scheduling point under `--cfg astro_check`
 /// (where the lock name also labels the resource in counterexample
-/// schedules). The static analyzer (`astro-audit locks`) recognises
-/// `sync::lock_ranked("name", ...)` sites exactly like
-/// `lockcheck::acquire("name")` ones.
+/// schedules). `astro-audit lint` reads the lock name of every
+/// `sync::lock_ranked("name", ...)` site like a `lockcheck::acquire("name")`
+/// one.
 pub fn lock_ranked<'a, T>(
     name: &'static str,
     mutex: &'a Mutex<T>,
@@ -51,25 +51,27 @@ pub fn lock_ranked<'a, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::sync::Arc;
 
     #[test]
     fn mutex_condvar_roundtrip() {
-        let m = Mutex::new(0u32);
-        let cv = Condvar::new();
-        {
-            let mut g = m.lock().unwrap();
-            *g += 1;
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let pair2 = Arc::clone(&pair);
+        let setter = thread::spawn(move || {
+            *pair2.0.lock().unwrap() += 1;
+            pair2.1.notify_one();
+        });
+        let mut g = pair.0.lock().unwrap();
+        while *g == 0 {
+            g = pair.1.wait(g).unwrap();
         }
-        let g = m.lock().unwrap();
-        let (g2, res) = cv.wait_timeout(g, Duration::from_millis(1)).unwrap();
-        assert!(res.timed_out());
-        assert_eq!(*g2, 1);
+        assert_eq!(*g, 1);
+        drop(g);
+        setter.join().unwrap();
     }
 
     #[test]
     fn lock_ranked_recovers_from_poison() {
-        use std::sync::Arc;
         let m = Arc::new(Mutex::new(0u32));
         let m2 = Arc::clone(&m);
         let _ = thread::Builder::new()
