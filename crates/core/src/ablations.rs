@@ -276,11 +276,6 @@ pub fn render_ablation(title: &str, points: &[AblationPoint], secondary_label: O
     out
 }
 
-/// Convenience: which model id the ablations centre on (documentation).
-pub fn ablation_reference_model() -> ModelId {
-    ModelId::AstroLlama3_8bAic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

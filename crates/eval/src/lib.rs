@@ -32,8 +32,8 @@ pub use instruct_method::{
 pub use oracle::FlagshipOracle;
 pub use score::{bootstrap_ci, evaluate, evaluate_checked, EvalFailure, EvalOutcome, Method, Score};
 pub use token_method::{
-    score_job, token_method, token_method_outcomes, token_method_predict, AnswerReadout,
-    TokenEvalConfig, TokenOutcome,
+    pick_option, score_job, token_method, token_method_outcomes, token_method_predict,
+    AnswerReadout, TokenEvalConfig, TokenOutcome,
 };
 
 /// A model under evaluation: parameters plus the tokenizer it was trained

@@ -177,6 +177,20 @@ pub fn token_method_predict(
             }
         }
     }
+    pick_option(&scores)
+}
+
+/// The option a score row picks, with the row padded to four options by
+/// `-inf` (entries past four are ignored). The pick is the lowest index
+/// holding the maximum under strict `>`: ties keep the lower index, a row
+/// of `-inf` picks option 0, and a NaN is never picked unless it is option
+/// 0, which nothing then beats. The serial path, the engine path and the
+/// gateway all pick through here.
+pub fn pick_option(row: &[f32]) -> (usize, [f32; 4]) {
+    let mut scores = [f32::NEG_INFINITY; 4];
+    for (dst, src) in scores.iter_mut().zip(row) {
+        *dst = *src;
+    }
     let mut best = 0;
     for i in 1..4 {
         if scores[i] > scores[best] {
@@ -294,16 +308,7 @@ pub fn token_method_outcomes(
         .into_iter()
         .map(|r| match r {
             Ok(s) => {
-                let mut scores = [f32::NEG_INFINITY; 4];
-                for (dst, src) in scores.iter_mut().zip(s.iter()) {
-                    *dst = *src;
-                }
-                let mut best = 0;
-                for i in 1..4 {
-                    if scores[i] > scores[best] {
-                        best = i;
-                    }
-                }
+                let (best, scores) = pick_option(&s);
                 TokenOutcome {
                     prediction: best,
                     scores,
@@ -341,6 +346,22 @@ mod tests {
     use astro_prng::Rng;
     use astro_tokenizer::{train_bpe, BpeTrainerConfig, Tokenizer};
     use astro_world::{World, WorldConfig};
+
+    #[test]
+    fn pick_option_takes_the_lowest_index_maximum_of_a_padded_row() {
+        let inf = f32::NEG_INFINITY;
+        // Ties keep the lower index.
+        assert_eq!(pick_option(&[1.0, 3.0, 3.0, 2.0]), (1, [1.0, 3.0, 3.0, 2.0]));
+        assert_eq!(pick_option(&[0.5; 4]).0, 0);
+        // Short rows pad with -inf, long rows are cut at four.
+        assert_eq!(pick_option(&[-2.0, -1.0]), (1, [-2.0, -1.0, inf, inf]));
+        assert_eq!(pick_option(&[0.0, 0.0, 0.0, 0.0, 9.0]).0, 0);
+        assert_eq!(pick_option(&[]), (0, [inf; 4]));
+        assert_eq!(pick_option(&[inf, inf, inf, inf]).0, 0);
+        // A NaN loses every comparison: it is picked only as option 0.
+        assert_eq!(pick_option(&[1.0, f32::NAN, 2.0, inf]).0, 2);
+        assert_eq!(pick_option(&[f32::NAN, 1.0, 2.0, 3.0]).0, 0);
+    }
 
     fn setup() -> (Tokenizer, McqDataset) {
         let world = World::generate(3, WorldConfig::small());

@@ -1,12 +1,32 @@
-//! Minimal HTTP/1.1 request parsing and response writing over raw
-//! streams. Deliberately small: one request per connection
-//! (`Connection: close`), `Content-Length` bodies only (any
-//! `Transfer-Encoding`, a second `Content-Length` or a non-digit length
-//! is a 400, so no two parsers can frame one stream differently), ASCII
-//! header names. Exactly what the gateway's JSON API needs and nothing
-//! that would require a dependency.
+//! The HTTP front door both fronts share — the gateway (one per replica)
+//! and the router in front of the replicas.
+//!
+//! * **Wire format.** Minimal HTTP/1.1 request parsing and response
+//!   writing over raw streams: one request per connection
+//!   (`Connection: close`), `Content-Length` bodies only (any
+//!   `Transfer-Encoding`, a second `Content-Length` or a non-digit length
+//!   is a 400, so no two parsers can frame one stream differently), ASCII
+//!   header names. Nothing that would require a dependency.
+//! * **One listener.** [`Listener`] binds, accepts with one thread per
+//!   connection (a panicking handler is caught and counted), stops
+//!   idempotently and waits for open connections to finish.
+//! * **One connection lifecycle.** Each connection's handler reads the
+//!   request under the front's bounds, maps a parse error to its 400 /
+//!   408 / 413 under a `{front}.reject` trace or routes the request under
+//!   a `{front}.{path}` trace, writes the [`Response`] with
+//!   `traceparent`, drains what an early answer left unread, and closes
+//!   the trace. What differs between the fronts is their [`Front`]
+//!   implementation.
 
+use crate::api;
+use astro_telemetry::metrics;
+use astro_telemetry::trace::{self, TraceId};
 use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Cap on the request head (request line + headers) so a hostile client
 /// cannot grow memory by never sending `\r\n\r\n`.
@@ -212,7 +232,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Canonical reason phrase for the status codes the gateway emits.
+/// Canonical reason phrase for the status codes the fronts emit.
 pub fn status_reason(code: u16) -> &'static str {
     match code {
         200 => "OK",
@@ -269,6 +289,235 @@ pub fn drain_unread(stream: &mut std::net::TcpStream) {
             Ok(0) | Err(_) => break,
             Ok(n) => budget = budget.saturating_sub(n),
         }
+    }
+}
+
+/// `Content-Type` of every JSON answer.
+pub const CT_JSON: &str = "application/json";
+
+/// One response, before the connection handler adds `traceparent`.
+#[derive(Debug)]
+pub struct Response {
+    /// HTTP status code.
+    pub status: u16,
+    /// `Content-Type` value: [`CT_JSON`] unless a route says otherwise.
+    pub content_type: &'static str,
+    /// Extra headers, written in order (`Retry-After`, `x-astro-replica`, …).
+    pub headers: Vec<(&'static str, String)>,
+    /// Response body.
+    pub body: String,
+}
+
+impl Response {
+    /// A 200 with a JSON body.
+    pub fn ok(body: String) -> Response {
+        Response { status: 200, content_type: CT_JSON, headers: Vec::new(), body }
+    }
+
+    /// `status` with the JSON error body `{"error": message}`.
+    pub fn error(status: u16, message: &str) -> Response {
+        Response { status, ..Response::ok(api::error_body(message)) }
+    }
+
+    /// [`Response::error`] that tells the client when to come back
+    /// (`Retry-After`, in seconds).
+    pub fn retry(status: u16, after: u64, message: &str) -> Response {
+        let mut resp = Response::error(status, message);
+        resp.headers.push(("Retry-After", after.to_string()));
+        resp
+    }
+}
+
+/// A fault a front injects on a fresh connection, before its request is
+/// read ([`Front::injected_fault`]). The payload is the fault site, which
+/// also names the counter of its injections.
+#[derive(Clone, Copy, Debug)]
+pub enum Injected {
+    /// Drop the connection unanswered; a status-0 `{front}.reject` trace
+    /// marked with the site records the drop.
+    Drop(&'static str),
+    /// Answer exactly like a request read that timed out (408), under a
+    /// `{front}.reject` trace marked with the site.
+    Stall(&'static str),
+}
+
+/// What one HTTP front adds to the shared connection lifecycle: its name,
+/// its read bounds, its routes, and what it does to every answer.
+pub trait Front: Send + Sync + 'static {
+    /// Prefix of the front's metric and trace names: `gateway`, `router`.
+    const NAME: &'static str;
+
+    /// Socket read timeout while a request is read (the slow-client bound).
+    fn read_timeout(&self) -> Duration;
+
+    /// Largest request body accepted; a larger declared one is a 413.
+    fn max_body_bytes(&self) -> usize;
+
+    /// A fault to inject on this connection; none by default.
+    fn injected_fault(&self) -> Option<Injected> {
+        None
+    }
+
+    /// Answer a parsed request. Its trace `tid` is open as
+    /// `{NAME}.{path}`; `peer` is the client's IP address.
+    fn route(&self, req: &Request, peer: &str, tid: TraceId) -> Response;
+
+    /// Every answer, routed (`req` is `Some`) or rejected, passes here just
+    /// before it is written, `elapsed` after its connection was accepted.
+    fn answering(
+        &self,
+        _req: Option<&Request>,
+        _tid: TraceId,
+        _resp: &mut Response,
+        _elapsed: Duration,
+    ) {
+    }
+}
+
+/// Serve one connection of `front`: read one request, answer it, close.
+/// A request that cannot be read is answered 400 / 408 / 413 under a
+/// `{front}.reject` trace (a peer that vanished gets no answer); one that
+/// can is traced as `{front}.{path}` and routed. The response carries the
+/// trace's `traceparent` (trace id + this hop's id), an early answer drains
+/// what the client still sends, and the trace closes with a `write` phase
+/// and the final status: exactly one finished trace per answer.
+fn serve_connection<F: Front>(front: &F, mut stream: TcpStream) {
+    let t_conn = astro_telemetry::elapsed_us();
+    let t0 = Instant::now();
+    // The trace of a request that never parsed: minted id, no remote parent.
+    let reject_trace = || trace::open(&format!("{}.reject", F::NAME), None, t_conn);
+    // An injected fault is counted under its site's name.
+    let stalled = match front.injected_fault() {
+        Some(Injected::Drop(site)) => {
+            metrics::counter(site).add(1);
+            let tid = reject_trace();
+            trace::mark_fault(tid, site);
+            trace::finish(tid, 0);
+            return;
+        }
+        Some(Injected::Stall(site)) => {
+            metrics::counter(site).add(1);
+            Some(site)
+        }
+        None => None,
+    };
+    metrics::counter(&format!("{}.connections", F::NAME)).add(1);
+    let _ = stream.set_read_timeout(Some(front.read_timeout()));
+    let read = match stalled {
+        Some(_) => Err(HttpError::Timeout),
+        None => read_request(&mut stream, front.max_body_bytes()),
+    };
+    let (mut resp, tid, req) = match read {
+        Ok(req) => {
+            let name = format!("{}.{}", F::NAME, req.path);
+            let tid = trace::open(&name, req.header("traceparent"), t_conn);
+            let peer = stream
+                .peer_addr()
+                .map_or_else(|_| "unknown".to_string(), |a| a.ip().to_string());
+            (front.route(&req, &peer, tid), tid, Some(req))
+        }
+        Err(e) => {
+            let (status, message) = match e {
+                HttpError::BadRequest(m) => (400, m),
+                HttpError::PayloadTooLarge { declared, limit } => {
+                    (413, format!("body of {declared} bytes exceeds {limit}"))
+                }
+                HttpError::Timeout => (408, "request read timed out".to_string()),
+                // Peer vanished before sending a request; nothing to answer.
+                HttpError::ConnectionClosed | HttpError::Io(_) => return,
+            };
+            let tid = reject_trace();
+            if let Some(site) = stalled {
+                trace::mark_fault(tid, site);
+            }
+            (Response::error(status, &message), tid, None)
+        }
+    };
+    front.answering(req.as_ref(), tid, &mut resp, t0.elapsed());
+    if let Some(tp) = trace::traceparent(tid) {
+        resp.headers.push(("traceparent", tp));
+    }
+    let headers: Vec<(&str, &str)> = resp.headers.iter().map(|(k, v)| (*k, v.as_str())).collect();
+    let written = write_response(&mut stream, resp.status, resp.content_type, &headers, &resp.body);
+    if written.is_ok() && req.is_none() {
+        drain_unread(&mut stream);
+    }
+    trace::phase_since_last(tid, "write");
+    trace::finish(tid, resp.status);
+}
+
+/// A bound socket whose accept loop serves each connection of one
+/// [`Front`] on a thread of its own. A handler that
+/// panics is caught and counted (`{front}.handler_panics`); the loop keeps
+/// accepting until [`Listener::stop`], which dropping also does.
+pub struct Listener {
+    addr: SocketAddr,
+    stopping: Arc<AtomicBool>,
+    open_conns: Arc<AtomicUsize>,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Bind `bind` (port 0 = ephemeral) and start accepting for `front`.
+    pub fn bind<F: Front>(bind: &str, front: Arc<F>) -> std::io::Result<Listener> {
+        let listener = TcpListener::bind(bind)?;
+        let addr = listener.local_addr()?;
+        let stopping = Arc::new(AtomicBool::new(false));
+        let open_conns = Arc::new(AtomicUsize::new(0));
+        let (stop, open) = (Arc::clone(&stopping), Arc::clone(&open_conns));
+        let acceptor = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                open.fetch_add(1, Ordering::SeqCst);
+                let (front, open) = (Arc::clone(&front), Arc::clone(&open));
+                std::thread::spawn(move || {
+                    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        serve_connection(&*front, stream);
+                    }));
+                    if served.is_err() {
+                        metrics::counter(&format!("{}.handler_panics", F::NAME)).add(1);
+                    }
+                    open.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+        });
+        Ok(Listener { addr, stopping, open_conns, acceptor: Some(acceptor) })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting and join the accept loop; idempotent. Connections
+    /// already accepted are still served.
+    pub fn stop(&mut self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = self.acceptor.take() {
+            // `accept` blocks; poke it with a throwaway connection so the
+            // loop re-checks the flag.
+            let _ = TcpStream::connect(self.addr);
+            let _ = acceptor.join();
+        }
+    }
+
+    /// Wait up to `timeout` for every accepted connection to finish; true
+    /// when none is left open.
+    pub fn wait_idle(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while self.open_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        self.open_conns.load(Ordering::SeqCst) == 0
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 

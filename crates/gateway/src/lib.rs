@@ -15,8 +15,11 @@
 //!
 //! # Architecture
 //!
-//! A thread-per-connection acceptor parses and admits requests, then
-//! pushes them onto a bounded MPMC [`queue::BoundedQueue`]. One thread
+//! Connections come through the front door the gateway shares with the
+//! cluster router, [`http`]: one listener with a handler thread per
+//! connection, one response type, one connection lifecycle. The
+//! gateway's handler parses and admits requests, then pushes them onto
+//! a bounded MPMC [`queue::BoundedQueue`]. One thread
 //! per core runs the serving loop, [`scheduler::run_iter_scheduler`], with
 //! its share of the `max_batch` slots: a request leaves the queue when
 //! the [`astro_serve::IterScheduler`] its loop owns has a free slot, the

@@ -1,18 +1,23 @@
-//! The gateway server: acceptor, connection handlers, admission control,
-//! and graceful drain.
+//! The gateway: admission control, the endpoints, and graceful drain,
+//! served through the shared front door ([`crate::http`]).
 //!
-//! Lifecycle: [`Gateway::spawn`] validates every config layer, binds the
-//! socket, and starts the long-lived threads — the acceptor (one handler
-//! thread per connection) and one serving loop
-//! ([`crate::scheduler::run_iter_scheduler`]) per core, at most one per
-//! `max_batch` slot, each owning its share of the slots and all popping
-//! the one queue over the one engine and prefix cache. Admission
-//! happens in the handler *before* anything reaches the queue: drain
-//! state (503), body bounds (413), JSON schema (400), per-client rate
-//! limit (429 + `Retry-After`), bounded-queue backpressure (503).
+//! Lifecycle: [`Gateway::spawn`] validates every config layer, binds an
+//! [`http::Listener`] (one handler thread per connection) and starts one
+//! serving loop ([`crate::scheduler::run_iter_scheduler`]) per core, at
+//! most one per `max_batch` slot, each owning its share of the slots and
+//! all popping the one queue over the one engine and prefix cache.
+//! Admission happens in the handler *before* anything reaches the queue:
+//! drain state (503), body bounds (413), JSON schema (400), per-client
+//! rate limit (429 + `Retry-After`), bounded-queue backpressure (503).
 //! [`Gateway::shutdown`] stops accepting, waits for in-flight
 //! connections, then closes the queue so every loop flushes the accepted
 //! requests it holds — zero loss on a clean drain.
+//!
+//! What the gateway adds to the shared connection lifecycle is its
+//! [`Front`] implementation: the routes, the `gateway.accept_fail` and
+//! `gateway.slow_client` faults, per-endpoint latency histograms, the
+//! trace splice into 200 JSON bodies, and the `x-astro-replica` /
+//! `x-idempotency-key` headers.
 //!
 //! A handler builds the engine job before the queue push and the response
 //! after a loop hands the engine's result back (token decode, extraction
@@ -21,12 +26,13 @@
 
 use crate::api;
 use crate::config::GatewayConfig;
-use crate::http::{self, HttpError, Request};
+use crate::http::{self, Front, Injected, Request, Response, CT_JSON};
 use crate::limiter::{Admission, RateLimiter};
 use crate::queue::{BoundedQueue, PushError};
 use crate::scheduler::{run_iter_scheduler, Pending, Reply, Work};
 use astro_eval::{
-    extract_answer, generate_job, score_job, EvalModel, InstructEvalConfig, TokenEvalConfig,
+    extract_answer, generate_job, pick_option, score_job, EvalModel, InstructEvalConfig,
+    TokenEvalConfig,
 };
 use astro_mcq::Mcq;
 use astro_model::Params;
@@ -36,8 +42,8 @@ use astro_serve::{EngineConfig, EvalEngine, SeqOutcome};
 use astro_telemetry::trace::{self, TraceId};
 use astro_telemetry::{metrics, span};
 use astro_tokenizer::Tokenizer;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -100,13 +106,10 @@ struct Shared {
     state: GatewayState,
     queue: Arc<BoundedQueue<Pending>>,
     limiter: RateLimiter,
+    /// Refuse new work. `/admin/drain` sets it while the listener keeps
+    /// accepting, so `/healthz` goes on answering probes (the router needs
+    /// to see `"draining"` to rebalance before the process goes away).
     draining: AtomicBool,
-    /// Set only by `shutdown`/`abort`/`Drop`: the acceptor exits. Kept
-    /// separate from `draining` so `/admin/drain` can refuse new work
-    /// while `/healthz` keeps answering probes (the router needs to see
-    /// `"draining"` to rebalance before the process goes away).
-    stopping: AtomicBool,
-    open_conns: AtomicUsize,
     accepted: AtomicU64,
     completed: AtomicU64,
 }
@@ -116,8 +119,7 @@ struct Shared {
 /// still flushed, but in-flight connections are not waited for.
 pub struct Gateway {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    listener: http::Listener,
     schedulers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -134,12 +136,6 @@ impl Gateway {
             .validate()
             .map_err(|e| GatewayError::Config(format!("instruct_config: {e}")))?;
 
-        let listener =
-            TcpListener::bind(&config.bind).map_err(|e| GatewayError::Bind(e.to_string()))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| GatewayError::Bind(e.to_string()))?;
-
         let engine = Arc::new(EvalEngine::new(config.engine, &state.params));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let shared = Arc::new(Shared {
@@ -147,12 +143,12 @@ impl Gateway {
             queue: Arc::clone(&queue),
             state,
             draining: AtomicBool::new(false),
-            stopping: AtomicBool::new(false),
-            open_conns: AtomicUsize::new(0),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             config,
         });
+        let listener = http::Listener::bind(&shared.config.bind, Arc::clone(&shared))
+            .map_err(|e| GatewayError::Bind(e.to_string()))?;
 
         let max_batch = shared.config.max_batch;
         // One serving loop per core — the offline engine's auto shard rule —
@@ -168,21 +164,16 @@ impl Gateway {
             })
             .collect();
 
-        let accept_shared = Arc::clone(&shared);
-        let acceptor = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
-
-        astro_telemetry::info!("gateway: listening on {addr} (serving loops: {loops})");
-        Ok(Gateway {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            schedulers,
-        })
+        astro_telemetry::info!(
+            "gateway: listening on {} (serving loops: {loops})",
+            listener.addr()
+        );
+        Ok(Gateway { shared, listener, schedulers })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Stop accepting, wait up to `drain_timeout` for in-flight
@@ -191,19 +182,11 @@ impl Gateway {
     pub fn shutdown(mut self) -> DrainStats {
         let _span = span!("gateway.drain");
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        self.wake_and_join_acceptor();
-
+        self.listener.stop();
         // Handlers still hold connections; the serving loops are still
         // running, so their queued work completes. Wait for them.
-        let deadline = Instant::now() + self.shared.config.drain_timeout;
-        while self.shared.open_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let conns_done = self.shared.open_conns.load(Ordering::SeqCst) == 0;
-
-        self.shared.queue.close();
-        self.join_schedulers();
+        let conns_done = self.listener.wait_idle(self.shared.config.drain_timeout);
+        self.stop();
         let accepted = self.shared.accepted.load(Ordering::SeqCst);
         let completed = self.shared.completed.load(Ordering::SeqCst);
         let stats = DrainStats {
@@ -223,31 +206,20 @@ impl Gateway {
     /// Hard stop: close the queue immediately and do not wait for
     /// in-flight connections. Buffered requests are still flushed by the
     /// serving loops on their way out; rejected pushes after this point see
-    /// typed `Closed` errors, never a panic.
-    pub fn abort(mut self) {
+    /// typed `Closed` errors, never a panic. Dropping the gateway does the
+    /// same.
+    pub fn abort(self) {
+        drop(self);
+    }
+
+    /// Refuse new work, close the queue and the listener, and join every
+    /// serving loop (idempotent): `queue.close()`'s `notify_all` wakes each
+    /// loop blocked in `pop`; each flushes what it holds and exits.
+    fn stop(&mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.queue.close();
-        self.wake_and_join_acceptor();
-        self.join_schedulers();
-    }
-
-    /// Join every serving loop. Call after `queue.close()`, whose
-    /// `notify_all` wakes each loop blocked in `pop`; each flushes what it
-    /// holds and exits.
-    fn join_schedulers(&mut self) {
+        self.listener.stop();
         for h in self.schedulers.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    fn wake_and_join_acceptor(&mut self) {
-        // `accept` blocks; poke it with a throwaway connection so the
-        // loop re-checks the drain flag.
-        if let Ok(s) = TcpStream::connect(self.addr) {
-            drop(s);
-        }
-        if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
     }
@@ -255,251 +227,101 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        if self.acceptor.is_none() && self.schedulers.is_empty() {
-            return;
-        }
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
-        self.wake_and_join_acceptor();
-        self.join_schedulers();
+        self.stop();
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stopping.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if fault::should_fault("gateway.accept_fail") {
-            // Injected accept failure: the connection is dropped before a
-            // handler exists. The client sees a reset and may retry; the
-            // server keeps serving. The dropped connection still leaves a
-            // fault-marked trace (status 0) so the fault is attributable.
-            metrics::counter("gateway.accept_fail").add(1);
-            let tid = trace::open("gateway.reject", None, astro_telemetry::elapsed_us());
-            trace::mark_fault(tid, "gateway.accept_fail");
-            trace::finish(tid, 0);
-            drop(stream);
-            continue;
-        }
-        shared.open_conns.fetch_add(1, Ordering::SeqCst);
-        let conn_shared = Arc::clone(shared);
-        std::thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                serve_connection(&conn_shared, stream);
-            }));
-            if result.is_err() {
-                metrics::counter("gateway.handler_panics").add(1);
-            }
-            conn_shared.open_conns.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-}
-
-const CT_JSON: &str = "application/json";
 /// Prometheus text exposition content type (satellite of `/metricsz`).
 const CT_PROMETHEUS: &str = "text/plain; version=0.0.4";
 
-struct HttpReply {
-    status: u16,
-    retry_after: Option<u64>,
-    content_type: &'static str,
-    body: String,
-}
+impl Front for Shared {
+    const NAME: &'static str = "gateway";
 
-impl HttpReply {
-    fn ok(body: String) -> HttpReply {
-        HttpReply {
-            status: 200,
-            retry_after: None,
-            content_type: CT_JSON,
-            body,
+    fn read_timeout(&self) -> Duration {
+        self.config.read_timeout
+    }
+
+    fn max_body_bytes(&self) -> usize {
+        self.config.max_body_bytes
+    }
+
+    /// An accept failure drops the connection before it is read (the client
+    /// sees a reset and may retry); a slow client stalls mid-request.
+    fn injected_fault(&self) -> Option<Injected> {
+        if fault::should_fault("gateway.accept_fail") {
+            Some(Injected::Drop("gateway.accept_fail"))
+        } else if fault::should_fault("gateway.slow_client") {
+            Some(Injected::Stall("gateway.slow_client"))
+        } else {
+            None
         }
     }
 
-    fn ok_prometheus(body: String) -> HttpReply {
-        HttpReply {
-            status: 200,
-            retry_after: None,
-            content_type: CT_PROMETHEUS,
-            body,
+    fn route(&self, req: &Request, peer: &str, tid: TraceId) -> Response {
+        match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => Response::ok(health_reply(self)),
+            ("GET", "/metricsz") if req.query_param_is("format", "prometheus") => Response {
+                content_type: CT_PROMETHEUS,
+                ..Response::ok(api::prometheus_body(&metrics::snapshot()))
+            },
+            ("GET", "/metricsz") => Response::ok(api::metrics_body(&metrics::snapshot())),
+            ("POST", "/v1/score") => handle_score(self, req, peer, tid),
+            ("POST", "/v1/generate") => handle_generate(self, req, peer, tid),
+            // Portable stand-in for SIGTERM (the workspace is std-only, so
+            // there is no signal handler to install): flip the drain flag.
+            // New work gets 503 + Retry-After from here on; queued work
+            // still completes and `/healthz` reports `"draining"` so a
+            // router takes this replica out of its ring before `shutdown`.
+            ("POST", "/admin/drain") => {
+                self.draining.store(true, Ordering::SeqCst);
+                metrics::counter("gateway.drain_requests").add(1);
+                Response::ok(health_reply(self))
+            }
+            (_, "/healthz" | "/metricsz" | "/v1/score" | "/v1/generate" | "/admin/drain") => {
+                Response::error(405, &format!("method {} not allowed here", req.method))
+            }
+            (_, path) => Response::error(404, &format!("no route for {path}")),
         }
     }
 
-    fn error(status: u16, message: &str) -> HttpReply {
-        HttpReply {
-            status,
-            retry_after: None,
-            content_type: CT_JSON,
-            body: api::error_body(message),
-        }
-    }
-
-    fn retry(status: u16, after: u64, message: &str) -> HttpReply {
-        HttpReply {
-            status,
-            retry_after: Some(after),
-            content_type: CT_JSON,
-            body: api::error_body(message),
-        }
-    }
-}
-
-/// The fixed endpoint set that gets per-endpoint latency histograms —
-/// arbitrary 404 paths must not mint unbounded metric names.
-fn endpoint_histogram_name(path: &str) -> Option<&'static str> {
-    match path {
-        "/healthz" => Some("gateway.endpoint./healthz.us"),
-        "/metricsz" => Some("gateway.endpoint./metricsz.us"),
-        "/v1/score" => Some("gateway.endpoint./v1/score.us"),
-        "/v1/generate" => Some("gateway.endpoint./v1/generate.us"),
-        _ => None,
-    }
-}
-
-/// Handle one connection: parse, route, answer, close. Every request
-/// that reaches this handler leaves exactly one finished trace: its
-/// `recv` phase anchors at connection accept, the trace closes after the
-/// response bytes are written (`write` phase), and the final HTTP status
-/// becomes the trace status.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    let t_conn = astro_telemetry::elapsed_us();
-    let t0 = Instant::now();
-    // The trace of a request that never parsed: minted id, no remote parent.
-    let reject_trace = || trace::open("gateway.reject", None, t_conn);
-    metrics::counter("gateway.connections").add(1);
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    if fault::should_fault("gateway.slow_client") {
-        // Injected slow client: treat the connection as having stalled
-        // mid-request and answer exactly like a real read timeout.
-        metrics::counter("gateway.slow_client").add(1);
-        let tid = reject_trace();
-        trace::mark_fault(tid, "gateway.slow_client");
-        let reply = HttpReply::error(408, "request read timed out");
-        write_reply(&mut stream, &reply, true, tid, &shared.config.replica_name, None);
-        return;
-    }
-    let peer = match stream.peer_addr() {
-        Ok(a) => a.ip().to_string(),
-        Err(_) => "unknown".to_string(),
-    };
-    let mut idempotency_key: Option<String> = None;
-    let (mut reply, request_fully_read, tid) =
-        match http::read_request(&mut stream, shared.config.max_body_bytes) {
-            Ok(req) => {
-                let name = format!("gateway.{}", req.path);
-                let tid = trace::open(&name, req.header("traceparent"), t_conn);
+    fn answering(
+        &self,
+        req: Option<&Request>,
+        tid: TraceId,
+        resp: &mut Response,
+        elapsed: Duration,
+    ) {
+        let us = elapsed.as_micros() as f64;
+        match req {
+            Some(req) => {
+                // The fixed endpoint set: arbitrary 404 paths must not mint
+                // unbounded metric names.
+                let path = req.path.as_str();
+                if matches!(path, "/healthz" | "/metricsz" | "/v1/score" | "/v1/generate") {
+                    metrics::histogram(&format!("gateway.endpoint.{path}.us")).observe(us);
+                }
                 // Echo the router's idempotency key so a re-dispatched
                 // request's response is attributable to its original.
-                idempotency_key = req.header("x-idempotency-key").map(str::to_string);
-                let reply = route(shared, &req, &peer, tid);
-                if let Some(name) = endpoint_histogram_name(&req.path) {
-                    metrics::histogram(name).observe(t0.elapsed().as_micros() as f64);
+                if let Some(key) = req.header("x-idempotency-key") {
+                    resp.headers.push(("x-idempotency-key", key.to_string()));
                 }
-                (reply, true, tid)
             }
-            Err(HttpError::BadRequest(m)) => (HttpReply::error(400, &m), false, reject_trace()),
-            Err(HttpError::PayloadTooLarge { declared, limit }) => {
-                metrics::counter("gateway.oversized").add(1);
-                (
-                    HttpReply::error(413, &format!("body of {declared} bytes exceeds {limit}")),
-                    false,
-                    reject_trace(),
-                )
-            }
-            Err(HttpError::Timeout) => {
-                (HttpReply::error(408, "request read timed out"), false, reject_trace())
-            }
-            // Peer vanished before sending a request; nothing to answer.
-            Err(HttpError::ConnectionClosed) | Err(HttpError::Io(_)) => return,
-        };
-    // Successful JSON responses carry their own phase breakdown (the
-    // snapshot runs before the `write` phase, so `write` appears only in
-    // the sink/ring record, never the body).
-    if reply.status == 200 && reply.content_type == CT_JSON {
-        if let Some(rec) = trace::inflight_snapshot(tid) {
-            reply.body = api::body_with_trace(&reply.body, &rec);
+            // No route answers 413: this is the parser's bound.
+            None if resp.status == 413 => metrics::counter("gateway.oversized").add(1),
+            None => {}
         }
-    }
-    metrics::histogram("gateway.request_us").observe(t0.elapsed().as_micros() as f64);
-    write_reply(
-        &mut stream,
-        &reply,
-        !request_fully_read,
-        tid,
-        &shared.config.replica_name,
-        idempotency_key.as_deref(),
-    );
-}
-
-/// Write a response carrying the trace's `traceparent` (trace id + this
-/// hop's id) and close the trace: `write` phase, final status. When the
-/// request was *not* fully consumed (early rejection), the leftover bytes
-/// are drained before the socket closes ([`http::drain_unread`]).
-fn write_reply(
-    stream: &mut TcpStream,
-    reply: &HttpReply,
-    drain_unread: bool,
-    tid: TraceId,
-    replica: &str,
-    idempotency_key: Option<&str>,
-) {
-    let retry_value;
-    let traceparent = trace::traceparent(tid);
-    let mut headers: Vec<(&str, &str)> = Vec::new();
-    if let Some(after) = reply.retry_after {
-        retry_value = after.to_string();
-        headers.push(("Retry-After", &retry_value));
-    }
-    if let Some(tp) = &traceparent {
-        headers.push(("traceparent", tp));
-    }
-    if !replica.is_empty() {
-        headers.push(("x-astro-replica", replica));
-    }
-    if let Some(key) = idempotency_key {
-        headers.push(("x-idempotency-key", key));
-    }
-    let written =
-        http::write_response(stream, reply.status, reply.content_type, &headers, &reply.body);
-    if written.is_ok() && drain_unread {
-        http::drain_unread(stream);
-    }
-    trace::phase_since_last(tid, "write");
-    trace::finish(tid, reply.status);
-}
-
-fn route(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> HttpReply {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => HttpReply::ok(health_reply(shared)),
-        ("GET", "/metricsz") => {
-            if req.query_param_is("format", "prometheus") {
-                HttpReply::ok_prometheus(api::prometheus_body(&metrics::snapshot()))
-            } else {
-                HttpReply::ok(api::metrics_body(&metrics::snapshot()))
+        // Successful JSON responses carry their own phase breakdown (the
+        // snapshot runs before the `write` phase, so `write` appears only in
+        // the sink/ring record, never the body).
+        if resp.status == 200 && resp.content_type == CT_JSON {
+            if let Some(rec) = trace::inflight_snapshot(tid) {
+                resp.body = api::body_with_trace(&resp.body, &rec);
             }
         }
-        ("POST", "/v1/score") => handle_score(shared, req, peer, tid),
-        ("POST", "/v1/generate") => handle_generate(shared, req, peer, tid),
-        // Portable stand-in for SIGTERM (the workspace is std-only, so
-        // there is no signal handler to install): flip the drain flag.
-        // New work gets 503 + Retry-After from here on; queued work
-        // still completes and `/healthz` reports `"draining"` so a
-        // router takes this replica out of its ring before `shutdown`.
-        ("POST", "/admin/drain") => {
-            shared.draining.store(true, Ordering::SeqCst);
-            metrics::counter("gateway.drain_requests").add(1);
-            HttpReply::ok(health_reply(shared))
+        metrics::histogram("gateway.request_us").observe(us);
+        if !self.config.replica_name.is_empty() {
+            resp.headers.push(("x-astro-replica", self.config.replica_name.clone()));
         }
-        (_, "/healthz" | "/metricsz" | "/v1/score" | "/v1/generate" | "/admin/drain") => {
-            HttpReply::error(405, &format!("method {} not allowed here", req.method))
-        }
-        (_, path) => HttpReply::error(404, &format!("no route for {path}")),
     }
 }
 
@@ -520,19 +342,18 @@ fn health_reply(shared: &Shared) -> String {
     )
 }
 
-fn body_utf8(req: &Request) -> Result<&str, HttpReply> {
+/// The body, as UTF-8, through `parse`; a 400 when either fails.
+fn parse_body<T>(req: &Request, parse: fn(&str) -> Result<T, String>) -> Result<T, Response> {
     std::str::from_utf8(&req.body)
-        .map_err(|_| HttpReply::error(400, "request body is not UTF-8"))
+        .map_err(|_| "request body is not UTF-8".to_string())
+        .and_then(parse)
+        .map_err(|m| Response::error(400, &m))
 }
 
-fn handle_score(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> HttpReply {
-    let body = match body_utf8(req) {
-        Ok(b) => b,
-        Err(reply) => return reply,
-    };
-    let parsed = match api::ScoreRequest::parse(body) {
+fn handle_score(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> Response {
+    let parsed = match parse_body(req, api::ScoreRequest::parse) {
         Ok(p) => p,
-        Err(m) => return HttpReply::error(400, &m),
+        Err(resp) => return resp,
     };
     let model = EvalModel {
         params: &shared.state.params,
@@ -543,33 +364,18 @@ fn handle_score(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> Htt
     let client = parsed.client.as_deref().unwrap_or(peer).to_string();
     admit_and_run(shared, Work::Score(job), &client, tid, |outcome| match outcome {
         SeqOutcome::Scores(s) => {
-            let mut scores = [f32::NEG_INFINITY; 4];
-            for (dst, src) in scores.iter_mut().zip(s.iter()) {
-                *dst = *src;
-            }
-            // Ties resolve to the lowest index, matching
-            // `token_method_outcomes`.
-            let mut best = 0;
-            for i in 1..4 {
-                if scores[i] > scores[best] {
-                    best = i;
-                }
-            }
-            HttpReply::ok(api::score_body(&scores, best))
+            let (best, scores) = pick_option(&s);
+            Response::ok(api::score_body(&scores, best))
         }
         // A score job cannot retire with tokens; degrade per-request.
-        SeqOutcome::Tokens(_) => HttpReply::error(500, "engine returned tokens for a score job"),
+        SeqOutcome::Tokens(_) => Response::error(500, "engine returned tokens for a score job"),
     })
 }
 
-fn handle_generate(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> HttpReply {
-    let body = match body_utf8(req) {
-        Ok(b) => b,
-        Err(reply) => return reply,
-    };
-    let parsed = match api::GenerateRequest::parse(body) {
+fn handle_generate(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> Response {
+    let parsed = match parse_body(req, api::GenerateRequest::parse) {
         Ok(p) => p,
-        Err(m) => return HttpReply::error(400, &m),
+        Err(resp) => return resp,
     };
     let model = EvalModel {
         params: &shared.state.params,
@@ -587,9 +393,9 @@ fn handle_generate(shared: &Shared, req: &Request, peer: &str, tid: TraceId) -> 
         SeqOutcome::Tokens(tokens) => {
             let raw = shared.state.tokenizer.decode(&tokens);
             let (prediction, stage) = extract_answer(&raw, &parsed.options);
-            HttpReply::ok(api::generate_body(prediction, stage, &raw))
+            Response::ok(api::generate_body(prediction, stage, &raw))
         }
-        SeqOutcome::Scores(_) => HttpReply::error(500, "engine returned scores for a generate job"),
+        SeqOutcome::Scores(_) => Response::error(500, "engine returned scores for a generate job"),
     })
 }
 
@@ -604,15 +410,15 @@ fn admit_and_run(
     work: Work,
     client: &str,
     tid: TraceId,
-    render: impl FnOnce(SeqOutcome) -> HttpReply,
-) -> HttpReply {
+    render: impl FnOnce(SeqOutcome) -> Response,
+) -> Response {
     trace::phase_since_last(tid, "build");
     if shared.draining.load(Ordering::SeqCst) {
-        return HttpReply::retry(503, 1, "server is draining");
+        return Response::retry(503, 1, "server is draining");
     }
     if let Admission::RetryAfter(secs) = shared.limiter.admit(client) {
         metrics::counter("gateway.rate_limited").add(1);
-        return HttpReply::retry(429, secs, &format!("rate limit exceeded for {client:?}"));
+        return Response::retry(429, secs, &format!("rate limit exceeded for {client:?}"));
     }
     let (tx, rx) = mpsc::channel();
     let now = Instant::now();
@@ -627,9 +433,9 @@ fn admit_and_run(
         Ok(depth) => metrics::gauge("gateway.queue_depth").set(depth as i64),
         Err(PushError::Full(_)) => {
             metrics::counter("gateway.backpressure").add(1);
-            return HttpReply::retry(503, 1, "request queue is full");
+            return Response::retry(503, 1, "request queue is full");
         }
-        Err(PushError::Closed(_)) => return HttpReply::retry(503, 1, "server is draining"),
+        Err(PushError::Closed(_)) => return Response::retry(503, 1, "server is draining"),
     }
     shared.accepted.fetch_add(1, Ordering::SeqCst);
     match rx.recv_timeout(shared.config.deadline) {
@@ -638,8 +444,8 @@ fn admit_and_run(
             trace::phase_since_last(tid, "sync");
             let reply = match reply {
                 Reply::Done(Ok(outcome)) => render(outcome),
-                Reply::Done(Err(e)) => HttpReply::error(500, &e.to_string()),
-                Reply::Expired => HttpReply::error(504, "deadline expired before execution"),
+                Reply::Done(Err(e)) => Response::error(500, &e.to_string()),
+                Reply::Expired => Response::error(504, "deadline expired before execution"),
             };
             trace::phase_since_last(tid, "extract");
             reply
@@ -647,12 +453,12 @@ fn admit_and_run(
         Err(mpsc::RecvTimeoutError::Timeout) => {
             metrics::counter("gateway.deadline_timeouts").add(1);
             trace::mark_deadline(tid);
-            HttpReply::error(504, "deadline expired waiting for the scheduler")
+            Response::error(504, "deadline expired waiting for the scheduler")
         }
         // A serving loop only stops when the gateway is draining; tell
         // the client when to come back like every other drain 503.
         Err(mpsc::RecvTimeoutError::Disconnected) => {
-            HttpReply::retry(503, 1, "scheduler stopped before answering")
+            Response::retry(503, 1, "scheduler stopped before answering")
         }
     }
 }

@@ -91,12 +91,6 @@ impl Rng {
         self.core.next_u64()
     }
 
-    /// Next raw 32-bit value (upper half of the 64-bit output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.core.next_u64() >> 32) as u32
-    }
-
     /// Uniform f64 in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {

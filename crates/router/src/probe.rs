@@ -1,8 +1,9 @@
 //! Replica health probing: the hysteresis state machine.
 //!
-//! The prober thread polls every replica's `/healthz` (and `/metricsz`
-//! occupancy) on a fixed interval with a per-probe deadline, and folds
-//! each outcome into a per-replica state machine with hysteresis:
+//! The prober thread polls every replica's `/healthz` (its drain state,
+//! queue depth and occupancy) on a fixed interval with a per-probe
+//! deadline, and folds each outcome into a per-replica state machine with
+//! hysteresis:
 //!
 //! ```text
 //!            probe ok ×revive_successes

@@ -1,7 +1,9 @@
-//! The router front-end: accepts client connections, derives a
-//! prefix-affinity ring key per request, forwards to the owning replica,
-//! and fails over with bounded jittered retries when a replica dies,
-//! hangs, drains, or resets mid-exchange.
+//! The router front-end: derives a prefix-affinity ring key per request,
+//! forwards to the owning replica, and fails over with bounded jittered
+//! retries when a replica dies, hangs, drains, or resets mid-exchange.
+//! Client connections come through the same front door as the gateway's
+//! ([`astro_gateway::http`]): the router's [`Front`] implementation is its
+//! routes and the `completed` count of final answers.
 //!
 //! ## Zero-loss contract
 //!
@@ -30,14 +32,14 @@ use crate::probe::{parse_health, ProbeConfig, ReplicaStatus};
 use crate::ring::Ring;
 use astro_gateway::api::{self, GenerateRequest, ScoreRequest};
 use astro_gateway::client::{self, HttpResponse};
-use astro_gateway::http::{self, HttpError, Request};
+use astro_gateway::http::{self, Front, Request, Response, CT_JSON};
 use astro_resilience::{fault, RetryPolicy};
 use astro_telemetry::event::write_json_string;
 use astro_telemetry::sync::{self, Mutex};
 use astro_telemetry::trace::{self, TraceId};
 use astro_telemetry::metrics;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,8 +175,6 @@ struct Core {
     /// Requests between parse and final reply.
     inflight: AtomicUsize,
     crash_hook: Mutex<Option<CrashHook>>,
-    stopping: AtomicBool,
-    open_conns: AtomicUsize,
     next_request: AtomicU64,
     forwarded: AtomicU64,
     completed: AtomicU64,
@@ -188,8 +188,7 @@ struct Core {
 /// in-flight connections.
 pub struct Router {
     core: Arc<Core>,
-    addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    listener: http::Listener,
     prober: Option<std::thread::JoinHandle<()>>,
     /// Dropping it disconnects the prober's channel, which ends its
     /// interval sleep at once.
@@ -197,7 +196,7 @@ pub struct Router {
 }
 
 impl Router {
-    /// Validate, bind, and start the acceptor + prober threads. All
+    /// Validate, bind, and start the listener + prober threads. All
     /// replicas start as ring members; the prober adjusts membership
     /// from its first round.
     pub fn spawn(config: RouterConfig, replicas: Vec<ReplicaSpec>) -> Result<Router, RouterError> {
@@ -205,10 +204,6 @@ impl Router {
         if replicas.is_empty() {
             return Err(RouterError::NoReplicas);
         }
-        let listener =
-            TcpListener::bind(&config.bind).map_err(|e| RouterError::Bind(e.to_string()))?;
-        let addr = listener.local_addr().map_err(|e| RouterError::Bind(e.to_string()))?;
-
         let mut ring = Ring::new(config.vnodes);
         for id in 0..replicas.len() {
             ring.insert(id as u32);
@@ -220,8 +215,6 @@ impl Router {
             ring_state: Mutex::new(RingState { ring, keyer: AffinityKeyer::new(), status }),
             inflight: AtomicUsize::new(0),
             crash_hook: Mutex::new(None),
-            stopping: AtomicBool::new(false),
-            open_conns: AtomicUsize::new(0),
             next_request: AtomicU64::new(1),
             forwarded: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -230,8 +223,8 @@ impl Router {
             lost: AtomicU64::new(0),
         });
 
-        let accept_core = Arc::clone(&core);
-        let acceptor = std::thread::spawn(move || accept_loop(&listener, &accept_core));
+        let listener = http::Listener::bind(&core.config.bind, Arc::clone(&core))
+            .map_err(|e| RouterError::Bind(e.to_string()))?;
         let probe_core = Arc::clone(&core);
         let (stop, stopped) = mpsc::channel::<()>();
         let prober = std::thread::spawn(move || {
@@ -241,13 +234,13 @@ impl Router {
             }
         });
 
-        astro_telemetry::info!("router: listening on {addr}");
-        Ok(Router { core, addr, acceptor: Some(acceptor), prober: Some(prober), stop: Some(stop) })
+        astro_telemetry::info!("router: listening on {}", listener.addr());
+        Ok(Router { core, listener, prober: Some(prober), stop: Some(stop) })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Install the `replica.crash` trigger: called with the replica id
@@ -276,16 +269,11 @@ impl Router {
         state.status.clone()
     }
 
-    /// Stop the prober and the acceptor, wait for in-flight connections
+    /// Stop the prober and the listener, wait for in-flight connections
     /// (bounded by the forward timeout), and report lifetime counters.
     pub fn shutdown(mut self) -> RouterStats {
         self.stop_threads();
-        let deadline = std::time::Instant::now() + self.core.config.forward_timeout;
-        while self.core.open_conns.load(Ordering::SeqCst) > 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.listener.wait_idle(self.core.config.forward_timeout);
         let stats = self.stats();
         astro_telemetry::info!(
             "router: shutdown forwarded={} completed={} failovers={} redispatches={} lost={}",
@@ -309,19 +297,10 @@ impl Router {
         }
     }
 
-    /// Stop and join the acceptor and the prober (idempotent).
+    /// Stop the listener and the prober, and join the prober (idempotent).
     fn stop_threads(&mut self) {
-        if self.acceptor.is_none() && self.prober.is_none() {
-            return;
-        }
-        self.core.stopping.store(true, Ordering::SeqCst);
         self.stop = None;
-        if let Ok(s) = TcpStream::connect(self.addr) {
-            drop(s);
-        }
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        self.listener.stop();
         if let Some(h) = self.prober.take() {
             let _ = h.join();
         }
@@ -334,110 +313,42 @@ impl Drop for Router {
     }
 }
 
-fn accept_loop(listener: &TcpListener, core: &Arc<Core>) {
-    for stream in listener.incoming() {
-        if core.stopping.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        core.open_conns.fetch_add(1, Ordering::SeqCst);
-        let conn_core = Arc::clone(core);
-        std::thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                serve_connection(&conn_core, stream);
-            }));
-            if result.is_err() {
-                metrics::counter("router.handler_panics").add(1);
+impl Front for Core {
+    const NAME: &'static str = "router";
+
+    fn read_timeout(&self) -> Duration {
+        self.config.read_timeout
+    }
+
+    fn max_body_bytes(&self) -> usize {
+        self.config.max_body_bytes
+    }
+
+    fn route(&self, req: &Request, _peer: &str, tid: TraceId) -> Response {
+        match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => Response::ok(status_body(self)),
+            ("GET", "/metricsz") => Response::ok(api::metrics_body(&metrics::snapshot())),
+            ("POST", "/v1/score") => forward_request(self, req, "/v1/score", tid),
+            ("POST", "/v1/generate") => forward_request(self, req, "/v1/generate", tid),
+            (_, "/healthz" | "/metricsz" | "/v1/score" | "/v1/generate") => {
+                Response::error(405, &format!("method {} not allowed here", req.method))
             }
-            conn_core.open_conns.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-}
-
-const CT_JSON: &str = "application/json";
-
-struct Reply {
-    status: u16,
-    body: String,
-    /// Pass-through headers from the winning replica response.
-    headers: Vec<(String, String)>,
-}
-
-impl Reply {
-    fn error(status: u16, message: &str) -> Reply {
-        Reply { status, body: api::error_body(message), headers: Vec::new() }
-    }
-
-    fn retry(status: u16, after: u64, message: &str) -> Reply {
-        Reply {
-            status,
-            body: api::error_body(message),
-            headers: vec![("Retry-After".to_string(), after.to_string())],
+            (_, path) => Response::error(404, &format!("no route for {path}")),
         }
     }
-}
 
-/// Handle one client connection: parse, route/forward, answer, close.
-/// Like the gateway's handler, every answered request leaves one finished
-/// trace (a client's `traceparent` is adopted, the response carries this
-/// hop's), and an early rejection drains what the client still sends
-/// before the socket closes.
-fn serve_connection(core: &Core, mut stream: TcpStream) {
-    let t_conn = astro_telemetry::elapsed_us();
-    metrics::counter("router.connections").add(1);
-    let _ = stream.set_read_timeout(Some(core.config.read_timeout));
-    let reject = |status: u16, message: &str| {
-        (Reply::error(status, message), trace::open("router.reject", None, t_conn), false)
-    };
-    let (reply, tid, request_fully_read) =
-        match http::read_request(&mut stream, core.config.max_body_bytes) {
-            Ok(req) => {
-                let name = format!("router.{}", req.path);
-                let tid = trace::open(&name, req.header("traceparent"), t_conn);
-                (route(core, &req, tid), tid, true)
-            }
-            Err(HttpError::BadRequest(m)) => reject(400, &m),
-            Err(HttpError::PayloadTooLarge { declared, limit }) => {
-                reject(413, &format!("body of {declared} bytes exceeds {limit}"))
-            }
-            Err(HttpError::Timeout) => reject(408, "request read timed out"),
-            Err(HttpError::ConnectionClosed) | Err(HttpError::Io(_)) => return,
-        };
-    let traceparent = trace::traceparent(tid);
-    let mut header_pairs: Vec<(&str, &str)> =
-        reply.headers.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-    if let Some(tp) = &traceparent {
-        header_pairs.push(("traceparent", tp));
-    }
-    let written =
-        http::write_response(&mut stream, reply.status, CT_JSON, &header_pairs, &reply.body);
-    if written.is_ok() && !request_fully_read {
-        http::drain_unread(&mut stream);
-    }
-    trace::phase_since_last(tid, "write");
-    trace::finish(tid, reply.status);
-    if reply.status < 500 || reply.status == 503 {
-        core.completed.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-fn route(core: &Core, req: &Request, tid: TraceId) -> Reply {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Reply { status: 200, body: status_body(core), headers: Vec::new() },
-        ("GET", "/metricsz") => Reply {
-            status: 200,
-            body: api::metrics_body(&metrics::snapshot()),
-            headers: Vec::new(),
-        },
-        ("POST", "/v1/score") => forward_request(core, req, "/v1/score", tid),
-        ("POST", "/v1/generate") => forward_request(core, req, "/v1/generate", tid),
-        (_, "/healthz" | "/metricsz" | "/v1/score" | "/v1/generate") => {
-            Reply::error(405, &format!("method {} not allowed here", req.method))
+    /// Count every final answer: all but a 5xx the router gave up with
+    /// (503 is a typed "come back later", and counts).
+    fn answering(
+        &self,
+        _req: Option<&Request>,
+        _tid: TraceId,
+        resp: &mut Response,
+        _elapsed: Duration,
+    ) {
+        if resp.status < 500 || resp.status == 503 {
+            self.completed.fetch_add(1, Ordering::SeqCst);
         }
-        (_, path) => Reply::error(404, &format!("no route for {path}")),
     }
 }
 
@@ -467,14 +378,14 @@ enum ForwardFailure {
     MaybeAccepted(String),
 }
 
-fn forward_request(core: &Core, req: &Request, path: &str, tid: TraceId) -> Reply {
+fn forward_request(core: &Core, req: &Request, path: &str, tid: TraceId) -> Response {
     let body = match std::str::from_utf8(&req.body) {
         Ok(b) => b,
-        Err(_) => return Reply::error(400, "request body is not UTF-8"),
+        Err(_) => return Response::error(400, "request body is not UTF-8"),
     };
     let (group, question) = match affinity_inputs(path, body) {
         Ok(v) => v,
-        Err(m) => return Reply::error(400, &m),
+        Err(m) => return Response::error(400, &m),
     };
 
     // Ring key + initial preference list under one lock hold.
@@ -498,7 +409,7 @@ fn forward_with_retries(
     key: u64,
     idem_key: &str,
     tid: TraceId,
-) -> Reply {
+) -> Response {
     let attempts = core.config.retry.max_attempts.max(1);
     let mut tried: Vec<u32> = Vec::new();
     let mut redispatched = false;
@@ -569,7 +480,7 @@ fn forward_with_retries(
                     // The re-dispatch budget is one; give up loudly.
                     core.lost.fetch_add(1, Ordering::SeqCst);
                     metrics::counter("router.lost").add(1);
-                    return Reply::error(
+                    return Response::error(
                         502,
                         &format!("request lost after one re-dispatch: {last_error}"),
                     );
@@ -586,7 +497,7 @@ fn forward_with_retries(
             ));
         }
     }
-    Reply::retry(503, 1, &format!("no replica could serve the request: {last_error}"))
+    Response::retry(503, 1, &format!("no replica could serve the request: {last_error}"))
 }
 
 /// One forward attempt with the hang/reset fault hooks applied.
@@ -644,9 +555,9 @@ fn evict_refused(core: &Core, id: u32) {
     }
 }
 
-/// Run one probe round: `/healthz` (+ `/metricsz` cross-check) per
-/// replica with the probe deadline, fold outcomes into the hysteresis
-/// state machines, and sync ring membership.
+/// Run one probe round: `/healthz` per replica with the probe deadline
+/// (the body carries that replica's own queue depth and occupancy), fold
+/// outcomes into the hysteresis state machines, and sync ring membership.
 fn probe_once(core: &Core) {
     let cfg = &core.config.probe;
     for (i, spec) in core.replicas.iter().enumerate() {
@@ -662,24 +573,11 @@ fn probe_once(core: &Core) {
                 }
             })
         };
-        // Secondary occupancy poll: /metricsz proves the full metrics
-        // path end-to-end and cross-checks the queue-depth gauge.
-        let metrics_depth = probed.is_ok().then(|| {
-            client::get(spec.addr, "/metricsz", cfg.timeout)
-                .ok()
-                .filter(|r| r.status == 200)
-                .and_then(|r| gauge_value(&r.body, "gateway.queue_depth"))
-        });
 
         let (_order, mut state) = sync::lock_ranked("router.ring", &core.ring_state);
         let id = i as u32;
         let health = match probed {
-            Ok(mut probe) => {
-                if let Some(Some(depth)) = metrics_depth {
-                    probe.queue_depth = probe.queue_depth.max(depth);
-                }
-                state.status[i].note_success(cfg, probe)
-            }
+            Ok(probe) => state.status[i].note_success(cfg, probe),
             Err(_) => state.status[i].note_failure(cfg),
         };
         let in_ring = state.ring.contains(id);
@@ -695,27 +593,16 @@ fn probe_once(core: &Core) {
     metrics::counter("router.probe_rounds").add(1);
 }
 
-/// Extract an integer gauge from the `/metricsz` JSON body (closed
-/// format from `astro_gateway::api::metrics_body`).
-fn gauge_value(body: &str, name: &str) -> Option<u64> {
-    let marker = format!("\"{name}\":");
-    let gauges = &body[body.find("\"gauges\":")?..];
-    let start = gauges.find(&marker)? + marker.len();
-    let rest = &gauges[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<u64>().ok()
-}
-
 /// Pass a replica response through, keeping the headers a client (or a
 /// chaos test) needs to attribute it.
-fn passthrough(resp: HttpResponse) -> Reply {
+fn passthrough(resp: HttpResponse) -> Response {
     let mut headers = Vec::new();
     for name in ["Retry-After", "x-astro-replica", "x-idempotency-key"] {
         if let Some(v) = resp.header(name) {
-            headers.push((name.to_string(), v.to_string()));
+            headers.push((name, v.to_string()));
         }
     }
-    Reply { status: resp.status, body: resp.body, headers }
+    Response { status: resp.status, content_type: CT_JSON, headers, body: resp.body }
 }
 
 /// The router's own `/healthz`: ring membership, per-replica probe

@@ -363,15 +363,6 @@ fn sigmoid_at(level: Simd, s: &mut [f32], x: &[f32]) {
     }
 }
 
-/// Element-wise product accumulate: `out += a ⊙ b`.
-pub fn mul_acc(out: &mut [f32], a: &[f32], b: &[f32]) {
-    assert_eq!(out.len(), a.len());
-    assert_eq!(out.len(), b.len());
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o += x * y;
-    }
-}
-
 /// Element-wise product: `out = a ⊙ b`.
 pub fn mul(out: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(out.len(), a.len());
@@ -910,8 +901,6 @@ mod tests {
     #[test]
     fn elementwise_helpers() {
         let mut out = vec![1.0f32, 1.0];
-        mul_acc(&mut out, &[2.0, 3.0], &[4.0, 5.0]);
-        assert_eq!(out, vec![9.0, 16.0]);
         mul(&mut out, &[2.0, 3.0], &[4.0, 5.0]);
         assert_eq!(out, vec![8.0, 15.0]);
         add_assign(&mut out, &[1.0, 1.0]);

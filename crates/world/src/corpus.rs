@@ -149,24 +149,6 @@ pub fn render_article(world: &World, article: &Article, recipe: CorpusRecipe, rn
     s.trim_end().to_string()
 }
 
-/// Render the complete full text of an article (all facts plus filler),
-/// used by the OCR/Nougat ablation.
-pub fn render_full_text(world: &World, article: &Article, rng: &mut Rng) -> String {
-    let (abs_facts, ic_facts, body_facts) = partition_article_facts(world, article);
-    let mut s = String::with_capacity(1024);
-    push_section(world, &mut s, "Abstract.", &abs_facts, rng, 1);
-    push_section(world, &mut s, "Introduction.", &ic_facts, rng, 3);
-    s.push_str("Body. ");
-    for &fid in &body_facts {
-        s.push_str(&world.render_fact(&world.facts[fid], rng));
-        s.push(' ');
-        s.push_str(ASTRO_FILLER[rng.index(ASTRO_FILLER.len())]);
-        s.push(' ');
-    }
-    push_section(world, &mut s, "Conclusion.", &ic_facts, rng, 2);
-    s.trim_end().to_string()
-}
-
 fn push_section(
     world: &World,
     s: &mut String,

@@ -37,7 +37,7 @@ mod ocr;
 pub use articles::Article;
 pub use corpus::{
     build_options, cpt_corpus, exam_primer_doc, general_corpus, partition_article_facts,
-    render_article, render_full_text, CorpusRecipe, Document, DocumentKind,
+    render_article, CorpusRecipe, Document, DocumentKind,
 };
 pub use entities::{Entity, EntityClass};
 pub use facts::{render_question, Fact, FactTier, Relation, RELATIONS};

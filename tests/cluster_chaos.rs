@@ -16,6 +16,7 @@ use astro_router::{
 };
 use astro_telemetry::event::write_json_string;
 use astro_telemetry::lockcheck;
+use astro_telemetry::metrics;
 use astro_telemetry::trace::{self, TraceId};
 use astromlab::eval::json::Json;
 use astromlab::eval::{
@@ -25,9 +26,11 @@ use astromlab::mcq::Mcq;
 use astromlab::model::{Params, Tier};
 use astromlab::prng::Rng;
 use astromlab::{Study, StudyConfig};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -211,27 +214,99 @@ fn mixed_load_through_router_is_bitwise_identical_to_serial_path() {
     assert_eq!(accepted, 7, "four scores + three generates");
 }
 
-/// An early rejection from the router reaches the client whole. The
-/// router answers a too-large `Content-Length` before reading the body;
-/// closing with those bytes unread would make the kernel send an RST that
-/// destroys the queued response, so it half-closes and drains first, with
-/// the same code as the gateway.
+/// One raw exchange: write `request` as is, then read the answer to the
+/// end of the stream.
+fn raw_exchange(addr: SocketAddr, request: &[u8]) -> Result<client::HttpResponse, String> {
+    let mut stream = TcpStream::connect_timeout(&addr, TIMEOUT).map_err(|e| e.to_string())?;
+    stream.set_read_timeout(Some(TIMEOUT)).map_err(|e| e.to_string())?;
+    stream.write_all(request).map_err(|e| format!("write: {e}"))?;
+    client::read_response(&mut stream)
+}
+
+/// The finished traces of trace `id` as `(name, status)`. A handler
+/// closes its trace only after the client has read the answer and hung
+/// up, so wait a little for it.
+fn finished_traces(id: TraceId) -> Vec<(String, u16)> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let found: Vec<(String, u16)> = trace::ring_snapshot()
+            .into_iter()
+            .filter(|r| r.id.0 == id.0)
+            .map(|r| (r.name, r.status))
+            .collect();
+        if !found.is_empty() || Instant::now() > deadline {
+            return found;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Both fronts answer a request they cannot read through the one shared
+/// reject path, and the answer reaches the client whole: a garbage request
+/// line is a 400, a head that stalls past `read_timeout` a 408, and a too
+/// large `Content-Length` a 413 — answered before the body is read, so the
+/// front half-closes and drains the body first (closing with those bytes
+/// unread would make the kernel send an RST that destroys the queued
+/// answer). Every answer carries `traceparent` and leaves exactly one
+/// finished `{front}.reject` trace with its status.
 #[test]
-fn oversized_post_to_the_router_reads_a_complete_413() {
+fn both_fronts_answer_unreadable_requests_whole_with_one_reject_trace() {
     let _gate = gate();
     fault::clear();
-    let mut config = RouterConfig::default();
-    config.probe.interval = Duration::from_secs(60);
-    let body = "x".repeat(2 * config.max_body_bytes);
-    let unreachable = ReplicaSpec { name: "replica-0".to_string(), addr: ([127, 0, 0, 1], 9).into() };
-    let router = Router::spawn(config, vec![unreachable]).expect("router spawn");
-    for round in 0..8 {
-        let resp = client::post_json(router.addr(), "/v1/score", &body, TIMEOUT)
-            .unwrap_or_else(|e| panic!("round {round}: the 413 was lost: {e}"));
-        assert_eq!(resp.status, 413, "{}", resp.body);
-        assert!(resp.body.contains("exceeds"), "{}", resp.body);
+    let ctx = setup(103);
+    let read_timeout = Duration::from_millis(150);
+    let gateway = GatewayConfig { read_timeout, ..GatewayConfig::default() };
+    let mut router = RouterConfig { read_timeout, ..RouterConfig::default() };
+    router.probe.interval = Duration::from_secs(60);
+    let body = "x".repeat(2 * gateway.max_body_bytes.max(router.max_body_bytes));
+    let config = ClusterConfig { replicas: 1, gateway, router };
+    let cluster = Cluster::spawn(config, ctx.state.clone()).expect("cluster spawn");
+    let oversized = format!(
+        "POST /v1/score HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let cases: [(&[u8], u16); 3] = [
+        (b"GARBAGE\r\n\r\n", 400),
+        // The blank line that ends a head never comes.
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", 408),
+        (oversized.as_bytes(), 413),
+    ];
+    let fronts = [("gateway", cluster.replica_addr(0)), ("router", cluster.router_addr())];
+    for (front, addr) in fronts {
+        for &(request, status) in &cases {
+            for round in 0..8 {
+                let tag = format!("{front} {status} round {round}");
+                let resp = raw_exchange(addr, request)
+                    .unwrap_or_else(|e| panic!("{tag}: the answer was lost: {e}"));
+                assert_eq!(resp.status, status, "{tag}: {}", resp.body);
+                let (id, _) = resp
+                    .header("traceparent")
+                    .and_then(trace::parse_traceparent)
+                    .unwrap_or_else(|| panic!("{tag}: no traceparent"));
+                assert_eq!(finished_traces(id), [(format!("{front}.reject"), status)], "{tag}");
+            }
+        }
     }
-    router.shutdown();
+    cluster.shutdown();
+}
+
+/// The prober takes each replica's queue depth from that replica's own
+/// `/healthz`. The `gateway.queue_depth` gauge is process-global: in an
+/// in-process cluster it holds whichever replica pushed last, so reading
+/// it would report another replica's depth.
+#[test]
+fn probe_reports_each_replicas_own_queue_depth() {
+    let _gate = gate();
+    fault::clear();
+    let ctx = setup(107);
+    let cluster = spawn_cluster(&ctx, 2);
+    metrics::gauge("gateway.queue_depth").set(7);
+    cluster.probe_now();
+    for (i, status) in cluster.router().replica_status().iter().enumerate() {
+        assert_eq!(status.queue_depth, 0, "idle replica {i}: {status:?}");
+    }
+    let stats = cluster.shutdown();
+    assert_eq!(stats.router.lost, 0);
 }
 
 #[test]
