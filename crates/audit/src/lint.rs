@@ -88,7 +88,7 @@ const SPAN_REQUIRED: &[(&str, &str)] = &[
     ("crates/core/src/study.rs", "sft"),
     ("crates/core/src/study.rs", "run_study"),
     ("crates/train/src/trainer.rs", "train_lm"),
-    ("crates/eval/src/score.rs", "evaluate"),
+    ("crates/eval/src/score.rs", "evaluate_checked"),
     ("crates/serve/src/engine.rs", "score_batch"),
     ("crates/serve/src/engine.rs", "generate_batch"),
 ];

@@ -13,8 +13,7 @@ use crate::zoo::ModelId;
 use astro_eval::json::Json;
 use astro_eval::report::{render_figure1, render_table1, ModelRow};
 use astro_eval::{
-    evaluate, evaluate_checked, EvalFailure, EvalModel, InstructEvalConfig, Method, Score,
-    TokenEvalConfig,
+    evaluate_checked, EvalFailure, EvalModel, InstructEvalConfig, Method, Score, TokenEvalConfig,
 };
 use astro_mcq::{Mcq, McqConfig, McqDataset};
 use astro_model::serial::save_checkpoint;
@@ -354,36 +353,15 @@ impl Study {
         self.mcq.subset(self.config.n_eval_questions, &mut rng)
     }
 
-    /// Evaluate one parameter set under one method.
+    /// Evaluate one parameter set under one method; a question whose
+    /// engine job failed scores as wrong.
     pub fn eval(&self, params: &Params, method: Method) -> Score {
-        let model = EvalModel {
-            params,
-            tokenizer: &self.tokenizer,
-        };
-        let questions = self.eval_questions();
-        let mut rng = self.root.substream("eval-run");
-        evaluate(
-            &model,
-            &questions,
-            &self.mcq.exemplars,
-            method,
-            &TokenEvalConfig {
-                engine: self.config.eval_engine,
-                ..Default::default()
-            },
-            &InstructEvalConfig {
-                verbose_prompt: self.config.verbose_prompt,
-                engine: self.config.eval_engine,
-                ..Default::default()
-            },
-            &mut rng,
-        )
+        self.eval_checked(params, method).unwrap_or_else(|failure| failure.degraded)
     }
 
     /// Like [`Study::eval`], but transient engine failures (worker panics,
     /// cache exhaustion that survives the uncached retry) surface as a
-    /// typed [`EvalFailure`] instead of being silently scored wrong. An
-    /// `Ok` score is bitwise identical to what [`Study::eval`] returns.
+    /// typed [`EvalFailure`] instead of being silently scored wrong.
     pub fn eval_checked(&self, params: &Params, method: Method) -> Result<Score, EvalFailure> {
         let model = EvalModel {
             params,

@@ -30,9 +30,9 @@ pub use instruct_method::{
     generate_job, instruct_method, instruct_method_answer, InstructAnswer, InstructEvalConfig,
 };
 pub use oracle::FlagshipOracle;
-pub use score::{bootstrap_ci, evaluate, evaluate_checked, EvalFailure, EvalOutcome, Method, Score};
+pub use score::{bootstrap_ci, evaluate, evaluate_checked, EvalFailure, Method, Score};
 pub use token_method::{
-    pick_option, score_job, token_method, token_method_outcomes, token_method_predict,
+    pick_option, score_job, token_method_outcomes, token_method_predict,
     AnswerReadout, TokenEvalConfig, TokenOutcome,
 };
 

@@ -105,15 +105,6 @@ pub fn bootstrap_ci(
     (stats[lo_idx], stats[hi_idx])
 }
 
-/// Evaluation settings shared across methods.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EvalOutcome {
-    /// Token-method settings.
-    pub token: TokenEvalConfig,
-    /// Full-instruct settings.
-    pub instruct: InstructEvalConfig,
-}
-
 /// Per-question engine failures rolled up from an [`evaluate_checked`]
 /// run. Carries the degraded score (every failed question counted as
 /// wrong) so callers can decide whether to accept it anyway.
@@ -152,17 +143,13 @@ pub fn evaluate(
     instruct_cfg: &InstructEvalConfig,
     rng: &mut Rng,
 ) -> Score {
-    let span = astro_telemetry::span!("eval", method = method.key());
-    let (score, _failed, _first) =
-        run_eval(model, questions, exemplars, method, token_cfg, instruct_cfg, rng);
-    span.record_f64("questions", score.total as f64);
-    score
+    evaluate_checked(model, questions, exemplars, method, token_cfg, instruct_cfg, rng)
+        .unwrap_or_else(|failure| failure.degraded)
 }
 
 /// Like [`evaluate`], but per-question engine failures surface as a typed
-/// [`EvalFailure`] instead of being silently scored as wrong. On success
-/// the returned [`Score`] is bitwise identical to [`evaluate`]'s for the
-/// same inputs — the two share one implementation.
+/// [`EvalFailure`] instead of being silently scored as wrong; `evaluate`
+/// is this with the failure's degraded score taken.
 pub fn evaluate_checked(
     model: &EvalModel<'_>,
     questions: &[&Mcq],
@@ -172,31 +159,7 @@ pub fn evaluate_checked(
     instruct_cfg: &InstructEvalConfig,
     rng: &mut Rng,
 ) -> Result<Score, EvalFailure> {
-    let span = astro_telemetry::span!("eval_checked", method = method.key());
-    let (score, failed, first_error) =
-        run_eval(model, questions, exemplars, method, token_cfg, instruct_cfg, rng);
-    span.record_f64("questions", score.total as f64);
-    if failed == 0 {
-        return Ok(score);
-    }
-    Err(EvalFailure {
-        degraded: score,
-        failed,
-        first_error: first_error.unwrap_or_default(),
-    })
-}
-
-/// Shared implementation of [`evaluate`] / [`evaluate_checked`]: score the
-/// question set and report `(score, failed_questions, first_error)`.
-fn run_eval(
-    model: &EvalModel<'_>,
-    questions: &[&Mcq],
-    exemplars: &[Mcq],
-    method: Method,
-    token_cfg: &TokenEvalConfig,
-    instruct_cfg: &InstructEvalConfig,
-    rng: &mut Rng,
-) -> (Score, usize, Option<String>) {
+    let span = astro_telemetry::span!("eval", method = method.key());
     let consistent = model.validate();
     assert!(consistent.is_ok(), "inconsistent EvalModel: {}", consistent.unwrap_err());
     let mut failed = 0usize;
@@ -260,7 +223,11 @@ fn run_eval(
         .f64_field("accuracy_pct", score.percent())
         .f64_field("fallback_rate", score.parse_trouble_rate())
         .emit();
-    (score, failed, first_error)
+    span.record_f64("questions", score.total as f64);
+    match first_error {
+        None => Ok(score),
+        Some(first_error) => Err(EvalFailure { degraded: score, failed, first_error }),
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 use crate::EvalModel;
 use astro_mcq::prompts::token_method_prompt;
 use astro_mcq::Mcq;
-use astro_model::InferenceSession;
+use astro_model::{continuation_loglik, InferenceSession};
 use astro_serve::{EngineConfig, EvalEngine, ScoreJob, ScoreReadout, ServeError};
 use astro_tokenizer::TokenId;
 
@@ -102,39 +102,6 @@ fn answer_candidates(model: &EvalModel<'_>, text: &str, detect: bool) -> Vec<Tok
     out
 }
 
-/// Length-normalised log-likelihood of `continuation` tokens, starting
-/// from a forked copy of `sess` whose `last_logits` are the distribution
-/// for the first continuation token.
-fn continuation_loglik(
-    model: &EvalModel<'_>,
-    sess: &InferenceSession,
-    continuation: &[TokenId],
-) -> f32 {
-    if continuation.is_empty() {
-        return f32::NEG_INFINITY;
-    }
-    let mut fork = sess.clone();
-    let mut ll = 0.0f64;
-    let mut counted = 0usize;
-    for (i, &tok) in continuation.iter().enumerate() {
-        if fork.remaining() == 0 {
-            break;
-        }
-        let logits = fork.last_logits();
-        let lse = astro_tensor::ops::log_sum_exp(logits);
-        ll += (logits[tok as usize] - lse) as f64;
-        counted += 1;
-        // The logits after the last token are never read.
-        if i + 1 < continuation.len() {
-            fork.feed(model.params, tok);
-        }
-    }
-    if counted == 0 {
-        return f32::NEG_INFINITY;
-    }
-    (ll / counted as f64) as f32
-}
-
 /// Predict the answer index for one question. Returns `(prediction,
 /// per-option scores)`.
 ///
@@ -160,10 +127,10 @@ pub fn token_method_predict(
         AnswerReadout::OptionValue => {
             for (i, opt) in question.options.iter().enumerate() {
                 let spaced = model.tokenizer.encode(&format!(" {opt}"));
-                let mut s = continuation_loglik(model, &sess, &spaced);
+                let mut s = continuation_loglik(model.params, &sess, &spaced);
                 if config.detect_variants {
                     let bare = model.tokenizer.encode(opt);
-                    s = s.max(continuation_loglik(model, &sess, &bare));
+                    s = s.max(continuation_loglik(model.params, &sess, &bare));
                 }
                 scores[i] = s;
             }
@@ -324,20 +291,6 @@ pub fn token_method_outcomes(
         .collect()
 }
 
-/// Evaluate the token method over a question set; returns per-question
-/// predictions.
-pub fn token_method(
-    model: &EvalModel<'_>,
-    questions: &[&Mcq],
-    exemplars: &[Mcq],
-    config: &TokenEvalConfig,
-) -> Vec<usize> {
-    token_method_outcomes(model, questions, exemplars, config)
-        .into_iter()
-        .map(|o| o.prediction)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,9 +353,9 @@ mod tests {
                 readout,
                 ..Default::default()
             };
-            let preds = token_method(&model, &qs, &ds.exemplars, &cfg_eval);
-            assert_eq!(preds.len(), 5);
-            assert!(preds.iter().all(|&p| p < 4));
+            let outcomes = token_method_outcomes(&model, &qs, &ds.exemplars, &cfg_eval);
+            assert_eq!(outcomes.len(), 5);
+            assert!(outcomes.iter().all(|o| o.prediction < 4));
         }
     }
 

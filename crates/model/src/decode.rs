@@ -19,6 +19,11 @@
 //! to exhaustion therefore reproduces the oracle's output token-for-token,
 //! and it is what the differential scheduler suite (`crates/serve/tests/`)
 //! holds the stacked step to.
+//!
+//! [`continuation_loglik`] is the scoring oracle beside it: one answer
+//! continuation's length-normalised log-likelihood, one `feed` per token.
+//! `astro-eval`'s serial token method scores with it, and the `astro-serve`
+//! suites hold the stacked score readout to it bit for bit.
 
 use crate::sample::{sample_logits, SamplerConfig};
 use crate::{InferenceSession, Params};
@@ -102,6 +107,38 @@ impl StepDecoder {
     pub fn into_tokens(self) -> Vec<u32> {
         self.emitted
     }
+}
+
+/// Length-normalised log-likelihood of `continuation` from a fork
+/// (`clone`) of `sess`, whose last logits are the distribution of the
+/// first continuation token: the f64 sum of the counted tokens'
+/// log-probabilities over their count. Counting stops where the cache is
+/// full, so `min(len, remaining)` tokens count; `-inf` when none does or
+/// the continuation is empty.
+pub fn continuation_loglik(params: &Params, sess: &InferenceSession, continuation: &[u32]) -> f32 {
+    if continuation.is_empty() {
+        return f32::NEG_INFINITY;
+    }
+    let mut fork = sess.clone();
+    let mut ll = 0.0f64;
+    let mut counted = 0usize;
+    for (i, &tok) in continuation.iter().enumerate() {
+        if fork.remaining() == 0 {
+            break;
+        }
+        let logits = fork.last_logits();
+        let lse = astro_tensor::ops::log_sum_exp(logits);
+        ll += (logits[tok as usize] - lse) as f64;
+        counted += 1;
+        // The logits after the last token are never read.
+        if i + 1 < continuation.len() {
+            fork.feed(params, tok);
+        }
+    }
+    if counted == 0 {
+        return f32::NEG_INFINITY;
+    }
+    (ll / counted as f64) as f32
 }
 
 #[cfg(test)]

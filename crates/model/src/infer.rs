@@ -44,6 +44,12 @@
 //!   sequences sampled — one lane and one row each — so a decode step
 //!   streams the weights once, not once per sequence.
 //!
+//! `forward_rows` has one other caller, the `op_budget` test behind
+//! docs/TUNING.md's per-op table: it lends the forward a lap slot, one µs
+//! total per `OPS` entry, and the forward books each op's wall time there.
+//! The entries above leave the slot empty, so the forward that is timed is
+//! the one that runs.
+//!
 //! Weight precision enters at the linear layers only: `norm_rows` and the
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
 //! rows as f32, or as int8 with one scale per row, and `linear` multiplies
@@ -64,6 +70,7 @@ use astro_tensor::attention::attend_head;
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops;
 use astro_tensor::qmatmul::{quantize_rows_q8, rmsnorm_quantize_row, swiglu_quantize_row};
+use std::time::Instant;
 
 /// Typed failure of an [`InferenceSession`] step.
 ///
@@ -163,6 +170,12 @@ struct Scratch {
 /// 16 rows ≈ +120 KB on a 1.7 MB S70b session).
 const PREFILL_ROWS: usize = 16;
 
+/// The per-op slots a recording [`InferenceSession::forward_rows`] books
+/// its laps into (`op_budget`'s table rows). The embedding copy is booked
+/// under `head` (the tied matrix), each residual add under the linear it
+/// follows and the K/V copy into the caches under `rope+attn`.
+const OPS: [&str; 8] = ["norm", "qkv", "rope+attn", "requant", "wo", "ffn", "swiglu", "head"];
+
 impl Clone for InferenceSession {
     /// Copies the state — position, KV cache, last logits — and gives the
     /// copy one-row scratch whatever the source has grown to: scratch
@@ -259,7 +272,7 @@ impl InferenceSession {
     /// use to turn an over-long prompt into a per-prompt error.
     pub fn try_feed(&mut self, p: &Params, token: u32) -> Result<&[f32], SessionError> {
         self.room_for(1)?;
-        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None);
+        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None, None);
         Ok(&self.logits)
     }
 
@@ -270,7 +283,7 @@ impl InferenceSession {
     /// [`Self::try_feed`] to handle that case as a typed error.
     pub fn feed(&mut self, p: &Params, token: u32) -> &[f32] {
         assert!(self.pos < self.cfg.max_seq, "KV cache full at {}", self.pos);
-        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None);
+        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None, None);
         &self.logits
     }
 
@@ -283,7 +296,7 @@ impl InferenceSession {
         assert!(!tokens.is_empty(), "empty prompt");
         let fits = tokens.len().min(self.remaining());
         for block in tokens[..fits].chunks(PREFILL_ROWS) {
-            Self::forward_rows(p, &mut [Lane { session: self, tokens: block }], None);
+            Self::forward_rows(p, &mut [Lane { session: self, tokens: block }], None, None);
         }
         if fits < tokens.len() {
             return Err(SessionError::CacheFull { pos: self.pos, max_seq: self.cfg.max_seq });
@@ -320,7 +333,7 @@ impl InferenceSession {
         assert!(!tokens.is_empty(), "empty chunk");
         self.room_for(tokens.len())?;
         let mut rows = vec![0.0f32; tokens.len() * self.cfg.vocab_size];
-        Self::forward_rows(p, &mut [Lane { session: self, tokens }], Some(&mut rows));
+        Self::forward_rows(p, &mut [Lane { session: self, tokens }], Some(&mut rows), None);
         Ok(rows)
     }
 
@@ -345,7 +358,7 @@ impl InferenceSession {
             assert!(!lane.tokens.is_empty(), "empty lane");
             lane.session.room_for(lane.tokens.len())?;
         }
-        Self::forward_rows(p, lanes, Some(rows));
+        Self::forward_rows(p, lanes, Some(rows), None);
         Ok(())
     }
 
@@ -366,7 +379,15 @@ impl InferenceSession {
     /// when they carry one and the f32 weights otherwise — an int8
     /// session fed unquantized params is a benign precision downgrade,
     /// not an error.
-    fn forward_rows(p: &Params, lanes: &mut [Lane<'_>], all_rows: Option<&mut [f32]>) {
+    ///
+    /// With `laps`, each op's wall time in µs is added to its [`OPS`]
+    /// slot; the entry points pass `None`, and recording changes no bit.
+    fn forward_rows(
+        p: &Params,
+        lanes: &mut [Lane<'_>],
+        all_rows: Option<&mut [f32]>,
+        laps: Option<&mut [f64; OPS.len()]>,
+    ) {
         assert!(!lanes.is_empty(), "a forward needs a lane");
         let cfg = lanes[0].session.cfg;
         assert!(lanes.iter().all(|lane| lane.session.cfg == cfg), "lanes of different configs");
@@ -386,6 +407,14 @@ impl InferenceSession {
         // empty scratch, which its next call grows back.
         let mut s = std::mem::take(&mut lanes[0].session.scratch);
         s.fit_rows(&cfg, m);
+        let mut clock = laps.map(|us| (us, Instant::now()));
+        let mut lap = |op: usize| {
+            if let Some((us, t)) = &mut clock {
+                let now = Instant::now();
+                us[op] += (now - *t).as_secs_f64() * 1e6;
+                *t = now;
+            }
+        };
         let embed = p.view(&p.layout.embed);
         let tokens = lanes.iter().flat_map(|lane| lane.tokens);
         for (row, &t) in s.x.chunks_exact_mut(c).zip(tokens) {
@@ -393,37 +422,47 @@ impl InferenceSession {
             assert!(tok < cfg.vocab_size, "token {tok} out of vocab");
             row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
         }
+        lap(7);
 
         for l in 0..cfg.n_layers {
             let lay = &p.layout.layers[l];
             let ql = quant.map(|qp| &qp.layers[l]);
             s.norm_rows(&cfg, p.view(&lay.attn_norm), int8);
+            lap(0);
             let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
             linear(&mut s.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, sc, m);
             linear(&mut s.proj, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, sc, m);
             linear(&mut s.attn_out, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, sc, m);
+            lap(1);
             let mut r0 = 0;
             for lane in lanes.iter_mut() {
                 lane.session.rope_attend(&mut s, l, r0, lane.tokens.len());
                 r0 += lane.tokens.len();
             }
+            lap(2);
             // Output projection + residual; on the int8 path the attention
             // output is re-quantized at the boundary.
             if int8 {
                 quantize_rows_q8(&mut s.qx, &mut s.row_scale, &s.attn_out, m, c);
             }
+            lap(3);
             let (a, aq, sc) = (&s.attn_out, &s.qx, &s.row_scale);
             linear(&mut s.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
+            lap(4);
             // FFN.
             s.norm_rows(&cfg, p.view(&lay.ffn_norm), int8);
+            lap(0);
             let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
             linear(&mut s.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, sc, m);
             linear(&mut s.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, sc, m);
+            lap(5);
             s.swiglu_rows(f, int8);
+            lap(6);
             let (a, aq, sc) = (&s.act, &s.qf, &s.row_scale);
             linear(&mut s.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
+            lap(5);
         }
 
         if all_rows.is_none() && m > 1 {
@@ -433,6 +472,7 @@ impl InferenceSession {
             s.fit_rows(&cfg, 1);
         }
         s.norm_rows(&cfg, p.view(&p.layout.final_norm), int8);
+        lap(0);
         // Tied LM head: logits[v] = ln · embed_row(v).
         let lm_head = quant.map(|qp| &qp.lm_head);
         let rows = s.row_scale.len();
@@ -451,6 +491,7 @@ impl InferenceSession {
                 linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
             }
         }
+        lap(7);
         for lane in lanes.iter_mut() {
             lane.session.pos += lane.tokens.len();
         }
@@ -798,111 +839,77 @@ mod tests {
         assert_eq!(a, b, "missing quant copy must downgrade to the f32 path");
     }
 
-    /// The per-op rows of `op_budget`'s table. The embedding copy is
-    /// booked under `head` (the tied matrix), each residual add under the
-    /// linear it follows and the K/V copy into the caches under
-    /// `rope+attn`.
-    const OPS: [&str; 8] = ["norm", "qkv", "rope+attn", "requant", "wo", "ffn", "swiglu", "head"];
+    /// Rows of each continuation variant in `op_columns`' stacked readout.
+    const READOUT_ROWS: usize = 2;
 
-    impl InferenceSession {
-        /// `forward_rows(p, lanes, all_rows)` spelled out — the same
-        /// private ops in the same order — with each op's wall time in µs
-        /// added to its slot of `us`.
-        fn forward_rows_timed(
-            p: &Params,
-            lanes: &mut [Lane<'_>],
-            all_rows: Option<&mut [f32]>,
-            us: &mut [f64; OPS.len()],
-        ) {
-            let cfg = lanes[0].session.cfg;
-            let c = cfg.d_model;
-            let f = cfg.d_ff;
-            let m: usize = lanes.iter().map(|lane| lane.tokens.len()).sum();
-            let quant = match cfg.precision {
-                WeightPrecision::Int8 => p.quant.as_ref(),
-                WeightPrecision::F32 => None,
-            };
-            let int8 = quant.is_some();
-            let mut s = std::mem::take(&mut lanes[0].session.scratch);
-            s.fit_rows(&cfg, m);
-            let mut t = std::time::Instant::now();
-            let mut lap = |op: usize| {
-                let now = std::time::Instant::now();
-                us[op] += (now - t).as_secs_f64() * 1e6;
-                t = now;
-            };
-            let embed = p.view(&p.layout.embed);
-            let tokens = lanes.iter().flat_map(|lane| lane.tokens);
-            for (row, &tok) in s.x.chunks_exact_mut(c).zip(tokens) {
-                let tok = tok as usize;
-                row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
+    /// `p`'s per-op budget in µs per row, each op the median of `reps`
+    /// recorded forwards: the last `PREFILL_ROWS`-row block of a
+    /// `prompt`-token prompt, the decode row after it, and a stacked score
+    /// readout at that position — `lanes` forks of the prompt fed
+    /// `READOUT_ROWS` continuation rows each in one all-rows forward. Every
+    /// recorded forward's logits must equal `try_feed_prompt`'s, `feed`'s
+    /// and `try_feed_lanes`' bit for bit.
+    fn op_columns(p: &Params, prompt: usize, lanes: usize, reps: usize) -> [[f64; OPS.len()]; 3] {
+        type Variant = [u32; READOUT_ROWS];
+        fn readout<'a>(forks: &'a mut [InferenceSession], variants: &'a [Variant]) -> Vec<Lane<'a>> {
+            forks.iter_mut().zip(variants).map(|(session, tokens)| Lane { session, tokens }).collect()
+        }
+        let vocab = p.cfg.vocab_size;
+        let tokens: Vec<u32> = (0..=prompt).map(|i| (i * 37 % vocab) as u32).collect();
+        let (head, block) = tokens[..prompt].split_at(prompt - PREFILL_ROWS);
+        let variants: Vec<Variant> = (0..lanes)
+            .map(|v| std::array::from_fn(|i| ((v * 53 + i * 11) % vocab) as u32))
+            .collect();
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut base = InferenceSession::new(p.cfg);
+        base.try_feed_prompt(p, head).unwrap();
+        let mut oracle = base.clone();
+        let block_logits = bits(oracle.try_feed_prompt(p, block).unwrap());
+        let prompted = oracle.clone();
+        let decode_logits = bits(oracle.feed(p, tokens[prompt]));
+        let mut forks: Vec<InferenceSession> = vec![prompted.clone(); lanes];
+        let mut readout_logits = vec![0.0; lanes * READOUT_ROWS * vocab];
+        let mut stacked = readout(&mut forks, &variants);
+        InferenceSession::try_feed_lanes(p, &mut stacked, &mut readout_logits).unwrap();
+        let readout_logits = bits(&readout_logits);
+
+        let mut sess = InferenceSession::new(p.cfg);
+        let mut rows = vec![0.0; readout_logits.len()];
+        let mut laps = vec![[[0.0; OPS.len()]; 3]; reps];
+        for [block_us, decode_us, readout_us] in &mut laps {
+            sess.assign_from(&base);
+            let mut lane = [Lane { session: &mut sess, tokens: block }];
+            InferenceSession::forward_rows(p, &mut lane, None, Some(block_us));
+            assert_eq!(bits(&sess.logits), block_logits, "recorded prefill block differs");
+            let mut lane = [Lane { session: &mut sess, tokens: &tokens[prompt..] }];
+            InferenceSession::forward_rows(p, &mut lane, None, Some(decode_us));
+            assert_eq!(bits(&sess.logits), decode_logits, "recorded decode row differs");
+            for fork in &mut forks {
+                fork.assign_from(&prompted);
             }
-            lap(7);
-            for l in 0..cfg.n_layers {
-                let lay = &p.layout.layers[l];
-                let ql = quant.map(|qp| &qp.layers[l]);
-                s.norm_rows(&cfg, p.view(&lay.attn_norm), int8);
-                lap(0);
-                let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
-                linear(&mut s.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, sc, m);
-                linear(&mut s.proj, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, sc, m);
-                linear(&mut s.attn_out, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, sc, m);
-                lap(1);
-                let mut r0 = 0;
-                for lane in lanes.iter_mut() {
-                    lane.session.rope_attend(&mut s, l, r0, lane.tokens.len());
-                    r0 += lane.tokens.len();
-                }
-                lap(2);
-                if int8 {
-                    quantize_rows_q8(&mut s.qx, &mut s.row_scale, &s.attn_out, m, c);
-                }
-                lap(3);
-                let (a, aq, sc) = (&s.attn_out, &s.qx, &s.row_scale);
-                linear(&mut s.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, sc, m);
-                ops::add_assign(&mut s.x, &s.proj);
-                lap(4);
-                s.norm_rows(&cfg, p.view(&lay.ffn_norm), int8);
-                lap(0);
-                let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
-                linear(&mut s.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, sc, m);
-                linear(&mut s.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, sc, m);
-                lap(5);
-                s.swiglu_rows(f, int8);
-                lap(6);
-                let (a, aq, sc) = (&s.act, &s.qf, &s.row_scale);
-                linear(&mut s.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, sc, m);
-                ops::add_assign(&mut s.x, &s.proj);
-                lap(5);
-            }
-            if all_rows.is_none() && m > 1 {
-                s.x.copy_within((m - 1) * c.., 0);
-                s.fit_rows(&cfg, 1);
-            }
-            s.norm_rows(&cfg, p.view(&p.layout.final_norm), int8);
-            lap(0);
-            let lm_head = quant.map(|qp| &qp.lm_head);
-            let rows = s.row_scale.len();
-            match all_rows {
-                Some(out) => {
-                    linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
-                    let mut r0 = 0;
-                    for lane in lanes.iter_mut() {
-                        r0 += lane.tokens.len();
-                        let last = (r0 - 1) * cfg.vocab_size..r0 * cfg.vocab_size;
-                        lane.session.logits.copy_from_slice(&out[last]);
-                    }
-                }
-                None => {
-                    let out = &mut lanes[0].session.logits;
-                    linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
-                }
-            }
-            lap(7);
-            for lane in lanes.iter_mut() {
-                lane.session.pos += lane.tokens.len();
-            }
-            lanes[0].session.scratch = s;
+            let mut stacked = readout(&mut forks, &variants);
+            InferenceSession::forward_rows(p, &mut stacked, Some(&mut rows), Some(readout_us));
+            assert_eq!(bits(&rows), readout_logits, "recorded stacked readout differs");
+        }
+        let per_row = [PREFILL_ROWS, 1, lanes * READOUT_ROWS];
+        std::array::from_fn(|column| {
+            std::array::from_fn(|op| {
+                let mut us: Vec<f64> = laps.iter().map(|rep| rep[column][op]).collect();
+                us.sort_by(f64::total_cmp);
+                us[reps / 2] / per_row[column] as f64
+            })
+        })
+    }
+
+    #[test]
+    fn recorded_forward_matches_the_entry_points() {
+        // `op_budget`'s bit checks, one rep on the tiny model: recording
+        // laps changes no logit of a prefill block, a decode row or a
+        // stacked readout.
+        let p = Params::init(ModelConfig::tiny(64), &mut Rng::seed_from(19));
+        for p in [p.clone(), p.quantized()] {
+            let columns = op_columns(&p, 24, 3, 1);
+            assert!(columns.iter().all(|col| col.iter().sum::<f64>() > 0.0), "no laps recorded");
         }
     }
 
@@ -913,16 +920,10 @@ mod tests {
     /// cargo test --release -p astro-model --lib -- --ignored --nocapture op_budget
     /// ```
     ///
-    /// For S7b and S70b × f32/int8: the last row block of a 136-token
-    /// prompt (methods 2/3's length), the decode row after it, and a
-    /// stacked score readout at that position — `READOUT_LANES` forks of
-    /// the prompt fed `READOUT_ROWS` continuation rows each in one
-    /// all-rows forward (the fast preset's eight variants and ~16 rows per
-    /// question) — each op the median of `REPS` runs, in µs per row and as
-    /// a share of the row. The timed forward's logits must equal
-    /// `try_feed_prompt`'s, `feed`'s and `try_feed_lanes`' bit for bit, so
-    /// a `forward_rows` this copy has drifted from fails here instead of
-    /// mis-sizing the next issue.
+    /// `op_columns` for S7b and S70b × f32/int8 at a 136-token prompt
+    /// (methods 2/3's length) and a readout of `READOUT_LANES` forks (the
+    /// fast preset's eight variants and ~16 rows per question), each op the
+    /// median of `REPS` runs, in µs per row and as a share of the row.
     #[test]
     #[ignore]
     fn op_budget() {
@@ -930,71 +931,11 @@ mod tests {
         const REPS: usize = 101;
         const PROMPT: usize = 136;
         const READOUT_LANES: usize = 8;
-        const READOUT_ROWS: usize = 2;
-        let vocab = 512;
-        let tokens: Vec<u32> = (0..=PROMPT).map(|i| (i * 37 % vocab) as u32).collect();
-        let (head, block) = tokens[..PROMPT].split_at(PROMPT - PREFILL_ROWS);
-        let variants: Vec<[u32; READOUT_ROWS]> = (0..READOUT_LANES)
-            .map(|v| std::array::from_fn(|i| ((v * 53 + i * 11) % vocab) as u32))
-            .collect();
-        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for tier in [Tier::S7b, Tier::S70b] {
-            let f32_params = Params::init(ModelConfig::tier(tier, vocab), &mut Rng::seed_from(19));
+            let f32_params = Params::init(ModelConfig::tier(tier, 512), &mut Rng::seed_from(19));
             let int8_params = f32_params.clone().quantized();
             for p in [&f32_params, &int8_params] {
-                let mut base = InferenceSession::new(p.cfg);
-                base.try_feed_prompt(p, head).unwrap();
-                let mut oracle = base.clone();
-                let block_logits = bits(oracle.try_feed_prompt(p, block).unwrap());
-                let prompt = oracle.clone();
-                let decode_logits = bits(oracle.feed(p, tokens[PROMPT]));
-                let mut forks: Vec<InferenceSession> = vec![prompt.clone(); READOUT_LANES];
-                let mut readout_logits = vec![0.0; READOUT_LANES * READOUT_ROWS * vocab];
-                let mut lanes: Vec<Lane<'_>> = forks
-                    .iter_mut()
-                    .zip(&variants)
-                    .map(|(session, tokens)| Lane { session, tokens })
-                    .collect();
-                InferenceSession::try_feed_lanes(p, &mut lanes, &mut readout_logits).unwrap();
-                let readout_logits = bits(&readout_logits);
-
-                let mut sess = InferenceSession::new(p.cfg);
-                let mut rows = vec![0.0; readout_logits.len()];
-                let mut block_us = vec![[0.0; OPS.len()]; REPS];
-                let mut decode_us = vec![[0.0; OPS.len()]; REPS];
-                let mut readout_us = vec![[0.0; OPS.len()]; REPS];
-                for rep in 0..REPS {
-                    sess.assign_from(&base);
-                    let mut lane = [Lane { session: &mut sess, tokens: block }];
-                    InferenceSession::forward_rows_timed(p, &mut lane, None, &mut block_us[rep]);
-                    assert_eq!(bits(&sess.logits), block_logits, "prefill block drifted");
-                    let mut lane = [Lane { session: &mut sess, tokens: &tokens[PROMPT..] }];
-                    InferenceSession::forward_rows_timed(p, &mut lane, None, &mut decode_us[rep]);
-                    assert_eq!(bits(&sess.logits), decode_logits, "decode row drifted");
-                    for fork in &mut forks {
-                        fork.assign_from(&prompt);
-                    }
-                    let mut lanes: Vec<Lane<'_>> = forks
-                        .iter_mut()
-                        .zip(&variants)
-                        .map(|(session, tokens)| Lane { session, tokens })
-                        .collect();
-                    let (out, us) = (Some(&mut rows[..]), &mut readout_us[rep]);
-                    InferenceSession::forward_rows_timed(p, &mut lanes, out, us);
-                    assert_eq!(bits(&rows), readout_logits, "stacked readout drifted");
-                }
-                let median = |reps: &[[f64; OPS.len()]], rows: usize| -> [f64; OPS.len()] {
-                    std::array::from_fn(|op| {
-                        let mut col: Vec<f64> = reps.iter().map(|rep| rep[op]).collect();
-                        col.sort_by(f64::total_cmp);
-                        col[REPS / 2] / rows as f64
-                    })
-                };
-                let columns = [
-                    median(&block_us, PREFILL_ROWS),
-                    median(&decode_us, 1),
-                    median(&readout_us, READOUT_LANES * READOUT_ROWS),
-                ];
+                let columns = op_columns(p, PROMPT, READOUT_LANES, REPS);
                 println!(
                     "op_budget {tier:?} {:?} ({:?} kernels): us/row (share)   \
                      prefill rows {}..{PROMPT}   decode row at {PROMPT}   \

@@ -33,7 +33,7 @@ pub mod params;
 pub mod sample;
 pub mod serial;
 
-pub use decode::StepDecoder;
+pub use decode::{continuation_loglik, StepDecoder};
 pub use forward::TrainContext;
 pub use infer::{InferenceSession, Lane, SessionError};
 pub use params::Params;

@@ -463,8 +463,7 @@ pub(crate) fn publish_cache_metrics(cache: &Mutex<PrefixCache>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::continuation_loglik;
-    use astro_model::{sample_logits, ModelConfig};
+    use astro_model::{continuation_loglik, sample_logits, ModelConfig};
 
     fn setup() -> (ModelConfig, Params) {
         let cfg = ModelConfig::tiny(24);
@@ -479,13 +478,12 @@ mod tests {
         for &t in prompt {
             sess.feed(p, t);
         }
-        let mut fork = InferenceSession::new(cfg);
         groups
             .iter()
             .map(|variants| {
                 let mut s = f32::NEG_INFINITY;
                 for cont in variants {
-                    s = s.max(continuation_loglik(p, &sess, &mut fork, cont));
+                    s = s.max(continuation_loglik(p, &sess, cont));
                 }
                 s
             })

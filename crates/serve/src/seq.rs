@@ -302,11 +302,11 @@ fn score_readout(
 /// weights are streamed once per job instead of once per continuation
 /// token. A job of one-token variants forks and feeds nothing.
 ///
-/// Replicates the serial reference (`astro-eval`'s `continuation_loglik`,
-/// kept below under `#[cfg(test)]`) operation for operation: the same logits
-/// by the stacked forward's contract, the same f64 accumulation, the same
-/// early stop on a full cache — `counted = min(len, remaining)` tokens —
-/// and the same `-inf` conventions; the suites diff the two bitwise.
+/// Replicates the serial reference (`astro_model::continuation_loglik`)
+/// operation for operation: the same logits by the stacked forward's
+/// contract, the same f64 accumulation, the same early stop on a full
+/// cache — `counted = min(len, remaining)` tokens — and the same `-inf`
+/// conventions; the suites diff the two bitwise.
 fn continuation_scores(
     params: &Params,
     sess: &InferenceSession,
@@ -372,46 +372,10 @@ fn continuation_scores(
     Ok((scores, n_rows))
 }
 
-/// The serial oracle of [`continuation_scores`]: the length-normalised
-/// log-likelihood of one `continuation` from a fork of `sess`, one `feed`
-/// per token — `astro-eval`'s `continuation_loglik`, operation for
-/// operation.
-#[cfg(test)]
-pub(crate) fn continuation_loglik(
-    params: &Params,
-    sess: &InferenceSession,
-    fork: &mut InferenceSession,
-    continuation: &[u32],
-) -> f32 {
-    if continuation.is_empty() {
-        return f32::NEG_INFINITY;
-    }
-    fork.assign_from(sess);
-    let mut ll = 0.0f64;
-    let mut counted = 0usize;
-    for (i, &tok) in continuation.iter().enumerate() {
-        if fork.remaining() == 0 {
-            break;
-        }
-        let logits = fork.last_logits();
-        let lse = astro_tensor::ops::log_sum_exp(logits);
-        ll += (logits[tok as usize] - lse) as f64;
-        counted += 1;
-        // The logits after the last token are never read.
-        if i + 1 < continuation.len() {
-            fork.feed(params, tok);
-        }
-    }
-    if counted == 0 {
-        return f32::NEG_INFINITY;
-    }
-    (ll / counted as f64) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astro_model::WeightPrecision;
+    use astro_model::{continuation_loglik, WeightPrecision};
     use astro_prng::Rng;
 
     const VOCAB: usize = 24;
@@ -443,13 +407,12 @@ mod tests {
 
     /// The serial oracle, one `feed` per continuation token.
     fn serial_bits(p: &Params, sess: &InferenceSession, groups: &[Vec<Vec<u32>>]) -> Vec<u32> {
-        let mut fork = InferenceSession::new(p.cfg);
         groups
             .iter()
             .map(|variants| {
                 let mut s = f32::NEG_INFINITY;
                 for cont in variants {
-                    s = s.max(continuation_loglik(p, sess, &mut fork, cont));
+                    s = s.max(continuation_loglik(p, sess, cont));
                 }
                 s.to_bits()
             })

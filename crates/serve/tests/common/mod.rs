@@ -8,7 +8,7 @@
 //! reuse (`assign_from` / `reset`) or chunked prefill.
 #![allow(dead_code)] // each suite uses the half it needs
 
-use astro_model::{InferenceSession, Params, StepDecoder};
+use astro_model::{continuation_loglik, InferenceSession, Params, StepDecoder};
 use astro_serve::{GenerateJob, ScoreJob, ScoreReadout};
 
 fn fed(params: &Params, prompt: &[u32]) -> InferenceSession {
@@ -17,27 +17,6 @@ fn fed(params: &Params, prompt: &[u32]) -> InferenceSession {
         sess.feed(params, t);
     }
     sess
-}
-
-/// Length-normalised log-likelihood of `cont` after `prompt`: f64 sum of
-/// per-token log-probabilities, stopping where the context is full;
-/// `-inf` when nothing could be counted.
-fn continuation(params: &Params, prompt: &InferenceSession, cont: &[u32]) -> f32 {
-    let mut sess = prompt.clone();
-    let (mut ll, mut counted) = (0.0f64, 0usize);
-    for &tok in cont {
-        if sess.remaining() == 0 {
-            break;
-        }
-        let logits = sess.last_logits();
-        ll += (logits[tok as usize] - astro_tensor::ops::log_sum_exp(logits)) as f64;
-        counted += 1;
-        sess.feed(params, tok);
-    }
-    if counted == 0 {
-        return f32::NEG_INFINITY;
-    }
-    (ll / counted as f64) as f32
 }
 
 /// Per-option scores of one score job: max over an option's variants
@@ -54,7 +33,7 @@ pub fn score(params: &Params, job: &ScoreJob) -> Vec<f32> {
             .collect(),
         ScoreReadout::ContinuationGroups(groups) => groups
             .iter()
-            .map(|variants| max(variants.iter().map(|c| continuation(params, &sess, c))))
+            .map(|variants| max(variants.iter().map(|c| continuation_loglik(params, &sess, c))))
             .collect(),
     }
 }
