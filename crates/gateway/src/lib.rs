@@ -23,7 +23,8 @@
 //! per core runs the serving loop, [`scheduler::run_iter_scheduler`], with
 //! its share of the `max_batch` slots: a request leaves the queue when
 //! the [`astro_serve::IterScheduler`] its loop owns has a free slot, the
-//! mixed batch advances one unit of work per step, and sequences retire
+//! mixed batch advances one unit of work per step — on the loop's thread
+//! and on the cores idle loops leave free — and sequences retire
 //! individually — so concurrent clients share the one radix prefix cache
 //! exactly like an in-process batch, and a cheap score request is never
 //! head-of-line blocked behind a long generate. The handler that queued

@@ -1,7 +1,10 @@
 //! The gateway's serving loop: one thread stepping an iteration-level
 //! scheduler. A gateway runs one per core (at most one per `max_batch`
 //! slot), each with its share of the slots, all popping the one queue over
-//! the one engine — so they share one prefix-cache trie.
+//! the one engine — so they share one prefix-cache trie. A loop holds its
+//! core while it has work; while other loops idle in `pop`, its steps
+//! borrow their cores and split the step's sequences over them
+//! (`astro_serve::scheduler`, *Cores*).
 //!
 //! Connection handlers push admitted requests onto the bounded queue;
 //! [`run_iter_scheduler`] owns an [`IterScheduler`], takes a request off

@@ -19,7 +19,9 @@
 //!   forward for all of a step's decode rows** and individual retirement,
 //!   so short score jobs are never head-of-line blocked behind long
 //!   generations and a decode step streams the weights once, not once per
-//!   sequence. The gateway's serving loop owns one.
+//!   sequence. A step splits its sequences over the cores no other
+//!   scheduler holds (one process-wide count). The gateway's serving loop
+//!   owns one.
 //! * [`engine::EvalEngine`] — runs an offline batch of scoring or
 //!   generation jobs on scheduler *shards* (`std::thread::scope`, one set
 //!   per batch, each its own `IterScheduler` over the shared trie),
@@ -56,7 +58,8 @@ pub use trie::{CacheStats, PrefixCache};
 pub struct EngineConfig {
     /// Scheduler shards an offline batch runs on: `0` = auto (available
     /// parallelism, capped at 8), `1` = in the calling thread, `n > 1` =
-    /// the caller plus `n - 1` scoped threads.
+    /// the caller plus `n - 1` scoped threads. A shard's step may also
+    /// borrow cores no other scheduler holds ([`scheduler`], *Cores*).
     pub parallelism: usize,
     /// Reuse shared-prefix session snapshots via the prefix-cache trie.
     pub prefix_cache: bool,

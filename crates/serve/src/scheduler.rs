@@ -30,10 +30,32 @@
 //!    under a `catch_unwind` of its own: every linear streams its weights
 //!    once per step, not once per sequence, and a failure there is the
 //!    error of exactly the lanes in it.
-//! 4. **Retire** — finished sequences return their result, release their
+//! 4. **Retire** — the step's anchor snapshots go into the prefix cache in
+//!    batch order; finished sequences return their result, release their
 //!    ledger blocks and hand their sessions back to the free list, without
 //!    waiting for the rest of the batch. A generate job retires in the
 //!    step that samples its last token, which is never fed.
+//!
+//! # Cores
+//!
+//! Advance and feed run on every core no other scheduler holds. One
+//! process-wide count of idle cores, sized like the engine's auto shard
+//! count ([`crate::EngineConfig::resolved_parallelism`]), is shared by
+//! every scheduler: a scheduler *holds* one core from its first step until
+//! a step leaves it idle (or it drops), and a step *borrows* idle cores
+//! for its own duration only. The step's work splits into units — each
+//! sequence that prefills or reads out, and all decoding sequences
+//! together as one unit, so the stacked feed stays one forward — that go
+//! longest-first by estimated rows to `1 + borrowed` workers: the stepping
+//! thread with the scheduler's own [`ForkPool`], and scoped threads with
+//! the pools the ledger lends along with the cores, so a process never has
+//! more lent pools than cores. With nothing borrowed the same code runs
+//! inline. A loan is not recalled: a scheduler that turns busy while
+//! another step holds a loan shares its core with that step's worker until
+//! the step ends. Admission, the fault hooks, the snapshot inserts,
+//! retirement and the [`SchedLog`] stay on the stepping thread, so the
+//! split is invisible in results, logs and cache state
+//! (`serve.step.workers` shows it).
 //!
 //! # Determinism
 //!
@@ -62,11 +84,16 @@ use crate::engine::{
     lock_cache, publish_cache_metrics, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError,
 };
 use crate::seq::{feed_sampled, Advance, ForkPool, SeqEnv, Sequence};
+use crate::EngineConfig;
 use astro_model::ModelConfig;
 use astro_resilience::fault;
+use astro_telemetry::lockcheck;
 use astro_telemetry::metrics::Gauge;
+use astro_telemetry::sync::{self, Mutex, MutexGuard};
 use astro_telemetry::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::OnceLock;
 
 /// Iteration-scheduler tuning. All zero/degenerate values are normalized
 /// at construction ([`crate::EvalEngine::iter_scheduler`]); `validate`
@@ -303,20 +330,217 @@ impl SchedLog {
     }
 }
 
-/// One admitted job: its id, the [`Sequence`] running it and the token
-/// this step's `advance` sampled for the step's stacked feed (decoding
-/// sequences only).
+/// The process's cores as one count of idle ones (see the module docs'
+/// *Cores*), and the scratch of the cores out on loan. Holding may take
+/// the count below zero — more busy schedulers than cores — while
+/// borrowing only ever takes what is above it. The count publishes no
+/// other data, so every access is `Relaxed`.
+struct Cores {
+    idle: AtomicIsize,
+    /// The [`ForkPool`]s of lent cores, parked between loans: a loan takes
+    /// one per core it borrows and brings it back, so no more pools exist
+    /// than cores can be lent at once.
+    spare: Mutex<Vec<ForkPool>>,
+}
+
+impl Cores {
+    /// A ledger of `n` idle cores.
+    fn new(n: usize) -> Self {
+        Cores { idle: AtomicIsize::new(n as isize), spare: Mutex::new(Vec::new()) }
+    }
+
+    /// The process-wide ledger, sized by the engine's auto shard count.
+    fn process() -> &'static Cores {
+        static CORES: OnceLock<Cores> = OnceLock::new();
+        CORES.get_or_init(|| Cores::new(EngineConfig::pooled().resolved_parallelism()))
+    }
+
+    fn hold(&self) {
+        self.idle.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    fn release(&self) {
+        self.idle.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Take up to `want` idle cores, each with a scratch pool, until the
+    /// returned loan drops.
+    fn borrow(&self, want: usize) -> Loan<'_> {
+        let lend = |idle: isize| (idle.max(0) as usize).min(want);
+        let n = self
+            .idle
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |idle| {
+                (lend(idle) > 0).then(|| idle - lend(idle) as isize)
+            })
+            .map_or(0, lend);
+        let mut pools = Vec::new();
+        if n > 0 {
+            let (_token, mut spare) = self.spares();
+            let keep = spare.len().saturating_sub(n);
+            pools = spare.split_off(keep);
+        }
+        pools.resize_with(n, ForkPool::default);
+        Loan { cores: self, pools }
+    }
+
+    fn spares(&self) -> (lockcheck::LockToken, MutexGuard<'_, Vec<ForkPool>>) {
+        sync::lock_ranked("serve.step_pools", &self.spare)
+    }
+}
+
+/// Cores a step borrowed and their scratch, handed back on drop — also
+/// when the step unwinds.
+struct Loan<'a> {
+    cores: &'a Cores,
+    pools: Vec<ForkPool>,
+}
+
+impl Drop for Loan<'_> {
+    fn drop(&mut self) {
+        let n = self.pools.len();
+        if n > 0 {
+            let (_token, mut spare) = self.cores.spares();
+            spare.append(&mut self.pools);
+        }
+        self.cores.idle.fetch_add(n as isize, Ordering::Relaxed);
+    }
+}
+
+/// One admitted job: its id, the [`Sequence`] running it, whether the
+/// `pool.worker_panic` fault chose it at admission, and what this step's
+/// `advance` left for the stepping thread — the token sampled for the
+/// stacked feed (decoding sequences only) or the job's result.
 struct Active {
     id: usize,
     job: Job,
     seq: Sequence,
+    panics: bool,
     sampled: Option<u32>,
+    done: Option<Result<SeqOutcome, ServeError>>,
 }
 
-/// The iteration-level scheduler: single-threaded submission and stepping
-/// over per-sequence state. A serving loop that takes requests from other
-/// threads owns the scheduler and hands them over itself (the gateway's
-/// `BoundedQueue` is that hand-off).
+impl Active {
+    /// Move the job one unit of its lifecycle inside its own panic
+    /// boundary.
+    fn advance(&mut self, env: &SeqEnv, forks: &mut ForkPool, prefill_chunk: usize) {
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if self.panics {
+                std::panic::panic_any(fault::FaultPanic("pool.worker_panic"));
+            }
+            self.seq.advance(env, &self.job, forks, prefill_chunk)
+        }));
+        self.sampled = None;
+        match step {
+            Err(_) => self.done = Some(Err(ServeError::WorkerPanic)),
+            Ok(Advance::Done(result)) => self.done = Some(result),
+            Ok(Advance::Feed(token)) => self.sampled = Some(token),
+            Ok(Advance::Pending) => {}
+        }
+    }
+}
+
+/// One worker's share of a step.
+enum Unit<'a> {
+    /// A sequence that prefills, reads out or installs its decoder.
+    Seq(&'a mut Active),
+    /// Every decoding sequence: each samples, then one stacked forward
+    /// feeds them all.
+    Decode(Vec<&'a mut Active>),
+}
+
+/// Run `units` in order with `forks` as scratch; the error of a failed
+/// stacked feed, if this worker ran it.
+fn run_units<'a>(
+    env: &SeqEnv,
+    prefill_chunk: usize,
+    forks: &mut ForkPool,
+    units: impl IntoIterator<Item = Unit<'a>>,
+) -> Option<ServeError> {
+    let mut failed = None;
+    for unit in units {
+        match unit {
+            Unit::Seq(a) => a.advance(env, forks, prefill_chunk),
+            Unit::Decode(mut lanes) => {
+                for a in lanes.iter_mut() {
+                    a.advance(env, forks, prefill_chunk);
+                }
+                let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let decoding = lanes.iter_mut().filter_map(|a| {
+                        let Active { seq, sampled, .. } = &mut **a;
+                        sampled.as_ref().map(|token| (seq, token))
+                    });
+                    feed_sampled(&env.params, decoding, forks)
+                }));
+                failed = match fed {
+                    Ok(Ok(())) => None,
+                    Ok(Err(e)) => Some(ServeError::Session(e)),
+                    Err(_) => Some(ServeError::WorkerPanic),
+                };
+            }
+        }
+    }
+    failed
+}
+
+/// Run a step's `(estimated rows, unit)` list on `1 + lent.len()`
+/// workers: longest first, each to the least-loaded worker (ties to the
+/// lowest, the stepping thread with `own` being worker 0), the rest on
+/// scoped threads with a lent pool each. Nothing lent runs everything
+/// inline. Units whose thread could not be spawned run on this thread
+/// afterwards. Returns the stacked feed's error, if it failed.
+fn run_split(
+    env: &SeqEnv,
+    prefill_chunk: usize,
+    own: &mut ForkPool,
+    lent: &mut [ForkPool],
+    mut units: Vec<(usize, Unit<'_>)>,
+) -> Option<ServeError> {
+    if lent.is_empty() {
+        return run_units(env, prefill_chunk, own, units.into_iter().map(|(_, u)| u));
+    }
+    units.sort_by_key(|(rows, _)| std::cmp::Reverse(*rows));
+    let mut loads = vec![0; lent.len() + 1];
+    let mut queues: Vec<Vec<Unit<'_>>> = loads.iter().map(|_| Vec::new()).collect();
+    for (rows, unit) in units {
+        let w = (0..loads.len()).min_by_key(|&w| loads[w]).unwrap_or(0);
+        loads[w] += rows.max(1);
+        queues[w].push(unit);
+    }
+    let (own_queue, lent_queues) = queues.split_first_mut()?;
+    let mut failed = std::thread::scope(|s| {
+        let helpers: Vec<_> = lent_queues
+            .iter_mut()
+            .zip(lent.iter_mut())
+            .enumerate()
+            .filter_map(|(i, (queue, forks))| {
+                std::thread::Builder::new()
+                    .name(format!("astro-step-{}", i + 1))
+                    .spawn_scoped(s, move || {
+                        run_units(env, prefill_chunk, forks, std::mem::take(queue))
+                    })
+                    .ok()
+            })
+            .collect();
+        let mut failed = run_units(env, prefill_chunk, own, std::mem::take(own_queue));
+        for h in helpers {
+            // Every unit runs inside its panic boundaries, so a worker
+            // returns; a lost one reports nothing.
+            failed = failed.or(h.join().ok().flatten());
+        }
+        failed
+    });
+    // A worker that could not be spawned left its queue in place.
+    for queue in lent_queues {
+        failed = failed.or(run_units(env, prefill_chunk, own, std::mem::take(queue)));
+    }
+    failed
+}
+
+/// The iteration-level scheduler: submission and stepping through
+/// `&mut self`, so one thread drives it; a step spreads its work over the
+/// idle cores it can borrow (see the module docs' *Cores*). A serving loop
+/// that takes requests from other threads owns the scheduler and hands
+/// them over itself (the gateway's `BoundedQueue` is that hand-off).
 pub struct IterScheduler {
     cfg: SchedulerConfig,
     env: SeqEnv,
@@ -325,7 +549,14 @@ pub struct IterScheduler {
     pending: VecDeque<(usize, Job)>,
     active: Vec<Active>,
     free: Vec<Sequence>,
+    /// The stepping thread's scratch; lent cores bring their own.
     forks: ForkPool,
+    /// The core ledger steps hold and borrow from, and whether this
+    /// scheduler holds one of its cores.
+    cores: &'static Cores,
+    holding: bool,
+    /// Workers the last step ran on (what `serve.step.workers` observed).
+    workers: usize,
     next_id: usize,
     step_idx: u64,
     log: Option<SchedLog>,
@@ -339,6 +570,9 @@ pub struct IterScheduler {
 impl Drop for IterScheduler {
     fn drop(&mut self) {
         self.active_gauge.add(-self.published_active);
+        if self.holding {
+            self.cores.release();
+        }
     }
 }
 
@@ -375,6 +609,9 @@ impl IterScheduler {
             active: Vec::new(),
             free: Vec::new(),
             forks: ForkPool::default(),
+            cores: Cores::process(),
+            holding: false,
+            workers: 0,
             next_id: 0,
             step_idx: 0,
             log: cfg.record_log.then(SchedLog::default),
@@ -454,13 +691,17 @@ impl IterScheduler {
 
     /// One engine step: admit, advance every active sequence by one unit,
     /// retire completions. Returns `(sequence id, result)` for every
-    /// sequence retired this step. A no-op (idle) call returns empty and
-    /// records nothing.
+    /// sequence retired this step, in batch order. A no-op (idle) call
+    /// returns empty and records nothing.
     pub fn step(&mut self) -> Vec<(usize, Result<SeqOutcome, ServeError>)> {
         if self.is_idle() {
             return Vec::new();
         }
         self.step_idx += 1;
+        if !self.holding {
+            self.cores.hold();
+            self.holding = true;
+        }
 
         // -- Admit ----------------------------------------------------
         let stalled = fault::should_fault("serve.admit_stall");
@@ -511,45 +752,31 @@ impl IterScheduler {
 
         let batch: Vec<usize> = self.active.iter().map(|a| a.id).collect();
 
-        // -- Advance --------------------------------------------------
-        let mut done: Vec<(usize, Result<SeqOutcome, ServeError>)> = rejected;
-        for a in self.active.iter_mut() {
-            let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // Consulted once per job, in the step that admits it.
-                if admitted.contains(&a.id) && fault::should_fault("pool.worker_panic") {
-                    std::panic::panic_any(fault::FaultPanic("pool.worker_panic"));
+        // -- Advance and feed -----------------------------------------
+        let failed = self.advance_all();
+
+        // -- Retire ---------------------------------------------------
+        // Snapshots go in in batch order, so the cache's recency order, and
+        // with it every later eviction, is the inline step's.
+        if let Some(cache) = &self.env.cache {
+            for a in &mut self.active {
+                if let Some(snapshot) = a.seq.take_snapshot() {
+                    let anchor = &a.job.prompt()[..snapshot.position()];
+                    let (_token, mut guard) = lock_cache(cache);
+                    if !guard.has_snapshot(anchor) {
+                        guard.insert_owned(anchor, snapshot);
+                    }
                 }
-                a.seq.advance(&self.env, &a.job, &mut self.forks, self.cfg.prefill_chunk)
-            }));
-            a.sampled = None;
-            match step {
-                Err(_) => done.push((a.id, Err(ServeError::WorkerPanic))),
-                Ok(Advance::Done(result)) => done.push((a.id, result)),
-                Ok(Advance::Feed(token)) => a.sampled = Some(token),
-                Ok(Advance::Pending) => {}
             }
         }
-
-        // -- Feed -----------------------------------------------------
-        let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let decoding = self.active.iter_mut().filter_map(|Active { seq, sampled, .. }| {
-                sampled.as_ref().map(|token| (seq, token))
-            });
-            feed_sampled(&self.env.params, decoding, &mut self.forks)
-        }));
-        let failed = match fed {
-            Ok(Ok(())) => None,
-            Ok(Err(e)) => Some(ServeError::Session(e)),
-            Err(_) => Some(ServeError::WorkerPanic),
-        };
+        let mut done: Vec<(usize, Result<SeqOutcome, ServeError>)> = rejected;
+        done.extend(self.active.iter_mut().filter_map(|a| a.done.take().map(|r| (a.id, r))));
         // A failed forward advanced none of its lanes: it is the error of
         // exactly the sequences in it.
         if let Some(e) = failed {
             let lanes = self.active.iter().filter(|a| a.sampled.is_some());
             done.extend(lanes.map(|a| (a.id, Err(e))));
         }
-
-        // -- Retire ---------------------------------------------------
         let done_ids: HashSet<usize> = done.iter().map(|(id, _)| *id).collect();
         let mut kept = Vec::with_capacity(self.active.len());
         for a in std::mem::take(&mut self.active) {
@@ -573,6 +800,7 @@ impl IterScheduler {
         let panicked = done.iter().filter(|(_, r)| matches!(r, Err(ServeError::WorkerPanic))).count();
         astro_telemetry::counter("serve.job_panics").add(panicked as u64);
         astro_telemetry::histogram("serve.step.occupancy").observe(batch.len() as f64);
+        astro_telemetry::histogram("serve.step.workers").observe(self.workers as f64);
         let active = self.active.len() as i64;
         self.active_gauge.add(active - self.published_active);
         self.published_active = active;
@@ -589,7 +817,33 @@ impl IterScheduler {
                 stalled,
             });
         }
+        if self.holding && self.is_idle() {
+            self.cores.release();
+            self.holding = false;
+        }
         done
+    }
+
+    /// Advance every active sequence one unit and feed the decoding ones,
+    /// on `1 + borrowed` workers (see the module docs' *Cores*). Returns
+    /// the stacked feed's error, if it failed.
+    fn advance_all(&mut self) -> Option<ServeError> {
+        let chunk = self.cfg.prefill_chunk;
+        let mut units: Vec<(usize, Unit<'_>)> = Vec::with_capacity(self.active.len());
+        let mut decoding = Vec::new();
+        for a in self.active.iter_mut() {
+            if a.seq.is_decoding() {
+                decoding.push(a);
+            } else {
+                units.push((a.seq.step_rows(&a.job, chunk), Unit::Seq(a)));
+            }
+        }
+        if !decoding.is_empty() {
+            units.push((decoding.len(), Unit::Decode(decoding)));
+        }
+        let mut loan = self.cores.borrow(units.len().saturating_sub(1));
+        self.workers = 1 + loan.pools.len();
+        run_split(&self.env, chunk, &mut self.forks, &mut loan.pools, units)
     }
 
     /// Run every queued submission to completion, returning all results.
@@ -635,7 +889,10 @@ impl IterScheduler {
             .pop()
             .unwrap_or_else(|| Sequence::new(self.env.params.cfg));
         seq.start(&self.env, &job);
-        Active { id, job, seq, sampled: None }
+        // Consulted once per job, in admission order: the fault panics the
+        // job inside its boundary in the step that admits it.
+        let panics = fault::should_fault("pool.worker_panic");
+        Active { id, job, seq, panics, sampled: None, done: None }
     }
 }
 
@@ -653,9 +910,261 @@ fn worst_case_tokens(job: &Job, cfg: &ModelConfig) -> usize {
 mod tests {
     use super::*;
     use crate::engine::ScoreReadout;
-    use astro_model::{InferenceSession, Params, SamplerConfig};
+    use crate::EvalEngine;
+    use astro_model::{InferenceSession, Params, SamplerConfig, SessionError, WeightPrecision};
     use astro_prng::Rng;
     use std::sync::Arc;
+
+    /// A ledger of `n` cores for one test's schedulers alone.
+    fn cores(n: usize) -> &'static Cores {
+        Box::leak(Box::new(Cores::new(n)))
+    }
+
+    fn idle(cores: &Cores) -> isize {
+        cores.idle.load(Ordering::Relaxed)
+    }
+
+    /// A result as bits: score vectors by `to_bits`, tokens as they are.
+    type Bits = Result<(bool, Vec<u32>), ServeError>;
+
+    fn bits(r: Result<SeqOutcome, ServeError>) -> Bits {
+        r.map(|o| match o {
+            SeqOutcome::Scores(s) => (true, s.iter().map(|x| x.to_bits()).collect()),
+            SeqOutcome::Tokens(t) => (false, t),
+        })
+    }
+
+    /// A seeded mix over three anchor groups on `ModelConfig::tiny`
+    /// (`max_seq` 32): continuation and logit scores, greedy and sampled
+    /// generates, one prompt past the context (its `CacheFull` is retried
+    /// uncached, then is its result) — and the anchors.
+    fn mixed_load(seed: u64) -> (Vec<Job>, HashMap<u64, Vec<u32>>) {
+        let mut rng = Rng::seed_from(seed);
+        let anchor = |g: u32| (0..6 + g).map(|i| (i * 5 + g) % 24).collect();
+        let anchors: HashMap<u64, Vec<u32>> = (0..3).map(|g| (g as u64, anchor(g))).collect();
+        let mut jobs = Vec::new();
+        for i in 0..26u64 {
+            let group = rng.index(4) as u64;
+            let mut prompt = anchors.get(&group).cloned().unwrap_or_default();
+            prompt.extend((0..rng.range(1, 12)).map(|_| rng.index(24) as u32));
+            let job = match rng.index(3) {
+                0 => Job::Score(ScoreJob {
+                    prompt,
+                    group: Some(group),
+                    readout: ScoreReadout::ContinuationGroups(
+                        (0..4)
+                            .map(|_| {
+                                let variants = rng.range(1, 3);
+                                (0..variants)
+                                    .map(|_| {
+                                        (0..rng.range(1, 5)).map(|_| rng.index(24) as u32).collect()
+                                    })
+                                    .collect()
+                            })
+                            .collect(),
+                    ),
+                    trace: None,
+                }),
+                1 => Job::Score(ScoreJob {
+                    prompt,
+                    group: Some(group),
+                    readout: ScoreReadout::LogitGroups(vec![
+                        vec![1, 2],
+                        vec![3],
+                        vec![4, 5],
+                        vec![],
+                    ]),
+                    trace: None,
+                }),
+                _ => Job::Generate(GenerateJob {
+                    prompt,
+                    group: Some(group),
+                    max_new: rng.range(1, 12),
+                    sampler: SamplerConfig { temperature: [0.0, 0.9][rng.index(2)], top_k: 0 },
+                    rng: Rng::seed_from(seed ^ i),
+                    stop: vec![0],
+                    trace: None,
+                }),
+            };
+            jobs.push(job);
+        }
+        let overlong = jobs.len() / 2;
+        jobs.insert(
+            overlong,
+            Job::Score(ScoreJob {
+                prompt: vec![3; 40],
+                group: None,
+                readout: ScoreReadout::LogitGroups(vec![vec![1]]),
+                trace: None,
+            }),
+        );
+        (jobs, anchors)
+    }
+
+    /// What one drive of a load leaves: every step's retirements in order,
+    /// the schedule log, the cache's counters and the most workers a step
+    /// ran on.
+    struct Drive {
+        retired: Vec<Vec<(usize, Bits)>>,
+        log: SchedLog,
+        cache: [u64; 5],
+        peak_workers: usize,
+    }
+
+    /// Drive `jobs` through a scheduler whose steps may run on up to
+    /// `workers` cores: half submitted up front, one more after each step;
+    /// the first generate job panics in its unit the step after it is
+    /// admitted, the way `pool.worker_panic` makes it.
+    fn drive(
+        params: &Params,
+        workers: usize,
+        jobs: &[Job],
+        anchors: &HashMap<u64, Vec<u32>>,
+    ) -> Drive {
+        // Two snapshots' worth of cache: anchor inserts evict each other.
+        let cache = crate::EngineConfig {
+            max_cache_bytes: 2 * params.cfg.session_bytes(),
+            ..crate::EngineConfig::pooled_with(1)
+        };
+        let engine = EvalEngine::new(cache, params);
+        let mut sched = engine.iter_scheduler(SchedulerConfig {
+            max_active: 6,
+            prefill_chunk: 3,
+            ..SchedulerConfig::default()
+        });
+        let ledger = cores(workers);
+        sched.cores = ledger;
+        sched.set_anchors(anchors.clone());
+        let victim = jobs.iter().position(|j| matches!(j, Job::Generate(_)));
+        let mut queue = jobs.iter().cloned();
+        for job in queue.by_ref().take(jobs.len() / 2) {
+            sched.submit_job(job).expect("submit");
+        }
+        let (mut retired, mut peak_workers, mut armed) = (Vec::new(), 0, false);
+        while !sched.is_idle() {
+            retired.push(sched.step().into_iter().map(|(id, r)| (id, bits(r))).collect());
+            peak_workers = peak_workers.max(sched.workers);
+            assert!(sched.workers <= workers, "{} workers on {workers} cores", sched.workers);
+            if let Some(a) = sched.active.iter_mut().find(|a| Some(a.id) == victim && !armed) {
+                a.panics = true;
+                armed = true;
+            }
+            if let Some(job) = queue.next() {
+                sched.submit_job(job).expect("submit");
+            }
+        }
+        assert_eq!(idle(ledger), workers as isize, "an idle scheduler holds no core");
+        let c = engine.cache_stats();
+        Drive {
+            retired,
+            log: sched.sched_log().cloned().unwrap_or_default(),
+            cache: [c.hits, c.misses, c.tokens_reused, c.evictions, c.resident_sessions],
+            peak_workers,
+        }
+    }
+
+    /// The split step against the inline one, bit for bit: seeded mixed
+    /// loads in f32 and int8 at 1–4 workers retire the same results in the
+    /// same order, record the same schedule log and leave the prefix cache
+    /// with the same counters — `CacheFull` retry, injected worker panic,
+    /// anchor snapshots and evictions included.
+    #[test]
+    fn a_step_split_over_workers_is_bitwise_the_inline_step() {
+        for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
+            let params = Params::init(ModelConfig::tiny(24), &mut Rng::seed_from(9));
+            let params = match precision {
+                WeightPrecision::F32 => params,
+                WeightPrecision::Int8 => params.quantized(),
+            };
+            for seed in [3, 17] {
+                let (jobs, anchors) = mixed_load(seed);
+                let inline = drive(&params, 1, &jobs, &anchors);
+                let results: Vec<&Bits> = inline.retired.iter().flatten().map(|(_, r)| r).collect();
+                assert_eq!(results.len(), jobs.len());
+                let full = SessionError::CacheFull { pos: 32, max_seq: 32 };
+                assert!(results.contains(&&Err(ServeError::Session(full))), "no CacheFull");
+                assert!(results.contains(&&Err(ServeError::WorkerPanic)), "no worker panic");
+                assert!(inline.cache[0] > 0 && inline.cache[3] > 0, "cache {:?}", inline.cache);
+                for workers in 2..=4 {
+                    let split = drive(&params, workers, &jobs, &anchors);
+                    let at = format!("{precision:?} seed {seed}, {workers} workers");
+                    assert_eq!(split.retired, inline.retired, "{at}");
+                    assert_eq!(split.log, inline.log, "{at}");
+                    assert_eq!(split.cache, inline.cache, "{at}");
+                    assert_eq!(split.peak_workers, workers, "{at}: the step never split");
+                }
+            }
+        }
+    }
+
+    /// The core ledger: a scheduler holds one core while it has work, a
+    /// step borrows at most the idle rest and returns it — after a step,
+    /// after a panicking unit, from an unwinding loan — with its scratch
+    /// pool, so pools never outnumber cores; and a dropped scheduler gives
+    /// back the core it held.
+    #[test]
+    fn every_borrowed_core_comes_back() {
+        let params = Params::init(ModelConfig::tiny(24), &mut Rng::seed_from(4));
+        let engine = EvalEngine::new(crate::EngineConfig::pooled_with(1), &params);
+        let ledger = cores(3);
+        let sched = || {
+            let cfg = SchedulerConfig { prefill_chunk: 2, ..SchedulerConfig::default() };
+            let mut s = engine.iter_scheduler(cfg);
+            s.cores = ledger;
+            s
+        };
+        let generate = |i: u32| GenerateJob {
+            prompt: vec![i + 1, 7, 9, i, 2, 5],
+            group: None,
+            max_new: 6,
+            sampler: SamplerConfig::greedy(),
+            rng: Rng::seed_from(i as u64),
+            stop: vec![],
+            trace: None,
+        };
+
+        let mut s = sched();
+        for i in 0..5 {
+            s.submit_generate(generate(i)).expect("submit");
+        }
+        assert_eq!(idle(ledger), 3, "nothing held before the first step");
+        s.step();
+        // Five prefills run on all three cores; one stays held after.
+        assert_eq!((s.workers, idle(ledger)), (3, 2));
+        // Another scheduler holds a core: the step may borrow only the last.
+        ledger.hold();
+        s.step();
+        assert_eq!((s.workers, idle(ledger)), (2, 1));
+        ledger.release();
+        s.active[1].panics = true;
+        let victim = s.active[1].id;
+        assert_eq!(s.step(), vec![(victim, Err(ServeError::WorkerPanic))]);
+        assert_eq!(idle(ledger), 2, "a panicking unit loses no core");
+        let done = s.run_to_completion();
+        assert_eq!(done.len(), 4);
+        assert_eq!(idle(ledger), 3, "an idle scheduler holds none");
+        // Lent scratch came back with its cores: one pool per lendable core.
+        assert_eq!(ledger.spares().1.len(), 2, "pools of the two lent cores");
+
+        // A scheduler dropped mid-work hands back the core it held.
+        let mut s = sched();
+        s.submit_generate(generate(9)).expect("submit");
+        s.step();
+        assert_eq!(idle(ledger), 2);
+        drop(s);
+        assert_eq!(idle(ledger), 3);
+
+        // A loan unwound through is returned; borrowing never takes more
+        // than is idle.
+        let unwound = std::panic::catch_unwind(|| {
+            let loan = ledger.borrow(8);
+            assert_eq!(loan.pools.len(), 3);
+            std::panic::panic_any("unit panicked");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(idle(ledger), 3);
+        assert_eq!(ledger.spares().1.len(), 3, "no more pools than cores");
+    }
 
     /// The stacked feed has a panic boundary of its own, and no fault site
     /// reaches it: plant a session of another `ModelConfig` under one of

@@ -7,9 +7,11 @@
 //!    the deepest cached ancestor of the prompt into the sequence's session
 //!    (or reset it), record the `cache_lookup` trace phase.
 //! 2. [`Sequence::advance`], prefill — feed up to `prefill_chunk` prompt
-//!    tokens, snapshotting the job's group anchor into the prefix cache on
-//!    the way past. A [`astro_model::SessionError::CacheFull`] restarts the
-//!    sequence **once**, from position 0 and without the prefix cache
+//!    tokens, snapshotting the job's group anchor on the way past (the
+//!    scheduler inserts the snapshot into the prefix cache after the step,
+//!    [`Sequence::take_snapshot`]). A
+//!    [`astro_model::SessionError::CacheFull`] restarts the sequence
+//!    **once**, from position 0 and without the prefix cache
 //!    (`serve.cache_full.retries`); the second one is the job's error. By
 //!    the crate's determinism contract an uncached run is bit-identical to
 //!    a cached one, so degradation never changes a result.
@@ -26,10 +28,12 @@
 //!
 //! The one driver is the iteration scheduler ([`crate::scheduler`]): it
 //! keeps a free list of sequences, calls `advance` once per active
-//! sequence per step, owns the panic boundaries (one per sequence, one
-//! around the stacked feed) and the [`ForkPool`] it lends to the readout
-//! and the feed, and records traced jobs' `admit` phase. An offline batch
-//! runs on several of them at once ([`crate::engine`]'s shards).
+//! sequence per step — on the stepping thread or on a step worker, each
+//! with a [`ForkPool`] of its own to lend the readout and the feed — owns
+//! the panic boundaries (one per sequence, one around the stacked feed),
+//! inserts the step's anchor snapshots and records traced jobs' `admit`
+//! phase. An offline batch runs on several of them at once
+//! ([`crate::engine`]'s shards).
 
 use crate::engine::{lock_cache, Job, ScoreReadout, SeqOutcome, ServeError};
 use crate::trie::PrefixCache;
@@ -61,6 +65,9 @@ pub(crate) struct Sequence {
     /// The generate job's decoder once its prefill is complete; `None`
     /// before that, for score jobs and after the job finished.
     decode: Option<StepDecoder>,
+    /// The group anchor's snapshot, taken on the way past and waiting for
+    /// the scheduler to insert it into the prefix cache.
+    snapshot: Option<Box<InferenceSession>>,
 }
 
 /// What one [`Sequence::advance`] call did.
@@ -83,7 +90,38 @@ impl Sequence {
             forked: 0,
             uncached: false,
             decode: None,
+            snapshot: None,
         }
+    }
+
+    /// True once the job's decoder is installed: its next `advance`
+    /// samples a token instead of feeding its prompt.
+    pub(crate) fn is_decoding(&self) -> bool {
+        self.decode.is_some()
+    }
+
+    /// The forward rows the next `advance` of `job` runs before it
+    /// decodes, as the scheduler estimates them to balance a step: the next
+    /// prompt chunk, plus the readout's continuation rows when that chunk
+    /// completes a score job's prompt.
+    pub(crate) fn step_rows(&self, job: &Job, prefill_chunk: usize) -> usize {
+        let left = job.prompt().len().saturating_sub(self.fed);
+        let readout = match job {
+            Job::Score(j) if left <= prefill_chunk => match &j.readout {
+                ScoreReadout::ContinuationGroups(groups) => {
+                    groups.iter().flatten().map(|cont| cont.len().saturating_sub(1)).sum()
+                }
+                ScoreReadout::LogitGroups(_) => 0,
+            },
+            _ => 0,
+        };
+        left.min(prefill_chunk) + readout
+    }
+
+    /// The anchor snapshot the last `advance` took, if any: the scheduler
+    /// inserts it at `job.prompt()[..snapshot.position()]`.
+    pub(crate) fn take_snapshot(&mut self) -> Option<Box<InferenceSession>> {
+        self.snapshot.take()
     }
 
     /// Begin `job`: position the session at the deepest cached prefix of
@@ -168,14 +206,16 @@ impl Sequence {
                     return Advance::Pending;
                 }
                 self.fed = end;
-                // Raced and replayed inserts are idempotent (`insert`
-                // refuses duplicates).
-                if let Some((c, a)) = snapshot {
-                    if self.fed == a.len() {
-                        let (_token, mut guard) = lock_cache(c);
-                        if !guard.has_snapshot(a) {
-                            guard.insert(a, &self.sess, false);
-                        }
+                // The scheduler inserts the snapshot after the step, in batch
+                // order, so the cache's recency order does not depend on
+                // which worker advanced which sequence first.
+                if let Some((c, a)) = snapshot.filter(|(_, a)| self.fed == a.len()) {
+                    let cached = {
+                        let (_token, guard) = lock_cache(c);
+                        guard.has_snapshot(a)
+                    };
+                    if !cached {
+                        self.snapshot = Some(Box::new(self.sess.clone()));
                     }
                 }
             }
@@ -324,6 +364,8 @@ fn continuation_scores(
     let n_rows: usize = stacked().map(|cont| fed(cont)).sum();
     if n_rows > 0 {
         let n_lanes = stacked().count();
+        // A lent pool may last have served another model.
+        pool.forks.retain(|f| f.config() == &params.cfg);
         while pool.forks.len() < n_lanes {
             pool.forks.push(InferenceSession::new(params.cfg));
         }

@@ -253,10 +253,26 @@ impl PrefixCache {
     /// cannot admit it (everything resident is pinned) and `pinned` is
     /// off.
     pub fn insert(&mut self, tokens: &[u32], sess: &InferenceSession, pinned: bool) -> bool {
+        self.insert_with(tokens, sess.position(), pinned, || Box::new(sess.clone()))
+    }
+
+    /// [`PrefixCache::insert`] of a snapshot the caller already took: the
+    /// trie keeps `sess` itself instead of cloning it.
+    pub(crate) fn insert_owned(&mut self, tokens: &[u32], sess: Box<InferenceSession>) -> bool {
+        self.insert_with(tokens, sess.position(), false, || sess)
+    }
+
+    /// The one insert: `snapshot` runs only once the trie will keep it.
+    fn insert_with(
+        &mut self,
+        tokens: &[u32],
+        position: usize,
+        pinned: bool,
+        snapshot: impl FnOnce() -> Box<InferenceSession>,
+    ) -> bool {
         assert!(
-            sess.position() == tokens.len(),
-            "snapshot position {} != prefix length {}",
-            sess.position(),
+            position == tokens.len(),
+            "snapshot position {position} != prefix length {}",
             tokens.len()
         );
         if tokens.is_empty() {
@@ -278,7 +294,7 @@ impl PrefixCache {
         self.clock += 1;
         self.nodes[node].last_use = self.clock;
         self.nodes[node].pins = pinned as u32;
-        self.nodes[node].session = Some(Box::new(sess.clone()));
+        self.nodes[node].session = Some(snapshot());
         self.stats.resident_sessions += 1;
         self.stats.resident_bytes += self.session_bytes as u64;
         true

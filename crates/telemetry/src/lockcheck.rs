@@ -55,6 +55,9 @@ pub const RANKS: &[LockRank] = &[
     LockRank { name: "gateway.queue", rank: 6 },
     LockRank { name: "router.crash_hook", rank: 8 },
     LockRank { name: "router.cluster", rank: 9 },
+    // A scheduler step's loan of idle cores parks their scratch pools
+    // here between loans; it is held only to move pools in or out.
+    LockRank { name: "serve.step_pools", rank: 15 },
     LockRank { name: "serve.prefix_cache", rank: 16 },
     // The trace in-flight table and ring sit below the metrics registry
     // and the sink: finishing a trace records histograms and emits a
