@@ -38,7 +38,7 @@ use astro_mcq::Mcq;
 use astro_model::Params;
 use astro_prng::Rng;
 use astro_resilience::fault;
-use astro_serve::{EngineConfig, EvalEngine, SeqOutcome};
+use astro_serve::{EvalEngine, SeqOutcome};
 use astro_telemetry::trace::{self, TraceId};
 use astro_telemetry::{metrics, span};
 use astro_tokenizer::Tokenizer;
@@ -151,11 +151,11 @@ impl Gateway {
             .map_err(|e| GatewayError::Bind(e.to_string()))?;
 
         let max_batch = shared.config.max_batch;
-        // One serving loop per core — the offline engine's auto shard rule —
-        // but never more loops than slots, so a one-core machine or
+        // One serving loop per core of the process's one sizing rule, but
+        // never more loops than slots, so a one-core machine or
         // `max_batch: 1` keeps a single loop. `max_batch` is split so it
         // stays the bound on active sequences over all of them.
-        let loops = EngineConfig::pooled().resolved_parallelism().min(max_batch);
+        let loops = astro_telemetry::cores::available().min(max_batch);
         let schedulers = (0..loops)
             .map(|i| {
                 let slots = max_batch / loops + usize::from(i < max_batch % loops);

@@ -8,7 +8,8 @@
 //!    (in practice: the two-shot preamble) is encoded once and **pinned**
 //!    in the prefix cache. Per-group common prefixes (questions about the
 //!    same article) are recorded as anchor targets.
-//! 2. Each shard — a scoped thread, the caller being the first — steps its
+//! 2. Each shard — a queue of the process's one runner
+//!    (`astro_telemetry::cores::run`), the caller being the first — steps its
 //!    own [`IterScheduler`] over the engine's shared parameters, trie and
 //!    anchors, and claims jobs off the batch's shared atomic cursor: **at
 //!    most one per step, while it has a free slot**. Every job runs the
@@ -36,7 +37,7 @@ use crate::EngineConfig;
 use astro_model::{InferenceSession, ModelConfig, Params, SamplerConfig, SessionError};
 use astro_prng::Rng;
 use astro_telemetry::sync::{self, Mutex, MutexGuard};
-use astro_telemetry::{lockcheck, TraceId};
+use astro_telemetry::{cores, lockcheck, TraceId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -277,14 +278,14 @@ impl EvalEngine {
     /// Shared dispatch: prime anchors, run the batch on
     /// [`EngineConfig::resolved_parallelism`] scheduler shards claiming
     /// jobs off one shared cursor, and return results in job order. The
-    /// calling thread is the first shard and the rest are scoped to this
-    /// call, so one shard spawns nothing; a refused spawn only leaves
-    /// fewer claimers. Each scheduler publishes the cache's metrics after
-    /// every step, priming's share with the first.
+    /// shards go through the process's one runner ([`cores::run`]): the
+    /// calling thread is the first, so one shard spawns nothing, and a
+    /// shard whose thread is refused runs on the caller afterwards. Each
+    /// shard's scheduler *holds* a core of the ledger while it steps, the
+    /// way a gateway loop does; it never borrows one. Each scheduler
+    /// publishes the cache's metrics after every step, priming's share
+    /// with the first.
     fn run_batch(&self, jobs: Vec<Job>) -> Vec<Result<SeqOutcome, ServeError>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
         // `_pin` holds the batch anchor in the cache until this returns.
         let (anchors, _pin) = if self.cfg.prefix_cache {
             self.prime_anchors(&jobs)
@@ -293,42 +294,17 @@ impl EvalEngine {
         };
         let shards = self.cfg.resolved_parallelism().min(jobs.len()).max(1);
         let cursor = AtomicUsize::new(0);
-        let shard = || self.run_shard(&jobs, &cursor, &anchors);
-        let reported = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..shards)
-                .filter_map(|i| {
-                    std::thread::Builder::new()
-                        .name(format!("astro-serve-{i}"))
-                        .spawn_scoped(s, shard)
-                        .ok()
-                })
-                .collect();
-            if helpers.len() + 1 < shards {
-                astro_telemetry::info!(
-                    "batch degraded: {} of {shards} shards",
-                    helpers.len() + 1
-                );
-            }
-            let mut reported = shard();
-            for h in helpers {
-                // A helper that died outside the scheduler's panic
-                // boundaries loses what it had finished; those jobs are
-                // reported below as `WorkerPanic`.
-                reported.extend(h.join().unwrap_or_default());
-            }
-            reported
+        let reported = cores::run("astro-serve", vec![(); shards], |()| {
+            self.run_shard(&jobs, &cursor, &anchors)
         });
-        let mut results: Vec<Option<Result<SeqOutcome, ServeError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        for (i, r) in reported {
-            results[i] = Some(r);
+        // Every index below `jobs.len()` is claimed exactly once, so one
+        // left at `WorkerPanic` was claimed by a shard that died outside
+        // the scheduler's panic boundaries, losing what it had finished.
+        let mut results = vec![Err(ServeError::WorkerPanic); jobs.len()];
+        for (i, r) in reported.into_iter().flat_map(Result::unwrap_or_default) {
+            results[i] = r;
         }
-        // Every index below `jobs.len()` is claimed exactly once, so `None`
-        // means the shard that claimed it died before returning.
         results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(ServeError::WorkerPanic)))
-            .collect()
     }
 
     /// One shard: step an [`IterScheduler`] of the default shape until the

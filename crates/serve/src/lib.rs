@@ -19,12 +19,14 @@
 //!   forward for all of a step's decode rows** and individual retirement,
 //!   so short score jobs are never head-of-line blocked behind long
 //!   generations and a decode step streams the weights once, not once per
-//!   sequence. A step splits its sequences over the cores no other
-//!   scheduler holds (one process-wide count). The gateway's serving loop
-//!   owns one.
+//!   sequence. A step splits its sequences over the cores nothing else
+//!   holds, borrowed from the process's one core ledger
+//!   (`astro_telemetry::cores`, shared with offline shards and training
+//!   runs). The gateway's serving loop owns one.
 //! * [`engine::EvalEngine`] — runs an offline batch of scoring or
-//!   generation jobs on scheduler *shards* (`std::thread::scope`, one set
-//!   per batch, each its own `IterScheduler` over the shared trie),
+//!   generation jobs on scheduler *shards* (one set per batch through the
+//!   process's one runner, `astro_telemetry::cores::run`, each its own
+//!   `IterScheduler` over the shared trie),
 //!   surfacing KV-cache overflow (after one uncached retry) and job panics
 //!   as a *per-job* [`engine::ServeError`] instead of aborting the batch.
 //!
@@ -56,10 +58,13 @@ pub use trie::{CacheStats, PrefixCache};
 /// structs without breaking their `Copy` derives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Scheduler shards an offline batch runs on: `0` = auto (available
-    /// parallelism, capped at 8), `1` = in the calling thread, `n > 1` =
-    /// the caller plus `n - 1` scoped threads. A shard's step may also
-    /// borrow cores no other scheduler holds ([`scheduler`], *Cores*).
+    /// Scheduler shards an offline batch runs on: `0` = auto (the
+    /// process's one sizing rule, [`astro_telemetry::cores::available`]:
+    /// available parallelism, capped at 8), `1` = in the calling thread,
+    /// `n > 1` = the caller plus `n - 1` scoped threads of the process's
+    /// one runner. Each shard holds a core of the process's ledger while it
+    /// steps, and its step may also borrow cores nothing else holds
+    /// ([`scheduler`], *Cores*).
     pub parallelism: usize,
     /// Reuse shared-prefix session snapshots via the prefix-cache trie.
     pub prefix_cache: bool,
@@ -96,10 +101,7 @@ impl EngineConfig {
     /// The concrete shard count this configuration resolves to.
     pub fn resolved_parallelism(&self) -> usize {
         match self.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
+            0 => astro_telemetry::cores::available(),
             n => n,
         }
     }

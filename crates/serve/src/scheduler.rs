@@ -38,21 +38,21 @@
 //!
 //! # Cores
 //!
-//! Advance and feed run on every core no other scheduler holds. One
-//! process-wide count of idle cores, sized like the engine's auto shard
-//! count ([`crate::EngineConfig::resolved_parallelism`]), is shared by
-//! every scheduler: a scheduler *holds* one core from its first step until
-//! a step leaves it idle (or it drops), and a step *borrows* idle cores
-//! for its own duration only. The step's work splits into units — each
-//! sequence that prefills or reads out, and all decoding sequences
-//! together as one unit, so the stacked feed stays one forward — that go
-//! longest-first by estimated rows to `1 + borrowed` workers: the stepping
-//! thread with the scheduler's own [`ForkPool`], and scoped threads with
-//! the pools the ledger lends along with the cores, so a process never has
-//! more lent pools than cores. With nothing borrowed the same code runs
-//! inline. A loan is not recalled: a scheduler that turns busy while
-//! another step holds a loan shares its core with that step's worker until
-//! the step ends. Admission, the fault hooks, the snapshot inserts,
+//! Advance and feed run on every core nothing else holds. The process's
+//! one ledger of idle cores ([`astro_telemetry::cores`]) is shared by every
+//! scheduler, offline shard and training run: a scheduler *holds* one core
+//! from its first step until a step leaves it idle (or it drops), and a
+//! step *borrows* idle cores for its own duration only. The step's work
+//! splits into units — each sequence that prefills or reads out, and all
+//! decoding sequences together as one unit, so the stacked feed stays one
+//! forward — that the ledger's packer deals longest-first by estimated
+//! rows to `1 + borrowed` workers of its runner: the stepping thread with
+//! the scheduler's own [`ForkPool`], and scoped threads with the pools
+//! lent along with the cores (parked here between loans, so a process
+//! never has more lent pools than cores). With nothing borrowed the same
+//! code runs inline. A loan is not recalled: a scheduler that turns busy
+//! while another step holds a loan shares its core with that step's worker
+//! until the step ends. Admission, the fault hooks, the snapshot inserts,
 //! retirement and the [`SchedLog`] stay on the stepping thread, so the
 //! split is invisible in results, logs and cache state
 //! (`serve.step.workers` shows it).
@@ -84,15 +84,14 @@ use crate::engine::{
     lock_cache, publish_cache_metrics, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError,
 };
 use crate::seq::{feed_sampled, Advance, ForkPool, SeqEnv, Sequence};
-use crate::EngineConfig;
 use astro_model::ModelConfig;
 use astro_resilience::fault;
+use astro_telemetry::cores::{self, Cores, Loan};
 use astro_telemetry::lockcheck;
 use astro_telemetry::metrics::Gauge;
 use astro_telemetry::sync::{self, Mutex, MutexGuard};
 use astro_telemetry::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::OnceLock;
 
 /// Iteration-scheduler tuning. All zero/degenerate values are normalized
@@ -330,57 +329,30 @@ impl SchedLog {
     }
 }
 
-/// The process's cores as one count of idle ones (see the module docs'
-/// *Cores*), and the scratch of the cores out on loan. Holding may take
-/// the count below zero — more busy schedulers than cores — while
-/// borrowing only ever takes what is above it. The count publishes no
-/// other data, so every access is `Relaxed`.
-struct Cores {
-    idle: AtomicIsize,
-    /// The [`ForkPool`]s of lent cores, parked between loans: a loan takes
-    /// one per core it borrows and brings it back, so no more pools exist
-    /// than cores can be lent at once.
+/// The core ledger a scheduler holds and borrows from, and the scratch
+/// [`ForkPool`]s of its cores out on loan, parked between loans: a loan
+/// takes one per core it borrows and brings it back, so no more pools exist
+/// than cores can be lent at once.
+struct StepCores {
+    ledger: &'static Cores,
     spare: Mutex<Vec<ForkPool>>,
 }
 
-impl Cores {
-    /// A ledger of `n` idle cores.
-    fn new(n: usize) -> Self {
-        Cores { idle: AtomicIsize::new(n as isize), spare: Mutex::new(Vec::new()) }
+impl StepCores {
+    /// The process-wide ledger's.
+    fn process() -> &'static StepCores {
+        static STEP_CORES: OnceLock<StepCores> = OnceLock::new();
+        STEP_CORES.get_or_init(|| StepCores { ledger: Cores::process(), spare: Mutex::default() })
     }
 
-    /// The process-wide ledger, sized by the engine's auto shard count.
-    fn process() -> &'static Cores {
-        static CORES: OnceLock<Cores> = OnceLock::new();
-        CORES.get_or_init(|| Cores::new(EngineConfig::pooled().resolved_parallelism()))
-    }
-
-    fn hold(&self) {
-        self.idle.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn release(&self) {
-        self.idle.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Take up to `want` idle cores, each with a scratch pool, until the
-    /// returned loan drops.
-    fn borrow(&self, want: usize) -> Loan<'_> {
-        let lend = |idle: isize| (idle.max(0) as usize).min(want);
-        let n = self
-            .idle
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |idle| {
-                (lend(idle) > 0).then(|| idle - lend(idle) as isize)
-            })
-            .map_or(0, lend);
-        let mut pools = Vec::new();
-        if n > 0 {
-            let (_token, mut spare) = self.spares();
-            let keep = spare.len().saturating_sub(n);
-            pools = spare.split_off(keep);
-        }
-        pools.resize_with(n, ForkPool::default);
-        Loan { cores: self, pools }
+    /// Borrow up to `want` idle cores, each with a scratch pool.
+    fn lend(&self, want: usize) -> Lent<'_> {
+        let loan = self.ledger.borrow(want);
+        let (_token, mut spare) = self.spares();
+        let keep = spare.len().saturating_sub(loan.cores());
+        let mut pools = spare.split_off(keep);
+        pools.resize_with(loan.cores(), ForkPool::default);
+        Lent { cores: self, pools, _loan: loan }
     }
 
     fn spares(&self) -> (lockcheck::LockToken, MutexGuard<'_, Vec<ForkPool>>) {
@@ -388,21 +360,18 @@ impl Cores {
     }
 }
 
-/// Cores a step borrowed and their scratch, handed back on drop — also
-/// when the step unwinds.
-struct Loan<'a> {
-    cores: &'a Cores,
+/// Cores a step borrowed with a scratch pool each: the pools go back to
+/// the spare list on drop — also when the step unwinds — and the cores
+/// after them.
+struct Lent<'a> {
+    cores: &'a StepCores,
     pools: Vec<ForkPool>,
+    _loan: Loan<'a>,
 }
 
-impl Drop for Loan<'_> {
+impl Drop for Lent<'_> {
     fn drop(&mut self) {
-        let n = self.pools.len();
-        if n > 0 {
-            let (_token, mut spare) = self.cores.spares();
-            spare.append(&mut self.pools);
-        }
-        self.cores.idle.fetch_add(n as isize, Ordering::Relaxed);
+        self.cores.spares().1.append(&mut self.pools);
     }
 }
 
@@ -482,60 +451,6 @@ fn run_units<'a>(
     failed
 }
 
-/// Run a step's `(estimated rows, unit)` list on `1 + lent.len()`
-/// workers: longest first, each to the least-loaded worker (ties to the
-/// lowest, the stepping thread with `own` being worker 0), the rest on
-/// scoped threads with a lent pool each. Nothing lent runs everything
-/// inline. Units whose thread could not be spawned run on this thread
-/// afterwards. Returns the stacked feed's error, if it failed.
-fn run_split(
-    env: &SeqEnv,
-    prefill_chunk: usize,
-    own: &mut ForkPool,
-    lent: &mut [ForkPool],
-    mut units: Vec<(usize, Unit<'_>)>,
-) -> Option<ServeError> {
-    if lent.is_empty() {
-        return run_units(env, prefill_chunk, own, units.into_iter().map(|(_, u)| u));
-    }
-    units.sort_by_key(|(rows, _)| std::cmp::Reverse(*rows));
-    let mut loads = vec![0; lent.len() + 1];
-    let mut queues: Vec<Vec<Unit<'_>>> = loads.iter().map(|_| Vec::new()).collect();
-    for (rows, unit) in units {
-        let w = (0..loads.len()).min_by_key(|&w| loads[w]).unwrap_or(0);
-        loads[w] += rows.max(1);
-        queues[w].push(unit);
-    }
-    let (own_queue, lent_queues) = queues.split_first_mut()?;
-    let mut failed = std::thread::scope(|s| {
-        let helpers: Vec<_> = lent_queues
-            .iter_mut()
-            .zip(lent.iter_mut())
-            .enumerate()
-            .filter_map(|(i, (queue, forks))| {
-                std::thread::Builder::new()
-                    .name(format!("astro-step-{}", i + 1))
-                    .spawn_scoped(s, move || {
-                        run_units(env, prefill_chunk, forks, std::mem::take(queue))
-                    })
-                    .ok()
-            })
-            .collect();
-        let mut failed = run_units(env, prefill_chunk, own, std::mem::take(own_queue));
-        for h in helpers {
-            // Every unit runs inside its panic boundaries, so a worker
-            // returns; a lost one reports nothing.
-            failed = failed.or(h.join().ok().flatten());
-        }
-        failed
-    });
-    // A worker that could not be spawned left its queue in place.
-    for queue in lent_queues {
-        failed = failed.or(run_units(env, prefill_chunk, own, std::mem::take(queue)));
-    }
-    failed
-}
-
 /// The iteration-level scheduler: submission and stepping through
 /// `&mut self`, so one thread drives it; a step spreads its work over the
 /// idle cores it can borrow (see the module docs' *Cores*). A serving loop
@@ -551,10 +466,10 @@ pub struct IterScheduler {
     free: Vec<Sequence>,
     /// The stepping thread's scratch; lent cores bring their own.
     forks: ForkPool,
-    /// The core ledger steps hold and borrow from, and whether this
-    /// scheduler holds one of its cores.
-    cores: &'static Cores,
-    holding: bool,
+    /// The core ledger steps hold and borrow from, and this scheduler's
+    /// hold on one of its cores while it has work.
+    cores: &'static StepCores,
+    hold: Option<Loan<'static>>,
     /// Workers the last step ran on (what `serve.step.workers` observed).
     workers: usize,
     next_id: usize,
@@ -570,9 +485,6 @@ pub struct IterScheduler {
 impl Drop for IterScheduler {
     fn drop(&mut self) {
         self.active_gauge.add(-self.published_active);
-        if self.holding {
-            self.cores.release();
-        }
     }
 }
 
@@ -609,8 +521,8 @@ impl IterScheduler {
             active: Vec::new(),
             free: Vec::new(),
             forks: ForkPool::default(),
-            cores: Cores::process(),
-            holding: false,
+            cores: StepCores::process(),
+            hold: None,
             workers: 0,
             next_id: 0,
             step_idx: 0,
@@ -698,10 +610,7 @@ impl IterScheduler {
             return Vec::new();
         }
         self.step_idx += 1;
-        if !self.holding {
-            self.cores.hold();
-            self.holding = true;
-        }
+        self.hold.get_or_insert_with(|| self.cores.ledger.hold());
 
         // -- Admit ----------------------------------------------------
         let stalled = fault::should_fault("serve.admit_stall");
@@ -817,16 +726,17 @@ impl IterScheduler {
                 stalled,
             });
         }
-        if self.holding && self.is_idle() {
-            self.cores.release();
-            self.holding = false;
+        if self.is_idle() {
+            self.hold = None;
         }
         done
     }
 
     /// Advance every active sequence one unit and feed the decoding ones,
-    /// on `1 + borrowed` workers (see the module docs' *Cores*). Returns
-    /// the stacked feed's error, if it failed.
+    /// on `1 + borrowed` workers packed longest first by estimated rows:
+    /// the stepping thread with its own pool, and one scoped thread per
+    /// lent one (see the module docs' *Cores*). Returns the stacked feed's
+    /// error, if it failed.
     fn advance_all(&mut self) -> Option<ServeError> {
         let chunk = self.cfg.prefill_chunk;
         let mut units: Vec<(usize, Unit<'_>)> = Vec::with_capacity(self.active.len());
@@ -841,9 +751,16 @@ impl IterScheduler {
         if !decoding.is_empty() {
             units.push((decoding.len(), Unit::Decode(decoding)));
         }
-        let mut loan = self.cores.borrow(units.len().saturating_sub(1));
-        self.workers = 1 + loan.pools.len();
-        run_split(&self.env, chunk, &mut self.forks, &mut loan.pools, units)
+        let mut lent = self.cores.lend(units.len().saturating_sub(1));
+        self.workers = 1 + lent.pools.len();
+        let queues = cores::pack(self.workers, units);
+        let workers = std::iter::once(&mut self.forks).chain(&mut lent.pools).zip(queues).collect();
+        let env = &self.env;
+        // Every unit runs inside its panic boundaries, so a worker returns; a
+        // lost one reports nothing.
+        cores::run("astro-step", workers, |(forks, queue)| run_units(env, chunk, forks, queue))
+            .into_iter()
+            .find_map(|r| r.ok().flatten())
     }
 
     /// Run every queued submission to completion, returning all results.
@@ -916,12 +833,13 @@ mod tests {
     use std::sync::Arc;
 
     /// A ledger of `n` cores for one test's schedulers alone.
-    fn cores(n: usize) -> &'static Cores {
-        Box::leak(Box::new(Cores::new(n)))
+    fn cores(n: usize) -> &'static StepCores {
+        let ledger = Box::leak(Box::new(Cores::new(n)));
+        Box::leak(Box::new(StepCores { ledger, spare: Mutex::default() }))
     }
 
-    fn idle(cores: &Cores) -> isize {
-        cores.idle.load(Ordering::Relaxed)
+    fn idle(cores: &StepCores) -> isize {
+        cores.ledger.idle()
     }
 
     /// A result as bits: score vectors by `to_bits`, tokens as they are.
@@ -1132,10 +1050,10 @@ mod tests {
         // Five prefills run on all three cores; one stays held after.
         assert_eq!((s.workers, idle(ledger)), (3, 2));
         // Another scheduler holds a core: the step may borrow only the last.
-        ledger.hold();
+        let held = ledger.ledger.hold();
         s.step();
         assert_eq!((s.workers, idle(ledger)), (2, 1));
-        ledger.release();
+        drop(held);
         s.active[1].panics = true;
         let victim = s.active[1].id;
         assert_eq!(s.step(), vec![(victim, Err(ServeError::WorkerPanic))]);
@@ -1157,7 +1075,7 @@ mod tests {
         // A loan unwound through is returned; borrowing never takes more
         // than is idle.
         let unwound = std::panic::catch_unwind(|| {
-            let loan = ledger.borrow(8);
+            let loan = ledger.lend(8);
             assert_eq!(loan.pools.len(), 3);
             std::panic::panic_any("unit panicked");
         });

@@ -33,6 +33,10 @@
 //!   the `astro-check` model-checker shim under `--cfg astro_check`, so
 //!   the serving stack's concurrency protocols can be exhaustively
 //!   explored for deadlocks and lost wakeups.
+//! * [`cores`] — **one fan-out for the process**: the ledger of idle cores
+//!   (its one sizing rule, holds and loans), the longest-first packer and
+//!   the scoped runner that engine shards, scheduler steps and trainer
+//!   devices all spread their work through.
 //!
 //! Everything is `std`-only, matching the repo's no-`serde`/no-`tracing`
 //! design rule, and every emitter is a cheap no-op until a sink is
@@ -46,6 +50,7 @@
 //! names or the `reset_*` helpers, and must not assume exclusive ownership
 //! of the sink unless they install a memory sink themselves.
 
+pub mod cores;
 pub mod event;
 pub mod lockcheck;
 pub mod log;

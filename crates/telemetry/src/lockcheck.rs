@@ -55,6 +55,9 @@ pub const RANKS: &[LockRank] = &[
     LockRank { name: "gateway.queue", rank: 6 },
     LockRank { name: "router.crash_hook", rank: 8 },
     LockRank { name: "router.cluster", rank: 9 },
+    // The process's ledger of idle cores (`cores`): held only to move the
+    // count, never across other work, by schedulers and the trainer.
+    LockRank { name: "telemetry.cores", rank: 14 },
     // A scheduler step's loan of idle cores parks their scratch pools
     // here between loans; it is held only to move pools in or out.
     LockRank { name: "serve.step_pools", rank: 15 },

@@ -82,7 +82,7 @@ impl RunManifest {
             ended_unix: 0,
             wall_secs: 0.0,
             peak_rss_kb: 0,
-            host_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            host_threads: crate::cores::host_threads(),
             extra: Vec::new(),
             start: std::time::Instant::now(),
         }

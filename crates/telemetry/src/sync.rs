@@ -6,7 +6,12 @@
 //! `astro_check::sync` shim, whose operations are scheduling points for
 //! the bounded model checker (see the `astro-check` crate). Protocol code
 //! that wants to be model-checkable imports its `Mutex`/`Condvar`/
-//! `thread` from here instead of `std::sync`.
+//! `thread` from here instead of `std::sync` — the gateway queue, the
+//! prefix cache, the trace ring and the process's core ledger
+//! ([`crate::cores`]) do. Atomics and scoped threads are not swapped: the
+//! ledger's count is a `Mutex` so that every hold, borrow and return is a
+//! scheduling point, while the runner's `std::thread::scope` and the
+//! engine's claim cursor (an `AtomicUsize`) stay outside the checker.
 //!
 //! The shim types mirror the `std` API surface used in this workspace
 //! (`lock`, `wait`, `notify_one`, `notify_all`,

@@ -4,8 +4,9 @@
 //! Structure per optimizer step (faithful to multi-GPU LMFlow training):
 //!
 //! 1. every simulated device samples `grad_accum` micro-batches from its
-//!    own stream shard and accumulates gradients locally, one thread per
-//!    device over the shared weights;
+//!    own stream shard and accumulates gradients locally over the shared
+//!    weights, the devices packed onto the run's held core plus whatever
+//!    idle cores the step borrows (`astro_telemetry::cores`);
 //! 2. gradients are averaged across devices in the order a ring
 //!    all-reduce sums them (`ring_mean`);
 //! 3. the averaged gradient is clipped and applied by one AdamW under the
@@ -20,6 +21,7 @@ use crate::schedule::CosineSchedule;
 use crate::sft::{sft_batch, SftExample};
 use astro_model::{Params, TrainContext};
 use astro_prng::Rng;
+use astro_telemetry::cores::{self, Cores};
 use astro_tensor::bf16::bf16_round_slice;
 
 /// Where batches come from.
@@ -251,6 +253,9 @@ pub fn train_lm(
         })
         .collect();
 
+    // One core for the whole run; each step borrows what else is idle.
+    let _hold = Cores::process().hold();
+
     let mut losses = Vec::new();
     // Rate bookkeeping for `train.step` telemetry: tokens since the last
     // recorded step over the wall time since then.
@@ -284,13 +289,14 @@ pub fn train_lm(
             }
             dev.last_loss = loss_sum * inv_accum;
         };
-        // Local compute, one thread per device, then the ring-ordered mean.
-        std::thread::scope(|s| {
-            for dev in devices.iter_mut() {
-                let local = &local;
-                s.spawn(move || local(dev));
-            }
-        });
+        // Local compute on the held core plus what the ledger lends, then
+        // the ring-ordered mean. A device's panic is resumed with its own
+        // payload once every device has stopped.
+        let loan = Cores::process().borrow(cfg.devices - 1);
+        let queues = cores::pack(1 + loan.cores(), devices.iter_mut().map(|d| (1, d)).collect());
+        let ran = cores::run("astro-train", queues, |queue| queue.into_iter().for_each(&local));
+        drop(loan);
+        ran.into_iter().for_each(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
         let mut grads: Vec<&mut [f32]> =
             devices.iter_mut().map(|d| d.grad.as_mut_slice()).collect();
         ring_mean(&mut grads);
