@@ -1000,13 +1000,13 @@ fn after_release() {
         let body = r#"#[cfg(test)]
 mod tests {
     fn gate() {
-        let _t = lockcheck::acquire("test.fault_gate");
+        let _t = lockcheck::acquire("test.trace_gate");
     }
 }
 "#;
         let dir = std::env::temp_dir().join(format!("astro-audit-unused-{}", std::process::id()));
-        std::fs::create_dir_all(dir.join("crates/resilience/src")).unwrap();
-        std::fs::write(dir.join("crates/resilience/src/fault.rs"), body).unwrap();
+        std::fs::create_dir_all(dir.join("crates/telemetry/src")).unwrap();
+        std::fs::write(dir.join("crates/telemetry/src/trace.rs"), body).unwrap();
         let (findings, _) = collect_findings(&dir);
         std::fs::remove_dir_all(&dir).ok();
         let unused: Vec<&str> = findings
@@ -1015,7 +1015,7 @@ mod tests {
             .map(|f| f.content.as_str())
             .collect();
         assert_eq!(unused.len(), lockcheck::RANKS.len() - 1, "{unused:?}");
-        assert!(!unused.contains(&"test.fault_gate"), "{unused:?}");
+        assert!(!unused.contains(&"test.trace_gate"), "{unused:?}");
         let rows: Vec<&str> = findings
             .iter()
             .filter(|f| f.rule == "lint.wait-unused-row")

@@ -282,9 +282,12 @@ mod tests {
     use crate::presets::StudyConfig;
     use crate::study::Study;
 
+    fn run_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("astro-ablation-{}-{name}", std::process::id()))
+    }
+
     fn fresh_run<'s>(study: &'s Study, name: &str) -> RunDir<'s> {
-        let dir =
-            std::env::temp_dir().join(format!("astro-ablation-{}-{name}", std::process::id()));
+        let dir = run_path(name);
         let _ = std::fs::remove_dir_all(&dir);
         study.open_run(&dir).expect("open run directory")
     }
@@ -317,6 +320,7 @@ mod tests {
         for p in &pts {
             assert!((0.0..=100.0).contains(&p.score), "{p:?}");
         }
+        let _ = std::fs::remove_dir_all(run_path("eval-method"));
     }
 
     #[test]
@@ -326,5 +330,6 @@ mod tests {
         assert_eq!(pts.len(), 3);
         assert!(pts[0].label.contains("7B"));
         assert!(pts[2].label.contains("70B"));
+        let _ = std::fs::remove_dir_all(run_path("scale"));
     }
 }

@@ -19,7 +19,7 @@ use astro_mcq::{Mcq, McqConfig, McqDataset};
 use astro_model::serial::save_checkpoint;
 use astro_model::{CkptError, ModelConfig, Params, Tier};
 use astro_prng::Rng;
-use astro_resilience::{fault, fnv64, Journal, RetryPolicy};
+use astro_resilience::{fnv64, Journal, RetryPolicy};
 use astro_tokenizer::{train_bpe, BpeTrainerConfig, Tokenizer};
 use astro_train::{
     pack_documents, render_conversations, train_lm, BatchSource, SftExample, TokenStream,
@@ -655,7 +655,7 @@ impl<'s> RunDir<'s> {
             .append(line)
             .map_err(|e| StudyError::Io(format!("append ledger: {e}")))?;
         astro_telemetry::counter("study.stages_completed").inc();
-        if fault::should_fault("study.stage_boundary") {
+        if astro_telemetry::fault::should_fault("study.stage_boundary") {
             return Err(StudyError::Interrupted {
                 site: "study.stage_boundary",
                 stage: stage.to_string(),

@@ -19,8 +19,8 @@
 //!   implementation.
 
 use crate::api;
-use astro_telemetry::metrics;
 use astro_telemetry::trace::{self, TraceId};
+use astro_telemetry::{cores, metrics};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -465,25 +465,29 @@ impl Listener {
         let stopping = Arc::new(AtomicBool::new(false));
         let open_conns = Arc::new(AtomicUsize::new(0));
         let (stop, open) = (Arc::clone(&stopping), Arc::clone(&open_conns));
-        let acceptor = std::thread::spawn(move || {
+        let acceptor = cores::spawn(&format!("{}-accept", F::NAME), move || {
             for stream in listener.incoming() {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
                 open.fetch_add(1, Ordering::SeqCst);
-                let (front, open) = (Arc::clone(&front), Arc::clone(&open));
-                std::thread::spawn(move || {
+                let (front, served_open) = (Arc::clone(&front), Arc::clone(&open));
+                let handler = cores::spawn(&format!("{}-conn", F::NAME), move || {
                     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         serve_connection(&*front, stream);
                     }));
                     if served.is_err() {
                         metrics::counter(&format!("{}.handler_panics", F::NAME)).add(1);
                     }
-                    open.fetch_sub(1, Ordering::SeqCst);
+                    served_open.fetch_sub(1, Ordering::SeqCst);
                 });
+                // A refused thread drops the connection unserved.
+                if handler.is_err() {
+                    open.fetch_sub(1, Ordering::SeqCst);
+                }
             }
-        });
+        })?;
         Ok(Listener { addr, stopping, open_conns, acceptor: Some(acceptor) })
     }
 

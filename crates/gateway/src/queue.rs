@@ -17,7 +17,7 @@
 //! every critical section leaves the buffer structurally valid, so later
 //! callers simply adopt the state as-is.
 
-use astro_resilience::fault;
+use astro_telemetry::fault;
 use astro_telemetry::sync::{self, Condvar, Mutex, PoisonError};
 use std::collections::VecDeque;
 

@@ -37,10 +37,9 @@ use astro_eval::{
 use astro_mcq::Mcq;
 use astro_model::Params;
 use astro_prng::Rng;
-use astro_resilience::fault;
 use astro_serve::{EvalEngine, SeqOutcome};
 use astro_telemetry::trace::{self, TraceId};
-use astro_telemetry::{metrics, span};
+use astro_telemetry::{cores, fault, metrics, span};
 use astro_tokenizer::Tokenizer;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,7 +73,8 @@ pub struct GatewayState {
 pub enum GatewayError {
     /// A config layer failed validation (gateway, engine, or method).
     Config(String),
-    /// The listener could not bind the requested address.
+    /// The listener could not bind the requested address, or the OS
+    /// refused one of the gateway's threads.
     Bind(String),
 }
 
@@ -155,20 +155,23 @@ impl Gateway {
         // never more loops than slots, so a one-core machine or
         // `max_batch: 1` keeps a single loop. `max_batch` is split so it
         // stays the bound on active sequences over all of them.
-        let loops = astro_telemetry::cores::available().min(max_batch);
-        let schedulers = (0..loops)
-            .map(|i| {
-                let slots = max_batch / loops + usize::from(i < max_batch % loops);
-                let (queue, engine) = (Arc::clone(&queue), Arc::clone(&engine));
-                std::thread::spawn(move || run_iter_scheduler(queue, engine, slots))
-            })
-            .collect();
+        let loops = cores::available().min(max_batch);
+        // Built first so a refused thread drops it, which stops the loops
+        // already started.
+        let mut gateway = Gateway { shared, listener, schedulers: Vec::new() };
+        for i in 0..loops {
+            let slots = max_batch / loops + usize::from(i < max_batch % loops);
+            let (queue, engine) = (Arc::clone(&queue), Arc::clone(&engine));
+            let serving = move || run_iter_scheduler(queue, engine, slots);
+            let serving = cores::spawn("gateway-loop", serving);
+            gateway.schedulers.push(serving.map_err(|e| GatewayError::Bind(e.to_string()))?);
+        }
 
         astro_telemetry::info!(
             "gateway: listening on {} (serving loops: {loops})",
-            listener.addr()
+            gateway.addr()
         );
-        Ok(Gateway { shared, listener, schedulers })
+        Ok(gateway)
     }
 
     /// The bound address (useful with port 0).

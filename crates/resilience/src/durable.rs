@@ -15,7 +15,7 @@
 //! * `io.partial_read` — [`read_all`] returns only half the file,
 //!   exercising checksum/length validation on the load path.
 
-use crate::fault;
+use astro_telemetry::fault;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -70,7 +70,7 @@ pub fn read_all(path: &Path) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use astro_telemetry::fault::{FaultPlan, Faults};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("astro_durable_{tag}_{}", std::process::id()));
@@ -81,7 +81,6 @@ mod tests {
 
     #[test]
     fn round_trip_and_overwrite() {
-        let _g = crate::fault::tests::locked();
         let d = tmpdir("rt");
         let p = d.join("artifact.bin");
         write_atomic(&p, b"first contents").unwrap();
@@ -95,12 +94,12 @@ mod tests {
 
     #[test]
     fn injected_truncate_leaves_torn_file_and_errors() {
-        let _g = crate::fault::tests::locked();
         let d = tmpdir("torn");
         let p = d.join("artifact.bin");
-        fault::install(FaultPlan::single("ckpt.write_truncate", 1));
+        let faults = Faults::default().enter();
+        faults.install(FaultPlan::single("ckpt.write_truncate", 1));
         let err = write_atomic(&p, &[7u8; 100]).expect_err("injected fault must error");
-        fault::clear();
+        faults.clear();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         assert_eq!(fs::read(&p).unwrap().len(), 50, "torn artifact must be half-written");
         // A clean rewrite repairs it.
@@ -111,13 +110,13 @@ mod tests {
 
     #[test]
     fn injected_partial_read_halves_the_bytes() {
-        let _g = crate::fault::tests::locked();
         let d = tmpdir("short");
         let p = d.join("artifact.bin");
         write_atomic(&p, &[9u8; 64]).unwrap();
-        fault::install(FaultPlan::single("io.partial_read", 1));
+        let faults = Faults::default().enter();
+        faults.install(FaultPlan::single("io.partial_read", 1));
         assert_eq!(read_all(&p).unwrap().len(), 32);
-        fault::clear();
+        faults.clear();
         assert_eq!(read_all(&p).unwrap().len(), 64);
         let _ = fs::remove_dir_all(&d);
     }

@@ -33,11 +33,11 @@ use crate::ring::Ring;
 use astro_gateway::api::{self, GenerateRequest, ScoreRequest};
 use astro_gateway::client::{self, HttpResponse};
 use astro_gateway::http::{self, Front, Request, Response, CT_JSON};
-use astro_resilience::{fault, RetryPolicy};
+use astro_resilience::RetryPolicy;
 use astro_telemetry::event::write_json_string;
 use astro_telemetry::sync::{self, Mutex};
 use astro_telemetry::trace::{self, TraceId};
-use astro_telemetry::metrics;
+use astro_telemetry::{cores, fault, metrics};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -117,7 +117,7 @@ impl RouterConfig {
 pub enum RouterError {
     /// Configuration failed validation.
     Config(String),
-    /// The listener could not bind.
+    /// The listener could not bind, or the OS refused the prober's thread.
     Bind(String),
     /// An empty replica set can route nothing.
     NoReplicas,
@@ -227,12 +227,13 @@ impl Router {
             .map_err(|e| RouterError::Bind(e.to_string()))?;
         let probe_core = Arc::clone(&core);
         let (stop, stopped) = mpsc::channel::<()>();
-        let prober = std::thread::spawn(move || {
+        let prober = cores::spawn("router-probe", move || {
             let interval = probe_core.config.probe.interval;
             while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
                 probe_once(&probe_core);
             }
-        });
+        })
+        .map_err(|e| RouterError::Bind(e.to_string()))?;
 
         astro_telemetry::info!("router: listening on {}", listener.addr());
         Ok(Router { core, listener, prober: Some(prober), stop: Some(stop) })

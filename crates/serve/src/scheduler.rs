@@ -85,8 +85,8 @@ use crate::engine::{
 };
 use crate::seq::{feed_sampled, Advance, ForkPool, SeqEnv, Sequence};
 use astro_model::ModelConfig;
-use astro_resilience::fault;
 use astro_telemetry::cores::{self, Cores, Loan};
+use astro_telemetry::fault;
 use astro_telemetry::lockcheck;
 use astro_telemetry::metrics::Gauge;
 use astro_telemetry::sync::{self, Mutex, MutexGuard};

@@ -38,7 +38,7 @@
 use crate::engine::{lock_cache, Job, ScoreReadout, SeqOutcome, ServeError};
 use crate::trie::PrefixCache;
 use astro_model::{InferenceSession, Lane, ModelConfig, Params, SessionError, StepDecoder};
-use astro_resilience::fault;
+use astro_telemetry::fault;
 use astro_telemetry::sync::Mutex;
 use astro_telemetry::{trace, TraceId};
 use astro_tensor::ops::log_sum_exp;

@@ -7,24 +7,18 @@
 //! composition the wall clock produces across concurrent clients, the
 //! answers cannot change.
 //!
-//! The fault registry is process-global, so the injected test takes
-//! `GATE` before arming a plan (same pattern as `tests/resilience_chaos.rs`).
+//! A fault test's plan is its own (`Faults::enter`), inherited by the
+//! engine's threads and the client threads, so the tests run in parallel.
 
 use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
-use astro_resilience::fault::{self, FaultPlan};
 use astro_serve::{
     EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, ScoreJob, ScoreReadout, ServeError,
 };
-use std::sync::{Arc, Mutex, PoisonError};
+use astro_telemetry::fault::{self, FaultPlan, Faults};
+use std::sync::Arc;
 
 mod common;
-
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn setup(seed: u64) -> (ModelConfig, Params) {
     let cfg = ModelConfig::tiny(24);
@@ -116,7 +110,7 @@ fn hammer(
             let s_refs = &score_ref[t * per_s..(t + 1) * per_s];
             let g_jobs = &generate[t * per_g..(t + 1) * per_g];
             let g_refs = &gen_ref[t * per_g..(t + 1) * per_g];
-            scope.spawn(move || {
+            scope.spawn(fault::inherit(move || {
                 // Interleave: score pair, generate pair, repeat — so both
                 // kinds of work contend for the same prefix cache at once.
                 let mut si = 0;
@@ -151,15 +145,13 @@ fn hammer(
                         gi = hi;
                     }
                 }
-            });
+            }));
         }
     });
 }
 
 #[test]
 fn four_threads_interleaved_match_serial_bitwise() {
-    let _gate = gate();
-    fault::clear();
     let (cfg, params) = setup(31);
     let mut rng = Rng::seed_from(32);
     let score = score_jobs(&mut rng, 16, cfg.vocab_size);
@@ -190,7 +182,6 @@ fn four_threads_interleaved_match_serial_bitwise() {
 
 #[test]
 fn concurrency_parity_survives_cache_full_injection() {
-    let _gate = gate();
     let (cfg, params) = setup(33);
     let mut rng = Rng::seed_from(34);
     let score = score_jobs(&mut rng, 12, cfg.vocab_size);
@@ -199,8 +190,9 @@ fn concurrency_parity_survives_cache_full_injection() {
     let gen_ref = reference_generations(&params, &generate);
     // Arm the fault at several hit counts so the retry path fires at
     // different points in the interleaving; results must never change.
+    let faults = Faults::default().enter();
     for hit in [1u64, 3, 9] {
-        fault::install(FaultPlan::single("serve.cache_full", hit));
+        faults.install(FaultPlan::single("serve.cache_full", hit));
         hammer(
             &params,
             EngineConfig::pooled_with(4),
@@ -212,10 +204,10 @@ fn concurrency_parity_survives_cache_full_injection() {
             &format!("cache_full hit {hit}"),
         );
         assert!(
-            fault::fired("serve.cache_full"),
+            faults.fired("serve.cache_full"),
             "hit {hit}: plan never fired — injection not exercised"
         );
-        fault::clear();
+        faults.clear();
     }
 }
 
@@ -224,17 +216,17 @@ fn concurrency_parity_survives_cache_full_injection() {
 /// job still matches the oracle.
 #[test]
 fn injected_worker_panic_fails_one_job_and_spares_the_rest() {
-    let _gate = gate();
     let (cfg, params) = setup(39);
     let mut rng = Rng::seed_from(40);
     let jobs = score_jobs(&mut rng, 6, cfg.vocab_size);
     let want = reference_scores(&params, &jobs);
+    let faults = Faults::default().enter();
     for hit in [1u64, 4] {
-        fault::install(FaultPlan::single("pool.worker_panic", hit));
+        faults.install(FaultPlan::single("pool.worker_panic", hit));
         let engine = EvalEngine::new(EngineConfig::pooled_with(2), &params);
         let got = engine.score_batch(jobs.clone());
-        assert!(fault::fired("pool.worker_panic"), "hit {hit}: plan never fired");
-        fault::clear();
+        assert!(faults.fired("pool.worker_panic"), "hit {hit}: plan never fired");
+        faults.clear();
         let panicked: Vec<usize> =
             (0..got.len()).filter(|&i| got[i] == Err(ServeError::WorkerPanic)).collect();
         assert_eq!(panicked.len(), 1, "hit {hit}: {got:?}");
@@ -251,8 +243,6 @@ fn injected_worker_panic_fails_one_job_and_spares_the_rest() {
 /// is run (one cache lookup each) and reported exactly once.
 #[test]
 fn more_shards_than_jobs_claim_each_job_exactly_once() {
-    let _gate = gate();
-    fault::clear();
     let (cfg, params) = setup(41);
     let mut rng = Rng::seed_from(42);
     let jobs = score_jobs(&mut rng, 3, cfg.vocab_size);
@@ -274,8 +264,6 @@ fn more_shards_than_jobs_claim_each_job_exactly_once() {
 /// holds the standalone-scheduler twin.)
 #[test]
 fn full_depth_cache_fork_still_reads_out_and_decodes_on_every_shard_count() {
-    let _gate = gate();
-    fault::clear();
     let (cfg, params) = setup(35);
     let mut rng = Rng::seed_from(36);
     let score = score_jobs(&mut rng, 1, cfg.vocab_size).remove(0);
@@ -308,8 +296,6 @@ fn full_depth_cache_fork_still_reads_out_and_decodes_on_every_shard_count() {
 /// the iteration ledger, every job was refused with `CacheFull`.
 #[test]
 fn batch_anchor_pins_are_released_when_the_batch_returns() {
-    let _gate = gate();
-    fault::clear();
     let (cfg, params) = setup(37);
     let capacity = 4;
     let engine = EvalEngine::new(

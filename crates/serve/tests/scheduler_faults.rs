@@ -1,10 +1,8 @@
-//! Fault injection against the iteration scheduler.
-//!
-//! Its own test binary: the fault registry is process-global, and the
-//! scheduler consults it on every step (`serve.admit_stall`) and every
-//! admission (`serve.cache_full`, `pool.worker_panic`), so these tests
-//! must not share a process with other scheduler tests. Tests here still
-//! serialise with each other through `GATE`.
+//! Fault injection against the iteration scheduler, which consults the
+//! calling thread's plan (`Faults::enter`) on every step
+//! (`serve.admit_stall`) and every admission (`serve.cache_full`,
+//! `pool.worker_panic`). The tests serialise through `GATE` for the
+//! process-global counters whose deltas they assert.
 //!
 //! * `serve.admit_stall` — one step's admission is suppressed (the stall
 //!   is absorbed: nothing is dropped, results are bitwise unchanged, the
@@ -21,21 +19,21 @@
 
 use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
-use astro_resilience::fault::{self, FaultPlan};
 use astro_serve::{
     EngineConfig, EvalEngine, GenerateJob, SchedulerConfig, ScoreJob, ScoreReadout, SeqOutcome,
     ServeError,
 };
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use astro_telemetry::fault::{FaultPlan, Faults};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 mod common;
 use common::generate as reference;
 
+/// Serialises the tests' reads of the process-global counters
+/// (`serve.cache_full.retries`, `serve.job_panics`).
 fn gate() -> MutexGuard<'static, ()> {
-    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    GATE.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn setup() -> Params {
@@ -59,7 +57,6 @@ fn jobs(n: u32) -> Vec<GenerateJob> {
 #[test]
 fn admit_stall_is_absorbed_without_dropping_or_corrupting_work() {
     let _g = gate();
-    fault::clear();
     let params = setup();
     let work = jobs(4);
     let refs: Vec<Vec<u32>> = work.iter().map(|j| reference(&params, j)).collect();
@@ -73,12 +70,13 @@ fn admit_stall_is_absorbed_without_dropping_or_corrupting_work() {
         .iter()
         .map(|j| sched.submit_generate(j.clone()).expect("submit"))
         .collect();
-    fault::install(FaultPlan::single("serve.admit_stall", 1));
+    let faults = Faults::default().enter();
+    faults.install(FaultPlan::single("serve.admit_stall", 1));
     let mut results = Vec::new();
     while !sched.is_idle() {
         results.extend(sched.step());
     }
-    fault::clear();
+    faults.clear();
     // The stall hit the first step and is visible in the log...
     let log = sched.sched_log().expect("log");
     assert!(log.steps[0].stalled, "first step should have stalled");
@@ -101,10 +99,10 @@ fn admit_stall_is_absorbed_without_dropping_or_corrupting_work() {
 #[test]
 fn injected_cache_pressure_degrades_to_uncached_bitwise_identically() {
     let _g = gate();
-    fault::clear();
     let params = setup();
     let work = jobs(3);
     let refs: Vec<Vec<u32>> = work.iter().map(|j| reference(&params, j)).collect();
+    let faults = Faults::default().enter();
     for cfg in [
         EngineConfig::pooled_with(1),
         EngineConfig::pooled_with(2),
@@ -114,10 +112,10 @@ fn injected_cache_pressure_degrades_to_uncached_bitwise_identically() {
         let retries0 = astro_telemetry::counter("serve.cache_full.retries").get();
         // Fire on the second job started: it runs uncached while its
         // batchmates keep the cache.
-        fault::install(FaultPlan::single("serve.cache_full", 2));
+        faults.install(FaultPlan::single("serve.cache_full", 2));
         let results = engine.generate_batch(work.clone());
-        assert!(fault::fired("serve.cache_full"), "{cfg:?}: plan never fired");
-        fault::clear();
+        assert!(faults.fired("serve.cache_full"), "{cfg:?}: plan never fired");
+        faults.clear();
         let retries = astro_telemetry::counter("serve.cache_full.retries").get() - retries0;
         assert_eq!(retries, 1, "{cfg:?}");
         assert_eq!(results.len(), refs.len());
@@ -138,7 +136,6 @@ fn injected_cache_pressure_degrades_to_uncached_bitwise_identically() {
 #[test]
 fn injected_job_panic_fails_one_job_of_a_mixed_running_batch() {
     let _g = gate();
-    fault::clear();
     let params = setup();
     let work = jobs(3);
     let refs: Vec<Vec<u32>> = work.iter().map(|j| reference(&params, j)).collect();
@@ -164,12 +161,13 @@ fn injected_job_panic_fails_one_job_of_a_mixed_running_batch() {
     assert!(results.is_empty() && sched.active_len() == 2, "the first two jobs are mid-decode");
 
     let panics0 = astro_telemetry::counter("serve.job_panics").get();
-    fault::install(FaultPlan::single("pool.worker_panic", 2));
+    let faults = Faults::default().enter();
+    faults.install(FaultPlan::single("pool.worker_panic", 2));
     let score_id = sched.submit_score(score.clone()).expect("submit");
     let victim = sched.submit_generate(work[2].clone()).expect("submit");
     results.extend(sched.run_to_completion());
-    assert!(fault::fired("pool.worker_panic"), "plan never fired");
-    fault::clear();
+    assert!(faults.fired("pool.worker_panic"), "plan never fired");
+    faults.clear();
 
     assert_eq!(results.len(), 4, "every job retires exactly once");
     for (id, r) in &results {

@@ -30,13 +30,21 @@
 //! scoped thread of its own. A queue whose thread the OS refuses runs on
 //! the caller afterwards, so a fan-out never loses work, and every queue's
 //! `thread::Result` comes back to the caller — a panic with its own
-//! payload, for the caller to report or resume.
+//! payload, for the caller to report or resume. [`spawn`] starts the one
+//! kind of thread that outlives its caller: a server's acceptor,
+//! connection handlers, serving loops and prober.
+//!
+//! These two are the only places the workspace starts a thread, and both
+//! run the new thread under the spawning thread's fault plan
+//! ([`fault::inherit`]), so a plan a test enters reaches everything it
+//! starts.
 
+use crate::fault;
 use crate::lockcheck::LockToken;
 use crate::sync::{self, Mutex, MutexGuard};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
-use std::thread;
+use std::{io, thread};
 
 /// Hardware threads the OS reports for this process (1 if it cannot
 /// tell), uncapped: what a run manifest records.
@@ -137,9 +145,10 @@ pub fn pack<U>(queues: usize, mut units: Vec<(usize, U)>) -> Vec<Vec<U>> {
 }
 
 /// Run `work` once per queue: queue 0 on the calling thread, queue `i` on
-/// a scoped thread named `{name}-{i}`, all at once. A queue whose thread
-/// could not be spawned runs on the calling thread after the others.
-/// Returns each queue's result in queue order, a panic as its payload.
+/// a scoped thread named `{name}-{i}`, all at once, each under the
+/// caller's fault plan. A queue whose thread could not be spawned runs on
+/// the calling thread after the others. Returns each queue's result in
+/// queue order, a panic as its payload.
 pub fn run<Q: Send, R: Send>(
     name: &str,
     queues: Vec<Q>,
@@ -156,7 +165,7 @@ pub fn run<Q: Send, R: Send>(
             .zip(slots)
             .map(|(i, slot)| {
                 let thread = thread::Builder::new().name(format!("{name}-{i}"));
-                thread.spawn_scoped(s, move || slot.take().map(work)).ok()
+                thread.spawn_scoped(s, fault::inherit(move || slot.take().map(work))).ok()
             })
             .collect();
         done.push(own.map(caught));
@@ -167,6 +176,15 @@ pub fn run<Q: Send, R: Send>(
         .zip(slots)
         .filter_map(|(result, slot)| result.or_else(|| slot.map(caught)))
         .collect()
+}
+
+/// Start `f` on a thread named `name` under the caller's fault plan, for
+/// as long as it runs; an error when the OS refuses the thread.
+pub fn spawn<T: Send + 'static>(
+    name: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<thread::JoinHandle<T>> {
+    thread::Builder::new().name(name.to_string()).spawn(fault::inherit(f))
 }
 
 #[cfg(test)]

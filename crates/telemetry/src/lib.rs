@@ -34,9 +34,16 @@
 //!   the serving stack's concurrency protocols can be exhaustively
 //!   explored for deadlocks and lost wakeups.
 //! * [`cores`] — **one fan-out for the process**: the ledger of idle cores
-//!   (its one sizing rule, holds and loans), the longest-first packer and
-//!   the scoped runner that engine shards, scheduler steps and trainer
-//!   devices all spread their work through.
+//!   (its one sizing rule, holds and loans), the longest-first packer, the
+//!   scoped runner that engine shards, scheduler steps and trainer
+//!   devices all spread their work through, and the one spawn point for
+//!   long-lived threads.
+//! * [`fault`] — **deterministic fault injection**: named sites behind
+//!   hooks that read the calling thread's [`fault::Faults`] plan, which
+//!   every thread [`cores`] starts inherits from its spawner; with no plan
+//!   a hook is one thread-local read, armed a seeded
+//!   [`fault::FaultPlan`] fires each trigger exactly once on its
+//!   configured hit, so chaos tests are reproducible bit for bit.
 //!
 //! Everything is `std`-only, matching the repo's no-`serde`/no-`tracing`
 //! design rule, and every emitter is a cheap no-op until a sink is
@@ -52,6 +59,7 @@
 
 pub mod cores;
 pub mod event;
+pub mod fault;
 pub mod lockcheck;
 pub mod log;
 pub mod manifest;

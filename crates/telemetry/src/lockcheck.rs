@@ -34,10 +34,10 @@ pub struct LockRank {
 /// holding a queue or cache lock may still emit telemetry, but telemetry
 /// internals can never wait on either.
 pub const RANKS: &[LockRank] = &[
-    // Test-suite gates that serialise access to process-global state
-    // (e.g. the fault-injection registry) sit below every runtime lock:
-    // a test holds its gate for the whole test body.
-    LockRank { name: "test.fault_gate", rank: 2 },
+    // The trace module's test gate serialises its tests' use of the
+    // process-global trace state and sits below every runtime lock: a
+    // test holds it for the whole test body.
+    LockRank { name: "test.trace_gate", rank: 2 },
     // Gateway admission locks sit below the engine locks: a request
     // handler consults the rate limiter, releases it, then pushes to the
     // queue; neither lock is ever held across an engine call, but ranking
@@ -66,7 +66,9 @@ pub const RANKS: &[LockRank] = &[
     // and the sink: finishing a trace records histograms and emits a
     // JSONL line, so "trace lock → metrics → sink" must be ascending.
     LockRank { name: "telemetry.trace.inflight", rank: 17 },
-    LockRank { name: "resilience.fault_plan", rank: 18 },
+    // A fault plan's triggers and hit counts: its hook counts a hit under
+    // it and may then bump a counter and log (metrics, sink).
+    LockRank { name: "telemetry.fault_plan", rank: 18 },
     LockRank { name: "telemetry.trace.ring", rank: 19 },
     LockRank { name: "telemetry.metrics.registry", rank: 20 },
     LockRank { name: "telemetry.span.registry", rank: 22 },

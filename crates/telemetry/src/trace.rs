@@ -663,12 +663,12 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Trace state is process-global; tests that mutate it serialise on
-    /// this gate (same pattern as the fault-injection tests).
+    /// Trace state (the in-flight table and the ring) is process-global;
+    /// tests that mutate it serialise on this gate.
     static GATE: Mutex<()> = Mutex::new(());
 
     fn gate() -> (crate::lockcheck::LockToken, std::sync::MutexGuard<'static, ()>) {
-        crate::lockcheck::lock_ranked("test.fault_gate", &GATE)
+        crate::lockcheck::lock_ranked("test.trace_gate", &GATE)
     }
 
     #[test]

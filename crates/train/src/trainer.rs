@@ -303,7 +303,7 @@ pub fn train_lm(
         // Abort on a non-finite loss *before* applying the update, so a
         // diverged (or fault-injected) step never poisons the weights.
         let mut loss0 = devices[0].last_loss;
-        if astro_resilience::fault::should_fault("train.nan_loss") {
+        if astro_telemetry::fault::should_fault("train.nan_loss") {
             loss0 = f32::NAN;
         }
         if !loss0.is_finite() {

@@ -3,18 +3,19 @@
 //! answered, answers stay bitwise identical to the single-gateway serial
 //! path, and accepted == completed holds across surviving replicas.
 //!
-//! The fault and metrics registries are process-global, so every test
-//! takes `GATE` (same pattern as `tests/resilience_chaos.rs`). Probing
+//! The trace ring and the metrics registry are process-global, so every
+//! test takes `GATE`; a fault plan is the test's own (`Faults::enter`),
+//! inherited by the cluster's threads. Probing
 //! is driven synchronously via `Cluster::probe_now` with a long prober
 //! interval, so membership transitions happen at deterministic points.
 
 use astro_gateway::client;
 use astro_gateway::GatewayConfig;
-use astro_resilience::fault::{self, FaultPlan};
 use astro_router::{
     Cluster, ClusterConfig, ReplicaHealth, ReplicaSpec, Router, RouterConfig,
 };
 use astro_telemetry::event::write_json_string;
+use astro_telemetry::fault::{FaultPlan, Faults};
 use astro_telemetry::lockcheck;
 use astro_telemetry::metrics;
 use astro_telemetry::trace::{self, TraceId};
@@ -32,6 +33,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Serialises the tests' use of the process-global trace ring and
+/// metrics.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn gate() -> std::sync::MutexGuard<'static, ()> {
@@ -133,7 +136,6 @@ fn score_and_check(addr: std::net::SocketAddr, ctx: &Ctx, q: &Mcq, tag: &str) ->
 #[test]
 fn mixed_load_through_router_is_bitwise_identical_to_serial_path() {
     let _gate = gate();
-    fault::clear();
     trace::reset();
     let ctx = setup(71);
     let cluster = spawn_cluster(&ctx, 2);
@@ -252,7 +254,6 @@ fn finished_traces(id: TraceId) -> Vec<(String, u16)> {
 #[test]
 fn both_fronts_answer_unreadable_requests_whole_with_one_reject_trace() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(103);
     let read_timeout = Duration::from_millis(150);
     let gateway = GatewayConfig { read_timeout, ..GatewayConfig::default() };
@@ -297,7 +298,6 @@ fn both_fronts_answer_unreadable_requests_whole_with_one_reject_trace() {
 #[test]
 fn probe_reports_each_replicas_own_queue_depth() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(107);
     let cluster = spawn_cluster(&ctx, 2);
     metrics::gauge("gateway.queue_depth").set(7);
@@ -312,7 +312,6 @@ fn probe_reports_each_replicas_own_queue_depth() {
 #[test]
 fn killing_a_replica_mid_load_loses_nothing_and_keeps_parity() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(73);
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
@@ -378,7 +377,6 @@ impl Drop for Children {
 fn sigkilling_a_replica_process_mid_load_loses_nothing_and_keeps_parity() {
     use std::io::BufRead;
     let _gate = gate();
-    fault::clear();
     let seed = 101u64;
     let ctx = setup_with(seed, Tier::S70b, seed);
 
@@ -443,7 +441,7 @@ fn sigkilling_a_replica_process_mid_load_loses_nothing_and_keeps_parity() {
 #[test]
 fn injected_crash_fails_over_and_revived_replica_rejoins() {
     let _gate = gate();
-    fault::clear();
+    let faults = Faults::default().enter();
     let ctx = setup(79);
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
@@ -452,10 +450,10 @@ fn injected_crash_fails_over_and_revived_replica_rejoins() {
     // The first forward trips `replica.crash`: the crash hook aborts the
     // target replica, the connect is refused, and the request fails over
     // to the survivor.
-    fault::install(FaultPlan::single("replica.crash", 1));
+    faults.install(FaultPlan::single("replica.crash", 1));
     score_and_check(addr, &ctx, &questions[0], "crash-failover");
-    assert!(fault::fired("replica.crash"), "the crash site must have fired");
-    fault::clear();
+    assert!(faults.fired("replica.crash"), "the crash site must have fired");
+    faults.clear();
     let stats = cluster.router().stats();
     assert!(stats.failovers >= 1, "{stats:?}");
     assert_eq!(stats.lost, 0);
@@ -488,7 +486,7 @@ fn kills_and_restarts_touch_a_gateway_with_no_router_lock_held() {
     // `router.cluster` (9) or `router.crash_hook` (8) is a lock-order
     // violation that debug-build lockcheck turns into a panic.
     let _gate = gate();
-    fault::clear();
+    let faults = Faults::default().enter();
     let ctx = setup(80);
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
@@ -500,10 +498,10 @@ fn kills_and_restarts_touch_a_gateway_with_no_router_lock_held() {
     cluster.router().set_crash_hook(Arc::new(move |_id| {
         seen.store(lockcheck::held_count(), Ordering::SeqCst);
     }));
-    fault::install(FaultPlan::single("replica.crash", 1));
+    faults.install(FaultPlan::single("replica.crash", 1));
     score_and_check(addr, &ctx, &questions[0], "probe-hook");
-    assert!(fault::fired("replica.crash"));
-    fault::clear();
+    assert!(faults.fired("replica.crash"));
+    faults.clear();
     assert_eq!(held_in_hook.load(Ordering::SeqCst), 0, "crash hook ran under a ranked lock");
     drop(cluster.shutdown());
 
@@ -511,9 +509,9 @@ fn kills_and_restarts_touch_a_gateway_with_no_router_lock_held() {
     // both a dead and a live slot.
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
-    fault::install(FaultPlan::single("replica.crash", 1));
+    faults.install(FaultPlan::single("replica.crash", 1));
     score_and_check(addr, &ctx, &questions[1], "crash-hook");
-    fault::clear();
+    faults.clear();
     cluster.kill_replica(0);
     cluster.kill_replica(1);
     cluster.kill_replica(1);
@@ -531,7 +529,7 @@ fn kills_and_restarts_touch_a_gateway_with_no_router_lock_held() {
 #[test]
 fn lost_response_redispatches_exactly_once_under_same_key() {
     let _gate = gate();
-    fault::clear();
+    let faults = Faults::default().enter();
     let ctx = setup(83);
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
@@ -540,18 +538,18 @@ fn lost_response_redispatches_exactly_once_under_same_key() {
     // `router.forward_reset`: the replica executes the request but the
     // response is lost. The router must re-dispatch exactly once under
     // the same idempotency key and still answer bitwise-correctly.
-    fault::install(FaultPlan::single("router.forward_reset", 1));
+    faults.install(FaultPlan::single("router.forward_reset", 1));
     score_and_check(addr, &ctx, &questions[0], "forward-reset");
-    fault::clear();
+    faults.clear();
     let stats = cluster.router().stats();
     assert_eq!(stats.redispatches, 1, "{stats:?}");
     assert_eq!(stats.lost, 0);
 
     // `replica.hang`: the forward never completes; same re-dispatch
     // path, no duplicate execution observed by the client.
-    fault::install(FaultPlan::single("replica.hang", 1));
+    faults.install(FaultPlan::single("replica.hang", 1));
     score_and_check(addr, &ctx, &questions[1], "replica-hang");
-    fault::clear();
+    faults.clear();
     let stats = cluster.router().stats();
     assert_eq!(stats.redispatches, 2, "{stats:?}");
     assert_eq!(stats.lost, 0);
@@ -570,7 +568,6 @@ fn lost_response_redispatches_exactly_once_under_same_key() {
 #[test]
 fn drain_rebalances_routing_without_losing_queued_work() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(89);
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
@@ -613,7 +610,7 @@ fn drain_rebalances_routing_without_losing_queued_work() {
 #[test]
 fn probe_timeout_degrades_without_evicting_then_recovers() {
     let _gate = gate();
-    fault::clear();
+    let faults = Faults::default().enter();
     let ctx = setup(97);
     let cluster = spawn_cluster(&ctx, 2);
     let addr = cluster.router_addr();
@@ -622,9 +619,9 @@ fn probe_timeout_degrades_without_evicting_then_recovers() {
     // One probe round times out for replica 0: hysteresis marks it
     // Degraded but keeps it routable — a single blip must not move every
     // key and cold-start the survivor's cache.
-    fault::install(FaultPlan::single("router.probe_timeout", 1));
+    faults.install(FaultPlan::single("router.probe_timeout", 1));
     cluster.probe_now();
-    fault::clear();
+    faults.clear();
     assert_eq!(cluster.router().replica_status()[0].health, ReplicaHealth::Degraded);
     assert_eq!(cluster.router().ring_members(), vec![0, 1], "degraded stays in the ring");
     score_and_check(addr, &ctx, &questions[0], "degraded-serving");

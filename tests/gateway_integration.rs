@@ -7,8 +7,8 @@
 //! accepted-request loss, injected gateway faults, and a hard abort
 //! mid-burst.
 //!
-//! The fault registry and the metrics registry are process-global, so
-//! every test takes `GATE` (same pattern as `tests/resilience_chaos.rs`).
+//! The metrics registry and the trace ring are process-global, so every
+//! test takes `GATE`; the fault test's plan is its own (`Faults::enter`).
 
 use astro_gateway::{client, Gateway, GatewayConfig, GatewayState};
 use astromlab::eval::json::Json;
@@ -21,13 +21,15 @@ use astromlab::model::{Params, Tier};
 use astromlab::prng::Rng;
 use astromlab::serve::EngineConfig;
 use astromlab::{Study, StudyConfig};
-use astro_resilience::fault::{self, FaultPlan};
 use astro_telemetry::event::write_json_string;
+use astro_telemetry::fault::{FaultPlan, Faults};
 use astro_telemetry::trace::{self, TraceId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Serialises the tests' reads of the process-global counters, gauges and
+/// trace ring.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn gate() -> std::sync::MutexGuard<'static, ()> {
@@ -141,7 +143,6 @@ fn counter_value(name: &str) -> u64 {
 #[test]
 fn socket_responses_match_in_process_serial_path_bitwise() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(41);
     let model = EvalModel {
         params: &ctx.params,
@@ -201,7 +202,6 @@ fn socket_responses_match_in_process_serial_path_bitwise() {
 #[test]
 fn inbound_traceparent_is_adopted_and_answered_with_this_hops_id() {
     let _gate = gate();
-    fault::clear();
     trace::reset();
     let ctx = setup(47);
     let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
@@ -235,7 +235,6 @@ fn inbound_traceparent_is_adopted_and_answered_with_this_hops_id() {
 #[test]
 fn concurrent_mixed_burst_matches_in_process_serial_path_bitwise() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(61);
     let model = EvalModel {
         params: &ctx.params,
@@ -300,7 +299,6 @@ fn concurrent_mixed_burst_matches_in_process_serial_path_bitwise() {
 #[test]
 fn admission_control_status_matrix() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(43);
     let config = GatewayConfig {
         rate_per_sec: 0.5,
@@ -385,7 +383,6 @@ fn admission_control_status_matrix() {
 #[test]
 fn requests_behind_a_full_scheduler_wait_in_the_queue_and_its_bound_sheds_the_rest() {
     let _gate = gate();
-    fault::clear();
     // The largest tier and a context-filling decode budget: a generate
     // that outlasts the handful of local round trips below many times.
     let slow_generate = InstructEvalConfig {
@@ -467,7 +464,6 @@ fn active_seqs(health: &Json) -> usize {
 #[test]
 fn healthz_active_seqs_is_the_sum_over_every_serving_loop() {
     let _gate = gate();
-    fault::clear();
     let ctx = slow_generate_setup();
     let config = GatewayConfig {
         max_batch: 2,
@@ -505,7 +501,6 @@ fn healthz_active_seqs_is_the_sum_over_every_serving_loop() {
 #[test]
 fn max_batch_bounds_active_sequences_over_every_serving_loop() {
     let _gate = gate();
-    fault::clear();
     let ctx = slow_generate_setup();
     let config = GatewayConfig {
         max_batch: 2,
@@ -569,7 +564,6 @@ fn max_batch_bounds_active_sequences_over_every_serving_loop() {
 #[test]
 fn a_same_group_score_burst_encodes_its_prompt_at_most_once_per_serving_loop() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(67);
     let model = EvalModel {
         params: &ctx.params,
@@ -617,7 +611,6 @@ fn a_same_group_score_burst_encodes_its_prompt_at_most_once_per_serving_loop() {
 #[test]
 fn deeply_nested_body_is_a_400_and_the_gateway_survives() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(45);
     let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
     let addr = gw.addr();
@@ -638,7 +631,6 @@ fn deeply_nested_body_is_a_400_and_the_gateway_survives() {
 #[test]
 fn graceful_drain_answers_every_accepted_request() {
     let _gate = gate();
-    fault::clear();
     let ctx = setup(47);
     let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
     let addr = gw.addr();
@@ -686,7 +678,7 @@ fn graceful_drain_answers_every_accepted_request() {
 #[test]
 fn injected_gateway_faults_are_absorbed_without_panics() {
     let _gate = gate();
-    fault::clear();
+    let faults = Faults::default().enter();
     let panics_before = counter_value("gateway.handler_panics");
     let ctx = setup(53);
     let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
@@ -694,20 +686,20 @@ fn injected_gateway_faults_are_absorbed_without_panics() {
 
     // accept_fail: the next connection is dropped before a handler
     // exists; the client sees a typed transport error and a retry works.
-    fault::install(FaultPlan::single("gateway.accept_fail", 1));
+    faults.install(FaultPlan::single("gateway.accept_fail", 1));
     let dropped = client::get(addr, "/healthz", Duration::from_secs(2));
     assert!(dropped.is_err(), "dropped connection should error: {dropped:?}");
-    assert!(fault::fired("gateway.accept_fail"));
+    assert!(faults.fired("gateway.accept_fail"));
     let resp = client::get(addr, "/healthz", TIMEOUT).expect("retry after accept_fail");
     assert_eq!(resp.status, 200);
-    fault::clear();
+    faults.clear();
 
     // slow_client: the handler answers 408 exactly like a read timeout.
-    fault::install(FaultPlan::single("gateway.slow_client", 1));
+    faults.install(FaultPlan::single("gateway.slow_client", 1));
     let resp = client::get(addr, "/healthz", TIMEOUT).expect("slow client response");
     assert_eq!(resp.status, 408, "{}", resp.body);
-    assert!(fault::fired("gateway.slow_client"));
-    fault::clear();
+    assert!(faults.fired("gateway.slow_client"));
+    faults.clear();
 
     let resp = client::get(addr, "/healthz", TIMEOUT).expect("healthy again");
     assert_eq!(resp.status, 200);
@@ -719,7 +711,6 @@ fn injected_gateway_faults_are_absorbed_without_panics() {
 #[test]
 fn abort_mid_burst_yields_typed_errors() {
     let _gate = gate();
-    fault::clear();
     let panics_before = counter_value("gateway.handler_panics");
     let ctx = setup(59);
     let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");

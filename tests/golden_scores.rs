@@ -23,22 +23,17 @@
 //! ```
 //!
 //! and justify the diff in the PR description.
+//!
+//! The mid-run kill is a fault plan the smoke test enters for itself
+//! (`Faults::enter`); only the study's threads see it, so the tests here
+//! run in parallel.
 
-use astro_resilience::fault::{self, FaultPlan};
+use astro_telemetry::fault::{FaultPlan, Faults};
 use astromlab::{Study, StudyConfig, StudyError};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const SMOKE_GOLDEN: &str = "goldens/figure1_smoke_seed11.golden";
 const FAST_GOLDEN: &str = "goldens/figure1_fast_scores.golden";
-
-/// The fault registry is process-global: a study run takes this gate so
-/// no other test in this binary observes an armed plan.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn repo_path(rel: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -109,7 +104,6 @@ fn smoke_scores_recomputed_through_engine_match_golden() {
     // The run is killed at its 15th of 37 stage boundaries (inside the
     // 8B-class series) and resumed, so the golden also holds resume to
     // the uninterrupted scores.
-    let _g = locked();
     let study = Study::prepare(StudyConfig::smoke(11)).expect("prepare");
     assert!(
         !study.config.eval_engine.is_serial_uncached(),
@@ -117,9 +111,10 @@ fn smoke_scores_recomputed_through_engine_match_golden() {
          to guard the parallel path"
     );
     let dir = fresh_dir("smoke");
-    fault::install(FaultPlan::single("study.stage_boundary", 15));
+    let faults = Faults::default().enter();
+    faults.install(FaultPlan::single("study.stage_boundary", 15));
     let outcome = study.run_study(&dir);
-    fault::clear();
+    faults.clear();
     assert!(
         matches!(outcome, Err(StudyError::Interrupted { .. })),
         "the mid-run kill should interrupt the smoke run"
@@ -141,7 +136,6 @@ fn smoke_scores_recomputed_through_engine_match_golden() {
 #[test]
 #[ignore = "fast preset takes ~1h; tier-1 covers smoke scale"]
 fn fast_scores_recomputed_through_engine_match_recorded_artifact() {
-    let _g = locked();
     let study = Study::prepare(StudyConfig::fast(42)).expect("prepare");
     let result = study.run_study(&fresh_dir("fast")).expect("run_study");
     assert_scores_match(&read(FAST_GOLDEN), &result.figure1_csv, "fast(42) figure1 CSV");

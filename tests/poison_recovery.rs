@@ -11,12 +11,12 @@
 //! afterwards.
 //!
 //! The scenario runs under a watchdog so a regression to deadlock fails
-//! fast instead of hanging the suite. The fault registry is
-//! process-global; this file is its own test binary with one test, so no
-//! other test can observe the armed plan.
+//! fast instead of hanging the suite. The test enters its fault plan
+//! itself; the pushes it poisons run on its own thread, and no other
+//! thread sees the plan.
 
 use astro_gateway::queue::{BoundedQueue, Pop, PushError};
-use astro_resilience::fault::{self, FaultPlan};
+use astro_telemetry::fault::{FaultPlan, Faults};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +39,8 @@ where
 
 #[test]
 fn queue_poisoned_mid_push_keeps_items_and_operations() {
-    fault::install(FaultPlan::single("gateway.queue_poison", 2));
+    let faults = Faults::default().enter();
+    faults.install(FaultPlan::single("gateway.queue_poison", 2));
 
     let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
     assert!(q.try_push(1).is_ok());
@@ -48,7 +49,7 @@ fn queue_poisoned_mid_push_keeps_items_and_operations() {
     // was appended, so the buffer stays valid under the poison.
     let poisoned = catch_unwind(AssertUnwindSafe(|| q.try_push(2)));
     assert!(poisoned.is_err(), "fault site must panic the pusher");
-    assert!(fault::fired("gateway.queue_poison"));
+    assert!(faults.fired("gateway.queue_poison"));
 
     let q2 = Arc::clone(&q);
     assert_completes("poisoned queue", move || {
@@ -73,5 +74,5 @@ fn queue_poisoned_mid_push_keeps_items_and_operations() {
         assert_eq!(q2.pop(), None);
     });
 
-    fault::clear();
+    faults.clear();
 }

@@ -13,36 +13,34 @@
 //!   directory. (`tests/golden_scores.rs` holds a killed-and-resumed
 //!   smoke run to the checked-in golden.)
 //! * **No fault escapes as a panic.** For every fault site in
-//!   [`astro_resilience::SITES`], a single injected fault either (a) is
+//!   [`SITES`], a single injected fault either (a) is
 //!   absorbed and the result is bitwise identical, or (b) surfaces as a
 //!   typed [`StudyError`] after which a resume completes bitwise
-//!   identically. `catch_unwind` asserts no panic crosses the API.
+//!   identically. `catch_unwind` asserts no panic crosses the API. Each
+//!   site runs in a directory and under a plan of its own, so the sites
+//!   spread over the cores.
 //! * **Durability edge cases.** A torn ledger tail (crash mid-append)
 //!   and a truncated checkpoint are both detected and rebuilt, never
 //!   trusted; a ledger from another study or another build is refused.
 //! * **The catalogue is the code.** The `should_fault("…")` literals in
-//!   the sources, [`astro_resilience::SITES`] and the site table of
+//!   the sources, [`SITES`] and the site table of
 //!   `docs/RESILIENCE.md` name the same sites: a row cannot outlive its
 //!   hook, and a hook cannot go uncatalogued.
 //!
-//! The fault registry is process-global, so every test takes `GATE`
-//! first; this file is its own test binary, and cargo runs binaries
-//! sequentially, so no other test can observe an armed plan.
+//! A test arms a fault plan by entering a `Faults` handle of its own; the
+//! study's threads inherit it and no other test sees it, so the tests run
+//! in parallel. Every run directory is removed once its test's assertions
+//! pass.
 
-use astro_resilience::fault::{self, FaultPlan};
-use astro_resilience::{fnv64, Journal, SITES};
+use astro_resilience::{fnv64, Journal};
+use astro_telemetry::cores;
+use astro_telemetry::fault::{FaultPlan, Faults, SITES};
 use astromlab::study::{StudyError, StudyResult};
 use astromlab::{Study, StudyConfig};
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-
-static GATE: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::OnceLock;
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("astro-chaos-{}-{name}", std::process::id()));
@@ -65,14 +63,15 @@ fn score_bits(r: &StudyResult) -> Vec<[Option<u64>; 3]> {
 }
 
 /// The uninterrupted baseline for `micro(11)`, a `run_study` in a fresh
-/// directory, computed once per process (callers hold `GATE` and have
-/// cleared any fault plan).
+/// directory, computed once per process (callers have entered no fault
+/// plan).
 fn micro_baseline() -> &'static StudyResult {
     static BASELINE: OnceLock<StudyResult> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        micro_study()
-            .run_study(&fresh_dir("baseline"))
-            .expect("baseline run_study")
+        let dir = fresh_dir("baseline");
+        let base = micro_study().run_study(&dir).expect("baseline run_study");
+        let _ = std::fs::remove_dir_all(&dir);
+        base
     })
 }
 
@@ -83,11 +82,10 @@ fn assert_bitwise_identical(got: &StudyResult, want: &StudyResult, context: &str
 
 #[test]
 fn kill_at_every_ledger_boundary_then_resume_is_bitwise_identical() {
-    let _g = locked();
-    fault::clear();
     let study = micro_study();
     let base = micro_baseline();
     let dir = fresh_dir("boundary-sweep");
+    let faults = Faults::default().enter();
 
     // Each iteration resumes the same lineage with a fault armed to fire
     // at the FIRST fresh stage boundary: completed stages replay from
@@ -96,9 +94,9 @@ fn kill_at_every_ledger_boundary_then_resume_is_bitwise_identical() {
     // exactly once across the sweep.
     let mut kills = 0usize;
     let result = loop {
-        fault::install(FaultPlan::single("study.stage_boundary", 1));
+        faults.install(FaultPlan::single("study.stage_boundary", 1));
         let outcome = study.run_study(&dir);
-        fault::clear();
+        faults.clear();
         match outcome {
             Err(StudyError::Interrupted { site, stage }) => {
                 kills += 1;
@@ -123,12 +121,11 @@ fn kill_at_every_ledger_boundary_then_resume_is_bitwise_identical() {
     assert_eq!(kills, stages, "every ledger boundary must have been killed at once");
     assert!(stages > 30, "micro preset should exercise all pipeline stages, got {stages}");
     assert_bitwise_identical(&result, base, "boundary sweep");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
-    let _g = locked();
-    fault::clear();
     let study = micro_study();
     let base = micro_baseline();
     // One deterministic hit count per site, spread so faults land in
@@ -144,11 +141,12 @@ fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
     // plans must stay inert in the single-process study pipeline.
     let hits: &[u64] = &[3, 1, 5, 2, 7, 4, 1, 1, 1, 1, 1, 1, 1, 1];
     assert_eq!(hits.len(), SITES.len(), "one planned hit per fault site");
-    for (site, &hit) in SITES.iter().zip(hits) {
+    let check = |site: &str, hit: u64| {
         let dir = fresh_dir(&format!("prop-{}", site.replace('.', "-")));
-        fault::install(FaultPlan::single(site, hit));
+        let faults = Faults::default().enter();
+        faults.install(FaultPlan::single(site, hit));
         let outcome = catch_unwind(AssertUnwindSafe(|| study.run_study(&dir)));
-        fault::clear();
+        faults.clear();
         let outcome =
             outcome.unwrap_or_else(|_| panic!("fault {site}@{hit} escaped as a panic"));
         match outcome {
@@ -168,6 +166,18 @@ fn any_single_injected_fault_is_typed_or_absorbed_never_a_panic() {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    };
+    // Each site's run has its own directory and its own plan, seen only by
+    // that run's threads, so the sites spread over the cores: at most
+    // `cores::available()` runs at a time.
+    let sites = SITES.iter().zip(hits).map(|(site, &hit)| (1, (*site, hit))).collect();
+    let queues = cores::pack(cores::available(), sites);
+    let runs = cores::run("chaos-sites", queues, |queue: Vec<(&str, u64)>| {
+        queue.into_iter().for_each(|(site, hit)| check(site, hit))
+    });
+    if let Some(panic) = runs.into_iter().find_map(Result::err) {
+        resume_unwind(panic);
     }
 }
 
@@ -199,7 +209,7 @@ fn fault_catalogue_matches_the_hooks_in_the_code_and_the_doc_table() {
     }
     let catalogue: BTreeSet<String> = SITES.iter().map(|s| s.to_string()).collect();
     assert_eq!(catalogue.len(), SITES.len(), "SITES names a site twice");
-    assert_eq!(hooked, catalogue, "should_fault literals in the sources vs astro_resilience::SITES");
+    assert_eq!(hooked, catalogue, "should_fault literals in the sources vs fault::SITES");
 
     let doc = std::fs::read_to_string(root.join("docs/RESILIENCE.md")).expect("docs/RESILIENCE.md");
     let rows: BTreeSet<String> = doc
@@ -207,13 +217,11 @@ fn fault_catalogue_matches_the_hooks_in_the_code_and_the_doc_table() {
         .filter_map(|l| l.strip_prefix("| `")?.split_once("` |"))
         .map(|(site, _)| site.to_string())
         .collect();
-    assert_eq!(rows, catalogue, "site rows of docs/RESILIENCE.md vs astro_resilience::SITES");
+    assert_eq!(rows, catalogue, "site rows of docs/RESILIENCE.md vs fault::SITES");
 }
 
 #[test]
 fn torn_ledger_tail_and_truncated_checkpoint_are_rebuilt() {
-    let _g = locked();
-    fault::clear();
     let study = micro_study();
     let dir = fresh_dir("durability");
     let first = study.run_study(&dir).expect("first run");
@@ -234,23 +242,24 @@ fn torn_ledger_tail_and_truncated_checkpoint_are_rebuilt() {
 
     let second = study.run_study(&dir).expect("re-run over damaged artifacts");
     assert_bitwise_identical(&second, &first, "re-run after torn tail + truncated checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn ledger_of_a_different_study_is_rejected() {
-    let _g = locked();
-    fault::clear();
     let dir = fresh_dir("foreign");
     // Populate the ledger cheaply: kill the first run at its first
     // stage boundary.
     let study = micro_study();
-    fault::install(FaultPlan::single("study.stage_boundary", 1));
+    let faults = Faults::default().enter();
+    faults.install(FaultPlan::single("study.stage_boundary", 1));
     let outcome = study.run_study(&dir);
-    fault::clear();
+    faults.clear();
     assert!(matches!(outcome, Err(StudyError::Interrupted { .. })));
 
     let other = Study::prepare(StudyConfig::micro(12)).expect("prepare seed 12");
     assert_refused(other.run_study(&dir), "fingerprint");
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Same config and tokenizer, written by another build: its
     // checkpoints may come from training code this build no longer runs.
@@ -264,6 +273,7 @@ fn ledger_of_a_different_study_is_rejected() {
         ))
         .expect("write ledger");
     assert_refused(study.run_study(&dir), "build fingerprint");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `outcome` must be a `StudyError::Ledger` whose message contains `why`.

@@ -5,14 +5,13 @@
 //! well-formed trace whose phases are monotonic and non-overlapping,
 //! and the whole ring round-trips through the `astro-bench trace` analyzer.
 //!
-//! The trace ring, fault registry, and metrics registry are
-//! process-global, so every test takes `GATE` (same pattern as
-//! `tests/gateway_integration.rs`).
+//! The trace ring and the metrics registry are process-global, so every
+//! test takes `GATE`; a fault plan is the test's own (`Faults::enter`).
 
 use astro_bench::trace::{chrome_trace_json, parse_jsonl, validate_chrome_json};
 use astro_gateway::{client, Gateway, GatewayConfig, GatewayState};
-use astro_resilience::fault::{self, FaultPlan};
 use astro_telemetry::event::write_json_string;
+use astro_telemetry::fault::{FaultPlan, Faults};
 use astro_telemetry::trace::{self, TraceRecord};
 use astromlab::eval::{InstructEvalConfig, TokenEvalConfig};
 use astromlab::mcq::Mcq;
@@ -23,6 +22,8 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+/// Serialises the tests' use of the process-global trace ring and
+/// counters.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn gate() -> std::sync::MutexGuard<'static, ()> {
@@ -146,7 +147,7 @@ fn counter(name: &str) -> u64 {
 #[test]
 fn every_response_yields_exactly_one_complete_trace() {
     let _gate = gate();
-    fault::clear();
+    let faults = Faults::default().enter();
     trace::reset();
     let ctx = setup(61);
     let config = GatewayConfig {
@@ -192,29 +193,29 @@ fn every_response_yields_exactly_one_complete_trace() {
     responses += 1;
 
     // gateway.slow_client: the handler answers 408 like a read timeout.
-    fault::install(FaultPlan::single("gateway.slow_client", 1));
+    faults.install(FaultPlan::single("gateway.slow_client", 1));
     let resp = client::get(addr, "/healthz", TIMEOUT).expect("slow client");
     assert_eq!(resp.status, 408, "{}", resp.body);
-    assert!(fault::fired("gateway.slow_client"));
+    assert!(faults.fired("gateway.slow_client"));
     responses += 1;
-    fault::clear();
+    faults.clear();
 
     // serve.cache_full: fires inside the engine; the request still
     // succeeds and still gets exactly one trace.
-    fault::install(FaultPlan::single("serve.cache_full", 1));
+    faults.install(FaultPlan::single("serve.cache_full", 1));
     let other = score_body(&q, Some("cache-client"));
     let resp = client::post_json(addr, "/v1/score", &other, TIMEOUT).expect("cache_full");
     assert_eq!(resp.status, 200, "{}", resp.body);
     responses += 1;
-    fault::clear();
+    faults.clear();
 
     // gateway.accept_fail: the connection is dropped before a handler
     // exists — no HTTP response, but the gateway still records a
     // status-0 reject trace so the drop is attributable.
-    fault::install(FaultPlan::single("gateway.accept_fail", 1));
+    faults.install(FaultPlan::single("gateway.accept_fail", 1));
     assert!(client::get(addr, "/healthz", Duration::from_secs(2)).is_err());
-    assert!(fault::fired("gateway.accept_fail"));
-    fault::clear();
+    assert!(faults.fired("gateway.accept_fail"));
+    faults.clear();
 
     let stats = gw.shutdown();
     assert!(stats.drained_clean, "{stats:?}");
@@ -280,7 +281,6 @@ fn every_response_yields_exactly_one_complete_trace() {
 #[test]
 fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
     let _gate = gate();
-    fault::clear();
     trace::reset();
     let ctx = setup(71);
     let gw = Gateway::spawn(GatewayConfig::default(), ctx.state.clone()).expect("spawn");
@@ -339,7 +339,6 @@ fn phases_tile_end_to_end_latency_under_a_concurrent_burst() {
 #[test]
 fn pressure_rejections_are_traced() {
     let _gate = gate();
-    fault::clear();
     trace::reset();
     let slow_generate = InstructEvalConfig {
         max_new_tokens: 256,
