@@ -79,12 +79,8 @@ pub fn main(args: &[String]) {
         let score = study.eval(&params, Method::TokenBase);
         let (hl, _) = held_out_loss(&params, &study.general_stream, study.config.seq, 20);
         // Prediction histogram over the eval subset.
-        let questions = study.eval_questions();
-        let model = astromlab::eval::EvalModel { params: &params, tokenizer: &study.tokenizer };
         let mut hist = [0usize; 4];
-        for q in &questions {
-            let (p, _) = astromlab::eval::token_method::token_method_predict(
-                &model, q, &study.mcq.exemplars, &astromlab::eval::TokenEvalConfig::default());
+        for p in score.outcomes.iter().filter_map(|o| o.chosen) {
             hist[p] += 1;
         }
         astro_telemetry::info!(
@@ -92,8 +88,8 @@ pub fn main(args: &[String]) {
             report.final_loss,
             hl,
             score.percent(),
-            score.correct,
-            score.total,
+            score.correct(),
+            score.total(),
             hist[0], hist[1], hist[2], hist[3],
             t0.elapsed().as_secs_f64()
         );

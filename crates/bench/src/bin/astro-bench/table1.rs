@@ -20,15 +20,16 @@
 //! another config or build exits 1 naming the directory to remove.
 //!
 //! Outputs (working directory): `telemetry.jsonl`, `run_manifest.json`,
-//! and the machine-readable `BENCH_table1.json` (scores + stage wall
-//! times + tokens/sec, the run directory and how many of its stages were
-//! resumed rather than run) that future performance PRs diff against.
+//! and the machine-readable `BENCH_table1.json` (scores and their 95 %
+//! bootstrap half-widths + stage wall times + tokens/sec, the run
+//! directory and how many of its stages were resumed rather than run) that
+//! future performance PRs diff against.
 
 use crate::{instrumented_run, or_exit, JsonObject};
 use astro_telemetry::info;
 use astromlab::eval::report::{render_figure1, render_table1, ModelRow};
 use astromlab::eval::value::{summarize_gain, FLAGSHIP_SCORES};
-use astromlab::eval::{FlagshipOracle, Method};
+use astromlab::eval::{bootstrap_ci, FlagshipOracle, Method};
 use astromlab::prng::Rng;
 use astromlab::study::{build_rows, StudyResult};
 use astromlab::{ModelId, Study};
@@ -81,19 +82,51 @@ pub fn main(args: &[String]) {
         println!("  {name:<22} {score:.1}%");
     }
 
-    println!("\nfull-instruct parse trouble (interpreter+failed fraction):");
-    for (id, rate) in &result.parse_trouble {
-        if id.has_instruct() {
-            println!("  {:<34} {:.0}%", id.name(), rate * 100.0);
-        }
+    // Each cell's 95 % percentile-bootstrap half-width, in points. Cells
+    // draw in Table I order from one named substream of the study seed,
+    // so a resumed run prints the same intervals.
+    let mut rng = Rng::seed_from(study.config.seed).substream("table1-bootstrap");
+    let mut half_widths = Vec::new();
+    println!("\nscore ± 95 % bootstrap half-width ({RESAMPLES} resamples per cell):");
+    println!("  {:<34} {:>13} {:>13} {:>13}", "", "full instruct", "token instr.", "token base");
+    for (id, cells) in &result.scores {
+        let hw = cells.each_ref().map(|s| {
+            let correct: Vec<bool> = s.as_ref()?.outcomes.iter().map(|o| o.correct).collect();
+            let (lo, hi) = bootstrap_ci(&correct, RESAMPLES, 0.95, &mut rng);
+            Some((hi - lo) / 2.0)
+        });
+        let cell = |i: usize| match (&cells[i], hw[i]) {
+            (Some(s), Some(h)) => format!("{:.1} ± {h:.1}", s.percent()),
+            _ => "—".to_string(),
+        };
+        println!("  {:<34} {:>13} {:>13} {:>13}", id.name(), cell(0), cell(1), cell(2));
+        half_widths.push((*id, hw));
+    }
+
+    println!("\nfull-instruct extraction, % of questions (json/pattern/interpreter/failed):");
+    for (id, cells) in &result.scores {
+        let Some(s) = &cells[0] else { continue };
+        let pct = |n: usize| 100.0 * n as f64 / s.total() as f64;
+        let extracted = s.outcomes.iter().filter(|o| o.chosen.is_some()).count();
+        let among = match extracted {
+            0 => "—".to_string(),
+            n => format!("{:.0}%", 100.0 * s.correct() as f64 / n as f64),
+        };
+        let ([j, p, i, f], none) = (s.stages().map(pct), pct(s.total() - extracted));
+        let shares = format!("{:<34} {j:.0}/{p:.0}/{i:.0}/{f:.0}", id.name());
+        println!("  {shares} | accuracy among extracted {among} | unextractable {none:.0}%");
     }
 
     let wall = start.elapsed().as_secs_f64();
-    run.write_bench_json("BENCH_table1.json", &bench_table1_json(&result, wall, &dir));
+    let json = bench_table1_json(&result, &cells_json(&half_widths), wall, &dir);
+    run.write_bench_json("BENCH_table1.json", &json);
     println!();
     print_figure1(&study, &result, &paper);
     run.finish();
 }
+
+/// Bootstrap resamples behind each cell's interval.
+const RESAMPLES: usize = 1000;
 
 /// Figure 1 from the scores `result` already holds: the flagship oracles
 /// (paper §VI — noisy calibrated answerers) scored on the same evaluation
@@ -122,28 +155,36 @@ fn print_figure1(study: &Study, result: &StudyResult, paper: &[ModelRow]) {
     println!("{}", result.figure1_csv);
 }
 
-/// Serialise scores + per-stage wall times + training throughput into the
-/// JSON subset the in-repo parser reads. `stages_resumed` counts the
-/// stages replayed from `run_dir` (37 when it was complete), so a resumed
-/// run's wall time is never read as a fresh one.
-fn bench_table1_json(result: &StudyResult, wall_secs: f64, run_dir: &Path) -> String {
-    let mut scores = String::from("{");
-    for (id, s) in &result.scores {
+/// Per-model cells as `{model: {method: value or null}}`.
+fn cells_json(cells: &[(ModelId, [Option<f64>; 3])]) -> String {
+    let mut out = String::from("{");
+    for (id, s) in cells {
         let mut o = JsonObject::new();
         for (method, v) in Method::all().iter().zip(s.iter()) {
             match v {
-                Some(pct) => o.num(method.key(), *pct),
+                Some(v) => o.num(method.key(), *v),
                 None => o.raw(method.key(), "null"),
             };
         }
-        if scores.len() > 1 {
-            scores.push(',');
+        if out.len() > 1 {
+            out.push(',');
         }
-        astro_telemetry::event::write_json_string(&mut scores, id.name());
-        scores.push(':');
-        scores.push_str(&o.finish());
+        astro_telemetry::event::write_json_string(&mut out, id.name());
+        out.push(':');
+        out.push_str(&o.finish());
     }
-    scores.push('}');
+    out.push('}');
+    out
+}
+
+/// Serialise scores, their 95 % half-widths (`ci95`, rendered by
+/// [`cells_json`]), per-stage wall times and training throughput into the
+/// JSON subset the in-repo parser reads. `stages_resumed` counts the
+/// stages replayed from `run_dir` (37 when it was complete), so a resumed
+/// run's wall time is never read as a fresh one.
+fn bench_table1_json(result: &StudyResult, ci95: &str, wall_secs: f64, run_dir: &Path) -> String {
+    let score = |id: &ModelId| Method::all().map(|m| result.score(*id, m));
+    let scores: Vec<_> = result.scores.iter().map(|(id, _)| (*id, score(id))).collect();
 
     // Stage wall times: aggregate closed spans by name (seconds).
     let mut stages = JsonObject::new();
@@ -189,7 +230,8 @@ fn bench_table1_json(result: &StudyResult, wall_secs: f64, run_dir: &Path) -> St
             "tokens_per_sec",
             if train_secs > 0.0 { tokens as f64 / train_secs } else { 0.0 },
         )
-        .raw("scores", &scores)
+        .raw("scores", &cells_json(&scores))
+        .raw("ci95_half_width", ci95)
         .raw("stage_secs", &stages.finish());
     top.finish()
 }

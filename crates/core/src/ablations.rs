@@ -7,7 +7,7 @@
 
 use crate::study::{RunDir, StudyError};
 use crate::zoo::ModelId;
-use astro_eval::{evaluate, EvalModel, InstructEvalConfig, Method, TokenEvalConfig};
+use astro_eval::{evaluate_checked, EvalModel, InstructEvalConfig, Method, TokenEvalConfig};
 use astro_prng::Rng;
 use astro_train::{pack_documents, render_conversations, train_lm, BatchSource};
 use astro_world::{
@@ -237,7 +237,7 @@ pub fn ablation_eval_method(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, 
     Ok(settings
         .into_iter()
         .map(|(label, cfg)| {
-            let score = evaluate(
+            let score = evaluate_checked(
                 &model,
                 &questions,
                 &study.mcq.exemplars,
@@ -245,7 +245,8 @@ pub fn ablation_eval_method(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, 
                 &cfg,
                 &InstructEvalConfig::default(),
                 &mut rng,
-            );
+            )
+            .unwrap_or_else(|failure| failure.degraded);
             AblationPoint {
                 label: label.to_string(),
                 score: score.percent(),

@@ -135,10 +135,8 @@ pub struct Study {
 
 /// The study's measured outputs.
 pub struct StudyResult {
-    /// Scores per model: `[full instruct, token instruct, token base]`, %.
-    pub scores: Vec<(ModelId, [Option<f64>; 3])>,
-    /// Full-instruct parse-trouble rate per model (interpreter + failed).
-    pub parse_trouble: Vec<(ModelId, f64)>,
+    /// Scores per model: `[full instruct, token instruct, token base]`.
+    pub scores: Vec<(ModelId, [Option<Score>; 3])>,
     /// Rendered Table I.
     pub table1: String,
     /// Rendered ASCII Figure 1.
@@ -148,7 +146,7 @@ pub struct StudyResult {
 }
 
 impl StudyResult {
-    /// Measured score of one model under one method.
+    /// Measured score of one model under one method, %.
     pub fn score(&self, id: ModelId, method: Method) -> Option<f64> {
         let col = match method {
             Method::FullInstruct => 0,
@@ -158,7 +156,7 @@ impl StudyResult {
         self.scores
             .iter()
             .find(|(m, _)| *m == id)
-            .and_then(|(_, s)| s[col])
+            .and_then(|(_, s)| s[col].as_ref().map(Score::percent))
     }
 }
 
@@ -417,7 +415,6 @@ impl Study {
         let _span = astro_telemetry::span!("study.run_study", seed = self.config.seed);
         let mut run = self.open_run(dir)?;
         let mut scores = Vec::new();
-        let mut parse_trouble = Vec::new();
         for id in ModelId::all() {
             // Every checkpoint is replayed (digest-checked) or built even
             // when the model's scores are all ledgered, so the directory
@@ -427,20 +424,19 @@ impl Study {
             let token_base = run.score(id, Method::TokenBase)?;
             let full = run.score(id, Method::FullInstruct)?;
             let token_instr = run.score(id, Method::TokenInstruct)?;
-            scores.push((
-                id,
-                [&full, &token_instr, &token_base].map(|s| s.as_ref().map(Score::percent)),
-            ));
-            parse_trouble.push((id, full.map_or(0.0, |s| s.parse_trouble_rate())));
+            scores.push((id, [full, token_instr, token_base]));
         }
-        let rows = build_rows(&scores);
+        let percents: Vec<_> = scores
+            .iter()
+            .map(|(id, s)| (*id, s.each_ref().map(|s| s.as_ref().map(Score::percent))))
+            .collect();
+        let rows = build_rows(&percents);
         let (lo, hi) = score_range(&rows);
         Ok(StudyResult {
             table1: render_table1(&rows),
             figure1: render_figure1(&rows, lo, hi),
             figure1_csv: astro_eval::report::figure1_csv(&rows),
             scores,
-            parse_trouble,
         })
     }
 
@@ -567,11 +563,11 @@ impl<'s> RunDir<'s> {
     /// The score of `id` under `method`; `None` when `method` needs
     /// instruct weights `id` does not have. An evaluation is retried
     /// under [`RetryPolicy::evals`] around transient engine failures and
-    /// ledgered as integer counts, so replay is exact.
+    /// ledgered as its per-question outcomes, so replay is exact.
     pub fn score(&mut self, id: ModelId, method: Method) -> Result<Option<Score>, StudyError> {
         let stage = format!("eval-{}-{}", slug(id.name()), method.key());
         if let Some(entry) = self.done.get(&stage) {
-            if let Some(score) = score_from_entry(entry) {
+            if let Some(score) = Score::from_ledger(entry) {
                 astro_telemetry::info!("run_study: resume {stage} from ledger");
                 astro_telemetry::counter("study.stages_resumed").inc();
                 return Ok(Some(score));
@@ -594,13 +590,7 @@ impl<'s> RunDir<'s> {
                 attempts: policy.max_attempts,
                 failure,
             })?;
-        self.commit(
-            &stage,
-            &format!(
-                r#"{{"stage":"{stage}","kind":"score","correct":{},"total":{},"s0":{},"s1":{},"s2":{},"s3":{}}}"#,
-                score.correct, score.total, score.stages[0], score.stages[1], score.stages[2], score.stages[3]
-            ),
-        )?;
+        self.commit(&stage, &score.ledger_line(&stage))?;
         Ok(Some(score))
     }
 
@@ -697,20 +687,6 @@ fn replay_checkpoint(entry: &Json, path: &Path) -> Result<Params, String> {
         return Err(format!("checkpoint digest {got} != ledgered {want}"));
     }
     astro_model::serial::params_from_bytes(&bytes).map_err(|e| e.to_string())
-}
-
-/// Reconstruct a [`Score`] from a ledgered score entry. Scores are stored
-/// as integer counts, so replay is exact.
-fn score_from_entry(entry: &Json) -> Option<Score> {
-    let n = |k: &str| match entry.get(k)? {
-        Json::Number(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as usize),
-        _ => None,
-    };
-    Some(Score {
-        correct: n("correct")?,
-        total: n("total")?,
-        stages: [n("s0")?, n("s1")?, n("s2")?, n("s3")?],
-    })
 }
 
 /// A filesystem- and JSON-safe stage name: alphanumerics and dashes only
@@ -881,23 +857,5 @@ mod tests {
     fn slug_is_filesystem_safe() {
         assert_eq!(slug("AstroLLaMA-2-7B-AIC (sim)"), "AstroLLaMA-2-7B-AIC--sim-");
         assert_eq!(slug("7B-class"), "7B-class");
-    }
-
-    #[test]
-    fn score_entries_round_trip_through_the_ledger_format() {
-        let score = Score { correct: 17, total: 24, stages: [9, 4, 2, 1] };
-        let line = format!(
-            r#"{{"stage":"eval-x-token_base","kind":"score","correct":{},"total":{},"s0":{},"s1":{},"s2":{},"s3":{}}}"#,
-            score.correct, score.total, score.stages[0], score.stages[1], score.stages[2], score.stages[3]
-        );
-        let entry = Json::parse(&line).expect("parse");
-        assert_eq!(score_from_entry(&entry), Some(score));
-    }
-
-    #[test]
-    fn malformed_score_entries_are_rejected_not_trusted() {
-        let entry = Json::parse(r#"{"stage":"eval-x","kind":"score","correct":-1,"total":24}"#)
-            .expect("parse");
-        assert_eq!(score_from_entry(&entry), None);
     }
 }

@@ -30,7 +30,7 @@ pub use instruct_method::{
     generate_job, instruct_method, instruct_method_answer, InstructAnswer, InstructEvalConfig,
 };
 pub use oracle::FlagshipOracle;
-pub use score::{bootstrap_ci, evaluate, evaluate_checked, EvalFailure, Method, Score};
+pub use score::{bootstrap_ci, evaluate_checked, EvalFailure, Method, Outcome, Score};
 pub use token_method::{
     pick_option, score_job, token_method_outcomes, token_method_predict,
     AnswerReadout, TokenEvalConfig, TokenOutcome,
@@ -48,7 +48,7 @@ pub struct EvalModel<'a> {
 impl EvalModel<'_> {
     /// Check that the tokenizer and the embedding table agree: every
     /// token id the tokenizer can emit must index a row of the embedding.
-    /// [`evaluate`] asserts this before scoring.
+    /// [`evaluate_checked`] asserts this before scoring.
     pub fn validate(&self) -> Result<(), String> {
         let rows = self.params.cfg.vocab_size;
         let vocab = self.tokenizer.vocab_size();

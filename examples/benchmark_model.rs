@@ -14,7 +14,7 @@
 //! it (so the example is always runnable).
 
 use astromlab::eval::{
-    evaluate, EvalModel, InstructEvalConfig, Method, TokenEvalConfig,
+    evaluate_checked, EvalModel, InstructEvalConfig, Method, TokenEvalConfig,
 };
 use astromlab::model::{serial, Params, Tier};
 use astromlab::tokenizer::Tokenizer;
@@ -60,7 +60,7 @@ fn main() {
     );
 
     for method in Method::all() {
-        let score = evaluate(
+        let score = evaluate_checked(
             &model,
             &questions,
             &study.mcq.exemplars,
@@ -68,10 +68,11 @@ fn main() {
             &TokenEvalConfig::default(),
             &InstructEvalConfig::default(),
             &mut rng,
-        );
-        print!("  {:<36} {:5.1}%  ({}/{})", method.label(), score.percent(), score.correct, score.total);
+        )
+        .unwrap_or_else(|failure| failure.degraded);
+        print!("  {:<36} {:5.1}%  ({}/{})", method.label(), score.percent(), score.correct(), score.total());
         if method == Method::FullInstruct {
-            let [json, pattern, interp, failed] = score.stages;
+            let [json, pattern, interp, failed] = score.stages();
             print!("   answers via JSON {json} / pattern {pattern} / interpreter {interp} / failed {failed}");
         }
         println!();

@@ -54,14 +54,14 @@ fn main() {
     println!(
         "  native   : {:5.1}%  ({}/{})",
         native_score.percent(),
-        native_score.correct,
-        native_score.total
+        native_score.correct(),
+        native_score.total()
     );
     println!(
         "  AstroLLaMA-style CPT: {:5.1}%  ({}/{})",
         astro_score.percent(),
-        astro_score.correct,
-        astro_score.total
+        astro_score.correct(),
+        astro_score.total()
     );
     let delta = astro_score.percent() - native_score.percent();
     let value = astromlab::eval::value::value_ratio(delta);

@@ -80,6 +80,6 @@ fn main() {
         ("instruct / full-instruct", &instruct, Method::FullInstruct),
     ] {
         let s = study.eval(params, method);
-        println!("  {label:<28} {:5.1}%  ({}/{})", s.percent(), s.correct, s.total);
+        println!("  {label:<28} {:5.1}%  ({}/{})", s.percent(), s.correct(), s.total());
     }
 }

@@ -20,8 +20,7 @@ fn saved_model_scores_identically_after_reload() {
     assert_eq!(reloaded.data, native.data);
 
     let after = study.eval(&reloaded, Method::TokenBase);
-    assert_eq!(before.correct, after.correct);
-    assert_eq!(before.total, after.total);
+    assert_eq!(before, after);
     let _ = std::fs::remove_file(&ckpt);
 }
 

@@ -11,12 +11,12 @@ fn same_seed_reproduces_scores_bitwise() {
         let study = Study::prepare(StudyConfig::smoke(seed)).expect("prepare");
         let (native, _) = study.pretrain_native(Tier::S7b).expect("pretrain");
         let score = study.eval(&native, Method::TokenBase);
-        (native.data, score.correct, score.total)
+        (native.data, score)
     };
-    let (w1, c1, t1) = run(555);
-    let (w2, c2, t2) = run(555);
+    let (w1, s1) = run(555);
+    let (w2, s2) = run(555);
     assert_eq!(w1, w2, "weights must be bit-identical across runs");
-    assert_eq!((c1, t1), (c2, t2));
+    assert_eq!(s1, s2);
 }
 
 #[test]

@@ -32,11 +32,11 @@ fn one_model_line_end_to_end() {
     let ti = study.eval(&instruct, Method::TokenInstruct);
     let fi = study.eval(&instruct, Method::FullInstruct);
     for (label, s) in [("token-base", &tb), ("token-instruct", &ti), ("full-instruct", &fi)] {
-        assert_eq!(s.total, study.config.n_eval_questions, "{label}");
-        assert!(s.correct <= s.total, "{label}");
+        assert_eq!(s.total(), study.config.n_eval_questions, "{label}");
+        assert!(s.correct() <= s.total(), "{label}");
     }
     // The full-instruct stage accounting must cover every question.
-    assert_eq!(fi.stages.iter().sum::<usize>(), fi.total);
+    assert_eq!(fi.stages().iter().sum::<usize>(), fi.total());
 }
 
 #[test]

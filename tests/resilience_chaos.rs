@@ -35,6 +35,7 @@
 use astro_resilience::{fnv64, Journal};
 use astro_telemetry::cores;
 use astro_telemetry::fault::{FaultPlan, Faults, SITES};
+use astromlab::eval::Score;
 use astromlab::study::{StudyError, StudyResult};
 use astromlab::{Study, StudyConfig};
 use std::collections::BTreeSet;
@@ -56,10 +57,10 @@ fn ledger_lines(dir: &Path) -> Vec<String> {
     Journal::at(&dir.join("ledger.jsonl")).lines().expect("readable ledger")
 }
 
-/// Every score as raw bits: `==` on these is bitwise equality, immune to
-/// NaN/-0.0 subtleties that `f64: PartialEq` could mask.
-fn score_bits(r: &StudyResult) -> Vec<[Option<u64>; 3]> {
-    r.scores.iter().map(|(_, s)| s.map(|v| v.map(f64::to_bits))).collect()
+/// Every score whole: `==` on these compares each question's outcome,
+/// strictly stronger than comparing the percentages' bits.
+fn score_bits(r: &StudyResult) -> Vec<&[Option<Score>; 3]> {
+    r.scores.iter().map(|(_, s)| s).collect()
 }
 
 /// The uninterrupted baseline for `micro(11)`, a `run_study` in a fresh
