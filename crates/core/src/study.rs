@@ -563,16 +563,21 @@ impl<'s> RunDir<'s> {
     /// The score of `id` under `method`; `None` when `method` needs
     /// instruct weights `id` does not have. An evaluation is retried
     /// under [`RetryPolicy::evals`] around transient engine failures and
-    /// ledgered as its per-question outcomes, so replay is exact.
+    /// ledgered as its per-question outcomes, so replay is exact. A ledger
+    /// entry that does not decode to one outcome per question of the eval
+    /// subset is not trusted — the stage re-runs.
     pub fn score(&mut self, id: ModelId, method: Method) -> Result<Option<Score>, StudyError> {
         let stage = format!("eval-{}-{}", slug(id.name()), method.key());
         if let Some(entry) = self.done.get(&stage) {
-            if let Some(score) = Score::from_ledger(entry) {
+            let asked = self.study.eval_questions().len();
+            if let Some(score) = Score::from_ledger(entry).filter(|s| s.total() == asked) {
                 astro_telemetry::info!("run_study: resume {stage} from ledger");
                 astro_telemetry::counter("study.stages_resumed").inc();
                 return Ok(Some(score));
             }
-            astro_telemetry::info!("run_study: ledger entry for {stage} malformed; re-evaluating");
+            astro_telemetry::info!(
+                "run_study: ledger entry for {stage} is not {asked} outcomes; re-evaluating"
+            );
         }
         let study = self.study;
         let params = match method {
@@ -782,6 +787,40 @@ mod tests {
             a.iter().map(|q| q.id).collect::<Vec<_>>(),
             b.iter().map(|q| q.id).collect::<Vec<_>>()
         );
+    }
+
+    /// A ledgered score line one outcome short of the eval subset is not
+    /// resumed: that stage is evaluated again, bit for bit, and every other
+    /// stage resumes — the re-run appends exactly one ledger line.
+    #[test]
+    fn a_score_line_short_of_the_subset_is_re_evaluated_and_nothing_else_is() {
+        let study = Study::prepare(StudyConfig::micro(11)).expect("micro prepare");
+        let dir = std::env::temp_dir().join(format!("astro-short-score-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cells = [ModelId::Llama2_7b, ModelId::Llama3_8b];
+        let score_all = |run: &mut RunDir<'_>| -> Vec<Score> {
+            let mut score = |id| run.score(id, Method::TokenBase).expect("score").expect("base");
+            cells.map(&mut score).to_vec()
+        };
+        let first = score_all(&mut study.open_run(&dir).expect("open"));
+        let stage = format!("eval-{}-{}", slug(cells[0].name()), Method::TokenBase.key());
+        let ledger = dir.join("ledger.jsonl");
+        let lines = Journal::at(&ledger).lines().expect("ledger");
+        let short = Score { outcomes: first[0].outcomes[1..].to_vec() };
+        let at_stage = format!(r#""stage":"{stage}""#);
+        let edited: String = lines
+            .iter()
+            .map(|l| if l.contains(&at_stage) { short.ledger_line(&stage) } else { l.clone() })
+            .map(|l| l + "\n")
+            .collect();
+        std::fs::write(&ledger, edited).expect("edit ledger");
+
+        let again = score_all(&mut study.open_run(&dir).expect("reopen"));
+        assert_eq!(again, first, "re-evaluation changed a score");
+        let after = Journal::at(&ledger).lines().expect("ledger");
+        assert_eq!(after.len(), lines.len() + 1, "only the edited stage re-runs: {after:#?}");
+        assert_eq!(after.last(), Some(&first[0].ledger_line(&stage)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   the one driver of the job lifecycle (the crate-private
 //!   `seq::Sequence`: fork the deepest cached prefix, feed the tail, retry
 //!   once uncached on overflow, then read out scores or decode): per-step
-//!   FIFO admission under a [`scheduler::KvLedger`] block budget unified
-//!   with the prefix cache's residency, chunked prefill, **one stacked
-//!   forward for all of a step's decode rows** and individual retirement,
+//!   FIFO admission while one of `max_active` slots is free, chunked
+//!   prefill, **one stacked forward for all of a step's decode rows** and
+//!   individual retirement,
 //!   so short score jobs are never head-of-line blocked behind long
 //!   generations and a decode step streams the weights once, not once per
 //!   sequence. A step splits its sequences over the cores nothing else

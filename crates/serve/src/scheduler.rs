@@ -12,14 +12,9 @@
 //!
 //! 1. **Admit** — pending submissions join the running batch in FIFO
 //!    order (one `VecDeque`, owned by the scheduler: submission and
-//!    stepping are both `&mut self`), each reserving its worst-case
-//!    KV footprint in the [`KvLedger`] first. The ledger's block budget is
-//!    unified with the prefix cache's residency: cached snapshots are
-//!    charged against the same budget, and admission may evict unpinned
-//!    LRU snapshots (never a running sequence — running sequences own
-//!    their `InferenceSession`s outright) to make room. The FIFO head
-//!    blocks the tail — no skip-ahead — which is what makes the
-//!    admission-wait bound below hold.
+//!    stepping are both `&mut self`) while one of the `max_active` slots
+//!    is free. The FIFO head blocks the tail — no skip-ahead — which is
+//!    what makes the admission-wait bound below hold.
 //! 2. **Advance** — every active sequence moves one unit of the job
 //!    lifecycle, each under its own `catch_unwind`: prefilling sequences
 //!    feed up to `prefill_chunk` prompt tokens (snapshotting group anchors
@@ -31,10 +26,20 @@
 //!    once per step, not once per sequence, and a failure there is the
 //!    error of exactly the lanes in it.
 //! 4. **Retire** — the step's anchor snapshots go into the prefix cache in
-//!    batch order; finished sequences return their result, release their
-//!    ledger blocks and hand their sessions back to the free list, without
-//!    waiting for the rest of the batch. A generate job retires in the
-//!    step that samples its last token, which is never fed.
+//!    batch order; finished sequences return their result and hand their
+//!    sessions back to the free list, without waiting for the rest of the
+//!    batch. A generate job retires in the step that samples its last
+//!    token, which is never fed.
+//!
+//! # Memory
+//!
+//! A session is allocated whole (`ModelConfig::session_bytes`), so serving
+//! memory is counted in sessions and two bounds hold it: `max_active`
+//! bounds the running sequences, each of which owns its session outright,
+//! and the prefix cache's byte cap bounds the cached snapshots, evicting
+//! the least recently used unpinned one on insert. Neither bound touches
+//! the other: eviction only ever drops a re-forkable snapshot, never a
+//! running sequence.
 //!
 //! # Cores
 //!
@@ -72,11 +77,10 @@
 //!
 //! # Fairness bound
 //!
-//! With `m = max_active` slots, FIFO admission and a block budget that
-//! admits `m` concurrent sequences, a job at queue position `k` (0-based)
-//! waits at most `ceil((k + 1) / m) * L + 1` steps for admission, where
-//! `L` is the longest possible sequence lifetime in steps
-//! (`ceil(prompt / prefill_chunk) + max_new + 2`).
+//! With `m = max_active` slots and FIFO admission, a job at queue
+//! position `k` (0-based) waits at most `ceil((k + 1) / m) * L + 1` steps
+//! for admission, where `L` is the longest possible sequence lifetime in
+//! steps (`ceil(prompt / prefill_chunk) + max_new + 2`).
 //! `tests/scheduler_props.rs` asserts this bound under adversarial
 //! long-decode load.
 
@@ -84,7 +88,6 @@ use crate::engine::{
     lock_cache, publish_cache_metrics, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError,
 };
 use crate::seq::{feed_sampled, Advance, ForkPool, SeqEnv, Sequence};
-use astro_model::ModelConfig;
 use astro_telemetry::cores::{self, Cores, Loan};
 use astro_telemetry::fault;
 use astro_telemetry::lockcheck;
@@ -94,9 +97,8 @@ use astro_telemetry::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::OnceLock;
 
-/// Iteration-scheduler tuning. All zero/degenerate values are normalized
-/// at construction ([`crate::EvalEngine::iter_scheduler`]); `validate`
-/// rejects values a config file should not contain.
+/// Iteration-scheduler tuning. Zero values are normalized to their
+/// minimum at construction ([`crate::EvalEngine::iter_scheduler`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Maximum concurrently active sequences (batch slots).
@@ -104,12 +106,6 @@ pub struct SchedulerConfig {
     /// Prompt tokens a prefilling sequence feeds per step, so long
     /// prefills interleave with running decodes instead of stalling them.
     pub prefill_chunk: usize,
-    /// Tokens per KV block in the ledger's accounting.
-    pub block_tokens: usize,
-    /// Total block budget shared by active sequences and cached
-    /// snapshots; `0` derives a budget that admits `max_active` sequences
-    /// plus the prefix cache's full residency.
-    pub budget_blocks: usize,
     /// Most submissions that may wait for admission at once; one more is
     /// refused with [`SubmitError::Backlog`].
     pub admit_capacity: usize,
@@ -122,31 +118,9 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_active: 8,
             prefill_chunk: 32,
-            block_tokens: 16,
-            budget_blocks: 0,
             admit_capacity: 1024,
             record_log: true,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// Structural validation for config surfaces (the constructor
-    /// normalizes instead of rejecting).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_active == 0 {
-            return Err("scheduler max_active must be >= 1".to_string());
-        }
-        if self.prefill_chunk == 0 {
-            return Err("scheduler prefill_chunk must be >= 1".to_string());
-        }
-        if self.block_tokens == 0 {
-            return Err("scheduler block_tokens must be >= 1".to_string());
-        }
-        if self.admit_capacity == 0 {
-            return Err("scheduler admit_capacity must be >= 1".to_string());
-        }
-        Ok(())
     }
 }
 
@@ -168,119 +142,29 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// KV-block accounting shared by running sequences and cached snapshots.
+/// A snapshot of the sessions a scheduler's step can see held: its running
+/// sequences plus the prefix cache's resident snapshots, against the most
+/// the two bounds allow (module docs, *Memory*). Its unit is one session.
 ///
-/// Every admitted sequence reserves its **worst-case** footprint up front
-/// (prompt plus full decode budget, capped at the context), so a running
-/// sequence can never be evicted or starved mid-flight — the only
-/// reclaimable blocks are unpinned cache snapshots. Invariants (enforced
-/// by [`KvLedger::check`] and `tests/scheduler_props.rs`):
-///
-/// * reserved blocks are released exactly once, at retirement — no leaks;
-/// * `active + cached <= budget` whenever a reservation succeeds;
-/// * eviction only ever reduces `cached`, never a running reservation.
-#[derive(Clone, Debug)]
+/// It exists for `bench/`, which reports the two as
+/// `serve.kv_blocks_peak` / `serve.kv_budget_blocks` until those metrics
+/// are renamed; nothing in the scheduler reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KvLedger {
-    block_tokens: usize,
+    in_use: usize,
     budget_blocks: usize,
-    active: HashMap<usize, usize>,
-    active_blocks: usize,
-    cached_blocks: usize,
 }
 
 impl KvLedger {
-    /// A ledger of `budget_blocks` blocks of `block_tokens` tokens each.
-    pub fn new(block_tokens: usize, budget_blocks: usize) -> Self {
-        KvLedger {
-            block_tokens: block_tokens.max(1),
-            budget_blocks,
-            active: HashMap::new(),
-            active_blocks: 0,
-            cached_blocks: 0,
-        }
+    /// Sessions held: active sequences plus resident snapshots.
+    pub fn in_use(&self) -> usize {
+        self.in_use
     }
 
-    /// Blocks needed to hold `tokens` KV rows (at least one).
-    pub fn blocks_for(&self, tokens: usize) -> usize {
-        tokens.div_ceil(self.block_tokens).max(1)
-    }
-
-    /// Reserve the blocks for `tokens` against sequence `id`. Fails (and
-    /// reserves nothing) when the budget cannot hold it alongside the
-    /// current active set and cached snapshots, or when `id` already
-    /// holds a reservation.
-    pub fn try_reserve(&mut self, id: usize, tokens: usize) -> bool {
-        if self.active.contains_key(&id) {
-            return false;
-        }
-        let blocks = self.blocks_for(tokens);
-        if self.active_blocks + self.cached_blocks + blocks > self.budget_blocks {
-            return false;
-        }
-        self.active.insert(id, blocks);
-        self.active_blocks += blocks;
-        true
-    }
-
-    /// Release sequence `id`'s reservation, returning the blocks freed
-    /// (`0` when `id` held none).
-    pub fn release(&mut self, id: usize) -> usize {
-        match self.active.remove(&id) {
-            Some(blocks) => {
-                self.active_blocks -= blocks;
-                blocks
-            }
-            None => 0,
-        }
-    }
-
-    /// Record the prefix cache's current snapshot residency in blocks.
-    pub fn set_cached_blocks(&mut self, blocks: usize) {
-        self.cached_blocks = blocks;
-    }
-
-    /// Blocks reserved by running sequences.
-    pub fn active_blocks(&self) -> usize {
-        self.active_blocks
-    }
-
-    /// Blocks charged to cached snapshots at the last sync.
-    pub fn cached_blocks(&self) -> usize {
-        self.cached_blocks
-    }
-
-    /// The total block budget.
+    /// Most sessions the bounds allow: `max_active` plus the cache's
+    /// `capacity_sessions()`.
     pub fn budget_blocks(&self) -> usize {
         self.budget_blocks
-    }
-
-    /// Blocks in use: active reservations plus cached snapshots.
-    pub fn in_use(&self) -> usize {
-        self.active_blocks + self.cached_blocks
-    }
-
-    /// Number of sequences currently holding a reservation.
-    pub fn active_sequences(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Internal-consistency check: the running total matches the per-id
-    /// map and the budget is respected.
-    pub fn check(&self) -> Result<(), String> {
-        let sum: usize = self.active.values().sum();
-        if sum != self.active_blocks {
-            return Err(format!(
-                "ledger drift: per-id sum {sum} != active_blocks {}",
-                self.active_blocks
-            ));
-        }
-        if self.in_use() > self.budget_blocks {
-            return Err(format!(
-                "budget exceeded: active {} + cached {} > budget {}",
-                self.active_blocks, self.cached_blocks, self.budget_blocks
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -459,8 +343,6 @@ fn run_units<'a>(
 pub struct IterScheduler {
     cfg: SchedulerConfig,
     env: SeqEnv,
-    ledger: KvLedger,
-    blocks_per_snapshot: usize,
     pending: VecDeque<(usize, Job)>,
     active: Vec<Active>,
     free: Vec<Sequence>,
@@ -495,28 +377,10 @@ impl IterScheduler {
         let cfg = SchedulerConfig {
             max_active: cfg.max_active.max(1),
             prefill_chunk: cfg.prefill_chunk.max(1),
-            block_tokens: cfg.block_tokens.max(1),
             admit_capacity: cfg.admit_capacity.max(1),
             ..cfg
         };
-        let model_cfg = env.params.cfg;
-        let blocks_per_snapshot = model_cfg.max_seq.div_ceil(cfg.block_tokens).max(1);
-        let budget = if cfg.budget_blocks == 0 {
-            let cache_sessions = env
-                .cache
-                .as_ref()
-                .map(|c| {
-                    let (_t, g) = lock_cache(c);
-                    g.capacity_sessions()
-                })
-                .unwrap_or(0);
-            blocks_per_snapshot * (cfg.max_active + cache_sessions)
-        } else {
-            cfg.budget_blocks
-        };
         IterScheduler {
-            ledger: KvLedger::new(cfg.block_tokens, budget),
-            blocks_per_snapshot,
             pending: VecDeque::new(),
             active: Vec::new(),
             free: Vec::new(),
@@ -581,18 +445,16 @@ impl IterScheduler {
         self.cfg.admit_capacity
     }
 
-    /// The KV-block ledger (for invariant checks and metrics).
-    pub fn ledger(&self) -> &KvLedger {
-        &self.ledger
-    }
-
-    /// Re-sync the ledger's cached-snapshot charge from the prefix cache
-    /// (admission does this automatically; exposed for invariant tests).
-    pub fn refresh_cached_blocks(&mut self) {
-        if let Some(cache) = &self.env.cache {
+    /// The sessions held now, against the most the bounds allow (see
+    /// [`KvLedger`]: `bench/` reads it, nothing else).
+    pub fn ledger(&self) -> KvLedger {
+        let (resident, capacity) = self.env.cache.as_ref().map_or((0, 0), |cache| {
             let (_t, g) = lock_cache(cache);
-            let resident = g.stats().resident_sessions as usize;
-            self.ledger.set_cached_blocks(resident * self.blocks_per_snapshot);
+            (g.stats().resident_sessions as usize, g.capacity_sessions())
+        });
+        KvLedger {
+            in_use: self.active.len() + resident,
+            budget_blocks: self.cfg.max_active + capacity,
         }
     }
 
@@ -615,41 +477,10 @@ impl IterScheduler {
         // -- Admit ----------------------------------------------------
         let stalled = fault::should_fault("serve.admit_stall");
         let mut admitted: Vec<usize> = Vec::new();
-        let mut rejected: Vec<(usize, Result<SeqOutcome, ServeError>)> = Vec::new();
         if stalled {
             astro_telemetry::counter("serve.admit.stalls").inc();
         } else {
             while self.active.len() < self.cfg.max_active {
-                let Some((id, job)) = self.pending.front() else {
-                    break;
-                };
-                let need = worst_case_tokens(job, &self.env.params.cfg);
-                // FIFO: if the head cannot reserve, nothing behind it may
-                // jump the queue — that is the fairness bound.
-                if !self.reserve_with_eviction(*id, need) {
-                    if self.active.is_empty() && admitted.is_empty() {
-                        // Nothing is running and eviction is exhausted:
-                        // no retirement can ever free the blocks this job
-                        // needs. Reject it instead of spinning forever.
-                        if let Some((id, job)) = self.pending.pop_front() {
-                            if let Some(t) = job.trace() {
-                                trace::mark_fault(t, "serve.admit_reject");
-                            }
-                            astro_telemetry::counter("serve.admit.rejected").inc();
-                            rejected.push((
-                                id,
-                                Err(ServeError::Session(
-                                    astro_model::SessionError::CacheFull {
-                                        pos: need,
-                                        max_seq: self.env.params.cfg.max_seq,
-                                    },
-                                )),
-                            ));
-                            continue;
-                        }
-                    }
-                    break;
-                }
                 let Some((id, job)) = self.pending.pop_front() else {
                     break;
                 };
@@ -678,8 +509,8 @@ impl IterScheduler {
                 }
             }
         }
-        let mut done: Vec<(usize, Result<SeqOutcome, ServeError>)> = rejected;
-        done.extend(self.active.iter_mut().filter_map(|a| a.done.take().map(|r| (a.id, r))));
+        let mut done: Vec<(usize, Result<SeqOutcome, ServeError>)> =
+            self.active.iter_mut().filter_map(|a| a.done.take().map(|r| (a.id, r))).collect();
         // A failed forward advanced none of its lanes: it is the error of
         // exactly the sequences in it.
         if let Some(e) = failed {
@@ -690,7 +521,6 @@ impl IterScheduler {
         let mut kept = Vec::with_capacity(self.active.len());
         for a in std::mem::take(&mut self.active) {
             if done_ids.contains(&a.id) {
-                self.ledger.release(a.id);
                 if let Some(t) = a.job.trace() {
                     trace::record_num(t, "retire_step", self.step_idx as f64);
                 }
@@ -772,28 +602,6 @@ impl IterScheduler {
         out
     }
 
-    /// Reserve `tokens` for `id`, evicting unpinned cache snapshots (LRU
-    /// first) while the unified budget is short. Running sequences are
-    /// never touched: their blocks are owned reservations.
-    fn reserve_with_eviction(&mut self, id: usize, tokens: usize) -> bool {
-        loop {
-            self.refresh_cached_blocks();
-            if self.ledger.try_reserve(id, tokens) {
-                return true;
-            }
-            let Some(cache) = &self.env.cache else {
-                return false;
-            };
-            let freed = {
-                let (_t, mut g) = lock_cache(cache);
-                g.evict_for_ledger()
-            };
-            if freed == 0 {
-                return false;
-            }
-        }
-    }
-
     /// Turn an accepted submission into an active sequence: record the
     /// `admit` phase, start it on a reusable [`Sequence`].
     fn admit_sequence(&mut self, id: usize, job: Job) -> Active {
@@ -813,22 +621,14 @@ impl IterScheduler {
     }
 }
 
-/// A sequence's worst-case KV footprint in tokens: the whole prompt plus
-/// (for generation) the full decode budget, capped at the context window.
-fn worst_case_tokens(job: &Job, cfg: &ModelConfig) -> usize {
-    let tokens = match job {
-        Job::Score(j) => j.prompt.len(),
-        Job::Generate(j) => j.prompt.len().saturating_add(j.max_new),
-    };
-    tokens.min(cfg.max_seq).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::ScoreReadout;
     use crate::EvalEngine;
-    use astro_model::{InferenceSession, Params, SamplerConfig, SessionError, WeightPrecision};
+    use astro_model::{
+        InferenceSession, ModelConfig, Params, SamplerConfig, SessionError, WeightPrecision,
+    };
     use astro_prng::Rng;
     use std::sync::Arc;
 
@@ -1090,7 +890,7 @@ mod tests {
     /// fires inside the step's one forward. Exactly the lanes of that
     /// forward report `WorkerPanic`; the prefilling generate job, the score
     /// job and a job submitted afterwards retire with the results they
-    /// have in a scheduler where nothing panicked, and the ledger is clean.
+    /// have in a scheduler where nothing panicked.
     #[test]
     fn a_panic_in_the_stacked_feed_fails_exactly_its_lanes_and_the_scheduler_steps_on() {
         let cfg = ModelConfig::tiny(24);
@@ -1154,36 +954,6 @@ mod tests {
         for (id, want) in ids.iter().zip(&want) {
             assert_eq!(&results[id], want, "bystander {id}");
         }
-        assert_eq!(sched.ledger().active_blocks(), 0, "ledger leaked blocks");
-        assert!(sched.ledger().check().is_ok());
-    }
-
-    #[test]
-    fn ledger_reserve_release_roundtrip() {
-        let mut l = KvLedger::new(16, 10);
-        assert_eq!(l.blocks_for(1), 1);
-        assert_eq!(l.blocks_for(16), 1);
-        assert_eq!(l.blocks_for(17), 2);
-        assert!(l.try_reserve(0, 64)); // 4 blocks
-        assert!(!l.try_reserve(0, 1), "double reservation must fail");
-        assert!(l.try_reserve(1, 96)); // 6 blocks -> full
-        assert!(!l.try_reserve(2, 1), "over budget");
-        assert_eq!(l.in_use(), 10);
-        assert!(l.check().is_ok());
-        assert_eq!(l.release(0), 4);
-        assert_eq!(l.release(0), 0, "double release is a no-op");
-        assert!(l.try_reserve(2, 1));
-        assert!(l.check().is_ok());
-    }
-
-    #[test]
-    fn ledger_counts_cached_blocks_against_the_budget() {
-        let mut l = KvLedger::new(16, 4);
-        l.set_cached_blocks(3);
-        assert!(!l.try_reserve(0, 32), "2 blocks + 3 cached > 4");
-        assert!(l.try_reserve(0, 16));
-        assert_eq!(l.in_use(), 4);
-        assert!(l.check().is_ok());
     }
 
     #[test]
@@ -1201,14 +971,5 @@ mod tests {
         assert!(line.contains("\"step\":1"), "{line}");
         assert!(line.contains("\"admitted\":[0,1]"), "{line}");
         assert!(line.contains("\"stalled\":false"), "{line}");
-    }
-
-    #[test]
-    fn scheduler_config_validates() {
-        assert!(SchedulerConfig::default().validate().is_ok());
-        let bad = SchedulerConfig { max_active: 0, ..SchedulerConfig::default() };
-        assert!(bad.validate().is_err());
-        let bad = SchedulerConfig { block_tokens: 0, ..SchedulerConfig::default() };
-        assert!(bad.validate().is_err());
     }
 }

@@ -109,23 +109,11 @@ impl PrefixCache {
         self.session_bytes
     }
 
-    /// How many snapshots the byte budget admits (the residency cap the
-    /// iteration scheduler's KV-block ledger charges against).
+    /// How many snapshots the byte budget admits: with `max_active`, the
+    /// bound on a serving process's sessions (see [`crate::scheduler`],
+    /// *Memory*).
     pub fn capacity_sessions(&self) -> usize {
         self.cap_bytes / self.session_bytes
-    }
-
-    /// Drop the least-recently-used **unpinned** snapshot on behalf of the
-    /// KV-block ledger, returning the bytes freed (`0` when everything
-    /// resident is pinned). Pinned anchors and the trie structure are
-    /// untouched, so running sequences forked from the cache are never
-    /// affected — eviction only drops *re-forkable* snapshots.
-    pub fn evict_for_ledger(&mut self) -> usize {
-        if self.evict_lru() {
-            self.session_bytes
-        } else {
-            0
-        }
     }
 
     /// Current counters.
@@ -543,8 +531,8 @@ mod tests {
         assert_eq!(f32_cache.session_bytes(), f32_cfg.session_bytes());
         assert_eq!(int8_cache.session_bytes(), int8_cfg.session_bytes());
         // Same explicit byte budget: the int8 cache admits no more
-        // snapshots than the f32 one (its snapshots are bigger), and the
-        // ledger's residency cap reflects that.
+        // snapshots than the f32 one (its snapshots are bigger), and
+        // `capacity_sessions` reflects that.
         let budget = f32_cfg.session_bytes() * 4;
         let a = PrefixCache::new(&f32_cfg, budget);
         let b = PrefixCache::new(&int8_cfg, budget);

@@ -2,10 +2,11 @@
 //! complementing the bitwise differential suite
 //! (`scheduler_differential.rs`):
 //!
-//! * **KV-ledger invariants** — blocks never leak, `active + cached`
-//!   never exceeds the budget at any step, and eviction only ever
-//!   reclaims unpinned cache snapshots (a running sequence is never
-//!   touched: its session is owned, not resident in the cache).
+//! * **Memory bound** — while more prompt groups thrash than the prefix
+//!   cache holds, resident snapshots never exceed the cache's
+//!   `capacity_sessions()` at any step, eviction happens, and every job
+//!   still retires with the oracle's result (eviction never touches a
+//!   running sequence: its session is owned, not resident in the cache).
 //! * **Starvation bound** — under adversarial long-decode load, FIFO
 //!   admission bounds every job's wait: position `k` is admitted within
 //!   `ceil((k + 1) / m) * L + 1` steps (`m` slots, `L` the longest
@@ -15,11 +16,13 @@
 //! * **Bounded backlog** — `admit_capacity` waiting submissions, and the
 //!   next one is refused without consuming a sequence id.
 
+mod common;
+
 use astro_model::{ModelConfig, Params, SamplerConfig};
 use astro_prng::Rng;
 use astro_serve::{
-    EngineConfig, EvalEngine, GenerateJob, IterScheduler, SchedLog, SchedulerConfig, ScoreJob,
-    ScoreReadout, SubmitError,
+    EngineConfig, EvalEngine, GenerateJob, IterScheduler, PrefixCache, SchedLog,
+    SchedulerConfig, ScoreJob, ScoreReadout, SeqOutcome, SubmitError,
 };
 use std::collections::HashMap;
 
@@ -48,163 +51,93 @@ fn generate_job(prompt: Vec<u32>, max_new: usize, seed: u64) -> GenerateJob {
     }
 }
 
-/// Step the scheduler to completion, asserting the ledger's invariants
-/// after every step; returns the number of steps taken.
+/// Step the scheduler to completion, asserting after every step that it
+/// holds no more sessions than its bounds allow; returns the number of
+/// steps taken.
 fn drain_checked(sched: &mut IterScheduler, label: &str) -> usize {
-    let budget = sched.ledger().budget_blocks();
     let mut steps = 0;
     while !sched.is_idle() {
         let _ = sched.step();
         steps += 1;
-        sched.refresh_cached_blocks();
-        sched.ledger().check().unwrap_or_else(|e| panic!("{label}: step {steps}: {e}"));
+        let held = sched.ledger();
         assert!(
-            sched.ledger().in_use() <= budget,
-            "{label}: step {steps}: in_use {} > budget {budget}",
-            sched.ledger().in_use()
+            held.in_use() <= held.budget_blocks(),
+            "{label}: step {steps}: {} sessions held, bound {}",
+            held.in_use(),
+            held.budget_blocks()
         );
         assert!(steps < 10_000, "{label}: no forward progress");
     }
     steps
 }
 
+/// `gateway_thrash` in miniature: six prompt groups cycle through a cache
+/// that holds two snapshots, so nearly every anchor insert evicts. The
+/// cache's byte cap is the only bound on cached memory: it holds after
+/// every step, eviction happens, and every job — scores and generates —
+/// retires `Ok` with exactly the oracle's result.
 #[test]
-fn ledger_never_leaks_and_respects_the_budget_under_pressure() {
+fn the_cache_cap_bounds_snapshots_while_more_groups_thrash_than_it_holds() {
     let params = setup();
-    let bps = params.cfg.max_seq.div_ceil(8); // blocks per worst-case seq
-    // Room for two worst-case sequences plus two cached snapshots —
-    // tighter than the 4 slots, so admission is budget-limited.
+    let cache_bytes = 2 * params.cfg.session_bytes();
+    let capacity = PrefixCache::new(&params.cfg, cache_bytes).capacity_sessions();
+    assert_eq!(capacity, 2);
+    let engine = EvalEngine::new(
+        EngineConfig { parallelism: 1, prefix_cache: true, max_cache_bytes: cache_bytes },
+        &params,
+    );
     let cfg = SchedulerConfig {
-        max_active: 4,
+        max_active: 3,
         prefill_chunk: 2,
-        block_tokens: 8,
-        budget_blocks: 4 * bps,
         admit_capacity: 64,
-        record_log: true,
-    };
-    let engine = EvalEngine::new(
-        EngineConfig {
-            parallelism: 1,
-            prefix_cache: true,
-            max_cache_bytes: 3 * params.cfg.session_bytes(),
-        },
-        &params,
-    );
-    let mut sched = engine.iter_scheduler(cfg);
-    // Grouped prompts with a shared stem so mid-prefill anchor snapshots
-    // make the cache genuinely occupy ledger blocks.
-    let mut anchors = HashMap::new();
-    anchors.insert(1u64, vec![9, 8, 7, 6]);
-    anchors.insert(2u64, vec![9, 8, 5, 4]);
-    sched.set_anchors(anchors);
-    let mut ids = Vec::new();
-    for i in 0..10u32 {
-        let (group, stem): (u64, &[u32]) =
-            if i % 2 == 0 { (1, &[9, 8, 7, 6]) } else { (2, &[9, 8, 5, 4]) };
-        let mut prompt = stem.to_vec();
-        prompt.extend([i, i + 1, i + 2]);
-        ids.push(sched.submit_score(score_job(prompt, Some(group))).expect("submit"));
-    }
-    for i in 0..3u64 {
-        ids.push(
-            sched
-                .submit_generate(generate_job(vec![9, 8, (i as u32) + 1], 12, i))
-                .expect("submit"),
-        );
-    }
-    let mut results = Vec::new();
-    let budget = sched.ledger().budget_blocks();
-    let mut budget_limited = false;
-    while !sched.is_idle() {
-        results.extend(sched.step());
-        sched.refresh_cached_blocks();
-        sched.ledger().check().unwrap_or_else(|e| panic!("ledger: {e}"));
-        assert!(sched.ledger().in_use() <= budget);
-        // Slots free but backlog waiting => the *budget* is the limiter.
-        if sched.active_len() < 4 && sched.backlog() > 0 {
-            budget_limited = true;
-        }
-        assert!(results.len() <= ids.len());
-    }
-    assert_eq!(results.len(), ids.len(), "every submission must retire exactly once");
-    for (id, r) in &results {
-        assert!(r.is_ok(), "job {id} failed: {r:?}");
-    }
-    assert_eq!(sched.ledger().active_blocks(), 0, "ledger leaked active blocks");
-    assert_eq!(sched.ledger().active_sequences(), 0);
-    assert!(budget_limited, "budget never constrained admission — test is vacuous");
-    // Anchor snapshots were inserted (cache occupied) and the unified
-    // accounting saw them.
-    let stats = engine.cache_stats();
-    assert!(stats.resident_sessions > 0, "{stats:?}");
-}
-
-#[test]
-fn eviction_reclaims_unpinned_snapshots_but_never_running_sequences() {
-    let params = setup();
-    let bps = params.cfg.max_seq.div_ceil(8);
-    let engine = EvalEngine::new(
-        EngineConfig {
-            parallelism: 1,
-            prefix_cache: true,
-            max_cache_bytes: 3 * params.cfg.session_bytes(),
-        },
-        &params,
-    );
-    // Phase 1: leave unpinned anchor snapshots resident.
-    let cfg = SchedulerConfig {
-        max_active: 2,
-        prefill_chunk: 4,
-        block_tokens: 8,
-        budget_blocks: 5 * bps,
-        admit_capacity: 16,
         record_log: false,
     };
     let mut sched = engine.iter_scheduler(cfg);
-    let mut anchors = HashMap::new();
-    anchors.insert(1u64, vec![9, 8, 7, 6]);
-    sched.set_anchors(anchors);
-    for i in 0..4u32 {
-        sched
-            .submit_score(score_job(vec![9, 8, 7, 6, i + 1], Some(1)))
-            .expect("submit");
+    let groups = 6u32;
+    let stem = |g: u32| vec![9, 8, g + 1, (g * 5) % 24, 7];
+    sched.set_anchors((0..groups).map(|g| (u64::from(g), stem(g))).collect());
+    let mut want: HashMap<usize, Vec<u32>> = HashMap::new();
+    for i in 0..24u32 {
+        let g = i % groups;
+        let mut prompt = stem(g);
+        prompt.extend([i % 24, (i * 7) % 24]);
+        let (id, bits) = if i % 3 == 2 {
+            let job = GenerateJob { group: Some(u64::from(g)), ..generate_job(prompt, 5, i.into()) };
+            let tokens = common::generate(&params, &job);
+            (sched.submit_generate(job).expect("submit"), tokens)
+        } else {
+            let job = score_job(prompt, Some(u64::from(g)));
+            let bits = common::score_bits(&params, &job);
+            (sched.submit_score(job).expect("submit"), bits)
+        };
+        want.insert(id, bits);
     }
-    drain_checked(&mut sched, "phase 1");
-    let resident_before = engine.cache_stats().resident_sessions;
-    assert!(resident_before > 0, "phase 1 left nothing resident");
-
-    // Phase 2: each generate below reserves 2 blocks (prompt 4 + 8 new,
-    // 8-token blocks) while every resident snapshot is charged the full
-    // `bps`. A budget of `bps + 1` cannot hold even one reservation next
-    // to one snapshot, so admission must evict.
-    let tight = SchedulerConfig {
-        budget_blocks: bps + 1,
-        ..cfg
-    };
-    let mut sched = engine.iter_scheduler(tight);
-    let evictions_before = engine.cache_stats().evictions;
-    for i in 0..4u64 {
-        sched
-            .submit_generate(generate_job(vec![3, 1, 4, (i as u32) + 1], 8, i))
-            .expect("submit");
-    }
-    let mut results = Vec::new();
+    let mut steps = 0;
     while !sched.is_idle() {
-        results.extend(sched.step());
-        sched.refresh_cached_blocks();
-        sched.ledger().check().unwrap_or_else(|e| panic!("phase 2 ledger: {e}"));
+        for (id, r) in sched.step() {
+            let got = match r {
+                Ok(SeqOutcome::Scores(s)) => s.iter().map(|v| v.to_bits()).collect(),
+                Ok(SeqOutcome::Tokens(t)) => t,
+                Err(e) => panic!("job {id} failed: {e:?}"),
+            };
+            let expected = want.remove(&id).unwrap_or_else(|| panic!("job {id} retired twice"));
+            assert_eq!(got, expected, "job {id} left the oracle");
+        }
+        steps += 1;
+        let stats = engine.cache_stats();
+        assert!(
+            stats.resident_sessions as usize <= capacity,
+            "step {steps}: {} snapshots resident, cap {capacity}",
+            stats.resident_sessions
+        );
+        let held = sched.ledger();
+        assert_eq!(held.in_use(), sched.active_len() + stats.resident_sessions as usize);
+        assert_eq!(held.budget_blocks(), cfg.max_active + capacity);
+        assert!(steps < 10_000, "no forward progress");
     }
-    // Every running sequence completed despite the evictions — eviction
-    // only ever touched cache snapshots.
-    assert_eq!(results.len(), 4);
-    for (id, r) in &results {
-        assert!(r.is_ok(), "job {id} failed: {r:?}");
-    }
-    let stats = engine.cache_stats();
-    assert!(
-        stats.evictions > evictions_before,
-        "tight budget never evicted: {stats:?}"
-    );
+    assert!(want.is_empty(), "jobs never retired: {:?}", want.keys());
+    let evictions = engine.cache_stats().evictions;
+    assert!(evictions > 0, "six groups through a two-snapshot cache never evicted");
 }
 
 #[test]
@@ -216,8 +149,6 @@ fn fifo_admission_bounds_wait_under_adversarial_long_decodes() {
     let cfg = SchedulerConfig {
         max_active: m,
         prefill_chunk: chunk,
-        block_tokens: 16,
-        budget_blocks: 0, // ample: admission limited by slots only
         admit_capacity: 64,
         record_log: true,
     };
@@ -267,8 +198,6 @@ fn identical_submissions_replay_identical_schedules() {
         let cfg = SchedulerConfig {
             max_active: 3,
             prefill_chunk: 2,
-            block_tokens: 8,
-            budget_blocks: 0,
             admit_capacity: 32,
             record_log: true,
         };
@@ -303,46 +232,11 @@ fn identical_submissions_replay_identical_schedules() {
 }
 
 #[test]
-fn unadmittable_job_is_rejected_not_spun_on() {
-    let params = setup();
-    // A budget of one block can never hold any sequence's worst case
-    // (block_tokens 8 < any prompt+decode footprint needs >= 1 block but
-    // prompt of 12 tokens needs 2): the scheduler must fail the job
-    // instead of live-locking.
-    let cfg = SchedulerConfig {
-        max_active: 2,
-        prefill_chunk: 4,
-        block_tokens: 8,
-        budget_blocks: 1,
-        admit_capacity: 8,
-        record_log: true,
-    };
-    let engine = EvalEngine::new(EngineConfig::iteration(), &params);
-    let mut sched = engine.iter_scheduler(cfg);
-    let id = sched
-        .submit_score(score_job(vec![1; 12], None))
-        .expect("submit");
-    let mut out = Vec::new();
-    let mut steps = 0;
-    while !sched.is_idle() {
-        out.extend(sched.step());
-        steps += 1;
-        assert!(steps < 100, "live-lock on unadmittable job");
-    }
-    assert_eq!(out.len(), 1);
-    assert_eq!(out[0].0, id);
-    assert!(out[0].1.is_err(), "impossible reservation must surface as an error");
-    assert_eq!(sched.ledger().active_blocks(), 0);
-}
-
-#[test]
 fn submission_at_capacity_is_refused_until_a_step_admits() {
     let params = setup();
     let cfg = SchedulerConfig {
         max_active: 2,
         prefill_chunk: 4,
-        block_tokens: 8,
-        budget_blocks: 0,
         admit_capacity: 3,
         record_log: true,
     };

@@ -103,7 +103,6 @@ fn run(
         assert!(per_step.len() < 1000, "{label}: no forward progress");
     }
     assert_eq!(retired, want.len(), "{label}: every job retires exactly once");
-    assert_eq!(sched.ledger().active_blocks(), 0, "{label}: ledger leaked blocks");
     // One forward per step that fed anything, never more than a lane per
     // generate job.
     for (step, &(forwards, rows)) in per_step.iter().enumerate() {

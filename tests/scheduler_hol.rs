@@ -23,8 +23,6 @@ fn scores_complete_before_a_max_length_generate() {
     let mut sched = engine.iter_scheduler(SchedulerConfig {
         max_active: 8,
         prefill_chunk: 4,
-        block_tokens: 16,
-        budget_blocks: 0,
         admit_capacity: 64,
         record_log: true,
     });
