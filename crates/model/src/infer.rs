@@ -13,13 +13,15 @@
 //! **once per weight matrix over all lanes' rows**, so a weight is
 //! streamed from memory once per call however many sessions it serves;
 //! what belongs to one sequence stays per lane: its K/V rows are copied
-//! into its own cache, and RoPE and attention run per row at that lane's
-//! own position over that lane's own cache. The row scratch is the first
-//! lane's. The head has two modes: logits of every row, into a buffer the
-//! caller lends (each lane's last row also lands in its session), or —
-//! one lane — of the last row only, into the session; then the final norm
-//! and the `vocab × d_model` product run on one row whatever `m` is. Four
-//! entries call it:
+//! into its own cache and rotated (RoPE) with its query rows, each at its
+//! own position, and then one [`attend_rows`] call takes all of the lane's
+//! rows and heads over that lane's own cache, in bands of four rows that
+//! share every key and value load. The row scratch is the first lane's.
+//! The head has two modes: logits of every row, into a buffer the caller
+//! lends (each lane's last row also lands in its session), or — one lane
+//! — of the last row only, into the session; then the final norm and the
+//! `vocab × d_model` product run on one row whatever `m` is. Four entries
+//! call it:
 //!
 //! * [`InferenceSession::feed`] / [`InferenceSession::try_feed`] — one
 //!   lane, one row, last-row logits: a decode step of one session alone
@@ -60,13 +62,15 @@
 //! sessions' rows — never changes a bit of the result: on the f32 path
 //! every output element is the same [`dot`] over the same operands
 //! whatever the row blocking (`matmul_a_bt`'s contract), on the int8 path
-//! the integer accumulation is exact, and every other op is per row
+//! the integer accumulation is exact, attention returns each (row, head)
+//! the bits of the naive per-key loops whatever rows share its call
+//! (`attend_rows`' contract), and every other op is per row
 //! (`tests/chunk_split.rs`).
 
 use crate::params::Params;
 use crate::{rope_tables, ModelConfig, WeightPrecision};
 use astro_quant::QuantMatrix;
-use astro_tensor::attention::attend_head;
+use astro_tensor::attention::{attend_rows, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops;
 use astro_tensor::qmatmul::{quantize_rows_q8, rmsnorm_quantize_row, swiglu_quantize_row};
@@ -153,7 +157,11 @@ struct Scratch {
     gate: Vec<f32>,
     up: Vec<f32>,
     act: Vec<f32>,
-    /// Attention scores of one (row, head) over `0..=pos`: `[max_seq]`.
+    /// Attention scores `[score_rows(l), max_seq]`, `l` the rows of the
+    /// call's longest lane: a band of four of one lane's rows over their
+    /// positions, one head at a time ([`attend_rows`]), once a lane has
+    /// four rows; one row in a fresh session, every clone and every call
+    /// of shorter lanes — a decode step of any number of sessions.
     scores: Vec<f32>,
     /// Int8 linear-layer input `[m, C]`, allocated only for
     /// [`WeightPrecision::Int8`] sessions.
@@ -173,8 +181,10 @@ const PREFILL_ROWS: usize = 16;
 /// The per-op slots a recording [`InferenceSession::forward_rows`] books
 /// its laps into (`op_budget`'s table rows). The embedding copy is booked
 /// under `head` (the tied matrix), each residual add under the linear it
-/// follows and the K/V copy into the caches under `rope+attn`.
-const OPS: [&str; 8] = ["norm", "qkv", "rope+attn", "requant", "wo", "ffn", "swiglu", "head"];
+/// follows and the K/V copy into the caches with RoPE under `kv+rope`.
+const OPS: [&str; 9] = [
+    "norm", "qkv", "kv+rope", "attn", "requant", "wo", "ffn", "swiglu", "head",
+];
 
 impl Clone for InferenceSession {
     /// Copies the state — position, KV cache, last logits — and gives the
@@ -366,9 +376,10 @@ impl InferenceSession {
     /// lane's tokens — `m` rows in all, lane after lane — through every
     /// block and the tied LM head. Each linear layer runs once over all
     /// `m` rows; a lane's K/V rows are copied into its own cache at
-    /// `pos..pos + len`, and RoPE and attention run per row at that
-    /// lane's own position over that lane's own cache. Capacity has
-    /// already been checked. The scratch is the first lane's.
+    /// `pos..pos + len` and rotated with its query rows ([`Self::kv_rope`]),
+    /// then attend over that lane's own cache in one call
+    /// ([`Self::attend`]). Capacity has already been checked. The scratch
+    /// is the first lane's.
     ///
     /// The logits of every row go to `all_rows` (`m × vocab`) when the
     /// caller lends one, and each lane's last row to its session;
@@ -406,7 +417,8 @@ impl InferenceSession {
         // A panic below (a token out of vocab) leaves the first lane an
         // empty scratch, which its next call grows back.
         let mut s = std::mem::take(&mut lanes[0].session.scratch);
-        s.fit_rows(&cfg, m);
+        let longest = lanes.iter().map(|lane| lane.tokens.len()).max().unwrap_or(0);
+        s.fit_rows(&cfg, m, longest);
         let mut clock = laps.map(|us| (us, Instant::now()));
         let mut lap = |op: usize| {
             if let Some((us, t)) = &mut clock {
@@ -422,7 +434,7 @@ impl InferenceSession {
             assert!(tok < cfg.vocab_size, "token {tok} out of vocab");
             row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
         }
-        lap(7);
+        lap(8);
 
         for l in 0..cfg.n_layers {
             let lay = &p.layout.layers[l];
@@ -436,40 +448,46 @@ impl InferenceSession {
             lap(1);
             let mut r0 = 0;
             for lane in lanes.iter_mut() {
-                lane.session.rope_attend(&mut s, l, r0, lane.tokens.len());
+                lane.session.kv_rope(&mut s, l, r0, lane.tokens.len());
                 r0 += lane.tokens.len();
             }
             lap(2);
+            let mut r0 = 0;
+            for lane in lanes.iter_mut() {
+                lane.session.attend(&mut s, l, r0, lane.tokens.len());
+                r0 += lane.tokens.len();
+            }
+            lap(3);
             // Output projection + residual; on the int8 path the attention
             // output is re-quantized at the boundary.
             if int8 {
                 quantize_rows_q8(&mut s.qx, &mut s.row_scale, &s.attn_out, m, c);
             }
-            lap(3);
+            lap(4);
             let (a, aq, sc) = (&s.attn_out, &s.qx, &s.row_scale);
             linear(&mut s.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
-            lap(4);
+            lap(5);
             // FFN.
             s.norm_rows(&cfg, p.view(&lay.ffn_norm), int8);
             lap(0);
             let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
             linear(&mut s.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, sc, m);
             linear(&mut s.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, sc, m);
-            lap(5);
-            s.swiglu_rows(f, int8);
             lap(6);
+            s.swiglu_rows(f, int8);
+            lap(7);
             let (a, aq, sc) = (&s.act, &s.qf, &s.row_scale);
             linear(&mut s.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
-            lap(5);
+            lap(6);
         }
 
         if all_rows.is_none() && m > 1 {
             // Only the last row's logits are wanted: move it to the front
             // and finish as a one-row call.
             s.x.copy_within((m - 1) * c.., 0);
-            s.fit_rows(&cfg, 1);
+            s.fit_rows(&cfg, 1, 1);
         }
         s.norm_rows(&cfg, p.view(&p.layout.final_norm), int8);
         lap(0);
@@ -491,7 +509,7 @@ impl InferenceSession {
                 linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
             }
         }
-        lap(7);
+        lap(8);
         for lane in lanes.iter_mut() {
             lane.session.pos += lane.tokens.len();
         }
@@ -500,27 +518,22 @@ impl InferenceSession {
 
     /// This session's `m` rows of the call, scratch rows `r0..r0 + m`:
     /// copy their K and V rows (in `s.proj` and `s.attn_out`) into the
-    /// cache at `pos..pos + m`, then for each row in ascending position
-    /// order RoPE on its query row in `s.q` and its K cache row and causal
-    /// attention into `s.attn_out`, one [`attend_head`] per head — row `i`
-    /// attends over `0..=pos+i`, which includes this call's earlier rows,
-    /// already written and rotated. f32 under both weight precisions.
-    fn rope_attend(&mut self, s: &mut Scratch, l: usize, r0: usize, m: usize) {
+    /// cache at `pos..pos + m`, then RoPE, at each row's own position, on
+    /// its query row in `s.q` and its K cache row. f32 under both weight
+    /// precisions.
+    fn kv_rope(&mut self, s: &mut Scratch, l: usize, r0: usize, m: usize) {
         let c = self.cfg.d_model;
         let hs = self.cfg.head_dim();
         let half = hs / 2;
-        let scale = 1.0 / (hs as f32).sqrt();
-        let (k_cache, v_cache) = (&mut self.k_cache[l][..], &mut self.v_cache[l][..]);
+        let k_cache = &mut self.k_cache[l][..];
         let (rows, cached) = (r0 * c..(r0 + m) * c, self.pos * c..(self.pos + m) * c);
         k_cache[cached.clone()].copy_from_slice(&s.proj[rows.clone()]);
-        v_cache[cached].copy_from_slice(&s.attn_out[rows]);
-        let v_cache = &*v_cache;
-        for i in 0..m {
-            let pos = self.pos + i;
-            let row = (r0 + i) * c..(r0 + i + 1) * c;
+        self.v_cache[l][cached.clone()].copy_from_slice(&s.attn_out[rows.clone()]);
+        let q_rows = s.q[rows].chunks_exact_mut(c);
+        for (pos, (q, k)) in (self.pos..).zip(q_rows.zip(k_cache[cached].chunks_exact_mut(c))) {
             let cos = &self.rope_cos[pos * half..(pos + 1) * half];
             let sin = &self.rope_sin[pos * half..(pos + 1) * half];
-            for buf in [&mut s.q[row.clone()], &mut k_cache[pos * c..(pos + 1) * c]] {
+            for buf in [q, k] {
                 for head in buf.chunks_exact_mut(hs) {
                     for ((pair, &co), &si) in head.chunks_exact_mut(2).zip(cos).zip(sin) {
                         let (x0, x1) = (pair[0], pair[1]);
@@ -529,14 +542,19 @@ impl InferenceSession {
                     }
                 }
             }
-            let n = pos + 1;
-            let outs = s.attn_out[row.clone()].chunks_exact_mut(hs);
-            for (hi, (out, qh)) in outs.zip(s.q[row].chunks_exact(hs)).enumerate() {
-                let cached = hi * hs..n * c;
-                let (kh, vh) = (&k_cache[cached.clone()], &v_cache[cached]);
-                attend_head(out, &mut s.scores[..n], qh, kh, vh, c, scale);
-            }
         }
+    }
+
+    /// Causal attention of this session's `m` rows, scratch rows
+    /// `r0..r0 + m` of `s.q` into `s.attn_out`, after [`Self::kv_rope`]:
+    /// one [`attend_rows`] call over every head, row `i` over positions
+    /// `0..=pos + i` — which include this call's earlier rows.
+    fn attend(&self, s: &mut Scratch, l: usize, r0: usize, m: usize) {
+        let c = self.cfg.d_model;
+        let (rows, cached) = (r0 * c..(r0 + m) * c, ..(self.pos + m) * c);
+        let (k, v) = (&self.k_cache[l][cached], &self.v_cache[l][cached]);
+        let (out, q) = (&mut s.attn_out[rows.clone()], &s.q[rows]);
+        attend_rows(out, &mut s.scores, q, k, v, c, self.cfg.head_dim(), self.pos);
     }
 }
 
@@ -544,16 +562,16 @@ impl Scratch {
     /// One-row scratch: what a fresh session and every clone hold.
     fn one_row(cfg: &ModelConfig) -> Self {
         let mut s = Scratch::default();
-        s.fit_rows(cfg, 1);
+        s.fit_rows(cfg, 1, 1);
         s
     }
 
-    /// Size the row scratch for an `m`-row call. Shrinking keeps the
-    /// capacity and growing reserves exactly, so this allocates only when
-    /// a call larger than any before arrives — never for a session that
-    /// is fed one token at a time — and the scratch holds exactly as many
-    /// rows as the largest call so far.
-    fn fit_rows(&mut self, cfg: &ModelConfig, m: usize) {
+    /// Size the row scratch for an `m`-row call whose longest lane has
+    /// `lane_rows` rows. Shrinking keeps the capacity and growing reserves
+    /// exactly, so this allocates only when a call larger than any before
+    /// arrives — never for a session that is fed one token at a time — and
+    /// the scratch holds exactly as many rows as the largest call so far.
+    fn fit_rows(&mut self, cfg: &ModelConfig, m: usize, lane_rows: usize) {
         fn fit<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
             buf.reserve_exact(len.saturating_sub(buf.len()));
             buf.resize(len, T::default());
@@ -567,7 +585,7 @@ impl Scratch {
             fit(buf, m * f);
         }
         fit(&mut self.row_scale, m);
-        fit(&mut self.scores, cfg.max_seq);
+        fit(&mut self.scores, score_rows(lane_rows) * cfg.max_seq);
         if cfg.precision == WeightPrecision::Int8 {
             fit(&mut self.qx, m * c);
             fit(&mut self.qf, m * f);
@@ -974,14 +992,24 @@ mod tests {
 
                 let p = Params::init(base, &mut Rng::seed_from(18));
                 let p = if precision == WeightPrecision::Int8 { p.quantized() } else { p };
-                // A first block of 9 rows, then full ones: the scratch ends
-                // at one row block exactly — not at the prompt's length, and
-                // not at twice the first growth.
-                sess.try_feed_prompt(&p, &[1; 9]).unwrap();
-                sess.try_feed_prompt(&p, &[1; PREFILL_ROWS + 3]).unwrap();
                 let row = (5 * cfg.d_model + 1 + 3 * cfg.d_ff) * 4
                     + if precision == WeightPrecision::Int8 { cfg.d_model + cfg.d_ff } else { 0 };
-                let grown = cfg.session_bytes() + (PREFILL_ROWS - 1) * row;
+                // A stacked decode step of four one-row lanes grows the
+                // first lane's row scratch to four rows, its scores not.
+                let mut others: [_; 3] = std::array::from_fn(|_| InferenceSession::new(cfg));
+                let [b, c, d] = &mut others;
+                let mut lanes = [&mut sess, b, c, d].map(|session| Lane { session, tokens: &[1] });
+                let mut logits = vec![0.0; 4 * cfg.vocab_size];
+                InferenceSession::try_feed_lanes(&p, &mut lanes, &mut logits).unwrap();
+                assert_eq!(sess.buffer_bytes(), cfg.session_bytes() + 3 * row, "decode-stacked {cfg:?}");
+                let mut sess = InferenceSession::new(cfg);
+                // A first block of 9 rows, then full ones: the scratch ends
+                // at one row block exactly — not at the prompt's length, and
+                // not at twice the first growth — and the scores at one band.
+                sess.try_feed_prompt(&p, &[1; 9]).unwrap();
+                sess.try_feed_prompt(&p, &[1; PREFILL_ROWS + 3]).unwrap();
+                let band = (score_rows(PREFILL_ROWS) - 1) * cfg.max_seq * 4;
+                let grown = cfg.session_bytes() + (PREFILL_ROWS - 1) * row + band;
                 assert_eq!(sess.buffer_bytes(), grown, "block-fed {cfg:?}");
                 assert_eq!(sess.clone().buffer_bytes(), cfg.session_bytes(), "clone of block-fed {cfg:?}");
                 // An all-rows chunk leaves the scratch at its row count.

@@ -147,7 +147,7 @@ fn a_bt_band<const R: usize, const C: usize>(
 /// head or an S7b layer (16–64 elements) is a few dozen multiply-adds, and
 /// a call that passes and returns the tile through memory cost 7–18 % of
 /// an S7b f32 decode step's linears when this stopped being inlined by
-/// itself (a second caller, `attention::attend_head`).
+/// itself (a second caller, `attention`'s one-row path).
 #[inline(always)]
 pub(crate) fn dot_tile<const R: usize, const C: usize>(
     a: &[&[f32]; R],
@@ -235,7 +235,7 @@ pub(crate) mod x86 {
     /// `4 * quads` elements.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn lane_sums<const R: usize, const P: usize>(
+    pub(crate) unsafe fn lane_sums<const R: usize, const P: usize>(
         a: *const f32,
         a_stride: usize,
         b: *const f32,
@@ -264,7 +264,7 @@ pub(crate) mod x86 {
     /// `i` of the second its high half.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn reduce4(acc: [__m256; 4]) -> (__m128, __m128) {
+    pub(crate) unsafe fn reduce4(acc: [__m256; 4]) -> (__m128, __m128) {
         let h = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
         (_mm256_castps256_ps128(h), _mm256_extractf128_ps(h, 1))
     }
@@ -277,7 +277,7 @@ pub(crate) mod x86 {
     /// elements.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn tail4(
+    pub(crate) unsafe fn tail4(
         mut sums: __m128,
         a: *const f32,
         b: *const f32,
@@ -295,8 +295,8 @@ pub(crate) mod x86 {
     }
 
     /// Eight dots of one row: `dot(a, b_i)` for the rows `b_i` at
-    /// `b + i * b_stride`, `i` in `0..8`, as two quads — the score tile of
-    /// `attention::attend_head` and the narrow one-row tile of
+    /// `b + i * b_stride`, `i` in `0..8`, as two quads — the one-row score
+    /// tile of `attention` and the narrow one-row tile of
     /// [`a_bt_acc`].
     ///
     /// # Safety

@@ -1,7 +1,7 @@
 //! Micro-benchmark of the int8 kernels at S70b dimensions — per-token
 //! matvec cost f32 vs q8, and how a multi-row call amortizes it (the
-//! `beta` cost-per-position ratio) — and of `exp` and one attention head,
-//! portable and dispatched. Ignored by default; run with:
+//! `beta` cost-per-position ratio) — and of `exp` and the attention
+//! kernel, portable and dispatched. Ignored by default; run with:
 //!
 //! ```sh
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture
@@ -11,7 +11,7 @@
 //! `model.decode_tokens_per_s.*` probes; this exists to localize a
 //! kernel regression to a single matmul shape or kernel.
 
-use astro_tensor::attention::attend_head_at;
+use astro_tensor::attention::{attend_rows_at, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops::exp_at;
 use astro_tensor::qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_rows_q8};
@@ -46,7 +46,7 @@ fn best_of_five(iters: usize, mut f: impl FnMut()) -> f64 {
 
 #[test]
 #[ignore]
-fn exp_and_attend_head() {
+fn exp_and_attend_rows() {
     // `exp` over a softmax-like row: scores minus their maximum, spread
     // over [-20, 0], as attention's and log-sum-exp's are.
     let row: Vec<f32> = randv(512, 77).iter().map(|v| (v - 1.0) * 10.0).collect();
@@ -70,23 +70,30 @@ fn exp_and_attend_head() {
         }
     });
     println!("exp libm f32::exp: {:.2} ns/element", per_call * 1e9 / row.len() as f64);
-    // One head over n = 136 cached positions (the op_budget prompt), in a
-    // cache row of four heads: the S7b and S70b head widths.
-    let n = 136;
+    // One call of the attention kernel: `m` rows at positions 120.. (the
+    // op_budget prompt block starts there), all four heads, at the S7b and
+    // S70b head widths — a decode row, a readout lane and a prefill block.
+    let p0 = 120;
     for hd in [16usize, 36] {
-        let stride = 4 * hd;
-        let (k, v, q) = (randv(n * stride, 5), randv(n * stride, 6), randv(hd, 7));
-        let scale = 1.0 / (hd as f32).sqrt();
-        for (name, level) in &levels {
-            let (mut out, mut scores) = (vec![0.0f32; hd], vec![0.0f32; n]);
-            let per_call = best_of_five(2000, || {
-                let q = black_box(&q);
-                attend_head_at(*level, &mut out, &mut scores, q, &k, &v, stride, scale);
-            });
-            println!(
-                "attend_head head_dim {hd} n {n} {name} ({level:?}): {:.2} ns/key",
-                per_call * 1e9 / n as f64
-            );
+        let width = 4 * hd;
+        for m in [1usize, 2, 16] {
+            let n = p0 + m;
+            let (k, v, q) = (randv(n * width, 5), randv(n * width, 6), randv(m * width, 7));
+            // Each row sees its own prefix: Σ (p0 + i + 1) keys per head.
+            let keys: usize = (1..=m).map(|i| p0 + i).sum::<usize>() * 4;
+            for (name, level) in &levels {
+                let mut out = vec![0.0f32; m * width];
+                let mut scores = vec![0.0f32; score_rows(m) * n];
+                let per_call = best_of_five(500, || {
+                    let q = black_box(&q);
+                    attend_rows_at(*level, &mut out, &mut scores, q, &k, &v, width, hd, p0);
+                });
+                println!(
+                    "attend_rows head_dim {hd} m {m} p0 {p0} {name} ({level:?}): \
+                     {:.2} ns per (row, head, key)",
+                    per_call * 1e9 / keys as f64
+                );
+            }
         }
     }
 }
