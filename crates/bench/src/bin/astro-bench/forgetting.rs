@@ -21,8 +21,10 @@
 
 use crate::{instrumented_run, or_exit};
 use astromlab::train::held_out_loss;
+use astromlab::model::Tier;
 use astromlab::world::CorpusRecipe;
-use astromlab::{ModelId, Study};
+use astromlab::zoo::Recipe;
+use astromlab::Study;
 
 /// Print the per-tier held-out losses before and after CPT.
 pub fn main(args: &[String]) {
@@ -41,22 +43,21 @@ pub fn main(args: &[String]) {
     );
     println!("{}", "-".repeat(94));
     let mut forgetting = Vec::new();
-    for id in ModelId::all()
-        .into_iter()
-        .filter(|id| id.recipe() == Some(CorpusRecipe::Aic))
-    {
-        let native = or_exit(zoo.base(id.baseline()), &dir);
+    for tier in [Tier::S7b, Tier::S8b, Tier::S70b] {
+        let native = Recipe::native(tier);
+        let cpt = native.clone().cpt(CorpusRecipe::Aic);
+        let native = or_exit(zoo.weights(&native), &dir);
         let n_params = native.len();
         let (gen_pre, _) = held_out_loss(native, &study.general_stream, seq, windows);
         let (astro_pre, _) = held_out_loss(native, astro_stream, seq, windows);
-        let cpt = or_exit(zoo.base(id), &dir);
+        let cpt = or_exit(zoo.weights(&cpt), &dir);
         let (gen_post, _) = held_out_loss(cpt, &study.general_stream, seq, windows);
         let (astro_post, _) = held_out_loss(cpt, astro_stream, seq, windows);
         let forget = gen_post - gen_pre;
         forgetting.push(forget);
         println!(
             "{:<12} {:>8} {:>14.4} {:>14.4} {:>14.4} {:>14.4} {:>+12.4}",
-            id.tier().label(),
+            tier.label(),
             n_params,
             gen_pre,
             gen_post,

@@ -8,9 +8,7 @@
 //! astro-bench figure1    [24 score cells]                # E2 re-rendered, no training
 //! astro-bench costs      [micro|smoke|fast|full] [seed]  # E3 §III compute costs
 //! astro-bench forgetting [micro|smoke|fast|full] [seed]  # E1b forgetting in loss space
-//! astro-bench ablation   <data-quality|sft-mixture|scale|eval-method> [preset] [seed]  # A1–A4
-//! astro-bench diagnose   [steps] [7b|8b|70b] [n_entities] [general_docs]
-//! astro-bench microtask  [steps] [layers] [d] [lr] [letteronly|copy0]
+//! astro-bench ablation   <data-quality|sft-mixture|eval-method> [preset] [seed]  # A1, A2, A4
 //! astro-bench trace      <phases|waterfall|chrome> <file.jsonl> [limit|out.json]
 //! ```
 //!
@@ -24,18 +22,16 @@
 //! [`BenchRun::finish`] writes `run_manifest.json`, flushes the sink and
 //! prints the span/metric summary tree.
 //!
-//! `table1`, `forgetting` and `ablation` take every Table I model they
-//! need from one run directory, `runs/<preset>-<seed>` under the working
-//! directory (checkpoints + `ledger.jsonl`): each zoo model is trained
-//! once per preset and seed, and a re-run resumes. `rm -rf
+//! `table1`, `forgetting` and `ablation` take every model they need from
+//! one run directory, `runs/<preset>-<seed>` under the working directory
+//! (checkpoints + `ledger.jsonl`): each model, Table I's or an
+//! ablation's, is trained once per preset and seed, and a re-run resumes. `rm -rf
 //! runs/<preset>-<seed>` forces a fresh run.
 
 mod ablation;
 mod costs;
-mod diagnose;
 mod figure1;
 mod forgetting;
-mod microtask;
 mod table1;
 mod trace;
 
@@ -54,10 +50,8 @@ fn main() {
         "costs" => costs::main(rest),
         "forgetting" => forgetting::main(rest),
         "ablation" => ablation::main(rest),
-        "diagnose" => diagnose::main(rest),
-        "microtask" => microtask::main(rest),
         "trace" => trace::main(rest),
-        _ => usage("<table1|figure1|costs|forgetting|ablation|diagnose|microtask|trace> [args]"),
+        _ => usage("<table1|figure1|costs|forgetting|ablation|trace> [args]"),
     }
 }
 

@@ -86,11 +86,7 @@ fn malformed_arguments_exit_2_with_one_usage_line() {
     assert_usage(&["table1", "bogus"]);
     assert_usage(&["costs", "smoke", "42", "extra"]);
     assert_usage(&["ablation", "sft"]);
-    assert_usage(&["ablation", "scale", "smoke", "x"]);
-    assert_usage(&["diagnose", "ten"]);
-    assert_usage(&["diagnose", "100", "13b"]);
-    assert_usage(&["microtask", "600", "2", "7"]);
-    assert_usage(&["microtask", "600", "2", "32", "3e-3", "copy1"]);
+    assert_usage(&["ablation", "eval-method", "smoke", "x"]);
     assert_usage(&["trace", "phases"]);
     assert_usage(&["trace", "waterfall", "traces.jsonl", "ten"]);
     assert_usage(&["trace", "phases", "traces.jsonl", "extra"]);

@@ -1,172 +1,62 @@
-//! Design-choice ablations (DESIGN.md experiments A1–A4).
+//! Design-choice ablations (DESIGN.md experiments A1, A2 and A4).
 //!
 //! Each ablation reuses a prepared study so the world, tokenizer and
-//! benchmark stay fixed while one factor varies, and takes the zoo models
-//! it starts from (or, for A3, their scores) from the study's run
-//! directory, so it never retrains a Table I model.
+//! benchmark stay fixed while one factor varies. A1 and A2 are lists of
+//! [`Recipe`](crate::Recipe)s scored through the study's run directory,
+//! like Table I's zoo: every variant is trained, checkpointed and scored
+//! once per directory, and a re-run resumes. A4 varies evaluation, not
+//! training.
 
 use crate::study::{RunDir, StudyError};
-use crate::zoo::ModelId;
-use astro_eval::{evaluate_checked, EvalModel, InstructEvalConfig, Method, TokenEvalConfig};
+use crate::zoo::{Corpus, Mixture, ModelId, Noise};
+use astro_eval::{evaluate_checked, EvalModel, InstructEvalConfig, Method, Score, TokenEvalConfig};
 use astro_prng::Rng;
-use astro_train::{pack_documents, render_conversations, train_lm, BatchSource};
-use astro_world::{
-    clean_ocr, noisify, render_article, sft_dataset, CorpusRecipe, Document, DocumentKind,
-    NoiseConfig, SftMixtureConfig,
-};
 
 /// One ablation measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AblationPoint {
     /// Human-readable setting label.
     pub label: String,
-    /// Token-base score (%) unless noted otherwise by the ablation.
-    pub score: f64,
-    /// Secondary score (%), meaning depends on the ablation (e.g. full
-    /// instruct); NaN when unused.
-    pub secondary: f64,
+    /// Token-base score unless noted otherwise by the ablation.
+    pub score: Score,
+    /// Secondary score, meaning depends on the ablation (e.g. token
+    /// instruct).
+    pub secondary: Option<Score>,
 }
 
-/// A1 — CPT data quality: the same AIC content passed through different
-/// noise channels (clean, LaTeX artefacts, heavy OCR, heavy OCR + Nougat
-/// cleaning), each used to CPT the 8B-class native. Probes the paper's
-/// claim that "high-quality, information-dense tokens used in CPT" are
-/// critical.
-/// A text-corruption channel applied to CPT documents.
-type NoiseChannel = Box<dyn Fn(&str, &mut Rng) -> String>;
-
-/// A1: CPT on progressively noisier corpora (Table 3's data-quality axis).
+/// A1 — CPT data quality: the 8B-class native CPT'd on the same AIC
+/// content through four noise channels (clean, LaTeX artefacts, heavy
+/// OCR, heavy OCR + Nougat cleaning), each scored token-base. Probes the
+/// paper's claim that "high-quality, information-dense tokens used in
+/// CPT" are critical.
 pub fn ablation_data_quality(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
-    let study = run.study();
-    let native = run.base(ModelId::Llama3_8b)?;
-    let channels: [(&str, NoiseChannel); 4] = [
-        ("clean", Box::new(|s: &str, _: &mut Rng| s.to_string())),
-        (
-            "latex-artifacts",
-            Box::new(|s: &str, rng: &mut Rng| noisify(s, &NoiseConfig::latex_artifacts(), rng)),
-        ),
-        (
-            "heavy-ocr",
-            Box::new(|s: &str, rng: &mut Rng| noisify(s, &NoiseConfig::heavy_ocr(), rng)),
-        ),
-        (
-            "heavy-ocr+nougat",
-            Box::new(|s: &str, rng: &mut Rng| {
-                clean_ocr(&noisify(s, &NoiseConfig::heavy_ocr(), rng))
-            }),
-        ),
-    ];
-    let mut out = Vec::new();
-    for (label, channel) in channels {
-        let mut rng = Rng::seed_from(study.config.seed).substream(&format!("abl-dq-{label}"));
-        let docs: Vec<Document> = study
-            .world
-            .articles
-            .iter()
-            .map(|a| {
-                let clean = render_article(&study.world, a, CorpusRecipe::Aic, &mut rng);
-                Document {
-                    kind: DocumentKind::Aic,
-                    article: Some(a.id),
-                    text: channel(&clean, &mut rng),
-                }
+    let native = ModelId::Llama3_8b.recipe();
+    (Noise::ALL.into_iter())
+        .map(|noise| {
+            let model = native.clone().cpt(Corpus::Noisy(noise));
+            Ok(AblationPoint {
+                label: noise.label().to_string(),
+                score: run.score(&model, Method::TokenBase)?,
+                secondary: None,
             })
-            .collect();
-        let stream = pack_documents(&study.tokenizer, &docs);
-        let mut params = native.clone();
-        let tc = astro_train::TrainerConfig {
-            lr: study.config.cpt_lr,
-            batch: study.config.batch,
-            seq: study.config.seq,
-            steps: study.config.cpt_steps,
-            ..Default::default()
-        };
-        train_lm(&mut params, BatchSource::Lm(&stream), &tc, &rng).map_err(|e| {
-            StudyError::Train { stage: format!("ablation-dq-{label}"), source: e }
-        })?;
-        let score = study.eval(&params, Method::TokenBase).percent();
-        out.push(AblationPoint {
-            label: label.to_string(),
-            score,
-            secondary: f64::NAN,
-        });
-    }
-    Ok(out)
+        })
+        .collect()
 }
 
 /// A2 — SFT mixture: astronomy fraction and dataset size. SFTs the
-/// 8B-class AIC model with different mixtures and reports full-instruct
+/// 8B-class AIC model on four mixtures and reports full-instruct
 /// (primary) and token-instruct (secondary) scores — probing the paper's
 /// conclusion that the small, non-astronomy mixture is what breaks the
 /// instruct models.
 pub fn ablation_sft_mixture(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
-    let study = run.study();
-    let base = run.base(ModelId::AstroLlama3_8bAic)?;
-    let total = SftMixtureConfig::paper_mixture(study.config.sft_scale).total();
-    let settings: [(&str, f64, usize); 4] = [
-        ("astro 0% (general only)", 0.0, total),
-        ("astro 33% (paper mixture)", 1.0 / 3.0, total),
-        ("astro 100%", 1.0, total),
-        ("astro 33%, 10x smaller", 1.0 / 3.0, (total / 10).max(4)),
-    ];
-    let mut out = Vec::new();
-    for (label, astro_frac, size) in settings {
-        let n_astro = ((size as f64) * astro_frac).round() as usize;
-        let n_general = size - n_astro;
-        let mixture = SftMixtureConfig {
-            n_astro: n_astro.max(if astro_frac > 0.0 { 1 } else { 0 }),
-            n_lima: (n_general / 21).max(1),
-            n_orca: (n_general * 10 / 21).max(1),
-            n_ultrachat: (n_general * 10 / 21).max(1),
-            astro_json_fraction: study.config.sft_json_fraction,
-        };
-        let mut rng = Rng::seed_from(study.config.seed).substream(&format!("abl-sft-{label}"));
-        let convs = sft_dataset(&study.world, &mixture, &mut rng);
-        let examples = render_conversations(&study.tokenizer, &convs).map_err(|e| {
-            StudyError::Train { stage: format!("ablation-sft-{label}"), source: e }
-        })?;
-        let mut params = base.clone();
-        let tc = astro_train::TrainerConfig {
-            lr: study.config.sft_lr,
-            batch: study.config.batch,
-            seq: study.config.seq,
-            steps: study.config.sft_steps,
-            ..Default::default()
-        };
-        train_lm(
-            &mut params,
-            BatchSource::Sft(&examples, study.tokenizer.pad()),
-            &tc,
-            &rng,
-        )
-        .map_err(|e| StudyError::Train { stage: format!("ablation-sft-{label}"), source: e })?;
-        let full = study.eval(&params, Method::FullInstruct).percent();
-        let token = study.eval(&params, Method::TokenInstruct).percent();
-        out.push(AblationPoint {
-            label: label.to_string(),
-            score: full,
-            secondary: token,
-        });
-    }
-    Ok(out)
-}
-
-/// A3 — capacity sweep: native vs CPT-AIC token-base scores per tier, the
-/// paper's central forgetting-vs-gain contrast — six of Table I's cells.
-/// `score` is the native model, `secondary` the CPT'd model.
-pub fn ablation_scale(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
-    let mut token_base = |id| {
-        run.score(id, Method::TokenBase)
-            .map(|s| s.map_or(f64::NAN, |s| s.percent()))
-    };
-    ModelId::all()
-        .into_iter()
-        .filter(|id| id.recipe() == Some(CorpusRecipe::Aic))
-        .map(|id| {
+    let base = ModelId::AstroLlama3_8bAic.recipe();
+    (Mixture::A2.into_iter())
+        .map(|mixture| {
+            let model = base.clone().sft(mixture);
             Ok(AblationPoint {
-                label: id.tier().label().to_string(),
-                score: token_base(id.baseline())?,
-                secondary: token_base(id)?,
+                label: mixture.label().to_string(),
+                score: run.score(&model, Method::FullInstruct)?,
+                secondary: Some(run.score(&model, Method::TokenInstruct)?),
             })
         })
         .collect()
@@ -180,7 +70,7 @@ pub fn ablation_scale(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyE
 pub fn ablation_eval_method(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, StudyError> {
     use astro_eval::AnswerReadout;
     let study = run.study();
-    let native = run.base(ModelId::Llama3_8b)?;
+    let native = run.weights(&ModelId::Llama3_8b.recipe())?;
     let model = EvalModel {
         params: native,
         tokenizer: &study.tokenizer,
@@ -249,29 +139,32 @@ pub fn ablation_eval_method(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, 
             .unwrap_or_else(|failure| failure.degraded);
             AblationPoint {
                 label: label.to_string(),
-                score: score.percent(),
-                secondary: f64::NAN,
+                score,
+                secondary: None,
             }
         })
         .collect())
 }
 
 /// Render ablation points as a small text table.
-pub fn render_ablation(title: &str, points: &[AblationPoint], secondary_label: Option<&str>) -> String {
+pub fn render_ablation(
+    title: &str,
+    points: &[AblationPoint],
+    secondary_label: Option<&str>,
+) -> String {
     let mut out = format!("{title}\n");
     out.push_str(&"-".repeat(title.len()));
     out.push('\n');
     for p in points {
-        if p.secondary.is_nan() {
-            out.push_str(&format!("  {:<34} {:>6.1}%\n", p.label, p.score));
-        } else {
-            out.push_str(&format!(
-                "  {:<34} {:>6.1}%   {} {:>6.1}%\n",
+        let score = p.score.percent();
+        match &p.secondary {
+            None => out.push_str(&format!("  {:<34} {score:>6.1}%\n", p.label)),
+            Some(secondary) => out.push_str(&format!(
+                "  {:<34} {score:>6.1}%   {} {:>6.1}%\n",
                 p.label,
-                p.score,
                 secondary_label.unwrap_or("secondary"),
-                p.secondary
-            ));
+                secondary.percent()
+            )),
         }
     }
     out
@@ -293,18 +186,30 @@ mod tests {
         study.open_run(&dir).expect("open run directory")
     }
 
+    /// A score of `correct` right answers out of `total`.
+    fn score(correct: usize, total: usize) -> Score {
+        let outcome = |i| astro_eval::Outcome {
+            chosen: Some(0),
+            correct: i < correct,
+            stage: None,
+        };
+        Score {
+            outcomes: (0..total).map(outcome).collect(),
+        }
+    }
+
     #[test]
     fn render_ablation_formats_both_kinds() {
         let pts = vec![
             AblationPoint {
                 label: "a".to_string(),
-                score: 50.0,
-                secondary: f64::NAN,
+                score: score(1, 2),
+                secondary: None,
             },
             AblationPoint {
                 label: "b".to_string(),
-                score: 60.0,
-                secondary: 55.0,
+                score: score(3, 5),
+                secondary: Some(score(11, 20)),
             },
         ];
         let s = render_ablation("Test", &pts, Some("token"));
@@ -319,18 +224,54 @@ mod tests {
         let pts = ablation_eval_method(&mut fresh_run(&study, "eval-method")).expect("ablation");
         assert_eq!(pts.len(), 5);
         for p in &pts {
-            assert!((0.0..=100.0).contains(&p.score), "{p:?}");
+            assert_eq!(p.score.total(), study.eval_questions().len(), "{p:?}");
         }
         let _ = std::fs::remove_dir_all(run_path("eval-method"));
     }
 
+    /// A2 killed at each of its stage boundaries in turn resumes to an
+    /// uninterrupted run's outcomes, and every stage is ledgered exactly
+    /// once: no finished point trains or evaluates twice.
     #[test]
-    fn scale_ablation_covers_three_tiers() {
-        let study = Study::prepare(StudyConfig::smoke(29)).expect("prepare");
-        let pts = ablation_scale(&mut fresh_run(&study, "scale")).expect("ablation");
-        assert_eq!(pts.len(), 3);
-        assert!(pts[0].label.contains("7B"));
-        assert!(pts[2].label.contains("70B"));
-        let _ = std::fs::remove_dir_all(run_path("scale"));
+    fn a_killed_sft_mixture_ablation_resumes_to_the_same_outcomes() {
+        use astro_telemetry::fault::{FaultPlan, Faults};
+        let study = Study::prepare(StudyConfig::micro(11)).expect("prepare");
+        let whole = ablation_sft_mixture(&mut fresh_run(&study, "a2-whole")).expect("whole run");
+        let _ = std::fs::remove_dir_all(run_path("a2-whole"));
+
+        let dir = run_path("a2-killed");
+        let _ = std::fs::remove_dir_all(&dir);
+        let ledger = || astro_resilience::Journal::at(&dir.join("ledger.jsonl")).lines();
+        let faults = Faults::default().enter();
+        let mut kills = 0;
+        let resumed = loop {
+            faults.install(FaultPlan::single("study.stage_boundary", 1));
+            let outcome = study
+                .open_run(&dir)
+                .and_then(|mut run| ablation_sft_mixture(&mut run));
+            faults.clear();
+            match outcome {
+                Err(StudyError::Interrupted { .. }) => {
+                    kills += 1;
+                    assert!(kills < 40, "the resume loop did not converge");
+                    let lines = ledger().expect("ledger").len();
+                    assert_eq!(
+                        lines,
+                        kills + 1,
+                        "one line per finished stage, plus the fingerprint"
+                    );
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+                Ok(points) => break points,
+            }
+        };
+        assert_eq!(
+            resumed, whole,
+            "a resumed A2 differs from an uninterrupted one"
+        );
+        // The native, its AIC model, then an SFT checkpoint and two scores per mixture.
+        assert_eq!(kills, 2 + 3 * Mixture::A2.len());
+        assert_eq!(ledger().expect("ledger").len(), kills + 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

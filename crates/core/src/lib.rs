@@ -25,16 +25,17 @@
 //! let result = study.run_study(Path::new("runs/fast-42"))?;
 //! println!("{}", result.table1);
 //!
-//! // Any one zoo model's weights or scores, from the same directory.
+//! // Any model's weights or scores, by recipe, from the same directory.
 //! let mut run = study.open_run(Path::new("runs/fast-42"))?;
-//! let score = run.score(ModelId::AstroLlama2_70bAic, Method::TokenBase)?;
+//! let score = run.score(&ModelId::AstroLlama2_70bAic.recipe(), Method::TokenBase)?;
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! The [`ablations`] module adds the design-choice experiments indexed in
-//! DESIGN.md (data quality, SFT mixture, capacity sweep, eval-method
-//! options).
+//! Every trained model is a [`Recipe`] (native, CPT or SFT of a parent);
+//! the [`ablations`] module's design-choice experiments indexed in
+//! DESIGN.md (data quality, SFT mixture, eval-method options) are more
+//! recipes in the same run directory.
 
 pub mod ablations;
 pub mod presets;
@@ -43,7 +44,7 @@ pub mod zoo;
 
 pub use presets::StudyConfig;
 pub use study::{RunDir, Study, StudyError, StudyResult};
-pub use zoo::ModelId;
+pub use zoo::{ModelId, Recipe};
 
 // Re-export the substrate crates so downstream users need one dependency.
 pub use astro_eval as eval;

@@ -9,7 +9,7 @@
 //! `docs/RESILIENCE.md`).
 
 use crate::presets::StudyConfig;
-use crate::zoo::ModelId;
+use crate::zoo::{Corpus, Mixture, ModelId, Recipe};
 use astro_eval::json::Json;
 use astro_eval::report::{render_figure1, render_table1, ModelRow};
 use astro_eval::{
@@ -25,7 +25,10 @@ use astro_train::{
     pack_documents, render_conversations, train_lm, BatchSource, SftExample, TokenStream,
     TrainError, TrainReport, TrainerConfig,
 };
-use astro_world::{cpt_corpus, general_corpus, sft_dataset, CorpusRecipe, SftMixtureConfig, World};
+use astro_world::{
+    cpt_corpus, general_corpus, render_article, sft_dataset, CorpusRecipe, Document, DocumentKind,
+    SftMixtureConfig, World,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -131,6 +134,22 @@ pub struct Study {
     /// Rendered SFT examples.
     pub sft_examples: Vec<SftExample>,
     root: Rng,
+}
+
+/// What one [`Study::sft`] stage trains: the model it makes and the
+/// mixture it trains on.
+#[derive(Clone, Debug)]
+pub struct SftStage {
+    /// Display name of the model the stage makes.
+    pub model: String,
+    /// The conversation mixture.
+    pub mixture: Mixture,
+}
+
+impl From<&str> for SftStage {
+    fn from(model: &str) -> SftStage {
+        SftStage { model: model.to_string(), mixture: Mixture::Paper }
+    }
 }
 
 /// The study's measured outputs.
@@ -305,42 +324,76 @@ impl Study {
         Ok((params, report))
     }
 
-    /// Continually pretrain a base model on a recipe corpus (paper §III).
-    pub fn cpt(&self, base: &Params, recipe: CorpusRecipe) -> Result<(Params, TrainReport), StudyError> {
-        let span = astro_telemetry::span!("study.cpt", recipe = recipe.label());
-        astro_telemetry::info!("cpt: recipe {}", recipe.label());
-        let stream = self.cpt_stream(recipe).ok_or_else(|| {
-            StudyError::InvalidConfig(format!("no packed corpus for recipe {}", recipe.label()))
-        })?;
+    /// Continually pretrain a base model on a corpus (paper §III): one of
+    /// the paper's, as prepared, or an A1 corpus, rendered and packed here
+    /// from its channel's substream, which then also draws the batches.
+    pub fn cpt(
+        &self,
+        base: &Params,
+        corpus: impl Into<Corpus>,
+    ) -> Result<(Params, TrainReport), StudyError> {
+        let corpus = corpus.into();
+        let label = corpus.label();
+        let span = astro_telemetry::span!("study.cpt", recipe = label);
+        astro_telemetry::info!("cpt: recipe {label}");
+        let noisy;
+        let (stream, rng) = match corpus {
+            Corpus::Paper(recipe) => (
+                self.cpt_stream(recipe).ok_or_else(|| {
+                    StudyError::InvalidConfig(format!("no packed corpus for recipe {label}"))
+                })?,
+                self.root.substream(&format!("cpt-{label}")),
+            ),
+            Corpus::Noisy(noise) => {
+                let mut rng = self.root.substream(&format!("abl-dq-{}", noise.label()));
+                let docs: Vec<Document> = (self.world.articles.iter())
+                    .map(|a| {
+                        let clean = render_article(&self.world, a, CorpusRecipe::Aic, &mut rng);
+                        let text = noise.apply(&clean, &mut rng);
+                        Document { kind: DocumentKind::Aic, article: Some(a.id), text }
+                    })
+                    .collect();
+                noisy = pack_documents(&self.tokenizer, &docs);
+                (&noisy, rng)
+            }
+        };
         let mut params = base.clone();
         let tc = self.trainer_config(self.config.cpt_steps, self.config.cpt_lr);
-        let report = train_lm(
-            &mut params,
-            BatchSource::Lm(stream),
-            &tc,
-            &self.root.substream(&format!("cpt-{}", recipe.label())),
-        )
-        .map_err(|e| StudyError::Train {
-            stage: format!("cpt-{}", recipe.label()),
-            source: e,
-        })?;
+        let report = train_lm(&mut params, BatchSource::Lm(stream), &tc, &rng)
+            .map_err(|e| StudyError::Train { stage: format!("cpt-{label}"), source: e })?;
         span.record_f64("tokens", report.tokens_processed as f64);
         Ok((params, report))
     }
 
-    /// SFT a base model into an instruct model.
-    pub fn sft(&self, base: &Params, label: &str) -> Result<(Params, TrainReport), StudyError> {
-        let span = astro_telemetry::span!("study.sft", model = label);
-        astro_telemetry::info!("sft: {label}");
+    /// SFT a base model into an instruct model: on the paper's mixture,
+    /// as prepared, with batches drawn from a substream named after the
+    /// model; or on an A2 mixture, drawn and rendered here from the
+    /// mixture's substream, which then also draws the batches. A bare
+    /// model name is the paper's mixture.
+    pub fn sft(
+        &self,
+        base: &Params,
+        stage: impl Into<SftStage>,
+    ) -> Result<(Params, TrainReport), StudyError> {
+        let SftStage { model, mixture } = stage.into();
+        let span = astro_telemetry::span!("study.sft", model = model);
+        astro_telemetry::info!("sft: {model}");
+        let train_error = |e| StudyError::Train { stage: format!("sft-{model}"), source: e };
+        let paper_total = SftMixtureConfig::paper_mixture(self.config.sft_scale).total();
+        let drawn;
+        let (examples, rng) = match mixture.config(paper_total, self.config.sft_json_fraction) {
+            None => (&self.sft_examples, self.root.substream(&format!("sft-{model}"))),
+            Some(config) => {
+                let mut rng = self.root.substream(&format!("abl-sft-{}", mixture.label()));
+                let convs = sft_dataset(&self.world, &config, &mut rng);
+                drawn = render_conversations(&self.tokenizer, &convs).map_err(train_error)?;
+                (&drawn, rng)
+            }
+        };
         let mut params = base.clone();
         let tc = self.trainer_config(self.config.sft_steps, self.config.sft_lr);
-        let report = train_lm(
-            &mut params,
-            BatchSource::Sft(&self.sft_examples, self.tokenizer.pad()),
-            &tc,
-            &self.root.substream(&format!("sft-{label}")),
-        )
-        .map_err(|e| StudyError::Train { stage: format!("sft-{label}"), source: e })?;
+        let source = BatchSource::Sft(examples, self.tokenizer.pad());
+        let report = train_lm(&mut params, source, &tc, &rng).map_err(train_error)?;
         span.record_f64("tokens", report.tokens_processed as f64);
         Ok((params, report))
     }
@@ -419,12 +472,17 @@ impl Study {
             // Every checkpoint is replayed (digest-checked) or built even
             // when the model's scores are all ledgered, so the directory
             // always ends up holding the whole zoo.
-            run.base(id)?;
-            run.instruct(id)?;
-            let token_base = run.score(id, Method::TokenBase)?;
-            let full = run.score(id, Method::FullInstruct)?;
-            let token_instr = run.score(id, Method::TokenInstruct)?;
-            scores.push((id, [full, token_instr, token_base]));
+            let (base, instruct) = (id.recipe(), id.instruct());
+            run.weights(&base)?;
+            if let Some(instruct) = &instruct {
+                run.weights(instruct)?;
+            }
+            let token_base = run.score(&base, Method::TokenBase)?;
+            let mut instruct_score =
+                |method| instruct.as_ref().map(|r| run.score(r, method)).transpose();
+            let full = instruct_score(Method::FullInstruct)?;
+            let token_instr = instruct_score(Method::TokenInstruct)?;
+            scores.push((id, [full, token_instr, Some(token_base)]));
         }
         let percents: Vec<_> = scores
             .iter()
@@ -512,19 +570,21 @@ fn build_id() -> &'static str {
 }
 
 /// A run directory opened by [`Study::open_run`]: its ledger replayed and
-/// checked against the study's fingerprint. It hands out every zoo
-/// model's weights and scores by [`ModelId`] — replayed from a durable
-/// artifact when the ledger holds one, otherwise built, made durable and
-/// ledgered. The ledger's stages are `native-<tier>`, `cpt-<model>`,
-/// `sft-<model>` and `eval-<model>-<method>`.
+/// checked against the study's fingerprint. It hands out any model's
+/// weights and scores by [`Recipe`] — replayed from a durable artifact
+/// when the ledger holds one, otherwise built, made durable and ledgered.
+/// A recipe's stages are named after it (`native-<tier>`, `cpt-<model>`,
+/// `sft-<model>`, `eval-<model>-<method>`), and each ledger line ends
+/// with a digest of its recipe: a stage another recipe wrote is refused,
+/// never replayed.
 pub struct RunDir<'s> {
     study: &'s Study,
     dir: PathBuf,
     journal: Journal,
     done: HashMap<String, Json>,
-    /// Weights built or replayed through this handle, by stage: a CPT or
-    /// SFT stage starts from here, not from a second read of its input.
-    weights: HashMap<String, Params>,
+    /// Weights built or replayed through this handle: a CPT or SFT stage
+    /// starts from here, not from a second read of its parent.
+    weights: HashMap<Recipe, Params>,
 }
 
 impl<'s> RunDir<'s> {
@@ -533,85 +593,18 @@ impl<'s> RunDir<'s> {
         self.study
     }
 
-    /// The weights of `id` before SFT: the pretrained native, or the
-    /// native continually pretrained on `id`'s recipe.
-    pub fn base(&mut self, id: ModelId) -> Result<&Params, StudyError> {
-        let study = self.study;
-        match id.recipe() {
-            None => self.weights(format!("native-{}", slug(id.tier().label())), |_| {
-                study.pretrain_native(id.tier()).map(|(p, _)| p)
-            }),
-            Some(recipe) => self.weights(format!("cpt-{}", slug(id.name())), |run| {
-                study.cpt(run.base(id.baseline())?, recipe).map(|(p, _)| p)
-            }),
-        }
-    }
-
-    /// The post-SFT weights of `id`; `None` for the one model with no
-    /// instruct release (AstroLLaMA-2-7B-Abstract).
-    pub fn instruct(&mut self, id: ModelId) -> Result<Option<&Params>, StudyError> {
-        if !id.has_instruct() {
-            return Ok(None);
-        }
-        let study = self.study;
-        self.weights(format!("sft-{}", slug(id.name())), |run| {
-            study.sft(run.base(id)?, id.name()).map(|(p, _)| p)
-        })
-        .map(Some)
-    }
-
-    /// The score of `id` under `method`; `None` when `method` needs
-    /// instruct weights `id` does not have. An evaluation is retried
-    /// under [`RetryPolicy::evals`] around transient engine failures and
-    /// ledgered as its per-question outcomes, so replay is exact. A ledger
-    /// entry that does not decode to one outcome per question of the eval
-    /// subset is not trusted — the stage re-runs.
-    pub fn score(&mut self, id: ModelId, method: Method) -> Result<Option<Score>, StudyError> {
-        let stage = format!("eval-{}-{}", slug(id.name()), method.key());
-        if let Some(entry) = self.done.get(&stage) {
-            let asked = self.study.eval_questions().len();
-            if let Some(score) = Score::from_ledger(entry).filter(|s| s.total() == asked) {
-                astro_telemetry::info!("run_study: resume {stage} from ledger");
-                astro_telemetry::counter("study.stages_resumed").inc();
-                return Ok(Some(score));
-            }
-            astro_telemetry::info!(
-                "run_study: ledger entry for {stage} is not {asked} outcomes; re-evaluating"
-            );
-        }
-        let study = self.study;
-        let params = match method {
-            Method::TokenBase => self.base(id)?,
-            Method::FullInstruct | Method::TokenInstruct => match self.instruct(id)? {
-                Some(p) => p,
-                None => return Ok(None),
-            },
-        };
-        let policy = RetryPolicy::evals();
-        let score = policy
-            .run(&stage, |_| study.eval_checked(params, method))
-            .map_err(|failure| StudyError::Eval {
-                stage: stage.clone(),
-                attempts: policy.max_attempts,
-                failure,
-            })?;
-        self.commit(&stage, &score.ledger_line(&stage))?;
-        Ok(Some(score))
-    }
-
-    /// The weights of `stage`: held by this handle, else replayed from a
-    /// ledgered checkpoint, else built, checkpointed atomically and
-    /// ledgered. A ledger entry whose checkpoint is missing, corrupt or
-    /// altered (digest mismatch) is not trusted — the stage re-runs.
-    fn weights(
-        &mut self,
-        stage: String,
-        build: impl FnOnce(&mut Self) -> Result<Params, StudyError>,
-    ) -> Result<&Params, StudyError> {
-        if !self.weights.contains_key(&stage) {
+    /// The weights of `recipe`: held by this handle, else replayed from a
+    /// ledgered checkpoint, else trained from its parent's weights,
+    /// checkpointed atomically and ledgered. A ledger entry whose
+    /// checkpoint is missing, corrupt or altered (digest mismatch) is not
+    /// trusted — the stage re-runs.
+    pub fn weights(&mut self, recipe: &Recipe) -> Result<&Params, StudyError> {
+        if !self.weights.contains_key(recipe) {
+            let stage = weights_stage(recipe);
             let file = format!("{stage}.ckpt");
             let path = self.dir.join(&file);
-            let params = match self.done.get(&stage).map(|entry| replay_checkpoint(entry, &path)) {
+            let replay = self.ledgered(&stage, recipe)?.map(|entry| replay_checkpoint(entry, &path));
+            let params = match replay {
                 Some(Ok(p)) => {
                     astro_telemetry::info!("run_study: resume {stage} from {file}");
                     astro_telemetry::counter("study.stages_resumed").inc();
@@ -622,7 +615,7 @@ impl<'s> RunDir<'s> {
                         astro_telemetry::info!("run_study: rebuild {stage}: {why}");
                         astro_telemetry::counter("study.ckpt_replay_failures").inc();
                     }
-                    let params = build(self)?;
+                    let params = self.train(recipe)?;
                     save_checkpoint(&params, &path).map_err(|e| StudyError::Ckpt {
                         path: path.display().to_string(),
                         source: e,
@@ -630,6 +623,7 @@ impl<'s> RunDir<'s> {
                     let digest = fnv64(&astro_model::serial::params_to_bytes(&params));
                     self.commit(
                         &stage,
+                        recipe,
                         &format!(
                             r#"{{"stage":"{stage}","kind":"ckpt","file":"{file}","fnv":"{digest:016x}"}}"#
                         ),
@@ -637,18 +631,84 @@ impl<'s> RunDir<'s> {
                     params
                 }
             };
-            self.weights.insert(stage.clone(), params);
+            self.weights.insert(recipe.clone(), params);
         }
-        Ok(&self.weights[&stage])
+        Ok(&self.weights[recipe])
     }
 
-    /// Ledger a completed stage, then cross the stage boundary: where the
-    /// chaos suite's `study.stage_boundary` fault simulates a crash
-    /// immediately after a stage became durable.
-    fn commit(&self, stage: &str, line: &str) -> Result<(), StudyError> {
+    /// Train `recipe` from its parent's weights, through the one
+    /// training path: [`Study::pretrain_native`], [`Study::cpt`] or
+    /// [`Study::sft`].
+    fn train(&mut self, recipe: &Recipe) -> Result<Params, StudyError> {
+        let study = self.study;
+        let (params, _) = match recipe {
+            Recipe::Native { tier } => study.pretrain_native(*tier),
+            Recipe::Cpt { parent, corpus } => study.cpt(self.weights(parent)?, *corpus),
+            Recipe::Sft { parent, mixture } => {
+                let stage = SftStage { model: recipe.name(), mixture: *mixture };
+                study.sft(self.weights(parent)?, stage)
+            }
+        }?;
+        Ok(params)
+    }
+
+    /// The score of `recipe`'s model under `method`. An evaluation is
+    /// retried under [`RetryPolicy::evals`] around transient engine
+    /// failures and ledgered as its per-question outcomes, so replay is
+    /// exact. A ledger entry that does not decode to one outcome per
+    /// question of the eval subset is not trusted — the stage re-runs.
+    pub fn score(&mut self, recipe: &Recipe, method: Method) -> Result<Score, StudyError> {
+        let stage = format!("eval-{}-{}", slug(&recipe.name()), method.key());
+        if let Some(entry) = self.ledgered(&stage, recipe)? {
+            let asked = self.study.eval_questions().len();
+            if let Some(score) = Score::from_ledger(entry).filter(|s| s.total() == asked) {
+                astro_telemetry::info!("run_study: resume {stage} from ledger");
+                astro_telemetry::counter("study.stages_resumed").inc();
+                return Ok(score);
+            }
+            astro_telemetry::info!(
+                "run_study: ledger entry for {stage} is not {asked} outcomes; re-evaluating"
+            );
+        }
+        let study = self.study;
+        let params = self.weights(recipe)?;
+        let policy = RetryPolicy::evals();
+        let score = policy
+            .run(&stage, |_| study.eval_checked(params, method))
+            .map_err(|failure| StudyError::Eval {
+                stage: stage.clone(),
+                attempts: policy.max_attempts,
+                failure,
+            })?;
+        self.commit(&stage, recipe, &score.ledger_line(&stage))?;
+        Ok(score)
+    }
+
+    /// The ledger entry of `stage`, if it has one. An entry that another
+    /// recipe wrote (its recipe digest differs or is missing) is a
+    /// [`StudyError::Ledger`]: two recipes never share a stage.
+    fn ledgered(&self, stage: &str, recipe: &Recipe) -> Result<Option<&Json>, StudyError> {
+        let Some(entry) = self.done.get(stage) else { return Ok(None) };
+        if entry.get("recipe").and_then(Json::as_str) != Some(&recipe_digest(recipe)) {
+            return Err(StudyError::Ledger(format!(
+                "stage {stage} of {} was not made by the recipe of {}",
+                self.journal.path().display(),
+                recipe.name()
+            )));
+        }
+        Ok(Some(entry))
+    }
+
+    /// Ledger a completed stage of `recipe`, then cross the stage
+    /// boundary: where the chaos suite's `study.stage_boundary` fault
+    /// simulates a crash immediately after a stage became durable.
+    fn commit(&mut self, stage: &str, recipe: &Recipe, line: &str) -> Result<(), StudyError> {
+        let line = with_recipe(line, recipe);
         self.journal
-            .append(line)
+            .append(&line)
             .map_err(|e| StudyError::Io(format!("append ledger: {e}")))?;
+        let entry = Json::parse(&line).map_err(|e| StudyError::Ledger(format!("{line}: {e}")))?;
+        self.done.insert(stage.to_string(), entry);
         astro_telemetry::counter("study.stages_completed").inc();
         if astro_telemetry::fault::should_fault("study.stage_boundary") {
             return Err(StudyError::Interrupted {
@@ -658,6 +718,28 @@ impl<'s> RunDir<'s> {
         }
         Ok(())
     }
+}
+
+/// The ledger stage, and checkpoint file stem, of `recipe`'s weights:
+/// `native-<tier>`, `cpt-<model>` or `sft-<model>`.
+fn weights_stage(recipe: &Recipe) -> String {
+    match recipe {
+        Recipe::Native { tier } => format!("native-{}", slug(tier.label())),
+        Recipe::Cpt { .. } => format!("cpt-{}", slug(&recipe.name())),
+        Recipe::Sft { .. } => format!("sft-{}", slug(&recipe.name())),
+    }
+}
+
+/// FNV-1a digest of a recipe's structure.
+fn recipe_digest(recipe: &Recipe) -> String {
+    format!("{:016x}", fnv64(format!("{recipe:?}").as_bytes()))
+}
+
+/// A ledger line (one JSON object) with `recipe`'s digest as its last
+/// field.
+fn with_recipe(line: &str, recipe: &Recipe) -> String {
+    let body = line.strip_suffix('}').unwrap_or(line);
+    format!(r#"{body},"recipe":"{}"}}"#, recipe_digest(recipe))
 }
 
 /// Parse the ledger into a stage → entry map (later entries win).
@@ -704,18 +786,15 @@ fn slug(name: &str) -> String {
 
 /// Convert raw scores into Table-I rows with baseline indices.
 pub fn build_rows(scores: &[(ModelId, [Option<f64>; 3])]) -> Vec<ModelRow> {
-    // `ModelId::all()` lists every variant, so the position lookup is
-    // total; `flatten` keeps this panic-free regardless.
-    let index_of = |id: ModelId| ModelId::all().iter().position(|&m| m == id);
+    // A row's baseline is the Table I model its recipe starts from.
+    let index_of = |r: &Recipe| ModelId::all().iter().position(|m| m.recipe() == *r);
     scores
         .iter()
         .map(|(id, s)| ModelRow {
             name: id.name().to_string(),
             series: id.series().to_string(),
             scores: *s,
-            baseline: (id.baseline() != *id)
-                .then(|| index_of(id.baseline()))
-                .flatten(),
+            baseline: id.recipe().parent().and_then(index_of),
             source: id.source().to_string(),
         })
         .collect()
@@ -797,20 +876,20 @@ mod tests {
         let study = Study::prepare(StudyConfig::micro(11)).expect("micro prepare");
         let dir = std::env::temp_dir().join(format!("astro-short-score-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cells = [ModelId::Llama2_7b, ModelId::Llama3_8b];
+        let cells = [ModelId::Llama2_7b.recipe(), ModelId::Llama3_8b.recipe()];
         let score_all = |run: &mut RunDir<'_>| -> Vec<Score> {
-            let mut score = |id| run.score(id, Method::TokenBase).expect("score").expect("base");
-            cells.map(&mut score).to_vec()
+            cells.iter().map(|r| run.score(r, Method::TokenBase).expect("score")).collect()
         };
         let first = score_all(&mut study.open_run(&dir).expect("open"));
-        let stage = format!("eval-{}-{}", slug(cells[0].name()), Method::TokenBase.key());
+        let stage = format!("eval-{}-{}", slug(&cells[0].name()), Method::TokenBase.key());
         let ledger = dir.join("ledger.jsonl");
         let lines = Journal::at(&ledger).lines().expect("ledger");
         let short = Score { outcomes: first[0].outcomes[1..].to_vec() };
+        let short = with_recipe(&short.ledger_line(&stage), &cells[0]);
         let at_stage = format!(r#""stage":"{stage}""#);
         let edited: String = lines
             .iter()
-            .map(|l| if l.contains(&at_stage) { short.ledger_line(&stage) } else { l.clone() })
+            .map(|l| if l.contains(&at_stage) { short.clone() } else { l.clone() })
             .map(|l| l + "\n")
             .collect();
         std::fs::write(&ledger, edited).expect("edit ledger");
@@ -819,7 +898,55 @@ mod tests {
         assert_eq!(again, first, "re-evaluation changed a score");
         let after = Journal::at(&ledger).lines().expect("ledger");
         assert_eq!(after.len(), lines.len() + 1, "only the edited stage re-runs: {after:#?}");
-        assert_eq!(after.last(), Some(&first[0].ledger_line(&stage)));
+        assert_eq!(after.last(), Some(&with_recipe(&first[0].ledger_line(&stage), &cells[0])));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Table I's recipes keep the stage names the ledger has always had.
+    #[test]
+    fn table1_recipes_keep_their_stage_names() {
+        let stages: Vec<String> = (ModelId::all().into_iter())
+            .flat_map(|id| [Some(id.recipe()), id.instruct()])
+            .flatten()
+            .map(|r| weights_stage(&r))
+            .collect();
+        assert_eq!(stages.len(), 15);
+        assert_eq!(stages[0], "native-7B-class");
+        assert_eq!(stages[1], "sft-LLaMA-2-7B--sim-");
+        assert_eq!(stages[2], "cpt-AstroLLaMA-2-7B-AIC--sim-");
+        assert_eq!(stages[4], "cpt-AstroLLaMA-2-7B-Abstract--sim-");
+        assert_eq!(stages[14], "sft-AstroLLaMA-2-70B-AIC--sim-");
+    }
+
+    /// Two recipes whose names agree still never share a stage: the
+    /// second to ask for it gets a `StudyError::Ledger`, in the process
+    /// that ledgered the first and in any process that resumes the
+    /// directory, and neither replays the other's artifact.
+    #[test]
+    fn a_stage_another_recipe_ledgered_is_refused_not_replayed() {
+        let study = Study::prepare(StudyConfig::micro(11)).expect("micro prepare");
+        let dir = std::env::temp_dir().join(format!("astro-recipe-clash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let native = Recipe::native(Tier::S7b);
+        let instruct = native.clone().sft(Mixture::Paper);
+        let twice = instruct.clone().sft(Mixture::Paper);
+        // The paper's instruct model is named after its base model.
+        assert_eq!(native.name(), instruct.name());
+        assert_eq!(weights_stage(&instruct), weights_stage(&twice));
+
+        let refused = |outcome: Result<(), StudyError>| match outcome {
+            Err(StudyError::Ledger(msg)) => assert!(msg.contains("recipe"), "{msg}"),
+            other => panic!("expected a Ledger error, got {other:?}"),
+        };
+        let mut run = study.open_run(&dir).expect("open");
+        run.score(&native, Method::TokenBase).expect("native scores");
+        run.weights(&instruct).expect("instruct trains");
+        refused(run.score(&instruct, Method::TokenBase).map(drop));
+        refused(run.weights(&twice).map(drop));
+        let mut again = study.open_run(&dir).expect("reopen");
+        refused(again.score(&instruct, Method::TokenBase).map(drop));
+        refused(again.weights(&twice).map(drop));
+        again.weights(&instruct).expect("the instruct model's own stage replays");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,7 +52,7 @@ pub struct Document {
 }
 
 /// The three continual-pretraining data recipes of the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CorpusRecipe {
     /// CPT on abstracts only (AstroLLaMA-2-7B-Abstract, ref [27]).
     Abstract,
