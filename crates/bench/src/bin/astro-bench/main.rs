@@ -5,7 +5,6 @@
 //! cargo run --release -p astro-bench -- <subcommand> [args]
 //!
 //! astro-bench table1     [micro|smoke|fast|full] [seed]  # E1 Table I, E2 Figure 1, E4
-//! astro-bench figure1    [24 score cells]                # E2 re-rendered, no training
 //! astro-bench costs      [micro|smoke|fast|full] [seed]  # E3 §III compute costs
 //! astro-bench forgetting [micro|smoke|fast|full] [seed]  # E1b forgetting in loss space
 //! astro-bench ablation   <data-quality|sft-mixture|eval-method> [preset] [seed]  # A1, A2, A4
@@ -26,11 +25,12 @@
 //! one run directory, `runs/<preset>-<seed>` under the working directory
 //! (checkpoints + `ledger.jsonl`): each model, Table I's or an
 //! ablation's, is trained once per preset and seed, and a re-run resumes. `rm -rf
-//! runs/<preset>-<seed>` forces a fresh run.
+//! runs/<preset>-<seed>` forces a fresh run. `table1` over a complete run
+//! directory trains nothing: it re-renders Table I and Figure 1 from the
+//! ledger's per-question outcomes.
 
 mod ablation;
 mod costs;
-mod figure1;
 mod forgetting;
 mod table1;
 mod trace;
@@ -46,12 +46,11 @@ fn main() {
     let (cmd, rest) = args.split_first().map_or(("", &[][..]), |(c, r)| (c.as_str(), r));
     match cmd {
         "table1" => table1::main(rest),
-        "figure1" => figure1::main(rest),
         "costs" => costs::main(rest),
         "forgetting" => forgetting::main(rest),
         "ablation" => ablation::main(rest),
         "trace" => trace::main(rest),
-        _ => usage("<table1|figure1|costs|forgetting|ablation|trace> [args]"),
+        _ => usage("<table1|costs|forgetting|ablation|trace> [args]"),
     }
 }
 

@@ -2,8 +2,9 @@
 //! the eight LLaMA/AstroLLaMA models under the three benchmarking methods,
 //! with ↑/↓/⇒ arrows against each series' native baseline (E1), the
 //! §VI value analysis (E4), then the same scores as Figure 1 — ASCII chart
-//! with native full-instruct baselines, the flagship-oracle context lines
-//! and a CSV series for external plotting (E2).
+//! with native full-instruct baselines and the flagship-oracle context
+//! lines (E2). The scores behind every cell are the `"kind":"score"` lines
+//! of the run ledger, one outcome per question.
 //!
 //! ```sh
 //! cargo run --release -p astro-bench -- table1 [micro|smoke|fast|full] [seed]
@@ -16,8 +17,9 @@
 //! The study runs crash-safe in `runs/<preset>-<seed>`: every trained
 //! model is a checkpoint there and every stage a line of its
 //! `ledger.jsonl`, so re-running the same command resumes (a complete
-//! directory re-prints the same stdout without training). A ledger from
-//! another config or build exits 1 naming the directory to remove.
+//! directory re-prints the same stdout without training, so a complete
+//! run directory is its own report). A ledger from another config or build
+//! exits 1 naming the directory to remove.
 //!
 //! Outputs (working directory): `telemetry.jsonl`, `run_manifest.json`,
 //! and the machine-readable `BENCH_table1.json` (scores and their 95 %
@@ -27,9 +29,9 @@
 
 use crate::{instrumented_run, or_exit, JsonObject};
 use astro_telemetry::info;
-use astromlab::eval::report::{render_figure1, render_table1, ModelRow};
+use astromlab::eval::report::{render_figure1, render_table1, score_range, ModelRow};
 use astromlab::eval::value::{summarize_gain, FLAGSHIP_SCORES};
-use astromlab::eval::{bootstrap_ci, FlagshipOracle, Method};
+use astromlab::eval::{FlagshipOracle, Method, CI95_RESAMPLES};
 use astromlab::prng::Rng;
 use astromlab::study::{build_rows, StudyResult};
 use astromlab::{ModelId, Study};
@@ -53,9 +55,10 @@ pub fn main(args: &[String]) {
         dir.display()
     );
     let result = or_exit(study.run_study(&dir), &dir);
+    let rows = result.rows();
 
     println!("\n=== Table I (measured, this reproduction) ===\n");
-    println!("{}", result.table1);
+    println!("{}", render_table1(&rows));
 
     println!("=== Table I (paper, for shape comparison) ===\n");
     let paper_scores: Vec<(ModelId, [Option<f64>; 3])> = ModelId::all()
@@ -87,14 +90,10 @@ pub fn main(args: &[String]) {
     // so a resumed run prints the same intervals.
     let mut rng = Rng::seed_from(study.config.seed).substream("table1-bootstrap");
     let mut half_widths = Vec::new();
-    println!("\nscore ± 95 % bootstrap half-width ({RESAMPLES} resamples per cell):");
+    println!("\nscore ± 95 % bootstrap half-width ({CI95_RESAMPLES} resamples per cell):");
     println!("  {:<34} {:>13} {:>13} {:>13}", "", "full instruct", "token instr.", "token base");
     for (id, cells) in &result.scores {
-        let hw = cells.each_ref().map(|s| {
-            let correct: Vec<bool> = s.as_ref()?.outcomes.iter().map(|o| o.correct).collect();
-            let (lo, hi) = bootstrap_ci(&correct, RESAMPLES, 0.95, &mut rng);
-            Some((hi - lo) / 2.0)
-        });
+        let hw = cells.each_ref().map(|s| s.as_ref().map(|s| s.ci95_half_width(&mut rng)));
         let cell = |i: usize| match (&cells[i], hw[i]) {
             (Some(s), Some(h)) => format!("{:.1} ± {h:.1}", s.percent()),
             _ => "—".to_string(),
@@ -121,18 +120,14 @@ pub fn main(args: &[String]) {
     let json = bench_table1_json(&result, &cells_json(&half_widths), wall, &dir);
     run.write_bench_json("BENCH_table1.json", &json);
     println!();
-    print_figure1(&study, &result, &paper);
+    print_figure1(&study, &rows, &paper);
     run.finish();
 }
 
-/// Bootstrap resamples behind each cell's interval.
-const RESAMPLES: usize = 1000;
-
-/// Figure 1 from the scores `result` already holds: the flagship oracles
-/// (paper §VI — noisy calibrated answerers) scored on the same evaluation
-/// subset, the measured chart, the paper's scores through the same
-/// renderer, and the measured CSV.
-fn print_figure1(study: &Study, result: &StudyResult, paper: &[ModelRow]) {
+/// Figure 1 from the measured rows: the flagship oracles (paper §VI —
+/// noisy calibrated answerers) scored on the same evaluation subset, the
+/// measured chart, and the paper's scores through the same renderer.
+fn print_figure1(study: &Study, rows: &[ModelRow], paper: &[ModelRow]) {
     let questions = study.eval_questions();
     let mut orng = Rng::seed_from(study.config.seed).substream("flagship-oracles");
     println!("\nflagship oracles on this benchmark subset:");
@@ -146,13 +141,11 @@ fn print_figure1(study: &Study, result: &StudyResult, paper: &[ModelRow]) {
     }
 
     println!("\n=== Figure 1 (measured, this reproduction) ===\n");
-    println!("{}", result.figure1);
+    let (lo, hi) = score_range(rows);
+    println!("{}", render_figure1(rows, lo, hi));
 
     println!("=== Figure 1 (paper scores, same renderer) ===\n");
     println!("{}", render_figure1(paper, 38.0, 80.0));
-
-    println!("=== CSV (measured) ===\n");
-    println!("{}", result.figure1_csv);
 }
 
 /// Per-model cells as `{model: {method: value or null}}`.

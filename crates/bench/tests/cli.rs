@@ -3,9 +3,9 @@
 //! `trace` reads back what the telemetry emitter writes: `phases` and
 //! `chrome` succeed on a ring dump and the Chrome export validates; a file
 //! with no trace events is exit 1. Every malformed argument is exit 2
-//! with one usage line, before any training; `figure1` renders without
-//! training. A second `table1` in the same working directory resumes
-//! every stage from `runs/<preset>-<seed>` and prints the same bytes.
+//! with one usage line, before any training. A second `table1` in the
+//! same working directory resumes every stage from `runs/<preset>-<seed>`
+//! and prints the same bytes.
 
 use astro_telemetry::trace;
 use astromlab::eval::json::Json;
@@ -97,28 +97,6 @@ fn a_bad_seed_exits_2_before_any_training() {
     let t0 = Instant::now();
     assert_usage(&["table1", "smoke", "4x2"]);
     assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
-}
-
-#[test]
-fn figure1_renders_the_paper_scores_without_arguments() {
-    let out = run(&["figure1"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("model,method,score_percent"), "{stdout}");
-    assert!(
-        stdout.contains("AstroLLaMA-2-70B-AIC (sim),Token Prediction (Base Model),76.00"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn figure1_rejects_a_wrong_cell_count_or_a_non_numeric_cell() {
-    let mut args = vec!["figure1"];
-    args.extend(["50.0"; 24]);
-    assert!(run(&args).status.success());
-    assert_usage(&args[..24]);
-    args[6] = "fifty";
-    assert_usage(&args);
 }
 
 #[test]

@@ -9,7 +9,10 @@
 
 use crate::study::{RunDir, StudyError};
 use crate::zoo::{Corpus, Mixture, ModelId, Noise};
-use astro_eval::{evaluate_checked, EvalModel, InstructEvalConfig, Method, Score, TokenEvalConfig};
+use astro_eval::{
+    evaluate_checked, EvalModel, InstructEvalConfig, Method, Score, TokenEvalConfig,
+    CI95_RESAMPLES,
+};
 use astro_prng::Rng;
 
 /// One ablation measurement.
@@ -146,27 +149,35 @@ pub fn ablation_eval_method(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, 
         .collect())
 }
 
-/// Render ablation points as a small text table.
+/// Render ablation points as a small text table, every score, secondary
+/// included, as `score ± 95 % bootstrap half-width` in percent. The
+/// intervals draw in point order from `rng`.
 pub fn render_ablation(
     title: &str,
     points: &[AblationPoint],
     secondary_label: Option<&str>,
+    rng: &mut Rng,
 ) -> String {
     let mut out = format!("{title}\n");
     out.push_str(&"-".repeat(title.len()));
     out.push('\n');
+    let mut cell = |s: &Score| format!("{:.1} ± {:.1}%", s.percent(), s.ci95_half_width(rng));
     for p in points {
-        let score = p.score.percent();
+        let score = cell(&p.score);
         match &p.secondary {
-            None => out.push_str(&format!("  {:<34} {score:>6.1}%\n", p.label)),
+            None => out.push_str(&format!("  {:<34} {score:>13}\n", p.label)),
             Some(secondary) => out.push_str(&format!(
-                "  {:<34} {score:>6.1}%   {} {:>6.1}%\n",
+                "  {:<34} {score:>13}   {} {:>13}\n",
                 p.label,
                 secondary_label.unwrap_or("secondary"),
-                secondary.percent()
+                cell(secondary)
             )),
         }
     }
+    out.push_str(&format!(
+        "(score ± 95 % bootstrap half-width, {CI95_RESAMPLES} resamples per score; \
+         a gap inside the half-widths is not resolved)\n"
+    ));
     out
 }
 
@@ -212,10 +223,14 @@ mod tests {
                 secondary: Some(score(11, 20)),
             },
         ];
-        let s = render_ablation("Test", &pts, Some("token"));
-        assert!(s.contains("50.0%"));
-        assert!(s.contains("token"));
-        assert!(s.contains("55.0%"));
+        let render = || render_ablation("Test", &pts, Some("token"), &mut Rng::seed_from(7));
+        let s = render();
+        assert!(s.contains("50.0 ± "), "{s}");
+        assert!(s.contains("token"), "{s}");
+        assert!(s.contains("55.0 ± "), "{s}");
+        let intervals: usize = s.lines().skip(2).take(2).map(|l| l.matches(" ± ").count()).sum();
+        assert_eq!(intervals, 3, "every score carries its interval: {s}");
+        assert_eq!(s, render(), "one seed, one rendering");
     }
 
     #[test]

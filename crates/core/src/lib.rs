@@ -14,6 +14,7 @@
 //!    render Table I / Figure 1.
 //!
 //! ```no_run
+//! use astromlab::eval::report::render_table1;
 //! use astromlab::eval::Method;
 //! use astromlab::{ModelId, Study, StudyConfig};
 //! use std::path::Path;
@@ -23,7 +24,7 @@
 //! // Checkpoints + a run ledger under runs/fast-42: a re-run after an
 //! // interruption resumes there with bitwise-identical scores.
 //! let result = study.run_study(Path::new("runs/fast-42"))?;
-//! println!("{}", result.table1);
+//! println!("{}", render_table1(&result.rows()));
 //!
 //! // Any model's weights or scores, by recipe, from the same directory.
 //! let mut run = study.open_run(Path::new("runs/fast-42"))?;

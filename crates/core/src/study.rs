@@ -11,7 +11,7 @@
 use crate::presets::StudyConfig;
 use crate::zoo::{Corpus, Mixture, ModelId, Recipe};
 use astro_eval::json::Json;
-use astro_eval::report::{render_figure1, render_table1, ModelRow};
+use astro_eval::report::ModelRow;
 use astro_eval::{
     evaluate_checked, EvalFailure, EvalModel, InstructEvalConfig, Method, Score, TokenEvalConfig,
 };
@@ -156,12 +156,6 @@ impl From<&str> for SftStage {
 pub struct StudyResult {
     /// Scores per model: `[full instruct, token instruct, token base]`.
     pub scores: Vec<(ModelId, [Option<Score>; 3])>,
-    /// Rendered Table I.
-    pub table1: String,
-    /// Rendered ASCII Figure 1.
-    pub figure1: String,
-    /// Figure 1 data as CSV.
-    pub figure1_csv: String,
 }
 
 impl StudyResult {
@@ -176,6 +170,15 @@ impl StudyResult {
             .iter()
             .find(|(m, _)| *m == id)
             .and_then(|(_, s)| s[col].as_ref().map(Score::percent))
+    }
+
+    /// Table I's rows of the measured percents, for
+    /// [`astro_eval::report`]'s renderers.
+    pub fn rows(&self) -> Vec<ModelRow> {
+        let percents: Vec<_> = (self.scores.iter())
+            .map(|(id, s)| (*id, s.each_ref().map(|s| s.as_ref().map(Score::percent))))
+            .collect();
+        build_rows(&percents)
     }
 }
 
@@ -484,18 +487,7 @@ impl Study {
             let token_instr = instruct_score(Method::TokenInstruct)?;
             scores.push((id, [full, token_instr, Some(token_base)]));
         }
-        let percents: Vec<_> = scores
-            .iter()
-            .map(|(id, s)| (*id, s.each_ref().map(|s| s.as_ref().map(Score::percent))))
-            .collect();
-        let rows = build_rows(&percents);
-        let (lo, hi) = score_range(&rows);
-        Ok(StudyResult {
-            table1: render_table1(&rows),
-            figure1: render_figure1(&rows, lo, hi),
-            figure1_csv: astro_eval::report::figure1_csv(&rows),
-            scores,
-        })
+        Ok(StudyResult { scores })
     }
 
     /// The study's identity for ledger compatibility: FNV-1a digests of
@@ -800,26 +792,10 @@ pub fn build_rows(scores: &[(ModelId, [Option<f64>; 3])]) -> Vec<ModelRow> {
         .collect()
 }
 
-/// A padded (lo, hi) range covering every present score.
-fn score_range(rows: &[ModelRow]) -> (f64, f64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for r in rows {
-        for s in r.scores.iter().flatten() {
-            lo = lo.min(*s);
-            hi = hi.max(*s);
-        }
-    }
-    if !lo.is_finite() || !hi.is_finite() {
-        return (0.0, 100.0);
-    }
-    let pad = ((hi - lo) * 0.1).max(2.0);
-    ((lo - pad).max(0.0), (hi + pad).min(100.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astro_eval::report::{render_figure1, render_table1, score_range};
 
     fn smoke_study() -> Study {
         Study::prepare(StudyConfig::smoke(11)).expect("smoke prepare")
@@ -1012,11 +988,6 @@ mod tests {
         assert!(lo < 41.4 && hi > 76.0);
         let f = render_figure1(&rows, lo, hi);
         assert!(f.contains('*'));
-    }
-
-    #[test]
-    fn score_range_handles_empty() {
-        assert_eq!(score_range(&[]), (0.0, 100.0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * **Instruct-model token prediction** — the same logit readout applied
 //!   to the post-SFT model.
 //!
-//! [`report`] renders Table I (with the paper's ↑/↓/⇒ arrows) and the
-//! Figure 1 series; [`value`] implements the score-to-cost-efficiency
+//! [`report`] renders Table I (with the paper's ↑/↓/⇒ arrows) and
+//! Figure 1; [`value`] implements the score-to-cost-efficiency
 //! extrapolation the paper cites from Ting et al. 2024.
 
 pub mod extract;
@@ -30,7 +30,9 @@ pub use instruct_method::{
     generate_job, instruct_method, instruct_method_answer, InstructAnswer, InstructEvalConfig,
 };
 pub use oracle::FlagshipOracle;
-pub use score::{bootstrap_ci, evaluate_checked, EvalFailure, Method, Outcome, Score};
+pub use score::{
+    bootstrap_ci, evaluate_checked, EvalFailure, Method, Outcome, Score, CI95_RESAMPLES,
+};
 pub use token_method::{
     pick_option, score_job, token_method_outcomes, token_method_predict,
     AnswerReadout, TokenEvalConfig, TokenOutcome,

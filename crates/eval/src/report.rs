@@ -1,10 +1,11 @@
 //! Report emitters: Table I and Figure 1.
 //!
-//! The `table1` and `figure1` bench binaries feed measured scores through
-//! these renderers to regenerate the paper's artefacts: the table with its
-//! ↑ / ↓ / ⇒ arrows against each series' native baseline, and the figure
-//! as both an ASCII chart (three symbols per model, horizontal baseline
-//! markers) and a CSV series for external plotting.
+//! `astro-bench table1` feeds a run's measured scores, and the paper's
+//! published ones, through these renderers to regenerate the paper's
+//! artefacts: the table with its ↑ / ↓ / ⇒ arrows against each series'
+//! native baseline, and the figure as an ASCII chart (three symbols per
+//! model, horizontal baseline markers). The scores themselves are the run
+//! ledger's per-question outcomes, not a rendering of them.
 
 use crate::score::Method;
 
@@ -173,17 +174,21 @@ pub fn render_figure1(rows: &[ModelRow], lo: f64, hi: f64) -> String {
     out
 }
 
-/// Emit the figure's data as CSV (`model,method,score`).
-pub fn figure1_csv(rows: &[ModelRow]) -> String {
-    let mut out = String::from("model,method,score_percent\n");
-    for row in rows {
-        for (mi, m) in Method::all().iter().enumerate() {
-            if let Some(s) = row.scores[mi] {
-                out.push_str(&format!("{},{},{s:.2}\n", row.name, m.label()));
-            }
+/// A padded `(lo, hi)` figure range covering every present score.
+pub fn score_range(rows: &[ModelRow]) -> (f64, f64) {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for r in rows {
+        for s in r.scores.iter().flatten() {
+            lo = lo.min(*s);
+            hi = hi.max(*s);
         }
     }
-    out
+    if !lo.is_finite() || !hi.is_finite() {
+        return (0.0, 100.0);
+    }
+    let pad = ((hi - lo) * 0.1).max(2.0);
+    ((lo - pad).max(0.0), (hi + pad).min(100.0))
 }
 
 #[cfg(test)]
@@ -251,12 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_lists_all_present_scores() {
-        let csv = figure1_csv(&rows());
-        // 3 + 3 + 1 score cells
-        assert_eq!(csv.lines().count(), 1 + 7);
-        assert!(csv.starts_with("model,method,score_percent"));
-        assert!(csv.contains("AstroLLaMA-2-70B-AIC (sim),Token Prediction (Base Model),76.00"));
+    fn score_range_pads_present_scores_and_handles_empty() {
+        let (lo, hi) = score_range(&rows());
+        assert!(lo < 43.5 && hi > 76.0, "({lo}, {hi})");
+        assert_eq!(score_range(&[]), (0.0, 100.0));
     }
 
     #[test]

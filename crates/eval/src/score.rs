@@ -148,7 +148,19 @@ impl Score {
         }
         (!outcomes.is_empty()).then_some(Score { outcomes })
     }
+
+    /// Half the width of the score's 95 % percentile-bootstrap interval
+    /// ([`bootstrap_ci`] over [`CI95_RESAMPLES`] resamples), in points.
+    /// Deterministic in `rng`.
+    pub fn ci95_half_width(&self, rng: &mut Rng) -> f64 {
+        let correct: Vec<bool> = self.outcomes.iter().map(|o| o.correct).collect();
+        let (lo, hi) = bootstrap_ci(&correct, CI95_RESAMPLES, 0.95, rng);
+        (hi - lo) / 2.0
+    }
 }
+
+/// Bootstrap resamples behind [`Score::ci95_half_width`].
+pub const CI95_RESAMPLES: usize = 1000;
 
 /// Percentile bootstrap confidence interval for an accuracy score.
 ///

@@ -1,43 +1,46 @@
-//! Golden score regression: benchmark numbers may never drift unnoticed.
+//! Golden score regression: benchmark answers may never drift unnoticed.
 //!
-//! The serving-engine rewrite (astro-serve) promises bit-identical
-//! scores; this suite pins that promise to checked-in artifacts:
+//! A golden is a run's answers: the `"kind":"score"` lines of a run
+//! ledger (`runs/<preset>-<seed>/ledger.jsonl`), one per Table I cell,
+//! each holding that cell's per-question outcomes (`Score::ledger_line`).
+//! A run matches its golden when every stage holds the same outcome for
+//! every question. A mismatch names the stage and the indices of the
+//! questions that flipped; a stage missing from either side fails too.
+//! The recipe digest each line ends with is not compared.
 //!
-//! * `goldens/figure1_fast_scores.golden` — the score CSV of the
-//!   recorded `fast 42` run (the committed `figure1_fast.txt` /
-//!   `table1_fast.txt` analysis in EXPERIMENTS.md). A tier-1 test keeps
-//!   the committed artifact and the golden in lockstep; an `#[ignore]`d
-//!   test recomputes the whole fast preset through the pooled engine
-//!   (~1 h) for release validation.
-//! * `goldens/figure1_smoke_seed11.golden` — recomputed from scratch on
-//!   every tier-1 run through the engine-backed eval path, by a
-//!   `run_study` killed mid-pipeline and resumed — the crash-safe path
-//!   `astro-bench table1` runs — then diffed **exactly** (string
-//!   equality, which for the `%.2f` CSV means the underlying scores are
-//!   identical).
+//! * `goldens/smoke-11.golden` — recomputed on every tier-1 run through
+//!   the engine-backed eval path, by a `run_study` killed mid-pipeline
+//!   and resumed — the crash-safe path `astro-bench table1` runs.
+//! * `goldens/fast-42.golden` — recomputed by an `#[ignore]`d test for
+//!   release validation (one fresh `fast 42` run).
 //!
-//! Regenerate after an *intentional* scoring change with:
+//! Regenerate after an *intentional* scoring change, from the repository
+//! root, with the same command and a `grep` of its ledger:
 //!
 //! ```sh
-//! GOLDEN_REGEN=1 cargo test --release --test golden_scores
+//! cargo build --release -p astro-bench
+//! repo=$PWD; cd "$(mktemp -d)"
+//! $repo/target/release/astro-bench table1 smoke 11 &&
+//!     grep '"kind":"score"' runs/smoke-11/ledger.jsonl > $repo/goldens/smoke-11.golden
+//! $repo/target/release/astro-bench table1 fast 42 &&
+//!     grep '"kind":"score"' runs/fast-42/ledger.jsonl > $repo/goldens/fast-42.golden
 //! ```
 //!
-//! and justify the diff in the PR description.
+//! and justify the diff where the change is described.
 //!
 //! The mid-run kill is a fault plan the smoke test enters for itself
 //! (`Faults::enter`); only the study's threads see it, so the tests here
 //! run in parallel.
 
 use astro_telemetry::fault::{FaultPlan, Faults};
+use astromlab::eval::json::Json;
+use astromlab::eval::Score;
 use astromlab::{Study, StudyConfig, StudyError};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
-const SMOKE_GOLDEN: &str = "goldens/figure1_smoke_seed11.golden";
-const FAST_GOLDEN: &str = "goldens/figure1_fast_scores.golden";
-
-fn repo_path(rel: &str) -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
-}
+const SMOKE_GOLDEN: &str = "goldens/smoke-11.golden";
+const FAST_GOLDEN: &str = "goldens/fast-42.golden";
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("astro-golden-{}-{name}", std::process::id()));
@@ -45,65 +48,87 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn read(rel: &str) -> String {
-    std::fs::read_to_string(repo_path(rel))
-        .unwrap_or_else(|e| panic!("missing {rel} ({e}); see module docs for regeneration"))
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "missing {} ({e}); see module docs for regeneration",
+            path.display()
+        )
+    })
 }
 
-/// Diff two score CSVs line by line so a drift names the exact rows.
-fn assert_scores_match(golden: &str, got: &str, label: &str) {
-    if golden == got {
-        return;
+fn golden(rel: &str) -> BTreeMap<String, Score> {
+    scores_by_stage(&read(&Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)), rel)
+}
+
+/// Stage → score of every `"kind":"score"` line of a ledger's text; a
+/// later line for a stage replaces an earlier one, as on replay.
+fn scores_by_stage(ledger: &str, label: &str) -> BTreeMap<String, Score> {
+    let mut scores = BTreeMap::new();
+    for line in ledger.lines() {
+        let entry = Json::parse(line).unwrap_or_else(|e| panic!("{label}: `{line}`: {e}"));
+        if entry.get("kind").and_then(Json::as_str) != Some("score") {
+            continue;
+        }
+        let stage = entry.get("stage").and_then(Json::as_str);
+        let stage = stage.unwrap_or_else(|| panic!("{label}: `{line}` names no stage"));
+        let score = Score::from_ledger(&entry);
+        let score = score.unwrap_or_else(|| panic!("{label}: `{line}` holds no outcomes"));
+        scores.insert(stage.to_string(), score);
     }
+    scores
+}
+
+/// Panic unless `got` holds exactly the golden's stages, each with the
+/// same outcome for every question. The message lists each stage that
+/// differs, with the indices of its questions that flipped.
+fn assert_outcomes_match(
+    golden: &BTreeMap<String, Score>,
+    got: &BTreeMap<String, Score>,
+    label: &str,
+) {
     let mut drift = Vec::new();
-    let (g_lines, n_lines): (Vec<&str>, Vec<&str>) =
-        (golden.lines().collect(), got.lines().collect());
-    for i in 0..g_lines.len().max(n_lines.len()) {
-        let want = g_lines.get(i).copied().unwrap_or("<missing>");
-        let have = n_lines.get(i).copied().unwrap_or("<missing>");
-        if want != have {
-            drift.push(format!("  line {}: golden `{want}` vs got `{have}`", i + 1));
+    for (stage, want) in golden {
+        let Some(have) = got.get(stage) else {
+            drift.push(format!("  {stage}: missing from the run"));
+            continue;
+        };
+        let flipped: Vec<usize> = (0..want.total().max(have.total()))
+            .filter(|&i| want.outcomes.get(i) != have.outcomes.get(i))
+            .collect();
+        if !flipped.is_empty() {
+            drift.push(format!(
+                "  {stage}: questions {flipped:?} flipped ({:.2}% golden, {:.2}% now)",
+                want.percent(),
+                have.percent()
+            ));
         }
     }
-    panic!(
-        "{label}: benchmark scores drifted from the golden file.\n\
-         If the change is intentional, regenerate with GOLDEN_REGEN=1 and\n\
-         explain the drift in the PR. Differing lines:\n{}",
+    for stage in got.keys().filter(|s| !golden.contains_key(*s)) {
+        drift.push(format!("  {stage}: not in the golden"));
+    }
+    assert!(
+        drift.is_empty(),
+        "{label}: scored answers drifted from the golden.\n\
+         If the change is intentional, regenerate the golden (see the module\n\
+         docs) and explain the drift. Differing stages:\n{}",
         drift.join("\n")
     );
 }
 
-#[test]
-fn figure1_fast_artifact_matches_golden() {
-    // The recorded artifact and the golden must never diverge: the golden
-    // is the score section of the artifact, so editing one without the
-    // other means the regression baseline no longer describes the
-    // recorded run. The artifact itself is regenerated output (untracked
-    // since the resilience PR), so a checkout without a local `table1
-    // fast` run has nothing to cross-check — skip rather than fail; the
-    // golden stays guarded by the recompute tests either way.
-    let Ok(artifact) = std::fs::read_to_string(repo_path("figure1_fast.txt")) else {
-        eprintln!("figure1_fast.txt not present (regenerated output); skipping artifact cross-check");
-        return;
-    };
-    let csv_start = artifact
-        .find("model,method,score_percent")
-        .expect("figure1_fast.txt lost its CSV section");
-    assert_scores_match(
-        &read(FAST_GOLDEN),
-        &artifact[csv_start..],
-        "figure1_fast.txt vs goldens/figure1_fast_scores.golden",
-    );
+/// The scores ledgered in the run directory `dir`.
+fn ledgered(dir: &Path, label: &str) -> BTreeMap<String, Score> {
+    scores_by_stage(&read(&dir.join("ledger.jsonl")), label)
 }
 
 #[test]
 fn smoke_scores_recomputed_through_engine_match_golden() {
     // Full pipeline at smoke scale — train all models, evaluate through
     // the pooled prefix-cached engine (the smoke preset's default), and
-    // require the rendered scores to be *exactly* the checked-in golden.
-    // The run is killed at its 15th of 37 stage boundaries (inside the
-    // 8B-class series) and resumed, so the golden also holds resume to
-    // the uninterrupted scores.
+    // require every ledgered answer to be the golden's. The run is killed
+    // at its 15th of 37 stage boundaries (inside the 8B-class series) and
+    // resumed, so the golden also holds resume to the uninterrupted
+    // answers.
     let study = Study::prepare(StudyConfig::smoke(11)).expect("prepare");
     assert!(
         !study.config.eval_engine.is_serial_uncached(),
@@ -119,24 +144,50 @@ fn smoke_scores_recomputed_through_engine_match_golden() {
         matches!(outcome, Err(StudyError::Interrupted { .. })),
         "the mid-run kill should interrupt the smoke run"
     );
-    let result = study.run_study(&dir).expect("resume");
+    study.run_study(&dir).expect("resume");
+    let got = ledgered(&dir, "smoke(11) ledger");
     let _ = std::fs::remove_dir_all(&dir);
-    let got = &result.figure1_csv;
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(repo_path(SMOKE_GOLDEN), got).expect("write golden");
-        return;
-    }
-    assert_scores_match(&read(SMOKE_GOLDEN), got, "smoke(11) figure1 CSV");
+    assert_outcomes_match(&golden(SMOKE_GOLDEN), &got, "smoke(11) scores");
+}
+
+#[test]
+#[should_panic(expected = "eval-AstroLLaMA-3-8B-AIC--sim--token_base: questions [3] flipped")]
+fn one_flipped_answer_fails_naming_its_stage_and_question() {
+    let mut got = golden(SMOKE_GOLDEN);
+    let stage = got.get_mut("eval-AstroLLaMA-3-8B-AIC--sim--token_base");
+    let answer = &mut stage.expect("a golden stage").outcomes[3];
+    answer.correct = !answer.correct;
+    assert_outcomes_match(&golden(SMOKE_GOLDEN), &got, "flip");
+}
+
+#[test]
+#[should_panic(expected = "eval-LLaMA-2-70B--sim--full_instruct: missing from the run")]
+fn a_missing_stage_fails() {
+    let mut got = golden(SMOKE_GOLDEN);
+    got.remove("eval-LLaMA-2-70B--sim--full_instruct")
+        .expect("a golden stage");
+    assert_outcomes_match(&golden(SMOKE_GOLDEN), &got, "missing");
+}
+
+#[test]
+#[should_panic(expected = "eval-extra-token_base: not in the golden")]
+fn an_extra_stage_fails() {
+    let mut got = golden(SMOKE_GOLDEN);
+    let any = got.values().next().expect("a golden stage").clone();
+    got.insert("eval-extra-token_base".to_string(), any);
+    assert_outcomes_match(&golden(SMOKE_GOLDEN), &got, "extra");
 }
 
 /// Release validation: recompute the recorded `fast 42` run through the
-/// pooled engine and diff against the committed scores. Takes about an
-/// hour single-threaded; run manually with `cargo test --release --test
-/// golden_scores -- --ignored`.
+/// pooled engine and compare every ledgered answer with the golden. Run
+/// manually with `cargo test --release --test golden_scores -- --ignored`.
 #[test]
-#[ignore = "fast preset takes ~1h; tier-1 covers smoke scale"]
+#[ignore = "fast preset takes ~22 min on one core; tier-1 covers smoke scale"]
 fn fast_scores_recomputed_through_engine_match_recorded_artifact() {
     let study = Study::prepare(StudyConfig::fast(42)).expect("prepare");
-    let result = study.run_study(&fresh_dir("fast")).expect("run_study");
-    assert_scores_match(&read(FAST_GOLDEN), &result.figure1_csv, "fast(42) figure1 CSV");
+    let dir = fresh_dir("fast");
+    study.run_study(&dir).expect("run_study");
+    let got = ledgered(&dir, "fast(42) ledger");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_outcomes_match(&golden(FAST_GOLDEN), &got, "fast(42) scores");
 }
