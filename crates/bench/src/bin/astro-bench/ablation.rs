@@ -30,7 +30,6 @@ use astromlab::ablations::{
     ablation_data_quality, ablation_eval_method, ablation_sft_mixture, render_ablation,
     AblationPoint,
 };
-use astromlab::prng::Rng;
 use astromlab::{RunDir, Study, StudyError};
 
 const CMD: &str = "ablation <data-quality|sft-mixture|eval-method>";
@@ -89,10 +88,7 @@ pub fn main(args: &[String]) {
     let mut zoo = or_exit(study.open_run(&dir), &dir);
     info!("{}", a.progress);
     let points = or_exit((a.run)(&mut zoo), &dir);
-    // Intervals draw from a named substream of the study seed, so a
-    // resumed run prints the same bytes.
-    let mut rng = Rng::seed_from(study.config.seed).substream("ablation-bootstrap");
-    println!("\n{}", render_ablation(a.title, &points, a.secondary, &mut rng));
+    println!("\n{}", render_ablation(a.title, &points, a.secondary));
     println!("{}", a.expected);
     run.finish();
 }

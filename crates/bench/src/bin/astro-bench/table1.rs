@@ -23,7 +23,7 @@
 //!
 //! Outputs (working directory): `telemetry.jsonl`, `run_manifest.json`,
 //! and the machine-readable `BENCH_table1.json` (scores and their 95 %
-//! bootstrap half-widths + stage wall times + tokens/sec, the run
+//! Wilson intervals + stage wall times + tokens/sec, the run
 //! directory and how many of its stages were resumed rather than run) that
 //! future performance PRs diff against.
 
@@ -31,7 +31,7 @@ use crate::{instrumented_run, or_exit, JsonObject};
 use astro_telemetry::info;
 use astromlab::eval::report::{render_figure1, render_table1, score_range, ModelRow};
 use astromlab::eval::value::{summarize_gain, FLAGSHIP_SCORES};
-use astromlab::eval::{FlagshipOracle, Method, CI95_RESAMPLES};
+use astromlab::eval::{FlagshipOracle, Method, Score};
 use astromlab::prng::Rng;
 use astromlab::study::{build_rows, StudyResult};
 use astromlab::{ModelId, Study};
@@ -85,21 +85,18 @@ pub fn main(args: &[String]) {
         println!("  {name:<22} {score:.1}%");
     }
 
-    // Each cell's 95 % percentile-bootstrap half-width, in points. Cells
-    // draw in Table I order from one named substream of the study seed,
-    // so a resumed run prints the same intervals.
-    let mut rng = Rng::seed_from(study.config.seed).substream("table1-bootstrap");
-    let mut half_widths = Vec::new();
-    println!("\nscore ± 95 % bootstrap half-width ({CI95_RESAMPLES} resamples per cell):");
-    println!("  {:<34} {:>13} {:>13} {:>13}", "", "full instruct", "token instr.", "token base");
+    // Each cell's 95 % Wilson interval, in percent.
+    let mut intervals = Vec::new();
+    println!("\nscore [95 % Wilson interval]:");
+    println!("  {:<34} {:>19} {:>19} {:>19}", "", "full instruct", "token instr.", "token base");
     for (id, cells) in &result.scores {
-        let hw = cells.each_ref().map(|s| s.as_ref().map(|s| s.ci95_half_width(&mut rng)));
-        let cell = |i: usize| match (&cells[i], hw[i]) {
-            (Some(s), Some(h)) => format!("{:.1} ± {h:.1}", s.percent()),
+        let ci = cells.each_ref().map(|s| s.as_ref().map(Score::ci95));
+        let cell = |i: usize| match (&cells[i], ci[i]) {
+            (Some(s), Some((lo, hi))) => format!("{:.1} [{lo:.1}, {hi:.1}]", s.percent()),
             _ => "—".to_string(),
         };
-        println!("  {:<34} {:>13} {:>13} {:>13}", id.name(), cell(0), cell(1), cell(2));
-        half_widths.push((*id, hw));
+        println!("  {:<34} {:>19} {:>19} {:>19}", id.name(), cell(0), cell(1), cell(2));
+        intervals.push((*id, ci.map(|ci| ci.map(|(lo, hi)| format!("[{lo},{hi}]")))));
     }
 
     println!("\nfull-instruct extraction, % of questions (json/pattern/interpreter/failed):");
@@ -117,7 +114,7 @@ pub fn main(args: &[String]) {
     }
 
     let wall = start.elapsed().as_secs_f64();
-    let json = bench_table1_json(&result, &cells_json(&half_widths), wall, &dir);
+    let json = bench_table1_json(&result, &cells_json(&intervals), wall, &dir);
     run.write_bench_json("BENCH_table1.json", &json);
     println!();
     print_figure1(&study, &rows, &paper);
@@ -148,16 +145,14 @@ fn print_figure1(study: &Study, rows: &[ModelRow], paper: &[ModelRow]) {
     println!("{}", render_figure1(paper, 38.0, 80.0));
 }
 
-/// Per-model cells as `{model: {method: value or null}}`.
-fn cells_json(cells: &[(ModelId, [Option<f64>; 3])]) -> String {
+/// Per-model cells as `{model: {method: value or null}}`, each value
+/// already serialised.
+fn cells_json(cells: &[(ModelId, [Option<String>; 3])]) -> String {
     let mut out = String::from("{");
     for (id, s) in cells {
         let mut o = JsonObject::new();
-        for (method, v) in Method::all().iter().zip(s.iter()) {
-            match v {
-                Some(v) => o.num(method.key(), *v),
-                None => o.raw(method.key(), "null"),
-            };
+        for (method, v) in Method::all().iter().zip(s) {
+            o.raw(method.key(), v.as_deref().unwrap_or("null"));
         }
         if out.len() > 1 {
             out.push(',');
@@ -170,13 +165,14 @@ fn cells_json(cells: &[(ModelId, [Option<f64>; 3])]) -> String {
     out
 }
 
-/// Serialise scores, their 95 % half-widths (`ci95`, rendered by
-/// [`cells_json`]), per-stage wall times and training throughput into the
-/// JSON subset the in-repo parser reads. `stages_resumed` counts the
-/// stages replayed from `run_dir` (37 when it was complete), so a resumed
-/// run's wall time is never read as a fresh one.
+/// Serialise scores, their 95 % Wilson intervals (`ci95`, `[lo, hi]`
+/// cells rendered by [`cells_json`]), per-stage wall times and training
+/// throughput into the JSON subset the in-repo parser reads.
+/// `stages_resumed` counts the stages replayed from `run_dir` (37 when it
+/// was complete), so a resumed run's wall time is never read as a fresh
+/// one.
 fn bench_table1_json(result: &StudyResult, ci95: &str, wall_secs: f64, run_dir: &Path) -> String {
-    let score = |id: &ModelId| Method::all().map(|m| result.score(*id, m));
+    let score = |id: &ModelId| Method::all().map(|m| result.score(*id, m).map(|v| v.to_string()));
     let scores: Vec<_> = result.scores.iter().map(|(id, _)| (*id, score(id))).collect();
 
     // Stage wall times: aggregate closed spans by name (seconds).
@@ -224,7 +220,7 @@ fn bench_table1_json(result: &StudyResult, ci95: &str, wall_secs: f64, run_dir: 
             if train_secs > 0.0 { tokens as f64 / train_secs } else { 0.0 },
         )
         .raw("scores", &cells_json(&scores))
-        .raw("ci95_half_width", ci95)
+        .raw("ci95", ci95)
         .raw("stage_secs", &stages.finish());
     top.finish()
 }

@@ -11,7 +11,6 @@ use crate::study::{RunDir, StudyError};
 use crate::zoo::{Corpus, Mixture, ModelId, Noise};
 use astro_eval::{
     evaluate_checked, EvalModel, InstructEvalConfig, Method, Score, TokenEvalConfig,
-    CI95_RESAMPLES,
 };
 use astro_prng::Rng;
 
@@ -150,34 +149,37 @@ pub fn ablation_eval_method(run: &mut RunDir<'_>) -> Result<Vec<AblationPoint>, 
 }
 
 /// Render ablation points as a small text table, every score, secondary
-/// included, as `score ± 95 % bootstrap half-width` in percent. The
-/// intervals draw in point order from `rng`.
+/// included, as `score [lo, hi]`: percent and its 95 % Wilson interval
+/// ([`Score::ci95`]). Labels pad to the longest, so every row's score
+/// starts in one column.
 pub fn render_ablation(
     title: &str,
     points: &[AblationPoint],
     secondary_label: Option<&str>,
-    rng: &mut Rng,
 ) -> String {
-    let mut out = format!("{title}\n");
-    out.push_str(&"-".repeat(title.len()));
-    out.push('\n');
-    let mut cell = |s: &Score| format!("{:.1} ± {:.1}%", s.percent(), s.ci95_half_width(rng));
-    for p in points {
-        let score = cell(&p.score);
-        match &p.secondary {
-            None => out.push_str(&format!("  {:<34} {score:>13}\n", p.label)),
-            Some(secondary) => out.push_str(&format!(
-                "  {:<34} {score:>13}   {} {:>13}\n",
-                p.label,
-                secondary_label.unwrap_or("secondary"),
-                cell(secondary)
-            )),
-        }
+    let cell = |s: &Score| {
+        let (lo, hi) = s.ci95();
+        format!("{:.1} [{lo:.1}, {hi:.1}]", s.percent())
+    };
+    let rows: Vec<_> = points
+        .iter()
+        .map(|p| (&p.label, cell(&p.score), p.secondary.as_ref().map(cell)))
+        .collect();
+    let label_w = rows.iter().map(|r| r.0.chars().count()).max().unwrap_or(0);
+    let score_w = rows.iter().map(|r| r.1.len()).max().unwrap_or(0);
+    let mut out = format!("{title}\n{}\n", "-".repeat(title.len()));
+    for (label, score, secondary) in rows {
+        out.push_str(&match secondary {
+            None => format!("  {label:<label_w$} {score}\n"),
+            Some(secondary) => format!(
+                "  {label:<label_w$} {score:<score_w$}   {} {secondary}\n",
+                secondary_label.unwrap_or("secondary")
+            ),
+        });
     }
-    out.push_str(&format!(
-        "(score ± 95 % bootstrap half-width, {CI95_RESAMPLES} resamples per score; \
-         a gap inside the half-widths is not resolved)\n"
-    ));
+    out.push_str(
+        "(score [95 % Wilson interval], in percent; a gap inside the intervals is not resolved)\n",
+    );
     out
 }
 
@@ -223,14 +225,36 @@ mod tests {
                 secondary: Some(score(11, 20)),
             },
         ];
-        let render = || render_ablation("Test", &pts, Some("token"), &mut Rng::seed_from(7));
-        let s = render();
-        assert!(s.contains("50.0 ± "), "{s}");
-        assert!(s.contains("token"), "{s}");
-        assert!(s.contains("55.0 ± "), "{s}");
-        let intervals: usize = s.lines().skip(2).take(2).map(|l| l.matches(" ± ").count()).sum();
+        let s = render_ablation("Test", &pts, Some("token"));
+        assert!(s.contains("50.0 [9.5, 90.5]"), "{s}");
+        assert!(s.contains("token 55.0 ["), "{s}");
+        let intervals: usize = s.lines().skip(2).take(2).map(|l| l.matches(" [").count()).sum();
         assert_eq!(intervals, 3, "every score carries its interval: {s}");
-        assert_eq!(s, render(), "one seed, one rendering");
+    }
+
+    #[test]
+    fn every_rows_score_starts_in_one_column() {
+        // A4's longest label is 40 characters; scores of different widths.
+        let labels = ["a", "two-shot, letter readout (paper-literal)", "clean ≥ noisy"];
+        let scores = [score(0, 24), score(10, 24), score(24, 24)];
+        let pts: Vec<_> = labels
+            .iter()
+            .zip(&scores)
+            .map(|(label, s)| AblationPoint {
+                label: label.to_string(),
+                score: s.clone(),
+                secondary: Some(s.clone()),
+            })
+            .collect();
+        let s = render_ablation("Test", &pts, Some("token"));
+        let rows: Vec<&str> = s.lines().skip(2).take(3).collect();
+        let column = |row: &str, text: &str| row[..row.find(text).unwrap()].chars().count();
+        let starts: Vec<usize> = (rows.iter().zip(&scores))
+            .map(|(r, s)| column(r, &format!(" {:.1} [", s.percent())))
+            .collect();
+        assert_eq!(starts, [starts[0]; 3], "{s}");
+        let secondary: Vec<usize> = rows.iter().map(|r| column(r, "token")).collect();
+        assert_eq!(secondary, [secondary[0]; 3], "{s}");
     }
 
     #[test]

@@ -30,9 +30,7 @@ pub use instruct_method::{
     generate_job, instruct_method, instruct_method_answer, InstructAnswer, InstructEvalConfig,
 };
 pub use oracle::FlagshipOracle;
-pub use score::{
-    bootstrap_ci, evaluate_checked, EvalFailure, Method, Outcome, Score, CI95_RESAMPLES,
-};
+pub use score::{bootstrap_ci, evaluate_checked, EvalFailure, Method, Outcome, Score};
 pub use token_method::{
     pick_option, score_job, token_method_outcomes, token_method_predict,
     AnswerReadout, TokenEvalConfig, TokenOutcome,

@@ -1,6 +1,6 @@
 //! Scoring: run one benchmarking method over a question set and keep one
 //! outcome per question (the paper's metric, the fraction of accurate
-//! answers, derives from them), plus bootstrap confidence intervals.
+//! answers, derives from them), plus its confidence intervals.
 
 use crate::extract::ExtractionStage;
 use crate::instruct_method::{instruct_method, InstructEvalConfig};
@@ -149,18 +149,24 @@ impl Score {
         (!outcomes.is_empty()).then_some(Score { outcomes })
     }
 
-    /// Half the width of the score's 95 % percentile-bootstrap interval
-    /// ([`bootstrap_ci`] over [`CI95_RESAMPLES`] resamples), in points.
-    /// Deterministic in `rng`.
-    pub fn ci95_half_width(&self, rng: &mut Rng) -> f64 {
-        let correct: Vec<bool> = self.outcomes.iter().map(|o| o.correct).collect();
-        let (lo, hi) = bootstrap_ci(&correct, CI95_RESAMPLES, 0.95, rng);
-        (hi - lo) / 2.0
+    /// The score's 95 % Wilson interval `(lo, hi)`, in percent. Closed
+    /// form, so it needs no random draws, and it has width at 0/n and n/n
+    /// (0/120 reaches 3.1 %), where a percentile bootstrap collapses to a
+    /// point.
+    pub fn ci95(&self) -> (f64, f64) {
+        const Z: f64 = 1.959_963_984_540_054;
+        let (k, n) = (self.correct(), self.total().max(1));
+        let (p, n_f) = (k as f64 / n as f64, n as f64);
+        let z2n = Z * Z / n_f;
+        let center = (p + z2n / 2.0) / (1.0 + z2n);
+        let half = Z / (1.0 + z2n) * (p * (1.0 - p) / n_f + z2n / (4.0 * n_f)).sqrt();
+        // The bounds at 0/n and n/n are 0 and 1 exactly; the formula
+        // lands within rounding of them.
+        let lo = if k == 0 { 0.0 } else { center - half };
+        let hi = if k == n { 1.0 } else { center + half };
+        (100.0 * lo, 100.0 * hi)
     }
 }
-
-/// Bootstrap resamples behind [`Score::ci95_half_width`].
-pub const CI95_RESAMPLES: usize = 1000;
 
 /// Percentile bootstrap confidence interval for an accuracy score.
 ///
@@ -312,6 +318,27 @@ mod tests {
     #[should_panic]
     fn bootstrap_ci_rejects_empty() {
         bootstrap_ci(&[], 10, 0.95, &mut Rng::seed_from(0));
+    }
+
+    #[test]
+    fn wilson_interval_has_width_at_the_ends() {
+        let score = |correct: usize, total: usize| Score {
+            outcomes: (0..total)
+                .map(|i| Outcome { chosen: Some(0), correct: i < correct, stage: None })
+                .collect(),
+        };
+        let round = |(lo, hi): (f64, f64)| ((lo * 10.0).round() / 10.0, (hi * 10.0).round() / 10.0);
+        assert_eq!(round(score(0, 120).ci95()), (0.0, 3.1));
+        assert_eq!(round(score(120, 120).ci95()), (96.9, 100.0));
+        assert_eq!((score(0, 24).ci95().0, score(24, 24).ci95().1), (0.0, 100.0));
+        // 10/24: the textbook Wilson bounds 24.5 % and 61.2 %.
+        assert_eq!(round(score(10, 24).ci95()), (24.5, 61.2));
+        for (correct, total) in [(0, 1), (1, 1), (3, 7), (60, 120)] {
+            let s = score(correct, total);
+            let ((lo, hi), p) = (s.ci95(), s.percent());
+            let brackets = 0.0 <= lo && lo <= p && p <= hi && hi <= 100.0;
+            assert!(brackets && hi - lo > 1.0, "{correct}/{total}: ({lo}, {hi})");
+        }
     }
 
     fn outcome(chosen: Option<usize>, correct: bool, stage: ExtractionStage) -> Outcome {

@@ -6,12 +6,23 @@
 //! (llm.c style); `tests::gradcheck_full_model` validates the complete
 //! gradient against central finite differences.
 //!
+//! The forward keeps its tape of activations, so it is not
+//! `InferenceSession`'s forward, but it runs the inference kernels on
+//! them: RoPE through [`rope`], attention through [`attend_rows`] (one
+//! call per batch row, every head, at position 0), gating through
+//! [`ops::swiglu`] — and its logits are `try_feed_chunk`'s, bit for bit
+//! (`infer`'s `incremental_matches_batched_forward`). The backward
+//! recomputes what the forward no longer stores: each (batch, head)'s
+//! attention probabilities and `silu(gate)`.
+//!
 //! Layout conventions: activations are `[B*T, C]` row-major ("m rows");
-//! attention scratch is per (batch, head) with contiguous `[T, head_dim]`
-//! tiles gathered from the interleaved `[B*T, C]` projections.
+//! the backward's attention scratch is per (batch, head) with contiguous
+//! `[T, head_dim]` tiles gathered from the interleaved `[B*T, C]`
+//! projections.
 
 use crate::params::Params;
-use crate::{rope_tables, ModelConfig};
+use crate::{rope, rope_tables, ModelConfig};
+use astro_tensor::attention::attend_rows;
 use astro_tensor::matmul::{matmul, matmul_a_bt, matmul_acc, matmul_at_b, matmul_at_b_acc};
 use astro_tensor::ops;
 
@@ -34,8 +45,6 @@ pub struct TrainContext {
     q: Vec<Vec<f32>>,
     k: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
-    /// Post-softmax attention `[B*H, T, T]` per layer.
-    att: Vec<Vec<f32>>,
     /// Head-concatenated attention output (pre-`Wo`) `[m, C]`.
     att_out: Vec<Vec<f32>>,
     /// Residual stream after the attention block `[m, C]`.
@@ -43,7 +52,6 @@ pub struct TrainContext {
     ln2_out: Vec<Vec<f32>>,
     ln2_inv: Vec<Vec<f32>>,
     h_gate: Vec<Vec<f32>>,
-    h_silu: Vec<Vec<f32>>,
     h_up: Vec<Vec<f32>>,
     h_act: Vec<Vec<f32>>,
     xf_norm: Vec<f32>,
@@ -69,7 +77,9 @@ pub struct TrainContext {
     qh: Vec<f32>,
     kh: Vec<f32>,
     vh: Vec<f32>,
-    oh: Vec<f32>,
+    /// Attention probabilities `[T, T]` of one (batch, head), recomputed
+    /// by the backward; the forward lends [`attend_rows`] its first rows
+    /// as score scratch.
     sc: Vec<f32>,
     d_sc: Vec<f32>,
     d_sc_pre: Vec<f32>,
@@ -106,13 +116,11 @@ impl TrainContext {
             q: per_layer(m * c),
             k: per_layer(m * c),
             v: per_layer(m * c),
-            att: per_layer(batch * cfg.n_heads * seq * seq),
             att_out: per_layer(m * c),
             x_mid: per_layer(m * c),
             ln2_out: per_layer(m * c),
             ln2_inv: per_layer(m),
             h_gate: per_layer(m * f),
-            h_silu: per_layer(m * f),
             h_up: per_layer(m * f),
             h_act: per_layer(m * f),
             xf_norm: vec![0.0; m * c],
@@ -133,7 +141,6 @@ impl TrainContext {
             qh: vec![0.0; seq * hs],
             kh: vec![0.0; seq * hs],
             vh: vec![0.0; seq * hs],
-            oh: vec![0.0; seq * hs],
             sc: vec![0.0; seq * seq],
             d_sc: vec![0.0; seq * seq],
             d_sc_pre: vec![0.0; seq * seq],
@@ -153,7 +160,6 @@ impl TrainContext {
         let c = self.cfg.d_model;
         let f = self.cfg.d_ff;
         let v = self.cfg.vocab_size;
-        let h = self.cfg.n_heads;
         let hs = self.cfg.head_dim();
         assert_eq!(tokens.len(), m, "tokens must be batch*seq");
 
@@ -181,34 +187,16 @@ impl TrainContext {
             matmul_a_bt(&mut self.q[l], &self.ln1_out[l], p.view(&lay.wq), m, c, c);
             matmul_a_bt(&mut self.k[l], &self.ln1_out[l], p.view(&lay.wk), m, c, c);
             matmul_a_bt(&mut self.v[l], &self.ln1_out[l], p.view(&lay.wv), m, c, c);
-            // RoPE on q and k.
-            self.apply_rope(l, false);
-            // Attention per (batch, head).
-            let scale = 1.0 / (hs as f32).sqrt();
-            for bi in 0..b {
-                for hi in 0..h {
-                    gather_head(&self.q[l], &mut self.qh, bi, hi, t, c, hs);
-                    gather_head(&self.k[l], &mut self.kh, bi, hi, t, c, hs);
-                    gather_head(&self.v[l], &mut self.vh, bi, hi, t, c, hs);
-                    // scores = q·kᵀ · scale, causal mask, softmax.
-                    matmul_a_bt(&mut self.sc, &self.qh, &self.kh, t, hs, t);
-                    for i in 0..t {
-                        for j in 0..t {
-                            let e = &mut self.sc[i * t + j];
-                            if j > i {
-                                *e = NEG_INF;
-                            } else {
-                                *e *= scale;
-                            }
-                        }
-                    }
-                    ops::softmax_rows(&mut self.sc, t, t);
-                    let att_slot = (bi * h + hi) * t * t;
-                    self.att[l][att_slot..att_slot + t * t].copy_from_slice(&self.sc);
-                    // out = scores · v
-                    matmul(&mut self.oh, &self.sc, &self.vh, t, t, hs);
-                    scatter_head(&self.oh, &mut self.att_out[l], bi, hi, t, c, hs);
-                }
+            // RoPE on q and k, each row at its position in its sequence.
+            let rows = self.q[l].chunks_exact_mut(c).zip(self.k[l].chunks_exact_mut(c));
+            for (r, (q, k)) in rows.enumerate() {
+                rope::<false>([q, k], &self.rope_cos, &self.rope_sin, r % t, hs);
+            }
+            // Causal attention, one sequence's rows and heads per call.
+            let qk = self.q[l].chunks_exact(t * c).zip(self.k[l].chunks_exact(t * c));
+            let v_out = self.v[l].chunks_exact(t * c).zip(self.att_out[l].chunks_exact_mut(t * c));
+            for ((q, k), (v, out)) in qk.zip(v_out) {
+                attend_rows(out, &mut self.sc, q, k, v, c, hs, 0);
             }
             // Output projection + residual.
             matmul_a_bt(&mut self.scratch_mc, &self.att_out[l], p.view(&lay.wo), m, c, c);
@@ -228,8 +216,7 @@ impl TrainContext {
             // SwiGLU.
             matmul_a_bt(&mut self.h_gate[l], &self.ln2_out[l], p.view(&lay.w_gate), m, c, f);
             matmul_a_bt(&mut self.h_up[l], &self.ln2_out[l], p.view(&lay.w_up), m, c, f);
-            ops::silu(&mut self.h_silu[l], &self.h_gate[l]);
-            ops::mul(&mut self.h_act[l], &self.h_silu[l], &self.h_up[l]);
+            ops::swiglu(&mut self.h_act[l], &self.h_gate[l], &self.h_up[l]);
             // Down projection + residual. scratch is m×c-sized; use its
             // prefix for the m×c product.
             matmul_a_bt(&mut self.scratch_mc, &self.h_act[l], p.view(&lay.w_down), m, f, c);
@@ -332,8 +319,9 @@ impl TrainContext {
                 m,
                 f,
             );
-            // h_act = silu(gate) ⊙ up
-            ops::mul(&mut self.d_up, &self.d_act, &self.h_silu[l]);
+            // h_act = silu(gate) ⊙ up, silu(gate) recomputed into d_gate.
+            ops::silu(&mut self.d_gate, &self.h_gate[l]);
+            ops::mul(&mut self.d_up, &self.d_act, &self.d_gate);
             ops::mul(&mut self.d_silu, &self.d_act, &self.h_up[l]);
             self.d_gate.fill(0.0);
             ops::silu_backward(&mut self.d_gate, &self.d_silu, &self.h_gate[l]);
@@ -387,8 +375,21 @@ impl TrainContext {
                     gather_head(&self.k[l], &mut self.kh, bi, hi, t, c, hs);
                     gather_head(&self.v[l], &mut self.vh, bi, hi, t, c, hs);
                     gather_head(&self.q[l], &mut self.qh, bi, hi, t, c, hs);
-                    let att_slot = (bi * h + hi) * t * t;
-                    let att = &self.att[l][att_slot..att_slot + t * t];
+                    // att = softmax(q·kᵀ · scale, causally masked), the
+                    // probabilities the forward's attend_rows used.
+                    matmul_a_bt(&mut self.sc, &self.qh, &self.kh, t, hs, t);
+                    for i in 0..t {
+                        for j in 0..t {
+                            let e = &mut self.sc[i * t + j];
+                            if j > i {
+                                *e = NEG_INF;
+                            } else {
+                                *e *= scale;
+                            }
+                        }
+                    }
+                    ops::softmax_rows(&mut self.sc, t, t);
+                    let att = &self.sc;
                     // out = att · v  →  d_att = d_out · vᵀ ; d_v = attᵀ·d_out
                     matmul_a_bt(&mut self.d_sc, &self.d_oh, &self.vh, t, hs, t);
                     matmul_at_b(&mut self.d_vh, att, &self.d_oh, t, t, hs);
@@ -406,7 +407,10 @@ impl TrainContext {
                 }
             }
             // Un-rotate gradients (RoPE backward = rotation by −angle).
-            self.apply_rope_backward();
+            let rows = self.d_q.chunks_exact_mut(c).zip(self.d_k.chunks_exact_mut(c));
+            for (r, (dq, dk)) in rows.enumerate() {
+                rope::<true>([dq, dk], &self.rope_cos, &self.rope_sin, r % t, hs);
+            }
             // d_ln1 = d_q·Wq + d_k·Wk + d_v·Wv ; weight grads.
             matmul(&mut self.scratch_mc, &self.d_q, p.view(&lay.wq), m, c, c);
             matmul_acc(&mut self.scratch_mc, &self.d_k, p.view(&lay.wk), m, c, c);
@@ -441,67 +445,9 @@ impl TrainContext {
         }
     }
 
-    /// Apply RoPE to `self.q[l]` and `self.k[l]` in place.
-    fn apply_rope(&mut self, l: usize, _backward: bool) {
-        let (b, t) = (self.batch, self.seq);
-        let c = self.cfg.d_model;
-        let h = self.cfg.n_heads;
-        let hs = self.cfg.head_dim();
-        for buf in [&mut self.q[l], &mut self.k[l]] {
-            rope_rotate(buf, &self.rope_cos, &self.rope_sin, b, t, c, h, hs, false);
-        }
-    }
-
-    /// Apply inverse RoPE to the gradient buffers `d_q`, `d_k`.
-    fn apply_rope_backward(&mut self) {
-        let (b, t) = (self.batch, self.seq);
-        let c = self.cfg.d_model;
-        let h = self.cfg.n_heads;
-        let hs = self.cfg.head_dim();
-        for buf in [&mut self.d_q, &mut self.d_k] {
-            rope_rotate(buf, &self.rope_cos, &self.rope_sin, b, t, c, h, hs, true);
-        }
-    }
-
-    /// Mean loss over several *micro-batches* already flattened by the
-    /// caller; convenience for gradient-accumulation tests.
+    /// The configuration the buffers are shaped for.
     pub fn config(&self) -> &ModelConfig {
         &self.cfg
-    }
-}
-
-/// Rotate (or un-rotate, when `inverse`) the per-head pairs of a `[B*T, C]`
-/// buffer in place.
-#[allow(clippy::too_many_arguments)]
-fn rope_rotate(
-    buf: &mut [f32],
-    cos: &[f32],
-    sin: &[f32],
-    b: usize,
-    t: usize,
-    c: usize,
-    h: usize,
-    hs: usize,
-    inverse: bool,
-) {
-    let half = hs / 2;
-    for bi in 0..b {
-        for pos in 0..t {
-            let row = (bi * t + pos) * c;
-            for hi in 0..h {
-                let base = row + hi * hs;
-                for i in 0..half {
-                    let (co, mut si) = (cos[pos * half + i], sin[pos * half + i]);
-                    if inverse {
-                        si = -si;
-                    }
-                    let x0 = buf[base + 2 * i];
-                    let x1 = buf[base + 2 * i + 1];
-                    buf[base + 2 * i] = x0 * co - x1 * si;
-                    buf[base + 2 * i + 1] = x0 * si + x1 * co;
-                }
-            }
-        }
     }
 }
 
@@ -588,29 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn rope_rotation_is_invertible() {
-        let (cos, sin) = rope_tables(8, 4);
-        let mut buf: Vec<f32> = (0..2 * 8 * 8).map(|i| (i as f32 * 0.3).sin()).collect();
-        let orig = buf.clone();
-        rope_rotate(&mut buf, &cos, &sin, 2, 8, 8, 2, 4, false);
-        assert_ne!(buf, orig, "rotation should change values");
-        rope_rotate(&mut buf, &cos, &sin, 2, 8, 8, 2, 4, true);
-        for (a, b) in buf.iter().zip(orig.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn rope_preserves_norm() {
-        let (cos, sin) = rope_tables(8, 4);
-        let mut buf: Vec<f32> = (0..8 * 8).map(|i| (i as f32 * 0.7).cos()).collect();
-        let norm_before: f32 = buf.iter().map(|x| x * x).sum();
-        rope_rotate(&mut buf, &cos, &sin, 1, 8, 8, 2, 4, false);
-        let norm_after: f32 = buf.iter().map(|x| x * x).sum();
-        assert!((norm_before - norm_after).abs() < 1e-3);
-    }
-
-    #[test]
     fn gather_scatter_round_trip() {
         let t = 3;
         let c = 8;
@@ -666,6 +589,45 @@ mod tests {
             report.max_rel_err < 2e-2,
             "gradient check failed: {report:?}"
         );
+    }
+
+    /// `loss_and_grad`'s bits at tier shapes: one FNV-64 digest of every
+    /// gradient element and the loss, for S7b and S70b at 2 × 37 (a
+    /// leftover row after the 4-row attention bands) and at 4 × 224 (the
+    /// fast preset's training shape). Recorded while the forward still
+    /// stored each layer's attention probabilities and `silu(gate)` for
+    /// the backward, so they pin the backward's recomputation of both.
+    #[test]
+    fn tier_gradients_are_pinned_bit_for_bit() {
+        use crate::Tier;
+        const VOCAB: usize = 512;
+        let shapes = [
+            (Tier::S7b, 2, 37),
+            (Tier::S7b, 4, 224),
+            (Tier::S70b, 2, 37),
+            (Tier::S70b, 4, 224),
+        ];
+        let digests = shapes.map(|(tier, b, t)| {
+            let cfg = ModelConfig::tier(tier, VOCAB);
+            let p = Params::init(cfg, &mut Rng::seed_from(21));
+            let mut rng = Rng::seed_from(22);
+            let tokens: Vec<u32> = (0..b * t).map(|_| rng.below(VOCAB as u64) as u32).collect();
+            let targets: Vec<usize> = (0..b * t).map(|_| rng.index(VOCAB)).collect();
+            let mask: Vec<bool> = (0..b * t).map(|i| i % 5 != 0).collect();
+            let mut grad = vec![0.0f32; p.data.len()];
+            let mut ctx = TrainContext::new(cfg, b, t);
+            let loss = ctx.loss_and_grad(&p, &tokens, &targets, &mask, &mut grad);
+            let bits: Vec<u8> =
+                grad.iter().chain([&loss]).flat_map(|g| g.to_bits().to_le_bytes()).collect();
+            astro_resilience::fnv::fnv64(&bits)
+        });
+        let recorded = [
+            0x20bd_372f_d7de_4c07,
+            0xbc0d_fbd0_086b_c9c2,
+            0xb7c9_9c89_5f16_3107,
+            0x0361_90c4_455b_1d63,
+        ];
+        assert_eq!(digests, recorded, "{shapes:?}");
     }
 
     #[test]

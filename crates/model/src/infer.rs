@@ -68,7 +68,7 @@
 //! (`tests/chunk_split.rs`).
 
 use crate::params::Params;
-use crate::{rope_tables, ModelConfig, WeightPrecision};
+use crate::{rope, rope_tables, ModelConfig, WeightPrecision};
 use astro_quant::QuantMatrix;
 use astro_tensor::attention::{attend_rows, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
@@ -524,24 +524,13 @@ impl InferenceSession {
     fn kv_rope(&mut self, s: &mut Scratch, l: usize, r0: usize, m: usize) {
         let c = self.cfg.d_model;
         let hs = self.cfg.head_dim();
-        let half = hs / 2;
         let k_cache = &mut self.k_cache[l][..];
         let (rows, cached) = (r0 * c..(r0 + m) * c, self.pos * c..(self.pos + m) * c);
         k_cache[cached.clone()].copy_from_slice(&s.proj[rows.clone()]);
         self.v_cache[l][cached.clone()].copy_from_slice(&s.attn_out[rows.clone()]);
         let q_rows = s.q[rows].chunks_exact_mut(c);
         for (pos, (q, k)) in (self.pos..).zip(q_rows.zip(k_cache[cached].chunks_exact_mut(c))) {
-            let cos = &self.rope_cos[pos * half..(pos + 1) * half];
-            let sin = &self.rope_sin[pos * half..(pos + 1) * half];
-            for buf in [q, k] {
-                for head in buf.chunks_exact_mut(hs) {
-                    for ((pair, &co), &si) in head.chunks_exact_mut(2).zip(cos).zip(sin) {
-                        let (x0, x1) = (pair[0], pair[1]);
-                        pair[0] = x0 * co - x1 * si;
-                        pair[1] = x0 * si + x1 * co;
-                    }
-                }
-            }
+            rope::<false>([q, k], &self.rope_cos, &self.rope_sin, pos, hs);
         }
     }
 
@@ -673,24 +662,32 @@ mod tests {
         }
     }
 
+    /// The training forward and the inference forward run the same
+    /// kernels, so `TrainContext::forward`'s logits are `try_feed_chunk`'s
+    /// for each batch row, bit for bit: every tier, batch 2, sequences
+    /// short of one attention band (1, 3), one band (4), full bands and a
+    /// leftover row (5, 13, 37) and the fast preset's 224 — those that fit
+    /// the configuration's `max_seq` (32 for tiny).
     #[test]
     fn incremental_matches_batched_forward() {
-        let cfg = ModelConfig::tiny(24);
-        let p = Params::init(cfg, &mut Rng::seed_from(4));
-        let tokens: Vec<u32> = vec![3, 1, 4, 1, 5, 9, 2, 6];
-        // Batched forward.
-        let mut ctx = TrainContext::new(cfg, 1, tokens.len());
-        ctx.forward(&p, &tokens);
-        // Incremental.
-        let mut sess = InferenceSession::new(cfg);
-        for (i, &t) in tokens.iter().enumerate() {
-            let logits = sess.feed(&p, t).to_vec();
-            let batch_row = &ctx.logits[i * 24..(i + 1) * 24];
-            for (a, b) in logits.iter().zip(batch_row.iter()) {
-                assert!(
-                    (a - b).abs() < 1e-3,
-                    "pos {i}: incremental {a} vs batched {b}"
-                );
+        use crate::Tier;
+        let tiers = [Tier::S7b, Tier::S8b, Tier::S70b].map(|t| ModelConfig::tier(t, 512));
+        for cfg in [ModelConfig::tiny(24)].into_iter().chain(tiers) {
+            let p = Params::init(cfg, &mut Rng::seed_from(4));
+            let mut rng = Rng::seed_from(5);
+            let vocab = cfg.vocab_size;
+            for t in [1, 3, 4, 5, 13, 37, 224].into_iter().filter(|&t| t <= cfg.max_seq) {
+                let tokens: Vec<u32> = (0..2 * t).map(|_| rng.below(vocab as u64) as u32).collect();
+                let mut ctx = TrainContext::new(cfg, 2, t);
+                ctx.forward(&p, &tokens);
+                for (row, seq) in tokens.chunks(t).enumerate() {
+                    let chunk = InferenceSession::new(cfg).try_feed_chunk(&p, seq).unwrap();
+                    let batched = &ctx.logits[row * t * vocab..(row + 1) * t * vocab];
+                    let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
+                    let differ = chunk.iter().zip(batched).position(|pair| !same(pair));
+                    let at = format!("d_model {} T {t} row {row}", cfg.d_model);
+                    assert_eq!(differ, None, "{at}: index of the first differing logit");
+                }
             }
         }
     }

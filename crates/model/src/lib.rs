@@ -274,9 +274,72 @@ pub(crate) fn rope_tables(max_seq: usize, head_dim: usize) -> (Vec<f32>, Vec<f32
     (cos, sin)
 }
 
+/// RoPE on one position's rows in place — a query row and a key row, or
+/// their gradients — in one pass: each head's pair `(x0, x1)` becomes
+/// `(x0·cos − x1·sin, x0·sin + x1·cos)` at position `pos`'s angles in the
+/// [`rope_tables`]. `INVERSE` rotates by the negated angle, RoPE's
+/// backward. The one rotation of the training forward and backward and
+/// the inference session.
+pub(crate) fn rope<const INVERSE: bool>(
+    rows: [&mut [f32]; 2],
+    cos: &[f32],
+    sin: &[f32],
+    pos: usize,
+    head_dim: usize,
+) {
+    let half = head_dim / 2;
+    let (cos, sin) = (&cos[pos * half..][..half], &sin[pos * half..][..half]);
+    for row in rows {
+        for head in row.chunks_exact_mut(head_dim) {
+            for ((pair, &co), &si) in head.chunks_exact_mut(2).zip(cos).zip(sin) {
+                let si = if INVERSE { -si } else { si };
+                let (x0, x1) = (pair[0], pair[1]);
+                pair[0] = x0 * co - x1 * si;
+                pair[1] = x0 * si + x1 * co;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rope_rotation_is_invertible() {
+        let (cos, sin) = rope_tables(8, 4);
+        let orig: Vec<f32> = (0..2 * 8 * 8).map(|i| (i as f32 * 0.3).sin()).collect();
+        let mut buf = orig.clone();
+        let rotate = |buf: &mut [f32], inverse: bool| {
+            for (pos, row) in buf.chunks_exact_mut(2 * 8).enumerate() {
+                let (q, k) = row.split_at_mut(8);
+                if inverse {
+                    rope::<true>([q, k], &cos, &sin, pos, 4);
+                } else {
+                    rope::<false>([q, k], &cos, &sin, pos, 4);
+                }
+            }
+        };
+        rotate(&mut buf, false);
+        assert_ne!(buf, orig, "rotation should change values");
+        rotate(&mut buf, true);
+        for (a, b) in buf.iter().zip(orig.iter()) {
+            assert!((a - b).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn rope_preserves_norm() {
+        let (cos, sin) = rope_tables(8, 4);
+        let mut buf: Vec<f32> = (0..8 * 8).map(|i| (i as f32 * 0.7).cos()).collect();
+        let norm_before: f32 = buf.iter().map(|x| x * x).sum();
+        for (pos, row) in buf.chunks_exact_mut(8).enumerate() {
+            let (q, k) = row.split_at_mut(4);
+            rope::<false>([q, k], &cos, &sin, pos, 4);
+        }
+        let norm_after: f32 = buf.iter().map(|x| x * x).sum();
+        assert!((norm_before - norm_after).abs() < 1e-3);
+    }
 
     #[test]
     fn tiers_are_ordered_by_capacity() {
