@@ -193,78 +193,95 @@ impl Study {
             config.seed
         );
         let root = Rng::seed_from(config.seed);
-        let world = World::generate(config.seed, config.world.clone());
+        let world = {
+            let _phase = astro_telemetry::span!("prepare.world");
+            World::generate(config.seed, config.world.clone())
+        };
 
-        // Corpora.
-        let mut corpus_rng = root.substream("general-corpus");
-        let general_docs = general_corpus(&world, config.general_docs, &mut corpus_rng);
-        let mut cpt_rng = root.substream("cpt-corpus");
-        let cpt_docs: Vec<(CorpusRecipe, Vec<astro_world::Document>)> =
-            [CorpusRecipe::Abstract, CorpusRecipe::Aic, CorpusRecipe::Summary]
-                .into_iter()
-                .map(|r| (r, cpt_corpus(&world, r, &mut cpt_rng)))
+        let (general_docs, cpt_docs) = {
+            let _phase = astro_telemetry::span!("prepare.corpora");
+            let mut corpus_rng = root.substream("general-corpus");
+            let general_docs = general_corpus(&world, config.general_docs, &mut corpus_rng);
+            let mut cpt_rng = root.substream("cpt-corpus");
+            let cpt_docs: Vec<(CorpusRecipe, Vec<astro_world::Document>)> =
+                [CorpusRecipe::Abstract, CorpusRecipe::Aic, CorpusRecipe::Summary]
+                    .into_iter()
+                    .map(|r| (r, cpt_corpus(&world, r, &mut cpt_rng)))
+                    .collect();
+            (general_docs, cpt_docs)
+        };
+
+        let tokenizer = {
+            let _phase = astro_telemetry::span!("prepare.tokenizer");
+            // Train on a blend of general + astro text so both domains
+            // tokenise compactly (as LLaMA's web-trained BPE does).
+            let mut tok_corpus: Vec<String> = general_docs
+                .iter()
+                .take(400)
+                .map(|d| d.text.clone())
                 .collect();
-
-        // Tokenizer: train on a blend of general + astro text so both
-        // domains tokenise compactly (as LLaMA's web-trained BPE does).
-        let mut tok_corpus: Vec<String> = general_docs
-            .iter()
-            .take(400)
-            .map(|d| d.text.clone())
-            .collect();
-        for (_, docs) in &cpt_docs {
-            tok_corpus.extend(docs.iter().take(120).map(|d| d.text.clone()));
-        }
-        // Guarantee the answer-letter variants exist as single tokens (as
-        // they do in real LLM tokenizers) — the next-token method reads
-        // their logits directly — and make every attribute value's head
-        // word a single token, mirroring how common words are whole
-        // tokens in web-scale BPE vocabularies.
-        let mut ensure: Vec<String> = [" A", " B", " C", " D"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for rel in astro_world::RELATIONS {
-            for v in rel.values() {
-                let head = v.split(' ').next().unwrap_or(v);
-                ensure.push(format!(" {head}"));
+            for (_, docs) in &cpt_docs {
+                tok_corpus.extend(docs.iter().take(120).map(|d| d.text.clone()));
             }
-        }
-        for rel in astro_world::GENERAL_RELATIONS {
-            for v in rel.values() {
-                ensure.push(format!(" {v}"));
+            // Guarantee the answer-letter variants exist as single tokens
+            // (as they do in real LLM tokenizers) — the next-token method
+            // reads their logits directly — and make every attribute
+            // value's head word a single token, mirroring how common words
+            // are whole tokens in web-scale BPE vocabularies.
+            let mut ensure: Vec<String> = [" A", " B", " C", " D"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            for rel in astro_world::RELATIONS {
+                for v in rel.values() {
+                    let head = v.split(' ').next().unwrap_or(v);
+                    ensure.push(format!(" {head}"));
+                }
             }
-        }
-        ensure.sort();
-        ensure.dedup();
-        let tokenizer = train_bpe(
-            &tok_corpus,
-            &BpeTrainerConfig {
-                vocab_size: config.vocab_size,
-                min_pair_count: 2,
-                ensure_pieces: ensure,
-            },
-        );
+            for rel in astro_world::GENERAL_RELATIONS {
+                for v in rel.values() {
+                    ensure.push(format!(" {v}"));
+                }
+            }
+            ensure.sort();
+            ensure.dedup();
+            train_bpe(
+                &tok_corpus,
+                &BpeTrainerConfig {
+                    vocab_size: config.vocab_size,
+                    min_pair_count: 2,
+                    ensure_pieces: ensure,
+                },
+            )
+        };
 
-        // Benchmark.
-        let mut mcq_rng = root.substream("mcq-gen");
-        let mcq = McqDataset::generate(&world, &McqConfig::default(), &mut mcq_rng);
+        let mcq = {
+            let _phase = astro_telemetry::span!("prepare.benchmark");
+            let mut mcq_rng = root.substream("mcq-gen");
+            McqDataset::generate(&world, &McqConfig::default(), &mut mcq_rng)
+        };
 
-        // Packing.
-        let general_stream = pack_documents(&tokenizer, &general_docs);
-        let cpt_streams = cpt_docs
-            .iter()
-            .map(|(r, docs)| (*r, pack_documents(&tokenizer, docs)))
-            .collect();
+        let (general_stream, cpt_streams) = {
+            let _phase = astro_telemetry::span!("prepare.pack");
+            let general_stream = pack_documents(&tokenizer, &general_docs);
+            let cpt_streams = cpt_docs
+                .iter()
+                .map(|(r, docs)| (*r, pack_documents(&tokenizer, docs)))
+                .collect();
+            (general_stream, cpt_streams)
+        };
 
-        // SFT set.
-        let mut sft_rng = root.substream("sft-data");
-        let mut mixture = SftMixtureConfig::paper_mixture(config.sft_scale);
-        mixture.astro_json_fraction = config.sft_json_fraction;
-        let convs = sft_dataset(&world, &mixture, &mut sft_rng);
-        let sft_examples = render_conversations(&tokenizer, &convs).map_err(|e| {
-            StudyError::Train { stage: "prepare.sft-render".to_string(), source: e }
-        })?;
+        let sft_examples = {
+            let _phase = astro_telemetry::span!("prepare.sft");
+            let mut sft_rng = root.substream("sft-data");
+            let mut mixture = SftMixtureConfig::paper_mixture(config.sft_scale);
+            mixture.astro_json_fraction = config.sft_json_fraction;
+            let convs = sft_dataset(&world, &mixture, &mut sft_rng);
+            render_conversations(&tokenizer, &convs).map_err(|e| StudyError::Train {
+                stage: "prepare.sft-render".to_string(),
+                source: e,
+            })?
+        };
 
         Ok(Study {
             config,
@@ -823,6 +840,55 @@ mod tests {
         match Study::prepare(cfg) {
             Err(StudyError::InvalidConfig(msg)) => assert!(msg.contains("batch"), "{msg}"),
             other => panic!("expected InvalidConfig, got {:?}", other.err()),
+        }
+    }
+
+    /// Where set-up goes, phase by phase: each of `Study::prepare`'s phase
+    /// spans, the median of `REPS` preparations, in ms per preset. Log-only:
+    ///
+    /// ```sh
+    /// cargo test --release -p astromlab --lib -- --ignored --nocapture prepare_budget
+    /// ```
+    #[test]
+    #[ignore]
+    fn prepare_budget() {
+        const REPS: usize = 5;
+        const PHASES: [&str; 6] = ["world", "corpora", "tokenizer", "benchmark", "pack", "sft"];
+        println!("prepare_budget: ms per phase, median of {REPS} preparations at seed 42");
+        print!("  {:<8}", "preset");
+        for phase in PHASES.iter().chain(&["prepare"]) {
+            print!(" {phase:>10}");
+        }
+        println!();
+        let presets = [
+            ("micro", StudyConfig::micro(42)),
+            ("smoke", StudyConfig::smoke(42)),
+            ("fast", StudyConfig::fast(42)),
+        ];
+        for (preset, config) in presets {
+            let laps: Vec<[u64; PHASES.len() + 1]> = (0..REPS)
+                .map(|_| {
+                    drop(Study::prepare(config.clone()).expect("prepare"));
+                    let spans = astro_telemetry::span::snapshot();
+                    let prepare = (spans.iter().rev())
+                        .find(|s| s.name == "study.prepare")
+                        .expect("a study.prepare span");
+                    std::array::from_fn(|i| match PHASES.get(i) {
+                        Some(phase) => (spans.iter())
+                            .find(|s| s.parent == Some(prepare.id) && s.name == format!("prepare.{phase}"))
+                            .unwrap_or_else(|| panic!("no prepare.{phase} span"))
+                            .duration_us(),
+                        None => prepare.duration_us(),
+                    })
+                })
+                .collect();
+            print!("  {preset:<8}");
+            for i in 0..=PHASES.len() {
+                let mut us: Vec<u64> = laps.iter().map(|lap| lap[i]).collect();
+                us.sort_unstable();
+                print!(" {:>10.1}", us[REPS / 2] as f64 / 1e3);
+            }
+            println!();
         }
     }
 

@@ -854,27 +854,28 @@ mod tests {
         assert_eq!(a, b, "missing quant copy must downgrade to the f32 path");
     }
 
-    /// Rows of each continuation variant in `op_columns`' stacked readout.
-    const READOUT_ROWS: usize = 2;
+    /// Rows of each continuation variant in `op_columns`' stacked
+    /// readouts, one column each: the workloads feed lanes of one row to
+    /// sixteen.
+    const READOUT_ROWS: [usize; 4] = [1, 2, 3, 16];
+
+    /// `op_columns`' columns: prefill, decode, then one per readout size.
+    const COLUMNS: usize = 2 + READOUT_ROWS.len();
 
     /// `p`'s per-op budget in µs per row, each op the median of `reps`
     /// recorded forwards: the last `PREFILL_ROWS`-row block of a
     /// `prompt`-token prompt, the decode row after it, and a stacked score
-    /// readout at that position — `lanes` forks of the prompt fed
-    /// `READOUT_ROWS` continuation rows each in one all-rows forward. Every
-    /// recorded forward's logits must equal `try_feed_prompt`'s, `feed`'s
-    /// and `try_feed_lanes`' bit for bit.
-    fn op_columns(p: &Params, prompt: usize, lanes: usize, reps: usize) -> [[f64; OPS.len()]; 3] {
-        type Variant = [u32; READOUT_ROWS];
-        fn readout<'a>(forks: &'a mut [InferenceSession], variants: &'a [Variant]) -> Vec<Lane<'a>> {
+    /// readout at that position for each of `READOUT_ROWS` — `lanes` forks
+    /// of the prompt fed that many continuation rows each in one all-rows
+    /// forward. Every recorded forward's logits must equal
+    /// `try_feed_prompt`'s, `feed`'s and `try_feed_lanes`' bit for bit.
+    fn op_columns(p: &Params, prompt: usize, lanes: usize, reps: usize) -> [[f64; OPS.len()]; COLUMNS] {
+        fn readout<'a>(forks: &'a mut [InferenceSession], variants: &'a [Vec<u32>]) -> Vec<Lane<'a>> {
             forks.iter_mut().zip(variants).map(|(session, tokens)| Lane { session, tokens }).collect()
         }
         let vocab = p.cfg.vocab_size;
         let tokens: Vec<u32> = (0..=prompt).map(|i| (i * 37 % vocab) as u32).collect();
         let (head, block) = tokens[..prompt].split_at(prompt - PREFILL_ROWS);
-        let variants: Vec<Variant> = (0..lanes)
-            .map(|v| std::array::from_fn(|i| ((v * 53 + i * 11) % vocab) as u32))
-            .collect();
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut base = InferenceSession::new(p.cfg);
         base.try_feed_prompt(p, head).unwrap();
@@ -883,15 +884,22 @@ mod tests {
         let prompted = oracle.clone();
         let decode_logits = bits(oracle.feed(p, tokens[prompt]));
         let mut forks: Vec<InferenceSession> = vec![prompted.clone(); lanes];
-        let mut readout_logits = vec![0.0; lanes * READOUT_ROWS * vocab];
-        let mut stacked = readout(&mut forks, &variants);
-        InferenceSession::try_feed_lanes(p, &mut stacked, &mut readout_logits).unwrap();
-        let readout_logits = bits(&readout_logits);
+        let readouts = READOUT_ROWS.map(|rows| {
+            let variants: Vec<Vec<u32>> = (0..lanes)
+                .map(|v| (0..rows).map(|i| ((v * 53 + i * 11) % vocab) as u32).collect())
+                .collect();
+            for fork in &mut forks {
+                fork.assign_from(&prompted);
+            }
+            let mut logits = vec![0.0; lanes * rows * vocab];
+            InferenceSession::try_feed_lanes(p, &mut readout(&mut forks, &variants), &mut logits).unwrap();
+            (variants, bits(&logits))
+        });
 
         let mut sess = InferenceSession::new(p.cfg);
-        let mut rows = vec![0.0; readout_logits.len()];
-        let mut laps = vec![[[0.0; OPS.len()]; 3]; reps];
-        for [block_us, decode_us, readout_us] in &mut laps {
+        let mut rows = Vec::new();
+        let mut laps = vec![[[0.0; OPS.len()]; COLUMNS]; reps];
+        for [block_us, decode_us, readout_us @ ..] in &mut laps {
             sess.assign_from(&base);
             let mut lane = [Lane { session: &mut sess, tokens: block }];
             InferenceSession::forward_rows(p, &mut lane, None, Some(block_us));
@@ -899,14 +907,17 @@ mod tests {
             let mut lane = [Lane { session: &mut sess, tokens: &tokens[prompt..] }];
             InferenceSession::forward_rows(p, &mut lane, None, Some(decode_us));
             assert_eq!(bits(&sess.logits), decode_logits, "recorded decode row differs");
-            for fork in &mut forks {
-                fork.assign_from(&prompted);
+            for ((variants, want), us) in readouts.iter().zip(readout_us) {
+                for fork in &mut forks {
+                    fork.assign_from(&prompted);
+                }
+                rows.resize(want.len(), 0.0);
+                InferenceSession::forward_rows(p, &mut readout(&mut forks, variants), Some(&mut rows), Some(us));
+                assert_eq!(bits(&rows), *want, "recorded {}-row stacked readout differs", variants[0].len());
             }
-            let mut stacked = readout(&mut forks, &variants);
-            InferenceSession::forward_rows(p, &mut stacked, Some(&mut rows), Some(readout_us));
-            assert_eq!(bits(&rows), readout_logits, "recorded stacked readout differs");
         }
-        let per_row = [PREFILL_ROWS, 1, lanes * READOUT_ROWS];
+        let per_row: Vec<usize> =
+            [PREFILL_ROWS, 1].into_iter().chain(READOUT_ROWS.map(|r| lanes * r)).collect();
         std::array::from_fn(|column| {
             std::array::from_fn(|op| {
                 let mut us: Vec<f64> = laps.iter().map(|rep| rep[column][op]).collect();
@@ -918,10 +929,11 @@ mod tests {
 
     #[test]
     fn recorded_forward_matches_the_entry_points() {
-        // `op_budget`'s bit checks, one rep on the tiny model: recording
-        // laps changes no logit of a prefill block, a decode row or a
-        // stacked readout.
-        let p = Params::init(ModelConfig::tiny(64), &mut Rng::seed_from(19));
+        // `op_budget`'s bit checks, one rep on the tiny model (its context
+        // stretched to fit the longest readout): recording laps changes no
+        // logit of a prefill block, a decode row or a stacked readout.
+        let cfg = ModelConfig { max_seq: 48, ..ModelConfig::tiny(64) };
+        let p = Params::init(cfg, &mut Rng::seed_from(19));
         for p in [p.clone(), p.quantized()] {
             let columns = op_columns(&p, 24, 3, 1);
             assert!(columns.iter().all(|col| col.iter().sum::<f64>() > 0.0), "no laps recorded");
@@ -936,9 +948,9 @@ mod tests {
     /// ```
     ///
     /// `op_columns` for S7b and S70b × f32/int8 at a 136-token prompt
-    /// (methods 2/3's length) and a readout of `READOUT_LANES` forks (the
-    /// fast preset's eight variants and ~16 rows per question), each op the
-    /// median of `REPS` runs, in µs per row and as a share of the row.
+    /// (methods 2/3's length) and readouts of `READOUT_LANES` forks (the
+    /// fast preset's eight variants) of 1, 2, 3 and 16 rows each, each op
+    /// the median of `REPS` runs, in µs per row and as a share of the row.
     #[test]
     #[ignore]
     fn op_budget() {
@@ -954,21 +966,30 @@ mod tests {
                 println!(
                     "op_budget {tier:?} {:?} ({:?} kernels): us/row (share)   \
                      prefill rows {}..{PROMPT}   decode row at {PROMPT}   \
-                     readout {READOUT_LANES} x {READOUT_ROWS} rows at {PROMPT}",
+                     readouts of {READOUT_LANES} lanes x {READOUT_ROWS:?} rows at {PROMPT}",
                     p.cfg.precision,
                     astro_tensor::simd(),
                     PROMPT - PREFILL_ROWS
                 );
+                print!("  {:<10}", "");
+                let readouts = READOUT_ROWS.map(|r| format!("readout x{r}"));
+                for head in ["prefill", "decode"].into_iter().chain(readouts.iter().map(String::as_str)) {
+                    print!(" {head:>18}");
+                }
+                println!();
                 let totals = columns.map(|col| col.iter().sum::<f64>());
                 for (op, name) in OPS.iter().enumerate() {
                     print!("  {name:<10}");
                     for (col, total) in columns.iter().zip(totals) {
-                        print!(" {:8.1} ({:4.1} %)  ", col[op], 100.0 * col[op] / total);
+                        print!(" {:8.1} ({:4.1} %) ", col[op], 100.0 * col[op] / total);
                     }
                     println!();
                 }
-                let [prefill, decode, readout] = totals;
-                println!("  {:<10} {prefill:8.1}            {decode:8.1}            {readout:8.1}", "row");
+                print!("  {:<10}", "row");
+                for total in totals {
+                    print!(" {total:8.1}          ");
+                }
+                println!();
             }
         }
     }

@@ -225,11 +225,6 @@ impl ModelConfig {
         6.0 * p + 6.0 * attn
     }
 
-    /// Approximate inference FLOPs per token (forward only).
-    pub fn infer_flops_per_token(&self) -> f64 {
-        self.train_flops_per_token() / 3.0
-    }
-
     /// Resident bytes of one [`infer::InferenceSession`] for this
     /// configuration: per-layer KV caches plus step scratch, logits and
     /// the RoPE tables. The `astro-serve` prefix cache derives its
@@ -391,7 +386,6 @@ mod tests {
         let small = ModelConfig::tier(Tier::S7b, 512);
         let large = ModelConfig::tier(Tier::S70b, 512);
         assert!(large.train_flops_per_token() > small.train_flops_per_token());
-        assert!(small.infer_flops_per_token() < small.train_flops_per_token());
     }
 
     #[test]

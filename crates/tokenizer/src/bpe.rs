@@ -2,13 +2,29 @@
 //!
 //! Standard byte-pair-encoding trainer over a word-segmented corpus:
 //! count the frequency of every adjacent token pair across all distinct
-//! chunks (weighted by chunk frequency), merge the most frequent pair,
-//! repeat until the target vocabulary size. Chunk deduplication makes
-//! training cost proportional to the number of *distinct* words rather
-//! than corpus length.
+//! chunks (weighted by chunk frequency), merge the most frequent pair
+//! (ties to the smallest pair), repeat until the target vocabulary size
+//! or until the best pair occurs fewer than `min_pair_count` times.
+//! Chunk deduplication makes training cost proportional to the number of
+//! *distinct* words rather than corpus length.
+//!
+//! The counts are kept across merges rather than recounted. Beside them
+//! sit an index from each pair to the chunks it may occur in and a
+//! max-heap of `(count, pair)` entries, stale ones skipped when popped.
+//! A merge of `(a, b)` into `n` touches only the chunks indexed under
+//! `(a, b)`: each one's pairs are subtracted, the merge applied, and its
+//! new pairs added back, indexing the chunk under the ones that hold `n`
+//! (every pair a merge creates does). A pair whose count falls to zero
+//! leaves the counts, so it never competes. The merges equal the
+//! recount trainer's, which the tests keep as the oracle.
 
 use crate::{segment, TokenId, Tokenizer, SPECIALS};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
+
+/// An adjacent token pair, left then right.
+type Pair = (TokenId, TokenId);
 
 /// Configuration for [`train_bpe`].
 #[derive(Clone, Debug)]
@@ -42,61 +58,94 @@ pub fn train_bpe(docs: &[String], config: &BpeTrainerConfig) -> Tokenizer {
     let base = 256 + SPECIALS.len();
     let target_merges = config.vocab_size.saturating_sub(base);
 
-    // Collect distinct chunks with frequencies.
+    // Each distinct chunk as a mutable token sequence, with its frequency.
     let mut chunk_freq: HashMap<&str, u64> = HashMap::new();
     for doc in docs {
         for chunk in segment(doc) {
             *chunk_freq.entry(chunk).or_insert(0) += 1;
         }
     }
-    // Each chunk as a mutable token sequence.
     let mut chunks: Vec<(Vec<TokenId>, u64)> = chunk_freq
         .into_iter()
         .map(|(s, f)| (s.bytes().map(|b| b as TokenId).collect(), f))
         .collect();
-    // Deterministic order regardless of hash iteration.
-    chunks.sort_unstable();
 
-    let mut merges: Vec<(TokenId, TokenId)> = Vec::with_capacity(target_merges);
-
-    for merge_idx in 0..target_merges {
-        // Count adjacent pairs.
-        let mut pair_counts: HashMap<(TokenId, TokenId), u64> = HashMap::new();
-        for (ids, freq) in &chunks {
-            for w in ids.windows(2) {
-                *pair_counts.entry((w[0], w[1])).or_insert(0) += freq;
+    // Pair counts, the chunks each pair may occur in, and a max-heap of
+    // (count, smallest pair first) entries; an entry whose count is no
+    // longer the pair's is stale and skipped when popped.
+    let mut counts: HashMap<Pair, u64> = HashMap::new();
+    let mut holders: HashMap<Pair, Vec<usize>> = HashMap::new();
+    for (c, (ids, freq)) in chunks.iter().enumerate() {
+        for w in ids.windows(2) {
+            let pair = (w[0], w[1]);
+            *counts.entry(pair).or_insert(0) += freq;
+            let list = holders.entry(pair).or_default();
+            if list.last() != Some(&c) {
+                list.push(c);
             }
         }
-        // Best pair; ties broken by smallest pair ids for determinism.
-        let best = pair_counts
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(&p, &c)| (p, c));
-        let Some((pair, count)) = best else { break };
+    }
+    let mut heap: BinaryHeap<(u64, Reverse<Pair>)> =
+        counts.iter().map(|(&pair, &count)| (count, Reverse(pair))).collect();
+
+    let mut merges: Vec<Pair> = Vec::with_capacity(target_merges);
+    let mut touched: Vec<Pair> = Vec::new();
+    while merges.len() < target_merges {
+        let Some((count, Reverse(pair))) = heap.pop() else { break };
+        if counts.get(&pair) != Some(&count) {
+            continue;
+        }
         if count < config.min_pair_count {
             break;
         }
-        let new_id = (base + merge_idx) as TokenId;
+        let new_id = (base + merges.len()) as TokenId;
         merges.push(pair);
-        // Apply the merge to every chunk.
-        for (ids, _) in &mut chunks {
+        // Re-count only the chunks that held `pair`: merging leaves no
+        // occurrence of it (its count falls to zero and leaves `counts`),
+        // and every pair it creates holds `new_id`.
+        for c in holders.remove(&pair).unwrap_or_default() {
+            let (ids, freq) = &mut chunks[c];
+            for w in ids.windows(2) {
+                let old = (w[0], w[1]);
+                if let Entry::Occupied(mut n) = counts.entry(old) {
+                    *n.get_mut() -= *freq;
+                    if *n.get() == 0 {
+                        n.remove();
+                    }
+                }
+                touched.push(old);
+            }
             apply_merge(ids, pair, new_id);
+            for w in ids.windows(2) {
+                let now = (w[0], w[1]);
+                *counts.entry(now).or_insert(0) += *freq;
+                touched.push(now);
+                if now.0 == new_id || now.1 == new_id {
+                    let list = holders.entry(now).or_default();
+                    if list.last() != Some(&c) {
+                        list.push(c);
+                    }
+                }
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for pair in touched.drain(..) {
+            if let Some(&count) = counts.get(&pair) {
+                heap.push((count, Reverse(pair)));
+            }
         }
     }
 
     // Append merges for any required pieces the corpus statistics missed.
-    let mut tok = Tokenizer::from_merges(merges.clone());
+    let mut tok = Tokenizer::from_merges(merges);
     for piece in &config.ensure_pieces {
         while tok.token_for_str(piece).is_none() {
-            let ids = {
-                let mut out = Vec::new();
-                // Encode as a single chunk so merges can span the piece.
-                tok.encode_raw_chunk(piece.as_bytes(), &mut out);
-                out
-            };
+            let mut ids = Vec::new();
+            // Encode as a single chunk so merges can span the piece.
+            tok.encode_chunk(piece.as_bytes(), &mut ids);
             debug_assert!(ids.len() >= 2, "piece {piece:?} should need a merge");
-            merges.push((ids[0], ids[1]));
-            tok = Tokenizer::from_merges(merges.clone());
+            tok.push_merge((ids[0], ids[1]));
         }
     }
     tok
@@ -123,8 +172,120 @@ fn apply_merge(ids: &mut Vec<TokenId>, pair: (TokenId, TokenId), new_id: TokenId
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use astro_prng::Rng;
+
+    /// The recount trainer: every pair counted afresh for every merge, and
+    /// the tokenizer rebuilt for every appended merge. The oracle
+    /// [`train_bpe`] must match merge for merge.
+    fn train_bpe_recount(docs: &[String], config: &BpeTrainerConfig) -> Tokenizer {
+        let base = 256 + SPECIALS.len();
+        let target_merges = config.vocab_size.saturating_sub(base);
+        let mut chunk_freq: HashMap<&str, u64> = HashMap::new();
+        for doc in docs {
+            for chunk in segment(doc) {
+                *chunk_freq.entry(chunk).or_insert(0) += 1;
+            }
+        }
+        let mut chunks: Vec<(Vec<TokenId>, u64)> = chunk_freq
+            .into_iter()
+            .map(|(s, f)| (s.bytes().map(|b| b as TokenId).collect(), f))
+            .collect();
+        chunks.sort_unstable();
+        let mut merges: Vec<Pair> = Vec::with_capacity(target_merges);
+        for merge_idx in 0..target_merges {
+            let mut pair_counts: HashMap<Pair, u64> = HashMap::new();
+            for (ids, freq) in &chunks {
+                for w in ids.windows(2) {
+                    *pair_counts.entry((w[0], w[1])).or_insert(0) += freq;
+                }
+            }
+            let best = pair_counts
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+                .map(|(&p, &c)| (p, c));
+            let Some((pair, count)) = best else { break };
+            if count < config.min_pair_count {
+                break;
+            }
+            let new_id = (base + merge_idx) as TokenId;
+            merges.push(pair);
+            for (ids, _) in &mut chunks {
+                apply_merge(ids, pair, new_id);
+            }
+        }
+        let mut tok = Tokenizer::from_merges(merges.clone());
+        for piece in &config.ensure_pieces {
+            while tok.token_for_str(piece).is_none() {
+                let mut ids = Vec::new();
+                tok.encode_chunk(piece.as_bytes(), &mut ids);
+                merges.push((ids[0], ids[1]));
+                tok = Tokenizer::from_merges(merges.clone());
+            }
+        }
+        tok
+    }
+
+    /// A seeded random corpus over a small alphabet: words of one to
+    /// eight letters (runs like `aaaa` are common with two or three
+    /// letters), single and double spaces, newlines, and multibyte
+    /// letters in some alphabets.
+    pub(crate) fn random_docs(rng: &mut Rng) -> Vec<String> {
+        const LETTERS: [&str; 10] = ["a", "b", "c", "d", "e", "f", "é", "☉", "σ", "A"];
+        let alphabet = &LETTERS[..rng.range(1, LETTERS.len() + 1)];
+        (0..rng.range(1, 5))
+            .map(|_| {
+                let mut doc = String::new();
+                for _ in 0..rng.range(0, 80) {
+                    match rng.index(10) {
+                        0 => doc.push('\n'),
+                        1 => doc.push_str("  "),
+                        _ => doc.push(' '),
+                    }
+                    for _ in 0..rng.range(1, 9) {
+                        doc.push_str(alphabet[rng.index(alphabet.len())]);
+                    }
+                }
+                doc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn incremental_training_matches_the_recount_oracle() {
+        let mut rng = Rng::seed_from(2024);
+        for case in 0..200 {
+            let docs = random_docs(&mut rng);
+            let mut ensure_pieces: Vec<String> = Vec::new();
+            let words: Vec<&str> = (docs.iter().flat_map(|d| segment(d)))
+                .filter(|w| w.len() > 1)
+                .collect();
+            for _ in 0..rng.index(5) {
+                let piece = match rng.index(4) {
+                    0 => " ☉ A".to_string(),
+                    1 => "Answer:".to_string(),
+                    // A corpus word: often learned already, or built from
+                    // pieces whose bytes an earlier merge already spells.
+                    2 if !words.is_empty() => rng.choose(&words).to_string(),
+                    _ => ensure_pieces.last().cloned().unwrap_or_else(|| " B".to_string()),
+                };
+                ensure_pieces.push(piece);
+            }
+            let config = BpeTrainerConfig {
+                vocab_size: 256 + SPECIALS.len() + rng.index(120),
+                min_pair_count: *rng.choose(&[0, 1, 2, 1000]),
+                ensure_pieces,
+            };
+            let want = train_bpe_recount(&docs, &config);
+            let got = train_bpe(&docs, &config);
+            assert_eq!(got.merges(), want.merges(), "case {case}: {config:?}");
+            assert_eq!(got.pieces, want.pieces, "case {case}");
+            for piece in &want.pieces {
+                assert_eq!(got.piece_ids.get(piece), want.piece_ids.get(piece), "case {case}");
+            }
+        }
+    }
 
     #[test]
     fn apply_merge_basic() {

@@ -16,7 +16,10 @@
 //! The implementation is a standard pair-merge BPE: training counts
 //! adjacent-pair frequencies over a word-segmented corpus and greedily
 //! merges the most frequent pair; encoding applies merges in rank order
-//! with a per-chunk cache.
+//! within each chunk. [`Tokenizer::encode_docs`], the packing call, keeps
+//! a per-chunk cache for the length of one call: each distinct chunk of
+//! its documents is encoded once and copied wherever it recurs. The
+//! tokenizer itself holds no cache and never changes once trained.
 
 mod bpe;
 mod chat;
@@ -26,7 +29,9 @@ pub use bpe::{train_bpe, BpeTrainerConfig};
 pub use chat::{ChatMessage, ChatTemplate, Role};
 pub use serial::SerialError;
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Special tokens, in id order directly after the 256 byte tokens.
 pub const SPECIALS: [&str; 7] = [
@@ -60,30 +65,21 @@ pub struct Tokenizer {
 impl Tokenizer {
     /// Construct from merge rules (normally via [`train_bpe`]).
     pub fn from_merges(merges: Vec<(TokenId, TokenId)>) -> Self {
-        let mut pieces: Vec<Vec<u8>> = (0..=255u8).map(|b| vec![b]).collect();
-        for s in SPECIALS {
-            pieces.push(s.as_bytes().to_vec());
-        }
-        let mut merge_map = HashMap::with_capacity(merges.len());
-        for (rank, &(a, b)) in merges.iter().enumerate() {
-            let id = (pieces.len()) as TokenId;
-            debug_assert_eq!(id as usize, 256 + SPECIALS.len() + rank);
-            let mut piece = pieces[a as usize].clone();
-            piece.extend_from_slice(&pieces[b as usize]);
-            pieces.push(piece);
-            merge_map.insert((a, b), id);
-        }
-        let piece_ids = pieces
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i as TokenId))
+        let pieces: Vec<Vec<u8>> = (0..=255u8)
+            .map(|b| vec![b])
+            .chain(SPECIALS.iter().map(|s| s.as_bytes().to_vec()))
             .collect();
-        Tokenizer {
-            merges,
-            merge_map,
+        let piece_ids = pieces.iter().enumerate().map(|(i, p)| (p.clone(), i as TokenId)).collect();
+        let mut tok = Tokenizer {
+            merges: Vec::with_capacity(merges.len()),
+            merge_map: HashMap::with_capacity(merges.len()),
             pieces,
             piece_ids,
+        };
+        for pair in merges {
+            tok.push_merge(pair);
         }
+        tok
     }
 
     /// Total vocabulary size (bytes + specials + merges).
@@ -156,6 +152,31 @@ impl Tokenizer {
         out
     }
 
+    /// Encode documents into one packed stream, `<bos> doc <eos>` for
+    /// each: the concatenation of every `encode_with_bounds(doc, true)`.
+    /// Merges never cross chunk boundaries, so each distinct chunk is
+    /// encoded once and its ids copied from its first occurrence in the
+    /// stream wherever it recurs; the memo lives only for this call.
+    pub fn encode_docs<'a>(&self, docs: impl IntoIterator<Item = &'a str>) -> Vec<TokenId> {
+        let mut out = Vec::new();
+        let mut memo: HashMap<&str, Range<usize>> = HashMap::new();
+        for text in docs {
+            out.push(self.bos());
+            for chunk in segment(text) {
+                match memo.entry(chunk) {
+                    Entry::Occupied(first) => out.extend_from_within(first.get().clone()),
+                    Entry::Vacant(slot) => {
+                        let start = out.len();
+                        self.encode_chunk(chunk.as_bytes(), &mut out);
+                        slot.insert(start..out.len());
+                    }
+                }
+            }
+            out.push(self.eos());
+        }
+        out
+    }
+
     /// Apply merges to one pre-tokenised chunk, appending ids to `out`.
     fn encode_chunk(&self, bytes: &[u8], out: &mut Vec<TokenId>) {
         let mut ids: Vec<TokenId> = bytes.iter().map(|&b| b as TokenId).collect();
@@ -205,10 +226,16 @@ impl Tokenizer {
         &self.merges
     }
 
-    /// Encode raw bytes as one chunk (merges may span the whole piece),
-    /// used by the trainer to build required pieces.
-    pub(crate) fn encode_raw_chunk(&self, bytes: &[u8], out: &mut Vec<TokenId>) {
-        self.encode_chunk(bytes, out);
+    /// Append one merge rule: its piece gets the next id, which replaces
+    /// any earlier id with the same bytes in the exact lookup.
+    pub(crate) fn push_merge(&mut self, (a, b): (TokenId, TokenId)) {
+        let id = self.pieces.len() as TokenId;
+        let mut piece = self.pieces[a as usize].clone();
+        piece.extend_from_slice(&self.pieces[b as usize]);
+        self.piece_ids.insert(piece.clone(), id);
+        self.pieces.push(piece);
+        self.merge_map.insert((a, b), id);
+        self.merges.push((a, b));
     }
 }
 
@@ -374,6 +401,35 @@ mod tests {
     fn from_bytes_rejects_garbage() {
         assert!(Tokenizer::from_bytes(&[1, 2, 3]).is_err());
         assert!(Tokenizer::from_bytes(&[]).is_err());
+    }
+
+    #[test]
+    fn the_last_of_two_equal_pieces_wins_the_lookup() {
+        // "abc" twice, as (ab, c) and as (a, bc): the exact lookup keeps
+        // the later id, as the trainer's appended merges rely on.
+        let [a, b, c] = [b'a', b'b', b'c'].map(TokenId::from);
+        let base = (256 + SPECIALS.len()) as TokenId;
+        let tok = Tokenizer::from_merges(vec![(a, b), (base, c), (b, c), (a, base + 2)]);
+        assert_eq!(tok.piece(base + 1), tok.piece(base + 3));
+        assert_eq!(tok.token_for_str("abc"), Some(base + 3));
+    }
+
+    #[test]
+    fn encode_docs_equals_encode_with_bounds_concatenated() {
+        let mut rng = astro_prng::Rng::seed_from(51);
+        for case in 0..100 {
+            let corpus = bpe::tests::random_docs(&mut rng);
+            let tok = train_bpe(
+                &corpus,
+                &BpeTrainerConfig { vocab_size: 256 + SPECIALS.len() + 60, ..Default::default() },
+            );
+            let mut docs = bpe::tests::random_docs(&mut rng);
+            docs.extend(["", " ", "a  b\n\n c", "σ Ori — a 5.2 M☉ star  ☉"].map(String::from));
+            docs.extend(corpus);
+            let want: Vec<TokenId> =
+                docs.iter().flat_map(|d| tok.encode_with_bounds(d, true)).collect();
+            assert_eq!(tok.encode_docs(docs.iter().map(String::as_str)), want, "case {case}");
+        }
     }
 
     #[test]

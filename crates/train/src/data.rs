@@ -31,11 +31,7 @@ impl TokenStream {
 
 /// Tokenise and pack documents: `<bos> doc <eos> <bos> doc <eos> ...`.
 pub fn pack_documents(tok: &Tokenizer, docs: &[Document]) -> TokenStream {
-    let mut tokens = Vec::with_capacity(docs.len() * 64);
-    for d in docs {
-        tokens.extend(tok.encode_with_bounds(&d.text, true));
-    }
-    TokenStream { tokens }
+    TokenStream { tokens: tok.encode_docs(docs.iter().map(|d| d.text.as_str())) }
 }
 
 /// One training batch: `batch*seq` inputs plus shifted targets and mask.
