@@ -26,13 +26,6 @@ pub fn value_ratio(delta_points: f64) -> f64 {
     10f64.powf(delta_points / POINTS_PER_DECADE)
 }
 
-/// Express one gain as a fraction of another (e.g. the paper's "two-thirds
-/// of the Haiku→Sonnet gain").
-pub fn gain_fraction(delta_points: f64, reference_delta: f64) -> f64 {
-    assert!(reference_delta != 0.0, "reference gain must be non-zero");
-    delta_points / reference_delta
-}
-
 /// Summarise a measured gain in the paper's terms.
 #[derive(Clone, Debug)]
 pub struct ValueSummary {
@@ -79,16 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn gain_fraction_reproduces_two_thirds_claim() {
-        // The paper calls +2.1 "two-thirds of the performance gain between
-        // Claude-Haiku and Claude-Sonnet", implying that reference step is
-        // ≈ 3.15 points.
-        let reference = PAPER_70B_BASE_GAIN / (2.0 / 3.0);
-        let frac = gain_fraction(PAPER_70B_BASE_GAIN, reference);
-        assert!((frac - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn flagship_scores_bracket_the_70b_model() {
         // 76.0 sits between GLM-4 (75.1) and Gemini-1.5-Pro (77.6).
         let best = FLAGSHIP_SCORES
@@ -107,11 +90,5 @@ mod tests {
         let s = summarize_gain(76.0, 73.9);
         assert!((s.delta_points - 2.1).abs() < 1e-9);
         assert!(s.value_multiplier > 1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_reference_panics() {
-        gain_fraction(1.0, 0.0);
     }
 }

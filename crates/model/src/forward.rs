@@ -580,6 +580,7 @@ mod tests {
                     layout: crate::params::Layout::new(&cfg),
                     data: data.to_vec(),
                     quant: None,
+                    panels: None,
                 };
                 let mut c2 = TrainContext::new(cfg, 2, 4);
                 c2.loss(&pp, &tokens, &targets, &mask)

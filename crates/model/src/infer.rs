@@ -55,13 +55,16 @@
 //! Weight precision enters at the linear layers only: `norm_rows` and the
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
 //! rows as f32, or as int8 with one scale per row, and `linear` multiplies
-//! them by the f32 weight or its int8 copy. RoPE, attention, the residual
-//! stream and the KV cache are f32 under both precisions.
+//! them by the f32 weight or its int8 copy — f32 rows by the weight's
+//! panel copy when the params carry one (`Params::frozen`, what an engine
+//! serves on an AVX-512 CPU). RoPE, attention, the residual stream and the
+//! KV cache are f32 under both precisions.
 //!
 //! How a token stream is split into calls — or stacked with other
 //! sessions' rows — never changes a bit of the result: on the f32 path
 //! every output element is the same [`dot`] over the same operands
-//! whatever the row blocking (`matmul_a_bt`'s contract), on the int8 path
+//! whatever the row blocking and whether the panels or the row-major
+//! weight ran (`matmul_a_bt`'s contract, and `Panels`'), on the int8 path
 //! the integer accumulation is exact, attention returns each (row, head)
 //! the bits of the naive per-key loops whatever rows share its call
 //! (`attend_rows`' contract), and every other op is per row
@@ -73,6 +76,7 @@ use astro_quant::QuantMatrix;
 use astro_tensor::attention::{attend_rows, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops;
+use astro_tensor::Panels;
 use astro_tensor::qmatmul::{quantize_rows_q8, rmsnorm_quantize_row, swiglu_quantize_row};
 use std::time::Instant;
 
@@ -414,6 +418,7 @@ impl InferenceSession {
             WeightPrecision::F32 => None,
         };
         let int8 = quant.is_some();
+        let panels = p.panels.as_ref();
         // A panic below (a token out of vocab) leaves the first lane an
         // empty scratch, which its next call grows back.
         let mut s = std::mem::take(&mut lanes[0].session.scratch);
@@ -439,12 +444,19 @@ impl InferenceSession {
         for l in 0..cfg.n_layers {
             let lay = &p.layout.layers[l];
             let ql = quant.map(|qp| &qp.layers[l]);
+            let pl = panels.map(|pp| &pp.layers[l]);
+            // Layer weight `$w` in each form the params carry.
+            macro_rules! weight {
+                ($w:ident) => {
+                    (p.view(&lay.$w), ql.map(|q| &q.$w), pl.map(|w| &w.$w))
+                };
+            }
             s.norm_rows(&cfg, p.view(&lay.attn_norm), int8);
             lap(0);
             let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
-            linear(&mut s.q, p.view(&lay.wq), ql.map(|q| &q.wq), a, aq, sc, m);
-            linear(&mut s.proj, p.view(&lay.wk), ql.map(|q| &q.wk), a, aq, sc, m);
-            linear(&mut s.attn_out, p.view(&lay.wv), ql.map(|q| &q.wv), a, aq, sc, m);
+            linear(&mut s.q, weight!(wq), a, aq, sc, m);
+            linear(&mut s.proj, weight!(wk), a, aq, sc, m);
+            linear(&mut s.attn_out, weight!(wv), a, aq, sc, m);
             lap(1);
             let mut r0 = 0;
             for lane in lanes.iter_mut() {
@@ -465,20 +477,20 @@ impl InferenceSession {
             }
             lap(4);
             let (a, aq, sc) = (&s.attn_out, &s.qx, &s.row_scale);
-            linear(&mut s.proj, p.view(&lay.wo), ql.map(|q| &q.wo), a, aq, sc, m);
+            linear(&mut s.proj, weight!(wo), a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
             lap(5);
             // FFN.
             s.norm_rows(&cfg, p.view(&lay.ffn_norm), int8);
             lap(0);
             let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
-            linear(&mut s.gate, p.view(&lay.w_gate), ql.map(|q| &q.w_gate), a, aq, sc, m);
-            linear(&mut s.up, p.view(&lay.w_up), ql.map(|q| &q.w_up), a, aq, sc, m);
+            linear(&mut s.gate, weight!(w_gate), a, aq, sc, m);
+            linear(&mut s.up, weight!(w_up), a, aq, sc, m);
             lap(6);
             s.swiglu_rows(f, int8);
             lap(7);
             let (a, aq, sc) = (&s.act, &s.qf, &s.row_scale);
-            linear(&mut s.proj, p.view(&lay.w_down), ql.map(|q| &q.w_down), a, aq, sc, m);
+            linear(&mut s.proj, weight!(w_down), a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
             lap(6);
         }
@@ -492,11 +504,11 @@ impl InferenceSession {
         s.norm_rows(&cfg, p.view(&p.layout.final_norm), int8);
         lap(0);
         // Tied LM head: logits[v] = ln · embed_row(v).
-        let lm_head = quant.map(|qp| &qp.lm_head);
+        let head = (embed, quant.map(|qp| &qp.lm_head), panels.map(|pp| &pp.lm_head));
         let rows = s.row_scale.len();
         match all_rows {
             Some(out) => {
-                linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
+                linear(out, head, &s.ln, &s.qx, &s.row_scale, rows);
                 let mut r0 = 0;
                 for lane in lanes.iter_mut() {
                     r0 += lane.tokens.len();
@@ -506,7 +518,7 @@ impl InferenceSession {
             }
             None => {
                 let out = &mut lanes[0].session.logits;
-                linear(out, embed, lm_head, &s.ln, &s.qx, &s.row_scale, rows);
+                linear(out, head, &s.ln, &s.qx, &s.row_scale, rows);
             }
         }
         lap(8);
@@ -619,21 +631,26 @@ impl Scratch {
 }
 
 /// `out = a · Wᵀ` for `m` activation rows — the one place weight
-/// precision is chosen. With the int8 copy `wq` of the weight, the rows
+/// precision is chosen. `w` is the f32 weight with its int8 copy `wq` and
+/// its panel copy `wp` where the params carry them. With `wq`, the rows
 /// are read as int8 `aq` with one scale each; without it, as f32 `a`
-/// against the f32 weight `w`.
+/// against the panels when there are some, else against the f32 weight —
+/// the same bits either way.
 fn linear(
     out: &mut [f32],
-    w: &[f32],
-    wq: Option<&QuantMatrix>,
+    (w, wq, wp): (&[f32], Option<&QuantMatrix>, Option<&Panels>),
     a: &[f32],
     aq: &[i8],
     scales: &[f32],
     m: usize,
 ) {
-    match wq {
-        Some(wq) => wq.matmul_chunk(out, aq, scales, m),
-        None => matmul_a_bt(out, a, w, m, a.len() / m, out.len() / m),
+    match (wq, wp) {
+        (Some(wq), _) => wq.matmul_chunk(out, aq, scales, m),
+        (None, Some(wp)) => {
+            out.fill(0.0);
+            wp.a_bt_acc(out, a, m);
+        }
+        (None, None) => matmul_a_bt(out, a, w, m, a.len() / m, out.len() / m),
     }
 }
 
@@ -867,9 +884,16 @@ mod tests {
     /// `prompt`-token prompt, the decode row after it, and a stacked score
     /// readout at that position for each of `READOUT_ROWS` — `lanes` forks
     /// of the prompt fed that many continuation rows each in one all-rows
-    /// forward. Every recorded forward's logits must equal
-    /// `try_feed_prompt`'s, `feed`'s and `try_feed_lanes`' bit for bit.
-    fn op_columns(p: &Params, prompt: usize, lanes: usize, reps: usize) -> [[f64; OPS.len()]; COLUMNS] {
+    /// forward. Every recorded forward's logits must equal, bit for bit,
+    /// what `try_feed_prompt`, `feed` and `try_feed_lanes` return on
+    /// `reference` — the same weights as `p`, with or without a panel copy.
+    fn op_columns(
+        reference: &Params,
+        p: &Params,
+        prompt: usize,
+        lanes: usize,
+        reps: usize,
+    ) -> [[f64; OPS.len()]; COLUMNS] {
         fn readout<'a>(forks: &'a mut [InferenceSession], variants: &'a [Vec<u32>]) -> Vec<Lane<'a>> {
             forks.iter_mut().zip(variants).map(|(session, tokens)| Lane { session, tokens }).collect()
         }
@@ -878,11 +902,11 @@ mod tests {
         let (head, block) = tokens[..prompt].split_at(prompt - PREFILL_ROWS);
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut base = InferenceSession::new(p.cfg);
-        base.try_feed_prompt(p, head).unwrap();
+        base.try_feed_prompt(reference, head).unwrap();
         let mut oracle = base.clone();
-        let block_logits = bits(oracle.try_feed_prompt(p, block).unwrap());
+        let block_logits = bits(oracle.try_feed_prompt(reference, block).unwrap());
         let prompted = oracle.clone();
-        let decode_logits = bits(oracle.feed(p, tokens[prompt]));
+        let decode_logits = bits(oracle.feed(reference, tokens[prompt]));
         let mut forks: Vec<InferenceSession> = vec![prompted.clone(); lanes];
         let readouts = READOUT_ROWS.map(|rows| {
             let variants: Vec<Vec<u32>> = (0..lanes)
@@ -892,7 +916,7 @@ mod tests {
                 fork.assign_from(&prompted);
             }
             let mut logits = vec![0.0; lanes * rows * vocab];
-            InferenceSession::try_feed_lanes(p, &mut readout(&mut forks, &variants), &mut logits).unwrap();
+            InferenceSession::try_feed_lanes(reference, &mut readout(&mut forks, &variants), &mut logits).unwrap();
             (variants, bits(&logits))
         });
 
@@ -930,13 +954,19 @@ mod tests {
     #[test]
     fn recorded_forward_matches_the_entry_points() {
         // `op_budget`'s bit checks, one rep on the tiny model (its context
-        // stretched to fit the longest readout): recording laps changes no
-        // logit of a prefill block, a decode row or a stacked readout.
-        let cfg = ModelConfig { max_seq: 48, ..ModelConfig::tiny(64) };
-        let p = Params::init(cfg, &mut Rng::seed_from(19));
-        for p in [p.clone(), p.quantized()] {
-            let columns = op_columns(&p, 24, 3, 1);
-            assert!(columns.iter().all(|col| col.iter().sum::<f64>() > 0.0), "no laps recorded");
+        // stretched to fit the longest readout) and the S7b and S70b tiers:
+        // recording laps changes no logit of a prefill block, a decode row
+        // or a stacked readout, and neither does the f32 forward's panel
+        // copy, whatever kernel level this CPU runs it at.
+        use crate::Tier;
+        let tiny = ModelConfig { max_seq: 48, ..ModelConfig::tiny(64) };
+        for cfg in [tiny, ModelConfig::tier(Tier::S7b, 512), ModelConfig::tier(Tier::S70b, 512)] {
+            let p = Params::init(cfg, &mut Rng::seed_from(19));
+            let (q, panelled) = (p.clone().quantized(), p.clone().with_panels());
+            for (reference, recorded) in [(&p, &p), (&p, &panelled), (&q, &q)] {
+                let columns = op_columns(reference, recorded, 24, 3, 1);
+                assert!(columns.iter().all(|col| col.iter().sum::<f64>() > 0.0), "no laps recorded");
+            }
         }
     }
 
@@ -961,14 +991,18 @@ mod tests {
         for tier in [Tier::S7b, Tier::S70b] {
             let f32_params = Params::init(ModelConfig::tier(tier, 512), &mut Rng::seed_from(19));
             let int8_params = f32_params.clone().quantized();
-            for p in [&f32_params, &int8_params] {
-                let columns = op_columns(p, PROMPT, READOUT_LANES, REPS);
+            // The f32 weights as an engine serves them (`Params::frozen`),
+            // checked against the plain ones.
+            let served = f32_params.clone().frozen();
+            for (reference, p) in [(&f32_params, &served), (&int8_params, &int8_params)] {
+                let columns = op_columns(reference, p, PROMPT, READOUT_LANES, REPS);
                 println!(
-                    "op_budget {tier:?} {:?} ({:?} kernels): us/row (share)   \
+                    "op_budget {tier:?} {:?} ({:?} kernels{}): us/row (share)   \
                      prefill rows {}..{PROMPT}   decode row at {PROMPT}   \
                      readouts of {READOUT_LANES} lanes x {READOUT_ROWS:?} rows at {PROMPT}",
                     p.cfg.precision,
                     astro_tensor::simd(),
+                    if p.panels.is_some() { ", panels" } else { "" },
                     PROMPT - PREFILL_ROWS
                 );
                 print!("  {:<10}", "");

@@ -12,6 +12,7 @@
 use crate::{ModelConfig, WeightPrecision};
 use astro_prng::Rng;
 use astro_quant::{QuantLayer, QuantMatrix, QuantParams};
+use astro_tensor::{Panels, Simd};
 
 /// Byte offsets (in f32 elements) of every tensor in the flat buffer.
 #[derive(Clone, Debug)]
@@ -98,6 +99,54 @@ pub struct Params {
     /// f32 buffer stays authoritative — training, checkpoints and the
     /// golden reference always read `data`.
     pub quant: Option<QuantParams>,
+    /// Derived panel copy of the matmul weights ([`Panels`]), present iff
+    /// [`Params::with_panels`] packed it: the f32 inference path runs its
+    /// linears on it, bit for bit what `data` gives. Like `quant`, it does
+    /// not follow later writes to `data` — only a frozen copy carries it
+    /// ([`Params::frozen`], what an inference engine holds).
+    pub panels: Option<PanelParams>,
+}
+
+/// The panel copy of one transformer block's seven matmul weights.
+#[derive(Clone, Debug)]
+pub struct PanelLayer {
+    /// Query projection.
+    pub wq: Panels,
+    /// Key projection.
+    pub wk: Panels,
+    /// Value projection.
+    pub wv: Panels,
+    /// Output projection.
+    pub wo: Panels,
+    /// SwiGLU gate projection.
+    pub w_gate: Panels,
+    /// SwiGLU up projection.
+    pub w_up: Panels,
+    /// SwiGLU down projection.
+    pub w_down: Panels,
+}
+
+/// The panel copy of a model's matmul weights: per-block layers plus the
+/// tied LM head (`[vocab, d]`, the embedding matrix).
+#[derive(Clone, Debug)]
+pub struct PanelParams {
+    /// One entry per transformer block.
+    pub layers: Vec<PanelLayer>,
+    /// The tied LM head.
+    pub lm_head: Panels,
+}
+
+impl PanelParams {
+    /// Resident bytes of every panel, zero padding included.
+    pub fn bytes(&self) -> usize {
+        let layer = |l: &PanelLayer| {
+            [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down]
+                .map(Panels::bytes)
+                .iter()
+                .sum::<usize>()
+        };
+        self.layers.iter().map(layer).sum::<usize>() + self.lm_head.bytes()
+    }
 }
 
 impl Params {
@@ -106,7 +155,13 @@ impl Params {
         cfg.assert_valid();
         let layout = Layout::new(&cfg);
         let data = vec![0.0; layout.total];
-        Params { cfg, layout, data, quant: None }
+        Params {
+            cfg,
+            layout,
+            data,
+            quant: None,
+            panels: None,
+        }
     }
 
     /// GPT-2-style initialisation: normals scaled by `0.02`, residual
@@ -187,18 +242,64 @@ impl Params {
         let lm_head =
             QuantMatrix::quantize(self.view(&self.layout.embed.clone()), self.cfg.vocab_size, d);
         self.quant = Some(QuantParams { layers, lm_head });
+        self.panels = None;
         self.cfg.precision = WeightPrecision::Int8;
         self
     }
 
+    /// Pack every matmul weight (attention and SwiGLU projections plus the
+    /// tied LM head) into the panel copy the f32 inference path multiplies
+    /// by. `data` stays authoritative and unchanged.
+    #[must_use]
+    pub fn with_panels(mut self) -> Self {
+        let d = self.cfg.d_model;
+        let ff = self.cfg.d_ff;
+        let pack =
+            |r: &std::ops::Range<usize>, n: usize, k: usize| Panels::pack(self.view(r), n, k);
+        let layers = self
+            .layout
+            .layers
+            .iter()
+            .map(|l| PanelLayer {
+                wq: pack(&l.wq, d, d),
+                wk: pack(&l.wk, d, d),
+                wv: pack(&l.wv, d, d),
+                wo: pack(&l.wo, d, d),
+                w_gate: pack(&l.w_gate, ff, d),
+                w_up: pack(&l.w_up, ff, d),
+                w_down: pack(&l.w_down, d, ff),
+            })
+            .collect();
+        let lm_head = pack(&self.layout.embed, self.cfg.vocab_size, d);
+        self.panels = Some(PanelParams { layers, lm_head });
+        self
+    }
+
+    /// These weights as an inference engine holds them, frozen: with the
+    /// panel copy when they are f32 and the CPU runs the AVX-512 panel
+    /// tile ([`Simd::Avx512`]; below it the panels would run only as
+    /// portable loops), as they are otherwise. Nothing may write `data`
+    /// afterwards.
+    #[must_use]
+    pub fn frozen(self) -> Self {
+        if self.cfg.precision == WeightPrecision::F32 && astro_tensor::simd() >= Simd::Avx512 {
+            self.with_panels()
+        } else {
+            self
+        }
+    }
+
     /// Resident bytes of the weights for the active precision: the f32
-    /// buffer for [`WeightPrecision::F32`], the int8 copy (elements +
-    /// scales) for [`WeightPrecision::Int8`]. The serve ledger uses this
-    /// to account model residency precision-aware.
+    /// buffer, plus its panel copy when one is packed, for
+    /// [`WeightPrecision::F32`]; the int8 copy (elements + scales) for
+    /// [`WeightPrecision::Int8`].
     pub fn weight_bytes(&self) -> usize {
         match (&self.quant, self.cfg.precision) {
             (Some(q), WeightPrecision::Int8) => q.bytes(),
-            _ => self.data.len() * std::mem::size_of::<f32>(),
+            _ => {
+                let panels = self.panels.as_ref().map_or(0, PanelParams::bytes);
+                self.data.len() * std::mem::size_of::<f32>() + panels
+            }
         }
     }
 }
@@ -275,6 +376,20 @@ mod tests {
         let nonzero = embed.iter().filter(|&&v| v != 0.0).count();
         assert!(nonzero > embed.len() / 2);
         assert!(embed.iter().all(|&v| v.abs() < 0.5));
+    }
+
+    #[test]
+    fn weight_bytes_count_the_panel_copy() {
+        // Each weight's panels hold its `n` output columns rounded up to
+        // sixteen, times `k`, as f32: S7b's widths are all multiples of 16,
+        // S70b's d_ff 392 pads to 400 (the copy is 0.7 % over its f32
+        // weights, norm gains included).
+        for (tier, panel_bytes) in [(Tier::S7b, 733_184), (Tier::S70b, 5_386_752)] {
+            let p = Params::init(ModelConfig::tier(tier, 512), &mut Rng::seed_from(4));
+            let f32_bytes = p.weight_bytes();
+            let packed = p.with_panels().weight_bytes();
+            assert_eq!(packed, f32_bytes + panel_bytes, "{tier:?}");
+        }
     }
 
     #[test]

@@ -199,14 +199,17 @@ fn lcp_len(a: &[u32], b: &[u32]) -> usize {
 }
 
 impl EvalEngine {
-    /// Build an engine for `params` with the given execution settings.
+    /// Build an engine for `params` with the given execution settings. The
+    /// engine serves its own frozen copy ([`Params::frozen`]: f32 weights
+    /// get their panel copy on an AVX-512 CPU), which nothing writes
+    /// afterwards.
     pub fn new(cfg: EngineConfig, params: &Params) -> Self {
         let model_cfg = params.cfg;
         let cache = PrefixCache::new(&model_cfg, cfg.max_cache_bytes);
         EvalEngine {
             cfg,
             model_cfg,
-            params: Arc::new(params.clone()),
+            params: Arc::new(params.clone().frozen()),
             cache: Arc::new(Mutex::new(cache)),
         }
     }

@@ -105,7 +105,7 @@ pub fn attend_rows_at(
         // and `scores` holds `score_rows(m)` rows of `p0 + m`, all asserted
         // above.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni => unsafe {
+        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe {
             x86::attend_rows(out, scores, q, k, v, width, head_dim, p0, scale)
         },
         _ => {

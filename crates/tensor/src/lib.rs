@@ -3,9 +3,14 @@
 //! The transformer in `astro-model` uses explicit forward/backward passes
 //! (llm.c style) over pre-allocated buffers, so this crate exposes *slice
 //! kernels* rather than a graph framework: blocked matrix multiplication in
-//! the three orientations backward passes need, fused softmax /
-//! cross-entropy / RMSNorm kernels, the per-head attention kernel of the
-//! inference path, and bf16 emulation matching the paper's bf16 training.
+//! the three orientations backward passes need, frozen weights packed into
+//! `k`-major panels for the inference path's 16-lane linears
+//! ([`Panels`]), fused softmax / cross-entropy / RMSNorm kernels, the
+//! attention kernel of the inference path, and bf16 emulation matching
+//! the paper's bf16 training. Vector kernels are picked at run time by one
+//! cached level, [`simd()`]: [`Simd::Portable`] < [`Simd::Avx2`] <
+//! [`Simd::Avx2Vnni`] < [`Simd::Avx512`], each level's CPU running every
+//! level below it.
 //!
 //! Design notes (following the Rust Performance Book guidance):
 //!
@@ -19,10 +24,12 @@ pub mod bf16;
 pub mod gradcheck;
 pub mod matmul;
 pub mod ops;
+pub mod panel;
 pub mod qmatmul;
 
 pub use bf16::{bf16_round, bf16_round_slice};
 pub use matmul::{matmul, matmul_at_b, matmul_a_bt};
+pub use panel::Panels;
 pub use qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_row_q8, quantize_rows_q8};
 
 /// A level of the runtime kernel dispatch, ordered: each level's CPU also
@@ -41,6 +48,11 @@ pub enum Simd {
     /// AVX2 plus AVX-VNNI: as [`Simd::Avx2`], with the q8 tile's
     /// multiply-add one `vpdpbusd`.
     Avx2Vnni,
+    /// AVX-512F on a CPU that runs every level below: as
+    /// [`Simd::Avx2Vnni`], plus the 16-lane tile of [`panel::Panels`] — the
+    /// f32 linears of frozen weights packed into `k`-major panels.
+    /// Multiply, then add, as ever.
+    Avx512,
 }
 
 /// The cached one-time CPU detection — the one switch every
@@ -65,10 +77,12 @@ fn detect() -> Simd {
     use std::arch::is_x86_feature_detected;
     if !is_x86_feature_detected!("avx2") || !is_x86_feature_detected!("fma") {
         Simd::Portable
-    } else if is_x86_feature_detected!("avxvnni") {
-        Simd::Avx2Vnni
-    } else {
+    } else if !is_x86_feature_detected!("avxvnni") {
         Simd::Avx2
+    } else if is_x86_feature_detected!("avx512f") {
+        Simd::Avx512
+    } else {
+        Simd::Avx2Vnni
     }
 }
 
@@ -85,7 +99,7 @@ pub(crate) mod tests {
     /// lacks is skipped with a note.
     pub(crate) fn host_levels() -> Vec<Simd> {
         let host = simd();
-        let levels = [Simd::Portable, Simd::Avx2, Simd::Avx2Vnni];
+        let levels = [Simd::Portable, Simd::Avx2, Simd::Avx2Vnni, Simd::Avx512];
         for level in levels.iter().filter(|&&level| level > host) {
             println!("skipping the {level:?} kernels: this CPU runs {host:?}");
         }

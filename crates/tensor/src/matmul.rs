@@ -546,13 +546,15 @@ mod tests {
     fn a_bt_is_bitwise_dot_at_every_tile_edge() {
         // The portable tile and the dispatched one (the AVX2 tile where the
         // host has it — there the portable loops are otherwise dead code),
-        // each against plain `dot`s: m and n on both sides of every tile
-        // multiple of either (4-row band; 2-, 4-, 8- and 16-column tiles,
-        // odd n), k below one quad, k with a scalar tail, k a quad but not
-        // an oct multiple (6, 12, 20), and the S7b / S70b layer shapes.
+        // and the panel kernel at every level the host runs, each against
+        // plain `dot`s: m and n on both sides of every tile multiple of any
+        // of them (4-row band; 2-, 4-, 8- and 16-column tiles and 16-column
+        // panels, odd n; panel row tiles of 1 to 4 and their remainders),
+        // k below one quad, k with a scalar tail, k a quad but not an oct
+        // multiple (6, 12, 20), and the S7b / S70b layer and head shapes.
         let mut shapes = Vec::new();
-        for m in [1, 2, 3, 4, 5, 7, 8, 9, 16] {
-            for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 33] {
+        for m in [1, 2, 3, 4, 5, 6, 7, 8, 9, 16] {
+            for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 33] {
                 for k in [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 20, 64] {
                     shapes.push((m, k, n));
                 }
@@ -560,34 +562,43 @@ mod tests {
         }
         for (d, ff) in [(64, 176), (144, 392)] {
             for m in [1, 6, 16] {
-                shapes.extend([(m, d, d), (m, d, ff), (m, ff, d), (m, d, 517)]);
+                shapes.extend([(m, d, d), (m, d, ff), (m, ff, d), (m, d, 512), (m, d, 517)]);
             }
         }
         type Kernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
         let kernels: [(&str, Kernel); 2] =
             [("portable", a_bt_acc_portable), ("dispatched", matmul_a_bt_acc)];
+        let levels = crate::tests::host_levels();
         for (m, k, n) in shapes {
             let operands = [
                 (arange(m * k, 0.013), arange(n * k, 0.017)),
                 (edge_values(m * k, m + k), edge_values(n * k, n)),
             ];
             for (a, b) in operands {
+                // Accumulating into a non-zero `out`: `out + dot`.
+                let seed = arange(m * n, 0.11);
+                let want: Vec<f32> = (0..m * n)
+                    .map(|ij| {
+                        let (i, j) = (ij / n, ij % n);
+                        seed[ij] + dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k])
+                    })
+                    .collect();
+                let check = |name: &str, got: &[f32]| {
+                    for (ij, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let at = (ij / n, ij % n);
+                        assert_eq!(g.to_bits(), w.to_bits(), "{name} {m}x{k}x{n} at {at:?}");
+                    }
+                };
                 for (name, kernel) in kernels {
-                    // Accumulating into a non-zero `out`: `out + dot`.
-                    let seed = arange(m * n, 0.11);
                     let mut got = seed.clone();
                     kernel(&mut got, &a, &b, m, k, n);
-                    for i in 0..m {
-                        for j in 0..n {
-                            let (arow, brow) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                            let want = seed[i * n + j] + dot(arow, brow);
-                            assert_eq!(
-                                got[i * n + j].to_bits(),
-                                want.to_bits(),
-                                "{name} {m}x{k}x{n} at ({i}, {j})"
-                            );
-                        }
-                    }
+                    check(name, &got);
+                }
+                let panels = crate::Panels::pack(&b, n, k);
+                for &level in &levels {
+                    let mut got = seed.clone();
+                    panels.a_bt_acc_at(level, &mut got, &a, m);
+                    check(&format!("panels {level:?}"), &got);
                 }
             }
         }

@@ -98,7 +98,7 @@ pub fn exp_at(level: Simd, x: &mut [f32]) {
     match supported(level) {
         // SAFETY: `supported` verified AVX2 and FMA at runtime.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni => unsafe { x86::exp_in_place(x) },
+        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe { x86::exp_in_place(x) },
         _ => x.iter_mut().for_each(|v| *v = exp(*v)),
     }
 }
@@ -111,7 +111,7 @@ fn max_at(level: Simd, x: &[f32]) -> f32 {
     match supported(level) {
         // SAFETY: `supported` verified AVX2 at runtime.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni => unsafe { x86::max(x) },
+        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe { x86::max(x) },
         _ => x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
     }
 }

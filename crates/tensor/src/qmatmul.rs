@@ -114,7 +114,7 @@ fn amax(level: Simd, x: &[f32], g: Option<&[f32]>) -> f32 {
     match supported(level) {
         // SAFETY: `supported` verified AVX2 at runtime.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni => unsafe { x86::amax(x, g) },
+        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe { x86::amax(x, g) },
         _ => amax_portable(x, g),
     }
 }
@@ -136,7 +136,7 @@ fn scale_round(level: Simd, q: &mut [i8], x: &[f32], a: f32, gb: Option<(&[f32],
     match supported(level) {
         // SAFETY: `supported` verified AVX2 at runtime.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni => unsafe { x86::scale_round(q, x, a, gb) },
+        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe { x86::scale_round(q, x, a, gb) },
         _ => scale_round_portable(q, x, a, gb),
     }
 }
@@ -256,7 +256,9 @@ fn matmul_q8_a_bt_at(
         // against `n`/`k`.
         match level {
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx2Vnni => unsafe { x86::matmul_a_bt_vnni(cb, ab, sb, b, b_scales, k, n) },
+            Simd::Avx2Vnni | Simd::Avx512 => unsafe {
+                x86::matmul_a_bt_vnni(cb, ab, sb, b, b_scales, k, n)
+            },
             #[cfg(target_arch = "x86_64")]
             Simd::Avx2 => unsafe { x86::matmul_a_bt(cb, ab, sb, b, b_scales, k, n) },
             _ => matmul_q8_a_bt_portable(cb, ab, sb, b, b_scales, k, n),

@@ -1,7 +1,8 @@
 //! Micro-benchmark of the int8 kernels at S70b dimensions — per-token
 //! matvec cost f32 vs q8, and how a multi-row call amortizes it (the
-//! `beta` cost-per-position ratio) — and of `exp` and the attention
-//! kernel, portable and dispatched. Ignored by default; run with:
+//! `beta` cost-per-position ratio) — of the f32 panel kernel against
+//! `matmul_a_bt` at the S7b / S70b linear shapes, and of `exp` and the
+//! attention kernel, portable and dispatched. Ignored by default; run with:
 //!
 //! ```sh
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture
@@ -15,7 +16,7 @@ use astro_tensor::attention::{attend_rows_at, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops::exp_at;
 use astro_tensor::qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_rows_q8};
-use astro_tensor::Simd;
+use astro_tensor::{Panels, Simd};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -92,6 +93,36 @@ fn exp_and_attend_rows() {
                     "attend_rows head_dim {hd} m {m} p0 {p0} {name} ({level:?}): \
                      {:.2} ns per (row, head, key)",
                     per_call * 1e9 / keys as f64
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[ignore]
+fn panels_vs_a_bt() {
+    // Every f32 linear of S7b (d 64, ff 176) and S70b (d 144, ff 392) as
+    // `(n, k)` — Q/K/V/Wo, gate/up, down, the 512-token head — at a decode
+    // row, a stacked readout and a prefill block, weights cache-resident.
+    println!("kernels: {:?}", astro_tensor::simd());
+    for (d, ff) in [(64usize, 176usize), (144, 392)] {
+        for (n, k) in [(d, d), (ff, d), (d, ff), (512, d)] {
+            let b = randv(n * k, 11);
+            let panels = Panels::pack(&b, n, k);
+            for m in [1usize, 4, 8, 16] {
+                let a = randv(m * k, 12);
+                let mut out = vec![0.0f32; m * n];
+                let iters = 50_000_000 / (m * n * k);
+                let a_bt =
+                    best_of_five(iters, || matmul_a_bt(&mut out, black_box(&a), &b, m, k, n));
+                let pan = best_of_five(iters, || panels.a_bt_acc(&mut out, black_box(&a), m));
+                let gmac = |secs: f64| (m * n * k) as f64 / secs * 1e-9;
+                println!(
+                    "n {n:3} k {k:3} m {m:2}: matmul_a_bt {:5.1} GMAC/s   panels {:5.1} GMAC/s   {:.2}x",
+                    gmac(a_bt),
+                    gmac(pan),
+                    a_bt / pan
                 );
             }
         }
