@@ -579,8 +579,7 @@ mod tests {
                     cfg,
                     layout: crate::params::Layout::new(&cfg),
                     data: data.to_vec(),
-                    quant: None,
-                    panels: None,
+                    packed: Vec::new(),
                 };
                 let mut c2 = TrainContext::new(cfg, 2, 4);
                 c2.loss(&pp, &tokens, &targets, &mask)
@@ -620,7 +619,7 @@ mod tests {
             let loss = ctx.loss_and_grad(&p, &tokens, &targets, &mask, &mut grad);
             let bits: Vec<u8> =
                 grad.iter().chain([&loss]).flat_map(|g| g.to_bits().to_le_bytes()).collect();
-            astro_resilience::fnv::fnv64(&bits)
+            astro_resilience::fnv64(&bits)
         });
         let recorded = [
             0x20bd_372f_d7de_4c07,

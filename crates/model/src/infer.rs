@@ -55,10 +55,12 @@
 //! Weight precision enters at the linear layers only: `norm_rows` and the
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
 //! rows as f32, or as int8 with one scale per row, and `linear` multiplies
-//! them by the f32 weight or its int8 copy — f32 rows by the weight's
-//! panel copy when the params carry one (`Params::frozen`, what an engine
-//! serves on an AVX-512 CPU). RoPE, attention, the residual stream and the
-//! KV cache are f32 under both precisions.
+//! them by the f32 weight or by its one packed copy ([`Packed`]): int8 rows
+//! by `Packed::Int8`, which only an int8 session reads; f32 rows by
+//! `Packed::Panels` when the params carry them (`Params::frozen`, what an
+//! engine serves on an AVX-512 CPU), else by the f32 weight. RoPE,
+//! attention, the residual stream and the KV cache are f32 under both
+//! precisions.
 //!
 //! How a token stream is split into calls — or stacked with other
 //! sessions' rows — never changes a bit of the result: on the f32 path
@@ -70,13 +72,11 @@
 //! (`attend_rows`' contract), and every other op is per row
 //! (`tests/chunk_split.rs`).
 
-use crate::params::Params;
+use crate::params::{Packed, Params, LINEARS};
 use crate::{rope, rope_tables, ModelConfig, WeightPrecision};
-use astro_quant::QuantMatrix;
 use astro_tensor::attention::{attend_rows, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops;
-use astro_tensor::Panels;
 use astro_tensor::qmatmul::{quantize_rows_q8, rmsnorm_quantize_row, swiglu_quantize_row};
 use std::time::Instant;
 
@@ -390,10 +390,11 @@ impl InferenceSession {
     /// otherwise — one lane only — just the last row gets its final norm
     /// and LM head, into the session.
     ///
-    /// A [`WeightPrecision::Int8`] session uses the params' int8 copy
-    /// when they carry one and the f32 weights otherwise — an int8
-    /// session fed unquantized params is a benign precision downgrade,
-    /// not an error.
+    /// The int8 arm runs only when the session is
+    /// [`WeightPrecision::Int8`] and the params' packed copy is int8 too;
+    /// an f32 session ignores an int8 copy. Every other pairing — an int8
+    /// session on f32 or panel params, an f32 session on quantized ones —
+    /// runs the f32 arms: a benign precision downgrade, not an error.
     ///
     /// With `laps`, each op's wall time in µs is added to its [`OPS`]
     /// slot; the entry points pass `None`, and recording changes no bit.
@@ -413,12 +414,11 @@ impl InferenceSession {
         if let Some(rows) = &all_rows {
             assert_eq!(rows.len(), m * cfg.vocab_size, "rows has wrong size");
         }
-        let quant = match cfg.precision {
-            WeightPrecision::Int8 => p.quant.as_ref(),
-            WeightPrecision::F32 => None,
+        let packed: &[Packed] = match (cfg.precision, p.packed.last()) {
+            (WeightPrecision::F32, Some(Packed::Int8(_))) => &[],
+            _ => &p.packed[..],
         };
-        let int8 = quant.is_some();
-        let panels = p.panels.as_ref();
+        let int8 = matches!(packed.last(), Some(Packed::Int8(_)));
         // A panic below (a token out of vocab) leaves the first lane an
         // empty scratch, which its next call grows back.
         let mut s = std::mem::take(&mut lanes[0].session.scratch);
@@ -441,22 +441,16 @@ impl InferenceSession {
         }
         lap(8);
 
-        for l in 0..cfg.n_layers {
-            let lay = &p.layout.layers[l];
-            let ql = quant.map(|qp| &qp.layers[l]);
-            let pl = panels.map(|pp| &pp.layers[l]);
-            // Layer weight `$w` in each form the params carry.
-            macro_rules! weight {
-                ($w:ident) => {
-                    (p.view(&lay.$w), ql.map(|q| &q.$w), pl.map(|w| &w.$w))
-                };
-            }
+        for (l, lay) in p.layout.layers.iter().enumerate() {
+            let (ranges, copies) = (lay.linears(), packed.get(l * LINEARS..(l + 1) * LINEARS));
+            let [wq, wk, wv, wo, w_gate, w_up, w_down] =
+                std::array::from_fn(|j| (p.view(ranges[j]), copies.map(|w| &w[j])));
             s.norm_rows(&cfg, p.view(&lay.attn_norm), int8);
             lap(0);
             let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
-            linear(&mut s.q, weight!(wq), a, aq, sc, m);
-            linear(&mut s.proj, weight!(wk), a, aq, sc, m);
-            linear(&mut s.attn_out, weight!(wv), a, aq, sc, m);
+            linear(&mut s.q, wq, a, aq, sc, m);
+            linear(&mut s.proj, wk, a, aq, sc, m);
+            linear(&mut s.attn_out, wv, a, aq, sc, m);
             lap(1);
             let mut r0 = 0;
             for lane in lanes.iter_mut() {
@@ -477,20 +471,20 @@ impl InferenceSession {
             }
             lap(4);
             let (a, aq, sc) = (&s.attn_out, &s.qx, &s.row_scale);
-            linear(&mut s.proj, weight!(wo), a, aq, sc, m);
+            linear(&mut s.proj, wo, a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
             lap(5);
             // FFN.
             s.norm_rows(&cfg, p.view(&lay.ffn_norm), int8);
             lap(0);
             let (a, aq, sc) = (&s.ln, &s.qx, &s.row_scale);
-            linear(&mut s.gate, weight!(w_gate), a, aq, sc, m);
-            linear(&mut s.up, weight!(w_up), a, aq, sc, m);
+            linear(&mut s.gate, w_gate, a, aq, sc, m);
+            linear(&mut s.up, w_up, a, aq, sc, m);
             lap(6);
             s.swiglu_rows(f, int8);
             lap(7);
             let (a, aq, sc) = (&s.act, &s.qf, &s.row_scale);
-            linear(&mut s.proj, weight!(w_down), a, aq, sc, m);
+            linear(&mut s.proj, w_down, a, aq, sc, m);
             ops::add_assign(&mut s.x, &s.proj);
             lap(6);
         }
@@ -504,7 +498,7 @@ impl InferenceSession {
         s.norm_rows(&cfg, p.view(&p.layout.final_norm), int8);
         lap(0);
         // Tied LM head: logits[v] = ln · embed_row(v).
-        let head = (embed, quant.map(|qp| &qp.lm_head), panels.map(|pp| &pp.lm_head));
+        let head = (embed, packed.last());
         let rows = s.row_scale.len();
         match all_rows {
             Some(out) => {
@@ -631,26 +625,25 @@ impl Scratch {
 }
 
 /// `out = a · Wᵀ` for `m` activation rows — the one place weight
-/// precision is chosen. `w` is the f32 weight with its int8 copy `wq` and
-/// its panel copy `wp` where the params carry them. With `wq`, the rows
-/// are read as int8 `aq` with one scale each; without it, as f32 `a`
-/// against the panels when there are some, else against the f32 weight —
-/// the same bits either way.
+/// precision is chosen. `w` is the f32 weight with the packed copy the
+/// session reads, if any: an int8 copy reads the rows as int8 `aq` with one
+/// scale each; panels, or no copy, read them as f32 `a`, against the panels
+/// or the f32 weight — the same bits either way.
 fn linear(
     out: &mut [f32],
-    (w, wq, wp): (&[f32], Option<&QuantMatrix>, Option<&Panels>),
+    (w, packed): (&[f32], Option<&Packed>),
     a: &[f32],
     aq: &[i8],
     scales: &[f32],
     m: usize,
 ) {
-    match (wq, wp) {
-        (Some(wq), _) => wq.matmul_chunk(out, aq, scales, m),
-        (None, Some(wp)) => {
+    match packed {
+        Some(Packed::Int8(wq)) => wq.matmul_chunk(out, aq, scales, m),
+        Some(Packed::Panels(wp)) => {
             out.fill(0.0);
             wp.a_bt_acc(out, a, m);
         }
-        (None, None) => matmul_a_bt(out, a, w, m, a.len() / m, out.len() / m),
+        None => matmul_a_bt(out, a, w, m, a.len() / m, out.len() / m),
     }
 }
 
@@ -861,14 +854,28 @@ mod tests {
     }
 
     #[test]
-    fn int8_session_with_unquantized_params_falls_back_to_f32() {
-        let cfg = ModelConfig::tiny(16).with_precision(WeightPrecision::Int8);
-        let p = Params::init(ModelConfig::tiny(16), &mut Rng::seed_from(17));
-        let mut s8 = InferenceSession::new(cfg);
-        let mut s32 = InferenceSession::new(ModelConfig::tiny(16));
-        let a = s8.feed(&p, 3).to_vec();
-        let b = s32.feed(&p, 3).to_vec();
-        assert_eq!(a, b, "missing quant copy must downgrade to the f32 path");
+    fn int8_arm_needs_an_int8_session_and_int8_weights() {
+        // Every other pairing of session precision and weight copy is a
+        // benign downgrade to the f32 path: a prompt and one decode step
+        // return the plain f32 session's logits, bit for bit.
+        use WeightPrecision::{Int8, F32};
+        let cfg = ModelConfig::tiny(16);
+        let p = Params::init(cfg, &mut Rng::seed_from(17));
+        let run = |precision: WeightPrecision, params: &Params| {
+            let mut sess = InferenceSession::new(cfg.with_precision(precision));
+            let mut logits = sess.feed_prompt(params, &[3, 1, 4, 1, 5]);
+            logits.extend_from_slice(sess.feed(params, 9));
+            logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let want = run(F32, &p);
+        let table = [
+            (Int8, p.clone(), "plain f32"),
+            (Int8, p.clone().with_panels(), "panel"),
+            (F32, p.clone().quantized(), "int8"),
+        ];
+        for (precision, params, copy) in &table {
+            assert_eq!(run(*precision, params), want, "{precision:?} session on {copy} params");
+        }
     }
 
     /// Rows of each continuation variant in `op_columns`' stacked
@@ -1002,7 +1009,7 @@ mod tests {
                      readouts of {READOUT_LANES} lanes x {READOUT_ROWS:?} rows at {PROMPT}",
                     p.cfg.precision,
                     astro_tensor::simd(),
-                    if p.panels.is_some() { ", panels" } else { "" },
+                    if matches!(p.packed.last(), Some(Packed::Panels(_))) { ", panels" } else { "" },
                     PROMPT - PREFILL_ROWS
                 );
                 print!("  {:<10}", "");

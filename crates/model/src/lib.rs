@@ -217,14 +217,6 @@ impl ModelConfig {
         params::Layout::new(self).total
     }
 
-    /// Approximate training FLOPs per token (forward + backward ≈ 6 ×
-    /// matmul params + attention term), used by the cost model.
-    pub fn train_flops_per_token(&self) -> f64 {
-        let p = self.param_count() as f64;
-        let attn = (self.n_layers * self.max_seq * self.d_model) as f64 * 2.0;
-        6.0 * p + 6.0 * attn
-    }
-
     /// Resident bytes of one [`infer::InferenceSession`] for this
     /// configuration: per-layer KV caches plus step scratch, logits and
     /// the RoPE tables. The `astro-serve` prefix cache derives its
@@ -379,13 +371,6 @@ mod tests {
         ] {
             assert!(c.validate().is_err(), "{c:?}");
         }
-    }
-
-    #[test]
-    fn flops_scale_with_params() {
-        let small = ModelConfig::tier(Tier::S7b, 512);
-        let large = ModelConfig::tier(Tier::S70b, 512);
-        assert!(large.train_flops_per_token() > small.train_flops_per_token());
     }
 
     #[test]

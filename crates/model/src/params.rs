@@ -11,7 +11,7 @@
 
 use crate::{ModelConfig, WeightPrecision};
 use astro_prng::Rng;
-use astro_quant::{QuantLayer, QuantMatrix, QuantParams};
+use astro_quant::QuantMatrix;
 use astro_tensor::{Panels, Simd};
 
 /// Byte offsets (in f32 elements) of every tensor in the flat buffer.
@@ -83,6 +83,29 @@ impl Layout {
             total: off,
         }
     }
+
+    /// Every matmul weight as `(range, n, k)`, `n` output rows of `k`
+    /// inputs, in the order [`Params::packed`] holds their copies: each
+    /// block's [`LayerLayout::linears`], block after block, then the tied
+    /// LM head.
+    pub fn linears(
+        &self,
+        cfg: &ModelConfig,
+    ) -> impl Iterator<Item = (&std::ops::Range<usize>, usize, usize)> {
+        let (d, ff) = (cfg.d_model, cfg.d_ff);
+        let shapes = [(d, d), (d, d), (d, d), (d, d), (ff, d), (ff, d), (d, ff)];
+        let blocks = self.layers.iter().flat_map(move |l| l.linears().into_iter().zip(shapes));
+        let head = (&self.embed, (cfg.vocab_size, d));
+        blocks.chain([head]).map(|(r, (n, k))| (r, n, k))
+    }
+}
+
+impl LayerLayout {
+    /// The block's matmul weights in the order the forward runs them:
+    /// `wq`, `wk`, `wv`, `wo`, `w_gate`, `w_up`, `w_down`.
+    pub fn linears(&self) -> [&std::ops::Range<usize>; LINEARS] {
+        [&self.wq, &self.wk, &self.wv, &self.wo, &self.w_gate, &self.w_up, &self.w_down]
+    }
 }
 
 /// A model's parameters: configuration + flat weight buffer.
@@ -94,58 +117,38 @@ pub struct Params {
     pub layout: Layout,
     /// The flat weight buffer.
     pub data: Vec<f32>,
-    /// Derived int8 copy of the matmul weights, present iff the model
-    /// was put on the int8 inference path via [`Params::quantized`]. The
-    /// f32 buffer stays authoritative — training, checkpoints and the
-    /// golden reference always read `data`.
-    pub quant: Option<QuantParams>,
-    /// Derived panel copy of the matmul weights ([`Panels`]), present iff
-    /// [`Params::with_panels`] packed it: the f32 inference path runs its
-    /// linears on it, bit for bit what `data` gives. Like `quant`, it does
-    /// not follow later writes to `data` — only a frozen copy carries it
-    /// ([`Params::frozen`], what an inference engine holds).
-    pub panels: Option<PanelParams>,
+    /// The packed copy of every matmul weight, in [`Layout::linears`]
+    /// order, one form for all: int8 ([`Params::quantized`]) or panels
+    /// ([`Params::with_panels`]); empty when none is packed. `data` stays
+    /// authoritative — training, checkpoints and the golden reference
+    /// always read it — and the copy does not follow later writes to it:
+    /// only a frozen copy carries one ([`Params::frozen`], what an
+    /// inference engine holds).
+    pub packed: Vec<Packed>,
 }
 
-/// The panel copy of one transformer block's seven matmul weights.
+/// Matmul weights per transformer block ([`LayerLayout::linears`]).
+pub const LINEARS: usize = 7;
+
+/// One matmul weight packed for the inference path, a derived copy of its
+/// rows in [`Params::data`].
 #[derive(Clone, Debug)]
-pub struct PanelLayer {
-    /// Query projection.
-    pub wq: Panels,
-    /// Key projection.
-    pub wk: Panels,
-    /// Value projection.
-    pub wv: Panels,
-    /// Output projection.
-    pub wo: Panels,
-    /// SwiGLU gate projection.
-    pub w_gate: Panels,
-    /// SwiGLU up projection.
-    pub w_up: Panels,
-    /// SwiGLU down projection.
-    pub w_down: Panels,
+pub enum Packed {
+    /// Per-output-channel int8, multiplied by int8 activation rows — a
+    /// lossy copy, bounded by the differential suite.
+    Int8(QuantMatrix),
+    /// `k`-major panels of sixteen output columns ([`Panels`]), multiplied
+    /// by f32 rows bit for bit as `matmul_a_bt` multiplies `data`.
+    Panels(Panels),
 }
 
-/// The panel copy of a model's matmul weights: per-block layers plus the
-/// tied LM head (`[vocab, d]`, the embedding matrix).
-#[derive(Clone, Debug)]
-pub struct PanelParams {
-    /// One entry per transformer block.
-    pub layers: Vec<PanelLayer>,
-    /// The tied LM head.
-    pub lm_head: Panels,
-}
-
-impl PanelParams {
-    /// Resident bytes of every panel, zero padding included.
-    pub fn bytes(&self) -> usize {
-        let layer = |l: &PanelLayer| {
-            [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down]
-                .map(Panels::bytes)
-                .iter()
-                .sum::<usize>()
-        };
-        self.layers.iter().map(layer).sum::<usize>() + self.lm_head.bytes()
+impl Packed {
+    /// Resident bytes of the copy.
+    fn bytes(&self) -> usize {
+        match self {
+            Packed::Int8(w) => w.bytes(),
+            Packed::Panels(w) => w.bytes(),
+        }
     }
 }
 
@@ -159,8 +162,7 @@ impl Params {
             cfg,
             layout,
             data,
-            quant: None,
-            panels: None,
+            packed: Vec::new(),
         }
     }
 
@@ -222,56 +224,26 @@ impl Params {
     /// matmuls. The f32 buffer is kept: it remains the bitwise-golden
     /// reference, and re-quantizing it is idempotent.
     #[must_use]
-    pub fn quantized(mut self) -> Self {
-        let d = self.cfg.d_model;
-        let ff = self.cfg.d_ff;
-        let layers = self
-            .layout
-            .layers
-            .iter()
-            .map(|l| QuantLayer {
-                wq: QuantMatrix::quantize(self.view(&l.wq), d, d),
-                wk: QuantMatrix::quantize(self.view(&l.wk), d, d),
-                wv: QuantMatrix::quantize(self.view(&l.wv), d, d),
-                wo: QuantMatrix::quantize(self.view(&l.wo), d, d),
-                w_gate: QuantMatrix::quantize(self.view(&l.w_gate), ff, d),
-                w_up: QuantMatrix::quantize(self.view(&l.w_up), ff, d),
-                w_down: QuantMatrix::quantize(self.view(&l.w_down), d, ff),
-            })
-            .collect();
-        let lm_head =
-            QuantMatrix::quantize(self.view(&self.layout.embed.clone()), self.cfg.vocab_size, d);
-        self.quant = Some(QuantParams { layers, lm_head });
-        self.panels = None;
-        self.cfg.precision = WeightPrecision::Int8;
-        self
+    pub fn quantized(self) -> Self {
+        let mut p = self.packed_with(|w, n, k| Packed::Int8(QuantMatrix::quantize(w, n, k)));
+        p.cfg.precision = WeightPrecision::Int8;
+        p
     }
 
     /// Pack every matmul weight (attention and SwiGLU projections plus the
     /// tied LM head) into the panel copy the f32 inference path multiplies
-    /// by. `data` stays authoritative and unchanged.
+    /// by, in place of any int8 copy. `data` stays authoritative and
+    /// unchanged.
     #[must_use]
-    pub fn with_panels(mut self) -> Self {
-        let d = self.cfg.d_model;
-        let ff = self.cfg.d_ff;
-        let pack =
-            |r: &std::ops::Range<usize>, n: usize, k: usize| Panels::pack(self.view(r), n, k);
-        let layers = self
-            .layout
-            .layers
-            .iter()
-            .map(|l| PanelLayer {
-                wq: pack(&l.wq, d, d),
-                wk: pack(&l.wk, d, d),
-                wv: pack(&l.wv, d, d),
-                wo: pack(&l.wo, d, d),
-                w_gate: pack(&l.w_gate, ff, d),
-                w_up: pack(&l.w_up, ff, d),
-                w_down: pack(&l.w_down, d, ff),
-            })
-            .collect();
-        let lm_head = pack(&self.layout.embed, self.cfg.vocab_size, d);
-        self.panels = Some(PanelParams { layers, lm_head });
+    pub fn with_panels(self) -> Self {
+        self.packed_with(|w, n, k| Packed::Panels(Panels::pack(w, n, k)))
+    }
+
+    /// Replace the packed copy with `pack` of each weight's rows, in
+    /// [`Layout::linears`] order.
+    fn packed_with(mut self, pack: impl Fn(&[f32], usize, usize) -> Packed) -> Self {
+        let linears = self.layout.linears(&self.cfg);
+        self.packed = linears.map(|(r, n, k)| pack(self.view(r), n, k)).collect();
         self
     }
 
@@ -294,12 +266,10 @@ impl Params {
     /// [`WeightPrecision::F32`]; the int8 copy (elements + scales) for
     /// [`WeightPrecision::Int8`].
     pub fn weight_bytes(&self) -> usize {
-        match (&self.quant, self.cfg.precision) {
-            (Some(q), WeightPrecision::Int8) => q.bytes(),
-            _ => {
-                let panels = self.panels.as_ref().map_or(0, PanelParams::bytes);
-                self.data.len() * std::mem::size_of::<f32>() + panels
-            }
+        let packed = self.packed.iter().map(Packed::bytes).sum::<usize>();
+        match self.cfg.precision {
+            WeightPrecision::F32 => self.data.len() * std::mem::size_of::<f32>() + packed,
+            WeightPrecision::Int8 => packed,
         }
     }
 }

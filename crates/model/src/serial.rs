@@ -172,7 +172,7 @@ pub fn params_from_bytes(bytes: &[u8]) -> Result<Params, CkptError> {
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
-    Ok(Params { cfg, layout, data, quant: None, panels: None })
+    Ok(Params { cfg, layout, data, packed: Vec::new() })
 }
 
 /// Write a checkpoint to a file atomically (tmp + fsync + rename); a

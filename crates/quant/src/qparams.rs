@@ -7,12 +7,10 @@
 //! `q = round(w / scale)` clamped to ±127, so dequantization is the
 //! single product `q · scale` and the accumulator never sees −128.
 //!
-//! [`QuantParams`] mirrors the shape of `astro_model::Params` — one
-//! [`QuantLayer`] per transformer block plus the quantized tied LM head —
-//! without depending on the model crate: the model layer constructs it
-//! from its own layout and carries it alongside the f32 buffer. RMSNorm
-//! gains and the embedding *lookup* stay f32 (they are vectors / row
-//! gathers, not matmuls, and cost nothing to keep exact).
+//! `astro_model` quantizes each matmul weight into one and holds it as
+//! that weight's packed copy (`Packed::Int8`) beside the f32 buffer.
+//! RMSNorm gains and the embedding *lookup* stay f32 (they are vectors /
+//! row gathers, not matmuls, and cost nothing to keep exact).
 
 use astro_tensor::qmatmul::{dequantize_row_q8, matmul_q8_a_bt, quantize_rows_q8};
 
@@ -90,56 +88,6 @@ impl QuantMatrix {
     /// other rows share the call.
     pub fn matmul_chunk(&self, c: &mut [f32], aq: &[i8], a_scales: &[f32], m: usize) {
         matmul_q8_a_bt(c, aq, a_scales, &self.q, &self.scales, m, self.cols, self.rows);
-    }
-}
-
-/// One transformer block's weight matrices in int8.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QuantLayer {
-    /// Query projection `[d, d]`.
-    pub wq: QuantMatrix,
-    /// Key projection `[d, d]`.
-    pub wk: QuantMatrix,
-    /// Value projection `[d, d]`.
-    pub wv: QuantMatrix,
-    /// Output projection `[d, d]`.
-    pub wo: QuantMatrix,
-    /// SwiGLU gate projection `[ff, d]`.
-    pub w_gate: QuantMatrix,
-    /// SwiGLU up projection `[ff, d]`.
-    pub w_up: QuantMatrix,
-    /// SwiGLU down projection `[d, ff]`.
-    pub w_down: QuantMatrix,
-}
-
-impl QuantLayer {
-    /// Resident bytes of all seven matrices.
-    pub fn bytes(&self) -> usize {
-        self.wq.bytes()
-            + self.wk.bytes()
-            + self.wv.bytes()
-            + self.wo.bytes()
-            + self.w_gate.bytes()
-            + self.w_up.bytes()
-            + self.w_down.bytes()
-    }
-}
-
-/// A full model's matmul weights in int8: per-block layers plus the
-/// quantized tied LM head (`[vocab, d]`, the embedding matrix reused as
-/// the output projection).
-#[derive(Clone, Debug, PartialEq)]
-pub struct QuantParams {
-    /// Per-block quantized weights, outermost first.
-    pub layers: Vec<QuantLayer>,
-    /// Quantized tied LM head `[vocab, d]`.
-    pub lm_head: QuantMatrix,
-}
-
-impl QuantParams {
-    /// Resident bytes of the whole quantized weight set.
-    pub fn bytes(&self) -> usize {
-        self.layers.iter().map(QuantLayer::bytes).sum::<usize>() + self.lm_head.bytes()
     }
 }
 

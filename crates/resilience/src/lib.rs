@@ -8,8 +8,9 @@
 //! * [`durable`] — crash-safe artifact writes (tmp + fsync + rename +
 //!   directory fsync) and fault-aware reads, behind the
 //!   `ckpt.write_truncate` and `io.partial_read` fault sites.
-//! * [`fnv`] — the FNV-1a 64-bit content checksum used by checkpoint
-//!   trailers and the run ledger.
+//! * [`fnv64`] — the FNV-1a 64-bit content checksum used by checkpoint
+//!   trailers and the run ledger (`astro_telemetry::manifest::fnv1a_64`
+//!   under the name its callers use).
 //! * [`retry`] — bounded deterministic exponential backoff for
 //!   transient failures.
 //! * [`journal`] — an fsync'd append-only line journal that tolerates a
@@ -23,10 +24,9 @@
 //! determinism-after-resume argument the chaos suite enforces.
 
 pub mod durable;
-pub mod fnv;
 pub mod journal;
 pub mod retry;
 
-pub use fnv::fnv64;
+pub use astro_telemetry::manifest::fnv1a_64 as fnv64;
 pub use journal::Journal;
 pub use retry::RetryPolicy;

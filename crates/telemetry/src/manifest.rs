@@ -10,8 +10,13 @@ use crate::event::write_json_string;
 use std::io::Write;
 use std::path::Path;
 
-/// 64-bit FNV-1a (the repo's standard content hash: no dependency, stable
-/// across platforms).
+/// 64-bit FNV-1a, the workspace's one content hash and checksum: config
+/// hashes here, checkpoint trailers and run-ledger entries through
+/// `astro_resilience::fnv64`. Chosen over a cryptographic hash
+/// deliberately: the threat model is torn writes and bit rot, not
+/// adversaries, and FNV-1a is allocation-free, dependency-free, stable
+/// across platforms and fast enough to run over every checkpoint on every
+/// load.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -460,7 +460,7 @@ mod tests {
             let bits: Vec<u8> =
                 params.data.iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();
             assert_eq!(
-                astro_resilience::fnv::fnv64(&bits),
+                astro_resilience::fnv64(&bits),
                 want,
                 "devices {devices}, grad_accum {grad_accum}"
             );
