@@ -39,12 +39,10 @@ pub struct StudyConfig {
     pub cpt_lr: f32,
     /// SFT peak LR (paper: 3e-7 — far below CPT).
     pub sft_lr: f32,
-    /// Rows per micro-batch.
+    /// Rows per training batch.
     pub batch: usize,
     /// Training window length.
     pub seq: usize,
-    /// Simulated data-parallel devices.
-    pub devices: usize,
     /// Scale of the SFT mixture relative to the paper's 31k conversations.
     pub sft_scale: f64,
     /// Fraction of astro SFT conversations demonstrating the JSON MCQ
@@ -53,8 +51,6 @@ pub struct StudyConfig {
     /// Questions evaluated per model/method (the paper runs all 4,417
     /// scored + 8 exemplars; presets subsample).
     pub n_eval_questions: usize,
-    /// Use the verbose Appendix-B prompt in the full-instruct method.
-    pub verbose_prompt: bool,
     /// Evaluation execution strategy. Presets default to
     /// [`EngineConfig::pooled`] — safe because the engine is bit-identical
     /// to the serial path for every setting (`tests/eval_parity.rs`).
@@ -83,11 +79,9 @@ impl StudyConfig {
             sft_lr: 5e-5,
             batch: 4,
             seq: 64,
-            devices: 1,
             sft_scale: 0.004,
             sft_json_fraction: 0.35,
             n_eval_questions: 24,
-            verbose_prompt: false,
             eval_engine: EngineConfig::pooled(),
         }
     }
@@ -132,11 +126,9 @@ impl StudyConfig {
             // at eval time.
             batch: 4,
             seq: 224,
-            devices: 1,
             sft_scale: 0.02,
             sft_json_fraction: 0.35,
             n_eval_questions: 120,
-            verbose_prompt: false,
             eval_engine: EngineConfig::pooled(),
         }
     }
@@ -170,11 +162,8 @@ impl StudyConfig {
                 astro_tokenizer::SPECIALS.len()
             ));
         }
-        if self.batch == 0 || self.seq == 0 || self.devices == 0 {
-            return Err(format!(
-                "batch {}, seq {} and devices {} must all be nonzero",
-                self.batch, self.seq, self.devices
-            ));
+        if self.batch == 0 || self.seq == 0 {
+            return Err(format!("batch {} and seq {} must both be nonzero", self.batch, self.seq));
         }
         for tier in [Tier::S7b, Tier::S8b, Tier::S70b] {
             let max_seq = ModelConfig::tier(tier, self.vocab_size).max_seq;
@@ -220,12 +209,12 @@ impl StudyConfig {
 
     /// Tokens one native pretraining run processes for tier index `i`.
     pub fn native_tokens(&self, tier_idx: usize) -> u64 {
-        self.native_steps[tier_idx] * (self.batch * self.seq * self.devices) as u64
+        self.native_steps[tier_idx] * (self.batch * self.seq) as u64
     }
 
     /// Tokens per CPT run.
     pub fn cpt_tokens(&self) -> u64 {
-        self.cpt_steps * (self.batch * self.seq * self.devices) as u64
+        self.cpt_steps * (self.batch * self.seq) as u64
     }
 }
 

@@ -314,8 +314,6 @@ impl Study {
             steps,
             warmup_ratio: 0.03,
             grad_clip: 1.0,
-            grad_accum: 1,
-            devices: self.config.devices,
             bf16_weights: true,
             weight_decay: 0.01,
             log_every: 20,
@@ -450,7 +448,6 @@ impl Study {
                 ..Default::default()
             },
             &InstructEvalConfig {
-                verbose_prompt: self.config.verbose_prompt,
                 engine: self.config.eval_engine,
                 ..Default::default()
             },

@@ -26,8 +26,6 @@ pub struct InstructEvalConfig {
     /// Sampling settings ("default instructions" per the paper; greedy
     /// keeps our runs deterministic).
     pub sampler: SamplerConfig,
-    /// Use the verbose Appendix-B boilerplate prompt.
-    pub verbose_prompt: bool,
     /// How batches execute: worker count and prefix caching. The default
     /// ([`EngineConfig::serial`]) preserves the original single-threaded
     /// fresh-session behaviour exactly.
@@ -39,7 +37,6 @@ impl Default for InstructEvalConfig {
         InstructEvalConfig {
             max_new_tokens: 48,
             sampler: SamplerConfig::greedy(),
-            verbose_prompt: false,
             engine: EngineConfig::serial(),
         }
     }
@@ -89,7 +86,7 @@ fn prompt_and_budget(
     question: &Mcq,
     config: &InstructEvalConfig,
 ) -> (Vec<u32>, usize) {
-    let (system, user) = instruct_method_messages(question, config.verbose_prompt);
+    let (system, user) = instruct_method_messages(question);
     let msgs = [
         ChatMessage::new(Role::System, system),
         ChatMessage::new(Role::User, user),

@@ -55,9 +55,8 @@ pub fn token_method_prompt(test: &Mcq, exemplars: &[Mcq], shots: usize) -> Strin
 }
 
 /// Chat messages for the full-instruct method: `(system, user)` texts.
-/// `verbose` selects the full Appendix-B boilerplate.
-pub fn instruct_method_messages(test: &Mcq, verbose: bool) -> (String, String) {
-    let user = full_instruct_prompt(&test.question, &test.options, verbose);
+pub fn instruct_method_messages(test: &Mcq) -> (String, String) {
+    let user = full_instruct_prompt(&test.question, &test.options);
     (EXPERT_SYSTEM_PROMPT.to_string(), user)
 }
 
@@ -120,7 +119,7 @@ mod tests {
     #[test]
     fn instruct_messages_have_system_roleplay() {
         let ds = dataset();
-        let (system, user) = instruct_method_messages(&ds.questions[0], true);
+        let (system, user) = instruct_method_messages(&ds.questions[0]);
         assert_eq!(system, EXPERT_SYSTEM_PROMPT);
         assert!(user.contains(&ds.questions[0].question));
         assert!(user.contains("ANSWER"));

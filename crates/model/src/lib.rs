@@ -16,7 +16,7 @@
 //!
 //! Modules:
 //! * [`params`] — flat parameter buffer + layout (a single `&mut [f32]`
-//!   view makes the optimizer and the ring all-reduce trivial);
+//!   view makes the optimizer and gradient clipping trivial);
 //! * [`forward`] — training-time forward + backward with loss masking;
 //! * [`infer`] — KV-cache incremental decoding for generation and
 //!   next-token logit evaluation;

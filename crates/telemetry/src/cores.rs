@@ -2,10 +2,9 @@
 //! work sizes itself by, the longest-first packer and the one scoped
 //! runner that spreads work over threads.
 //!
-//! Three callers spread work: the offline engine's scheduler shards, a
-//! scheduler step's split over borrowed cores and the trainer's simulated
-//! devices. All three size themselves by [`available`] — the machine's
-//! parallelism, capped at 8 — and all three run
+//! Two callers spread work: the offline engine's scheduler shards and a
+//! scheduler step's split over borrowed cores. Both size themselves by
+//! [`available`] — the machine's parallelism, capped at 8 — and both run
 //! through [`run`], so no other code in the workspace spawns scoped
 //! threads.
 //!

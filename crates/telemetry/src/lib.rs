@@ -10,7 +10,7 @@
 //!   tree), created with the [`span!`] macro:
 //!   `let _g = span!("cpt", tier = "S70b");`
 //! * [`metrics`] — global **counters, gauges and fixed-bucket histograms**
-//!   (tokens processed, all-reduce latency, extraction-stage hits) with
+//!   (tokens processed, request latency, extraction-stage hits) with
 //!   p50/p95/p99 readout.
 //! * [`sink`] + [`event`] — a **JSONL event sink**: every span close,
 //!   metric flush and log line can be appended to a `telemetry.jsonl`
@@ -35,9 +35,8 @@
 //!   explored for deadlocks and lost wakeups.
 //! * [`cores`] — **one fan-out for the process**: the ledger of idle cores
 //!   (its one sizing rule, holds and loans), the longest-first packer, the
-//!   scoped runner that engine shards, scheduler steps and trainer
-//!   devices all spread their work through, and the one spawn point for
-//!   long-lived threads.
+//!   scoped runner that engine shards and scheduler steps both spread
+//!   their work through, and the one spawn point for long-lived threads.
 //! * [`fault`] — **deterministic fault injection**: named sites behind
 //!   hooks that read the calling thread's [`fault::Faults`] plan, which
 //!   every thread [`cores`] starts inherits from its spawner; with no plan

@@ -9,8 +9,8 @@
 //! ...
 //! counters:
 //!   train.tokens                      215040
-//! histograms (p50/p95/p99):
-//!   allreduce.micros          n=600  84/412/980 µs
+//! histograms (n, mean, p50/p95/p99, max):
+//!   gateway.queue_wait_us          n=600      mean=120.0      84/412/980 max=1100
 //! ```
 
 use crate::metrics::MetricsSnapshot;
@@ -165,7 +165,7 @@ mod tests {
             gauges: vec![("gateway.queue_depth".into(), 0)],
             histograms: vec![
                 (
-                    "allreduce.micros".into(),
+                    "gateway.queue_wait_us".into(),
                     HistSummary {
                         count: 600,
                         mean: 120.0,

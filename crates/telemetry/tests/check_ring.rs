@@ -8,6 +8,8 @@
 //!
 //! * the ring never holds more than `ring_capacity` traces;
 //! * `kept == evicted + resident` (no trace is lost or double-counted);
+//! * a trace left resident is the one admitted last (eviction drops the
+//!   oldest);
 //! * no deadlock on the ring mutex.
 #![cfg(astro_check)]
 
@@ -51,6 +53,8 @@ fn concurrent_admit_keeps_ring_bounded_and_counted() {
                     let keep = g.admit(&mut rec, false);
                     assert_eq!(keep, "sampled", "sample_one_in=1 keeps everything");
                     assert!(g.len() <= 1, "ring exceeded capacity");
+                    // Its id and its admit position, read under the lock.
+                    (seq, g.counters().0)
                 })
             })
             .collect();
@@ -61,9 +65,11 @@ fn concurrent_admit_keeps_ring_bounded_and_counted() {
             g.drain().len() as u64
         };
 
-        for a in admitters {
-            a.join().unwrap_or_else(|_| panic!("admitter panicked"));
-        }
+        let last = admitters
+            .into_iter()
+            .map(|a| a.join().unwrap_or_else(|_| panic!("admitter panicked")))
+            .max_by_key(|&(_, pos)| pos)
+            .map(|(seq, _)| seq);
 
         let (_t, mut g) = sync::lock_ranked("telemetry.trace.ring", &ring);
         let (finished, kept, evicted) = g.counters();
@@ -76,7 +82,10 @@ fn concurrent_admit_keeps_ring_bounded_and_counted() {
             evicted + drained_early + resident,
             "a kept trace was lost or double-counted"
         );
-        let _ = g.drain();
+        let left: Vec<u128> = g.drain().iter().map(|t| t.id.0).collect();
+        if resident == 1 {
+            assert_eq!(left, [last.unwrap()], "eviction kept a trace other than the newest");
+        }
     });
     assert!(report.ok(), "{:?}", report.violation);
     assert!(!report.truncated);

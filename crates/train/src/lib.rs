@@ -4,10 +4,10 @@
 //! * AdamW with cosine decay + linear warmup (paper §III: warmup ratio
 //!   0.03, cosine schedule);
 //! * bf16 weight emulation (the paper trains in bf16);
-//! * gradient accumulation and clipping;
-//! * data parallelism over simulated devices, one thread each, with
-//!   gradients averaged in ring all-reduce summation order (standing in
-//!   for the multi-A100 setup);
+//! * gradient clipping;
+//! * one device standing in for the multi-A100 data-parallel run: one
+//!   batch, one gradient and one AdamW update per step, the update every
+//!   DDP replica applies;
 //! * SFT with assistant-span loss masking over the chat template;
 //! * an A100-hour cost model calibrated against the paper's reported
 //!   GPU-hour figures.

@@ -1,19 +1,14 @@
 //! The training driver: CPT and SFT share one loop that differs only in
 //! its batch source.
 //!
-//! Structure per optimizer step (faithful to multi-GPU LMFlow training):
+//! Structure per optimizer step (the update LMFlow's data-parallel run
+//! applies, on one device):
 //!
-//! 1. every simulated device samples `grad_accum` micro-batches from its
-//!    own stream shard and accumulates gradients locally over the shared
-//!    weights, the devices packed onto the run's held core plus whatever
-//!    idle cores the step borrows (`astro_telemetry::cores`);
-//! 2. gradients are averaged across devices in the order a ring
-//!    all-reduce sums them (`ring_mean`);
-//! 3. the averaged gradient is clipped and applied by one AdamW under the
-//!    cosine schedule. Under DDP every replica applies this same update
-//!    to the same gradient and stays bit-identical, so one copy of the
-//!    weights is the same program;
-//! 4. optionally, weights are rounded to bf16 (the paper trains in bf16).
+//! 1. sample one batch from the run's stream and compute the loss and its
+//!    gradient over the weights (`TrainContext::loss_and_grad`);
+//! 2. clip the gradient and apply one AdamW update under the cosine
+//!    schedule;
+//! 3. optionally, round the weights to bf16 (the paper trains in bf16).
 
 use crate::data::{LmBatch, TokenStream};
 use crate::optim::{clip_grad_norm, AdamW};
@@ -21,7 +16,7 @@ use crate::schedule::CosineSchedule;
 use crate::sft::{sft_batch, SftExample};
 use astro_model::{Params, TrainContext};
 use astro_prng::Rng;
-use astro_telemetry::cores::{self, Cores};
+use astro_telemetry::cores::Cores;
 use astro_tensor::bf16::bf16_round_slice;
 
 /// Where batches come from.
@@ -71,7 +66,7 @@ impl std::error::Error for TrainError {}
 pub struct TrainerConfig {
     /// Peak learning rate.
     pub lr: f32,
-    /// Rows per micro-batch per device.
+    /// Rows per batch.
     pub batch: usize,
     /// Window length.
     pub seq: usize,
@@ -81,10 +76,6 @@ pub struct TrainerConfig {
     pub warmup_ratio: f64,
     /// Global-norm gradient clip (0 disables).
     pub grad_clip: f32,
-    /// Micro-batches accumulated per step.
-    pub grad_accum: usize,
-    /// Simulated data-parallel devices.
-    pub devices: usize,
     /// Round weights to bf16 after each update.
     pub bf16_weights: bool,
     /// Decoupled weight decay.
@@ -94,17 +85,14 @@ pub struct TrainerConfig {
 }
 
 impl TrainerConfig {
-    /// Validate hyper-parameters before building replicas or buffers.
-    /// [`train_lm`] asserts this.
+    /// Validate hyper-parameters before building buffers. [`train_lm`]
+    /// asserts this.
     pub fn validate(&self) -> Result<(), String> {
-        if self.devices == 0 || self.grad_accum == 0 || self.steps == 0 {
+        if self.batch == 0 || self.seq == 0 || self.steps == 0 {
             return Err(format!(
-                "devices {}, grad_accum {} and steps {} must all be nonzero",
-                self.devices, self.grad_accum, self.steps
+                "batch {}, seq {} and steps {} must all be nonzero",
+                self.batch, self.seq, self.steps
             ));
-        }
-        if self.batch == 0 || self.seq == 0 {
-            return Err(format!("batch {} and seq {} must be nonzero", self.batch, self.seq));
         }
         if !(self.lr > 0.0 && self.lr.is_finite()) {
             return Err(format!("lr must be positive and finite, got {}", self.lr));
@@ -134,8 +122,6 @@ impl Default for TrainerConfig {
             steps: 100,
             warmup_ratio: 0.03,
             grad_clip: 1.0,
-            grad_accum: 1,
-            devices: 1,
             bf16_weights: true,
             weight_decay: 0.01,
             log_every: 10,
@@ -148,9 +134,9 @@ impl Default for TrainerConfig {
 pub struct TrainReport {
     /// Optimizer steps taken.
     pub steps: u64,
-    /// Total tokens processed across all devices.
+    /// Total tokens processed.
     pub tokens_processed: u64,
-    /// `(step, loss)` samples from device 0.
+    /// `(step, loss)` samples.
     pub losses: Vec<(u64, f32)>,
     /// Loss at the last step.
     pub final_loss: f32,
@@ -169,55 +155,6 @@ impl TrainReport {
     }
 }
 
-/// Per-device state: everything but the weights and the optimizer,
-/// which all devices share.
-struct Device {
-    ctx: TrainContext,
-    grad: Vec<f32>,
-    rng: Rng,
-    last_loss: f32,
-}
-
-/// Replace `grads[0]` with the element-wise mean of `grads`, summed the
-/// way a ring all-reduce over `grads.len()` devices sums it.
-///
-/// The buffer is cut into one contiguous chunk per device (`len / n`
-/// elements, plus one for each of the first `len % n` chunks). The ring
-/// accumulates chunk `c` as it travels from device `c` around to device
-/// `c − 1`, so chunk `c` of the sum is `((b_c + b_{c+1}) + …) + b_{c−1}`,
-/// then scaled by `1 / n`. The order is fixed by the topology, so the
-/// result is deterministic. `allreduce.bytes` counts the volume the
-/// ring's reduce-scatter and all-gather would move, `2·(n−1)·len` floats.
-fn ring_mean(grads: &mut [&mut [f32]]) {
-    let n = grads.len();
-    let len = grads[0].len();
-    if n == 1 || len == 0 {
-        return;
-    }
-    let start = std::time::Instant::now();
-    let inv = 1.0 / n as f32;
-    let (base, rem) = (len / n, len % n);
-    let mut acc = Vec::with_capacity(base + 1);
-    let mut lo = 0;
-    for c in 0..n {
-        let hi = lo + base + usize::from(c < rem);
-        acc.clear();
-        acc.extend_from_slice(&grads[c][lo..hi]);
-        for j in 1..n {
-            for (a, x) in acc.iter_mut().zip(&grads[(c + j) % n][lo..hi]) {
-                *a += x;
-            }
-        }
-        for (g, a) in grads[0][lo..hi].iter_mut().zip(&acc) {
-            *g = a * inv;
-        }
-        lo = hi;
-    }
-    astro_telemetry::histogram("allreduce.micros").observe(start.elapsed().as_micros() as f64);
-    astro_telemetry::counter("allreduce.bytes")
-        .add((2 * (n - 1) * len * std::mem::size_of::<f32>()) as u64);
-}
-
 /// Train `params` in place. Returns the training report, or a typed
 /// error (invalid config, non-finite loss) with `params` untouched.
 pub fn train_lm(
@@ -231,11 +168,10 @@ pub fn train_lm(
         BatchSource::Lm(_) => "lm",
         BatchSource::Sft(..) => "sft",
     };
-    let train_span =
-        astro_telemetry::span!("train", kind = kind, devices = cfg.devices, steps = cfg.steps);
+    let train_span = astro_telemetry::span!("train", kind = kind, steps = cfg.steps);
     let tokens_counter = astro_telemetry::counter("train.tokens");
     let steps_counter = astro_telemetry::counter("train.steps");
-    let step_tokens = (cfg.devices * cfg.grad_accum * cfg.batch * cfg.seq) as u64;
+    let step_tokens = (cfg.batch * cfg.seq) as u64;
     let schedule = CosineSchedule::new(cfg.lr, cfg.steps, cfg.warmup_ratio);
     let n = params.data.len();
 
@@ -244,16 +180,13 @@ pub fn train_lm(
     let mut weights = params.clone();
     let mut opt = AdamW::new(n);
     opt.weight_decay = cfg.weight_decay;
-    let mut devices: Vec<Device> = (0..cfg.devices)
-        .map(|d| Device {
-            ctx: TrainContext::new(params.cfg, cfg.batch, cfg.seq),
-            grad: vec![0.0; n],
-            rng: rng.substream_idx("train-device", d as u64),
-            last_loss: 0.0,
-        })
-        .collect();
+    let mut ctx = TrainContext::new(params.cfg, cfg.batch, cfg.seq);
+    let mut grad = vec![0.0; n];
+    // The stream's name is part of every recorded run's weights: renaming
+    // it moves them all.
+    let mut batch_rng = rng.substream_idx("train-device", 0);
 
-    // One core for the whole run; each step borrows what else is idle.
+    // One core for the whole run.
     let _hold = Cores::process().hold();
 
     let mut losses = Vec::new();
@@ -261,67 +194,35 @@ pub fn train_lm(
     // recorded step over the wall time since then.
     let mut mark = (std::time::Instant::now(), 0u64);
     for step in 0..cfg.steps {
-        let inv_accum = 1.0 / cfg.grad_accum as f32;
-        let local = |dev: &mut Device| {
-            dev.grad.fill(0.0);
-            let mut loss_sum = 0.0;
-            for _ in 0..cfg.grad_accum {
-                let batch = match &source {
-                    BatchSource::Lm(stream) => {
-                        LmBatch::sample(stream, cfg.batch, cfg.seq, &mut dev.rng)
-                    }
-                    BatchSource::Sft(examples, pad) => {
-                        sft_batch(examples, cfg.batch, cfg.seq, *pad, &mut dev.rng)
-                    }
-                };
-                loss_sum += dev.ctx.loss_and_grad(
-                    &weights,
-                    &batch.tokens,
-                    &batch.targets,
-                    &batch.mask,
-                    &mut dev.grad,
-                );
+        let batch = match &source {
+            BatchSource::Lm(stream) => LmBatch::sample(stream, cfg.batch, cfg.seq, &mut batch_rng),
+            BatchSource::Sft(examples, pad) => {
+                sft_batch(examples, cfg.batch, cfg.seq, *pad, &mut batch_rng)
             }
-            if cfg.grad_accum > 1 {
-                for g in dev.grad.iter_mut() {
-                    *g *= inv_accum;
-                }
-            }
-            dev.last_loss = loss_sum * inv_accum;
         };
-        // Local compute on the held core plus what the ledger lends, then
-        // the ring-ordered mean. A device's panic is resumed with its own
-        // payload once every device has stopped.
-        let loan = Cores::process().borrow(cfg.devices - 1);
-        let queues = cores::pack(1 + loan.cores(), devices.iter_mut().map(|d| (1, d)).collect());
-        let ran = cores::run("astro-train", queues, |queue| queue.into_iter().for_each(&local));
-        drop(loan);
-        ran.into_iter().for_each(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
-        let mut grads: Vec<&mut [f32]> =
-            devices.iter_mut().map(|d| d.grad.as_mut_slice()).collect();
-        ring_mean(&mut grads);
+        grad.fill(0.0);
+        let mut loss =
+            ctx.loss_and_grad(&weights, &batch.tokens, &batch.targets, &batch.mask, &mut grad);
         // Abort on a non-finite loss *before* applying the update, so a
         // diverged (or fault-injected) step never poisons the weights.
-        let mut loss0 = devices[0].last_loss;
         if astro_telemetry::fault::should_fault("train.nan_loss") {
-            loss0 = f32::NAN;
+            loss = f32::NAN;
         }
-        if !loss0.is_finite() {
+        if !loss.is_finite() {
             astro_telemetry::Event::new("train.abort")
                 .str_field("kind", kind)
                 .u64_field("step", step)
-                .f64_field("loss", loss0 as f64)
+                .f64_field("loss", loss as f64)
                 .emit();
-            return Err(TrainError::NonFiniteLoss { step, loss: loss0 });
+            return Err(TrainError::NonFiniteLoss { step, loss });
         }
         let lr = schedule.lr_at(step);
-        let grad = &mut devices[0].grad;
-        let grad_norm0 = if cfg.grad_clip > 0.0 {
-            clip_grad_norm(grad, cfg.grad_clip)
+        let grad_norm = if cfg.grad_clip > 0.0 {
+            clip_grad_norm(&mut grad, cfg.grad_clip)
         } else {
             f32::NAN
         };
-        opt.step(&mut weights.data, grad, lr);
+        opt.step(&mut weights.data, &grad, lr);
         if cfg.bf16_weights {
             bf16_round_slice(&mut weights.data);
         }
@@ -331,7 +232,7 @@ pub fn train_lm(
             || step + 1 == cfg.steps
             || (cfg.log_every > 0 && step % cfg.log_every == 0);
         if record {
-            losses.push((step, loss0));
+            losses.push((step, loss));
             let done = step + 1;
             let dt = mark.0.elapsed().as_secs_f64();
             let tok_per_sec = ((done - mark.1) * step_tokens) as f64 / dt.max(1e-9);
@@ -339,13 +240,13 @@ pub fn train_lm(
             astro_telemetry::Event::new("train.step")
                 .str_field("kind", kind)
                 .u64_field("step", step)
-                .f64_field("loss", loss0 as f64)
+                .f64_field("loss", loss as f64)
                 .f64_field("lr", lr as f64)
-                .f64_field("grad_norm", grad_norm0 as f64)
+                .f64_field("grad_norm", grad_norm as f64)
                 .f64_field("tok_per_sec", tok_per_sec)
                 .emit();
             astro_telemetry::debug!(
-                "train[{kind}] step {step}/{} loss {loss0:.4} lr {lr:.3e} {tok_per_sec:.0} tok/s",
+                "train[{kind}] step {step}/{} loss {loss:.4} lr {lr:.3e} {tok_per_sec:.0} tok/s",
                 cfg.steps
             );
         }
@@ -399,8 +300,6 @@ mod tests {
             batch: 4,
             seq: 24,
             steps,
-            grad_accum: 1,
-            devices: 1,
             bf16_weights: false,
             log_every: 5,
             ..Default::default()
@@ -427,99 +326,27 @@ mod tests {
     }
 
     #[test]
-    fn multi_device_matches_train_semantics() {
-        // 2 devices with half the accumulation ≈ same effective batch; at
-        // minimum the run must complete and reduce the loss.
+    fn single_device_weights_are_pinned_bit_for_bit() {
+        // Digests of the weights and of the recorded losses after 6 steps
+        // of one device: sample, loss and gradient, clip, AdamW. Any change
+        // to the batch stream, the update order or the loss bookkeeping
+        // moves them.
         let (tok, stream) = tok_and_stream();
         let cfg_model = ModelConfig::tiny(tok.vocab_size());
-        let mut params = Params::init(cfg_model, &mut Rng::seed_from(3));
-        let mut cfg = small_cfg(40);
-        cfg.devices = 2;
-        let report = train_lm(&mut params, BatchSource::Lm(&stream), &cfg, &Rng::seed_from(4))
-            .expect("train");
-        assert!(report.tail_loss(3) < report.losses[0].1);
-    }
-
-    #[test]
-    fn multi_device_weights_are_pinned_bit_for_bit() {
-        // Digests of the weights after 6 steps, recorded when every device
-        // held its own replica and optimizer and the gradients went
-        // through a threaded ring all-reduce. One shared replica and the
-        // ring-ordered mean must reproduce them exactly.
-        let (tok, stream) = tok_and_stream();
-        let cfg_model = ModelConfig::tiny(tok.vocab_size());
-        for (devices, grad_accum, want) in
-            [(2, 1, 0x4f28_426e_6d93_4661_u64), (3, 2, 0x0614_affb_242c_8b75)]
-        {
-            let mut params = Params::init(cfg_model, &mut Rng::seed_from(12));
-            let mut cfg = small_cfg(6);
-            cfg.devices = devices;
-            cfg.grad_accum = grad_accum;
-            train_lm(&mut params, BatchSource::Lm(&stream), &cfg, &Rng::seed_from(13))
+        let mut params = Params::init(cfg_model, &mut Rng::seed_from(12));
+        let report =
+            train_lm(&mut params, BatchSource::Lm(&stream), &small_cfg(6), &Rng::seed_from(13))
                 .expect("train");
-            let bits: Vec<u8> =
-                params.data.iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();
-            assert_eq!(
-                astro_resilience::fnv64(&bits),
-                want,
-                "devices {devices}, grad_accum {grad_accum}"
-            );
-        }
-    }
-
-    /// Every buffer set `ring_mean` is checked on: the five hand-written
-    /// cases (two devices, uneven chunks, one device, fewer elements than
-    /// devices, empty buffers), then seeded buffers for every n in 1..=7
-    /// at lengths around the chunk edges.
-    fn ring_cases() -> Vec<Vec<Vec<f32>>> {
-        let mut cases = vec![
-            vec![vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![5.0, 4.0, 3.0, 2.0, 1.0]],
-            (0..4).map(|d| (0..10).map(|i| (d * 10 + i) as f32).collect()).collect(),
-            vec![vec![1.0, 2.0, 3.0]],
-            vec![vec![3.0, 0.0], vec![0.0, 3.0], vec![3.0, 3.0]],
-            vec![vec![], vec![]],
-        ];
-        let mut rng = Rng::seed_from(14);
-        for n in 1..=7 {
-            for len in [0, 1, n - 1, n + 1, 1_000, 4_097] {
-                cases.push((0..n).map(|_| (0..len).map(|_| rng.gauss_f32()).collect()).collect());
-            }
-        }
-        cases
-    }
-
-    #[test]
-    fn ring_mean_sums_each_chunk_in_ring_order() {
-        for inputs in ring_cases() {
-            let (n, len) = (inputs.len(), inputs[0].len());
-            let mut bufs = inputs.clone();
-            let mut refs: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            ring_mean(&mut refs);
-            // Chunk c holds `len / n` elements, plus one if c < len % n.
-            let (base, rem) = (len / n, len % n);
-            let chunk_of = |i: usize| {
-                if i < rem * (base + 1) {
-                    i / (base + 1)
-                } else {
-                    rem + (i - rem * (base + 1)) / base
-                }
-            };
-            for (i, got) in bufs[0].iter().enumerate() {
-                let want = if n == 1 {
-                    inputs[0][i]
-                } else {
-                    let c = chunk_of(i);
-                    let mut sum = inputs[c][i];
-                    for j in 1..n {
-                        sum += inputs[(c + j) % n][i];
-                    }
-                    sum * (1.0 / n as f32)
-                };
-                assert_eq!(got.to_bits(), want.to_bits(), "n {n} len {len} element {i}");
-                let mean = inputs.iter().map(|b| b[i]).sum::<f32>() / n as f32;
-                assert!((got - mean).abs() < 1e-5, "n {n} len {len} element {i}: {got} vs {mean}");
-            }
-        }
+        let bits: Vec<u8> = params.data.iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();
+        assert_eq!(astro_resilience::fnv64(&bits), 0x3778_57ea_33e9_e1a6, "weights");
+        let losses: Vec<u8> = report
+            .losses
+            .iter()
+            .flat_map(|&(step, loss)| {
+                step.to_le_bytes().into_iter().chain(loss.to_bits().to_le_bytes())
+            })
+            .collect();
+        assert_eq!(astro_resilience::fnv64(&losses), 0x3fb7_8fea_2478_5ced, "losses");
     }
 
     #[test]
@@ -588,18 +415,6 @@ mod tests {
             report.losses[0].1,
             report.tail_loss(3)
         );
-    }
-
-    #[test]
-    fn grad_accumulation_runs() {
-        let (tok, stream) = tok_and_stream();
-        let cfg_model = ModelConfig::tiny(tok.vocab_size());
-        let mut params = Params::init(cfg_model, &mut Rng::seed_from(10));
-        let mut cfg = small_cfg(8);
-        cfg.grad_accum = 3;
-        let report = train_lm(&mut params, BatchSource::Lm(&stream), &cfg, &Rng::seed_from(11))
-            .expect("train");
-        assert_eq!(report.tokens_processed, 8 * 3 * 4 * 24);
     }
 
     #[test]

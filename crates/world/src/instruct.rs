@@ -95,28 +95,16 @@ impl SftMixtureConfig {
 /// our models).
 pub const EXPERT_SYSTEM_PROMPT: &str = "You are an expert in general astrophysics.";
 
-/// Render the full-instruct MCQ prompt (paper Appendix B). `verbose`
-/// includes the instruction boilerplate; the compact form keeps only the
-/// structural skeleton that fits small-model context windows.
-pub fn full_instruct_prompt(question: &str, options: &[String; 4], verbose: bool) -> String {
+/// Render the full-instruct MCQ prompt (paper Appendix B) in compact form:
+/// the structural skeleton without the instruction boilerplate, so it fits
+/// small-model context windows.
+pub fn full_instruct_prompt(question: &str, options: &[String; 4]) -> String {
     let mut s = String::with_capacity(256);
-    if verbose {
-        s.push_str(
-            "Your task is to answer and explain the following multiple-choice \
-             question on astrophysics.\n",
-        );
-    }
     s.push_str("Question: ");
     s.push_str(question);
     s.push('\n');
     for (letter, opt) in ['A', 'B', 'C', 'D'].iter().zip(options.iter()) {
         s.push_str(&format!("{letter}: {opt}\n"));
-    }
-    if verbose {
-        s.push_str(
-            "Provide your response in valid JSON format only, with fields \
-             ANSWER and EXPLANATION. Give only one answer, either A, B, C or D.\n",
-        );
     }
     s.push_str("Output format: {\"ANSWER\": \"X\", \"EXPLANATION\": \"...\"}");
     s
@@ -171,7 +159,7 @@ pub fn sft_dataset(world: &World, config: &SftMixtureConfig, rng: &mut Rng) -> V
                     },
                     Turn {
                         role: "user",
-                        text: full_instruct_prompt(&question, &options, false),
+                        text: full_instruct_prompt(&question, &options),
                     },
                     Turn {
                         role: "assistant",
@@ -361,15 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn full_instruct_prompt_verbose_contains_boilerplate() {
+    fn full_instruct_prompt_bytes_are_pinned() {
         let opts = ["a".to_string(), "b".to_string(), "c".to_string(), "d".to_string()];
-        let v = full_instruct_prompt("Q?", &opts, true);
-        let c = full_instruct_prompt("Q?", &opts, false);
-        assert!(v.len() > c.len());
-        assert!(v.contains("valid JSON"));
-        assert!(c.contains("Question: Q?"));
-        assert!(c.contains("A: a\n"));
-        assert!(c.contains("Output format"));
+        assert_eq!(
+            full_instruct_prompt("Q?", &opts),
+            "Question: Q?\nA: a\nB: b\nC: c\nD: d\n\
+             Output format: {\"ANSWER\": \"X\", \"EXPLANATION\": \"...\"}"
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn main() {
     println!("{}", token_method_prompt(&ds.questions[0], &ds.exemplars, 2));
 
     println!("\n== the full-instruct prompt (Appendix B) ==");
-    let (system, user) = instruct_method_messages(&ds.questions[0], true);
+    let (system, user) = instruct_method_messages(&ds.questions[0]);
     println!("[system] {system}");
     println!("[user] {user}");
 }
