@@ -56,20 +56,21 @@
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
 //! rows as f32, or as int8 with one scale per row, and `linear` multiplies
 //! them by the f32 weight or by its one packed copy ([`Packed`]): int8 rows
-//! by `Packed::Int8`, which only an int8 session reads; f32 rows by
-//! `Packed::Panels` when the params carry them (`Params::frozen`, what an
-//! engine serves on an AVX-512 CPU), else by the f32 weight. RoPE,
-//! attention, the residual stream and the KV cache are f32 under both
-//! precisions.
+//! by `Packed::Int8`, or by `Packed::Int8Panels`, its panel form, which
+//! only an int8 session reads; f32 rows by `Packed::Panels` when the params
+//! carry them, else by the f32 weight. `Params::frozen`, what an engine
+//! serves, puts either precision's copy in its panel form on an AVX-512
+//! CPU. RoPE, attention, the residual stream and the KV cache are f32
+//! under both precisions.
 //!
 //! How a token stream is split into calls — or stacked with other
 //! sessions' rows — never changes a bit of the result: on the f32 path
 //! every output element is the same [`dot`] over the same operands
 //! whatever the row blocking and whether the panels or the row-major
 //! weight ran (`matmul_a_bt`'s contract, and `Panels`'), on the int8 path
-//! the integer accumulation is exact, attention returns each (row, head)
-//! the bits of the naive per-key loops whatever rows share its call
-//! (`attend_rows`' contract), and every other op is per row
+//! the integer accumulation is exact in either form, attention returns
+//! each (row, head) the bits of the naive per-key loops whatever rows
+//! share its call (`attend_rows`' contract), and every other op is per row
 //! (`tests/chunk_split.rs`).
 
 use crate::params::{Packed, Params, LINEARS};
@@ -391,10 +392,11 @@ impl InferenceSession {
     /// and LM head, into the session.
     ///
     /// The int8 arm runs only when the session is
-    /// [`WeightPrecision::Int8`] and the params' packed copy is int8 too;
-    /// an f32 session ignores an int8 copy. Every other pairing — an int8
-    /// session on f32 or panel params, an f32 session on quantized ones —
-    /// runs the f32 arms: a benign precision downgrade, not an error.
+    /// [`WeightPrecision::Int8`] and the params' packed copy is int8 too,
+    /// in either form; an f32 session ignores an int8 copy. Every other
+    /// pairing — an int8 session on f32 or panel params, an f32 session on
+    /// quantized ones, frozen or not — runs the f32 arms: a benign
+    /// precision downgrade, not an error.
     ///
     /// With `laps`, each op's wall time in µs is added to its [`OPS`]
     /// slot; the entry points pass `None`, and recording changes no bit.
@@ -415,10 +417,10 @@ impl InferenceSession {
             assert_eq!(rows.len(), m * cfg.vocab_size, "rows has wrong size");
         }
         let packed: &[Packed] = match (cfg.precision, p.packed.last()) {
-            (WeightPrecision::F32, Some(Packed::Int8(_))) => &[],
+            (WeightPrecision::F32, Some(w)) if w.is_int8() => &[],
             _ => &p.packed[..],
         };
-        let int8 = matches!(packed.last(), Some(Packed::Int8(_)));
+        let int8 = packed.last().is_some_and(Packed::is_int8);
         // A panic below (a token out of vocab) leaves the first lane an
         // empty scratch, which its next call grows back.
         let mut s = std::mem::take(&mut lanes[0].session.scratch);
@@ -626,9 +628,10 @@ impl Scratch {
 
 /// `out = a · Wᵀ` for `m` activation rows — the one place weight
 /// precision is chosen. `w` is the f32 weight with the packed copy the
-/// session reads, if any: an int8 copy reads the rows as int8 `aq` with one
-/// scale each; panels, or no copy, read them as f32 `a`, against the panels
-/// or the f32 weight — the same bits either way.
+/// session reads, if any: an int8 copy, row-major or in panels, reads the
+/// rows as int8 `aq` with one scale each; f32 panels, or no copy, read
+/// them as f32 `a`, against the panels or the f32 weight. Each form
+/// returns the bits of its precision's row-major kernel.
 fn linear(
     out: &mut [f32],
     (w, packed): (&[f32], Option<&Packed>),
@@ -639,6 +642,7 @@ fn linear(
 ) {
     match packed {
         Some(Packed::Int8(wq)) => wq.matmul_chunk(out, aq, scales, m),
+        Some(Packed::Int8Panels(wp)) => wp.a_bt(out, aq, scales, m),
         Some(Packed::Panels(wp)) => {
             out.fill(0.0);
             wp.a_bt_acc(out, a, m);
@@ -872,6 +876,8 @@ mod tests {
             (Int8, p.clone(), "plain f32"),
             (Int8, p.clone().with_panels(), "panel"),
             (F32, p.clone().quantized(), "int8"),
+            (F32, p.clone().quantized().frozen(), "frozen int8"),
+            (F32, p.clone().quantized().with_panels(), "int8 panel"),
         ];
         for (precision, params, copy) in &table {
             assert_eq!(run(*precision, params), want, "{precision:?} session on {copy} params");
@@ -964,13 +970,15 @@ mod tests {
         // stretched to fit the longest readout) and the S7b and S70b tiers:
         // recording laps changes no logit of a prefill block, a decode row
         // or a stacked readout, and neither does the f32 forward's panel
-        // copy, whatever kernel level this CPU runs it at.
+        // copy, whatever kernel level this CPU runs it at, nor the int8
+        // weights frozen as an engine serves them.
         use crate::Tier;
         let tiny = ModelConfig { max_seq: 48, ..ModelConfig::tiny(64) };
         for cfg in [tiny, ModelConfig::tier(Tier::S7b, 512), ModelConfig::tier(Tier::S70b, 512)] {
             let p = Params::init(cfg, &mut Rng::seed_from(19));
             let (q, panelled) = (p.clone().quantized(), p.clone().with_panels());
-            for (reference, recorded) in [(&p, &p), (&p, &panelled), (&q, &q)] {
+            let pairs = [(&p, &p), (&p, &panelled), (&q, &q), (&q, &q.clone().frozen())];
+            for (reference, recorded) in pairs {
                 let columns = op_columns(reference, recorded, 24, 3, 1);
                 assert!(columns.iter().all(|col| col.iter().sum::<f64>() > 0.0), "no laps recorded");
             }
@@ -998,10 +1006,10 @@ mod tests {
         for tier in [Tier::S7b, Tier::S70b] {
             let f32_params = Params::init(ModelConfig::tier(tier, 512), &mut Rng::seed_from(19));
             let int8_params = f32_params.clone().quantized();
-            // The f32 weights as an engine serves them (`Params::frozen`),
-            // checked against the plain ones.
-            let served = f32_params.clone().frozen();
-            for (reference, p) in [(&f32_params, &served), (&int8_params, &int8_params)] {
+            // Both precisions' weights as an engine serves them
+            // (`Params::frozen`), checked against the plain ones.
+            let served = [&f32_params, &int8_params].map(|p| p.clone().frozen());
+            for (reference, p) in [&f32_params, &int8_params].into_iter().zip(&served) {
                 let columns = op_columns(reference, p, PROMPT, READOUT_LANES, REPS);
                 println!(
                     "op_budget {tier:?} {:?} ({:?} kernels{}): us/row (share)   \
@@ -1009,7 +1017,10 @@ mod tests {
                      readouts of {READOUT_LANES} lanes x {READOUT_ROWS:?} rows at {PROMPT}",
                     p.cfg.precision,
                     astro_tensor::simd(),
-                    if matches!(p.packed.last(), Some(Packed::Panels(_))) { ", panels" } else { "" },
+                    match p.packed.last() {
+                        Some(Packed::Panels(_) | Packed::Int8Panels(_)) => ", panels",
+                        _ => "",
+                    },
                     PROMPT - PREFILL_ROWS
                 );
                 print!("  {:<10}", "");

@@ -12,7 +12,7 @@
 use crate::{ModelConfig, WeightPrecision};
 use astro_prng::Rng;
 use astro_quant::QuantMatrix;
-use astro_tensor::{Panels, Simd};
+use astro_tensor::{Panels, Q8Panels, Simd};
 
 /// Byte offsets (in f32 elements) of every tensor in the flat buffer.
 #[derive(Clone, Debug)]
@@ -118,12 +118,12 @@ pub struct Params {
     /// The flat weight buffer.
     pub data: Vec<f32>,
     /// The packed copy of every matmul weight, in [`Layout::linears`]
-    /// order, one form for all: int8 ([`Params::quantized`]) or panels
-    /// ([`Params::with_panels`]); empty when none is packed. `data` stays
-    /// authoritative — training, checkpoints and the golden reference
-    /// always read it — and the copy does not follow later writes to it:
-    /// only a frozen copy carries one ([`Params::frozen`], what an
-    /// inference engine holds).
+    /// order, one form for all: int8 ([`Params::quantized`]), or the panel
+    /// form of either precision ([`Params::with_panels`]); empty when none
+    /// is packed. `data` stays authoritative — training, checkpoints and
+    /// the golden reference always read it — and the copy does not follow
+    /// later writes to it: only a frozen copy carries one
+    /// ([`Params::frozen`], what an inference engine holds).
     pub packed: Vec<Packed>,
 }
 
@@ -137,6 +137,10 @@ pub enum Packed {
     /// Per-output-channel int8, multiplied by int8 activation rows — a
     /// lossy copy, bounded by the differential suite.
     Int8(QuantMatrix),
+    /// The same int8 weight in `k`-major panels of sixteen output columns
+    /// ([`Q8Panels`]), multiplied by int8 rows bit for bit as
+    /// [`Packed::Int8`] multiplies them.
+    Int8Panels(Q8Panels),
     /// `k`-major panels of sixteen output columns ([`Panels`]), multiplied
     /// by f32 rows bit for bit as `matmul_a_bt` multiplies `data`.
     Panels(Panels),
@@ -147,7 +151,24 @@ impl Packed {
     fn bytes(&self) -> usize {
         match self {
             Packed::Int8(w) => w.bytes(),
+            Packed::Int8Panels(w) => w.bytes(),
             Packed::Panels(w) => w.bytes(),
+        }
+    }
+
+    /// Whether the copy is int8, in either form.
+    pub(crate) fn is_int8(&self) -> bool {
+        matches!(self, Packed::Int8(_) | Packed::Int8Panels(_))
+    }
+
+    /// The copy in its panel form: an int8 copy repacked, panels as they
+    /// are.
+    fn into_panels(self) -> Packed {
+        match self {
+            Packed::Int8(w) => {
+                Packed::Int8Panels(Q8Panels::pack(w.q(), w.scales(), w.rows(), w.cols()))
+            }
+            panels => panels,
         }
     }
 }
@@ -230,13 +251,22 @@ impl Params {
         p
     }
 
-    /// Pack every matmul weight (attention and SwiGLU projections plus the
-    /// tied LM head) into the panel copy the f32 inference path multiplies
-    /// by, in place of any int8 copy. `data` stays authoritative and
-    /// unchanged.
+    /// Put every matmul weight (attention and SwiGLU projections plus the
+    /// tied LM head) into the panel copy of its precision: f32 weights
+    /// packed from `data` into [`Panels`], in place of any int8 copy; an
+    /// int8 copy repacked into [`Q8Panels`], the row-major one dropped.
+    /// `data` stays authoritative and unchanged.
     #[must_use]
-    pub fn with_panels(self) -> Self {
-        self.packed_with(|w, n, k| Packed::Panels(Panels::pack(w, n, k)))
+    pub fn with_panels(mut self) -> Self {
+        match self.cfg.precision {
+            WeightPrecision::F32 => {
+                self.packed_with(|w, n, k| Packed::Panels(Panels::pack(w, n, k)))
+            }
+            WeightPrecision::Int8 => {
+                self.packed = self.packed.into_iter().map(Packed::into_panels).collect();
+                self
+            }
+        }
     }
 
     /// Replace the packed copy with `pack` of each weight's rows, in
@@ -247,14 +277,14 @@ impl Params {
         self
     }
 
-    /// These weights as an inference engine holds them, frozen: with the
-    /// panel copy when they are f32 and the CPU runs the AVX-512 panel
-    /// tile ([`Simd::Avx512`]; below it the panels would run only as
-    /// portable loops), as they are otherwise. Nothing may write `data`
+    /// These weights as an inference engine holds them, frozen: in their
+    /// panel copy ([`Params::with_panels`]) when the CPU runs the AVX-512
+    /// panel tiles ([`Simd::Avx512`]; below it the panels would run only
+    /// as portable loops), as they are otherwise. Nothing may write `data`
     /// afterwards.
     #[must_use]
     pub fn frozen(self) -> Self {
-        if self.cfg.precision == WeightPrecision::F32 && astro_tensor::simd() >= Simd::Avx512 {
+        if astro_tensor::simd() >= Simd::Avx512 {
             self.with_panels()
         } else {
             self
@@ -263,8 +293,8 @@ impl Params {
 
     /// Resident bytes of the weights for the active precision: the f32
     /// buffer, plus its panel copy when one is packed, for
-    /// [`WeightPrecision::F32`]; the int8 copy (elements + scales) for
-    /// [`WeightPrecision::Int8`].
+    /// [`WeightPrecision::F32`]; the int8 copy (elements + scales, in
+    /// either form) for [`WeightPrecision::Int8`].
     pub fn weight_bytes(&self) -> usize {
         let packed = self.packed.iter().map(Packed::bytes).sum::<usize>();
         match self.cfg.precision {
@@ -359,6 +389,43 @@ mod tests {
             let f32_bytes = p.weight_bytes();
             let packed = p.with_panels().weight_bytes();
             assert_eq!(packed, f32_bytes + panel_bytes, "{tier:?}");
+        }
+    }
+
+    #[test]
+    fn weight_bytes_count_the_int8_panel_copy() {
+        // Each int8 weight's panels hold its `n` output columns and scales
+        // rounded up to sixteen, times `k` rounded up to four, one byte
+        // each: S7b's widths are all multiples of 16, S70b's d_ff 392 pads
+        // to 400 — 0.9 % over the row-major copy, which the panels replace.
+        let pinned = [(Tier::S7b, 193_408, 193_408), (Tier::S70b, 1_367_296, 1_379_136)];
+        for (tier, row_major, panel_bytes) in pinned {
+            let q = Params::init(ModelConfig::tier(tier, 512), &mut Rng::seed_from(4)).quantized();
+            assert_eq!(q.weight_bytes(), row_major, "{tier:?} row-major");
+            let panels = q.with_panels();
+            assert!(panels.packed.iter().all(|w| matches!(w, Packed::Int8Panels(_))), "{tier:?}");
+            assert_eq!(panels.weight_bytes(), panel_bytes, "{tier:?} panels");
+        }
+    }
+
+    #[test]
+    fn frozen_keeps_one_copy_in_the_form_the_host_runs() {
+        // One packed copy per weight, whatever the precision: the panel form
+        // on an AVX-512 CPU, the weights as they were below it.
+        let p = Params::init(ModelConfig::tiny(32), &mut Rng::seed_from(6));
+        let panels = astro_tensor::simd() >= Simd::Avx512;
+        for (p, form) in [(p.clone(), "f32"), (p.quantized(), "int8")] {
+            let frozen = p.clone().frozen();
+            assert_eq!(frozen.packed.len(), p.layout.linears(&p.cfg).count(), "{form}");
+            for (was, now) in p.packed.iter().zip(&frozen.packed) {
+                assert_eq!(was.is_int8(), now.is_int8(), "{form}");
+            }
+            let expect = |w: &Packed| match w {
+                Packed::Panels(_) | Packed::Int8Panels(_) => panels,
+                Packed::Int8(_) => !panels,
+            };
+            let host = astro_tensor::simd();
+            assert!(frozen.packed.iter().all(expect), "{form} frozen on {host:?}");
         }
     }
 

@@ -1,7 +1,8 @@
 //! The decode and prefill hot paths do not touch the heap: 64 consecutive
 //! `feed` calls allocate zero times, and so do block-fed prefill once its
 //! first row block has grown the scratch and a stacked multi-session
-//! forward once one of its width has — f32 and int8.
+//! forward once one of its width has — f32, int8, and int8 frozen as an
+//! engine serves it.
 //!
 //! A counting `#[global_allocator]` is process-wide, so this lives in its
 //! own test binary with a single `#[test]`: no other test thread can
@@ -47,7 +48,10 @@ fn feeds_and_block_fed_prefill_allocate_nothing() {
     let vocab = 64;
     let f32_params = Params::init(ModelConfig::tier(Tier::S7b, vocab), &mut Rng::seed_from(3));
     let int8_params = f32_params.clone().quantized();
-    for p in [&f32_params, &int8_params] {
+    // The int8 weights as an engine serves them: the int8 panels on an
+    // AVX-512 CPU, whose tile keeps its row offsets on the stack.
+    let frozen_int8 = int8_params.clone().frozen();
+    for (form, p) in [("f32", &f32_params), ("int8", &int8_params), ("frozen int8", &frozen_int8)] {
         let mut sess = InferenceSession::new(p.cfg);
         // A chunk first: the scratch grows once, then shrinking back to
         // one row must not allocate either.
@@ -58,7 +62,7 @@ fn feeds_and_block_fed_prefill_allocate_nothing() {
                 checksum += sess.feed(p, t % vocab as u32)[0];
             }
         });
-        assert_eq!(feeds, 0, "{:?}: feed allocated", p.cfg.precision);
+        assert_eq!(feeds, 0, "{form}: feed allocated");
 
         // Prefill: the first full row block grows the scratch; the five
         // blocks and the ragged sixth after it reuse it, as does the
@@ -70,7 +74,7 @@ fn feeds_and_block_fed_prefill_allocate_nothing() {
             checksum += sess.try_feed_prompt(p, &prompt[16..]).unwrap()[0];
             checksum += sess.feed(p, 1)[0];
         });
-        assert_eq!(prefill, 0, "{:?}: block-fed prefill allocated", p.cfg.precision);
+        assert_eq!(prefill, 0, "{form}: block-fed prefill allocated");
 
         // A score readout's stacked forward: eight forks of the prompt, 20
         // rows in all. The first one grows the first fork's scratch; the
@@ -94,7 +98,7 @@ fn feeds_and_block_fed_prefill_allocate_nothing() {
             });
             checksum += rows[0];
         }
-        assert_eq!(stacked, 0, "{:?}: second stacked readout allocated", p.cfg.precision);
+        assert_eq!(stacked, 0, "{form}: second stacked readout allocated");
         assert!(checksum.is_finite());
     }
 }

@@ -8,7 +8,8 @@
 //! single product `q · scale` and the accumulator never sees −128.
 //!
 //! `astro_model` quantizes each matmul weight into one and holds it as
-//! that weight's packed copy (`Packed::Int8`) beside the f32 buffer.
+//! that weight's packed copy (`Packed::Int8`) beside the f32 buffer, or,
+//! frozen on an AVX-512 CPU, repacked into `astro_tensor::Q8Panels`.
 //! RMSNorm gains and the embedding *lookup* stay f32 (they are vectors /
 //! row gathers, not matmuls, and cost nothing to keep exact).
 

@@ -4,9 +4,9 @@
 //! (llm.c style) over pre-allocated buffers, so this crate exposes *slice
 //! kernels* rather than a graph framework: blocked matrix multiplication in
 //! the three orientations backward passes need, frozen weights packed into
-//! `k`-major panels for the inference path's 16-lane linears
-//! ([`Panels`]), fused softmax / cross-entropy / RMSNorm kernels, the
-//! attention kernel of the inference path, and bf16 emulation matching
+//! `k`-major panels for the inference path's 16-lane linears ([`Panels`],
+//! [`Q8Panels`] for int8), fused softmax / cross-entropy / RMSNorm kernels,
+//! the attention kernel of the inference path, and bf16 emulation matching
 //! the paper's bf16 training. Vector kernels are picked at run time by one
 //! cached level, [`simd()`]: [`Simd::Portable`] < [`Simd::Avx2`] <
 //! [`Simd::Avx2Vnni`] < [`Simd::Avx512`], each level's CPU running every
@@ -29,7 +29,7 @@ pub mod qmatmul;
 
 pub use bf16::{bf16_round, bf16_round_slice};
 pub use matmul::{matmul, matmul_at_b, matmul_a_bt};
-pub use panel::Panels;
+pub use panel::{Panels, Q8Panels};
 pub use qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_row_q8, quantize_rows_q8};
 
 /// A level of the runtime kernel dispatch, ordered: each level's CPU also
@@ -48,10 +48,11 @@ pub enum Simd {
     /// AVX2 plus AVX-VNNI: as [`Simd::Avx2`], with the q8 tile's
     /// multiply-add one `vpdpbusd`.
     Avx2Vnni,
-    /// AVX-512F on a CPU that runs every level below: as
-    /// [`Simd::Avx2Vnni`], plus the 16-lane tile of [`panel::Panels`] — the
-    /// f32 linears of frozen weights packed into `k`-major panels.
-    /// Multiply, then add, as ever.
+    /// AVX-512F and AVX-512 VNNI on a CPU that runs every level below: as
+    /// [`Simd::Avx2Vnni`], plus the 16-lane tiles of [`panel::Panels`] and
+    /// [`panel::Q8Panels`] — the f32 and int8 linears of frozen weights
+    /// packed into `k`-major panels. Multiply, then add, as ever on f32;
+    /// one `vpdpbusd` per sixteen int8 dots on the int8 panels.
     Avx512,
 }
 
@@ -79,7 +80,7 @@ fn detect() -> Simd {
         Simd::Portable
     } else if !is_x86_feature_detected!("avxvnni") {
         Simd::Avx2
-    } else if is_x86_feature_detected!("avx512f") {
+    } else if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni") {
         Simd::Avx512
     } else {
         Simd::Avx2Vnni

@@ -1,5 +1,5 @@
-//! Frozen f32 weights packed once into `k`-major panels for a 16-lane
-//! tile.
+//! Frozen weights packed once into `k`-major panels for a 16-lane tile:
+//! f32 ([`Panels`]) and int8 ([`Q8Panels`], see its doc).
 //!
 //! [`Panels::pack`] lays a row-major weight `b` (`n × k`, applied as
 //! `a · bᵀ` — every linear layer's `[out_features, in_features]`) out as
@@ -17,11 +17,15 @@
 //! gather four weight rows' quads and reduce them horizontally; a
 //! prototype of that ran 0.81–1.67x of the AVX2 tile and was slower on 4
 //! of the 18 S70b / S7b shapes (docs/TUNING.md). The panels move the
-//! transpose to packing time, which a frozen weight pays once.
+//! transpose to packing time, which a frozen weight pays once. The int8
+//! row-major tile has the same shape of problem — one dot's bytes per
+//! register, a four-way horizontal sum per output — and [`Q8Panels`] the
+//! same answer, one `vpdpbusd` lane per output column.
 //!
 //! [`dot`]: crate::matmul::dot
 //! [`matmul_a_bt_acc`]: crate::matmul::matmul_a_bt_acc
 
+use crate::qmatmul::dequant;
 use crate::{supported, Simd};
 
 /// Output columns per panel: one per 512-bit lane.
@@ -113,21 +117,141 @@ impl Panels {
     }
 }
 
-/// The AVX-512 tile: per panel, bands of four `a` rows (then three, two or
-/// one), each row four 16-lane accumulators — sixteen of the thirty-two
-/// zmm registers at four rows. Per step `t` it loads the panel's step once
-/// and, per row, broadcasts `a[r][t]`, multiplies, then adds: `avx512f`
-/// only, never FMA, whose single rounding would change the low bits [`dot`]
+/// Bytes of one int8 step: sixteen columns' weights at four consecutive
+/// `t`, a cache line.
+const Q8_STEP: usize = 4 * LANES;
+
+/// One step of an int8 panel (see [`Q8Panels`]).
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(64))]
+struct Q8Step([u8; Q8_STEP]);
+
+/// Activation rows whose offsets [`Q8Panels::a_bt`] keeps on the stack
+/// at once.
+const Q8_ROWS: usize = 16;
+
+/// An int8 weight `b` (`n × k`, one scale per row) in `k`-major panels of
+/// sixteen output columns for the `vpdpbusd` tile: `⌈n / 16⌉` panels of
+/// `⌈k / 4⌉` 64-byte steps, byte `[j / 16][t / 4][j % 16][t % 4]` holding
+/// `b[j][t] + 128` as `u8`, so one step is four `t` of sixteen dots, four
+/// bytes per lane. `vpdpbusd` wants one unsigned operand and AVX-512 has
+/// no `vpsignb` to move a sign across, so the weights take the offset
+/// and each row pays it back once: `Σ (w + 128)·a − 128·Σ a` is the
+/// exact `Σ w·a` — the `i32` lanes wrap, and the true sum fits them for
+/// `k ≤ 2^16`. Missing columns and the padding of `k` to a multiple of 4
+/// hold weight 0; a padded `t` meets a zero activation byte and a padded
+/// column is masked off at the store. [`Q8Panels::a_bt`] therefore
+/// returns [`matmul_q8_a_bt`]'s bits, whatever `m` and whichever tile
+/// ran. A derived copy, like [`Panels`].
+///
+/// [`matmul_q8_a_bt`]: crate::qmatmul::matmul_q8_a_bt
+#[derive(Clone, Debug)]
+pub struct Q8Panels {
+    n: usize,
+    k: usize,
+    /// `⌈n / 16⌉` panels of `⌈k / 4⌉` steps each, panel after panel.
+    steps: Vec<Q8Step>,
+    /// The `n` weight scales, zero-padded to a multiple of sixteen.
+    scales: Vec<f32>,
+}
+
+impl Q8Panels {
+    /// Pack the row-major int8 `q` (`n × k`) with its `n` row scales.
+    pub fn pack(q: &[i8], scales: &[f32], n: usize, k: usize) -> Self {
+        assert!(n > 0 && k > 0, "an empty weight");
+        assert_eq!(q.len(), n * k, "q has wrong size");
+        assert_eq!(scales.len(), n, "scales has wrong size");
+        let quads = k.div_ceil(4);
+        let mut steps = vec![Q8Step([128; Q8_STEP]); n.div_ceil(LANES) * quads];
+        for (j, row) in q.chunks_exact(k).enumerate() {
+            let panel = &mut steps[j / LANES * quads..][..quads];
+            for (t, &w) in row.iter().enumerate() {
+                panel[t / 4].0[j % LANES * 4 + t % 4] = (i16::from(w) + 128) as u8;
+            }
+        }
+        let mut scales = scales.to_vec();
+        scales.resize(n.next_multiple_of(LANES), 0.0);
+        Q8Panels {
+            n,
+            k,
+            steps,
+            scales,
+        }
+    }
+
+    /// Resident bytes of the panels and scales, padding included.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.steps.as_slice()) + std::mem::size_of_val(self.scales.as_slice())
+    }
+
+    /// `c = a · bᵀ` for the `m` int8 rows of `a` (`m × k`, one scale each
+    /// in `a_scales`) and `c` of `m × n`: the bits of
+    /// [`crate::qmatmul::matmul_q8_a_bt`] on the weight these panels hold.
+    pub fn a_bt(&self, c: &mut [f32], a: &[i8], a_scales: &[f32], m: usize) {
+        self.a_bt_at(crate::simd(), c, a, a_scales, m);
+    }
+
+    /// [`Self::a_bt`] on the tile of `level`: the AVX-512 VNNI tile at
+    /// [`Simd::Avx512`], the portable loops below it.
+    pub(crate) fn a_bt_at(&self, level: Simd, c: &mut [f32], a: &[i8], a_scales: &[f32], m: usize) {
+        assert_eq!(a.len(), m * self.k, "a has wrong size");
+        assert_eq!(c.len(), m * self.n, "c has wrong size");
+        assert_eq!(a_scales.len(), m, "a_scales has wrong size");
+        match supported(level) {
+            // SAFETY: `supported` verified AVX-512F and AVX-512 VNNI at
+            // runtime (the `Avx512` level requires both), and `c`, `a` and
+            // `a_scales` were asserted against `m`, `n` and `k` just above.
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx512 => unsafe { x86::q8_a_bt(self, c, a, a_scales) },
+            _ => self.a_bt_portable(c, a, a_scales),
+        }
+    }
+
+    /// The panel arithmetic in plain loops, row by row — the reference the
+    /// AVX-512 tile is tested against.
+    fn a_bt_portable(&self, c: &mut [f32], a: &[i8], a_scales: &[f32]) {
+        let (n, k) = (self.n, self.k);
+        let quads = k.div_ceil(4);
+        for (p, panel) in self.steps.chunks_exact(quads).enumerate() {
+            let cols = (n - p * LANES).min(LANES);
+            let scales = &self.scales[p * LANES..][..cols];
+            for ((arow, &sa), crow) in a.chunks_exact(k).zip(a_scales).zip(c.chunks_exact_mut(n)) {
+                let mut acc = [0i32; LANES];
+                for (t, &x) in arow.iter().enumerate() {
+                    for (lane, s) in acc.iter_mut().enumerate() {
+                        let w = panel[t / 4].0[lane * 4 + t % 4];
+                        *s = s.wrapping_add(i32::from(w) * i32::from(x));
+                    }
+                }
+                let offset = 128 * arow.iter().map(|&x| i32::from(x)).sum::<i32>();
+                for ((o, s), &sb) in crow[p * LANES..][..cols].iter_mut().zip(acc).zip(scales) {
+                    *o = dequant(s.wrapping_sub(offset), sa, sb);
+                }
+            }
+        }
+    }
+}
+
+/// The AVX-512 tiles. The f32 one ([`Panels`]): per panel, bands of four
+/// `a` rows (then three, two or one), each row four 16-lane accumulators —
+/// sixteen of the thirty-two zmm registers at four rows. Per step `t` it
+/// loads the panel's step once and, per row, broadcasts `a[r][t]`,
+/// multiplies, then adds: `avx512f` only, never FMA, whose single rounding
+/// would change the low bits [`dot`]
 /// keeps. The panel loop is outermost, so one panel (at most `64 · k`
-/// bytes, 25 KB at `k` = 392) serves every row band from L1.
+/// bytes, 25 KB at `k` = 392) serves every row band from L1. The int8 one
+/// ([`Q8Panels`], `avx512f` and `avx512vnni`) is described at
+/// [`q8_a_bt`](x86::q8_a_bt).
 ///
 /// [`dot`]: crate::matmul::dot
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Panels, LANES};
+    use super::{Panels, Q8Panels, LANES, Q8_ROWS, Q8_STEP};
     use std::arch::x86_64::{
-        __m512, __mmask16, _mm512_add_ps, _mm512_load_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        __m512, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_cvtepi32_ps,
+        _mm512_dpbusd_epi32, _mm512_load_ps, _mm512_load_si512, _mm512_loadu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_epi32,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_sub_epi32,
     };
 
     /// AVX-512 [`Panels::a_bt_acc`].
@@ -196,6 +320,294 @@ mod x86 {
             }
             let o = out.add(r * n);
             _mm512_mask_storeu_ps(o, mask, _mm512_add_ps(_mm512_maskz_loadu_ps(mask, o), sums));
+        }
+    }
+
+    /// AVX-512 VNNI [`Q8Panels::a_bt`]: blocks of up to [`Q8_ROWS`] rows,
+    /// each block's `128·Σa` offsets taken first onto the stack; within a
+    /// block, pairs of panels outermost (at most `2 · 64 · ⌈k / 4⌉` bytes,
+    /// 12.5 KB at `k` = 392, served from L1 to every band) and bands of
+    /// four rows (then three, two or one) inside.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F and AVX-512 VNNI support and that `c`,
+    /// `a` and `a_scales` hold `m × n`, `m × k` and `m` elements, `m` =
+    /// `a_scales.len()`.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    pub(super) unsafe fn q8_a_bt(p: &Q8Panels, c: &mut [f32], a: &[i8], a_scales: &[f32]) {
+        let (n, k) = (p.n, p.k);
+        let quads = k.div_ceil(4);
+        let panels = n.div_ceil(LANES);
+        for (block, sa) in a_scales.chunks(Q8_ROWS).enumerate() {
+            let (i0, rows) = (block * Q8_ROWS, sa.len());
+            let ab = &a[i0 * k..(i0 + rows) * k];
+            let mut offsets = [0i32; Q8_ROWS];
+            for (o, arow) in offsets.iter_mut().zip(ab.chunks_exact(k)) {
+                *o = 128 * arow.iter().map(|&x| i32::from(x)).sum::<i32>();
+            }
+            for j in (0..panels).step_by(2) {
+                let masks = [j, j + 1].map(|q| {
+                    let cols = n.saturating_sub(q * LANES).min(LANES);
+                    ((1u32 << cols) - 1) as __mmask16
+                });
+                let g = Group {
+                    c: c.as_mut_ptr().add(i0 * n + j * LANES),
+                    n,
+                    a: ab.as_ptr(),
+                    k,
+                    b: p.steps.as_ptr().add(j * quads).cast::<u8>(),
+                    panel: quads * Q8_STEP,
+                    scales: p.scales.as_ptr().add(j * LANES),
+                    masks,
+                };
+                if j + 1 < panels {
+                    q8_bands::<2>(&g, &offsets[..rows], sa);
+                } else {
+                    q8_bands::<1>(&g, &offsets[..rows], sa);
+                }
+            }
+        }
+    }
+
+    /// What every band of one row block shares against one group of
+    /// panels.
+    struct Group {
+        /// The block's first output row, at the group's first column.
+        c: *mut f32,
+        n: usize,
+        /// The block's first activation row.
+        a: *const i8,
+        k: usize,
+        /// The group's first panel, 64-byte aligned.
+        b: *const u8,
+        /// Bytes from one panel to the next.
+        panel: usize,
+        /// The group's first column's weight scale.
+        scales: *const f32,
+        /// The output columns of each panel.
+        masks: [__mmask16; 2],
+    }
+
+    /// The block's rows against `P` panels of `g`, four rows a band, then
+    /// the `rows % 4` left over.
+    ///
+    /// # Safety
+    /// As [`q8_band`], for every row of `offsets` (as many as `a_scales`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    unsafe fn q8_bands<const P: usize>(g: &Group, offsets: &[i32], a_scales: &[f32]) {
+        let rows = offsets.len();
+        let full = rows - rows % 4;
+        for i in (0..full).step_by(4) {
+            q8_band::<4, P, 1>(g, i, &offsets[i..], &a_scales[i..]);
+        }
+        let (o, s) = (&offsets[full..], &a_scales[full..]);
+        match rows % 4 {
+            3 => q8_band::<3, P, 1>(g, full, o, s),
+            2 => q8_band::<2, P, 2>(g, full, o, s),
+            1 => q8_band::<1, P, 4>(g, full, o, s),
+            _ => {}
+        }
+    }
+
+    /// Rows `i..i + R` of the block against `P` panels: per 4-`t` step the
+    /// panels' steps are loaded once and each row's four activation bytes
+    /// broadcast into one `vpdpbusd` per panel (weights the unsigned
+    /// operand, activations the signed one); the last, partial step reads
+    /// zeros past `k`. Step `q` adds into chain `q mod S` — `S` = 2 or 4
+    /// keeps a band of one or two rows from waiting out `vpdpbusd`'s
+    /// latency, and integer sums may be split anyhow. Then the chains are
+    /// added, each row's offset comes off, and the sums are dequantized as
+    /// [`dequant`](super::dequant) does — `(acc as f32) · (sa · sb)` — and
+    /// stored under the panels' masks.
+    ///
+    /// # Safety
+    /// AVX-512F and AVX-512 VNNI; `g` points into live buffers of the
+    /// block (`R` rows of `k` activations from row `i`, `R` output rows at
+    /// stride `n` with each panel's masked lanes writable, `P` panels of
+    /// `⌈k / 4⌉` steps and `16 · P` scales), and `offsets` and `a_scales`
+    /// hold at least `R` elements.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    unsafe fn q8_band<const R: usize, const P: usize, const S: usize>(
+        g: &Group,
+        i: usize,
+        offsets: &[i32],
+        a_scales: &[f32],
+    ) {
+        let (k, a) = (g.k, g.a.add(i * g.k));
+        let mut acc = [[[_mm512_setzero_si512(); P]; R]; S];
+        let full = k / 4;
+        // Step `q` into `$chain`: the panels' steps, then row `r`'s four
+        // bytes `$quad`.
+        macro_rules! step {
+            ($q:expr, $chain:expr, |$r:ident| $quad:expr) => {
+                let mut vb = [_mm512_setzero_si512(); P];
+                for (p, v) in vb.iter_mut().enumerate() {
+                    *v = _mm512_load_si512(g.b.add(p * g.panel + $q * Q8_STEP).cast());
+                }
+                for ($r, row) in $chain.iter_mut().enumerate() {
+                    let va = _mm512_set1_epi32($quad);
+                    for (s, &w) in row.iter_mut().zip(&vb) {
+                        *s = _mm512_dpbusd_epi32(*s, w, va);
+                    }
+                }
+            };
+        }
+        let mut q = 0;
+        while q + S <= full {
+            for (s, chain) in acc.iter_mut().enumerate() {
+                step!(q + s, chain, |r| a
+                    .add(r * k + 4 * (q + s))
+                    .cast::<i32>()
+                    .read_unaligned());
+            }
+            q += S;
+        }
+        for q in q..full {
+            step!(q, acc[0], |r| a
+                .add(r * k + 4 * q)
+                .cast::<i32>()
+                .read_unaligned());
+        }
+        if k % 4 != 0 {
+            step!(full, acc[0], |r| {
+                let mut quad = [0u8; 4];
+                let tail = a.add(r * k + 4 * full).cast::<u8>();
+                std::ptr::copy_nonoverlapping(tail, quad.as_mut_ptr(), k % 4);
+                i32::from_le_bytes(quad)
+            });
+        }
+        let mut sums = acc[0];
+        for chain in &acc[1..] {
+            for (row, other) in sums.iter_mut().zip(chain) {
+                for (s, &o) in row.iter_mut().zip(other) {
+                    *s = _mm512_add_epi32(*s, o);
+                }
+            }
+        }
+        for (r, row) in sums.into_iter().enumerate() {
+            let (offset, sa) = (_mm512_set1_epi32(offsets[r]), _mm512_set1_ps(a_scales[r]));
+            let c = g.c.add((i + r) * g.n);
+            for (p, s) in row.into_iter().enumerate() {
+                let sum = _mm512_cvtepi32_ps(_mm512_sub_epi32(s, offset));
+                let scale = _mm512_mul_ps(sa, _mm512_loadu_ps(g.scales.add(p * LANES)));
+                _mm512_mask_storeu_ps(c.add(p * LANES), g.masks[p], _mm512_mul_ps(sum, scale));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::qmatmul::{matmul_q8_a_bt_portable, quantize_rows_q8};
+    use crate::tests::host_levels;
+
+    /// `len` int8 values quantized from a seeded pseudo-random row set,
+    /// one scale per row of `cols`.
+    fn q8_rows(rows: usize, cols: usize, seed: u64) -> (Vec<i8>, Vec<f32>) {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let x: Vec<f32> = (0..rows * cols)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (((s >> 33) as u32) as f32 / u32::MAX as f32) * 2.0 - 1.0
+            })
+            .collect();
+        let (mut q, mut scales) = (vec![0i8; rows * cols], vec![0.0; rows]);
+        quantize_rows_q8(&mut q, &mut scales, &x, rows, cols);
+        (q, scales)
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn q8_pack_offsets_each_weight_into_its_lane_and_quad() {
+        let (n, k) = (17, 6);
+        let q: Vec<i8> = (0..n * k).map(|i| (i as i32 % 255 - 127) as i8).collect();
+        let scales: Vec<f32> = (0..n).map(|j| j as f32).collect();
+        let p = Q8Panels::pack(&q, &scales, n, k);
+        assert_eq!((p.steps.len(), p.scales.len()), (2 * 2, 32));
+        for j in 0..32 {
+            for t in 0..8 {
+                let byte = p.steps[j / 16 * 2 + t / 4].0[j % 16 * 4 + t % 4];
+                let w = if j < n && t < k { q[j * k + t] } else { 0 };
+                assert_eq!(i16::from(byte) - 128, i16::from(w), "column {j} step {t}");
+            }
+            assert_eq!(p.scales[j], if j < n { j as f32 } else { 0.0 });
+        }
+        assert_eq!(p.bytes(), 4 * 64 + 32 * 4);
+    }
+
+    #[test]
+    fn q8_panels_match_the_row_major_kernel_at_every_edge() {
+        // Each host level's tile against the portable row-major loops, bit
+        // for bit: rows on both sides of a four-row band and of the
+        // sixteen-row offset block, every `k % 4` tail plus the S70b
+        // `d_model` and `d_ff`, columns on both sides of a panel and of a
+        // panel pair.
+        let levels = host_levels();
+        for m in [1usize, 2, 3, 4, 5, 9, 17] {
+            for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 13, 144, 392] {
+                for n in [1usize, 15, 16, 17, 31, 32, 33, 517] {
+                    let (mut aq, asc) = q8_rows(m, k, (m * k) as u64);
+                    let (mut bq, bsc) = q8_rows(n, k, (n + k) as u64);
+                    // No quantizer emits it, but an activation of -128
+                    // against weights of ±127 stays exact, in the steps and
+                    // in the tail.
+                    for t in [0, k / 2, k - 1] {
+                        aq[t] = i8::MIN;
+                        aq[m * k - 1 - t] = i8::MIN;
+                        bq[t] = 127;
+                        bq[n * k - 1 - t] = -127;
+                    }
+                    let mut want = vec![f32::NAN; m * n];
+                    matmul_q8_a_bt_portable(&mut want, &aq, &asc, &bq, &bsc, k, n);
+                    let panels = Q8Panels::pack(&bq, &bsc, n, k);
+                    for &level in &levels {
+                        let mut got = vec![f32::NAN; m * n];
+                        panels.a_bt_at(level, &mut got, &aq, &asc, m);
+                        assert_eq!(bits(&got), bits(&want), "{level:?} {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn q8_panels_sum_the_largest_products_exactly_near_k_2_16() {
+        // Rows of -128 and of 127 against weights of 127, -127 and ±127 in
+        // turn, `k` up to 2^16: the offset sums `Σ (w + 128)·a` reach
+        // 255 · 128 · 2^16 in magnitude, and the true sums, ±127 · 128 ·
+        // 2^16, must come out exact.
+        for k in [(1 << 16) - 3, 1 << 16] {
+            let mut a = vec![i8::MIN; 2 * k];
+            a[k..].fill(127);
+            let mut b = vec![127i8; 3 * k];
+            b[k..2 * k].fill(-127);
+            for (t, w) in b[2 * k..].iter_mut().enumerate() {
+                *w = if t % 2 == 0 { 127 } else { -127 };
+            }
+            let exact = |x: &[i8], w: &[i8]| -> f32 {
+                x.iter()
+                    .zip(w)
+                    .map(|(&x, &w)| i64::from(x) * i64::from(w))
+                    .sum::<i64>() as f32
+            };
+            let want: Vec<f32> = a
+                .chunks_exact(k)
+                .flat_map(|arow| b.chunks_exact(k).map(move |brow| exact(arow, brow)))
+                .collect();
+            let panels = Q8Panels::pack(&b, &[1.0; 3], 3, k);
+            for level in host_levels() {
+                let mut got = [f32::NAN; 6];
+                panels.a_bt_at(level, &mut got, &a, &[1.0; 2], 2);
+                assert_eq!(got.as_slice(), want, "{level:?} k={k}");
+            }
         }
     }
 }

@@ -16,10 +16,11 @@
 //!   and integer adds are associative, so LLVM may vectorize it without a
 //!   fast-math opt-in;
 //! * on x86-64 the kernels follow the level [`crate::simd`] detects once
-//!   at run time — AVX2, or AVX2 with AVX-VNNI. Every level accumulates
-//!   exactly in `i32` and rounds with the same f32 operations in the same
-//!   order, so all return bit-identical results: the dispatch never
-//!   affects determinism, only speed;
+//!   at run time — AVX2, or AVX2 with AVX-VNNI (the `Avx512` level runs
+//!   the AVX-VNNI kernels here). Every level accumulates exactly in `i32`
+//!   and rounds with the same f32 operations in the same order, so all
+//!   return bit-identical results: the dispatch never affects
+//!   determinism, only speed;
 //! * [`matmul_q8_a_bt`] streams each weight row once per block of
 //!   activation rows (j-outer, i-inner). Its vector kernel is a register
 //!   tile of one activation row against four weight rows: each activation
@@ -32,7 +33,11 @@
 //!   what more rows per call still buy is the weight traffic — one read
 //!   of the matrix per row block instead of one per row (a one-row call
 //!   measures 0.7–1.0 of the eight-row rate at the S70b shapes, weights
-//!   in L2);
+//!   in L2). This row-major tile serves CPUs below AVX-512, weights that
+//!   are not frozen (the serial int8 oracles) and `bench/`'s probes;
+//!   frozen weights on an AVX-512 CPU are repacked once into
+//!   [`crate::Q8Panels`], whose 16-lane `vpdpbusd` tile returns this
+//!   kernel's bits with no horizontal reduction;
 //! * the quantize epilogues ([`quantize_row_q8`], the fused
 //!   [`rmsnorm_quantize_row`] and [`swiglu_quantize_row`], which never
 //!   materialise a separate normalized f32 row) take `amax` and round
@@ -85,7 +90,7 @@ fn dot_q8_scalar(a: &[i8], b: &[i8]) -> i32 {
 /// funnels through this helper so the float rounding of the two-scale
 /// product is identical everywhere.
 #[inline]
-fn dequant(acc: i32, a_scale: f32, b_scale: f32) -> f32 {
+pub(crate) fn dequant(acc: i32, a_scale: f32, b_scale: f32) -> f32 {
     (acc as f32) * (a_scale * b_scale)
 }
 
@@ -268,7 +273,7 @@ fn matmul_q8_a_bt_at(
 
 /// One row block of [`matmul_q8_a_bt`], portably — the reference the
 /// vector kernels are tested against, and the only path off x86-64.
-fn matmul_q8_a_bt_portable(
+pub(crate) fn matmul_q8_a_bt_portable(
     c: &mut [f32],
     a: &[i8],
     a_scales: &[f32],

@@ -1,8 +1,9 @@
 //! Micro-benchmark of the int8 kernels at S70b dimensions — per-token
 //! matvec cost f32 vs q8, and how a multi-row call amortizes it (the
-//! `beta` cost-per-position ratio) — of the f32 panel kernel against
-//! `matmul_a_bt` at the S7b / S70b linear shapes, and of `exp` and the
-//! attention kernel, portable and dispatched. Ignored by default; run with:
+//! `beta` cost-per-position ratio) — of the f32 and int8 panel kernels
+//! against `matmul_a_bt` and `matmul_q8_a_bt` at the S7b / S70b linear
+//! shapes, and of `exp` and the attention kernel, portable and
+//! dispatched. Ignored by default; run with:
 //!
 //! ```sh
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture
@@ -16,7 +17,7 @@ use astro_tensor::attention::{attend_rows_at, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops::exp_at;
 use astro_tensor::qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_rows_q8};
-use astro_tensor::{Panels, Simd};
+use astro_tensor::{Panels, Q8Panels, Simd};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -123,6 +124,44 @@ fn panels_vs_a_bt() {
                     gmac(a_bt),
                     gmac(pan),
                     a_bt / pan
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[ignore]
+fn q8_panels_vs_row_major() {
+    // The int8 linears of S7b and S70b as `(n, k)`, as `panels_vs_a_bt`
+    // takes them: the row-major tile (`matmul_q8_a_bt`) against the int8
+    // panels frozen weights run, weights cache-resident.
+    println!("kernels: {:?}", astro_tensor::simd());
+    for (d, ff) in [(64usize, 176usize), (144, 392)] {
+        for (n, k) in [(d, d), (ff, d), (d, ff), (512, d)] {
+            let mut bq = vec![0i8; n * k];
+            let mut bs = vec![0.0f32; n];
+            quantize_rows_q8(&mut bq, &mut bs, &randv(n * k, 11), n, k);
+            let panels = Q8Panels::pack(&bq, &bs, n, k);
+            for m in [1usize, 4, 8, 16] {
+                let mut aq = vec![0i8; m * k];
+                let mut asc = vec![0.0f32; m];
+                quantize_rows_q8(&mut aq, &mut asc, &randv(m * k, 12), m, k);
+                let mut out = vec![0.0f32; m * n];
+                let iters = 100_000_000 / (m * n * k);
+                let row_major = best_of_five(iters, || {
+                    matmul_q8_a_bt(&mut out, black_box(&aq), &asc, &bq, &bs, m, k, n)
+                });
+                let pan = best_of_five(iters, || panels.a_bt(&mut out, black_box(&aq), &asc, m));
+                let gops = |secs: f64| (m * n * k) as f64 / secs * 1e-9;
+                println!(
+                    "n {n:3} k {k:3} m {m:2}: row-major {:5.1} GMAC/s ({:6.2} us)   \
+                     q8 panels {:5.1} GMAC/s ({:6.2} us)   {:.2}x",
+                    gops(row_major),
+                    row_major * 1e6,
+                    gops(pan),
+                    pan * 1e6,
+                    row_major / pan
                 );
             }
         }
