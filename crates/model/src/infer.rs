@@ -6,22 +6,25 @@
 //! next-token methods (single logit readout after the prompt).
 //!
 //! The transformer block is written once here. The private
-//! `forward_rows` advances *lanes* — `(session, tokens)` pairs, `m ≥ 1`
-//! token rows in all — through embed → per layer (RMSNorm → Q/K/V → RoPE →
-//! causal attention over `0..=pos` → Wo + residual → RMSNorm → SwiGLU →
-//! W_down + residual) → final norm → tied LM head. Every linear layer runs
-//! **once per weight matrix over all lanes' rows**, so a weight is
-//! streamed from memory once per call however many sessions it serves;
-//! what belongs to one sequence stays per lane: its K/V rows are copied
-//! into its own cache and rotated (RoPE) with its query rows, each at its
-//! own position, and then one [`attend_rows`] call takes all of the lane's
-//! rows and heads over that lane's own cache, in bands of four rows that
-//! share every key and value load. The row scratch is the first lane's.
-//! The head has two modes: logits of every row, into a buffer the caller
-//! lends (each lane's last row also lands in its session), or — one lane
-//! — of the last row only, into the session; then the final norm and the
-//! `vocab × d_model` product run on one row whatever `m` is. Four entries
-//! call it:
+//! `forward_rows` advances *runs* — token slices, each at some session's
+//! position, `m ≥ 1` token rows in all — through embed → per layer
+//! (RMSNorm → Q/K/V → RoPE → causal attention over `0..=pos` → Wo +
+//! residual → RMSNorm → SwiGLU → W_down + residual) → final norm → tied LM
+//! head. Every linear layer runs **once per weight matrix over all runs'
+//! rows**, so a weight is streamed from memory once per call however many
+//! sequences it serves; what belongs to one run stays per run: its K/V
+//! rows are copied into its session's cache and rotated (RoPE) with its
+//! query rows, each at its own position, and then one [`attend_rows`] call
+//! takes all of the run's rows and heads over that cache, in bands of four
+//! rows that share every key and value load — before the next run writes
+//! its K/V. A run is a *lane* (a session and the tokens that advance it)
+//! or a *branch* (tokens that start at one shared session's position and
+//! read its prefix in place, without moving it). The row scratch is the
+//! first session's. The head has two modes: logits of every row, into a
+//! buffer the caller lends (each lane's last row also lands in its
+//! session), or — one lane — of the last row only, into the session; then
+//! the final norm and the `vocab × d_model` product run on one row
+//! whatever `m` is. Five entries call it:
 //!
 //! * [`InferenceSession::feed`] / [`InferenceSession::try_feed`] — one
 //!   lane, one row, last-row logits: a decode step of one session alone
@@ -39,12 +42,15 @@
 //!   once, every row's logits (`bench/`'s `chunk4` probe, the split
 //!   suites);
 //! * [`InferenceSession::try_feed_lanes`] — several sessions at their own
-//!   positions in one stacked call, every row's logits. `astro-serve` has
-//!   two customers: its score readout forks a question's continuation
-//!   variants and feeds all their rows at once instead of one `feed` per
-//!   token, and its scheduler feeds the tokens a step's decoding
-//!   sequences sampled — one lane and one row each — so a decode step
-//!   streams the weights once, not once per sequence.
+//!   positions in one stacked call, every row's logits: `astro-serve`'s
+//!   scheduler feeds the tokens a step's decoding sequences sampled — one
+//!   lane and one row each — so a decode step streams the weights once,
+//!   not once per sequence;
+//! * [`InferenceSession::try_feed_branches`] — several runs branching off
+//!   one session in one stacked call, every row's logits: `astro-serve`'s
+//!   score readout feeds a question's continuation variants after its
+//!   prompt, every variant attending the one resident copy of the prompt's
+//!   K/V instead of a fork of it each.
 //!
 //! `forward_rows` has one other caller, the `op_budget` test behind
 //! docs/TUNING.md's per-op table: it lends the forward a lap slot, one µs
@@ -64,14 +70,16 @@
 //! under both precisions.
 //!
 //! How a token stream is split into calls — or stacked with other
-//! sessions' rows — never changes a bit of the result: on the f32 path
+//! sessions' rows, or fed as a branch rather than to a fork — never
+//! changes a bit of the result: on the f32 path
 //! every output element is the same [`dot`] over the same operands
 //! whatever the row blocking and whether the panels or the row-major
 //! weight ran (`matmul_a_bt`'s contract, and `Panels`'), on the int8 path
 //! the integer accumulation is exact in either form, attention returns
 //! each (row, head) the bits of the naive per-key loops whatever rows
-//! share its call (`attend_rows`' contract), and every other op is per row
-//! (`tests/chunk_split.rs`).
+//! share its call (`attend_rows`' contract) and reads no cache row past
+//! its own position — so not another branch's — and every other op is per
+//! row (`tests/chunk_split.rs`).
 
 use crate::params::{Packed, Params, LINEARS};
 use crate::{rope, rope_tables, ModelConfig, WeightPrecision};
@@ -113,8 +121,8 @@ impl std::error::Error for SessionError {}
 /// Incremental decoding state for one sequence.
 ///
 /// `Clone` forks the session: both copies share the consumed prefix and
-/// can continue independently — used by the evaluation code to score
-/// several answer continuations against one prompt without re-encoding
+/// can continue independently — used by the serial scoring reference to
+/// score each answer continuation against one prompt without re-encoding
 /// it, and by the prefix cache to store snapshots.
 pub struct InferenceSession {
     cfg: ModelConfig,
@@ -128,7 +136,7 @@ pub struct InferenceSession {
     rope_cos: Vec<f32>,
     rope_sin: Vec<f32>,
     /// Row scratch of the forwards this session lends it to (a stacked
-    /// forward runs in its first lane's).
+    /// forward runs in its first session's).
     scratch: Scratch,
 }
 
@@ -139,6 +147,53 @@ pub struct Lane<'a> {
     pub session: &'a mut InferenceSession,
     /// At least one token.
     pub tokens: &'a [u32],
+}
+
+/// What one `forward_rows` call advances: its *runs*, each a token slice
+/// at some session's position, stacked into the call's rows in order.
+enum Runs<'s, 'a> {
+    /// Each lane's run extends its own session ([`InferenceSession::try_feed_lanes`]
+    /// and, as one lane, every single-session feed).
+    Lanes(&'s mut [Lane<'a>]),
+    /// Every run branches off the one session's position and reads its
+    /// prefix in place; none moves it ([`InferenceSession::try_feed_branches`]).
+    Branches(&'s mut InferenceSession, &'s [&'a [u32]]),
+}
+
+impl Runs<'_, '_> {
+    /// The session whose scratch the call runs in: the first lane's, or
+    /// the one the branches share.
+    fn first(&mut self) -> &mut InferenceSession {
+        match self {
+            Runs::Lanes(lanes) => &mut *lanes[0].session,
+            Runs::Branches(session, _) => session,
+        }
+    }
+
+    /// Every run's tokens, in row order.
+    fn tokens(&self) -> impl Iterator<Item = &[u32]> {
+        let (lanes, runs): (&[Lane<'_>], &[&[u32]]) = match self {
+            Runs::Lanes(lanes) => (lanes, &[]),
+            Runs::Branches(_, runs) => (&[], runs),
+        };
+        lanes.iter().map(|lane| lane.tokens).chain(runs.iter().copied())
+    }
+
+    /// `f(session, r0, len)` for every run in row order: the session it
+    /// extends or branches off, and its rows `r0..r0 + len` of the call.
+    fn for_each_run(&mut self, mut f: impl FnMut(&mut InferenceSession, usize, usize)) {
+        let mut r0 = 0;
+        let mut run = |session: &mut InferenceSession, len: usize| {
+            f(session, r0, len);
+            r0 += len;
+        };
+        match self {
+            Runs::Lanes(lanes) => {
+                lanes.iter_mut().for_each(|lane| run(&mut *lane.session, lane.tokens.len()))
+            }
+            Runs::Branches(session, runs) => runs.iter().for_each(|r| run(session, r.len())),
+        }
+    }
 }
 
 /// Row scratch, `[m, ·]` for the `m` rows of the current call: one row at
@@ -155,7 +210,7 @@ struct Scratch {
     row_scale: Vec<f32>,
     q: Vec<f32>,
     /// Attention output `[m, C]`; before attention, the call's V rows on
-    /// their way into the lanes' caches.
+    /// their way into the runs' caches.
     attn_out: Vec<f32>,
     /// Wo / W_down output `[m, C]`; before attention, the call's K rows.
     proj: Vec<f32>,
@@ -163,10 +218,10 @@ struct Scratch {
     up: Vec<f32>,
     act: Vec<f32>,
     /// Attention scores `[score_rows(l), max_seq]`, `l` the rows of the
-    /// call's longest lane: a band of four of one lane's rows over their
-    /// positions, one head at a time ([`attend_rows`]), once a lane has
+    /// call's longest run: a band of four of one run's rows over their
+    /// positions, one head at a time ([`attend_rows`]), once a run has
     /// four rows; one row in a fresh session, every clone and every call
-    /// of shorter lanes — a decode step of any number of sessions.
+    /// of shorter runs — a decode step of any number of sessions.
     scores: Vec<f32>,
     /// Int8 linear-layer input `[m, C]`, allocated only for
     /// [`WeightPrecision::Int8`] sessions.
@@ -287,7 +342,7 @@ impl InferenceSession {
     /// use to turn an over-long prompt into a per-prompt error.
     pub fn try_feed(&mut self, p: &Params, token: u32) -> Result<&[f32], SessionError> {
         self.room_for(1)?;
-        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None, None);
+        Self::forward_rows(p, Runs::Lanes(&mut [Lane { session: self, tokens: &[token] }]), None, None);
         Ok(&self.logits)
     }
 
@@ -298,7 +353,7 @@ impl InferenceSession {
     /// [`Self::try_feed`] to handle that case as a typed error.
     pub fn feed(&mut self, p: &Params, token: u32) -> &[f32] {
         assert!(self.pos < self.cfg.max_seq, "KV cache full at {}", self.pos);
-        Self::forward_rows(p, &mut [Lane { session: self, tokens: &[token] }], None, None);
+        Self::forward_rows(p, Runs::Lanes(&mut [Lane { session: self, tokens: &[token] }]), None, None);
         &self.logits
     }
 
@@ -311,7 +366,7 @@ impl InferenceSession {
         assert!(!tokens.is_empty(), "empty prompt");
         let fits = tokens.len().min(self.remaining());
         for block in tokens[..fits].chunks(PREFILL_ROWS) {
-            Self::forward_rows(p, &mut [Lane { session: self, tokens: block }], None, None);
+            Self::forward_rows(p, Runs::Lanes(&mut [Lane { session: self, tokens: block }]), None, None);
         }
         if fits < tokens.len() {
             return Err(SessionError::CacheFull { pos: self.pos, max_seq: self.cfg.max_seq });
@@ -348,7 +403,7 @@ impl InferenceSession {
         assert!(!tokens.is_empty(), "empty chunk");
         self.room_for(tokens.len())?;
         let mut rows = vec![0.0f32; tokens.len() * self.cfg.vocab_size];
-        Self::forward_rows(p, &mut [Lane { session: self, tokens }], Some(&mut rows), None);
+        Self::forward_rows(p, Runs::Lanes(&mut [Lane { session: self, tokens }]), Some(&mut rows), None);
         Ok(rows)
     }
 
@@ -373,23 +428,53 @@ impl InferenceSession {
             assert!(!lane.tokens.is_empty(), "empty lane");
             lane.session.room_for(lane.tokens.len())?;
         }
-        Self::forward_rows(p, lanes, Some(rows), None);
+        Self::forward_rows(p, Runs::Lanes(lanes), Some(rows), None);
+        Ok(())
+    }
+
+    /// Feed each of `runs` as a **branch** of this session: every run
+    /// starts at this session's position and attends its prefix K/V in
+    /// place — nothing is copied — and all runs' rows go through **one**
+    /// stacked forward, each weight matrix streamed once for them all. The
+    /// logits after every token land in `rows` (`Σ run.len() × vocab`, run
+    /// after run), bit for bit what feeding the run to a fork of this
+    /// session returns (see the module doc). The session's position and
+    /// last logits do not move; its cache rows from its position on are
+    /// overwritten, which is free, since every feed writes its rows before
+    /// it reads them. When a run lacks room, that run's
+    /// [`SessionError::CacheFull`] is returned and nothing has been fed.
+    ///
+    /// # Panics
+    /// Panics on no runs, an empty run or a `rows` of the wrong length.
+    pub fn try_feed_branches(
+        &mut self,
+        p: &Params,
+        runs: &[&[u32]],
+        rows: &mut [f32],
+    ) -> Result<(), SessionError> {
+        for run in runs {
+            assert!(!run.is_empty(), "empty run");
+            self.room_for(run.len())?;
+        }
+        Self::forward_rows(p, Runs::Branches(self, runs), Some(rows), None);
         Ok(())
     }
 
     /// The one transformer forward on the inference path: advance every
-    /// lane's tokens — `m` rows in all, lane after lane — through every
-    /// block and the tied LM head. Each linear layer runs once over all
-    /// `m` rows; a lane's K/V rows are copied into its own cache at
-    /// `pos..pos + len` and rotated with its query rows ([`Self::kv_rope`]),
-    /// then attend over that lane's own cache in one call
-    /// ([`Self::attend`]). Capacity has already been checked. The scratch
-    /// is the first lane's.
+    /// run's tokens — `m` rows in all, run after run — through every block
+    /// and the tied LM head. Each linear layer runs once over all `m`
+    /// rows; then, per layer and run, the run's K/V rows are copied into
+    /// its session's cache at `pos..pos + len` and rotated with its query
+    /// rows ([`Self::kv_rope`]), and its rows attend over that cache in one
+    /// call ([`Self::attend`]) before the next run writes — which is what
+    /// lets branches share one session's rows past its position. Capacity
+    /// has already been checked. The scratch is the first session's.
     ///
     /// The logits of every row go to `all_rows` (`m × vocab`) when the
     /// caller lends one, and each lane's last row to its session;
     /// otherwise — one lane only — just the last row gets its final norm
-    /// and LM head, into the session.
+    /// and LM head, into the session. Lanes advance their sessions;
+    /// branches leave theirs where it was, last logits included.
     ///
     /// The int8 arm runs only when the session is
     /// [`WeightPrecision::Int8`] and the params' packed copy is int8 too,
@@ -402,17 +487,20 @@ impl InferenceSession {
     /// slot; the entry points pass `None`, and recording changes no bit.
     fn forward_rows(
         p: &Params,
-        lanes: &mut [Lane<'_>],
+        mut runs: Runs<'_, '_>,
         all_rows: Option<&mut [f32]>,
         laps: Option<&mut [f64; OPS.len()]>,
     ) {
-        assert!(!lanes.is_empty(), "a forward needs a lane");
-        let cfg = lanes[0].session.cfg;
-        assert!(lanes.iter().all(|lane| lane.session.cfg == cfg), "lanes of different configs");
-        assert!(all_rows.is_some() || lanes.len() == 1, "last-row logits are a one-lane mode");
+        assert!(runs.tokens().next().is_some(), "a forward needs a lane");
+        let cfg = runs.first().cfg;
+        if let Runs::Lanes(lanes) = &runs {
+            assert!(lanes.iter().all(|lane| lane.session.cfg == cfg), "lanes of different configs");
+        }
+        let one_lane = matches!(runs, Runs::Lanes([_]));
+        assert!(all_rows.is_some() || one_lane, "last-row logits are a one-lane mode");
         let c = cfg.d_model;
         let f = cfg.d_ff;
-        let m: usize = lanes.iter().map(|lane| lane.tokens.len()).sum();
+        let m: usize = runs.tokens().map(<[u32]>::len).sum();
         if let Some(rows) = &all_rows {
             assert_eq!(rows.len(), m * cfg.vocab_size, "rows has wrong size");
         }
@@ -421,10 +509,10 @@ impl InferenceSession {
             _ => &p.packed[..],
         };
         let int8 = packed.last().is_some_and(Packed::is_int8);
-        // A panic below (a token out of vocab) leaves the first lane an
+        // A panic below (a token out of vocab) leaves the first session an
         // empty scratch, which its next call grows back.
-        let mut s = std::mem::take(&mut lanes[0].session.scratch);
-        let longest = lanes.iter().map(|lane| lane.tokens.len()).max().unwrap_or(0);
+        let mut s = std::mem::take(&mut runs.first().scratch);
+        let longest = runs.tokens().map(<[u32]>::len).max().unwrap_or(0);
         s.fit_rows(&cfg, m, longest);
         let mut clock = laps.map(|us| (us, Instant::now()));
         let mut lap = |op: usize| {
@@ -435,8 +523,7 @@ impl InferenceSession {
             }
         };
         let embed = p.view(&p.layout.embed);
-        let tokens = lanes.iter().flat_map(|lane| lane.tokens);
-        for (row, &t) in s.x.chunks_exact_mut(c).zip(tokens) {
+        for (row, &t) in s.x.chunks_exact_mut(c).zip(runs.tokens().flatten()) {
             let tok = t as usize;
             assert!(tok < cfg.vocab_size, "token {tok} out of vocab");
             row.copy_from_slice(&embed[tok * c..(tok + 1) * c]);
@@ -454,18 +541,12 @@ impl InferenceSession {
             linear(&mut s.proj, wk, a, aq, sc, m);
             linear(&mut s.attn_out, wv, a, aq, sc, m);
             lap(1);
-            let mut r0 = 0;
-            for lane in lanes.iter_mut() {
-                lane.session.kv_rope(&mut s, l, r0, lane.tokens.len());
-                r0 += lane.tokens.len();
-            }
-            lap(2);
-            let mut r0 = 0;
-            for lane in lanes.iter_mut() {
-                lane.session.attend(&mut s, l, r0, lane.tokens.len());
-                r0 += lane.tokens.len();
-            }
-            lap(3);
+            runs.for_each_run(|sess, r0, len| {
+                sess.kv_rope(&mut s, l, r0, len);
+                lap(2);
+                sess.attend(&mut s, l, r0, len);
+                lap(3);
+            });
             // Output projection + residual; on the int8 path the attention
             // output is re-quantized at the boundary.
             if int8 {
@@ -505,27 +586,31 @@ impl InferenceSession {
         match all_rows {
             Some(out) => {
                 linear(out, head, &s.ln, &s.qx, &s.row_scale, rows);
-                let mut r0 = 0;
-                for lane in lanes.iter_mut() {
-                    r0 += lane.tokens.len();
-                    let last = (r0 - 1) * cfg.vocab_size..r0 * cfg.vocab_size;
-                    lane.session.logits.copy_from_slice(&out[last]);
+                if let Runs::Lanes(lanes) = &mut runs {
+                    let mut r0 = 0;
+                    for lane in lanes.iter_mut() {
+                        r0 += lane.tokens.len();
+                        let last = (r0 - 1) * cfg.vocab_size..r0 * cfg.vocab_size;
+                        lane.session.logits.copy_from_slice(&out[last]);
+                    }
                 }
             }
             None => {
-                let out = &mut lanes[0].session.logits;
+                let out = &mut runs.first().logits;
                 linear(out, head, &s.ln, &s.qx, &s.row_scale, rows);
             }
         }
         lap(8);
-        for lane in lanes.iter_mut() {
-            lane.session.pos += lane.tokens.len();
+        if let Runs::Lanes(lanes) = &mut runs {
+            for lane in lanes.iter_mut() {
+                lane.session.pos += lane.tokens.len();
+            }
         }
-        lanes[0].session.scratch = s;
+        runs.first().scratch = s;
     }
 
-    /// This session's `m` rows of the call, scratch rows `r0..r0 + m`:
-    /// copy their K and V rows (in `s.proj` and `s.attn_out`) into the
+    /// One run's `m` rows of the call, scratch rows `r0..r0 + m`, on this
+    /// session: copy their K and V rows (in `s.proj` and `s.attn_out`) into the
     /// cache at `pos..pos + m`, then RoPE, at each row's own position, on
     /// its query row in `s.q` and its K cache row. f32 under both weight
     /// precisions.
@@ -542,10 +627,11 @@ impl InferenceSession {
         }
     }
 
-    /// Causal attention of this session's `m` rows, scratch rows
+    /// Causal attention of one run's `m` rows on this session, scratch rows
     /// `r0..r0 + m` of `s.q` into `s.attn_out`, after [`Self::kv_rope`]:
     /// one [`attend_rows`] call over every head, row `i` over positions
-    /// `0..=pos + i` — which include this call's earlier rows.
+    /// `0..=pos + i` — which include the run's earlier rows, and no row
+    /// past its own, where another branch's K/V may lie.
     fn attend(&self, s: &mut Scratch, l: usize, r0: usize, m: usize) {
         let c = self.cfg.d_model;
         let (rows, cached) = (r0 * c..(r0 + m) * c, ..(self.pos + m) * c);
@@ -563,12 +649,12 @@ impl Scratch {
         s
     }
 
-    /// Size the row scratch for an `m`-row call whose longest lane has
-    /// `lane_rows` rows. Shrinking keeps the capacity and growing reserves
+    /// Size the row scratch for an `m`-row call whose longest run has
+    /// `run_rows` rows. Shrinking keeps the capacity and growing reserves
     /// exactly, so this allocates only when a call larger than any before
     /// arrives — never for a session that is fed one token at a time — and
     /// the scratch holds exactly as many rows as the largest call so far.
-    fn fit_rows(&mut self, cfg: &ModelConfig, m: usize, lane_rows: usize) {
+    fn fit_rows(&mut self, cfg: &ModelConfig, m: usize, run_rows: usize) {
         fn fit<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
             buf.reserve_exact(len.saturating_sub(buf.len()));
             buf.resize(len, T::default());
@@ -582,7 +668,7 @@ impl Scratch {
             fit(buf, m * f);
         }
         fit(&mut self.row_scale, m);
-        fit(&mut self.scores, score_rows(lane_rows) * cfg.max_seq);
+        fit(&mut self.scores, score_rows(run_rows) * cfg.max_seq);
         if cfg.precision == WeightPrecision::Int8 {
             fit(&mut self.qx, m * c);
             fit(&mut self.qf, m * f);
@@ -801,6 +887,37 @@ mod tests {
     }
 
     #[test]
+    fn branches_leave_the_session_where_it_was() {
+        // Branches overwrite the cache rows from the session's position on,
+        // which no later feed reads before it writes them: position and
+        // last logits do not move, and a prompt block shorter than the
+        // longest branch, then a decode row, return a fresh session's bits.
+        use crate::Tier;
+        for base in [ModelConfig::tiny(24), ModelConfig::tier(Tier::S7b, 24)] {
+            let p32 = Params::init(base, &mut Rng::seed_from(20));
+            for p in [p32.clone(), p32.quantized()] {
+                let prompt: Vec<u32> = (0..11).map(|i| (i * 5 % 24) as u32).collect();
+                let (head, tail) = prompt.split_at(7);
+                let mut sess = InferenceSession::new(p.cfg);
+                sess.try_feed_prompt(&p, head).unwrap();
+                let before = sess.last_logits().to_vec();
+                let runs: [&[u32]; 3] = [&[1, 2, 3, 4, 5, 6], &[7], &[8, 9, 10, 11, 12, 13, 14, 15]];
+                let mut rows = vec![0.0; 15 * p.cfg.vocab_size];
+                sess.try_feed_branches(&p, &runs, &mut rows).unwrap();
+                assert_eq!(sess.position(), head.len());
+                assert_eq!(sess.last_logits(), &before[..]);
+
+                let mut fresh = InferenceSession::new(p.cfg);
+                let want = fresh.try_feed_prompt(&p, &prompt).unwrap().to_vec();
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(sess.try_feed_prompt(&p, tail).unwrap()), bits(&want), "prompt block");
+                let want = fresh.feed(&p, 3).to_vec();
+                assert_eq!(bits(sess.feed(&p, 3)), bits(&want), "decode row");
+            }
+        }
+    }
+
+    #[test]
     fn session_error_displays_positions() {
         let e = SessionError::CacheFull { pos: 32, max_seq: 32 };
         let s = format!("{e}");
@@ -884,32 +1001,35 @@ mod tests {
         }
     }
 
-    /// Rows of each continuation variant in `op_columns`' stacked
-    /// readouts, one column each: the workloads feed lanes of one row to
-    /// sixteen.
+    /// Rows of each continuation variant in `op_columns`' score readouts,
+    /// one column each: the workloads feed runs of one row to sixteen.
     const READOUT_ROWS: [usize; 4] = [1, 2, 3, 16];
 
     /// `op_columns`' columns: prefill, decode, then one per readout size.
     const COLUMNS: usize = 2 + READOUT_ROWS.len();
 
+    /// The runs of a readout's continuation variants.
+    fn runs(variants: &[Vec<u32>]) -> Vec<&[u32]> {
+        variants.iter().map(Vec::as_slice).collect()
+    }
+
     /// `p`'s per-op budget in µs per row, each op the median of `reps`
     /// recorded forwards: the last `PREFILL_ROWS`-row block of a
-    /// `prompt`-token prompt, the decode row after it, and a stacked score
-    /// readout at that position for each of `READOUT_ROWS` — `lanes` forks
-    /// of the prompt fed that many continuation rows each in one all-rows
-    /// forward. Every recorded forward's logits must equal, bit for bit,
-    /// what `try_feed_prompt`, `feed` and `try_feed_lanes` return on
-    /// `reference` — the same weights as `p`, with or without a panel copy.
+    /// `prompt`-token prompt, the decode row after it, and a score readout
+    /// at that position for each of `READOUT_ROWS` — `branches`
+    /// continuation variants of that many rows each, fed as branches of the
+    /// prompt's session in one all-rows forward. Every recorded forward's
+    /// logits must equal, bit for bit, what `try_feed_prompt`, `feed` and
+    /// `try_feed_branches` return on `reference` — the same weights as
+    /// `p`, with or without a panel copy — and each readout's rows what
+    /// `try_feed_lanes` returns on forks of the prompt.
     fn op_columns(
         reference: &Params,
         p: &Params,
         prompt: usize,
-        lanes: usize,
+        branches: usize,
         reps: usize,
     ) -> [[f64; OPS.len()]; COLUMNS] {
-        fn readout<'a>(forks: &'a mut [InferenceSession], variants: &'a [Vec<u32>]) -> Vec<Lane<'a>> {
-            forks.iter_mut().zip(variants).map(|(session, tokens)| Lane { session, tokens }).collect()
-        }
         let vocab = p.cfg.vocab_size;
         let tokens: Vec<u32> = (0..=prompt).map(|i| (i * 37 % vocab) as u32).collect();
         let (head, block) = tokens[..prompt].split_at(prompt - PREFILL_ROWS);
@@ -918,18 +1038,20 @@ mod tests {
         base.try_feed_prompt(reference, head).unwrap();
         let mut oracle = base.clone();
         let block_logits = bits(oracle.try_feed_prompt(reference, block).unwrap());
-        let prompted = oracle.clone();
+        let mut prompted = oracle.clone();
         let decode_logits = bits(oracle.feed(reference, tokens[prompt]));
-        let mut forks: Vec<InferenceSession> = vec![prompted.clone(); lanes];
         let readouts = READOUT_ROWS.map(|rows| {
-            let variants: Vec<Vec<u32>> = (0..lanes)
+            let variants: Vec<Vec<u32>> = (0..branches)
                 .map(|v| (0..rows).map(|i| ((v * 53 + i * 11) % vocab) as u32).collect())
                 .collect();
-            for fork in &mut forks {
-                fork.assign_from(&prompted);
-            }
-            let mut logits = vec![0.0; lanes * rows * vocab];
-            InferenceSession::try_feed_lanes(reference, &mut readout(&mut forks, &variants), &mut logits).unwrap();
+            let mut logits = vec![0.0; branches * rows * vocab];
+            prompted.try_feed_branches(reference, &runs(&variants), &mut logits).unwrap();
+            let mut forks = vec![prompted.clone(); branches];
+            let mut lanes: Vec<Lane<'_>> =
+                forks.iter_mut().zip(&variants).map(|(session, tokens)| Lane { session, tokens }).collect();
+            let mut forked = vec![0.0; logits.len()];
+            InferenceSession::try_feed_lanes(reference, &mut lanes, &mut forked).unwrap();
+            assert_eq!(bits(&logits), bits(&forked), "{rows}-row branches differ from forked lanes");
             (variants, bits(&logits))
         });
 
@@ -938,23 +1060,21 @@ mod tests {
         let mut laps = vec![[[0.0; OPS.len()]; COLUMNS]; reps];
         for [block_us, decode_us, readout_us @ ..] in &mut laps {
             sess.assign_from(&base);
-            let mut lane = [Lane { session: &mut sess, tokens: block }];
-            InferenceSession::forward_rows(p, &mut lane, None, Some(block_us));
+            let lane = Runs::Lanes(&mut [Lane { session: &mut sess, tokens: block }]);
+            InferenceSession::forward_rows(p, lane, None, Some(block_us));
             assert_eq!(bits(&sess.logits), block_logits, "recorded prefill block differs");
-            let mut lane = [Lane { session: &mut sess, tokens: &tokens[prompt..] }];
-            InferenceSession::forward_rows(p, &mut lane, None, Some(decode_us));
+            let lane = Runs::Lanes(&mut [Lane { session: &mut sess, tokens: &tokens[prompt..] }]);
+            InferenceSession::forward_rows(p, lane, None, Some(decode_us));
             assert_eq!(bits(&sess.logits), decode_logits, "recorded decode row differs");
             for ((variants, want), us) in readouts.iter().zip(readout_us) {
-                for fork in &mut forks {
-                    fork.assign_from(&prompted);
-                }
                 rows.resize(want.len(), 0.0);
-                InferenceSession::forward_rows(p, &mut readout(&mut forks, variants), Some(&mut rows), Some(us));
-                assert_eq!(bits(&rows), *want, "recorded {}-row stacked readout differs", variants[0].len());
+                let branched = Runs::Branches(&mut prompted, &runs(variants));
+                InferenceSession::forward_rows(p, branched, Some(&mut rows), Some(us));
+                assert_eq!(bits(&rows), *want, "recorded {}-row readout differs", variants[0].len());
             }
         }
         let per_row: Vec<usize> =
-            [PREFILL_ROWS, 1].into_iter().chain(READOUT_ROWS.map(|r| lanes * r)).collect();
+            [PREFILL_ROWS, 1].into_iter().chain(READOUT_ROWS.map(|r| branches * r)).collect();
         std::array::from_fn(|column| {
             std::array::from_fn(|op| {
                 let mut us: Vec<f64> = laps.iter().map(|rep| rep[column][op]).collect();
@@ -969,9 +1089,10 @@ mod tests {
         // `op_budget`'s bit checks, one rep on the tiny model (its context
         // stretched to fit the longest readout) and the S7b and S70b tiers:
         // recording laps changes no logit of a prefill block, a decode row
-        // or a stacked readout, and neither does the f32 forward's panel
+        // or a readout's branches, and neither does the f32 forward's panel
         // copy, whatever kernel level this CPU runs it at, nor the int8
-        // weights frozen as an engine serves them.
+        // weights frozen as an engine serves them; and branches return the
+        // rows of forked lanes.
         use crate::Tier;
         let tiny = ModelConfig { max_seq: 48, ..ModelConfig::tiny(64) };
         for cfg in [tiny, ModelConfig::tier(Tier::S7b, 512), ModelConfig::tier(Tier::S70b, 512)] {
@@ -993,8 +1114,8 @@ mod tests {
     /// ```
     ///
     /// `op_columns` for S7b and S70b × f32/int8 at a 136-token prompt
-    /// (methods 2/3's length) and readouts of `READOUT_LANES` forks (the
-    /// fast preset's eight variants) of 1, 2, 3 and 16 rows each, each op
+    /// (methods 2/3's length) and readouts of `READOUT_BRANCHES` branches
+    /// (the fast preset's eight variants) of 1, 2, 3 and 16 rows each, each op
     /// the median of `REPS` runs, in µs per row and as a share of the row.
     #[test]
     #[ignore]
@@ -1002,7 +1123,7 @@ mod tests {
         use crate::Tier;
         const REPS: usize = 101;
         const PROMPT: usize = 136;
-        const READOUT_LANES: usize = 8;
+        const READOUT_BRANCHES: usize = 8;
         for tier in [Tier::S7b, Tier::S70b] {
             let f32_params = Params::init(ModelConfig::tier(tier, 512), &mut Rng::seed_from(19));
             let int8_params = f32_params.clone().quantized();
@@ -1010,11 +1131,11 @@ mod tests {
             // (`Params::frozen`), checked against the plain ones.
             let served = [&f32_params, &int8_params].map(|p| p.clone().frozen());
             for (reference, p) in [&f32_params, &int8_params].into_iter().zip(&served) {
-                let columns = op_columns(reference, p, PROMPT, READOUT_LANES, REPS);
+                let columns = op_columns(reference, p, PROMPT, READOUT_BRANCHES, REPS);
                 println!(
                     "op_budget {tier:?} {:?} ({:?} kernels{}): us/row (share)   \
                      prefill rows {}..{PROMPT}   decode row at {PROMPT}   \
-                     readouts of {READOUT_LANES} lanes x {READOUT_ROWS:?} rows at {PROMPT}",
+                     readouts of {READOUT_BRANCHES} branches x {READOUT_ROWS:?} rows at {PROMPT}",
                     p.cfg.precision,
                     astro_tensor::simd(),
                     match p.packed.last() {

@@ -1,8 +1,8 @@
 //! Flat parameter storage with a computed layout.
 //!
 //! All weights live in one `Vec<f32>` so that (a) the AdamW optimizer is a
-//! single loop, (b) the data-parallel ring all-reduce gets one contiguous
-//! gradient buffer, and (c) checkpointing is a memcpy. The [`Layout`]
+//! single loop over one contiguous gradient buffer and (b) checkpointing is
+//! a memcpy. The [`Layout`]
 //! struct maps named tensors to sub-ranges.
 //!
 //! Weight matrices are row-major `[out_features, in_features]`, applied as

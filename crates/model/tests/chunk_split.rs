@@ -8,7 +8,9 @@
 //! row-blocked prefill be calls of one routine. The same holds across
 //! sessions: lanes stacked into one `try_feed_lanes` call leave every
 //! session, and produce every logit row, exactly as feeding each lane
-//! alone does.
+//! alone does; and runs fed as branches of one session by
+//! `try_feed_branches` produce the rows of forks of it stacked as lanes,
+//! and leave the session as it was.
 
 use astro_model::{
     InferenceSession, Lane, ModelConfig, Params, SessionError, Tier, WeightPrecision,
@@ -400,6 +402,79 @@ fn a_lane_that_would_overflow_is_a_typed_error_and_no_lane_moves() {
             // ending exactly at `max_seq`.
             tokens[tight].truncate(3);
             check_lanes(&p, before, &tokens, &[], &format!("{precision:?} tight {tight}, cut"));
+        }
+    }
+}
+
+/// `sess.try_feed_branches` over `runs`; returns the logit rows' bits, run
+/// after run.
+fn feed_branches(
+    p: &Params,
+    sess: &mut InferenceSession,
+    runs: &[Vec<u32>],
+) -> Result<Vec<u32>, SessionError> {
+    let rows: usize = runs.iter().map(Vec::len).sum();
+    let mut logits = vec![f32::NAN; rows * p.cfg.vocab_size];
+    let runs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+    sess.try_feed_branches(p, &runs, &mut logits)?;
+    Ok(bits(&logits))
+}
+
+/// Feed `runs` as branches of `parent`, and as lanes of one
+/// `try_feed_lanes` call to forks of it: the same logit rows, and the
+/// parent interchangeable afterwards with a clone taken before.
+fn check_branches(p: &Params, mut parent: InferenceSession, runs: &[Vec<u32>], next: &[u32], what: &str) {
+    let mut untouched = parent.clone();
+    let want = feed_stacked(p, &mut vec![parent.clone(); runs.len()], runs).unwrap();
+    let got = feed_branches(p, &mut parent, runs).unwrap();
+    assert_eq!(got, want, "{what}: logit rows");
+    assert_interchangeable(&mut parent, &mut untouched, p, next, what);
+}
+
+#[test]
+fn branches_of_one_session_are_bitwise_forked_lanes() {
+    for precision in PRECISIONS {
+        let tiny = params(ModelConfig::tiny(VOCAB), 75, precision);
+        let s7b = params(ModelConfig::tier(Tier::S7b, VOCAB), 76, precision);
+        for case in 0..64u64 {
+            let mut rng = Rng::seed_from(0xb7a9c ^ case);
+            let p = if case % 4 == 0 { &s7b } else { &tiny };
+            // A parent at any depth that leaves room for 8 rows (a fresh
+            // one too), 1–8 runs of 1–8 rows each.
+            let mut parent = InferenceSession::new(p.cfg);
+            let depth = rng.range(0, p.cfg.max_seq - 8 + 1);
+            if depth > 0 {
+                parent.try_feed_prompt(p, &random_tokens(&mut rng, depth)).unwrap();
+            }
+            let runs: Vec<Vec<u32>> = (0..rng.range(1, 9)).map(|_| some_tokens(&mut rng, 1, 9)).collect();
+            let next = random_tokens(&mut rng, 3);
+            check_branches(p, parent, &runs, &next, &format!("{precision:?} case {case}"));
+        }
+    }
+}
+
+#[test]
+fn a_branch_that_would_overflow_is_a_typed_error_and_one_cut_to_max_seq_goes_through() {
+    for precision in PRECISIONS {
+        let cfg = ModelConfig::tiny(VOCAB);
+        let p = params(cfg, 95, precision);
+        let mut rng = Rng::seed_from(0xb0f1a);
+        let full = SessionError::CacheFull { pos: cfg.max_seq, max_seq: cfg.max_seq };
+        let mut parent = InferenceSession::new(p.cfg);
+        parent.try_feed_prompt(&p, &random_tokens(&mut rng, cfg.max_seq - 3)).unwrap();
+        // The run one token too long comes first, last, or in between.
+        for tight in 0..3 {
+            let mut runs: Vec<Vec<u32>> =
+                (0..3).map(|i| random_tokens(&mut rng, if i == tight { 4 } else { 1 + i })).collect();
+            let mut sess = parent.clone();
+            assert_eq!(feed_branches(&p, &mut sess, &runs).unwrap_err(), full, "run {tight}");
+            let next = random_tokens(&mut rng, 3);
+            let what = format!("{precision:?} tight {tight}");
+            assert_interchangeable(&mut sess, &mut parent.clone(), &p, &next, &what);
+            // Cut to what fits, the same runs go through — the tight one
+            // ending exactly at `max_seq`.
+            runs[tight].truncate(3);
+            check_branches(&p, parent.clone(), &runs, &next, &format!("{what}, cut"));
         }
     }
 }

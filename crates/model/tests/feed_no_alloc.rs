@@ -1,8 +1,8 @@
 //! The decode and prefill hot paths do not touch the heap: 64 consecutive
 //! `feed` calls allocate zero times, and so do block-fed prefill once its
-//! first row block has grown the scratch and a stacked multi-session
-//! forward once one of its width has — f32, int8, and int8 frozen as an
-//! engine serves it.
+//! first row block has grown the scratch, and a stacked multi-session
+//! forward and a score readout's branches once one of their width has —
+//! f32, int8, and int8 frozen as an engine serves it.
 //!
 //! A counting `#[global_allocator]` is process-wide, so this lives in its
 //! own test binary with a single `#[test]`: no other test thread can
@@ -99,6 +99,19 @@ fn feeds_and_block_fed_prefill_allocate_nothing() {
             checksum += rows[0];
         }
         assert_eq!(stacked, 0, "{form}: second stacked readout allocated");
+
+        // The same readout as the engine feeds it: the eight variants as
+        // branches of the prompt's session. The first call grows the
+        // session's scratch; the second of the same width reuses it.
+        let runs: Vec<&[u32]> = variants.iter().map(Vec::as_slice).collect();
+        let mut branched = usize::MAX;
+        for _ in 0..2 {
+            branched = allocations_in(|| {
+                sess.try_feed_branches(p, &runs, &mut rows).unwrap();
+            });
+            checksum += rows[0];
+        }
+        assert_eq!(branched, 0, "{form}: second branch readout allocated");
         assert!(checksum.is_finite());
     }
 }

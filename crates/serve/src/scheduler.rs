@@ -52,9 +52,9 @@
 //! decoding sequences together as one unit, so the stacked feed stays one
 //! forward — that the ledger's packer deals longest-first by estimated
 //! rows to `1 + borrowed` workers of its runner: the stepping thread with
-//! the scheduler's own [`ForkPool`], and scoped threads with the pools
-//! lent along with the cores (parked here between loans, so a process
-//! never has more lent pools than cores). With nothing borrowed the same
+//! the scheduler's own [`LogitRows`] scratch, and scoped threads with the
+//! scratch lent along with the cores (parked here between loans, so a
+//! process never has more lent scratch than cores). With nothing borrowed the same
 //! code runs inline. A loan is not recalled: a scheduler that turns busy
 //! while another step holds a loan shares its core with that step's worker
 //! until the step ends. Admission, the fault hooks, the snapshot inserts,
@@ -87,7 +87,7 @@
 use crate::engine::{
     lock_cache, publish_cache_metrics, GenerateJob, Job, ScoreJob, SeqOutcome, ServeError,
 };
-use crate::seq::{feed_sampled, Advance, ForkPool, SeqEnv, Sequence};
+use crate::seq::{feed_sampled, Advance, LogitRows, SeqEnv, Sequence};
 use astro_telemetry::cores::{self, Cores, Loan};
 use astro_telemetry::fault;
 use astro_telemetry::lockcheck;
@@ -213,13 +213,13 @@ impl SchedLog {
     }
 }
 
-/// The core ledger a scheduler holds and borrows from, and the scratch
-/// [`ForkPool`]s of its cores out on loan, parked between loans: a loan
-/// takes one per core it borrows and brings it back, so no more pools exist
-/// than cores can be lent at once.
+/// The core ledger a scheduler holds and borrows from, and the
+/// [`LogitRows`] scratch of its cores out on loan, parked between loans: a
+/// loan takes one per core it borrows and brings it back, so no more
+/// scratch exists than cores can be lent at once.
 struct StepCores {
     ledger: &'static Cores,
-    spare: Mutex<Vec<ForkPool>>,
+    spare: Mutex<Vec<LogitRows>>,
 }
 
 impl StepCores {
@@ -229,33 +229,33 @@ impl StepCores {
         STEP_CORES.get_or_init(|| StepCores { ledger: Cores::process(), spare: Mutex::default() })
     }
 
-    /// Borrow up to `want` idle cores, each with a scratch pool.
+    /// Borrow up to `want` idle cores, each with its logit-row scratch.
     fn lend(&self, want: usize) -> Lent<'_> {
         let loan = self.ledger.borrow(want);
         let (_token, mut spare) = self.spares();
         let keep = spare.len().saturating_sub(loan.cores());
-        let mut pools = spare.split_off(keep);
-        pools.resize_with(loan.cores(), ForkPool::default);
-        Lent { cores: self, pools, _loan: loan }
+        let mut rows = spare.split_off(keep);
+        rows.resize_with(loan.cores(), LogitRows::default);
+        Lent { cores: self, rows, _loan: loan }
     }
 
-    fn spares(&self) -> (lockcheck::LockToken, MutexGuard<'_, Vec<ForkPool>>) {
+    fn spares(&self) -> (lockcheck::LockToken, MutexGuard<'_, Vec<LogitRows>>) {
         sync::lock_ranked("serve.step_pools", &self.spare)
     }
 }
 
-/// Cores a step borrowed with a scratch pool each: the pools go back to
-/// the spare list on drop — also when the step unwinds — and the cores
-/// after them.
+/// Cores a step borrowed with logit-row scratch each: the scratch goes
+/// back to the spare list on drop — also when the step unwinds — and the
+/// cores after it.
 struct Lent<'a> {
     cores: &'a StepCores,
-    pools: Vec<ForkPool>,
+    rows: Vec<LogitRows>,
     _loan: Loan<'a>,
 }
 
 impl Drop for Lent<'_> {
     fn drop(&mut self) {
-        self.cores.spares().1.append(&mut self.pools);
+        self.cores.spares().1.append(&mut self.rows);
     }
 }
 
@@ -275,12 +275,12 @@ struct Active {
 impl Active {
     /// Move the job one unit of its lifecycle inside its own panic
     /// boundary.
-    fn advance(&mut self, env: &SeqEnv, forks: &mut ForkPool, prefill_chunk: usize) {
+    fn advance(&mut self, env: &SeqEnv, rows: &mut LogitRows, prefill_chunk: usize) {
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if self.panics {
                 std::panic::panic_any(fault::FaultPanic("pool.worker_panic"));
             }
-            self.seq.advance(env, &self.job, forks, prefill_chunk)
+            self.seq.advance(env, &self.job, rows, prefill_chunk)
         }));
         self.sampled = None;
         match step {
@@ -301,28 +301,28 @@ enum Unit<'a> {
     Decode(Vec<&'a mut Active>),
 }
 
-/// Run `units` in order with `forks` as scratch; the error of a failed
+/// Run `units` in order with `rows` as scratch; the error of a failed
 /// stacked feed, if this worker ran it.
 fn run_units<'a>(
     env: &SeqEnv,
     prefill_chunk: usize,
-    forks: &mut ForkPool,
+    rows: &mut LogitRows,
     units: impl IntoIterator<Item = Unit<'a>>,
 ) -> Option<ServeError> {
     let mut failed = None;
     for unit in units {
         match unit {
-            Unit::Seq(a) => a.advance(env, forks, prefill_chunk),
+            Unit::Seq(a) => a.advance(env, rows, prefill_chunk),
             Unit::Decode(mut lanes) => {
                 for a in lanes.iter_mut() {
-                    a.advance(env, forks, prefill_chunk);
+                    a.advance(env, rows, prefill_chunk);
                 }
                 let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let decoding = lanes.iter_mut().filter_map(|a| {
                         let Active { seq, sampled, .. } = &mut **a;
                         sampled.as_ref().map(|token| (seq, token))
                     });
-                    feed_sampled(&env.params, decoding, forks)
+                    feed_sampled(&env.params, decoding, rows)
                 }));
                 failed = match fed {
                     Ok(Ok(())) => None,
@@ -347,7 +347,7 @@ pub struct IterScheduler {
     active: Vec<Active>,
     free: Vec<Sequence>,
     /// The stepping thread's scratch; lent cores bring their own.
-    forks: ForkPool,
+    rows: LogitRows,
     /// The core ledger steps hold and borrow from, and this scheduler's
     /// hold on one of its cores while it has work.
     cores: &'static StepCores,
@@ -384,7 +384,7 @@ impl IterScheduler {
             pending: VecDeque::new(),
             active: Vec::new(),
             free: Vec::new(),
-            forks: ForkPool::default(),
+            rows: LogitRows::default(),
             cores: StepCores::process(),
             hold: None,
             workers: 0,
@@ -564,7 +564,7 @@ impl IterScheduler {
 
     /// Advance every active sequence one unit and feed the decoding ones,
     /// on `1 + borrowed` workers packed longest first by estimated rows:
-    /// the stepping thread with its own pool, and one scoped thread per
+    /// the stepping thread with its own scratch, and one scoped thread per
     /// lent one (see the module docs' *Cores*). Returns the stacked feed's
     /// error, if it failed.
     fn advance_all(&mut self) -> Option<ServeError> {
@@ -582,13 +582,13 @@ impl IterScheduler {
             units.push((decoding.len(), Unit::Decode(decoding)));
         }
         let mut lent = self.cores.lend(units.len().saturating_sub(1));
-        self.workers = 1 + lent.pools.len();
+        self.workers = 1 + lent.rows.len();
         let queues = cores::pack(self.workers, units);
-        let workers = std::iter::once(&mut self.forks).chain(&mut lent.pools).zip(queues).collect();
+        let workers = std::iter::once(&mut self.rows).chain(&mut lent.rows).zip(queues).collect();
         let env = &self.env;
         // Every unit runs inside its panic boundaries, so a worker returns; a
         // lost one reports nothing.
-        cores::run("astro-step", workers, |(forks, queue)| run_units(env, chunk, forks, queue))
+        cores::run("astro-step", workers, |(rows, queue)| run_units(env, chunk, rows, queue))
             .into_iter()
             .find_map(|r| r.ok().flatten())
     }
@@ -817,8 +817,8 @@ mod tests {
 
     /// The core ledger: a scheduler holds one core while it has work, a
     /// step borrows at most the idle rest and returns it — after a step,
-    /// after a panicking unit, from an unwinding loan — with its scratch
-    /// pool, so pools never outnumber cores; and a dropped scheduler gives
+    /// after a panicking unit, from an unwinding loan — with its logit-row
+    /// scratch, so scratch never outnumbers cores; and a dropped scheduler gives
     /// back the core it held.
     #[test]
     fn every_borrowed_core_comes_back() {
@@ -861,8 +861,8 @@ mod tests {
         let done = s.run_to_completion();
         assert_eq!(done.len(), 4);
         assert_eq!(idle(ledger), 3, "an idle scheduler holds none");
-        // Lent scratch came back with its cores: one pool per lendable core.
-        assert_eq!(ledger.spares().1.len(), 2, "pools of the two lent cores");
+        // Lent scratch came back with its cores: one per lendable core.
+        assert_eq!(ledger.spares().1.len(), 2, "scratch of the two lent cores");
 
         // A scheduler dropped mid-work hands back the core it held.
         let mut s = sched();
@@ -876,12 +876,12 @@ mod tests {
         // than is idle.
         let unwound = std::panic::catch_unwind(|| {
             let loan = ledger.lend(8);
-            assert_eq!(loan.pools.len(), 3);
+            assert_eq!(loan.rows.len(), 3);
             std::panic::panic_any("unit panicked");
         });
         assert!(unwound.is_err());
         assert_eq!(idle(ledger), 3);
-        assert_eq!(ledger.spares().1.len(), 3, "no more pools than cores");
+        assert_eq!(ledger.spares().1.len(), 3, "no more scratch than cores");
     }
 
     /// The stacked feed has a panic boundary of its own, and no fault site

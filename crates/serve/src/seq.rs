@@ -18,7 +18,10 @@
 //! 3. `advance`, the call that completes prefill (also when a full-depth
 //!    cache fork left nothing to feed) — record the `prefill` phase, then
 //!    either apply the score readout and finish, or install the job's
-//!    [`StepDecoder`].
+//!    [`StepDecoder`]. The readout feeds a score job's continuation
+//!    variants as branches of the sequence's own session, so it is that
+//!    session's last use in the job: the anchor snapshot was cloned
+//!    before it, and the next job's `start` overwrites the session.
 //! 4. `advance`, decode — *sample* one token ([`StepDecoder::sample`]) and
 //!    hand it back as [`Advance::Feed`]; the driver feeds the tokens of all
 //!    its decoding sequences through one stacked forward
@@ -29,7 +32,7 @@
 //! The one driver is the iteration scheduler ([`crate::scheduler`]): it
 //! keeps a free list of sequences, calls `advance` once per active
 //! sequence per step — on the stepping thread or on a step worker, each
-//! with a [`ForkPool`] of its own to lend the readout and the feed — owns
+//! with [`LogitRows`] of its own to lend the readout and the feed — owns
 //! the panic boundaries (one per sequence, one around the stacked feed),
 //! inserts the step's anchor snapshots and records traced jobs' `admit`
 //! phase. An offline batch runs on several of them at once
@@ -167,12 +170,12 @@ impl Sequence {
     }
 
     /// Move the job forward one unit of work (see the module docs).
-    /// `forks` is scratch for the score readout's continuation forks.
+    /// `rows` is scratch for the score readout's logit rows.
     pub(crate) fn advance(
         &mut self,
         env: &SeqEnv,
         job: &Job,
-        forks: &mut ForkPool,
+        rows: &mut LogitRows,
         prefill_chunk: usize,
     ) -> Advance {
         let prompt = job.prompt();
@@ -235,7 +238,7 @@ impl Sequence {
                 // tokens per option): run the whole readout in the call
                 // that completes the prefill rather than splitting it.
                 Job::Score(j) => {
-                    let scores = score_readout(&env.params, &self.sess, forks, &j.readout, ctx);
+                    let scores = score_readout(&env.params, &mut self.sess, rows, &j.readout, ctx);
                     if let Some(t) = ctx {
                         trace::phase_since_last(t, "decode");
                     }
@@ -272,14 +275,14 @@ impl Sequence {
 /// ([`InferenceSession::try_feed_lanes`], one lane per sequence, each at
 /// its own position), so every weight matrix is streamed once per step
 /// instead of once per sequence. Each session ends bit for bit where
-/// feeding it alone would have left it. The logit rows land in the pool's
-/// scratch; every lane's own row is also its session's `last_logits`,
+/// feeding it alone would have left it. The logit rows land in `rows`;
+/// every lane's own row is also its session's `last_logits`,
 /// which is where the next `advance` samples from. A step with no
 /// decoding sequence runs no forward.
 pub(crate) fn feed_sampled<'a>(
     params: &Params,
     decoding: impl Iterator<Item = (&'a mut Sequence, &'a u32)>,
-    pool: &mut ForkPool,
+    rows: &mut LogitRows,
 ) -> Result<(), SessionError> {
     let mut lanes: Vec<Lane<'_>> = decoding
         .map(|(seq, tok)| Lane { session: &mut seq.sess, tokens: std::slice::from_ref(tok) })
@@ -287,39 +290,34 @@ pub(crate) fn feed_sampled<'a>(
     if lanes.is_empty() {
         return Ok(());
     }
-    pool.rows.resize(lanes.len() * params.cfg.vocab_size, 0.0);
+    rows.resize(lanes.len() * params.cfg.vocab_size, 0.0);
     // Cannot fail: `sample` hands back no token for a full session.
-    InferenceSession::try_feed_lanes(params, &mut lanes, &mut pool.rows)?;
+    InferenceSession::try_feed_lanes(params, &mut lanes, rows)?;
     astro_telemetry::counter("serve.decode.rows").add(lanes.len() as u64);
     astro_telemetry::counter("serve.decode.forwards").inc();
     Ok(())
 }
 
 /// What the driver lends the score readout and the decode feed for its
-/// lifetime: the sessions a job's continuation variants are forked into
-/// and the logit rows of a stacked forward (the readout's, or a step's
-/// decode feed — never both at once). Both grow to the widest use seen and
-/// are reused from then on.
-#[derive(Default)]
-pub(crate) struct ForkPool {
-    forks: Vec<InferenceSession>,
-    rows: Vec<f32>,
-}
+/// lifetime: the logit rows of a stacked forward (the readout's, or a
+/// step's decode feed — never both at once). They grow to the widest use
+/// seen and are reused from then on.
+pub(crate) type LogitRows = Vec<f32>;
 
 /// Apply a score readout after the prompt, producing the per-option score
 /// vector.
 fn score_readout(
     params: &Params,
-    sess: &InferenceSession,
-    pool: &mut ForkPool,
+    sess: &mut InferenceSession,
+    rows: &mut LogitRows,
     readout: &ScoreReadout,
     ctx: Option<TraceId>,
 ) -> Result<Vec<f32>, SessionError> {
     match readout {
         ScoreReadout::ContinuationGroups(groups) => {
-            let (scores, rows) = continuation_scores(params, sess, pool, groups)?;
+            let (scores, n_rows) = continuation_scores(params, sess, rows, groups)?;
             if let Some(t) = ctx {
-                trace::record_num(t, "readout_rows", rows as f64);
+                trace::record_num(t, "readout_rows", n_rows as f64);
             }
             Ok(scores)
         }
@@ -335,12 +333,15 @@ fn score_readout(
 
 /// Per option, the max over its variants of the length-normalised
 /// continuation log-likelihood after `sess` — and the number of rows fed
-/// to get them. A variant's first token is read off the parent's last
-/// logits; every variant with more countable tokens is forked
-/// (`assign_from`) into the pool and all their remaining rows go through
-/// **one** stacked forward ([`InferenceSession::try_feed_lanes`]), so the
-/// weights are streamed once per job instead of once per continuation
-/// token. A job of one-token variants forks and feeds nothing.
+/// to get them. A variant's first token is read off the session's last
+/// logits; the remaining rows of every variant with more countable tokens
+/// go through **one** stacked forward as branches of `sess`
+/// ([`InferenceSession::try_feed_branches`]), so the weights are streamed
+/// once per job instead of once per continuation token, and every variant
+/// attends the prompt's one resident K/V rather than a copy of it. The
+/// branches overwrite `sess`'s cache rows past its position, so the
+/// readout is the session's last use in the job. A job of one-token
+/// variants feeds nothing.
 ///
 /// Replicates the serial reference (`astro_model::continuation_loglik`)
 /// operation for operation: the same logits by the stacked forward's
@@ -349,8 +350,8 @@ fn score_readout(
 /// conventions; the suites diff the two bitwise.
 fn continuation_scores(
     params: &Params,
-    sess: &InferenceSession,
-    pool: &mut ForkPool,
+    sess: &mut InferenceSession,
+    rows: &mut LogitRows,
     groups: &[Vec<Vec<u32>>],
 ) -> Result<(Vec<f32>, usize), SessionError> {
     let vocab = params.cfg.vocab_size;
@@ -360,27 +361,13 @@ fn continuation_scores(
     // read.
     let counted = |cont: &[u32]| cont.len().min(room);
     let fed = |cont: &[u32]| counted(cont).saturating_sub(1);
-    let stacked = || groups.iter().flatten().filter(|cont| fed(cont) > 0);
-    let n_rows: usize = stacked().map(|cont| fed(cont)).sum();
+    let runs: Vec<&[u32]> =
+        groups.iter().flatten().map(|cont| &cont[..fed(cont)]).filter(|run| !run.is_empty()).collect();
+    let n_rows: usize = runs.iter().map(|run| run.len()).sum();
     if n_rows > 0 {
-        let n_lanes = stacked().count();
-        // A lent pool may last have served another model.
-        pool.forks.retain(|f| f.config() == &params.cfg);
-        while pool.forks.len() < n_lanes {
-            pool.forks.push(InferenceSession::new(params.cfg));
-        }
-        pool.rows.resize(n_rows * vocab, 0.0);
-        let mut lanes: Vec<Lane<'_>> = pool
-            .forks
-            .iter_mut()
-            .zip(stacked())
-            .map(|(session, cont)| {
-                session.assign_from(sess);
-                Lane { session, tokens: &cont[..fed(cont)] }
-            })
-            .collect();
-        // Cannot fail: every lane was cut to the parent's `remaining()`.
-        InferenceSession::try_feed_lanes(params, &mut lanes, &mut pool.rows)?;
+        rows.resize(n_rows * vocab, 0.0);
+        // Cannot fail: every run was cut to the session's `remaining()`.
+        sess.try_feed_branches(params, &runs, rows)?;
         astro_telemetry::counter("serve.readout.rows").add(n_rows as u64);
         astro_telemetry::counter("serve.readout.forwards").inc();
     }
@@ -400,7 +387,7 @@ fn continuation_scores(
                     let mut ll = 0.0f64;
                     ll += log_prob(first, first_lse, cont[0]);
                     for &tok in &cont[1..counted] {
-                        let logits = &pool.rows[row * vocab..(row + 1) * vocab];
+                        let logits = &rows[row * vocab..(row + 1) * vocab];
                         ll += log_prob(logits, log_sum_exp(logits), tok);
                         row += 1;
                     }
@@ -461,16 +448,24 @@ mod tests {
             .collect()
     }
 
-    /// The stacked readout through a pool that has already served a job of
-    /// another shape; returns the score bits and the rows it fed.
+    /// The stacked readout as branches of `sess`, through logit rows that
+    /// have already served a job of another shape; returns the score bits
+    /// and the rows it fed. The bits must be the serial oracle's, taken on
+    /// the session before the branches overwrote its rows past its
+    /// position, and the session's position and last logits must not move.
     fn stacked_bits(
         p: &Params,
-        sess: &InferenceSession,
-        pool: &mut ForkPool,
+        sess: &mut InferenceSession,
+        rows: &mut LogitRows,
         groups: &[Vec<Vec<u32>>],
     ) -> (Vec<u32>, usize) {
-        let (scores, rows) = continuation_scores(p, sess, pool, groups).unwrap();
-        (scores.iter().map(|s| s.to_bits()).collect(), rows)
+        let want = serial_bits(p, sess, groups);
+        let before = (sess.position(), sess.last_logits().to_vec());
+        let (scores, n_rows) = continuation_scores(p, sess, rows, groups).unwrap();
+        let got: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(got, want, "{groups:?}: against the oracle on the untouched session");
+        assert_eq!((sess.position(), sess.last_logits().to_vec()), before, "{groups:?}: the session moved");
+        (got, n_rows)
     }
 
     #[test]
@@ -478,26 +473,26 @@ mod tests {
         for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
             let p = params(precision);
             let max_seq = p.cfg.max_seq;
-            let mut pool = ForkPool::default();
+            let mut scratch = LogitRows::default();
             let neg_inf = f32::NEG_INFINITY.to_bits();
 
             // No groups; groups without variants or with only empty ones;
-            // one-token variants only: nothing is forked or fed.
-            let sess = parent(&p, 9);
+            // one-token variants only: no branch is fed.
+            let mut sess = parent(&p, 9);
             let one_token: Vec<Vec<Vec<u32>>> =
                 vec![vec![], vec![vec![]], vec![vec![3]], vec![vec![5], vec![], vec![7]]];
             for groups in [Vec::new(), one_token] {
-                let (got, rows) = stacked_bits(&p, &sess, &mut pool, &groups);
+                let (got, rows) = stacked_bits(&p, &mut sess, &mut scratch, &groups);
                 assert_eq!(got, serial_bits(&p, &sess, &groups), "{precision:?} {groups:?}");
-                assert_eq!((rows, pool.forks.len()), (0, 0), "{precision:?}: forked for {groups:?}");
+                assert_eq!((rows, scratch.len()), (0, 0), "{precision:?}: fed branches for {groups:?}");
             }
-            assert_eq!(stacked_bits(&p, &sess, &mut pool, &[vec![], vec![vec![]]]).0, [neg_inf; 2]);
+            assert_eq!(stacked_bits(&p, &mut sess, &mut scratch, &[vec![], vec![vec![]]]).0, [neg_inf; 2]);
 
             // 1–12 variants of mixed length (0–6 tokens) at assorted
-            // depths, through one pool: it grows, then serves narrower jobs.
+            // depths, through one scratch: it grows, then serves narrower jobs.
             for case in 0..48u64 {
                 let mut rng = Rng::seed_from(0x5c0e ^ case);
-                let sess = parent(&p, rng.range(1, max_seq - 6));
+                let mut sess = parent(&p, rng.range(1, max_seq - 6));
                 let mut variants = rng.range(1, 13);
                 let mut groups: Vec<Vec<Vec<u32>>> = Vec::new();
                 while variants > 0 {
@@ -508,7 +503,7 @@ mod tests {
                     groups.push(group);
                     variants -= n.max(1);
                 }
-                let (got, rows) = stacked_bits(&p, &sess, &mut pool, &groups);
+                let (got, rows) = stacked_bits(&p, &mut sess, &mut scratch, &groups);
                 assert_eq!(got, serial_bits(&p, &sess, &groups), "{precision:?} case {case}: {groups:?}");
                 let want_rows: usize =
                     groups.iter().flatten().map(|cont| cont.len().saturating_sub(1)).sum();
@@ -520,8 +515,8 @@ mod tests {
             let long: Vec<Vec<Vec<u32>>> =
                 vec![vec![vec![1, 2, 3, 4, 5], vec![6]], vec![vec![7, 8], vec![9, 10, 11]]];
             for room in [3, 2, 1] {
-                let sess = parent(&p, max_seq - room);
-                let (got, rows) = stacked_bits(&p, &sess, &mut pool, &long);
+                let mut sess = parent(&p, max_seq - room);
+                let (got, rows) = stacked_bits(&p, &mut sess, &mut scratch, &long);
                 assert_eq!(got, serial_bits(&p, &sess, &long), "{precision:?} room {room}");
                 let want_rows: usize =
                     long.iter().flatten().map(|cont| cont.len().min(room) - 1).sum();
@@ -529,8 +524,8 @@ mod tests {
             }
 
             // A full parent: nothing can be counted, every option is -inf.
-            let sess = parent(&p, max_seq);
-            let (got, rows) = stacked_bits(&p, &sess, &mut pool, &long);
+            let mut sess = parent(&p, max_seq);
+            let (got, rows) = stacked_bits(&p, &mut sess, &mut scratch, &long);
             assert_eq!(got, serial_bits(&p, &sess, &long));
             assert_eq!((got, rows), (vec![neg_inf; 2], 0), "{precision:?} full parent");
         }

@@ -662,4 +662,51 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn attend_rows_reads_no_row_past_its_causal_bound() {
+        // Branches of one session leave another branch's K/V in the cache
+        // rows past a run's own: poison those rows with NaN, which a read
+        // would carry into every output it reaches. Each level must return
+        // the bits of its call on a cache that ends at the call's last row,
+        // and both calls write `out` between NaN guard rows they may not
+        // touch.
+        let levels = crate::tests::host_levels();
+        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        const PAST: usize = 9;
+        for m in 1..=9 {
+            for p0 in [0, 1, 7, 8, 120] {
+                for hd in [2usize, 4, 6, 16, 20, 36, 52] {
+                    let width = 4 * hd;
+                    let n = p0 + m;
+                    let (k, v) = (edge_values(n * width, 1), edge_values(n * width, 2));
+                    let q = edge_values(m * width, 3);
+                    let poisoned = |cache: &[f32]| {
+                        let mut cache = cache.to_vec();
+                        cache.resize((n + PAST) * width, f32::NAN);
+                        cache
+                    };
+                    let (k_past, v_past) = (poisoned(&k), poisoned(&v));
+                    for &level in &levels {
+                        let at = format!("{level:?} m={m} p0={p0} hd={hd}");
+                        // `out` between guard rows, on a cache of `cached` rows.
+                        let guarded = |k: &[f32], v: &[f32], cached: usize| {
+                            let mut rows = vec![f32::NAN; (m + 2) * width];
+                            let mut scores = vec![f32::NAN; score_rows(m) * cached];
+                            let out = &mut rows[width..(m + 1) * width];
+                            attend_rows_at(level, out, &mut scores, &q, k, v, width, hd, p0);
+                            let guards = rows[..width].iter().chain(&rows[(m + 1) * width..]);
+                            let intact =
+                                guards.map(|x| x.to_bits()).all(|b| b == f32::NAN.to_bits());
+                            assert!(intact, "{at}: a guard row was written");
+                            rows[width..(m + 1) * width].to_vec()
+                        };
+                        let clean = guarded(&k, &v, n);
+                        let poisoned = guarded(&k_past, &v_past, n + PAST);
+                        assert_eq!(bits(&poisoned), bits(&clean), "{at}");
+                    }
+                }
+            }
+        }
+    }
 }
