@@ -5,7 +5,10 @@
 //! independent chains in flight, every output element still the same
 //! sequence of IEEE operations as the naive per-(row, head, key) loops
 //! (the `#[cfg(test)]` reference below), so a caller may not observe the
-//! blocking — not in one bit.
+//! blocking — not in one bit. Three arms, picked by [`crate::simd`]: the
+//! portable loops (the reference and the only path off x86-64), an AVX2
+//! one for [`Simd::Avx2`] and [`Simd::Avx2Vnni`], and a 16-lane one for
+//! [`Simd::Avx512`] (see `x86`).
 
 use crate::matmul::{dot, dot_tile};
 use crate::ops::softmax_row_at;
@@ -105,8 +108,13 @@ pub fn attend_rows_at(
         // and `scores` holds `score_rows(m)` rows of `p0 + m`, all asserted
         // above.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe {
-            x86::attend_rows(out, scores, q, k, v, width, head_dim, p0, scale)
+        Simd::Avx2 | Simd::Avx2Vnni => unsafe {
+            x86::attend_rows(false, out, scores, q, k, v, width, head_dim, p0, scale)
+        },
+        // SAFETY: as above, and `supported` verified AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => unsafe {
+            x86::attend_rows(true, out, scores, q, k, v, width, head_dim, p0, scale)
         },
         _ => {
             for (i, (out, q)) in out
@@ -210,7 +218,9 @@ fn weighted_sum<const Q: usize>(out: &mut [f32], w: &[f32], v: &[f32], stride: u
     out.copy_from_slice(acc.as_flattened());
 }
 
-/// Runtime-dispatched AVX2 [`attend_rows`]. Per head, full bands of
+/// Runtime-dispatched [`attend_rows`], an AVX2 arm and an AVX-512 one.
+///
+/// AVX2 ([`Simd::Avx2`], [`Simd::Avx2Vnni`]): per head, full bands of
 /// [`BAND`] rows go through [`band`]: their scores come from the 4 × 4
 /// tile of `matmul_a_bt_acc` (`matmul::x86::lane_sums::<4, 2>`, four keys
 /// against four queries, each key's head read once for the band), and
@@ -219,17 +229,33 @@ fn weighted_sum<const Q: usize>(out: &mut [f32], w: &[f32], v: &[f32], stride: u
 /// — take [`one_head`] one at a time: the two-dots-per-register 1 × 8
 /// score tile and the value pass with [`weighted_sum`]'s per-dimension
 /// accumulators, eight to a register (output dimensions are independent
-/// lanes, so the width changes no bit). The tiles are `avx2` only, never `fma` (see
-/// `matmul::x86`); the softmax's `exp` is `ops`' 8-lane one.
+/// lanes, so the width changes no bit). The softmax's `exp` is `ops`'
+/// 8-lane one.
+///
+/// AVX-512 ([`Simd::Avx512`]): the bands go through [`band16`] — the four
+/// rows' query quads in one register against each key's quad broadcast
+/// ([`scores16`]), the four rows' softmax at once with their sum chains
+/// interleaved and `ops`' 16-lane `exp`, and a value pass of 16-lane
+/// accumulators, the last one masked to the head. A leftover row takes
+/// [`row16`]: the same 1 × 8 score tile per head, then its heads four at a
+/// time through one softmax call and one value sweep, so that four heads'
+/// chains overlap where one head's would wait on each other.
+///
+/// The tiles multiply, then add: `avx2` and `avx512f` only, never `fma`
+/// (see `matmul::x86`).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{softmax_row_at, value_tail, Simd, BAND, KEY_TILE, VALUE_QUADS};
     use crate::matmul::dot;
     use crate::matmul::x86::{dots8, lane_sums, reduce4, tail4};
+    use crate::ops::x86::{lanes, softmax16};
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_loadu_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_zextps128_ps256, _mm_loadu_ps,
-        _mm_mul_ps, _mm_set1_ps, _mm_shuffle_ps, _mm_storeu_ps,
+        __m256, __m512, __mmask16, _mm256_add_ps, _mm256_castps256_ps128, _mm256_loadu_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_zextps128_ps256,
+        _mm512_add_ps, _mm512_broadcast_f32x4, _mm512_castps128_ps512, _mm512_castps512_ps128,
+        _mm512_extractf32x4_ps, _mm512_insertf32x4, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_ps,
+        _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_shuffle_ps, _mm_storeu_ps,
     };
 
     /// Most 8-lane accumulators per row the band's value pass keeps
@@ -239,12 +265,16 @@ mod x86 {
     /// no faster at `head_dim` 24 and 36.
     const BAND_OCTS: usize = 2;
 
+    /// The AVX2 arm, or with `wide` the AVX-512 one: [`band16`] under the
+    /// bands and [`row16`] under each leftover row, all its heads at once.
+    ///
     /// # Safety
-    /// Caller must ensure AVX2 and FMA support and the shapes
-    /// [`super::attend_rows_at`] asserts.
+    /// Caller must ensure AVX2 and FMA support, AVX-512F with `wide`, and
+    /// the shapes [`super::attend_rows_at`] asserts.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn attend_rows(
+        wide: bool,
         out: &mut [f32],
         scores: &mut [f32],
         q: &[f32],
@@ -260,23 +290,27 @@ mod x86 {
         for h in (0..width).step_by(hd) {
             for i in (0..full).step_by(BAND) {
                 let (out, q) = (&mut out[i * width + h..], &q[i * width + h..]);
-                band(out, scores, q, &k[h..], &v[h..], width, hd, p0 + i + 1, scale);
+                let (k, v, n0) = (&k[h..], &v[h..], p0 + i + 1);
+                if wide {
+                    band16(out, scores, q, k, v, width, hd, n0, scale);
+                } else {
+                    band(out, scores, q, k, v, width, hd, n0, scale);
+                }
             }
-            for i in full..m {
+            // The AVX2 leftover rows while this head's K/V are in L1.
+            for i in (full..m).filter(|_| !wide) {
                 let n = p0 + i + 1;
                 let row = i * width + h..i * width + h + hd;
                 let cached = h..(n - 1) * width + h + hd;
                 let (k, v) = (&k[cached.clone()], &v[cached]);
-                one_head(
-                    &mut out[row.clone()],
-                    &mut scores[..n],
-                    &q[row],
-                    k,
-                    v,
-                    width,
-                    scale,
-                );
+                let (out, scores) = (&mut out[row.clone()], &mut scores[..n]);
+                one_head(out, scores, &q[row], k, v, width, scale);
             }
+        }
+        for i in (full..m).filter(|_| wide) {
+            let row = i * width..(i + 1) * width;
+            let (out, scores) = (&mut out[row.clone()], &mut scores[..p0 + i + 1]);
+            row16(out, scores, &q[row], k, v, hd, scale);
         }
     }
 
@@ -458,17 +492,7 @@ mod x86 {
         scale: f32,
     ) {
         let hd = q.len();
-        let n = scores.len();
-        let tiled = n - n % KEY_TILE;
-        for j in (0..tiled).step_by(KEY_TILE) {
-            let (lo, hi) = dots8(q.as_ptr(), k.as_ptr().add(j * stride), stride, hd);
-            let s = scores.as_mut_ptr().add(j);
-            _mm_storeu_ps(s, _mm_mul_ps(lo, _mm_set1_ps(scale)));
-            _mm_storeu_ps(s.add(4), _mm_mul_ps(hi, _mm_set1_ps(scale)));
-        }
-        for j in tiled..n {
-            scores[j] = dot(q, &k[j * stride..][..hd]) * scale;
-        }
+        score_row(scores, q, k, stride, scale);
         softmax_row_at(Simd::Avx2, scores);
 
         let mut d = 0;
@@ -492,6 +516,29 @@ mod x86 {
             d += 4 * quads;
         }
         value_tail(out, scores, v, stride, d);
+    }
+
+    /// `scores[j] = dot(q, k_j) * scale` for the keys `k_j` at
+    /// `k[j * stride..]`: `matmul::x86`'s two-dots-per-register tile over
+    /// eight keys at a time, then plain [`dot`]s.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 support and that `k` reaches the last key's
+    /// `q.len()` elements.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn score_row(scores: &mut [f32], q: &[f32], k: &[f32], stride: usize, scale: f32) {
+        let (hd, n) = (q.len(), scores.len());
+        let tiled = n - n % KEY_TILE;
+        for j in (0..tiled).step_by(KEY_TILE) {
+            let (lo, hi) = dots8(q.as_ptr(), k.as_ptr().add(j * stride), stride, hd);
+            let s = scores.as_mut_ptr().add(j);
+            _mm_storeu_ps(s, _mm_mul_ps(lo, _mm_set1_ps(scale)));
+            _mm_storeu_ps(s.add(4), _mm_mul_ps(hi, _mm_set1_ps(scale)));
+        }
+        for j in tiled..n {
+            scores[j] = dot(q, &k[j * stride..][..hd]) * scale;
+        }
     }
 
     /// [`super::weighted_sum`] with `O` 8-lane accumulators; when `HALF`,
@@ -519,6 +566,295 @@ mod x86 {
             }
         }
         store::<O, HALF>(out, &acc);
+    }
+
+    /// [`band`] on AVX-512. Scores: [`scores16`] over eight keys at a time,
+    /// then four, then plain [`dot`]s, as in [`band`] every row scored
+    /// against every key below `nb` and the entries past a row's bound
+    /// dropped. Softmax: `ops::x86::softmax16` over the four rows at once.
+    /// Values: [`band_sum16`], up to [`BAND_ZMMS`] registers per row and
+    /// pass, the last one masked to the head.
+    ///
+    /// # Safety
+    /// As [`band`], and AVX-512F support.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn band16(
+        out: &mut [f32],
+        scores: &mut [f32],
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        width: usize,
+        hd: usize,
+        n0: usize,
+        scale: f32,
+    ) {
+        let nb = n0 + BAND - 1;
+        let (qp, kp, sp) = (q.as_ptr(), k.as_ptr(), scores.as_mut_ptr());
+        let mut j = 0;
+        while nb - j >= 8 {
+            scores16::<2>(sp.add(j), nb, qp, width, kp.add(j * width), hd, scale);
+            j += 8;
+        }
+        if nb - j >= 4 {
+            scores16::<1>(sp.add(j), nb, qp, width, kp.add(j * width), hd, scale);
+            j += 4;
+        }
+        for j in j..nb {
+            let key = &k[j * width..][..hd];
+            // The rows that see position `j`: `n0 + r > j`.
+            for r in (j + 1).saturating_sub(n0)..BAND {
+                scores[r * nb + j] = dot(&q[r * width..][..hd], key) * scale;
+            }
+        }
+        let mut rows = scores.chunks_mut(nb);
+        softmax16::<BAND>(std::array::from_fn(|r| {
+            &mut rows.next().expect("BAND rows")[..n0 + r]
+        }));
+
+        let (o, w, vp) = (out.as_mut_ptr(), scores.as_ptr(), v.as_ptr());
+        let mut d = 0;
+        while d < hd {
+            let (o, vp) = (o.add(d), vp.add(d));
+            match value_pass(hd - d) {
+                (1, last) => band_sum16::<1>(o, width, w, nb, n0, vp, last),
+                (2, last) => band_sum16::<2>(o, width, w, nb, n0, vp, last),
+                (3, last) => band_sum16::<3>(o, width, w, nb, n0, vp, last),
+                (_, last) => band_sum16::<BAND_ZMMS>(o, width, w, nb, n0, vp, last),
+            }
+            d += 16 * BAND_ZMMS;
+        }
+    }
+
+    /// Most 16-lane accumulators per row the AVX-512 value passes keep
+    /// across the key loop: the band's `BAND × BAND_ZMMS` of them, the value
+    /// loads and the weights fit the thirty-two zmm registers.
+    const BAND_ZMMS: usize = 4;
+
+    /// The next AVX-512 value pass over the `rest` dimensions of a head
+    /// still to do: its registers, at most [`BAND_ZMMS`], and the lanes of
+    /// the last one.
+    fn value_pass(rest: usize) -> (usize, __mmask16) {
+        let regs = rest.div_ceil(16).min(BAND_ZMMS);
+        (regs, lanes(rest.min(16 * regs) - 16 * (regs - 1)))
+    }
+
+    /// The band's scores for `4 * G` keys: `s[r * nb + c] = dot(q_r, k_c) *
+    /// scale` for the [`BAND`] query rows at `q` (`stride` apart) and the
+    /// keys at `k` (as far apart). One register holds the four rows' quads
+    /// at step `t`, one per 128-bit lane; each key's quad is broadcast
+    /// against it (`vbroadcastf32x4`, a load), so each lane runs the chain
+    /// of [`dot`]'s it sits on, multiply then add. Per group of four keys,
+    /// two rounds of in-lane shuffles and adds are [`dot`]'s
+    /// `(s0 + s1) + (s2 + s3)` and leave row `r`'s four scores in lane `r`.
+    ///
+    /// # Safety
+    /// AVX-512F; the four query rows and the `4 * G` keys readable for `hd`
+    /// floats, the four score rows at `s` writable for `4 * G`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scores16<const G: usize>(
+        s: *mut f32,
+        nb: usize,
+        q: *const f32,
+        stride: usize,
+        k: *const f32,
+        hd: usize,
+        scale: f32,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); 4]; G];
+        let from = hd - hd % 4;
+        for t in (0..from).step_by(4) {
+            let quads = _mm512_castps128_ps512(_mm_loadu_ps(q.add(t)));
+            let quads = _mm512_insertf32x4::<1>(quads, _mm_loadu_ps(q.add(stride + t)));
+            let quads = _mm512_insertf32x4::<2>(quads, _mm_loadu_ps(q.add(2 * stride + t)));
+            let quads = _mm512_insertf32x4::<3>(quads, _mm_loadu_ps(q.add(3 * stride + t)));
+            for (g, keys) in acc.iter_mut().enumerate() {
+                for (c, ac) in keys.iter_mut().enumerate() {
+                    let key = _mm512_broadcast_f32x4(_mm_loadu_ps(k.add((4 * g + c) * stride + t)));
+                    *ac = _mm512_add_ps(*ac, _mm512_mul_ps(quads, key));
+                }
+            }
+        }
+        for (g, [a0, a1, a2, a3]) in acc.into_iter().enumerate() {
+            // Per lane: [a_s0 + a_s1, a_s2 + a_s3, b_s0 + b_s1, b_s2 + b_s3].
+            let half = |a, b| {
+                let even = _mm512_shuffle_ps::<0b10_00_10_00>(a, b);
+                let odd = _mm512_shuffle_ps::<0b11_01_11_01>(a, b);
+                _mm512_add_ps(even, odd)
+            };
+            let (x01, x23) = (half(a0, a1), half(a2, a3));
+            let mut sums = half(x01, x23);
+            let k = k.add(4 * g * stride);
+            for t in from..hd {
+                let q = std::array::from_fn::<f32, 16, _>(|l| *q.add(l / 4 * stride + t));
+                let k = std::array::from_fn::<f32, 16, _>(|l| *k.add(l % 4 * stride + t));
+                let prod = _mm512_mul_ps(_mm512_loadu_ps(q.as_ptr()), _mm512_loadu_ps(k.as_ptr()));
+                sums = _mm512_add_ps(sums, prod);
+            }
+            let sums = _mm512_mul_ps(sums, _mm512_set1_ps(scale));
+            let s = s.add(4 * g);
+            _mm_storeu_ps(s, _mm512_castps512_ps128(sums));
+            _mm_storeu_ps(s.add(nb), _mm512_extractf32x4_ps::<1>(sums));
+            _mm_storeu_ps(s.add(2 * nb), _mm512_extractf32x4_ps::<2>(sums));
+            _mm_storeu_ps(s.add(3 * nb), _mm512_extractf32x4_ps::<3>(sums));
+        }
+    }
+
+    /// [`band_sum`] on AVX-512 over `16 * O` dimensions, the last register's
+    /// lanes `last` only: `out_r = Σ_j w_r[j] · v_j` for each of the
+    /// [`BAND`] rows in ascending `j`, the `n0` positions every row sees in
+    /// one pass that loads each value row once, then row `r`'s own `r`.
+    ///
+    /// # Safety
+    /// AVX-512F; the four rows at `out` writable and the rows of `v` at
+    /// positions `0..n0 + BAND - 1` readable in those lanes, weight row `r`
+    /// readable for `n0 + r` floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn band_sum16<const O: usize>(
+        out: *mut f32,
+        stride: usize,
+        w: *const f32,
+        w_stride: usize,
+        n0: usize,
+        v: *const f32,
+        last: __mmask16,
+    ) {
+        let mask = |o: usize| if o + 1 == O { last } else { lanes(16) };
+        let values = |j: usize| -> [__m512; O] {
+            std::array::from_fn(|o| _mm512_maskz_loadu_ps(mask(o), v.add(j * stride + 16 * o)))
+        };
+        let mut acc = [[_mm512_setzero_ps(); O]; BAND];
+        for j in 0..n0 {
+            let vals = values(j);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let wr = _mm512_set1_ps(*w.add(r * w_stride + j));
+                for (ac, &x) in row.iter_mut().zip(&vals) {
+                    *ac = _mm512_add_ps(*ac, _mm512_mul_ps(wr, x));
+                }
+            }
+        }
+        for (r, row) in acc.iter_mut().enumerate().skip(1) {
+            for j in n0..n0 + r {
+                let vals = values(j);
+                let wr = _mm512_set1_ps(*w.add(r * w_stride + j));
+                for (ac, &x) in row.iter_mut().zip(&vals) {
+                    *ac = _mm512_add_ps(*ac, _mm512_mul_ps(wr, x));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (o, &ac) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(r * stride + 16 * o), mask(o), ac);
+            }
+        }
+    }
+
+    /// Positions the AVX-512 one-row path scores on the stack for a group
+    /// of [`BAND`] heads (8 KB); a longer row takes [`one_head`] one head
+    /// at a time.
+    const ROW_KEYS: usize = 512;
+
+    /// One query row at `n` positions, every head, on AVX-512. Heads go in
+    /// groups of [`BAND`]: each head's scores from [`score_row`] into a row
+    /// on the stack, the group's four softmax rows at once (their sum
+    /// chains overlap), then [`heads_sum16`], the group's value passes in
+    /// one sweep over the keys with each head's accumulators its own. A row
+    /// past [`ROW_KEYS`] positions and the heads left over after the groups
+    /// take the AVX2 [`one_head`].
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F support, that `out` and `q` are one row
+    /// of whole `hd`-wide heads, that `k` and `v` hold `n = scores.len()`
+    /// such rows.
+    #[inline(never)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row16(
+        out: &mut [f32],
+        scores: &mut [f32],
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        hd: usize,
+        scale: f32,
+    ) {
+        let (width, n) = (q.len(), scores.len());
+        let heads = width / hd;
+        let grouped = if n <= ROW_KEYS {
+            heads - heads % BAND
+        } else {
+            0
+        };
+        let mut stack = [0.0f32; BAND * ROW_KEYS];
+        for h in (0..grouped * hd).step_by(BAND * hd) {
+            for (g, row) in stack.chunks_exact_mut(n).take(BAND).enumerate() {
+                let head = h + g * hd;
+                score_row(row, &q[head..][..hd], &k[head..], width, scale);
+            }
+            let mut rows = stack.chunks_exact_mut(n);
+            softmax16::<BAND>(std::array::from_fn(|_| rows.next().expect("BAND rows")));
+            let (w, o, vp) = (stack.as_ptr(), out[h..].as_mut_ptr(), v[h..].as_ptr());
+            let mut d = 0;
+            while d < hd {
+                let (o, vp) = (o.add(d), vp.add(d));
+                match value_pass(hd - d) {
+                    (1, last) => heads_sum16::<1>(o, hd, w, n, vp, width, last),
+                    (2, last) => heads_sum16::<2>(o, hd, w, n, vp, width, last),
+                    (3, last) => heads_sum16::<3>(o, hd, w, n, vp, width, last),
+                    (_, last) => heads_sum16::<BAND_ZMMS>(o, hd, w, n, vp, width, last),
+                }
+                d += 16 * BAND_ZMMS;
+            }
+        }
+        for h in (grouped * hd..width).step_by(hd) {
+            let cached = h..(n - 1) * width + h + hd;
+            let (k, v) = (&k[cached.clone()], &v[cached]);
+            let (out, q) = (&mut out[h..h + hd], &q[h..h + hd]);
+            one_head(out, scores, q, k, v, width, scale);
+        }
+    }
+
+    /// The value passes of [`BAND`] heads of one row over `16 * O` of each
+    /// head's dimensions, the last register's lanes `last` only: `out_g =
+    /// Σ_j w_g[j] · v_j,g` in ascending `j` for head `g`, whose output and
+    /// values sit `hd · g` past `out` and each value row, its weights at
+    /// `w + g * n`. One sweep over the `n` keys, each head's `O`
+    /// accumulators its own chains.
+    ///
+    /// # Safety
+    /// AVX-512F; the four heads at `out` writable and at the `n` value rows
+    /// `stride` apart readable in those lanes, `w` readable for `4 * n`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn heads_sum16<const O: usize>(
+        out: *mut f32,
+        hd: usize,
+        w: *const f32,
+        n: usize,
+        v: *const f32,
+        stride: usize,
+        last: __mmask16,
+    ) {
+        let mask = |o: usize| if o + 1 == O { last } else { lanes(16) };
+        let mut acc = [[_mm512_setzero_ps(); O]; BAND];
+        for j in 0..n {
+            for (g, head) in acc.iter_mut().enumerate() {
+                let wg = _mm512_set1_ps(*w.add(g * n + j));
+                let vg = v.add(j * stride + g * hd);
+                for (o, ac) in head.iter_mut().enumerate() {
+                    let x = _mm512_maskz_loadu_ps(mask(o), vg.add(16 * o));
+                    *ac = _mm512_add_ps(*ac, _mm512_mul_ps(wg, x));
+                }
+            }
+        }
+        for (g, head) in acc.iter().enumerate() {
+            for (o, &ac) in head.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(g * hd + 16 * o), mask(o), ac);
+            }
+        }
     }
 }
 
@@ -655,6 +991,33 @@ mod tests {
                             let mut scores = vec![f32::NAN; score_rows(m) * n];
                             attend_rows_at(level, &mut got, &mut scores, &q, &k, &v, width, hd, p0);
                             let at = format!("{level:?} {set} m={m} p0={p0} hd={hd}");
+                            assert_eq!(bits(&got), bits(&want), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn attend_rows_is_bitwise_the_naive_loops_on_long_rows_and_odd_heads() {
+        // The cases the AVX-512 one-row path sends head by head: a row past
+        // its 512 stack positions, and a fifth head after a group of four.
+        let levels = crate::tests::host_levels();
+        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for m in 1..=5 {
+            for (p0, heads) in [(600, 4), (8, 5)] {
+                for hd in [2usize, 6, 16, 36] {
+                    let (width, n) = (heads * hd, p0 + m);
+                    let v = edge_values(n * width, 2);
+                    for (set, k, q) in key_sets(n, m, hd, width) {
+                        let mut want = vec![f32::NAN; m * width];
+                        attend_rows_reference(&mut want, &q, &k, &v, width, hd, p0);
+                        for &level in &levels {
+                            let mut got = vec![f32::NAN; m * width];
+                            let mut scores = vec![f32::NAN; score_rows(m) * n];
+                            attend_rows_at(level, &mut got, &mut scores, &q, &k, &v, width, hd, p0);
+                            let at = format!("{level:?} {set} m={m} p0={p0} hd={hd} heads={heads}");
                             assert_eq!(bits(&got), bits(&want), "{at}");
                         }
                     }

@@ -39,11 +39,12 @@ pub enum Simd {
     /// The loops on the build's baseline target (x86-64 SSE2, or any other
     /// architecture) — the reference every other level is tested against.
     Portable,
-    /// AVX2 with FMA: the f32 tiles in [`matmul`] and [`attention`], the
-    /// q8 tile's `vpmaddubsw` multiply-add in [`qmatmul`], its 8-lane
-    /// quantize epilogues, and the 8-lane [`ops::exp_in_place`]. FMA is
-    /// used only inside `exp`, whose portable twin fuses the same
-    /// operations; the dot and GEMM tiles multiply, then add.
+    /// AVX2 with FMA: the f32 tiles in [`matmul`] and [`attention`]'s AVX2
+    /// arm, the q8 tile's `vpmaddubsw` multiply-add in [`qmatmul`], its
+    /// 8-lane quantize epilogues, and the 8-lane [`ops::exp_in_place`] and
+    /// softmax maximum. FMA is used only inside `exp`, whose portable twin
+    /// fuses the same operations; the dot and GEMM tiles multiply, then
+    /// add.
     Avx2,
     /// AVX2 plus AVX-VNNI: as [`Simd::Avx2`], with the q8 tile's
     /// multiply-add one `vpdpbusd`.
@@ -51,8 +52,11 @@ pub enum Simd {
     /// AVX-512F and AVX-512 VNNI on a CPU that runs every level below: as
     /// [`Simd::Avx2Vnni`], plus the 16-lane tiles of [`panel::Panels`] and
     /// [`panel::Q8Panels`] — the f32 and int8 linears of frozen weights
-    /// packed into `k`-major panels. Multiply, then add, as ever on f32;
-    /// one `vpdpbusd` per sixteen int8 dots on the int8 panels.
+    /// packed into `k`-major panels — [`attention`]'s AVX-512 arm, and the
+    /// 16-lane [`ops::exp_in_place`], softmax maximum and scale (the q8
+    /// row-major tile and quantize epilogues stay those of
+    /// [`Simd::Avx2Vnni`]). Multiply, then add, as ever on f32; one
+    /// `vpdpbusd` per sixteen int8 dots on the int8 panels.
     Avx512,
 }
 
@@ -105,5 +109,49 @@ pub(crate) mod tests {
             println!("skipping the {level:?} kernels: this CPU runs {host:?}");
         }
         levels.into_iter().filter(|&level| level <= host).collect()
+    }
+
+    /// Guard elements on each side of an output under test: more than one
+    /// 16-lane register's worth, so a store mask or a loop bound one
+    /// register too long lands in a guard.
+    const GUARD_LANES: usize = 17;
+
+    /// An element type a guard can be made of: its guard value and an
+    /// exact comparison.
+    pub(crate) trait Guard: Copy {
+        /// For `f32` a signalling NaN, which any arithmetic quiets, so that
+        /// a guard an in-place kernel reads and writes back changes bits.
+        const GUARD: Self;
+        fn same(self, other: Self) -> bool;
+    }
+
+    impl Guard for f32 {
+        const GUARD: f32 = f32::from_bits(0x7f80_0001);
+        fn same(self, other: f32) -> bool {
+            self.to_bits() == other.to_bits()
+        }
+    }
+
+    impl Guard for i8 {
+        const GUARD: i8 = 0x5a;
+        fn same(self, other: i8) -> bool {
+            self == other
+        }
+    }
+
+    /// `inside` between two runs of guards: `write` gets the `inside.len()`
+    /// elements between them, the guards must come back untouched, and the
+    /// elements are returned.
+    pub(crate) fn guarded<T: Guard>(inside: &[T], write: impl FnOnce(&mut [T])) -> Vec<T> {
+        let end = GUARD_LANES + inside.len();
+        let mut buf = vec![T::GUARD; end + GUARD_LANES];
+        buf[GUARD_LANES..end].copy_from_slice(inside);
+        write(&mut buf[GUARD_LANES..end]);
+        let guards = buf[..GUARD_LANES].iter().chain(&buf[end..]);
+        assert!(
+            guards.into_iter().all(|g| g.same(T::GUARD)),
+            "a guard was written"
+        );
+        buf[GUARD_LANES..end].to_vec()
     }
 }

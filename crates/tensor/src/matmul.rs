@@ -605,6 +605,33 @@ mod tests {
     }
 
     #[test]
+    fn a_bt_acc_tiles_write_only_their_output() {
+        // The portable tile and the dispatched one, `out` between guards:
+        // rows on both sides of the 4-row band, columns on both sides of
+        // the 4-, 8- and 16-column tiles.
+        type Kernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+        let kernels: [(&str, Kernel); 2] = [
+            ("portable", a_bt_acc_portable),
+            ("dispatched", matmul_a_bt_acc),
+        ];
+        for m in [1usize, 3, 4, 5] {
+            for n in [1usize, 3, 4, 7, 8, 9, 16, 17] {
+                for k in [1usize, 4, 5, 13] {
+                    let (a, b) = (arange(m * k, 0.013), arange(n * k, 0.017));
+                    let seed = arange(m * n, 0.11);
+                    for (name, kernel) in kernels {
+                        let mut want = seed.clone();
+                        kernel(&mut want, &a, &b, m, k, n);
+                        let got = crate::tests::guarded(&seed, |out| kernel(out, &a, &b, m, k, n));
+                        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{name} {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn at_b_matches_reference() {
         for &(m, k, n) in &[(3, 2, 4), (4, 70, 3), (6, 9, 6)] {
             let at = arange(k * m, 0.09); // a is k×m, we want aᵀ·b

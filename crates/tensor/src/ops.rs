@@ -7,7 +7,8 @@
 //!
 //! Every `exp` below — softmax, log-sum-exp, cross-entropy, SiLU gating —
 //! is one [`exp_in_place`] over a row: [`exp`] (glibc's `expf`, replayed
-//! bit for bit) on each element, eight lanes at a time on AVX2 + FMA.
+//! bit for bit) on each element, eight lanes at a time on AVX2 + FMA and
+//! sixteen on AVX-512 ([`Simd::Avx512`]).
 
 use crate::{supported, Simd};
 
@@ -92,13 +93,18 @@ pub fn exp_in_place(x: &mut [f32]) {
 }
 
 /// [`exp_in_place`] on the kernels of `level`: [`exp`] one element at a
-/// time, or on AVX2 + FMA eight (see `x86::exp8`). Every level returns
-/// the same bits. Panics if this CPU does not run `level`.
+/// time, on AVX2 + FMA eight (see `x86::exp8`), on AVX-512 sixteen (see
+/// `x86::exp16`). Every level returns the same bits. Panics if this CPU
+/// does not run `level`.
 pub fn exp_at(level: Simd, x: &mut [f32]) {
     match supported(level) {
+        // SAFETY: `supported` verified AVX-512F (which implies AVX2 and FMA)
+        // at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => unsafe { x86::exp_sub16(x, None) },
         // SAFETY: `supported` verified AVX2 and FMA at runtime.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe { x86::exp_in_place(x) },
+        Simd::Avx2 | Simd::Avx2Vnni => unsafe { x86::exp_in_place(x) },
         _ => x.iter_mut().for_each(|v| *v = exp(*v)),
     }
 }
@@ -109,9 +115,12 @@ pub fn exp_at(level: Simd, x: &mut [f32]) {
 /// `v` but for `v = −0`, and `e^±0` is 1.
 fn max_at(level: Simd, x: &[f32]) -> f32 {
     match supported(level) {
+        // SAFETY: `supported` verified AVX-512F at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => unsafe { x86::max16(x) },
         // SAFETY: `supported` verified AVX2 at runtime.
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx2Vnni | Simd::Avx512 => unsafe { x86::max(x) },
+        Simd::Avx2 | Simd::Avx2Vnni => unsafe { x86::max(x) },
         _ => x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
     }
 }
@@ -127,8 +136,15 @@ pub fn softmax_rows(x: &mut [f32], m: usize, n: usize) {
 
 /// One row of [`softmax_rows`] on the kernels of `level`: the maximum,
 /// `x − max`, [`exp_at`], the sum as one chain in ascending order, then
-/// each element times `1 / sum`.
+/// each element times `1 / sum`. On AVX-512 the subtraction runs inside
+/// the `exp` pass and the scaling sixteen lanes at a time (`x86::softmax16`).
 pub(crate) fn softmax_row_at(level: Simd, row: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if supported(level) == Simd::Avx512 {
+        // SAFETY: `supported` verified AVX-512F at runtime.
+        unsafe { x86::softmax16([row]) };
+        return;
+    }
     let max = max_at(level, row);
     for v in row.iter_mut() {
         *v -= max;
@@ -392,18 +408,30 @@ pub fn l2_norm(x: &[f32]) -> f32 {
     (x.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>()).sqrt() as f32
 }
 
-/// Runtime-dispatched AVX2 kernels of this module, bit-identical to the
-/// portable ones: [`exp`] four doubles to a register, and the maximum.
+/// Runtime-dispatched kernels of this module, bit-identical to the
+/// portable ones: on AVX2 + FMA, [`exp`] four doubles to a register and the
+/// maximum eight lanes at a time; on AVX-512, [`exp`] eight doubles to a
+/// register, the maximum sixteen lanes at a time, and the softmax rows of
+/// [`softmax16`] — `attention`'s on that level.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use super::{exp, EXP_C, EXP_T, EXP_UNDERFLOW, INV_LN2_N, SHIFT};
     use std::arch::x86_64::{
-        __m128, _mm256_add_epi64, _mm256_and_ps, _mm256_and_si256, _mm256_andnot_ps,
-        _mm256_castpd_si256, _mm256_castps256_ps128, _mm256_castsi256_pd, _mm256_cmp_ps,
+        __m128, __m256, __m512, __m512i, __mmask16, _mm256_add_epi64, _mm256_and_ps,
+        _mm256_and_si256, _mm256_andnot_ps, _mm256_castpd_ps, _mm256_castpd_si256,
+        _mm256_castps256_ps128, _mm256_castps_pd, _mm256_castsi256_pd, _mm256_cmp_ps,
         _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_extractf128_ps, _mm256_fmadd_pd, _mm256_fmsub_pd,
         _mm256_i64gather_epi64, _mm256_loadu_ps, _mm256_max_ps, _mm256_movemask_ps, _mm256_mul_pd,
         _mm256_or_ps, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_set_m128,
-        _mm256_slli_epi64, _mm256_storeu_ps, _mm256_sub_pd, _CMP_LT_OQ,
+        _mm256_slli_epi64, _mm256_storeu_ps, _mm256_sub_pd, _mm512_abs_ps, _mm512_add_epi64,
+        _mm512_castpd256_pd512, _mm512_castpd_ps, _mm512_castpd_si512, _mm512_castps512_ps256,
+        _mm512_castps_pd, _mm512_castsi512_pd, _mm512_cmp_ps_mask, _mm512_cvtpd_ps,
+        _mm512_cvtps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_pd, _mm512_fmsub_pd,
+        _mm512_insertf64x4, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_mask_blend_epi64,
+        _mm512_mask_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_maskz_mov_ps,
+        _mm512_max_ps, _mm512_mul_pd, _mm512_mul_ps, _mm512_permutex2var_epi64,
+        _mm512_reduce_max_ps, _mm512_set1_epi64, _mm512_set1_pd, _mm512_set1_ps, _mm512_slli_epi64,
+        _mm512_storeu_ps, _mm512_sub_pd, _mm512_sub_ps, _mm512_test_epi64_mask, _CMP_LT_OQ,
     };
 
     /// AVX2 `max_at`: eight running maxima, then their maximum and the
@@ -498,6 +526,161 @@ mod x86 {
         let y = _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y);
         _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
     }
+
+    /// The lanes `0..len` of a 16-lane register, `len ≤ 16`.
+    #[inline]
+    pub(crate) fn lanes(len: usize) -> __mmask16 {
+        debug_assert!(len <= 16);
+        ((1u32 << len) - 1) as __mmask16
+    }
+
+    /// AVX-512 `max_at`: [`max`] sixteen lanes at a time, the tail loaded
+    /// under a mask with `−inf` in the other lanes. No lane of the running
+    /// maxima is NaN, so their maximum may be taken as a tree.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F support.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn max16(x: &[f32]) -> f32 {
+        let (chunks, tail) = x.as_chunks::<16>();
+        let neg_inf = _mm512_set1_ps(f32::NEG_INFINITY);
+        let mut acc = neg_inf;
+        for chunk in chunks {
+            acc = _mm512_max_ps(_mm512_loadu_ps(chunk.as_ptr()), acc);
+        }
+        let tail = _mm512_mask_loadu_ps(neg_inf, lanes(tail.len()), tail.as_ptr());
+        _mm512_reduce_max_ps(_mm512_max_ps(tail, acc))
+    }
+
+    /// AVX-512 `x[i] = e^(x[i] − sub)` — [`super::exp_at`] with no `sub`:
+    /// [`exp16`] over each sixteen elements and over the tail, loaded and
+    /// stored under a mask. With `sub` the subtraction is one `vsubps` ahead
+    /// of the `exp`, the operation `x − max` of a softmax row.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F support.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn exp_sub16(x: &mut [f32], sub: Option<f32>) {
+        let (chunks, tail) = x.as_chunks_mut::<16>();
+        let table = exp_table();
+        let at = |v: __m512| match sub {
+            Some(m) => _mm512_sub_ps(v, _mm512_set1_ps(m)),
+            None => v,
+        };
+        for chunk in chunks {
+            let p = chunk.as_mut_ptr();
+            _mm512_storeu_ps(p, exp16(at(_mm512_loadu_ps(p)), &table));
+        }
+        let (p, mask) = (tail.as_mut_ptr(), lanes(tail.len()));
+        let y = exp16(at(_mm512_maskz_loadu_ps(mask, p)), &table);
+        _mm512_mask_storeu_ps(p, mask, y);
+    }
+
+    /// [`super::softmax_row_at`] on AVX-512 for `R` rows at once: per row
+    /// the maximum ([`max16`]) and `e^(x − max)` ([`exp_sub16`]); then the
+    /// `R` sums, each one chain in ascending order, their adds interleaved
+    /// so that the chains overlap; then each row times `1 / sum`, sixteen
+    /// lanes at a time. Rows may differ in length.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F support.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn softmax16<const R: usize>(mut rows: [&mut [f32]; R]) {
+        for row in rows.iter_mut() {
+            let max = max16(row);
+            exp_sub16(row, Some(max));
+        }
+        let common = rows.iter().map(|row| row.len()).min().unwrap_or(0);
+        let mut sums = [0.0f32; R];
+        for j in 0..common {
+            for (sum, row) in sums.iter_mut().zip(&rows) {
+                *sum += row[j];
+            }
+        }
+        for (sum, row) in sums.iter_mut().zip(&rows) {
+            for &v in &row[common..] {
+                *sum += v;
+            }
+        }
+        for (sum, row) in sums.into_iter().zip(rows) {
+            let inv = _mm512_set1_ps(1.0 / sum);
+            let (chunks, tail) = row.as_chunks_mut::<16>();
+            for chunk in chunks {
+                let p = chunk.as_mut_ptr();
+                _mm512_storeu_ps(p, _mm512_mul_ps(_mm512_loadu_ps(p), inv));
+            }
+            let (p, mask) = (tail.as_mut_ptr(), lanes(tail.len()));
+            _mm512_mask_storeu_ps(p, mask, _mm512_mul_ps(_mm512_maskz_loadu_ps(mask, p), inv));
+        }
+    }
+
+    /// [`EXP_T`] in four registers of eight entries.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn exp_table() -> [__m512i; 4] {
+        // SAFETY: `EXP_T` holds 32 entries, four registers' worth.
+        std::array::from_fn(|i| unsafe { _mm512_loadu_si512(EXP_T.as_ptr().add(8 * i).cast()) })
+    }
+
+    /// [`exp`] of sixteen lanes, as [`exp8`] takes eight: the main path as
+    /// two halves of eight doubles ([`exp8d`]), `+0` below
+    /// [`EXP_UNDERFLOW`], [`exp`] itself on the rare other lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn exp16(x: __m512, table: &[__m512i; 4]) -> __m512 {
+        let lo = exp8d(_mm512_castps512_ps256(x), table);
+        let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
+        let hi = exp8d(hi, table);
+        let y = _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+            _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
+            _mm256_castps_pd(hi),
+        ));
+        let main = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(x), _mm512_set1_ps(88.0));
+        let zero = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, _mm512_set1_ps(EXP_UNDERFLOW));
+        let y = _mm512_maskz_mov_ps(!zero, y);
+        let mut rest = !(main | zero);
+        if rest == 0 {
+            return y;
+        }
+        let (mut xs, mut ys) = ([0.0f32; 16], [0.0f32; 16]);
+        // SAFETY: both arrays hold sixteen floats.
+        unsafe {
+            _mm512_storeu_ps(xs.as_mut_ptr(), x);
+            _mm512_storeu_ps(ys.as_mut_ptr(), y);
+        }
+        while rest != 0 {
+            let lane = rest.trailing_zeros() as usize;
+            ys[lane] = exp(xs[lane]);
+            rest &= rest - 1;
+        }
+        // SAFETY: `ys` holds sixteen floats.
+        unsafe { _mm512_loadu_ps(ys.as_ptr()) }
+    }
+
+    /// [`exp4`] on eight lanes: [`EXP_T`] looked up by two `vpermt2q`, one
+    /// over each half of the table, and a blend on bit 4 of the index — no
+    /// gather.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn exp8d(x: __m256, table: &[__m512i; 4]) -> __m256 {
+        let xd = _mm512_cvtps_pd(x);
+        let (inv_ln2_n, shift) = (_mm512_set1_pd(INV_LN2_N), _mm512_set1_pd(SHIFT));
+        let ks = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
+        let kd = _mm512_sub_pd(ks, shift);
+        let r = _mm512_fmsub_pd(inv_ln2_n, xd, kd);
+        let ki = _mm512_castpd_si512(ks);
+        let [t0, t1, t2, t3] = *table;
+        // The permutes read bits 0–3 of each index; bit 4 picks the half.
+        let low = _mm512_permutex2var_epi64(t0, ki, t1);
+        let high = _mm512_permutex2var_epi64(t2, ki, t3);
+        let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+        let t = _mm512_mask_blend_epi64(upper, low, high);
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let z = _mm512_fmadd_pd(_mm512_set1_pd(EXP_C[0]), r, _mm512_set1_pd(EXP_C[1]));
+        let y = _mm512_fmadd_pd(_mm512_set1_pd(EXP_C[2]), r, _mm512_set1_pd(1.0));
+        let y = _mm512_fmadd_pd(z, _mm512_mul_pd(r, r), y);
+        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
+    }
 }
 
 /// The one-element-at-a-time softmax row every level must equal bit for
@@ -525,7 +708,7 @@ pub(crate) fn sigmoid_reference(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::host_levels;
+    use crate::tests::{guarded, host_levels};
 
     fn bits(x: &[f32]) -> Vec<u32> {
         x.iter().map(|v| v.to_bits()).collect()
@@ -596,11 +779,11 @@ mod tests {
         }
     }
 
-    /// Every f32 through the dispatched kernel against the host's libm
-    /// `f32::exp`. This asserts what the twin is a replay of, so it holds
-    /// on glibc (2.27 on) x86-64 hosts only, and there only on a CPU with
-    /// FMA, where glibc's ifunc picks the fused build; about 40 s in
-    /// release:
+    /// Every f32 through every level this CPU runs against the host's libm
+    /// `f32::exp`, computed once per block. This asserts what the twin is a
+    /// replay of, so it holds on glibc (2.27 on) x86-64 hosts only, and
+    /// there only on a CPU with FMA, where glibc's ifunc picks the fused
+    /// build; about a minute in release on an AVX-512 host:
     /// `cargo test --release -p astro-tensor --lib -- --ignored exp_is_glibc`.
     #[test]
     #[ignore]
@@ -610,15 +793,20 @@ mod tests {
             std::arch::is_x86_feature_detected!("fma"),
             "glibc's expf is the fused build on FMA CPUs only"
         );
+        let levels = host_levels();
         let mut buf = vec![0.0f32; 1 << 16];
         for block in 0..1u32 << 16 {
-            for (i, x) in buf.iter_mut().enumerate() {
-                *x = f32::from_bits(block << 16 | i as u32);
-            }
-            let libm: Vec<u32> = buf.iter().map(|x| x.exp().to_bits()).collect();
-            exp_in_place(&mut buf);
-            for (i, (got, want)) in bits(&buf).iter().zip(&libm).enumerate() {
-                assert_eq!(got, want, "exp of {:#010x}", block << 16 | i as u32);
+            let xs: Vec<f32> = (0..1u32 << 16)
+                .map(|i| f32::from_bits(block << 16 | i))
+                .collect();
+            let libm: Vec<u32> = xs.iter().map(|x| x.exp().to_bits()).collect();
+            for &level in &levels {
+                buf.copy_from_slice(&xs);
+                exp_at(level, &mut buf);
+                for (i, (got, want)) in bits(&buf).iter().zip(&libm).enumerate() {
+                    let x = block << 16 | i as u32;
+                    assert_eq!(got, want, "{level:?} exp of {x:#010x}");
+                }
             }
         }
     }
@@ -702,6 +890,24 @@ mod tests {
                 silu_backward(&mut dx, &dy, &x);
                 let at = format!("len {len} salt {salt}");
                 assert_eq!(values(&dx), values(&want), "silu_backward {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_and_softmax_write_only_their_row_at_every_level() {
+        // In place, so guards on both sides of the row: every length up to
+        // two 16-lane registers and a half, and attention's 136 and 512.
+        for len in (0..=40).chain([136, 512]) {
+            let row = spread_row(len, 60.0, len);
+            let want: Vec<f32> = row.iter().map(|&x| exp(x)).collect();
+            let mut soft = row.clone();
+            softmax_row_reference(&mut soft);
+            for level in host_levels() {
+                let got = guarded(&row, |x| exp_at(level, x));
+                assert_eq!(values(&got), values(&want), "{level:?} exp len {len}");
+                let got = guarded(&row, |x| softmax_row_at(level, x));
+                assert_eq!(values(&got), values(&soft), "{level:?} softmax len {len}");
             }
         }
     }

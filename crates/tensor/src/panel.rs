@@ -502,7 +502,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::qmatmul::{matmul_q8_a_bt_portable, quantize_rows_q8};
-    use crate::tests::host_levels;
+    use crate::tests::{guarded, host_levels};
 
     /// `len` int8 values quantized from a seeded pseudo-random row set,
     /// one scale per row of `cols`.
@@ -572,6 +572,39 @@ mod tests {
                         let mut got = vec![f32::NAN; m * n];
                         panels.a_bt_at(level, &mut got, &aq, &asc, m);
                         assert_eq!(bits(&got), bits(&want), "{level:?} {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_write_only_their_output_at_every_level() {
+        // `out` between guards, against the same call on an exactly sized
+        // `out`: rows on both sides of a band, columns on both sides of a
+        // panel's sixteen, `k` with and without a quad tail.
+        let levels = host_levels();
+        for m in [1usize, 3, 4, 5] {
+            for n in [1usize, 15, 16, 17, 33] {
+                for k in [1usize, 4, 5, 13] {
+                    let b: Vec<f32> = (0..n * k).map(|i| (i % 7) as f32 - 3.0).collect();
+                    let a: Vec<f32> = (0..m * k).map(|i| (i % 5) as f32 * 0.5).collect();
+                    let (bq, bs) = q8_rows(n, k, (n + k) as u64);
+                    let (aq, asc) = q8_rows(m, k, (m * k) as u64);
+                    let (panels, q8) = (Panels::pack(&b, n, k), Q8Panels::pack(&bq, &bs, n, k));
+                    let seed: Vec<f32> = (0..m * n).map(|i| i as f32).collect();
+                    for &level in &levels {
+                        let at = format!("{level:?} {m}x{k}x{n}");
+                        let mut want = seed.clone();
+                        panels.a_bt_acc_at(level, &mut want, &a, m);
+                        let got = guarded(&seed, |out| panels.a_bt_acc_at(level, out, &a, m));
+                        assert_eq!(bits(&got), bits(&want), "f32 panels {at}");
+                        let mut want = vec![f32::NAN; m * n];
+                        q8.a_bt_at(level, &mut want, &aq, &asc, m);
+                        let got = guarded(&vec![f32::NAN; m * n], |c| {
+                            q8.a_bt_at(level, c, &aq, &asc, m)
+                        });
+                        assert_eq!(bits(&got), bits(&want), "int8 panels {at}");
                     }
                 }
             }

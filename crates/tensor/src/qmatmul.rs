@@ -669,7 +669,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::host_levels;
+    use crate::tests::{guarded, host_levels};
     use crate::matmul::matmul_a_bt;
     use crate::ops::rmsnorm_rows;
 
@@ -849,6 +849,71 @@ mod tests {
                     let sg = rmsnorm_quantize_at(level, &mut got, &x, &g, 1e-5);
                     assert_eq!((sg.to_bits(), &got), (sw.to_bits(), &want), "rmsnorm {at}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn int8_kernels_write_only_their_output_at_every_level() {
+        // Each output between guards, against the same call on exactly
+        // sized outputs: the q8 tile's `c` (rows on both sides of the row
+        // block, columns on both sides of the four-row weight tile), and
+        // the quantizers' `q`, scales and SwiGLU's `act`, at lengths on
+        // both sides of the 8-, 16- and 32-lane steps.
+        let levels = host_levels();
+        for m in [1usize, 2, ROW_BLOCK + 1] {
+            for k in [1usize, 7, 9, 33] {
+                for n in [1usize, 3, 4, 5, 9] {
+                    let (mut aq, mut asc) = (vec![0i8; m * k], vec![0.0; m]);
+                    let (mut bq, mut bsc) = (vec![0i8; n * k], vec![0.0; n]);
+                    quantize_rows_q8(&mut aq, &mut asc, &random_vec(m * k, (m * k) as u64), m, k);
+                    quantize_rows_q8(&mut bq, &mut bsc, &random_vec(n * k, (n + k) as u64), n, k);
+                    for &level in &levels {
+                        let mut want = vec![f32::NAN; m * n];
+                        matmul_q8_a_bt_at(level, &mut want, &aq, &asc, &bq, &bsc, m, k, n);
+                        let got = guarded(&vec![f32::NAN; m * n], |c| {
+                            matmul_q8_a_bt_at(level, c, &aq, &asc, &bq, &bsc, m, k, n)
+                        });
+                        assert_eq!(bits(&got), bits(&want), "{level:?} {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+        for len in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40] {
+            let (x, g, up) = (edge_row(len, 2), edge_row(len, 4), edge_row(len, 6));
+            // Two rows, so that the scales have an inside too.
+            let (mut q, mut scales) = (vec![7i8; 2 * len], vec![0.0f32; 2]);
+            let xx = [x.clone(), g.clone()].concat();
+            quantize_rows_q8(&mut q, &mut scales, &xx, 2, len);
+            let got_scales = guarded(&[0.0f32; 2], |s| {
+                let got_q = guarded(&vec![7i8; 2 * len], |q| quantize_rows_q8(q, s, &xx, 2, len));
+                assert_eq!(got_q, q, "quantize_rows_q8 len {len}");
+            });
+            assert_eq!(bits(&got_scales), bits(&scales), "quantize_rows_q8 len {len}");
+            for &level in &levels {
+                let at = format!("{level:?} len {len}");
+                let mut want = vec![7i8; len];
+                let s = quantize_row_at(level, &mut want, &x);
+                let got = guarded(&vec![7i8; len], |q| {
+                    assert_eq!(quantize_row_at(level, q, &x).to_bits(), s.to_bits(), "{at}");
+                });
+                assert_eq!(got, want, "quantize {at}");
+                let s = rmsnorm_quantize_at(level, &mut want, &x, &g, 1e-5);
+                let got = guarded(&vec![7i8; len], |q| {
+                    let got = rmsnorm_quantize_at(level, q, &x, &g, 1e-5);
+                    assert_eq!(got.to_bits(), s.to_bits(), "{at}");
+                });
+                assert_eq!(got, want, "rmsnorm_quantize {at}");
+                let mut act = vec![f32::NAN; len];
+                let s = swiglu_quantize_at(level, &mut want, &mut act, &g, &up);
+                let got_act = guarded(&vec![f32::NAN; len], |a| {
+                    let got = guarded(&vec![7i8; len], |q| {
+                        let got = swiglu_quantize_at(level, q, a, &g, &up);
+                        assert_eq!(got.to_bits(), s.to_bits(), "{at}");
+                    });
+                    assert_eq!(got, want, "swiglu_quantize {at}");
+                });
+                assert_eq!(bits(&got_act), bits(&act), "swiglu_quantize act {at}");
             }
         }
     }

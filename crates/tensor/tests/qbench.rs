@@ -2,8 +2,10 @@
 //! matvec cost f32 vs q8, and how a multi-row call amortizes it (the
 //! `beta` cost-per-position ratio) — of the f32 and int8 panel kernels
 //! against `matmul_a_bt` and `matmul_q8_a_bt` at the S7b / S70b linear
-//! shapes, and of `exp` and the attention kernel, portable and
-//! dispatched. Ignored by default; run with:
+//! shapes, and of `exp` and the attention kernel at each level with an arm
+//! of its own (`Portable`, `Avx2`, `Avx512`), the levels timed in
+//! alternating batches and each given as a ratio to `Avx2`. Ignored by
+//! default; run with:
 //!
 //! ```sh
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture
@@ -46,26 +48,71 @@ fn best_of_five(iters: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// The levels with kernel arms of their own that this CPU runs.
+fn arms() -> Vec<Simd> {
+    let arms = [Simd::Portable, Simd::Avx2, Simd::Avx512];
+    arms.into_iter()
+        .filter(|&level| level <= astro_tensor::simd())
+        .collect()
+}
+
+/// Per level of `levels`: the median seconds per call of `f(level)`, and
+/// the median over rounds of its speed relative to `Avx2` (the `Avx2`
+/// batch's time over its own in the same round; `None` on a CPU without
+/// AVX2). Each of `ROUNDS` rounds times one batch of `iters` calls per
+/// level in turn, after one untimed round, so a change of the machine's
+/// speed between rounds cancels out of the ratio.
+fn alternating(levels: &[Simd], iters: usize, mut f: impl FnMut(Simd)) -> Vec<(f64, Option<f64>)> {
+    const ROUNDS: usize = 15;
+    let mut secs = vec![Vec::with_capacity(ROUNDS); levels.len()];
+    for round in 0..=ROUNDS {
+        for (level, secs) in levels.iter().zip(&mut secs) {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f(*level);
+            }
+            if round > 0 {
+                secs.push(t0.elapsed().as_secs_f64() / iters as f64);
+            }
+        }
+    }
+    let median = |mut x: Vec<f64>| {
+        x.sort_by(f64::total_cmp);
+        x[x.len() / 2]
+    };
+    let avx2 = levels.iter().position(|&level| level == Simd::Avx2);
+    secs.iter()
+        .map(|own| {
+            let ratio = avx2.map(|a| median(secs[a].iter().zip(own).map(|(a, o)| a / o).collect()));
+            (median(own.clone()), ratio)
+        })
+        .collect()
+}
+
+/// `level`'s time per unit, and its speed relative to `Avx2` when known.
+fn report(what: &str, level: Simd, per_unit: f64, unit: &str, ratio: Option<f64>) {
+    let ratio = ratio.map_or(String::new(), |r| format!("   {r:.2}x Avx2"));
+    println!("{what} {level:?}: {per_unit:.2} {unit}{ratio}");
+}
+
 #[test]
 #[ignore]
 fn exp_and_attend_rows() {
+    let levels = arms();
+    println!("kernels: {:?}, timing {levels:?}", astro_tensor::simd());
     // `exp` over a softmax-like row: scores minus their maximum, spread
     // over [-20, 0], as attention's and log-sum-exp's are.
     let row: Vec<f32> = randv(512, 77).iter().map(|v| (v - 1.0) * 10.0).collect();
-    let mut levels = vec![("portable", Simd::Portable)];
-    if astro_tensor::simd() > Simd::Portable {
-        levels.push(("dispatched", astro_tensor::simd()));
-    }
-    for (name, level) in &levels {
-        let mut x = row.clone();
-        let per_call = best_of_five(2000, || {
-            x.copy_from_slice(&row);
-            exp_at(*level, black_box(&mut x));
-        });
-        println!("exp {name} ({level:?}): {:.2} ns/element", per_call * 1e9 / row.len() as f64);
+    let mut x = row.clone();
+    let times = alternating(&levels, 2000, |level| {
+        x.copy_from_slice(&row);
+        exp_at(level, black_box(&mut x));
+    });
+    for (&level, (secs, ratio)) in levels.iter().zip(times) {
+        let per_element = secs * 1e9 / row.len() as f64;
+        report("exp", level, per_element, "ns/element", ratio);
     }
     // The host libm's scalar call, which every `exp` used to be.
-    let mut x = row.clone();
     let per_call = best_of_five(2000, || {
         for (v, &r) in black_box(&mut x).iter_mut().zip(&row) {
             *v = r.exp();
@@ -74,27 +121,26 @@ fn exp_and_attend_rows() {
     println!("exp libm f32::exp: {:.2} ns/element", per_call * 1e9 / row.len() as f64);
     // One call of the attention kernel: `m` rows at positions 120.. (the
     // op_budget prompt block starts there), all four heads, at the S7b and
-    // S70b head widths — a decode row, a readout lane and a prefill block.
+    // S70b head widths — a decode row, a readout lane, one band and a
+    // prefill block.
     let p0 = 120;
     for hd in [16usize, 36] {
         let width = 4 * hd;
-        for m in [1usize, 2, 16] {
+        for m in [1usize, 2, 4, 16] {
             let n = p0 + m;
             let (k, v, q) = (randv(n * width, 5), randv(n * width, 6), randv(m * width, 7));
             // Each row sees its own prefix: Σ (p0 + i + 1) keys per head.
             let keys: usize = (1..=m).map(|i| p0 + i).sum::<usize>() * 4;
-            for (name, level) in &levels {
-                let mut out = vec![0.0f32; m * width];
-                let mut scores = vec![0.0f32; score_rows(m) * n];
-                let per_call = best_of_five(500, || {
-                    let q = black_box(&q);
-                    attend_rows_at(*level, &mut out, &mut scores, q, &k, &v, width, hd, p0);
-                });
-                println!(
-                    "attend_rows head_dim {hd} m {m} p0 {p0} {name} ({level:?}): \
-                     {:.2} ns per (row, head, key)",
-                    per_call * 1e9 / keys as f64
-                );
+            let mut out = vec![0.0f32; m * width];
+            let mut scores = vec![0.0f32; score_rows(m) * n];
+            let times = alternating(&levels, 4000 / m, |level| {
+                let q = black_box(&q);
+                attend_rows_at(level, &mut out, &mut scores, q, &k, &v, width, hd, p0);
+            });
+            for (&level, (secs, ratio)) in levels.iter().zip(times) {
+                let what = format!("attend_rows head_dim {hd} m {m:2} p0 {p0}");
+                let per_key = secs * 1e9 / keys as f64;
+                report(&what, level, per_key, "ns per (row, head, key)", ratio);
             }
         }
     }
