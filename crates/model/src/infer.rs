@@ -62,12 +62,11 @@
 //! two int8 epilogues (attention output, SwiGLU) leave a layer's input
 //! rows as f32, or as int8 with one scale per row, and `linear` multiplies
 //! them by the f32 weight or by its one packed copy ([`Packed`]): int8 rows
-//! by `Packed::Int8`, or by `Packed::Int8Panels`, its panel form, which
-//! only an int8 session reads; f32 rows by `Packed::Panels` when the params
-//! carry them, else by the f32 weight. `Params::frozen`, what an engine
-//! serves, puts either precision's copy in its panel form on an AVX-512
-//! CPU. RoPE, attention, the residual stream and the KV cache are f32
-//! under both precisions.
+//! by `Packed::Int8`, the int8 panels on every CPU, which only an int8
+//! session reads; f32 rows by `Packed::Panels` when the params carry them
+//! (`Params::frozen`, what an engine serves, packs them on an AVX-512
+//! CPU), else by the f32 weight. RoPE, attention, the residual stream and
+//! the KV cache are f32 under both precisions.
 //!
 //! How a token stream is split into calls — or stacked with other
 //! sessions' rows, or fed as a branch rather than to a fork — never
@@ -75,7 +74,7 @@
 //! every output element is the same [`dot`] over the same operands
 //! whatever the row blocking and whether the panels or the row-major
 //! weight ran (`matmul_a_bt`'s contract, and `Panels`'), on the int8 path
-//! the integer accumulation is exact in either form, attention returns
+//! the integer accumulation is exact whichever tile ran, attention returns
 //! each (row, head) the bits of the naive per-key loops whatever rows
 //! share its call (`attend_rows`' contract) and reads no cache row past
 //! its own position — so not another branch's — and every other op is per
@@ -714,10 +713,10 @@ impl Scratch {
 
 /// `out = a · Wᵀ` for `m` activation rows — the one place weight
 /// precision is chosen. `w` is the f32 weight with the packed copy the
-/// session reads, if any: an int8 copy, row-major or in panels, reads the
-/// rows as int8 `aq` with one scale each; f32 panels, or no copy, read
-/// them as f32 `a`, against the panels or the f32 weight. Each form
-/// returns the bits of its precision's row-major kernel.
+/// session reads, if any: the int8 panels read the rows as int8 `aq` with
+/// one scale each; f32 panels, or no copy, read them as f32 `a`, against
+/// the panels or the f32 weight. Each form returns the bits of its
+/// precision's row-major reference.
 fn linear(
     out: &mut [f32],
     (w, packed): (&[f32], Option<&Packed>),
@@ -727,8 +726,7 @@ fn linear(
     m: usize,
 ) {
     match packed {
-        Some(Packed::Int8(wq)) => wq.matmul_chunk(out, aq, scales, m),
-        Some(Packed::Int8Panels(wp)) => wp.a_bt(out, aq, scales, m),
+        Some(Packed::Int8(wp)) => wp.a_bt(out, aq, scales, m),
         Some(Packed::Panels(wp)) => {
             out.fill(0.0);
             wp.a_bt_acc(out, a, m);
@@ -993,8 +991,6 @@ mod tests {
             (Int8, p.clone(), "plain f32"),
             (Int8, p.clone().with_panels(), "panel"),
             (F32, p.clone().quantized(), "int8"),
-            (F32, p.clone().quantized().frozen(), "frozen int8"),
-            (F32, p.clone().quantized().with_panels(), "int8 panel"),
         ];
         for (precision, params, copy) in &table {
             assert_eq!(run(*precision, params), want, "{precision:?} session on {copy} params");
@@ -1090,15 +1086,14 @@ mod tests {
         // stretched to fit the longest readout) and the S7b and S70b tiers:
         // recording laps changes no logit of a prefill block, a decode row
         // or a readout's branches, and neither does the f32 forward's panel
-        // copy, whatever kernel level this CPU runs it at, nor the int8
-        // weights frozen as an engine serves them; and branches return the
-        // rows of forked lanes.
+        // copy, whatever kernel level this CPU runs it at; and branches
+        // return the rows of forked lanes.
         use crate::Tier;
         let tiny = ModelConfig { max_seq: 48, ..ModelConfig::tiny(64) };
         for cfg in [tiny, ModelConfig::tier(Tier::S7b, 512), ModelConfig::tier(Tier::S70b, 512)] {
             let p = Params::init(cfg, &mut Rng::seed_from(19));
             let (q, panelled) = (p.clone().quantized(), p.clone().with_panels());
-            let pairs = [(&p, &p), (&p, &panelled), (&q, &q), (&q, &q.clone().frozen())];
+            let pairs = [(&p, &p), (&p, &panelled), (&q, &q)];
             for (reference, recorded) in pairs {
                 let columns = op_columns(reference, recorded, 24, 3, 1);
                 assert!(columns.iter().all(|col| col.iter().sum::<f64>() > 0.0), "no laps recorded");
@@ -1138,10 +1133,7 @@ mod tests {
                      readouts of {READOUT_BRANCHES} branches x {READOUT_ROWS:?} rows at {PROMPT}",
                     p.cfg.precision,
                     astro_tensor::simd(),
-                    match p.packed.last() {
-                        Some(Packed::Panels(_) | Packed::Int8Panels(_)) => ", panels",
-                        _ => "",
-                    },
+                    if p.packed.is_empty() { "" } else { ", panels" },
                     PROMPT - PREFILL_ROWS
                 );
                 print!("  {:<10}", "");

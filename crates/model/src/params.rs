@@ -118,12 +118,12 @@ pub struct Params {
     /// The flat weight buffer.
     pub data: Vec<f32>,
     /// The packed copy of every matmul weight, in [`Layout::linears`]
-    /// order, one form for all: int8 ([`Params::quantized`]), or the panel
-    /// form of either precision ([`Params::with_panels`]); empty when none
-    /// is packed. `data` stays authoritative — training, checkpoints and
-    /// the golden reference always read it — and the copy does not follow
-    /// later writes to it: only a frozen copy carries one
-    /// ([`Params::frozen`], what an inference engine holds).
+    /// order, one form for all: int8 panels ([`Params::quantized`]) or f32
+    /// panels ([`Params::with_panels`]); empty when none is packed. `data`
+    /// stays authoritative — training, checkpoints and the golden reference
+    /// always read it — and the copy does not follow later writes to it:
+    /// only quantized or frozen params carry one ([`Params::frozen`], what
+    /// an inference engine holds).
     pub packed: Vec<Packed>,
 }
 
@@ -131,18 +131,14 @@ pub struct Params {
 pub const LINEARS: usize = 7;
 
 /// One matmul weight packed for the inference path, a derived copy of its
-/// rows in [`Params::data`].
-#[derive(Clone, Debug)]
+/// rows in [`Params::data`], in `k`-major panels of sixteen output columns.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Packed {
-    /// Per-output-channel int8, multiplied by int8 activation rows — a
-    /// lossy copy, bounded by the differential suite.
-    Int8(QuantMatrix),
-    /// The same int8 weight in `k`-major panels of sixteen output columns
-    /// ([`Q8Panels`]), multiplied by int8 rows bit for bit as
-    /// [`Packed::Int8`] multiplies them.
-    Int8Panels(Q8Panels),
-    /// `k`-major panels of sixteen output columns ([`Panels`]), multiplied
-    /// by f32 rows bit for bit as `matmul_a_bt` multiplies `data`.
+    /// Per-output-channel int8 ([`Q8Panels`]), multiplied by int8
+    /// activation rows — a lossy copy, bounded by the differential suite.
+    Int8(Q8Panels),
+    /// f32 ([`Panels`]), multiplied by f32 rows bit for bit as
+    /// `matmul_a_bt` multiplies `data`.
     Panels(Panels),
 }
 
@@ -151,25 +147,13 @@ impl Packed {
     fn bytes(&self) -> usize {
         match self {
             Packed::Int8(w) => w.bytes(),
-            Packed::Int8Panels(w) => w.bytes(),
             Packed::Panels(w) => w.bytes(),
         }
     }
 
-    /// Whether the copy is int8, in either form.
+    /// Whether the copy is int8.
     pub(crate) fn is_int8(&self) -> bool {
-        matches!(self, Packed::Int8(_) | Packed::Int8Panels(_))
-    }
-
-    /// The copy in its panel form: an int8 copy repacked, panels as they
-    /// are.
-    fn into_panels(self) -> Packed {
-        match self {
-            Packed::Int8(w) => {
-                Packed::Int8Panels(Q8Panels::pack(w.q(), w.scales(), w.rows(), w.cols()))
-            }
-            panels => panels,
-        }
+        matches!(self, Packed::Int8(_))
     }
 }
 
@@ -239,33 +223,33 @@ impl Params {
 
     /// Switch the model to the int8 inference path: quantize every
     /// matmul weight (attention and SwiGLU projections plus the tied LM
-    /// head) to per-output-channel int8 and set the configuration's
-    /// precision to [`WeightPrecision::Int8`]. RMSNorm gains and the
-    /// embedding *lookup* stay f32 — they are vectors / row gathers, not
-    /// matmuls. The f32 buffer is kept: it remains the bitwise-golden
-    /// reference, and re-quantizing it is idempotent.
+    /// head) to per-output-channel int8, pack it into [`Q8Panels`] — the
+    /// same layout on every CPU — and set the configuration's precision to
+    /// [`WeightPrecision::Int8`]. RMSNorm gains and the embedding *lookup*
+    /// stay f32 — they are vectors / row gathers, not matmuls. The f32
+    /// buffer is kept: it remains the bitwise-golden reference, and
+    /// re-quantizing it is idempotent.
     #[must_use]
     pub fn quantized(self) -> Self {
-        let mut p = self.packed_with(|w, n, k| Packed::Int8(QuantMatrix::quantize(w, n, k)));
+        let mut p = self.packed_with(|w, n, k| {
+            let q = QuantMatrix::quantize(w, n, k);
+            Packed::Int8(Q8Panels::pack(q.q(), q.scales(), n, k))
+        });
         p.cfg.precision = WeightPrecision::Int8;
         p
     }
 
-    /// Put every matmul weight (attention and SwiGLU projections plus the
-    /// tied LM head) into the panel copy of its precision: f32 weights
-    /// packed from `data` into [`Panels`], in place of any int8 copy; an
-    /// int8 copy repacked into [`Q8Panels`], the row-major one dropped.
-    /// `data` stays authoritative and unchanged.
+    /// Pack every f32 matmul weight (attention and SwiGLU projections plus
+    /// the tied LM head) from `data` into [`Panels`]. Int8 params, already
+    /// in their panels, come back untouched. `data` stays authoritative
+    /// and unchanged.
     #[must_use]
-    pub fn with_panels(mut self) -> Self {
+    pub fn with_panels(self) -> Self {
         match self.cfg.precision {
             WeightPrecision::F32 => {
                 self.packed_with(|w, n, k| Packed::Panels(Panels::pack(w, n, k)))
             }
-            WeightPrecision::Int8 => {
-                self.packed = self.packed.into_iter().map(Packed::into_panels).collect();
-                self
-            }
+            WeightPrecision::Int8 => self,
         }
     }
 
@@ -277,11 +261,12 @@ impl Params {
         self
     }
 
-    /// These weights as an inference engine holds them, frozen: in their
-    /// panel copy ([`Params::with_panels`]) when the CPU runs the AVX-512
-    /// panel tiles ([`Simd::Avx512`]; below it the panels would run only
-    /// as portable loops), as they are otherwise. Nothing may write `data`
-    /// afterwards.
+    /// These weights as an inference engine holds them, frozen: f32
+    /// weights with their panel copy ([`Params::with_panels`]) when the CPU
+    /// runs the AVX-512 f32 panel tile ([`Simd::Avx512`]; below it those
+    /// panels would run only as portable loops), as they are otherwise;
+    /// int8 weights, whose one form is their panels, as they are. Nothing
+    /// may write `data` afterwards.
     #[must_use]
     pub fn frozen(self) -> Self {
         if astro_tensor::simd() >= Simd::Avx512 {
@@ -293,8 +278,8 @@ impl Params {
 
     /// Resident bytes of the weights for the active precision: the f32
     /// buffer, plus its panel copy when one is packed, for
-    /// [`WeightPrecision::F32`]; the int8 copy (elements + scales, in
-    /// either form) for [`WeightPrecision::Int8`].
+    /// [`WeightPrecision::F32`]; the int8 panels (elements + scales,
+    /// padding included) for [`WeightPrecision::Int8`].
     pub fn weight_bytes(&self) -> usize {
         let packed = self.packed.iter().map(Packed::bytes).sum::<usize>();
         match self.cfg.precision {
@@ -397,36 +382,33 @@ mod tests {
         // Each int8 weight's panels hold its `n` output columns and scales
         // rounded up to sixteen, times `k` rounded up to four, one byte
         // each: S7b's widths are all multiples of 16, S70b's d_ff 392 pads
-        // to 400 — 0.9 % over the row-major copy, which the panels replace.
-        let pinned = [(Tier::S7b, 193_408, 193_408), (Tier::S70b, 1_367_296, 1_379_136)];
-        for (tier, row_major, panel_bytes) in pinned {
+        // to 400. The same bytes on every CPU.
+        for (tier, panel_bytes) in [(Tier::S7b, 193_408), (Tier::S70b, 1_379_136)] {
             let q = Params::init(ModelConfig::tier(tier, 512), &mut Rng::seed_from(4)).quantized();
-            assert_eq!(q.weight_bytes(), row_major, "{tier:?} row-major");
-            let panels = q.with_panels();
-            assert!(panels.packed.iter().all(|w| matches!(w, Packed::Int8Panels(_))), "{tier:?}");
-            assert_eq!(panels.weight_bytes(), panel_bytes, "{tier:?} panels");
+            assert!(q.packed.iter().all(Packed::is_int8), "{tier:?}");
+            assert_eq!(q.weight_bytes(), panel_bytes, "{tier:?}");
         }
     }
 
     #[test]
     fn frozen_keeps_one_copy_in_the_form_the_host_runs() {
-        // One packed copy per weight, whatever the precision: the panel form
-        // on an AVX-512 CPU, the weights as they were below it.
+        // f32 params frozen carry one panel copy per weight on an AVX-512
+        // CPU and none below it; int8 params come out unchanged, bytes and
+        // bits, on every CPU.
         let p = Params::init(ModelConfig::tiny(32), &mut Rng::seed_from(6));
-        let panels = astro_tensor::simd() >= Simd::Avx512;
-        for (p, form) in [(p.clone(), "f32"), (p.quantized(), "int8")] {
-            let frozen = p.clone().frozen();
-            assert_eq!(frozen.packed.len(), p.layout.linears(&p.cfg).count(), "{form}");
-            for (was, now) in p.packed.iter().zip(&frozen.packed) {
-                assert_eq!(was.is_int8(), now.is_int8(), "{form}");
-            }
-            let expect = |w: &Packed| match w {
-                Packed::Panels(_) | Packed::Int8Panels(_) => panels,
-                Packed::Int8(_) => !panels,
-            };
-            let host = astro_tensor::simd();
-            assert!(frozen.packed.iter().all(expect), "{form} frozen on {host:?}");
-        }
+        let host = astro_tensor::simd();
+        let frozen = p.clone().frozen();
+        let linears = p.layout.linears(&p.cfg).count();
+        let copies = if host >= Simd::Avx512 { linears } else { 0 };
+        assert_eq!(frozen.packed.len(), copies, "f32 frozen on {host:?}");
+        assert!(frozen.packed.iter().all(|w| matches!(w, Packed::Panels(_))), "f32 on {host:?}");
+        let q = p.quantized();
+        let frozen = q.clone().frozen();
+        assert_eq!(frozen.weight_bytes(), q.weight_bytes(), "int8 bytes");
+        assert_eq!(frozen.packed, q.packed, "int8 panels");
+        assert_eq!(frozen.packed.len(), linears, "int8 copies");
+        let bits = |p: &Params| p.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&frozen), bits(&q), "int8 data");
     }
 
     #[test]

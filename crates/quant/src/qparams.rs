@@ -7,13 +7,13 @@
 //! `q = round(w / scale)` clamped to ±127, so dequantization is the
 //! single product `q · scale` and the accumulator never sees −128.
 //!
-//! `astro_model` quantizes each matmul weight into one and holds it as
-//! that weight's packed copy (`Packed::Int8`) beside the f32 buffer, or,
-//! frozen on an AVX-512 CPU, repacked into `astro_tensor::Q8Panels`.
-//! RMSNorm gains and the embedding *lookup* stay f32 (they are vectors /
-//! row gathers, not matmuls, and cost nothing to keep exact).
+//! `astro_model` quantizes each matmul weight into one and packs it at
+//! once into `astro_tensor::Q8Panels`, the weight's one int8 copy
+//! (`Packed::Int8`) beside the f32 buffer, on every CPU. RMSNorm gains
+//! and the embedding *lookup* stay f32 (they are vectors / row gathers,
+//! not matmuls, and cost nothing to keep exact).
 
-use astro_tensor::qmatmul::{dequantize_row_q8, matmul_q8_a_bt, quantize_rows_q8};
+use astro_tensor::qmatmul::{dequantize_row_q8, quantize_rows_q8};
 
 /// A row-major `[rows, cols]` matrix quantized to int8 with one scale
 /// per row.
@@ -81,20 +81,12 @@ impl QuantMatrix {
         self.dequantize_into(&mut out);
         out
     }
-
-    /// `c = a · Wᵀ` for `m` quantized activation rows: `aq` holds the int8
-    /// rows with one scale each in `a_scales`, `c` gets `m × rows` f32.
-    /// Exact-int8 inner products, dequantized once per output — integer
-    /// accumulation is exact, so a row's result does not depend on which
-    /// other rows share the call.
-    pub fn matmul_chunk(&self, c: &mut [f32], aq: &[i8], a_scales: &[f32], m: usize) {
-        matmul_q8_a_bt(c, aq, a_scales, &self.q, &self.scales, m, self.cols, self.rows);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astro_tensor::matmul_q8_a_bt;
 
     fn lcg(seed: u64, n: usize) -> Vec<f32> {
         let mut s = seed | 1;
@@ -128,7 +120,7 @@ mod tests {
         let mut xs = [0.0f32];
         astro_tensor::qmatmul::quantize_rows_q8(&mut xq, &mut xs, &x, 1, cols);
         let mut y = vec![0.0f32; rows];
-        qm.matmul_chunk(&mut y, &xq, &xs, 1);
+        matmul_q8_a_bt(&mut y, &xq, &xs, qm.q(), qm.scales(), 1, cols, rows);
         // Reference: dequantized weights against dequantized activation.
         let mut xdq = vec![0.0f32; cols];
         astro_tensor::qmatmul::dequantize_row_q8(&mut xdq, &xq, xs[0]);
@@ -152,10 +144,11 @@ mod tests {
         let mut ascales = vec![0.0f32; m];
         astro_tensor::qmatmul::quantize_rows_q8(&mut aq, &mut ascales, &a, m, cols);
         let mut chunk = vec![0.0f32; m * rows];
-        qm.matmul_chunk(&mut chunk, &aq, &ascales, m);
+        matmul_q8_a_bt(&mut chunk, &aq, &ascales, qm.q(), qm.scales(), m, cols, rows);
         for i in 0..m {
             let mut y = vec![0.0f32; rows];
-            qm.matmul_chunk(&mut y, &aq[i * cols..(i + 1) * cols], &ascales[i..=i], 1);
+            let (arow, sa) = (&aq[i * cols..(i + 1) * cols], &ascales[i..=i]);
+            matmul_q8_a_bt(&mut y, arow, sa, qm.q(), qm.scales(), 1, cols, rows);
             assert_eq!(&chunk[i * rows..(i + 1) * rows], &y[..], "row {i}");
         }
     }

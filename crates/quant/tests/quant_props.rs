@@ -150,7 +150,7 @@ fn quantized_matvec_error_is_bounded_by_scales() {
     let mut xs = [0.0f32];
     astro_tensor::qmatmul::quantize_rows_q8(&mut xq, &mut xs, &x, 1, cols);
     let mut y = vec![0.0f32; rows];
-    qm.matmul_chunk(&mut y, &xq, &xs, 1);
+    astro_tensor::matmul_q8_a_bt(&mut y, &xq, &xs, qm.q(), qm.scales(), 1, cols, rows);
     let x_amax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
     for r in 0..rows {
         let exact: f32 = x

@@ -609,9 +609,11 @@ mod x86 {
                 scores[r * nb + j] = dot(&q[r * width..][..hd], key) * scale;
             }
         }
-        let mut rows = scores.chunks_mut(nb);
+        let mut rest = &mut scores[..];
         softmax16::<BAND>(std::array::from_fn(|r| {
-            &mut rows.next().expect("BAND rows")[..n0 + r]
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(nb);
+            rest = tail;
+            &mut row[..n0 + r]
         }));
 
         let (o, w, vp) = (out.as_mut_ptr(), scores.as_ptr(), v.as_ptr());
@@ -794,8 +796,12 @@ mod x86 {
                 let head = h + g * hd;
                 score_row(row, &q[head..][..hd], &k[head..], width, scale);
             }
-            let mut rows = stack.chunks_exact_mut(n);
-            softmax16::<BAND>(std::array::from_fn(|_| rows.next().expect("BAND rows")));
+            let mut rest = &mut stack[..];
+            softmax16::<BAND>(std::array::from_fn(|_| {
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                rest = tail;
+                row
+            }));
             let (w, o, vp) = (stack.as_ptr(), out[h..].as_mut_ptr(), v[h..].as_ptr());
             let mut d = 0;
             while d < hd {

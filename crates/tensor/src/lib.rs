@@ -3,11 +3,11 @@
 //! The transformer in `astro-model` uses explicit forward/backward passes
 //! (llm.c style) over pre-allocated buffers, so this crate exposes *slice
 //! kernels* rather than a graph framework: blocked matrix multiplication in
-//! the three orientations backward passes need, frozen weights packed into
-//! `k`-major panels for the inference path's 16-lane linears ([`Panels`],
-//! [`Q8Panels`] for int8), fused softmax / cross-entropy / RMSNorm kernels,
-//! the attention kernel of the inference path, and bf16 emulation matching
-//! the paper's bf16 training. Vector kernels are picked at run time by one
+//! the three orientations backward passes need, weights packed into
+//! `k`-major panels for the inference path's linears ([`Panels`] for frozen
+//! f32 weights, [`Q8Panels`] for every int8 one), fused softmax /
+//! cross-entropy / RMSNorm kernels, the attention kernel of the inference
+//! path, and bf16 emulation matching the paper's bf16 training. Vector kernels are picked at run time by one
 //! cached level, [`simd()`]: [`Simd::Portable`] < [`Simd::Avx2`] <
 //! [`Simd::Avx2Vnni`] < [`Simd::Avx512`], each level's CPU running every
 //! level below it.
@@ -30,7 +30,7 @@ pub mod qmatmul;
 pub use bf16::{bf16_round, bf16_round_slice};
 pub use matmul::{matmul, matmul_at_b, matmul_a_bt};
 pub use panel::{Panels, Q8Panels};
-pub use qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_row_q8, quantize_rows_q8};
+pub use qmatmul::{matmul_q8_a_bt, quantize_row_q8, quantize_rows_q8};
 
 /// A level of the runtime kernel dispatch, ordered: each level's CPU also
 /// runs every level below it.
@@ -40,23 +40,24 @@ pub enum Simd {
     /// architecture) — the reference every other level is tested against.
     Portable,
     /// AVX2 with FMA: the f32 tiles in [`matmul`] and [`attention`]'s AVX2
-    /// arm, the q8 tile's `vpmaddubsw` multiply-add in [`qmatmul`], its
-    /// 8-lane quantize epilogues, and the 8-lane [`ops::exp_in_place`] and
-    /// softmax maximum. FMA is used only inside `exp`, whose portable twin
+    /// arm, the 8-lane [`panel::Q8Panels`] tile (`vpsignb`, `vpmaddubsw`,
+    /// then `vpmaddwd` by ones), the 8-lane quantize epilogues of
+    /// [`qmatmul`], and the 8-lane [`ops::exp_in_place`] and softmax
+    /// maximum. FMA is used only inside `exp`, whose portable twin
     /// fuses the same operations; the dot and GEMM tiles multiply, then
     /// add.
     Avx2,
-    /// AVX2 plus AVX-VNNI: as [`Simd::Avx2`], with the q8 tile's
-    /// multiply-add one `vpdpbusd`.
+    /// AVX2 plus AVX-VNNI: as [`Simd::Avx2`], with the 8-lane
+    /// [`panel::Q8Panels`] tile's multiply-add one `vpdpbusd` on the offset
+    /// weights.
     Avx2Vnni,
     /// AVX-512F and AVX-512 VNNI on a CPU that runs every level below: as
-    /// [`Simd::Avx2Vnni`], plus the 16-lane tiles of [`panel::Panels`] and
-    /// [`panel::Q8Panels`] — the f32 and int8 linears of frozen weights
-    /// packed into `k`-major panels — [`attention`]'s AVX-512 arm, and the
-    /// 16-lane [`ops::exp_in_place`], softmax maximum and scale (the q8
-    /// row-major tile and quantize epilogues stay those of
-    /// [`Simd::Avx2Vnni`]). Multiply, then add, as ever on f32; one
-    /// `vpdpbusd` per sixteen int8 dots on the int8 panels.
+    /// [`Simd::Avx2Vnni`], plus the 16-lane tiles of [`panel::Panels`] (the
+    /// f32 linears of frozen weights) and [`panel::Q8Panels`] (every int8
+    /// linear), [`attention`]'s AVX-512 arm, and the 16-lane
+    /// [`ops::exp_in_place`], softmax maximum and scale (the quantize
+    /// epilogues stay those of [`Simd::Avx2`]). Multiply, then add, as ever
+    /// on f32; one `vpdpbusd` per sixteen int8 dots.
     Avx512,
 }
 

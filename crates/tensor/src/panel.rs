@@ -1,5 +1,6 @@
-//! Frozen weights packed once into `k`-major panels for a 16-lane tile:
-//! f32 ([`Panels`]) and int8 ([`Q8Panels`], see its doc).
+//! Weights packed once into `k`-major panels of sixteen output columns:
+//! f32 ([`Panels`], frozen weights on the AVX-512 tile) and int8
+//! ([`Q8Panels`], the one form of every int8 weight, see its doc).
 //!
 //! [`Panels::pack`] lays a row-major weight `b` (`n × k`, applied as
 //! `a · bᵀ` — every linear layer's `[out_features, in_features]`) out as
@@ -17,10 +18,12 @@
 //! gather four weight rows' quads and reduce them horizontally; a
 //! prototype of that ran 0.81–1.67x of the AVX2 tile and was slower on 4
 //! of the 18 S70b / S7b shapes (docs/TUNING.md). The panels move the
-//! transpose to packing time, which a frozen weight pays once. The int8
-//! row-major tile has the same shape of problem — one dot's bytes per
-//! register, a four-way horizontal sum per output — and [`Q8Panels`] the
-//! same answer, one `vpdpbusd` lane per output column.
+//! transpose to packing time, which a frozen weight pays once. Int8 on
+//! the row-major layout has the same shape of problem — one dot's bytes
+//! per register, a four-way horizontal sum per output — and [`Q8Panels`]
+//! the same answer, one `i32` lane per output column, at every level: 16
+//! lanes on AVX-512, 8 on AVX2, where it runs 1.07–1.77x the row-major
+//! tile it replaced (docs/TUNING.md).
 //!
 //! [`dot`]: crate::matmul::dot
 //! [`matmul_a_bt_acc`]: crate::matmul::matmul_a_bt_acc
@@ -32,14 +35,14 @@ use crate::{supported, Simd};
 const LANES: usize = 16;
 
 /// One step of a panel: sixteen columns' weights at one `t`, a cache line.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C, align(64))]
 struct Step([f32; LANES]);
 
 /// A weight `b` (`n × k`) in `k`-major panels of sixteen output columns
 /// (see the module doc). A derived copy: packing reads `b` once, and the
 /// copy does not follow later writes to it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Panels {
     n: usize,
     k: usize,
@@ -122,7 +125,7 @@ impl Panels {
 const Q8_STEP: usize = 4 * LANES;
 
 /// One step of an int8 panel (see [`Q8Panels`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C, align(64))]
 struct Q8Step([u8; Q8_STEP]);
 
@@ -131,21 +134,24 @@ struct Q8Step([u8; Q8_STEP]);
 const Q8_ROWS: usize = 16;
 
 /// An int8 weight `b` (`n × k`, one scale per row) in `k`-major panels of
-/// sixteen output columns for the `vpdpbusd` tile: `⌈n / 16⌉` panels of
+/// sixteen output columns for the `vpdpbusd` tiles: `⌈n / 16⌉` panels of
 /// `⌈k / 4⌉` 64-byte steps, byte `[j / 16][t / 4][j % 16][t % 4]` holding
 /// `b[j][t] + 128` as `u8`, so one step is four `t` of sixteen dots, four
 /// bytes per lane. `vpdpbusd` wants one unsigned operand and AVX-512 has
 /// no `vpsignb` to move a sign across, so the weights take the offset
 /// and each row pays it back once: `Σ (w + 128)·a − 128·Σ a` is the
 /// exact `Σ w·a` — the `i32` lanes wrap, and the true sum fits them for
-/// `k ≤ 2^16`. Missing columns and the padding of `k` to a multiple of 4
-/// hold weight 0; a padded `t` meets a zero activation byte and a padded
-/// column is masked off at the store. [`Q8Panels::a_bt`] therefore
-/// returns [`matmul_q8_a_bt`]'s bits, whatever `m` and whichever tile
-/// ran. A derived copy, like [`Panels`].
+/// `k ≤ 2^16`. The AVX2 tile, without `vpdpbusd`, flips the offset back
+/// off and negates weights with `vpsignb`, which would leave `−128` as it
+/// is: no weight may be `−128` ([`Q8Panels::pack`] asserts it; no
+/// quantizer here emits it). Missing columns and the padding of `k` to a
+/// multiple of 4 hold weight 0; a padded `t` meets a zero activation byte
+/// and a padded column is masked off at the store. [`Q8Panels::a_bt`]
+/// therefore returns [`matmul_q8_a_bt`]'s bits, whatever `m` and whichever
+/// tile ran. A derived copy, like [`Panels`].
 ///
 /// [`matmul_q8_a_bt`]: crate::qmatmul::matmul_q8_a_bt
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Q8Panels {
     n: usize,
     k: usize,
@@ -156,11 +162,13 @@ pub struct Q8Panels {
 }
 
 impl Q8Panels {
-    /// Pack the row-major int8 `q` (`n × k`) with its `n` row scales.
+    /// Pack the row-major int8 `q` (`n × k`, no element `−128`) with its
+    /// `n` row scales.
     pub fn pack(q: &[i8], scales: &[f32], n: usize, k: usize) -> Self {
         assert!(n > 0 && k > 0, "an empty weight");
         assert_eq!(q.len(), n * k, "q has wrong size");
         assert_eq!(scales.len(), n, "scales has wrong size");
+        assert!(!q.contains(&i8::MIN), "a weight of -128");
         let quads = k.div_ceil(4);
         let mut steps = vec![Q8Step([128; Q8_STEP]); n.div_ceil(LANES) * quads];
         for (j, row) in q.chunks_exact(k).enumerate() {
@@ -191,24 +199,28 @@ impl Q8Panels {
         self.a_bt_at(crate::simd(), c, a, a_scales, m);
     }
 
-    /// [`Self::a_bt`] on the tile of `level`: the AVX-512 VNNI tile at
-    /// [`Simd::Avx512`], the portable loops below it.
-    pub(crate) fn a_bt_at(&self, level: Simd, c: &mut [f32], a: &[i8], a_scales: &[f32], m: usize) {
+    /// [`Self::a_bt`] on the tile of `level` — every level returns the
+    /// same bits. Panics if this CPU does not run `level`.
+    pub fn a_bt_at(&self, level: Simd, c: &mut [f32], a: &[i8], a_scales: &[f32], m: usize) {
         assert_eq!(a.len(), m * self.k, "a has wrong size");
         assert_eq!(c.len(), m * self.n, "c has wrong size");
         assert_eq!(a_scales.len(), m, "a_scales has wrong size");
+        // SAFETY (the vector arms): `supported` verified the level's CPU
+        // features at runtime, and `c`, `a` and `a_scales` were asserted
+        // against `m`, `n` and `k` just above.
         match supported(level) {
-            // SAFETY: `supported` verified AVX-512F and AVX-512 VNNI at
-            // runtime (the `Avx512` level requires both), and `c`, `a` and
-            // `a_scales` were asserted against `m`, `n` and `k` just above.
             #[cfg(target_arch = "x86_64")]
             Simd::Avx512 => unsafe { x86::q8_a_bt(self, c, a, a_scales) },
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx2Vnni => unsafe { x86::q8_a_bt_vnni(self, c, a, a_scales) },
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx2 => unsafe { x86::q8_a_bt_avx2(self, c, a, a_scales) },
             _ => self.a_bt_portable(c, a, a_scales),
         }
     }
 
-    /// The panel arithmetic in plain loops, row by row — the reference the
-    /// AVX-512 tile is tested against.
+    /// The panel arithmetic in plain loops, row by row — the tile below
+    /// AVX2.
     fn a_bt_portable(&self, c: &mut [f32], a: &[i8], a_scales: &[f32]) {
         let (n, k) = (self.n, self.k);
         let quads = k.div_ceil(4);
@@ -232,26 +244,31 @@ impl Q8Panels {
     }
 }
 
-/// The AVX-512 tiles. The f32 one ([`Panels`]): per panel, bands of four
+/// The vector tiles. The f32 one ([`Panels`]): per panel, bands of four
 /// `a` rows (then three, two or one), each row four 16-lane accumulators —
 /// sixteen of the thirty-two zmm registers at four rows. Per step `t` it
 /// loads the panel's step once and, per row, broadcasts `a[r][t]`,
 /// multiplies, then adds: `avx512f` only, never FMA, whose single rounding
 /// would change the low bits [`dot`]
 /// keeps. The panel loop is outermost, so one panel (at most `64 · k`
-/// bytes, 25 KB at `k` = 392) serves every row band from L1. The int8 one
-/// ([`Q8Panels`], `avx512f` and `avx512vnni`) is described at
-/// [`q8_a_bt`](x86::q8_a_bt).
+/// bytes, 25 KB at `k` = 392) serves every row band from L1. The int8
+/// ones ([`Q8Panels`]) — 16 lanes on AVX-512 VNNI, 8 on AVX-VNNI and on
+/// AVX2 — share one loop, [`q8_blocks`](x86::q8_blocks).
 ///
 /// [`dot`]: crate::matmul::dot
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{Panels, Q8Panels, LANES, Q8_ROWS, Q8_STEP};
     use std::arch::x86_64::{
-        __m512, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_cvtepi32_ps,
-        _mm512_dpbusd_epi32, _mm512_load_ps, _mm512_load_si512, _mm512_loadu_ps,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_epi32,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_sub_epi32,
+        __m512, __mmask16, _mm256_abs_epi8, _mm256_add_epi32, _mm256_cmpgt_epi32,
+        _mm256_cvtepi32_ps, _mm256_dpbusd_avx_epi32, _mm256_load_si256, _mm256_loadu_ps,
+        _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_maskstore_ps, _mm256_mul_ps,
+        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi8, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_si256, _mm256_sign_epi8, _mm256_sub_epi32, _mm256_xor_si256,
+        _mm512_add_epi32, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_dpbusd_epi32, _mm512_load_ps,
+        _mm512_load_si512, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512,
+        _mm512_sub_epi32,
     };
 
     /// AVX-512 [`Panels::a_bt_acc`].
@@ -323,11 +340,7 @@ mod x86 {
         }
     }
 
-    /// AVX-512 VNNI [`Q8Panels::a_bt`]: blocks of up to [`Q8_ROWS`] rows,
-    /// each block's `128·Σa` offsets taken first onto the stack; within a
-    /// block, pairs of panels outermost (at most `2 · 64 · ⌈k / 4⌉` bytes,
-    /// 12.5 KB at `k` = 392, served from L1 to every band) and bands of
-    /// four rows (then three, two or one) inside.
+    /// AVX-512 VNNI [`Q8Panels::a_bt`]: [`q8_blocks`] on 16-lane bands.
     ///
     /// # Safety
     /// Caller must ensure AVX-512F and AVX-512 VNNI support and that `c`,
@@ -335,6 +348,48 @@ mod x86 {
     /// `a_scales.len()`.
     #[target_feature(enable = "avx512f,avx512vnni")]
     pub(super) unsafe fn q8_a_bt(p: &Q8Panels, c: &mut [f32], a: &[i8], a_scales: &[f32]) {
+        q8_blocks::<true, true>(p, c, a, a_scales);
+    }
+
+    /// AVX-VNNI [`Q8Panels::a_bt`]: [`q8_blocks`] on 8-lane bands.
+    ///
+    /// # Safety
+    /// As [`q8_a_bt`], with AVX2 and AVX-VNNI support.
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub(super) unsafe fn q8_a_bt_vnni(p: &Q8Panels, c: &mut [f32], a: &[i8], a_scales: &[f32]) {
+        q8_blocks::<false, true>(p, c, a, a_scales);
+    }
+
+    /// AVX2 [`Q8Panels::a_bt`]: [`q8_blocks`] on 8-lane bands, without
+    /// `vpdpbusd`.
+    ///
+    /// # Safety
+    /// As [`q8_a_bt`], with AVX2 support.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn q8_a_bt_avx2(p: &Q8Panels, c: &mut [f32], a: &[i8], a_scales: &[f32]) {
+        q8_blocks::<false, false>(p, c, a, a_scales);
+    }
+
+    /// The one loop of the three int8 tiles, compiled into each caller with
+    /// that caller's features (`ZMM`: 16-lane bands, else 8-lane ones;
+    /// `VNNI`: `vpdpbusd` on the offset weights): blocks of up to
+    /// [`Q8_ROWS`] rows, each block's `128·Σa` offsets taken first onto the
+    /// stack when `VNNI`; within a block, groups of panels outermost — a
+    /// group at most `2 · 64 · ⌈k / 4⌉` bytes, 12.5 KB at `k` = 392, served
+    /// from L1 to every band — and bands of four rows (then three, two or
+    /// one) inside. A group is a pair of panels on 16 lanes, and on 8 lanes
+    /// for a one-row block only, whose one band then shares each broadcast
+    /// among four registers; one panel otherwise.
+    ///
+    /// # Safety
+    /// As the caller's, whose features must cover `ZMM` and `VNNI`.
+    #[inline(always)]
+    unsafe fn q8_blocks<const ZMM: bool, const VNNI: bool>(
+        p: &Q8Panels,
+        c: &mut [f32],
+        a: &[i8],
+        a_scales: &[f32],
+    ) {
         let (n, k) = (p.n, p.k);
         let quads = k.div_ceil(4);
         let panels = n.div_ceil(LANES);
@@ -342,14 +397,13 @@ mod x86 {
             let (i0, rows) = (block * Q8_ROWS, sa.len());
             let ab = &a[i0 * k..(i0 + rows) * k];
             let mut offsets = [0i32; Q8_ROWS];
-            for (o, arow) in offsets.iter_mut().zip(ab.chunks_exact(k)) {
-                *o = 128 * arow.iter().map(|&x| i32::from(x)).sum::<i32>();
+            if VNNI {
+                for (o, arow) in offsets.iter_mut().zip(ab.chunks_exact(k)) {
+                    *o = 128 * arow.iter().map(|&x| i32::from(x)).sum::<i32>();
+                }
             }
-            for j in (0..panels).step_by(2) {
-                let masks = [j, j + 1].map(|q| {
-                    let cols = n.saturating_sub(q * LANES).min(LANES);
-                    ((1u32 << cols) - 1) as __mmask16
-                });
+            let (offsets, group) = (&offsets[..rows], if ZMM || rows == 1 { 2 } else { 1 });
+            for j in (0..panels).step_by(group) {
                 let g = Group {
                     c: c.as_mut_ptr().add(i0 * n + j * LANES),
                     n,
@@ -358,12 +412,12 @@ mod x86 {
                     b: p.steps.as_ptr().add(j * quads).cast::<u8>(),
                     panel: quads * Q8_STEP,
                     scales: p.scales.as_ptr().add(j * LANES),
-                    masks,
+                    cols: [j, j + 1].map(|q| n.saturating_sub(q * LANES).min(LANES)),
                 };
-                if j + 1 < panels {
-                    q8_bands::<2>(&g, &offsets[..rows], sa);
-                } else {
-                    q8_bands::<1>(&g, &offsets[..rows], sa);
+                match (ZMM, group == 2 && j + 1 < panels) {
+                    (false, true) => ymm_band::<VNNI, 1, 2, 2>(&g, 0, offsets, sa),
+                    (_, true) => q8_bands::<ZMM, VNNI, 2>(&g, offsets, sa),
+                    (_, false) => q8_bands::<ZMM, VNNI, 1>(&g, offsets, sa),
                 }
             }
         }
@@ -385,51 +439,97 @@ mod x86 {
         /// The group's first column's weight scale.
         scales: *const f32,
         /// The output columns of each panel.
-        masks: [__mmask16; 2],
+        cols: [usize; 2],
     }
 
     /// The block's rows against `P` panels of `g`, four rows a band, then
     /// the `rows % 4` left over.
     ///
     /// # Safety
-    /// As [`q8_band`], for every row of `offsets` (as many as `a_scales`).
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512vnni")]
-    unsafe fn q8_bands<const P: usize>(g: &Group, offsets: &[i32], a_scales: &[f32]) {
+    /// As [`zmm_band`] or [`ymm_band`], for every row of `offsets` (as many
+    /// as `a_scales`).
+    #[inline(always)]
+    unsafe fn q8_bands<const ZMM: bool, const VNNI: bool, const P: usize>(
+        g: &Group,
+        offsets: &[i32],
+        a_scales: &[f32],
+    ) {
+        macro_rules! band {
+            ($r:literal, $s:literal, $i:expr) => {{
+                let (i, o, s) = ($i, &offsets[$i..], &a_scales[$i..]);
+                if ZMM {
+                    zmm_band::<$r, P, $s>(g, i, o, s)
+                } else {
+                    ymm_band::<VNNI, $r, P, $s>(g, i, o, s)
+                }
+            }};
+        }
         let rows = offsets.len();
         let full = rows - rows % 4;
         for i in (0..full).step_by(4) {
-            q8_band::<4, P, 1>(g, i, &offsets[i..], &a_scales[i..]);
+            band!(4, 1, i);
         }
-        let (o, s) = (&offsets[full..], &a_scales[full..]);
         match rows % 4 {
-            3 => q8_band::<3, P, 1>(g, full, o, s),
-            2 => q8_band::<2, P, 2>(g, full, o, s),
-            1 => q8_band::<1, P, 4>(g, full, o, s),
+            3 => band!(3, 1, full),
+            2 => band!(2, 2, full),
+            1 => band!(1, 4, full),
             _ => {}
         }
     }
 
-    /// Rows `i..i + R` of the block against `P` panels: per 4-`t` step the
-    /// panels' steps are loaded once and each row's four activation bytes
-    /// broadcast into one `vpdpbusd` per panel (weights the unsigned
-    /// operand, activations the signed one); the last, partial step reads
-    /// zeros past `k`. Step `q` adds into chain `q mod S` — `S` = 2 or 4
-    /// keeps a band of one or two rows from waiting out `vpdpbusd`'s
-    /// latency, and integer sums may be split anyhow. Then the chains are
-    /// added, each row's offset comes off, and the sums are dequantized as
-    /// [`dequant`](super::dequant) does — `(acc as f32) · (sa · sb)` — and
-    /// stored under the panels' masks.
+    /// A band's steps, `$step!(q, chain, |r| quad)` each: step `q` adds into
+    /// chain `q mod S` — `S` = 2 or 4 keeps a band of one or two rows from
+    /// waiting out the multiply-add's latency, and integer sums may be
+    /// split anyhow — and the last, partial step reads zeros past `k`.
+    macro_rules! q8_steps {
+        ($step:ident, $acc:ident, $a:ident, $k:ident, $S:ident) => {
+            let full = $k / 4;
+            let mut q = 0;
+            while q + $S <= full {
+                for (s, chain) in $acc.iter_mut().enumerate() {
+                    let at = 4 * (q + s);
+                    $step!(q + s, chain, |r| $a
+                        .add(r * $k + at)
+                        .cast::<i32>()
+                        .read_unaligned());
+                }
+                q += $S;
+            }
+            for q in q..full {
+                $step!(q, $acc[0], |r| $a
+                    .add(r * $k + 4 * q)
+                    .cast::<i32>()
+                    .read_unaligned());
+            }
+            if $k % 4 != 0 {
+                $step!(full, $acc[0], |r| {
+                    let mut quad = [0u8; 4];
+                    let tail = $a.add(r * $k + 4 * full).cast::<u8>();
+                    std::ptr::copy_nonoverlapping(tail, quad.as_mut_ptr(), $k % 4);
+                    i32::from_le_bytes(quad)
+                });
+            }
+        };
+    }
+
+    /// Rows `i..i + R` of the block against `P` panels on 16 lanes: per
+    /// step the panels' steps are loaded once and each row's four
+    /// activation bytes broadcast into one `vpdpbusd` per panel (weights
+    /// the unsigned operand, activations the signed one), in the chains of
+    /// [`q8_steps`]. Then the chains are added, each row's offset comes
+    /// off, and the sums are dequantized as [`dequant`](super::dequant)
+    /// does — `(acc as f32) · (sa · sb)` — and stored under each panel's
+    /// column mask.
     ///
     /// # Safety
     /// AVX-512F and AVX-512 VNNI; `g` points into live buffers of the
     /// block (`R` rows of `k` activations from row `i`, `R` output rows at
-    /// stride `n` with each panel's masked lanes writable, `P` panels of
+    /// stride `n` with each panel's columns writable, `P` panels of
     /// `⌈k / 4⌉` steps and `16 · P` scales), and `offsets` and `a_scales`
     /// hold at least `R` elements.
     #[inline]
     #[target_feature(enable = "avx512f,avx512vnni")]
-    unsafe fn q8_band<const R: usize, const P: usize, const S: usize>(
+    unsafe fn zmm_band<const R: usize, const P: usize, const S: usize>(
         g: &Group,
         i: usize,
         offsets: &[i32],
@@ -437,9 +537,6 @@ mod x86 {
     ) {
         let (k, a) = (g.k, g.a.add(i * g.k));
         let mut acc = [[[_mm512_setzero_si512(); P]; R]; S];
-        let full = k / 4;
-        // Step `q` into `$chain`: the panels' steps, then row `r`'s four
-        // bytes `$quad`.
         macro_rules! step {
             ($q:expr, $chain:expr, |$r:ident| $quad:expr) => {
                 let mut vb = [_mm512_setzero_si512(); P];
@@ -454,30 +551,7 @@ mod x86 {
                 }
             };
         }
-        let mut q = 0;
-        while q + S <= full {
-            for (s, chain) in acc.iter_mut().enumerate() {
-                step!(q + s, chain, |r| a
-                    .add(r * k + 4 * (q + s))
-                    .cast::<i32>()
-                    .read_unaligned());
-            }
-            q += S;
-        }
-        for q in q..full {
-            step!(q, acc[0], |r| a
-                .add(r * k + 4 * q)
-                .cast::<i32>()
-                .read_unaligned());
-        }
-        if k % 4 != 0 {
-            step!(full, acc[0], |r| {
-                let mut quad = [0u8; 4];
-                let tail = a.add(r * k + 4 * full).cast::<u8>();
-                std::ptr::copy_nonoverlapping(tail, quad.as_mut_ptr(), k % 4);
-                i32::from_le_bytes(quad)
-            });
-        }
+        q8_steps!(step, acc, a, k, S);
         let mut sums = acc[0];
         for chain in &acc[1..] {
             for (row, other) in sums.iter_mut().zip(chain) {
@@ -492,7 +566,86 @@ mod x86 {
             for (p, s) in row.into_iter().enumerate() {
                 let sum = _mm512_cvtepi32_ps(_mm512_sub_epi32(s, offset));
                 let scale = _mm512_mul_ps(sa, _mm512_loadu_ps(g.scales.add(p * LANES)));
-                _mm512_mask_storeu_ps(c.add(p * LANES), g.masks[p], _mm512_mul_ps(sum, scale));
+                let mask = ((1u32 << g.cols[p]) - 1) as __mmask16;
+                _mm512_mask_storeu_ps(c.add(p * LANES), mask, _mm512_mul_ps(sum, scale));
+            }
+        }
+    }
+
+    /// [`zmm_band`] on 8 lanes: a 64-byte step is two ymm registers, its
+    /// panel's columns 0–7 and 8–15. With `VNNI` each takes one
+    /// `vpdpbusd` on the offset weights. Without, the step is XORed with
+    /// `0x80` once — the signed weights back, shared by the band's rows —
+    /// and each row's broadcast goes through `vpabsb`; per register
+    /// `vpsignb` moves its sign onto the weights (exact, as no weight is
+    /// `−128`), `vpmaddubsw` adds pairs of products into `i16` (at most
+    /// `2·128·127 < 2^15`, never saturating) and `vpmaddwd` by ones pairs
+    /// of those into the `i32` lanes: no offsets. Stored under
+    /// `vmaskmovps`.
+    ///
+    /// # Safety
+    /// AVX2, and AVX-VNNI when `VNNI`; otherwise as [`zmm_band`].
+    #[inline(always)]
+    unsafe fn ymm_band<const VNNI: bool, const R: usize, const P: usize, const S: usize>(
+        g: &Group,
+        i: usize,
+        offsets: &[i32],
+        a_scales: &[f32],
+    ) {
+        let (k, a) = (g.k, g.a.add(i * g.k));
+        let mut acc = [[[[_mm256_setzero_si256(); 2]; P]; R]; S];
+        macro_rules! step {
+            ($q:expr, $chain:expr, |$r:ident| $quad:expr) => {
+                let mut vb = [[_mm256_setzero_si256(); 2]; P];
+                for (p, halves) in vb.iter_mut().enumerate() {
+                    for (h, v) in halves.iter_mut().enumerate() {
+                        let step = g.b.add(p * g.panel + $q * Q8_STEP + 32 * h);
+                        *v = _mm256_load_si256(step.cast());
+                        if !VNNI {
+                            *v = _mm256_xor_si256(*v, _mm256_set1_epi8(i8::MIN));
+                        }
+                    }
+                }
+                for ($r, row) in $chain.iter_mut().enumerate() {
+                    let va = _mm256_set1_epi32($quad);
+                    let abs = _mm256_abs_epi8(va);
+                    for (accs, ws) in row.iter_mut().zip(&vb) {
+                        for (s, &w) in accs.iter_mut().zip(ws) {
+                            *s = if VNNI {
+                                _mm256_dpbusd_avx_epi32(*s, w, va)
+                            } else {
+                                let pairs = _mm256_maddubs_epi16(abs, _mm256_sign_epi8(w, va));
+                                _mm256_add_epi32(*s, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)))
+                            };
+                        }
+                    }
+                }
+            };
+        }
+        q8_steps!(step, acc, a, k, S);
+        let mut sums = acc[0];
+        for chain in &acc[1..] {
+            for (row, other) in sums.iter_mut().zip(chain) {
+                for (halves, more) in row.iter_mut().zip(other) {
+                    for (s, &o) in halves.iter_mut().zip(more) {
+                        *s = _mm256_add_epi32(*s, o);
+                    }
+                }
+            }
+        }
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        for (r, row) in sums.into_iter().enumerate() {
+            let (offset, sa) = (_mm256_set1_epi32(offsets[r]), _mm256_set1_ps(a_scales[r]));
+            let c = g.c.add((i + r) * g.n);
+            for (p, halves) in row.into_iter().enumerate() {
+                for (h, s) in halves.into_iter().enumerate() {
+                    let col = p * LANES + 8 * h;
+                    let sum = _mm256_cvtepi32_ps(_mm256_sub_epi32(s, offset));
+                    let scale = _mm256_mul_ps(sa, _mm256_loadu_ps(g.scales.add(col)));
+                    let cols = _mm256_set1_epi32(g.cols[p] as i32 - 8 * h as i32);
+                    let mask = _mm256_cmpgt_epi32(cols, lane);
+                    _mm256_maskstore_ps(c.add(col), mask, _mm256_mul_ps(sum, scale));
+                }
             }
         }
     }
@@ -541,6 +694,15 @@ mod tests {
             assert_eq!(p.scales[j], if j < n { j as f32 } else { 0.0 });
         }
         assert_eq!(p.bytes(), 4 * 64 + 32 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "a weight of -128")]
+    fn q8_pack_refuses_a_weight_of_minus_128() {
+        // The AVX2 tile's `vpsignb` would leave it unnegated.
+        let mut q = vec![1i8; 3 * 5];
+        q[7] = i8::MIN;
+        Q8Panels::pack(&q, &[1.0; 3], 3, 5);
     }
 
     #[test]

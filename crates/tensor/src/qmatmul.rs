@@ -9,44 +9,24 @@
 //! loop order and bitwise-reproducible across the single-token and
 //! chunked paths.
 //!
-//! Vectorization (the build targets baseline x86-64, SSE2):
+//! The int8 matmul that serves is [`crate::Q8Panels::a_bt`], on weights
+//! packed once into `k`-major panels; this module holds what feeds it and
+//! what it is tested against:
 //!
-//! * the portable loops are the reference and the only path off x86-64;
-//!   the [`dot_q8`] reduction is the canonical `i32 += i8·i8` pattern,
-//!   and integer adds are associative, so LLVM may vectorize it without a
-//!   fast-math opt-in;
-//! * on x86-64 the kernels follow the level [`crate::simd`] detects once
-//!   at run time — AVX2, or AVX2 with AVX-VNNI (the `Avx512` level runs
-//!   the AVX-VNNI kernels here). Every level accumulates exactly in `i32`
-//!   and rounds with the same f32 operations in the same order, so all
-//!   return bit-identical results: the dispatch never affects
-//!   determinism, only speed;
-//! * [`matmul_q8_a_bt`] streams each weight row once per block of
-//!   activation rows (j-outer, i-inner). Its vector kernel is a register
-//!   tile of one activation row against four weight rows: each activation
-//!   load is shared by the four, 32 int8 lanes go through one `vpsignb`
-//!   and one multiply-add step (no widening pass) — `vpmaddubsw` +
-//!   `vpmaddwd` + `vpaddd` on AVX2, a single `vpdpbusd` on AVX-VNNI, one
-//!   loop compiled once per level — and the four horizontal sums are
-//!   reduced and dequantized together. The tile does not depend on `m`,
-//!   so a decode step's single row does a prefill block's work per row;
-//!   what more rows per call still buy is the weight traffic — one read
-//!   of the matrix per row block instead of one per row (a one-row call
-//!   measures 0.7–1.0 of the eight-row rate at the S70b shapes, weights
-//!   in L2). This row-major tile serves CPUs below AVX-512, weights that
-//!   are not frozen (the serial int8 oracles) and `bench/`'s probes;
-//!   frozen weights on an AVX-512 CPU are repacked once into
-//!   [`crate::Q8Panels`], whose 16-lane `vpdpbusd` tile returns this
-//!   kernel's bits with no horizontal reduction;
-//! * the quantize epilogues ([`quantize_row_q8`], the fused
+//! * [`matmul_q8_a_bt`], `c = a · bᵀ` on row-major int8 in plain loops —
+//!   the reference whose bits every level's panel tile returns. Integer
+//!   adds are associative, so LLVM may vectorize its `i32 += i8·i8`
+//!   reduction without a fast-math opt-in;
+//! * the quantizers ([`quantize_row_q8`], the fused
 //!   [`rmsnorm_quantize_row`] and [`swiglu_quantize_row`], which never
-//!   materialise a separate normalized f32 row) take `amax` and round
-//!   eight lanes at a time on AVX2: the same products in the same order,
-//!   `amax` skipping NaN lanes as `f32::max` does, the rounder sending
-//!   them to 0 as `as i32` does. SwiGLU's `exp` is
-//!   [`crate::ops::exp_in_place`], eight lanes at a time as well; RMSNorm's
-//!   mean square (a sequential f32 sum) stays scalar, because it fixes
-//!   bits.
+//!   materialise a separate normalized f32 row). On x86-64 they follow the
+//!   level [`crate::simd`] detects once at run time: from AVX2 up they take
+//!   `amax` and round eight lanes at a time — the same products in the
+//!   same order, `amax` skipping NaN lanes as `f32::max` does, the rounder
+//!   sending them to 0 as `as i32` does — so every level returns the
+//!   portable loops' bits. SwiGLU's `exp` is
+//!   [`crate::ops::exp_in_place`]; RMSNorm's mean square (a sequential f32
+//!   sum) stays scalar, because it fixes bits.
 //!
 //! All kernels take slices and never allocate.
 
@@ -56,29 +36,10 @@ use crate::{supported, Simd};
 /// `-128` is never produced so negation is always exact).
 pub const Q8_MAX: f32 = 127.0;
 
-/// Activation-row block: how many quantized activation rows the blocked
-/// [`matmul_q8_a_bt`] keeps hot while streaming weight rows. 16 rows of
-/// `k ≤ 512` int8 fit in a fraction of L1.
-const ROW_BLOCK: usize = 16;
-
-/// Exact integer dot product of two int8 slices, accumulated in `i32`.
-///
-/// The result is exact (no rounding), so it is independent of
-/// accumulation order — the chunked and single-token paths, and the
-/// scalar and AVX2 implementations, agree bitwise by construction.
-pub fn dot_q8(a: &[i8], b: &[i8]) -> i32 {
+/// Exact integer dot product of two int8 slices, accumulated in `i32`:
+/// exact, so independent of accumulation order.
+fn dot_q8(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd() >= Simd::Avx2 {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        return unsafe { x86::dot(a, b) };
-    }
-    dot_q8_scalar(a, b)
-}
-
-/// Portable fallback for [`dot_q8`]; also the reference the SIMD path is
-/// tested against.
-fn dot_q8_scalar(a: &[i8], b: &[i8]) -> i32 {
     let mut acc = 0i32;
     for (&x, &y) in a.iter().zip(b.iter()) {
         acc += i32::from(x) * i32::from(y);
@@ -208,34 +169,13 @@ pub fn dequantize_row_q8(y: &mut [f32], q: &[i8], scale: f32) {
 
 /// `c = a · bᵀ` on int8 with per-row scales: `a` is `m×k` quantized
 /// activations (`a_scales[i]` per row), `b` is `n×k` quantized weights
-/// (`b_scales[j]` per output channel), `c` is `m×n` f32.
-///
-/// Loop order is j-outer / i-inner inside a block of activation rows, so
-/// each weight row is streamed from memory exactly once per row block.
-/// Because the integer accumulation is exact, `c` is bitwise-identical to
-/// `m` independent [`matvec_q8`] calls.
-///
-/// `b` must not contain `-128` — no quantizer here produces it (see
-/// [`Q8_MAX`]) — or the vector kernels, which negate weight lanes, are no
-/// longer exact.
+/// (`b_scales[j]` per output channel), `c` is `m×n` f32 — each element one
+/// exact [`dot_q8`], dequantized once, so a row's result does not depend on
+/// which other rows share the call. The portable reference
+/// [`crate::Q8Panels::a_bt`] is tested against; the serving path runs the
+/// panels.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_q8_a_bt(
-    c: &mut [f32],
-    a: &[i8],
-    a_scales: &[f32],
-    b: &[i8],
-    b_scales: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    matmul_q8_a_bt_at(crate::simd(), c, a, a_scales, b, b_scales, m, k, n);
-}
-
-/// [`matmul_q8_a_bt`] on the kernels of `level`.
-#[allow(clippy::too_many_arguments)]
-fn matmul_q8_a_bt_at(
-    level: Simd,
     c: &mut [f32],
     a: &[i8],
     a_scales: &[f32],
@@ -250,29 +190,11 @@ fn matmul_q8_a_bt_at(
     assert_eq!(c.len(), m * n, "c has wrong size");
     assert_eq!(a_scales.len(), m, "a_scales has wrong size");
     assert_eq!(b_scales.len(), n, "b_scales has wrong size");
-    debug_assert!(!b.iter().fold(false, |hit, &w| hit | (w == i8::MIN)), "weight of -128");
-    let level = supported(level);
-    for i0 in (0..m).step_by(ROW_BLOCK) {
-        let i1 = (i0 + ROW_BLOCK).min(m);
-        let (cb, ab, sb) = (&mut c[i0 * n..i1 * n], &a[i0 * k..i1 * k], &a_scales[i0..i1]);
-        // SAFETY (both vector arms): `supported` verified the level's CPU
-        // features at runtime above; the block's slices hold `i1 - i0` rows
-        // of `n`, `k` and one element, and `b` / `b_scales` were asserted
-        // against `n`/`k`.
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx2Vnni | Simd::Avx512 => unsafe {
-                x86::matmul_a_bt_vnni(cb, ab, sb, b, b_scales, k, n)
-            },
-            #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { x86::matmul_a_bt(cb, ab, sb, b, b_scales, k, n) },
-            _ => matmul_q8_a_bt_portable(cb, ab, sb, b, b_scales, k, n),
-        }
-    }
+    matmul_q8_a_bt_portable(c, a, a_scales, b, b_scales, k, n);
 }
 
-/// One row block of [`matmul_q8_a_bt`], portably — the reference the
-/// vector kernels are tested against, and the only path off x86-64.
+/// [`matmul_q8_a_bt`]'s loops, `m` = `a_scales.len()`: weight row outer,
+/// activation row inner.
 pub(crate) fn matmul_q8_a_bt_portable(
     c: &mut [f32],
     a: &[i8],
@@ -285,25 +207,10 @@ pub(crate) fn matmul_q8_a_bt_portable(
     for j in 0..n {
         let brow = &b[j * k..(j + 1) * k];
         for (i, &sa) in a_scales.iter().enumerate() {
-            let acc = dot_q8_scalar(&a[i * k..(i + 1) * k], brow);
+            let acc = dot_q8(&a[i * k..(i + 1) * k], brow);
             c[i * n + j] = dequant(acc, sa, b_scales[j]);
         }
     }
-}
-
-/// Single-row `y = x · Wᵀ` on int8: `x` is one quantized activation row
-/// with scale `x_scale`, `w` is `d_out×d_in` with per-output-channel
-/// scales. Exactly [`matmul_q8_a_bt`] with `m = 1`.
-pub fn matvec_q8(
-    y: &mut [f32],
-    x: &[i8],
-    x_scale: f32,
-    w: &[i8],
-    w_scales: &[f32],
-    d_in: usize,
-    d_out: usize,
-) {
-    matmul_q8_a_bt(y, x, &[x_scale], w, w_scales, 1, d_in, d_out);
 }
 
 /// Fused RMSNorm → int8 quantization of one row; returns the activation
@@ -358,71 +265,19 @@ fn swiglu_quantize_at(level: Simd, q: &mut [i8], act: &mut [f32], gate: &[f32], 
     quantize_row_at(level, q, act)
 }
 
-/// Runtime-dispatched vector kernels: AVX2, and the q8 tile again with
-/// AVX-VNNI.
-///
-/// Everything here accumulates exactly in `i32` or repeats the portable
-/// loops' f32 operations lane by lane, so results are bit-identical to
-/// the portable loops — the dispatch is invisible to the differential
-/// suites. `vpmaddwd` adds adjacent `i16·i16` products into `i32` lanes;
-/// with operands in `-127..=127` a pair sums to at most
-/// `2·127² < 2^15·2`, well inside `i32`, and a row of `k ≤ 2^16` terms
-/// stays inside `i32` overall.
+/// The AVX2 quantize epilogues. Each repeats the portable loops' f32
+/// operations lane by lane, so results are bit-identical to them — the
+/// dispatch is invisible to the differential suites.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{amax_portable, scale_round_portable, ROUND_HALF};
     use std::arch::x86_64::{
-        __m128i, __m256, __m256i, _mm256_abs_epi8, _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps,
-        _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvtepi8_epi16, _mm256_cvttps_epi32,
-        _mm256_dpbusd_avx_epi32, _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_loadu_ps,
-        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_max_ps, _mm256_min_ps,
-        _mm256_mul_ps, _mm256_or_ps, _mm256_set1_epi16, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_setzero_si256, _mm256_sign_epi8, _mm256_storeu_ps, _mm256_zextsi128_si256,
-        _mm_add_epi32, _mm_cvtepi32_ps, _mm_cvtsi128_si32, _mm_loadl_epi64, _mm_loadu_ps,
-        _mm_loadu_si128, _mm_max_epi8, _mm_mul_ps, _mm_packs_epi16, _mm_packs_epi32, _mm_set1_epi8,
-        _mm_set1_ps, _mm_shuffle_epi32, _mm_storel_epi64, _mm_storeu_ps, _mm_storeu_si128,
-        _CMP_ORD_Q,
+        __m128i, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_castsi256_si128, _mm256_cmp_ps,
+        _mm256_cvttps_epi32, _mm256_extracti128_si256, _mm256_loadu_ps, _mm256_max_ps,
+        _mm256_min_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps, _mm_max_epi8, _mm_packs_epi16, _mm_packs_epi32, _mm_set1_epi8,
+        _mm_storel_epi64, _CMP_ORD_Q,
     };
-
-    /// Horizontal sum of eight `i32` lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum(acc: __m256i) -> i32 {
-        let s4 = _mm_add_epi32(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1));
-        let s2 = _mm_add_epi32(s4, _mm_shuffle_epi32(s4, 0b1110));
-        _mm_cvtsi128_si32(_mm_add_epi32(s2, _mm_shuffle_epi32(s2, 0b01)))
-    }
-
-    /// Sign-extend 16 int8 lanes to int16.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load16(p: *const i8) -> __m256i {
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast::<__m128i>()))
-    }
-
-    /// AVX2 [`super::dot_q8`]: 16 lanes per `vpmaddwd`, scalar tail.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 16 <= n {
-            acc = _mm256_add_epi32(
-                acc,
-                _mm256_madd_epi16(load16(a.as_ptr().add(i)), load16(b.as_ptr().add(i))),
-            );
-            i += 16;
-        }
-        let mut s = hsum(acc);
-        while i < n {
-            s += i32::from(*a.get_unchecked(i)) * i32::from(*b.get_unchecked(i));
-            i += 1;
-        }
-        s
-    }
 
     /// AVX2 [`super::amax`]: eight running maxima, then their maximum and
     /// the `len % 8` tail. `vmaxps` returns its second operand when either
@@ -494,176 +349,6 @@ mod x86 {
         }
         scale_round_portable(&mut q[i..], &x[i..], a, gb.map(|(g, b)| (&g[i..], b)));
     }
-
-    /// Weight rows per register tile of [`tile`]: four `i32`
-    /// accumulators, reduced together by three `vphaddd`.
-    const TILE_W: usize = 4;
-
-    /// The next `N` ∈ {32, 16, 8} int8 lanes at `p`, the lanes above them
-    /// zero — a zero lane adds nothing to [`mac`], so a `k % 32` tail takes
-    /// the same step on a shorter load.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 support and that `p` is readable for `N`
-    /// bytes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn lanes<const N: usize>(p: *const i8) -> __m256i {
-        match N {
-            32 => _mm256_loadu_si256(p.cast::<__m256i>()),
-            16 => _mm256_zextsi128_si256(_mm_loadu_si128(p.cast::<__m128i>())),
-            _ => _mm256_zextsi128_si256(_mm_loadl_epi64(p.cast::<__m128i>())),
-        }
-    }
-
-    /// `acc[w] += Σ va·vb[w]` over 32 int8 lanes, into eight `i32` lanes
-    /// per weight row. `vpmaddubsw` wants one unsigned operand: it gets
-    /// `|va|`, and `vpsignb` moves `va`'s sign onto the weight lanes
-    /// (exact while no weight is `-128`), so each product is unchanged.
-    /// With both operands in `-127..=127` — `|va|` may be 128 — an adjacent
-    /// pair sums to at most `2·128·127 < 2^15`: the `i16` never saturates,
-    /// and `vpmaddwd` by ones widens pairs of them to `i32`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mac(acc: &mut [__m256i; TILE_W], va: __m256i, vb: [__m256i; TILE_W]) {
-        let ones = _mm256_set1_epi16(1);
-        let abs = _mm256_abs_epi8(va);
-        for (ac, vw) in acc.iter_mut().zip(vb) {
-            let pairs = _mm256_maddubs_epi16(abs, _mm256_sign_epi8(vw, va));
-            *ac = _mm256_add_epi32(*ac, _mm256_madd_epi16(pairs, ones));
-        }
-    }
-
-    /// [`mac`] in one instruction per weight row: `vpdpbusd` multiplies
-    /// the unsigned bytes of `|va|` (≤ 128) by the signed weight bytes
-    /// (|w| ≤ 127, `va`'s sign moved onto them as above) and adds each
-    /// group of four products straight into its `i32` lane — no `i16`
-    /// intermediate, nothing to saturate, the same four bytes per lane.
-    #[inline]
-    #[target_feature(enable = "avx2,avxvnni")]
-    fn mac_vnni(acc: &mut [__m256i; TILE_W], va: __m256i, vb: [__m256i; TILE_W]) {
-        let abs = _mm256_abs_epi8(va);
-        for (ac, vw) in acc.iter_mut().zip(vb) {
-            *ac = _mm256_dpbusd_avx_epi32(*ac, abs, _mm256_sign_epi8(vw, va));
-        }
-    }
-
-    /// AVX2 `a · bᵀ` with per-row scales for one block of activation rows
-    /// ([`tile`] with [`mac`]).
-    ///
-    /// # Safety
-    /// As [`tile`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_a_bt(
-        c: &mut [f32],
-        a: &[i8],
-        a_scales: &[f32],
-        b: &[i8],
-        b_scales: &[f32],
-        k: usize,
-        n: usize,
-    ) {
-        tile::<false>(c, a, a_scales, b, b_scales, k, n);
-    }
-
-    /// AVX-VNNI `a · bᵀ` with per-row scales for one block of activation
-    /// rows ([`tile`] with [`mac_vnni`]).
-    ///
-    /// # Safety
-    /// As [`tile`], and the CPU must support AVX-VNNI.
-    #[target_feature(enable = "avx2,avxvnni")]
-    pub(super) unsafe fn matmul_a_bt_vnni(
-        c: &mut [f32],
-        a: &[i8],
-        a_scales: &[f32],
-        b: &[i8],
-        b_scales: &[f32],
-        k: usize,
-        n: usize,
-    ) {
-        tile::<true>(c, a, a_scales, b, b_scales, k, n);
-    }
-
-    /// The one tile loop of both levels, compiled into each caller with
-    /// that caller's features: for each tile of [`TILE_W`] weight rows,
-    /// every activation row in turn — the tile stays in L1 across the
-    /// block — with each activation load shared by the tile's rows
-    /// ([`mac_vnni`] when `VNNI`, else [`mac`]), a scalar tail for
-    /// `k % 8`, and the four sums reduced and dequantized together. The
-    /// `n % TILE_W` leftover weight rows are plain [`dot`]s.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 support (and AVX-VNNI when `VNNI`) and that
-    /// `a`, `b` and `c` hold `a_scales.len()` rows of `k`, `n` rows of `k`
-    /// and `a_scales.len()` rows of `n` elements (asserted by the public
-    /// wrapper).
-    #[inline(always)]
-    unsafe fn tile<const VNNI: bool>(
-        c: &mut [f32],
-        a: &[i8],
-        a_scales: &[f32],
-        b: &[i8],
-        b_scales: &[f32],
-        k: usize,
-        n: usize,
-    ) {
-        let full = n - n % TILE_W;
-        for j in (0..full).step_by(TILE_W) {
-            let wrows: [*const i8; TILE_W] = std::array::from_fn(|w| b[(j + w) * k..].as_ptr());
-            let wscales = _mm_loadu_ps(b_scales[j..j + TILE_W].as_ptr());
-            for (i, &sa) in a_scales.iter().enumerate() {
-                let arow = a[i * k..(i + 1) * k].as_ptr();
-                let mut acc = [_mm256_setzero_si256(); TILE_W];
-                let mut t = 0;
-                macro_rules! step {
-                    ($n:literal) => {
-                        let (va, vb) = (lanes::<$n>(arow.add(t)), wrows.map(|w| lanes::<$n>(w.add(t))));
-                        if VNNI {
-                            mac_vnni(&mut acc, va, vb);
-                        } else {
-                            mac(&mut acc, va, vb);
-                        }
-                        t += $n;
-                    };
-                }
-                while t + 32 <= k {
-                    step!(32);
-                }
-                if t + 16 <= k {
-                    step!(16);
-                }
-                if t + 8 <= k {
-                    step!(8);
-                }
-                // [acc0 acc1 acc2 acc3] pairwise, then the two halves.
-                let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
-                let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
-                let s = _mm256_hadd_epi32(s01, s23);
-                let (lo, hi) = (_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
-                let mut sums = _mm_add_epi32(lo, hi);
-                if t < k {
-                    let mut tail = [0i32; TILE_W];
-                    _mm_storeu_si128(tail.as_mut_ptr().cast::<__m128i>(), sums);
-                    for (sum, row) in tail.iter_mut().zip(wrows) {
-                        for tt in t..k {
-                            *sum += i32::from(*arow.add(tt)) * i32::from(*row.add(tt));
-                        }
-                    }
-                    sums = _mm_loadu_si128(tail.as_ptr().cast::<__m128i>());
-                }
-                // `super::dequant`, four lanes at a time: the same two f32
-                // multiplies per element.
-                let out = _mm_mul_ps(_mm_cvtepi32_ps(sums), _mm_mul_ps(_mm_set1_ps(sa), wscales));
-                _mm_storeu_ps(c[i * n + j..i * n + j + TILE_W].as_mut_ptr(), out);
-            }
-        }
-        for j in full..n {
-            let brow = &b[j * k..(j + 1) * k];
-            for (i, &sa) in a_scales.iter().enumerate() {
-                c[i * n + j] = super::dequant(dot(&a[i * k..(i + 1) * k], brow), sa, b_scales[j]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -685,25 +370,26 @@ mod tests {
     }
 
     #[test]
-    fn simd_dispatch_is_bitwise_identical_to_scalar() {
-        // Exercise SIMD widths and scalar tails. The dispatched kernels
-        // must agree with the portable reference exactly, element by
-        // element, on whatever CPU runs the tests.
-        for &k in &[1usize, 7, 15, 16, 17, 33, 144, 200] {
+    fn matmul_q8_a_bt_is_each_rows_exact_dot_dequantized() {
+        // Every element is the naive integer dot, summed in i64 here, through
+        // `dequant`; and each row's elements are what a call on that row
+        // alone returns. Lengths on both sides of 8-, 16- and 32-lane steps.
+        for &k in &[1usize, 7, 15, 16, 17, 33, 37, 144, 200] {
             let (m, n) = (5, 9);
-            let a_f = random_vec(m * k, k as u64);
-            let b_f = random_vec(n * k, 1000 + k as u64);
             let (mut aq, mut asc) = (vec![0i8; m * k], vec![0.0; m]);
             let (mut bq, mut bsc) = (vec![0i8; n * k], vec![0.0; n]);
-            quantize_rows_q8(&mut aq, &mut asc, &a_f, m, k);
-            quantize_rows_q8(&mut bq, &mut bsc, &b_f, n, k);
+            quantize_rows_q8(&mut aq, &mut asc, &random_vec(m * k, k as u64), m, k);
+            quantize_rows_q8(&mut bq, &mut bsc, &random_vec(n * k, 1000 + k as u64), n, k);
             let mut c = vec![0.0f32; m * n];
             matmul_q8_a_bt(&mut c, &aq, &asc, &bq, &bsc, m, k, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let acc = dot_q8_scalar(&aq[i * k..(i + 1) * k], &bq[j * k..(j + 1) * k]);
-                    assert_eq!(dot_q8(&aq[i * k..(i + 1) * k], &bq[j * k..(j + 1) * k]), acc);
-                    assert_eq!(c[i * n + j], dequant(acc, asc[i], bsc[j]), "k={k} ({i},{j})");
+            for (i, (arow, crow)) in aq.chunks_exact(k).zip(c.chunks_exact(n)).enumerate() {
+                let mut alone = vec![f32::NAN; n];
+                matmul_q8_a_bt(&mut alone, arow, &asc[i..=i], &bq, &bsc, 1, k, n);
+                assert_eq!(bits(&alone), bits(crow), "k={k} row {i}");
+                for (j, brow) in bq.chunks_exact(k).enumerate() {
+                    let naive: i64 =
+                        arow.iter().zip(brow).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum();
+                    assert_eq!(crow[j], dequant(naive as i32, asc[i], bsc[j]), "k={k} ({i},{j})");
                 }
             }
         }
@@ -711,71 +397,6 @@ mod tests {
 
     fn bits(x: &[f32]) -> Vec<u32> {
         x.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn every_level_and_matvec_agree_bitwise_at_every_tile_edge() {
-        // Each level's tile called by name — on a VNNI host the AVX2 tile
-        // and the portable loop are otherwise dead code. Shapes on both
-        // sides of the 32-, 16- and 8-lane steps and the scalar tail (`k`),
-        // of the four-row weight tile (`n`) and of the activation row block
-        // (`m`), plus the S70b `d_model` / `d_ff`.
-        let levels = host_levels();
-        for m in [1usize, 2, 3, 4, 5, 9, ROW_BLOCK + 1] {
-            for k in [1usize, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 56, 63, 64, 65, 144, 392] {
-                for n in [1usize, 3, 4, 5, 9, 517] {
-                    let (mut aq, mut asc) = (vec![0i8; m * k], vec![0.0; m]);
-                    let (mut bq, mut bsc) = (vec![0i8; n * k], vec![0.0; n]);
-                    quantize_rows_q8(&mut aq, &mut asc, &random_vec(m * k, (m * k) as u64), m, k);
-                    quantize_rows_q8(&mut bq, &mut bsc, &random_vec(n * k, (n + k) as u64), n, k);
-                    // No quantizer emits it, but the kernels stay exact for
-                    // an activation (not a weight) of -128 — |a| = 128 as the
-                    // unsigned operand — against weights of ±127, in the
-                    // vector steps and in the tail.
-                    for t in [0, k / 2, k - 1] {
-                        aq[t] = i8::MIN;
-                        aq[m * k - 1 - t] = i8::MIN;
-                        bq[t] = 127;
-                        bq[n * k - 1 - t] = -127;
-                    }
-                    let mut portable = vec![f32::NAN; m * n];
-                    matmul_q8_a_bt_portable(&mut portable, &aq, &asc, &bq, &bsc, k, n);
-                    for &level in &levels {
-                        let mut got = vec![f32::NAN; m * n];
-                        matmul_q8_a_bt_at(level, &mut got, &aq, &asc, &bq, &bsc, m, k, n);
-                        assert_eq!(bits(&got), bits(&portable), "{level:?} {m}x{k}x{n}");
-                    }
-                    let mut rows = vec![f32::NAN; m * n];
-                    for (i, row) in rows.chunks_exact_mut(n).enumerate() {
-                        matvec_q8(row, &aq[i * k..(i + 1) * k], asc[i], &bq, &bsc, k, n);
-                    }
-                    assert_eq!(bits(&rows), bits(&portable), "matvec {m}x{k}x{n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_level_sums_the_largest_products_exactly() {
-        // Every lane at the extremes: -128 · ±127 is the largest product
-        // the tile meets; a `vpmaddubsw` pair of them (32 512) sits just
-        // under the i16 limit, a `vpdpbusd` group of four adds 65 024.
-        let levels = host_levels();
-        for k in [8usize, 32, 64, 392] {
-            let a = vec![i8::MIN; k];
-            let mut b = vec![127i8; 5 * k];
-            b[k..2 * k].fill(-127);
-            for (t, w) in b[2 * k..3 * k].iter_mut().enumerate() {
-                *w = if t % 2 == 0 { 127 } else { -127 };
-            }
-            let want = [-128 * 127 * k as i32, 128 * 127 * k as i32, 0, -128 * 127 * k as i32];
-            for &level in &levels {
-                let mut c = [f32::NAN; 5];
-                matmul_q8_a_bt_at(level, &mut c, &a, &[1.0], &b, &[1.0; 5], 1, k, 5);
-                let want = [want[0], want[1], want[2], want[3], want[0]].map(|s| s as f32);
-                assert_eq!(c, want, "{level:?} k={k}");
-            }
-        }
     }
 
     /// Lanes a quantizer must survive, mixed into rows at random; the
@@ -856,29 +477,10 @@ mod tests {
     #[test]
     fn int8_kernels_write_only_their_output_at_every_level() {
         // Each output between guards, against the same call on exactly
-        // sized outputs: the q8 tile's `c` (rows on both sides of the row
-        // block, columns on both sides of the four-row weight tile), and
-        // the quantizers' `q`, scales and SwiGLU's `act`, at lengths on
-        // both sides of the 8-, 16- and 32-lane steps.
+        // sized outputs: the quantizers' `q`, scales and SwiGLU's `act`, at
+        // lengths on both sides of the 8-, 16- and 32-lane steps. (The
+        // int8 matmul tiles are `Q8Panels`', guarded in `panel.rs`.)
         let levels = host_levels();
-        for m in [1usize, 2, ROW_BLOCK + 1] {
-            for k in [1usize, 7, 9, 33] {
-                for n in [1usize, 3, 4, 5, 9] {
-                    let (mut aq, mut asc) = (vec![0i8; m * k], vec![0.0; m]);
-                    let (mut bq, mut bsc) = (vec![0i8; n * k], vec![0.0; n]);
-                    quantize_rows_q8(&mut aq, &mut asc, &random_vec(m * k, (m * k) as u64), m, k);
-                    quantize_rows_q8(&mut bq, &mut bsc, &random_vec(n * k, (n + k) as u64), n, k);
-                    for &level in &levels {
-                        let mut want = vec![f32::NAN; m * n];
-                        matmul_q8_a_bt_at(level, &mut want, &aq, &asc, &bq, &bsc, m, k, n);
-                        let got = guarded(&vec![f32::NAN; m * n], |c| {
-                            matmul_q8_a_bt_at(level, c, &aq, &asc, &bq, &bsc, m, k, n)
-                        });
-                        assert_eq!(bits(&got), bits(&want), "{level:?} {m}x{k}x{n}");
-                    }
-                }
-            }
-        }
         for len in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40] {
             let (x, g, up) = (edge_row(len, 2), edge_row(len, 4), edge_row(len, 6));
             // Two rows, so that the scales have an inside too.
@@ -967,14 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_q8_matches_naive() {
-        let a: Vec<i8> = (0i32..37).map(|i| ((i * 7) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0i32..37).map(|i| ((i * 13 + 5) % 255 - 127) as i8).collect();
-        let naive: i32 = a.iter().zip(b.iter()).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
-        assert_eq!(dot_q8(&a, &b), naive);
-    }
-
-    #[test]
     fn quantize_round_trip_within_half_scale() {
         let x = random_vec(256, 3);
         let mut q = vec![0i8; 256];
@@ -1031,24 +625,6 @@ mod tests {
         matmul_q8_a_bt(&mut c, &aq, &asc, &bq, &bsc, m, k, n);
         for (x, y) in c.iter().zip(c_ref.iter()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn chunked_rows_bitwise_match_single_row_matvec() {
-        let (m, k, n) = (7, 33, 29);
-        let a_f = random_vec(m * k, 21);
-        let b_f = random_vec(n * k, 22);
-        let (mut aq, mut asc) = (vec![0i8; m * k], vec![0.0; m]);
-        let (mut bq, mut bsc) = (vec![0i8; n * k], vec![0.0; n]);
-        quantize_rows_q8(&mut aq, &mut asc, &a_f, m, k);
-        quantize_rows_q8(&mut bq, &mut bsc, &b_f, n, k);
-        let mut chunk = vec![0.0f32; m * n];
-        matmul_q8_a_bt(&mut chunk, &aq, &asc, &bq, &bsc, m, k, n);
-        for i in 0..m {
-            let mut row = vec![0.0f32; n];
-            matvec_q8(&mut row, &aq[i * k..(i + 1) * k], asc[i], &bq, &bsc, k, n);
-            assert_eq!(&chunk[i * n..(i + 1) * n], &row[..], "row {i} diverged");
         }
     }
 
@@ -1112,3 +688,4 @@ mod tests {
         }
     }
 }
+

@@ -1,9 +1,10 @@
 //! Micro-benchmark of the int8 kernels at S70b dimensions — per-token
 //! matvec cost f32 vs q8, and how a multi-row call amortizes it (the
-//! `beta` cost-per-position ratio) — of the f32 and int8 panel kernels
-//! against `matmul_a_bt` and `matmul_q8_a_bt` at the S7b / S70b linear
-//! shapes, and of `exp` and the attention kernel at each level with an arm
-//! of its own (`Portable`, `Avx2`, `Avx512`), the levels timed in
+//! `beta` cost-per-position ratio) — of the f32 panel kernel against
+//! `matmul_a_bt` at the S7b / S70b linear shapes, of the int8 panel
+//! kernel at those shapes on every level (`Portable`, `Avx2`, `Avx2Vnni`,
+//! `Avx512`), and of `exp` and the attention kernel at each level with an
+//! arm of its own (`Portable`, `Avx2`, `Avx512`); levels are timed in
 //! alternating batches and each given as a ratio to `Avx2`. Ignored by
 //! default; run with:
 //!
@@ -18,7 +19,7 @@
 use astro_tensor::attention::{attend_rows_at, score_rows};
 use astro_tensor::matmul::matmul_a_bt;
 use astro_tensor::ops::exp_at;
-use astro_tensor::qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_rows_q8};
+use astro_tensor::qmatmul::quantize_rows_q8;
 use astro_tensor::{Panels, Q8Panels, Simd};
 use std::hint::black_box;
 use std::time::Instant;
@@ -48,12 +49,34 @@ fn best_of_five(iters: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The levels with kernel arms of their own that this CPU runs.
+/// The levels of `levels` that this CPU runs.
+fn host(levels: &[Simd]) -> Vec<Simd> {
+    levels.iter().copied().filter(|&level| level <= astro_tensor::simd()).collect()
+}
+
+/// The levels with `exp` and attention arms of their own that this CPU
+/// runs.
 fn arms() -> Vec<Simd> {
-    let arms = [Simd::Portable, Simd::Avx2, Simd::Avx512];
-    arms.into_iter()
-        .filter(|&level| level <= astro_tensor::simd())
-        .collect()
+    host(&[Simd::Portable, Simd::Avx2, Simd::Avx512])
+}
+
+/// `rows × cols` int8 values quantized from `randv`, one scale per row.
+fn q8(rows: usize, cols: usize, seed: u64) -> (Vec<i8>, Vec<f32>) {
+    let (mut q, mut scales) = (vec![0i8; rows * cols], vec![0.0f32; rows]);
+    quantize_rows_q8(&mut q, &mut scales, &randv(rows * cols, seed), rows, cols);
+    (q, scales)
+}
+
+/// The f32 weight `w` (`n × k`) quantized per row and packed in panels.
+fn pack_q8(w: &[f32], n: usize, k: usize) -> Q8Panels {
+    let (mut q, mut scales) = (vec![0i8; n * k], vec![0.0f32; n]);
+    quantize_rows_q8(&mut q, &mut scales, w, n, k);
+    Q8Panels::pack(&q, &scales, n, k)
+}
+
+/// An `n × k` int8 weight from `randv`, in panels.
+fn q8_panels(n: usize, k: usize, seed: u64) -> Q8Panels {
+    pack_q8(&randv(n * k, seed), n, k)
 }
 
 /// Per level of `levels`: the median seconds per call of `f(level)`, and
@@ -178,38 +201,46 @@ fn panels_vs_a_bt() {
 
 #[test]
 #[ignore]
-fn q8_panels_vs_row_major() {
+fn q8_panels_at_each_level() {
     // The int8 linears of S7b and S70b as `(n, k)`, as `panels_vs_a_bt`
-    // takes them: the row-major tile (`matmul_q8_a_bt`) against the int8
-    // panels frozen weights run, weights cache-resident.
-    println!("kernels: {:?}", astro_tensor::simd());
+    // takes them, on every level's `Q8Panels` tile, in GMAC/s: `m` rows
+    // against cache-resident weights, and `m 1 cold` — one row against
+    // each of more than 2 MB of distinct weights in turn, which a decode
+    // step's weights are — where a warm one-row timing would mislead.
+    let levels = host(&[Simd::Portable, Simd::Avx2, Simd::Avx2Vnni, Simd::Avx512]);
+    println!("kernels: {:?}, timing {levels:?}", astro_tensor::simd());
+    let line = |what: String, macs: usize, times: Vec<(f64, Option<f64>)>| {
+        let cells: String = levels
+            .iter()
+            .zip(times)
+            .map(|(level, (secs, ratio))| {
+                let ratio = ratio.map_or(String::new(), |r| format!(" ({r:.2}x)"));
+                format!("   {level:?} {:6.1}{ratio}", macs as f64 / secs * 1e-9)
+            })
+            .collect();
+        println!("{what}:{cells}");
+    };
     for (d, ff) in [(64usize, 176usize), (144, 392)] {
         for (n, k) in [(d, d), (ff, d), (d, ff), (512, d)] {
-            let mut bq = vec![0i8; n * k];
-            let mut bs = vec![0.0f32; n];
-            quantize_rows_q8(&mut bq, &mut bs, &randv(n * k, 11), n, k);
-            let panels = Q8Panels::pack(&bq, &bs, n, k);
+            let panels = q8_panels(n, k, 11);
             for m in [1usize, 4, 8, 16] {
-                let mut aq = vec![0i8; m * k];
-                let mut asc = vec![0.0f32; m];
-                quantize_rows_q8(&mut aq, &mut asc, &randv(m * k, 12), m, k);
+                let (aq, asc) = q8(m, k, 12);
                 let mut out = vec![0.0f32; m * n];
-                let iters = 100_000_000 / (m * n * k);
-                let row_major = best_of_five(iters, || {
-                    matmul_q8_a_bt(&mut out, black_box(&aq), &asc, &bq, &bs, m, k, n)
+                let times = alternating(&levels, 20_000_000 / (m * n * k), |level| {
+                    panels.a_bt_at(level, &mut out, black_box(&aq), &asc, m)
                 });
-                let pan = best_of_five(iters, || panels.a_bt(&mut out, black_box(&aq), &asc, m));
-                let gops = |secs: f64| (m * n * k) as f64 / secs * 1e-9;
-                println!(
-                    "n {n:3} k {k:3} m {m:2}: row-major {:5.1} GMAC/s ({:6.2} us)   \
-                     q8 panels {:5.1} GMAC/s ({:6.2} us)   {:.2}x",
-                    gops(row_major),
-                    row_major * 1e6,
-                    gops(pan),
-                    pan * 1e6,
-                    row_major / pan
-                );
+                line(format!("n {n:3} k {k:3} m {m:2}     "), m * n * k, times);
             }
+            let cold: Vec<Q8Panels> =
+                (0..(4 << 20) / (n * k) + 1).map(|c| q8_panels(n, k, 100 + c as u64)).collect();
+            let (aq, asc) = q8(1, k, 12);
+            let mut out = vec![0.0f32; n];
+            let mut next = cold.iter().cycle();
+            let times = alternating(&levels, cold.len(), |level| {
+                let panels = next.next().unwrap();
+                panels.a_bt_at(level, &mut out, black_box(&aq), &asc, 1)
+            });
+            line(format!("n {n:3} k {k:3} m  1 cold"), n * k, times);
         }
     }
 }
@@ -241,33 +272,12 @@ fn q8_vs_f32_matvec() {
     println!("weights: {} f32 = {:.1} MB f32 / {:.1} MB i8", total_w, total_w as f64 * 4e-6, total_w as f64 * 1e-6);
     println!("kernels: {:?}", astro_tensor::simd());
 
-    // Quantize all.
-    struct Lq {
-        q: Vec<i8>,
-        s: Vec<f32>,
-        g: Vec<i8>,
-        gs: Vec<f32>,
-        dn: Vec<i8>,
-        ds: Vec<f32>,
-    }
-    let lq: Vec<Lq> = lw
+    // Quantize and pack all.
+    let lq: Vec<[Q8Panels; 3]> = lw
         .iter()
-        .map(|l| {
-            let mut q = vec![0i8; l.wq.len()];
-            let mut s = vec![0.0; 4 * d];
-            quantize_rows_q8(&mut q, &mut s, &l.wq, 4 * d, d);
-            let mut g = vec![0i8; l.wg.len()];
-            let mut gs = vec![0.0; 2 * ff];
-            quantize_rows_q8(&mut g, &mut gs, &l.wg, 2 * ff, d);
-            let mut dn = vec![0i8; l.wd.len()];
-            let mut ds = vec![0.0; d];
-            quantize_rows_q8(&mut dn, &mut ds, &l.wd, d, ff);
-            Lq { q, s, g, gs, dn, ds }
-        })
+        .map(|l| [pack_q8(&l.wq, 4 * d, d), pack_q8(&l.wg, 2 * ff, d), pack_q8(&l.wd, d, ff)])
         .collect();
-    let mut eq = vec![0i8; vocab * d];
-    let mut es = vec![0.0; vocab];
-    quantize_rows_q8(&mut eq, &mut es, &embed, vocab, d);
+    let eq = pack_q8(&embed, vocab, d);
 
     let x = randv(d, 1234);
     let xf = randv(ff, 4321);
@@ -298,12 +308,12 @@ fn q8_vs_f32_matvec() {
 
     let t0 = Instant::now();
     for _ in 0..iters {
-        for l in &lq {
-            matvec_q8(&mut y4, &xq, sx[0], &l.q, &l.s, d, 4 * d);
-            matvec_q8(&mut y2f, &xq, sx[0], &l.g, &l.gs, d, 2 * ff);
-            matvec_q8(&mut yd, &xfq, sxf[0], &l.dn, &l.ds, ff, d);
+        for [wq, wg, wd] in &lq {
+            wq.a_bt(&mut y4, &xq, &sx, 1);
+            wg.a_bt(&mut y2f, &xq, &sx, 1);
+            wd.a_bt(&mut yd, &xfq, &sxf, 1);
         }
-        matvec_q8(&mut yv, &xq, sx[0], &eq, &es, d, vocab);
+        eq.a_bt(&mut yv, &xq, &sx, 1);
     }
     let q8_tok = t0.elapsed().as_secs_f64() / iters as f64;
     println!(
@@ -329,12 +339,12 @@ fn q8_vs_f32_matvec() {
         let mut cv = vec![0.0f32; m * vocab];
         let t0 = Instant::now();
         for _ in 0..iters {
-            for l in &lq {
-                matmul_q8_a_bt(&mut c4, &aq, &asx, &l.q, &l.s, m, d, 4 * d);
-                matmul_q8_a_bt(&mut c2f, &aq, &asx, &l.g, &l.gs, m, d, 2 * ff);
-                matmul_q8_a_bt(&mut cd, &afq, &afs, &l.dn, &l.ds, m, ff, d);
+            for [wq, wg, wd] in &lq {
+                wq.a_bt(&mut c4, &aq, &asx, m);
+                wg.a_bt(&mut c2f, &aq, &asx, m);
+                wd.a_bt(&mut cd, &afq, &afs, m);
             }
-            matmul_q8_a_bt(&mut cv, &aq, &asx, &eq, &es, m, d, vocab);
+            eq.a_bt(&mut cv, &aq, &asx, m);
         }
         let per_tok = t0.elapsed().as_secs_f64() / iters as f64 / m as f64;
         println!("q8 chunk m={m}: {:.1} us/token  beta={:.2}", per_tok * 1e6, per_tok / q8_tok);
